@@ -8,7 +8,7 @@ from .complexes import (Complex, SubComplex, boundary, euler_characteristic,
                         is_arc, is_cycle, link, parse_complex, format_complex,
                         star)
 from .errors import (DisconnectedComplex, FixIsEmpty, FixIsEverything,
-                     InvalidComplex, NonCoplanarOverlap, NondegenerateViolation,
+                     InternalError, InvalidComplex, NonCoplanarOverlap, NondegenerateViolation,
                      NotFixedPoint, OutOfInterval, ParseError, PLError,
                      PointOutsideComplex, RealizationMismatch,
                      SideOutsideInterval, SupportMismatch, UnknownVertex,

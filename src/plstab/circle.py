@@ -7,7 +7,6 @@ enclosures of width <= 2/n are produced.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import floor
@@ -15,21 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import InvalidComplex, ParseError
 from .geometry import fmt, rat
-
-Break = Tuple[Fraction, Fraction]
-
-
-def _canonicalize(bps: List[Break]) -> Tuple[Break, ...]:
-    out: List[Break] = [bps[0]]
-    for i in range(1, len(bps) - 1):
-        x0, y0 = out[-1]
-        x1, y1 = bps[i]
-        x2, y2 = bps[i + 1]
-        if (y1 - y0) * (x2 - x1) == (y2 - y1) * (x1 - x0):
-            continue
-        out.append(bps[i])
-    out.append(bps[-1])
-    return tuple(out)
+from .interval import canonical_breakpoints, interpolate, shifted_fixed_pieces
 
 
 class CircleLift:
@@ -55,7 +40,7 @@ class CircleLift:
             raise InvalidComplex("lift must be strictly increasing")
         if ys[-1] != ys[0] + 1:
             raise InvalidComplex("lift must satisfy F(1) = F(0) + 1")
-        self.breakpoints = _canonicalize(bps)
+        self.breakpoints = canonical_breakpoints(bps)
 
     @classmethod
     def rotation(cls, angle) -> "CircleLift":
@@ -66,9 +51,25 @@ class CircleLift:
     def identity(cls) -> "CircleLift":
         return cls.rotation(0)
 
+    def identity_like(self) -> "CircleLift":
+        return CircleLift.identity()
+
     def is_identity(self) -> bool:
         return self.breakpoints == ((Fraction(0), Fraction(0)),
                                     (Fraction(1), Fraction(1)))
+
+    def moved_point(self) -> Optional[Fraction]:
+        """A breakpoint the lift moves, or None for the identity lift."""
+        return next((x for x, y in self.breakpoints if x != y), None)
+
+    def compose(self, g: "CircleLift") -> "CircleLift":
+        return compose_lift(self, g)
+
+    def inverse(self) -> "CircleLift":
+        return inverse_lift(self)
+
+    def eval(self, x) -> Fraction:
+        return eval_lift(self, x)
 
     def __eq__(self, other):
         return isinstance(other, CircleLift) and self.breakpoints == other.breakpoints
@@ -80,20 +81,13 @@ class CircleLift:
         pts = ", ".join(f"({fmt(x)},{fmt(y)})" for x, y in self.breakpoints)
         return f"CircleLift[{pts}]"
 
-    def __call__(self, x) -> Fraction:
-        return eval_lift(self, x)
+    __call__ = eval
 
 
 def eval_lift(F: CircleLift, x) -> Fraction:
     x = rat(x)
     k = floor(x)  # exact for Fraction
-    frac = x - k
-    xs = [p[0] for p in F.breakpoints]
-    i = bisect_right(xs, frac) - 1
-    if i == len(xs) - 1:
-        i -= 1
-    (x0, y0), (x1, y1) = F.breakpoints[i], F.breakpoints[i + 1]
-    return k + y0 + (frac - x0) * (y1 - y0) / (x1 - x0)
+    return k + interpolate(F.breakpoints, x - k)
 
 
 def compose_lift(F: CircleLift, G: CircleLift) -> CircleLift:
@@ -118,12 +112,7 @@ def inverse_lift(F: CircleLift) -> CircleLift:
 
     def geval(y: Fraction) -> Fraction:
         k = floor(y - c)
-        yy = y - k
-        i = bisect_right([p[0] for p in sw], yy) - 1
-        if i == len(sw) - 1:
-            i -= 1
-        (y0, x0), (y1, x1) = sw[i], sw[i + 1]
-        return k + x0 + (yy - y0) * (x1 - x0) / (y1 - y0)
+        return k + interpolate(sw, y - k)
 
     kinks = sorted({y - floor(y) for y, _ in sw if y - floor(y) != 1} | {Fraction(0)})
     bps = [(t, geval(t)) for t in kinks]
@@ -176,31 +165,14 @@ class RationalRotation:
 
 
 def fixed_set_circle(F: CircleLift, p: int) -> List[Tuple[Fraction, Fraction]]:
-    """Exact solution set of F(x) = x + p on one period [0, 1), sorted."""
-    raw = []
-    for i in range(len(F.breakpoints) - 1):
-        (x0, y0), (x1, y1) = F.breakpoints[i], F.breakpoints[i + 1]
-        sl = (y1 - y0) / (x1 - x0)
-        if sl == 1:
-            if y0 == x0 + p:
-                raw.append((x0, x1))
-        else:
-            x = (y0 - sl * x0 - p) / (1 - sl)
-            if x0 <= x <= x1:
-                raw.append((x, x))
-    raw.sort()
-    merged: List[Tuple[Fraction, Fraction]] = []
-    for lo, hi in raw:
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    # glue the wrap-around piece [.., 1] with [0, ..]
-    if len(merged) >= 2 and merged[-1][1] == 1 and merged[0][0] == 0:
-        pass  # both pieces reported; they meet at 0 ~ 1 on the circle
+    """Exact solution set of F(x) = x + p on one period [0, 1), sorted.
+
+    A piece ending at 1 and one starting at 0 are both reported, though they
+    meet at 0 ~ 1 on the circle.
+    """
+    merged = shifted_fixed_pieces(F.breakpoints, p)
     # drop a pure right-endpoint hit duplicated at 0
-    merged = [piece for piece in merged if not (piece == (1, 1) and (0, 0) in merged)]
-    return merged
+    return [piece for piece in merged if not (piece == (1, 1) and (0, 0) in merged)]
 
 
 def detect_rational_rotation(F: CircleLift, qmax: int = 64):

@@ -10,18 +10,15 @@ import os
 import sys
 from fractions import Fraction
 
-from .circle import (CircleLift, compose_lift, detect_rational_rotation,
-                     eval_lift, format_circle_lift, inverse_lift,
+from .circle import (detect_rational_rotation, format_circle_lift,
                      parse_circle_lift, rotation_enclosure)
-from .complexes import (Complex, euler_characteristic, format_complex,
-                        parse_complex)
-from .errors import PLError
+from .complexes import euler_characteristic, format_complex, parse_complex
+from .errors import ParseError, PLError
 from .fixedlocus import fixed_subcomplex
 from .geometry import fmt, rat
-from .interval import (PLMap1D, compose1d, eval1d, format_plmap1d, inverse1d,
-                       parse_plmap1d)
+from .interval import format_plmap1d, parse_plmap1d
 from .overlay import overlay
-from .plmap import PLMap, compose2d, format_plmap, inverse2d, parse_plmap
+from .plmap import format_plmap, parse_plmap
 from .presentation import abelianization, parse_presentation
 from .stability import ActionSpec, analyze_action, certify_trivial
 from .tangent import build_germ, format_germ
@@ -59,23 +56,34 @@ def _key(k):
     return str(k)
 
 
+def _header(text: str):
+    """Tokens of the first line that is not blank or a comment, or []."""
+    for raw in text.splitlines():
+        tok = raw.split("#", 1)[0].split()
+        if tok:
+            return tok
+    return []
+
+
+def _base_name(tok) -> str:
+    """The file name of a `base <file>` header."""
+    if len(tok) < 2:
+        raise ParseError("bad base header %r" % " ".join(tok))
+    return tok[1]
+
+
 def load_map(path: str):
     """Read a map file; returns ("interval"|"circle"|"complex", map)."""
     with open(path) as fh:
         text = fh.read()
-    header = None
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            header = line.split()[0]
-            break
+    tok = _header(text)
+    header = tok[0] if tok else None
     if header == "interval":
         return "interval", parse_plmap1d(text)
     if header == "circle":
         return "circle", parse_circle_lift(text)
     if header == "base":
-        base_file = text.splitlines()[0].split("#", 1)[0].split()[1]
-        base_path = os.path.join(os.path.dirname(os.path.abspath(path)), base_file)
+        base_path = os.path.join(os.path.dirname(os.path.abspath(path)), _base_name(tok))
         with open(base_path) as fh:
             base = parse_complex(fh.read())
         return "complex", parse_plmap(text, base)
@@ -131,8 +139,7 @@ def cmd_eval(args, out):
     else:
         if len(args.point) != 1:
             raise UsageError("1-dimensional map takes a single coordinate")
-        x = rat(args.point[0])
-        y = eval1d(m, x) if kind == "interval" else eval_lift(m, x)
+        y = m.eval(rat(args.point[0]))
         text, obj = fmt(y), y
     _emit(args, out, "eval", text, obj)
 
@@ -147,8 +154,8 @@ def _format_kind(kind, m, base_name=None):
 
 def _base_name_of(path):
     with open(path) as fh:
-        first = fh.readline().split()
-    return first[1] if first and first[0] == "base" else None
+        tok = _header(fh.read())
+    return _base_name(tok) if tok and tok[0] == "base" else None
 
 
 def cmd_compose(args, out):
@@ -159,18 +166,16 @@ def cmd_compose(args, out):
     if len(kinds) != 1:
         raise UsageError("cannot compose maps of different kinds")
     kind = kinds.pop()
-    comp = {"interval": compose1d, "circle": compose_lift, "complex": compose2d}[kind]
     # f1 f2 ... fn composes to f1 o f2 o ... o fn (rightmost applied first)
     m = loaded[-1][1]
     for _, g in reversed(loaded[:-1]):
-        m = comp(g, m)
+        m = g.compose(m)
     _print(out, _format_kind(kind, m, _base_name_of(args.map[0])))
 
 
 def cmd_invert(args, out):
     kind, m = load_map(args.map)
-    inv = {"interval": inverse1d, "circle": inverse_lift, "complex": inverse2d}[kind]
-    _print(out, _format_kind(kind, inv(m), _base_name_of(args.map)))
+    _print(out, _format_kind(kind, m.inverse(), _base_name_of(args.map)))
 
 
 def cmd_fixset(args, out):

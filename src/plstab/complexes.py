@@ -13,13 +13,19 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
+from .clip import clip_polygon_to_triangle, polygon_area2
 from .errors import InvalidComplex, ParseError, UnknownVertex
 from .geometry import (
     Point,
+    bbox,
+    boxes_apart,
     cross2,
+    cross3,
     dot,
+    drop_axis,
     fmt,
     orient2,
+    plane_normal,
     rat,
     vadd,
     vscale,
@@ -50,15 +56,16 @@ def close_under_faces(simplices) -> Tuple[SimplexT, ...]:
     return tuple(sorted(out, key=lambda f: (len(f), f)))
 
 
-def _cross3(a, b):
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
+def index_cells(cells):
+    """Vertices of point-tuple cells in sorted coordinate order, and each
+    cell as a sorted index simplex over them."""
+    cells = list(cells)
+    pts = sorted({p for cell in cells for p in cell})
+    idx = {p: i for i, p in enumerate(pts)}
+    return pts, [tuple(sorted(idx[p] for p in cell)) for cell in cells]
 
 
-def _seg_seg_open_meet(a, b, c, d) -> bool:
+def seg_seg_open_meet(a, b, c, d) -> bool:
     """Do the open segments (a,b) and (c,d) share a point? Exact, any ambient."""
     u = vsub(b, a)
     v = vsub(d, c)
@@ -76,7 +83,7 @@ def _seg_seg_open_meet(a, b, c, d) -> bool:
         if cross2(w, u) != 0:
             return False  # parallel, different lines
     else:
-        if not (_cross3(u, v) == (0, 0, 0) and _cross3(w, u) == (0, 0, 0)):
+        if not (cross3(u, v) == (0, 0, 0) and cross3(w, u) == (0, 0, 0)):
             # skew or crossing lines in 3-space: solve for a common point
             # via two independent coordinates, verify on the third
             for i, j in ((0, 1), (0, 2), (1, 2)):
@@ -97,13 +104,11 @@ def _seg_seg_open_meet(a, b, c, d) -> bool:
 
 
 def _plane(p0, p1, p2):
-    n = _cross3(vsub(p1, p0), vsub(p2, p0))
+    n = plane_normal(p0, p1, p2)
     return n, dot(n, p0)
 
 
 def _tri_tri_open_meet_2d(t1, t2) -> bool:
-    from .clip import clip_polygon_to_triangle, polygon_area2  # local, avoids cycle
-
     poly = clip_polygon_to_triangle(list(t1), t2)
     return polygon_area2(poly) != 0
 
@@ -115,11 +120,8 @@ def _project_axis(normal):
     raise InvalidComplex("degenerate triangle normal")
 
 
-def _drop(p, axis):
-    return tuple(c for i, c in enumerate(p) if i != axis)
-
-
-def _tri_tri_open_meet_3d(t1, t2) -> bool:
+def tri_tri_open_meet_3d(t1, t2) -> bool:
+    """Do the open triangles t1 and t2 of 3-space share a point? Exact."""
     n1, d1 = _plane(*t1)
     n2, d2 = _plane(*t2)
     s = [dot(n2, p) - d2 for p in t1]
@@ -128,7 +130,7 @@ def _tri_tri_open_meet_3d(t1, t2) -> bool:
     if all(x == 0 for x in s):  # coplanar: project and use the 2D test
         ax = _project_axis(n2)
         return _tri_tri_open_meet_2d(
-            [_drop(p, ax) for p in t1], [_drop(p, ax) for p in t2]
+            [drop_axis(p, ax) for p in t1], [drop_axis(p, ax) for p in t2]
         )
     # T1 meets plane(T2) in a segment (or point); collect it
     pts = []
@@ -148,9 +150,9 @@ def _tri_tri_open_meet_3d(t1, t2) -> bool:
     lo, hi = Fraction(0), Fraction(1)
     for i in range(3):
         a, b = t2[i], t2[(i + 1) % 3]
-        inward = dot(_cross3(vsub(b, a), n2), vsub(t2[(i + 2) % 3], a))
+        inward = dot(cross3(vsub(b, a), n2), vsub(t2[(i + 2) % 3], a))
         def side(x, a=a, b=b):
-            return dot(_cross3(vsub(b, a), n2), vsub(x, a))
+            return dot(cross3(vsub(b, a), n2), vsub(x, a))
         sp, sq = side(p), side(q)
         if inward < 0:
             sp, sq = -sp, -sq
@@ -173,8 +175,8 @@ def _tri_tri_open_meet_3d(t1, t2) -> bool:
     def strictly_inside(x, tri, n):
         for i in range(3):
             a, b = tri[i], tri[(i + 1) % 3]
-            inward = dot(_cross3(vsub(b, a), n), vsub(tri[(i + 2) % 3], a))
-            sd = dot(_cross3(vsub(b, a), n), vsub(x, a))
+            inward = dot(cross3(vsub(b, a), n), vsub(tri[(i + 2) % 3], a))
+            sd = dot(cross3(vsub(b, a), n), vsub(x, a))
             if inward < 0:
                 sd = -sd
             if sd <= 0:
@@ -234,7 +236,7 @@ class Complex:
             self._check_nondegenerate(s)
         self._check_manifold_faces()
         self._check_disjoint_interiors()
-        if require_connected and not self._is_connected():
+        if require_connected and not self.is_connected():
             raise InvalidComplex("complex is not connected (flag it otherwise)")
 
     def _check_nondegenerate(self, s: SimplexT):
@@ -247,7 +249,7 @@ class Complex:
                 if orient2(*pts) == 0:
                     raise InvalidComplex(f"degenerate triangle {s}")
             else:
-                if _cross3(vsub(pts[1], pts[0]), vsub(pts[2], pts[0])) == (0, 0, 0):
+                if plane_normal(*pts) == (0, 0, 0):
                     raise InvalidComplex(f"degenerate triangle {s}")
 
     def _check_manifold_faces(self):
@@ -259,20 +261,11 @@ class Complex:
             if c > 2:
                 raise InvalidComplex(f"face {f} lies in {c} maximal simplices")
 
-    def _bbox(self, s: SimplexT):
-        pts = [self.points[v] for v in s]
-        return (
-            tuple(min(p[i] for p in pts) for i in range(len(pts[0]))),
-            tuple(max(p[i] for p in pts) for i in range(len(pts[0]))),
-        )
-
     def _check_disjoint_interiors(self):
-        boxes = [self._bbox(s) for s in self.simplices]
+        boxes = [bbox([self.points[v] for v in s]) for s in self.simplices]
         for i in range(len(self.simplices)):
             for j in range(i + 1, len(self.simplices)):
-                lo1, hi1 = boxes[i]
-                lo2, hi2 = boxes[j]
-                if any(hi1[k] < lo2[k] or hi2[k] < lo1[k] for k in range(len(lo1))):
+                if boxes_apart(boxes[i], boxes[j]):
                     continue
                 if self._interiors_meet(self.simplices[i], self.simplices[j]):
                     raise InvalidComplex(
@@ -283,26 +276,13 @@ class Complex:
         p1 = [self.points[v] for v in s1]
         p2 = [self.points[v] for v in s2]
         if self.dim == 1:
-            return _seg_seg_open_meet(p1[0], p1[1], p2[0], p2[1])
+            return seg_seg_open_meet(p1[0], p1[1], p2[0], p2[1])
         if len(p1[0]) == 2:
             return _tri_tri_open_meet_2d(p1, p2)
-        return _tri_tri_open_meet_3d(p1, p2)
+        return tri_tri_open_meet_3d(p1, p2)
 
-    def _is_connected(self) -> bool:
-        adj: Dict[int, set] = {v: set() for v in range(len(self.points))}
-        for s in self.simplices:
-            for a in s:
-                for b in s:
-                    if a != b:
-                        adj[a].add(b)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for w in adj[stack.pop()]:
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(self.points)
+    def is_connected(self) -> bool:
+        return _connected(adjacency(self.simplices))
 
     # -- basic queries ---------------------------------------------------
 
@@ -415,7 +395,7 @@ def is_cycle(sub: SubComplex) -> bool:
     if not edges:
         return False
     deg = sub.vertex_degrees()
-    return all(d == 2 for d in deg.values()) and _edge_connected(edges)
+    return all(d == 2 for d in deg.values()) and _connected(adjacency(edges))
 
 
 def is_arc(sub: SubComplex) -> bool:
@@ -428,17 +408,21 @@ def is_arc(sub: SubComplex) -> bool:
     return (
         len(ends) == 2
         and all(d in (1, 2) for d in deg.values())
-        and _edge_connected(edges)
+        and _connected(adjacency(edges))
     )
 
 
-def _edge_connected(edges) -> bool:
-    verts = {v for e in edges for v in e}
-    adj = {v: set() for v in verts}
-    for a, b in edges:
-        adj[a].add(b)
-        adj[b].add(a)
-    start = next(iter(verts))
+def adjacency(simplices) -> Dict[int, set]:
+    """Each vertex of the simplices -> the vertices sharing a simplex with it."""
+    adj: Dict[int, set] = {}
+    for s in simplices:
+        for a in s:
+            adj.setdefault(a, set()).update(b for b in s if b != a)
+    return adj
+
+
+def _connected(adj: Dict[int, set]) -> bool:
+    start = next(iter(adj))
     seen = {start}
     stack = [start]
     while stack:
@@ -446,7 +430,7 @@ def _edge_connected(edges) -> bool:
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
-    return seen == verts
+    return len(seen) == len(adj)
 
 
 # -- text format ---------------------------------------------------------

@@ -63,3 +63,10 @@ class DisconnectedComplex(PLError):
 
 class VertexNotInComplex(UnknownVertex):
     """Alias kept for certificate-facing code paths."""
+
+
+class InternalError(Exception):
+    """A result failed its own re-check: a bug in plstab, never bad input.
+
+    Deliberately not a PLError, so the CLI does not report it as a data error.
+    """

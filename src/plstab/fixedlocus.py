@@ -15,13 +15,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from .clip import polygon_area2, triangulate_convex
-from .complexes import Complex, SimplexT, SubComplex, euler_characteristic
+from .clip import point_in_triangle, polygon_area2, triangulate_convex
+from .complexes import (Complex, SimplexT, SubComplex, euler_characteristic,
+                        index_cells)
 from .errors import FixIsEmpty, FixIsEverything
-from .geometry import Mat, Point, orient2, solve_linear, vadd, vscale, vsub
-from .overlay import _edge_param
+from .geometry import (Mat, Point, linear_part, orient2, solve_linear, vadd,
+                       vscale, vsub)
 from .plmap import PLMap, compose2d
 
 
@@ -47,24 +48,6 @@ class CanonicalInvariant:
 
     n_f: SubComplex
     derivation_depth: int
-
-
-def _affine_on_cell(f: PLMap, s: SimplexT) -> Tuple[Mat, Point]:
-    """(A, t) with f(x) = A x + t on a 2D cell."""
-    p = [f.refinement.points[v] for v in s]
-    q = [f.images[v] for v in s]
-    u1, u2 = vsub(p[1], p[0]), vsub(p[2], p[0])
-    w1, w2 = vsub(q[1], q[0]), vsub(q[2], q[0])
-    d = u1[0] * u2[1] - u1[1] * u2[0]
-    inv = ((u2[1] / d, -u2[0] / d), (-u1[1] / d, u1[0] / d))
-    a = Mat(
-        [
-            [w1[0] * inv[0][0] + w2[0] * inv[1][0], w1[0] * inv[0][1] + w2[0] * inv[1][1]],
-            [w1[1] * inv[0][0] + w2[1] * inv[1][0], w1[1] * inv[0][1] + w2[1] * inv[1][1]],
-        ]
-    )
-    t = vsub(q[0], a.apply(p[0]))
-    return a, t
 
 
 def _edge_fix(f: PLMap, a: Point, b: Point, fa: Point, fb: Point):
@@ -95,18 +78,22 @@ def _edge_fix(f: PLMap, a: Point, b: Point, fa: Point, fb: Point):
 
 def _cell_fix_2d(f: PLMap, s: SimplexT):
     """Interior fixed feature of a 2D cell: none / interior point / chord / full."""
-    a, t = _affine_on_cell(f, s)
+    tri = [f.refinement.points[v] for v in s]
+    q = [f.images[v] for v in s]
+    # f(x) = a x + t on the cell
+    a = linear_part(vsub(tri[1], tri[0]), vsub(tri[2], tri[0]),
+                    vsub(q[1], q[0]), vsub(q[2], q[0]))
+    t = vsub(q[0], a.apply(tri[0]))
     m = Mat([[a.rows[0][0] - 1, a.rows[0][1]], [a.rows[1][0], a.rows[1][1] - 1]])
     rhs = (-t[0], -t[1])
     kind, sol = solve_linear(m, rhs)
-    tri = [f.refinement.points[v] for v in s]
     if kind == "none":
         return ("none", None)
     if kind == "all":
         return ("full", None)
     if kind == "unique":
         x = sol
-        if _strictly_inside(x, tri):
+        if point_in_triangle(x, tri, strict=True):
             return ("point", x)
         return ("none", None)  # boundary hits are captured by the edge pass
     p0, direction = sol
@@ -122,15 +109,6 @@ def _cell_fix_2d(f: PLMap, s: SimplexT):
         if orient2(va, vb, x) == 0 and orient2(va, vb, y) == 0:
             return ("none", None)
     return ("chord", (x, y))
-
-
-def _strictly_inside(x: Point, tri) -> bool:
-    d = orient2(*tri)
-    sgn = 1 if d > 0 else -1
-    for i in range(3):
-        if sgn * orient2(tri[i], tri[(i + 1) % 3], x) <= 0:
-            return False
-    return True
 
 
 def _clip_line_to_triangle(p0, direction, tri):
@@ -166,14 +144,8 @@ def fixed_subcomplex(f: PLMap) -> FixedLocus:
         raw = _refine_cells_2d(f)
     else:
         raw = _refine_cells_1d(f)
-    pts = sorted({p for cell, _ in raw for p in cell})
-    idx = {p: i for i, p in enumerate(pts)}
-    sims = []
-    prov: Dict[SimplexT, int] = {}
-    for cell, home in raw:
-        s = tuple(sorted(idx[p] for p in cell))
-        sims.append(s)
-        prov[s] = home
+    pts, sims = index_cells(cell for cell, _ in raw)
+    prov: Dict[SimplexT, int] = dict(zip(sims, (home for _, home in raw)))
     refined = Complex(pts, sims, require_connected=f.base.connected_flag)
     fixed_vertex = [f.eval(p) == p for p in pts]
     fix_faces = set()

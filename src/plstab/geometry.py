@@ -106,6 +106,66 @@ def segment_param(a: Point, b: Point, x: Point):
     return t
 
 
+def tiles_unit(intervals) -> bool:
+    """Do the closed parameter intervals cover [0, 1] without a gap?"""
+    pos = Fraction(0)
+    for lo, hi in sorted(intervals):
+        if lo > pos:
+            return False
+        pos = max(pos, hi)
+    return pos == 1
+
+
+def collinear_overlap(p: Point, q: Point, a: Point, b: Point):
+    """Overlap of segment [p,q] with [a,b] when collinear.
+
+    Returns ((lo_pq, hi_pq), (lo_ab, hi_ab)) parameter intervals of positive
+    length, or None.
+    """
+    ta = segment_param(p, q, a)
+    tb = segment_param(p, q, b)
+    if ta is None or tb is None:
+        return None
+    lo, hi = max(min(ta, tb), Fraction(0)), min(max(ta, tb), Fraction(1))
+    if lo >= hi:
+        return None
+    d = vsub(q, p)
+    s0 = segment_param(a, b, vadd(p, vscale(lo, d)))
+    s1 = segment_param(a, b, vadd(p, vscale(hi, d)))
+    return ((lo, hi), (min(s0, s1), max(s0, s1)))
+
+
+def cross3(a: Sequence[Fraction], b: Sequence[Fraction]) -> Point:
+    return (
+        a[1] * b[2] - a[2] * b[1],
+        a[2] * b[0] - a[0] * b[2],
+        a[0] * b[1] - a[1] * b[0],
+    )
+
+
+def drop_axis(p: Point, axis: int) -> Point:
+    """Project a point of 3-space onto a coordinate plane."""
+    return tuple(c for i, c in enumerate(p) if i != axis)
+
+
+def plane_normal(p0: Point, p1: Point, p2: Point) -> Point:
+    """Normal of the plane through three points of 3-space (zero if collinear)."""
+    return cross3(vsub(p1, p0), vsub(p2, p0))
+
+
+def bbox(pts: Sequence[Point]):
+    """Axis-aligned bounding box (lower corner, upper corner) of some points."""
+    return (
+        tuple(min(p[i] for p in pts) for i in range(len(pts[0]))),
+        tuple(max(p[i] for p in pts) for i in range(len(pts[0]))),
+    )
+
+
+def boxes_apart(b1, b2) -> bool:
+    (lo1, hi1), (lo2, hi2) = b1, b2
+    return any(hi1[k] < lo2[k] or hi2[k] < lo1[k] for k in range(len(lo1)))
+
+
 def primitive_direction(v: Sequence[Fraction]) -> Tuple[int, ...]:
     """Canonical representative of a ray direction: coprime integers, same sense.
 
@@ -204,6 +264,19 @@ class Mat:
         if lam <= 0:
             return False
         return self == Mat([[lam if i == j else 0 for j in range(self.n)] for i in range(self.n)])
+
+
+def linear_part(u, v, iu, iv) -> Mat:
+    """The 2x2 matrix A with A u = iu and A v = iv (u, v independent)."""
+    d = cross2(u, v)
+    # A = [iu iv] * [u v]^-1, columns
+    inv = ((v[1] / d, -v[0] / d), (-u[1] / d, u[0] / d))
+    return Mat(
+        [
+            [iu[0] * inv[0][0] + iv[0] * inv[1][0], iu[0] * inv[0][1] + iv[0] * inv[1][1]],
+            [iu[1] * inv[0][0] + iv[1] * inv[1][0], iu[1] * inv[0][1] + iv[1] * inv[1][1]],
+        ]
+    )
 
 
 def solve_linear(mat: Mat, rhs: Sequence[Fraction]):

@@ -10,6 +10,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple, Union
 
 from .errors import (
@@ -22,9 +23,13 @@ from .errors import (
 from .geometry import fmt, rat
 
 Break = Tuple[Fraction, Fraction]
+Piece = Tuple[Fraction, Fraction]
 
 
-def _canonicalize(bps: List[Break]) -> Tuple[Break, ...]:
+# -- breakpoint lists, shared with circle lifts ---------------------------
+
+
+def canonical_breakpoints(bps: List[Break]) -> Tuple[Break, ...]:
     out: List[Break] = [bps[0]]
     for i in range(1, len(bps) - 1):
         x0, y0 = out[-1]
@@ -36,6 +41,40 @@ def _canonicalize(bps: List[Break]) -> Tuple[Break, ...]:
         out.append(bps[i])
     out.append(bps[-1])
     return tuple(out)
+
+
+def interpolate(bps: Sequence[Break], x: Fraction) -> Fraction:
+    """Value at x of the PL function through the breakpoints (x in range)."""
+    i = bisect_right(bps, x, key=itemgetter(0)) - 1
+    if i == len(bps) - 1:
+        i -= 1
+    (x0, y0), (x1, y1) = bps[i], bps[i + 1]
+    return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
+
+
+def shifted_fixed_pieces(bps: Sequence[Break], p) -> List[Piece]:
+    """Maximal closed intervals (possibly points) where y(x) = x + p, sorted."""
+    raw: List[Piece] = []
+    for i in range(len(bps) - 1):
+        (x0, y0), (x1, y1) = bps[i], bps[i + 1]
+        sl = (y1 - y0) / (x1 - x0)
+        if sl == 1:
+            if y0 == x0 + p:
+                raw.append((x0, x1))
+        else:
+            # solve y0 + sl (x - x0) = x + p
+            x = (y0 - sl * x0 - p) / (1 - sl)
+            if x0 <= x <= x1:
+                raw.append((x, x))
+    # merge adjacent/overlapping pieces
+    raw.sort()
+    merged: List[Piece] = []
+    for lo, hi in raw:
+        if merged and lo <= merged[-1][1]:
+            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
+        else:
+            merged.append((lo, hi))
+    return merged
 
 
 class PLMap1D:
@@ -61,7 +100,7 @@ class PLMap1D:
         if dec and not (ys[0] == b and ys[-1] == a):
             raise InvalidComplex("endpoints must map onto endpoints")
         self.orientation = 1 if inc else -1
-        self.breakpoints = _canonicalize(bps)
+        self.breakpoints = canonical_breakpoints(bps)
 
     # -- basics ----------------------------------------------------------
 
@@ -73,11 +112,27 @@ class PLMap1D:
     def identity(cls, a=0, b=1) -> "PLMap1D":
         return cls([(a, a), (b, b)])
 
+    def identity_like(self) -> "PLMap1D":
+        return PLMap1D.identity(*self.interval)
+
     def is_identity(self) -> bool:
         return self.breakpoints == (
             (self.interval[0],) * 2,
             (self.interval[1],) * 2,
         )
+
+    def moved_point(self) -> Optional[Fraction]:
+        """A breakpoint the map moves, or None for the identity."""
+        return next((x for x, y in self.breakpoints if x != y), None)
+
+    def compose(self, g: "PLMap1D") -> "PLMap1D":
+        return compose1d(self, g)
+
+    def inverse(self) -> "PLMap1D":
+        return inverse1d(self)
+
+    def eval(self, x) -> Fraction:
+        return eval1d(self, x)
 
     def __eq__(self, other):
         return isinstance(other, PLMap1D) and self.breakpoints == other.breakpoints
@@ -89,8 +144,7 @@ class PLMap1D:
         pts = ", ".join(f"({fmt(x)},{fmt(y)})" for x, y in self.breakpoints)
         return f"PLMap1D[{pts}]"
 
-    def __call__(self, x) -> Fraction:
-        return eval1d(self, x)
+    __call__ = eval
 
 
 def eval1d(f: PLMap1D, x) -> Fraction:
@@ -98,12 +152,7 @@ def eval1d(f: PLMap1D, x) -> Fraction:
     a, b = f.interval
     if not a <= x <= b:
         raise OutOfInterval(f"{fmt(x)} outside [{fmt(a)}, {fmt(b)}]")
-    xs = [p[0] for p in f.breakpoints]
-    i = bisect_right(xs, x) - 1
-    if i == len(xs) - 1:
-        i -= 1
-    (x0, y0), (x1, y1) = f.breakpoints[i], f.breakpoints[i + 1]
-    return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
+    return interpolate(f.breakpoints, x)
 
 
 def inverse1d(f: PLMap1D) -> PLMap1D:
@@ -165,32 +214,9 @@ def derivative_homomorphism_check(maps: Sequence[PLMap1D]) -> dict:
     return {"characters": chars, "failures": failures, "ok": not failures}
 
 
-Piece = Tuple[Fraction, Fraction]
-
-
 def fixed_set_1d(f: PLMap1D) -> List[Piece]:
     """Maximal closed intervals (possibly points) where f(x) = x, sorted."""
-    raw: List[Piece] = []
-    for i in range(len(f.breakpoints) - 1):
-        (x0, y0), (x1, y1) = f.breakpoints[i], f.breakpoints[i + 1]
-        sl = (y1 - y0) / (x1 - x0)
-        if sl == 1:
-            if y0 == x0:
-                raw.append((x0, x1))
-        else:
-            # solve y0 + sl (x - x0) = x
-            x = (y0 - sl * x0) / (1 - sl)
-            if x0 <= x <= x1:
-                raw.append((x, x))
-    # merge adjacent/overlapping pieces
-    raw.sort()
-    merged: List[Piece] = []
-    for lo, hi in raw:
-        if merged and lo <= merged[-1][1]:
-            merged[-1] = (merged[-1][0], max(merged[-1][1], hi))
-        else:
-            merged.append((lo, hi))
-    return merged
+    return shifted_fixed_pieces(f.breakpoints, 0)
 
 
 @dataclass(frozen=True)

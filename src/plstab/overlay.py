@@ -10,12 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Tuple
+from typing import Dict, Tuple
 
 from .clip import polygon_area2, triangle_intersection, triangulate_convex
-from .complexes import Complex, SimplexT, triangle_area2
+from .complexes import Complex, SimplexT, index_cells, tri_tri_open_meet_3d
 from .errors import NonCoplanarOverlap, RealizationMismatch
-from .geometry import Point, dot, vsub
+from .geometry import (Point, collinear_overlap, dot, drop_axis, plane_normal,
+                       tiles_unit, vadd, vscale, vsub)
 
 
 @dataclass(frozen=True)
@@ -31,21 +32,9 @@ class Overlay:
     provenance: Dict[SimplexT, Tuple[int, int]]
 
 
-def _index_points(raw_cells):
-    """Deduplicate cell vertices; indices in sorted-coordinate order."""
-    pts = sorted({p for cell in raw_cells for p in cell[0]})
-    idx = {p: i for i, p in enumerate(pts)}
-    return pts, idx
-
-
 def _build(raw_cells, t1: Complex) -> Overlay:
-    pts, idx = _index_points(raw_cells)
-    sims = []
-    prov: Dict[SimplexT, Tuple[int, int]] = {}
-    for cell, pair in raw_cells:
-        s = tuple(sorted(idx[p] for p in cell))
-        sims.append(s)
-        prov[s] = pair
+    pts, sims = index_cells(cell for cell, _ in raw_cells)
+    prov: Dict[SimplexT, Tuple[int, int]] = dict(zip(sims, (pair for _, pair in raw_cells)))
     cells = Complex(pts, sims, require_connected=t1.connected_flag)
     return Overlay(cells=cells, provenance=prov)
 
@@ -61,155 +50,89 @@ def overlay(t1: Complex, t2: Complex) -> Overlay:
 # -- 1D ------------------------------------------------------------------
 
 
-def _edge_param(a: Point, b: Point, x: Point):
-    d = vsub(b, a)
-    den = dot(d, d)
-    t = Fraction(dot(vsub(x, a), d), den)
-    if tuple(ai + t * di for ai, di in zip(a, d)) != x:
-        return None
-    return t
-
-
 def _overlay_1d(t1: Complex, t2: Complex) -> Overlay:
     raw = []
     cover1 = [[] for _ in t1.simplices]
     cover2 = [[] for _ in t2.simplices]
     for i1, e1 in enumerate(t1.simplices):
         a1, b1 = (t1.points[v] for v in e1)
+        d = vsub(b1, a1)
         for i2, e2 in enumerate(t2.simplices):
             a2, b2 = (t2.points[v] for v in e2)
-            ta = _edge_param(a1, b1, a2)
-            tb = _edge_param(a1, b1, b2)
-            if ta is None or tb is None:
+            piece = collinear_overlap(a1, b1, a2, b2)
+            if piece is None:
                 continue
-            lo, hi = min(ta, tb), max(ta, tb)
-            lo, hi = max(lo, Fraction(0)), min(hi, Fraction(1))
-            if lo >= hi:
-                continue
-            d = vsub(b1, a1)
-            p = tuple(ai + lo * di for ai, di in zip(a1, d))
-            q = tuple(ai + hi * di for ai, di in zip(a1, d))
-            raw.append(((p, q), (i1, i2)))
+            (lo, hi), own2 = piece
+            raw.append(((vadd(a1, vscale(lo, d)), vadd(a1, vscale(hi, d))), (i1, i2)))
             cover1[i1].append((lo, hi))
-            s2 = _edge_param(a2, b2, p)
-            e2t = _edge_param(a2, b2, q)
-            cover2[i2].append((min(s2, e2t), max(s2, e2t)))
+            cover2[i2].append(own2)
     for name, covers in (("first", cover1), ("second", cover2)):
         for intervals in covers:
-            if not _tiles_unit(intervals):
+            if not tiles_unit(intervals):
                 raise RealizationMismatch(f"{name} input is not fully covered")
     return _build(raw, t1)
 
 
-def _tiles_unit(intervals) -> bool:
-    intervals = sorted(intervals)
-    pos = Fraction(0)
-    for lo, hi in intervals:
-        if lo > pos:
-            return False
-        pos = max(pos, hi)
-    return pos == 1
-
-
 # -- 2D ------------------------------------------------------------------
+#
+# Cells are clipped in a plane.  In ambient dimension 2 that is the plane
+# itself.  In ambient dimension 3 only coplanar cells may overlap: a chart
+# (normal, dropped axis, offset) projects a cell's plane onto the coordinate
+# plane its normal dominates, and the clipped pieces are lifted back.
 
 
 def _tri_points(c: Complex, s: SimplexT):
     return [c.points[v] for v in s]
 
 
-def _plane_normal(p0, p1, p2):
-    u, v = vsub(p1, p0), vsub(p2, p0)
-    return (
-        u[1] * v[2] - u[2] * v[1],
-        u[2] * v[0] - u[0] * v[2],
-        u[0] * v[1] - u[1] * v[0],
-    )
+def _chart(tri):
+    if len(tri[0]) == 2:
+        return None
+    n = plane_normal(*tri)
+    return n, max(range(3), key=lambda k: abs(n[k])), dot(n, tri[0])
+
+
+def _flat(pts, chart):
+    if chart is None:
+        return pts
+    return [drop_axis(p, chart[1]) for p in pts]
+
+
+def _lift(flat: Point, chart) -> Point:
+    if chart is None:
+        return flat
+    n, ax, d = chart
+    out = list(flat)
+    out.insert(ax, (d - dot(drop_axis(n, ax), flat)) / n[ax])
+    return tuple(out)
 
 
 def _overlay_2d(t1: Complex, t2: Complex) -> Overlay:
-    if t1.ambient_dim == 3:
-        return _overlay_2d_in_3d(t1, t2)
     raw = []
     area1 = [Fraction(0)] * len(t1.simplices)
     area2 = [Fraction(0)] * len(t2.simplices)
+    tris2 = [_tri_points(t2, s) for s in t2.simplices]
     for i1, s1 in enumerate(t1.simplices):
         tri1 = _tri_points(t1, s1)
-        for i2, s2 in enumerate(t2.simplices):
-            tri2 = _tri_points(t2, s2)
-            poly = triangle_intersection(tri1, tri2)
+        chart = _chart(tri1)
+        flat1 = _flat(tri1, chart)
+        for i2, tri2 in enumerate(tris2):
+            if chart is not None and any(dot(chart[0], p) != chart[2] for p in tri2):
+                if tri_tri_open_meet_3d(tri1, tri2):
+                    raise NonCoplanarOverlap(
+                        f"cells {s1} and {t2.simplices[i2]} overlap off-plane")
+                continue
+            poly = triangle_intersection(flat1, _flat(tri2, chart))
             a2x = abs(polygon_area2(poly)) if len(poly) >= 3 else 0
             if a2x == 0:
                 continue
             for cell in triangulate_convex(poly):
-                raw.append((cell, (i1, i2)))
+                raw.append((tuple(_lift(p, chart) for p in cell), (i1, i2)))
             area1[i1] += a2x
             area2[i2] += a2x
     for c, areas, name in ((t1, area1, "first"), (t2, area2, "second")):
         for i, s in enumerate(c.simplices):
-            if areas[i] != triangle_area2(_tri_points(c, s)):
-                raise RealizationMismatch(f"{name} input is not fully covered")
-    return _build(raw, t1)
-
-
-def _overlay_2d_in_3d(t1: Complex, t2: Complex) -> Overlay:
-    # only coplanar pairs may overlap; clip them inside their common plane
-    raw = []
-    covered1 = [Fraction(0)] * len(t1.simplices)
-    covered2 = [Fraction(0)] * len(t2.simplices)
-    for i1, s1 in enumerate(t1.simplices):
-        tri1 = _tri_points(t1, s1)
-        n1 = _plane_normal(*tri1)
-        for i2, s2 in enumerate(t2.simplices):
-            tri2 = _tri_points(t2, s2)
-            n2 = _plane_normal(*tri2)
-            coplanar = all(dot(n1, vsub(p, tri1[0])) == 0 for p in tri2)
-            if not coplanar:
-                if t1._interiors_meet(s1, s2) if t1 is t2 else _meet_across(t1, s1, t2, s2):
-                    raise NonCoplanarOverlap(f"cells {s1} and {s2} overlap off-plane")
-                continue
-            ax = max(range(3), key=lambda k: abs(n1[k]))
-            flat1 = [tuple(c for j, c in enumerate(p) if j != ax) for p in tri1]
-            flat2 = [tuple(c for j, c in enumerate(p) if j != ax) for p in tri2]
-            poly = triangle_intersection(flat1, flat2)
-            a2x = abs(polygon_area2(poly)) if len(poly) >= 3 else 0
-            if a2x == 0:
-                continue
-            lift = _lifter(tri1, n1, ax)
-            for cell in triangulate_convex(poly):
-                raw.append((tuple(lift(p) for p in cell), (i1, i2)))
-            covered1[i1] += a2x
-            covered2[i2] += a2x
-    for c, areas, name in ((t1, covered1, "first"), (t2, covered2, "second")):
-        for i, s in enumerate(c.simplices):
             tri = _tri_points(c, s)
-            n = _plane_normal(*tri)
-            ax = max(range(3), key=lambda k: abs(n[k]))
-            flat = [tuple(x for j, x in enumerate(p) if j != ax) for p in tri]
-            if areas[i] != abs(polygon_area2(flat)):
+            if areas[i] != abs(polygon_area2(_flat(tri, _chart(tri)))):
                 raise RealizationMismatch(f"{name} input is not fully covered")
     return _build(raw, t1)
-
-
-def _meet_across(t1: Complex, s1: SimplexT, t2: Complex, s2: SimplexT) -> bool:
-    from .complexes import _tri_tri_open_meet_3d
-
-    return _tri_tri_open_meet_3d(_tri_points(t1, s1), _tri_points(t2, s2))
-
-
-def _lifter(tri, n, ax):
-    p0 = tri[0]
-    d = dot(n, p0)
-
-    def lift(flat: Point) -> Point:
-        coords = list(flat)
-        known_idx = [k for k in range(3) if k != ax]
-        num = d - sum(n[k] * coords[i] for i, k in enumerate(known_idx))
-        missing = num / n[ax]
-        out = []
-        it = iter(coords)
-        for k in range(3):
-            out.append(missing if k == ax else next(it))
-        return tuple(out)
-
-    return lift

@@ -14,7 +14,6 @@ from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .clip import (
-    clip_polygon_to_triangle,
     point_in_triangle,
     polygon_area2,
     triangle_intersection,
@@ -23,18 +22,35 @@ from .clip import (
 from .complexes import (
     Complex,
     SimplexT,
-    _seg_seg_open_meet,
     boundary,
+    format_complex,
+    index_cells,
+    parse_complex,
+    seg_seg_open_meet,
     triangle_area2,
 )
 from .errors import (
     InvalidComplex,
     NondegenerateViolation,
+    ParseError,
     PointOutsideComplex,
     RealizationMismatch,
 )
-from .geometry import Point, dot, orient2, rat, vadd, vscale, vsub
-from .overlay import Overlay, _edge_param, overlay
+from .geometry import (
+    Point,
+    bbox,
+    boxes_apart,
+    collinear_overlap,
+    fmt,
+    orient2,
+    rat,
+    segment_param,
+    tiles_unit,
+    vadd,
+    vscale,
+    vsub,
+)
+from .overlay import overlay
 
 
 def barycentric2(tri: Sequence[Point], x: Point) -> Optional[Tuple[Fraction, ...]]:
@@ -97,7 +113,7 @@ class PLMap:
                     inside = all(point_in_triangle(p, bpts) for p in pts)
                 else:
                     inside = all(
-                        (t := _edge_param(bpts[0], bpts[1], p)) is not None
+                        (t := segment_param(bpts[0], bpts[1], p)) is not None
                         and 0 <= t <= 1
                         for p in pts
                     )
@@ -126,11 +142,11 @@ class PLMap:
             for s, home in zip(self.refinement.simplices, self.cell_base):
                 a, b = [self.base.points[v] for v in self.base.simplices[home]]
                 ts = sorted(
-                    _edge_param(a, b, p) for p in self._cell_points(s)
+                    segment_param(a, b, p) for p in self._cell_points(s)
                 )
                 per_base[home].append((ts[0], ts[-1]))
             for i, intervals in enumerate(per_base):
-                if not _tiles_unit(intervals):
+                if not tiles_unit(intervals):
                     raise RealizationMismatch(
                         f"refinement does not tile base simplex {self.base.simplices[i]}"
                     )
@@ -142,10 +158,10 @@ class PLMap:
                 if len(set(img)) != 3 or orient2(*img) == 0:
                     raise NondegenerateViolation(f"cell {s} has a degenerate image")
             # pairwise disjoint interiors (bounding-box prefilter)
-            boxes = [_bbox(img) for img in cells]
+            boxes = [bbox(img) for img in cells]
             for i in range(len(cells)):
                 for j in range(i + 1, len(cells)):
-                    if _boxes_apart(boxes[i], boxes[j]):
+                    if boxes_apart(boxes[i], boxes[j]):
                         continue
                     poly = triangle_intersection(cells[i], cells[j])
                     if len(poly) >= 3 and polygon_area2(poly) != 0:
@@ -159,11 +175,11 @@ class PLMap:
             if img_area != base_area:
                 raise RealizationMismatch("image area differs from base area")
             base_tris = [[self.base.points[v] for v in bs] for bs in self.base.simplices]
-            base_boxes = [_bbox(t) for t in base_tris]
+            base_boxes = [bbox(t) for t in base_tris]
             for img, box in zip(cells, boxes):
                 covered = Fraction(0)
                 for bt, bb in zip(base_tris, base_boxes):
-                    if _boxes_apart(box, bb):
+                    if boxes_apart(box, bb):
                         continue
                     poly = triangle_intersection(img, bt)
                     if len(poly) >= 3:
@@ -176,8 +192,8 @@ class PLMap:
                     raise NondegenerateViolation(f"cell {s} has a degenerate image")
             for i in range(len(cells)):
                 for j in range(i + 1, len(cells)):
-                    if _seg_seg_open_meet(cells[i][0], cells[i][1],
-                                          cells[j][0], cells[j][1]):
+                    if seg_seg_open_meet(cells[i][0], cells[i][1],
+                                         cells[j][0], cells[j][1]):
                         raise InvalidComplex("image cells overlap; not injective")
             # every base edge tiled by image segments, every image segment used up
             per_base = [[] for _ in self.base.simplices]
@@ -185,15 +201,15 @@ class PLMap:
                 own = []
                 for k, bs in enumerate(self.base.simplices):
                     a, b = [self.base.points[v] for v in bs]
-                    piece = _collinear_overlap(img[0], img[1], a, b)
+                    piece = collinear_overlap(img[0], img[1], a, b)
                     if piece is None:
                         continue
                     per_base[k].append(piece[1])
                     own.append(piece[0])
-                if not _tiles_unit(own):
+                if not tiles_unit(own):
                     raise RealizationMismatch("an image cell leaves the base realization")
             for k, intervals in enumerate(per_base):
-                if not _tiles_unit(intervals):
+                if not tiles_unit(intervals):
                     raise RealizationMismatch(
                         f"image does not cover base simplex {self.base.simplices[k]}"
                     )
@@ -220,6 +236,19 @@ class PLMap:
 
     def is_identity(self) -> bool:
         return self.images == self.refinement.points
+
+    def moved_point(self) -> Optional[Point]:
+        """A refinement vertex the map moves, or None for the identity."""
+        return next((p for p, q in zip(self.refinement.points, self.images) if p != q), None)
+
+    def compose(self, g: "PLMap") -> "PLMap":
+        return compose2d(self, g)
+
+    def inverse(self) -> "PLMap":
+        return inverse2d(self)
+
+    def identity_like(self) -> "PLMap":
+        return identity_map(self.base)
 
     def __eq__(self, other):
         """Pointwise equality, decided via a common refinement."""
@@ -249,7 +278,7 @@ class PLMap:
                 if lam is not None:
                     return _combine(self._cell_images(s), lam)
             else:
-                t = _edge_param(pts[0], pts[1], x)
+                t = segment_param(pts[0], pts[1], x)
                 if t is not None and 0 <= t <= 1:
                     return _combine(self._cell_images(s), (1 - t, t))
         raise PointOutsideComplex(f"{x} is not in the realization")
@@ -293,9 +322,7 @@ def compose2d(f: PLMap, g: PLMap) -> PLMap:
         raw = _compose_cells_2d(f, g)
     else:
         raw = _compose_cells_1d(f, g)
-    pts = sorted({p for cell in raw for p in cell})
-    idx = {p: i for i, p in enumerate(pts)}
-    sims = [tuple(sorted(idx[p] for p in cell)) for cell in raw]
+    pts, sims = index_cells(raw)
     ref = Complex(pts, sims, require_connected=g.base.connected_flag)
     images = [f.eval(g.eval(p)) for p in pts]
     return PLMap(g.base, ref, images)
@@ -340,7 +367,7 @@ def _compose_cells_1d(f: PLMap, g: PLMap):
         ia, ib = (g.images[v] for v in s)
         cuts = {Fraction(0), Fraction(1)}
         for w in fverts:
-            t = _edge_param(ia, ib, w)
+            t = segment_param(ia, ib, w)
             if t is not None and 0 < t < 1:
                 cuts.add(t)
         ts = sorted(cuts)
@@ -367,7 +394,7 @@ def inverse2d(f: PLMap) -> PLMap:
             if f.base.dim == 2:
                 back = _pullback2(src_pts, img_pts, x)
             else:
-                t = _edge_param(img_pts[0], img_pts[1], x)
+                t = segment_param(img_pts[0], img_pts[1], x)
                 back = _combine(src_pts, (1 - t, t))
             if pre[v] is None:
                 pre[v] = back
@@ -388,66 +415,20 @@ def power(f: PLMap, k: int) -> PLMap:
 # -- small geometric helpers ---------------------------------------------
 
 
-def _bbox(pts):
-    return (
-        tuple(min(p[i] for p in pts) for i in range(len(pts[0]))),
-        tuple(max(p[i] for p in pts) for i in range(len(pts[0]))),
-    )
-
-
-def _boxes_apart(b1, b2) -> bool:
-    (lo1, hi1), (lo2, hi2) = b1, b2
-    return any(hi1[k] < lo2[k] or hi2[k] < lo1[k] for k in range(len(lo1)))
-
-
-def _tiles_unit(intervals) -> bool:
-    intervals = sorted(intervals)
-    pos = Fraction(0)
-    for lo, hi in intervals:
-        if lo > pos:
-            return False
-        pos = max(pos, hi)
-    return pos == 1
-
-
 def _segment_covered(p, q, segments) -> bool:
     """Is [p, q] fully covered by the union of the given segments?"""
     intervals = []
     for a, b in segments:
-        piece = _collinear_overlap(p, q, a, b)
+        piece = collinear_overlap(p, q, a, b)
         if piece is not None:
             intervals.append(piece[0])
-    return _tiles_unit(intervals)
-
-
-def _collinear_overlap(p, q, a, b):
-    """Overlap of segment [p,q] with [a,b] when collinear.
-
-    Returns ((lo_pq, hi_pq), (lo_ab, hi_ab)) parameter intervals of positive
-    length, or None.
-    """
-    ta = _edge_param(p, q, a)
-    tb = _edge_param(p, q, b)
-    if ta is None or tb is None:
-        return None
-    lo, hi = min(ta, tb), max(ta, tb)
-    lo, hi = max(lo, Fraction(0)), min(hi, Fraction(1))
-    if lo >= hi:
-        return None
-    d = vsub(q, p)
-    x0 = vadd(p, vscale(lo, d))
-    x1 = vadd(p, vscale(hi, d))
-    s0 = _edge_param(a, b, x0)
-    s1 = _edge_param(a, b, x1)
-    return ((lo, hi), (min(s0, s1), max(s0, s1)))
+    return tiles_unit(intervals)
 
 
 def parse_plmap(text: str, base: Complex) -> PLMap:
     """Parse the map format: a Complex block for the refinement, then
     `img <vertex> <coords...>` lines. The `base <file>` header, if any,
     must be resolved by the caller (see cli.load_map)."""
-    from .complexes import parse_complex
-
     complex_lines = []
     images: Dict[int, Point] = {}
     for raw in text.splitlines():
@@ -458,6 +439,8 @@ def parse_plmap(text: str, base: Complex) -> PLMap:
         if tok[0] == "base":
             continue
         if tok[0] == "img":
+            if len(tok) < 3 or not tok[1].isdecimal():
+                raise ParseError(f"bad img record {line!r}")
             images[int(tok[1])] = tuple(rat(t) for t in tok[2:])
         else:
             complex_lines.append(line)
@@ -468,9 +451,6 @@ def parse_plmap(text: str, base: Complex) -> PLMap:
 
 
 def format_plmap(f: PLMap, base_name: Optional[str] = None) -> str:
-    from .complexes import format_complex
-    from .geometry import fmt
-
     lines = []
     if base_name is not None:
         lines.append("base %s" % base_name)

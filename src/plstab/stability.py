@@ -7,18 +7,17 @@ or pins down an exact witness of nontriviality.
 """
 
 from dataclasses import dataclass, field
-from fractions import Fraction
-from typing import Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .circle import (CircleLift, compose_lift, detect_rational_rotation,
-                     fixed_set_circle, inverse_lift, rotation_enclosure)
-from .complexes import Complex
-from .errors import DisconnectedComplex, SupportMismatch, VertexNotInComplex
+                     fixed_set_circle, rotation_enclosure)
+from .complexes import Complex, adjacency
+from .errors import (DisconnectedComplex, InternalError, SupportMismatch,
+                     VertexNotInComplex)
 from .fixedlocus import (canonical_invariant, fixed_subcomplex, fuller_search)
-from .errors import FixIsEmpty, FixIsEverything
 from .geometry import primitive_direction, vsub
-from .interval import PLMap1D, compose1d, fixed_set_1d, inverse1d
-from .plmap import PLMap, compose2d, identity_map, inverse2d
+from .interval import PLMap1D, fixed_set_1d
+from .plmap import PLMap
 from .presentation import Presentation, abelianization
 from .tangent import build_germ, is_trivial_on_tangent_sphere, refine_fans
 
@@ -73,57 +72,14 @@ class Certificate:
     assumptions: List[str] = field(default_factory=list)
 
 
-def _compose_kind(kind, f, g):
-    if kind == "interval":
-        return compose1d(f, g)
-    if kind == "circle":
-        return compose_lift(f, g)
-    return compose2d(f, g)
-
-
-def _invert_kind(kind, f):
-    if kind == "interval":
-        return inverse1d(f)
-    if kind == "circle":
-        return inverse_lift(f)
-    return inverse2d(f)
-
-
-def _identity_kind(a: ActionSpec):
-    if a.kind == "interval":
-        lo, hi = a.generators[0][1].interval
-        return PLMap1D.identity(lo, hi)
-    if a.kind == "circle":
-        return CircleLift.identity()
-    return identity_map(a.base)
-
-
 def _word_map(a: ActionSpec, word):
-    m = _identity_kind(a)
+    m = a.generators[0][1].identity_like()
     for letter in word:
         g = a.generators[abs(letter) - 1][1]
         if letter < 0:
-            g = _invert_kind(a.kind, g)
-        m = _compose_kind(a.kind, g, m)
+            g = g.inverse()
+        m = g.compose(m)
     return m
-
-
-def _nonfixed_sample(kind, m):
-    """Some point the map moves, as an exact witness."""
-    if kind == "interval":
-        for x, y in m.breakpoints:
-            if x != y:
-                return x
-    elif kind == "circle":
-        for x, y in m.breakpoints:
-            if y != x:
-                return x
-        return Fraction(0)
-    else:
-        for p, q in zip(m.refinement.points, m.images):
-            if p != q:
-                return p
-    return None
 
 
 def verify_relators(a: ActionSpec):
@@ -131,17 +87,13 @@ def verify_relators(a: ActionSpec):
     failure record with the relator and a sample point it moves."""
     if a.presentation is None:
         raise ValueError("no presentation supplied")
+    if not a.generators:
+        return "pass"  # the trivial group: every relator is the empty word
     for rel in a.presentation.relators:
         m = _word_map(a, rel)
-        if not _is_identity_kind(a.kind, m):
-            return {"relator": rel, "sample_point": _nonfixed_sample(a.kind, m)}
+        if not m.is_identity():
+            return {"relator": rel, "sample_point": m.moved_point()}
     return "pass"
-
-
-def _is_identity_kind(kind, m) -> bool:
-    if kind in ("interval", "circle"):
-        return m.is_identity() if hasattr(m, "is_identity") else m == type(m).identity()
-    return m.is_identity()
 
 
 def _star_cells(base: Complex, v: int) -> List[int]:
@@ -186,7 +138,7 @@ def certify_trivial(a: ActionSpec, p: int) -> Certificate:
         raise ValueError("action has no generators")
     if not (0 <= p < len(base.points)):
         raise VertexNotInComplex("vertex %d not in base complex" % p)
-    if not base._is_connected():
+    if not base.is_connected():
         raise DisconnectedComplex("base complex is not connected")
 
     assumptions = []
@@ -233,12 +185,7 @@ def certify_trivial(a: ActionSpec, p: int) -> Certificate:
                                    witness=w, assumptions=assumptions)
 
     # breadth-first propagation of the star-identity check
-    adjacency: Dict[int, set] = {v: set() for v in range(len(base.points))}
-    for s in base.simplices:
-        for x in s:
-            for y in s:
-                if x != y:
-                    adjacency[x].add(y)
+    neighbours = adjacency(base.simplices)
     verified: List[int] = []
     seen = {p}
     queue = [p]
@@ -249,23 +196,25 @@ def certify_trivial(a: ActionSpec, p: int) -> Certificate:
             bad = _identity_on_star(f, star)
             if bad is not None:
                 home, rv = bad
-                cert = Certificate(
+                x, y = f.refinement.points[rv], f.images[rv]
+                if not (f.eval(x) == y != x):
+                    raise InternalError("Propagation witness does not re-check with eval")
+                return Certificate(
                     status="Obstructed", stage="Propagation",
                     verified_stars=verified,
                     witness={"vertex": v, "generator": name,
                              "cell": base.simplices[home],
-                             "point": f.refinement.points[rv],
-                             "image": f.images[rv]},
+                             "point": x, "image": y},
                     assumptions=assumptions)
-                assert f.eval(cert.witness["point"]) == cert.witness["image"] != cert.witness["point"]
-                return cert
         verified.append(v)
-        for w in sorted(adjacency[v]):
+        for w in sorted(neighbours[v]):
             if w not in seen:
                 seen.add(w)
                 queue.append(w)
-    assert len(verified) == len(base.points)
-    assert all(f.is_identity() for _, f in a.generators)
+    if len(verified) != len(base.points):
+        raise InternalError("propagation left base vertices unverified")
+    if not all(f.is_identity() for _, f in a.generators):
+        raise InternalError("a generator verified on every star is not the identity")
     return Certificate(status="Trivial", stage="Propagation",
                        verified_stars=verified, assumptions=assumptions)
 

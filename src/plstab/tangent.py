@@ -10,13 +10,13 @@ representation is ever attempted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cmp_to_key
 from typing import Dict, List, Sequence, Tuple
 
 from .complexes import Complex
 from .errors import InvalidComplex, NotFixedPoint, SupportMismatch
-from .geometry import Mat, Point, cross2, dot, fmt, primitive_direction, vsub
+from .geometry import (Mat, Point, cross2, dot, fmt, linear_part,
+                       primitive_direction, vsub)
 from .plmap import PLMap
 
 Ray = Tuple[int, ...]  # primitive integer direction
@@ -195,7 +195,7 @@ def build_germ(f: PLMap, p: int) -> Germ:
         if cross2(da, db) < 0:
             a, b = b, a
             da, db = db, da
-        mat = _linear_part(da, db, vsub(f.images[a], apex), vsub(f.images[b], apex))
+        mat = linear_part(da, db, vsub(f.images[a], apex), vsub(f.images[b], apex))
         cones.append((primitive_direction(da), primitive_direction(db)))
         mats.append(mat)
     fan = _chain_cones(apex, cones)
@@ -203,19 +203,6 @@ def build_germ(f: PLMap, p: int) -> Germ:
     for cone in fan.cones:
         ordered_mats.append(mats[cones.index(cone)])
     return Germ(fan=fan, matrices=tuple(ordered_mats))
-
-
-def _linear_part(u, v, iu, iv) -> Mat:
-    """The matrix A with A u = iu and A v = iv."""
-    d = cross2(u, v)
-    # A = [iu iv] * [u v]^-1, columns
-    inv = ((v[1] / d, -v[0] / d), (-u[1] / d, u[0] / d))
-    return Mat(
-        [
-            [iu[0] * inv[0][0] + iv[0] * inv[1][0], iu[0] * inv[0][1] + iv[0] * inv[1][1]],
-            [iu[1] * inv[0][0] + iv[1] * inv[1][0], iu[1] * inv[0][1] + iv[1] * inv[1][1]],
-        ]
-    )
 
 
 def _sort_within_halfplane(rays: List[Ray]) -> List[Ray]:
@@ -268,6 +255,18 @@ def _cone_of_direction(fan: Fan, d) -> int:
     raise SupportMismatch(f"no cone contains direction {d}")
 
 
+def _preimage_chain(a: Mat, u: Ray, v: Ray, rays: Sequence[Ray]) -> List[Ray]:
+    """u, then the preimages under a of the rays that fall strictly inside
+    the cone (u, v), in angular order, then v."""
+    ainv = a.inverse()
+    cuts = []
+    for r in rays:
+        d = primitive_direction(ainv.apply(r))
+        if in_cone(d, u, v, strict=True):
+            cuts.append(d)
+    return [u] + _sort_within_halfplane(sorted(set(cuts))) + [v]
+
+
 def compose_germs(f: Germ, g: Germ) -> Germ:
     """Germ of the composition x -> f(g(x)) at the shared apex."""
     if not f.fan.support_matches(g.fan):
@@ -275,13 +274,7 @@ def compose_germs(f: Germ, g: Germ) -> Germ:
     cones = []
     mats = []
     for (u, v), a in zip(g.fan.cones, g.matrices):
-        ainv = a.inverse()
-        cuts = []
-        for r in f.fan.rays:
-            d = primitive_direction(ainv.apply(r))
-            if in_cone(d, u, v, strict=True):
-                cuts.append(d)
-        chain = [u] + _sort_within_halfplane(sorted(set(cuts))) + [v]
+        chain = _preimage_chain(a, u, v, f.fan.rays)
         for cu, cv in zip(chain, chain[1:]):
             probe = a.apply((cu[0] + cv[0], cu[1] + cv[1]))
             b = f.matrices[_cone_of_direction(f.fan, probe)]
@@ -353,13 +346,7 @@ def ray_map(g: Germ) -> RayMap:
     cones = []
     mats = []
     for (u, v), a in zip(g.fan.cones, g.matrices):
-        ainv = a.inverse()
-        cuts = []
-        for r in g.fan.rays:
-            d = primitive_direction(ainv.apply(r))
-            if in_cone(d, u, v, strict=True):
-                cuts.append(d)
-        chain = [u] + _sort_within_halfplane(sorted(set(cuts))) + [v]
+        chain = _preimage_chain(a, u, v, g.fan.rays)
         for cu, cv in zip(chain, chain[1:]):
             cones.append((cu, cv))
             mats.append(a)

@@ -202,3 +202,31 @@ def test_analyze_action_json(workdir):
     assert code == 0
     doc = json.loads(out)
     assert doc["report"]["r"]["fuller_k"] == 1
+
+
+def test_bare_img_line_is_a_data_error(workdir):
+    lines = ROT.splitlines()
+    for bad in ("img", "img 4", "img x 1/2 1/2"):
+        (workdir / "bad.pm").write_text("\n".join(lines[:-1] + [bad, lines[-1]]) + "\n")
+        code, out = run(["eval", "--map", str(workdir / "bad.pm"), "--point", "0", "0"])
+        assert (code, out) == (65, "")
+    (workdir / "action" / "r.pm").write_text(
+        ROT.replace("base square.cx", "base base.cx").replace("img 2 0 1", "img"))
+    code, out = run(["certify", "--action", str(workdir / "action"), "--vertex", "4"])
+    assert (code, out) == (65, "")
+
+
+def test_base_header_after_comments(workdir):
+    (workdir / "c.pm").write_text("# a quarter turn\n\n" + ROT)
+    code, out = run(["eval", "--map", str(workdir / "c.pm"), "--point", "1/4", "1/4"])
+    assert (code, out) == (0, "3/4 1/4\n")
+    code, out = run(["compose", "--map", str(workdir / "c.pm"),
+                     "--map", str(workdir / "rot.pm")])
+    assert code == 0
+    assert out.splitlines()[0] == "base square.cx"
+    assert parse_plmap(out, parse_complex(SQUARE)).eval((0, 0)) == (1, 1)
+    code, out = run(["invert", "--map", str(workdir / "c.pm")])
+    assert code == 0 and out.splitlines()[0] == "base square.cx"
+    (workdir / "nobase.pm").write_text("# no file name\nbase\n" + SQUARE)
+    code, out = run(["eval", "--map", str(workdir / "nobase.pm"), "--point", "0", "0"])
+    assert (code, out) == (65, "")

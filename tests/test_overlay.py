@@ -89,3 +89,54 @@ def test_random_overlays_conserve_area():
                         for j in range(2))
             assert point_in_triangle(cen, tri1)
             assert point_in_triangle(cen, tri2)
+
+
+def folded_complex():
+    """Two facets on the planes z = 0 and y = 0 sharing the edge 0-1."""
+    pts = [(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 2)]
+    return Complex(pts, [(0, 1, 2), (0, 1, 3)])
+
+
+def test_overlay_folded_complex_in_3d():
+    c1 = folded_complex()
+    # refine both facets at the midpoint of the shared edge
+    pts = list(c1.points) + [(1, 0, 0)]
+    c2 = Complex(pts, [(0, 4, 2), (4, 1, 2), (0, 4, 3), (4, 1, 3)])
+    ov = overlay(c1, c2)
+    assert len(ov.cells.simplices) == 4
+    assert len(ov.cells.points) == 5
+    for s, (i1, i2) in ov.provenance.items():
+        cell = {ov.cells.points[v] for v in s}
+        assert cell == {c2.points[v] for v in c2.simplices[i2]}
+        assert cell <= {c1.points[v] for v in c1.simplices[i1]} | {(1, 0, 0)}
+    # each cell stays on the plane of the facet it came from
+    for s, (i1, _) in ov.provenance.items():
+        axis = 2 if c1.simplices[i1] == (0, 1, 2) else 1
+        assert all(ov.cells.points[v][axis] == 0 for v in s)
+
+
+def test_overlay_folded_complex_mismatch_in_3d():
+    c1 = folded_complex()
+    c2 = Complex([(0, 0, 0), (2, 0, 0), (0, 2, 0), (0, 0, 3)],
+                 [(0, 1, 2), (0, 1, 3)])
+    with pytest.raises(RealizationMismatch):
+        overlay(c1, c2)
+
+
+def test_overlay_1d_in_the_plane():
+    square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    c1 = Complex(square, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    c2 = Complex(square + [(F(1, 2), 0), (1, F(1, 3))],
+                 [(0, 4), (4, 1), (1, 5), (5, 2), (2, 3), (0, 3)])
+    ov = overlay(c1, c2)
+    assert len(ov.cells.simplices) == 6
+    assert sorted(ov.cells.points) == sorted(c2.points)
+    for s, (i1, i2) in ov.provenance.items():
+        assert {ov.cells.points[v] for v in s} == {c2.points[v] for v in c2.simplices[i2]}
+        a, b = (c1.points[v] for v in c1.simplices[i1])
+        for v in s:
+            p = ov.cells.points[v]
+            assert min(a, b) <= p <= max(a, b)
+    with pytest.raises(RealizationMismatch):
+        overlay(c1, Complex([(0, 0), (1, 0), (1, 1), (0, 2)],
+                            [(0, 1), (1, 2), (2, 3), (0, 3)]))

@@ -109,3 +109,19 @@ def test_parse_format_roundtrip():
     assert parse_plmap(text, r.base) == r
     h = interior_move_map()
     assert parse_plmap(format_plmap(h), h.base) == h
+
+
+def test_1d_map_in_the_plane():
+    # a quarter turn of the square's boundary cycle, on a refinement
+    square = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    base = Complex(square, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    ref = Complex(square + [(F(1, 2), 0)],
+                  [(0, 4), (4, 1), (1, 2), (2, 3), (0, 3)])
+    f = PLMap(base, ref, [(1, 0), (1, 1), (0, 1), (0, 0), (1, F(1, 2))])
+    assert f.eval((F(1, 4), 0)) == (1, F(1, 4))
+    assert f.eval((1, F(1, 3))) == (F(2, 3), 1)
+    assert f.eval((0, F(1, 2))) == (F(1, 2), 0)
+    with pytest.raises(PointOutsideComplex):
+        f.eval((F(1, 2), F(1, 2)))
+    assert inverse2d(f).eval((1, F(1, 4))) == (F(1, 4), 0)
+    assert compose2d(f, inverse2d(f)).is_identity()

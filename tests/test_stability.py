@@ -1,8 +1,12 @@
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+from plstab.circle import CircleLift
 from plstab.errors import DisconnectedComplex, VertexNotInComplex
 from plstab.complexes import Complex
 from plstab.interval import PLMap1D
@@ -132,3 +136,104 @@ def test_mixed_kind_rejected():
     from plstab.errors import SupportMismatch
     with pytest.raises(SupportMismatch):
         ActionSpec("interval", [("a", quarter_rotation())])
+
+
+def circle_map():
+    return CircleLift([(0, F(1, 4)), (F(1, 2), F(1, 3)), (1, F(5, 4))])
+
+
+def test_verify_relators_circle():
+    a = CircleLift.rotation(F(1, 3))
+    comm = ActionSpec("circle", [("a", a), ("c", CircleLift.rotation(F(1, 5)))],
+                      presentation=Presentation(["a", "c"], [(1, 2, -1, -2)]))
+    assert verify_relators(comm) == "pass"
+    bad = ActionSpec("circle", [("a", a)],
+                     presentation=Presentation(["a"], [(1, 1)]))
+    res = verify_relators(bad)
+    assert res["relator"] == (1, 1)
+    x = res["sample_point"]
+    assert (a(a(x)) - x) % 1 != 0  # moved on the circle, not only on the line
+
+
+@pytest.mark.parametrize("kind, gen", [
+    ("interval", f1_map), ("circle", circle_map), ("complex", quarter_rotation)])
+def test_verify_relators_empty_word(kind, gen):
+    g = gen()
+    # a a^-1 and a^-1 a reduce to the empty word; a alone moves a point
+    a = ActionSpec(kind, [("a", g)],
+                   presentation=Presentation(["a"], [(1, -1), (-1, 1), ()]))
+    assert verify_relators(a) == "pass"
+    bad = ActionSpec(kind, [("a", g)], presentation=Presentation(["a"], [(1,)]))
+    x = verify_relators(bad)["sample_point"]
+    image = g.eval(x) if kind == "complex" else g(x)
+    assert image != x
+
+
+@pytest.mark.parametrize("kind", ["interval", "circle", "complex"])
+def test_verify_relators_without_generators(kind):
+    a = ActionSpec(kind, [], presentation=Presentation([], [()]))
+    assert verify_relators(a) == "pass"
+
+
+@pytest.mark.parametrize("gen", [f1_map, circle_map, quarter_rotation])
+def test_map_protocol(gen):
+    g = gen()
+    one = g.identity_like()
+    assert one.is_identity() and one.moved_point() is None
+    assert not g.is_identity()
+    x = g.moved_point()
+    assert g.eval(x) != x
+    assert g.compose(g.inverse()).is_identity()
+    assert g.inverse().compose(g).is_identity()
+    assert g.compose(one) == g and one.compose(g) == g
+    assert g.compose(g).eval(x) == g.eval(g.eval(x))
+
+
+# Each probe breaks one step under certify_trivial and must trip an explicit
+# self-check; run under `python -O`, which would strip plain asserts.
+SOUNDNESS_PROBE = r"""
+import sys
+import plstab.stability as st
+from plstab.errors import InternalError
+from plstab.plmap import PLMap
+from support import interior_move_map
+
+assert sys.flags.optimize
+action = st.ActionSpec("complex", [("h", interior_move_map())])
+for name, obj, attr, fake in [
+        ("witness", PLMap, "eval", lambda self, x: tuple(x)),
+        ("coverage", st, "adjacency", lambda simplices: {v: set() for v in range(7)}),
+        ("identity", st, "_identity_on_star", lambda f, star: None)]:
+    real = getattr(obj, attr)
+    setattr(obj, attr, fake)
+    try:
+        st.certify_trivial(action, 3)
+    except InternalError:
+        print("fired", name)
+    finally:
+        setattr(obj, attr, real)
+"""
+
+
+def test_certificate_checks_survive_python_O():
+    here = os.path.dirname(os.path.abspath(__file__))
+    src = os.path.join(os.path.dirname(here), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    proc = subprocess.run([sys.executable, "-O", "-c", SOUNDNESS_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["fired witness", "fired coverage", "fired identity"]
+
+
+def test_cli_does_not_report_internal_errors_as_data_errors(tmp_path, monkeypatch):
+    from plstab.cli import main
+    from plstab.complexes import format_complex
+    from plstab.errors import InternalError
+    from plstab.plmap import format_plmap
+
+    h = interior_move_map()
+    (tmp_path / "base.cx").write_text(format_complex(h.base))
+    (tmp_path / "h.pm").write_text(format_plmap(h, "base.cx"))
+    monkeypatch.setattr(PLMap, "eval", lambda self, x: tuple(x))
+    with pytest.raises(InternalError):
+        main(["certify", "--action", str(tmp_path), "--vertex", "3"])
