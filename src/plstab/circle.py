@@ -55,12 +55,17 @@ class CircleLift:
         return CircleLift.identity()
 
     def is_identity(self) -> bool:
-        return self.breakpoints == ((Fraction(0), Fraction(0)),
-                                    (Fraction(1), Fraction(1)))
+        """Is the circle map the identity: is the lift x -> x + k, k an integer?"""
+        return len(self.breakpoints) == 2 and self.breakpoints[0][1].denominator == 1
 
     def moved_point(self) -> Optional[Fraction]:
-        """A breakpoint the lift moves, or None for the identity lift."""
-        return next((x for x, y in self.breakpoints if x != y), None)
+        """A breakpoint the circle map moves, or None for the identity.
+
+        F increases and F(1) = F(0) + 1, so F(x) - x lies strictly between
+        F(0) - 1 and F(0) + 1 inside (0, 1): if it is an integer at every
+        breakpoint, it is the one integer F(0) and the map is the identity.
+        """
+        return next((x for x, y in self.breakpoints if (y - x).denominator != 1), None)
 
     def compose(self, g: "CircleLift") -> "CircleLift":
         return compose_lift(self, g)

@@ -17,8 +17,7 @@ from .clip import clip_polygon_to_triangle, polygon_area2
 from .errors import InvalidComplex, ParseError, UnknownVertex
 from .geometry import (
     Point,
-    bbox,
-    boxes_apart,
+    candidate_pairs,
     cross2,
     cross3,
     dot,
@@ -196,16 +195,13 @@ class Complex:
 
     __slots__ = ("points", "simplices", "dim", "connected_flag")
 
-    def __init__(self, points: Sequence, maximal_simplices, dim: int | None = None,
-                 require_connected: bool = True):
+    def __init__(self, points: Sequence, maximal_simplices, require_connected: bool = True):
         self.points: Tuple[Point, ...] = tuple(tuple(rat(c) for c in p) for p in points)
         sims = sorted(tuple(sorted(s)) for s in maximal_simplices)
         self.simplices: Tuple[SimplexT, ...] = tuple(sims)
         if not self.simplices:
             raise InvalidComplex("complex has no maximal simplices")
-        if dim is None:
-            dim = len(self.simplices[0]) - 1
-        self.dim = dim
+        self.dim = len(self.simplices[0]) - 1
         self.connected_flag = require_connected
         self._validate(require_connected)
 
@@ -262,19 +258,14 @@ class Complex:
                 raise InvalidComplex(f"face {f} lies in {c} maximal simplices")
 
     def _check_disjoint_interiors(self):
-        boxes = [bbox([self.points[v] for v in s]) for s in self.simplices]
-        for i in range(len(self.simplices)):
-            for j in range(i + 1, len(self.simplices)):
-                if boxes_apart(boxes[i], boxes[j]):
-                    continue
-                if self._interiors_meet(self.simplices[i], self.simplices[j]):
-                    raise InvalidComplex(
-                        f"simplices {self.simplices[i]} and {self.simplices[j]} overlap"
-                    )
+        cells = self.cells()
+        for i, j in candidate_pairs(cells):
+            if self._interiors_meet(cells[i], cells[j]):
+                raise InvalidComplex(
+                    f"simplices {self.simplices[i]} and {self.simplices[j]} overlap"
+                )
 
-    def _interiors_meet(self, s1: SimplexT, s2: SimplexT) -> bool:
-        p1 = [self.points[v] for v in s1]
-        p2 = [self.points[v] for v in s2]
+    def _interiors_meet(self, p1, p2) -> bool:
         if self.dim == 1:
             return seg_seg_open_meet(p1[0], p1[1], p2[0], p2[1])
         if len(p1[0]) == 2:
@@ -285,6 +276,14 @@ class Complex:
         return _connected(adjacency(self.simplices))
 
     # -- basic queries ---------------------------------------------------
+
+    def cells(self) -> List[List[Point]]:
+        """Each maximal simplex as the list of its points."""
+        return [[self.points[v] for v in s] for s in self.simplices]
+
+    def area2(self) -> Fraction:
+        """Twice the area of a planar 2-complex."""
+        return sum((triangle_area2(c) for c in self.cells()), Fraction(0))
 
     @property
     def ambient_dim(self) -> int:
@@ -448,12 +447,11 @@ def parse_complex(text: str, require_connected: bool = True) -> Complex:
         if tok[0] == "v":
             if len(tok) < 3 or len(tok) > 5:
                 raise ParseError(f"line {lineno}: bad vertex record")
-            idx = int(tok[1])
-            points[idx] = tuple(rat(t) for t in tok[2:])
+            points[_index(tok[1], lineno)] = tuple(rat(t) for t in tok[2:])
         elif tok[0] == "s":
             if len(tok) < 2 or len(tok) > 4:
                 raise ParseError(f"line {lineno}: bad simplex record")
-            sims.append(tuple(int(t) for t in tok[1:]))
+            sims.append(tuple(_index(t, lineno) for t in tok[1:]))
         else:
             raise ParseError(f"line {lineno}: unknown record {tok[0]!r}")
     if not points:
@@ -464,6 +462,13 @@ def parse_complex(text: str, require_connected: bool = True) -> Complex:
         [points[i] for i in range(len(points))], sims,
         require_connected=require_connected,
     )
+
+
+def _index(token: str, lineno: int) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ParseError(f"line {lineno}: bad vertex index {token!r}") from None
 
 
 def format_complex(c: Complex) -> str:

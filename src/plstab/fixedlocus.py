@@ -20,7 +20,7 @@ from typing import Dict, Optional, Tuple
 from .clip import point_in_triangle, polygon_area2, triangulate_convex
 from .complexes import (Complex, SimplexT, SubComplex, euler_characteristic,
                         index_cells)
-from .errors import FixIsEmpty, FixIsEverything
+from .errors import FixIsEmpty, FixIsEverything, InternalError
 from .geometry import (Mat, Point, linear_part, orient2, solve_linear, vadd,
                        vscale, vsub)
 from .plmap import PLMap, compose2d
@@ -223,7 +223,7 @@ def _triangulate_with_feature(poly, feature):
             i = poly.index(x)
             j = poly.index(y)
         except ValueError as exc:  # chord endpoints are always polygon vertices
-            raise AssertionError("chord endpoint missing from cell boundary") from exc
+            raise InternalError("chord endpoint missing from cell boundary") from exc
         if i > j:
             i, j = j, i
         side1 = poly[i:j + 1]

@@ -166,6 +166,21 @@ def boxes_apart(b1, b2) -> bool:
     return any(hi1[k] < lo2[k] or hi2[k] < lo1[k] for k in range(len(lo1)))
 
 
+def candidate_pairs(cells_a, cells_b=None):
+    """Index pairs (i, j) of point-list cells whose bounding boxes meet.
+
+    Pairs come in row-major order; with one list, only the pairs i < j.
+    Cells whose boxes are apart share no point, so every loop over cells
+    that can meet goes through here.
+    """
+    boxes_a = [bbox(c) for c in cells_a]
+    boxes_b = boxes_a if cells_b is None else [bbox(c) for c in cells_b]
+    for i, box in enumerate(boxes_a):
+        for j in range(i + 1 if cells_b is None else 0, len(boxes_b)):
+            if not boxes_apart(box, boxes_b[j]):
+                yield i, j
+
+
 def primitive_direction(v: Sequence[Fraction]) -> Tuple[int, ...]:
     """Canonical representative of a ray direction: coprime integers, same sense.
 

@@ -15,8 +15,8 @@ from typing import Dict, Tuple
 from .clip import polygon_area2, triangle_intersection, triangulate_convex
 from .complexes import Complex, SimplexT, index_cells, tri_tri_open_meet_3d
 from .errors import NonCoplanarOverlap, RealizationMismatch
-from .geometry import (Point, collinear_overlap, dot, drop_axis, plane_normal,
-                       tiles_unit, vadd, vscale, vsub)
+from .geometry import (Point, candidate_pairs, collinear_overlap, dot, drop_axis,
+                       plane_normal, tiles_unit, vadd, vscale, vsub)
 
 
 @dataclass(frozen=True)
@@ -52,20 +52,19 @@ def overlay(t1: Complex, t2: Complex) -> Overlay:
 
 def _overlay_1d(t1: Complex, t2: Complex) -> Overlay:
     raw = []
-    cover1 = [[] for _ in t1.simplices]
-    cover2 = [[] for _ in t2.simplices]
-    for i1, e1 in enumerate(t1.simplices):
-        a1, b1 = (t1.points[v] for v in e1)
+    segs1, segs2 = t1.cells(), t2.cells()
+    cover1 = [[] for _ in segs1]
+    cover2 = [[] for _ in segs2]
+    for i1, i2 in candidate_pairs(segs1, segs2):
+        piece = collinear_overlap(*segs1[i1], *segs2[i2])
+        if piece is None:
+            continue
+        (lo, hi), own2 = piece
+        a1, b1 = segs1[i1]
         d = vsub(b1, a1)
-        for i2, e2 in enumerate(t2.simplices):
-            a2, b2 = (t2.points[v] for v in e2)
-            piece = collinear_overlap(a1, b1, a2, b2)
-            if piece is None:
-                continue
-            (lo, hi), own2 = piece
-            raw.append(((vadd(a1, vscale(lo, d)), vadd(a1, vscale(hi, d))), (i1, i2)))
-            cover1[i1].append((lo, hi))
-            cover2[i2].append(own2)
+        raw.append(((vadd(a1, vscale(lo, d)), vadd(a1, vscale(hi, d))), (i1, i2)))
+        cover1[i1].append((lo, hi))
+        cover2[i2].append(own2)
     for name, covers in (("first", cover1), ("second", cover2)):
         for intervals in covers:
             if not tiles_unit(intervals):
@@ -79,10 +78,6 @@ def _overlay_1d(t1: Complex, t2: Complex) -> Overlay:
 # itself.  In ambient dimension 3 only coplanar cells may overlap: a chart
 # (normal, dropped axis, offset) projects a cell's plane onto the coordinate
 # plane its normal dominates, and the clipped pieces are lifted back.
-
-
-def _tri_points(c: Complex, s: SimplexT):
-    return [c.points[v] for v in s]
 
 
 def _chart(tri):
@@ -109,30 +104,28 @@ def _lift(flat: Point, chart) -> Point:
 
 def _overlay_2d(t1: Complex, t2: Complex) -> Overlay:
     raw = []
-    area1 = [Fraction(0)] * len(t1.simplices)
-    area2 = [Fraction(0)] * len(t2.simplices)
-    tris2 = [_tri_points(t2, s) for s in t2.simplices]
-    for i1, s1 in enumerate(t1.simplices):
-        tri1 = _tri_points(t1, s1)
-        chart = _chart(tri1)
-        flat1 = _flat(tri1, chart)
-        for i2, tri2 in enumerate(tris2):
-            if chart is not None and any(dot(chart[0], p) != chart[2] for p in tri2):
-                if tri_tri_open_meet_3d(tri1, tri2):
-                    raise NonCoplanarOverlap(
-                        f"cells {s1} and {t2.simplices[i2]} overlap off-plane")
-                continue
-            poly = triangle_intersection(flat1, _flat(tri2, chart))
-            a2x = abs(polygon_area2(poly)) if len(poly) >= 3 else 0
-            if a2x == 0:
-                continue
-            for cell in triangulate_convex(poly):
-                raw.append((tuple(_lift(p, chart) for p in cell), (i1, i2)))
-            area1[i1] += a2x
-            area2[i2] += a2x
-    for c, areas, name in ((t1, area1, "first"), (t2, area2, "second")):
-        for i, s in enumerate(c.simplices):
-            tri = _tri_points(c, s)
-            if areas[i] != abs(polygon_area2(_flat(tri, _chart(tri)))):
+    tris1, tris2 = t1.cells(), t2.cells()
+    charts1 = [_chart(tri) for tri in tris1]
+    flats1 = [_flat(tri, chart) for tri, chart in zip(tris1, charts1)]
+    area1 = [Fraction(0)] * len(tris1)
+    area2 = [Fraction(0)] * len(tris2)
+    for i1, i2 in candidate_pairs(tris1, tris2):
+        chart, tri2 = charts1[i1], tris2[i2]
+        if chart is not None and any(dot(chart[0], p) != chart[2] for p in tri2):
+            if tri_tri_open_meet_3d(tris1[i1], tri2):
+                raise NonCoplanarOverlap(
+                    f"cells {t1.simplices[i1]} and {t2.simplices[i2]} overlap off-plane")
+            continue
+        poly = triangle_intersection(flats1[i1], _flat(tri2, chart))
+        a2x = abs(polygon_area2(poly)) if len(poly) >= 3 else 0
+        if a2x == 0:
+            continue
+        for cell in triangulate_convex(poly):
+            raw.append((tuple(_lift(p, chart) for p in cell), (i1, i2)))
+        area1[i1] += a2x
+        area2[i2] += a2x
+    for tris, areas, name in ((tris1, area1, "first"), (tris2, area2, "second")):
+        for tri, a2x in zip(tris, areas):
+            if a2x != abs(polygon_area2(_flat(tri, _chart(tri)))):
                 raise RealizationMismatch(f"{name} input is not fully covered")
     return _build(raw, t1)

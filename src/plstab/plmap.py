@@ -3,9 +3,9 @@
 A :class:`PLMap` is a base complex, a refinement of it, and one image
 point per refinement vertex; the map is the affine extension per cell.
 Construction validates the whole homeomorphism story exactly: the
-refinement tiles the base, image cells are nondegenerate with pairwise
-disjoint interiors, the image realizes the base again, and boundary goes
-to boundary.  Composition and inversion return fully validated maps.
+refinement tiles the base, the image cells form a valid :class:`Complex`
+(``PLMap.image``: nondegenerate, pairwise disjoint interiors), the image
+realizes the base again, and boundary goes to boundary.  Composition and inversion return fully validated maps.
 """
 
 from __future__ import annotations
@@ -21,25 +21,20 @@ from .clip import (
 )
 from .complexes import (
     Complex,
-    SimplexT,
     boundary,
     format_complex,
     index_cells,
     parse_complex,
-    seg_seg_open_meet,
-    triangle_area2,
 )
 from .errors import (
     InvalidComplex,
-    NondegenerateViolation,
     ParseError,
     PointOutsideComplex,
     RealizationMismatch,
 )
 from .geometry import (
     Point,
-    bbox,
-    boxes_apart,
+    candidate_pairs,
     collinear_overlap,
     fmt,
     orient2,
@@ -65,6 +60,27 @@ def barycentric2(tri: Sequence[Point], x: Point) -> Optional[Tuple[Fraction, ...
     return (l0, l1, l2)
 
 
+def _in_cell(x: Point, cell) -> bool:
+    """Is x in the closed cell, a planar triangle or a segment?"""
+    if len(cell) == 3:
+        return point_in_triangle(x, cell)
+    t = segment_param(cell[0], cell[1], x)
+    return t is not None and 0 <= t <= 1
+
+
+def _collinear_cover(segs_a, segs_b):
+    """For each segment of either list, the parameter intervals along it of
+    its collinear overlaps with the segments of the other list."""
+    cover_a = [[] for _ in segs_a]
+    cover_b = [[] for _ in segs_b]
+    for i, j in candidate_pairs(segs_a, segs_b):
+        piece = collinear_overlap(*segs_a[i], *segs_b[j])
+        if piece is not None:
+            cover_a[i].append(piece[0])
+            cover_b[j].append(piece[1])
+    return cover_a, cover_b
+
+
 def _combine(points: Sequence[Point], lambdas) -> Point:
     out = tuple(Fraction(0) for _ in points[0])
     for p, l in zip(points, lambdas):
@@ -75,162 +91,102 @@ def _combine(points: Sequence[Point], lambdas) -> Point:
 class PLMap:
     """PL self-homeomorphism of the realization of a base complex."""
 
-    __slots__ = ("base", "refinement", "images", "cell_base")
+    __slots__ = ("base", "refinement", "image", "cell_base")
 
     def __init__(self, base: Complex, refinement: Complex, images: Sequence):
         self.base = base
         self.refinement = refinement
-        self.images: Tuple[Point, ...] = tuple(tuple(rat(c) for c in p) for p in images)
+        images = tuple(tuple(rat(c) for c in p) for p in images)
         if base.dim != refinement.dim or base.ambient_dim != refinement.ambient_dim:
             raise RealizationMismatch("refinement must live where the base lives")
         if base.dim == 2 and base.ambient_dim != 2:
             raise InvalidComplex("2D maps are supported in ambient dimension 2 only")
-        if len(self.images) != len(refinement.points):
+        if len(images) != len(refinement.points):
             raise InvalidComplex("need one image point per refinement vertex")
-        if any(len(p) != base.ambient_dim for p in self.images):
+        if any(len(p) != base.ambient_dim for p in images):
             raise InvalidComplex("image points have the wrong ambient dimension")
         self.cell_base: Tuple[int, ...] = self._assign_cells()
         self._check_coverage()
-        self._check_image_homeomorphism()
+        # the image cells, validated once: nondegenerate, interiors disjoint
+        self.image = Complex(images, refinement.simplices,
+                             require_connected=base.connected_flag)
+        self._check_image_realizes_base()
         self._check_boundary_preserved()
+
+    @property
+    def images(self) -> Tuple[Point, ...]:
+        """The image of each refinement vertex."""
+        return self.image.points
 
     # -- construction-time validation ------------------------------------
 
-    def _cell_points(self, s: SimplexT) -> List[Point]:
-        return [self.refinement.points[v] for v in s]
-
-    def _cell_images(self, s: SimplexT) -> List[Point]:
-        return [self.images[v] for v in s]
-
     def _assign_cells(self) -> Tuple[int, ...]:
-        out = []
-        for s in self.refinement.simplices:
-            pts = self._cell_points(s)
-            home = None
-            for i, bs in enumerate(self.base.simplices):
-                bpts = [self.base.points[v] for v in bs]
-                if self.base.dim == 2:
-                    inside = all(point_in_triangle(p, bpts) for p in pts)
-                else:
-                    inside = all(
-                        (t := segment_param(bpts[0], bpts[1], p)) is not None
-                        and 0 <= t <= 1
-                        for p in pts
-                    )
-                if inside:
-                    home = i
-                    break
-            if home is None:
+        """The first base simplex containing each refinement cell."""
+        cells, base_cells = self.refinement.cells(), self.base.cells()
+        home: List[Optional[int]] = [None] * len(cells)
+        for i, j in candidate_pairs(cells, base_cells):
+            if home[i] is None and all(_in_cell(p, base_cells[j]) for p in cells[i]):
+                home[i] = j
+        for s, h in zip(self.refinement.simplices, home):
+            if h is None:
                 raise RealizationMismatch(
                     f"refinement cell {s} is not inside any base simplex"
                 )
-            out.append(home)
-        return tuple(out)
+        return tuple(home)
 
     def _check_coverage(self):
         if self.base.dim == 2:
-            per_base = [Fraction(0)] * len(self.base.simplices)
-            for s, home in zip(self.refinement.simplices, self.cell_base):
-                per_base[home] += triangle_area2(self._cell_points(s))
-            for i, bs in enumerate(self.base.simplices):
-                if per_base[i] != triangle_area2([self.base.points[v] for v in bs]):
-                    raise RealizationMismatch(
-                        f"refinement does not tile base simplex {bs}"
-                    )
-        else:
-            per_base = [[] for _ in self.base.simplices]
-            for s, home in zip(self.refinement.simplices, self.cell_base):
-                a, b = [self.base.points[v] for v in self.base.simplices[home]]
-                ts = sorted(
-                    segment_param(a, b, p) for p in self._cell_points(s)
-                )
-                per_base[home].append((ts[0], ts[-1]))
-            for i, intervals in enumerate(per_base):
-                if not tiles_unit(intervals):
-                    raise RealizationMismatch(
-                        f"refinement does not tile base simplex {self.base.simplices[i]}"
-                    )
+            # refinement cells are interior-disjoint and each lies in its
+            # home cell, so each per-home area sum is at most that cell's
+            # area, and equal totals force every sum to be equal
+            if self.refinement.area2() != self.base.area2():
+                raise RealizationMismatch("refinement does not tile the base")
+            return
+        per_base = [[] for _ in self.base.simplices]
+        for cell, home in zip(self.refinement.cells(), self.cell_base):
+            a, b = [self.base.points[v] for v in self.base.simplices[home]]
+            ts = sorted(segment_param(a, b, p) for p in cell)
+            per_base[home].append((ts[0], ts[-1]))
+        for bs, intervals in zip(self.base.simplices, per_base):
+            if not tiles_unit(intervals):
+                raise RealizationMismatch(f"refinement does not tile base simplex {bs}")
 
-    def _check_image_homeomorphism(self):
-        cells = [self._cell_images(s) for s in self.refinement.simplices]
+    def _check_image_realizes_base(self):
+        cells, base_cells = self.image.cells(), self.base.cells()
         if self.base.dim == 2:
-            for s, img in zip(self.refinement.simplices, cells):
-                if len(set(img)) != 3 or orient2(*img) == 0:
-                    raise NondegenerateViolation(f"cell {s} has a degenerate image")
-            # pairwise disjoint interiors (bounding-box prefilter)
-            boxes = [bbox(img) for img in cells]
-            for i in range(len(cells)):
-                for j in range(i + 1, len(cells)):
-                    if boxes_apart(boxes[i], boxes[j]):
-                        continue
-                    poly = triangle_intersection(cells[i], cells[j])
-                    if len(poly) >= 3 and polygon_area2(poly) != 0:
-                        raise InvalidComplex("image cells overlap; not injective")
-            # image realizes the base: same total area and containment
-            base_area = sum(
-                triangle_area2([self.base.points[v] for v in bs])
-                for bs in self.base.simplices
-            )
-            img_area = sum(triangle_area2(img) for img in cells)
-            if img_area != base_area:
+            # same area, and the image meets the base in all of that area
+            if self.image.area2() != self.base.area2():
                 raise RealizationMismatch("image area differs from base area")
-            base_tris = [[self.base.points[v] for v in bs] for bs in self.base.simplices]
-            base_boxes = [bbox(t) for t in base_tris]
-            for img, box in zip(cells, boxes):
-                covered = Fraction(0)
-                for bt, bb in zip(base_tris, base_boxes):
-                    if boxes_apart(box, bb):
-                        continue
-                    poly = triangle_intersection(img, bt)
-                    if len(poly) >= 3:
-                        covered += abs(polygon_area2(poly))
-                if covered != triangle_area2(img):
-                    raise RealizationMismatch("an image cell leaves the base realization")
-        else:
-            for s, img in zip(self.refinement.simplices, cells):
-                if img[0] == img[1]:
-                    raise NondegenerateViolation(f"cell {s} has a degenerate image")
-            for i in range(len(cells)):
-                for j in range(i + 1, len(cells)):
-                    if seg_seg_open_meet(cells[i][0], cells[i][1],
-                                         cells[j][0], cells[j][1]):
-                        raise InvalidComplex("image cells overlap; not injective")
-            # every base edge tiled by image segments, every image segment used up
-            per_base = [[] for _ in self.base.simplices]
-            for img in cells:
-                own = []
-                for k, bs in enumerate(self.base.simplices):
-                    a, b = [self.base.points[v] for v in bs]
-                    piece = collinear_overlap(img[0], img[1], a, b)
-                    if piece is None:
-                        continue
-                    per_base[k].append(piece[1])
-                    own.append(piece[0])
-                if not tiles_unit(own):
-                    raise RealizationMismatch("an image cell leaves the base realization")
-            for k, intervals in enumerate(per_base):
-                if not tiles_unit(intervals):
-                    raise RealizationMismatch(
-                        f"image does not cover base simplex {self.base.simplices[k]}"
-                    )
+            covered = sum(
+                (abs(polygon_area2(triangle_intersection(cells[i], base_cells[j])))
+                 for i, j in candidate_pairs(cells, base_cells)),
+                Fraction(0),
+            )
+            if covered != self.base.area2():
+                raise RealizationMismatch("an image cell leaves the base realization")
+            return
+        # every base edge tiled by image segments, every image segment used up
+        own, per_base = _collinear_cover(cells, base_cells)
+        if not all(tiles_unit(intervals) for intervals in own):
+            raise RealizationMismatch("an image cell leaves the base realization")
+        for bs, intervals in zip(self.base.simplices, per_base):
+            if not tiles_unit(intervals):
+                raise RealizationMismatch(f"image does not cover base simplex {bs}")
 
     def _check_boundary_preserved(self):
         bd_base = boundary(self.base)
         bd_ref = boundary(self.refinement)
         if self.base.dim == 2:
-            bd_segments = [
-                (self.base.points[e[0]], self.base.points[e[1]])
-                for e in bd_base.of_dim(1)
-            ]
-            for e in bd_ref.of_dim(1):
-                p, q = self.images[e[0]], self.images[e[1]]
-                if not _segment_covered(p, q, bd_segments):
-                    raise InvalidComplex("boundary is not mapped into the boundary")
+            # each boundary edge's image is tiled by base boundary edges
+            segments = [[self.base.points[v] for v in e] for e in bd_base.of_dim(1)]
+            edges = [[self.images[v] for v in e] for e in bd_ref.of_dim(1)]
+            covered, _ = _collinear_cover(edges, segments)
+            ok = all(tiles_unit(intervals) for intervals in covered)
         else:
             bd_points = {self.base.points[v[0]] for v in bd_base.of_dim(0)}
-            for v in bd_ref.of_dim(0):
-                if self.images[v[0]] not in bd_points:
-                    raise InvalidComplex("boundary is not mapped into the boundary")
+            ok = all(self.images[v[0]] in bd_points for v in bd_ref.of_dim(0))
+        if not ok:
+            raise InvalidComplex("boundary is not mapped into the boundary")
 
     # -- queries ---------------------------------------------------------
 
@@ -272,23 +228,16 @@ class PLMap:
     def eval(self, x) -> Point:
         x = tuple(rat(c) for c in x)
         for s in self.refinement.simplices:
-            pts = self._cell_points(s)
+            pts = [self.refinement.points[v] for v in s]
             if self.base.dim == 2:
                 lam = barycentric2(pts, x)
                 if lam is not None:
-                    return _combine(self._cell_images(s), lam)
+                    return _combine([self.images[v] for v in s], lam)
             else:
                 t = segment_param(pts[0], pts[1], x)
                 if t is not None and 0 <= t <= 1:
-                    return _combine(self._cell_images(s), (1 - t, t))
+                    return _combine([self.images[v] for v in s], (1 - t, t))
         raise PointOutsideComplex(f"{x} is not in the realization")
-
-    def image_complex(self) -> Complex:
-        return Complex(
-            self.images,
-            self.refinement.simplices,
-            require_connected=self.base.connected_flag,
-        )
 
     def refinement_index_of_base_vertex(self, v: int) -> int:
         p = self.base.points[v]
@@ -330,17 +279,12 @@ def compose2d(f: PLMap, g: PLMap) -> PLMap:
 
 def _compose_cells_2d(f: PLMap, g: PLMap):
     raw = []
-    for s in g.refinement.simplices:
-        src = [g.refinement.points[v] for v in s]
-        img = [g.images[v] for v in s]
-        for t in f.refinement.simplices:
-            tri = [f.refinement.points[v] for v in t]
-            poly = triangle_intersection(img, tri)
-            if len(poly) < 3 or polygon_area2(poly) == 0:
-                continue
-            back = [_pullback2(src, img, p) for p in poly]
-            for cell in triangulate_convex(back):
-                raw.append(cell)
+    srcs, imgs, tris = g.refinement.cells(), g.image.cells(), f.refinement.cells()
+    for i, j in candidate_pairs(imgs, tris):
+        poly = triangle_intersection(imgs[i], tris[j])
+        if len(poly) < 3 or polygon_area2(poly) == 0:
+            continue
+        raw.extend(triangulate_convex([_pullback2(srcs[i], imgs[i], p) for p in poly]))
     return raw
 
 
@@ -379,7 +323,7 @@ def _compose_cells_1d(f: PLMap, g: PLMap):
 
 def inverse2d(f: PLMap) -> PLMap:
     """Exact inverse; its refinement is the overlay of f's image with the base."""
-    img = f.image_complex()
+    img = f.image
     ov = overlay(img, f.base)
     n = len(ov.cells.points)
     pre: List[Optional[Point]] = [None] * n
@@ -410,19 +354,6 @@ def power(f: PLMap, k: int) -> PLMap:
     for _ in range(k - 1):
         out = compose2d(f, out)
     return out
-
-
-# -- small geometric helpers ---------------------------------------------
-
-
-def _segment_covered(p, q, segments) -> bool:
-    """Is [p, q] fully covered by the union of the given segments?"""
-    intervals = []
-    for a, b in segments:
-        piece = collinear_overlap(p, q, a, b)
-        if piece is not None:
-            intervals.append(piece[0])
-    return tiles_unit(intervals)
 
 
 def parse_plmap(text: str, base: Complex) -> PLMap:

@@ -6,6 +6,8 @@ inverse, so (1, 2, -1, -2) is the commutator of the first two generators.
 
 from typing import Dict, List, Sequence, Tuple
 
+from .errors import InternalError, ParseError
+
 Word = Tuple[int, ...]
 
 
@@ -78,7 +80,8 @@ def _det_unimodular(m: List[List[int]]) -> int:
             factor = a[r][col] / a[col][col]
             for c in range(col, n):
                 a[r][c] -= factor * a[col][c]
-    assert det.denominator == 1
+    if det.denominator != 1:
+        raise InternalError("determinant of an integer matrix is not an integer")
     return det.numerator
 
 
@@ -164,8 +167,8 @@ def smith_normal_form(m: Sequence[Sequence[int]]) -> Dict[str, List[List[int]]]:
                 u[t][k] = -u[t][k]
         t += 1
 
-    assert abs(_det_unimodular(u)) == 1
-    assert abs(_det_unimodular(v)) == 1
+    if abs(_det_unimodular(u)) != 1 or abs(_det_unimodular(v)) != 1:
+        raise InternalError("Smith normal form transform is not unimodular")
     return {"U": u, "D": d, "V": v}
 
 
@@ -227,21 +230,25 @@ def parse_presentation(text: str) -> Presentation:
         parts = line.split()
         if parts[0] == "gens":
             names = parts[1:]
+            if len(set(names)) != len(names):
+                raise ParseError("duplicate generator names")
         elif parts[0] == "rel":
             word = []
             for tok in parts[1:]:
+                name, e = tok, 1
                 if "^" in tok:
                     name, exp = tok.split("^", 1)
-                    e = int(exp)
-                else:
-                    name, e = tok, 1
+                    try:
+                        e = int(exp)
+                    except ValueError:
+                        raise ParseError("bad exponent in %r" % tok) from None
                 if name not in names:
-                    raise ValueError("unknown generator %r" % name)
+                    raise ParseError("unknown generator %r" % name)
                 idx = names.index(name) + 1
                 word.extend([idx if e > 0 else -idx] * abs(e))
             relators.append(word)
         else:
-            raise ValueError("unrecognized line: %r" % raw)
+            raise ParseError("unrecognized line: %r" % raw)
     return Presentation(names, relators)
 
 

@@ -96,6 +96,10 @@ def test_parse_rejects_garbage():
         parse_complex("v 0 0 0\nq 1 2\n")
     with pytest.raises(ParseError):
         parse_complex("v 0 0 0\nv 2 1 1\ns 0 2\n")  # index gap
+    with pytest.raises(ParseError):
+        parse_complex("v x 0 0\nv 1 1 0\ns 0 1\n")  # vertex index
+    with pytest.raises(ParseError):
+        parse_complex("v 0 0 0\nv 1 1 0\ns 0 z\n")  # simplex index
 
 
 def test_parse_comments_and_blanks():

@@ -1,0 +1,99 @@
+"""Truncated and single-token-mutated input files: every parser returns or
+raises a PLError, and the command line exits with a documented code."""
+
+import io
+import os
+import tempfile
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from plstab.circle import parse_circle_lift
+from plstab.cli import main
+from plstab.complexes import format_complex, parse_complex
+from plstab.errors import PLError
+from plstab.interval import parse_plmap1d
+from plstab.plmap import format_plmap, parse_plmap
+from plstab.presentation import parse_presentation
+
+from support import interior_move_map
+
+BASE = format_complex(interior_move_map().base)
+FILES = {
+    "complex": BASE,
+    "interval": "interval 0 1\n0 0\n1/4 1/2\n1 1\n",
+    "circle": "circle\n0 1/4\n1/2 1/3\n1 5/4\n",
+    "plmap": format_plmap(interior_move_map(), "base.cx"),
+    "presentation": "gens a b\nrel a b a^-1 b^-1\nrel a^3\n",
+}
+PARSERS = {
+    "complex": parse_complex,
+    "interval": parse_plmap1d,
+    "circle": parse_circle_lift,
+    "plmap": lambda text: parse_plmap(text, parse_complex(BASE)),
+    "presentation": parse_presentation,
+}
+# (file name, argv after the file) for each format's command-line runs
+COMMANDS = {
+    "complex": ("c.cx", [["euler", "--complex"]]),
+    "interval": ("f.map", [["eval", "--point", "1/3", "--map"], ["invert", "--map"]]),
+    "circle": ("f.map", [["rotno", "--qmax", "8", "--n", "8", "--map"],
+                         ["invert", "--map"]]),
+    "plmap": ("h.pm", [["eval", "--point", "1/3", "1/3", "--map"], ["invert", "--map"]]),
+    "presentation": ("p.txt", [["abelianize", "--presentation"]]),
+}
+TOKENS = ["0", "1", "-1", "2", "7", "1/2", "3/4", "1/0", "x", "a^x", "a^2", "b",
+          "v", "s", "img", "base", "gens", "rel", "circle", "interval", "#", ""]
+
+
+@st.composite
+def mutated(draw, kind):
+    text = FILES[kind]
+    if draw(st.booleans()):
+        return text[:draw(st.integers(0, len(text)))]
+    lines = [line.split() for line in text.splitlines()]
+    slots = [(i, j) for i, line in enumerate(lines) for j in range(len(line))]
+    i, j = draw(st.sampled_from(slots))
+    lines[i][j] = draw(st.sampled_from(TOKENS))
+    return "\n".join(" ".join(line) for line in lines) + "\n"
+
+
+def _returns_or_raises_plerror(parse, text):
+    try:
+        parse(text)
+    except PLError:
+        pass
+
+
+@pytest.mark.parametrize("kind", sorted(FILES))
+def test_parsers_raise_only_plerror(kind):
+    @settings(max_examples=60, deadline=None)
+    @given(mutated(kind))
+    def check(text):
+        _returns_or_raises_plerror(PARSERS[kind], text)
+
+    check()
+
+
+@pytest.mark.parametrize("kind", sorted(FILES))
+def test_cli_exits_with_documented_codes(kind):
+    name, commands = COMMANDS[kind]
+
+    @settings(max_examples=25, deadline=None)
+    @given(mutated(kind))
+    def check(text):
+        with tempfile.TemporaryDirectory() as tmp:
+            with open(os.path.join(tmp, "base.cx"), "w") as fh:
+                fh.write(BASE)
+            path = os.path.join(tmp, name)
+            with open(path, "w") as fh:
+                fh.write(text)
+            for argv in commands:
+                assert main(argv + [path], out=io.StringIO()) in (0, 2, 3, 64, 65)
+
+    check()
+
+
+def test_the_mutations_are_valid_inputs_unmutated():
+    for kind, text in FILES.items():
+        PARSERS[kind](text)

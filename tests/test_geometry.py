@@ -1,13 +1,17 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from plstab.geometry import (Mat, between, collinear, cross2, fmt, orient2,
+from plstab.clip import polygon_area2, triangle_intersection
+from plstab.geometry import (Mat, between, candidate_pairs, collinear,
+                             collinear_overlap, cross2, fmt, orient2,
                              primitive_direction, rat, segment_param,
                              solve_linear)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+points2 = st.tuples(small, small)
 
 
 def test_rat_parses_fractions_and_ints():
@@ -89,3 +93,44 @@ def test_cross2():
 def test_collinear():
     assert collinear((0, 0), (1, 1), (5, 5))
     assert not collinear((0, 0), (1, 1), (1, 2))
+
+
+def _check_candidates(cells_a, cells_b, meet):
+    """candidate_pairs holds every meeting pair, in row-major order."""
+    pairs = list(candidate_pairs(cells_a, cells_b))
+    assert pairs == sorted(set(pairs))
+    for i, a in enumerate(cells_a):
+        for j, b in enumerate(cells_b):
+            if meet(a, b):
+                assert (i, j) in pairs
+    own = list(candidate_pairs(cells_a))
+    assert own == sorted(set(own))
+    assert all(i < j for i, j in own)
+    for i, a in enumerate(cells_a):
+        for j in range(i + 1, len(cells_a)):
+            if meet(a, cells_a[j]):
+                assert (i, j) in own
+
+
+@settings(max_examples=50)
+@given(st.lists(st.lists(points2, min_size=3, max_size=3), max_size=6),
+       st.lists(st.lists(points2, min_size=3, max_size=3), max_size=6))
+def test_candidate_pairs_keep_overlapping_triangles(tris_a, tris_b):
+    _check_candidates(
+        tris_a, tris_b,
+        lambda s, t: polygon_area2(triangle_intersection(s, t)) != 0)
+
+
+@settings(max_examples=50)
+@given(st.lists(st.lists(points2, min_size=2, max_size=2), max_size=8),
+       st.lists(st.lists(points2, min_size=2, max_size=2), max_size=8))
+def test_candidate_pairs_keep_overlapping_segments(segs_a, segs_b):
+    _check_candidates(
+        segs_a, segs_b,
+        lambda s, t: collinear_overlap(s[0], s[1], t[0], t[1]) is not None)
+
+
+def test_candidate_pairs_skip_apart_boxes():
+    cells = [[(0, 0), (1, 0), (0, 1)], [(5, 5), (6, 5), (5, 6)], [(1, 1), (2, 0), (2, 2)]]
+    assert list(candidate_pairs(cells)) == [(0, 2)]
+    assert list(candidate_pairs(cells, cells[:2])) == [(0, 0), (1, 1), (2, 0)]

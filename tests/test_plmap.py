@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import pytest
 
 from plstab.complexes import Complex, parse_complex
-from plstab.errors import (PointOutsideComplex, RealizationMismatch)
+from plstab.errors import (InvalidComplex, PointOutsideComplex,
+                           RealizationMismatch)
 from plstab.plmap import (PLMap, compose2d, eval2d, format_plmap,
                           identity_map, inverse2d, parse_plmap,
                           plmap_from_vertex_images, power)
@@ -96,7 +97,7 @@ def test_map_equality_across_refinements():
 
 def test_image_complex_realizes_base():
     h = interior_move_map()
-    img = h.image_complex()
+    img = h.image
     from plstab.complexes import triangle_area2
     total = sum(triangle_area2(tuple(img.points[v] for v in s)) / 2
                 for s in img.simplices)
@@ -125,3 +126,41 @@ def test_1d_map_in_the_plane():
         f.eval((F(1, 2), F(1, 2)))
     assert inverse2d(f).eval((1, F(1, 4))) == (F(1, 4), 0)
     assert compose2d(f, inverse2d(f)).is_identity()
+
+
+def test_image_is_a_complex_on_the_refinement_simplices():
+    h = interior_move_map()
+    assert h.image.simplices == h.refinement.simplices
+    assert h.images == h.image.points
+    f = cycle_rotation()
+    assert f.image.simplices == f.refinement.simplices
+
+
+def test_refinement_omitting_a_base_cell_rejected():
+    sq = square_complex()
+    three = Complex(sq.points, sq.simplices[:3])
+    with pytest.raises(RealizationMismatch):
+        PLMap(sq, three, three.points)
+
+
+def test_refinement_cell_straddling_base_cells_rejected():
+    pts = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    base = Complex(pts, [(0, 1, 2), (0, 2, 3)])
+    other_diagonal = Complex(pts, [(0, 1, 3), (1, 2, 3)])
+    with pytest.raises(RealizationMismatch, match="not inside"):
+        PLMap(base, other_diagonal, pts)
+
+
+def test_overlapping_image_cells_rejected():
+    sq = square_complex()
+    # the centre pushed past the right edge folds the left cell over the
+    # bottom and top ones
+    with pytest.raises(InvalidComplex, match="overlap"):
+        plmap_from_vertex_images(
+            sq, [(0, 0), (1, 0), (1, 1), (0, 1), (2, F(1, 2))])
+
+
+def test_degenerate_image_cell_rejected():
+    sq = square_complex()
+    with pytest.raises(InvalidComplex, match="degenerate"):
+        plmap_from_vertex_images(sq, [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)])

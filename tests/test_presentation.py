@@ -1,7 +1,11 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+from plstab.errors import ParseError
 from plstab.presentation import (Presentation, abelianization, commutator,
                                  format_presentation, free_reduce,
                                  parse_presentation, smith_normal_form,
@@ -105,6 +109,43 @@ def test_presentation_validation():
         Presentation(["a"], [(2,)])
     with pytest.raises(ValueError):
         Presentation(["a", "a"], [])
+
+
+@pytest.mark.parametrize("text", [
+    "gens a\nrel b\n",        # unknown generator
+    "gens a\nrel a^x\n",      # bad exponent
+    "gens a\nrel a^\n",       # missing exponent
+    "gens a\nrelator a\n",    # unrecognized line
+    "gens a a\nrel a\n",      # duplicate names
+])
+def test_parse_rejects_garbage(text):
+    with pytest.raises(ParseError):
+        parse_presentation(text)
+
+
+# A wrong Smith form must trip the explicit unimodularity check under
+# `python -O`, which would strip a plain assert.
+UNIMODULAR_PROBE = r"""
+import sys
+import plstab.presentation as pr
+from plstab.errors import InternalError
+
+assert sys.flags.optimize
+pr._det_unimodular = lambda m: 2
+try:
+    pr.smith_normal_form([[2, 4], [6, 8]])
+except InternalError:
+    print("fired")
+"""
+
+
+def test_unimodularity_check_survives_python_O():
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", UNIMODULAR_PROBE], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["fired"]
 
 
 def test_parse_format_roundtrip():

@@ -1,4 +1,5 @@
-"""No plstab module reaches into another module's private names."""
+"""No plstab module reaches into another module's private names, and none
+relies on an assert statement, which `python -O` strips."""
 
 import ast
 import pathlib
@@ -27,6 +28,23 @@ def private_uses(path):
 def test_no_cross_module_private_names():
     found = {p.name: private_uses(p) for p in sorted(SRC.glob("*.py"))}
     assert {k: v for k, v in found.items() if v} == {}
+
+
+def asserts(path):
+    """Line of each assert statement."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Assert)]
+
+
+def test_no_assert_statements():
+    found = {p.name: asserts(p) for p in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_the_check_sees_asserts(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("x = 1\nassert x, 'never with -O'\n")
+    assert asserts(probe) == [2]
 
 
 def test_the_check_sees_private_imports(tmp_path):

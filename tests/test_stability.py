@@ -153,6 +153,18 @@ def test_verify_relators_circle():
     assert res["relator"] == (1, 1)
     x = res["sample_point"]
     assert (a(a(x)) - x) % 1 != 0  # moved on the circle, not only on the line
+    # a^3 lifts to x -> x + 1, the identity of the circle
+    cube = ActionSpec("circle", [("a", a)],
+                      presentation=Presentation(["a"], [(1, 1, 1)]))
+    assert verify_relators(cube) == "pass"
+
+
+def test_circle_identity_is_judged_on_the_circle():
+    shift = CircleLift.rotation(-2)
+    assert shift.is_identity() and shift.moved_point() is None
+    g = CircleLift([(0, 1), (F(1, 2), F(7, 4)), (1, 2)])  # fixes 0 on the circle
+    assert not g.is_identity()
+    assert g.moved_point() == F(1, 2)
 
 
 @pytest.mark.parametrize("kind, gen", [
