@@ -13,7 +13,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Sequence, Tuple
 
-from .clip import clip_polygon_to_triangle, polygon_area2
+from .clip import ccw_triangle
 from .errors import InvalidComplex, ParseError, UnknownVertex
 from .geometry import (
     Point,
@@ -108,8 +108,20 @@ def _plane(p0, p1, p2):
 
 
 def _tri_tri_open_meet_2d(t1, t2) -> bool:
-    poly = clip_polygon_to_triangle(list(t1), t2)
-    return polygon_area2(poly) != 0
+    """Do two nondegenerate planar triangles share an interior point?
+
+    Two convex polygons with disjoint interiors are separated by the line
+    through an edge of one of them (separating axis), so the interiors are
+    disjoint iff some edge a->b of one counter-clockwise triangle has every
+    vertex of the other on its closed right side.
+    """
+    t1, t2 = ccw_triangle(t1), ccw_triangle(t2)
+    for tri, other in ((t1, t2), (t2, t1)):
+        for i in range(3):
+            a, b = tri[i], tri[(i + 1) % 3]
+            if all(orient2(a, b, p) <= 0 for p in other):
+                return False
+    return True
 
 
 def _project_axis(normal):

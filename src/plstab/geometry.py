@@ -69,8 +69,24 @@ def cross2(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
 
 
 def orient2(a: Point, b: Point, c: Point) -> Fraction:
-    """Twice the signed area of the triangle abc (exact)."""
-    return cross2(vsub(b, a), vsub(c, a))
+    """Twice the signed area of the triangle abc (exact).
+
+    Works on the numerators and denominators as Python ints (an int has
+    both attributes) and builds a single Fraction, so the hot predicate
+    makes no Fraction temporaries.  Only the first two coordinates count.
+    """
+    an, ad = a[0].numerator, a[0].denominator
+    bn, bd = b[0].numerator, b[0].denominator
+    cn, cd = c[0].numerator, c[0].denominator
+    # b - a and c - a over their own denominators
+    ux, uxd = bn * ad - an * bd, ad * bd
+    vx, vxd = cn * ad - an * cd, ad * cd
+    an, ad = a[1].numerator, a[1].denominator
+    bn, bd = b[1].numerator, b[1].denominator
+    cn, cd = c[1].numerator, c[1].denominator
+    uy, uyd = bn * ad - an * bd, ad * bd
+    vy, vyd = cn * ad - an * cd, ad * cd
+    return Fraction(ux * vy * uyd * vxd - uy * vx * uxd * vyd, uxd * vyd * uyd * vxd)
 
 
 def is_zero_vec(v: Sequence[Fraction]) -> bool:
@@ -91,7 +107,7 @@ def between(a: Point, b: Point, x: Point) -> bool:
     t_den = dot(d, d)
     if t_den == 0:
         return x == a
-    return 0 <= t_num <= t_den and vscale(Fraction(t_num, t_den) if t_den else 0, d) == e
+    return 0 <= t_num <= t_den and vscale(Fraction(t_num, t_den), d) == e
 
 
 def segment_param(a: Point, b: Point, x: Point):

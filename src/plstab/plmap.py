@@ -48,16 +48,23 @@ from .geometry import (
 from .overlay import overlay
 
 
-def barycentric2(tri: Sequence[Point], x: Point) -> Optional[Tuple[Fraction, ...]]:
-    """Barycentric coordinates of x in a planar triangle, or None if outside."""
+def _barycentric(tri: Sequence[Point], x: Point) -> Tuple[Fraction, ...]:
+    """Barycentric coordinates of any x of the plane in a planar triangle."""
     a, b, c = tri
     d = orient2(a, b, c)
-    l0 = Fraction(orient2(x, b, c), d)
-    l1 = Fraction(orient2(a, x, c), d)
-    l2 = Fraction(orient2(a, b, x), d)
-    if l0 < 0 or l1 < 0 or l2 < 0:
+    return (
+        Fraction(orient2(x, b, c), d),
+        Fraction(orient2(a, x, c), d),
+        Fraction(orient2(a, b, x), d),
+    )
+
+
+def barycentric2(tri: Sequence[Point], x: Point) -> Optional[Tuple[Fraction, ...]]:
+    """Barycentric coordinates of x in a planar triangle, or None if outside."""
+    lam = _barycentric(tri, x)
+    if min(lam) < 0:
         return None
-    return (l0, l1, l2)
+    return lam
 
 
 def _in_cell(x: Point, cell) -> bool:
@@ -289,18 +296,7 @@ def _compose_cells_2d(f: PLMap, g: PLMap):
 
 
 def _pullback2(src, img, p: Point) -> Point:
-    lam = barycentric2(img, p)
-    if lam is None:
-        # p is on the image triangle's boundary up to orientation; recompute
-        # without the sign filter
-        a, b, c = img
-        d = orient2(a, b, c)
-        lam = (
-            Fraction(orient2(p, b, c), d),
-            Fraction(orient2(a, p, c), d),
-            Fraction(orient2(a, b, p), d),
-        )
-    return _combine(src, lam)
+    return _combine(src, _barycentric(img, p))
 
 
 def _compose_cells_1d(f: PLMap, g: PLMap):

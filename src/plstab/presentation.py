@@ -10,6 +10,10 @@ from .errors import InternalError, ParseError
 
 Word = Tuple[int, ...]
 
+# Relators are stored letter by letter, so an exponent costs memory linear
+# in its size; a relator longer than this is rejected before it is built.
+MAX_RELATOR_LENGTH = 10**6
+
 
 def free_reduce(word: Sequence[int]) -> Word:
     out: List[int] = []
@@ -245,11 +249,17 @@ def parse_presentation(text: str) -> Presentation:
                 if name not in names:
                     raise ParseError("unknown generator %r" % name)
                 idx = names.index(name) + 1
+                if len(word) + abs(e) > MAX_RELATOR_LENGTH:
+                    raise ParseError(
+                        "relator longer than %d letters" % MAX_RELATOR_LENGTH)
                 word.extend([idx if e > 0 else -idx] * abs(e))
             relators.append(word)
         else:
             raise ParseError("unrecognized line: %r" % raw)
-    return Presentation(names, relators)
+    try:
+        return Presentation(names, relators)
+    except ValueError as exc:  # a later `gens` line dropped a used generator
+        raise ParseError(str(exc)) from None
 
 
 def format_presentation(p: Presentation) -> str:

@@ -1,5 +1,8 @@
 import io
 import json
+import pathlib
+import re
+import time
 
 import pytest
 
@@ -167,6 +170,32 @@ def test_abelianize(workdir):
     code, out = run(["abelianize", "--presentation", str(pres)])
     assert code == 0
     assert out == "2 0\n"
+
+
+def test_huge_relator_exponent_exits_65_promptly(workdir):
+    pres = workdir / "p.txt"
+    pres.write_text("gens a\nrel a^1000000000\n")
+    start = time.perf_counter()
+    code, out = run(["abelianize", "--presentation", str(pres)])
+    assert (code, out) == (65, "")
+    assert time.perf_counter() - start < 1
+
+
+README = pathlib.Path(__file__).resolve().parent.parent / "README.md"
+
+
+def test_readme_format_examples_run(tmp_path):
+    """Each example file in the README's file-format section is accepted."""
+    text = README.read_text()
+    section = text[text.index("### File formats"):text.index("### Example")]
+    for block in re.findall(r"```\n(.*?)```", section, re.S):
+        (tmp_path / block.split()[1]).write_text(block)
+    d = str(tmp_path) + "/"
+    assert run(["euler", "--complex", d + "square.cx"]) == (0, "1\n")
+    assert run(["eval", "--map", d + "push.map", "--point", "1/8"]) == (0, "1/4\n")
+    assert run(["eval", "--map", d + "rotate.map", "--point", "1/3"]) == (0, "2/3\n")
+    assert run(["eval", "--map", d + "twist.pm", "--point", "1/2", "1/2"]) == (0, "1/3 1/2\n")
+    assert run(["abelianize", "--presentation", d + "presentation.txt"]) == (0, "2 0\n")
 
 
 def test_overlay_output_parses(workdir):

@@ -1,10 +1,13 @@
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from plstab.complexes import (Complex, boundary, euler_characteristic,
-                              format_complex, is_arc, is_cycle, link,
-                              parse_complex, star)
+from plstab.clip import clip_polygon_to_triangle, polygon_area2
+from plstab.complexes import (Complex, _tri_tri_open_meet_2d, boundary,
+                              euler_characteristic, format_complex, is_arc,
+                              is_cycle, link, parse_complex, star)
+from plstab.geometry import orient2
 from plstab.errors import InvalidComplex, ParseError, UnknownVertex
 
 
@@ -106,3 +109,37 @@ def test_parse_comments_and_blanks():
     c = parse_complex("# a segment\nv 0 0\nv 1 1\n\ns 0 1  # the edge\n")
     assert c.dim == 1
     assert c.simplices == ((0, 1),)
+
+
+def _clip_area_meet(t1, t2):
+    """Reference: the open triangles meet iff their intersection has area."""
+    return polygon_area2(clip_polygon_to_triangle(list(t1), t2)) != 0
+
+
+# grid points make shared vertices, shared edges and collinear edges common
+coords = st.one_of(st.integers(min_value=0, max_value=3),
+                   st.fractions(min_value=-4, max_value=4, max_denominator=5))
+triangles = (st.lists(st.tuples(coords, coords), min_size=3, max_size=3)
+             .filter(lambda t: orient2(*t) != 0))
+
+
+@settings(max_examples=200)
+@given(triangles, triangles)
+def test_separating_axis_matches_clip_area(t1, t2):
+    assert _tri_tri_open_meet_2d(t1, t2) == _clip_area_meet(t1, t2)
+
+
+@pytest.mark.parametrize("t1, t2, meet", [
+    ([(0, 0), (1, 0), (0, 1)], [(1, 0), (0, 1), (1, 1)], False),     # shared edge
+    ([(0, 0), (1, 0), (0, 1)], [(0, 0), (-1, 0), (0, -1)], False),   # shared vertex only
+    ([(0, 0), (2, 0), (0, 1)], [(1, 0), (3, 0), (1, -1)], False),    # collinear edges, apart
+    ([(0, 0), (2, 0), (0, 1)], [(1, 0), (3, 0), (1, 1)], True),      # collinear edges, same side
+    ([(0, 0), (4, 0), (0, 4)], [(1, 1), (2, 1), (1, 2)], True),      # nested
+    ([(0, 0), (1, 0), (0, 1)], [(0, 0), (1, 0), (0, 1)], True),      # identical
+    ([(0, 0), (1, 0), (0, 1)], [(0, 1), (1, 0), (0, 0)], True),      # identical, reversed
+    ([(0, 0), (1, 0), (0, 1)], [(F(1, 2), F(1, 2)), (1, 1), (1, 0)], False),  # touching on an edge
+])
+def test_separating_axis_cases(t1, t2, meet):
+    for a, b in ((t1, t2), (t2, t1)):
+        assert _tri_tri_open_meet_2d(a, b) is meet
+        assert _clip_area_meet(a, b) is meet

@@ -1,13 +1,13 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from plstab.clip import polygon_area2, triangle_intersection
 from plstab.geometry import (Mat, between, candidate_pairs, collinear,
                              collinear_overlap, cross2, fmt, orient2,
                              primitive_direction, rat, segment_param,
-                             solve_linear)
+                             solve_linear, vsub)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -37,6 +37,29 @@ def test_orient2_signs():
     assert orient2(a, b, c) > 0
     assert orient2(a, c, b) < 0
     assert orient2(a, b, (2, 0)) == 0
+
+
+# ints, Fractions with large coprime denominators, and negative values
+coords = st.one_of(
+    st.integers(min_value=-10**6, max_value=10**6),
+    st.fractions(min_value=-50, max_value=50, max_denominator=10**9),
+)
+mixed_points = st.tuples(coords, coords)
+
+
+@settings(max_examples=200)
+@given(mixed_points, mixed_points, mixed_points)
+@example((Fraction(1, 999999937), -7), (Fraction(-3, 1000000007), Fraction(5, 998244353)),
+         (2, Fraction(-1, 999999937)))
+@example((0, 0), (1, 0), (0, 1))
+def test_orient2_matches_reference_formula(a, b, c):
+    got = orient2(a, b, c)
+    assert isinstance(got, Fraction)
+    assert got == cross2(vsub(b, a), vsub(c, a))
+
+
+def test_orient2_reads_only_the_plane_coordinates():
+    assert orient2((0, 0, 5), (1, 0, -2), (0, 1, Fraction(1, 3))) == 1
 
 
 def test_between_and_param():

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+import plstab.presentation as pr
 from plstab.errors import ParseError
 from plstab.presentation import (Presentation, abelianization, commutator,
                                  format_presentation, free_reduce,
@@ -117,10 +118,19 @@ def test_presentation_validation():
     "gens a\nrel a^\n",       # missing exponent
     "gens a\nrelator a\n",    # unrecognized line
     "gens a a\nrel a\n",      # duplicate names
+    "gens a\nrel a^1000000000\n",  # relator too long
+    "gens a b\nrel b\ngens a\n",  # relator uses a generator a later gens line drops
 ])
 def test_parse_rejects_garbage(text):
     with pytest.raises(ParseError):
         parse_presentation(text)
+
+
+def test_relator_length_bound(monkeypatch):
+    monkeypatch.setattr(pr, "MAX_RELATOR_LENGTH", 5)
+    assert parse_presentation("gens a b\nrel a^3 b^-2\n").relators == [(1, 1, 1, -2, -2)]
+    with pytest.raises(ParseError):
+        parse_presentation("gens a b\nrel a^3 b^-2 a\n")
 
 
 # A wrong Smith form must trip the explicit unimodularity check under

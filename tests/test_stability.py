@@ -249,3 +249,75 @@ def test_cli_does_not_report_internal_errors_as_data_errors(tmp_path, monkeypatc
     monkeypatch.setattr(PLMap, "eval", lambda self, x: tuple(x))
     with pytest.raises(InternalError):
         main(["certify", "--action", str(tmp_path), "--vertex", "3"])
+
+
+# -- every Obstructed witness re-checks with eval ------------------------
+
+
+def _grid(n):
+    """The n x n grid of the unit square, each cell cut along a diagonal."""
+    pts = [(F(i, n), F(j, n)) for j in range(n + 1) for i in range(n + 1)]
+    tris = []
+    for j in range(n):
+        for i in range(n):
+            a = j * (n + 1) + i
+            tris += [(a, a + 1, a + n + 2), (a, a + n + 2, a + n + 1)]
+    return Complex(pts, tris)
+
+
+def _grid_move(rng, base, n):
+    """Shift a random set of interior vertices by at most 1/(5n) per
+    coordinate, which keeps every triangle positively oriented."""
+    d = F(1, 5 * n)
+    images = list(base.points)
+    for j in range(1, n):
+        for i in range(1, n):
+            if rng.random() < 0.3:
+                x, y = images[j * (n + 1) + i]
+                images[j * (n + 1) + i] = (x + rng.choice((-d, 0, d)), y + rng.choice((-d, d)))
+    return PLMap(base, base, images)
+
+
+def _in_closed_triangle(x, tri):
+    a, b, c = tri
+    def side(p, q, r):
+        return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+    signs = [side(a, b, x), side(b, c, x), side(c, a, x)]
+    return all(s >= 0 for s in signs) or all(s <= 0 for s in signs)
+
+
+def _check_obstruction(cert, base, gens):
+    w = cert.witness
+    f = gens[w["generator"]]
+    if cert.stage in ("FixedPointGate", "Propagation"):
+        assert f.eval(w["point"]) == w["image"] != w["point"]
+    if cert.stage == "FixedPointGate":
+        assert w["point"] == base.points[w["vertex"]]
+    elif cert.stage == "Propagation":
+        assert _in_closed_triangle(w["point"], [base.points[v] for v in w["cell"]])
+    else:
+        pt = base.points[w["vertex"]]
+        (m00, m01), (m10, m11) = w["matrix"]
+        u, v = w["cone"]
+        s = F(1, 10**4)
+        for ray in (u, (u[0] + v[0], u[1] + v[1])):
+            d = (s * ray[0], s * ray[1])
+            x, y = f.eval((pt[0] + d[0], pt[1] + d[1]))
+            assert (x - pt[0], y - pt[1]) == (m00 * d[0] + m01 * d[1], m10 * d[0] + m11 * d[1])
+        assert not (m01 == m10 == 0 and m00 == m11 > 0)
+
+
+def test_obstructed_witnesses_recheck_with_eval():
+    rng = random.Random(11)
+    stages = set()
+    bases = {n: _grid(n) for n in (3, 4)}
+    for _ in range(20):
+        n = rng.choice((3, 4))
+        base = bases[n]
+        gens = {name: _grid_move(rng, base, n) for name in ("a", "b")[:rng.randint(1, 2)]}
+        p = rng.randrange(len(base.points))
+        cert = certify_trivial(ActionSpec("complex", sorted(gens.items())), p)
+        if cert.status == "Obstructed":
+            _check_obstruction(cert, base, gens)
+            stages.add(cert.stage)
+    assert stages == {"FixedPointGate", "TangentGate", "Propagation"}
