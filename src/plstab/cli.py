@@ -72,8 +72,11 @@ def _base_name(tok) -> str:
     return tok[1]
 
 
-def load_map(path: str):
-    """Read a map file; returns ("interval"|"circle"|"complex", map)."""
+def load_map(path: str, bases=None):
+    """Read a map file; returns ("interval"|"circle"|"complex", map).
+
+    `bases` maps the path of each base complex already read to its
+    Complex, so that maps naming one base file share one validated base."""
     with open(path) as fh:
         text = fh.read()
     tok = _header(text)
@@ -84,9 +87,11 @@ def load_map(path: str):
         return "circle", parse_circle_lift(text)
     if header == "base":
         base_path = os.path.join(os.path.dirname(os.path.abspath(path)), _base_name(tok))
-        with open(base_path) as fh:
-            base = parse_complex(fh.read())
-        return "complex", parse_plmap(text, base)
+        bases = {} if bases is None else bases
+        if base_path not in bases:
+            with open(base_path) as fh:
+                bases[base_path] = parse_complex(fh.read())
+        return "complex", parse_plmap(text, bases[base_path])
     raise PLError("cannot determine map kind of %s" % path)
 
 
@@ -99,9 +104,10 @@ def load_action(dirpath: str):
     names = sorted(os.listdir(dirpath))
     gens = []
     kinds = set()
+    bases = {}
     for n in names:
         if n.endswith(".pm") or n.endswith(".map"):
-            kind, m = load_map(os.path.join(dirpath, n))
+            kind, m = load_map(os.path.join(dirpath, n), bases)
             kinds.add(kind)
             gens.append((n.rsplit(".", 1)[0], m))
     if not gens:
@@ -161,7 +167,8 @@ def _base_name_of(path):
 def cmd_compose(args, out):
     if len(args.map) < 2:
         raise UsageError("compose needs at least two --map files")
-    loaded = [load_map(p) for p in args.map]
+    bases = {}
+    loaded = [load_map(p, bases) for p in args.map]
     kinds = {k for k, _ in loaded}
     if len(kinds) != 1:
         raise UsageError("cannot compose maps of different kinds")

@@ -107,7 +107,7 @@ def _plane(p0, p1, p2):
     return n, dot(n, p0)
 
 
-def _tri_tri_open_meet_2d(t1, t2) -> bool:
+def tri_tri_open_meet_2d(t1, t2) -> bool:
     """Do two nondegenerate planar triangles share an interior point?
 
     Two convex polygons with disjoint interiors are separated by the line
@@ -140,7 +140,7 @@ def tri_tri_open_meet_3d(t1, t2) -> bool:
         return False
     if all(x == 0 for x in s):  # coplanar: project and use the 2D test
         ax = _project_axis(n2)
-        return _tri_tri_open_meet_2d(
+        return tri_tri_open_meet_2d(
             [drop_axis(p, ax) for p in t1], [drop_axis(p, ax) for p in t2]
         )
     # T1 meets plane(T2) in a segment (or point); collect it
@@ -281,7 +281,7 @@ class Complex:
         if self.dim == 1:
             return seg_seg_open_meet(p1[0], p1[1], p2[0], p2[1])
         if len(p1[0]) == 2:
-            return _tri_tri_open_meet_2d(p1, p2)
+            return tri_tri_open_meet_2d(p1, p2)
         return tri_tri_open_meet_3d(p1, p2)
 
     def is_connected(self) -> bool:
@@ -447,8 +447,9 @@ def _connected(adj: Dict[int, set]) -> bool:
 # -- text format ---------------------------------------------------------
 
 
-def parse_complex(text: str, require_connected: bool = True) -> Complex:
-    """Parse the `v <index> <coords...>` / `s <i> <j> [<k>]` line format."""
+def read_complex_records(text: str):
+    """The vertex points (by index) and the simplex records of the `.cx`
+    format, checked line by line but not yet validated as a complex."""
     points: Dict[int, Point] = {}
     sims: List[SimplexT] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
@@ -459,7 +460,10 @@ def parse_complex(text: str, require_connected: bool = True) -> Complex:
         if tok[0] == "v":
             if len(tok) < 3 or len(tok) > 5:
                 raise ParseError(f"line {lineno}: bad vertex record")
-            points[_index(tok[1], lineno)] = tuple(rat(t) for t in tok[2:])
+            i = _index(tok[1], lineno)
+            if i in points:
+                raise ParseError(f"line {lineno}: duplicate vertex {i}")
+            points[i] = tuple(rat(t) for t in tok[2:])
         elif tok[0] == "s":
             if len(tok) < 2 or len(tok) > 4:
                 raise ParseError(f"line {lineno}: bad simplex record")
@@ -470,10 +474,13 @@ def parse_complex(text: str, require_connected: bool = True) -> Complex:
         raise ParseError("no vertices")
     if sorted(points) != list(range(len(points))):
         raise ParseError("vertex indices must be 0..n-1 without gaps")
-    return Complex(
-        [points[i] for i in range(len(points))], sims,
-        require_connected=require_connected,
-    )
+    return [points[i] for i in range(len(points))], sims
+
+
+def parse_complex(text: str, require_connected: bool = True) -> Complex:
+    """Parse the `v <index> <coords...>` / `s <i> <j> [<k>]` line format."""
+    points, sims = read_complex_records(text)
+    return Complex(points, sims, require_connected=require_connected)
 
 
 def _index(token: str, lineno: int) -> int:

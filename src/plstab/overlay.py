@@ -1,9 +1,10 @@
 """Common refinement of two triangulations of the same realization.
 
-The 2D engine is pairwise exact convex intersection of triangles followed
-by triangulation of each intersection polygon; the 1D engine merges
-subdivision points along shared segments.  Output vertex indices follow
-sorted coordinate order, so overlays are reproducible.
+The 2D engine is exact convex intersection of the pairs of triangles whose
+interiors meet, followed by triangulation of each intersection polygon;
+the 1D engine merges subdivision points along shared segments.  Output
+vertex indices follow sorted coordinate order, so overlays are
+reproducible.
 """
 
 from __future__ import annotations
@@ -13,7 +14,8 @@ from fractions import Fraction
 from typing import Dict, Tuple
 
 from .clip import polygon_area2, triangle_intersection, triangulate_convex
-from .complexes import Complex, SimplexT, index_cells, tri_tri_open_meet_3d
+from .complexes import (Complex, SimplexT, index_cells, tri_tri_open_meet_2d,
+                        tri_tri_open_meet_3d)
 from .errors import NonCoplanarOverlap, RealizationMismatch
 from .geometry import (Point, candidate_pairs, collinear_overlap, dot, drop_axis,
                        plane_normal, tiles_unit, vadd, vscale, vsub)
@@ -116,10 +118,11 @@ def _overlay_2d(t1: Complex, t2: Complex) -> Overlay:
                 raise NonCoplanarOverlap(
                     f"cells {t1.simplices[i1]} and {t2.simplices[i2]} overlap off-plane")
             continue
-        poly = triangle_intersection(flats1[i1], _flat(tri2, chart))
-        a2x = abs(polygon_area2(poly)) if len(poly) >= 3 else 0
-        if a2x == 0:
+        flat2 = _flat(tri2, chart)
+        if not tri_tri_open_meet_2d(flats1[i1], flat2):
             continue
+        poly = triangle_intersection(flats1[i1], flat2)
+        a2x = abs(polygon_area2(poly))
         for cell in triangulate_convex(poly):
             raw.append((tuple(_lift(p, chart) for p in cell), (i1, i2)))
         area1[i1] += a2x

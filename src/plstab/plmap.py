@@ -5,7 +5,16 @@ point per refinement vertex; the map is the affine extension per cell.
 Construction validates the whole homeomorphism story exactly: the
 refinement tiles the base, the image cells form a valid :class:`Complex`
 (``PLMap.image``: nondegenerate, pairwise disjoint interiors), the image
-realizes the base again, and boundary goes to boundary.  Composition and inversion return fully validated maps.
+realizes the base again, and boundary goes to boundary.  Composition and
+inversion return fully validated maps.
+
+Each exact test runs once.  A refinement that *is* the base (the same
+object; :func:`parse_plmap` passes the base itself when the refinement
+block lists the base's points and simplices) tiles it cell for cell, so
+its cells are their own homes and the tiling checks are skipped.  In the
+plane, an image cell whose vertices lie in its home base cell covers its
+own area there and is not clipped; every other image cell is clipped only
+against the base cells whose interiors it meets.
 """
 
 from __future__ import annotations
@@ -24,7 +33,9 @@ from .complexes import (
     boundary,
     format_complex,
     index_cells,
-    parse_complex,
+    read_complex_records,
+    tri_tri_open_meet_2d,
+    triangle_area2,
 )
 from .errors import (
     InvalidComplex,
@@ -88,6 +99,29 @@ def _collinear_cover(segs_a, segs_b):
     return cover_a, cover_b
 
 
+def covered_area2(cells, homes, base_cells) -> Fraction:
+    """Twice the sum, over all pairs of a planar triangle of `cells` and a
+    cell of a planar complex, of the area of their intersection.
+
+    ``homes[i]`` is the index of the base cell tried first for ``cells[i]``.
+    A cell inside it meets no other base cell in positive area (base cells
+    are interior-disjoint), so it counts its own area; any other cell is
+    clipped against exactly the base cells whose interiors it meets, the
+    pairs with a positive-area intersection.
+    """
+    total = Fraction(0)
+    loose = []
+    for cell, home in zip(cells, homes):
+        if all(point_in_triangle(p, base_cells[home]) for p in cell):
+            total += triangle_area2(cell)
+        else:
+            loose.append(cell)
+    for i, j in candidate_pairs(loose, base_cells):
+        if tri_tri_open_meet_2d(loose[i], base_cells[j]):
+            total += abs(polygon_area2(triangle_intersection(loose[i], base_cells[j])))
+    return total
+
+
 def _combine(points: Sequence[Point], lambdas) -> Point:
     out = tuple(Fraction(0) for _ in points[0])
     for p, l in zip(points, lambdas):
@@ -96,7 +130,14 @@ def _combine(points: Sequence[Point], lambdas) -> Point:
 
 
 class PLMap:
-    """PL self-homeomorphism of the realization of a base complex."""
+    """PL self-homeomorphism of the realization of a base complex.
+
+    ``cell_base[i]`` is the base simplex containing refinement cell ``i``.
+    When ``refinement is base`` it is the identity, with no containment or
+    tiling test: a cell of a valid complex lies in no other of its cells.
+    A refinement equal to the base but a different object is validated in
+    full like any other.
+    """
 
     __slots__ = ("base", "refinement", "image", "cell_base")
 
@@ -112,8 +153,11 @@ class PLMap:
             raise InvalidComplex("need one image point per refinement vertex")
         if any(len(p) != base.ambient_dim for p in images):
             raise InvalidComplex("image points have the wrong ambient dimension")
-        self.cell_base: Tuple[int, ...] = self._assign_cells()
-        self._check_coverage()
+        if refinement is base:
+            self.cell_base: Tuple[int, ...] = tuple(range(len(base.simplices)))
+        else:
+            self.cell_base = self._assign_cells()
+            self._check_coverage()
         # the image cells, validated once: nondegenerate, interiors disjoint
         self.image = Complex(images, refinement.simplices,
                              require_connected=base.connected_flag)
@@ -161,15 +205,11 @@ class PLMap:
     def _check_image_realizes_base(self):
         cells, base_cells = self.image.cells(), self.base.cells()
         if self.base.dim == 2:
-            # same area, and the image meets the base in all of that area
+            # same area, and the image meets the base in all of that area;
+            # an image cell most often stays in its source's home cell
             if self.image.area2() != self.base.area2():
                 raise RealizationMismatch("image area differs from base area")
-            covered = sum(
-                (abs(polygon_area2(triangle_intersection(cells[i], base_cells[j])))
-                 for i, j in candidate_pairs(cells, base_cells)),
-                Fraction(0),
-            )
-            if covered != self.base.area2():
+            if covered_area2(cells, self.cell_base, base_cells) != self.base.area2():
                 raise RealizationMismatch("an image cell leaves the base realization")
             return
         # every base edge tiled by image segments, every image segment used up
@@ -288,9 +328,9 @@ def _compose_cells_2d(f: PLMap, g: PLMap):
     raw = []
     srcs, imgs, tris = g.refinement.cells(), g.image.cells(), f.refinement.cells()
     for i, j in candidate_pairs(imgs, tris):
-        poly = triangle_intersection(imgs[i], tris[j])
-        if len(poly) < 3 or polygon_area2(poly) == 0:
+        if not tri_tri_open_meet_2d(imgs[i], tris[j]):
             continue
+        poly = triangle_intersection(imgs[i], tris[j])
         raw.extend(triangulate_convex([_pullback2(srcs[i], imgs[i], p) for p in poly]))
     return raw
 
@@ -355,7 +395,9 @@ def power(f: PLMap, k: int) -> PLMap:
 def parse_plmap(text: str, base: Complex) -> PLMap:
     """Parse the map format: a Complex block for the refinement, then
     `img <vertex> <coords...>` lines. The `base <file>` header, if any,
-    must be resolved by the caller (see cli.load_map)."""
+    must be resolved by the caller (see cli.load_map). A refinement block
+    with the base's points and simplices (in any order) is the base itself,
+    so it is not validated a second time."""
     complex_lines = []
     images: Dict[int, Point] = {}
     for raw in text.splitlines():
@@ -368,10 +410,18 @@ def parse_plmap(text: str, base: Complex) -> PLMap:
         if tok[0] == "img":
             if len(tok) < 3 or not tok[1].isdecimal():
                 raise ParseError(f"bad img record {line!r}")
-            images[int(tok[1])] = tuple(rat(t) for t in tok[2:])
+            i = int(tok[1])
+            if i in images:
+                raise ParseError(f"duplicate img record for vertex {i}")
+            images[i] = tuple(rat(t) for t in tok[2:])
         else:
             complex_lines.append(line)
-    refinement = parse_complex("\n".join(complex_lines))
+    points, sims = read_complex_records("\n".join(complex_lines))
+    same_simplices = sorted(tuple(sorted(s)) for s in sims) == list(base.simplices)
+    if same_simplices and tuple(points) == base.points:
+        refinement = base
+    else:
+        refinement = Complex(points, sims)
     if sorted(images) != list(range(len(refinement.points))):
         raise InvalidComplex("img records do not cover the refinement vertices")
     return PLMap(base, refinement, [images[i] for i in range(len(refinement.points))])

@@ -259,3 +259,26 @@ def test_base_header_after_comments(workdir):
     (workdir / "nobase.pm").write_text("# no file name\nbase\n" + SQUARE)
     code, out = run(["eval", "--map", str(workdir / "nobase.pm"), "--point", "0", "0"])
     assert (code, out) == (65, "")
+
+
+def test_duplicate_vertex_record_is_a_data_error(workdir, capsys):
+    # the second line used to win silently, giving a kite with vertex (5, 5)
+    (workdir / "dup.cx").write_text(SQUARE.replace("v 2 1 1\n", "v 2 1 1\nv 2 5 5\n"))
+    code, out = run(["euler", "--complex", str(workdir / "dup.cx")])
+    assert (code, out) == (65, "")
+    assert "duplicate vertex 2" in capsys.readouterr().err
+    (workdir / "action" / "base.cx").write_text((workdir / "dup.cx").read_text())
+    code, out = run(["certify", "--action", str(workdir / "action"), "--vertex", "4"])
+    assert (code, out) == (65, "")
+
+
+def test_duplicate_img_record_is_a_data_error(workdir, capsys):
+    # a valid map either way: the centre goes to (1/2, 1/2) or to (1/3, 1/2)
+    (workdir / "dup.pm").write_text(ROT + "img 4 1/3 1/2\n")
+    code, out = run(["eval", "--map", str(workdir / "dup.pm"), "--point", "0", "0"])
+    assert (code, out) == (65, "")
+    assert "duplicate img record for vertex 4" in capsys.readouterr().err
+    (workdir / "action" / "r.pm").write_text(
+        ROT.replace("base square.cx", "base base.cx") + "img 4 1/3 1/2\n")
+    code, out = run(["certify", "--action", str(workdir / "action"), "--vertex", "4"])
+    assert (code, out) == (65, "")

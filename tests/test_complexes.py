@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plstab.clip import clip_polygon_to_triangle, polygon_area2
-from plstab.complexes import (Complex, _tri_tri_open_meet_2d, boundary,
-                              euler_characteristic, format_complex, is_arc,
-                              is_cycle, link, parse_complex, star)
+from plstab.complexes import (Complex, boundary, euler_characteristic,
+                              format_complex, is_arc, is_cycle, link,
+                              parse_complex, star, tri_tri_open_meet_2d)
 from plstab.geometry import orient2
 from plstab.errors import InvalidComplex, ParseError, UnknownVertex
 
@@ -126,7 +126,7 @@ triangles = (st.lists(st.tuples(coords, coords), min_size=3, max_size=3)
 @settings(max_examples=200)
 @given(triangles, triangles)
 def test_separating_axis_matches_clip_area(t1, t2):
-    assert _tri_tri_open_meet_2d(t1, t2) == _clip_area_meet(t1, t2)
+    assert tri_tri_open_meet_2d(t1, t2) == _clip_area_meet(t1, t2)
 
 
 @pytest.mark.parametrize("t1, t2, meet", [
@@ -141,5 +141,5 @@ def test_separating_axis_matches_clip_area(t1, t2):
 ])
 def test_separating_axis_cases(t1, t2, meet):
     for a, b in ((t1, t2), (t2, t1)):
-        assert _tri_tri_open_meet_2d(a, b) is meet
+        assert tri_tri_open_meet_2d(a, b) is meet
         assert _clip_area_meet(a, b) is meet

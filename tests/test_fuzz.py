@@ -1,5 +1,6 @@
-"""Truncated and single-token-mutated input files: every parser returns or
-raises a PLError, and the command line exits with a documented code."""
+"""Truncated, single-token-mutated and line-duplicated input files: every
+parser returns or raises a PLError, and the command line exits with a
+documented code."""
 
 import io
 import os
@@ -11,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from plstab.circle import parse_circle_lift
 from plstab.cli import main
 from plstab.complexes import format_complex, parse_complex
-from plstab.errors import PLError
+from plstab.errors import ParseError, PLError
 from plstab.interval import parse_plmap1d
 from plstab.plmap import format_plmap, parse_plmap
 from plstab.presentation import parse_presentation
@@ -49,8 +50,13 @@ TOKENS = ["0", "1", "-1", "2", "7", "1/2", "3/4", "1/0", "x", "a^x", "a^2", "b",
 @st.composite
 def mutated(draw, kind):
     text = FILES[kind]
-    if draw(st.booleans()):
+    how = draw(st.sampled_from(["truncate", "token", "duplicate"]))
+    if how == "truncate":
         return text[:draw(st.integers(0, len(text)))]
+    if how == "duplicate":
+        lines = text.splitlines()
+        i = draw(st.integers(0, len(lines) - 1))
+        return "\n".join(lines[:i + 1] + lines[i:]) + "\n"
     lines = [line.split() for line in text.splitlines()]
     slots = [(i, j) for i, line in enumerate(lines) for j in range(len(line))]
     i, j = draw(st.sampled_from(slots))
@@ -97,3 +103,13 @@ def test_cli_exits_with_documented_codes(kind):
 def test_the_mutations_are_valid_inputs_unmutated():
     for kind, text in FILES.items():
         PARSERS[kind](text)
+
+
+@pytest.mark.parametrize("kind, record", [("complex", "v"), ("plmap", "v"), ("plmap", "img")])
+def test_duplicated_index_records_are_parse_errors(kind, record):
+    lines = FILES[kind].splitlines()
+    dups = [i for i, line in enumerate(lines) if line.split()[0] == record]
+    assert dups
+    for i in dups:
+        with pytest.raises(ParseError, match="duplicate"):
+            PARSERS[kind]("\n".join(lines[:i + 1] + lines[i:]) + "\n")

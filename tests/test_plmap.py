@@ -1,13 +1,17 @@
 import random
+import re
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
-from plstab.complexes import Complex, parse_complex
+from plstab.cli import load_action
+from plstab.clip import polygon_area2, triangle_intersection
+from plstab.complexes import Complex, format_complex, parse_complex
 from plstab.errors import (InvalidComplex, PointOutsideComplex,
                            RealizationMismatch)
-from plstab.plmap import (PLMap, compose2d, eval2d, format_plmap,
-                          identity_map, inverse2d, parse_plmap,
+from plstab.plmap import (PLMap, compose2d, covered_area2, eval2d,
+                          format_plmap, identity_map, inverse2d, parse_plmap,
                           plmap_from_vertex_images, power)
 
 from support import (cycle_rotation, interior_move_map, quarter_rotation,
@@ -164,3 +168,156 @@ def test_degenerate_image_cell_rejected():
     sq = square_complex()
     with pytest.raises(InvalidComplex, match="degenerate"):
         plmap_from_vertex_images(sq, [(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)])
+
+
+# -- the 2D image-coverage check --------------------------------------------
+
+
+def two_squares():
+    """[0,1]^2 and [2,3]^2, each cut by a diagonal: a disconnected base."""
+    pts = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (3, 0), (3, 1), (2, 1)]
+    return Complex(pts, [(0, 1, 2), (0, 2, 3), (4, 5, 6), (4, 6, 7)],
+                   require_connected=False)
+
+
+def test_image_lifting_a_square_off_the_base_rejected():
+    base = two_squares()
+    images = list(base.points[:4]) + [(x, y + 5) for x, y in base.points[4:]]
+    # same total area, but half of it lies off the base
+    with pytest.raises(RealizationMismatch,
+                       match="an image cell leaves the base realization"):
+        PLMap(base, base, images)
+
+
+def test_swapping_the_squares_accepted():
+    base = two_squares()
+    images = ([(x + 2, y) for x, y in base.points[:4]]
+              + [(x - 2, y) for x, y in base.points[4:]])
+    f = PLMap(base, base, images)
+    # every image cell lies in a base cell other than its home
+    assert f.cell_base == (0, 1, 2, 3)
+    assert f.eval((F(1, 4), F(1, 2))) == (F(9, 4), F(1, 2))
+    assert f.eval((F(11, 4), 1)) == (F(3, 4), 1)
+    assert compose2d(f, f).is_identity()
+
+
+def grid_complex(n):
+    pts = [(F(i, n), F(j, n)) for j in range(n + 1) for i in range(n + 1)]
+    sims = []
+    for j in range(n):
+        for i in range(n):
+            a = j * (n + 1) + i
+            b, c, d = a + 1, a + n + 2, a + n + 1
+            sims += [(a, b, c), (a, c, d)]
+    return Complex(pts, sims)
+
+
+SYMMETRIES = [
+    lambda x, y: (x, y), lambda x, y: (1 - x, y),
+    lambda x, y: (x, 1 - y), lambda x, y: (1 - x, 1 - y),
+    lambda x, y: (y, x), lambda x, y: (1 - y, x),
+    lambda x, y: (y, 1 - x), lambda x, y: (1 - y, 1 - x),
+]
+GRID = grid_complex(2)
+OFFSETS = st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+                   min_size=len(GRID.points), max_size=len(GRID.points))
+# the bottom midpoint pushed out and the top midpoint pulled in keep the area
+LIFTED = [(0, 0), (0, -1), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, -1), (0, 0)]
+
+
+def _along_boundary(p, d):
+    """The offset d of grid point p with its component off the boundary
+    dropped: corners stay, edge points slide along their edge."""
+    (x, y), (dx, dy) = p, d
+    return (0 if x in (0, 1) else dx, 0 if y in (0, 1) else dy)
+
+
+@settings(max_examples=80, deadline=None)
+@given(OFFSETS, st.integers(0, len(SYMMETRIES) - 1), st.booleans())
+@example(LIFTED, 0, True)
+@example(LIFTED, 5, True)
+def test_covered_area_matches_all_pairs_clip(offsets, sym, free):
+    """Near-identity grid maps, alone and followed by a symmetry of the
+    square: the covered area equals the sum of the clipped areas of all
+    image/base cell pairs, and the map is accepted iff that sum (and the
+    image area) equals the base area and the boundary goes to the boundary.
+    Unless `free`, boundary points stay on the boundary, so most maps are
+    homeomorphisms."""
+    base = GRID
+    if not free:
+        offsets = [_along_boundary(p, d) for p, d in zip(base.points, offsets)]
+    images = [SYMMETRIES[sym](x + F(dx, 8), y + F(dy, 8))
+              for (x, y), (dx, dy) in zip(base.points, offsets)]
+    try:
+        image = Complex(images, base.simplices)
+    except InvalidComplex as e:
+        with pytest.raises(InvalidComplex, match=re.escape(str(e))):
+            PLMap(base, base, images)
+        return
+    cells, base_cells = image.cells(), base.cells()
+    reference = sum((abs(polygon_area2(triangle_intersection(a, b)))
+                     for a in cells for b in base_cells), F(0))
+    assert covered_area2(cells, range(len(cells)), base_cells) == reference
+    if image.area2() != base.area2():
+        expected = "image area differs from base area"
+    elif reference != base.area2():
+        expected = "an image cell leaves the base realization"
+    else:
+        expected = None
+    try:
+        PLMap(base, base, images)
+        outcome = None
+    except RealizationMismatch as e:
+        outcome = str(e)
+    except InvalidComplex as e:
+        if str(e) != "boundary is not mapped into the boundary":
+            raise
+        outcome = None  # the realization check passed
+    assert outcome == expected
+
+
+# -- validate once --------------------------------------------------------
+
+
+def test_action_generators_share_one_base(tmp_path):
+    r = quarter_rotation()
+    (tmp_path / "base.cx").write_text(format_complex(r.base))
+    (tmp_path / "a.pm").write_text(format_plmap(r, "base.cx"))
+    (tmp_path / "b.pm").write_text(format_plmap(inverse2d(r), "base.cx"))
+    action = load_action(str(tmp_path))
+    (_, a), (_, b) = action.generators
+    assert a.base is b.base
+    assert a.refinement is a.base
+    assert b.refinement is not b.base
+
+
+def test_refinement_block_equal_to_base_is_the_base():
+    base = square_complex()
+    r = quarter_rotation()
+    # the same simplices, listed backwards with their vertices reversed
+    lines = format_plmap(r, "square.cx").splitlines()
+    s_lines = [line for line in lines if line.startswith("s ")]
+    shuffled = ["s " + " ".join(reversed(line.split()[1:])) for line in reversed(s_lines)]
+    text = "\n".join([line for line in lines if not line.startswith("s ")] + shuffled)
+    f = parse_plmap(text, base)
+    assert f.refinement is f.base
+    assert f.cell_base == tuple(range(len(base.simplices)))
+    assert f == r
+
+
+def test_refinement_block_differing_from_base_is_validated():
+    pts = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    base = Complex(pts, [(0, 1, 2), (0, 2, 3)])
+    other_diagonal = Complex(pts, [(0, 1, 3), (1, 2, 3)])
+    text = format_plmap(identity_map(other_diagonal))
+    with pytest.raises(RealizationMismatch, match="not inside"):
+        parse_plmap(text, base)
+    # the base's simplices on a moved centre point
+    sq = square_complex()
+    text = format_plmap(quarter_rotation()).replace("v 4 1/2 1/2", "v 4 1/3 1/2")
+    with pytest.raises(RealizationMismatch, match="not inside"):
+        parse_plmap(text, sq)
+    # an equal refinement that is another object is checked in full
+    f = PLMap(base, Complex(pts, base.simplices), pts)
+    assert f.refinement is not f.base
+    assert f.cell_base == (0, 1)
