@@ -20,7 +20,7 @@ from .interval import (PLMap1D, compose1d, derivative_homomorphism_check,
                        eval1d, fixed_set_1d, inverse1d, one_sided_derivative,
                        ray_triviality_certifier)
 from .overlay import Overlay, overlay
-from .plmap import (PLMap, compose2d, eval2d, identity_map, inverse2d,
+from .plmap import (PLMap, compose2d, identity_map, inverse2d,
                     plmap_from_vertex_images, power)
 from .presentation import (AbelianizationReport, Presentation, abelianization,
                            commutator, smith_normal_form, word_ball)

@@ -202,20 +202,40 @@ def triangle_area2(pts) -> Fraction:
     return abs(orient2(*pts))
 
 
+def rational_points(points) -> Tuple[Point, ...]:
+    """Points as tuples of Fractions, the form every complex and map stores."""
+    return tuple(tuple(rat(c) for c in p) for p in points)
+
+
 class Complex:
-    """A pure simplicial complex realizing a 1- or 2-manifold with boundary."""
+    """A pure simplicial complex realizing a 1- or 2-manifold with boundary.
+
+    ``Complex(...)`` validates; :meth:`trusted` builds a complex that is
+    valid by construction with the same normalisation and no checks.
+    """
 
     __slots__ = ("points", "simplices", "dim", "connected_flag")
 
     def __init__(self, points: Sequence, maximal_simplices, require_connected: bool = True):
-        self.points: Tuple[Point, ...] = tuple(tuple(rat(c) for c in p) for p in points)
-        sims = sorted(tuple(sorted(s)) for s in maximal_simplices)
-        self.simplices: Tuple[SimplexT, ...] = tuple(sims)
+        self._assemble(points, maximal_simplices, require_connected)
+        self._validate(require_connected)
+
+    @classmethod
+    def trusted(cls, points: Sequence, maximal_simplices, connected_flag: bool) -> "Complex":
+        """A complex that an operation built from validated inputs, so valid
+        by construction: normalised like ``Complex(...)`` but not checked."""
+        self = cls.__new__(cls)
+        self._assemble(points, maximal_simplices, connected_flag)
+        return self
+
+    def _assemble(self, points, maximal_simplices, connected_flag: bool):
+        self.points: Tuple[Point, ...] = rational_points(points)
+        self.simplices: Tuple[SimplexT, ...] = tuple(
+            sorted(tuple(sorted(s)) for s in maximal_simplices))
         if not self.simplices:
             raise InvalidComplex("complex has no maximal simplices")
         self.dim = len(self.simplices[0]) - 1
-        self.connected_flag = require_connected
-        self._validate(require_connected)
+        self.connected_flag = connected_flag
 
     # -- validation ------------------------------------------------------
 

@@ -7,7 +7,9 @@ complex in which all those features are genuine faces; the fixed locus is
 then exactly the faces whose vertices are all fixed (the map is affine on
 every cell, so two fixed vertices pin the whole edge, three the whole
 triangle).  Frontier and invariant-submanifold computations become purely
-combinatorial on that complex.
+combinatorial on that complex.  The finer complex is valid by construction
+and built trusted, and each of its vertices is tested under f's piece on
+the cell it was cut from.
 """
 
 from __future__ import annotations
@@ -146,8 +148,15 @@ def fixed_subcomplex(f: PLMap) -> FixedLocus:
         raw = _refine_cells_1d(f)
     pts, sims = index_cells(cell for cell, _ in raw)
     prov: Dict[SimplexT, int] = dict(zip(sims, (home for _, home in raw)))
-    refined = Complex(pts, sims, require_connected=f.base.connected_flag)
-    fixed_vertex = [f.eval(p) == p for p in pts]
+    refined = Complex.trusted(pts, sims, f.base.connected_flag)
+    # a refined cell lies in the refinement cell it was cut from, where f
+    # is that cell's affine piece
+    fixed: Dict[Point, bool] = {}
+    for cell, home in raw:
+        for p in cell:
+            if p not in fixed:
+                fixed[p] = f.eval_in_cell(home, p) == p
+    fixed_vertex = [fixed[p] for p in pts]
     fix_faces = set()
     for s in refined.simplices:
         if all(fixed_vertex[v] for v in s):

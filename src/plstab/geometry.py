@@ -43,10 +43,6 @@ def pt(*coords) -> Point:
     return tuple(rat(c) for c in coords)
 
 
-def fmt_point(p: Point) -> str:
-    return " ".join(fmt(c) for c in p)
-
-
 def vsub(a: Point, b: Point) -> Point:
     return tuple(x - y for x, y in zip(a, b))
 

@@ -4,7 +4,8 @@ The 2D engine is exact convex intersection of the pairs of triangles whose
 interiors meet, followed by triangulation of each intersection polygon;
 the 1D engine merges subdivision points along shared segments.  Output
 vertex indices follow sorted coordinate order, so overlays are
-reproducible.
+reproducible.  The inputs are validated complexes of one realization, so
+the overlay is a valid complex by construction and is built trusted.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class Overlay:
 def _build(raw_cells, t1: Complex) -> Overlay:
     pts, sims = index_cells(cell for cell, _ in raw_cells)
     prov: Dict[SimplexT, Tuple[int, int]] = dict(zip(sims, (pair for _, pair in raw_cells)))
-    cells = Complex(pts, sims, require_connected=t1.connected_flag)
+    cells = Complex.trusted(pts, sims, t1.connected_flag)
     return Overlay(cells=cells, provenance=prov)
 
 

@@ -2,11 +2,20 @@
 
 A :class:`PLMap` is a base complex, a refinement of it, and one image
 point per refinement vertex; the map is the affine extension per cell.
-Construction validates the whole homeomorphism story exactly: the
+``PLMap(...)`` validates the whole homeomorphism story exactly: the
 refinement tiles the base, the image cells form a valid :class:`Complex`
 (``PLMap.image``: nondegenerate, pairwise disjoint interiors), the image
-realizes the base again, and boundary goes to boundary.  Composition and
-inversion return fully validated maps.
+realizes the base again, and boundary goes to boundary.  The parser and
+:func:`plmap_from_vertex_images` build through it.
+
+A map derived from validated maps is valid by construction and is built
+with :meth:`PLMap.trusted`, which checks nothing but two area identities
+in the plane (refinement, base and image areas agree; a failure is an
+``InternalError``).  :func:`compose2d`, :func:`inverse2d` (and so
+:func:`power`) and :func:`identity_map` build this way, taking each
+cell's base cell from provenance; in the plane a composite's vertex
+images come from the cell pair each vertex was cut from, with no point
+location.  The test suite re-validates every trusted result.
 
 Each exact test runs once.  A refinement that *is* the base (the same
 object; :func:`parse_plmap` passes the base itself when the refinement
@@ -33,11 +42,13 @@ from .complexes import (
     boundary,
     format_complex,
     index_cells,
+    rational_points,
     read_complex_records,
     tri_tri_open_meet_2d,
     triangle_area2,
 )
 from .errors import (
+    InternalError,
     InvalidComplex,
     ParseError,
     PointOutsideComplex,
@@ -129,6 +140,11 @@ def _combine(points: Sequence[Point], lambdas) -> Point:
     return out
 
 
+def _check_supported(base: Complex):
+    if base.dim == 2 and base.ambient_dim != 2:
+        raise InvalidComplex("2D maps are supported in ambient dimension 2 only")
+
+
 class PLMap:
     """PL self-homeomorphism of the realization of a base complex.
 
@@ -137,6 +153,9 @@ class PLMap:
     tiling test: a cell of a valid complex lies in no other of its cells.
     A refinement equal to the base but a different object is validated in
     full like any other.
+
+    ``PLMap(...)`` validates; :meth:`trusted` builds the result of an
+    operation on validated maps without the checks.
     """
 
     __slots__ = ("base", "refinement", "image", "cell_base")
@@ -144,11 +163,10 @@ class PLMap:
     def __init__(self, base: Complex, refinement: Complex, images: Sequence):
         self.base = base
         self.refinement = refinement
-        images = tuple(tuple(rat(c) for c in p) for p in images)
+        images = rational_points(images)
         if base.dim != refinement.dim or base.ambient_dim != refinement.ambient_dim:
             raise RealizationMismatch("refinement must live where the base lives")
-        if base.dim == 2 and base.ambient_dim != 2:
-            raise InvalidComplex("2D maps are supported in ambient dimension 2 only")
+        _check_supported(base)
         if len(images) != len(refinement.points):
             raise InvalidComplex("need one image point per refinement vertex")
         if any(len(p) != base.ambient_dim for p in images):
@@ -163,6 +181,28 @@ class PLMap:
                              require_connected=base.connected_flag)
         self._check_image_realizes_base()
         self._check_boundary_preserved()
+
+    @classmethod
+    def trusted(cls, base: Complex, refinement: Complex, images: Sequence,
+                cell_base: Sequence[int]) -> "PLMap":
+        """A map that compose, invert or identity built from validated
+        inputs, so valid by construction: ``refinement`` refines ``base``
+        and ``cell_base`` comes from provenance.  The image gets the same
+        normalisation as in ``PLMap(...)``.
+
+        In the plane, refinement area = base area = image area is checked
+        as a tripwire (``InternalError``) against a lost or doubled cell.
+        """
+        self = cls.__new__(cls)
+        self.base = base
+        self.refinement = refinement
+        self.image = Complex.trusted(images, refinement.simplices, base.connected_flag)
+        self.cell_base = tuple(cell_base)
+        if base.dim == 2:
+            area = base.area2()
+            if refinement.area2() != area or self.image.area2() != area:
+                raise InternalError("a derived map does not conserve the base area")
+        return self
 
     @property
     def images(self) -> Tuple[Point, ...]:
@@ -224,10 +264,13 @@ class PLMap:
         bd_base = boundary(self.base)
         bd_ref = boundary(self.refinement)
         if self.base.dim == 2:
-            # each boundary edge's image is tiled by base boundary edges
+            # each boundary edge's image is tiled by base boundary edges; one
+            # whose ends are the ends of a base boundary edge is that edge
             segments = [[self.base.points[v] for v in e] for e in bd_base.of_dim(1)]
+            ends = {frozenset(seg) for seg in segments}
             edges = [[self.images[v] for v in e] for e in bd_ref.of_dim(1)]
-            covered, _ = _collinear_cover(edges, segments)
+            rest = [e for e in edges if frozenset(e) not in ends]
+            covered, _ = _collinear_cover(rest, segments)
             ok = all(tiles_unit(intervals) for intervals in covered)
         else:
             bd_points = {self.base.points[v[0]] for v in bd_base.of_dim(0)}
@@ -286,6 +329,18 @@ class PLMap:
                     return _combine([self.images[v] for v in s], (1 - t, t))
         raise PointOutsideComplex(f"{x} is not in the realization")
 
+    def eval_in_cell(self, i: int, x: Point) -> Point:
+        """x under the affine piece of refinement cell ``i``: f(x) for any x
+        in that closed cell, with no point location."""
+        s = self.refinement.simplices[i]
+        pts = [self.refinement.points[v] for v in s]
+        if len(s) == 3:
+            lam = _barycentric(pts, x)
+        else:
+            t = segment_param(pts[0], pts[1], x)
+            lam = (1 - t, t)
+        return _combine([self.images[v] for v in s], lam)
+
     def refinement_index_of_base_vertex(self, v: int) -> int:
         p = self.base.points[v]
         for i, q in enumerate(self.refinement.points):
@@ -295,7 +350,8 @@ class PLMap:
 
 
 def identity_map(c: Complex) -> PLMap:
-    return PLMap(c, c, c.points)
+    _check_supported(c)
+    return PLMap.trusted(c, c, c.points, range(len(c.simplices)))
 
 
 def plmap_from_vertex_images(c: Complex, images: Sequence) -> PLMap:
@@ -306,33 +362,49 @@ def plmap_from_vertex_images(c: Complex, images: Sequence) -> PLMap:
 # -- operations ----------------------------------------------------------
 
 
-def eval2d(f: PLMap, x) -> Point:
-    return f.eval(x)
-
-
 def compose2d(f: PLMap, g: PLMap) -> PLMap:
-    """The map x -> f(g(x)); the result's refinement refines g's."""
+    """The map x -> f(g(x)); the result's refinement refines g's.
+
+    Built trusted from provenance: an output cell cut from g's refinement
+    cell i lies in g's base cell ``g.cell_base[i]``.
+    """
     if f.base != g.base:
         raise RealizationMismatch("maps must share the base complex")
     if f.base.dim == 2:
-        raw = _compose_cells_2d(f, g)
+        raw, homes, image_of = _compose_cells_2d(f, g)
     else:
-        raw = _compose_cells_1d(f, g)
+        raw, homes, image_of = _compose_cells_1d(f, g)
     pts, sims = index_cells(raw)
-    ref = Complex(pts, sims, require_connected=g.base.connected_flag)
-    images = [f.eval(g.eval(p)) for p in pts]
-    return PLMap(g.base, ref, images)
+    ref = Complex.trusted(pts, sims, g.base.connected_flag)
+    home = dict(zip(sims, homes))
+    return PLMap.trusted(g.base, ref, [image_of[p] for p in pts],
+                         [home[s] for s in ref.simplices])
 
 
 def _compose_cells_2d(f: PLMap, g: PLMap):
-    raw = []
+    """The cells of f∘g, the base cell holding each, and each vertex's image.
+
+    A cell comes from an image cell i of g and a cell j of f whose
+    interiors meet: their intersection polygon, pulled back through g's
+    piece on i.  A vertex q pulled back from polygon vertex p has image
+    f(p), by f's piece on j; a vertex that triangulation adds goes
+    forward through g's piece on i first.
+    """
+    raw, homes, image_of = [], [], {}
     srcs, imgs, tris = g.refinement.cells(), g.image.cells(), f.refinement.cells()
     for i, j in candidate_pairs(imgs, tris):
         if not tri_tri_open_meet_2d(imgs[i], tris[j]):
             continue
         poly = triangle_intersection(imgs[i], tris[j])
-        raw.extend(triangulate_convex([_pullback2(srcs[i], imgs[i], p) for p in poly]))
-    return raw
+        forward = {_pullback2(srcs[i], imgs[i], p): p for p in poly}
+        for cell in triangulate_convex(list(forward)):
+            raw.append(cell)
+            homes.append(g.cell_base[i])
+            for q in cell:
+                if q not in image_of:
+                    p = forward[q] if q in forward else g.eval_in_cell(i, q)
+                    image_of[q] = f.eval_in_cell(j, p)
+    return raw, homes, image_of
 
 
 def _pullback2(src, img, p: Point) -> Point:
@@ -340,9 +412,11 @@ def _pullback2(src, img, p: Point) -> Point:
 
 
 def _compose_cells_1d(f: PLMap, g: PLMap):
-    raw = []
+    """As `_compose_cells_2d`: g's segments cut where they cross f's
+    vertices; an image is located in f by `PLMap.eval`."""
+    raw, homes, image_of = [], [], {}
     fverts = list(dict.fromkeys(f.refinement.points))
-    for s in g.refinement.simplices:
+    for ci, s in enumerate(g.refinement.simplices):
         a, b = (g.refinement.points[v] for v in s)
         ia, ib = (g.images[v] for v in s)
         cuts = {Fraction(0), Fraction(1)}
@@ -353,12 +427,18 @@ def _compose_cells_1d(f: PLMap, g: PLMap):
         ts = sorted(cuts)
         d = vsub(b, a)
         for t0, t1 in zip(ts, ts[1:]):
-            raw.append((vadd(a, vscale(t0, d)), vadd(a, vscale(t1, d))))
-    return raw
+            cell = (vadd(a, vscale(t0, d)), vadd(a, vscale(t1, d)))
+            raw.append(cell)
+            homes.append(g.cell_base[ci])
+            for q in cell:
+                if q not in image_of:
+                    image_of[q] = f.eval(g.eval_in_cell(ci, q))
+    return raw, homes, image_of
 
 
 def inverse2d(f: PLMap) -> PLMap:
-    """Exact inverse; its refinement is the overlay of f's image with the base."""
+    """Exact inverse; its refinement is the overlay of f's image with the
+    base, and an overlay cell lies in the base cell of its provenance."""
     img = f.image
     ov = overlay(img, f.base)
     n = len(ov.cells.points)
@@ -380,7 +460,8 @@ def inverse2d(f: PLMap) -> PLMap:
                 pre[v] = back
             elif pre[v] != back:
                 raise InvalidComplex("inconsistent inverse images")
-    return PLMap(f.base, ov.cells, pre)
+    return PLMap.trusted(f.base, ov.cells, pre,
+                         [ov.provenance[s][1] for s in ov.cells.simplices])
 
 
 def power(f: PLMap, k: int) -> PLMap:

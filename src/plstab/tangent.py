@@ -22,26 +22,6 @@ from .plmap import PLMap
 Ray = Tuple[int, ...]  # primitive integer direction
 
 
-def _angle_class(r: Ray) -> int:
-    """0 for the upper half (incl. positive x-axis), 1 for the lower."""
-    if r[1] > 0 or (r[1] == 0 and r[0] > 0):
-        return 0
-    return 1
-
-
-def ray_cmp(a: Ray, b: Ray) -> int:
-    """Compare directions by angle in [0, 2*pi), exactly."""
-    ha, hb = _angle_class(a), _angle_class(b)
-    if ha != hb:
-        return -1 if ha < hb else 1
-    c = cross2(a, b)
-    if c > 0:
-        return -1
-    if c < 0:
-        return 1
-    return 0
-
-
 def in_cone(r, u: Ray, v: Ray, strict: bool = False) -> bool:
     """Is direction r inside the salient cone spanned CCW from u to v?"""
     cu = cross2(u, r)

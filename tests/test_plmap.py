@@ -7,12 +7,13 @@ from hypothesis import example, given, settings, strategies as st
 
 from plstab.cli import load_action
 from plstab.clip import polygon_area2, triangle_intersection
-from plstab.complexes import Complex, format_complex, parse_complex
+from plstab.complexes import Complex, boundary, format_complex, parse_complex
 from plstab.errors import (InvalidComplex, PointOutsideComplex,
                            RealizationMismatch)
-from plstab.plmap import (PLMap, compose2d, covered_area2, eval2d,
-                          format_plmap, identity_map, inverse2d, parse_plmap,
-                          plmap_from_vertex_images, power)
+from plstab.geometry import tiles_unit
+from plstab.plmap import (PLMap, compose2d, covered_area2, format_plmap,
+                          identity_map, inverse2d, parse_plmap,
+                          plmap_from_vertex_images, power, _collinear_cover)
 
 from support import (cycle_rotation, interior_move_map, quarter_rotation,
                      square_complex, three_cycle)
@@ -321,3 +322,88 @@ def test_refinement_block_differing_from_base_is_validated():
     f = PLMap(base, Complex(pts, base.simplices), pts)
     assert f.refinement is not f.base
     assert f.cell_base == (0, 1)
+
+
+# -- boundary check by lookup ---------------------------------------------
+
+
+def _boundary_by_collinear_cover(f):
+    """The boundary check with every image boundary edge through
+    `_collinear_cover`, as before the lookup of base boundary edges."""
+    segments = [[f.base.points[v] for v in e] for e in boundary(f.base).of_dim(1)]
+    edges = [[f.images[v] for v in e] for e in boundary(f.refinement).of_dim(1)]
+    covered, _ = _collinear_cover(edges, segments)
+    if not all(tiles_unit(intervals) for intervals in covered):
+        raise InvalidComplex("boundary is not mapped into the boundary")
+
+
+def _raised(check, *args):
+    try:
+        check(*args)
+    except (InvalidComplex, RealizationMismatch) as e:
+        return type(e), str(e)
+    return None
+
+
+def _bare_map(base, refinement, images):
+    """A map object holding an image, with no check run on it."""
+    f = PLMap.__new__(PLMap)
+    f.base, f.refinement = base, refinement
+    f.image = Complex(images, refinement.simplices)
+    return f
+
+
+GRID3 = grid_complex(3)
+BOUNDARY3 = [k for k, (x, y) in enumerate(GRID3.points) if {x, y} & {0, 1}]
+SLIDES = st.lists(st.integers(-2, 2), min_size=len(BOUNDARY3), max_size=len(BOUNDARY3))
+# every side point slid by 1/24: a homeomorphism the lookup cannot settle
+ALL_SLID = [0, 1, 1, 0, 1, 1, 1, 1, 0, 1, 1, 0]
+
+
+def _slid_map(slides, lifted, side, sym):
+    """Boundary vertices slid along their side by slides[k]/24 (corners
+    too, which breaks the realization), vertex `lifted` moved off its side
+    by side/24, then a symmetry of the square."""
+    images = list(GRID3.points)
+    for k, d in zip(BOUNDARY3, slides):
+        x, y = images[k]
+        images[k] = (x + F(d, 24), y) if y in (0, 1) else (x, y + F(d, 24))
+    if lifted is not None:
+        x, y = images[lifted]
+        images[lifted] = (x, y + F(side, 24)) if y in (0, 1) else (x + F(side, 24), y)
+    return [SYMMETRIES[sym](x, y) for x, y in images]
+
+
+@settings(max_examples=60, deadline=None)
+@given(SLIDES, st.one_of(st.none(), st.sampled_from(BOUNDARY3)),
+       st.sampled_from([-1, 1]), st.integers(0, len(SYMMETRIES) - 1),
+       st.booleans())
+@example(ALL_SLID, None, 1, 0, False)
+@example([0] * len(BOUNDARY3), 1, 1, 0, False)
+@example([0] * len(BOUNDARY3), 1, -1, 3, True)
+def test_boundary_lookup_matches_collinear_cover(slides, lifted, side, sym, refine):
+    """On maps that slide boundary vertices along a side or lift one off
+    it, the boundary check and the whole construction accept and reject
+    with the same exception as checking every image boundary edge by
+    `_collinear_cover`."""
+    images = _slid_map(slides, lifted, side, sym)
+    refinement = Complex(GRID3.points, GRID3.simplices) if refine else GRID3
+    expected = _raised(PLMap, GRID3, refinement, images)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(PLMap, "_check_boundary_preserved", _boundary_by_collinear_cover)
+        assert _raised(PLMap, GRID3, refinement, images) == expected
+    try:
+        f = _bare_map(GRID3, refinement, images)
+    except InvalidComplex:
+        return  # no image complex to check the boundary of
+    assert (_raised(f._check_boundary_preserved)
+            == _raised(_boundary_by_collinear_cover, f))
+
+
+def test_boundary_lookup_examples():
+    PLMap(GRID3, GRID3, _slid_map(ALL_SLID, None, 1, 0))
+    lifted = _bare_map(GRID3, GRID3, _slid_map([0] * len(BOUNDARY3), 1, 1, 0))
+    with pytest.raises(InvalidComplex, match="boundary is not mapped"):
+        lifted._check_boundary_preserved()
+    rotated = _bare_map(GRID3, GRID3, _slid_map([0] * len(BOUNDARY3), None, 1, 5))
+    rotated._check_boundary_preserved()

@@ -1,0 +1,83 @@
+"""Derived maps are built trusted, from provenance: oracle tests against
+point location, the area tripwires, and the check mode of conftest.py."""
+
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import assume, given, settings, strategies as st
+
+from plstab.complexes import Complex
+from plstab.errors import InternalError, InvalidComplex
+from plstab.fixedlocus import fixed_subcomplex
+from plstab.plmap import PLMap, compose2d, inverse2d
+
+from support import square_complex
+from test_plmap import SYMMETRIES, _along_boundary, grid_complex
+
+GRID = grid_complex(2)
+OFFSETS = st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+                   min_size=len(GRID.points), max_size=len(GRID.points))
+SYMMETRY = st.integers(0, len(SYMMETRIES) - 1)
+
+
+def near_identity(offsets, sym):
+    """The 2x2 grid with each vertex moved by offsets/8 (boundary points
+    along their side), then a symmetry of the square; None if that is no
+    homeomorphism."""
+    images = [SYMMETRIES[sym](x + F(dx, 8), y + F(dy, 8))
+              for (x, y), (dx, dy) in ((p, _along_boundary(p, d))
+                                       for p, d in zip(GRID.points, offsets))]
+    try:
+        return PLMap(GRID, GRID, images)
+    except InvalidComplex:
+        return None
+
+
+@settings(max_examples=12, deadline=None)
+@given(OFFSETS, SYMMETRY, OFFSETS, SYMMETRY)
+def test_compose_images_match_point_location(off_f, sym_f, off_g, sym_g):
+    f, g = near_identity(off_f, sym_f), near_identity(off_g, sym_g)
+    assume(f is not None and g is not None)
+    for a, b in ((f, g), (f, compose2d(g, f))):
+        h = compose2d(a, b)
+        for q, image in zip(h.refinement.points, h.images):
+            assert image == a.eval(b.eval(q))
+
+
+@settings(max_examples=12, deadline=None)
+@given(OFFSETS, SYMMETRY, st.booleans())
+def test_fixed_flags_match_point_location(offsets, sym, composite):
+    f = near_identity(offsets, sym)
+    assume(f is not None)
+    if composite:
+        f = compose2d(f, f)
+    fl = fixed_subcomplex(f)
+    fixed = {s[0] for s in fl.cells.of_dim(0)}
+    for v, p in enumerate(fl.refined.points):
+        assert (v in fixed) == (f.eval(p) == p)
+
+
+@settings(max_examples=12, deadline=None)
+@given(OFFSETS, SYMMETRY)
+def test_inverse_then_map_is_identity(offsets, sym):
+    f = near_identity(offsets, sym)
+    assume(f is not None)
+    assert compose2d(inverse2d(f), f).is_identity()
+
+
+def test_tripwire_on_a_lost_cell():
+    sq = square_complex()
+    three = Complex(sq.points, sq.simplices[:3])
+    with pytest.raises(InternalError, match="area"):
+        PLMap.trusted(sq, three, three.points, range(3))
+
+
+def test_check_mode_validates_trusted_builds():
+    sq = square_complex()
+    # the centre pushed past the right edge: the area identities hold, but
+    # the image cells overlap, which only validation sees
+    folded = list(sq.points[:4]) + [(2, F(1, 2))]
+    with pytest.raises(InvalidComplex, match="overlap"):
+        PLMap.trusted(sq, sq, folded, range(4))
+    with pytest.raises(InvalidComplex, match="overlap"):
+        Complex.trusted(folded, sq.simplices, True)
