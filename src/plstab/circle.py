@@ -3,18 +3,27 @@
 Rotation numbers are never floated: detection returns an exact rational
 (with an exact periodic point), and otherwise only rational-interval
 enclosures of width <= 2/n are produced.
+
+Lifts compose by one linear merge of G's breakpoints with one rotated
+period of F's (`interval.compose_breakpoints`). Detection builds F^q for
+q = 1, 2, ... by that merge and tests one p per q, the only integer the
+displacement F^q(x) - x can reach, so it costs O(qmax * |F^qmax|)
+Fraction operations.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from bisect import bisect_right
+from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor
+from math import ceil, floor
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InvalidComplex, ParseError
 from .geometry import fmt, rat
-from .interval import canonical_breakpoints, interpolate, shifted_fixed_pieces
+from .interval import (canonical_breakpoints, compose_breakpoints, interpolate,
+                       shifted_fixed_pieces)
 
 
 class CircleLift:
@@ -96,18 +105,19 @@ def eval_lift(F: CircleLift, x) -> Fraction:
 
 
 def compose_lift(F: CircleLift, G: CircleLift) -> CircleLift:
-    """Lift of the composed circle map: x -> F(G(x))."""
-    Ginv = inverse_lift(G)
-    xs = {x for x, _ in G.breakpoints}
-    for x, _ in F.breakpoints:
-        t = eval_lift(Ginv, x)
-        xs.add(t - floor(t))
-    xs.add(Fraction(0))
-    xs.discard(Fraction(1))
-    pts = sorted(xs)
-    bps = [(x, eval_lift(F, eval_lift(G, x))) for x in pts]
-    bps.append((Fraction(1), bps[0][1] + 1))
-    return CircleLift(bps)
+    """Lift of the composed circle map: x -> F(G(x)), by one linear merge.
+
+    G's values run from y0 = G(0) to y0 + 1, so the F breakpoints they meet
+    are one rotated pass over F's period, shifted by floor(y0) and then by
+    floor(y0) + 1; the merge walks them together with G's breakpoints.
+    """
+    fb = F.breakpoints
+    y0 = G.breakpoints[0][1]
+    k = floor(y0)
+    i = bisect_right(fb, y0 - k, key=itemgetter(0)) - 1
+    rotated = [(u + k, v + k) for u, v in fb[i:]]
+    rotated += [(u + k + 1, v + k + 1) for u, v in fb[1:i + 2]]
+    return CircleLift(compose_breakpoints(rotated, G.breakpoints))
 
 
 def inverse_lift(F: CircleLift) -> CircleLift:
@@ -139,10 +149,21 @@ class RotationEnclosure:
 
 
 def iterate_lift(F: CircleLift, n: int, x) -> Fraction:
-    """F^n(x) by plain iteration of the evaluation (no breakpoint growth)."""
+    """F^n(x) by plain iteration of the evaluation (no breakpoint growth).
+
+    One table of F's pieces serves every step: a step is a floor, one
+    bisect on the piece starts and one multiply-add.
+    """
+    bps = F.breakpoints
+    starts = [x0 for x0, _ in bps[:-1]]
+    pieces = [(x0, y0, (y1 - y0) / (x1 - x0))
+              for (x0, y0), (x1, y1) in zip(bps, bps[1:])]
     y = rat(x)
     for _ in range(n):
-        y = eval_lift(F, y)
+        k = floor(y)
+        t = y - k
+        x0, y0, slope = pieces[bisect_right(starts, t) - 1]
+        y = k + y0 + (t - x0) * slope
     return y
 
 
@@ -163,6 +184,8 @@ class RationalRotation:
     p: int
     q: int
     periodic_point: Fraction
+    # the lift F^q that detection built, so callers need not compose it again
+    power: Optional[CircleLift] = field(default=None, compare=False, repr=False)
 
     @property
     def value(self) -> Fraction:
@@ -185,6 +208,12 @@ def detect_rational_rotation(F: CircleLift, qmax: int = 64):
 
     Returns (RationalRotation, 'found'), (None, 'certified-none') when the
     enclosure excludes every p/q with q <= qmax, or (None, 'inconclusive').
+
+    Each q tests one p only. The displacement d(x) = F^q(x) - x is PL, and
+    as F^q increases with F^q(1) = F^q(0) + 1, its range over a period has
+    width < 1; so p = ceil(min d) is the only integer that can lie in that
+    range, and the extremes of d are taken at breakpoints. With one merge
+    per power, detection costs O(qmax * |F^qmax|) Fraction operations.
     """
     if qmax < 1:
         raise ValueError("qmax must be positive")
@@ -192,12 +221,13 @@ def detect_rational_rotation(F: CircleLift, qmax: int = 64):
     for q in range(1, qmax + 1):
         if q > 1:
             Fq = compose_lift(F, Fq)
-        v0 = eval_lift(Fq, 0)
-        for p in range(floor(v0) - 1, floor(v0) + 2):
-            sols = fixed_set_circle(Fq, p)
-            if sols:
-                # scanning q upward makes the first hit automatically reduced
-                return RationalRotation(p=p, q=q, periodic_point=sols[0][0]), "found"
+        ds = [y - x for x, y in Fq.breakpoints]
+        p = ceil(min(ds))
+        if p <= max(ds):
+            # d is continuous, so it takes the value p; scanning q upward
+            # makes the first hit automatically reduced
+            x = fixed_set_circle(Fq, p)[0][0]
+            return RationalRotation(p=p, q=q, periodic_point=x, power=Fq), "found"
     # no periodic point up to qmax: see whether the enclosure rules out
     # every rational with denominator <= qmax
     n = 4 * qmax * qmax

@@ -2,7 +2,9 @@
 
 Breakpoint representations are canonicalized on construction (no collinear
 interior breakpoints), so map equality is representational equality and
-"is the identity" is an O(1)-per-breakpoint check.
+"is the identity" is an O(1)-per-breakpoint check. Composition is one
+linear merge of the two breakpoint lists (`compose_breakpoints`), which
+circle lifts share.
 """
 
 from __future__ import annotations
@@ -50,6 +52,44 @@ def interpolate(bps: Sequence[Break], x: Fraction) -> Fraction:
         i -= 1
     (x0, y0), (x1, y1) = bps[i], bps[i + 1]
     return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
+
+
+def compose_breakpoints(fbps: Sequence[Break], gbps: Sequence[Break]) -> List[Break]:
+    """Breakpoints of x -> f(g(x)) for g with increasing values, by one merge.
+
+    f is the PL function through fbps, whose x values must cover g's values.
+    The result has g's breakpoints, valued from the current f piece, and
+    between them the g-preimage of each f breakpoint strictly inside a g
+    piece, valued exactly as that breakpoint's y. It is not canonical.
+    O(len(fbps) + len(gbps)) Fraction operations: no inverse, no bisect.
+    """
+    last = len(fbps) - 2  # index of the last f piece
+    xa, ya = gbps[0]
+    j = 0
+    while j < last and fbps[j + 1][0] <= ya:
+        j += 1
+    (u0, v0), (u1, v1) = fbps[j], fbps[j + 1]
+    fsl = (v1 - v0) / (u1 - u0)
+    out = [(xa, v0 + (ya - u0) * fsl)]
+    # invariant: u0 <= ya, and ya < u1 unless j is the last f piece
+    for xb, yb in gbps[1:]:
+        if u1 < yb:
+            ginv = (xb - xa) / (yb - ya)
+            while u1 < yb:
+                out.append((xa + (u1 - ya) * ginv, v1))
+                j += 1
+                (u0, v0), (u1, v1) = (u1, v1), fbps[j + 1]
+                fsl = (v1 - v0) / (u1 - u0)
+        if yb == u1:
+            out.append((xb, v1))
+            if j < last:
+                j += 1
+                (u0, v0), (u1, v1) = (u1, v1), fbps[j + 1]
+                fsl = (v1 - v0) / (u1 - u0)
+        else:
+            out.append((xb, v0 + (yb - u0) * fsl))
+        xa, ya = xb, yb
+    return out
 
 
 def shifted_fixed_pieces(bps: Sequence[Break], p) -> List[Piece]:
@@ -163,13 +203,17 @@ def inverse1d(f: PLMap1D) -> PLMap1D:
 
 
 def compose1d(f: PLMap1D, g: PLMap1D) -> PLMap1D:
-    """The map x -> f(g(x)); breakpoints are g's merged with g-preimages of f's."""
+    """The map x -> f(g(x)), by one merge of g's and f's breakpoints.
+
+    A decreasing g runs through f's breakpoints in reverse, so the merge
+    sees both with their values negated.
+    """
     if f.interval != g.interval:
         raise OutOfInterval("maps must share the interval")
-    ginv = inverse1d(g)
-    xs = {x for x, _ in g.breakpoints}
-    xs.update(eval1d(ginv, x) for x, _ in f.breakpoints)
-    return PLMap1D([(x, eval1d(f, eval1d(g, x))) for x in sorted(xs)])
+    if g.orientation > 0:
+        return PLMap1D(compose_breakpoints(f.breakpoints, g.breakpoints))
+    return PLMap1D(compose_breakpoints([(-u, v) for u, v in reversed(f.breakpoints)],
+                                       [(x, -y) for x, y in g.breakpoints]))
 
 
 def one_sided_derivative(f: PLMap1D, p, side: str) -> Fraction:

@@ -9,7 +9,7 @@ or pins down an exact witness of nontriviality.
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .circle import (CircleLift, compose_lift, detect_rational_rotation,
+from .circle import (CircleLift, detect_rational_rotation,
                      fixed_set_circle, rotation_enclosure)
 from .complexes import Complex, adjacency
 from .errors import (DisconnectedComplex, InternalError, SupportMismatch,
@@ -231,10 +231,7 @@ def analyze_action(a: ActionSpec, kmax: int = 6, n: int = 64,
                      "rational": None if rat is None else (rat.p, rat.q),
                      "rational_outcome": outcome}
             if rat is not None:
-                gq = g
-                for _ in range(rat.q - 1):
-                    gq = compose_lift(g, gq)
-                entry["fixed_set_power_q"] = fixed_set_circle(gq, rat.p)
+                entry["fixed_set_power_q"] = fixed_set_circle(rat.power, rat.p)
             report[name] = entry
         elif a.kind == "interval":
             report[name] = {"fixed_set": fixed_set_1d(g),

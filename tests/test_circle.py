@@ -3,6 +3,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plstab.circle import (CircleLift, compose_lift, detect_rational_rotation,
                            eval_lift, fixed_set_circle, format_circle_lift,
@@ -108,3 +109,120 @@ def test_identity_rotation_number():
     rat, outcome = detect_rational_rotation(CircleLift.identity(), qmax=4)
     assert outcome == "found"
     assert (rat.p, rat.q) == (0, 1)
+
+
+# -- the merge and the one-p test against the earlier formulas ------------
+
+
+def reference_compose_lift(F_, G):
+    """The earlier formula: G's breakpoints and the G-preimages of F's, by
+    the inverse lift, each valued by evaluating G, then F."""
+    Ginv = inverse_lift(G)
+    xs = {x for x, _ in G.breakpoints}
+    for x, _ in F_.breakpoints:
+        t = eval_lift(Ginv, x)
+        xs.add(t - math.floor(t))
+    xs.add(F(0))
+    xs.discard(F(1))
+    bps = [(x, eval_lift(F_, eval_lift(G, x))) for x in sorted(xs)]
+    bps.append((F(1), bps[0][1] + 1))
+    return CircleLift(bps)
+
+
+def reference_detect(F_, qmax):
+    """Detection testing p = floor(F^q(0)) - 1 .. floor(F^q(0)) + 1 for each
+    q, powers by the earlier formula and the fallback by plain evaluation."""
+    Fq = F_
+    for q in range(1, qmax + 1):
+        if q > 1:
+            Fq = reference_compose_lift(F_, Fq)
+        v0 = eval_lift(Fq, 0)
+        for p in range(math.floor(v0) - 1, math.floor(v0) + 2):
+            sols = fixed_set_circle(Fq, p)
+            if sols:
+                return (p, q, sols[0][0]), "found", Fq
+    n = 4 * qmax * qmax
+    v = F(0)
+    for _ in range(n):
+        v = eval_lift(F_, v)
+    lo, hi = (v - 1) / n, (v + 1) / n
+    for q in range(1, qmax + 1):
+        for p in range(math.floor(lo * q), math.floor(hi * q) + 2):
+            if lo <= F(p, q) <= hi:
+                return None, "inconclusive", None
+    return None, "certified-none", None
+
+
+SHIFT = st.sampled_from([0, 1, -1, 3, -7, 10**6, -10**9])
+
+
+@st.composite
+def kinked_lifts(draw):
+    """A lift through increasing dyadic breakpoints, shifted by an integer."""
+    inner = sorted(draw(st.sets(st.integers(1, 63), max_size=6)))
+    values = sorted(draw(st.sets(st.integers(0, 63), min_size=len(inner) + 1,
+                                 max_size=len(inner) + 1)))
+    k = draw(SHIFT)
+    xs = [F(0)] + [F(t, 64) for t in inner]
+    ys = [k + F(t, 64) for t in values]
+    return CircleLift(list(zip(xs, ys)) + [(1, ys[0] + 1)])
+
+
+@st.composite
+def periodic_lifts(draw):
+    """A lift like the benchmark's: q points permuted cyclically by p, kinks
+    inside some gaps, then an integer shift."""
+    q = draw(st.integers(1, 7))
+    p = draw(st.integers(0, q - 1).filter(lambda p: math.gcd(p, q) == 1))
+    den = 4 * q
+    xs = [F(0)] + sorted(F(t, den) for t in draw(
+        st.sets(st.integers(1, den - 1), min_size=q - 1, max_size=q - 1)))
+    image = [xs[i + p] if i + p < q else xs[i + p - q] + 1 for i in range(q)]
+    bps = list(zip(xs, image))
+    for g in draw(st.sets(st.integers(0, q - 1), max_size=2)):
+        (x0, y0) = bps[g]
+        x1, y1 = (xs[g + 1], image[g + 1]) if g + 1 < q else (F(1), image[0] + 1)
+        bps.append(((x0 + x1) / 2, y0 + draw(st.sampled_from([F(1, 4), F(3, 4)])) * (y1 - y0)))
+    bps.sort()
+    bps.append((F(1), image[0] + 1))
+    k = draw(SHIFT)
+    return CircleLift([(x, y + k) for x, y in bps])
+
+
+LIFTS = st.one_of(
+    kinked_lifts(),
+    periodic_lifts(),
+    st.builds(CircleLift.rotation, st.fractions(min_value=-20, max_value=20,
+                                                max_denominator=12)),
+    st.builds(CircleLift.rotation, SHIFT),
+    st.just(CircleLift.identity()),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(LIFTS, LIFTS)
+def test_compose_lift_matches_reference(f, g):
+    assert compose_lift(f, g) == reference_compose_lift(f, g)
+
+
+@settings(max_examples=60, deadline=None)
+@given(LIFTS)
+def test_detect_matches_three_p_reference(f):
+    rat, outcome = detect_rational_rotation(f, qmax=6)
+    ref, ref_outcome, ref_power = reference_detect(f, 6)
+    assert outcome == ref_outcome
+    if ref is None:
+        assert rat is None
+    else:
+        assert (rat.p, rat.q, rat.periodic_point) == ref
+        assert rat.power == ref_power
+
+
+@settings(max_examples=60, deadline=None)
+@given(LIFTS, st.integers(0, 40), st.fractions(min_value=-3, max_value=3,
+                                               max_denominator=16))
+def test_iterate_lift_matches_plain_evaluation(f, n, x):
+    y = x
+    for _ in range(n):
+        y = eval_lift(f, y)
+    assert iterate_lift(f, n, x) == y

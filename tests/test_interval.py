@@ -138,3 +138,56 @@ def test_inverse_pointwise(k):
     f = random_plmap1d(random.Random(9), max_breaks=12)
     x = F(k, 96)
     assert eval1d(inverse1d(f), eval1d(f, x)) == x
+
+
+# -- the merge in compose1d against the inverse-and-evaluate formula -------
+
+
+def reference_compose1d(f, g):
+    """The earlier formula: g's breakpoints and the g-preimages of f's,
+    each valued by evaluating g, then f."""
+    ginv = inverse1d(g)
+    xs = {x for x, _ in g.breakpoints}
+    xs.update(eval1d(ginv, x) for x, _ in f.breakpoints)
+    return PLMap1D([(x, eval1d(f, eval1d(g, x))) for x in sorted(xs)])
+
+
+DYADIC = st.integers(min_value=1, max_value=63).map(lambda k: F(k, 64))
+
+
+@st.composite
+def interval_maps(draw, a, b):
+    """A PL bijection of [a, b], increasing or decreasing, whose breakpoints
+    may share x or y values with another draw's."""
+    inner = sorted(draw(st.sets(DYADIC, max_size=6)))
+    values = sorted(draw(st.sets(DYADIC, min_size=len(inner), max_size=len(inner))))
+    xs = [a] + [a + (b - a) * t for t in inner] + [b]
+    ys = [a] + [a + (b - a) * t for t in values] + [b]
+    if draw(st.booleans()):
+        ys.reverse()
+    return PLMap1D(list(zip(xs, ys)))
+
+
+@st.composite
+def interval_pairs(draw):
+    a = F(draw(st.integers(-5, 5)), draw(st.integers(1, 3)))
+    b = a + F(draw(st.integers(1, 6)), draw(st.integers(1, 3)))
+    return draw(interval_maps(a, b)), draw(interval_maps(a, b))
+
+
+@settings(max_examples=150, deadline=None)
+@given(interval_pairs())
+def test_compose1d_matches_reference(pair):
+    f, g = pair
+    h = compose1d(f, g)
+    assert h.breakpoints == reference_compose1d(f, g).breakpoints
+    assert h.orientation == f.orientation * g.orientation
+
+
+def test_compose1d_reference_cases():
+    f = f1_map()
+    flip = PLMap1D([(0, 1), (1, 0)])
+    bent_flip = PLMap1D([(0, 1), (F(1, 4), F(1, 2)), (1, 0)])
+    for a, b in ((f, flip), (flip, f), (bent_flip, f), (f, bent_flip),
+                 (flip, flip), (bent_flip, bent_flip), (f, inverse1d(f))):
+        assert compose1d(a, b) == reference_compose1d(a, b)
