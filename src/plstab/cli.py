@@ -5,6 +5,7 @@ Exit codes: 0 success (certify: Trivial), 2 certify Obstructed,
 """
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -355,10 +356,17 @@ def build_parser():
     return ap
 
 
+@functools.lru_cache(maxsize=None)
+def _parser():
+    """The argument parser, built on first use and kept for the process:
+    parsing leaves it unchanged."""
+    return build_parser()
+
+
 def main(argv=None, out=None):
     out = out or sys.stdout
     try:
-        args = build_parser().parse_args(argv)
+        args = _parser().parse_args(argv)
         for opt in ("n", "kmax", "qmax"):
             if getattr(args, opt, 1) < 1:
                 raise UsageError("--%s must be positive" % opt)

@@ -2,9 +2,10 @@
 
 A :class:`Complex` is validated eagerly at construction; everything
 downstream is allowed to assume the invariants (pure, manifold-with-boundary
-face condition, nondegenerate and pairwise interior-disjoint realizations,
-connectivity unless flagged).  Vertex indices are 0-based and stable, and
-all iteration orders are sorted so outputs are reproducible.
+face condition, distinct vertex points, nondegenerate and pairwise
+interior-disjoint realizations, connectivity unless flagged).  Vertex
+indices are 0-based and stable, and all iteration orders are sorted so
+outputs are reproducible.
 """
 
 from __future__ import annotations
@@ -263,6 +264,7 @@ class Complex:
         for s in self.simplices:
             self._check_nondegenerate(s)
         self._check_manifold_faces()
+        self._check_distinct_points()
         self._check_disjoint_interiors()
         if require_connected and not self.is_connected():
             raise InvalidComplex("complex is not connected (flag it otherwise)")
@@ -288,6 +290,14 @@ class Complex:
         for f, c in counts.items():
             if c > 2:
                 raise InvalidComplex(f"face {f} lies in {c} maximal simplices")
+
+    def _check_distinct_points(self):
+        # two vertices at one point pinch the realization, and a map on the
+        # complex could send them to two places
+        seen: Dict[Point, int] = {}
+        for v, p in enumerate(self.points):
+            if seen.setdefault(p, v) != v:
+                raise InvalidComplex(f"vertices {seen[p]} and {v} lie at one point")
 
     def _check_disjoint_interiors(self):
         cells = self.cells()

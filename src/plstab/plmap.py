@@ -8,6 +8,18 @@ refinement tiles the base, the image cells form a valid :class:`Complex`
 realizes the base again, and boundary goes to boundary.  The parser and
 :func:`plmap_from_vertex_images` build through it.
 
+In the plane the image is first offered to a local homeomorphism
+certificate (:func:`_certified_image`) that costs O(cells): distinct
+image points, one orientation per image cell, no fold across an interior
+edge, and the boundary edges, directed with their image cell on the left,
+matching the base's boundary edges directed with the base on the left,
+each exactly once.  By a winding-number argument this implies every exact
+check, so an accepted image is built trusted.  The all-pairs checks run
+only for maps the certificate does not accept: every rejected map, every
+1D map, boundary vertices that slide off the base's vertices, and
+refinements that subdivide the base's boundary.  So they alone decide
+which exception a rejected map raises.
+
 A map derived from validated maps is valid by construction and is built
 with :meth:`PLMap.trusted`, which checks nothing but two area identities
 in the plane (refinement, base and image areas agree; a failure is an
@@ -20,10 +32,10 @@ location.  The test suite re-validates every trusted result.
 Each exact test runs once.  A refinement that *is* the base (the same
 object; :func:`parse_plmap` passes the base itself when the refinement
 block lists the base's points and simplices) tiles it cell for cell, so
-its cells are their own homes and the tiling checks are skipped.  In the
-plane, an image cell whose vertices lie in its home base cell covers its
-own area there and is not clipped; every other image cell is clipped only
-against the base cells whose interiors it meets.
+its cells are their own homes and the tiling checks are skipped.  On the
+exact path in the plane, an image cell whose vertices lie in its home base
+cell covers its own area there and is not clipped; every other image cell
+is clipped only against the base cells whose interiors it meets.
 """
 
 from __future__ import annotations
@@ -133,6 +145,77 @@ def covered_area2(cells, homes, base_cells) -> Fraction:
     return total
 
 
+def _directed_boundary(points, simplices) -> Optional[List[Tuple[Point, Point]]]:
+    """The boundary edges of a planar 2-complex as point pairs directed
+    with their cell on the left, or None if a cell is degenerate or an
+    interior edge has both of its cells on one side (a fold).
+
+    One `orient2` per cell: a sorted cell (a, b, c) with sign σ lies left
+    of a->b and of b->c when σ > 0 and left of a->c when σ < 0.  The
+    simplices must be manifold (no edge in more than two cells).
+    """
+    sides: Dict[Tuple[int, int], bool] = {}
+    for a, b, c in simplices:
+        o = orient2(points[a], points[b], points[c])
+        if o == 0:
+            return None
+        left = o > 0
+        for edge, edge_left in (((a, b), left), ((b, c), left), ((a, c), not left)):
+            other = sides.pop(edge, None)
+            if other is None:
+                sides[edge] = edge_left
+            elif other == edge_left:
+                return None
+    return [(points[u], points[v]) if left else (points[v], points[u])
+            for (u, v), left in sides.items()]
+
+
+def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Complex]:
+    """The image complex of a planar map accepted by a local homeomorphism
+    certificate in O(cells), or None for the exact checks to decide.
+
+    With R the refinement (which tiles the base K) and f the images:
+
+    1. the image points are pairwise distinct;
+    2. each image cell has a nonzero orientation σ (one `orient2` a cell);
+    3. the two cells of each interior edge of R have their images on
+       opposite sides of the image edge (read off σ, no further `orient2`);
+    4. each boundary edge of R, directed with its image cell on the left,
+       is a boundary edge of K directed with K on the left (one `orient2`
+       per base cell, then a set lookup), and as many are found as K has
+       boundary edges.
+
+    Sound: orient every image cell counter-clockwise and let c = Σ [f(t)].
+    At a point y off all edges, c counts the image cells over y, and that
+    count is the winding number of ∂c around y.  In ∂c each interior edge
+    of R cancels: by step 3 its two cells lie on opposite sides of its
+    image, so they run it in opposite directions.  What is left are the
+    boundary edges of R directed as in step 4: distinct by step 1, all
+    directed boundary edges of K, and as many as K has, so ∂c = ∂[K].
+    Hence y lies in one image cell if y is in K and in none if not.  So
+    the image cells are nondegenerate, have disjoint interiors and tile K,
+    each boundary edge goes onto a boundary edge, and with step 1 f is
+    injective: every exact check would pass.  The image has R's simplices,
+    so it is connected when R is; R is checked when the base must be.
+
+    Every homeomorphism that maps the boundary edges of R one-to-one onto
+    those of K passes.  The rest takes the exact path: every rejected map,
+    every 1D map, boundary vertices that slide off the base's vertices,
+    and refinements that subdivide the base's boundary.
+    """
+    if base.dim != 2 or len(set(images)) != len(images):
+        return None
+    edges = _directed_boundary(images, refinement.simplices)
+    if edges is None:
+        return None
+    base_edges = set(_directed_boundary(base.points, base.simplices))
+    if len(edges) != len(base_edges) or not all(e in base_edges for e in edges):
+        return None
+    if base.connected_flag and refinement is not base and not refinement.is_connected():
+        return None
+    return Complex.trusted(images, refinement.simplices, base.connected_flag)
+
+
 def _combine(points: Sequence[Point], lambdas) -> Point:
     out = tuple(Fraction(0) for _ in points[0])
     for p, l in zip(points, lambdas):
@@ -155,7 +238,10 @@ class PLMap:
     full like any other.
 
     ``PLMap(...)`` validates; :meth:`trusted` builds the result of an
-    operation on validated maps without the checks.
+    operation on validated maps without the checks.  A planar image is
+    accepted by the certificate of :func:`_certified_image` when it can be,
+    and otherwise by the exact checks of :meth:`_check_image_exactly`,
+    which decide every map the certificate does not accept.
     """
 
     __slots__ = ("base", "refinement", "image", "cell_base")
@@ -176,11 +262,9 @@ class PLMap:
         else:
             self.cell_base = self._assign_cells()
             self._check_coverage()
-        # the image cells, validated once: nondegenerate, interiors disjoint
-        self.image = Complex(images, refinement.simplices,
-                             require_connected=base.connected_flag)
-        self._check_image_realizes_base()
-        self._check_boundary_preserved()
+        self.image = _certified_image(base, refinement, images)
+        if self.image is None:
+            self._check_image_exactly(images)
 
     @classmethod
     def trusted(cls, base: Complex, refinement: Complex, images: Sequence,
@@ -241,6 +325,16 @@ class PLMap:
         for bs, intervals in zip(self.base.simplices, per_base):
             if not tiles_unit(intervals):
                 raise RealizationMismatch(f"refinement does not tile base simplex {bs}")
+
+    def _check_image_exactly(self, images):
+        """The all-pairs image checks, for a map the certificate does not
+        accept: the image cells form a valid `Complex` (nondegenerate,
+        interiors disjoint), realize the base, and boundary goes to
+        boundary."""
+        self.image = Complex(images, self.refinement.simplices,
+                             require_connected=self.base.connected_flag)
+        self._check_image_realizes_base()
+        self._check_boundary_preserved()
 
     def _check_image_realizes_base(self):
         cells, base_cells = self.image.cells(), self.base.cells()

@@ -147,6 +147,33 @@ def test_usage_errors():
     assert code == 64
 
 
+def test_parser_is_reused_across_calls(workdir):
+    """One parser serves every call: usage errors and valid commands give
+    the same results however often and in whatever order they run, and
+    repeated options do not carry over from one call to the next."""
+    calls = [
+        (["certify", "--vertex", "1"], 64),
+        (["euler", "--complex", str(workdir / "square.cx")], 0),
+        (["rotno", "--map", "x.map", "--n", "0"], 64),
+        (["compose", "--map", str(workdir / "rot.pm"), "--map", str(workdir / "rot.pm")], 0),
+        (["nosuchcommand"], 64),
+        (["compose", "--map", str(workdir / "rot.pm")], 64),
+    ]
+    first = [run(argv) for argv, _ in calls]
+    assert [code for code, _ in first] == [code for _, code in calls]
+    for _ in range(2):
+        assert [run(argv) for argv, _ in calls] == first
+
+
+def test_pinched_complex_is_a_data_error(workdir, capsys):
+    # connected through vertex 2, with vertices 0 and 4 both at (0, 0)
+    (workdir / "pinched.cx").write_text(
+        "v 0 0 0\nv 1 1 0\nv 2 0 1\nv 3 -1 0\nv 4 0 0\ns 0 1 2\ns 2 3 4\n")
+    code, out = run(["euler", "--complex", str(workdir / "pinched.cx")])
+    assert (code, out) == (65, "")
+    assert "vertices 0 and 4 lie at one point" in capsys.readouterr().err
+
+
 def test_data_errors(workdir):
     code, _ = run(["euler", "--complex", str(workdir / "nope.cx")])
     assert code == 65

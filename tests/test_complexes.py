@@ -80,6 +80,17 @@ def test_disconnected_rejected_by_default():
     Complex(pts, [(0, 1), (2, 3)], require_connected=False)
 
 
+def test_two_vertices_at_one_point_rejected():
+    # accepted before, and a map on it was then no function: vertex 3 at
+    # (0, 0) went to (0, 0) while eval((0, 0)) gave (1, 0)
+    pts = [(0, 0), (1, 0), (0, 1), (0, 0), (-1, 0), (0, -1)]
+    with pytest.raises(InvalidComplex, match="vertices 0 and 3 lie at one point"):
+        Complex(pts, [(0, 1, 2), (3, 4, 5)], require_connected=False)
+    # a degenerate cell is reported as such, not as a shared point
+    with pytest.raises(InvalidComplex, match="degenerate"):
+        Complex([(0, 0), (1, 0), (0, 0)], [(0, 1, 2)])
+
+
 def test_unknown_vertex():
     with pytest.raises(UnknownVertex):
         star(square(), 17)
