@@ -228,14 +228,14 @@ def detect_rational_rotation(F: CircleLift, qmax: int = 64):
             # makes the first hit automatically reduced
             x = fixed_set_circle(Fq, p)[0][0]
             return RationalRotation(p=p, q=q, periodic_point=x, power=Fq), "found"
-    # no periodic point up to qmax: see whether the enclosure rules out
-    # every rational with denominator <= qmax
-    n = 4 * qmax * qmax
-    enc = rotation_enclosure(F, n)
+    # no periodic point up to qmax: see whether the enclosure from
+    # F^(4 qmax^2)(0) = Fq^(4 qmax)(0) rules out every rational with
+    # denominator <= qmax
+    enc = rotation_enclosure(Fq, 4 * qmax)
+    lo, hi = enc.lo / qmax, enc.hi / qmax
     for q in range(1, qmax + 1):
-        lo_p = floor(enc.lo * q)
-        for p in range(lo_p, floor(enc.hi * q) + 2):
-            if enc.lo <= Fraction(p, q) <= enc.hi:
+        for p in range(floor(lo * q), floor(hi * q) + 2):
+            if lo <= Fraction(p, q) <= hi:
                 return None, "inconclusive"
     return None, "certified-none"
 

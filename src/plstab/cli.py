@@ -139,13 +139,15 @@ def _emit(args, out, command, report_text, report_obj):
 
 def cmd_eval(args, out):
     kind, m = load_map(args.map)
+    dim = m.base.ambient_dim if kind == "complex" else 1
+    if len(args.point) != dim:
+        raise UsageError("the map's domain takes %d coordinate(s), not %d"
+                         % (dim, len(args.point)))
     if kind == "complex":
         p = m.eval(tuple(rat(t) for t in args.point))
         text = " ".join(fmt(x) for x in p)
         obj = list(p)
     else:
-        if len(args.point) != 1:
-            raise UsageError("1-dimensional map takes a single coordinate")
         y = m.eval(rat(args.point[0]))
         text, obj = fmt(y), y
     _emit(args, out, "eval", text, obj)

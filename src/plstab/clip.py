@@ -65,13 +65,9 @@ def triangle_intersection(t1: Sequence[Point], t2: Sequence[Point]) -> List[Poin
     return clip_polygon_to_triangle(ccw_triangle(t1), t2)
 
 
-def point_in_triangle(x: Point, tri: Sequence[Point], strict: bool = False) -> bool:
+def point_in_triangle(x: Point, tri: Sequence[Point]) -> bool:
     t = ccw_triangle(tri)
-    for i in range(3):
-        s = orient2(t[i], t[(i + 1) % 3], x)
-        if s < 0 or (strict and s == 0):
-            return False
-    return True
+    return all(orient2(t[i], t[(i + 1) % 3], x) >= 0 for i in range(3))
 
 
 def polygon_centroid(poly: Sequence[Point]) -> Point:

@@ -10,21 +10,28 @@ triangle).  Frontier and invariant-submanifold computations become purely
 combinatorial on that complex.  The finer complex is valid by construction
 and built trusted, and each of its vertices is tested under f's piece on
 the cell it was cut from.
+
+Each cell's feature is read off its boundary.  An edge on which f fixes
+exactly one point strictly inside is cut there, and each vertex of the
+cell's cut polygon is flagged when f fixes it: a triangle vertex whose
+image is itself, and every cut point.  The fixed set is convex, so its
+boundary points are flagged vertices (or lie on a side between two of
+them): two flags bound a chord; one flag, or three or more (the whole
+cell), leave nothing inside; and with no flag the only feature left is an
+isolated fixed point strictly inside the cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
 from typing import Dict, Optional, Tuple
 
-from .clip import point_in_triangle, polygon_area2, triangulate_convex
+from .clip import triangulate_convex
 from .complexes import (Complex, SimplexT, SubComplex, euler_characteristic,
-                        index_cells)
-from .errors import FixIsEmpty, FixIsEverything, InternalError
-from .geometry import (Mat, Point, linear_part, orient2, solve_linear, vadd,
-                       vscale, vsub)
+                        faces_of, index_cells)
+from .errors import FixIsEmpty, FixIsEverything
+from .geometry import Point, cross2, orient2, vadd, vscale, vsub
 from .plmap import PLMap, compose2d
 
 
@@ -52,93 +59,41 @@ class CanonicalInvariant:
     derivation_depth: int
 
 
-def _edge_fix(f: PLMap, a: Point, b: Point, fa: Point, fb: Point):
-    """Fixed set of the affine map along segment [a, b]: none/point/full."""
-    da = vsub(fa, a)
-    db = vsub(fb, b)
+def _edge_cut(a: Point, b: Point, fa: Point, fb: Point) -> Optional[Point]:
+    """The fixed point of the affine map along [a, b] strictly inside the
+    segment, when the map fixes exactly one point of the segment's line."""
     # displacement(t) = da + t (db - da); zero set of each coordinate
-    lo, hi = Fraction(0), Fraction(1)
-    sol_all = True
-    point_t: Optional[Fraction] = None
-    for c0, c1 in zip(da, db):
+    t: Optional[Fraction] = None
+    for c0, c1 in zip(vsub(fa, a), vsub(fb, b)):
         if c0 == c1:
             if c0 != 0:
-                return ("none", None)
-            continue
-        sol_all = False
-        t = Fraction(c0, c0 - c1)
-        if point_t is None:
-            point_t = t
-        elif point_t != t:
-            return ("none", None)
-    if sol_all:
-        return ("full", None)
-    if point_t is None or not 0 <= point_t <= 1:
-        return ("none", None)
-    return ("point", vadd(a, vscale(point_t, vsub(b, a))))
-
-
-def _cell_fix_2d(f: PLMap, s: SimplexT):
-    """Interior fixed feature of a 2D cell: none / interior point / chord / full."""
-    tri = [f.refinement.points[v] for v in s]
-    q = [f.images[v] for v in s]
-    # f(x) = a x + t on the cell
-    a = linear_part(vsub(tri[1], tri[0]), vsub(tri[2], tri[0]),
-                    vsub(q[1], q[0]), vsub(q[2], q[0]))
-    t = vsub(q[0], a.apply(tri[0]))
-    m = Mat([[a.rows[0][0] - 1, a.rows[0][1]], [a.rows[1][0], a.rows[1][1] - 1]])
-    rhs = (-t[0], -t[1])
-    kind, sol = solve_linear(m, rhs)
-    if kind == "none":
-        return ("none", None)
-    if kind == "all":
-        return ("full", None)
-    if kind == "unique":
-        x = sol
-        if point_in_triangle(x, tri, strict=True):
-            return ("point", x)
-        return ("none", None)  # boundary hits are captured by the edge pass
-    p0, direction = sol
-    seg = _clip_line_to_triangle(p0, direction, tri)
-    if seg is None:
-        return ("none", None)
-    x, y = seg
-    if x == y:
-        return ("none", None)
-    # a chord along a triangle side belongs to the edge pass
-    for i in range(3):
-        va, vb = tri[i], tri[(i + 1) % 3]
-        if orient2(va, vb, x) == 0 and orient2(va, vb, y) == 0:
-            return ("none", None)
-    return ("chord", (x, y))
-
-
-def _clip_line_to_triangle(p0, direction, tri):
-    """Intersect the line p0 + s*direction with a triangle; endpoints or None."""
-    t = list(tri)
-    if orient2(*t) < 0:
-        t.reverse()
-    lo, hi = None, None
-    for i in range(3):
-        a, b = t[i], t[(i + 1) % 3]
-        # orient2(a, b, p0 + s d) = c0 + s * c1 >= 0
-        c0 = orient2(a, b, p0)
-        c1 = orient2(a, b, vadd(p0, direction)) - c0
-        if c1 == 0:
-            if c0 < 0:
                 return None
-            continue
-        s = Fraction(-c0, c1)
-        if c1 > 0:
-            lo = s if lo is None else max(lo, s)
-        else:
-            hi = s if hi is None else min(hi, s)
-    if lo is None or hi is None or lo > hi:
+        elif t is None:
+            t = Fraction(c0, c0 - c1)
+        elif t != Fraction(c0, c0 - c1):
+            return None
+    if t is None or not 0 < t < 1:
         return None
-    return (
-        vadd(p0, vscale(lo, direction)),
-        vadd(p0, vscale(hi, direction)),
-    )
+    return vadd(a, vscale(t, vsub(b, a)))
+
+
+def _interior_fixed_point(tri, images) -> Optional[Point]:
+    """The fixed point of the affine map strictly inside a triangle, when
+    it is the map's only fixed point.
+
+    With displacements d_i = f(p_i) - p_i, the weights
+    lam = (d1 x d2, d2 x d0, d0 x d1) satisfy sum lam_i d_i = 0, so the
+    displacement vanishes at sum lam_i p_i / sum lam_i; the sum is
+    det(A - I) times twice the signed area, zero exactly when the fixed
+    set is not one point.  The point is strictly inside when every weight
+    has the sign of the sum.
+    """
+    d0, d1, d2 = (vsub(q, p) for p, q in zip(tri, images))
+    lam = (cross2(d1, d2), cross2(d2, d0), cross2(d0, d1))
+    total = sum(lam)
+    if total == 0 or any(w * total <= 0 for w in lam):
+        return None
+    return tuple(sum(w * p[k] for w, p in zip(lam, tri)) / total for k in range(2))
 
 
 def fixed_subcomplex(f: PLMap) -> FixedLocus:
@@ -157,108 +112,66 @@ def fixed_subcomplex(f: PLMap) -> FixedLocus:
             if p not in fixed:
                 fixed[p] = f.eval_in_cell(home, p) == p
     fixed_vertex = [fixed[p] for p in pts]
-    fix_faces = set()
-    for s in refined.simplices:
-        if all(fixed_vertex[v] for v in s):
-            fix_faces.add(s)
-        else:
-            for k in (2, 1):
-                for face in combinations(s, k):
-                    if all(fixed_vertex[v] for v in face):
-                        fix_faces.add(face)
-    cells = SubComplex(refined, fix_faces) if fix_faces else SubComplex(refined, [])
-    return FixedLocus(refined=refined, cells=cells, provenance=prov)
+    fix_faces = [face for s in refined.simplices for face in faces_of(s)
+                 if all(fixed_vertex[v] for v in face)]
+    return FixedLocus(refined=refined, cells=SubComplex(refined, fix_faces),
+                      provenance=prov)
 
 
 def _refine_cells_1d(f: PLMap):
     raw = []
     for ci, s in enumerate(f.refinement.simplices):
         a, b = (f.refinement.points[v] for v in s)
-        fa, fb = (f.images[v] for v in s)
-        kind, x = _edge_fix(f, a, b, fa, fb)
-        if kind == "point" and x != a and x != b:
-            raw.append(((a, x), ci))
-            raw.append(((x, b), ci))
-        else:
-            raw.append(((a, b), ci))
-    return raw
-
-
-def _refine_cells_2d(f: PLMap):
-    # one pass over edges for their (at most one) isolated fixed cut point
-    edge_cut: Dict[Tuple[Point, Point], Optional[Point]] = {}
-    for s in f.refinement.simplices:
-        for i in range(3):
-            va, vb = s[i], s[(i + 1) % 3]
-            pa, pb = f.refinement.points[va], f.refinement.points[vb]
-            key = tuple(sorted((pa, pb)))
-            if key in edge_cut:
-                continue
-            kind, x = _edge_fix(f, pa, pb, f.images[va], f.images[vb])
-            if kind == "point" and x not in key:
-                edge_cut[key] = x
-            else:
-                edge_cut[key] = None
-    raw = []
-    for ci, s in enumerate(f.refinement.simplices):
-        tri = [f.refinement.points[v] for v in s]
-        if orient2(*tri) < 0:
-            tri = [tri[0], tri[2], tri[1]]
-        poly = []
-        for i in range(3):
-            a, b = tri[i], tri[(i + 1) % 3]
-            poly.append(a)
-            cut = edge_cut[tuple(sorted((a, b)))]
-            if cut is not None:
-                poly.append(cut)
-        feature = _cell_fix_2d(f, s)
-        for cell in _triangulate_with_feature(poly, feature):
+        x = _edge_cut(a, b, *(f.images[v] for v in s))
+        for cell in [(a, b)] if x is None else [(a, x), (x, b)]:
             raw.append((cell, ci))
     return raw
 
 
-def _triangulate_with_feature(poly, feature):
-    kind, data = feature
-    if kind == "point":
-        x = data
-        out = []
-        for i in range(len(poly)):
-            a, b = poly[i], poly[(i + 1) % len(poly)]
-            out.append((x, a, b))
-        return out
-    if kind == "chord":
-        x, y = data
-        try:
-            i = poly.index(x)
-            j = poly.index(y)
-        except ValueError as exc:  # chord endpoints are always polygon vertices
-            raise InternalError("chord endpoint missing from cell boundary") from exc
-        if i > j:
-            i, j = j, i
-        side1 = poly[i:j + 1]
-        side2 = poly[j:] + poly[:i + 1]
-        out = []
-        for part in (side1, side2):
-            if len(part) >= 3 and polygon_area2(part) != 0:
-                out.extend(triangulate_convex(part))
-        return out
-    return triangulate_convex(poly)
+def _refine_cells_2d(f: PLMap):
+    pts, images = f.refinement.points, f.images
+    cuts: Dict[Tuple[int, int], Optional[Point]] = {}  # edge -> its edge cut
+    raw = []
+    for ci, s in enumerate(f.refinement.simplices):
+        if orient2(*(pts[v] for v in s)) < 0:
+            s = (s[0], s[2], s[1])
+        # the cut polygon, each vertex flagged when f fixes it
+        poly, flags = [], []
+        for i in range(3):
+            u, v = s[i], s[(i + 1) % 3]
+            poly.append(pts[u])
+            flags.append(images[u] == pts[u])
+            key = (min(u, v), max(u, v))
+            if key not in cuts:
+                cuts[key] = _edge_cut(pts[u], pts[v], images[u], images[v])
+            if cuts[key] is not None:
+                poly.append(cuts[key])
+                flags.append(True)
+        for cell in _triangulate_with_feature(poly, flags, [images[v] for v in s]):
+            raw.append((cell, ci))
+    return raw
+
+
+def _triangulate_with_feature(poly, flags, images):
+    """Cells of a cut polygon with the cell's fixed set among their faces,
+    read off the flags (see the module docstring).  Two flags that are the
+    ends of one side split off a part with two points and no cells, so the
+    whole polygon is triangulated as when nothing is inside."""
+    fixed = [i for i, flag in enumerate(flags) if flag]
+    if len(fixed) == 2:
+        i, j = fixed
+        return triangulate_convex(poly[i:j + 1]) + triangulate_convex(poly[j:] + poly[:i + 1])
+    x = None if fixed else _interior_fixed_point(poly, images)
+    if x is None:
+        return triangulate_convex(poly)
+    return [(x, poly[i], poly[(i + 1) % 3]) for i in range(3)]
 
 
 def frontier(fl: FixedLocus) -> SubComplex:
-    """Cells of Fix whose star contains a top cell outside Fix, face-closed."""
+    """Cells of Fix that are faces of a top cell outside Fix, face-closed."""
     fix = set(fl.cells.simplices)
-    out = []
-    top_dim = fl.refined.dim
-    for c in fl.cells.simplices:
-        if len(c) - 1 == top_dim:
-            continue
-        cset = set(c)
-        for s in fl.refined.simplices:
-            if cset <= set(s) and s not in fix:
-                out.append(c)
-                break
-    return SubComplex(fl.refined, out)
+    return SubComplex(fl.refined, [face for s in fl.refined.simplices if s not in fix
+                                   for face in faces_of(s) if face in fix])
 
 
 def _is_closed_manifold(sub: SubComplex) -> bool:

@@ -304,53 +304,3 @@ def linear_part(u, v, iu, iv) -> Mat:
             [iu[1] * inv[0][0] + iv[1] * inv[1][0], iu[1] * inv[0][1] + iv[1] * inv[1][1]],
         ]
     )
-
-
-def solve_linear(mat: Mat, rhs: Sequence[Fraction]):
-    """Solve mat x = rhs exactly.
-
-    Returns ('unique', x), ('line', p0, direction) for a 1-parameter solution
-    set, ('all', None) when mat = 0 and rhs = 0, or ('none', None).
-    Only sizes 1 and 2 are needed by the fixed-locus solvers.
-    """
-    n = mat.n
-    rhs = tuple(rat(x) for x in rhs)
-    if n == 1:
-        a = mat.rows[0][0]
-        if a != 0:
-            return ("unique", (rhs[0] / a,))
-        return ("all", None) if rhs[0] == 0 else ("none", None)
-    if n == 2:
-        a, b = mat.rows[0]
-        c, d = mat.rows[1]
-        det = a * d - b * c
-        if det != 0:
-            x = (rhs[0] * d - b * rhs[1]) / det
-            y = (a * rhs[1] - rhs[0] * c) / det
-            return ("unique", (x, y))
-        # rank <= 1
-        if a == b == c == d == 0:
-            return ("all", None) if rhs == (0, 0) else ("none", None)
-        # pick the nonzero row as the single honest equation
-        if (a, b) != (Fraction(0), Fraction(0)):
-            row, r = (a, b), rhs[0]
-            other, ro = (c, d), rhs[1]
-        else:
-            row, r = (c, d), rhs[1]
-            other, ro = (a, b), rhs[0]
-        # consistency of the dependent row
-        if (other[0], other[1]) != (Fraction(0), Fraction(0)):
-            # other = s * row for some s; check s * r == ro
-            s = other[0] / row[0] if row[0] != 0 else other[1] / row[1]
-            if s * r != ro:
-                return ("none", None)
-        elif ro != 0:
-            return ("none", None)
-        # solution line of row . x = r
-        if row[0] != 0:
-            p0 = (r / row[0], Fraction(0))
-        else:
-            p0 = (Fraction(0), r / row[1])
-        direction = (-row[1], row[0])
-        return ("line", (p0, direction))
-    raise ValueError("solve_linear supports sizes 1 and 2")

@@ -65,6 +65,7 @@ from .errors import (
     ParseError,
     PointOutsideComplex,
     RealizationMismatch,
+    VertexNotInComplex,
 )
 from .geometry import (
     Point,
@@ -436,6 +437,8 @@ class PLMap:
         return _combine([self.images[v] for v in s], lam)
 
     def refinement_index_of_base_vertex(self, v: int) -> int:
+        if not 0 <= v < len(self.base.points):
+            raise VertexNotInComplex("vertex %d not in base complex" % v)
         p = self.base.points[v]
         for i, q in enumerate(self.refinement.points):
             if q == p:

@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plstab import circle
 from plstab.circle import (CircleLift, compose_lift, detect_rational_rotation,
                            eval_lift, fixed_set_circle, format_circle_lift,
                            inverse_lift, iterate_lift, parse_circle_lift,
@@ -226,3 +227,34 @@ def test_iterate_lift_matches_plain_evaluation(f, n, x):
     for _ in range(n):
         y = eval_lift(f, y)
     assert iterate_lift(f, n, x) == y
+
+
+def kinked_rotation(p, q):
+    """A lift permuting q points cyclically, x_i -> x_{i+p}, with one kink:
+    rotation number p/q."""
+    xs = [F(i, q) + F(i % 2, 4 * q) for i in range(q)]
+    image = [xs[i + p] if i + p < q else xs[i + p - q] + 1 for i in range(q)]
+    kink = ((xs[0] + xs[1]) / 2, image[0] + (image[1] - image[0]) / 4)
+    return CircleLift(sorted(list(zip(xs, image)) + [kink]) + [(F(1), image[0] + 1)])
+
+
+@pytest.mark.parametrize("p, q", [(1, 9), (2, 11), (5, 12), (3, 13), (7, 17)])
+def test_fallback_enclosure_iterates_the_last_power(monkeypatch, p, q):
+    """Past qmax, detection reads F^(4 qmax^2)(0) off the F^qmax it built,
+    in 4 qmax steps, and reaches the verdict of the enclosure from
+    4 qmax^2 steps of F."""
+    qmax = 8
+    f = kinked_rotation(p, q)
+    enc = rotation_enclosure(f, 4 * qmax * qmax)
+    hit = any(enc.lo <= F(a, b) <= enc.hi for b in range(1, qmax + 1)
+              for a in range(math.floor(enc.lo * b), math.floor(enc.hi * b) + 2))
+    steps = []
+
+    def counted(g, n, x):
+        steps.append(n)
+        return iterate_lift(g, n, x)
+
+    monkeypatch.setattr(circle, "iterate_lift", counted)
+    assert detect_rational_rotation(f, qmax) == (None, "inconclusive" if hit else "certified-none")
+    assert steps == [4 * qmax]
+    assert detect_rational_rotation(f, q)[0].value == F(p, q)

@@ -309,3 +309,18 @@ def test_duplicate_img_record_is_a_data_error(workdir, capsys):
         ROT.replace("base square.cx", "base base.cx") + "img 4 1/3 1/2\n")
     code, out = run(["certify", "--action", str(workdir / "action"), "--vertex", "4"])
     assert (code, out) == (65, "")
+
+
+def test_eval_takes_one_coordinate_per_ambient_axis(workdir, capsys):
+    for path, point in (("rot.pm", ["1/4"]), ("rot.pm", ["1/4", "1/4", "0"]),
+                        ("f1.map", ["1/8", "1/8"]), ("r13.map", ["0", "0"])):
+        code, out = run(["eval", "--map", str(workdir / path), "--point", *point])
+        assert (code, out) == (64, "")
+        assert "coordinate" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("vertex", ["5", "99", "-1"])
+def test_tangent_at_a_vertex_outside_the_base_is_a_data_error(workdir, vertex, capsys):
+    code, out = run(["tangent", "--map", str(workdir / "rot.pm"), "--vertex", vertex])
+    assert (code, out) == (65, "")
+    assert "vertex %s not in base complex" % vertex in capsys.readouterr().err

@@ -1,15 +1,21 @@
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import Phase, assume, example, given, settings, strategies as st
 
-from plstab.complexes import Complex, is_cycle
-from plstab.errors import FixIsEmpty, FixIsEverything
-from plstab.fixedlocus import (canonical_invariant, fixed_subcomplex,
-                               frontier, fuller_search)
-from plstab.plmap import PLMap, identity_map, power
+from plstab import fixedlocus
+from plstab.clip import ccw_triangle, polygon_area2, triangulate_convex
+from plstab.complexes import Complex, SubComplex, faces_of, index_cells, is_cycle
+from plstab.errors import FixIsEmpty, FixIsEverything, PLError
+from plstab.fixedlocus import (FixedLocus, canonical_invariant,
+                               fixed_subcomplex, frontier, fuller_search)
+from plstab.geometry import Mat, linear_part, orient2, vadd, vscale, vsub
+from plstab.plmap import PLMap, identity_map, plmap_from_vertex_images, power
 
 from support import (cycle_rotation, interior_move_map, quarter_rotation,
                      square_complex)
+from test_certificate import grid_map
 
 
 def test_rotation_fixes_center_only():
@@ -99,3 +105,211 @@ def test_fix_of_power_contains_fix():
     fixed_pts_1 = {fl1.refined.points[s[0]] for s in fl1.cells.of_dim(0)}
     fixed_pts_2 = {fl2.refined.points[s[0]] for s in fl2.cells.of_dim(0)}
     assert fixed_pts_1 <= fixed_pts_2
+
+
+# -- fixed sets that cross a cell ------------------------------------------
+
+
+def square_grid(n):
+    """[-1,1]^2 cut into n x n squares, each by its diagonal from (i, j)
+    to (i+1, j+1)."""
+    pts = [(F(2 * i, n) - 1, F(2 * j, n) - 1) for j in range(n + 1) for i in range(n + 1)]
+    sims = []
+    for j in range(n):
+        for i in range(n):
+            a = j * (n + 1) + i
+            sims += [(a, a + 1, a + n + 2), (a, a + n + 2, a + n + 1)]
+    return Complex(pts, sims)
+
+
+def test_reflection_fixes_chords_across_the_middle_row():
+    grid = square_grid(3)
+    fl = fixed_subcomplex(plmap_from_vertex_images(grid, [(x, -y) for x, y in grid.points]))
+    pieces = Counter(fl.provenance.values())
+    assert sorted(pieces.values()) == [1] * 12 + [3] * 6  # 6 chord cells
+    assert fl.cells.of_dim(2) == ()
+    edges = fl.cells.of_dim(1)
+    assert len(edges) == 6
+    assert all(fl.refined.points[v][1] == 0 for e in edges for v in e)
+    xs = sorted(fl.refined.points[s[0]][0] for s in fl.cells.of_dim(0))
+    assert xs == [F(k, 3) for k in range(-3, 4)]
+
+
+def test_quarter_turn_fixes_a_point_inside_a_cell():
+    w, corners = (F(1, 3), F(1, 5)), [(1, 1), (-1, 1), (-1, -1), (1, -1)]
+    cone = Complex([w] + corners, [(0, k, k % 4 + 1) for k in range(1, 5)])
+    fl = fixed_subcomplex(plmap_from_vertex_images(cone, [(-y, x) for x, y in cone.points]))
+    assert len(fl.refined.simplices) == 6
+    assert [fl.refined.points[v] for s in fl.cells.simplices for v in s] == [(0, 0)]
+    home = cone.simplices.index((0, 2, 3))  # (w, (-1,1), (-1,-1))
+    assert sorted(fl.provenance.values()) == sorted([home] * 3 + [k for k in range(4) if k != home])
+
+
+# -- the per-cell linear solve that the flag rule replaced, as an oracle ----
+
+
+def oracle_cell_fix(f, s):
+    """The fixed set of f on cell s by solving (A - I) x = -t: none, an
+    interior point, a chord through the interior, or the full cell."""
+    tri = [f.refinement.points[v] for v in s]
+    q = [f.images[v] for v in s]
+    a = linear_part(vsub(tri[1], tri[0]), vsub(tri[2], tri[0]),
+                    vsub(q[1], q[0]), vsub(q[2], q[0]))
+    t = vsub(q[0], a.apply(tri[0]))
+    (m00, m01), (m10, m11) = ((a.rows[0][0] - 1, a.rows[0][1]), (a.rows[1][0], a.rows[1][1] - 1))
+    det = Mat([[m00, m01], [m10, m11]]).det()
+    if det != 0:
+        x = ((-t[0] * m11 + m01 * t[1]) / det, (-m00 * t[1] + t[0] * m10) / det)
+        ccw = ccw_triangle(tri)
+        inside = all(orient2(ccw[i - 1], ccw[i], x) > 0 for i in range(3))
+        return ("point", x) if inside else ("none", None)
+    if m00 == m01 == m10 == m11 == 0:
+        return ("full", None) if t == (0, 0) else ("none", None)
+    # rank one: the solution set is the line row . x = r, if row 2 agrees
+    row, r, other, ro = ((m00, m01), -t[0], (m10, m11), -t[1])
+    if row == (0, 0):
+        row, r, other, ro = other, ro, row, r
+    if other[0] * r != row[0] * ro or other[1] * r != row[1] * ro:
+        return ("none", None)
+    p0 = (r / row[0], F(0)) if row[0] != 0 else (F(0), r / row[1])
+    seg = oracle_clip_line(p0, (-row[1], row[0]), tri)
+    if seg is None or seg[0] == seg[1]:
+        return ("none", None)
+    x, y = seg
+    for i in range(3):  # a chord along a side belongs to the edges
+        if orient2(tri[i], tri[i - 1], x) == 0 == orient2(tri[i], tri[i - 1], y):
+            return ("none", None)
+    return ("chord", seg)
+
+
+def oracle_clip_line(p0, direction, tri):
+    """The ends of the line p0 + s direction inside a triangle, or None."""
+    t = list(tri) if orient2(*tri) > 0 else list(reversed(tri))
+    lo = hi = None
+    for i in range(3):
+        c0 = orient2(t[i], t[(i + 1) % 3], p0)
+        c1 = orient2(t[i], t[(i + 1) % 3], vadd(p0, direction)) - c0
+        if c1 == 0:
+            if c0 < 0:
+                return None
+            continue
+        s = F(-c0, c1)
+        if c1 > 0:
+            lo = s if lo is None else max(lo, s)
+        else:
+            hi = s if hi is None else min(hi, s)
+    if lo is None or hi is None or lo > hi:
+        return None
+    return vadd(p0, vscale(lo, direction)), vadd(p0, vscale(hi, direction))
+
+
+def oracle_edge_point(a, b, fa, fb):
+    """The one fixed point of [a, b] strictly inside it, or None."""
+    da, db = vsub(fa, a), vsub(fb, b)
+    ts = {F(c0, c0 - c1) for c0, c1 in zip(da, db) if c0 != c1}
+    if any(c0 == c1 != 0 for c0, c1 in zip(da, db)) or len(ts) != 1:
+        return None
+    t = ts.pop()
+    return vadd(a, vscale(t, vsub(b, a))) if 0 < t < 1 else None
+
+
+def oracle_raw_cells(f, kinds):
+    """(cell, home) pairs of the refined complex, counting cell kinds."""
+    raw = []
+    for ci, s in enumerate(f.refinement.simplices):
+        tri = [f.refinement.points[v] for v in s]
+        img = [f.images[v] for v in s]
+        if orient2(*tri) < 0:
+            tri, img = [tri[0], tri[2], tri[1]], [img[0], img[2], img[1]]
+        poly = []
+        for i in range(3):
+            poly.append(tri[i])
+            x = oracle_edge_point(tri[i], tri[(i + 1) % 3], img[i], img[(i + 1) % 3])
+            if x is not None:
+                poly.append(x)
+        kind, data = oracle_cell_fix(f, s)
+        kinds[kind] += 1
+        if kind == "point":
+            cells = [(data, poly[i], poly[(i + 1) % len(poly)]) for i in range(len(poly))]
+        elif kind == "chord":
+            i, j = sorted(poly.index(x) for x in data)
+            cells = [c for part in (poly[i:j + 1], poly[j:] + poly[:i + 1])
+                     if len(part) >= 3 and polygon_area2(part) != 0
+                     for c in triangulate_convex(part)]
+        else:
+            cells = triangulate_convex(poly)
+        raw += [(c, ci) for c in cells]
+    return raw
+
+
+def oracle_frontier(fl):
+    fix = set(fl.cells.simplices)
+    return SubComplex(fl.refined, [
+        c for c in fix if len(c) - 1 < fl.refined.dim
+        and any(set(c) <= set(s) and s not in fix for s in fl.refined.simplices)])
+
+
+def invariant_or_error(fl):
+    try:
+        ci = canonical_invariant(fl)
+    except PLError as e:
+        return type(e)
+    return ci.n_f.simplices, ci.derivation_depth
+
+
+def map_case(case, k):
+    try:
+        f = PLMap(*case)
+    except PLError:
+        assume(False)  # the moved vertices fold a cell
+    return power(f, k)
+
+
+ZERO = [(0, 0)] * 18
+CENTRE_MOVED = [(0, 0)] * 4 + [(2, 1)] + [(0, 0)] * 4
+EXAMPLES = [
+    (grid_map(3, [(0, 0)] * 5 + [(2, 1)] + [(0, 0)] * 10, ZERO, "fixed", 0, "same"), 1),
+    (grid_map(3, ZERO[:16], ZERO, "fixed", 2, "centroids"), 1),  # a reflection
+    (grid_map(2, CENTRE_MOVED, ZERO, "fixed", 5, "same"), 1),  # a quarter turn
+    (grid_map(2, CENTRE_MOVED, ZERO, "fixed", 5, "same"), 2),
+]
+OFFSETS = st.lists(st.one_of(st.just((0, 0)), st.tuples(st.integers(-2, 2), st.integers(-2, 2))),
+                   min_size=16, max_size=16)
+MAPS = st.builds(grid_map, st.sampled_from([2, 3]), OFFSETS, st.just(ZERO), st.just("fixed"),
+                 st.integers(0, 7), st.sampled_from(["same", "centroids"]))
+
+
+@settings(max_examples=30, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(MAPS, st.sampled_from([1, 1, 2]))
+@example(*EXAMPLES[0])
+@example(*EXAMPLES[1])
+@example(*EXAMPLES[2])
+@example(*EXAMPLES[3])
+def test_flag_rule_matches_the_per_cell_solve(case, k):
+    """The refined complex, fixed cells, provenance, frontier and canonical
+    invariant equal those of the per-cell linear solve, on grid maps fixing
+    the boundary, followed by a symmetry of the square, and their powers."""
+    f = map_case(case, k)
+    fl = fixed_subcomplex(f)
+    raw = oracle_raw_cells(f, Counter())
+    pts, sims = index_cells(cell for cell, _ in raw)
+    assert (fl.refined.points, fl.refined.simplices) == (tuple(pts), tuple(sorted(sims)))
+    assert fl.provenance == dict(zip(sims, (home for _, home in raw)))
+    fixed = [f.eval(p) == p for p in pts]
+    expected = FixedLocus(fl.refined, SubComplex(fl.refined, [
+        c for s in fl.refined.simplices for c in faces_of(s)
+        if all(fixed[v] for v in c)]), fl.provenance)
+    assert fl.cells.simplices == expected.cells.simplices
+    assert frontier(fl).simplices == oracle_frontier(expected).simplices
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fixedlocus, "frontier", oracle_frontier)
+        assert invariant_or_error(expected) == invariant_or_error(fl)
+
+
+def test_the_examples_meet_every_kind_of_cell():
+    """The explicit examples above hold each kind of fixed set in a cell:
+    none, an interior point, a chord and the whole cell."""
+    kinds = Counter()
+    for case, k in EXAMPLES:
+        oracle_raw_cells(map_case(case, k), kinds)
+    assert set(kinds) == {"none", "point", "chord", "full"}

@@ -113,3 +113,52 @@ def test_duplicated_index_records_are_parse_errors(kind, record):
     for i in dups:
         with pytest.raises(ParseError, match="duplicate"):
             PARSERS[kind]("\n".join(lines[:i + 1] + lines[i:]) + "\n")
+
+
+# -- argv fuzzing: valid files, odd arguments ------------------------------
+
+VERTICES = ["-1", "0", str(len(interior_move_map().base.points)), str(10 ** 6)]
+SMALL = ["-5", "0", "1"]
+MAP_FILES = {"interval": "f.map", "circle": "c.map", "plmap": "h.pm"}
+
+
+@pytest.fixture(scope="module")
+def valid_files(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("argv")
+    (tmp / "base.cx").write_text(BASE)
+    for kind, name in MAP_FILES.items():
+        (tmp / name).write_text(FILES[kind])
+    act = tmp / "action"
+    act.mkdir()
+    (act / "base.cx").write_text(BASE)
+    (act / "h.pm").write_text(FILES["plmap"])
+    return tmp
+
+
+def _argvs(files):
+    def option(name, values):
+        return st.sampled_from(values).map(lambda v: ["--" + name, v])
+
+    maps = st.sampled_from(sorted(MAP_FILES)).map(lambda k: str(files / MAP_FILES[k]))
+    action = str(files / "action")
+    return st.one_of(
+        st.builds(lambda m, pt: ["eval", "--map", m, "--point", *pt], maps,
+                  st.lists(st.sampled_from(["0", "1/3", "-1", "1"]), max_size=3)),
+        st.builds(lambda m, v: ["tangent", "--map", m] + v, maps, option("vertex", VERTICES)),
+        st.builds(lambda v: ["certify", "--action", action] + v, option("vertex", VERTICES)),
+        st.builds(lambda a, b: ["rotno", "--map", str(files / "c.map")] + a + b,
+                  option("n", SMALL), option("qmax", SMALL)),
+        st.builds(lambda a, b, c: ["analyze", "--action", action] + a + b + c,
+                  option("kmax", SMALL), option("n", SMALL), option("qmax", SMALL)),
+    )
+
+
+def test_cli_exits_with_documented_codes_on_odd_arguments(valid_files):
+    """Wrong coordinate counts, vertices outside the base and nonpositive
+    sizes on valid files: every run exits 0, 2, 3, 64 or 65."""
+    @settings(max_examples=80, deadline=None)
+    @given(_argvs(valid_files))
+    def check(argv):
+        assert main(argv, out=io.StringIO()) in (0, 2, 3, 64, 65)
+
+    check()

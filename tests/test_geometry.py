@@ -6,8 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 from plstab.clip import polygon_area2, triangle_intersection
 from plstab.geometry import (Mat, between, candidate_pairs, collinear,
                              collinear_overlap, cross2, fmt, orient2,
-                             primitive_direction, rat, segment_param,
-                             solve_linear, vsub)
+                             primitive_direction, rat, segment_param, vsub)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -88,24 +87,6 @@ def test_mat_is_positive_scalar():
     assert Mat([[2, 0], [0, 2]]).is_positive_scalar()
     assert not Mat([[2, 0], [0, 3]]).is_positive_scalar()
     assert not Mat([[-1, 0], [0, -1]]).is_positive_scalar()
-
-
-@given(st.lists(rationals, min_size=6, max_size=6))
-def test_solve_linear_2x2(entries):
-    m = Mat([entries[:2], entries[2:4]])
-    rhs = tuple(entries[4:])
-    kind, sol = solve_linear(m, rhs)
-    if kind == "unique":
-        assert m.apply(sol) == rhs
-    elif kind == "line":
-        p0, d = sol
-        assert m.apply(p0) == rhs
-        step = tuple(a + b for a, b in zip(p0, d))
-        assert m.apply(step) == rhs
-        assert d != (0, 0)
-    elif kind == "all":
-        assert all(x == 0 for row in m.rows for x in row)
-        assert rhs == (0, 0)
 
 
 def test_cross2():

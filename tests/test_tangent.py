@@ -4,6 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from plstab.complexes import Complex
+from plstab.errors import VertexNotInComplex
 from plstab.geometry import Mat, primitive_direction
 from plstab.plmap import PLMap, plmap_from_vertex_images
 from plstab.tangent import (Fan, Germ, build_germ, canonical_germ,
@@ -165,3 +166,9 @@ def test_in_cone():
     assert in_cone((1, 1), (1, 0), (0, 1))
     assert in_cone((1, 0), (1, 0), (0, 1))
     assert not in_cone((-1, 0), (1, 0), (0, 1))
+
+
+@pytest.mark.parametrize("vertex", [5, 99, -1])
+def test_germ_at_a_vertex_outside_the_base_is_refused(vertex):
+    with pytest.raises(VertexNotInComplex):
+        build_germ(quarter_rotation(), vertex)
