@@ -86,15 +86,15 @@ def polygon_centroid(poly: Sequence[Point]) -> Point:
 def triangulate_convex(poly: Sequence[Point]) -> List[Tuple[Point, Point, Point]]:
     """Triangulate a convex polygon keeping every boundary vertex.
 
-    Fans from the lexicographically smallest vertex.  When collinear boundary
+    Callers pass the polygon counter-clockwise, as clipping returns it;
+    each triangle comes out counter-clockwise too.  Fans from the
+    lexicographically smallest vertex.  When collinear boundary
     chains adjacent to that vertex would make a fan triangle degenerate (which
     would silently drop a boundary vertex and create a T-junction against the
     neighboring cell), falls back to coning from the centroid, which preserves
     every boundary edge.
     """
     pts = list(poly)
-    if polygon_area2(pts) < 0:
-        pts.reverse()
     if len(pts) < 3:
         return []
     apex_i = min(range(len(pts)), key=lambda i: pts[i])

@@ -6,13 +6,21 @@ face condition, distinct vertex points, nondegenerate and pairwise
 interior-disjoint realizations, connectivity unless flagged).  Vertex
 indices are 0-based and stable, and all iteration orders are sorted so
 outputs are reproducible.
+
+In the plane, interior-disjointness is first offered to a boundary-cycle
+certificate (:func:`_boundary_certificate`): no cell folds over a
+neighbour, and the boundary edges form one simple polygon.  By a
+winding-number argument that puts every point in at most one cell, in
+O(cells + boundary edge pairs).  The all-pairs separating-axis test runs
+only for the complexes it does not accept, so it alone decides which
+error a rejected complex raises.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from .clip import ccw_triangle
 from .errors import InvalidComplex, ParseError, UnknownVertex
@@ -24,6 +32,7 @@ from .geometry import (
     dot,
     drop_axis,
     fmt,
+    is_simple_polygon,
     orient2,
     plane_normal,
     rat,
@@ -208,6 +217,78 @@ def rational_points(points) -> Tuple[Point, ...]:
     return tuple(tuple(rat(c) for c in p) for p in points)
 
 
+def directed_boundary(points, simplices) -> Optional[List[Tuple[int, int]]]:
+    """The boundary edges of a planar 2-complex as vertex pairs (u, v)
+    directed with their cell on the left of u->v, or None if a cell is
+    degenerate or an interior edge has both of its cells on one side (a
+    fold).
+
+    One `orient2` per cell: a sorted cell (a, b, c) with sign σ lies left
+    of a->b and of b->c when σ > 0 and left of a->c when σ < 0.  The
+    simplices must be sorted and manifold (no edge in more than two cells).
+    """
+    sides: Dict[Tuple[int, int], bool] = {}
+    for a, b, c in simplices:
+        o = orient2(points[a], points[b], points[c])
+        if o == 0:
+            return None
+        left = o > 0
+        for edge, edge_left in (((a, b), left), ((b, c), left), ((a, c), not left)):
+            other = sides.pop(edge, None)
+            if other is None:
+                sides[edge] = edge_left
+            elif other == edge_left:
+                return None
+    return [(u, v) if left else (v, u) for (u, v), left in sides.items()]
+
+
+def _boundary_certificate(points, simplices) -> bool:
+    """Do the cells of a planar 2-complex have pairwise disjoint interiors,
+    as its boundary shows in O(cells + boundary edge pairs)?  True when
+    all of these hold, and False for the all-pairs test to decide:
+
+    (i) `directed_boundary` returns edges: no cell is degenerate, and the
+        two cells of each interior edge lie on opposite sides of it;
+    (ii) the directed boundary edges form exactly one cycle: each boundary
+        vertex starts one edge and ends one edge, and following the edges
+        from one of them runs through all of them;
+    (iii) no two boundary edges that are not consecutive on the cycle meet
+        as closed segments;
+    (iv) no two consecutive boundary edges fold back onto each other.
+
+    Sound: orient every cell counter-clockwise and let c be their sum.  At
+    a point y off all edges, the number of cells covering y is the winding
+    number of ∂c around y.  By (i) the two cells of an interior edge run it
+    in opposite directions, so it cancels in ∂c, and ∂c is the boundary
+    edges directed with their cell on the left: the cycle of (ii).  By
+    (iii) and (iv) that cycle is a simple polygon, so its winding number
+    is 0 outside it and the same one of ±1 everywhere inside; cell counts
+    are never negative, so each is 0 or 1.  Two cells whose open interiors
+    meet would cover an open set, and so a point off all edges, twice.
+    So every complex accepted here passes the all-pairs test.
+
+    The points must be distinct and the simplices manifold, as `Complex`
+    checks first.  Left to the all-pairs test: several boundary cycles
+    (annuli, several components), pinched or self-touching boundaries, and
+    every complex whose cells overlap.
+    """
+    edges = directed_boundary(points, simplices)
+    if not edges:
+        return False
+    after = dict(edges)
+    if len(after) != len(edges):
+        return False
+    cycle = [edges[0][0]]
+    while len(cycle) <= len(edges):
+        v = after.get(cycle[-1])
+        if v is None:
+            return False
+        if v == cycle[0]:
+            break
+        cycle.append(v)
+    return len(cycle) == len(edges) and is_simple_polygon([points[v] for v in cycle])
+
+
 class Complex:
     """A pure simplicial complex realizing a 1- or 2-manifold with boundary.
 
@@ -300,6 +381,15 @@ class Complex:
                 raise InvalidComplex(f"vertices {seen[p]} and {v} lie at one point")
 
     def _check_disjoint_interiors(self):
+        if self.dim == 2 and self.ambient_dim == 2 and _boundary_certificate(
+                self.points, self.simplices):
+            return
+        self._check_disjoint_interiors_exactly()
+
+    def _check_disjoint_interiors_exactly(self):
+        """The all-pairs test: no two cells whose boxes meet share an
+        interior point.  It decides every complex the boundary certificate
+        does not accept, so it alone raises."""
         cells = self.cells()
         for i, j in candidate_pairs(cells):
             if self._interiors_meet(cells[i], cells[j]):

@@ -8,8 +8,8 @@ then exactly the faces whose vertices are all fixed (the map is affine on
 every cell, so two fixed vertices pin the whole edge, three the whole
 triangle).  Frontier and invariant-submanifold computations become purely
 combinatorial on that complex.  The finer complex is valid by construction
-and built trusted, and each of its vertices is tested under f's piece on
-the cell it was cut from.
+and built trusted, and whether f fixes each of its vertices is read off
+the flags below, with no evaluation of f.
 
 Each cell's feature is read off its boundary.  An edge on which f fixes
 exactly one point strictly inside is cut there, and each vertex of the
@@ -97,20 +97,14 @@ def _interior_fixed_point(tri, images) -> Optional[Point]:
 
 
 def fixed_subcomplex(f: PLMap) -> FixedLocus:
+    fixed: Dict[Point, bool] = {}
     if f.base.dim == 2:
-        raw = _refine_cells_2d(f)
+        raw = _refine_cells_2d(f, fixed)
     else:
-        raw = _refine_cells_1d(f)
+        raw = _refine_cells_1d(f, fixed)
     pts, sims = index_cells(cell for cell, _ in raw)
     prov: Dict[SimplexT, int] = dict(zip(sims, (home for _, home in raw)))
     refined = Complex.trusted(pts, sims, f.base.connected_flag)
-    # a refined cell lies in the refinement cell it was cut from, where f
-    # is that cell's affine piece
-    fixed: Dict[Point, bool] = {}
-    for cell, home in raw:
-        for p in cell:
-            if p not in fixed:
-                fixed[p] = f.eval_in_cell(home, p) == p
     fixed_vertex = [fixed[p] for p in pts]
     fix_faces = [face for s in refined.simplices for face in faces_of(s)
                  if all(fixed_vertex[v] for v in face)]
@@ -118,17 +112,21 @@ def fixed_subcomplex(f: PLMap) -> FixedLocus:
                       provenance=prov)
 
 
-def _refine_cells_1d(f: PLMap):
+def _refine_cells_1d(f: PLMap, fixed: Dict[Point, bool]):
     raw = []
     for ci, s in enumerate(f.refinement.simplices):
         a, b = (f.refinement.points[v] for v in s)
-        x = _edge_cut(a, b, *(f.images[v] for v in s))
+        fa, fb = (f.images[v] for v in s)
+        fixed[a], fixed[b] = fa == a, fb == b
+        x = _edge_cut(a, b, fa, fb)
+        if x is not None:
+            fixed[x] = True
         for cell in [(a, b)] if x is None else [(a, x), (x, b)]:
             raw.append((cell, ci))
     return raw
 
 
-def _refine_cells_2d(f: PLMap):
+def _refine_cells_2d(f: PLMap, fixed: Dict[Point, bool]):
     pts, images = f.refinement.points, f.images
     cuts: Dict[Tuple[int, int], Optional[Point]] = {}  # edge -> its edge cut
     raw = []
@@ -147,24 +145,42 @@ def _refine_cells_2d(f: PLMap):
             if cuts[key] is not None:
                 poly.append(cuts[key])
                 flags.append(True)
-        for cell in _triangulate_with_feature(poly, flags, [images[v] for v in s]):
+        for cell in _triangulate_with_feature(poly, flags, [images[v] for v in s], fixed):
             raw.append((cell, ci))
     return raw
 
 
-def _triangulate_with_feature(poly, flags, images):
-    """Cells of a cut polygon with the cell's fixed set among their faces,
-    read off the flags (see the module docstring).  Two flags that are the
-    ends of one side split off a part with two points and no cells, so the
-    whole polygon is triangulated as when nothing is inside."""
-    fixed = [i for i, flag in enumerate(flags) if flag]
-    if len(fixed) == 2:
-        i, j = fixed
-        return triangulate_convex(poly[i:j + 1]) + triangulate_convex(poly[j:] + poly[:i + 1])
-    x = None if fixed else _interior_fixed_point(poly, images)
+def _triangulate_with_feature(poly, flags, images, fixed: Dict[Point, bool]):
+    """Cells of a counter-clockwise cut polygon with the cell's fixed set
+    among their faces, read off the flags (see the module docstring), and
+    the flag of each of their vertices put in ``fixed``.  Two flags that
+    are the ends of one side split off a part with two points and no
+    cells, so the whole polygon is triangulated as when nothing is
+    inside."""
+    ends = [i for i, flag in enumerate(flags) if flag]
+    if len(ends) == 2:
+        i, j = ends
+        return (_triangulate_flagged(poly[i:j + 1], flags[i:j + 1], fixed)
+                + _triangulate_flagged(poly[j:] + poly[:i + 1], flags[j:] + flags[:i + 1], fixed))
+    x = None if ends else _interior_fixed_point(poly, images)
     if x is None:
-        return triangulate_convex(poly)
+        return _triangulate_flagged(poly, flags, fixed)
+    fixed.update(zip(poly, flags))
+    fixed[x] = True
     return [(x, poly[i], poly[(i + 1) % 3]) for i in range(3)]
+
+
+def _triangulate_flagged(part, flags, fixed: Dict[Point, bool]):
+    """`triangulate_convex` of a part of a cut polygon, with the flags of
+    its vertices put in ``fixed``.  A centroid that it adds lies strictly
+    inside the part, which holds no fixed point unless f fixes the whole
+    part, so it is fixed exactly when every vertex of the part is."""
+    fixed.update(zip(part, flags))
+    cells = triangulate_convex(part)
+    for cell in cells:
+        for p in cell:
+            fixed.setdefault(p, all(flags))
+    return cells
 
 
 def frontier(fl: FixedLocus) -> SubComplex:

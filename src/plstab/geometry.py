@@ -193,6 +193,42 @@ def candidate_pairs(cells_a, cells_b=None):
                 yield i, j
 
 
+def closed_segments_meet(a: Point, b: Point, c: Point, d: Point) -> bool:
+    """Do the closed planar segments [a, b] and [c, d] share a point? Exact.
+
+    They do not when both ends of one lie strictly on one side of the
+    other's line; when both lie on one line, when their boxes meet.
+    """
+    o1, o2 = orient2(a, b, c), orient2(a, b, d)
+    if o1 == 0 and o2 == 0:
+        return not boxes_apart(bbox((a, b)), bbox((c, d)))
+    if (o1 > 0 and o2 > 0) or (o1 < 0 and o2 < 0):
+        return False
+    o3, o4 = orient2(c, d, a), orient2(c, d, b)
+    return not ((o3 > 0 and o4 > 0) or (o3 < 0 and o4 < 0))
+
+
+def is_simple_polygon(pts: Sequence[Point]) -> bool:
+    """Is the closed polyline through distinct planar points, in order, a
+    simple polygon?
+
+    Two consecutive sides share their common vertex and meet nowhere else
+    unless they fold back onto each other: collinear, with the second
+    running back along the first.  Two sides that are not consecutive must
+    not meet at all; only the pairs whose boxes meet are tested.
+    """
+    n = len(pts)
+    for k in range(n):
+        a, b, c = pts[k - 1], pts[k], pts[(k + 1) % n]
+        if orient2(a, b, c) == 0 and dot(vsub(a, b), vsub(c, b)) > 0:
+            return False
+    sides = [(pts[k], pts[(k + 1) % n]) for k in range(n)]
+    for i, j in candidate_pairs(sides):
+        if 1 < j - i < n - 1 and closed_segments_meet(*sides[i], *sides[j]):
+            return False
+    return True
+
+
 def primitive_direction(v: Sequence[Fraction]) -> Tuple[int, ...]:
     """Canonical representative of a ray direction: coprime integers, same sense.
 

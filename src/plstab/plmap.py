@@ -52,6 +52,7 @@ from .clip import (
 from .complexes import (
     Complex,
     boundary,
+    directed_boundary,
     format_complex,
     index_cells,
     rational_points,
@@ -146,31 +147,6 @@ def covered_area2(cells, homes, base_cells) -> Fraction:
     return total
 
 
-def _directed_boundary(points, simplices) -> Optional[List[Tuple[Point, Point]]]:
-    """The boundary edges of a planar 2-complex as point pairs directed
-    with their cell on the left, or None if a cell is degenerate or an
-    interior edge has both of its cells on one side (a fold).
-
-    One `orient2` per cell: a sorted cell (a, b, c) with sign σ lies left
-    of a->b and of b->c when σ > 0 and left of a->c when σ < 0.  The
-    simplices must be manifold (no edge in more than two cells).
-    """
-    sides: Dict[Tuple[int, int], bool] = {}
-    for a, b, c in simplices:
-        o = orient2(points[a], points[b], points[c])
-        if o == 0:
-            return None
-        left = o > 0
-        for edge, edge_left in (((a, b), left), ((b, c), left), ((a, c), not left)):
-            other = sides.pop(edge, None)
-            if other is None:
-                sides[edge] = edge_left
-            elif other == edge_left:
-                return None
-    return [(points[u], points[v]) if left else (points[v], points[u])
-            for (u, v), left in sides.items()]
-
-
 def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Complex]:
     """The image complex of a planar map accepted by a local homeomorphism
     certificate in O(cells), or None for the exact checks to decide.
@@ -206,11 +182,13 @@ def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Com
     """
     if base.dim != 2 or len(set(images)) != len(images):
         return None
-    edges = _directed_boundary(images, refinement.simplices)
+    edges = directed_boundary(images, refinement.simplices)
     if edges is None:
         return None
-    base_edges = set(_directed_boundary(base.points, base.simplices))
-    if len(edges) != len(base_edges) or not all(e in base_edges for e in edges):
+    base_edges = {(base.points[u], base.points[v])
+                  for u, v in directed_boundary(base.points, base.simplices)}
+    if len(edges) != len(base_edges) or not all(
+            (images[u], images[v]) in base_edges for u, v in edges):
         return None
     if base.connected_flag and refinement is not base and not refinement.is_connected():
         return None
@@ -485,16 +463,24 @@ def _compose_cells_2d(f: PLMap, g: PLMap):
     interiors meet: their intersection polygon, pulled back through g's
     piece on i.  A vertex q pulled back from polygon vertex p has image
     f(p), by f's piece on j; a vertex that triangulation adds goes
-    forward through g's piece on i first.
+    forward through g's piece on i first.  The polygon is
+    counter-clockwise, and its pullback is too unless g's piece on i
+    reverses orientation, when its vertex list is reversed.
     """
     raw, homes, image_of = [], [], {}
     srcs, imgs, tris = g.refinement.cells(), g.image.cells(), f.refinement.cells()
+    reverses: Dict[int, bool] = {}
     for i, j in candidate_pairs(imgs, tris):
         if not tri_tri_open_meet_2d(imgs[i], tris[j]):
             continue
         poly = triangle_intersection(imgs[i], tris[j])
         forward = {_pullback2(srcs[i], imgs[i], p): p for p in poly}
-        for cell in triangulate_convex(list(forward)):
+        if i not in reverses:
+            reverses[i] = (orient2(*srcs[i]) > 0) != (orient2(*imgs[i]) > 0)
+        back = list(forward)
+        if reverses[i]:
+            back.reverse()
+        for cell in triangulate_convex(back):
             raw.append(cell)
             homes.append(g.cell_base[i])
             for q in cell:

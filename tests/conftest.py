@@ -1,11 +1,18 @@
+from importlib import import_module
+
 import pytest
 
+from plstab.clip import polygon_area2, triangulate_convex
 from plstab.complexes import Complex
 from plstab.plmap import PLMap
 
 
 class TrustedBuildMismatch(AssertionError):
     """A trusted build differs from the validated build of its inputs."""
+
+
+class ClockwisePolygon(AssertionError):
+    """`triangulate_convex` was handed a clockwise polygon."""
 
 
 @pytest.fixture(autouse=True)
@@ -35,6 +42,20 @@ def check_trusted_builds(monkeypatch):
 
     monkeypatch.setattr(Complex, "trusted", classmethod(checked_complex))
     monkeypatch.setattr(PLMap, "trusted", classmethod(checked_plmap))
+
+
+@pytest.fixture(autouse=True)
+def check_counter_clockwise_polygons(monkeypatch):
+    """Every polygon that compose, overlay and the fixed locus hand to
+    `triangulate_convex` is counter-clockwise, as it requires."""
+    def checked(poly):
+        if polygon_area2(poly) < 0:
+            raise ClockwisePolygon(f"{poly} is clockwise")
+        return triangulate_convex(poly)
+
+    # by module path: the package's `overlay` is the function
+    for name in ("fixedlocus", "overlay", "plmap"):
+        monkeypatch.setattr(import_module(f"plstab.{name}"), "triangulate_convex", checked)
 
 
 def pytest_terminal_summary(terminalreporter):

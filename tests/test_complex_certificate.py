@@ -1,0 +1,219 @@
+"""The boundary-cycle certificate of a planar `Complex`, against the exact
+all-pairs disjointness test it stands in for."""
+
+import random
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import Phase, example, given, settings, strategies as st
+
+from plstab import complexes
+from plstab.complexes import Complex, _boundary_certificate, rational_points
+from plstab.errors import InvalidComplex
+from plstab.geometry import is_simple_polygon
+
+from support import random_square_triangulation
+from test_plmap import grid_complex
+
+GRIDS = {n: grid_complex(n) for n in (2, 3)}
+NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
+
+
+def outcome(points, simplices, require_connected=True):
+    """What `Complex(...)` does with the inputs: the points and simplices it
+    accepts with, or the type and message of what it raises."""
+    try:
+        c = Complex(points, simplices, require_connected=require_connected)
+    except InvalidComplex as e:
+        return type(e), str(e)
+    return c.points, c.simplices
+
+
+def exact_outcome(*case):
+    """`outcome` with the certificate switched off."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(complexes, "_boundary_certificate", lambda *args: False)
+        return outcome(*case)
+
+
+def certificate_only(*case):
+    """`outcome` with the exact path switched off: raises unless the
+    certificate accepts."""
+    def refuse(self):
+        raise AssertionError("the exact path ran")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Complex, "_check_disjoint_interiors_exactly", refuse)
+        return outcome(*case)
+
+
+def centroid_split(points, simplices):
+    """Each triangle split at its centroid: the boundary stays the same."""
+    points, sims = list(points), []
+    for a, b, c in simplices:
+        points.append(tuple(sum(x) / 3 for x in zip(points[a], points[b], points[c])))
+        m = len(points) - 1
+        sims += [(a, b, m), (b, c, m), (a, c, m)]
+    return points, sims
+
+
+def moved(points, offsets, scale, which):
+    """The points moved by offsets[k] * scale, all of them or only those off
+    the boundary of the unit square."""
+    out = []
+    for (x, y), (dx, dy) in zip(points, offsets):
+        if which == "interior" and {x, y} & {0, 1}:
+            dx = dy = 0
+        out.append((x + dx * scale, y + dy * scale))
+    return out
+
+
+def grid_case(n, offsets, which, split):
+    """The n x n grid with vertices moved by up to one cell width: cells
+    may fold over or overlap their neighbours, and with "all" the boundary
+    may cross itself."""
+    grid = GRIDS[n]
+    points, sims = moved(grid.points, offsets, F(1, 4 * n), which), list(grid.simplices)
+    if split:
+        points, sims = centroid_split(points, sims)
+    return points, sims
+
+
+def random_case(seed, which):
+    """A random triangulation of the unit square, a third of its vertices
+    moved by up to a quarter of the side."""
+    rng = random.Random(seed)
+    c = random_square_triangulation(rng, max_triangles=16)
+    offsets = [(rng.randint(-4, 4), rng.randint(-4, 4)) if rng.random() < 1 / 3 else (0, 0)
+               for _ in c.points]
+    return moved(c.points, offsets, F(1, 16), which), list(c.simplices)
+
+
+OFFSET = st.tuples(st.integers(-4, 4), st.integers(-4, 4))
+WHICH = st.sampled_from(["none", "interior", "all"])
+CASES = st.one_of(
+    st.builds(grid_case, st.sampled_from(sorted(GRIDS)),
+              st.lists(OFFSET, min_size=16, max_size=16), WHICH, st.booleans()),
+    st.builds(random_case, st.integers(0, 10 ** 6), WHICH))
+
+
+@settings(max_examples=200, deadline=None, phases=NO_SHRINK)
+@given(CASES)
+@example(grid_case(2, [(0, 0)] * 9, "none", True))
+@example(grid_case(2, [(0, 0)] * 4 + [(3, -3)] + [(0, 0)] * 4, "interior", False))
+def test_certificate_agrees_with_the_exact_path(case):
+    """With or without the certificate, `Complex` accepts the same complexes,
+    with the same points and simplices, and raises the same errors."""
+    points, simplices = case
+    expected = exact_outcome(points, simplices)
+    if _boundary_certificate(rational_points(points), simplices):
+        assert not isinstance(expected[0], type)
+    assert outcome(points, simplices) == expected
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_grids_are_certified(n):
+    grid = grid_complex(n)
+    assert certificate_only(grid.points, grid.simplices) == (grid.points, grid.simplices)
+
+
+# -- explicit complexes ------------------------------------------------------
+
+
+def from_polygons(*polygons):
+    """Points and simplices of convex polygons given by their corners, each
+    fanned from its first corner; equal corners are one vertex."""
+    index, sims = {}, []
+    for poly in polygons:
+        ids = [index.setdefault(p, len(index)) for p in rational_points(poly)]
+        sims += [tuple(sorted((ids[0], ids[k], ids[k + 1]))) for k in range(1, len(ids) - 1)]
+    return list(index), sims
+
+
+def square(x0, y0, x1, y1):
+    return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
+
+
+# the eight directions of the compass, counter-clockwise from east
+COMPASS = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
+
+
+def ray(k, r):
+    dx, dy = COMPASS[k % 8]
+    return (r * dx, r * dy)
+
+
+def spiral_strip(steps):
+    """A strip of quads between two spirals, each step an eighth of a turn:
+    a disk with one boundary cycle, which laps itself after eight steps."""
+    return from_polygons(*[
+        [ray(k, 2 + F(k, 16)), ray(k, 4 + F(k, 16)),
+         ray(k + 1, 4 + F(k + 1, 16)), ray(k + 1, 2 + F(k + 1, 16))]
+        for k in range(steps)])
+
+
+def double_star():
+    """The cone from the origin over a spiral that winds twice around it:
+    the origin is an interior vertex, and the boundary one cycle."""
+    rim = [ray(k, 1 + F(k, 16)) for k in range(16)]
+    return from_polygons(*[[(0, 0), rim[k], rim[(k + 1) % 16]] for k in range(16)])
+
+
+def c_shape():
+    """Two bars joined on the right, and a triangle hanging from the top bar
+    whose tip (1/2, 1) lies inside the top side of the bottom bar."""
+    return from_polygons(square(0, 0, 1, 1), square(1, 0, 2, 1), square(1, 1, 2, 2),
+                         square(0, 2, 1, 3), square(1, 2, 2, 3),
+                         [(0, 2), (F(1, 2), 1), (1, 2)])
+
+
+OVERLAPPING = {
+    # the centre pushed below the bottom side: one cell folds back
+    "fold": (from_polygons(*[[(F(1, 2), F(-1, 4)), a, b] for a, b in
+                             [((0, 0), (1, 0)), ((1, 0), (1, 1)),
+                              ((1, 1), (0, 1)), ((0, 1), (0, 0))]]), True),
+    "strip lapping itself": (spiral_strip(10), True),
+    "star winding twice": (double_star(), True),
+    "square inside a square": (from_polygons(square(0, 0, 3, 3), square(1, 1, 2, 2)), False),
+    "crossing squares": (from_polygons(square(0, 0, 2, 2), square(1, 1, 3, 3)), False),
+}
+
+
+@pytest.mark.parametrize("name", sorted(OVERLAPPING))
+def test_overlapping_complexes_take_the_exact_path(name):
+    (points, simplices), connected = OVERLAPPING[name]
+    assert not _boundary_certificate(rational_points(points), simplices)
+    kind, message = outcome(points, simplices, connected)
+    assert kind is InvalidComplex and message.endswith("overlap")
+    assert exact_outcome(points, simplices, connected) == (kind, message)
+
+
+VALID = {
+    "annulus": (from_polygons(*[square(x, y, x + 1, y + 1) for x in range(3) for y in range(3)
+                                if (x, y) != (1, 1)]), True),
+    "bowtie": (from_polygons([(0, 0), (1, -1), (1, 1)], [(0, 0), (-1, 1), (-1, -1)]), True),
+    "C-shape touching itself": (c_shape(), True),
+    "strip short of a lap": (spiral_strip(7), True),
+}
+
+
+@pytest.mark.parametrize("name", sorted(VALID))
+def test_valid_complexes_the_certificate_declines(name):
+    """Several boundary cycles, a pinched boundary and a boundary touching
+    itself are accepted by the exact path; a strip that does not lap itself
+    is certified."""
+    (points, simplices), connected = VALID[name]
+    certified = _boundary_certificate(rational_points(points), simplices)
+    assert certified == (name == "strip short of a lap")
+    c = Complex(points, simplices, require_connected=connected)
+    assert outcome(points, simplices, connected) == (c.points, c.simplices)
+
+
+def test_simple_polygons():
+    assert is_simple_polygon(rational_points(square(0, 0, 1, 1)))
+    assert is_simple_polygon(rational_points([(0, 0), (2, 0), (1, 1), (1, 2), (0, 2)]))
+    # a spike: the third side runs back along the second
+    assert not is_simple_polygon(rational_points([(0, 0), (2, 0), (2, 2), (2, 1), (0, 2)]))
+    # three points on one line: every side folds back onto its neighbour
+    assert not is_simple_polygon(rational_points([(0, 0), (2, 0), (1, 0)]))
+    # a bowtie: the second and fourth sides cross
+    assert not is_simple_polygon(rational_points([(0, 0), (1, 0), (0, 1), (1, 1)]))

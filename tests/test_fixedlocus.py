@@ -93,6 +93,13 @@ def test_fuller_three_cycle():
     assert res.euler_char == 0
 
 
+def test_reflection_of_a_cycle_fixes_a_vertex_and_a_cut_point():
+    cyc = cycle_rotation().base
+    fl = fixed_subcomplex(plmap_from_vertex_images(cyc, [(0, 0), (0, 1), (1, 0)]))
+    assert [fl.refined.points[v] for s in fl.cells.simplices for v in s] == [
+        (0, 0), (F(1, 2), F(1, 2))]
+
+
 def test_fuller_rejects_bad_kmax():
     with pytest.raises(ValueError):
         fuller_search(quarter_rotation(), 0)
@@ -295,10 +302,11 @@ def test_flag_rule_matches_the_per_cell_solve(case, k):
     pts, sims = index_cells(cell for cell, _ in raw)
     assert (fl.refined.points, fl.refined.simplices) == (tuple(pts), tuple(sorted(sims)))
     assert fl.provenance == dict(zip(sims, (home for _, home in raw)))
-    fixed = [f.eval(p) == p for p in pts]
+    # f on each refined cell is the piece of the cell it was cut from
+    fixed = {p: f.eval_in_cell(home, p) == p for cell, home in raw for p in cell}
     expected = FixedLocus(fl.refined, SubComplex(fl.refined, [
         c for s in fl.refined.simplices for c in faces_of(s)
-        if all(fixed[v] for v in c)]), fl.provenance)
+        if all(fixed[pts[v]] for v in c)]), fl.provenance)
     assert fl.cells.simplices == expected.cells.simplices
     assert frontier(fl).simplices == oracle_frontier(expected).simplices
     with pytest.MonkeyPatch.context() as mp:

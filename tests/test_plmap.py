@@ -5,6 +5,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from plstab import plmap
 from plstab.cli import load_action
 from plstab.clip import polygon_area2, triangle_intersection
 from plstab.complexes import Complex, boundary, format_complex, parse_complex
@@ -63,6 +64,27 @@ def test_compose_matches_double_eval():
     for _ in range(25):
         x = (F(rng.randint(0, 16), 16), F(rng.randint(0, 16), 16))
         assert h.eval(x) == f.eval(g.eval(x))
+
+
+def test_compose_with_a_reflection_triangulates_counter_clockwise(monkeypatch):
+    """A reflection g reverses each polygon pulled back through it, and
+    compose2d turns it back before triangulating: every polygon it hands
+    to triangulate_convex has positive area, on either side of f∘g."""
+    f = interior_move_map()
+    g = plmap_from_vertex_images(f.base, [(1 - x, y) for x, y in f.base.points])
+    polygons = []
+    triangulate = plmap.triangulate_convex
+
+    def recorded(poly):
+        polygons.append(poly)
+        return triangulate(poly)
+
+    monkeypatch.setattr(plmap, "triangulate_convex", recorded)
+    for a, b in ((f, g), (g, f), (g, g)):
+        h = compose2d(a, b)
+        assert all(h.eval(q) == a.eval(b.eval(q)) for q in h.refinement.points)
+    assert polygons and all(polygon_area2(poly) > 0 for poly in polygons)
+    assert compose2d(g, g).is_identity()
 
 
 def test_eval_outside_raises():
