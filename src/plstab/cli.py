@@ -128,7 +128,7 @@ def _print(out, s):
 
 
 def _emit(args, out, command, report_text, report_obj):
-    if getattr(args, "json", False):
+    if args.json:
         _print(out, json.dumps({"schema_version": SCHEMA_VERSION,
                                 "command": command,
                                 "report": jsonable(report_obj)},
@@ -310,7 +310,9 @@ def build_parser():
     def add(name, fn, **kw):
         p = sub.add_parser(name, **kw)
         p.set_defaults(fn=fn)
-        p.add_argument("--json", action="store_true")
+        # only the commands that report through `_emit` have a JSON form
+        if name in ("eval", "rotno", "euler", "abelianize", "certify", "analyze"):
+            p.add_argument("--json", action="store_true")
         return p
 
     p = add("eval", cmd_eval, help="evaluate a map at a point")

@@ -242,13 +242,14 @@ def directed_boundary(points, simplices) -> Optional[List[Tuple[int, int]]]:
     return [(u, v) if left else (v, u) for (u, v), left in sides.items()]
 
 
-def _boundary_certificate(points, simplices) -> bool:
+def _boundary_certificate(points, edges) -> bool:
     """Do the cells of a planar 2-complex have pairwise disjoint interiors,
     as its boundary shows in O(cells + boundary edge pairs)?  True when
     all of these hold, and False for the all-pairs test to decide:
 
-    (i) `directed_boundary` returns edges: no cell is degenerate, and the
-        two cells of each interior edge lie on opposite sides of it;
+    (i) ``edges``, the `directed_boundary` of the cells, is not None: no
+        cell is degenerate, and the two cells of each interior edge lie on
+        opposite sides of it;
     (ii) the directed boundary edges form exactly one cycle: each boundary
         vertex starts one edge and ends one edge, and following the edges
         from one of them runs through all of them;
@@ -272,7 +273,6 @@ def _boundary_certificate(points, simplices) -> bool:
     (annuli, several components), pinched or self-touching boundaries, and
     every complex whose cells overlap.
     """
-    edges = directed_boundary(points, simplices)
     if not edges:
         return False
     after = dict(edges)
@@ -296,7 +296,7 @@ class Complex:
     valid by construction with the same normalisation and no checks.
     """
 
-    __slots__ = ("points", "simplices", "dim", "connected_flag")
+    __slots__ = ("points", "simplices", "dim", "connected_flag", "_directed_boundary")
 
     def __init__(self, points: Sequence, maximal_simplices, require_connected: bool = True):
         self._assemble(points, maximal_simplices, require_connected)
@@ -318,6 +318,7 @@ class Complex:
             raise InvalidComplex("complex has no maximal simplices")
         self.dim = len(self.simplices[0]) - 1
         self.connected_flag = connected_flag
+        self._directed_boundary = None
 
     # -- validation ------------------------------------------------------
 
@@ -382,7 +383,7 @@ class Complex:
 
     def _check_disjoint_interiors(self):
         if self.dim == 2 and self.ambient_dim == 2 and _boundary_certificate(
-                self.points, self.simplices):
+                self.points, self.directed_boundary()):
             return
         self._check_disjoint_interiors_exactly()
 
@@ -406,6 +407,13 @@ class Complex:
 
     def is_connected(self) -> bool:
         return _connected(adjacency(self.simplices))
+
+    def directed_boundary(self) -> Optional[List[Tuple[int, int]]]:
+        """`directed_boundary` of this planar 2-complex, computed once per
+        object: validation and every map on this base share it."""
+        if self._directed_boundary is None:
+            self._directed_boundary = directed_boundary(self.points, self.simplices)
+        return self._directed_boundary
 
     # -- basic queries ---------------------------------------------------
 

@@ -25,9 +25,19 @@ with :meth:`PLMap.trusted`, which checks nothing but two area identities
 in the plane (refinement, base and image areas agree; a failure is an
 ``InternalError``).  :func:`compose2d`, :func:`inverse2d` (and so
 :func:`power`) and :func:`identity_map` build this way, taking each
-cell's base cell from provenance; in the plane a composite's vertex
-images come from the cell pair each vertex was cut from, with no point
-location.  The test suite re-validates every trusted result.
+cell's base cell from provenance; a composite's vertex images come from
+the cell pair each vertex was cut from, with no point location.  The test
+suite re-validates every trusted result.
+
+Every loop over pairs of cells that meet goes through the kernels of
+:mod:`plstab.overlay`: `triangle_pieces` under composition in the plane
+and the image-coverage check, `segment_pieces` under 1D composition and
+the collinear covers, and `overlay` itself under :func:`inverse2d` and
+map equality, which compares the affine pieces of each overlay cell's two
+provenance cells at its vertices.  One helper, `_affine`, applies the
+affine map between a cell and its image wherever a point goes forward or
+back: `PLMap.eval_in_cell`, the pullbacks of composition and inversion,
+and `PLMap.eval`, which locates the cell first.
 
 Each exact test runs once.  A refinement that *is* the base (the same
 object; :func:`parse_plmap` passes the base itself when the refinement
@@ -43,12 +53,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .clip import (
-    point_in_triangle,
-    polygon_area2,
-    triangle_intersection,
-    triangulate_convex,
-)
+from .clip import point_in_triangle, polygon_area2, triangulate_convex
 from .complexes import (
     Complex,
     boundary,
@@ -57,7 +62,6 @@ from .complexes import (
     index_cells,
     rational_points,
     read_complex_records,
-    tri_tri_open_meet_2d,
     triangle_area2,
 )
 from .errors import (
@@ -71,7 +75,6 @@ from .errors import (
 from .geometry import (
     Point,
     candidate_pairs,
-    collinear_overlap,
     fmt,
     orient2,
     rat,
@@ -81,26 +84,21 @@ from .geometry import (
     vscale,
     vsub,
 )
-from .overlay import overlay
+from .overlay import overlay, segment_pieces, triangle_pieces
 
 
-def _barycentric(tri: Sequence[Point], x: Point) -> Tuple[Fraction, ...]:
-    """Barycentric coordinates of any x of the plane in a planar triangle."""
-    a, b, c = tri
-    d = orient2(a, b, c)
-    return (
-        Fraction(orient2(x, b, c), d),
-        Fraction(orient2(a, x, c), d),
-        Fraction(orient2(a, b, x), d),
-    )
-
-
-def barycentric2(tri: Sequence[Point], x: Point) -> Optional[Tuple[Fraction, ...]]:
-    """Barycentric coordinates of x in a planar triangle, or None if outside."""
-    lam = _barycentric(tri, x)
-    if min(lam) < 0:
-        return None
-    return lam
+def _affine(src: Sequence[Point], dst: Sequence[Point], x: Point) -> Point:
+    """The affine map taking the segment or planar triangle ``src`` onto the
+    points ``dst``, at x: x's barycentric coordinates in ``src`` (for any x
+    on its line or plane) combined over ``dst``."""
+    if len(src) == 3:
+        a, b, c = src
+        d = orient2(a, b, c)
+        lam = (orient2(x, b, c) / d, orient2(a, x, c) / d, orient2(a, b, x) / d)
+    else:
+        t = segment_param(src[0], src[1], x)
+        lam = (1 - t, t)
+    return tuple(sum(l * p[k] for l, p in zip(lam, dst)) for k in range(len(dst[0])))
 
 
 def _in_cell(x: Point, cell) -> bool:
@@ -116,11 +114,9 @@ def _collinear_cover(segs_a, segs_b):
     its collinear overlaps with the segments of the other list."""
     cover_a = [[] for _ in segs_a]
     cover_b = [[] for _ in segs_b]
-    for i, j in candidate_pairs(segs_a, segs_b):
-        piece = collinear_overlap(*segs_a[i], *segs_b[j])
-        if piece is not None:
-            cover_a[i].append(piece[0])
-            cover_b[j].append(piece[1])
+    for i, j, (own_a, own_b) in segment_pieces(segs_a, segs_b):
+        cover_a[i].append(own_a)
+        cover_b[j].append(own_b)
     return cover_a, cover_b
 
 
@@ -141,9 +137,8 @@ def covered_area2(cells, homes, base_cells) -> Fraction:
             total += triangle_area2(cell)
         else:
             loose.append(cell)
-    for i, j in candidate_pairs(loose, base_cells):
-        if tri_tri_open_meet_2d(loose[i], base_cells[j]):
-            total += abs(polygon_area2(triangle_intersection(loose[i], base_cells[j])))
+    for _, _, poly in triangle_pieces(loose, base_cells):
+        total += abs(polygon_area2(poly))
     return total
 
 
@@ -158,9 +153,9 @@ def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Com
     3. the two cells of each interior edge of R have their images on
        opposite sides of the image edge (read off σ, no further `orient2`);
     4. each boundary edge of R, directed with its image cell on the left,
-       is a boundary edge of K directed with K on the left (one `orient2`
-       per base cell, then a set lookup), and as many are found as K has
-       boundary edges.
+       is a boundary edge of K directed with K on the left (a set lookup
+       in `Complex.directed_boundary`, which K computes once), and as many
+       are found as K has boundary edges.
 
     Sound: orient every image cell counter-clockwise and let c = Σ [f(t)].
     At a point y off all edges, c counts the image cells over y, and that
@@ -185,21 +180,13 @@ def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Com
     edges = directed_boundary(images, refinement.simplices)
     if edges is None:
         return None
-    base_edges = {(base.points[u], base.points[v])
-                  for u, v in directed_boundary(base.points, base.simplices)}
+    base_edges = {(base.points[u], base.points[v]) for u, v in base.directed_boundary()}
     if len(edges) != len(base_edges) or not all(
             (images[u], images[v]) in base_edges for u, v in edges):
         return None
     if base.connected_flag and refinement is not base and not refinement.is_connected():
         return None
     return Complex.trusted(images, refinement.simplices, base.connected_flag)
-
-
-def _combine(points: Sequence[Point], lambdas) -> Point:
-    out = tuple(Fraction(0) for _ in points[0])
-    for p, l in zip(points, lambdas):
-        out = vadd(out, vscale(l, p))
-    return out
 
 
 def _check_supported(base: Complex):
@@ -370,16 +357,18 @@ class PLMap:
         return identity_map(self.base)
 
     def __eq__(self, other):
-        """Pointwise equality, decided via a common refinement."""
+        """Pointwise equality, decided on a common refinement: both maps are
+        affine on each overlay cell, on the pieces of its provenance cells,
+        so they agree there iff they agree at its vertices."""
         if not isinstance(other, PLMap):
             return NotImplemented
         if self.base != other.base:
             return False
         ov = overlay(self.refinement, other.refinement)
-        for s in ov.cells.simplices:
+        for s, (i, j) in ov.provenance.items():
             for v in s:
                 x = ov.cells.points[v]
-                if self.eval(x) != other.eval(x):
+                if self.eval_in_cell(i, x) != other.eval_in_cell(j, x):
                     return False
         return True
 
@@ -390,29 +379,17 @@ class PLMap:
 
     def eval(self, x) -> Point:
         x = tuple(rat(c) for c in x)
-        for s in self.refinement.simplices:
-            pts = [self.refinement.points[v] for v in s]
-            if self.base.dim == 2:
-                lam = barycentric2(pts, x)
-                if lam is not None:
-                    return _combine([self.images[v] for v in s], lam)
-            else:
-                t = segment_param(pts[0], pts[1], x)
-                if t is not None and 0 <= t <= 1:
-                    return _combine([self.images[v] for v in s], (1 - t, t))
+        for i, s in enumerate(self.refinement.simplices):
+            if _in_cell(x, [self.refinement.points[v] for v in s]):
+                return self.eval_in_cell(i, x)
         raise PointOutsideComplex(f"{x} is not in the realization")
 
     def eval_in_cell(self, i: int, x: Point) -> Point:
         """x under the affine piece of refinement cell ``i``: f(x) for any x
         in that closed cell, with no point location."""
         s = self.refinement.simplices[i]
-        pts = [self.refinement.points[v] for v in s]
-        if len(s) == 3:
-            lam = _barycentric(pts, x)
-        else:
-            t = segment_param(pts[0], pts[1], x)
-            lam = (1 - t, t)
-        return _combine([self.images[v] for v in s], lam)
+        return _affine([self.refinement.points[v] for v in s],
+                       [self.images[v] for v in s], x)
 
     def refinement_index_of_base_vertex(self, v: int) -> int:
         if not 0 <= v < len(self.base.points):
@@ -468,13 +445,10 @@ def _compose_cells_2d(f: PLMap, g: PLMap):
     reverses orientation, when its vertex list is reversed.
     """
     raw, homes, image_of = [], [], {}
-    srcs, imgs, tris = g.refinement.cells(), g.image.cells(), f.refinement.cells()
+    srcs, imgs = g.refinement.cells(), g.image.cells()
     reverses: Dict[int, bool] = {}
-    for i, j in candidate_pairs(imgs, tris):
-        if not tri_tri_open_meet_2d(imgs[i], tris[j]):
-            continue
-        poly = triangle_intersection(imgs[i], tris[j])
-        forward = {_pullback2(srcs[i], imgs[i], p): p for p in poly}
+    for i, j, poly in triangle_pieces(imgs, f.refinement.cells()):
+        forward = {_affine(imgs[i], srcs[i], p): p for p in poly}
         if i not in reverses:
             reverses[i] = (orient2(*srcs[i]) > 0) != (orient2(*imgs[i]) > 0)
         back = list(forward)
@@ -490,55 +464,37 @@ def _compose_cells_2d(f: PLMap, g: PLMap):
     return raw, homes, image_of
 
 
-def _pullback2(src, img, p: Point) -> Point:
-    return _combine(src, _barycentric(img, p))
-
-
 def _compose_cells_1d(f: PLMap, g: PLMap):
-    """As `_compose_cells_2d`: g's segments cut where they cross f's
-    vertices; an image is located in f by `PLMap.eval`."""
+    """As `_compose_cells_2d`: a cell comes from an image segment i of g and
+    a segment j of f that overlap, pulled back through g's piece on i (the
+    overlap's parameters along g's segment i), and a vertex's image comes
+    from f's piece on j."""
     raw, homes, image_of = [], [], {}
-    fverts = list(dict.fromkeys(f.refinement.points))
-    for ci, s in enumerate(g.refinement.simplices):
-        a, b = (g.refinement.points[v] for v in s)
-        ia, ib = (g.images[v] for v in s)
-        cuts = {Fraction(0), Fraction(1)}
-        for w in fverts:
-            t = segment_param(ia, ib, w)
-            if t is not None and 0 < t < 1:
-                cuts.add(t)
-        ts = sorted(cuts)
-        d = vsub(b, a)
-        for t0, t1 in zip(ts, ts[1:]):
-            cell = (vadd(a, vscale(t0, d)), vadd(a, vscale(t1, d)))
-            raw.append(cell)
-            homes.append(g.cell_base[ci])
-            for q in cell:
-                if q not in image_of:
-                    image_of[q] = f.eval(g.eval_in_cell(ci, q))
+    srcs, imgs = g.refinement.cells(), g.image.cells()
+    for i, j, ((lo, hi), _) in segment_pieces(imgs, f.refinement.cells()):
+        (a, b), (ia, ib) = srcs[i], imgs[i]
+        cell = []
+        for t in (lo, hi):
+            q = vadd(a, vscale(t, vsub(b, a)))
+            if q not in image_of:
+                image_of[q] = f.eval_in_cell(j, vadd(ia, vscale(t, vsub(ib, ia))))
+            cell.append(q)
+        raw.append(cell)
+        homes.append(g.cell_base[i])
     return raw, homes, image_of
 
 
 def inverse2d(f: PLMap) -> PLMap:
     """Exact inverse; its refinement is the overlay of f's image with the
     base, and an overlay cell lies in the base cell of its provenance."""
-    img = f.image
-    ov = overlay(img, f.base)
-    n = len(ov.cells.points)
-    pre: List[Optional[Point]] = [None] * n
-    for s in ov.cells.simplices:
-        i_img, _ = ov.provenance[s]
-        # image-complex simplices carry the refinement's vertex indices, so
-        # one tuple addresses both sides of the map
-        img_pts = [img.points[v] for v in img.simplices[i_img]]
-        src_pts = [f.refinement.points[v] for v in img.simplices[i_img]]
+    ov = overlay(f.image, f.base)
+    # image cell i lies on refinement cell i's simplex, so the two lists
+    # pair up index for index
+    srcs, imgs = f.refinement.cells(), f.image.cells()
+    pre: List[Optional[Point]] = [None] * len(ov.cells.points)
+    for s, (i, _) in ov.provenance.items():
         for v in s:
-            x = ov.cells.points[v]
-            if f.base.dim == 2:
-                back = _pullback2(src_pts, img_pts, x)
-            else:
-                t = segment_param(img_pts[0], img_pts[1], x)
-                back = _combine(src_pts, (1 - t, t))
+            back = _affine(imgs[i], srcs[i], ov.cells.points[v])
             if pre[v] is None:
                 pre[v] = back
             elif pre[v] != back:

@@ -252,6 +252,23 @@ def test_json_euler(workdir):
     assert doc == {"schema_version": 1, "command": "euler", "report": 2}
 
 
+def test_json_only_where_the_output_has_a_json_form(workdir, capsys):
+    """The commands that print a file format take no --json: argparse
+    rejects it as a usage error, while euler still wraps its report."""
+    for argv in (["overlay", "--complex", "square.cx", "--complex", "square.cx"],
+                 ["compose", "--map", "rot.pm", "--map", "rot.pm"],
+                 ["invert", "--map", "rot.pm"],
+                 ["fixset", "--map", "rot.pm"],
+                 ["tangent", "--map", "rot.pm", "--vertex", "4"]):
+        argv = [str(workdir / a) if a.endswith((".cx", ".pm")) else a for a in argv]
+        assert run(argv)[0] == 0
+        assert run(argv + ["--json"]) == (64, "")
+        assert "--json" in capsys.readouterr().err
+    code, out = run(["euler", "--complex", str(workdir / "tetra.cx"), "--json"])
+    assert code == 0
+    assert json.loads(out) == {"schema_version": 1, "command": "euler", "report": 2}
+
+
 def test_analyze_action_json(workdir):
     code, out = run(["analyze", "--action", str(workdir / "action"),
                      "--kmax", "2", "--json"])

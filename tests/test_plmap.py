@@ -11,7 +11,8 @@ from plstab.clip import polygon_area2, triangle_intersection
 from plstab.complexes import Complex, boundary, format_complex, parse_complex
 from plstab.errors import (InvalidComplex, PointOutsideComplex,
                            RealizationMismatch)
-from plstab.geometry import tiles_unit
+from plstab.geometry import segment_param, tiles_unit
+from plstab.overlay import overlay
 from plstab.plmap import (PLMap, compose2d, covered_area2, format_plmap,
                           identity_map, inverse2d, parse_plmap,
                           plmap_from_vertex_images, power, _collinear_cover)
@@ -122,6 +123,73 @@ def test_map_equality_across_refinements():
     assert not (r == ident)
 
 
+def equal_by_point_location(f, g):
+    """Map equality as decided before provenance: `eval` at every vertex of
+    the overlay of the two refinements."""
+    if f.base != g.base:
+        return False
+    ov = overlay(f.refinement, g.refinement)
+    return all(f.eval(x) == g.eval(x) for x in ov.cells.points)
+
+
+def seeded_grid_map(seed, n=3):
+    """A seeded homeomorphism of the n x n grid: every interior vertex moves
+    by -1/(5n), 0 or 1/(5n) in each coordinate, which keeps every cell
+    positively oriented, then a seeded symmetry of the square."""
+    rng = random.Random(seed)
+    base, d = {2: GRID, 3: GRID3}[n], F(1, 5 * n)
+    sym = SYMMETRIES[rng.randrange(len(SYMMETRIES))]
+    images = [sym(x, y) if {x, y} & {0, 1}
+              else sym(x + rng.choice((-d, 0, d)), y + rng.choice((-d, 0, d)))
+              for x, y in base.points]
+    return plmap_from_vertex_images(base, images)
+
+
+def _equality_cases():
+    grid_maps = [seeded_grid_map(seed, n) for n in (2, 3) for seed in range(4)]
+    grid_maps.append(seeded_grid_map(1, 3))  # equal to another map, not the same object
+    for f in grid_maps:
+        for g in grid_maps:
+            if f.base == g.base:
+                yield f, g, None
+    for f in grid_maps[::3]:
+        # equal maps on different refinements
+        yield compose2d(f, inverse2d(f)), identity_map(f.base), True
+        yield compose2d(f, compose2d(inverse2d(f), f)), f, True
+    moved = interior_move_map()
+    other = interior_move_map(target=(F(13, 16), F(7, 16)))
+    yield moved, identity_map(moved.base), False
+    # the maps differ only at the middle of the right side, which is the
+    # smallest vertex of no cell
+    slid = plmap_from_vertex_images(
+        GRID, [(x, y + F(1, 8)) if (x, y) == (1, F(1, 2)) else (x, y) for x, y in GRID.points])
+    yield slid, identity_map(GRID), False
+    yield moved, compose2d(other, inverse2d(other)), False
+    yield compose2d(moved, other), compose2d(other, moved), False
+    turn, slide = square_cycle_turn(), square_cycle_slide()
+    for f in (turn, slide):
+        yield f, f, True
+        yield compose2d(f, inverse2d(f)), identity_map(SQUARE_CYCLE), True
+    yield power(turn, 4), identity_map(SQUARE_CYCLE), True
+    yield turn, slide, False
+    yield compose2d(turn, slide), compose2d(slide, turn), False
+
+
+def test_equality_by_provenance_matches_point_location():
+    """`==` reads each overlay cell's two provenance pieces: seeded grid
+    maps against each other, a map composed with its inverse against the
+    identity on another refinement, a map moving one interior vertex
+    against the identity, and maps of the refined square cycle."""
+    seen = set()
+    for f, g, expected in _equality_cases():
+        equal = f == g
+        assert equal == equal_by_point_location(f, g)
+        if expected is not None:
+            assert equal == expected
+        seen.add(equal)
+    assert seen == {True, False}
+
+
 def test_image_complex_realizes_base():
     h = interior_move_map()
     img = h.image
@@ -139,13 +207,27 @@ def test_parse_format_roundtrip():
     assert parse_plmap(format_plmap(h), h.base) == h
 
 
-def test_1d_map_in_the_plane():
-    # a quarter turn of the square's boundary cycle, on a refinement
-    square = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    base = Complex(square, [(0, 1), (1, 2), (2, 3), (0, 3)])
-    ref = Complex(square + [(F(1, 2), 0)],
+SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
+SQUARE_CYCLE = Complex(SQUARE, [(0, 1), (1, 2), (2, 3), (0, 3)])
+
+
+def square_cycle_turn():
+    """A quarter turn of the square's boundary cycle, on a refinement."""
+    ref = Complex(SQUARE + [(F(1, 2), 0)],
                   [(0, 4), (4, 1), (1, 2), (2, 3), (0, 3)])
-    f = PLMap(base, ref, [(1, 0), (1, 1), (0, 1), (0, 0), (1, F(1, 2))])
+    return PLMap(SQUARE_CYCLE, ref, [(1, 0), (1, 1), (0, 1), (0, 0), (1, F(1, 2))])
+
+
+def square_cycle_slide():
+    """The square's boundary cycle with its corners fixed and a point of
+    the right side and one of the top slid along them."""
+    ref = Complex(SQUARE + [(1, F(1, 3)), (F(1, 2), 1)],
+                  [(0, 1), (1, 4), (2, 4), (2, 5), (3, 5), (0, 3)])
+    return PLMap(SQUARE_CYCLE, ref, SQUARE + [(1, F(2, 3)), (F(1, 4), 1)])
+
+
+def test_1d_map_in_the_plane():
+    f = square_cycle_turn()
     assert f.eval((F(1, 4), 0)) == (1, F(1, 4))
     assert f.eval((1, F(1, 3))) == (F(2, 3), 1)
     assert f.eval((0, F(1, 2))) == (F(1, 2), 0)
@@ -153,6 +235,20 @@ def test_1d_map_in_the_plane():
         f.eval((F(1, 2), F(1, 2)))
     assert inverse2d(f).eval((1, F(1, 4))) == (F(1, 4), 0)
     assert compose2d(f, inverse2d(f)).is_identity()
+
+
+def test_1d_compose_in_the_plane_cuts_at_the_vertices_of_f():
+    """h = f∘g agrees with f(g(q)) at every vertex q of its refinement, and
+    every vertex of f inside an image segment of g cuts that segment: it
+    is g(q) for a vertex q of h."""
+    turn, slide = square_cycle_turn(), square_cycle_slide()
+    for f, g in ((turn, slide), (slide, turn), (turn, compose2d(slide, turn))):
+        h = compose2d(f, g)
+        assert all(h.eval(q) == f.eval(g.eval(q)) for q in h.refinement.points)
+        cuts = {g.eval(q) for q in h.refinement.points}
+        inner = [w for a, b in g.image.cells() for w in f.refinement.points
+                 if 0 < (segment_param(a, b, w) or 0) < 1]
+        assert inner and all(w in cuts for w in inner)
 
 
 def test_image_is_a_complex_on_the_refinement_simplices():

@@ -30,6 +30,44 @@ def test_no_cross_module_private_names():
     assert {k: v for k, v in found.items() if v} == {}
 
 
+# each clipping leaf -> (its defining module, the overlay kernel that calls it)
+LEAVES = {"triangle_intersection": ("clip.py", "triangle_pieces"),
+          "collinear_overlap": ("geometry.py", "segment_pieces")}
+
+
+def leaf_calls(path):
+    """(enclosing top-level name, leaf) of each call of a clipping leaf."""
+    out = []
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in LEAVES:
+                    out.append((getattr(top, "name", None), name))
+    return out
+
+
+def test_cell_pairs_are_clipped_only_in_the_overlay_kernels():
+    """Outside their defining modules, `triangle_intersection` and
+    `collinear_overlap` are called only by `overlay.triangle_pieces` and
+    `overlay.segment_pieces`, so every cell-pair loop goes through those."""
+    def stray(path):
+        return [(fn, name) for fn, name in leaf_calls(path)
+                if path.name != LEAVES[name][0]
+                and (path.name, fn) != ("overlay.py", LEAVES[name][1])]
+    found = {p.name: stray(p) for p in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_the_check_sees_leaf_calls(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .clip import triangle_intersection\n"
+                     "def clip(a, b):\n"
+                     "    return [geometry.collinear_overlap(*a, *b), triangle_intersection(a, b)]\n"
+                     "x = triangle_intersection\n")
+    assert leaf_calls(probe) == [("clip", "collinear_overlap"), ("clip", "triangle_intersection")]
+
+
 def asserts(path):
     """Line of each assert statement."""
     return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
