@@ -4,11 +4,15 @@ Rotation numbers are never floated: detection returns an exact rational
 (with an exact periodic point), and otherwise only rational-interval
 enclosures of width <= 2/n are produced.
 
-Lifts compose by one linear merge of G's breakpoints with one rotated
-period of F's (`interval.compose_breakpoints`). Detection builds F^q for
-q = 1, 2, ... by that merge and tests one p per q, the only integer the
-displacement F^q(x) - x can reach, so it costs O(qmax * |F^qmax|)
-Fraction operations.
+A lift carries its canonical breakpoints and the slope of each piece.
+Only parsed or user-built lifts go through the validating constructor,
+which canonicalizes; compose and invert build their results with
+`CircleLift.trusted`. Lifts compose by one linear merge of G's breakpoints
+with one rotated period of F's (`interval.compose_breakpoints`), which
+keeps only the points where the slope changes, so its output is canonical.
+Detection builds F^q for q = 1, 2, ... by that merge and tests one p per
+q, the only integer the displacement F^q(x) - x can reach, so it costs
+O(qmax * |F^qmax|) Fraction operations.
 """
 
 from __future__ import annotations
@@ -16,24 +20,25 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import ceil, floor
+from math import floor
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InvalidComplex, ParseError
 from .geometry import fmt, rat
 from .interval import (canonical_breakpoints, compose_breakpoints, interpolate,
-                       shifted_fixed_pieces)
+                       piece_slopes, shifted_fixed_pieces)
 
 
 class CircleLift:
     """Lift F of an orientation-preserving circle map, sampled on [0, 1].
 
-    Breakpoints run from x = 0 to x = 1 with F(1) = F(0) + 1; the map on the
-    rest of the line is determined by F(x + 1) = F(x) + 1.
+    Canonical breakpoints run from x = 0 to x = 1 with F(1) = F(0) + 1; the
+    map on the rest of the line is determined by F(x + 1) = F(x) + 1.
+    ``slopes`` holds the slope of each piece between breakpoints.
     """
 
-    __slots__ = ("breakpoints",)
+    __slots__ = ("breakpoints", "slopes")
 
     def __init__(self, breakpoints: Sequence):
         bps = [(rat(x), rat(y)) for x, y in breakpoints]
@@ -50,6 +55,18 @@ class CircleLift:
         if ys[-1] != ys[0] + 1:
             raise InvalidComplex("lift must satisfy F(1) = F(0) + 1")
         self.breakpoints = canonical_breakpoints(bps)
+        self.slopes = piece_slopes(self.breakpoints)
+
+    @classmethod
+    def trusted(cls, breakpoints: Sequence[Tuple[Fraction, Fraction]],
+                slopes: Sequence[Fraction]) -> "CircleLift":
+        """A lift that compose or invert built from validated lifts, so
+        valid and canonical by construction, with the slope of each piece:
+        not checked."""
+        self = cls.__new__(cls)
+        self.breakpoints = tuple(breakpoints)
+        self.slopes = tuple(slopes)
+        return self
 
     @classmethod
     def rotation(cls, angle) -> "CircleLift":
@@ -109,19 +126,26 @@ def compose_lift(F: CircleLift, G: CircleLift) -> CircleLift:
 
     G's values run from y0 = G(0) to y0 + 1, so the F breakpoints they meet
     are one rotated pass over F's period, shifted by floor(y0) and then by
-    floor(y0) + 1; the merge walks them together with G's breakpoints.
+    floor(y0) + 1; F's piece slopes rotate with it, unchanged. The merge
+    walks them together with G's breakpoints.
     """
-    fb = F.breakpoints
+    fb, fs = F.breakpoints, F.slopes
     y0 = G.breakpoints[0][1]
     k = floor(y0)
     i = bisect_right(fb, y0 - k, key=itemgetter(0)) - 1
     rotated = [(u + k, v + k) for u, v in fb[i:]]
-    rotated += [(u + k + 1, v + k + 1) for u, v in fb[1:i + 2]]
-    return CircleLift(compose_breakpoints(rotated, G.breakpoints))
+    k += 1  # the next period
+    rotated += [(u + k, v + k) for u, v in fb[1:i + 2]]
+    return CircleLift.trusted(*compose_breakpoints(rotated, fs[i:] + fs[:i + 1],
+                                                   G.breakpoints, G.slopes))
 
 
 def inverse_lift(F: CircleLift) -> CircleLift:
-    """Lift of the inverse circle map, resampled on [0, 1]."""
+    """Lift of the inverse circle map, resampled on [0, 1].
+
+    Its kinks are the images mod 1 of F's: of each interior breakpoint, and
+    of the period seam at x = 0 when F's slope changes there.
+    """
     sw = [(y, x) for x, y in F.breakpoints]  # inverse, sampled on [F(0), F(0)+1]
     c = sw[0][0]
 
@@ -129,10 +153,13 @@ def inverse_lift(F: CircleLift) -> CircleLift:
         k = floor(y - c)
         return k + interpolate(sw, y - k)
 
-    kinks = sorted({y - floor(y) for y, _ in sw if y - floor(y) != 1} | {Fraction(0)})
-    bps = [(t, geval(t)) for t in kinks]
+    ts = {y - floor(y) for y, _ in sw}
+    if F.slopes[0] == F.slopes[-1]:
+        ts.discard(c - floor(c))
+    ts.add(Fraction(0))
+    bps = [(t, geval(t)) for t in sorted(ts)]
     bps.append((Fraction(1), bps[0][1] + 1))
-    return CircleLift(bps)
+    return CircleLift.trusted(bps, piece_slopes(bps))
 
 
 @dataclass(frozen=True)
@@ -154,10 +181,8 @@ def iterate_lift(F: CircleLift, n: int, x) -> Fraction:
     One table of F's pieces serves every step: a step is a floor, one
     bisect on the piece starts and one multiply-add.
     """
-    bps = F.breakpoints
-    starts = [x0 for x0, _ in bps[:-1]]
-    pieces = [(x0, y0, (y1 - y0) / (x1 - x0))
-              for (x0, y0), (x1, y1) in zip(bps, bps[1:])]
+    starts = [x0 for x0, _ in F.breakpoints[:-1]]
+    pieces = [(x0, y0, slope) for (x0, y0), slope in zip(F.breakpoints, F.slopes)]
     y = rat(x)
     for _ in range(n):
         k = floor(y)
@@ -198,7 +223,7 @@ def fixed_set_circle(F: CircleLift, p: int) -> List[Tuple[Fraction, Fraction]]:
     A piece ending at 1 and one starting at 0 are both reported, though they
     meet at 0 ~ 1 on the circle.
     """
-    merged = shifted_fixed_pieces(F.breakpoints, p)
+    merged = shifted_fixed_pieces(F.breakpoints, F.slopes, p)
     # drop a pure right-endpoint hit duplicated at 0
     return [piece for piece in merged if not (piece == (1, 1) and (0, 0) in merged)]
 
@@ -211,8 +236,10 @@ def detect_rational_rotation(F: CircleLift, qmax: int = 64):
 
     Each q tests one p only. The displacement d(x) = F^q(x) - x is PL, and
     as F^q increases with F^q(1) = F^q(0) + 1, its range over a period has
-    width < 1; so p = ceil(min d) is the only integer that can lie in that
-    range, and the extremes of d are taken at breakpoints. With one merge
+    width < 1 and contains d(0) = F^q(0); so the one integer it can reach is
+    n = floor(F^q(0)) or n + 1, and as the extremes of d are taken at
+    breakpoints, the first breakpoint where d is the integer n or has a
+    floor other than n settles which: p = max(floor(d), n). With one merge
     per power, detection costs O(qmax * |F^qmax|) Fraction operations.
     """
     if qmax < 1:
@@ -221,13 +248,15 @@ def detect_rational_rotation(F: CircleLift, qmax: int = 64):
     for q in range(1, qmax + 1):
         if q > 1:
             Fq = compose_lift(F, Fq)
-        ds = [y - x for x, y in Fq.breakpoints]
-        p = ceil(min(ds))
-        if p <= max(ds):
-            # d is continuous, so it takes the value p; scanning q upward
-            # makes the first hit automatically reduced
-            x = fixed_set_circle(Fq, p)[0][0]
-            return RationalRotation(p=p, q=q, periodic_point=x, power=Fq), "found"
+        n = floor(Fq.breakpoints[0][1])
+        for x, y in Fq.breakpoints:
+            d = y - x
+            if floor(d) != n or d == n:
+                # d is continuous, so it takes the value p; scanning q
+                # upward makes the first hit automatically reduced
+                p = max(floor(d), n)
+                x = fixed_set_circle(Fq, p)[0][0]
+                return RationalRotation(p=p, q=q, periodic_point=x, power=Fq), "found"
     # no periodic point up to qmax: see whether the enclosure from
     # F^(4 qmax^2)(0) = Fq^(4 qmax)(0) rules out every rational with
     # denominator <= qmax

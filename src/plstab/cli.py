@@ -193,8 +193,7 @@ def cmd_fixset(args, out):
     if kind != "complex":
         raise UsageError("fixset needs a complex-based map")
     fl = fixed_subcomplex(m)
-    maximal = [s for s in fl.cells.simplices
-               if not any(set(s) < set(t) for t in fl.cells.simplices)]
+    maximal = fl.cells.maximal()
     used = sorted({v for s in maximal for v in s})
     reindex = {v: i for i, v in enumerate(used)}
     lines = ["v %d %s" % (reindex[v], " ".join(fmt(x) for x in fl.refined.points[v]))

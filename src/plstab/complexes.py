@@ -477,6 +477,12 @@ class SubComplex:
     def max_dim(self) -> int:
         return max((len(s) - 1 for s in self.simplices), default=-1)
 
+    def maximal(self) -> Tuple[SimplexT, ...]:
+        """The simplices that are no proper face of another, in order."""
+        faces = {f for s in self.simplices for k in range(1, len(s))
+                 for f in combinations(s, k)}
+        return tuple(s for s in self.simplices if s not in faces)
+
     def of_dim(self, k: int) -> Tuple[SimplexT, ...]:
         return tuple(s for s in self.simplices if len(s) == k + 1)
 

@@ -1,10 +1,13 @@
 """PL homeomorphisms of a closed interval, as breakpoint lists.
 
-Breakpoint representations are canonicalized on construction (no collinear
-interior breakpoints), so map equality is representational equality and
-"is the identity" is an O(1)-per-breakpoint check. Composition is one
-linear merge of the two breakpoint lists (`compose_breakpoints`), which
-circle lifts share.
+Breakpoint lists are canonical (no collinear interior breakpoints), so map
+equality is representational equality and "is the identity" is an
+O(1)-per-breakpoint check. The validating constructor canonicalizes parsed
+or user-built breakpoints (`canonical_breakpoints`); composition and
+inversion build their results with `PLMap1D.trusted`, unchecked.
+Composition is one linear merge of the two breakpoint lists that emits only
+the kinks (`compose_breakpoints`, which circle lifts share), and the
+inverse of a canonical map is canonical.
 """
 
 from __future__ import annotations
@@ -45,6 +48,11 @@ def canonical_breakpoints(bps: List[Break]) -> Tuple[Break, ...]:
     return tuple(out)
 
 
+def piece_slopes(bps: Sequence[Break]) -> Tuple[Fraction, ...]:
+    """Slope of each piece between consecutive breakpoints."""
+    return tuple((y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(bps, bps[1:]))
+
+
 def interpolate(bps: Sequence[Break], x: Fraction) -> Fraction:
     """Value at x of the PL function through the breakpoints (x in range)."""
     i = bisect_right(bps, x, key=itemgetter(0)) - 1
@@ -54,50 +62,66 @@ def interpolate(bps: Sequence[Break], x: Fraction) -> Fraction:
     return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
 
 
-def compose_breakpoints(fbps: Sequence[Break], gbps: Sequence[Break]) -> List[Break]:
-    """Breakpoints of x -> f(g(x)) for g with increasing values, by one merge.
+def compose_breakpoints(fbps: Sequence[Break], fslopes: Sequence[Fraction],
+                        gbps: Sequence[Break], gslopes: Sequence[Fraction]
+                        ) -> Tuple[List[Break], List[Fraction]]:
+    """Canonical breakpoints and piece slopes of x -> f(g(x)), by one merge.
 
-    f is the PL function through fbps, whose x values must cover g's values.
-    The result has g's breakpoints, valued from the current f piece, and
-    between them the g-preimage of each f breakpoint strictly inside a g
-    piece, valued exactly as that breakpoint's y. It is not canonical.
-    O(len(fbps) + len(gbps)) Fraction operations: no inverse, no bisect.
+    Precondition: g, given by gbps and the slope of each of its pieces, has
+    increasing values; f, the PL function through fbps with piece slopes
+    fslopes, has x values covering g's values. fbps need not be canonical:
+    a circle lift's period seam may not be a kink.
+
+    The candidate points are g's breakpoints, valued from the current f
+    piece, and the g-preimage of each f breakpoint strictly inside a g
+    piece, valued exactly as that breakpoint's y. On the piece right of a
+    candidate, f(g(x)) has slope f's slope times g's; an interior candidate
+    is kept iff that product differs from the slope left of it, so the
+    result is canonical. O(len(fbps) + len(gbps)) Fraction operations: no
+    inverse, no bisect, and no slope computed from breakpoints.
     """
-    last = len(fbps) - 2  # index of the last f piece
+    last = len(fslopes) - 1  # index of the last f piece
+    end = len(gbps) - 1
     xa, ya = gbps[0]
     j = 0
     while j < last and fbps[j + 1][0] <= ya:
         j += 1
-    (u0, v0), (u1, v1) = fbps[j], fbps[j + 1]
-    fsl = (v1 - v0) / (u1 - u0)
+    (u0, v0), (u1, v1), fsl = fbps[j], fbps[j + 1], fslopes[j]
     out = [(xa, v0 + (ya - u0) * fsl)]
+    slopes = [fsl * gslopes[0]]
     # invariant: u0 <= ya, and ya < u1 unless j is the last f piece
-    for xb, yb in gbps[1:]:
-        if u1 < yb:
-            ginv = (xb - xa) / (yb - ya)
-            while u1 < yb:
-                out.append((xa + (u1 - ya) * ginv, v1))
-                j += 1
-                (u0, v0), (u1, v1) = (u1, v1), fbps[j + 1]
-                fsl = (v1 - v0) / (u1 - u0)
+    for m in range(1, end + 1):
+        xb, yb = gbps[m]
+        gsl = gslopes[m - 1]
+        while u1 < yb:  # an f breakpoint strictly inside the g piece
+            j += 1
+            (u0, v0), (u1, v1), fsl = (u1, v1), fbps[j + 1], fslopes[j]
+            h = fsl * gsl
+            if h != slopes[-1]:
+                out.append((xa + (u0 - ya) / gsl, v0))
+                slopes.append(h)
+        if m == end:
+            out.append((xb, v1 if yb == u1 else v0 + (yb - u0) * fsl))
+            break
         if yb == u1:
-            out.append((xb, v1))
-            if j < last:
-                j += 1
-                (u0, v0), (u1, v1) = (u1, v1), fbps[j + 1]
-                fsl = (v1 - v0) / (u1 - u0)
+            j += 1
+            (u0, v0), (u1, v1), fsl = (u1, v1), fbps[j + 1], fslopes[j]
+            y = v0
         else:
-            out.append((xb, v0 + (yb - u0) * fsl))
+            y = v0 + (yb - u0) * fsl
+        h = fsl * gslopes[m]
+        if h != slopes[-1]:
+            out.append((xb, y))
+            slopes.append(h)
         xa, ya = xb, yb
-    return out
+    return out, slopes
 
 
-def shifted_fixed_pieces(bps: Sequence[Break], p) -> List[Piece]:
+def shifted_fixed_pieces(bps: Sequence[Break], slopes: Sequence[Fraction], p) -> List[Piece]:
     """Maximal closed intervals (possibly points) where y(x) = x + p, sorted."""
     raw: List[Piece] = []
-    for i in range(len(bps) - 1):
+    for i, sl in enumerate(slopes):
         (x0, y0), (x1, y1) = bps[i], bps[i + 1]
-        sl = (y1 - y0) / (x1 - x0)
         if sl == 1:
             if y0 == x0 + p:
                 raw.append((x0, x1))
@@ -118,9 +142,10 @@ def shifted_fixed_pieces(bps: Sequence[Break], p) -> List[Piece]:
 
 
 class PLMap1D:
-    """PL homeomorphism of [a, b] onto itself, given by breakpoints."""
+    """PL homeomorphism of [a, b] onto itself, given by its canonical
+    breakpoints and the slope of each piece between them."""
 
-    __slots__ = ("breakpoints", "orientation")
+    __slots__ = ("breakpoints", "slopes")
 
     def __init__(self, breakpoints: Sequence):
         bps = [(rat(x), rat(y)) for x, y in breakpoints]
@@ -139,10 +164,24 @@ class PLMap1D:
             raise InvalidComplex("endpoints must map onto endpoints")
         if dec and not (ys[0] == b and ys[-1] == a):
             raise InvalidComplex("endpoints must map onto endpoints")
-        self.orientation = 1 if inc else -1
         self.breakpoints = canonical_breakpoints(bps)
+        self.slopes = piece_slopes(self.breakpoints)
+
+    @classmethod
+    def trusted(cls, breakpoints: Sequence[Break], slopes: Sequence[Fraction]) -> "PLMap1D":
+        """A map that compose or invert built from validated maps, so valid
+        and canonical by construction, with the slope of each piece: not
+        checked."""
+        self = cls.__new__(cls)
+        self.breakpoints = tuple(breakpoints)
+        self.slopes = tuple(slopes)
+        return self
 
     # -- basics ----------------------------------------------------------
+
+    @property
+    def orientation(self) -> int:
+        return 1 if self.slopes[0] > 0 else -1
 
     @property
     def interval(self) -> Tuple[Fraction, Fraction]:
@@ -197,23 +236,27 @@ def eval1d(f: PLMap1D, x) -> Fraction:
 
 def inverse1d(f: PLMap1D) -> PLMap1D:
     bps = [(y, x) for x, y in f.breakpoints]
+    slopes = [1 / s for s in f.slopes]
     if f.orientation < 0:
         bps.reverse()
-    return PLMap1D(bps)
+        slopes.reverse()
+    return PLMap1D.trusted(bps, slopes)
 
 
 def compose1d(f: PLMap1D, g: PLMap1D) -> PLMap1D:
     """The map x -> f(g(x)), by one merge of g's and f's breakpoints.
 
     A decreasing g runs through f's breakpoints in reverse, so the merge
-    sees both with their values negated.
+    sees f reflected, u -> f(-u), after -g; both have their slopes negated.
     """
     if f.interval != g.interval:
         raise OutOfInterval("maps must share the interval")
     if g.orientation > 0:
-        return PLMap1D(compose_breakpoints(f.breakpoints, g.breakpoints))
-    return PLMap1D(compose_breakpoints([(-u, v) for u, v in reversed(f.breakpoints)],
-                                       [(x, -y) for x, y in g.breakpoints]))
+        return PLMap1D.trusted(*compose_breakpoints(f.breakpoints, f.slopes,
+                                                    g.breakpoints, g.slopes))
+    return PLMap1D.trusted(*compose_breakpoints(
+        [(-u, v) for u, v in reversed(f.breakpoints)], [-s for s in reversed(f.slopes)],
+        [(x, -y) for x, y in g.breakpoints], [-s for s in g.slopes]))
 
 
 def one_sided_derivative(f: PLMap1D, p, side: str) -> Fraction:
@@ -236,8 +279,7 @@ def one_sided_derivative(f: PLMap1D, p, side: str) -> Fraction:
     else:
         if i == len(xs) - 1:
             i -= 1
-    (x0, y0), (x1, y1) = f.breakpoints[i], f.breakpoints[i + 1]
-    return (y1 - y0) / (x1 - x0)
+    return f.slopes[i]
 
 
 def derivative_homomorphism_check(maps: Sequence[PLMap1D]) -> dict:
@@ -260,7 +302,7 @@ def derivative_homomorphism_check(maps: Sequence[PLMap1D]) -> dict:
 
 def fixed_set_1d(f: PLMap1D) -> List[Piece]:
     """Maximal closed intervals (possibly points) where f(x) = x, sorted."""
-    return shifted_fixed_pieces(f.breakpoints, 0)
+    return shifted_fixed_pieces(f.breakpoints, f.slopes, 0)
 
 
 @dataclass(frozen=True)

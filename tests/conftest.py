@@ -2,8 +2,10 @@ from importlib import import_module
 
 import pytest
 
+from plstab.circle import CircleLift
 from plstab.clip import polygon_area2, triangulate_convex
 from plstab.complexes import Complex
+from plstab.interval import PLMap1D
 from plstab.plmap import PLMap
 
 
@@ -17,11 +19,14 @@ class ClockwisePolygon(AssertionError):
 
 @pytest.fixture(autouse=True)
 def check_trusted_builds(monkeypatch):
-    """Check mode: every `Complex.trusted` and `PLMap.trusted` result is
-    also built through the validating constructor, which must accept it and
-    agree on points, simplices, `cell_base` and image, so a bug in an
-    operation that builds trusted still fails the tests."""
+    """Check mode: every `Complex.trusted`, `PLMap.trusted`,
+    `CircleLift.trusted` and `PLMap1D.trusted` result is also built through
+    the validating constructor, which must accept it and agree on points,
+    simplices, `cell_base` and image, or on breakpoints, piece slopes and
+    orientation, so a bug in an operation that builds trusted still fails
+    the tests."""
     complex_trusted, plmap_trusted = Complex.trusted, PLMap.trusted
+    lift_trusted, map1d_trusted = CircleLift.trusted, PLMap1D.trusted
 
     def checked_complex(cls, points, maximal_simplices, connected_flag):
         out = complex_trusted(points, maximal_simplices, connected_flag)
@@ -40,8 +45,26 @@ def check_trusted_builds(monkeypatch):
             raise TrustedBuildMismatch(f"image of {out!r} differs")
         return out
 
+    def checked_1d(trusted, cls, args, names):
+        out = trusted(*args)
+        ref = cls(args[0])
+        for name in names:
+            if getattr(out, name) != getattr(ref, name):
+                raise TrustedBuildMismatch(f"{name} of {out!r} differs from {ref!r}")
+        return out
+
+    def checked_lift(cls, breakpoints, slopes):
+        return checked_1d(lift_trusted, CircleLift, (breakpoints, slopes),
+                          ("breakpoints", "slopes"))
+
+    def checked_map1d(cls, breakpoints, slopes):
+        return checked_1d(map1d_trusted, PLMap1D, (breakpoints, slopes),
+                          ("breakpoints", "slopes", "orientation"))
+
     monkeypatch.setattr(Complex, "trusted", classmethod(checked_complex))
     monkeypatch.setattr(PLMap, "trusted", classmethod(checked_plmap))
+    monkeypatch.setattr(CircleLift, "trusted", classmethod(checked_lift))
+    monkeypatch.setattr(PLMap1D, "trusted", classmethod(checked_map1d))
 
 
 @pytest.fixture(autouse=True)

@@ -112,6 +112,19 @@ def test_identity_rotation_number():
     assert (rat.p, rat.q) == (0, 1)
 
 
+@pytest.mark.parametrize("bps, p, x", [
+    ([(0, F(9, 10)), (F(1, 2), F(3, 2)), (1, F(19, 10))], 1, F(1, 2)),  # d rises to n + 1
+    ([(0, F(11, 10)), (F(1, 2), F(7, 5)), (1, F(21, 10))], 1, F(1, 4)),  # d falls below n
+    ([(0, F(1, 3)), (F(1, 2), F(1, 2)), (1, F(4, 3))], 0, F(1, 2)),  # d is n at a breakpoint
+])
+def test_detection_finds_the_integer_on_either_side_of_the_start(bps, p, x):
+    """The displacement d = F(x) - x reaches the integer p, which is
+    n = floor(F(0)) or n + 1."""
+    rat, outcome = detect_rational_rotation(CircleLift(bps), qmax=1)
+    assert outcome == "found"
+    assert (rat.p, rat.q, rat.periodic_point) == (p, 1, x)
+
+
 # -- the merge and the one-p test against the earlier formulas ------------
 
 

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction as F
 
@@ -321,3 +322,18 @@ def test_the_examples_meet_every_kind_of_cell():
     for case, k in EXAMPLES:
         oracle_raw_cells(map_case(case, k), kinds)
     assert set(kinds) == {"none", "point", "chord", "full"}
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_maximal_simplices_match_the_all_pairs_filter(seed):
+    """`SubComplex.maximal` keeps, in order, the simplices that are a proper
+    subset of no other, on the fixed loci of seeded grid maps and of their
+    squares."""
+    rng = random.Random(seed)
+    offsets = [rng.choice([(0, 0), (0, 0), (rng.randint(-1, 1), rng.randint(-1, 1))])
+               for _ in range(16)]
+    f = PLMap(*grid_map(3, offsets, ZERO, "fixed", rng.randrange(8), "centroids"))
+    cells = fixed_subcomplex(power(f, 1 + seed % 2)).cells
+    expected = tuple(s for s in cells.simplices
+                     if not any(set(s) < set(t) for t in cells.simplices))
+    assert cells.maximal() == expected

@@ -1,0 +1,157 @@
+"""The kink-only merge of `compose1d` and `compose_lift` against
+`canonical_breakpoints` of a plain merge that emits every point."""
+
+from collections import Counter
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import example, given, settings
+
+from plstab import circle, interval
+from plstab.circle import CircleLift, compose_lift, inverse_lift
+from plstab.interval import (PLMap1D, canonical_breakpoints, compose1d, inverse1d,
+                             piece_slopes)
+
+from support import f1_map
+from test_circle import LIFTS, c1_map
+from test_interval import interval_pairs
+
+MERGE = interval.compose_breakpoints
+
+
+def plain_merge(fbps, gbps):
+    """Every breakpoint of x -> f(g(x)) for g with increasing values: g's,
+    valued from the current f piece, and between them the g-preimage of each
+    f breakpoint strictly inside a g piece, valued exactly as its y."""
+    last = len(fbps) - 2
+    xa, ya = gbps[0]
+    j = 0
+    while j < last and fbps[j + 1][0] <= ya:
+        j += 1
+    (u0, v0), (u1, v1) = fbps[j], fbps[j + 1]
+    out = [(xa, v0 + (ya - u0) * (v1 - v0) / (u1 - u0))]
+    for xb, yb in gbps[1:]:
+        while u1 < yb:
+            out.append((xa + (u1 - ya) * (xb - xa) / (yb - ya), v1))
+            j += 1
+            (u0, v0), (u1, v1) = (u1, v1), fbps[j + 1]
+        if yb == u1:
+            out.append((xb, v1))
+            if j < last:
+                j += 1
+                (u0, v0), (u1, v1) = (u1, v1), fbps[j + 1]
+        else:
+            out.append((xb, v0 + (yb - u0) * (v1 - v0) / (u1 - u0)))
+        xa, ya = xb, yb
+    return out
+
+
+def slope(bps, i):
+    (x0, y0), (x1, y1) = bps[i], bps[i + 1]
+    return (y1 - y0) / (x1 - x0)
+
+
+def point_kinds(fbps, gbps):
+    """How many interior points of the plain merge are of each kind."""
+    fx = {u: j for j, (u, _) in enumerate(fbps)}
+    gy = {y for _, y in gbps}
+    kinds = Counter()
+    for i in range(1, len(gbps) - 1):
+        j = fx.get(gbps[i][1])
+        if j is None:
+            kinds["g inside an f piece"] += 1
+        else:
+            cancel = slope(fbps, j - 1) * slope(gbps, i - 1) == slope(fbps, j) * slope(gbps, i)
+            kinds["g on f, slopes " + ("cancel" if cancel else "change")] += 1
+    for j in range(1, len(fbps) - 1):
+        if gbps[0][1] < fbps[j][0] < gbps[-1][1] and fbps[j][0] not in gy:
+            kink = slope(fbps, j - 1) != slope(fbps, j)
+            kinds["f inside a g piece, " + ("kink" if kink else "no kink")] += 1
+    return kinds
+
+
+ALL_KINDS = {"g inside an f piece", "g on f, slopes cancel", "g on f, slopes change",
+             "f inside a g piece, kink", "f inside a g piece, no kink"}
+
+
+def merges(run):
+    """The (fbps, gbps, result) of every merge that `run()` makes."""
+    seen = []
+
+    def spy(fbps, fslopes, gbps, gslopes):
+        out = MERGE(fbps, fslopes, gbps, gslopes)
+        seen.append((fbps, gbps, out))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(interval, "compose_breakpoints", spy)
+        mp.setattr(circle, "compose_breakpoints", spy)
+        run()
+    return seen
+
+
+def check_merges(run):
+    kinds = Counter()
+    for fbps, gbps, (out, slopes) in merges(run):
+        assert tuple(out) == canonical_breakpoints(plain_merge(fbps, gbps))
+        assert tuple(slopes) == piece_slopes(out)
+        kinds += point_kinds(fbps, gbps)
+    return kinds
+
+
+def compose1d_cases(f, g):
+    """f after g, g's inverse after g (every g breakpoint lands on an f
+    breakpoint and the slopes cancel), and f g^-1 after g (they cancel
+    where f has no kink)."""
+    compose1d(f, g)
+    compose1d(inverse1d(g), g)
+    compose1d(compose1d(f, inverse1d(g)), g)
+
+
+def compose_lift_cases(f, g):
+    compose_lift(f, g)
+    compose_lift(inverse_lift(g), g)
+    compose_lift(compose_lift(f, inverse_lift(g)), g)
+
+
+FLIP = PLMap1D([(0, 1), (1, 0)])
+BENT_FLIP = PLMap1D([(0, 1), (F(1, 4), F(1, 2)), (1, 0)])
+# slope 1/2 on both sides of the period seam, so the seam is no kink
+SMOOTH_SEAM = CircleLift([(0, 0), (F(1, 4), F(1, 8)), (F(3, 4), F(7, 8)), (1, 1)])
+KINKED_SEAM = CircleLift([(0, F(1, 8)), (F(1, 2), F(3, 4)), (1, F(9, 8))])
+INTERVAL_EXAMPLES = [(f1_map(), f1_map()), (f1_map(), BENT_FLIP), (BENT_FLIP, f1_map()),
+                     (FLIP, BENT_FLIP)]
+LIFT_EXAMPLES = [(SMOOTH_SEAM, CircleLift.rotation(F(1, 3))), (KINKED_SEAM, c1_map()),
+                 (c1_map(), SMOOTH_SEAM), (c1_map(), c1_map())]
+
+
+@settings(max_examples=150, deadline=None)
+@given(interval_pairs())
+@example(INTERVAL_EXAMPLES[0])
+@example(INTERVAL_EXAMPLES[1])
+@example(INTERVAL_EXAMPLES[2])
+@example(INTERVAL_EXAMPLES[3])
+def test_compose1d_merge_emits_the_canonical_breakpoints(pair):
+    """Both orientations: a decreasing g runs the merge on negated values."""
+    check_merges(lambda: compose1d_cases(*pair))
+
+
+@settings(max_examples=150, deadline=None)
+@given(LIFTS, LIFTS)
+@example(*LIFT_EXAMPLES[0])
+@example(*LIFT_EXAMPLES[1])
+@example(*LIFT_EXAMPLES[2])
+@example(*LIFT_EXAMPLES[3])
+def test_compose_lift_merge_emits_the_canonical_breakpoints(f, g):
+    """One rotated period of f, whose seam may or may not be a kink."""
+    check_merges(lambda: compose_lift_cases(f, g))
+
+
+def test_the_examples_meet_every_kind_of_point():
+    kinds = Counter()
+    for f, g in INTERVAL_EXAMPLES:
+        kinds += check_merges(lambda: compose1d_cases(f, g))
+    for f, g in LIFT_EXAMPLES:
+        kinds += check_merges(lambda: compose_lift_cases(f, g))
+    assert set(kinds) == ALL_KINDS
+    assert {g.orientation for _, g in INTERVAL_EXAMPLES} == {1, -1}

@@ -68,6 +68,61 @@ def test_the_check_sees_leaf_calls(tmp_path):
     assert leaf_calls(probe) == [("clip", "collinear_overlap"), ("clip", "triangle_intersection")]
 
 
+# canonical_breakpoints, and the validating 1D constructors that call it
+CANONICALIZING = {"canonical_breakpoints", "CircleLift", "PLMap1D"}
+# the constructors themselves, and the builders of parsed or user-given maps
+INPUT_BUILDERS = {"CircleLift.__init__", "CircleLift.rotation", "PLMap1D.__init__",
+                  "PLMap1D.identity", "parse_circle_lift", "parse_plmap1d"}
+
+
+def canonicalizing_callers(path):
+    """Top-level function or "Class.method" of each call of
+    `canonical_breakpoints` or of a validating 1D constructor (by its class
+    name, or as ``cls(...)`` in their classes)."""
+    out = []
+    for top in ast.parse(path.read_text()).body:
+        is_class = isinstance(top, ast.ClassDef)
+        names = CANONICALIZING | ({"cls"} if is_class and top.name in CANONICALIZING else set())
+        for fn in top.body if is_class else [top]:
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            name = f"{top.name}.{fn.name}" if fn is not top else fn.name
+            out += [name for node in ast.walk(fn)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id in names]
+    return out
+
+
+def test_only_input_is_canonicalized():
+    """`canonical_breakpoints` runs only in the `CircleLift` and `PLMap1D`
+    constructors, and those serve only parsed or user-built maps, so no
+    derived 1D map (compose, invert, powers) is canonicalized again: the
+    merge emits canonical breakpoints and the results are built trusted."""
+    found = set()
+    for p in sorted(SRC.glob("*.py")):
+        found.update(canonicalizing_callers(p))
+    assert found == INPUT_BUILDERS
+
+
+def test_the_check_sees_canonicalizing_calls(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("class PLMap1D:\n"
+                     "    def __init__(self, bps):\n"
+                     "        self.bps = canonical_breakpoints(bps)\n"
+                     "    @classmethod\n"
+                     "    def unit(cls):\n"
+                     "        return cls([(0, 0), (1, 1)])\n"
+                     "def inverse(f):\n"
+                     "    return PLMap1D([(y, x) for x, y in f.bps])\n"
+                     "class Mat:\n"
+                     "    @classmethod\n"
+                     "    def unit(cls):\n"
+                     "        return cls(1)\n"
+                     "def trusted_inverse(f):\n"
+                     "    return PLMap1D.trusted(f.bps)\n")
+    assert canonicalizing_callers(probe) == ["PLMap1D.__init__", "PLMap1D.unit", "inverse"]
+
+
 def asserts(path):
     """Line of each assert statement."""
     return [node.lineno for node in ast.walk(ast.parse(path.read_text()))
