@@ -4,12 +4,14 @@ Rotation numbers are never floated: detection returns an exact rational
 (with an exact periodic point), and otherwise only rational-interval
 enclosures of width <= 2/n are produced.
 
-A lift carries its canonical breakpoints and the slope of each piece.
-Only parsed or user-built lifts go through the validating constructor,
-which canonicalizes; compose and invert build their results with
-`CircleLift.trusted`. Lifts compose by one linear merge of G's breakpoints
-with one rotated period of F's (`interval.compose_breakpoints`), which
-keeps only the points where the slope changes, so its output is canonical.
+A lift is an `interval.BreakpointMap`: it carries its canonical
+breakpoints and the slope of each piece. Only parsed or user-built lifts
+go through the validating constructor, which canonicalizes and then checks
+that the slopes are positive and that F(1) = F(0) + 1 on [0, 1]; compose
+and invert build their results with `CircleLift.trusted`. Lifts compose
+by one linear merge of G's breakpoints with one rotated period of F's
+(`interval.compose_breakpoints`), which keeps only the points where the
+slope changes, so its output is canonical.
 Detection builds F^q for q = 1, 2, ... by that merge and tests one p per
 q, the only integer the displacement F^q(x) - x can reach, so it costs
 O(qmax * |F^qmax|) Fraction operations.
@@ -26,47 +28,29 @@ from typing import List, Optional, Sequence, Tuple
 
 from .errors import InvalidComplex, ParseError
 from .geometry import fmt, rat
-from .interval import (canonical_breakpoints, compose_breakpoints, interpolate,
-                       piece_slopes, shifted_fixed_pieces)
+from .interval import (BreakpointMap, compose_breakpoints, format_breakpoint_lines,
+                       interpolate, piece_slopes, read_breakpoint_lines,
+                       shifted_fixed_pieces)
 
 
-class CircleLift:
+class CircleLift(BreakpointMap):
     """Lift F of an orientation-preserving circle map, sampled on [0, 1].
 
     Canonical breakpoints run from x = 0 to x = 1 with F(1) = F(0) + 1; the
     map on the rest of the line is determined by F(x + 1) = F(x) + 1.
-    ``slopes`` holds the slope of each piece between breakpoints.
     """
 
-    __slots__ = ("breakpoints", "slopes")
+    __slots__ = ()
 
     def __init__(self, breakpoints: Sequence):
-        bps = [(rat(x), rat(y)) for x, y in breakpoints]
-        if len(bps) < 2:
-            raise InvalidComplex("need at least two breakpoints")
-        xs = [x for x, _ in bps]
-        ys = [y for _, y in bps]
-        if xs[0] != 0 or xs[-1] != 1:
+        super().__init__(breakpoints)
+        (x0, y0), (x1, y1) = self.breakpoints[0], self.breakpoints[-1]
+        if x0 != 0 or x1 != 1:
             raise InvalidComplex("breakpoints must span [0, 1]")
-        if any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)):
-            raise InvalidComplex("breakpoint x values must strictly increase")
-        if any(ys[i] >= ys[i + 1] for i in range(len(ys) - 1)):
+        if any(s <= 0 for s in self.slopes):
             raise InvalidComplex("lift must be strictly increasing")
-        if ys[-1] != ys[0] + 1:
+        if y1 != y0 + 1:
             raise InvalidComplex("lift must satisfy F(1) = F(0) + 1")
-        self.breakpoints = canonical_breakpoints(bps)
-        self.slopes = piece_slopes(self.breakpoints)
-
-    @classmethod
-    def trusted(cls, breakpoints: Sequence[Tuple[Fraction, Fraction]],
-                slopes: Sequence[Fraction]) -> "CircleLift":
-        """A lift that compose or invert built from validated lifts, so
-        valid and canonical by construction, with the slope of each piece:
-        not checked."""
-        self = cls.__new__(cls)
-        self.breakpoints = tuple(breakpoints)
-        self.slopes = tuple(slopes)
-        return self
 
     @classmethod
     def rotation(cls, angle) -> "CircleLift":
@@ -101,18 +85,6 @@ class CircleLift:
 
     def eval(self, x) -> Fraction:
         return eval_lift(self, x)
-
-    def __eq__(self, other):
-        return isinstance(other, CircleLift) and self.breakpoints == other.breakpoints
-
-    def __hash__(self):
-        return hash(self.breakpoints)
-
-    def __repr__(self):
-        pts = ", ".join(f"({fmt(x)},{fmt(y)})" for x, y in self.breakpoints)
-        return f"CircleLift[{pts}]"
-
-    __call__ = eval
 
 
 def eval_lift(F: CircleLift, x) -> Fraction:
@@ -273,20 +245,11 @@ def detect_rational_rotation(F: CircleLift, qmax: int = 64):
 
 
 def parse_circle_lift(text: str) -> CircleLift:
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
-    if not lines or lines[0] != "circle":
+    header, pairs = read_breakpoint_lines(text)
+    if header != "circle":
         raise ParseError("expected 'circle' header")
-    bps = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ParseError(f"bad breakpoint line {ln!r}")
-        bps.append((rat(parts[0]), rat(parts[1])))
-    return CircleLift(bps)
+    return CircleLift(pairs)
 
 
 def format_circle_lift(F: CircleLift) -> str:
-    lines = ["circle"]
-    lines += [f"{fmt(x)} {fmt(y)}" for x, y in F.breakpoints]
-    return "\n".join(lines) + "\n"
+    return format_breakpoint_lines("circle", F.breakpoints)

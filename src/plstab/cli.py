@@ -66,15 +66,9 @@ def _header(text: str):
     return []
 
 
-def _base_name(tok) -> str:
-    """The file name of a `base <file>` header."""
-    if len(tok) < 2:
-        raise ParseError("bad base header %r" % " ".join(tok))
-    return tok[1]
-
-
 def load_map(path: str, bases=None):
-    """Read a map file; returns ("interval"|"circle"|"complex", map).
+    """Read a map file; returns ("interval"|"circle"|"complex", map, the
+    file name of its `base <file>` header or None).
 
     `bases` maps the path of each base complex already read to its
     Complex, so that maps naming one base file share one validated base."""
@@ -83,16 +77,18 @@ def load_map(path: str, bases=None):
     tok = _header(text)
     header = tok[0] if tok else None
     if header == "interval":
-        return "interval", parse_plmap1d(text)
+        return "interval", parse_plmap1d(text), None
     if header == "circle":
-        return "circle", parse_circle_lift(text)
+        return "circle", parse_circle_lift(text), None
     if header == "base":
-        base_path = os.path.join(os.path.dirname(os.path.abspath(path)), _base_name(tok))
+        if len(tok) < 2:
+            raise ParseError("bad base header %r" % " ".join(tok))
+        base_path = os.path.join(os.path.dirname(os.path.abspath(path)), tok[1])
         bases = {} if bases is None else bases
         if base_path not in bases:
             with open(base_path) as fh:
                 bases[base_path] = parse_complex(fh.read())
-        return "complex", parse_plmap(text, bases[base_path])
+        return "complex", parse_plmap(text, bases[base_path]), tok[1]
     raise PLError("cannot determine map kind of %s" % path)
 
 
@@ -108,7 +104,7 @@ def load_action(dirpath: str):
     bases = {}
     for n in names:
         if n.endswith(".pm") or n.endswith(".map"):
-            kind, m = load_map(os.path.join(dirpath, n), bases)
+            kind, m, _ = load_map(os.path.join(dirpath, n), bases)
             kinds.add(kind)
             gens.append((n.rsplit(".", 1)[0], m))
     if not gens:
@@ -138,7 +134,7 @@ def _emit(args, out, command, report_text, report_obj):
 
 
 def cmd_eval(args, out):
-    kind, m = load_map(args.map)
+    kind, m, _ = load_map(args.map)
     dim = m.base.ambient_dim if kind == "complex" else 1
     if len(args.point) != dim:
         raise UsageError("the map's domain takes %d coordinate(s), not %d"
@@ -161,35 +157,29 @@ def _format_kind(kind, m, base_name=None):
     return format_plmap(m, base_name)
 
 
-def _base_name_of(path):
-    with open(path) as fh:
-        tok = _header(fh.read())
-    return _base_name(tok) if tok and tok[0] == "base" else None
-
-
 def cmd_compose(args, out):
     if len(args.map) < 2:
         raise UsageError("compose needs at least two --map files")
     bases = {}
     loaded = [load_map(p, bases) for p in args.map]
-    kinds = {k for k, _ in loaded}
+    kinds = {k for k, _, _ in loaded}
     if len(kinds) != 1:
         raise UsageError("cannot compose maps of different kinds")
     kind = kinds.pop()
     # f1 f2 ... fn composes to f1 o f2 o ... o fn (rightmost applied first)
     m = loaded[-1][1]
-    for _, g in reversed(loaded[:-1]):
+    for _, g, _ in reversed(loaded[:-1]):
         m = g.compose(m)
-    _print(out, _format_kind(kind, m, _base_name_of(args.map[0])))
+    _print(out, _format_kind(kind, m, loaded[0][2]))
 
 
 def cmd_invert(args, out):
-    kind, m = load_map(args.map)
-    _print(out, _format_kind(kind, m.inverse(), _base_name_of(args.map)))
+    kind, m, base_name = load_map(args.map)
+    _print(out, _format_kind(kind, m.inverse(), base_name))
 
 
 def cmd_fixset(args, out):
-    kind, m = load_map(args.map)
+    kind, m, _ = load_map(args.map)
     if kind != "complex":
         raise UsageError("fixset needs a complex-based map")
     fl = fixed_subcomplex(m)
@@ -212,7 +202,7 @@ def cmd_fixset(args, out):
 
 
 def cmd_rotno(args, out):
-    kind, m = load_map(args.map)
+    kind, m, _ = load_map(args.map)
     if kind != "circle":
         raise UsageError("rotno needs a circle map")
     rational, outcome = detect_rational_rotation(m, args.qmax)
@@ -237,7 +227,7 @@ def cmd_euler(args, out):
 
 
 def cmd_tangent(args, out):
-    kind, m = load_map(args.map)
+    kind, m, _ = load_map(args.map)
     if kind != "complex" or m.base.dim != 2:
         raise UsageError("tangent needs a 2-dimensional complex-based map")
     g = build_germ(m, args.vertex)

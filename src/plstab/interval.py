@@ -1,10 +1,12 @@
 """PL homeomorphisms of a closed interval, as breakpoint lists.
 
-Breakpoint lists are canonical (no collinear interior breakpoints), so map
-equality is representational equality and "is the identity" is an
-O(1)-per-breakpoint check. The validating constructor canonicalizes parsed
-or user-built breakpoints (`canonical_breakpoints`); composition and
-inversion build their results with `PLMap1D.trusted`, unchecked.
+`BreakpointMap`, the core that interval maps and circle lifts share, holds
+canonical breakpoints (no collinear interior breakpoints) and the slope of
+each piece, so map equality is representational equality and "is the
+identity" is an O(1)-per-breakpoint check. Its validating constructor
+serves parsed or user-built maps: it converts each coordinate once, divides
+once per piece and keeps an interior breakpoint iff its two slopes differ.
+Composition and inversion build their results with `trusted`, unchecked.
 Composition is one linear merge of the two breakpoint lists that emits only
 the kinks (`compose_breakpoints`, which circle lifts share), and the
 inverse of a canonical map is canonical.
@@ -32,20 +34,6 @@ Piece = Tuple[Fraction, Fraction]
 
 
 # -- breakpoint lists, shared with circle lifts ---------------------------
-
-
-def canonical_breakpoints(bps: List[Break]) -> Tuple[Break, ...]:
-    out: List[Break] = [bps[0]]
-    for i in range(1, len(bps) - 1):
-        x0, y0 = out[-1]
-        x1, y1 = bps[i]
-        x2, y2 = bps[i + 1]
-        # drop (x1, y1) when collinear with its neighbors
-        if (y1 - y0) * (x2 - x1) == (y2 - y1) * (x1 - x0):
-            continue
-        out.append(bps[i])
-    out.append(bps[-1])
-    return tuple(out)
 
 
 def piece_slopes(bps: Sequence[Break]) -> Tuple[Fraction, ...]:
@@ -141,9 +129,11 @@ def shifted_fixed_pieces(bps: Sequence[Break], slopes: Sequence[Fraction], p) ->
     return merged
 
 
-class PLMap1D:
-    """PL homeomorphism of [a, b] onto itself, given by its canonical
-    breakpoints and the slope of each piece between them."""
+class BreakpointMap:
+    """A PL map given by its canonical breakpoints, x strictly increasing,
+    and the slope of each piece between them: the core that interval maps
+    and circle lifts share. Subclasses check monotonicity and their ends
+    on the slopes, and call their module's functions from `eval`."""
 
     __slots__ = ("breakpoints", "slopes")
 
@@ -151,24 +141,21 @@ class PLMap1D:
         bps = [(rat(x), rat(y)) for x, y in breakpoints]
         if len(bps) < 2:
             raise InvalidComplex("need at least two breakpoints")
-        xs = [x for x, _ in bps]
-        ys = [y for _, y in bps]
-        if any(xs[i] >= xs[i + 1] for i in range(len(xs) - 1)):
-            raise InvalidComplex("breakpoint x values must strictly increase")
-        inc = all(ys[i] < ys[i + 1] for i in range(len(ys) - 1))
-        dec = all(ys[i] > ys[i + 1] for i in range(len(ys) - 1))
-        if not (inc or dec):
-            raise InvalidComplex("map must be strictly monotone")
-        a, b = xs[0], xs[-1]
-        if inc and not (ys[0] == a and ys[-1] == b):
-            raise InvalidComplex("endpoints must map onto endpoints")
-        if dec and not (ys[0] == b and ys[-1] == a):
-            raise InvalidComplex("endpoints must map onto endpoints")
-        self.breakpoints = canonical_breakpoints(bps)
-        self.slopes = piece_slopes(self.breakpoints)
+        kept, slopes = [bps[0]], []
+        for (x0, y0), (x1, y1) in zip(bps, bps[1:]):
+            if x1 <= x0:
+                raise InvalidComplex("breakpoint x values must strictly increase")
+            s = (y1 - y0) / (x1 - x0)
+            if slopes and s == slopes[-1]:  # kept[-1] is no kink: extend its piece
+                kept[-1] = (x1, y1)
+            else:
+                kept.append((x1, y1))
+                slopes.append(s)
+        self.breakpoints = tuple(kept)
+        self.slopes = tuple(slopes)
 
     @classmethod
-    def trusted(cls, breakpoints: Sequence[Break], slopes: Sequence[Fraction]) -> "PLMap1D":
+    def trusted(cls, breakpoints: Sequence[Break], slopes: Sequence[Fraction]):
         """A map that compose or invert built from validated maps, so valid
         and canonical by construction, with the slope of each piece: not
         checked."""
@@ -176,6 +163,37 @@ class PLMap1D:
         self.breakpoints = tuple(breakpoints)
         self.slopes = tuple(slopes)
         return self
+
+    def __eq__(self, other):
+        return type(other) is type(self) and self.breakpoints == other.breakpoints
+
+    def __hash__(self):
+        return hash(self.breakpoints)
+
+    def __repr__(self):
+        pts = ", ".join(f"({fmt(x)},{fmt(y)})" for x, y in self.breakpoints)
+        return f"{type(self).__name__}[{pts}]"
+
+    def __call__(self, x) -> Fraction:
+        return self.eval(x)
+
+
+class PLMap1D(BreakpointMap):
+    """PL homeomorphism of [a, b] onto itself."""
+
+    __slots__ = ()
+
+    def __init__(self, breakpoints: Sequence):
+        super().__init__(breakpoints)
+        (a, ya), (b, yb) = self.breakpoints[0], self.breakpoints[-1]
+        if all(s > 0 for s in self.slopes):
+            ends = (a, b)
+        elif all(s < 0 for s in self.slopes):
+            ends = (b, a)
+        else:
+            raise InvalidComplex("map must be strictly monotone")
+        if (ya, yb) != ends:
+            raise InvalidComplex("endpoints must map onto endpoints")
 
     # -- basics ----------------------------------------------------------
 
@@ -212,18 +230,6 @@ class PLMap1D:
 
     def eval(self, x) -> Fraction:
         return eval1d(self, x)
-
-    def __eq__(self, other):
-        return isinstance(other, PLMap1D) and self.breakpoints == other.breakpoints
-
-    def __hash__(self):
-        return hash(self.breakpoints)
-
-    def __repr__(self):
-        pts = ", ".join(f"({fmt(x)},{fmt(y)})" for x, y in self.breakpoints)
-        return f"PLMap1D[{pts}]"
-
-    __call__ = eval
 
 
 def eval1d(f: PLMap1D, x) -> Fraction:
@@ -360,22 +366,33 @@ def _identity_prefix(f: PLMap1D) -> Fraction:
 # -- text format ---------------------------------------------------------
 
 
-def parse_plmap1d(text: str) -> PLMap1D:
+def read_breakpoint_lines(text: str) -> Tuple[str, List[Tuple[str, str]]]:
+    """The header line ('' if none) and the `x y` string pair of each later
+    line, with comments and blank lines dropped; converts nothing."""
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
-    if not lines or not lines[0].startswith("interval"):
-        raise ParseError("expected 'interval <a> <b>' header")
-    tok = lines[0].split()
-    if len(tok) != 3:
-        raise ParseError("bad interval header")
-    a, b = rat(tok[1]), rat(tok[2])
-    bps = []
+    pairs = []
     for ln in lines[1:]:
         parts = ln.split()
         if len(parts) != 2:
             raise ParseError(f"bad breakpoint line {ln!r}")
-        bps.append((rat(parts[0]), rat(parts[1])))
-    f = PLMap1D(bps)
+        pairs.append((parts[0], parts[1]))
+    return (lines[0] if lines else ""), pairs
+
+
+def format_breakpoint_lines(header: str, bps: Sequence[Break]) -> str:
+    return "\n".join([header] + [f"{fmt(x)} {fmt(y)}" for x, y in bps]) + "\n"
+
+
+def parse_plmap1d(text: str) -> PLMap1D:
+    header, pairs = read_breakpoint_lines(text)
+    if not header.startswith("interval"):
+        raise ParseError("expected 'interval <a> <b>' header")
+    tok = header.split()
+    if len(tok) != 3:
+        raise ParseError("bad interval header")
+    a, b = rat(tok[1]), rat(tok[2])
+    f = PLMap1D(pairs)
     if f.interval != (a, b):
         raise ParseError("breakpoints do not span the declared interval")
     return f
@@ -383,6 +400,4 @@ def parse_plmap1d(text: str) -> PLMap1D:
 
 def format_plmap1d(f: PLMap1D) -> str:
     a, b = f.interval
-    lines = [f"interval {fmt(a)} {fmt(b)}"]
-    lines += [f"{fmt(x)} {fmt(y)}" for x, y in f.breakpoints]
-    return "\n".join(lines) + "\n"
+    return format_breakpoint_lines(f"interval {fmt(a)} {fmt(b)}", f.breakpoints)

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from plstab.circle import parse_circle_lift
 from plstab.cli import main
 from plstab.complexes import format_complex, parse_complex
-from plstab.errors import ParseError, PLError
+from plstab.errors import InvalidComplex, ParseError, PLError
 from plstab.interval import parse_plmap1d
 from plstab.plmap import format_plmap, parse_plmap
 from plstab.presentation import parse_presentation
@@ -162,3 +162,50 @@ def test_cli_exits_with_documented_codes_on_odd_arguments(valid_files):
         assert main(argv, out=io.StringIO()) in (0, 2, 3, 64, 65)
 
     check()
+
+
+# -- single-fault 1D inputs: the error each raises, and the CLI's report ----
+
+MALFORMED_1D = [
+    ("interval 0 1\n0 0\n", InvalidComplex, "need at least two breakpoints"),
+    ("interval 0 1\n0 0\n1/2 1/2\n1/2 3/4\n1 1\n", InvalidComplex,
+     "breakpoint x values must strictly increase"),
+    ("interval 0 1\n0 0\n1/2 3/4\n3/4 1/2\n1 1\n", InvalidComplex, "map must be strictly monotone"),
+    ("interval 0 1\n0 1\n1/2 1/2\n3/4 1/2\n1 0\n", InvalidComplex,
+     "map must be strictly monotone"),
+    ("interval 0 1\n0 0\n1/2 1/2\n1 3/4\n", InvalidComplex, "endpoints must map onto endpoints"),
+    ("interval 0 1\n0 1\n1 1/4\n", InvalidComplex, "endpoints must map onto endpoints"),
+    ("interval 0 2\n0 0\n1 1\n", ParseError, "breakpoints do not span the declared interval"),
+    ("0 0\n1 1\n", ParseError, "expected 'interval <a> <b>' header"),
+    ("interval 0\n0 0\n1 1\n", ParseError, "bad interval header"),
+    ("interval 0 1\n0 0\n1/2\n1 1\n", ParseError, "bad breakpoint line '1/2'"),
+    ("interval 0 1\n0 0\n1/2 x\n1 1\n", ParseError, "bad rational literal 'x'"),
+    ("interval 0 1/0\n0 0\n1 1\n", ParseError, "bad rational literal '1/0'"),
+    ("circle\n0 1/4\n", InvalidComplex, "need at least two breakpoints"),
+    ("circle\n0 0\n1/2 1/4\n1/2 1/2\n1 1\n", InvalidComplex,
+     "breakpoint x values must strictly increase"),
+    ("circle\n0 0\n1/2 3/4\n3/4 1/2\n1 1\n", InvalidComplex, "lift must be strictly increasing"),
+    ("circle\n0 0\n1/2 1/2\n2 1\n", InvalidComplex, "breakpoints must span [0, 1]"),
+    ("circle\n1/4 0\n1 1\n", InvalidComplex, "breakpoints must span [0, 1]"),
+    ("circle\n0 0\n1/2 1/2\n1 5/4\n", InvalidComplex, "lift must satisfy F(1) = F(0) + 1"),
+    ("circle 1\n0 0\n1 1\n", ParseError, "expected 'circle' header"),
+    ("circle\n0 0 0\n1 1\n", ParseError, "bad breakpoint line '0 0 0'"),
+    ("circle\n0 0\n1/2 y\n1 1\n", ParseError, "bad rational literal 'y'"),
+]
+
+
+@pytest.mark.parametrize("text, error, message", MALFORMED_1D)
+def test_single_fault_1d_inputs(text, error, message, tmp_path, capsys):
+    """Each names its one fault; `invert` exits 65 with that message, or,
+    with no header to tell the map kind, with that complaint."""
+    kind = "circle" if text.startswith("circle") else "interval"
+    with pytest.raises(error) as info:
+        PARSERS[kind](text)
+    assert type(info.value) is error and str(info.value) == message
+    path = tmp_path / "f.map"
+    path.write_text(text)
+    if text.split()[0] != kind:
+        message = f"cannot determine map kind of {path}"
+    capsys.readouterr()
+    assert main(["invert", "--map", str(path)], out=io.StringIO()) == 65
+    assert capsys.readouterr().err == f"error: {message}\n"

@@ -1,22 +1,36 @@
-"""The kink-only merge of `compose1d` and `compose_lift` against
-`canonical_breakpoints` of a plain merge that emits every point."""
+"""The kink-only merge of `compose1d` and `compose_lift`, and the
+slope-based canonicalization of the validating constructor, against
+`canonical_breakpoints`, the collinearity test on breakpoints."""
 
 from collections import Counter
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import example, given, settings, strategies as st
 
 from plstab import circle, interval
 from plstab.circle import CircleLift, compose_lift, inverse_lift
-from plstab.interval import (PLMap1D, canonical_breakpoints, compose1d, inverse1d,
-                             piece_slopes)
+from plstab.interval import PLMap1D, compose1d, inverse1d, piece_slopes
 
 from support import f1_map
 from test_circle import LIFTS, c1_map
 from test_interval import interval_pairs
 
 MERGE = interval.compose_breakpoints
+
+
+def canonical_breakpoints(bps):
+    """bps without each interior point collinear with its neighbours, by
+    cross-multiplied differences: no slope is computed."""
+    out = [bps[0]]
+    for i in range(1, len(bps) - 1):
+        x0, y0 = out[-1]
+        x1, y1 = bps[i]
+        x2, y2 = bps[i + 1]
+        if (y1 - y0) * (x2 - x1) != (y2 - y1) * (x1 - x0):
+            out.append(bps[i])
+    out.append(bps[-1])
+    return tuple(out)
 
 
 def plain_merge(fbps, gbps):
@@ -155,3 +169,67 @@ def test_the_examples_meet_every_kind_of_point():
         kinds += check_merges(lambda: compose_lift_cases(f, g))
     assert set(kinds) == ALL_KINDS
     assert {g.orientation for _, g in INTERVAL_EXAMPLES} == {1, -1}
+
+
+# -- the validating constructor ------------------------------------------
+
+SPLITS = st.sets(st.sampled_from([F(1, 4), F(1, 3), F(1, 2), F(2, 3), F(3, 4)]), max_size=3)
+
+
+@st.composite
+def with_collinear_points(draw, bps):
+    """bps with up to three points inserted on each piece, inside it."""
+    out = [bps[0]]
+    for (x0, y0), (x1, y1) in zip(bps, bps[1:]):
+        out += [(x0 + t * (x1 - x0), y0 + t * (y1 - y0)) for t in sorted(draw(SPLITS))]
+        out.append((x1, y1))
+    return out
+
+
+def check_canonicalization(cls, raw):
+    f = cls(raw)
+    assert f.breakpoints == canonical_breakpoints(raw)
+    assert f.slopes == piece_slopes(f.breakpoints)
+    return f
+
+
+INTERVAL_RAW = st.one_of(
+    interval_pairs().map(lambda pair: pair[0]),
+    st.sampled_from([f for pair in INTERVAL_EXAMPLES for f in pair]),
+).flatmap(lambda f: with_collinear_points(f.breakpoints))
+LIFT_RAW = st.one_of(
+    LIFTS,
+    st.sampled_from([SMOOTH_SEAM, KINKED_SEAM]),
+).flatmap(lambda f: with_collinear_points(f.breakpoints))
+# a point inserted in the first and in the last piece, at each side of the seam
+SEAM_EXAMPLES = [[(0, 0), (F(1, 8), F(1, 16)), (F(1, 4), F(1, 8)), (F(3, 4), F(7, 8)),
+                  (F(7, 8), F(15, 16)), (1, 1)],
+                 [(0, F(1, 8)), (F(1, 4), F(7, 16)), (F(1, 2), F(3, 4)), (F(3, 4), F(15, 16)),
+                  (1, F(9, 8))]]
+
+
+@settings(max_examples=150, deadline=None)
+@given(INTERVAL_RAW)
+@example([(0, 1), (F(1, 8), F(3, 4)), (F(1, 4), F(1, 2)), (1, 0)])
+@example([(0, 0), (F(1, 8), F(1, 4)), (F(1, 4), F(1, 2)), (F(1, 2), F(2, 3)), (1, 1)])
+def test_interval_constructor_drops_exactly_the_collinear_points(raw):
+    """Increasing and decreasing maps, with runs of collinear points."""
+    check_canonicalization(PLMap1D, [(F(x), F(y)) for x, y in raw])
+
+
+@settings(max_examples=150, deadline=None)
+@given(LIFT_RAW)
+@example(SEAM_EXAMPLES[0])
+@example(SEAM_EXAMPLES[1])
+def test_lift_constructor_drops_exactly_the_collinear_points(raw):
+    """The period seam is kept, kink or not: the ends are never dropped."""
+    check_canonicalization(CircleLift, [(F(x), F(y)) for x, y in raw])
+
+
+def test_the_canonicalization_examples_cover_both_orientations_and_seams():
+    decreasing = check_canonicalization(PLMap1D, [(0, 1), (F(1, 8), F(3, 4)),
+                                                  (F(1, 4), F(1, 2)), (1, 0)])
+    assert decreasing == BENT_FLIP and decreasing.orientation == -1
+    smooth, kinked = (check_canonicalization(CircleLift, raw) for raw in SEAM_EXAMPLES)
+    assert smooth == SMOOTH_SEAM and smooth.slopes[0] == smooth.slopes[-1]
+    assert kinked == KINKED_SEAM and kinked.slopes[0] != kinked.slopes[-1]

@@ -68,40 +68,44 @@ def test_the_check_sees_leaf_calls(tmp_path):
     assert leaf_calls(probe) == [("clip", "collinear_overlap"), ("clip", "triangle_intersection")]
 
 
-# canonical_breakpoints, and the validating 1D constructors that call it
-CANONICALIZING = {"canonical_breakpoints", "CircleLift", "PLMap1D"}
-# the constructors themselves, and the builders of parsed or user-given maps
-INPUT_BUILDERS = {"CircleLift.__init__", "CircleLift.rotation", "PLMap1D.__init__",
-                  "PLMap1D.identity", "parse_circle_lift", "parse_plmap1d"}
+# the one validating 1D constructor, `BreakpointMap.__init__`, called by the
+# name of any class that has it
+VALIDATING = {"BreakpointMap", "CircleLift", "PLMap1D"}
+# the builders of parsed or user-given maps
+INPUT_BUILDERS = {"CircleLift.rotation", "PLMap1D.identity", "parse_circle_lift",
+                  "parse_plmap1d"}
 
 
-def canonicalizing_callers(path):
-    """Top-level function or "Class.method" of each call of
-    `canonical_breakpoints` or of a validating 1D constructor (by its class
-    name, or as ``cls(...)`` in their classes)."""
+def canonicalizing_callers(path, names=VALIDATING):
+    """Top-level function or "Class.method" of each call of a name in
+    `names` (or as ``cls(...)`` in the classes of that name)."""
     out = []
     for top in ast.parse(path.read_text()).body:
         is_class = isinstance(top, ast.ClassDef)
-        names = CANONICALIZING | ({"cls"} if is_class and top.name in CANONICALIZING else set())
+        called = names | ({"cls"} if is_class and top.name in names else set())
         for fn in top.body if is_class else [top]:
             if not isinstance(fn, ast.FunctionDef):
                 continue
             name = f"{top.name}.{fn.name}" if fn is not top else fn.name
             out += [name for node in ast.walk(fn)
                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id in names]
+                    and node.func.id in called]
     return out
 
 
 def test_only_input_is_canonicalized():
-    """`canonical_breakpoints` runs only in the `CircleLift` and `PLMap1D`
-    constructors, and those serve only parsed or user-built maps, so no
-    derived 1D map (compose, invert, powers) is canonicalized again: the
-    merge emits canonical breakpoints and the results are built trusted."""
-    found = set()
+    """The validating constructor `BreakpointMap.__init__`, which
+    `PLMap1D` and `CircleLift` extend through `super()`, serves only parsed
+    or user-built maps, so no derived 1D map (compose, invert, powers) is
+    canonicalized again: the merge emits canonical breakpoints and the
+    results are built trusted. No module calls `canonical_breakpoints`, the
+    collinearity test that the tests keep as the oracle."""
+    found, oracle = set(), []
     for p in sorted(SRC.glob("*.py")):
         found.update(canonicalizing_callers(p))
+        oracle += canonicalizing_callers(p, {"canonical_breakpoints"})
     assert found == INPUT_BUILDERS
+    assert oracle == []
 
 
 def test_the_check_sees_canonicalizing_calls(tmp_path):
@@ -113,14 +117,15 @@ def test_the_check_sees_canonicalizing_calls(tmp_path):
                      "    def unit(cls):\n"
                      "        return cls([(0, 0), (1, 1)])\n"
                      "def inverse(f):\n"
-                     "    return PLMap1D([(y, x) for x, y in f.bps])\n"
+                     "    return BreakpointMap([(y, x) for x, y in f.bps])\n"
                      "class Mat:\n"
                      "    @classmethod\n"
                      "    def unit(cls):\n"
                      "        return cls(1)\n"
                      "def trusted_inverse(f):\n"
                      "    return PLMap1D.trusted(f.bps)\n")
-    assert canonicalizing_callers(probe) == ["PLMap1D.__init__", "PLMap1D.unit", "inverse"]
+    assert canonicalizing_callers(probe) == ["PLMap1D.unit", "inverse"]
+    assert canonicalizing_callers(probe, {"canonical_breakpoints"}) == ["PLMap1D.__init__"]
 
 
 def asserts(path):

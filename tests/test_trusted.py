@@ -9,7 +9,8 @@ from hypothesis import Phase, assume, given, settings, strategies as st
 from plstab.complexes import Complex
 from plstab.errors import InternalError, InvalidComplex
 from plstab.fixedlocus import fixed_subcomplex
-from plstab.plmap import PLMap, compose2d, inverse2d
+from plstab.overlay import overlay
+from plstab.plmap import PLMap, _affine, compose2d, inverse2d
 
 from support import square_complex
 from test_plmap import SYMMETRIES, _along_boundary, grid_complex
@@ -66,6 +67,27 @@ def test_inverse_then_map_is_identity(offsets, sym):
     f = near_identity(offsets, sym)
     assume(f is not None)
     assert compose2d(inverse2d(f), f).is_identity()
+
+
+@settings(max_examples=12, deadline=None, phases=NO_SHRINK)
+@given(OFFSETS, SYMMETRY, st.booleans())
+def test_inverse_pullbacks_agree_on_every_incident_cell(offsets, sym, composite):
+    """`inverse2d` pulls each overlay vertex back once; every overlay cell
+    at the vertex pulls it back, through its own image cell, to that point."""
+    f = near_identity(offsets, sym)
+    assume(f is not None)
+    if composite:
+        f = compose2d(f, f)
+    inv = inverse2d(f)
+    ov = overlay(f.image, f.base)
+    srcs, imgs = f.refinement.cells(), f.image.cells()
+    assert inv.refinement.points == ov.cells.points
+    incidences = 0
+    for s, (i, _) in ov.provenance.items():
+        for v in s:
+            assert _affine(imgs[i], srcs[i], ov.cells.points[v]) == inv.images[v]
+            incidences += 1
+    assert incidences > len(ov.cells.points)
 
 
 def test_tripwire_on_a_lost_cell():
