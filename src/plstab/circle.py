@@ -41,6 +41,7 @@ class CircleLift(BreakpointMap):
     """
 
     __slots__ = ()
+    domain = (Fraction(0), Fraction(1))  # the period every lift is sampled on
 
     def __init__(self, breakpoints: Sequence):
         super().__init__(breakpoints)

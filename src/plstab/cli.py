@@ -11,15 +11,15 @@ import os
 import sys
 from fractions import Fraction
 
-from .circle import (detect_rational_rotation, format_circle_lift,
+from .circle import (CircleLift, detect_rational_rotation, format_circle_lift,
                      parse_circle_lift, rotation_enclosure)
 from .complexes import euler_characteristic, format_complex, parse_complex
 from .errors import ParseError, PLError
 from .fixedlocus import fixed_subcomplex
 from .geometry import fmt, rat
-from .interval import format_plmap1d, parse_plmap1d
+from .interval import PLMap1D, format_plmap1d, parse_plmap1d
 from .overlay import overlay
-from .plmap import format_plmap, parse_plmap
+from .plmap import PLMap, format_plmap, parse_plmap
 from .presentation import abelianization, parse_presentation
 from .stability import ActionSpec, analyze_action, certify_trivial
 from .tangent import build_germ, format_germ
@@ -67,8 +67,8 @@ def _header(text: str):
 
 
 def load_map(path: str, bases=None):
-    """Read a map file; returns ("interval"|"circle"|"complex", map, the
-    file name of its `base <file>` header or None).
+    """Read a map file; returns (a `PLMap1D`, `CircleLift` or `PLMap`,
+    the file name of its `base <file>` header or None).
 
     `bases` maps the path of each base complex already read to its
     Complex, so that maps naming one base file share one validated base."""
@@ -77,9 +77,9 @@ def load_map(path: str, bases=None):
     tok = _header(text)
     header = tok[0] if tok else None
     if header == "interval":
-        return "interval", parse_plmap1d(text), None
+        return parse_plmap1d(text), None
     if header == "circle":
-        return "circle", parse_circle_lift(text), None
+        return parse_circle_lift(text), None
     if header == "base":
         if len(tok) < 2:
             raise ParseError("bad base header %r" % " ".join(tok))
@@ -88,35 +88,32 @@ def load_map(path: str, bases=None):
         if base_path not in bases:
             with open(base_path) as fh:
                 bases[base_path] = parse_complex(fh.read())
-        return "complex", parse_plmap(text, bases[base_path]), tok[1]
+        return parse_plmap(text, bases[base_path]), tok[1]
     raise PLError("cannot determine map kind of %s" % path)
 
 
-def load_action(dirpath: str):
+def load_action(dirpath: str, presentation_path=None):
     """Directory convention: base.cx plus one map file per generator
     (.pm for complex maps, .map for interval or circle maps), generator
-    name = file stem, sorted by name; optional presentation.txt."""
+    name = file stem, sorted by name; presentation.txt if present, or the
+    file at `presentation_path` in its place.  All of one kind and domain."""
     if not os.path.isdir(dirpath):
         raise PLError("action directory %s not found" % dirpath)
     names = sorted(os.listdir(dirpath))
     gens = []
-    kinds = set()
     bases = {}
     for n in names:
         if n.endswith(".pm") or n.endswith(".map"):
-            kind, m, _ = load_map(os.path.join(dirpath, n), bases)
-            kinds.add(kind)
+            m, _ = load_map(os.path.join(dirpath, n), bases)
             gens.append((n.rsplit(".", 1)[0], m))
     if not gens:
         raise PLError("no generator files in %s" % dirpath)
-    if len(kinds) != 1:
-        raise PLError("mixed generator kinds in %s" % dirpath)
     presentation = None
-    ppath = os.path.join(dirpath, "presentation.txt")
-    if os.path.exists(ppath):
+    ppath = presentation_path or os.path.join(dirpath, "presentation.txt")
+    if presentation_path or os.path.exists(ppath):
         with open(ppath) as fh:
             presentation = parse_presentation(fh.read())
-    return ActionSpec(kinds.pop(), gens, presentation=presentation)
+    return ActionSpec(gens, presentation=presentation)
 
 
 def _print(out, s):
@@ -134,25 +131,24 @@ def _emit(args, out, command, report_text, report_obj):
 
 
 def cmd_eval(args, out):
-    kind, m, _ = load_map(args.map)
-    dim = m.base.ambient_dim if kind == "complex" else 1
+    m, _ = load_map(args.map)
+    dim = m.base.ambient_dim if isinstance(m, PLMap) else 1
     if len(args.point) != dim:
         raise UsageError("the map's domain takes %d coordinate(s), not %d"
                          % (dim, len(args.point)))
-    if kind == "complex":
+    if isinstance(m, PLMap):
         p = m.eval(tuple(rat(t) for t in args.point))
-        text = " ".join(fmt(x) for x in p)
-        obj = list(p)
+        text, obj = " ".join(fmt(x) for x in p), list(p)
     else:
         y = m.eval(rat(args.point[0]))
         text, obj = fmt(y), y
     _emit(args, out, "eval", text, obj)
 
 
-def _format_kind(kind, m, base_name=None):
-    if kind == "interval":
+def _format_kind(m, base_name=None):
+    if isinstance(m, PLMap1D):
         return format_plmap1d(m)
-    if kind == "circle":
+    if isinstance(m, CircleLift):
         return format_circle_lift(m)
     return format_plmap(m, base_name)
 
@@ -162,25 +158,23 @@ def cmd_compose(args, out):
         raise UsageError("compose needs at least two --map files")
     bases = {}
     loaded = [load_map(p, bases) for p in args.map]
-    kinds = {k for k, _, _ in loaded}
-    if len(kinds) != 1:
+    if len({type(g) for g, _ in loaded}) != 1:
         raise UsageError("cannot compose maps of different kinds")
-    kind = kinds.pop()
     # f1 f2 ... fn composes to f1 o f2 o ... o fn (rightmost applied first)
-    m = loaded[-1][1]
-    for _, g, _ in reversed(loaded[:-1]):
+    m = loaded[-1][0]
+    for g, _ in reversed(loaded[:-1]):
         m = g.compose(m)
-    _print(out, _format_kind(kind, m, loaded[0][2]))
+    _print(out, _format_kind(m, loaded[0][1]))
 
 
 def cmd_invert(args, out):
-    kind, m, base_name = load_map(args.map)
-    _print(out, _format_kind(kind, m.inverse(), base_name))
+    m, base_name = load_map(args.map)
+    _print(out, _format_kind(m.inverse(), base_name))
 
 
 def cmd_fixset(args, out):
-    kind, m, _ = load_map(args.map)
-    if kind != "complex":
+    m, _ = load_map(args.map)
+    if not isinstance(m, PLMap):
         raise UsageError("fixset needs a complex-based map")
     fl = fixed_subcomplex(m)
     maximal = fl.cells.maximal()
@@ -202,8 +196,8 @@ def cmd_fixset(args, out):
 
 
 def cmd_rotno(args, out):
-    kind, m, _ = load_map(args.map)
-    if kind != "circle":
+    m, _ = load_map(args.map)
+    if not isinstance(m, CircleLift):
         raise UsageError("rotno needs a circle map")
     rational, outcome = detect_rational_rotation(m, args.qmax)
     if rational is not None:
@@ -227,8 +221,8 @@ def cmd_euler(args, out):
 
 
 def cmd_tangent(args, out):
-    kind, m, _ = load_map(args.map)
-    if kind != "complex" or m.base.dim != 2:
+    m, _ = load_map(args.map)
+    if not isinstance(m, PLMap) or m.base.dim != 2:
         raise UsageError("tangent needs a 2-dimensional complex-based map")
     g = build_germ(m, args.vertex)
     _print(out, format_germ(g))
@@ -260,11 +254,7 @@ def cmd_overlay(args, out):
 
 
 def cmd_certify(args, out):
-    action = load_action(args.action)
-    if args.presentation:
-        with open(args.presentation) as fh:
-            action = ActionSpec(action.kind, action.generators,
-                                presentation=parse_presentation(fh.read()))
+    action = load_action(args.action, args.presentation)
     cert = certify_trivial(action, args.vertex)
     text_lines = ["status: %s" % cert.status, "stage: %s" % cert.stage,
                   "verified_stars: %s" % " ".join(str(v) for v in cert.verified_stars)]

@@ -205,6 +205,8 @@ class PLMap1D(BreakpointMap):
     def interval(self) -> Tuple[Fraction, Fraction]:
         return (self.breakpoints[0][0], self.breakpoints[-1][0])
 
+    domain = interval
+
     @classmethod
     def identity(cls, a=0, b=1) -> "PLMap1D":
         return cls([(a, a), (b, b)])
@@ -386,9 +388,9 @@ def format_breakpoint_lines(header: str, bps: Sequence[Break]) -> str:
 
 def parse_plmap1d(text: str) -> PLMap1D:
     header, pairs = read_breakpoint_lines(text)
-    if not header.startswith("interval"):
-        raise ParseError("expected 'interval <a> <b>' header")
     tok = header.split()
+    if not tok or tok[0] != "interval":
+        raise ParseError("expected 'interval <a> <b>' header")
     if len(tok) != 3:
         raise ParseError("bad interval header")
     a, b = rat(tok[1]), rat(tok[2])

@@ -259,6 +259,10 @@ class PLMap:
         """The image of each refinement vertex."""
         return self.image.points
 
+    @property
+    def domain(self) -> Complex:
+        return self.base
+
     # -- construction-time validation ------------------------------------
 
     def _assign_cells(self) -> Tuple[int, ...]:

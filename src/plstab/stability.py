@@ -4,6 +4,9 @@ certify_trivial walks a pipeline of hypothesis gates (H1, fixed point,
 tangent sphere) and then propagates an identity check outward over vertex
 stars, producing a certificate that either covers the whole base complex
 or pins down an exact witness of nontriviality.
+
+An action's kind is the type of its generators, all `PLMap1D`, all
+`CircleLift` or all `PLMap` on one `domain`: code here tests that type.
 """
 
 from dataclasses import dataclass, field
@@ -11,7 +14,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .circle import (CircleLift, detect_rational_rotation,
                      fixed_set_circle, rotation_enclosure)
-from .complexes import Complex, adjacency
+from .complexes import adjacency
 from .errors import (DisconnectedComplex, InternalError, SupportMismatch,
                      VertexNotInComplex)
 from .fixedlocus import (canonical_invariant, fixed_subcomplex, fuller_search)
@@ -23,43 +26,24 @@ from .tangent import build_germ, is_trivial_on_tangent_sphere, refine_fans
 
 
 class ActionSpec:
-    """A finitely generated action: named generators of one common kind.
+    """A finitely generated action: named generators, all maps of one type
+    (`PLMap1D`, `CircleLift` or `PLMap`) on one `domain`."""
 
-    kind is one of "interval" (PLMap1D), "circle" (CircleLift) or
-    "complex" (PLMap on a shared base complex).
-    """
-
-    def __init__(self, kind: str, generators: Sequence[Tuple[str, object]],
-                 base: Optional[Complex] = None,
+    def __init__(self, generators: Sequence[Tuple[str, object]],
                  presentation: Optional[Presentation] = None):
-        if kind not in ("interval", "circle", "complex"):
-            raise ValueError("unknown action kind %r" % kind)
         gens = list(generators)
         names = [n for n, _ in gens]
         if len(set(names)) != len(names):
             raise ValueError("duplicate generator names")
+        first = gens[0][1] if gens else None
         for name, g in gens:
-            if kind == "interval" and not isinstance(g, PLMap1D):
-                raise SupportMismatch("generator %r is not an interval map" % name)
-            if kind == "circle" and not isinstance(g, CircleLift):
-                raise SupportMismatch("generator %r is not a circle lift" % name)
-            if kind == "complex":
-                if not isinstance(g, PLMap):
-                    raise SupportMismatch("generator %r is not a PL map" % name)
-                if base is None:
-                    base = g.base
-                if g.base.points != base.points or g.base.simplices != base.simplices:
-                    raise SupportMismatch("generator %r lives on a different base" % name)
-        if kind == "interval" and gens:
-            iv = gens[0][1].interval
-            for name, g in gens[1:]:
-                if g.interval != iv:
-                    raise SupportMismatch("generator %r has a different interval" % name)
+            if (not isinstance(g, (PLMap1D, CircleLift, PLMap))
+                    or type(g) is not type(first) or g.domain != first.domain):
+                raise SupportMismatch("generator %r is not a map of the kind and domain of %r"
+                                      % (name, names[0]))
         if presentation is not None and presentation.generator_names != names:
             raise ValueError("presentation generator names do not match action")
-        self.kind = kind
         self.generators = gens
-        self.base = base
         self.presentation = presentation
 
 
@@ -96,21 +80,17 @@ def verify_relators(a: ActionSpec):
     return "pass"
 
 
-def _star_cells(base: Complex, v: int) -> List[int]:
-    return [i for i, s in enumerate(base.simplices) if v in s]
-
-
-def _identity_on_star(f: PLMap, star: Sequence[int]):
-    """None if f is the identity on the given base cells, else a witness
-    (base-cell index, refinement vertex index)."""
-    wanted = set(star)
-    for s, home in zip(f.refinement.simplices, f.cell_base):
-        if home not in wanted:
-            continue
-        for v in s:
-            if f.images[v] != f.refinement.points[v]:
-                return home, v
-    return None
+def _moved_cells(f: PLMap) -> Dict[int, Tuple[int, int]]:
+    """For each base cell that f moves: (index of the first refinement cell
+    in it that has a moved vertex, that cell's first moved vertex)."""
+    moved: Dict[int, Tuple[int, int]] = {}
+    points, images = f.refinement.points, f.images
+    for i, (s, home) in enumerate(zip(f.refinement.simplices, f.cell_base)):
+        if home not in moved:
+            v = next((v for v in s if images[v] != points[v]), None)
+            if v is not None:
+                moved[home] = (i, v)
+    return moved
 
 
 def _tangent_witness_1d(f: PLMap, p: int):
@@ -131,11 +111,11 @@ def _tangent_witness_1d(f: PLMap, p: int):
 
 def certify_trivial(a: ActionSpec, p: int) -> Certificate:
     """Run the certification pipeline from base vertex p."""
-    if a.kind != "complex":
-        raise SupportMismatch("certify_trivial needs a complex-based action")
-    base = a.base
-    if base is None:
+    if not a.generators:
         raise ValueError("action has no generators")
+    if not isinstance(a.generators[0][1], PLMap):
+        raise SupportMismatch("certify_trivial needs a complex-based action")
+    base = a.generators[0][1].domain
     if not (0 <= p < len(base.points)):
         raise VertexNotInComplex("vertex %d not in base complex" % p)
     if not base.is_connected():
@@ -165,8 +145,7 @@ def certify_trivial(a: ActionSpec, p: int) -> Certificate:
 
     if base.dim == 2:
         germs = [build_germ(f, p) for _, f in a.generators]
-        common = refine_fans(germs) if germs else []
-        for (name, _), g in zip(a.generators, common):
+        for (name, _), g in zip(a.generators, refine_fans(germs)):
             if not is_trivial_on_tangent_sphere(g):
                 bad = next(i for i, m in enumerate(g.matrices)
                            if not (m.is_positive_scalar()))
@@ -184,18 +163,23 @@ def certify_trivial(a: ActionSpec, p: int) -> Certificate:
                 return Certificate(status="Obstructed", stage="TangentGate",
                                    witness=w, assumptions=assumptions)
 
-    # breadth-first propagation of the star-identity check
+    # breadth-first propagation of the star-identity check: a star's
+    # witness is its first refinement cell, in refinement order, that moves
     neighbours = adjacency(base.simplices)
+    cells_at: List[List[int]] = [[] for _ in base.points]
+    for i, s in enumerate(base.simplices):
+        for v in s:
+            cells_at[v].append(i)
+    moved = [(name, f, _moved_cells(f)) for name, f in a.generators]
     verified: List[int] = []
     seen = {p}
     queue = [p]
     while queue:
         v = queue.pop(0)
-        star = _star_cells(base, v)
-        for name, f in a.generators:
-            bad = _identity_on_star(f, star)
-            if bad is not None:
-                home, rv = bad
+        for name, f, cells in moved:
+            hits = [cells[c] for c in cells_at[v] if c in cells]
+            if hits:
+                i, rv = min(hits)
                 x, y = f.refinement.points[rv], f.images[rv]
                 if not (f.eval(x) == y != x):
                     raise InternalError("Propagation witness does not re-check with eval")
@@ -203,7 +187,7 @@ def certify_trivial(a: ActionSpec, p: int) -> Certificate:
                     status="Obstructed", stage="Propagation",
                     verified_stars=verified,
                     witness={"vertex": v, "generator": name,
-                             "cell": base.simplices[home],
+                             "cell": base.simplices[f.cell_base[i]],
                              "point": x, "image": y},
                     assumptions=assumptions)
         verified.append(v)
@@ -224,7 +208,7 @@ def analyze_action(a: ActionSpec, kmax: int = 6, n: int = 64,
     """Per-generator fixed-locus / rotation analysis."""
     report: Dict[str, dict] = {}
     for name, g in a.generators:
-        if a.kind == "circle":
+        if isinstance(g, CircleLift):
             enc = rotation_enclosure(g, n)
             rat, outcome = detect_rational_rotation(g, qmax)
             entry = {"rotation_enclosure": (enc.lo, enc.hi),
@@ -233,7 +217,7 @@ def analyze_action(a: ActionSpec, kmax: int = 6, n: int = 64,
             if rat is not None:
                 entry["fixed_set_power_q"] = fixed_set_circle(rat.power, rat.p)
             report[name] = entry
-        elif a.kind == "interval":
+        elif isinstance(g, PLMap1D):
             report[name] = {"fixed_set": fixed_set_1d(g),
                             "is_identity": g.is_identity()}
         else:
@@ -242,7 +226,7 @@ def analyze_action(a: ActionSpec, kmax: int = 6, n: int = 64,
                 "fix_empty": fl.is_empty(),
                 "fix_everything": fl.is_everything(),
                 "fix_cells_by_dim": {d: len(fl.cells.of_dim(d))
-                                     for d in range(a.base.dim + 1)},
+                                     for d in range(g.base.dim + 1)},
             }
             if not fl.is_empty() and not fl.is_everything():
                 ci = canonical_invariant(fl)

@@ -213,6 +213,9 @@ def refine_fans(germs: Sequence[Germ]) -> List[Germ]:
     out = []
     for g in germs:
         cones = _refined_cones(g.fan, all_rays)
+        if g.fan.closed:  # start at the least ray, which every refined fan has
+            k = next(i for i, c in enumerate(cones) if c[0] == all_rays[0])
+            cones = cones[k:] + cones[:k]
         mats = []
         for u, v in cones:
             mats.append(g.matrices[_containing_cone(g.fan, u, v)])

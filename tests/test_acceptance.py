@@ -346,15 +346,14 @@ def test_criterion_8_certifier_end_to_end():
     # (a) all-identity action with perfect presentation
     t0 = time.monotonic()
     sq = square_complex()
-    a = ActionSpec("complex",
-                   [("a", identity_map(sq)), ("b", identity_map(sq))],
+    a = ActionSpec([("a", identity_map(sq)), ("b", identity_map(sq))],
                    presentation=Presentation(["a", "b"], [(1,), (2,)]))
     cert = certify_trivial(a, 0)
     ok = ok and cert.status == "Trivial" and len(cert.verified_stars) == 5
     budgets.append(time.monotonic() - t0)
     # (b) f1 on the interval complex with a free presentation
     t0 = time.monotonic()
-    b = ActionSpec("complex", [("a", f1_as_complex_action())],
+    b = ActionSpec([("a", f1_as_complex_action())],
                    presentation=Presentation(["a"], []))
     cert = certify_trivial(b, 0)
     ok = ok and cert.status == "HypothesisFailed" and cert.stage == "H1Gate"
@@ -367,7 +366,7 @@ def test_criterion_8_certifier_end_to_end():
                                (2, 3, 4), (3, 0, 4)])
     shear = plmap_from_vertex_images(
         shear_base, pts[:5] + [(F(1, 2), F(3, 8))])
-    cert = certify_trivial(ActionSpec("complex", [("s", shear)]), 4)
+    cert = certify_trivial(ActionSpec([("s", shear)]), 4)
     ok = ok and cert.status == "Obstructed" and cert.stage == "TangentGate"
     if ok:
         u, v = cert.witness["cone"]
@@ -381,7 +380,7 @@ def test_criterion_8_certifier_end_to_end():
     # (d) identity near p, nontrivial on a distant star
     t0 = time.monotonic()
     h = interior_move_map()
-    cert = certify_trivial(ActionSpec("complex", [("h", h)]), 3)
+    cert = certify_trivial(ActionSpec([("h", h)]), 3)
     ok = (ok and cert.status == "Obstructed" and cert.stage == "Propagation"
           and cert.witness["vertex"] is not None
           and h.eval(cert.witness["point"]) != cert.witness["point"])

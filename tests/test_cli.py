@@ -341,3 +341,31 @@ def test_tangent_at_a_vertex_outside_the_base_is_a_data_error(workdir, vertex, c
     code, out = run(["tangent", "--map", str(workdir / "rot.pm"), "--vertex", vertex])
     assert (code, out) == (65, "")
     assert "vertex %s not in base complex" % vertex in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("second", [R13, "interval 0 2\n0 0\n1 1/2\n2 2\n"],
+                         ids=["circle", "other-interval"])
+def test_action_of_mixed_generators_is_a_data_error(tmp_path, second, capsys):
+    """Generators of one action are of one kind on one domain."""
+    (tmp_path / "a.map").write_text(F1)
+    (tmp_path / "b.map").write_text(second)
+    for argv in (["analyze"], ["certify", "--vertex", "0"]):
+        code, out = run(argv + ["--action", str(tmp_path)])
+        assert (code, out) == (65, "")
+        assert "generator 'b'" in capsys.readouterr().err
+
+
+def test_presentation_option_replaces_the_directory_file(workdir):
+    """`--presentation` is read in place of the action's presentation.txt,
+    whichever of the two would fail the H1 gate."""
+    free, finite = workdir / "free.txt", workdir / "finite.txt"
+    free.write_text("gens r\n")
+    finite.write_text("gens r\nrel r^4\n")
+    action = workdir / "action"
+    certify = ["certify", "--action", str(action), "--vertex", "4", "--json"]
+    for in_dir, dir_code, given, code, stage in ((finite, 2, free, 3, "H1Gate"),
+                                                 (free, 3, finite, 2, "TangentGate")):
+        (action / "presentation.txt").write_text(in_dir.read_text())
+        assert run(certify)[0] == dir_code
+        got, out = run(certify + ["--presentation", str(given)])
+        assert (got, json.loads(out)["report"]["stage"]) == (code, stage)

@@ -4,7 +4,8 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plstab.errors import InvalidComplex, OutOfInterval, SideOutsideInterval
+from plstab.errors import (InvalidComplex, OutOfInterval, ParseError,
+                           SideOutsideInterval)
 from plstab.interval import (PLMap1D, Trivial, Witness, compose1d,
                              derivative_homomorphism_check, eval1d,
                              fixed_set_1d, format_plmap1d, inverse1d,
@@ -130,6 +131,15 @@ def test_parse_format_roundtrip():
     for _ in range(10):
         g = random_plmap1d(rng, max_breaks=6)
         assert parse_plmap1d(format_plmap1d(g)) == g
+
+
+def test_header_must_be_the_word_interval():
+    # the command line picks the parser by the header's first token, so
+    # only a direct call reaches the parser with another word
+    assert parse_plmap1d("interval 0 1\n0 0\n1 1\n") == PLMap1D.identity()
+    for header in ("intervalx 0 1", "intervals 0 1", "interval", "circle 0 1"):
+        with pytest.raises(ParseError):
+            parse_plmap1d(header + "\n0 0\n1 1\n")
 
 
 @settings(max_examples=40)

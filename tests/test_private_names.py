@@ -151,3 +151,53 @@ def test_the_check_sees_private_imports(tmp_path):
                      "from plstab.complexes import _connected\n"
                      "ok = base._is_connected() and self._ok and x.__class__\n")
     assert private_uses(probe) == [(1, "_build"), (2, "_connected"), (3, "_is_connected")]
+
+
+# a map's kind is its type: only the readers of a file header name it by string
+KIND_STRINGS = {"interval", "circle", "complex"}
+HEADER_READERS = {("cli.py", "load_map"), ("interval.py", "parse_plmap1d"),
+                  ("circle.py", "parse_circle_lift")}
+MATCHES = (ast.Eq, ast.NotEq, ast.In, ast.NotIn)
+
+
+def _names_kind(node):
+    if isinstance(node, (ast.Tuple, ast.List, ast.Set)):
+        return any(_names_kind(e) for e in node.elts)
+    return isinstance(node, ast.Constant) and node.value in KIND_STRINGS
+
+
+def kind_comparisons(path):
+    """(enclosing top-level name, line) of each comparison by ==, !=, in or
+    not in against "interval", "circle" or "complex", alone or in a tuple."""
+    out = []
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if (isinstance(node, ast.Compare) and any(isinstance(op, MATCHES) for op in node.ops)
+                    and any(_names_kind(x) for x in [node.left] + node.comparators)):
+                out.append((getattr(top, "name", None), node.lineno))
+    return sorted(out, key=lambda hit: hit[1])
+
+
+def test_map_kinds_are_told_apart_by_type():
+    """Past the header readers, code tells interval maps, circle lifts and
+    complex maps apart by their type, never by a kind string."""
+    found = {p.name: [(fn, line) for fn, line in kind_comparisons(p)
+                      if (p.name, fn) not in HEADER_READERS]
+             for p in sorted(SRC.glob("*.py"))}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_the_check_sees_kind_comparisons(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("class ActionSpec:\n"
+                     "    def __init__(self, kind):\n"
+                     "        if kind not in ('interval', 'circle', 'complex'):\n"
+                     "            raise ValueError(kind)\n"
+                     "def analyze(a):\n"
+                     "    return a.kind == 'circle' or 'complex' != a.kind\n"
+                     "def load_map(h):\n"
+                     "    return h[0] == 'interval'\n"
+                     "def fine(x, kind):\n"
+                     "    return {'complex': 1}[x] if kind is 'circle' else x < 'interval'\n")
+    assert kind_comparisons(probe) == [("ActionSpec", 3), ("analyze", 6), ("analyze", 6),
+                                       ("load_map", 8)]

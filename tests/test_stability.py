@@ -8,7 +8,7 @@ import pytest
 
 from plstab.circle import CircleLift
 from plstab.errors import DisconnectedComplex, VertexNotInComplex
-from plstab.complexes import Complex
+from plstab.complexes import Complex, adjacency
 from plstab.interval import PLMap1D
 from plstab.plmap import PLMap, compose2d, identity_map, inverse2d
 from plstab.presentation import Presentation
@@ -21,7 +21,7 @@ from support import (f1_map, interior_move_map, quarter_rotation,
 
 def test_trivial_action_covers_all_vertices():
     sq = square_complex()
-    a = ActionSpec("complex", [("a", identity_map(sq)), ("b", identity_map(sq))],
+    a = ActionSpec([("a", identity_map(sq)), ("b", identity_map(sq))],
                    presentation=Presentation(["a", "b"], [(1,), (2,)]))
     cert = certify_trivial(a, 0)
     assert cert.status == "Trivial"
@@ -30,7 +30,7 @@ def test_trivial_action_covers_all_vertices():
 
 
 def test_h1_gate_blocks_free_group():
-    a = ActionSpec("complex", [("a", quarter_rotation())],
+    a = ActionSpec([("a", quarter_rotation())],
                    presentation=Presentation(["a"], []))
     cert = certify_trivial(a, 4)
     assert cert.status == "HypothesisFailed"
@@ -39,14 +39,14 @@ def test_h1_gate_blocks_free_group():
 
 
 def test_fixed_point_gate():
-    cert = certify_trivial(ActionSpec("complex", [("r", quarter_rotation())]), 0)
+    cert = certify_trivial(ActionSpec([("r", quarter_rotation())]), 0)
     assert cert.status == "Obstructed"
     assert cert.stage == "FixedPointGate"
     assert cert.witness["vertex"] == 0
 
 
 def test_tangent_gate_rotation():
-    cert = certify_trivial(ActionSpec("complex", [("r", quarter_rotation())]), 4)
+    cert = certify_trivial(ActionSpec([("r", quarter_rotation())]), 4)
     assert cert.status == "Obstructed"
     assert cert.stage == "TangentGate"
     assert cert.witness["matrix"] == ((F(0), F(-1)), (F(1), F(0)))
@@ -54,7 +54,7 @@ def test_tangent_gate_rotation():
 
 def test_propagation_obstruction_names_frontier_vertex():
     h = interior_move_map()
-    cert = certify_trivial(ActionSpec("complex", [("h", h)]), 3)
+    cert = certify_trivial(ActionSpec([("h", h)]), 3)
     assert cert.status == "Obstructed"
     assert cert.stage == "Propagation"
     assert cert.verified_stars  # identity held near the start vertex
@@ -63,22 +63,22 @@ def test_propagation_obstruction_names_frontier_vertex():
 
 
 def test_certify_errors():
-    a = ActionSpec("complex", [("r", quarter_rotation())])
+    a = ActionSpec([("r", quarter_rotation())])
     with pytest.raises(VertexNotInComplex):
         certify_trivial(a, 99)
     pts = [(0, 0), (1, 0), (5, 0), (6, 0)]
     disc = Complex(pts, [(0, 1), (2, 3)], require_connected=False)
     f = PLMap(disc, disc, list(pts))
     with pytest.raises(DisconnectedComplex):
-        certify_trivial(ActionSpec("complex", [("f", f)]), 0)
+        certify_trivial(ActionSpec([("f", f)]), 0)
 
 
 def test_verify_relators():
     r = quarter_rotation()
-    a = ActionSpec("complex", [("a", r)],
+    a = ActionSpec([("a", r)],
                    presentation=Presentation(["a"], [(1, 1, 1, 1)]))
     assert verify_relators(a) == "pass"
-    bad = ActionSpec("complex", [("a", r)],
+    bad = ActionSpec([("a", r)],
                      presentation=Presentation(["a"], [(1, 1)]))
     res = verify_relators(bad)
     assert res != "pass"
@@ -86,7 +86,7 @@ def test_verify_relators():
 
 
 def test_verify_relators_interval():
-    a = ActionSpec("interval", [("a", f1_map())],
+    a = ActionSpec([("a", f1_map())],
                    presentation=Presentation(["a"], [(1, 1)]))
     res = verify_relators(a)
     assert res != "pass" and res["sample_point"] is not None
@@ -100,7 +100,7 @@ def test_subset_monotonicity():
     for _ in range(5):
         k = rng.randint(1, 3)
         sub = rng.sample(gens, k)
-        cert = certify_trivial(ActionSpec("complex", sub), 2)
+        cert = certify_trivial(ActionSpec(sub), 2)
         assert cert.status == "Trivial"
 
 
@@ -108,15 +108,15 @@ def test_conjugation_covariance():
     # conjugating by the rotation maps the witness star around the square
     r = quarter_rotation()
     h = compose2d(r, compose2d(identity_map(r.base), inverse2d(r)))
-    cert_orig = certify_trivial(ActionSpec("complex", [("g", r)]), 4)
+    cert_orig = certify_trivial(ActionSpec([("g", r)]), 4)
     conj = compose2d(r, compose2d(r, inverse2d(r)))
-    cert_conj = certify_trivial(ActionSpec("complex", [("g", conj)]), 4)
+    cert_conj = certify_trivial(ActionSpec([("g", conj)]), 4)
     assert cert_orig.status == cert_conj.status == "Obstructed"
     assert cert_orig.stage == cert_conj.stage
 
 
 def test_analyze_complex_action():
-    rep = analyze_action(ActionSpec("complex", [("r", quarter_rotation())]),
+    rep = analyze_action(ActionSpec([("r", quarter_rotation())]),
                          kmax=4)
     assert rep["r"]["fuller_k"] == 1
     assert rep["r"]["derivation_depth"] == 1
@@ -125,17 +125,23 @@ def test_analyze_complex_action():
 
 def test_analyze_circle_action():
     from plstab.circle import CircleLift
-    rep = analyze_action(ActionSpec("circle",
-                                    [("r13", CircleLift.rotation(F(1, 3)))]))
+    rep = analyze_action(ActionSpec([("r13", CircleLift.rotation(F(1, 3)))]))
     assert rep["r13"]["rational"] == (1, 3)
     total = sum(hi - lo for lo, hi in rep["r13"]["fixed_set_power_q"])
     assert total == 1  # the cube of the rotation fixes the whole circle
 
 
 def test_mixed_kind_rejected():
+    """Generators of different map types, or of one type on different
+    domains, do not form an action."""
     from plstab.errors import SupportMismatch
-    with pytest.raises(SupportMismatch):
-        ActionSpec("interval", [("a", quarter_rotation())])
+    for gens in ([quarter_rotation(), f1_map()],
+                 [PLMap1D.identity(0, 1), PLMap1D.identity(0, 2)],
+                 [quarter_rotation(), identity_map(_grid(2))],
+                 [f1_map(), CircleLift.identity()],
+                 [f1_map(), "not a map"]):
+        with pytest.raises(SupportMismatch):
+            ActionSpec([("g%d" % i, g) for i, g in enumerate(gens)])
 
 
 def circle_map():
@@ -144,17 +150,17 @@ def circle_map():
 
 def test_verify_relators_circle():
     a = CircleLift.rotation(F(1, 3))
-    comm = ActionSpec("circle", [("a", a), ("c", CircleLift.rotation(F(1, 5)))],
+    comm = ActionSpec([("a", a), ("c", CircleLift.rotation(F(1, 5)))],
                       presentation=Presentation(["a", "c"], [(1, 2, -1, -2)]))
     assert verify_relators(comm) == "pass"
-    bad = ActionSpec("circle", [("a", a)],
+    bad = ActionSpec([("a", a)],
                      presentation=Presentation(["a"], [(1, 1)]))
     res = verify_relators(bad)
     assert res["relator"] == (1, 1)
     x = res["sample_point"]
     assert (a(a(x)) - x) % 1 != 0  # moved on the circle, not only on the line
     # a^3 lifts to x -> x + 1, the identity of the circle
-    cube = ActionSpec("circle", [("a", a)],
+    cube = ActionSpec([("a", a)],
                       presentation=Presentation(["a"], [(1, 1, 1)]))
     assert verify_relators(cube) == "pass"
 
@@ -172,10 +178,10 @@ def test_circle_identity_is_judged_on_the_circle():
 def test_verify_relators_empty_word(kind, gen):
     g = gen()
     # a a^-1 and a^-1 a reduce to the empty word; a alone moves a point
-    a = ActionSpec(kind, [("a", g)],
+    a = ActionSpec([("a", g)],
                    presentation=Presentation(["a"], [(1, -1), (-1, 1), ()]))
     assert verify_relators(a) == "pass"
-    bad = ActionSpec(kind, [("a", g)], presentation=Presentation(["a"], [(1,)]))
+    bad = ActionSpec([("a", g)], presentation=Presentation(["a"], [(1,)]))
     x = verify_relators(bad)["sample_point"]
     image = g.eval(x) if kind == "complex" else g(x)
     assert image != x
@@ -183,14 +189,22 @@ def test_verify_relators_empty_word(kind, gen):
 
 @pytest.mark.parametrize("kind", ["interval", "circle", "complex"])
 def test_verify_relators_without_generators(kind):
-    a = ActionSpec(kind, [], presentation=Presentation([], [()]))
+    # the empty action passes whatever kind of map it would hold, and so
+    # does one whose only generator is the identity of that kind
+    a = ActionSpec([], presentation=Presentation([], [()]))
     assert verify_relators(a) == "pass"
+    gen = {"interval": f1_map, "circle": circle_map,
+           "complex": quarter_rotation}[kind]
+    one = ActionSpec([("e", gen().identity_like())],
+                     presentation=Presentation(["e"], [(), (1,), (1, -1)]))
+    assert verify_relators(one) == "pass"
 
 
 @pytest.mark.parametrize("gen", [f1_map, circle_map, quarter_rotation])
 def test_map_protocol(gen):
     g = gen()
     one = g.identity_like()
+    assert g.domain == g.inverse().domain == one.domain
     assert one.is_identity() and one.moved_point() is None
     assert not g.is_identity()
     x = g.moved_point()
@@ -211,11 +225,11 @@ from plstab.plmap import PLMap
 from support import interior_move_map
 
 assert sys.flags.optimize
-action = st.ActionSpec("complex", [("h", interior_move_map())])
+action = st.ActionSpec([("h", interior_move_map())])
 for name, obj, attr, fake in [
         ("witness", PLMap, "eval", lambda self, x: tuple(x)),
         ("coverage", st, "adjacency", lambda simplices: {v: set() for v in range(7)}),
-        ("identity", st, "_identity_on_star", lambda f, star: None)]:
+        ("identity", st, "_moved_cells", lambda f: {})]:
     real = getattr(obj, attr)
     setattr(obj, attr, fake)
     try:
@@ -316,8 +330,51 @@ def test_obstructed_witnesses_recheck_with_eval():
         base = bases[n]
         gens = {name: _grid_move(rng, base, n) for name in ("a", "b")[:rng.randint(1, 2)]}
         p = rng.randrange(len(base.points))
-        cert = certify_trivial(ActionSpec("complex", sorted(gens.items())), p)
+        cert = certify_trivial(ActionSpec(sorted(gens.items())), p)
         if cert.status == "Obstructed":
             _check_obstruction(cert, base, gens)
             stages.add(cert.stage)
     assert stages == {"FixedPointGate", "TangentGate", "Propagation"}
+
+
+def _scan_propagation(base, gens, p):
+    """Verified stars and witness of the propagation stage by the per-star
+    scan it replaced: each star's base cells found by a scan of the base,
+    and each generator's refinement scanned for the first cell in the star
+    with a moved vertex."""
+    neighbours = adjacency(base.simplices)
+    verified, seen, queue = [], {p}, [p]
+    while queue:
+        v = queue.pop(0)
+        star = {i for i, s in enumerate(base.simplices) if v in s}
+        for name, f in gens:
+            for s, home in zip(f.refinement.simplices, f.cell_base):
+                moved = [u for u in s if f.images[u] != f.refinement.points[u]]
+                if home in star and moved:
+                    return verified, {"vertex": v, "generator": name,
+                                      "cell": base.simplices[home],
+                                      "point": f.refinement.points[moved[0]],
+                                      "image": f.images[moved[0]]}
+        verified.append(v)
+        for w in sorted(neighbours[v]):
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return verified, None
+
+
+def test_propagation_matches_the_per_star_scan():
+    rng = random.Random(5)
+    outcomes = set()
+    for n in (3, 3, 4, 4):
+        base = _grid(n)
+        gens = sorted({"a": _grid_move(rng, base, n),
+                       "b": compose2d(_grid_move(rng, base, n), _grid_move(rng, base, n)),
+                       "c": identity_map(base)}.items())
+        for sub in (gens, gens[2:]):
+            for p in range(len(base.points)):
+                cert = certify_trivial(ActionSpec(sub), p)
+                if cert.stage == "Propagation":
+                    assert (cert.verified_stars, cert.witness) == _scan_propagation(base, sub, p)
+                    outcomes.add(cert.status)
+    assert outcomes == {"Trivial", "Obstructed"}

@@ -82,6 +82,20 @@ def test_germs_equal_across_refinements():
     assert not germs_equal(g, identity_germ(g.fan))
 
 
+def test_closed_fans_whose_least_rays_differ_refine_to_one_fan():
+    """Each closed fan starts at its least ray; the refinement of two fans
+    starts at the least ray of both, whichever germ comes first."""
+    sq = square_complex()
+    fine = Complex(list(sq.points) + [(F(1, 4), F(5, 8))],
+                   [(0, 1, 4), (0, 3, 5), (3, 4, 5), (0, 4, 5), (1, 2, 4), (2, 3, 4)])
+    coarse_id, fine_id = (identity_germ(fan_of_star(c, 4)) for c in (sq, fine))
+    assert coarse_id.fan.cones[0][0] != fine_id.fan.cones[0][0]
+    for gs in ([coarse_id, fine_id], [fine_id, coarse_id]):
+        a, b = refine_fans(gs)
+        assert a.fan == b.fan and a.fan.cones[0][0] == (-2, 1)
+    assert germs_equal(coarse_id, fine_id)
+
+
 def test_canonical_germ_merges_cones():
     fan = fan_of_star(square_complex(), 4)
     g = identity_germ(fan)
