@@ -12,9 +12,12 @@ and invert build their results with `CircleLift.trusted`. Lifts compose
 by one linear merge of G's breakpoints with one rotated period of F's
 (`interval.compose_breakpoints`), which keeps only the points where the
 slope changes, so its output is canonical.
-Detection builds F^q for q = 1, 2, ... by that merge and tests one p per
-q, the only integer the displacement F^q(x) - x can reach, so it costs
-O(qmax * |F^qmax|) Fraction operations.
+Detection bisects the Stern-Brocot tree of rationals: each level builds
+one power F^(b+d) from the two powers F^b, F^d of its bracket's bounds by
+that merge, and the sign of the displacement F^(b+d)(x) - x against the
+mediant's numerator moves one bound or proves the mediant. A rotation
+number p/q costs one merge per level down to p/q, at most q - 1; past
+qmax, the enclosure's F^qmax comes by binary powering.
 """
 
 from __future__ import annotations
@@ -201,38 +204,71 @@ def fixed_set_circle(F: CircleLift, p: int) -> List[Tuple[Fraction, Fraction]]:
     return [piece for piece in merged if not (piece == (1, 1) and (0, 0) in merged)]
 
 
+def power_lift(F: CircleLift, n: int) -> CircleLift:
+    """F^n for n >= 1 by binary powering: at most 2 log2(n) merges."""
+    power = None
+    while True:
+        if n & 1:
+            power = F if power is None else compose_lift(power, F)
+        n >>= 1
+        if not n:
+            return power
+        F = compose_lift(F, F)
+
+
+def _displacement_side(Fq: CircleLift, p: int) -> int:
+    """Where the displacement d(x) = F^q(x) - x lies against the integer p:
+    1 if above it everywhere, -1 if below it everywhere, 0 if d reaches p.
+    d is PL, so its extremes are taken at breakpoints; at each, the sign of
+    d - p is read off the numerators and denominators, building no Fraction."""
+    above = Fq.breakpoints[0][1] > p  # d(0) = F^q(0)
+    for x, y in Fq.breakpoints:
+        yd = y.denominator
+        s = (y.numerator - p * yd) * x.denominator - x.numerator * yd
+        if not s or (s > 0) != above:
+            return 0
+    return 1 if above else -1
+
+
 def detect_rational_rotation(F: CircleLift, qmax: int = 64):
     """Smallest q <= qmax with F^q(x) = x + p solvable; exact witness point.
 
     Returns (RationalRotation, 'found'), (None, 'certified-none') when the
     enclosure excludes every p/q with q <= qmax, or (None, 'inconclusive').
 
-    Each q tests one p only. The displacement d(x) = F^q(x) - x is PL, and
-    as F^q increases with F^q(1) = F^q(0) + 1, its range over a period has
-    width < 1 and contains d(0) = F^q(0); so the one integer it can reach is
-    n = floor(F^q(0)) or n + 1, and as the extremes of d are taken at
-    breakpoints, the first breakpoint where d is the integer n or has a
-    floor other than n settles which: p = max(floor(d), n). With one merge
-    per power, detection costs O(qmax * |F^qmax|) Fraction operations.
+    F^q(x) = x + p is solvable iff rot(F) = p/q, so the smallest such q is
+    the denominator of rot(F) in lowest terms, and detection bisects the
+    Stern-Brocot tree. The displacement F(x) - x ranges over less than 1
+    and takes the value F(0), so q = 1 can only reach n = floor(F(0)) or
+    n + 1; if it reaches neither, n/1 < rot(F) < (n+1)/1. Given Farey
+    neighbours a/b < rot(F) < c/d and the powers F^b, F^d, one merge builds
+    F^(b+d), and its displacement lies above a + c everywhere (the mediant
+    is a new left bound), below it everywhere (a new right bound), or
+    reaches it: then rot(F) is the mediant, already in lowest terms. So
+    detection takes one merge per level of the tree down to p/q, and past
+    qmax builds F^qmax by binary powering for the enclosure.
     """
     if qmax < 1:
         raise ValueError("qmax must be positive")
-    Fq = F
-    for q in range(1, qmax + 1):
-        if q > 1:
-            Fq = compose_lift(F, Fq)
-        n = floor(Fq.breakpoints[0][1])
-        for x, y in Fq.breakpoints:
-            d = y - x
-            if floor(d) != n or d == n:
-                # d is continuous, so it takes the value p; scanning q
-                # upward makes the first hit automatically reduced
-                p = max(floor(d), n)
-                x = fixed_set_circle(Fq, p)[0][0]
-                return RationalRotation(p=p, q=q, periodic_point=x, power=Fq), "found"
+    n = floor(F.breakpoints[0][1])
+    for p in (n, n + 1):
+        if _displacement_side(F, p) == 0:
+            return _found(F, p, 1), "found"
+    a, b, Fb, c, d, Fd = n, 1, F, n + 1, 1, F
+    while b + d <= qmax:
+        p, q = a + c, b + d
+        Fq = compose_lift(Fb, Fd)  # powers of F commute
+        side = _displacement_side(Fq, p)
+        if side == 0:
+            return _found(Fq, p, q), "found"
+        if side > 0:
+            a, b, Fb = p, q, Fq
+        else:
+            c, d, Fd = p, q, Fq
     # no periodic point up to qmax: see whether the enclosure from
     # F^(4 qmax^2)(0) = Fq^(4 qmax)(0) rules out every rational with
-    # denominator <= qmax
+    # denominator <= qmax; a bound of the bracket may already be F^qmax
+    Fq = Fb if b == qmax else Fd if d == qmax else power_lift(F, qmax)
     enc = rotation_enclosure(Fq, 4 * qmax)
     lo, hi = enc.lo / qmax, enc.hi / qmax
     for q in range(1, qmax + 1):
@@ -240,6 +276,10 @@ def detect_rational_rotation(F: CircleLift, qmax: int = 64):
             if lo <= Fraction(p, q) <= hi:
                 return None, "inconclusive"
     return None, "certified-none"
+
+
+def _found(Fq: CircleLift, p: int, q: int) -> RationalRotation:
+    return RationalRotation(p=p, q=q, periodic_point=fixed_set_circle(Fq, p)[0][0], power=Fq)
 
 
 # -- text format ---------------------------------------------------------

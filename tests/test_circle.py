@@ -9,7 +9,7 @@ from plstab import circle
 from plstab.circle import (CircleLift, compose_lift, detect_rational_rotation,
                            eval_lift, fixed_set_circle, format_circle_lift,
                            inverse_lift, iterate_lift, parse_circle_lift,
-                           rotation_enclosure)
+                           power_lift, rotation_enclosure)
 from plstab.errors import InvalidComplex
 
 
@@ -183,10 +183,10 @@ def kinked_lifts(draw):
 
 
 @st.composite
-def periodic_lifts(draw):
+def periodic_lifts(draw, qlo=1, qhi=7):
     """A lift like the benchmark's: q points permuted cyclically by p, kinks
     inside some gaps, then an integer shift."""
-    q = draw(st.integers(1, 7))
+    q = draw(st.integers(qlo, qhi))
     p = draw(st.integers(0, q - 1).filter(lambda p: math.gcd(p, q) == 1))
     den = 4 * q
     xs = [F(0)] + sorted(F(t, den) for t in draw(
@@ -232,6 +232,72 @@ def test_detect_matches_three_p_reference(f):
         assert rat.power == ref_power
 
 
+def sequential_detect(F_, qmax):
+    """The earlier detection: build F^q for q = 1, 2, ... by one merge each
+    and test the one integer p the displacement F^q(x) - x can reach."""
+    Fq = F_
+    for q in range(1, qmax + 1):
+        if q > 1:
+            Fq = compose_lift(F_, Fq)
+        n = math.floor(Fq.breakpoints[0][1])
+        for x, y in Fq.breakpoints:
+            d = y - x
+            if math.floor(d) != n or d == n:
+                p = max(math.floor(d), n)
+                return (p, q, fixed_set_circle(Fq, p)[0][0], Fq), "found"
+    enc = rotation_enclosure(Fq, 4 * qmax)
+    lo, hi = enc.lo / qmax, enc.hi / qmax
+    for q in range(1, qmax + 1):
+        for p in range(math.floor(lo * q), math.floor(hi * q) + 2):
+            if lo <= F(p, q) <= hi:
+                return None, "inconclusive"
+    return None, "certified-none"
+
+
+def assert_detects_as_sequential(f, qmax):
+    rat, outcome = detect_rational_rotation(f, qmax)
+    ref, ref_outcome = sequential_detect(f, qmax)
+    assert outcome == ref_outcome
+    if ref is None:
+        assert rat is None
+    else:
+        assert (rat.p, rat.q, rat.periodic_point, rat.power) == ref
+
+
+@settings(max_examples=100, deadline=None)
+@given(LIFTS, st.integers(1, 16))
+def test_bisection_matches_sequential_detection(f, qmax):
+    assert_detects_as_sequential(f, qmax)
+
+
+@st.composite
+def periodic_lifts_and_qmax(draw):
+    """A periodic lift of period q <= 20, and qmax around q."""
+    q = draw(st.integers(1, 20))
+    f = draw(periodic_lifts(q, q))
+    return f, draw(st.sampled_from([1, 2, max(q - 1, 1), q, 3 * q]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(periodic_lifts_and_qmax())
+def test_bisection_matches_sequential_detection_on_periodic_lifts(case):
+    assert_detects_as_sequential(*case)
+
+
+def k_fold(f, k):
+    """f composed with itself k times, one merge at a time."""
+    fk = f
+    for _ in range(k - 1):
+        fk = compose_lift(f, fk)
+    return fk
+
+
+@settings(max_examples=40, deadline=None)
+@given(LIFTS, st.integers(1, 24))
+def test_power_lift_is_the_k_fold_composite(f, k):
+    assert power_lift(f, k) == k_fold(f, k)
+
+
 @settings(max_examples=60, deadline=None)
 @given(LIFTS, st.integers(0, 40), st.fractions(min_value=-3, max_value=3,
                                                max_denominator=16))
@@ -261,13 +327,53 @@ def test_fallback_enclosure_iterates_the_last_power(monkeypatch, p, q):
     enc = rotation_enclosure(f, 4 * qmax * qmax)
     hit = any(enc.lo <= F(a, b) <= enc.hi for b in range(1, qmax + 1)
               for a in range(math.floor(enc.lo * b), math.floor(enc.hi * b) + 2))
-    steps = []
+    steps, lifts = [], []
 
     def counted(g, n, x):
         steps.append(n)
+        lifts.append(g)
         return iterate_lift(g, n, x)
 
     monkeypatch.setattr(circle, "iterate_lift", counted)
     assert detect_rational_rotation(f, qmax) == (None, "inconclusive" if hit else "certified-none")
     assert steps == [4 * qmax]
+    assert lifts == [k_fold(f, qmax)]
     assert detect_rational_rotation(f, q)[0].value == F(p, q)
+
+
+def stern_brocot_depth(p, q):
+    """The mediants between n/1 and (n+1)/1 taken to reach p/q: the partial
+    quotients of p/q's continued fraction past the integer part, summed,
+    less one (0 when q = 1)."""
+    num, den = q, p % q
+    total = 0
+    while den:
+        total += num // den
+        num, den = den, num % den
+    return max(total - 1, 0)
+
+
+@pytest.mark.parametrize("p, q, depth", [
+    (1, 2, 1), (1, 9, 8), (2, 11, 6), (5, 12, 5), (3, 13, 6), (7, 17, 6),
+    (8, 21, 6), (19, 20, 19),
+])
+def test_detection_merges_once_per_stern_brocot_level(monkeypatch, p, q, depth):
+    """Detecting p/q takes one merge per level of the Stern-Brocot tree
+    down to p/q; past qmax, at most those and 2 log2(qmax) more for F^qmax."""
+    assert stern_brocot_depth(p, q) == depth
+    merges = []
+
+    def counted(f, g):
+        merges.append(1)
+        return compose_lift(f, g)
+
+    monkeypatch.setattr(circle, "compose_lift", counted)
+    f = kinked_rotation(p, q)
+    for qmax in (q, 3 * q):
+        merges.clear()
+        assert detect_rational_rotation(f, qmax)[0].value == F(p, q)
+        assert len(merges) == depth
+    for qmax in {1, 2, q // 2, q - 1} - {q}:
+        merges.clear()
+        assert detect_rational_rotation(f, qmax)[0] is None
+        assert len(merges) <= depth + 2 * math.ceil(math.log2(qmax))
