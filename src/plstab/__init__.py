@@ -16,9 +16,8 @@ from .errors import (DisconnectedComplex, FixIsEmpty, FixIsEverything,
 from .fixedlocus import (CanonicalInvariant, FixedLocus, FullerResult,
                          canonical_invariant, fixed_subcomplex, frontier,
                          fuller_search)
-from .interval import (PLMap1D, compose1d, derivative_homomorphism_check,
-                       eval1d, fixed_set_1d, inverse1d, one_sided_derivative,
-                       ray_triviality_certifier)
+from .interval import (PLMap1D, compose1d, eval1d, fixed_set_1d, inverse1d,
+                       one_sided_derivative)
 from .overlay import Overlay, overlay
 from .plmap import (PLMap, compose2d, identity_map, inverse2d,
                     plmap_from_vertex_images, power)

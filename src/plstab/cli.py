@@ -184,15 +184,16 @@ def cmd_fixset(args, out):
              for v in used]
     lines += ["s %s" % " ".join(str(reindex[v]) for v in s) for s in maximal]
     text = "\n".join(lines) if lines else "# empty fixed set"
-    _print(out, text)
     sidecar = ["cell %s from %d" % (" ".join(str(v) for v in s), i)
                for s, i in sorted(fl.provenance.items())]
+    # the sidecar is written first, so a file error leaves stdout empty
     if args.sidecar:
         with open(args.sidecar, "w") as fh:
             fh.write("\n".join(sidecar) + "\n")
-    else:
-        for line in sidecar:
-            _print(out, "# " + line)
+        sidecar = []
+    _print(out, text)
+    for line in sidecar:
+        _print(out, "# " + line)
 
 
 def cmd_rotno(args, out):

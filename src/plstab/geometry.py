@@ -248,15 +248,14 @@ def primitive_direction(v: Sequence[Fraction]) -> Tuple[int, ...]:
 
 
 class Mat:
-    """A small dense matrix of Fractions (d x d, d in {1, 2, 3})."""
+    """A 2 x 2 matrix of Fractions."""
 
     __slots__ = ("rows",)
 
     def __init__(self, rows: Iterable[Iterable]):
         self.rows = tuple(tuple(rat(x) for x in row) for row in rows)
-        n = len(self.rows)
-        if n not in (1, 2, 3) or any(len(r) != n for r in self.rows):
-            raise ValueError("Mat must be square of size 1..3")
+        if len(self.rows) != 2 or any(len(r) != 2 for r in self.rows):
+            raise ValueError("Mat must be 2 x 2")
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
@@ -289,34 +288,14 @@ class Mat:
 
     def det(self) -> Fraction:
         r = self.rows
-        if self.n == 1:
-            return r[0][0]
-        if self.n == 2:
-            return r[0][0] * r[1][1] - r[0][1] * r[1][0]
-        return (
-            r[0][0] * (r[1][1] * r[2][2] - r[1][2] * r[2][1])
-            - r[0][1] * (r[1][0] * r[2][2] - r[1][2] * r[2][0])
-            + r[0][2] * (r[1][0] * r[2][1] - r[1][1] * r[2][0])
-        )
+        return r[0][0] * r[1][1] - r[0][1] * r[1][0]
 
     def inverse(self) -> "Mat":
         d = self.det()
         if d == 0:
             raise NondegenerateViolation("singular matrix has no inverse")
         r = self.rows
-        if self.n == 1:
-            return Mat([[1 / d]])
-        if self.n == 2:
-            return Mat([[r[1][1] / d, -r[0][1] / d], [-r[1][0] / d, r[0][0] / d]])
-        cof = [
-            [
-                (r[(i + 1) % 3][(j + 1) % 3] * r[(i + 2) % 3][(j + 2) % 3]
-                 - r[(i + 1) % 3][(j + 2) % 3] * r[(i + 2) % 3][(j + 1) % 3])
-                for i in range(3)
-            ]
-            for j in range(3)
-        ]
-        return Mat([[c / d for c in row] for row in cof])
+        return Mat([[r[1][1] / d, -r[0][1] / d], [-r[1][0] / d, r[0][0] / d]])
 
     def is_identity(self) -> bool:
         return self == Mat.identity(self.n)

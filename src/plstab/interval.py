@@ -10,15 +10,18 @@ Composition and inversion build their results with `trusted`, unchecked.
 Composition is one linear merge of the two breakpoint lists that emits only
 the kinks (`compose_breakpoints`, which circle lifts share), and the
 inverse of a canonical map is canonical.
+
+An interval action is certified by `stability.certify_trivial` as the
+same action on the one-edge complex [a, b], whose refinement is each
+map's canonical breakpoints.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
     InvalidComplex,
@@ -290,79 +293,9 @@ def one_sided_derivative(f: PLMap1D, p, side: str) -> Fraction:
     return f.slopes[i]
 
 
-def derivative_homomorphism_check(maps: Sequence[PLMap1D]) -> dict:
-    """Verify g -> dg(0+) is multiplicative over all pairs; report characters."""
-    left = maps[0].interval[0]
-    for f in maps:
-        if f.orientation < 0:
-            raise InvalidComplex("derivative characters need orientation-preserving maps")
-        if eval1d(f, left) != left:
-            raise NotFixedPoint("every map must fix the left endpoint")
-    chars = [one_sided_derivative(f, left, "right") for f in maps]
-    failures = []
-    for i, f in enumerate(maps):
-        for j, g in enumerate(maps):
-            d = one_sided_derivative(compose1d(f, g), left, "right")
-            if d != chars[i] * chars[j]:
-                failures.append((i, j, d))
-    return {"characters": chars, "failures": failures, "ok": not failures}
-
-
 def fixed_set_1d(f: PLMap1D) -> List[Piece]:
     """Maximal closed intervals (possibly points) where f(x) = x, sorted."""
     return shifted_fixed_pieces(f.breakpoints, f.slopes, 0)
-
-
-@dataclass(frozen=True)
-class Trivial:
-    pass
-
-
-@dataclass(frozen=True)
-class Witness:
-    a: Fraction
-    gen: int
-
-
-def ray_triviality_certifier(gens: Sequence[PLMap1D]) -> Union[Trivial, Witness]:
-    """Certify that every generator is the identity, or pin the obstruction.
-
-    Returns the supremum a of the initial segment [left, a] on which all
-    generators agree with the identity, together with one generator that is
-    not the identity just to the right of a.
-    """
-    if not gens:
-        return Trivial()
-    left = gens[0].interval[0]
-    right = gens[0].interval[1]
-    for f in gens:
-        if eval1d(f, left) != left:
-            raise NotFixedPoint("generators must fix the left endpoint")
-    best = right
-    best_gen: Optional[int] = None
-    for i, f in enumerate(gens):
-        a = _identity_prefix(f)
-        if a < best:
-            best = a
-            best_gen = i
-    if best_gen is None:
-        return Trivial()
-    return Witness(a=best, gen=best_gen)
-
-
-def _identity_prefix(f: PLMap1D) -> Fraction:
-    """Largest a with f = id on [left, a] (= right endpoint iff f is id)."""
-    left, right = f.interval
-    if f.is_identity():
-        return right
-    a = left
-    for i in range(len(f.breakpoints) - 1):
-        (x0, y0), (x1, y1) = f.breakpoints[i], f.breakpoints[i + 1]
-        if y0 == x0 and y1 == x1:
-            a = x1
-        else:
-            break
-    return a
 
 
 # -- text format ---------------------------------------------------------

@@ -67,7 +67,7 @@ def _identity(n: int) -> List[List[int]]:
 
 
 def _det_unimodular(m: List[List[int]]) -> int:
-    # integer determinant by fraction-free Gaussian elimination (Bareiss)
+    # integer determinant by Gaussian elimination over Fraction, with division
     from fractions import Fraction
     n = len(m)
     a = [[Fraction(x) for x in row] for row in m]

@@ -3,7 +3,10 @@
 certify_trivial walks a pipeline of hypothesis gates (H1, fixed point,
 tangent sphere) and then propagates an identity check outward over vertex
 stars, producing a certificate that either covers the whole base complex
-or pins down an exact witness of nontriviality.
+or pins down an exact witness of nontriviality.  An interval action is
+certified as the same action on the one-edge complex [a, b] in R^1 (base
+vertex 0 is a, vertex 1 is b), so the one pipeline serves both; circle
+actions are refused.
 
 An action's kind is the type of its generators, all `PLMap1D`, all
 `CircleLift` or all `PLMap` on one `domain`: code here tests that type.
@@ -14,7 +17,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .circle import (CircleLift, detect_rational_rotation,
                      fixed_set_circle, rotation_enclosure)
-from .complexes import adjacency
+from .complexes import Complex, adjacency
 from .errors import (DisconnectedComplex, InternalError, SupportMismatch,
                      VertexNotInComplex)
 from .fixedlocus import (canonical_invariant, fixed_subcomplex, fuller_search)
@@ -109,13 +112,33 @@ def _tangent_witness_1d(f: PLMap, p: int):
     return None
 
 
+def _on_one_edge(gens: Sequence[Tuple[str, PLMap1D]]) -> List[Tuple[str, PLMap]]:
+    """Interval maps of [a, b] as maps of the one-edge complex [a, b] in
+    R^1: base vertex 0 is a, vertex 1 is b, and each map's refinement is
+    its canonical breakpoints.  The maps are valid, so both the complexes
+    and the maps are built trusted."""
+    a, b = gens[0][1].domain
+    base = Complex.trusted([(a,), (b,)], [(0, 1)], True)
+    out = []
+    for name, f in gens:
+        edges = [(i, i + 1) for i in range(len(f.slopes))]
+        refinement = Complex.trusted([(x,) for x, _ in f.breakpoints], edges, True)
+        out.append((name, PLMap.trusted(base, refinement, [(y,) for _, y in f.breakpoints],
+                                        [0] * len(edges))))
+    return out
+
+
 def certify_trivial(a: ActionSpec, p: int) -> Certificate:
-    """Run the certification pipeline from base vertex p."""
-    if not a.generators:
+    """Run the certification pipeline from base vertex p.  An interval
+    action runs on the one-edge complex [a, b]: p = 0 is a, p = 1 is b."""
+    gens = a.generators
+    if not gens:
         raise ValueError("action has no generators")
-    if not isinstance(a.generators[0][1], PLMap):
-        raise SupportMismatch("certify_trivial needs a complex-based action")
-    base = a.generators[0][1].domain
+    if isinstance(gens[0][1], PLMap1D):
+        gens = _on_one_edge(gens)
+    elif not isinstance(gens[0][1], PLMap):
+        raise SupportMismatch("certify_trivial needs a complex or interval action")
+    base = gens[0][1].domain
     if not (0 <= p < len(base.points)):
         raise VertexNotInComplex("vertex %d not in base complex" % p)
     if not base.is_connected():
@@ -135,7 +158,7 @@ def certify_trivial(a: ActionSpec, p: int) -> Certificate:
         assumptions.append("H1(G;R)=0 assumed by caller (no presentation)")
 
     pt = base.points[p]
-    for name, f in a.generators:
+    for name, f in gens:
         if f.eval(pt) != pt:
             return Certificate(
                 status="Obstructed", stage="FixedPointGate",
@@ -144,8 +167,8 @@ def certify_trivial(a: ActionSpec, p: int) -> Certificate:
                 assumptions=assumptions)
 
     if base.dim == 2:
-        germs = [build_germ(f, p) for _, f in a.generators]
-        for (name, _), g in zip(a.generators, refine_fans(germs)):
+        germs = [build_germ(f, p) for _, f in gens]
+        for (name, _), g in zip(gens, refine_fans(germs)):
             if not is_trivial_on_tangent_sphere(g):
                 bad = next(i for i, m in enumerate(g.matrices)
                            if not (m.is_positive_scalar()))
@@ -156,7 +179,7 @@ def certify_trivial(a: ActionSpec, p: int) -> Certificate:
                              "matrix": g.matrices[bad].rows},
                     assumptions=assumptions)
     else:
-        for name, f in a.generators:
+        for name, f in gens:
             w = _tangent_witness_1d(f, p)
             if w is not None:
                 w.update({"vertex": p, "generator": name})
@@ -170,7 +193,7 @@ def certify_trivial(a: ActionSpec, p: int) -> Certificate:
     for i, s in enumerate(base.simplices):
         for v in s:
             cells_at[v].append(i)
-    moved = [(name, f, _moved_cells(f)) for name, f in a.generators]
+    moved = [(name, f, _moved_cells(f)) for name, f in gens]
     verified: List[int] = []
     seen = {p}
     queue = [p]
@@ -197,7 +220,7 @@ def certify_trivial(a: ActionSpec, p: int) -> Certificate:
                 queue.append(w)
     if len(verified) != len(base.points):
         raise InternalError("propagation left base vertices unverified")
-    if not all(f.is_identity() for _, f in a.generators):
+    if not all(f.is_identity() for _, f in gens):
         raise InternalError("a generator verified on every star is not the identity")
     return Certificate(status="Trivial", stage="Propagation",
                        verified_stars=verified, assumptions=assumptions)

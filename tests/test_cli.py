@@ -2,14 +2,20 @@ import io
 import json
 import pathlib
 import re
+import tempfile
 import time
+from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from plstab.cli import main
 from plstab.complexes import parse_complex
-from plstab.interval import parse_plmap1d
+from plstab.geometry import fmt
+from plstab.interval import PLMap1D, format_plmap1d, parse_plmap1d
 from plstab.plmap import parse_plmap
+
+from test_interval import DYADIC
 
 SQUARE = """\
 v 0 0 0
@@ -244,6 +250,13 @@ def test_fixset_sidecar(workdir):
     assert "from" in side.read_text()
 
 
+def test_fixset_sidecar_that_cannot_be_written_prints_nothing(workdir, capsys):
+    code, out = run(["fixset", "--map", str(workdir / "rot.pm"),
+                     "--sidecar", str(workdir / "missing" / "prov.txt")])
+    assert (code, out) == (65, "")
+    assert "No such file or directory" in capsys.readouterr().err
+
+
 def test_json_euler(workdir):
     code, out = run(["euler", "--complex", str(workdir / "tetra.cx"),
                      "--json"])
@@ -353,6 +366,82 @@ def test_action_of_mixed_generators_is_a_data_error(tmp_path, second, capsys):
         code, out = run(argv + ["--action", str(tmp_path)])
         assert (code, out) == (65, "")
         assert "generator 'b'" in capsys.readouterr().err
+
+
+def test_certify_refuses_a_circle_action(tmp_path, capsys):
+    (tmp_path / "r.map").write_text(R13)
+    code, out = run(["certify", "--action", str(tmp_path), "--vertex", "0"])
+    assert (code, out) == (65, "")
+    assert "certify_trivial needs a complex or interval action" in capsys.readouterr().err
+
+
+@st.composite
+def unit_interval_breakpoints(draw):
+    """Breakpoints of a PL bijection of [0, 1]: increasing with an identity
+    prefix or suffix of any length, the identity included, or decreasing."""
+    ts = sorted(draw(st.sets(DYADIC, max_size=5)))
+    k = draw(st.integers(0, len(ts)))
+    top = ts[k - 1] if k else F(0)
+    rest = sorted(draw(st.sets(DYADIC, min_size=len(ts) - k, max_size=len(ts) - k)))
+    ys = ts[:k] + [top + (1 - top) * s for s in rest]
+    pts = [(F(0), F(0))] + list(zip(ts, ys)) + [(F(1), F(1))]
+    if draw(st.booleans()):  # an identity suffix in place of the prefix
+        pts = [(1 - x, 1 - y) for x, y in reversed(pts)]
+    if draw(st.integers(0, 3)) == 3:  # decreasing, one map in four
+        pts = [(x, 1 - y) for x, y in pts]
+    return pts
+
+
+@st.composite
+def interval_actions(draw):
+    """One to three maps of one interval [a, b], and the exponent of each
+    generator's relator g^e in presentation.txt (0: no relator), or None
+    for no presentation."""
+    a = F(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+    b = a + F(draw(st.integers(1, 4)), draw(st.integers(1, 3)))
+    maps = [PLMap1D([(a + (b - a) * x, a + (b - a) * y) for x, y in pts])
+            for pts in draw(st.lists(unit_interval_breakpoints(), min_size=1, max_size=3))]
+    n = len(maps)
+    return maps, draw(st.none() | st.lists(st.integers(0, 3), min_size=n, max_size=n))
+
+
+def write_interval_action(directory, maps, exponents):
+    """The action as `.map` files in `directory`/map, and as maps of the
+    one-edge complex [a, b] in `directory`/pm, whose refinements are the
+    canonical breakpoints; the same presentation.txt in both."""
+    intervals, edges = directory / "map", directory / "pm"
+    a, b = maps[0].interval
+    for d in (intervals, edges):
+        d.mkdir()
+        if exponents is not None:
+            (d / "presentation.txt").write_text(
+                "gens %s\n" % " ".join("g%d" % i for i in range(len(maps)))
+                + "".join("rel g%d^%d\n" % (i, e) for i, e in enumerate(exponents) if e))
+    (edges / "base.cx").write_text("v 0 %s\nv 1 %s\ns 0 1\n" % (fmt(a), fmt(b)))
+    for i, f in enumerate(maps):
+        (intervals / ("g%d.map" % i)).write_text(format_plmap1d(f))
+        bps = f.breakpoints
+        (edges / ("g%d.pm" % i)).write_text("\n".join(
+            ["base base.cx"] + ["v %d %s" % (j, fmt(x)) for j, (x, _) in enumerate(bps)]
+            + ["s %d %d" % (j, j + 1) for j in range(len(bps) - 1)]
+            + ["img %d %s" % (j, fmt(y)) for j, (_, y) in enumerate(bps)]) + "\n")
+    return intervals, edges
+
+
+@settings(max_examples=60, deadline=None)
+@given(interval_actions())
+def test_certify_interval_action_as_its_one_edge_complex_action(action):
+    """`certify` on an interval action prints the bytes, and exits with the
+    code, of `certify` on the same action written over the one-edge
+    complex: vertex 0 is a, vertex 1 is b, and vertex 2 is no vertex."""
+    with tempfile.TemporaryDirectory() as tmp:
+        dirs = write_interval_action(pathlib.Path(tmp), *action)
+        for vertex in ("0", "1", "2"):
+            for extra in ([], ["--json"]):
+                got = [run(["certify", "--action", str(d), "--vertex", vertex] + extra)
+                       for d in dirs]
+                assert got[0] == got[1]
+                assert (got[0][0] == 65) == (vertex == "2")
 
 
 def test_presentation_option_replaces_the_directory_file(workdir):

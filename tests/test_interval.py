@@ -6,11 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from plstab.errors import (InvalidComplex, OutOfInterval, ParseError,
                            SideOutsideInterval)
-from plstab.interval import (PLMap1D, Trivial, Witness, compose1d,
-                             derivative_homomorphism_check, eval1d,
-                             fixed_set_1d, format_plmap1d, inverse1d,
-                             one_sided_derivative, parse_plmap1d,
-                             ray_triviality_certifier)
+from plstab.interval import (PLMap1D, compose1d, eval1d, fixed_set_1d,
+                             format_plmap1d, inverse1d, one_sided_derivative,
+                             parse_plmap1d)
 
 from support import f1_map, random_plmap1d
 
@@ -68,14 +66,6 @@ def test_one_sided_derivative():
     assert one_sided_derivative(g, F(1, 2), "right") == F(3, 2)
 
 
-def test_derivative_homomorphism_check():
-    f = f1_map()
-    g = compose1d(f, f)
-    rep = derivative_homomorphism_check([f, g])
-    assert rep["ok"]
-    assert rep["characters"] == [2, 4]
-
-
 def test_fixed_set_identity_segment():
     # identity on [0,1/2], push up afterwards
     f = PLMap1D([(0, 0), (F(1, 2), F(1, 2)), (F(3, 4), F(7, 8)), (1, 1)])
@@ -102,26 +92,6 @@ def test_fixed_set_matches_brute_force():
     rng = random.Random(11)
     for _ in range(40):
         brute_fixed_set(random_plmap1d(rng, max_breaks=10))
-
-
-def test_ray_certifier_trivial():
-    gens = [PLMap1D.identity(), PLMap1D.identity()]
-    assert isinstance(ray_triviality_certifier(gens), Trivial)
-
-
-def test_ray_certifier_witness():
-    f = f1_map()
-    w = ray_triviality_certifier([f])
-    assert isinstance(w, Witness)
-    assert eval1d(f, w.a) != w.a or one_sided_derivative(f, w.a, "right") != 1
-
-
-def test_identity_prefix_witness():
-    # identity near 0 but not globally: witness must sit past the prefix
-    f = PLMap1D([(0, 0), (F(1, 2), F(1, 2)), (F(3, 4), F(5, 8)), (1, 1)])
-    w = ray_triviality_certifier([f])
-    assert isinstance(w, Witness)
-    assert w.a >= F(1, 2)
 
 
 def test_parse_format_roundtrip():

@@ -131,6 +131,30 @@ def test_analyze_circle_action():
     assert total == 1  # the cube of the rotation fixes the whole circle
 
 
+def test_certify_interval_identity_is_trivial():
+    a = ActionSpec([("a", PLMap1D.identity()), ("b", PLMap1D.identity())])
+    for p in (0, 1):
+        cert = certify_trivial(a, p)
+        assert (cert.status, cert.verified_stars, cert.witness) == ("Trivial", [p, 1 - p], None)
+
+
+def test_certify_interval_witness_rechecks():
+    f = f1_map()
+    cert = certify_trivial(ActionSpec([("f", f)]), 0)
+    assert (cert.status, cert.stage) == ("Obstructed", "Propagation")
+    (x,), (y,) = cert.witness["point"], cert.witness["image"]
+    assert f.eval(x) == y != x
+
+
+def test_certify_interval_witness_lies_past_an_identity_prefix():
+    # the identity on [0, 1/2] but not globally: the first moved breakpoint
+    f = PLMap1D([(0, 0), (F(1, 2), F(1, 2)), (F(3, 4), F(5, 8)), (1, 1)])
+    cert = certify_trivial(ActionSpec([("f", f)]), 0)
+    assert (cert.status, cert.stage) == ("Obstructed", "Propagation")
+    (x,) = cert.witness["point"]
+    assert x > F(1, 2) and f.eval(x) != x
+
+
 def test_mixed_kind_rejected():
     """Generators of different map types, or of one type on different
     domains, do not form an action."""
