@@ -257,7 +257,10 @@ def detect_rational_rotation(F: CircleLift, qmax: int = 64):
     a, b, Fb, c, d, Fd = n, 1, F, n + 1, 1, F
     while b + d <= qmax:
         p, q = a + c, b + d
-        Fq = compose_lift(Fb, Fd)  # powers of F commute
+        # powers of F commute, and compose_lift shifts its first argument's
+        # breakpoints, so the power with fewer breakpoints goes first
+        Fq = (compose_lift(Fb, Fd) if len(Fb.breakpoints) <= len(Fd.breakpoints)
+              else compose_lift(Fd, Fb))
         side = _displacement_side(Fq, p)
         if side == 0:
             return _found(Fq, p, q), "found"

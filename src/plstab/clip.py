@@ -3,34 +3,46 @@
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 from typing import List, Sequence, Tuple
 
-from .geometry import Point, orient2, vadd, vscale, vsub
+from .geometry import Point, area2, orient2, vadd, vscale, vsub
 
 
 def polygon_area2(poly: Sequence[Point]) -> Fraction:
-    """Twice the signed area of a polygon given by its vertex cycle."""
-    total = Fraction(0)
-    for i in range(len(poly)):
-        a, b = poly[i], poly[(i + 1) % len(poly)]
-        total += a[0] * b[1] - a[1] * b[0]
-    return total
+    """Twice the signed area of a polygon given by its vertex cycle (exact).
+
+    The shoelace sum on integer numerators over one denominator per axis,
+    finished with one Fraction.
+    """
+    xs = [p[0].as_integer_ratio() for p in poly]
+    ys = [p[1].as_integer_ratio() for p in poly]
+    dx, dy = lcm(*(d for _, d in xs)), lcm(*(d for _, d in ys))
+    x = [n * (dx // d) for n, d in xs]
+    y = [n * (dy // d) for n, d in ys]
+    return Fraction(sum(x[i - 1] * y[i] - x[i] * y[i - 1] for i in range(len(poly))),
+                    dx * dy)
 
 
 def _clip_halfplane(poly: List[Point], a: Point, b: Point) -> List[Point]:
-    """Keep the part of `poly` with orient2(a, b, x) >= 0 (left of a->b)."""
+    """Keep the part of `poly` with orient2(a, b, x) >= 0 (left of a->b).
+
+    Each vertex's side is an `orient2` sign; Fractions are built only for
+    a crossing point, from the `area2` of the edge's two ends.
+    """
     if not poly:
         return []
     out: List[Point] = []
     n = len(poly)
+    sides = [orient2(a, b, p) for p in poly]
     for i in range(n):
         p, q = poly[i], poly[(i + 1) % n]
-        sp, sq = orient2(a, b, p), orient2(a, b, q)
+        sp, sq = sides[i], sides[(i + 1) % n]
         if sp >= 0:
             out.append(p)
-        if (sp > 0 > sq) or (sp < 0 < sq):
-            t = Fraction(sp, sp - sq)
-            out.append(vadd(p, vscale(t, vsub(q, p))))
+        if sp * sq < 0:
+            ap, aq = area2(a, b, p), area2(a, b, q)
+            out.append(vadd(p, vscale(ap / (ap - aq), vsub(q, p))))
     # drop consecutive duplicates
     dedup: List[Point] = []
     for p in out:
@@ -48,21 +60,26 @@ def ccw_triangle(tri: Sequence[Point]) -> List[Point]:
     return t
 
 
+def _clip_ccw(poly: List[Point], tri: Sequence[Point]) -> List[Point]:
+    """Intersection of a counter-clockwise convex polygon with a
+    counter-clockwise triangle, as a vertex cycle."""
+    for i in range(3):
+        poly = _clip_halfplane(poly, tri[i], tri[(i + 1) % 3])
+        if not poly:
+            return []
+    return poly
+
+
 def clip_polygon_to_triangle(poly: Sequence[Point], tri: Sequence[Point]) -> List[Point]:
     """Intersection of a convex polygon with a triangle, as a vertex cycle."""
-    t = ccw_triangle(tri)
     out = list(poly)
     if polygon_area2(out) < 0:
         out.reverse()
-    for i in range(3):
-        out = _clip_halfplane(out, t[i], t[(i + 1) % 3])
-        if not out:
-            return []
-    return out
+    return _clip_ccw(out, ccw_triangle(tri))
 
 
 def triangle_intersection(t1: Sequence[Point], t2: Sequence[Point]) -> List[Point]:
-    return clip_polygon_to_triangle(ccw_triangle(t1), t2)
+    return _clip_ccw(ccw_triangle(t1), ccw_triangle(t2))
 
 
 def point_in_triangle(x: Point, tri: Sequence[Point]) -> bool:

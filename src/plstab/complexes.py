@@ -26,6 +26,7 @@ from .clip import ccw_triangle
 from .errors import InvalidComplex, ParseError, UnknownVertex
 from .geometry import (
     Point,
+    area2,
     candidate_pairs,
     cross2,
     cross3,
@@ -118,20 +119,41 @@ def _plane(p0, p1, p2):
 
 
 def tri_tri_open_meet_2d(t1, t2) -> bool:
-    """Do two nondegenerate planar triangles share an interior point?
+    """Do two nondegenerate planar triangles share an interior point?"""
+    return ccw_triangles_meet(ccw_triangle(t1), ccw_triangle(t2))
+
+
+def ccw_triangles_meet(t1, t2) -> bool:
+    """Do two nondegenerate counter-clockwise planar triangles share an
+    interior point?
 
     Two convex polygons with disjoint interiors are separated by the line
     through an edge of one of them (separating axis), so the interiors are
-    disjoint iff some edge a->b of one counter-clockwise triangle has every
-    vertex of the other on its closed right side.
+    disjoint iff some edge a->b of one triangle has every vertex of the
+    other on its closed right side.  Each test is an `orient2` sign.
     """
-    t1, t2 = ccw_triangle(t1), ccw_triangle(t2)
-    for tri, other in ((t1, t2), (t2, t1)):
+    for tri, (p, q, r) in ((t1, t2), (t2, t1)):
         for i in range(3):
-            a, b = tri[i], tri[(i + 1) % 3]
-            if all(orient2(a, b, p) <= 0 for p in other):
+            a, b = tri[i - 1], tri[i]
+            if orient2(a, b, p) <= 0 and orient2(a, b, q) <= 0 and orient2(a, b, r) <= 0:
                 return False
     return True
+
+
+def segment_meets_ccw_triangle(p, q, tri) -> bool:
+    """Does the open segment (p, q) share a point with the interior of the
+    nondegenerate counter-clockwise planar triangle ``tri``?
+
+    By separating axis, as in `ccw_triangles_meet`: they are disjoint iff
+    both ends lie on the closed right side of an edge of the triangle, or
+    the whole triangle lies on one closed side of the segment's line.
+    """
+    for i in range(3):
+        a, b = tri[i - 1], tri[i]
+        if orient2(a, b, p) <= 0 and orient2(a, b, q) <= 0:
+            return False
+    sides = {orient2(p, q, v) for v in tri}
+    return 1 in sides and -1 in sides
 
 
 def _project_axis(normal):
@@ -209,7 +231,7 @@ def tri_tri_open_meet_3d(t1, t2) -> bool:
 
 def triangle_area2(pts) -> Fraction:
     """Twice the unsigned area of a planar (ambient-2) triangle."""
-    return abs(orient2(*pts))
+    return abs(area2(*pts))
 
 
 def rational_points(points) -> Tuple[Point, ...]:
@@ -296,7 +318,8 @@ class Complex:
     valid by construction with the same normalisation and no checks.
     """
 
-    __slots__ = ("points", "simplices", "dim", "connected_flag", "_directed_boundary")
+    __slots__ = ("points", "simplices", "dim", "connected_flag", "_directed_boundary",
+                 "_neighbours")
 
     def __init__(self, points: Sequence, maximal_simplices, require_connected: bool = True):
         self._assemble(points, maximal_simplices, require_connected)
@@ -319,6 +342,7 @@ class Complex:
         self.dim = len(self.simplices[0]) - 1
         self.connected_flag = connected_flag
         self._directed_boundary = None
+        self._neighbours = None
 
     # -- validation ------------------------------------------------------
 
@@ -414,6 +438,24 @@ class Complex:
         if self._directed_boundary is None:
             self._directed_boundary = directed_boundary(self.points, self.simplices)
         return self._directed_boundary
+
+    def neighbours(self) -> List[Tuple[Optional[int], ...]]:
+        """For each maximal simplex (a, b, c) of this 2-complex, the cell
+        across each of its edges (a, b), (b, c) and (a, c), or None where
+        no other cell has that edge; computed once per object."""
+        if self._neighbours is None:
+            across: List[List[Optional[int]]] = [[None] * 3 for _ in self.simplices]
+            first: Dict[Tuple[int, int], Tuple[int, int]] = {}
+            for i, (a, b, c) in enumerate(self.simplices):
+                for k, edge in enumerate(((a, b), (b, c), (a, c))):
+                    other = first.pop(edge, None)
+                    if other is None:
+                        first[edge] = (i, k)
+                    else:
+                        across[i][k] = other[0]
+                        across[other[0]][other[1]] = i
+            self._neighbours = [tuple(n) for n in across]
+        return self._neighbours
 
     # -- basic queries ---------------------------------------------------
 

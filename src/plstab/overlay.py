@@ -2,12 +2,24 @@
 the one cell-pair kernel under it.
 
 :func:`triangle_pieces` and :func:`segment_pieces` yield, for every pair
-of cells of two lists whose interiors meet, their intersection: a convex
+of cells of two inputs whose interiors meet, their intersection: a convex
 polygon for triangles, a pair of parameter intervals for segments.  Each
-enumerates the candidate pairs of `candidate_pairs` and clips only the
-pairs whose interiors meet.  Overlay, composition, map equality and the
-exact image checks of `plmap` all go through them, so they are the only
-callers of `triangle_intersection` and `collinear_overlap`.
+clips only the pairs whose interiors meet.  Overlay, composition, map
+equality and the exact image checks of `plmap` all go through them, so
+they are the only callers of `triangle_intersection` and
+`collinear_overlap`.
+
+Where both inputs of `triangle_pieces` are planar complexes (overlay,
+composition, inversion and equality, whose inputs tile one region) it
+walks the tiling: each cell of the first input starts from the hits of a
+neighbour visited before it and grows across the second input's edges,
+so the work is linear in the cells and their pairs (`_walked_pairs`).  It
+tests a cell against all cells of the second input only where the walk
+cannot seed or close: a first cell of each edge-connected part, a cell
+with no hit near its neighbour's, or an edge of a hit that no other cell
+shares crossing the cell.  Lists of cells (the loose image cells of the
+exact image check), segments and the 3-space chart path enumerate the
+pairs of `candidate_pairs`.
 
 The 2D overlay triangulates each intersection polygon; the 1D overlay
 keeps each overlap segment.  Output vertex indices follow sorted
@@ -18,13 +30,14 @@ construction and is built trusted.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .clip import polygon_area2, triangle_intersection, triangulate_convex
-from .complexes import (Complex, SimplexT, index_cells, tri_tri_open_meet_2d,
-                        tri_tri_open_meet_3d)
+from .clip import ccw_triangle, polygon_area2, triangle_intersection, triangulate_convex
+from .complexes import (Complex, SimplexT, ccw_triangles_meet, index_cells,
+                        segment_meets_ccw_triangle, tri_tri_open_meet_2d, tri_tri_open_meet_3d)
 from .errors import NonCoplanarOverlap, RealizationMismatch
 from .geometry import (Point, candidate_pairs, collinear_overlap, dot, drop_axis,
                        plane_normal, tiles_unit, vadd, vscale, vsub)
@@ -119,12 +132,25 @@ def _lift(flat: Point, chart) -> Point:
     return tuple(out)
 
 
-def triangle_pieces(tris1, tris2):
-    """(i1, i2, polygon) for each pair of a triangle of ``tris1`` and one of
-    ``tris2`` whose interiors meet: their intersection, a counter-clockwise
-    convex polygon in the chart of ``tris1[i1]``, which in ambient
-    dimension 2 is the plane itself.  In ambient dimension 3, two triangles
-    whose interiors meet off a common plane raise `NonCoplanarOverlap`."""
+def triangle_pieces(cells1, cells2):
+    """(i1, i2, polygon) for each pair of a triangle of ``cells1`` and one of
+    ``cells2`` whose interiors meet: their intersection, a counter-clockwise
+    convex polygon in the chart of triangle i1 of ``cells1``, which in
+    ambient dimension 2 is the plane itself.  Each input is a `Complex` or
+    a list of point-list triangles.
+
+    When both are complexes in the plane, the pairs come from a walk over
+    their cells (`_walked_pairs`); otherwise from `candidate_pairs`.  In
+    ambient dimension 3, two triangles whose interiors meet off a common
+    plane raise `NonCoplanarOverlap`."""
+    tris1 = cells1.cells() if isinstance(cells1, Complex) else cells1
+    tris2 = cells2.cells() if isinstance(cells2, Complex) else cells2
+    if all(isinstance(c, Complex) and c.dim == 2 == c.ambient_dim for c in (cells1, cells2)):
+        ccw1 = [ccw_triangle(tri) for tri in tris1]
+        ccw2 = [ccw_triangle(tri) for tri in tris2]
+        for i1, i2 in _walked_pairs(cells1, cells2, ccw1, ccw2):
+            yield i1, i2, triangle_intersection(ccw1[i1], ccw2[i2])
+        return
     charts1 = [_chart(tri) for tri in tris1]
     flats1 = [_flat(tri, chart) for tri, chart in zip(tris1, charts1)]
     for i1, i2 in candidate_pairs(tris1, tris2):
@@ -140,13 +166,91 @@ def triangle_pieces(tris1, tris2):
             yield i1, i2, triangle_intersection(flats1[i1], flat2)
 
 
+def _walked_pairs(t1: Complex, t2: Complex, ccw1, ccw2):
+    """The pairs (i1, i2) of cells of two planar complexes whose interiors
+    meet, cell of ``t1`` by cell; ``ccw1`` and ``ccw2`` are the cells
+    counter-clockwise.
+
+    The cells of ``t1`` are visited breadth first over edge adjacency.  A
+    cell T with a parent P, the visited neighbour it shares an edge e with,
+    starts from P's hits (the cells of ``t2`` whose interiors meet P's): a
+    cell of ``t2`` over a point of e's relative interior meets both T and
+    P, and where e runs along edges of ``t2`` the cell across such an edge
+    meets T and neighbours one that meets P.  So the hits of T are among
+    P's hits and their edge neighbours when both inputs tile one region.
+    From the first hits it grows across edges: every neighbour of a hit is
+    tested, and becomes a hit when its interior meets T's.
+
+    That search finds every hit once some hit is found and no hit has an
+    edge that no other cell of ``t2`` shares crossing T's interior (a
+    boundary edge, or one a T-junction leaves unshared).  Then the hits
+    cover T: a point of T's interior outside them would leave a boundary
+    point of their union inside T off all vertices, in the relative
+    interior of a hit's edge; the cell across that edge is a hit too, so
+    the point is inside the union after all.  Cells with disjoint
+    interiors cover no open set twice, so no cell outside the hits meets
+    T's interior.  Otherwise (a root of the walk, which has no parent; no
+    hit found; or an unshared edge across T) T is tested against every
+    cell of ``t2``.  That covers bases that are disconnected or pinched at
+    a vertex, and inputs that do not tile one region.
+    """
+    across1, across2 = t1.neighbours(), t2.neighbours()
+    points2, simplices2 = t2.points, t2.simplices
+
+    def unshared_edge_crosses(i1, hits):
+        for j in hits:
+            a, b, c = simplices2[j]
+            for (u, v), other in zip(((a, b), (b, c), (a, c)), across2[j]):
+                if other is None and segment_meets_ccw_triangle(
+                        points2[u], points2[v], ccw1[i1]):
+                    return True
+        return False
+
+    def hits_of(i1, seeds, tested):
+        hits, todo = [], list(seeds)
+        while todo:
+            j = todo.pop()
+            if j in tested:
+                continue
+            tested.add(j)
+            if ccw_triangles_meet(ccw1[i1], ccw2[j]):
+                hits.append(j)
+                todo.extend(k for k in across2[j] if k is not None and k not in tested)
+        return hits
+
+    def scan(i1):
+        return [j for j in range(len(ccw2)) if ccw_triangles_meet(ccw1[i1], ccw2[j])]
+
+    found: List[Optional[List[int]]] = [None] * len(ccw1)
+    for root in range(len(ccw1)):
+        if found[root] is not None:
+            continue
+        found[root] = scan(root)
+        queue = deque([root])
+        while queue:
+            i1 = queue.popleft()
+            yield from ((i1, j) for j in found[i1])
+            for child in across1[i1]:
+                if child is None or found[child] is not None:
+                    continue
+                parent_hits, tested = found[i1], set()
+                hits = hits_of(child, parent_hits, tested)
+                if not hits:
+                    hits = hits_of(child, [k for j in parent_hits for k in across2[j]
+                                           if k is not None], tested)
+                if not hits or unshared_edge_crosses(child, hits):
+                    hits = scan(child)
+                found[child] = hits
+                queue.append(child)
+
+
 def _overlay_2d(t1: Complex, t2: Complex) -> Overlay:
     raw = []
     tris1, tris2 = t1.cells(), t2.cells()
     charts1 = [_chart(tri) for tri in tris1]
     area1 = [Fraction(0)] * len(tris1)
     area2 = [Fraction(0)] * len(tris2)
-    for i1, i2, poly in triangle_pieces(tris1, tris2):
+    for i1, i2, poly in triangle_pieces(t1, t2):
         a2x = abs(polygon_area2(poly))
         for cell in triangulate_convex(poly):
             raw.append((tuple(_lift(p, charts1[i1]) for p in cell), (i1, i2)))

@@ -31,13 +31,19 @@ suite re-validates every trusted result.
 
 Every loop over pairs of cells that meet goes through the kernels of
 :mod:`plstab.overlay`: `triangle_pieces` under composition in the plane
-and the image-coverage check, `segment_pieces` under 1D composition and
-the collinear covers, and `overlay` itself under :func:`inverse2d` and
-map equality, which compares the affine pieces of each overlay cell's two
-provenance cells at its vertices.  One helper, `_affine`, applies the
-affine map between a cell and its image wherever a point goes forward or
-back: `PLMap.eval_in_cell`, the pullbacks of composition and inversion,
-and `PLMap.eval`, which locates the cell first.
+(a walk over the image of g and the refinement of f, both complexes) and
+the image-coverage check (a list of loose cells), `segment_pieces` under
+1D composition and the collinear covers, and `overlay` itself under
+:func:`inverse2d` and map equality, which compares the affine pieces of
+each overlay cell's two provenance cells at its vertices.
+
+A map keeps one affine piece per refinement cell, from the cell to its
+image, and one back, each solved on first use (`_solve_piece`, exact
+integer rows over one denominator, so applying one builds a Fraction per
+coordinate and nothing else).  `PLMap.eval_in_cell` applies the first,
+and `PLMap.pullback_in_cell` the second under the pullbacks of
+composition and inversion; `PLMap.eval` locates the cell first.  The
+four-orientation barycentric solve they replace is the tests' oracle.
 
 Each exact test runs once.  A refinement that *is* the base (the same
 object; :func:`parse_plmap` passes the base itself when the refinement
@@ -51,6 +57,7 @@ is clipped only against the base cells whose interiors it meets.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .clip import point_in_triangle, polygon_area2, triangulate_convex
@@ -87,18 +94,52 @@ from .geometry import (
 from .overlay import overlay, segment_pieces, triangle_pieces
 
 
-def _affine(src: Sequence[Point], dst: Sequence[Point], x: Point) -> Point:
+def _solve_piece(src: Sequence[Point], dst: Sequence[Point]):
     """The affine map taking the segment or planar triangle ``src`` onto the
-    points ``dst``, at x: x's barycentric coordinates in ``src`` (for any x
-    on its line or plane) combined over ``dst``."""
+    points ``dst``, as integer rows and a denominator D: the image of x has
+    coordinates (m_0 x_0 + ... + m_(n-1) x_(n-1) + c) / D, row (m, c) by
+    row.
+
+    All points are first put over one integer denominator L.  A triangle
+    abc goes by the matrix M with M(b - a) = B - A and M(c - a) = C - A and
+    the offset A - M a; a segment ab by x -> A + t (B - A), where
+    t = (x - a)·(b - a) / |b - a|² is x's parameter on it.
+    """
+    ratios = [c.as_integer_ratio() for p in (*src, *dst) for c in p]
+    scale = lcm(*(q for _, q in ratios))
+    ints = [p * (scale // q) for p, q in ratios]
+    n = len(src[0])
+    pts = [ints[k:k + n] for k in range(0, len(ints), n)]
     if len(src) == 3:
-        a, b, c = src
-        d = orient2(a, b, c)
-        lam = (orient2(x, b, c) / d, orient2(a, x, c) / d, orient2(a, b, x) / d)
+        a, b, c, A, B, C = pts
+        u0, u1, v0, v1 = b[0] - a[0], b[1] - a[1], c[0] - a[0], c[1] - a[1]
+        det = u0 * v1 - u1 * v0
+        rows = []
+        for k in range(2):
+            bu, cv = B[k] - A[k], C[k] - A[k]
+            m0, m1 = bu * v1 - cv * u1, cv * u0 - bu * v0
+            rows.append((scale * m0, scale * m1, A[k] * det - m0 * a[0] - m1 * a[1]))
+        den = scale * det
     else:
-        t = segment_param(src[0], src[1], x)
-        lam = (1 - t, t)
-    return tuple(sum(l * p[k] for l, p in zip(lam, dst)) for k in range(len(dst[0])))
+        a, b, A, B = pts
+        d = [y - x for x, y in zip(a, b)]
+        dd, ad = sum(x * x for x in d), sum(x * y for x, y in zip(a, d))
+        rows = [tuple(scale * (Bk - Ak) * x for x in d) + (Ak * dd - (Bk - Ak) * ad,)
+                for Ak, Bk in zip(A, B)]
+        den = scale * dd
+    g = gcd(den, *(x for row in rows for x in row))
+    return tuple(tuple(x // g for x in row) for row in rows), den // g
+
+
+def _apply_piece(piece, x: Point) -> Point:
+    """x under a piece of `_solve_piece`: one Fraction per coordinate."""
+    rows, den = piece
+    ratios = [c.as_integer_ratio() for c in x]
+    w = prod(q for _, q in ratios)
+    nums = [p * (w // q) for p, q in ratios]
+    den *= w
+    return tuple(Fraction(sum(m * v for m, v in zip(row, nums)) + row[-1] * w, den)
+                 for row in rows)
 
 
 def _in_cell(x: Point, cell) -> bool:
@@ -210,11 +251,12 @@ class PLMap:
     which decide every map the certificate does not accept.
     """
 
-    __slots__ = ("base", "refinement", "image", "cell_base")
+    __slots__ = ("base", "refinement", "image", "cell_base", "_pieces")
 
     def __init__(self, base: Complex, refinement: Complex, images: Sequence):
         self.base = base
         self.refinement = refinement
+        self._pieces = None
         images = rational_points(images)
         if base.dim != refinement.dim or base.ambient_dim != refinement.ambient_dim:
             raise RealizationMismatch("refinement must live where the base lives")
@@ -246,6 +288,7 @@ class PLMap:
         self = cls.__new__(cls)
         self.base = base
         self.refinement = refinement
+        self._pieces = None
         self.image = Complex.trusted(images, refinement.simplices, base.connected_flag)
         self.cell_base = tuple(cell_base)
         if base.dim == 2:
@@ -391,9 +434,26 @@ class PLMap:
     def eval_in_cell(self, i: int, x: Point) -> Point:
         """x under the affine piece of refinement cell ``i``: f(x) for any x
         in that closed cell, with no point location."""
-        s = self.refinement.simplices[i]
-        return _affine([self.refinement.points[v] for v in s],
-                       [self.images[v] for v in s], x)
+        return _apply_piece(self._piece(i, 0), x)
+
+    def pullback_in_cell(self, i: int, y: Point) -> Point:
+        """y under the inverse of the affine piece of refinement cell ``i``:
+        the preimage of any y in image cell ``i``."""
+        return _apply_piece(self._piece(i, 1), y)
+
+    def _piece(self, i: int, backward: int):
+        """The affine piece of cell ``i`` (from the refinement to the image,
+        or back), solved on first use and kept."""
+        if self._pieces is None:
+            self._pieces = ([None] * len(self.refinement.simplices),
+                            [None] * len(self.refinement.simplices))
+        piece = self._pieces[backward][i]
+        if piece is None:
+            s = self.refinement.simplices[i]
+            ends = ([self.refinement.points[v] for v in s], [self.images[v] for v in s])
+            piece = self._pieces[backward][i] = _solve_piece(ends[backward],
+                                                             ends[1 - backward])
+        return piece
 
     def refinement_index_of_base_vertex(self, v: int) -> int:
         if not 0 <= v < len(self.base.points):
@@ -451,8 +511,8 @@ def _compose_cells_2d(f: PLMap, g: PLMap):
     raw, homes, image_of = [], [], {}
     srcs, imgs = g.refinement.cells(), g.image.cells()
     reverses: Dict[int, bool] = {}
-    for i, j, poly in triangle_pieces(imgs, f.refinement.cells()):
-        forward = {_affine(imgs[i], srcs[i], p): p for p in poly}
+    for i, j, poly in triangle_pieces(g.image, f.refinement):
+        forward = {g.pullback_in_cell(i, p): p for p in poly}
         if i not in reverses:
             reverses[i] = (orient2(*srcs[i]) > 0) != (orient2(*imgs[i]) > 0)
         back = list(forward)
@@ -492,16 +552,15 @@ def inverse2d(f: PLMap) -> PLMap:
     """Exact inverse; its refinement is the overlay of f's image with the
     base, and an overlay cell lies in the base cell of its provenance."""
     ov = overlay(f.image, f.base)
-    # image cell i lies on refinement cell i's simplex, so the two lists
-    # pair up index for index
-    srcs, imgs = f.refinement.cells(), f.image.cells()
+    # image cell i lies on refinement cell i's simplex, so it pulls back
+    # through the piece of refinement cell i
     pre: List[Optional[Point]] = [None] * len(ov.cells.points)
     # f is a homeomorphism, so every image cell at a vertex pulls it back
     # to the same point: take the first
     for s, (i, _) in ov.provenance.items():
         for v in s:
             if pre[v] is None:
-                pre[v] = _affine(imgs[i], srcs[i], ov.cells.points[v])
+                pre[v] = f.pullback_in_cell(i, ov.cells.points[v])
     return PLMap.trusted(f.base, ov.cells, pre,
                          [ov.provenance[s][1] for s in ov.cells.simplices])
 

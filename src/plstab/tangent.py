@@ -307,7 +307,7 @@ def germs_equal(a: Germ, b: Germ) -> bool:
 
 
 def identity_germ(fan: Fan) -> Germ:
-    return Germ(fan=fan, matrices=tuple(Mat.identity(2) for _ in fan.cones))
+    return Germ(fan=fan, matrices=tuple(Mat.identity() for _ in fan.cones))
 
 
 def is_trivial_on_tangent_sphere(g: Germ) -> bool:

@@ -5,8 +5,24 @@ import random
 from fractions import Fraction as F
 
 from plstab.complexes import Complex
+from plstab.geometry import area2, segment_param
 from plstab.interval import PLMap1D
 from plstab.plmap import PLMap, plmap_from_vertex_images
+
+
+def affine(src, dst, x):
+    """The oracle of the affine pieces of `PLMap`: the affine map taking the
+    segment or planar triangle ``src`` onto the points ``dst``, at x, by
+    x's barycentric coordinates in ``src`` (four `area2` solves for a
+    triangle, x's parameter for a segment) combined over ``dst``."""
+    if len(src) == 3:
+        a, b, c = src
+        d = area2(a, b, c)
+        lam = (area2(x, b, c) / d, area2(a, x, c) / d, area2(a, b, x) / d)
+    else:
+        t = segment_param(src[0], src[1], x)
+        lam = (1 - t, t)
+    return tuple(sum(l * p[k] for l, p in zip(lam, dst)) for k in range(len(dst[0])))
 
 
 def square_complex():

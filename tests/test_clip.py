@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction as F
 
+from hypothesis import given, settings, strategies as st
+
 from plstab.clip import (ccw_triangle, clip_polygon_to_triangle,
                          point_in_triangle, polygon_area2,
                          triangle_intersection, triangulate_convex)
@@ -13,6 +15,21 @@ def area(poly):
 def test_polygon_area2_square():
     sq = [(0, 0), (1, 0), (1, 1), (0, 1)]
     assert polygon_area2(sq) == 2
+    assert polygon_area2([]) == 0
+
+
+coords = st.one_of(st.integers(min_value=-10**6, max_value=10**6),
+                   st.fractions(min_value=-50, max_value=50, max_denominator=10**9))
+
+
+@settings(max_examples=200)
+@given(st.lists(st.tuples(coords, coords), max_size=8))
+def test_polygon_area2_is_the_shoelace_sum(poly):
+    """The integer form equals the shoelace sum taken in Fractions."""
+    reference = sum((F(a[0]) * b[1] - F(a[1]) * b[0]
+                     for a, b in zip(poly, poly[1:] + poly[:1])), F(0))
+    got = polygon_area2(poly)
+    assert isinstance(got, F) and got == reference
 
 
 def test_triangle_self_intersection():

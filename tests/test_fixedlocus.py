@@ -11,7 +11,7 @@ from plstab.complexes import Complex, SubComplex, faces_of, index_cells, is_cycl
 from plstab.errors import FixIsEmpty, FixIsEverything, PLError
 from plstab.fixedlocus import (FixedLocus, canonical_invariant,
                                fixed_subcomplex, frontier, fuller_search)
-from plstab.geometry import Mat, linear_part, orient2, vadd, vscale, vsub
+from plstab.geometry import Mat, area2, linear_part, orient2, vadd, vscale, vsub
 from plstab.plmap import PLMap, identity_map, plmap_from_vertex_images, power
 
 from support import (cycle_rotation, interior_move_map, quarter_rotation,
@@ -195,8 +195,8 @@ def oracle_clip_line(p0, direction, tri):
     t = list(tri) if orient2(*tri) > 0 else list(reversed(tri))
     lo = hi = None
     for i in range(3):
-        c0 = orient2(t[i], t[(i + 1) % 3], p0)
-        c1 = orient2(t[i], t[(i + 1) % 3], vadd(p0, direction)) - c0
+        c0 = area2(t[i], t[(i + 1) % 3], p0)
+        c1 = area2(t[i], t[(i + 1) % 3], vadd(p0, direction)) - c0
         if c1 == 0:
             if c0 < 0:
                 return None

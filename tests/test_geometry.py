@@ -4,8 +4,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from plstab.clip import polygon_area2, triangle_intersection
-from plstab.geometry import (Mat, between, candidate_pairs, collinear,
-                             collinear_overlap, cross2, fmt, orient2,
+from plstab.geometry import (Mat, area2, bbox, between, boxes_apart, candidate_pairs,
+                             collinear, collinear_overlap, cross2, fmt, orient2,
                              primitive_direction, rat, segment_param, vsub)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
@@ -51,14 +51,27 @@ mixed_points = st.tuples(coords, coords)
 @example((Fraction(1, 999999937), -7), (Fraction(-3, 1000000007), Fraction(5, 998244353)),
          (2, Fraction(-1, 999999937)))
 @example((0, 0), (1, 0), (0, 1))
-def test_orient2_matches_reference_formula(a, b, c):
-    got = orient2(a, b, c)
+def test_area2_matches_reference_formula(a, b, c):
+    got = area2(a, b, c)
     assert isinstance(got, Fraction)
     assert got == cross2(vsub(b, a), vsub(c, a))
 
 
+@settings(max_examples=200)
+@given(mixed_points, mixed_points, mixed_points)
+@example((Fraction(1, 999999937), -7), (Fraction(-3, 1000000007), Fraction(5, 998244353)),
+         (2, Fraction(-1, 999999937)))
+@example((0, 0), (1, 0), (2, 0))
+def test_orient2_is_the_sign_of_area2(a, b, c):
+    got = orient2(a, b, c)
+    assert type(got) is int
+    value = area2(a, b, c)
+    assert got == (value > 0) - (value < 0)
+
+
 def test_orient2_reads_only_the_plane_coordinates():
     assert orient2((0, 0, 5), (1, 0, -2), (0, 1, Fraction(1, 3))) == 1
+    assert area2((0, 0, 5), (1, 0, -2), (0, 2, Fraction(1, 3))) == 2
 
 
 def test_between_and_param():
@@ -83,6 +96,14 @@ def test_mat_inverse_roundtrip(entries):
     assert (m.inverse() * m).is_identity()
 
 
+def test_mat_is_two_by_two():
+    assert Mat.identity() == Mat([[1, 0], [0, 1]])
+    assert Mat([[1, 2], [3, 4]]) * Mat([[0, 1], [1, 0]]) == Mat([[2, 1], [4, 3]])
+    assert Mat([[1, 2], [3, 4]]).apply((1, Fraction(1, 2))) == (2, 5)
+    with pytest.raises(ValueError):
+        Mat([[1, 0, 0], [0, 1, 0], [0, 0, 1]])
+
+
 def test_mat_is_positive_scalar():
     assert Mat([[2, 0], [0, 2]]).is_positive_scalar()
     assert not Mat([[2, 0], [0, 3]]).is_positive_scalar()
@@ -99,9 +120,20 @@ def test_collinear():
     assert not collinear((0, 0), (1, 1), (1, 2))
 
 
+def _box_pairs(cells_a, cells_b=None):
+    """The all-pairs box loop that the sweep of `candidate_pairs` replaced."""
+    boxes_b = [bbox(c) for c in (cells_a if cells_b is None else cells_b)]
+    return [(i, j) for i, a in enumerate(cells_a)
+            for j in range(i + 1 if cells_b is None else 0, len(boxes_b))
+            if not boxes_apart(bbox(a), boxes_b[j])]
+
+
 def _check_candidates(cells_a, cells_b, meet):
-    """candidate_pairs holds every meeting pair, in row-major order."""
+    """candidate_pairs holds every meeting pair, in row-major order: the
+    pairs of the all-pairs box loop, in its order."""
     pairs = list(candidate_pairs(cells_a, cells_b))
+    assert pairs == _box_pairs(cells_a, cells_b)
+    assert list(candidate_pairs(cells_a)) == _box_pairs(cells_a)
     assert pairs == sorted(set(pairs))
     for i, a in enumerate(cells_a):
         for j, b in enumerate(cells_b):
@@ -120,9 +152,12 @@ def _check_candidates(cells_a, cells_b, meet):
 @given(st.lists(st.lists(points2, min_size=3, max_size=3), max_size=6),
        st.lists(st.lists(points2, min_size=3, max_size=3), max_size=6))
 def test_candidate_pairs_keep_overlapping_triangles(tris_a, tris_b):
+    # clipping meets only nondegenerate triangles: against a degenerate one
+    # it keeps the whole other triangle
     _check_candidates(
         tris_a, tris_b,
-        lambda s, t: polygon_area2(triangle_intersection(s, t)) != 0)
+        lambda s, t: orient2(*s) != 0 != orient2(*t)
+        and polygon_area2(triangle_intersection(s, t)) != 0)
 
 
 @settings(max_examples=50)
@@ -132,6 +167,15 @@ def test_candidate_pairs_keep_overlapping_segments(segs_a, segs_b):
     _check_candidates(
         segs_a, segs_b,
         lambda s, t: collinear_overlap(s[0], s[1], t[0], t[1]) is not None)
+
+
+def test_candidate_pairs_with_a_degenerate_triangle():
+    """A triangle whose box misses the other's is no candidate, however
+    clipping against it would read (it keeps the whole other triangle)."""
+    point = [(Fraction(0), Fraction(0))] * 3
+    tri = [(Fraction(0), Fraction(1)), (Fraction(0), Fraction(2)), (Fraction(1), Fraction(1))]
+    assert polygon_area2(triangle_intersection(tri, point)) != 0
+    assert list(candidate_pairs([tri], [point])) == []
 
 
 def test_candidate_pairs_skip_apart_boxes():

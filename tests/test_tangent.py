@@ -159,7 +159,7 @@ def random_germ(rng):
         up = Mat([[1 + c, -c], [c, 1 - c]])  # fixes direction (1,1)
         mats = []
         for u, v in fan.cones:
-            mats.append(up if u == (1, 1) or v == (1, 1) else Mat.identity(2))
+            mats.append(up if u == (1, 1) or v == (1, 1) else Mat.identity())
         if up.det() == 0:
             return random_germ(rng)
         try:

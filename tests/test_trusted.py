@@ -10,9 +10,9 @@ from plstab.complexes import Complex
 from plstab.errors import InternalError, InvalidComplex
 from plstab.fixedlocus import fixed_subcomplex
 from plstab.overlay import overlay
-from plstab.plmap import PLMap, _affine, compose2d, inverse2d
+from plstab.plmap import PLMap, compose2d, inverse2d
 
-from support import square_complex
+from support import affine, square_complex
 from test_plmap import SYMMETRIES, _along_boundary, grid_complex
 
 GRID = grid_complex(2)
@@ -85,7 +85,7 @@ def test_inverse_pullbacks_agree_on_every_incident_cell(offsets, sym, composite)
     incidences = 0
     for s, (i, _) in ov.provenance.items():
         for v in s:
-            assert _affine(imgs[i], srcs[i], ov.cells.points[v]) == inv.images[v]
+            assert affine(imgs[i], srcs[i], ov.cells.points[v]) == inv.images[v]
             incidences += 1
     assert incidences > len(ov.cells.points)
 

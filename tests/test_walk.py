@@ -1,0 +1,260 @@
+"""The planar cell-pair kernel walks the tiling: it must give the pairs of
+the all-pairs loop on every kind of input, and the planar map operations
+must never enumerate all pairs.  Also the affine pieces of `PLMap`, which
+compose, invert and evaluate, against the barycentric oracle."""
+
+import random
+from fractions import Fraction as F
+from importlib import import_module
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from plstab.clip import ccw_triangle, triangle_intersection
+from plstab.complexes import Complex, segment_meets_ccw_triangle, tri_tri_open_meet_2d
+from plstab.errors import RealizationMismatch
+from plstab.geometry import area2
+from plstab.overlay import overlay, triangle_pieces
+from plstab.plmap import PLMap, compose2d, inverse2d
+
+from support import affine, cycle_rotation, random_square_triangulation
+from test_plmap import SYMMETRIES, _along_boundary, grid_complex, two_squares
+
+# by module path: the package's `overlay` is the function
+KERNEL = import_module("plstab.overlay")
+
+
+def all_pairs(c1, c2):
+    """The oracle: every pair of cells, clipped where their interiors meet."""
+    return {(i, j, tuple(triangle_intersection(a, b)))
+            for i, a in enumerate(c1.cells()) for j, b in enumerate(c2.cells())
+            if tri_tri_open_meet_2d(a, b)}
+
+
+def assert_walk_is_all_pairs(c1, c2):
+    walked = [(i, j, tuple(poly)) for i, j, poly in triangle_pieces(c1, c2)]
+    assert len(walked) == len(set(walked))
+    assert set(walked) == all_pairs(c1, c2)
+
+
+def moved_grid(n, offsets, sym):
+    """The n x n grid with each vertex moved by offsets/(5n) (boundary
+    points along their side), then a symmetry of the square: a tiling of
+    the unit square, reflected by half of the symmetries."""
+    base = grid_complex(n)
+    pts = [SYMMETRIES[sym](x + F(dx, 5 * n), y + F(dy, 5 * n))
+           for (x, y), (dx, dy) in ((p, _along_boundary(p, d))
+                                    for p, d in zip(base.points, offsets))]
+    return Complex(pts, base.simplices)
+
+
+@st.composite
+def square_tilings(draw):
+    """A moved or reflected grid, or a triangulation of the unit square by
+    centroid and midpoint splits."""
+    if draw(st.booleans()):
+        return random_square_triangulation(random.Random(draw(st.integers(0, 10**6))))
+    n = draw(st.integers(1, 4))
+    offsets = draw(st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+                            min_size=(n + 1) ** 2, max_size=(n + 1) ** 2))
+    return moved_grid(n, offsets, draw(st.integers(0, len(SYMMETRIES) - 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_tilings(), square_tilings())
+def test_walk_matches_all_pairs_on_tilings_of_the_square(c1, c2):
+    assert_walk_is_all_pairs(c1, c2)
+
+
+def other_diagonals(c):
+    """The squares of `two_squares`-like bases cut by their other diagonals."""
+    sims = []
+    for k in range(0, len(c.points), 4):
+        sims += [(k, k + 1, k + 3), (k + 1, k + 2, k + 3)]
+    return Complex(c.points, sims, require_connected=False)
+
+
+def pinched_squares(diagonal=0):
+    """[0,1]^2 and [1,2]^2, each cut by a diagonal (the other one when
+    ``diagonal`` is 1): a base pinched at the vertex (1, 1), whose two
+    squares share no edge."""
+    pts = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 1), (2, 2), (1, 2)]
+    sims = ([(0, 1, 2), (0, 2, 3), (2, 4, 5), (2, 5, 6)] if diagonal == 0
+            else [(0, 1, 3), (1, 2, 3), (2, 4, 6), (4, 5, 6)])
+    return Complex(pts, sims)
+
+
+def t_junction_square():
+    """[0,2] x [-1,1]: the lower half two triangles, the upper half four
+    cells over a vertex at (1, 0) on the lower half's top edge, which is
+    an edge of one cell only."""
+    pts = [(0, -1), (2, -1), (0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
+    return Complex(pts, [(0, 1, 4), (0, 4, 2), (2, 3, 6), (2, 6, 5), (3, 4, 7), (3, 7, 6)])
+
+
+def diagonal_square():
+    """[0,2] x [-1,1] cut by both diagonals: its left and right cells cross
+    the unshared edge of `t_junction_square`."""
+    pts = [(0, -1), (2, -1), (2, 1), (0, 1), (1, 0)]
+    return Complex(pts, [(0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)])
+
+
+@pytest.mark.parametrize("c1, c2", [
+    (two_squares(), other_diagonals(two_squares())),
+    (other_diagonals(two_squares()), two_squares()),
+    (pinched_squares(0), pinched_squares(1)),
+    (t_junction_square(), diagonal_square()),
+    (diagonal_square(), t_junction_square()),
+    (t_junction_square(), t_junction_square()),
+], ids=["disconnected", "disconnected-swapped", "pinched", "t-junction-second",
+        "t-junction-first", "t-junction-both"])
+def test_walk_matches_all_pairs_where_the_walk_cannot_seed(c1, c2):
+    assert_walk_is_all_pairs(c1, c2)
+    ov = overlay(c1, c2)
+    assert ov.cells.area2() == c1.area2()
+
+
+def test_unshared_edge_across_a_cell_falls_back_to_the_scan():
+    """Grown from its parent's hits alone, the left cell of the diagonal
+    square finds only the lower cell below the unshared edge; the edge
+    crosses its interior, so it is scanned and gets all three."""
+    left = diagonal_square().simplices.index((0, 3, 4))
+    pairs = {j for i, j, _ in triangle_pieces(diagonal_square(), t_junction_square())
+             if i == left}
+    assert len(pairs) == 3
+
+
+@pytest.mark.parametrize("c2", [
+    Complex([(0, 0), (2, 0), (2, 1), (0, 1)], [(0, 1, 2), (0, 2, 3)]),
+    Complex([(F(1, 2), 0), (F(3, 2), 0), (F(3, 2), 1), (F(1, 2), 1)], [(0, 1, 2), (0, 2, 3)]),
+    Complex([(0, 0), (1, 0), (F(1, 2), F(1, 2))], [(0, 1, 2)]),
+], ids=["larger", "shifted", "smaller"])
+def test_mismatched_realizations_still_raise(c2):
+    for a, b in ((grid_complex(2), c2), (c2, grid_complex(2))):
+        assert_walk_is_all_pairs(a, b)
+        with pytest.raises(RealizationMismatch):
+            overlay(a, b)
+
+
+def segment_meets_oracle(p, q, tri):
+    """Is there t in (0, 1) with p + t (q - p) strictly inside tri?  The
+    open interval of such t, cut by each edge's line, is nonempty."""
+    lo, hi = F(0), F(1)
+    for i in range(3):
+        a, b = tri[i - 1], tri[i]
+        sp, sq = area2(a, b, p), area2(a, b, q)
+        if sp == sq:
+            if sp <= 0:
+                return False
+            continue
+        t = sp / (sp - sq)
+        if sq > sp:
+            lo = max(lo, t)
+        else:
+            hi = min(hi, t)
+    return lo < hi
+
+
+small = st.fractions(min_value=-2, max_value=2, max_denominator=2)
+points = st.tuples(small, small)
+
+
+@settings(max_examples=300, deadline=None)
+@given(points, points, st.tuples(points, points, points))
+def test_segment_meets_ccw_triangle_matches_the_parametric_oracle(p, q, tri):
+    if p == q or area2(*tri) == 0:
+        return
+    tri = ccw_triangle(tri)
+    assert segment_meets_ccw_triangle(p, q, tri) == segment_meets_oracle(p, q, tri)
+
+
+def grid_map(n, seed):
+    """A seeded map of the n x n grid moving each interior vertex by at most
+    1/(5n) in each coordinate, like the benchmark's grid maps."""
+    base = grid_complex(n)
+    rng = random.Random(seed)
+    d = F(1, 5 * n)
+    images = [(x + rng.choice((-d, 0, d)), y + rng.choice((-d, d)))
+              if 0 < x < 1 and 0 < y < 1 else (x, y) for x, y in base.points]
+    return PLMap(base, base, images)
+
+
+def test_planar_operations_never_enumerate_all_pairs(monkeypatch):
+    """compose2d, inverse2d, overlay and == walk; `candidate_pairs` is left
+    to lists of cells that do not tile a region."""
+    def refuse(*args):
+        raise AssertionError("candidate_pairs called")
+
+    f, g = grid_map(3, 1), grid_map(3, 2)
+    monkeypatch.setattr(KERNEL, "candidate_pairs", refuse)
+    h = compose2d(f, g)
+    assert compose2d(inverse2d(h), h).is_identity()
+    assert f == f and f != g and h == compose2d(f, g)
+    overlay(random_square_triangulation(random.Random(3)), h.refinement)
+
+
+def test_the_guard_sees_the_all_pairs_path(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("candidate_pairs called")
+
+    monkeypatch.setattr(KERNEL, "candidate_pairs", refuse)
+    cells = grid_complex(1).cells()
+    with pytest.raises(AssertionError, match="candidate_pairs"):
+        list(triangle_pieces(cells, cells))
+
+
+def cell_point(cell, weights):
+    """The point with the given positive barycentric weights in a cell."""
+    total = sum(weights[:len(cell)])
+    return tuple(sum(w * p[k] for w, p in zip(weights, cell)) / total
+                 for k in range(len(cell[0])))
+
+
+weights = st.tuples(*[st.integers(1, 9)] * 3)
+offsets = st.tuples(st.fractions(-3, 3, max_denominator=7), st.fractions(-3, 3, max_denominator=7))
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 10**6), weights, offsets)
+def test_pieces_match_the_oracle(n, seed, w, off):
+    """Each refinement cell's piece and its inverse equal the barycentric
+    oracle, inside the cell and off it, before and after compose."""
+    f = grid_map(n, seed)
+    for h in (f, compose2d(f, grid_map(n, seed + 1))):
+        srcs, imgs = h.refinement.cells(), h.image.cells()
+        for i, (src, img) in enumerate(zip(srcs, imgs)):
+            x = cell_point(src, w)
+            y = h.eval_in_cell(i, x)
+            assert y == affine(src, img, x) and h.pullback_in_cell(i, y) == x
+            far = (x[0] + off[0], x[1] + off[1])
+            assert h.eval_in_cell(i, far) == affine(src, img, far)
+            assert h.pullback_in_cell(i, far) == affine(img, src, far)
+
+
+def interval_map():
+    """A map of the segments [0, 1] and [1, 3] of the line onto [0, 2] and
+    [2, 3]."""
+    base = Complex([(0,), (1,), (3,)], [(0, 1), (1, 2)])
+    return PLMap(base, base, [(0,), (2,), (3,)])
+
+
+@pytest.mark.parametrize("f", [cycle_rotation(), interval_map()], ids=["plane", "line"])
+def test_pieces_of_a_map_of_segments(f):
+    for i, (src, img) in enumerate(zip(f.refinement.cells(), f.image.cells())):
+        for t in (F(0), F(1, 3), F(1), F(-2, 5)):
+            x = tuple(a + t * (b - a) for a, b in zip(*src))
+            assert f.eval_in_cell(i, x) == affine(src, img, x)
+            y = f.eval_in_cell(i, x)
+            assert f.pullback_in_cell(i, y) == affine(img, src, y) == x
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.integers(1, 3), st.integers(0, 10**6))
+def test_compose_pullbacks_match_the_oracle(n, seed):
+    """Compose pulls each clipped polygon back through g's piece; the
+    pullbacks of inverse2d are checked in `tests/test_trusted.py`."""
+    f, g = grid_map(n, seed), grid_map(n, seed + 1)
+    srcs, imgs = g.refinement.cells(), g.image.cells()
+    for i, _, poly in triangle_pieces(g.image, f.refinement):
+        for p in poly:
+            assert g.pullback_in_cell(i, p) == affine(imgs[i], srcs[i], p)
