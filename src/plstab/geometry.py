@@ -206,8 +206,9 @@ def boxes_apart(b1, b2) -> bool:
 
 def candidate_pairs(cells_a, cells_b=None):
     """Index pairs (i, j) of point-list cells whose bounding boxes meet,
-    for the cell lists that do not both tile a region (which
-    `overlay.triangle_pieces` walks instead).
+    for the cells that `overlay.triangle_pieces` does not walk: the sides
+    of `is_simple_polygon`, the all-pairs fallback of `Complex`, the
+    segments of `overlay.segment_pieces` and triangles in 3-space.
 
     Pairs come in row-major order; with one list, only the pairs i < j.
     Cells whose boxes are apart share no point.  A sweep over the boxes in

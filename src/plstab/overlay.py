@@ -1,31 +1,34 @@
-"""Common refinement of two triangulations of the same realization, and
-the one cell-pair kernel under it.
+"""Common refinement of two triangulations of the same realization, the
+one realization test, and the one cell-pair kernel under them.
 
 :func:`triangle_pieces` and :func:`segment_pieces` yield, for every pair
 of cells of two inputs whose interiors meet, their intersection: a convex
 polygon for triangles, a pair of parameter intervals for segments.  Each
 clips only the pairs whose interiors meet.  Overlay, composition, map
-equality and the exact image checks of `plmap` all go through them, so
+equality and the realization checks of `plmap` all go through them, so
 they are the only callers of `triangle_intersection` and
 `collinear_overlap`.
 
-Where both inputs of `triangle_pieces` are planar complexes (overlay,
-composition, inversion and equality, whose inputs tile one region) it
-walks the tiling: each cell of the first input starts from the hits of a
-neighbour visited before it and grows across the second input's edges,
-so the work is linear in the cells and their pairs (`_walked_pairs`).  It
-tests a cell against all cells of the second input only where the walk
-cannot seed or close: a first cell of each edge-connected part, a cell
-with no hit near its neighbour's, or an edge of a hit that no other cell
-shares crossing the cell.  Lists of cells (the loose image cells of the
-exact image check), segments and the 3-space chart path enumerate the
-pairs of `candidate_pairs`.
+:func:`realized_pieces` is the one realization test: it collects the
+pieces of two complexes and accounts, cell by cell, for how much of each
+cell they cover, raising `RealizationMismatch` unless both inputs are
+covered, that is unless they realize one set.  `overlay` builds on it,
+and so do the refinement and image checks of `PLMap(...)`.
+
+In the plane `triangle_pieces` walks the tiling: each cell of the first
+input starts from the hits of a neighbour visited before it and grows
+across the second input's edges, so the work is linear in the cells and
+their pairs (`_walked_pairs`).  It tests a cell against all cells of the
+second input only where the walk cannot seed or close: a first cell of
+each edge-connected part, a cell with no hit near its neighbour's, or an
+edge of a hit that no other cell shares crossing the cell.  Segments and
+the 3-space chart path enumerate the pairs of `candidate_pairs`.
 
 The 2D overlay triangulates each intersection polygon; the 1D overlay
 keeps each overlap segment.  Output vertex indices follow sorted
 coordinate order, so overlays are reproducible.  The inputs are validated
-complexes of one realization, so the overlay is a valid complex by
-construction and is built trusted.
+complexes and the accounting found that they realize one set, so the
+overlay is a valid complex by construction and is built trusted.
 """
 
 from __future__ import annotations
@@ -56,19 +59,67 @@ class Overlay:
     provenance: Dict[SimplexT, Tuple[int, int]]
 
 
-def _build(raw_cells, t1: Complex) -> Overlay:
-    pts, sims = index_cells(cell for cell, _ in raw_cells)
-    prov: Dict[SimplexT, Tuple[int, int]] = dict(zip(sims, (pair for _, pair in raw_cells)))
-    cells = Complex.trusted(pts, sims, t1.connected_flag)
-    return Overlay(cells=cells, provenance=prov)
-
-
 def overlay(t1: Complex, t2: Complex) -> Overlay:
+    pieces = realized_pieces(t1, t2)
+    cells, pairs = [], []
+    cells1 = t1.cells()
+    for i1, i2, piece in pieces:
+        if t1.dim == 1:
+            (lo, hi), _ = piece
+            a1, b1 = cells1[i1]
+            d = vsub(b1, a1)
+            new = [(vadd(a1, vscale(lo, d)), vadd(a1, vscale(hi, d)))]
+        else:
+            chart = _chart(cells1[i1])
+            new = [tuple(_lift(p, chart) for p in cell) for cell in triangulate_convex(piece)]
+        cells += new
+        pairs += [(i1, i2)] * len(new)
+    pts, sims = index_cells(cells)
+    return Overlay(cells=Complex.trusted(pts, sims, t1.connected_flag),
+                   provenance=dict(zip(sims, pairs)))
+
+
+def realized_pieces(t1: Complex, t2: Complex,
+                    uncovered=("first input is not fully covered",
+                               "second input is not fully covered")):
+    """The (i1, i2, piece) triples of `segment_pieces` or `triangle_pieces`
+    for two complexes, after the cover accounting has found that they
+    realize one set; otherwise `RealizationMismatch` with ``uncovered[0]``
+    when a cell of ``t1`` is not covered by its pieces, or with
+    ``uncovered[1]`` when a cell of ``t2`` is not.
+
+    The pieces of a cell are its intersections with the interior-disjoint
+    cells of the other input, so they cover it iff their parameter
+    intervals tile [0, 1] (a segment) or their areas add up to its own (a
+    triangle).  Once both inputs pass, the walk of `triangle_pieces` is
+    complete, and a cell whose interior meets one cell of the other input
+    alone lies in it: the rest of its interior would be an open set
+    covered by lower-dimensional faces only."""
     if t1.dim != t2.dim or t1.ambient_dim != t2.ambient_dim:
         raise RealizationMismatch("inputs have different dimensions")
     if t1.dim == 1:
-        return _overlay_1d(t1, t2)
-    return _overlay_2d(t1, t2)
+        pieces = list(segment_pieces(t1.cells(), t2.cells()))
+        cover1 = [[] for _ in t1.simplices]
+        cover2 = [[] for _ in t2.simplices]
+        for i1, i2, (own1, own2) in pieces:
+            cover1[i1].append(own1)
+            cover2[i2].append(own2)
+        full = [all(tiles_unit(intervals) for intervals in cover) for cover in (cover1, cover2)]
+    else:
+        pieces = list(triangle_pieces(t1, t2))
+        area1 = [Fraction(0)] * len(t1.simplices)
+        area2 = [Fraction(0)] * len(t2.simplices)
+        for i1, i2, poly in pieces:
+            a2x = abs(polygon_area2(poly))
+            area1[i1] += a2x
+            area2[i2] += a2x
+        full = [all(a2x == abs(polygon_area2(_flat(tri, _chart(tri))))
+                    for tri, a2x in zip(t.cells(), areas))
+                for t, areas in ((t1, area1), (t2, area2))]
+    for ok, message in zip(full, uncovered):
+        if not ok:
+            raise RealizationMismatch(message)
+    return pieces
 
 
 # -- 1D ------------------------------------------------------------------
@@ -82,24 +133,6 @@ def segment_pieces(segs1, segs2):
         piece = collinear_overlap(*segs1[i1], *segs2[i2])
         if piece is not None:
             yield i1, i2, piece
-
-
-def _overlay_1d(t1: Complex, t2: Complex) -> Overlay:
-    raw = []
-    segs1, segs2 = t1.cells(), t2.cells()
-    cover1 = [[] for _ in segs1]
-    cover2 = [[] for _ in segs2]
-    for i1, i2, ((lo, hi), own2) in segment_pieces(segs1, segs2):
-        a1, b1 = segs1[i1]
-        d = vsub(b1, a1)
-        raw.append(((vadd(a1, vscale(lo, d)), vadd(a1, vscale(hi, d))), (i1, i2)))
-        cover1[i1].append((lo, hi))
-        cover2[i2].append(own2)
-    for name, covers in (("first", cover1), ("second", cover2)):
-        for intervals in covers:
-            if not tiles_unit(intervals):
-                raise RealizationMismatch(f"{name} input is not fully covered")
-    return _build(raw, t1)
 
 
 # -- 2D ------------------------------------------------------------------
@@ -132,23 +165,21 @@ def _lift(flat: Point, chart) -> Point:
     return tuple(out)
 
 
-def triangle_pieces(cells1, cells2):
-    """(i1, i2, polygon) for each pair of a triangle of ``cells1`` and one of
-    ``cells2`` whose interiors meet: their intersection, a counter-clockwise
-    convex polygon in the chart of triangle i1 of ``cells1``, which in
-    ambient dimension 2 is the plane itself.  Each input is a `Complex` or
-    a list of point-list triangles.
+def triangle_pieces(t1: Complex, t2: Complex):
+    """(i1, i2, polygon) for each pair of a triangle of ``t1`` and one of
+    ``t2`` whose interiors meet: their intersection, a counter-clockwise
+    convex polygon in the chart of triangle i1 of ``t1``, which in ambient
+    dimension 2 is the plane itself.
 
-    When both are complexes in the plane, the pairs come from a walk over
-    their cells (`_walked_pairs`); otherwise from `candidate_pairs`.  In
-    ambient dimension 3, two triangles whose interiors meet off a common
-    plane raise `NonCoplanarOverlap`."""
-    tris1 = cells1.cells() if isinstance(cells1, Complex) else cells1
-    tris2 = cells2.cells() if isinstance(cells2, Complex) else cells2
-    if all(isinstance(c, Complex) and c.dim == 2 == c.ambient_dim for c in (cells1, cells2)):
+    In the plane the pairs come from a walk over the cells of the two
+    complexes (`_walked_pairs`); in 3-space from `candidate_pairs`, and two
+    triangles whose interiors meet off a common plane raise
+    `NonCoplanarOverlap`."""
+    tris1, tris2 = t1.cells(), t2.cells()
+    if t1.ambient_dim == 2:
         ccw1 = [ccw_triangle(tri) for tri in tris1]
         ccw2 = [ccw_triangle(tri) for tri in tris2]
-        for i1, i2 in _walked_pairs(cells1, cells2, ccw1, ccw2):
+        for i1, i2 in _walked_pairs(t1, t2, ccw1, ccw2):
             yield i1, i2, triangle_intersection(ccw1[i1], ccw2[i2])
         return
     charts1 = [_chart(tri) for tri in tris1]
@@ -242,22 +273,3 @@ def _walked_pairs(t1: Complex, t2: Complex, ccw1, ccw2):
                     hits = scan(child)
                 found[child] = hits
                 queue.append(child)
-
-
-def _overlay_2d(t1: Complex, t2: Complex) -> Overlay:
-    raw = []
-    tris1, tris2 = t1.cells(), t2.cells()
-    charts1 = [_chart(tri) for tri in tris1]
-    area1 = [Fraction(0)] * len(tris1)
-    area2 = [Fraction(0)] * len(tris2)
-    for i1, i2, poly in triangle_pieces(t1, t2):
-        a2x = abs(polygon_area2(poly))
-        for cell in triangulate_convex(poly):
-            raw.append((tuple(_lift(p, charts1[i1]) for p in cell), (i1, i2)))
-        area1[i1] += a2x
-        area2[i2] += a2x
-    for tris, areas, name in ((tris1, area1, "first"), (tris2, area2, "second")):
-        for tri, a2x in zip(tris, areas):
-            if a2x != abs(polygon_area2(_flat(tri, _chart(tri)))):
-                raise RealizationMismatch(f"{name} input is not fully covered")
-    return _build(raw, t1)

@@ -14,7 +14,7 @@ image points, one orientation per image cell, no fold across an interior
 edge, and the boundary edges, directed with their image cell on the left,
 matching the base's boundary edges directed with the base on the left,
 each exactly once.  By a winding-number argument this implies every exact
-check, so an accepted image is built trusted.  The all-pairs checks run
+check, so an accepted image is built trusted.  The exact checks run
 only for maps the certificate does not accept: every rejected map, every
 1D map, boundary vertices that slide off the base's vertices, and
 refinements that subdivide the base's boundary.  So they alone decide
@@ -31,11 +31,12 @@ suite re-validates every trusted result.
 
 Every loop over pairs of cells that meet goes through the kernels of
 :mod:`plstab.overlay`: `triangle_pieces` under composition in the plane
-(a walk over the image of g and the refinement of f, both complexes) and
-the image-coverage check (a list of loose cells), `segment_pieces` under
-1D composition and the collinear covers, and `overlay` itself under
-:func:`inverse2d` and map equality, which compares the affine pieces of
-each overlay cell's two provenance cells at its vertices.
+(a walk over the image of g and the refinement of f, both complexes),
+`segment_pieces` under 1D composition and the boundary check's collinear
+covers, `realized_pieces` under the two realization checks, and
+`overlay` itself under :func:`inverse2d` and map equality, which compares
+the affine pieces of each overlay cell's two provenance cells at its
+vertices.
 
 A map keeps one affine piece per refinement cell, from the cell to its
 image, and one back, each solved on first use (`_solve_piece`, exact
@@ -45,13 +46,14 @@ and `PLMap.pullback_in_cell` the second under the pullbacks of
 composition and inversion; `PLMap.eval` locates the cell first.  The
 four-orientation barycentric solve they replace is the tests' oracle.
 
-Each exact test runs once.  A refinement that *is* the base (the same
+Each exact test runs once, and both realization tests are one call of
+`realized_pieces`, the cover accounting of `overlay`: the refinement
+against the base, where each refinement cell's base cell is its only hit,
+and on the exact path the image against the base, after an area
+pre-check in the plane.  A refinement that *is* the base (the same
 object; :func:`parse_plmap` passes the base itself when the refinement
 block lists the base's points and simplices) tiles it cell for cell, so
-its cells are their own homes and the tiling checks are skipped.  On the
-exact path in the plane, an image cell whose vertices lie in its home base
-cell covers its own area there and is not clipped; every other image cell
-is clipped only against the base cells whose interiors it meets.
+its cells are their own base cells and the refinement test is skipped.
 """
 
 from __future__ import annotations
@@ -60,7 +62,7 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .clip import point_in_triangle, polygon_area2, triangulate_convex
+from .clip import point_in_triangle, triangulate_convex
 from .complexes import (
     Complex,
     boundary,
@@ -69,7 +71,6 @@ from .complexes import (
     index_cells,
     rational_points,
     read_complex_records,
-    triangle_area2,
 )
 from .errors import (
     InternalError,
@@ -81,7 +82,6 @@ from .errors import (
 )
 from .geometry import (
     Point,
-    candidate_pairs,
     fmt,
     orient2,
     rat,
@@ -91,7 +91,7 @@ from .geometry import (
     vscale,
     vsub,
 )
-from .overlay import overlay, segment_pieces, triangle_pieces
+from .overlay import overlay, realized_pieces, segment_pieces, triangle_pieces
 
 
 def _solve_piece(src: Sequence[Point], dst: Sequence[Point]):
@@ -161,28 +161,6 @@ def _collinear_cover(segs_a, segs_b):
     return cover_a, cover_b
 
 
-def covered_area2(cells, homes, base_cells) -> Fraction:
-    """Twice the sum, over all pairs of a planar triangle of `cells` and a
-    cell of a planar complex, of the area of their intersection.
-
-    ``homes[i]`` is the index of the base cell tried first for ``cells[i]``.
-    A cell inside it meets no other base cell in positive area (base cells
-    are interior-disjoint), so it counts its own area; any other cell is
-    clipped against exactly the base cells whose interiors it meets, the
-    pairs with a positive-area intersection.
-    """
-    total = Fraction(0)
-    loose = []
-    for cell, home in zip(cells, homes):
-        if all(point_in_triangle(p, base_cells[home]) for p in cell):
-            total += triangle_area2(cell)
-        else:
-            loose.append(cell)
-    for _, _, poly in triangle_pieces(loose, base_cells):
-        total += abs(polygon_area2(poly))
-    return total
-
-
 def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Complex]:
     """The image complex of a planar map accepted by a local homeomorphism
     certificate in O(cells), or None for the exact checks to decide.
@@ -239,8 +217,8 @@ class PLMap:
     """PL self-homeomorphism of the realization of a base complex.
 
     ``cell_base[i]`` is the base simplex containing refinement cell ``i``.
-    When ``refinement is base`` it is the identity, with no containment or
-    tiling test: a cell of a valid complex lies in no other of its cells.
+    When ``refinement is base`` it is the identity, with no realization
+    test: a cell of a valid complex lies in no other of its cells.
     A refinement equal to the base but a different object is validated in
     full like any other.
 
@@ -269,7 +247,6 @@ class PLMap:
             self.cell_base: Tuple[int, ...] = tuple(range(len(base.simplices)))
         else:
             self.cell_base = self._assign_cells()
-            self._check_coverage()
         self.image = _certified_image(base, refinement, images)
         if self.image is None:
             self._check_image_exactly(images)
@@ -309,38 +286,23 @@ class PLMap:
     # -- construction-time validation ------------------------------------
 
     def _assign_cells(self) -> Tuple[int, ...]:
-        """The first base simplex containing each refinement cell."""
-        cells, base_cells = self.refinement.cells(), self.base.cells()
-        home: List[Optional[int]] = [None] * len(cells)
-        for i, j in candidate_pairs(cells, base_cells):
-            if home[i] is None and all(_in_cell(p, base_cells[j]) for p in cells[i]):
-                home[i] = j
-        for s, h in zip(self.refinement.simplices, home):
-            if h is None:
+        """The base simplex containing each refinement cell: once
+        `realized_pieces` has found that the refinement tiles the base, it
+        is the cell's only hit, and a cell with two hits lies in no base
+        simplex."""
+        hits: List[List[int]] = [[] for _ in self.refinement.simplices]
+        for i, j, _ in realized_pieces(self.refinement, self.base,
+                                       ("refinement does not tile the base",) * 2):
+            hits[i].append(j)
+        for s, h in zip(self.refinement.simplices, hits):
+            if len(h) != 1:
                 raise RealizationMismatch(
                     f"refinement cell {s} is not inside any base simplex"
                 )
-        return tuple(home)
-
-    def _check_coverage(self):
-        if self.base.dim == 2:
-            # refinement cells are interior-disjoint and each lies in its
-            # home cell, so each per-home area sum is at most that cell's
-            # area, and equal totals force every sum to be equal
-            if self.refinement.area2() != self.base.area2():
-                raise RealizationMismatch("refinement does not tile the base")
-            return
-        per_base = [[] for _ in self.base.simplices]
-        for cell, home in zip(self.refinement.cells(), self.cell_base):
-            a, b = [self.base.points[v] for v in self.base.simplices[home]]
-            ts = sorted(segment_param(a, b, p) for p in cell)
-            per_base[home].append((ts[0], ts[-1]))
-        for bs, intervals in zip(self.base.simplices, per_base):
-            if not tiles_unit(intervals):
-                raise RealizationMismatch(f"refinement does not tile base simplex {bs}")
+        return tuple(h[0] for h in hits)
 
     def _check_image_exactly(self, images):
-        """The all-pairs image checks, for a map the certificate does not
+        """The exact image checks, for a map the certificate does not
         accept: the image cells form a valid `Complex` (nondegenerate,
         interiors disjoint), realize the base, and boundary goes to
         boundary."""
@@ -350,22 +312,12 @@ class PLMap:
         self._check_boundary_preserved()
 
     def _check_image_realizes_base(self):
-        cells, base_cells = self.image.cells(), self.base.cells()
-        if self.base.dim == 2:
-            # same area, and the image meets the base in all of that area;
-            # an image cell most often stays in its source's home cell
-            if self.image.area2() != self.base.area2():
-                raise RealizationMismatch("image area differs from base area")
-            if covered_area2(cells, self.cell_base, base_cells) != self.base.area2():
-                raise RealizationMismatch("an image cell leaves the base realization")
-            return
-        # every base edge tiled by image segments, every image segment used up
-        own, per_base = _collinear_cover(cells, base_cells)
-        if not all(tiles_unit(intervals) for intervals in own):
-            raise RealizationMismatch("an image cell leaves the base realization")
-        for bs, intervals in zip(self.base.simplices, per_base):
-            if not tiles_unit(intervals):
-                raise RealizationMismatch(f"image does not cover base simplex {bs}")
+        if self.base.dim == 2 and self.image.area2() != self.base.area2():
+            raise RealizationMismatch("image area differs from base area")
+        # with equal areas, the image cells covered by base cells leave no
+        # base cell uncovered, so the second message is 1D only
+        realized_pieces(self.image, self.base, ("an image cell leaves the base realization",
+                                                "image does not cover the base"))
 
     def _check_boundary_preserved(self):
         bd_base = boundary(self.base)
@@ -603,7 +555,7 @@ def parse_plmap(text: str, base: Complex) -> PLMap:
     if same_simplices and tuple(points) == base.points:
         refinement = base
     else:
-        refinement = Complex(points, sims)
+        refinement = Complex(points, sims, require_connected=base.connected_flag)
     if sorted(images) != list(range(len(refinement.points))):
         raise InvalidComplex("img records do not cover the refinement vertices")
     return PLMap(base, refinement, [images[i] for i in range(len(refinement.points))])

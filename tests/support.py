@@ -1,11 +1,14 @@
-"""Shared builders for the test suite: standard complexes, maps, and a
-random-triangulation generator for the unit square."""
+"""Shared builders for the test suite: standard complexes, maps, a
+random-triangulation generator for the unit square, and the oracles of
+the affine pieces and the refinement check of `PLMap`."""
 
 import random
 from fractions import Fraction as F
 
+from plstab.clip import point_in_triangle
 from plstab.complexes import Complex
-from plstab.geometry import area2, segment_param
+from plstab.errors import RealizationMismatch
+from plstab.geometry import area2, candidate_pairs, segment_param, tiles_unit
 from plstab.interval import PLMap1D
 from plstab.plmap import PLMap, plmap_from_vertex_images
 
@@ -23,6 +26,41 @@ def affine(src, dst, x):
         t = segment_param(src[0], src[1], x)
         lam = (1 - t, t)
     return tuple(sum(l * p[k] for l, p in zip(lam, dst)) for k in range(len(dst[0])))
+
+
+def refinement_homes(base, refinement):
+    """The oracle of the refinement check of `PLMap(...)`: the first base
+    simplex containing each refinement cell, found by a containment test on
+    every pair of cells whose boxes meet, then the tiling, by total area in
+    the plane and by the parameter intervals on each base segment in 1D.
+    Raises `RealizationMismatch` where a cell has no home or the cells do
+    not tile the base."""
+    def inside(x, cell):
+        if len(cell) == 3:
+            return point_in_triangle(x, cell)
+        t = segment_param(cell[0], cell[1], x)
+        return t is not None and 0 <= t <= 1
+
+    cells, base_cells = refinement.cells(), base.cells()
+    home = [None] * len(cells)
+    for i, j in candidate_pairs(cells, base_cells):
+        if home[i] is None and all(inside(p, base_cells[j]) for p in cells[i]):
+            home[i] = j
+    for s, h in zip(refinement.simplices, home):
+        if h is None:
+            raise RealizationMismatch(f"refinement cell {s} is not inside any base simplex")
+    if base.dim == 2:
+        if refinement.area2() != base.area2():
+            raise RealizationMismatch("refinement does not tile the base")
+        return tuple(home)
+    per_base = [[] for _ in base.simplices]
+    for cell, h in zip(cells, home):
+        ts = sorted(segment_param(*base_cells[h], p) for p in cell)
+        per_base[h].append((ts[0], ts[-1]))
+    for bs, intervals in zip(base.simplices, per_base):
+        if not tiles_unit(intervals):
+            raise RealizationMismatch(f"refinement does not tile base simplex {bs}")
+    return tuple(home)
 
 
 def square_complex():
@@ -77,8 +115,14 @@ def random_plmap1d(rng, max_breaks=20, a=F(0), b=F(1)):
 def random_square_triangulation(rng, max_triangles=12):
     """Random triangulation of the unit square by repeated centroid and
     edge-midpoint splits of the 2-triangle start."""
-    points = [(F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))]
-    tris = [(0, 1, 2), (0, 2, 3)]
+    return random_splits(rng, [(F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))],
+                         [(0, 1, 2), (0, 2, 3)], max_triangles)
+
+
+def random_splits(rng, points, tris, max_triangles):
+    """The planar triangulation ``points``, ``tris`` refined by repeated
+    centroid and edge-midpoint splits, up to ``max_triangles`` cells."""
+    points, tris = list(points), list(tris)
     while len(tris) < max_triangles and rng.random() < 0.8:
         if rng.random() < 0.5:
             # centroid split of one triangle

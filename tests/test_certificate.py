@@ -1,5 +1,5 @@
 """The local homeomorphism certificate of `PLMap` in the plane, against the
-exact all-pairs checks it stands in for."""
+exact checks it stands in for."""
 
 from fractions import Fraction as F
 

@@ -1,5 +1,7 @@
-"""Every name that `plstab/__init__.py` re-exports has a caller in the
-library, or sits on the allowlist below with the reason it is public."""
+"""Every public name of the library, each name that `plstab/__init__.py`
+re-exports and each module-level `def` and `class` without a leading
+underscore, has a caller in the library, or sits on the allowlist below
+with the reason it is public."""
 
 import ast
 import pathlib
@@ -22,6 +24,13 @@ ALLOWED = {
     "link": "ROADMAP item 4: closed surfaces, whose vertex links are cycles",
     "is_cycle": "ROADMAP item 4: closed surfaces, whose vertex links are cycles",
     "is_arc": "ROADMAP item 4: closed surfaces, whose vertex links are cycles",
+    "between": ACCEPTANCE,
+    "clip_polygon_to_triangle": "bench/spans.py traces the clipping layer by this name",
+    "identity_germ": "the unit of compose_germs, for the germ checks of ROADMAP item 9",
+    "format_presentation": "writes the text that parse_presentation reads",
+    "collinear": "the collinearity predicate of the geometry API, in any ambient dimension",
+    "simplex": "the canonical sorted simplex, with its repeated-vertex check, for callers"
+               " that build complexes",
 }
 
 
@@ -29,6 +38,13 @@ def exported(init):
     """Names that an `__init__` module imports from its submodules."""
     return [a.asname or a.name for node in ast.parse(init.read_text()).body
             if isinstance(node, ast.ImportFrom) for a in node.names]
+
+
+def defined(paths):
+    """The public module-level `def` and `class` names of the given modules."""
+    return [node.name for path in paths for node in ast.parse(path.read_text()).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and not node.name.startswith("_")]
 
 
 def referenced(paths):
@@ -45,8 +61,9 @@ def referenced(paths):
 
 
 def test_every_public_name_has_a_caller_or_a_reason():
-    public = exported(SRC / "__init__.py")
-    used = referenced(p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py")
+    modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    public = set(exported(SRC / "__init__.py")) | set(defined(modules))
+    used = referenced(modules)
     assert sorted(n for n in public if n not in used and n not in ALLOWED) == []
     # the allowlist holds no name that was dropped or has since found a caller
     assert sorted(n for n in ALLOWED if n not in public or n in used) == []
@@ -57,7 +74,10 @@ def test_the_check_sees_uncalled_exports(tmp_path):
     init.write_text("from .mod import called, uncalled as alias\n"
                     "from .other import Used\n")
     mod.write_text("def called():\n    return other.Used\n"
-                   "def uncalled():\n    return called()\n")
+                   "def uncalled():\n    return called()\n"
+                   "class Kept:\n    def method(self):\n        pass\n"
+                   "def _private():\n    pass\n")
     assert exported(init) == ["called", "alias", "Used"]
+    assert defined([mod]) == ["called", "uncalled", "Kept"]
     assert {"called", "Used"} <= referenced([mod])
     assert "uncalled" not in referenced([mod])

@@ -13,15 +13,17 @@ from hypothesis import given, settings, strategies as st
 from plstab.clip import ccw_triangle, triangle_intersection
 from plstab.complexes import Complex, segment_meets_ccw_triangle, tri_tri_open_meet_2d
 from plstab.errors import RealizationMismatch
-from plstab.geometry import area2
+from plstab.geometry import area2, candidate_pairs
 from plstab.overlay import overlay, triangle_pieces
-from plstab.plmap import PLMap, compose2d, inverse2d
+from plstab.plmap import PLMap, _certified_image, compose2d, inverse2d
 
-from support import affine, cycle_rotation, random_square_triangulation
+from support import affine, cycle_rotation, random_square_triangulation, refinement_homes
+from test_certificate import centroid_split
 from test_plmap import SYMMETRIES, _along_boundary, grid_complex, two_squares
 
 # by module path: the package's `overlay` is the function
 KERNEL = import_module("plstab.overlay")
+MAPS = import_module("plstab.plmap")
 
 
 def all_pairs(c1, c2):
@@ -179,9 +181,23 @@ def grid_map(n, seed):
     return PLMap(base, base, images)
 
 
+def slid_refinement_map(n):
+    """A map of the n x n grid on its centroid split, each side point slid
+    along its side by 1/(8n): the image is off the base's boundary
+    vertices, so it takes the exact path."""
+    base = grid_complex(n)
+    d = F(1, 8 * n)
+    slid = [(x + d, y) if y in (0, 1) and 0 < x < 1 else
+            (x, y + d) if x in (0, 1) and 0 < y < 1 else (x, y) for x, y in base.points]
+    centres = [tuple(sum(c) / 3 for c in zip(*(slid[v] for v in s))) for s in base.simplices]
+    return base, centroid_split(base), slid + centres
+
+
 def test_planar_operations_never_enumerate_all_pairs(monkeypatch):
-    """compose2d, inverse2d, overlay and == walk; `candidate_pairs` is left
-    to lists of cells that do not tile a region."""
+    """compose2d, inverse2d, overlay, == and the realization checks of
+    `PLMap(...)` walk; `candidate_pairs` is left to lists of cells that do
+    not tile a region, such as the boundary edges of the check that the
+    boundary goes to the boundary."""
     def refuse(*args):
         raise AssertionError("candidate_pairs called")
 
@@ -192,15 +208,28 @@ def test_planar_operations_never_enumerate_all_pairs(monkeypatch):
     assert f == f and f != g and h == compose2d(f, g)
     overlay(random_square_triangulation(random.Random(3)), h.refinement)
 
+    def refuse_triangles(cells_a, cells_b=None):
+        if any(len(cell) == 3 for cell in (*cells_a, *(cells_b or ()))):
+            raise AssertionError("candidate_pairs called on triangles")
+        return candidate_pairs(cells_a, cells_b)
+
+    base, refinement, images = slid_refinement_map(3)
+    assert _certified_image(base, refinement, images) is None
+    homes = refinement_homes(base, refinement)
+    monkeypatch.setattr(KERNEL, "candidate_pairs", refuse_triangles)
+    monkeypatch.setattr(MAPS, "candidate_pairs", refuse_triangles, raising=False)
+    assert PLMap(base, refinement, images).cell_base == homes
+
 
 def test_the_guard_sees_the_all_pairs_path(monkeypatch):
+    """The 3-space chart path of `triangle_pieces` enumerates all pairs."""
     def refuse(*args):
         raise AssertionError("candidate_pairs called")
 
     monkeypatch.setattr(KERNEL, "candidate_pairs", refuse)
-    cells = grid_complex(1).cells()
+    square = Complex([(0, 0, 0), (1, 0, 0), (1, 1, 1), (0, 1, 1)], [(0, 1, 2), (0, 2, 3)])
     with pytest.raises(AssertionError, match="candidate_pairs"):
-        list(triangle_pieces(cells, cells))
+        list(triangle_pieces(square, square))
 
 
 def cell_point(cell, weights):
