@@ -14,6 +14,11 @@ winding-number argument that puts every point in at most one cell, in
 O(cells + boundary edge pairs).  The all-pairs separating-axis test runs
 only for the complexes it does not accept, so it alone decides which
 error a rejected complex raises.
+
+Every overlap test of two cells decides by signs: of `orient2` in the
+plane, or in the `geometry.face_chart` of the cells' common plane in
+3-space, and of a point's height over a plane.  Collinear segments
+compare their `segment_param` ranges instead.
 """
 
 from __future__ import annotations
@@ -24,32 +29,10 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .clip import ccw_triangle
 from .errors import InvalidComplex, ParseError, UnknownVertex
-from .geometry import (
-    Point,
-    area2,
-    candidate_pairs,
-    cross2,
-    cross3,
-    dot,
-    drop_axis,
-    fmt,
-    is_simple_polygon,
-    orient2,
-    plane_normal,
-    rat,
-    vadd,
-    vscale,
-    vsub,
-)
+from .geometry import (Point, area2, candidate_pairs, dot, face_chart, fmt, is_simple_polygon,
+                       orient2, plane_normal, rat, segment_param, to_chart, vadd, vscale, vsub)
 
 SimplexT = Tuple[int, ...]
-
-
-def simplex(*vertices: int) -> SimplexT:
-    vs = tuple(sorted(vertices))
-    if len(set(vs)) != len(vs):
-        raise InvalidComplex(f"repeated vertex in simplex {vertices}")
-    return vs
 
 
 def faces_of(s: SimplexT):
@@ -76,46 +59,25 @@ def index_cells(cells):
 
 
 def seg_seg_open_meet(a, b, c, d) -> bool:
-    """Do the open segments (a,b) and (c,d) share a point? Exact, any ambient."""
-    u = vsub(b, a)
-    v = vsub(d, c)
-    w = vsub(c, a)
-    if len(a) == 1:
-        lo1, hi1 = min(a[0], b[0]), max(a[0], b[0])
-        lo2, hi2 = min(c[0], d[0]), max(c[0], d[0])
-        return max(lo1, lo2) < min(hi1, hi2)
-    if len(a) == 2:
-        denom = cross2(u, v)
-        if denom != 0:
-            t = Fraction(cross2(w, v), denom)
-            s = Fraction(cross2(w, u), denom)
-            return 0 < t < 1 and 0 < s < 1
-        if cross2(w, u) != 0:
-            return False  # parallel, different lines
-    else:
-        if not (cross3(u, v) == (0, 0, 0) and cross3(w, u) == (0, 0, 0)):
-            # skew or crossing lines in 3-space: solve for a common point
-            # via two independent coordinates, verify on the third
-            for i, j in ((0, 1), (0, 2), (1, 2)):
-                den = u[i] * (-v[j]) - u[j] * (-v[i])
-                if den != 0:
-                    t = Fraction(w[i] * (-v[j]) - w[j] * (-v[i]), den)
-                    s = Fraction(u[i] * w[j] - u[j] * w[i], den)
-                    if vadd(a, vscale(t, u)) != vadd(c, vscale(s, v)):
-                        return False
-                    return 0 < t < 1 and 0 < s < 1
-            return False
-    # collinear: compare parameter ranges along u
-    den = dot(u, u)
-    t0 = Fraction(dot(w, u), den)
-    t1 = Fraction(dot(vsub(d, a), u), den)
-    lo, hi = min(t0, t1), max(t0, t1)
-    return max(Fraction(0), lo) < min(Fraction(1), hi)
+    """Do the open segments (a, b) and (c, d), a != b and c != d, share a
+    point?  Exact, in ambient dimension 1, 2 or 3.
 
-
-def _plane(p0, p1, p2):
-    n = plane_normal(p0, p1, p2)
-    return n, dot(n, p0)
+    Collinear segments do iff the `segment_param` range of c and d along
+    a->b overlaps [0, 1] in positive length.  Two lines that are not one
+    share at most a point, which lies inside both open segments iff each
+    segment's ends are strictly on opposite sides of the other's line:
+    `orient2` signs in the `face_chart` of the segments' common plane.
+    With no common plane the lines are skew.
+    """
+    tc, td = segment_param(a, b, c), segment_param(a, b, d)
+    if tc is not None and td is not None:
+        return max(0, min(tc, td)) < min(1, max(tc, td))
+    off, other = (c, d) if tc is None else (d, c)
+    chart = face_chart((a, b, off))
+    if chart is not None and dot(chart.normal, other) != chart.offset:
+        return False
+    a, b, c, d = to_chart((a, b, c, d), chart)
+    return orient2(a, b, c) * orient2(a, b, d) < 0 and orient2(c, d, a) * orient2(c, d, b) < 0
 
 
 def tri_tri_open_meet_2d(t1, t2) -> bool:
@@ -156,77 +118,30 @@ def segment_meets_ccw_triangle(p, q, tri) -> bool:
     return 1 in sides and -1 in sides
 
 
-def _project_axis(normal):
-    for i in (2, 1, 0):
-        if normal[i] != 0:
-            return i
-    raise InvalidComplex("degenerate triangle normal")
-
-
 def tri_tri_open_meet_3d(t1, t2) -> bool:
-    """Do the open triangles t1 and t2 of 3-space share a point? Exact."""
-    n1, d1 = _plane(*t1)
-    n2, d2 = _plane(*t2)
-    s = [dot(n2, p) - d2 for p in t1]
-    if all(x > 0 for x in s) or all(x < 0 for x in s):
-        return False
-    if all(x == 0 for x in s):  # coplanar: project and use the 2D test
-        ax = _project_axis(n2)
-        return tri_tri_open_meet_2d(
-            [drop_axis(p, ax) for p in t1], [drop_axis(p, ax) for p in t2]
-        )
-    # T1 meets plane(T2) in a segment (or point); collect it
-    pts = []
-    for i in range(3):
-        a, b = t1[i], t1[(i + 1) % 3]
-        sa, sb = s[i], s[(i + 1) % 3]
-        if sa == 0:
-            pts.append(a)
-        if (sa > 0 > sb) or (sa < 0 < sb):
-            t = Fraction(sa, sa - sb)
-            pts.append(vadd(a, vscale(t, vsub(b, a))))
-    pts = list(dict.fromkeys(pts))
-    if len(pts) < 2:
-        return False
-    p, q = pts[0], pts[1]
-    # clip [p, q] by the three in-plane half-planes of T2; side(X) is linear in t
-    lo, hi = Fraction(0), Fraction(1)
-    for i in range(3):
-        a, b = t2[i], t2[(i + 1) % 3]
-        inward = dot(cross3(vsub(b, a), n2), vsub(t2[(i + 2) % 3], a))
-        def side(x, a=a, b=b):
-            return dot(cross3(vsub(b, a), n2), vsub(x, a))
-        sp, sq = side(p), side(q)
-        if inward < 0:
-            sp, sq = -sp, -sq
-        # keep {t : sp + t (sq - sp) >= 0}
-        if sp == sq:
-            if sp < 0:
-                return False
-            continue
-        t = Fraction(sp, sp - sq)
-        if sq < sp:
-            hi = min(hi, t)
-        else:
-            lo = max(lo, t)
-        if lo >= hi:
-            return False
-    if lo >= hi:
-        return False
-    mid = vadd(p, vscale((lo + hi) / 2, vsub(q, p)))
-    # interior overlap needs the midpoint strictly inside both triangles
-    def strictly_inside(x, tri, n):
-        for i in range(3):
-            a, b = tri[i], tri[(i + 1) % 3]
-            inward = dot(cross3(vsub(b, a), n), vsub(tri[(i + 2) % 3], a))
-            sd = dot(cross3(vsub(b, a), n), vsub(x, a))
-            if inward < 0:
-                sd = -sd
-            if sd <= 0:
-                return False
-        return True
+    """Do the open nondegenerate triangles t1 and t2 of 3-space share a
+    point?  Exact.
 
-    return strictly_inside(mid, t1, n1) and strictly_inside(mid, t2, n2)
+    Coplanar triangles are decided in t2's `face_chart` by the planar test.
+    Otherwise the open t1 meets t2's plane only if t1 has vertices strictly
+    on both sides of it, and then in the open chord between the two points
+    where t1's boundary meets the plane (the only points constructed); the
+    chord is tested against t2 in t2's chart.
+    """
+    chart = face_chart(t2)
+    heights = [dot(chart.normal, p) - chart.offset for p in t1]
+    if not any(heights):
+        return tri_tri_open_meet_2d(to_chart(t1, chart), to_chart(t2, chart))
+    if not min(heights) < 0 < max(heights):
+        return False
+    chord = [p for p, h in zip(t1, heights) if h == 0]
+    for i in range(3):
+        ha, hb = heights[i - 1], heights[i]
+        if ha * hb < 0:
+            a, b = t1[i - 1], t1[i]
+            chord.append(vadd(a, vscale(ha / (ha - hb), vsub(b, a))))
+    p, q = to_chart(chord, chart)
+    return segment_meets_ccw_triangle(p, q, ccw_triangle(to_chart(t2, chart)))
 
 
 def triangle_area2(pts) -> Fraction:
@@ -354,6 +269,8 @@ class Complex:
             raise InvalidComplex("ambient dimension must be 1, 2 or 3")
         if any(len(p) != d_amb for p in self.points):
             raise InvalidComplex("points have mixed ambient dimension")
+        if self.dim > d_amb:
+            raise InvalidComplex("a 2-complex needs ambient dimension 2 or 3")
         used = set()
         for s in self.simplices:
             if len(s) != self.dim + 1:

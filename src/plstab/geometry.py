@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import NondegenerateViolation, ParseError
 
@@ -115,12 +115,6 @@ def is_zero_vec(v: Sequence[Fraction]) -> bool:
     return all(x == 0 for x in v)
 
 
-def collinear(a: Point, b: Point, c: Point) -> bool:
-    if len(a) == 1:
-        return True
-    return orient2(a, b, c) == 0
-
-
 def between(a: Point, b: Point, x: Point) -> bool:
     """True iff x lies on the closed segment [a, b] (a, b, x collinear assumed)."""
     d = vsub(b, a)
@@ -189,6 +183,45 @@ def drop_axis(p: Point, axis: int) -> Point:
 def plane_normal(p0: Point, p1: Point, p2: Point) -> Point:
     """Normal of the plane through three points of 3-space (zero if collinear)."""
     return cross3(vsub(p1, p0), vsub(p2, p0))
+
+
+class Chart(NamedTuple):
+    """A plane of 3-space: its normal, the axis that projecting it onto a
+    coordinate plane drops, and the offset n . p of its points p."""
+
+    normal: Point
+    axis: int
+    offset: Fraction
+
+
+def face_chart(tri: Sequence[Point]) -> Optional[Chart]:
+    """The one chart of the plane of a nondegenerate triangle, in which
+    planar predicates and clipping run: None in ambient dimension 2, where
+    the plane is its own chart; in 3-space the plane's normal n, the axis k
+    of n's largest |component| and the offset.  Dropping axis k maps the
+    plane one to one onto a coordinate plane (`to_chart`), and n_k != 0
+    lifts a chart point back (`from_chart`)."""
+    if len(tri[0]) == 2:
+        return None
+    n = plane_normal(*tri)
+    return Chart(n, max(range(3), key=lambda k: abs(n[k])), dot(n, tri[0]))
+
+
+def to_chart(pts: Sequence[Point], chart: Optional[Chart]) -> Sequence[Point]:
+    """Points of a `face_chart`'s plane in the chart's coordinates."""
+    if chart is None:
+        return pts
+    return [drop_axis(p, chart.axis) for p in pts]
+
+
+def from_chart(flat: Point, chart: Optional[Chart]) -> Point:
+    """The point of a `face_chart`'s plane at chart coordinates ``flat``."""
+    if chart is None:
+        return flat
+    n, k, d = chart
+    out = list(flat)
+    out.insert(k, (d - dot(drop_axis(n, k), flat)) / n[k])
+    return tuple(out)
 
 
 def bbox(pts: Sequence[Point]):

@@ -42,8 +42,8 @@ from .clip import ccw_triangle, polygon_area2, triangle_intersection, triangulat
 from .complexes import (Complex, SimplexT, ccw_triangles_meet, index_cells,
                         segment_meets_ccw_triangle, tri_tri_open_meet_2d, tri_tri_open_meet_3d)
 from .errors import NonCoplanarOverlap, RealizationMismatch
-from .geometry import (Point, candidate_pairs, collinear_overlap, dot, drop_axis,
-                       plane_normal, tiles_unit, vadd, vscale, vsub)
+from .geometry import (candidate_pairs, collinear_overlap, dot, face_chart, from_chart, tiles_unit,
+                       to_chart, vadd, vscale, vsub)
 
 
 @dataclass(frozen=True)
@@ -70,8 +70,8 @@ def overlay(t1: Complex, t2: Complex) -> Overlay:
             d = vsub(b1, a1)
             new = [(vadd(a1, vscale(lo, d)), vadd(a1, vscale(hi, d)))]
         else:
-            chart = _chart(cells1[i1])
-            new = [tuple(_lift(p, chart) for p in cell) for cell in triangulate_convex(piece)]
+            chart = face_chart(cells1[i1])
+            new = [tuple(from_chart(p, chart) for p in cell) for cell in triangulate_convex(piece)]
         cells += new
         pairs += [(i1, i2)] * len(new)
     pts, sims = index_cells(cells)
@@ -113,7 +113,7 @@ def realized_pieces(t1: Complex, t2: Complex,
             a2x = abs(polygon_area2(poly))
             area1[i1] += a2x
             area2[i2] += a2x
-        full = [all(a2x == abs(polygon_area2(_flat(tri, _chart(tri))))
+        full = [all(a2x == abs(polygon_area2(to_chart(tri, face_chart(tri))))
                     for tri, a2x in zip(t.cells(), areas))
                 for t, areas in ((t1, area1), (t2, area2))]
     for ok, message in zip(full, uncovered):
@@ -137,32 +137,10 @@ def segment_pieces(segs1, segs2):
 
 # -- 2D ------------------------------------------------------------------
 #
-# Cells are clipped in a plane.  In ambient dimension 2 that is the plane
-# itself.  In ambient dimension 3 only coplanar cells may overlap: a chart
-# (normal, dropped axis, offset) projects a cell's plane onto the coordinate
-# plane its normal dominates, and the clipped pieces are lifted back.
-
-
-def _chart(tri):
-    if len(tri[0]) == 2:
-        return None
-    n = plane_normal(*tri)
-    return n, max(range(3), key=lambda k: abs(n[k])), dot(n, tri[0])
-
-
-def _flat(pts, chart):
-    if chart is None:
-        return pts
-    return [drop_axis(p, chart[1]) for p in pts]
-
-
-def _lift(flat: Point, chart) -> Point:
-    if chart is None:
-        return flat
-    n, ax, d = chart
-    out = list(flat)
-    out.insert(ax, (d - dot(drop_axis(n, ax), flat)) / n[ax])
-    return tuple(out)
+# Cells are clipped in a plane: the `face_chart` of a cell of the first
+# input, which in ambient dimension 2 is the plane itself.  In ambient
+# dimension 3 only coplanar cells may overlap; they are clipped in the
+# chart and the clipped pieces are lifted back.
 
 
 def triangle_pieces(t1: Complex, t2: Complex):
@@ -182,17 +160,17 @@ def triangle_pieces(t1: Complex, t2: Complex):
         for i1, i2 in _walked_pairs(t1, t2, ccw1, ccw2):
             yield i1, i2, triangle_intersection(ccw1[i1], ccw2[i2])
         return
-    charts1 = [_chart(tri) for tri in tris1]
-    flats1 = [_flat(tri, chart) for tri, chart in zip(tris1, charts1)]
+    charts1 = [face_chart(tri) for tri in tris1]
+    flats1 = [to_chart(tri, chart) for tri, chart in zip(tris1, charts1)]
     for i1, i2 in candidate_pairs(tris1, tris2):
         chart, tri2 = charts1[i1], tris2[i2]
-        if chart is not None and any(dot(chart[0], p) != chart[2] for p in tri2):
+        if any(dot(chart.normal, p) != chart.offset for p in tri2):
             if tri_tri_open_meet_3d(tris1[i1], tri2):
                 raise NonCoplanarOverlap(
                     f"cell {i1} of the first input and cell {i2} of the second"
                     " overlap off-plane")
             continue
-        flat2 = _flat(tri2, chart)
+        flat2 = to_chart(tri2, chart)
         if tri_tri_open_meet_2d(flats1[i1], flat2):
             yield i1, i2, triangle_intersection(flats1[i1], flat2)
 

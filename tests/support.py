@@ -1,14 +1,16 @@
 """Shared builders for the test suite: standard complexes, maps, a
-random-triangulation generator for the unit square, and the oracles of
-the affine pieces and the refinement check of `PLMap`."""
+random-triangulation generator for the unit square, the oracles of the
+affine pieces and the refinement check of `PLMap`, and those of the
+segment and 3-space triangle overlap predicates of `complexes`."""
 
 import random
 from fractions import Fraction as F
 
 from plstab.clip import point_in_triangle
-from plstab.complexes import Complex
-from plstab.errors import RealizationMismatch
-from plstab.geometry import area2, candidate_pairs, segment_param, tiles_unit
+from plstab.complexes import Complex, tri_tri_open_meet_2d
+from plstab.errors import InvalidComplex, RealizationMismatch
+from plstab.geometry import (area2, candidate_pairs, cross2, cross3, dot, drop_axis, plane_normal,
+                             segment_param, tiles_unit, vadd, vscale, vsub)
 from plstab.interval import PLMap1D
 from plstab.plmap import PLMap, plmap_from_vertex_images
 
@@ -61,6 +63,127 @@ def refinement_homes(base, refinement):
         if not tiles_unit(intervals):
             raise RealizationMismatch(f"refinement does not tile base simplex {bs}")
     return tuple(home)
+
+
+def seg_seg_open_meet_by_solving(a, b, c, d):
+    """The oracle of `complexes.seg_seg_open_meet`: do the open segments
+    (a, b) and (c, d) share a point?  Solves for the common point of
+    crossing lines, and compares parameter ranges of collinear segments."""
+    u = vsub(b, a)
+    v = vsub(d, c)
+    w = vsub(c, a)
+    if len(a) == 1:
+        lo1, hi1 = min(a[0], b[0]), max(a[0], b[0])
+        lo2, hi2 = min(c[0], d[0]), max(c[0], d[0])
+        return max(lo1, lo2) < min(hi1, hi2)
+    if len(a) == 2:
+        denom = cross2(u, v)
+        if denom != 0:
+            t = F(cross2(w, v), denom)
+            s = F(cross2(w, u), denom)
+            return 0 < t < 1 and 0 < s < 1
+        if cross2(w, u) != 0:
+            return False  # parallel, different lines
+    else:
+        if not (cross3(u, v) == (0, 0, 0) and cross3(w, u) == (0, 0, 0)):
+            # skew or crossing lines in 3-space: solve for a common point
+            # via two independent coordinates, verify on the third
+            for i, j in ((0, 1), (0, 2), (1, 2)):
+                den = u[i] * (-v[j]) - u[j] * (-v[i])
+                if den != 0:
+                    t = F(w[i] * (-v[j]) - w[j] * (-v[i]), den)
+                    s = F(u[i] * w[j] - u[j] * w[i], den)
+                    if vadd(a, vscale(t, u)) != vadd(c, vscale(s, v)):
+                        return False
+                    return 0 < t < 1 and 0 < s < 1
+            return False
+    # collinear: compare parameter ranges along u
+    den = dot(u, u)
+    t0 = F(dot(w, u), den)
+    t1 = F(dot(vsub(d, a), u), den)
+    lo, hi = min(t0, t1), max(t0, t1)
+    return max(F(0), lo) < min(F(1), hi)
+
+
+def _plane(p0, p1, p2):
+    n = plane_normal(p0, p1, p2)
+    return n, dot(n, p0)
+
+
+def _project_axis(normal):
+    for i in (2, 1, 0):
+        if normal[i] != 0:
+            return i
+    raise InvalidComplex("degenerate triangle normal")
+
+
+def tri_tri_open_meet_3d_by_clipping(t1, t2):
+    """The oracle of `complexes.tri_tri_open_meet_3d`: do the open triangles
+    t1 and t2 of 3-space share a point?  Clips the segment where t1 meets
+    t2's plane by t2's half-planes in 3-space, and tests the midpoint of
+    what is left against both triangles."""
+    n1, d1 = _plane(*t1)
+    n2, d2 = _plane(*t2)
+    s = [dot(n2, p) - d2 for p in t1]
+    if all(x > 0 for x in s) or all(x < 0 for x in s):
+        return False
+    if all(x == 0 for x in s):  # coplanar: project and use the 2D test
+        ax = _project_axis(n2)
+        return tri_tri_open_meet_2d(
+            [drop_axis(p, ax) for p in t1], [drop_axis(p, ax) for p in t2]
+        )
+    # T1 meets plane(T2) in a segment (or point); collect it
+    pts = []
+    for i in range(3):
+        a, b = t1[i], t1[(i + 1) % 3]
+        sa, sb = s[i], s[(i + 1) % 3]
+        if sa == 0:
+            pts.append(a)
+        if (sa > 0 > sb) or (sa < 0 < sb):
+            t = F(sa, sa - sb)
+            pts.append(vadd(a, vscale(t, vsub(b, a))))
+    pts = list(dict.fromkeys(pts))
+    if len(pts) < 2:
+        return False
+    p, q = pts[0], pts[1]
+    # clip [p, q] by the three in-plane half-planes of T2; side(X) is linear in t
+    lo, hi = F(0), F(1)
+    for i in range(3):
+        a, b = t2[i], t2[(i + 1) % 3]
+        inward = dot(cross3(vsub(b, a), n2), vsub(t2[(i + 2) % 3], a))
+        def side(x, a=a, b=b):
+            return dot(cross3(vsub(b, a), n2), vsub(x, a))
+        sp, sq = side(p), side(q)
+        if inward < 0:
+            sp, sq = -sp, -sq
+        # keep {t : sp + t (sq - sp) >= 0}
+        if sp == sq:
+            if sp < 0:
+                return False
+            continue
+        t = F(sp, sp - sq)
+        if sq < sp:
+            hi = min(hi, t)
+        else:
+            lo = max(lo, t)
+        if lo >= hi:
+            return False
+    if lo >= hi:
+        return False
+    mid = vadd(p, vscale((lo + hi) / 2, vsub(q, p)))
+    # interior overlap needs the midpoint strictly inside both triangles
+    def strictly_inside(x, tri, n):
+        for i in range(3):
+            a, b = tri[i], tri[(i + 1) % 3]
+            inward = dot(cross3(vsub(b, a), n), vsub(tri[(i + 2) % 3], a))
+            sd = dot(cross3(vsub(b, a), n), vsub(x, a))
+            if inward < 0:
+                sd = -sd
+            if sd <= 0:
+                return False
+        return True
+
+    return strictly_inside(mid, t1, n1) and strictly_inside(mid, t2, n2)
 
 
 def square_complex():

@@ -189,6 +189,157 @@ def test_data_errors(workdir):
     assert code == 65
 
 
+def test_triangles_on_a_line_are_a_data_error(workdir, capsys):
+    # one coordinate per vertex: a 2-complex needs a plane to lie in
+    (workdir / "line.cx").write_text("v 0 0\nv 1 1\nv 2 2\ns 0 1 2\n")
+    code, out = run(["euler", "--complex", str(workdir / "line.cx")])
+    assert (code, out) == (65, "")
+    assert "ambient dimension" in capsys.readouterr().err
+
+
+# 3-space overlays, clipped in face charts: the folded two-facet complex
+# (planes z = 0 and y = 0) against a refinement splitting both facets, the
+# octahedron against one with the face x + y + z = 1 split at its
+# centroid, and that against the same face split at another point, whose
+# cells cross the centroid split's
+FOLDED_VERTICES = "v 0 0 0 0\nv 1 2 0 0\nv 2 0 2 0\nv 3 0 0 2\n"
+FOLDED = FOLDED_VERTICES + "s 0 1 2\ns 0 1 3\n"
+FOLDED_SPLIT = FOLDED_VERTICES + """\
+v 4 1 0 0
+v 5 2/3 2/3 0
+v 6 2/3 0 2/3
+s 0 4 5
+s 4 1 5
+s 1 2 5
+s 2 0 5
+s 0 4 6
+s 4 1 6
+s 1 3 6
+s 3 0 6
+"""
+OCTA = """\
+v 0 1 0 0
+v 1 -1 0 0
+v 2 0 1 0
+v 3 0 -1 0
+v 4 0 0 1
+v 5 0 0 -1
+s 0 2 4
+s 2 1 4
+s 1 3 4
+s 3 0 4
+s 0 2 5
+s 2 1 5
+s 1 3 5
+s 3 0 5
+"""
+OCTA_SPLIT = OCTA.replace("s 0 2 4\n", "") + "v 6 1/3 1/3 1/3\ns 0 2 6\ns 2 4 6\ns 4 0 6\n"
+OCTA_SPLIT_OFF_CENTRE = OCTA_SPLIT.replace("v 6 1/3 1/3 1/3", "v 6 1/2 1/3 1/6")
+
+
+@pytest.mark.parametrize("first, second, expected", [
+    (FOLDED, FOLDED_SPLIT, """\
+v 0 0 0 0
+v 1 0 0 2
+v 2 0 2 0
+v 3 2/3 0 2/3
+v 4 2/3 2/3 0
+v 5 1 0 0
+v 6 2 0 0
+s 0 1 3
+s 0 2 4
+s 0 3 5
+s 0 4 5
+s 1 3 6
+s 2 4 6
+s 3 5 6
+s 4 5 6
+# cell 0 1 3 from 1 1
+# cell 0 2 4 from 0 0
+# cell 0 3 5 from 1 3
+# cell 0 4 5 from 0 2
+# cell 1 3 6 from 1 5
+# cell 2 4 6 from 0 4
+# cell 3 5 6 from 1 7
+# cell 4 5 6 from 0 6
+"""),
+    (OCTA, OCTA_SPLIT, """\
+v 0 -1 0 0
+v 1 0 -1 0
+v 2 0 0 -1
+v 3 0 0 1
+v 4 0 1 0
+v 5 1/3 1/3 1/3
+v 6 1 0 0
+s 0 1 2
+s 0 1 3
+s 0 2 4
+s 0 3 4
+s 1 2 6
+s 1 3 6
+s 2 4 6
+s 3 4 5
+s 3 5 6
+s 4 5 6
+# cell 0 1 2 from 7 8
+# cell 0 1 3 from 6 7
+# cell 0 2 4 from 5 6
+# cell 0 3 4 from 4 5
+# cell 1 2 6 from 3 3
+# cell 1 3 6 from 2 2
+# cell 2 4 6 from 1 0
+# cell 3 4 5 from 0 9
+# cell 3 5 6 from 0 4
+# cell 4 5 6 from 0 1
+"""),
+    (OCTA_SPLIT, OCTA_SPLIT_OFF_CENTRE, """\
+v 0 -1 0 0
+v 1 0 -1 0
+v 2 0 0 -1
+v 3 0 0 1
+v 4 0 1 0
+v 5 1/3 1/3 1/3
+v 6 3/7 2/7 2/7
+v 7 1/2 1/3 1/6
+v 8 1 0 0
+s 0 1 2
+s 0 1 3
+s 0 2 4
+s 0 3 4
+s 1 2 8
+s 1 3 8
+s 2 4 8
+s 3 4 5
+s 3 5 6
+s 3 6 8
+s 4 5 6
+s 4 6 7
+s 4 7 8
+s 6 7 8
+# cell 0 1 2 from 8 8
+# cell 0 1 3 from 7 7
+# cell 0 2 4 from 6 6
+# cell 0 3 4 from 5 5
+# cell 1 2 8 from 3 3
+# cell 1 3 8 from 2 2
+# cell 2 4 8 from 0 0
+# cell 3 4 5 from 9 9
+# cell 3 5 6 from 4 9
+# cell 3 6 8 from 4 4
+# cell 4 5 6 from 1 9
+# cell 4 6 7 from 1 9
+# cell 4 7 8 from 1 1
+# cell 6 7 8 from 1 4
+"""),
+])
+def test_overlay_in_3_space_prints_the_recorded_bytes(tmp_path, first, second, expected):
+    (tmp_path / "a.cx").write_text(first)
+    (tmp_path / "b.cx").write_text(second)
+    code, out = run(["overlay", "--complex", str(tmp_path / "a.cx"),
+                     "--complex", str(tmp_path / "b.cx")])
+    assert (code, out) == (0, expected)
+
+
 def test_tangent_germ_dump(workdir):
     code, out = run(["tangent", "--map", str(workdir / "rot.pm"),
                      "--vertex", "4"])

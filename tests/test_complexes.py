@@ -1,14 +1,17 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from plstab.clip import clip_polygon_to_triangle, polygon_area2
 from plstab.complexes import (Complex, boundary, euler_characteristic,
                               format_complex, is_arc, is_cycle, link,
-                              parse_complex, star, tri_tri_open_meet_2d)
-from plstab.geometry import orient2
+                              parse_complex, seg_seg_open_meet, star, tri_tri_open_meet_2d,
+                              tri_tri_open_meet_3d)
+from plstab.geometry import orient2, plane_normal
 from plstab.errors import InvalidComplex, ParseError, UnknownVertex
+
+from support import seg_seg_open_meet_by_solving, tri_tri_open_meet_3d_by_clipping
 
 
 def square():
@@ -154,3 +157,79 @@ def test_separating_axis_cases(t1, t2, meet):
     for a, b in ((t1, t2), (t2, t1)):
         assert tri_tri_open_meet_2d(a, b) is meet
         assert _clip_area_meet(a, b) is meet
+
+
+# The segment and 3-space triangle predicates against their oracles in
+# `support`, which solve for common points and clip in 3-space, on draws
+# forced into the cases where signs are zero: collinear, coplanar, sharing
+# a vertex or an edge, and touching (a point on the other cell's edge or
+# line).
+small = st.sampled_from(sorted({F(n, d) for n in range(-6, 7) for d in (1, 2, 3)
+                                if abs(F(n, d)) <= 2}))
+points = {k: st.tuples(*[small] * k) for k in (1, 2, 3)}
+weights = st.sampled_from([F(0), F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2), F(-1, 2)])
+
+
+@st.composite
+def frame(draw, k):
+    """Two point makers for R^k: the point at (s, t) of a random plane,
+    and a free point."""
+    o, u, v = (draw(points[k]) for _ in range(3))
+
+    def at(s, t):
+        return tuple(x + s * y + t * z for x, y, z in zip(o, u, v))
+    return at, lambda: draw(points[k])
+
+
+@st.composite
+def segment_pairs(draw):
+    at, free = draw(frame(draw(st.sampled_from((1, 2, 3)))))
+    mode = draw(st.sampled_from(("free", "collinear", "coplanar", "shared", "touching")))
+    if mode == "free":
+        a, b, c, d = (free() for _ in range(4))
+    elif mode in ("collinear", "coplanar"):
+        a, b, c, d = (at(draw(small), draw(small) if mode == "coplanar" else 0)
+                      for _ in range(4))
+    else:
+        a, b = free(), free()
+        w = F(0) if mode == "shared" else draw(weights)
+        c = tuple(x + w * (y - x) for x, y in zip(a, b))
+        d = free() if draw(st.booleans()) else at(draw(small), draw(small))
+    assume(a != b and c != d)
+    return a, b, c, d
+
+
+@settings(max_examples=600, deadline=None)
+@given(segment_pairs())
+def test_seg_seg_open_meet_matches_the_solving_oracle(segs):
+    a, b, c, d = segs
+    for p, q, r, s in ((a, b, c, d), (c, d, a, b), (b, a, d, c)):
+        assert seg_seg_open_meet(p, q, r, s) == seg_seg_open_meet_by_solving(p, q, r, s)
+
+
+@st.composite
+def triangle_pairs(draw):
+    """Two triangles of 3-space: t1's vertices free or on one plane; t2's
+    also, or a vertex of t1, or an affine combination of two (on an edge of
+    t1 or its line)."""
+    at, free = draw(frame(3))
+    t1, t2 = [], []
+    for kind in draw(st.lists(st.integers(0, 1), min_size=3, max_size=3)):
+        t1.append(free() if kind == 0 else at(draw(small), draw(small)))
+    for kind in draw(st.lists(st.integers(0, 3), min_size=3, max_size=3)):
+        if kind < 2:
+            t2.append(free() if kind == 0 else at(draw(small), draw(small)))
+        else:
+            p, q = draw(st.sampled_from(t1)), draw(st.sampled_from(t1))
+            w = F(0) if kind == 2 else draw(weights)
+            t2.append(tuple(x + w * (y - x) for x, y in zip(p, q)))
+    assume(all(plane_normal(*t) != (0, 0, 0) for t in (t1, t2)))
+    return t1, t2
+
+
+@settings(max_examples=600, deadline=None)
+@given(triangle_pairs())
+def test_tri_tri_open_meet_3d_matches_the_clipping_oracle(tris):
+    t1, t2 = tris
+    for a, b in ((t1, t2), (t2, t1)):
+        assert tri_tri_open_meet_3d(a, b) == tri_tri_open_meet_3d_by_clipping(a, b)

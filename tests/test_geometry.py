@@ -5,8 +5,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from plstab.clip import polygon_area2, triangle_intersection
 from plstab.geometry import (Mat, area2, bbox, between, boxes_apart, candidate_pairs,
-                             collinear, collinear_overlap, cross2, fmt, orient2,
-                             primitive_direction, rat, segment_param, vsub)
+                             collinear_overlap, cross2, fmt, orient2, primitive_direction, rat,
+                             segment_param, vsub)
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -113,11 +113,6 @@ def test_mat_is_positive_scalar():
 def test_cross2():
     assert cross2((1, 0), (0, 1)) == 1
     assert cross2((2, 3), (4, 6)) == 0
-
-
-def test_collinear():
-    assert collinear((0, 0), (1, 1), (5, 5))
-    assert not collinear((0, 0), (1, 1), (1, 2))
 
 
 def _box_pairs(cells_a, cells_b=None):

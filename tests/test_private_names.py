@@ -30,6 +30,39 @@ def test_no_cross_module_private_names():
     assert {k: v for k, v in found.items() if v} == {}
 
 
+def unread_imports(path):
+    """(line, name) of each name that a module imports and never reads
+    (`from __future__` imports aside)."""
+    tree = ast.parse(path.read_text())
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return [(node.lineno, name) for node in ast.walk(tree)
+            if isinstance(node, (ast.Import, ast.ImportFrom))
+            and getattr(node, "module", None) != "__future__"
+            for name in ((a.asname or a.name).split(".")[0] for a in node.names)
+            if name not in read]
+
+
+def test_every_imported_name_is_read():
+    """A module reads every name it imports, so a helper whose last caller
+    moved away is not left imported; `__init__` imports to re-export."""
+    found = {p.name: unread_imports(p) for p in sorted(SRC.glob("*.py"))
+             if p.name != "__init__.py"}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_the_check_sees_unread_imports(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from __future__ import annotations\n"
+                     "import os.path\n"
+                     "import json as js\n"
+                     "from .geometry import cross2, cross3, drop_axis as drop\n"
+                     "def area(u, v) -> Point:\n"
+                     "    cross3 = 0\n"
+                     "    return cross2(u, v) + os.sep\n")
+    assert unread_imports(probe) == [(3, "js"), (4, "cross3"), (4, "drop")]
+
+
 # each clipping leaf -> (its defining module, the overlay kernel that calls it)
 LEAVES = {"triangle_intersection": ("clip.py", "triangle_pieces"),
           "collinear_overlap": ("geometry.py", "segment_pieces")}

@@ -28,9 +28,6 @@ ALLOWED = {
     "clip_polygon_to_triangle": "bench/spans.py traces the clipping layer by this name",
     "identity_germ": "the unit of compose_germs, for the germ checks of ROADMAP item 9",
     "format_presentation": "writes the text that parse_presentation reads",
-    "collinear": "the collinearity predicate of the geometry API, in any ambient dimension",
-    "simplex": "the canonical sorted simplex, with its repeated-vertex check, for callers"
-               " that build complexes",
 }
 
 
