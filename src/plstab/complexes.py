@@ -391,9 +391,6 @@ class Complex:
     def all_faces(self) -> Tuple[SimplexT, ...]:
         return close_under_faces(self.simplices)
 
-    def edges(self) -> Tuple[SimplexT, ...]:
-        return tuple(f for f in self.all_faces() if len(f) == 2)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Complex)
@@ -452,12 +449,6 @@ class SubComplex:
             for v in e:
                 deg[v] = deg.get(v, 0) + 1
         return deg
-
-    def euler_characteristic(self) -> int:
-        chi = 0
-        for s in self.simplices:
-            chi += (-1) ** (len(s) - 1)
-        return chi
 
 
 # -- the spec operations -------------------------------------------------

@@ -372,15 +372,3 @@ class Mat:
         lam = self.rows[0][0]
         return lam > 0 and self == Mat([[lam, 0], [0, lam]])
 
-
-def linear_part(u, v, iu, iv) -> Mat:
-    """The 2x2 matrix A with A u = iu and A v = iv (u, v independent)."""
-    d = cross2(u, v)
-    # A = [iu iv] * [u v]^-1, columns
-    inv = ((v[1] / d, -v[0] / d), (-u[1] / d, u[0] / d))
-    return Mat(
-        [
-            [iu[0] * inv[0][0] + iv[0] * inv[1][0], iu[0] * inv[0][1] + iv[0] * inv[1][1]],
-            [iu[1] * inv[0][0] + iv[1] * inv[1][0], iu[1] * inv[0][1] + iv[1] * inv[1][1]],
-        ]
-    )

@@ -323,14 +323,23 @@ class PLMap:
         bd_base = boundary(self.base)
         bd_ref = boundary(self.refinement)
         if self.base.dim == 2:
-            # each boundary edge's image is tiled by base boundary edges; one
-            # whose ends are the ends of a base boundary edge is that edge
+            # each refinement edge on the base boundary has its image on it
+            # too; an edge in one cell may lie inside the base, at a
+            # T-junction.  An edge lies on the base boundary when base
+            # boundary edges tile it; one whose ends are the ends of a base
+            # boundary edge is that edge
             segments = [[self.base.points[v] for v in e] for e in bd_base.of_dim(1)]
             ends = {frozenset(seg) for seg in segments}
-            edges = [[self.images[v] for v in e] for e in bd_ref.of_dim(1)]
-            rest = [e for e in edges if frozenset(e) not in ends]
-            covered, _ = _collinear_cover(rest, segments)
-            ok = all(tiles_unit(intervals) for intervals in covered)
+
+            def on_base_boundary(edges):
+                rest = [e for e in edges if frozenset(e) not in ends]
+                tiled = iter([tiles_unit(c) for c in _collinear_cover(rest, segments)[0]])
+                return [frozenset(e) in ends or next(tiled) for e in edges]
+
+            edges = bd_ref.of_dim(1)
+            on = on_base_boundary([[self.refinement.points[v] for v in e] for e in edges])
+            ok = all(on_base_boundary([[self.images[v] for v in e]
+                                       for e, keep in zip(edges, on) if keep]))
         else:
             bd_points = {self.base.points[v[0]] for v in bd_base.of_dim(0)}
             ok = all(self.images[v[0]] in bd_points for v in bd_ref.of_dim(0))

@@ -25,7 +25,7 @@ from .geometry import primitive_direction, vsub
 from .interval import PLMap1D, fixed_set_1d
 from .plmap import PLMap
 from .presentation import Presentation, abelianization
-from .tangent import build_germ, is_trivial_on_tangent_sphere, refine_fans
+from .tangent import build_germ, refine_fans
 
 
 class ActionSpec:
@@ -169,9 +169,9 @@ def certify_trivial(a: ActionSpec, p: int) -> Certificate:
     if base.dim == 2:
         germs = [build_germ(f, p) for _, f in gens]
         for (name, _), g in zip(gens, refine_fans(germs)):
-            if not is_trivial_on_tangent_sphere(g):
-                bad = next(i for i, m in enumerate(g.matrices)
-                           if not (m.is_positive_scalar()))
+            bad = next((i for i, m in enumerate(g.matrices) if not m.is_positive_scalar()),
+                       None)
+            if bad is not None:
                 u, v = g.fan.cones[bad]
                 return Certificate(
                     status="Obstructed", stage="TangentGate",

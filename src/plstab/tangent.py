@@ -11,13 +11,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Dict, List, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Sequence, Tuple
 
 from .complexes import Complex
 from .errors import InvalidComplex, NotFixedPoint, SupportMismatch
-from .geometry import (Mat, Point, cross2, dot, fmt, linear_part,
-                       primitive_direction, vsub)
-from .plmap import PLMap
+from .geometry import Mat, Point, cross2, dot, fmt, primitive_direction, vadd, vsub
+from .plmap import PLMap, identity_map
 
 Ray = Tuple[int, ...]  # primitive integer direction
 
@@ -114,20 +113,7 @@ def fan_of_star(c: Complex, v: int) -> Fan:
     """The fan of cones of the closed star of a vertex of a 2D complex."""
     if c.dim != 2 or c.ambient_dim != 2:
         raise InvalidComplex("fans are built for planar 2D complexes")
-    apex = c.points[v]
-    cones = []
-    for s in c.simplices:
-        if v not in s:
-            continue
-        a, b = [w for w in s if w != v]
-        da = primitive_direction(vsub(c.points[a], apex))
-        db = primitive_direction(vsub(c.points[b], apex))
-        if cross2(da, db) < 0:
-            da, db = db, da
-        cones.append((da, db))
-    if not cones:
-        raise InvalidComplex(f"vertex {v} has no incident triangle")
-    return _chain_cones(apex, cones)
+    return build_germ(identity_map(c), v).fan
 
 
 def _chain_cones(apex: Point, cones: List[Tuple[Ray, Ray]]) -> Fan:
@@ -159,72 +145,64 @@ def _chain_cones(apex: Point, cones: List[Tuple[Ray, Ray]]) -> Fan:
 
 
 def build_germ(f: PLMap, p: int) -> Germ:
-    """Germ of f at base vertex p; requires f(p) = p."""
+    """Germ of f at base vertex p; requires f(p) = p.
+
+    Each cone's matrix is read off f's affine piece on its refinement cell:
+    f fixes the apex, so column k is f(apex + e_k) - apex."""
     pr = f.refinement_index_of_base_vertex(p)
-    apex = f.refinement.points[pr]
+    points = f.refinement.points
+    apex = points[pr]
     if f.images[pr] != apex:
         raise NotFixedPoint(f"vertex {p} is not fixed")
-    cones = []
-    mats = []
-    for s in f.refinement.simplices:
+    units = [vadd(apex, e) for e in ((1, 0), (0, 1))]
+    mats: Dict[Tuple[Ray, Ray], Mat] = {}  # cells of a valid star have distinct cones
+    for i, s in enumerate(f.refinement.simplices):
         if pr not in s:
             continue
-        a, b = [w for w in s if w != pr]
-        da = vsub(f.refinement.points[a], apex)
-        db = vsub(f.refinement.points[b], apex)
+        da, db = (primitive_direction(vsub(points[w], apex)) for w in s if w != pr)
         if cross2(da, db) < 0:
-            a, b = b, a
             da, db = db, da
-        mat = linear_part(da, db, vsub(f.images[a], apex), vsub(f.images[b], apex))
-        cones.append((primitive_direction(da), primitive_direction(db)))
-        mats.append(mat)
-    fan = _chain_cones(apex, cones)
-    ordered_mats = []
-    for cone in fan.cones:
-        ordered_mats.append(mats[cones.index(cone)])
-    return Germ(fan=fan, matrices=tuple(ordered_mats))
+        cols = [vsub(f.eval_in_cell(i, x), apex) for x in units]
+        mats[da, db] = Mat([[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]])
+    fan = _chain_cones(apex, list(mats))
+    return Germ(fan=fan, matrices=tuple(mats[cone] for cone in fan.cones))
 
 
-def _sort_within_halfplane(rays: List[Ray]) -> List[Ray]:
+def _sort_within_halfplane(rays: Iterable[Ray]) -> List[Ray]:
     return sorted(rays, key=cmp_to_key(lambda a, b: (cross2(b, a) > 0) - (cross2(a, b) > 0)))
 
 
-def _refined_cones(fan: Fan, extra_rays: Sequence[Ray]) -> List[Tuple[Ray, Ray]]:
+def _refined_cones(fan: Fan, extra_rays: Collection[Ray]) -> List[Tuple[Ray, Ray]]:
     out = []
     for u, v in fan.cones:
-        inside = sorted(
-            {r for r in extra_rays if in_cone(r, u, v, strict=True)},
-        )
-        inside = _sort_within_halfplane(list(inside))
+        inside = _sort_within_halfplane({r for r in extra_rays if in_cone(r, u, v, strict=True)})
         chain = [u] + inside + [v]
         out.extend(zip(chain, chain[1:]))
     return out
 
 
 def refine_fans(germs: Sequence[Germ]) -> List[Germ]:
-    """Re-express germs over the coarsest common refinement of their fans."""
+    """Re-express germs over the coarsest common refinement of their fans.
+
+    Germs of one support refine to one fan: the first germ's fan cut at
+    every ray of every germ.  Each germ puts on a refined cone the matrix
+    of its own cone that contains it."""
     if not germs:
         return []
     base = germs[0].fan
     for g in germs[1:]:
         if not base.support_matches(g.fan):
             raise SupportMismatch("germs must share apex and support")
-    all_rays = sorted({r for g in germs for r in g.fan.rays})
-    out = []
-    for g in germs:
-        cones = _refined_cones(g.fan, all_rays)
-        if g.fan.closed:  # start at the least ray, which every refined fan has
-            k = next(i for i, c in enumerate(cones) if c[0] == all_rays[0])
-            cones = cones[k:] + cones[:k]
-        mats = []
-        for u, v in cones:
-            mats.append(g.matrices[_containing_cone(g.fan, u, v)])
-        fan = Fan(apex=g.fan.apex, cones=tuple(cones), closed=g.fan.closed)
-        out.append(Germ(fan=fan, matrices=tuple(mats)))
-    fans = {g.fan.cones for g in out}
-    if len(fans) != 1:
-        raise SupportMismatch("fans do not refine to a common fan")
-    return out
+    all_rays = {r for g in germs for r in g.fan.rays}
+    cones = _refined_cones(base, all_rays)
+    if base.closed:  # start at the least ray, whichever germ it came from
+        least = min(all_rays)
+        k = next(i for i, c in enumerate(cones) if c[0] == least)
+        cones = cones[k:] + cones[:k]
+    fan = Fan(apex=base.apex, cones=tuple(cones), closed=base.closed)
+    return [Germ(fan=fan, matrices=tuple(g.matrices[_containing_cone(g.fan, u, v)]
+                                         for u, v in cones))
+            for g in germs]
 
 
 def _containing_cone(fan: Fan, u: Ray, v: Ray) -> int:
@@ -247,7 +225,7 @@ def _preimage_chain(a: Mat, u: Ray, v: Ray, rays: Sequence[Ray]) -> List[Ray]:
         d = primitive_direction(ainv.apply(r))
         if in_cone(d, u, v, strict=True):
             cuts.append(d)
-    return [u] + _sort_within_halfplane(sorted(set(cuts))) + [v]
+    return [u] + _sort_within_halfplane(set(cuts)) + [v]
 
 
 def compose_germs(f: Germ, g: Germ) -> Germ:
@@ -303,7 +281,7 @@ def germs_equal(a: Germ, b: Germ) -> bool:
         ra, rb = refine_fans([a, b])
     except SupportMismatch:
         return False
-    return ra.fan == rb.fan and ra.matrices == rb.matrices
+    return ra.matrices == rb.matrices
 
 
 def identity_germ(fan: Fan) -> Germ:

@@ -1,7 +1,8 @@
 """Shared builders for the test suite: standard complexes, maps, a
 random-triangulation generator for the unit square, the oracles of the
-affine pieces and the refinement check of `PLMap`, and those of the
-segment and 3-space triangle overlap predicates of `complexes`."""
+affine pieces and the refinement check of `PLMap`, those of the
+segment and 3-space triangle overlap predicates of `complexes`, and those
+of the germ construction and fan refinement of `tangent`."""
 
 import random
 from fractions import Fraction as F
@@ -9,10 +10,12 @@ from fractions import Fraction as F
 from plstab.clip import point_in_triangle
 from plstab.complexes import Complex, tri_tri_open_meet_2d
 from plstab.errors import InvalidComplex, RealizationMismatch
-from plstab.geometry import (area2, candidate_pairs, cross2, cross3, dot, drop_axis, plane_normal,
+from plstab.geometry import (Mat, area2, candidate_pairs, cross2, cross3, dot, drop_axis,
+                             plane_normal, primitive_direction,
                              segment_param, tiles_unit, vadd, vscale, vsub)
 from plstab.interval import PLMap1D
 from plstab.plmap import PLMap, plmap_from_vertex_images
+from plstab.tangent import Fan, Germ, _chain_cones, in_cone
 
 
 def affine(src, dst, x):
@@ -184,6 +187,73 @@ def tri_tri_open_meet_3d_by_clipping(t1, t2):
         return True
 
     return strictly_inside(mid, t1, n1) and strictly_inside(mid, t2, n2)
+
+
+def linear_part(u, v, iu, iv):
+    """The 2x2 matrix A with A u = iu and A v = iv (u, v independent): the
+    oracle of the germ matrices that `tangent.build_germ` reads off a map's
+    affine pieces, and of the fixed-locus cell solve."""
+    d = cross2(u, v)
+    # A = [iu iv] * [u v]^-1, columns
+    inv = ((v[1] / d, -v[0] / d), (-u[1] / d, u[0] / d))
+    return Mat(
+        [
+            [iu[0] * inv[0][0] + iv[0] * inv[1][0], iu[0] * inv[0][1] + iv[0] * inv[1][1]],
+            [iu[1] * inv[0][0] + iv[1] * inv[1][0], iu[1] * inv[0][1] + iv[1] * inv[1][1]],
+        ]
+    )
+
+
+def build_germ_by_solving(f, p):
+    """The oracle of `tangent.build_germ`: each cone's matrix solved by
+    `linear_part` from the images of the cell's two edge vectors at the
+    apex, and the matrices put in fan order by searching the cone list."""
+    pr = f.refinement_index_of_base_vertex(p)
+    apex = f.refinement.points[pr]
+    assert f.images[pr] == apex
+    cones, mats = [], []
+    for s in f.refinement.simplices:
+        if pr not in s:
+            continue
+        a, b = [w for w in s if w != pr]
+        da = vsub(f.refinement.points[a], apex)
+        db = vsub(f.refinement.points[b], apex)
+        if cross2(da, db) < 0:
+            a, b, da, db = b, a, db, da
+        cones.append((primitive_direction(da), primitive_direction(db)))
+        mats.append(linear_part(da, db, vsub(f.images[a], apex), vsub(f.images[b], apex)))
+    fan = _chain_cones(apex, cones)
+    return Germ(fan=fan, matrices=tuple(mats[cones.index(cone)] for cone in fan.cones))
+
+
+def refine_fans_per_germ(germs):
+    """The oracle of `tangent.refine_fans`: each germ's own fan cut at every
+    ray of every germ, a closed fan turned to start at the least ray, each
+    refined cone given the matrix of the germ's cone around its mid
+    direction, and the refined fans checked to be one fan."""
+    all_rays = sorted({r for g in germs for r in g.fan.rays})
+    out = []
+    for g in germs:
+        cones = []
+        for u, v in g.fan.cones:
+            inside = [r for r in all_rays if in_cone(r, u, v, strict=True)]
+            # a ray strictly inside a salient cone makes an angle in (0, pi)
+            # with u, whose cotangent dot/cross falls as the angle grows
+            inside.sort(key=lambda r: F(-dot(u, r), cross2(u, r)))
+            chain = [u] + inside + [v]
+            cones += zip(chain, chain[1:])
+        if g.fan.closed:
+            k = next(i for i, c in enumerate(cones) if c[0] == all_rays[0])
+            cones = cones[k:] + cones[:k]
+        mats = []
+        for u, v in cones:
+            mid = (u[0] + v[0], u[1] + v[1])
+            mats.append(next(m for (a, b), m in zip(g.fan.cones, g.matrices)
+                             if in_cone(mid, a, b)))
+        out.append(Germ(fan=Fan(apex=g.fan.apex, cones=tuple(cones), closed=g.fan.closed),
+                        matrices=tuple(mats)))
+    assert len({g.fan for g in out}) == 1
+    return out
 
 
 def square_complex():

@@ -441,6 +441,59 @@ def test_analyze_action_json(workdir):
     assert doc["report"]["r"]["fuller_k"] == 1
 
 
+CYCLE = "v 0 0 0\nv 1 1 0\nv 2 0 1\ns 0 1\ns 1 2\ns 0 2\n"
+
+
+def recorded_json(command, report):
+    """The `--json` stdout of a command whose report is ``report``."""
+    return json.dumps({"command": command, "report": report, "schema_version": 1},
+                      indent=2, sort_keys=True) + "\n"
+
+
+def test_certify_on_a_cycle_prints_the_recorded_tangent_witness(tmp_path):
+    """The 1-complex tangent gate: the reflection of the triangle's boundary
+    cycle that fixes vertex 0 swaps the two edge directions there."""
+    (tmp_path / "base.cx").write_text(CYCLE)
+    (tmp_path / "r.pm").write_text("base base.cx\n" + CYCLE
+                                   + "img 0 0 0\nimg 1 0 1\nimg 2 1 0\n")
+    argv = ["certify", "--action", str(tmp_path), "--vertex", "0"]
+    assumption = "H1(G;R)=0 assumed by caller (no presentation)"
+    assert run(argv) == (2, "status: Obstructed\nstage: TangentGate\nverified_stars: \n"
+                            'witness: {"generator": "r", "image_ray": [0, 1], "ray": [1, 0], '
+                            '"vertex": 0}\nassumption: ' + assumption + "\n")
+    assert run(argv + ["--json"]) == (2, recorded_json("certify", {
+        "assumptions": [assumption], "stage": "TangentGate", "status": "Obstructed",
+        "verified_stars": [],
+        "witness": {"generator": "r", "image_ray": [0, 1], "ray": [1, 0], "vertex": 0}}))
+
+
+def test_analyze_interval_action_prints_the_recorded_report(tmp_path):
+    (tmp_path / "f.map").write_text(F1)
+    (tmp_path / "g.map").write_text("interval 0 1\n0 0\n1/4 1/4\n1/2 3/4\n1 1\n")
+    argv = ["analyze", "--action", str(tmp_path)]
+    assert run(argv) == (0, 'generator f\n  fixed_set: [["0", "0"], ["1", "1"]]\n'
+                            "  is_identity: false\n"
+                            'generator g\n  fixed_set: [["0", "1/4"], ["1", "1"]]\n'
+                            "  is_identity: false\n")
+    assert run(argv + ["--json"]) == (0, recorded_json("analyze", {
+        "f": {"fixed_set": [["0", "0"], ["1", "1"]], "is_identity": False},
+        "g": {"fixed_set": [["0", "1/4"], ["1", "1"]], "is_identity": False}}))
+
+
+def test_fixset_of_the_identity_on_a_t_junction_refinement(tmp_path):
+    """The refinement splits one cell of the square at the midpoint of the
+    diagonal; the diagonal lies in one refinement cell but is no boundary."""
+    square = "v 0 0 0\nv 1 2 0\nv 2 2 2\nv 3 0 2\n"
+    (tmp_path / "sq.cx").write_text(square + "s 0 1 2\ns 0 2 3\n")
+    (tmp_path / "id.pm").write_text(
+        "base sq.cx\n" + square + "v 4 1 1\ns 0 1 4\ns 1 2 4\ns 0 2 3\n"
+        + "".join("img %d %s\n" % (k, p) for k, p in enumerate(
+            ["0 0", "2 0", "2 2", "0 2", "1 1"])))
+    code, out = run(["fixset", "--map", str(tmp_path / "id.pm")])
+    assert code == 0
+    assert parse_complex(out).area2() == 8  # the whole square
+
+
 def test_bare_img_line_is_a_data_error(workdir):
     lines = ROT.splitlines()
     for bad in ("img", "img 4", "img x 1/2 1/2"):

@@ -11,10 +11,10 @@ from plstab.complexes import Complex, SubComplex, faces_of, index_cells, is_cycl
 from plstab.errors import FixIsEmpty, FixIsEverything, PLError
 from plstab.fixedlocus import (FixedLocus, canonical_invariant,
                                fixed_subcomplex, frontier, fuller_search)
-from plstab.geometry import Mat, area2, linear_part, orient2, vadd, vscale, vsub
+from plstab.geometry import Mat, area2, orient2, vadd, vscale, vsub
 from plstab.plmap import PLMap, identity_map, plmap_from_vertex_images, power
 
-from support import (cycle_rotation, interior_move_map, quarter_rotation,
+from support import (cycle_rotation, interior_move_map, linear_part, quarter_rotation,
                      square_complex)
 from test_certificate import grid_map
 

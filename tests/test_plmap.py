@@ -11,6 +11,7 @@ from plstab.clip import polygon_area2, triangle_intersection
 from plstab.complexes import Complex, boundary, format_complex, parse_complex
 from plstab.errors import (InvalidComplex, PointOutsideComplex,
                            RealizationMismatch)
+from plstab.fixedlocus import fixed_subcomplex
 from plstab.geometry import segment_param, tiles_unit
 from plstab.overlay import overlay
 from plstab.plmap import (PLMap, compose2d, format_plmap,
@@ -528,6 +529,17 @@ def test_boundary_lookup_matches_collinear_cover(slides, lifted, side, sym, refi
         return  # no image complex to check the boundary of
     assert (_raised(f._check_boundary_preserved)
             == _raised(_boundary_by_collinear_cover, f))
+
+
+def test_a_t_junction_edge_inside_the_base_is_no_boundary_edge():
+    """A refinement vertex on the square's diagonal splits one of its two
+    cells: the diagonal and its halves each lie in one refinement cell, but
+    inside the base, so the boundary check passes over them."""
+    base = Complex([(0, 0), (2, 0), (2, 2), (0, 2)], [(0, 1, 2), (0, 2, 3)])
+    refinement = Complex(base.points + ((1, 1),), [(0, 1, 4), (1, 2, 4), (0, 2, 3)])
+    assert fixed_subcomplex(PLMap(base, refinement, refinement.points)).is_everything()
+    turned = [(2 - y, x) for x, y in refinement.points]
+    assert PLMap(base, refinement, turned).eval((F(1, 2), 0)) == (2, F(1, 2))
 
 
 def test_boundary_lookup_examples():

@@ -1,7 +1,8 @@
 """Every public name of the library, each name that `plstab/__init__.py`
 re-exports and each module-level `def` and `class` without a leading
 underscore, has a caller in the library, or sits on the allowlist below
-with the reason it is public."""
+with the reason it is public.  So does every public method of a
+module-level class: the library reads it as an attribute."""
 
 import ast
 import pathlib
@@ -28,6 +29,12 @@ ALLOWED = {
     "clip_polygon_to_triangle": "bench/spans.py traces the clipping layer by this name",
     "identity_germ": "the unit of compose_germs, for the germ checks of ROADMAP item 9",
     "format_presentation": "writes the text that parse_presentation reads",
+    "is_trivial_on_tangent_sphere": ACCEPTANCE,
+}
+# Class.method -> why the library never reads it as an attribute
+ALLOWED_METHODS = {
+    "RationalRotation.value": "read by tests/test_acceptance.py",
+    "_Parser.error": "argparse calls it, on the name it overrides, for a usage error",
 }
 
 
@@ -42,6 +49,21 @@ def defined(paths):
     return [node.name for path in paths for node in ast.parse(path.read_text()).body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))
             and not node.name.startswith("_")]
+
+
+def methods(paths):
+    """`Class.method` for each method without a leading underscore (a
+    property or class method too) of each module-level class."""
+    return [f"{node.name}.{item.name}" for path in paths
+            for node in ast.parse(path.read_text()).body if isinstance(node, ast.ClassDef)
+            for item in node.body
+            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+
+
+def attributes(paths):
+    """Every name read as an attribute, `x.name`, in the given modules."""
+    return {node.attr for path in paths for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, ast.Attribute)}
 
 
 def referenced(paths):
@@ -66,6 +88,16 @@ def test_every_public_name_has_a_caller_or_a_reason():
     assert sorted(n for n in ALLOWED if n not in public or n in used) == []
 
 
+def test_every_public_method_is_read_or_has_a_reason():
+    modules = [p for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"]
+    public = methods(modules)
+    read = attributes(modules)
+    assert sorted(m for m in public
+                  if m.split(".")[1] not in read and m not in ALLOWED_METHODS) == []
+    assert sorted(m for m in ALLOWED_METHODS
+                  if m not in public or m.split(".")[1] in read) == []
+
+
 def test_the_check_sees_uncalled_exports(tmp_path):
     init, mod = tmp_path / "__init__.py", tmp_path / "mod.py"
     init.write_text("from .mod import called, uncalled as alias\n"
@@ -73,8 +105,12 @@ def test_the_check_sees_uncalled_exports(tmp_path):
     mod.write_text("def called():\n    return other.Used\n"
                    "def uncalled():\n    return called()\n"
                    "class Kept:\n    def method(self):\n        pass\n"
+                   "    def unread(self):\n        return self.method\n"
+                   "    def _hidden(self):\n        pass\n"
                    "def _private():\n    pass\n")
     assert exported(init) == ["called", "alias", "Used"]
     assert defined([mod]) == ["called", "uncalled", "Kept"]
     assert {"called", "Used"} <= referenced([mod])
     assert "uncalled" not in referenced([mod])
+    assert methods([mod]) == ["Kept.method", "Kept.unread"]
+    assert "method" in attributes([mod]) and "unread" not in attributes([mod])

@@ -10,13 +10,14 @@ from plstab.circle import CircleLift
 from plstab.errors import DisconnectedComplex, VertexNotInComplex
 from plstab.complexes import Complex, adjacency
 from plstab.interval import PLMap1D
-from plstab.plmap import PLMap, compose2d, identity_map, inverse2d
+from plstab.plmap import (PLMap, compose2d, identity_map, inverse2d,
+                          plmap_from_vertex_images)
 from plstab.presentation import Presentation
 from plstab.stability import (ActionSpec, analyze_action, certify_trivial,
                               verify_relators)
 
 from support import (f1_map, interior_move_map, quarter_rotation,
-                     square_complex)
+                     square_complex, three_cycle)
 
 
 def test_trivial_action_covers_all_vertices():
@@ -50,6 +51,15 @@ def test_tangent_gate_rotation():
     assert cert.status == "Obstructed"
     assert cert.stage == "TangentGate"
     assert cert.witness["matrix"] == ((F(0), F(-1)), (F(1), F(0)))
+
+
+def test_tangent_gate_on_a_cycle():
+    """The reflection of the triangle's boundary cycle that fixes vertex 0
+    sends the edge direction (1, 0) there to (0, 1)."""
+    f = plmap_from_vertex_images(three_cycle(), [(0, 0), (0, 1), (1, 0)])
+    cert = certify_trivial(ActionSpec([("r", f)]), 0)
+    assert (cert.status, cert.stage) == ("Obstructed", "TangentGate")
+    assert cert.witness == {"vertex": 0, "generator": "r", "ray": (1, 0), "image_ray": (0, 1)}
 
 
 def test_propagation_obstruction_names_frontier_vertex():

@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from plstab.complexes import Complex
-from plstab.errors import VertexNotInComplex
+from plstab.errors import InvalidComplex, VertexNotInComplex
 from plstab.geometry import Mat, primitive_direction
 from plstab.plmap import PLMap, plmap_from_vertex_images
 from plstab.tangent import (Fan, Germ, build_germ, canonical_germ,
@@ -13,7 +13,9 @@ from plstab.tangent import (Fan, Germ, build_germ, canonical_germ,
                             is_trivial_on_tangent_sphere, ray_map,
                             refine_fans, tangent_sphere_type)
 
-from support import quarter_rotation, square_complex
+from support import (build_germ_by_solving, quarter_rotation, refine_fans_per_germ,
+                     square_complex)
+from test_certificate import grid_map
 
 
 def rot_germ():
@@ -186,3 +188,47 @@ def test_in_cone():
 def test_germ_at_a_vertex_outside_the_base_is_refused(vertex):
     with pytest.raises(VertexNotInComplex):
         build_germ(quarter_rotation(), vertex)
+
+
+def fixing_grid_maps(seed):
+    """Seeded maps of the n x n grid (n = 2, 3) that fix the boundary and
+    interior vertex n + 2, at (1/n, 1/n), then the identity or the
+    reflection in the diagonal, which fixes that vertex and corner 0; on
+    the base and on its centroid split.  Yields (map, the vertices it
+    fixes: an interior one, then boundary ones)."""
+    rng = random.Random(seed)
+    for n in (2, 3):
+        for sym in (0, 4):
+            for refine in ("same", "centroids"):
+                while True:
+                    offsets = [(rng.randint(-1, 1), rng.randint(-1, 1))
+                               for _ in range((n + 1) ** 2)]
+                    offsets[n + 2] = (0, 0)
+                    centres = [(rng.randint(-3, 3), rng.randint(-3, 3))
+                               for _ in range(2 * n * n)]
+                    try:
+                        f = PLMap(*grid_map(n, offsets, centres, "fixed", sym, refine))
+                    except InvalidComplex:
+                        continue  # a fold: draw again
+                    break
+                yield f, (n + 2, 0) if sym else (n + 2, 0, 1)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_germs_read_off_the_pieces_match_the_solved_germs(seed):
+    for f, vertices in fixing_grid_maps(seed):
+        for p in vertices:
+            assert build_germ(f, p) == build_germ_by_solving(f, p)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_one_common_fan_matches_the_per_germ_refinement(seed):
+    """Pairs of germs at one vertex of one base, from maps on the base and
+    on its centroid split, which cut the vertex's star differently."""
+    maps = list(fixing_grid_maps(seed))
+    for f, f_fixes in maps:
+        for g, g_fixes in maps:
+            if f.base is g.base:
+                for p in sorted(set(f_fixes) & set(g_fixes)):
+                    germs = [build_germ(f, p), build_germ(g, p)]
+                    assert refine_fans(germs) == refine_fans_per_germ(germs)
