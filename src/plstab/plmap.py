@@ -59,6 +59,7 @@ its cells are their own base cells and the refinement test is skipped.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -192,7 +193,7 @@ def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Com
     Every homeomorphism that maps the boundary edges of R one-to-one onto
     those of K passes.  The rest takes the exact path: every rejected map,
     every 1D map, boundary vertices that slide off the base's vertices,
-    and refinements that subdivide the base's boundary.
+    and refinements that subdivide the base's boundary or have a T-junction.
     """
     if base.dim != 2 or len(set(images)) != len(images):
         return None
@@ -323,28 +324,49 @@ class PLMap:
         bd_base = boundary(self.base)
         bd_ref = boundary(self.refinement)
         if self.base.dim == 2:
-            # each refinement edge on the base boundary has its image on it
-            # too; an edge in one cell may lie inside the base, at a
-            # T-junction.  An edge lies on the base boundary when base
-            # boundary edges tile it; one whose ends are the ends of a base
-            # boundary edge is that edge
+            # each boundary edge's image is tiled by base boundary edges; one
+            # whose ends are the ends of a base boundary edge is that edge
             segments = [[self.base.points[v] for v in e] for e in bd_base.of_dim(1)]
             ends = {frozenset(seg) for seg in segments}
 
-            def on_base_boundary(edges):
-                rest = [e for e in edges if frozenset(e) not in ends]
-                tiled = iter([tiles_unit(c) for c in _collinear_cover(rest, segments)[0]])
-                return [frozenset(e) in ends or next(tiled) for e in edges]
+            def untiled(edges, points):
+                rest = [e for e in edges if frozenset(points[v] for v in e) not in ends]
+                covered, _ = _collinear_cover([[points[v] for v in e] for e in rest], segments)
+                return [e for e, c in zip(rest, covered) if not tiles_unit(c)]
 
             edges = bd_ref.of_dim(1)
-            on = on_base_boundary([[self.refinement.points[v] for v in e] for e in edges])
-            ok = all(on_base_boundary([[self.images[v] for v in e]
-                                       for e, keep in zip(edges, on) if keep]))
+            bad = untiled(edges, self.images)
+            # 2V - F - #edges in one cell is twice the Euler characteristic
+            # (2E = 3F + that number); for a base without T-junctions it
+            # falls below the base's exactly when an edge in one refinement
+            # cell lies inside the base, at a T-junction: then only the edges
+            # on the base boundary must keep to it, and the pieces must
+            # agree across the others
+            ref, base = self.refinement, self.base
+            if (2 * len(ref.points) - len(ref.simplices) - len(edges)
+                    != 2 * len(base.points) - len(base.simplices) - len(segments)):
+                self._check_t_junctions(edges)
+                bad = set(bad) - set(untiled(bad, ref.points))
+            ok = not bad
         else:
             bd_points = {self.base.points[v[0]] for v in bd_base.of_dim(0)}
             ok = all(self.images[v[0]] in bd_points for v in bd_ref.of_dim(0))
         if not ok:
             raise InvalidComplex("boundary is not mapped into the boundary")
+
+    def _check_t_junctions(self, edges):
+        """Each refinement vertex strictly inside an edge of another cell,
+        one of the ``edges`` that lie in one cell, goes where that cell's
+        affine piece sends it, so the pieces agree along the edge."""
+        points = self.refinement.points
+        cell = {e: i for i, s in enumerate(self.refinement.simplices)
+                for e in combinations(s, 2)}
+        segs = [[points[v] for v in e] for e in edges]
+        for i, j, _ in segment_pieces(segs, segs):
+            for v in edges[j]:
+                if (0 < segment_param(*segs[i], points[v]) < 1
+                        and self.images[v] != self.eval_in_cell(cell[edges[i]], points[v])):
+                    raise InvalidComplex(f"the map tears the T-junction at vertex {v}")
 
     # -- queries ---------------------------------------------------------
 
@@ -393,8 +415,8 @@ class PLMap:
         raise PointOutsideComplex(f"{x} is not in the realization")
 
     def eval_in_cell(self, i: int, x: Point) -> Point:
-        """x under the affine piece of refinement cell ``i``: f(x) for any x
-        in that closed cell, with no point location."""
+        """x under the affine piece of refinement cell ``i``, for any point
+        x: f(x) when x is in that closed cell, with no point location."""
         return _apply_piece(self._piece(i, 0), x)
 
     def pullback_in_cell(self, i: int, y: Point) -> Point:

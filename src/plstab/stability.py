@@ -25,7 +25,7 @@ from .geometry import primitive_direction, vsub
 from .interval import PLMap1D, fixed_set_1d
 from .plmap import PLMap
 from .presentation import Presentation, abelianization
-from .tangent import build_germ, refine_fans
+from .tangent import build_germ, moving_cone, refine_fans
 
 
 class ActionSpec:
@@ -169,8 +169,7 @@ def certify_trivial(a: ActionSpec, p: int) -> Certificate:
     if base.dim == 2:
         germs = [build_germ(f, p) for _, f in gens]
         for (name, _), g in zip(gens, refine_fans(germs)):
-            bad = next((i for i, m in enumerate(g.matrices) if not m.is_positive_scalar()),
-                       None)
+            bad = moving_cone(g)
             if bad is not None:
                 u, v = g.fan.cones[bad]
                 return Certificate(

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cmp_to_key
-from typing import Collection, Dict, Iterable, List, Sequence, Tuple
+from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .complexes import Complex
 from .errors import InvalidComplex, NotFixedPoint, SupportMismatch
@@ -64,14 +64,9 @@ class Fan:
         return tuple(out)
 
     def support_matches(self, other: "Fan") -> bool:
-        if self.apex != other.apex or self.closed != other.closed:
-            return False
-        if not self.closed:
-            return (
-                self.cones[0][0] == other.cones[0][0]
-                and self.cones[-1][1] == other.cones[-1][1]
-            )
-        return True
+        return (self.apex == other.apex and self.closed == other.closed
+                and (self.closed or (self.cones[0][0], self.cones[-1][1])
+                     == (other.cones[0][0], other.cones[-1][1])))
 
 
 @dataclass(frozen=True)
@@ -87,16 +82,11 @@ class Germ:
         for m in self.matrices:
             if m.det() == 0:
                 raise InvalidComplex("germ matrices must be nonsingular")
-        cones = self.fan.cones
-        n = len(cones)
-        if self.fan.closed:
-            pairs = [(i, (i + 1) % n) for i in range(n)]
-        else:
-            pairs = [(i, i + 1) for i in range(n - 1)]
-        for i, j in pairs:
-            shared = cones[i][1]
+        n = len(self.fan.cones)
+        for i in range(n if self.fan.closed else n - 1):
+            shared = self.fan.cones[i][1]
             a = primitive_direction(self.matrices[i].apply(shared))
-            b = primitive_direction(self.matrices[j].apply(shared))
+            b = primitive_direction(self.matrices[(i + 1) % n].apply(shared))
             if a != b:
                 raise InvalidComplex("adjacent matrices disagree on a shared ray")
 
@@ -122,15 +112,9 @@ def _chain_cones(apex: Point, cones: List[Tuple[Ray, Ray]]) -> Fan:
         if cone[0] in by_start:
             raise InvalidComplex("two cones start at the same ray")
         by_start[cone[0]] = cone
-    ends = {c[1] for c in cones}
-    starts = set(by_start)
-    open_starts = sorted(starts - ends)
-    if open_starts:
-        start = open_starts[0]
-        closed = False
-    else:
-        start = min(starts)
-        closed = True
+    open_starts = sorted(set(by_start) - {c[1] for c in cones})
+    closed = not open_starts
+    start = min(by_start) if closed else open_starts[0]
     ordered = []
     cur = start
     for _ in range(len(cones)):
@@ -220,12 +204,8 @@ def _preimage_chain(a: Mat, u: Ray, v: Ray, rays: Sequence[Ray]) -> List[Ray]:
     """u, then the preimages under a of the rays that fall strictly inside
     the cone (u, v), in angular order, then v."""
     ainv = a.inverse()
-    cuts = []
-    for r in rays:
-        d = primitive_direction(ainv.apply(r))
-        if in_cone(d, u, v, strict=True):
-            cuts.append(d)
-    return [u] + _sort_within_halfplane(set(cuts)) + [v]
+    cuts = {primitive_direction(ainv.apply(r)) for r in rays}
+    return [u] + _sort_within_halfplane({d for d in cuts if in_cone(d, u, v, strict=True)}) + [v]
 
 
 def compose_germs(f: Germ, g: Germ) -> Germ:
@@ -288,13 +268,18 @@ def identity_germ(fan: Fan) -> Germ:
     return Germ(fan=fan, matrices=tuple(Mat.identity() for _ in fan.cones))
 
 
-def is_trivial_on_tangent_sphere(g: Germ) -> bool:
-    """True iff every ray through the apex maps to itself.
+def moving_cone(g: Germ) -> Optional[int]:
+    """The first cone with a ray through the apex that g moves, or None.
 
-    For a full 2D salient cone this holds exactly when the cone's matrix is
-    a positive scalar multiple of the identity.
+    A full 2D salient cone moves no ray exactly when its matrix is a
+    positive scalar multiple of the identity.
     """
-    return all(m.is_positive_scalar() for m in g.matrices)
+    return next((i for i, m in enumerate(g.matrices) if not m.is_positive_scalar()), None)
+
+
+def is_trivial_on_tangent_sphere(g: Germ) -> bool:
+    """True iff every ray through the apex maps to itself."""
+    return moving_cone(g) is None
 
 
 def tangent_sphere_type(fan: Fan) -> str:
@@ -327,11 +312,7 @@ def ray_map(g: Germ) -> RayMap:
 
 
 def format_germ(g: Germ) -> str:
-    lines = []
-    for r in g.fan.rays:
-        lines.append(f"ray {r[0]} {r[1]}")
-    for k, m in enumerate(g.matrices):
-        a, b = m.rows[0]
-        c, d = m.rows[1]
-        lines.append(f"cone {k} {fmt(a)} {fmt(b)} {fmt(c)} {fmt(d)}")
+    lines = [f"ray {r[0]} {r[1]}" for r in g.fan.rays]
+    lines += [f"cone {k} " + " ".join(fmt(x) for row in m.rows for x in row)
+              for k, m in enumerate(g.matrices)]
     return "\n".join(lines) + "\n"

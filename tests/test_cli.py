@@ -480,18 +480,32 @@ def test_analyze_interval_action_prints_the_recorded_report(tmp_path):
         "g": {"fixed_set": [["0", "1/4"], ["1", "1"]], "is_identity": False}}))
 
 
-def test_fixset_of_the_identity_on_a_t_junction_refinement(tmp_path):
-    """The refinement splits one cell of the square at the midpoint of the
-    diagonal; the diagonal lies in one refinement cell but is no boundary."""
+def t_junction_map(tmp_path, hanging_image):
+    """A map of the square whose refinement splits one cell at the midpoint
+    of the diagonal, fixing the corners and sending that vertex, the
+    T-junction, to ``hanging_image``."""
     square = "v 0 0 0\nv 1 2 0\nv 2 2 2\nv 3 0 2\n"
     (tmp_path / "sq.cx").write_text(square + "s 0 1 2\ns 0 2 3\n")
-    (tmp_path / "id.pm").write_text(
+    (tmp_path / "t.pm").write_text(
         "base sq.cx\n" + square + "v 4 1 1\ns 0 1 4\ns 1 2 4\ns 0 2 3\n"
         + "".join("img %d %s\n" % (k, p) for k, p in enumerate(
-            ["0 0", "2 0", "2 2", "0 2", "1 1"])))
-    code, out = run(["fixset", "--map", str(tmp_path / "id.pm")])
+            ["0 0", "2 0", "2 2", "0 2", hanging_image])))
+    return str(tmp_path / "t.pm")
+
+
+def test_fixset_of_the_identity_on_a_t_junction_refinement(tmp_path):
+    """The diagonal lies in one refinement cell but is no boundary."""
+    code, out = run(["fixset", "--map", t_junction_map(tmp_path, "1 1")])
     assert code == 0
     assert parse_complex(out).area2() == 8  # the whole square
+
+
+def test_a_map_sliding_the_t_junction_along_the_diagonal_is_a_data_error(tmp_path, capsys):
+    """The diagonal's cell fixes it while the split cells slide it: the
+    image cells still tile the square, but the map is not continuous."""
+    code, out = run(["fixset", "--map", t_junction_map(tmp_path, "1/2 1/2")])
+    assert (code, out) == (65, "")
+    assert "tears the T-junction at vertex 4" in capsys.readouterr().err
 
 
 def test_bare_img_line_is_a_data_error(workdir):

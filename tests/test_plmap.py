@@ -531,15 +531,37 @@ def test_boundary_lookup_matches_collinear_cover(slides, lifted, side, sym, refi
             == _raised(_boundary_by_collinear_cover, f))
 
 
+T_BASE = Complex([(0, 0), (2, 0), (2, 2), (0, 2)], [(0, 1, 2), (0, 2, 3)])
+# a refinement vertex on the square's diagonal splits one of its two cells
+T_JUNCTION = Complex(T_BASE.points + ((1, 1),), [(0, 1, 4), (1, 2, 4), (0, 2, 3)])
+
+
 def test_a_t_junction_edge_inside_the_base_is_no_boundary_edge():
-    """A refinement vertex on the square's diagonal splits one of its two
-    cells: the diagonal and its halves each lie in one refinement cell, but
+    """The diagonal and its halves each lie in one refinement cell, but
     inside the base, so the boundary check passes over them."""
-    base = Complex([(0, 0), (2, 0), (2, 2), (0, 2)], [(0, 1, 2), (0, 2, 3)])
-    refinement = Complex(base.points + ((1, 1),), [(0, 1, 4), (1, 2, 4), (0, 2, 3)])
-    assert fixed_subcomplex(PLMap(base, refinement, refinement.points)).is_everything()
-    turned = [(2 - y, x) for x, y in refinement.points]
-    assert PLMap(base, refinement, turned).eval((F(1, 2), 0)) == (2, F(1, 2))
+    assert fixed_subcomplex(PLMap(T_BASE, T_JUNCTION, T_JUNCTION.points)).is_everything()
+    turned = [(2 - y, x) for x, y in T_JUNCTION.points]
+    assert PLMap(T_BASE, T_JUNCTION, turned).eval((F(1, 2), 0)) == (2, F(1, 2))
+
+
+@pytest.mark.parametrize("hanging", [(F(1, 2), F(1, 2)), (F(3, 2), F(3, 2))])
+def test_a_map_that_slides_the_t_junction_vertex_is_refused(hanging):
+    """Cell (0, 2, 3) fixes the diagonal while the split cells slide it:
+    (1/2, 1/2) would have two images.  Every other check passes."""
+    images = T_BASE.points + (hanging,)
+    f = _bare_map(T_BASE, T_JUNCTION, images)
+    assert f.image.area2() == T_BASE.area2()
+    with pytest.raises(InvalidComplex, match="tears the T-junction at vertex 4"):
+        PLMap(T_BASE, T_JUNCTION, images)
+
+
+def test_a_t_junction_map_must_still_keep_the_boundary():
+    """Corner 3 goes to the middle of the top side: the pieces agree at the
+    T-junction, but the base edge from 3 to 0 goes inside the square."""
+    f = _bare_map(T_BASE, T_JUNCTION, [(0, 0), (2, 0), (2, 2), (1, 2), (1, 1)])
+    f._pieces = None
+    with pytest.raises(InvalidComplex, match="boundary is not mapped"):
+        f._check_boundary_preserved()
 
 
 def test_boundary_lookup_examples():
