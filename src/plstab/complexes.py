@@ -2,18 +2,17 @@
 
 A :class:`Complex` is validated eagerly at construction; everything
 downstream is allowed to assume the invariants (pure, manifold-with-boundary
-face condition, distinct vertex points, nondegenerate and pairwise
-interior-disjoint realizations, connectivity unless flagged).  Vertex
-indices are 0-based and stable, and all iteration orders are sorted so
-outputs are reproducible.
+face condition, distinct vertex points, nondegenerate cells that meet in
+common faces, so with disjoint interiors, connectivity unless flagged).
+Vertex indices are 0-based and stable, and all iteration orders are sorted
+so outputs are reproducible.
 
-In the plane, interior-disjointness is first offered to a boundary-cycle
-certificate (:func:`_boundary_certificate`): no cell folds over a
-neighbour, and the boundary edges form one simple polygon.  By a
-winding-number argument that puts every point in at most one cell, in
-O(cells + boundary edge pairs).  The all-pairs separating-axis test runs
-only for the complexes it does not accept, so it alone decides which
-error a rejected complex raises.
+In the plane, the cells are first offered to a boundary-cycle certificate
+(:func:`_boundary_certificate`): no cell folds over a neighbour, and the
+boundary edges form one simple polygon.  By a winding-number argument
+that puts every point in at most one cell, in O(cells + boundary edge
+pairs).  The all-pairs tests run only for the complexes it does not
+accept, so they alone decide which error a rejected complex raises.
 
 Every overlap test of two cells decides by signs: of `orient2` in the
 plane, or in the `geometry.face_chart` of the cells' common plane in
@@ -27,10 +26,11 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .clip import ccw_triangle
+from .clip import ccw_triangle, point_in_triangle
 from .errors import InvalidComplex, ParseError, UnknownVertex
-from .geometry import (Point, area2, candidate_pairs, dot, face_chart, fmt, is_simple_polygon,
-                       orient2, plane_normal, rat, segment_param, to_chart, vadd, vscale, vsub)
+from .geometry import (Chart, Point, area2, bbox, candidate_pairs, closed_segments_meet, dot,
+                       face_chart, fmt, is_simple_polygon, orient2, plane_normal, rat,
+                       segment_param, to_chart, vadd, vscale, vsub)
 
 SimplexT = Tuple[int, ...]
 
@@ -118,30 +118,58 @@ def segment_meets_ccw_triangle(p, q, tri) -> bool:
     return 1 in sides and -1 in sides
 
 
-def tri_tri_open_meet_3d(t1, t2) -> bool:
+def tri_tri_open_meet_3d(t1, chart: Chart, flat) -> bool:
     """Do the open nondegenerate triangles t1 and t2 of 3-space share a
-    point?  Exact.
+    point?  Exact; t2 is given by its `face_chart` and chart coordinates.
 
-    Coplanar triangles are decided in t2's `face_chart` by the planar test.
+    Coplanar triangles are decided in t2's chart by the planar test.
     Otherwise the open t1 meets t2's plane only if t1 has vertices strictly
     on both sides of it, and then in the open chord between the two points
-    where t1's boundary meets the plane (the only points constructed); the
-    chord is tested against t2 in t2's chart.
+    where t1's boundary meets the plane (the only points constructed, in
+    the chart, as projecting is linear); the chord is tested against t2.
     """
-    chart = face_chart(t2)
     heights = [dot(chart.normal, p) - chart.offset for p in t1]
+    flat1 = to_chart(t1, chart)
     if not any(heights):
-        return tri_tri_open_meet_2d(to_chart(t1, chart), to_chart(t2, chart))
+        return tri_tri_open_meet_2d(flat1, flat)
     if not min(heights) < 0 < max(heights):
         return False
-    chord = [p for p, h in zip(t1, heights) if h == 0]
+    chord = [p for p, h in zip(flat1, heights) if h == 0]
     for i in range(3):
         ha, hb = heights[i - 1], heights[i]
         if ha * hb < 0:
-            a, b = t1[i - 1], t1[i]
+            a, b = flat1[i - 1], flat1[i]
             chord.append(vadd(a, vscale(ha / (ha - hb), vsub(b, a))))
-    p, q = to_chart(chord, chart)
-    return segment_meets_ccw_triangle(p, q, ccw_triangle(to_chart(t2, chart)))
+    p, q = chord
+    return segment_meets_ccw_triangle(p, q, ccw_triangle(flat))
+
+
+def in_closed_cell(x: Point, cell) -> bool:
+    """Is x in the closed cell, a planar triangle or a segment of any
+    ambient dimension?  For `PLMap.eval` and `Complex._check_common_faces`."""
+    if len(cell) == 3:
+        return point_in_triangle(x, cell)
+    t = segment_param(cell[0], cell[1], x)
+    return t is not None and 0 <= t <= 1
+
+
+def _check_edges_3d(s, cell, t, chart, flat):
+    """Rule (E) of `Complex._check_common_faces` for the triangles of
+    simplices ``s`` (at ``cell``) and ``t`` in two planes, in t's chart."""
+    # a shared vertex is on t's plane
+    heights = [0 if v in t else dot(chart.normal, p) - chart.offset for v, p in zip(s, cell)]
+    flat_s = to_chart(cell, chart)
+    for k in range(3):
+        ha, hb, a, b = heights[k - 1], heights[k], flat_s[k - 1], flat_s[k]
+        if ha * hb < 0:
+            a = b = vadd(a, vscale(ha / (ha - hb), vsub(b, a)))
+        elif ha != 0 or hb != 0:
+            continue
+        for m in range(3):
+            e, f = (s[k - 1], s[k]), (t[m - 1], t[m])
+            if set(e).isdisjoint(f) and closed_segments_meet(flat[m - 1], flat[m], a, b):
+                raise InvalidComplex(f"edge {tuple(sorted(e))} of simplex {s} and edge"
+                                     f" {tuple(sorted(f))} of simplex {t} cross")
 
 
 def triangle_area2(pts) -> Fraction:
@@ -203,7 +231,12 @@ def _boundary_certificate(points, edges) -> bool:
     is 0 outside it and the same one of ±1 everywhere inside; cell counts
     are never negative, so each is 0 or 1.  Two cells whose open interiors
     meet would cover an open set, and so a point off all edges, twice.
-    So every complex accepted here passes the all-pairs test.
+    So every complex accepted here passes the all-pairs test.  Its cells
+    also meet in common faces: a vertex v inside another cell lies inside
+    an edge e of it, in that cell only, as interiors are disjoint, so e is
+    a side of the polygon.  If v is on the polygon, it lies on a side that
+    does not end at it, against (iii) or (iv); if not, v's cells cover a
+    disk around v by (i), which reaches across e out of the polygon.
 
     The points must be distinct and the simplices manifold, as `Complex`
     checks first.  Left to the all-pairs test: several boundary cycles
@@ -227,7 +260,8 @@ def _boundary_certificate(points, edges) -> bool:
 
 
 class Complex:
-    """A pure simplicial complex realizing a 1- or 2-manifold with boundary.
+    """A pure simplicial complex realizing a 1- or 2-manifold with boundary:
+    any two of its cells meet in a common face or not at all.
 
     ``Complex(...)`` validates; :meth:`trusted` builds a complex that is
     valid by construction with the same normalisation and no checks.
@@ -288,9 +322,14 @@ class Complex:
             self._check_nondegenerate(s)
         self._check_manifold_faces()
         self._check_distinct_points()
-        self._check_disjoint_interiors()
+        certified = self.dim == 2 and self.ambient_dim == 2 and _boundary_certificate(
+            self.points, self.directed_boundary())
+        if not certified:
+            found = self._check_disjoint_interiors_exactly()
         if require_connected and not self.is_connected():
             raise InvalidComplex("complex is not connected (flag it otherwise)")
+        if not certified:
+            self._check_common_faces(*found)
 
     def _check_nondegenerate(self, s: SimplexT):
         pts = [self.points[v] for v in s]
@@ -306,11 +345,7 @@ class Complex:
                     raise InvalidComplex(f"degenerate triangle {s}")
 
     def _check_manifold_faces(self):
-        counts: Dict[SimplexT, int] = {}
-        for s in self.simplices:
-            for f in combinations(s, self.dim):
-                counts[f] = counts.get(f, 0) + 1
-        for f, c in counts.items():
+        for f, c in facet_counts(self.simplices, self.dim).items():
             if c > 2:
                 raise InvalidComplex(f"face {f} lies in {c} maximal simplices")
 
@@ -322,29 +357,54 @@ class Complex:
             if seen.setdefault(p, v) != v:
                 raise InvalidComplex(f"vertices {seen[p]} and {v} lie at one point")
 
-    def _check_disjoint_interiors(self):
-        if self.dim == 2 and self.ambient_dim == 2 and _boundary_certificate(
-                self.points, self.directed_boundary()):
-            return
-        self._check_disjoint_interiors_exactly()
-
     def _check_disjoint_interiors_exactly(self):
         """The all-pairs test: no two cells whose boxes meet share an
         interior point.  It decides every complex the boundary certificate
-        does not accept, so it alone raises."""
+        does not accept, so it alone raises.  Each cell's `face_chart`
+        (None off 3-space) and chart coordinates are built once, here, for
+        `_check_common_faces` too."""
         cells = self.cells()
-        for i, j in candidate_pairs(cells):
-            if self._interiors_meet(cells[i], cells[j]):
-                raise InvalidComplex(
-                    f"simplices {self.simplices[i]} and {self.simplices[j]} overlap"
-                )
+        pairs = candidate_pairs(cells)
+        charts = [face_chart(c) if self.dim == 2 else None for c in cells]
+        flats = [to_chart(c, chart) for c, chart in zip(cells, charts)]
+        for i, j in pairs:
+            p1, p2 = cells[i], cells[j]
+            if (seg_seg_open_meet(p1[0], p1[1], p2[0], p2[1]) if self.dim == 1
+                    else tri_tri_open_meet_2d(p1, p2) if charts[j] is None
+                    else tri_tri_open_meet_3d(p1, charts[j], flats[j])):
+                raise InvalidComplex(f"simplices {self.simplices[i]} and {self.simplices[j]}"
+                                     " overlap")
+        return cells, pairs, charts, flats
 
-    def _interiors_meet(self, p1, p2) -> bool:
-        if self.dim == 1:
-            return seg_seg_open_meet(p1[0], p1[1], p2[0], p2[1])
-        if len(p1[0]) == 2:
-            return tri_tri_open_meet_2d(p1, p2)
-        return tri_tri_open_meet_3d(p1, p2)
+    def _check_common_faces(self, cells, pairs, charts, flats):
+        """Two cells whose boxes meet meet in the hull of their shared
+        vertices.  Two rules: (V) a vertex of one cell in another closed
+        cell (after a box test) is a vertex of it; (E) in 3-space, two
+        cells in two planes have no edges without a common vertex that
+        meet.  This runs after the connectivity check, so a disconnected
+        complex keeps that error.  Sound, for cells with disjoint
+        interiors: at an end r of their meet, a vertex is shared by (V);
+        segments meet only at an end of one; triangles of one plane are
+        split by a line through r, along an edge of each unless r is a
+        vertex; in two planes, r inside an edge of each breaks (E), and r
+        inside one cell at no vertex puts points of both open cells near r.
+        Cells with a common facet lie on its two sides and are skipped."""
+        boxes = [bbox(flat) for flat in flats]
+        for i, j in pairs:
+            s, t = self.simplices[i], self.simplices[j]
+            if len(set(s) & set(t)) == self.dim:
+                continue
+            for a, b, k in ((s, t, j), (t, s, i)):
+                (lo, hi), chart = boxes[k], charts[k]
+                for v, p in ((v, self.points[v]) for v in a if v not in b):
+                    q = to_chart([p], chart)[0]
+                    if (all(m <= x <= n for m, x, n in zip(lo, q, hi))
+                            and (chart is None or dot(chart.normal, p) == chart.offset)
+                            and in_closed_cell(q, flats[k])):
+                        raise InvalidComplex(
+                            f"vertex {v} lies in simplex {b} but is not one of its vertices")
+            if charts[i] != charts[j]:
+                _check_edges_3d(s, cells[i], t, charts[j], flats[j])
 
     def is_connected(self) -> bool:
         return _connected(adjacency(self.simplices))
@@ -475,13 +535,18 @@ def link(c: Complex, v: int) -> SubComplex:
     return SubComplex(c, [s for s in st.simplices if v not in s])
 
 
+def facet_counts(simplices, dim: int) -> Dict[SimplexT, int]:
+    """Each facet of the sorted ``dim``-simplices, with how many have it."""
+    counts: Dict[SimplexT, int] = {}
+    for s in simplices:
+        for f in combinations(s, dim):
+            counts[f] = counts.get(f, 0) + 1
+    return counts
+
+
 def boundary(c: Complex) -> SubComplex:
     """Codimension-1 faces lying in exactly one maximal simplex."""
-    counts: Dict[SimplexT, int] = {}
-    for s in c.simplices:
-        for f in combinations(s, c.dim):
-            counts[f] = counts.get(f, 0) + 1
-    return SubComplex(c, [f for f, n in counts.items() if n == 1])
+    return SubComplex(c, [f for f, n in facet_counts(c.simplices, c.dim).items() if n == 1])
 
 
 def is_cycle(sub: SubComplex) -> bool:

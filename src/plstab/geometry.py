@@ -200,11 +200,14 @@ def face_chart(tri: Sequence[Point]) -> Optional[Chart]:
     the plane is its own chart; in 3-space the plane's normal n, the axis k
     of n's largest |component| and the offset.  Dropping axis k maps the
     plane one to one onto a coordinate plane (`to_chart`), and n_k != 0
-    lifts a chart point back (`from_chart`)."""
+    lifts a chart point back (`from_chart`).  n is the primitive integer
+    normal with n_k > 0, so the triangles of one plane share one chart."""
     if len(tri[0]) == 2:
         return None
-    n = plane_normal(*tri)
-    return Chart(n, max(range(3), key=lambda k: abs(n[k])), dot(n, tri[0]))
+    n = primitive_direction(plane_normal(*tri))
+    k = max(range(3), key=lambda i: abs(n[i]))
+    n = n if n[k] > 0 else tuple(-x for x in n)
+    return Chart(n, k, dot(n, tri[0]))
 
 
 def to_chart(pts: Sequence[Point], chart: Optional[Chart]) -> Sequence[Point]:

@@ -165,7 +165,7 @@ def triangle_pieces(t1: Complex, t2: Complex):
     for i1, i2 in candidate_pairs(tris1, tris2):
         chart, tri2 = charts1[i1], tris2[i2]
         if any(dot(chart.normal, p) != chart.offset for p in tri2):
-            if tri_tri_open_meet_3d(tris1[i1], tri2):
+            if tri_tri_open_meet_3d(tri2, chart, flats1[i1]):
                 raise NonCoplanarOverlap(
                     f"cell {i1} of the first input and cell {i2} of the second"
                     " overlap off-plane")
@@ -190,18 +190,18 @@ def _walked_pairs(t1: Complex, t2: Complex, ccw1, ccw2):
     From the first hits it grows across edges: every neighbour of a hit is
     tested, and becomes a hit when its interior meets T's.
 
-    That search finds every hit once some hit is found and no hit has an
-    edge that no other cell of ``t2`` shares crossing T's interior (a
-    boundary edge, or one a T-junction leaves unshared).  Then the hits
-    cover T: a point of T's interior outside them would leave a boundary
-    point of their union inside T off all vertices, in the relative
-    interior of a hit's edge; the cell across that edge is a hit too, so
-    the point is inside the union after all.  Cells with disjoint
-    interiors cover no open set twice, so no cell outside the hits meets
-    T's interior.  Otherwise (a root of the walk, which has no parent; no
-    hit found; or an unshared edge across T) T is tested against every
-    cell of ``t2``.  That covers bases that are disconnected or pinched at
-    a vertex, and inputs that do not tile one region.
+    That search finds every hit once some hit is found and no boundary
+    edge of a hit (an edge no other cell of ``t2`` shares) crosses T's
+    interior.  Then the hits cover T: a point of T's interior outside
+    them would leave a boundary point of their union inside T off all
+    vertices, in the relative interior of a hit's edge; the cell across
+    that edge is a hit too, so the point is inside the union after all.
+    Cells with disjoint interiors cover no open set twice, so no cell
+    outside the hits meets T's interior.  Otherwise (a root of the walk,
+    which has no parent; no hit found; or a boundary edge of ``t2``
+    across T) T is tested against every cell of ``t2``.  That covers bases
+    that are disconnected or pinched at a vertex, and inputs that do not
+    tile one region.
     """
     across1, across2 = t1.neighbours(), t2.neighbours()
     points2, simplices2 = t2.points, t2.simplices

@@ -4,8 +4,8 @@ A :class:`PLMap` is a base complex, a refinement of it, and one image
 point per refinement vertex; the map is the affine extension per cell.
 ``PLMap(...)`` validates the whole homeomorphism story exactly: the
 refinement tiles the base, the image cells form a valid :class:`Complex`
-(``PLMap.image``: nondegenerate, pairwise disjoint interiors), the image
-realizes the base again, and boundary goes to boundary.  The parser and
+(``PLMap.image``: nondegenerate, meeting in common faces), and the image
+realizes the base again, so boundary goes to boundary.  The parser and
 :func:`plmap_from_vertex_images` build through it.
 
 In the plane the image is first offered to a local homeomorphism
@@ -32,11 +32,10 @@ suite re-validates every trusted result.
 Every loop over pairs of cells that meet goes through the kernels of
 :mod:`plstab.overlay`: `triangle_pieces` under composition in the plane
 (a walk over the image of g and the refinement of f, both complexes),
-`segment_pieces` under 1D composition and the boundary check's collinear
-covers, `realized_pieces` under the two realization checks, and
-`overlay` itself under :func:`inverse2d` and map equality, which compares
-the affine pieces of each overlay cell's two provenance cells at its
-vertices.
+`segment_pieces` under 1D composition, `realized_pieces` under the two
+realization checks, and `overlay` itself under :func:`inverse2d` and map
+equality, which compares the affine pieces of each overlay cell's two
+provenance cells at its vertices.
 
 A map keeps one affine piece per refinement cell, from the cell to its
 image, and one back, each solved on first use (`_solve_piece`, exact
@@ -59,16 +58,15 @@ its cells are their own base cells and the refinement test is skipped.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations
 from math import gcd, lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .clip import point_in_triangle, triangulate_convex
+from .clip import triangulate_convex
 from .complexes import (
     Complex,
-    boundary,
     directed_boundary,
     format_complex,
+    in_closed_cell,
     index_cells,
     rational_points,
     read_complex_records,
@@ -86,8 +84,6 @@ from .geometry import (
     fmt,
     orient2,
     rat,
-    segment_param,
-    tiles_unit,
     vadd,
     vscale,
     vsub,
@@ -143,25 +139,6 @@ def _apply_piece(piece, x: Point) -> Point:
                  for row in rows)
 
 
-def _in_cell(x: Point, cell) -> bool:
-    """Is x in the closed cell, a planar triangle or a segment?"""
-    if len(cell) == 3:
-        return point_in_triangle(x, cell)
-    t = segment_param(cell[0], cell[1], x)
-    return t is not None and 0 <= t <= 1
-
-
-def _collinear_cover(segs_a, segs_b):
-    """For each segment of either list, the parameter intervals along it of
-    its collinear overlaps with the segments of the other list."""
-    cover_a = [[] for _ in segs_a]
-    cover_b = [[] for _ in segs_b]
-    for i, j, (own_a, own_b) in segment_pieces(segs_a, segs_b):
-        cover_a[i].append(own_a)
-        cover_b[j].append(own_b)
-    return cover_a, cover_b
-
-
 def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Complex]:
     """The image complex of a planar map accepted by a local homeomorphism
     certificate in O(cells), or None for the exact checks to decide.
@@ -193,7 +170,7 @@ def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Com
     Every homeomorphism that maps the boundary edges of R one-to-one onto
     those of K passes.  The rest takes the exact path: every rejected map,
     every 1D map, boundary vertices that slide off the base's vertices,
-    and refinements that subdivide the base's boundary or have a T-junction.
+    and refinements that subdivide the base's boundary.
     """
     if base.dim != 2 or len(set(images)) != len(images):
         return None
@@ -304,69 +281,19 @@ class PLMap:
 
     def _check_image_exactly(self, images):
         """The exact image checks, for a map the certificate does not
-        accept: the image cells form a valid `Complex` (nondegenerate,
-        interiors disjoint), realize the base, and boundary goes to
-        boundary."""
+        accept: the image cells form a valid `Complex` and realize the
+        base.  Then the map is a homeomorphism of the base, so boundary goes
+        to boundary: it is onto, and one to one, as two cells meet only in
+        the hull of their shared vertices, in the refinement and in the
+        image, where their pieces agree."""
         self.image = Complex(images, self.refinement.simplices,
                              require_connected=self.base.connected_flag)
-        self._check_image_realizes_base()
-        self._check_boundary_preserved()
-
-    def _check_image_realizes_base(self):
         if self.base.dim == 2 and self.image.area2() != self.base.area2():
             raise RealizationMismatch("image area differs from base area")
         # with equal areas, the image cells covered by base cells leave no
         # base cell uncovered, so the second message is 1D only
         realized_pieces(self.image, self.base, ("an image cell leaves the base realization",
                                                 "image does not cover the base"))
-
-    def _check_boundary_preserved(self):
-        bd_base = boundary(self.base)
-        bd_ref = boundary(self.refinement)
-        if self.base.dim == 2:
-            # each boundary edge's image is tiled by base boundary edges; one
-            # whose ends are the ends of a base boundary edge is that edge
-            segments = [[self.base.points[v] for v in e] for e in bd_base.of_dim(1)]
-            ends = {frozenset(seg) for seg in segments}
-
-            def untiled(edges, points):
-                rest = [e for e in edges if frozenset(points[v] for v in e) not in ends]
-                covered, _ = _collinear_cover([[points[v] for v in e] for e in rest], segments)
-                return [e for e, c in zip(rest, covered) if not tiles_unit(c)]
-
-            edges = bd_ref.of_dim(1)
-            bad = untiled(edges, self.images)
-            # 2V - F - #edges in one cell is twice the Euler characteristic
-            # (2E = 3F + that number); for a base without T-junctions it
-            # falls below the base's exactly when an edge in one refinement
-            # cell lies inside the base, at a T-junction: then only the edges
-            # on the base boundary must keep to it, and the pieces must
-            # agree across the others
-            ref, base = self.refinement, self.base
-            if (2 * len(ref.points) - len(ref.simplices) - len(edges)
-                    != 2 * len(base.points) - len(base.simplices) - len(segments)):
-                self._check_t_junctions(edges)
-                bad = set(bad) - set(untiled(bad, ref.points))
-            ok = not bad
-        else:
-            bd_points = {self.base.points[v[0]] for v in bd_base.of_dim(0)}
-            ok = all(self.images[v[0]] in bd_points for v in bd_ref.of_dim(0))
-        if not ok:
-            raise InvalidComplex("boundary is not mapped into the boundary")
-
-    def _check_t_junctions(self, edges):
-        """Each refinement vertex strictly inside an edge of another cell,
-        one of the ``edges`` that lie in one cell, goes where that cell's
-        affine piece sends it, so the pieces agree along the edge."""
-        points = self.refinement.points
-        cell = {e: i for i, s in enumerate(self.refinement.simplices)
-                for e in combinations(s, 2)}
-        segs = [[points[v] for v in e] for e in edges]
-        for i, j, _ in segment_pieces(segs, segs):
-            for v in edges[j]:
-                if (0 < segment_param(*segs[i], points[v]) < 1
-                        and self.images[v] != self.eval_in_cell(cell[edges[i]], points[v])):
-                    raise InvalidComplex(f"the map tears the T-junction at vertex {v}")
 
     # -- queries ---------------------------------------------------------
 
@@ -410,7 +337,7 @@ class PLMap:
     def eval(self, x) -> Point:
         x = tuple(rat(c) for c in x)
         for i, s in enumerate(self.refinement.simplices):
-            if _in_cell(x, [self.refinement.points[v] for v in s]):
+            if in_closed_cell(x, [self.refinement.points[v] for v in s]):
                 return self.eval_in_cell(i, x)
         raise PointOutsideComplex(f"{x} is not in the realization")
 

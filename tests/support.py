@@ -1,11 +1,13 @@
 """Shared builders for the test suite: standard complexes, maps, a
 random-triangulation generator for the unit square, the oracles of the
 affine pieces and the refinement check of `PLMap`, those of the
-segment and 3-space triangle overlap predicates of `complexes`, and those
-of the germ construction and fan refinement of `tangent`."""
+segment and 3-space triangle overlap predicates of `complexes` and of its
+rule that cells meet in common faces, and those of the germ construction
+and fan refinement of `tangent`."""
 
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
 from plstab.clip import point_in_triangle
 from plstab.complexes import Complex, tri_tri_open_meet_2d
@@ -187,6 +189,76 @@ def tri_tri_open_meet_3d_by_clipping(t1, t2):
         return True
 
     return strictly_inside(mid, t1, n1) and strictly_inside(mid, t2, n2)
+
+
+def _solve(columns, rhs):
+    """The unique x with sum_k x_k columns[k] = rhs, by exact Gaussian
+    elimination, or None when there is no solution or more than one."""
+    m = len(columns)
+    rows = [[F(col[r]) for col in columns] + [F(rhs[r])] for r in range(len(rhs))]
+    for k in range(m):
+        piv = next((r for r in range(k, len(rows)) if rows[r][k] != 0), None)
+        if piv is None:
+            return None
+        rows[k], rows[piv] = rows[piv], rows[k]
+        for r in range(len(rows)):
+            if r != k and rows[r][k] != 0:
+                f = rows[r][k] / rows[k][k]
+                rows[r] = [x - f * y for x, y in zip(rows[r], rows[k])]
+    if any(row[m] != 0 for row in rows[m:]):
+        return None
+    return [rows[k][m] / rows[k][k] for k in range(m)]
+
+
+def in_hull(p, verts):
+    """Is p in the closed simplex spanned by the affinely independent
+    points ``verts`` (none, one, two or three)?  By p's barycentric
+    coordinates, solved exactly."""
+    if not verts:
+        return False
+    lam = _solve([vsub(v, verts[0]) for v in verts[1:]], vsub(p, verts[0]))
+    return lam is not None and all(x >= 0 for x in lam) and sum(lam) <= 1
+
+
+def _single_points(face1, face2):
+    """The point where the affine hulls of two faces (segments, or in
+    3-space a segment and a triangle) meet, when that is a single point."""
+    a = face1[0]
+    columns = [vsub(v, a) for v in face1[1:]] + [vsub(face2[0], v) for v in face2[1:]]
+    x = _solve(columns, vsub(face2[0], a))
+    if x is None:
+        return []
+    return [tuple(c + sum(x[k] * (v[i] - a[i]) for k, v in enumerate(face1[1:]))
+                  for i, c in enumerate(a))]
+
+
+def meets_in_common_faces_by_brute_force(points, simplices):
+    """The oracle of the common-face rules of `Complex`: does every pair of
+    closed cells, given by vertex ``points`` and ``simplices``, meet in the
+    hull of their shared vertices?
+
+    Each extreme point of the meet of two cells is the single point where
+    the affine hulls of a face of one and a face of the other meet: a
+    vertex of one lying in the other, two edges crossing, or in 3-space an
+    edge crossing the other triangle's plane.  Every such point in both
+    cells must lie in the hull of the shared vertices.  All pairs of cells
+    are tried, with no box test."""
+    cells = [[points[v] for v in s] for s in simplices]
+    for i, j in combinations(range(len(cells)), 2):
+        s, t = simplices[i], simplices[j]
+        shared = [points[v] for v in s if v in t]
+        candidates = list(cells[i]) + list(cells[j])
+        for e in combinations(cells[i], 2):
+            for f in combinations(cells[j], 2):
+                candidates += _single_points(e, f)
+        if len(s) == 3 and len(points[0]) == 3:
+            for a, b in ((cells[i], cells[j]), (cells[j], cells[i])):
+                for e in combinations(a, 2):
+                    candidates += _single_points(e, b)
+        for p in candidates:
+            if in_hull(p, cells[i]) and in_hull(p, cells[j]) and not in_hull(p, shared):
+                return False
+    return True
 
 
 def linear_part(u, v, iu, iv):

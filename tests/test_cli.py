@@ -480,32 +480,65 @@ def test_analyze_interval_action_prints_the_recorded_report(tmp_path):
         "g": {"fixed_set": [["0", "1/4"], ["1", "1"]], "is_identity": False}}))
 
 
-def t_junction_map(tmp_path, hanging_image):
-    """A map of the square whose refinement splits one cell at the midpoint
-    of the diagonal, fixing the corners and sending that vertex, the
-    T-junction, to ``hanging_image``."""
-    square = "v 0 0 0\nv 1 2 0\nv 2 2 2\nv 3 0 2\n"
-    (tmp_path / "sq.cx").write_text(square + "s 0 1 2\ns 0 2 3\n")
+T_SQUARE = "v 0 0 0\nv 1 2 0\nv 2 2 2\nv 3 0 2\n"
+# vertex 4 splits one of the square's two cells at the midpoint of the
+# diagonal, an edge of the other cell only: a T-junction
+T_JUNCTION = T_SQUARE + "v 4 1 1\ns 0 1 4\ns 1 2 4\ns 0 2 3\n"
+T_REFUSED = "vertex 4 lies in simplex (0, 2, 3) but is not one of its vertices"
+
+
+def t_junction_map(tmp_path, hanging_image, base=T_SQUARE + "s 0 1 2\ns 0 2 3\n"):
+    """A map of the square on the T-junction refinement, fixing the
+    corners and sending vertex 4, the T-junction, to ``hanging_image``."""
+    (tmp_path / "sq.cx").write_text(base)
     (tmp_path / "t.pm").write_text(
-        "base sq.cx\n" + square + "v 4 1 1\ns 0 1 4\ns 1 2 4\ns 0 2 3\n"
+        "base sq.cx\n" + T_JUNCTION
         + "".join("img %d %s\n" % (k, p) for k, p in enumerate(
             ["0 0", "2 0", "2 2", "0 2", hanging_image])))
     return str(tmp_path / "t.pm")
 
 
-def test_fixset_of_the_identity_on_a_t_junction_refinement(tmp_path):
-    """The diagonal lies in one refinement cell but is no boundary."""
+def test_fixset_of_the_identity_on_a_t_junction_refinement(tmp_path, capsys):
+    """The refinement is no simplicial complex, so even the identity on it
+    is malformed input."""
     code, out = run(["fixset", "--map", t_junction_map(tmp_path, "1 1")])
-    assert code == 0
-    assert parse_complex(out).area2() == 8  # the whole square
+    assert (code, out) == (65, "")
+    assert T_REFUSED in capsys.readouterr().err
 
 
 def test_a_map_sliding_the_t_junction_along_the_diagonal_is_a_data_error(tmp_path, capsys):
-    """The diagonal's cell fixes it while the split cells slide it: the
-    image cells still tile the square, but the map is not continuous."""
+    """The diagonal's cell would fix it while the split cells slide it, so
+    the map would not be continuous; the refinement is refused first."""
     code, out = run(["fixset", "--map", t_junction_map(tmp_path, "1/2 1/2")])
     assert (code, out) == (65, "")
-    assert "tears the T-junction at vertex 4" in capsys.readouterr().err
+    assert T_REFUSED in capsys.readouterr().err
+
+
+def test_a_base_with_a_t_junction_is_a_data_error(tmp_path, capsys):
+    """With the T-junction square as both base and refinement, the map that
+    slides vertex 4 to (1/2, 1/2) tears the square along the diagonal."""
+    code, out = run(["fixset", "--map", t_junction_map(tmp_path, "1/2 1/2", T_JUNCTION)])
+    assert (code, out) == (65, "")
+    assert T_REFUSED in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text, message", [
+    (T_JUNCTION, T_REFUSED),
+    # a polyline whose end lies inside its first segment
+    ("v 0 0 0\nv 1 2 0\nv 2 2 1\nv 3 1 0\ns 0 1\ns 1 2\ns 2 3\n",
+     "vertex 3 lies in simplex (0, 1) but is not one of its vertices"),
+    # two triangles of 3-space whose edges cross at (1, 0, 0), inside both
+    ("v 0 0 0 0\nv 1 2 0 0\nv 2 1 -1 0\nv 3 1 0 -1\nv 4 1 0 1\nv 5 1 1 0\n"
+     "s 0 1 2\ns 3 4 5\n", "complex is not connected"),
+    # the same, joined by a third triangle at vertices 1 and 5
+    ("v 0 0 0 0\nv 1 2 0 0\nv 2 1 -1 0\nv 3 1 0 -1\nv 4 1 0 1\nv 5 1 1 0\n"
+     "v 6 3 1 5\ns 0 1 2\ns 3 4 5\ns 1 5 6\n",
+     "edge (0, 1) of simplex (0, 1, 2) and edge (3, 4) of simplex (3, 4, 5) cross"),
+], ids=["t-junction", "polyline", "crossing-edges-3d", "crossing-edges-3d-joined"])
+def test_cells_that_meet_in_no_common_face_are_a_data_error(tmp_path, capsys, text, message):
+    (tmp_path / "c.cx").write_text(text)
+    assert run(["euler", "--complex", str(tmp_path / "c.cx")]) == (65, "")
+    assert message in capsys.readouterr().err
 
 
 def test_bare_img_line_is_a_data_error(workdir):

@@ -165,10 +165,13 @@ def double_star():
     return from_polygons(*[[(0, 0), rim[k], rim[(k + 1) % 16]] for k in range(16)])
 
 
-def c_shape():
+def c_shape(pinched):
     """Two bars joined on the right, and a triangle hanging from the top bar
-    whose tip (1/2, 1) lies inside the top side of the bottom bar."""
-    return from_polygons(square(0, 0, 1, 1), square(1, 0, 2, 1), square(1, 1, 2, 2),
+    whose tip (1/2, 1) lies on the top side of the bottom bar: a vertex of
+    it when ``pinched``, else inside an edge (a T-junction)."""
+    bottom = ([(0, 0), (1, 0), (1, 1), (F(1, 2), 1), (0, 1)] if pinched
+              else square(0, 0, 1, 1))
+    return from_polygons(bottom, square(1, 0, 2, 1), square(1, 1, 2, 2),
                          square(0, 2, 1, 3), square(1, 2, 2, 3),
                          [(0, 2), (F(1, 2), 1), (1, 2)])
 
@@ -194,11 +197,31 @@ def test_overlapping_complexes_take_the_exact_path(name):
     assert exact_outcome(points, simplices, connected) == (kind, message)
 
 
+NOT_IN_COMMON_FACES = {
+    "C-shape touching itself at a T": (
+        c_shape(pinched=False),
+        "vertex 12 lies in simplex (0, 2, 3) but is not one of its vertices"),
+    "T-junction square": (
+        ([(0, 0), (2, 0), (2, 2), (0, 2), (1, 1)], [(0, 1, 4), (1, 2, 4), (0, 2, 3)]),
+        "vertex 4 lies in simplex (0, 2, 3) but is not one of its vertices"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NOT_IN_COMMON_FACES))
+def test_cells_meeting_in_no_common_face_take_the_exact_path(name):
+    """Cells with disjoint interiors that meet in no common face: the
+    certificate declines, and the exact path refuses, naming the vertex."""
+    (points, simplices), message = NOT_IN_COMMON_FACES[name]
+    assert not certificate_accepts(points, simplices)
+    assert outcome(points, simplices) == (InvalidComplex, message)
+    assert exact_outcome(points, simplices) == (InvalidComplex, message)
+
+
 VALID = {
     "annulus": (from_polygons(*[square(x, y, x + 1, y + 1) for x in range(3) for y in range(3)
                                 if (x, y) != (1, 1)]), True),
     "bowtie": (from_polygons([(0, 0), (1, -1), (1, 1)], [(0, 0), (-1, 1), (-1, -1)]), True),
-    "C-shape touching itself": (c_shape(), True),
+    "C-shape touching itself": (c_shape(pinched=True), True),
     "strip short of a lap": (spiral_strip(7), True),
 }
 

@@ -1,17 +1,19 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from plstab.clip import clip_polygon_to_triangle, polygon_area2
 from plstab.complexes import (Complex, boundary, euler_characteristic,
                               format_complex, is_arc, is_cycle, link,
                               parse_complex, seg_seg_open_meet, star, tri_tri_open_meet_2d,
                               tri_tri_open_meet_3d)
-from plstab.geometry import orient2, plane_normal
+from plstab.geometry import face_chart, orient2, plane_normal, to_chart
 from plstab.errors import InvalidComplex, ParseError, UnknownVertex
 
-from support import seg_seg_open_meet_by_solving, tri_tri_open_meet_3d_by_clipping
+from support import (meets_in_common_faces_by_brute_force, seg_seg_open_meet_by_solving,
+                     tri_tri_open_meet_3d_by_clipping)
+from test_plmap import grid_complex
 
 
 def square():
@@ -232,4 +234,96 @@ def triangle_pairs(draw):
 def test_tri_tri_open_meet_3d_matches_the_clipping_oracle(tris):
     t1, t2 = tris
     for a, b in ((t1, t2), (t2, t1)):
-        assert tri_tri_open_meet_3d(a, b) == tri_tri_open_meet_3d_by_clipping(a, b)
+        chart = face_chart(b)
+        assert (tri_tri_open_meet_3d(a, chart, to_chart(b, chart))
+                == tri_tri_open_meet_3d_by_clipping(a, b))
+
+
+# The rule that cells meet in common faces, against the brute-force oracle
+# in `support`, on the pairs above and on grids with one cell split at a
+# point on one of its edges or nudged off it.
+REFUSED_FOR_COMMON_FACES = ("is not one of its vertices", " cross")
+
+
+def check_common_faces(cells):
+    """`Complex` of point-list cells (equal points are one vertex) accepts
+    them iff the oracle does, unless it refuses them for another reason."""
+    index = {}
+    simplices = [tuple(index.setdefault(p, len(index)) for p in cell) for cell in cells]
+    points = list(index)
+    try:
+        Complex(points, simplices, require_connected=False)
+    except InvalidComplex as e:
+        if str(e).endswith(REFUSED_FOR_COMMON_FACES):
+            assert not meets_in_common_faces_by_brute_force(points, simplices)
+        return str(e)
+    assert meets_in_common_faces_by_brute_force(points, simplices)
+    return None
+
+
+@settings(max_examples=400, deadline=None)
+@given(segment_pairs())
+def test_segments_meet_in_common_faces_as_the_oracle_says(segs):
+    a, b, c, d = segs
+    check_common_faces([(a, b), (c, d)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(triangle_pairs())
+# a vertex of the second triangle inside the first, or inside its edge,
+# and the second triangle on one side; each way round
+@example(([(-2, -2, 0), (2, -2, 0), (0, 2, 0)], [(0, 0, 0), (1, 0, 1), (-1, 0, 1)]))
+@example(([(0, 0, 0), (1, 0, 1), (-1, 0, 1)], [(-2, -2, 0), (2, -2, 0), (0, 2, 0)]))
+@example(([(-2, -2, 0), (2, -2, 0), (0, 2, 0)], [(0, -2, 0), (1, 0, 1), (-1, 0, 1)]))
+# edges crossing inside both, off the other triangle
+@example(([(0, 0, 0), (2, 0, 0), (1, -1, 0)], [(1, 0, -1), (1, 0, 1), (1, 1, 0)]))
+# an edge in the other triangle's plane across it, crossing two of its edges
+@example(([(0, 0, 0), (4, 0, 0), (2, 0, 1)], [(1, -1, 0), (1, 1, 0), (3, 1, 0)]))
+@example(([(1, -1, 0), (1, 1, 0), (3, 1, 0)], [(0, 0, 0), (4, 0, 0), (2, 0, 1)]))
+def test_triangles_of_3_space_meet_in_common_faces_as_the_oracle_says(tris):
+    check_common_faces(tris)
+
+
+LIFTS = {"plane": lambda x, y: (x, y), "slope": lambda x, y: (x, y, x + 2 * y),
+         "saddle": lambda x, y: (x, y, x * y)}
+
+
+@st.composite
+def nudged_grids(draw):
+    """An n x n grid of the unit square, in the plane or lifted into 3-space
+    by the height x + 2y or xy of each vertex, with one cell split at a
+    point x of one of its edges ab: on it (into two cells, a T-junction if
+    ab is inside the square) or nudged off it, into the cell (split in
+    three) or out of it (into two cells, reaching into the neighbour or out
+    of the square)."""
+    n = draw(st.integers(1, 2))
+    cells = grid_complex(n).cells()
+    a, b, d = draw(st.permutations(cells.pop(draw(st.integers(0, len(cells) - 1)))))
+    t, nudge = draw(st.sampled_from([F(1, 4), F(1, 2), F(3, 4)])), draw(st.integers(-1, 1))
+    m = tuple(p + t * (q - p) for p, q in zip(a, b))
+    x = tuple(p + F(nudge, 8 * n) * (q - p) for p, q in zip(m, d))
+    cells += [(a, b, x), (b, d, x), (a, d, x)] if nudge > 0 else [(a, x, d), (x, b, d)]
+    lift = LIFTS[draw(st.sampled_from(sorted(LIFTS)))]
+    return [[lift(*p) for p in cell] for cell in cells]
+
+
+@settings(max_examples=100, deadline=None)
+@given(nudged_grids())
+def test_nudged_grids_meet_in_common_faces_as_the_oracle_says(cells):
+    check_common_faces(cells)
+
+
+def test_a_t_junction_is_refused_unless_lifting_opens_it():
+    """The T-junction square is refused in the plane and on a plane of
+    3-space; lifted by the height xy, the vertex over (1, 1) leaves the
+    diagonal, which becomes the edge of a slit, so the cells meet in
+    common faces.  Split along the diagonal too, the square is accepted."""
+    t_junction = [[(0, 0), (2, 0), (1, 1)], [(1, 1), (2, 0), (2, 2)], [(0, 0), (2, 2), (0, 2)]]
+    split = t_junction[:2] + [[(0, 0), (1, 1), (0, 2)], [(1, 1), (2, 2), (0, 2)]]
+    for name, lift in LIFTS.items():
+        refusal = check_common_faces([[lift(*p) for p in cell] for cell in t_junction])
+        if name == "saddle":
+            assert refusal is None
+        else:
+            assert refusal == "vertex 2 lies in simplex (0, 3, 4) but is not one of its vertices"
+        assert check_common_faces([[lift(*p) for p in cell] for cell in split]) is None

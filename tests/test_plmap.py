@@ -11,12 +11,11 @@ from plstab.clip import polygon_area2, triangle_intersection
 from plstab.complexes import Complex, boundary, format_complex, parse_complex
 from plstab.errors import (InvalidComplex, PointOutsideComplex,
                            RealizationMismatch)
-from plstab.fixedlocus import fixed_subcomplex
 from plstab.geometry import segment_param, tiles_unit
-from plstab.overlay import overlay
+from plstab.overlay import overlay, segment_pieces
 from plstab.plmap import (PLMap, compose2d, format_plmap,
                           identity_map, inverse2d, parse_plmap,
-                          plmap_from_vertex_images, power, _collinear_cover)
+                          plmap_from_vertex_images, power)
 
 from support import (cycle_rotation, interior_move_map, quarter_rotation,
                      square_complex, three_cycle)
@@ -362,7 +361,8 @@ def test_image_check_matches_all_pairs_clip(offsets, sym, free):
     image/base cell pairs (and the image area) equals the base area and
     the boundary goes to the boundary.
     Unless `free`, boundary points stay on the boundary, so most maps are
-    homeomorphisms."""
+    homeomorphisms.  No map fails on the boundary alone: one whose image
+    complex realizes the base is a homeomorphism."""
     base = GRID
     if not free:
         offsets = [_along_boundary(p, d) for p, d in zip(base.points, offsets)]
@@ -388,10 +388,6 @@ def test_image_check_matches_all_pairs_clip(offsets, sym, free):
         outcome = None
     except RealizationMismatch as e:
         outcome = str(e)
-    except InvalidComplex as e:
-        if str(e) != "boundary is not mapped into the boundary":
-            raise
-        outcome = None  # the realization check passed
     assert outcome == expected
 
 
@@ -455,15 +451,18 @@ def test_map_on_a_disconnected_base_round_trips():
     assert h.refinement is not base and h == g and h.cell_base == g.cell_base
 
 
-# -- boundary check by lookup ---------------------------------------------
+# -- boundary to boundary --------------------------------------------------
 
 
 def _boundary_by_collinear_cover(f):
-    """The boundary check with every image boundary edge through
-    `_collinear_cover`, as before the lookup of base boundary edges."""
+    """The oracle of boundary to boundary, the check that `PLMap(...)` ran
+    while complexes could have T-junctions: the image of every boundary
+    edge is tiled by the collinear overlaps of base boundary edges."""
     segments = [[f.base.points[v] for v in e] for e in boundary(f.base).of_dim(1)]
     edges = [[f.images[v] for v in e] for e in boundary(f.refinement).of_dim(1)]
-    covered, _ = _collinear_cover(edges, segments)
+    covered = [[] for _ in edges]
+    for i, _, (own, _) in segment_pieces(edges, segments):
+        covered[i].append(own)
     if not all(tiles_unit(intervals) for intervals in covered):
         raise InvalidComplex("boundary is not mapped into the boundary")
 
@@ -514,60 +513,56 @@ def _slid_map(slides, lifted, side, sym):
 @example([0] * len(BOUNDARY3), 1, -1, 3, True)
 def test_boundary_lookup_matches_collinear_cover(slides, lifted, side, sym, refine):
     """On maps that slide boundary vertices along a side or lift one off
-    it, the boundary check and the whole construction accept and reject
-    with the same exception as checking every image boundary edge by
-    `_collinear_cover`."""
+    it, every map that `PLMap(...)` accepts takes the boundary onto the
+    boundary by the collinear-cover oracle, with no check of its own: its
+    image is a complex that realizes the base, so it is a homeomorphism.
+    A map that takes a boundary edge inside fails the realization."""
     images = _slid_map(slides, lifted, side, sym)
     refinement = Complex(GRID3.points, GRID3.simplices) if refine else GRID3
-    expected = _raised(PLMap, GRID3, refinement, images)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(PLMap, "_check_boundary_preserved", _boundary_by_collinear_cover)
-        assert _raised(PLMap, GRID3, refinement, images) == expected
     try:
         f = _bare_map(GRID3, refinement, images)
     except InvalidComplex:
-        return  # no image complex to check the boundary of
-    assert (_raised(f._check_boundary_preserved)
-            == _raised(_boundary_by_collinear_cover, f))
+        return  # no image complex
+    if _raised(_boundary_by_collinear_cover, f) is not None:
+        with pytest.raises(RealizationMismatch):
+            PLMap(GRID3, refinement, images)
 
 
 T_BASE = Complex([(0, 0), (2, 0), (2, 2), (0, 2)], [(0, 1, 2), (0, 2, 3)])
-# a refinement vertex on the square's diagonal splits one of its two cells
-T_JUNCTION = Complex(T_BASE.points + ((1, 1),), [(0, 1, 4), (1, 2, 4), (0, 2, 3)])
+# vertex 4 splits one of the square's two cells at the midpoint of the
+# diagonal, an edge of the other cell only: a T-junction
+T_POINTS, T_CELLS = T_BASE.points + ((1, 1),), [(0, 1, 4), (1, 2, 4), (0, 2, 3)]
+T_REFUSED = r"vertex 4 lies in simplex \(0, 2, 3\) but is not one of its vertices"
 
 
-def test_a_t_junction_edge_inside_the_base_is_no_boundary_edge():
-    """The diagonal and its halves each lie in one refinement cell, but
-    inside the base, so the boundary check passes over them."""
-    assert fixed_subcomplex(PLMap(T_BASE, T_JUNCTION, T_JUNCTION.points)).is_everything()
-    turned = [(2 - y, x) for x, y in T_JUNCTION.points]
-    assert PLMap(T_BASE, T_JUNCTION, turned).eval((F(1, 2), 0)) == (2, F(1, 2))
+def test_a_refinement_with_a_t_junction_is_refused():
+    """The cells do not meet in a common face, so they form no simplicial
+    complex: as a base, the map sliding vertex 4 to (1/2, 1/2) would tear
+    the square along the diagonal, which cell (0, 2, 3) fixes."""
+    with pytest.raises(InvalidComplex, match=T_REFUSED):
+        Complex(T_POINTS, T_CELLS, require_connected=False)
+    with pytest.raises(InvalidComplex, match=T_REFUSED):
+        t = Complex(T_POINTS, T_CELLS)
+        PLMap(t, t, T_BASE.points + ((F(1, 2), F(1, 2)),))
 
 
 @pytest.mark.parametrize("hanging", [(F(1, 2), F(1, 2)), (F(3, 2), F(3, 2))])
 def test_a_map_that_slides_the_t_junction_vertex_is_refused(hanging):
-    """Cell (0, 2, 3) fixes the diagonal while the split cells slide it:
-    (1/2, 1/2) would have two images.  Every other check passes."""
-    images = T_BASE.points + (hanging,)
-    f = _bare_map(T_BASE, T_JUNCTION, images)
-    assert f.image.area2() == T_BASE.area2()
-    with pytest.raises(InvalidComplex, match="tears the T-junction at vertex 4"):
-        PLMap(T_BASE, T_JUNCTION, images)
-
-
-def test_a_t_junction_map_must_still_keep_the_boundary():
-    """Corner 3 goes to the middle of the top side: the pieces agree at the
-    T-junction, but the base edge from 3 to 0 goes inside the square."""
-    f = _bare_map(T_BASE, T_JUNCTION, [(0, 0), (2, 0), (2, 2), (1, 2), (1, 1)])
-    f._pieces = None
-    with pytest.raises(InvalidComplex, match="boundary is not mapped"):
-        f._check_boundary_preserved()
+    """Cell (0, 2, 3) would fix the diagonal while the split cells slide
+    it, so (1/2, 1/2) would have two images; the refinement, and the image
+    with the slid vertex still on the diagonal, are no complexes."""
+    with pytest.raises(InvalidComplex, match=T_REFUSED):
+        Complex(T_BASE.points + (hanging,), T_CELLS)
+    with pytest.raises(InvalidComplex, match=T_REFUSED):
+        PLMap(T_BASE, Complex(T_POINTS, T_CELLS), T_BASE.points + (hanging,))
 
 
 def test_boundary_lookup_examples():
     PLMap(GRID3, GRID3, _slid_map(ALL_SLID, None, 1, 0))
-    lifted = _bare_map(GRID3, GRID3, _slid_map([0] * len(BOUNDARY3), 1, 1, 0))
+    lifted = _slid_map([0] * len(BOUNDARY3), 1, 1, 0)
     with pytest.raises(InvalidComplex, match="boundary is not mapped"):
-        lifted._check_boundary_preserved()
-    rotated = _bare_map(GRID3, GRID3, _slid_map([0] * len(BOUNDARY3), None, 1, 5))
-    rotated._check_boundary_preserved()
+        _boundary_by_collinear_cover(_bare_map(GRID3, GRID3, lifted))
+    with pytest.raises(RealizationMismatch, match="image area differs from base area"):
+        PLMap(GRID3, GRID3, lifted)
+    rotated = _slid_map([0] * len(BOUNDARY3), None, 1, 5)
+    _boundary_by_collinear_cover(PLMap(GRID3, GRID3, rotated))

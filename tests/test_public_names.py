@@ -25,6 +25,8 @@ ALLOWED = {
     "link": "ROADMAP item 4: closed surfaces, whose vertex links are cycles",
     "is_cycle": "ROADMAP item 4: closed surfaces, whose vertex links are cycles",
     "is_arc": "ROADMAP item 4: closed surfaces, whose vertex links are cycles",
+    "boundary": "a spec operation, like star and link; the boundary-to-boundary oracle "
+                "of tests/test_plmap.py reads it",
     "between": ACCEPTANCE,
     "clip_polygon_to_triangle": "bench/spans.py traces the clipping layer by this name",
     "identity_germ": "the unit of compose_germs, for the germ checks of ROADMAP item 9",

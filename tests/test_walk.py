@@ -86,17 +86,20 @@ def pinched_squares(diagonal=0):
     return Complex(pts, sims)
 
 
-def t_junction_square():
-    """[0,2] x [-1,1]: the lower half two triangles, the upper half four
-    cells over a vertex at (1, 0) on the lower half's top edge, which is
-    an edge of one cell only."""
-    pts = [(0, -1), (2, -1), (0, 0), (1, 0), (2, 0), (0, 1), (1, 1), (2, 1)]
-    return Complex(pts, [(0, 1, 4), (0, 4, 2), (2, 3, 6), (2, 6, 5), (3, 4, 7), (3, 7, 6)])
+def gapped_square():
+    """[0,2] x [-1,1] without the strip 0 < y < 1/2: the lower half two
+    triangles, the upper part four cells over a vertex at (1, 1/2).  The
+    lower half's top side is a boundary edge across the middle of the
+    square."""
+    pts = [(0, -1), (2, -1), (0, 0), (2, 0),
+           (0, F(1, 2)), (1, F(1, 2)), (2, F(1, 2)), (0, 1), (1, 1), (2, 1)]
+    return Complex(pts, [(0, 1, 3), (0, 3, 2), (4, 5, 8), (4, 8, 7), (5, 6, 9), (5, 9, 8)],
+                   require_connected=False)
 
 
 def diagonal_square():
     """[0,2] x [-1,1] cut by both diagonals: its left and right cells cross
-    the unshared edge of `t_junction_square`."""
+    the boundary edge of `gapped_square` along y = 0."""
     pts = [(0, -1), (2, -1), (2, 1), (0, 1), (1, 0)]
     return Complex(pts, [(0, 1, 4), (1, 2, 4), (2, 3, 4), (0, 3, 4)])
 
@@ -105,24 +108,41 @@ def diagonal_square():
     (two_squares(), other_diagonals(two_squares())),
     (other_diagonals(two_squares()), two_squares()),
     (pinched_squares(0), pinched_squares(1)),
-    (t_junction_square(), diagonal_square()),
-    (diagonal_square(), t_junction_square()),
-    (t_junction_square(), t_junction_square()),
-], ids=["disconnected", "disconnected-swapped", "pinched", "t-junction-second",
-        "t-junction-first", "t-junction-both"])
+    (gapped_square(), gapped_square()),
+], ids=["disconnected", "disconnected-swapped", "pinched", "gap-both"])
 def test_walk_matches_all_pairs_where_the_walk_cannot_seed(c1, c2):
     assert_walk_is_all_pairs(c1, c2)
     ov = overlay(c1, c2)
     assert ov.cells.area2() == c1.area2()
 
 
-def test_unshared_edge_across_a_cell_falls_back_to_the_scan():
+@pytest.mark.parametrize("c1, c2", [
+    (diagonal_square(), gapped_square()),
+    (gapped_square(), diagonal_square()),
+], ids=["gap-second", "gap-first"])
+def test_walk_matches_all_pairs_across_a_gap(c1, c2):
+    assert_walk_is_all_pairs(c1, c2)
+    with pytest.raises(RealizationMismatch):
+        overlay(c1, c2)
+
+
+def test_unshared_edge_across_a_cell_falls_back_to_the_scan(monkeypatch):
     """Grown from its parent's hits alone, the left cell of the diagonal
-    square finds only the lower cell below the unshared edge; the edge
-    crosses its interior, so it is scanned and gets all three."""
+    square finds only the lower cell below the gap, whose top side, a
+    boundary edge, crosses its interior (the probe sees that test say
+    so); so the cell is scanned and gets the two cells above the gap as
+    well."""
+    crossed = []
+
+    def probe(p, q, tri):
+        crossed.append(segment_meets_ccw_triangle(p, q, tri))
+        return crossed[-1]
+
+    monkeypatch.setattr(KERNEL, "segment_meets_ccw_triangle", probe)
     left = diagonal_square().simplices.index((0, 3, 4))
-    pairs = {j for i, j, _ in triangle_pieces(diagonal_square(), t_junction_square())
+    pairs = {j for i, j, _ in triangle_pieces(diagonal_square(), gapped_square())
              if i == left}
+    assert True in crossed
     assert len(pairs) == 3
 
 
