@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .geometry import Point, area2, orient2, vadd, vscale, vsub
 
@@ -101,7 +101,18 @@ def polygon_centroid(poly: Sequence[Point]) -> Point:
 
 
 def triangulate_convex(poly: Sequence[Point]) -> List[Tuple[Point, Point, Point]]:
-    """Triangulate a convex polygon keeping every boundary vertex.
+    """Triangulate a convex polygon keeping every boundary vertex: the
+    triangles of `convex_fan`, as points."""
+    tris, c = convex_fan(poly)
+    pts = [*poly, c]
+    return [(pts[i], pts[j], pts[k]) for i, j, k in tris]
+
+
+def convex_fan(poly: Sequence[Point]) -> Tuple[List[Tuple[int, int, int]], Optional[Point]]:
+    """Triangulate a convex polygon keeping every boundary vertex, by
+    position: each triangle as three indices into ``poly``, where the index
+    ``len(poly)`` stands for the centroid, returned second when it is used
+    (None otherwise).
 
     Callers pass the polygon counter-clockwise, as clipping returns it;
     each triangle comes out counter-clockwise too.  Fans from the
@@ -111,26 +122,18 @@ def triangulate_convex(poly: Sequence[Point]) -> List[Tuple[Point, Point, Point]
     neighboring cell), falls back to coning from the centroid, which preserves
     every boundary edge.
     """
-    pts = list(poly)
-    if len(pts) < 3:
-        return []
-    apex_i = min(range(len(pts)), key=lambda i: pts[i])
-    apex = pts[apex_i]
-    rest = pts[apex_i + 1:] + pts[:apex_i]
+    n = len(poly)
+    if n < 3:
+        return [], None
+    apex = min(range(n), key=poly.__getitem__)
+    rest = [(apex + k) % n for k in range(1, n)]
     tris = []
-    degenerate = False
-    for i in range(len(rest) - 1):
-        tri = (apex, rest[i], rest[i + 1])
-        if orient2(*tri) == 0:
-            degenerate = True
+    for i, j in zip(rest, rest[1:]):
+        if orient2(poly[apex], poly[i], poly[j]) == 0:
             break
-        tris.append(tri)
-    if not degenerate:
-        return tris
-    c = polygon_centroid(pts)
-    tris = []
-    for i in range(len(pts)):
-        a, b = pts[i], pts[(i + 1) % len(pts)]
-        if orient2(c, a, b) != 0:
-            tris.append((c, a, b))
-    return tris
+        tris.append((apex, i, j))
+    else:
+        return tris, None
+    c = polygon_centroid(poly)
+    return [(n, i, (i + 1) % n) for i in range(n)
+            if orient2(c, poly[i], poly[(i + 1) % n]) != 0], c

@@ -268,7 +268,7 @@ class Complex:
     """
 
     __slots__ = ("points", "simplices", "dim", "connected_flag", "_directed_boundary",
-                 "_neighbours")
+                 "_neighbours", "_charts")
 
     def __init__(self, points: Sequence, maximal_simplices, require_connected: bool = True):
         self._assemble(points, maximal_simplices, require_connected)
@@ -292,6 +292,7 @@ class Complex:
         self.connected_flag = connected_flag
         self._directed_boundary = None
         self._neighbours = None
+        self._charts = None
 
     # -- validation ------------------------------------------------------
 
@@ -365,7 +366,7 @@ class Complex:
         `_check_common_faces` too."""
         cells = self.cells()
         pairs = candidate_pairs(cells)
-        charts = [face_chart(c) if self.dim == 2 else None for c in cells]
+        charts = self.charts() if self.dim == 2 else [None] * len(cells)
         flats = [to_chart(c, chart) for c, chart in zip(cells, charts)]
         for i, j in pairs:
             p1, p2 = cells[i], cells[j]
@@ -433,6 +434,15 @@ class Complex:
                         across[other[0]][other[1]] = i
             self._neighbours = [tuple(n) for n in across]
         return self._neighbours
+
+    def charts(self) -> List[Optional[Chart]]:
+        """The `face_chart` of each maximal simplex of this 2-complex (None
+        in the plane); computed once per object.  Cells of one plane share
+        one chart."""
+        if self._charts is None:
+            self._charts = ([None] * len(self.simplices) if self.ambient_dim == 2
+                            else [face_chart(c) for c in self.cells()])
+        return self._charts
 
     # -- basic queries ---------------------------------------------------
 

@@ -19,17 +19,26 @@ boundary points are flagged vertices (or lie on a side between two of
 them): two flags bound a chord; one flag, or three or more (the whole
 cell), leave nothing inside; and with no flag the only feature left is an
 isolated fixed point strictly inside the cell.
+
+The refinement is built on integer vertex ids, not on points: the ids of
+f's refinement, each with one fixed flag (f's image of the vertex is the
+vertex), then every edge cut, centroid and isolated fixed point appended
+as a new id with its flag.  An edge is cut only when f moves both its
+ends, from displacements computed once per vertex, and its cut is shared
+by the cells on both sides.  A cell with no cut is left whole, or coned
+from its isolated fixed point.  One sort of the ids by point numbers the
+refined vertices in coordinate order, as an overlay's are numbered;
+`fixed_subcomplex` proves that no two ids hold one point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from .clip import triangulate_convex
-from .complexes import (Complex, SimplexT, SubComplex, euler_characteristic,
-                        faces_of, index_cells)
+from .clip import convex_fan
+from .complexes import Complex, SimplexT, SubComplex, euler_characteristic, faces_of
 from .errors import FixIsEmpty, FixIsEverything
 from .geometry import Point, cross2, orient2, vadd, vscale, vsub
 from .plmap import PLMap, compose2d
@@ -59,12 +68,13 @@ class CanonicalInvariant:
     derivation_depth: int
 
 
-def _edge_cut(a: Point, b: Point, fa: Point, fb: Point) -> Optional[Point]:
-    """The fixed point of the affine map along [a, b] strictly inside the
-    segment, when the map fixes exactly one point of the segment's line."""
+def _edge_cut(a: Point, b: Point, da: Point, db: Point) -> Optional[Point]:
+    """The fixed point strictly inside [a, b] of the affine map with
+    displacements da at a and db at b, when it fixes exactly one point of
+    the segment's line."""
     # displacement(t) = da + t (db - da); zero set of each coordinate
     t: Optional[Fraction] = None
-    for c0, c1 in zip(vsub(fa, a), vsub(fb, b)):
+    for c0, c1 in zip(da, db):
         if c0 == c1:
             if c0 != 0:
                 return None
@@ -77,18 +87,18 @@ def _edge_cut(a: Point, b: Point, fa: Point, fb: Point) -> Optional[Point]:
     return vadd(a, vscale(t, vsub(b, a)))
 
 
-def _interior_fixed_point(tri, images) -> Optional[Point]:
+def _interior_fixed_point(tri, disps) -> Optional[Point]:
     """The fixed point of the affine map strictly inside a triangle, when
-    it is the map's only fixed point.
+    it is the map's only fixed point; ``disps`` are the displacements
+    f(p_i) - p_i at the corners.
 
-    With displacements d_i = f(p_i) - p_i, the weights
-    lam = (d1 x d2, d2 x d0, d0 x d1) satisfy sum lam_i d_i = 0, so the
-    displacement vanishes at sum lam_i p_i / sum lam_i; the sum is
-    det(A - I) times twice the signed area, zero exactly when the fixed
-    set is not one point.  The point is strictly inside when every weight
-    has the sign of the sum.
+    The weights lam = (d1 x d2, d2 x d0, d0 x d1) satisfy
+    sum lam_i d_i = 0, so the displacement vanishes at
+    sum lam_i p_i / sum lam_i; the sum is det(A - I) times twice the signed
+    area, zero exactly when the fixed set is not one point.  The point is
+    strictly inside when every weight has the sign of the sum.
     """
-    d0, d1, d2 = (vsub(q, p) for p, q in zip(tri, images))
+    d0, d1, d2 = disps
     lam = (cross2(d1, d2), cross2(d2, d0), cross2(d0, d1))
     total = sum(lam)
     if total == 0 or any(w * total <= 0 for w in lam):
@@ -96,91 +106,136 @@ def _interior_fixed_point(tri, images) -> Optional[Point]:
     return tuple(sum(w * p[k] for w, p in zip(lam, tri)) / total for k in range(2))
 
 
+class _Refinement:
+    """The refined complex under construction, on vertex ids: the ids of
+    f's refinement first, then each new point as it is appended, with one
+    fixed flag per id, and each raw cell as an id tuple with the index of
+    the refinement cell it was cut from."""
+
+    def __init__(self, f: PLMap):
+        self.f = f
+        self.points = list(f.refinement.points)
+        self.fixed = [q == p for p, q in zip(self.points, f.images)]
+        self.disps: List[Optional[Point]] = [None] * len(self.points)
+        self.cuts: Dict[Tuple[int, int], Optional[int]] = {}  # edge -> the id of its cut
+        self.cells: List[Tuple[int, ...]] = []
+        self.homes: List[int] = []
+
+    def add_point(self, p: Point, fixed: bool) -> int:
+        self.points.append(p)
+        self.fixed.append(fixed)
+        return len(self.points) - 1
+
+    def disp(self, v: int) -> Point:
+        """f(p) - p at a vertex of f's refinement, computed once."""
+        d = self.disps[v]
+        if d is None:
+            d = self.disps[v] = vsub(self.f.images[v], self.points[v])
+        return d
+
+    def cut(self, u: int, v: int) -> Optional[int]:
+        """The id of the edge cut of [u, v], a new fixed point made once per
+        edge, or None.  An edge with a fixed end has none: the displacement
+        along it is linear and vanishes at that end."""
+        if self.fixed[u] or self.fixed[v]:
+            return None
+        key = (u, v) if u < v else (v, u)
+        if key not in self.cuts:
+            x = _edge_cut(self.points[u], self.points[v], self.disp(u), self.disp(v))
+            self.cuts[key] = None if x is None else self.add_point(x, True)
+        return self.cuts[key]
+
+    def emit(self, cells, home: int):
+        self.cells += cells
+        self.homes += [home] * len(cells)
+
+
 def fixed_subcomplex(f: PLMap) -> FixedLocus:
-    fixed: Dict[Point, bool] = {}
+    """Fix(f) as the faces with all vertices fixed of a refinement of f's
+    refinement (see the module docstring).
+
+    No two ids hold one point, so the refinement is a complex with its
+    points in coordinate order.  The vertices of f's refinement are distinct.
+    An edge cut lies strictly inside its edge, and one memo gives each edge
+    one cut, so it is no vertex and no other edge's cut: the open edges of
+    a complex are disjoint.  A centroid lies strictly inside a part of a
+    cut polygon, whose interior lies in the cell's and misses the other
+    part's, so it is on no edge and apart from every other new point.  An
+    isolated fixed point lies strictly inside a cell with no cut, which
+    gets no centroid."""
+    r = _Refinement(f)
     if f.base.dim == 2:
-        raw = _refine_cells_2d(f, fixed)
+        _refine_cells_2d(r)
     else:
-        raw = _refine_cells_1d(f, fixed)
-    pts, sims = index_cells(cell for cell, _ in raw)
-    prov: Dict[SimplexT, int] = dict(zip(sims, (home for _, home in raw)))
-    refined = Complex.trusted(pts, sims, f.base.connected_flag)
-    fixed_vertex = [fixed[p] for p in pts]
-    fix_faces = [face for s in refined.simplices for face in faces_of(s)
-                 if all(fixed_vertex[v] for v in face)]
+        _refine_cells_1d(r)
+    # number the ids in coordinate order, strict as no two hold one point
+    order = sorted(range(len(r.points)), key=r.points.__getitem__)
+    rank = [0] * len(order)
+    for k, v in enumerate(order):
+        rank[v] = k
+    sims = [tuple(sorted([rank[v] for v in cell])) for cell in r.cells]
+    refined = Complex.trusted([r.points[v] for v in order], sims, f.base.connected_flag)
+    fixed = [r.fixed[v] for v in order]
+    # a face is fixed iff its vertices are, so the fixed vertices of each
+    # cell span its largest fixed face
+    fix_faces = [face for face in (tuple(v for v in s if fixed[v]) for s in refined.simplices)
+                 if face]
     return FixedLocus(refined=refined, cells=SubComplex(refined, fix_faces),
-                      provenance=prov)
+                      provenance=dict(zip(sims, r.homes)))
 
 
-def _refine_cells_1d(f: PLMap, fixed: Dict[Point, bool]):
-    raw = []
-    for ci, s in enumerate(f.refinement.simplices):
-        a, b = (f.refinement.points[v] for v in s)
-        fa, fb = (f.images[v] for v in s)
-        fixed[a], fixed[b] = fa == a, fb == b
-        x = _edge_cut(a, b, fa, fb)
-        if x is not None:
-            fixed[x] = True
-        for cell in [(a, b)] if x is None else [(a, x), (x, b)]:
-            raw.append((cell, ci))
-    return raw
+def _refine_cells_1d(r: _Refinement):
+    for ci, (u, v) in enumerate(r.f.refinement.simplices):
+        x = r.cut(u, v)
+        r.emit([(u, v)] if x is None else [(u, x), (x, v)], ci)
 
 
-def _refine_cells_2d(f: PLMap, fixed: Dict[Point, bool]):
-    pts, images = f.refinement.points, f.images
-    cuts: Dict[Tuple[int, int], Optional[Point]] = {}  # edge -> its edge cut
-    raw = []
-    for ci, s in enumerate(f.refinement.simplices):
-        if orient2(*(pts[v] for v in s)) < 0:
-            s = (s[0], s[2], s[1])
-        # the cut polygon, each vertex flagged when f fixes it
-        poly, flags = [], []
+def _refine_cells_2d(r: _Refinement):
+    pts, fixed = r.points, r.fixed
+    for ci, s in enumerate(r.f.refinement.simplices):
+        poly = []  # the cut polygon, as ids
         for i in range(3):
-            u, v = s[i], s[(i + 1) % 3]
-            poly.append(pts[u])
-            flags.append(images[u] == pts[u])
-            key = (min(u, v), max(u, v))
-            if key not in cuts:
-                cuts[key] = _edge_cut(pts[u], pts[v], images[u], images[v])
-            if cuts[key] is not None:
-                poly.append(cuts[key])
-                flags.append(True)
-        for cell in _triangulate_with_feature(poly, flags, [images[v] for v in s], fixed):
-            raw.append((cell, ci))
-    return raw
+            poly.append(s[i])
+            x = r.cut(s[i], s[(i + 1) % 3])
+            if x is not None:
+                poly.append(x)
+        if len(poly) == 3:
+            r.emit(_uncut_cell(r, s), ci)
+            continue
+        if orient2(*(pts[v] for v in s)) < 0:
+            poly.reverse()
+        ends = [i for i, v in enumerate(poly) if fixed[v]]
+        if len(ends) == 2:
+            i, j = ends
+            cells = _triangulate(r, poly[i:j + 1]) + _triangulate(r, poly[j:] + poly[:i + 1])
+        else:
+            cells = _triangulate(r, poly)
+        r.emit(cells, ci)
 
 
-def _triangulate_with_feature(poly, flags, images, fixed: Dict[Point, bool]):
-    """Cells of a counter-clockwise cut polygon with the cell's fixed set
-    among their faces, read off the flags (see the module docstring), and
-    the flag of each of their vertices put in ``fixed``.  Two flags that
-    are the ends of one side split off a part with two points and no
-    cells, so the whole polygon is triangulated as when nothing is
-    inside."""
-    ends = [i for i, flag in enumerate(flags) if flag]
-    if len(ends) == 2:
-        i, j = ends
-        return (_triangulate_flagged(poly[i:j + 1], flags[i:j + 1], fixed)
-                + _triangulate_flagged(poly[j:] + poly[:i + 1], flags[j:] + flags[:i + 1], fixed))
-    x = None if ends else _interior_fixed_point(poly, images)
+def _uncut_cell(r: _Refinement, s):
+    """The cells of a refinement cell with no edge cut: coned from its
+    isolated fixed point when f moves all three vertices and fixes one
+    point strictly inside, and else the cell itself, which then holds its
+    fixed set as a face (a flagged vertex or side, or the whole cell)."""
+    if any(r.fixed[v] for v in s):
+        return [s]
+    x = _interior_fixed_point([r.points[v] for v in s], [r.disp(v) for v in s])
     if x is None:
-        return _triangulate_flagged(poly, flags, fixed)
-    fixed.update(zip(poly, flags))
-    fixed[x] = True
-    return [(x, poly[i], poly[(i + 1) % 3]) for i in range(3)]
+        return [s]
+    c = r.add_point(x, True)
+    return [(c, s[0], s[1]), (c, s[1], s[2]), (c, s[2], s[0])]
 
 
-def _triangulate_flagged(part, flags, fixed: Dict[Point, bool]):
-    """`triangulate_convex` of a part of a cut polygon, with the flags of
-    its vertices put in ``fixed``.  A centroid that it adds lies strictly
-    inside the part, which holds no fixed point unless f fixes the whole
-    part, so it is fixed exactly when every vertex of the part is."""
-    fixed.update(zip(part, flags))
-    cells = triangulate_convex(part)
-    for cell in cells:
-        for p in cell:
-            fixed.setdefault(p, all(flags))
-    return cells
+def _triangulate(r: _Refinement, part):
+    """`convex_fan` of a counter-clockwise part of a cut polygon, as id
+    cells.  A centroid that it adds lies strictly inside the part, which
+    holds no fixed point unless f fixes the whole part, so it is fixed
+    exactly when every vertex of the part is."""
+    tris, c = convex_fan([r.points[v] for v in part])
+    if c is not None:
+        part = part + [r.add_point(c, all(r.fixed[v] for v in part))]
+    return [(part[i], part[j], part[k]) for i, j, k in tris]
 
 
 def frontier(fl: FixedLocus) -> SubComplex:

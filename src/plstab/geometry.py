@@ -9,7 +9,7 @@ plain tuples of Fractions so they hash and compare structurally.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
 
 from .errors import NondegenerateViolation, ParseError
@@ -293,11 +293,19 @@ def is_simple_polygon(pts: Sequence[Point]) -> bool:
     unless they fold back onto each other: collinear, with the second
     running back along the first.  Two sides that are not consecutive must
     not meet at all; only the pairs whose boxes meet are tested.
+
+    The points are first scaled onto an integer grid, by the lcm of their
+    denominators: a positive scale keeps the sign of every orientation,
+    dot product and box comparison below, which then compare ints.
     """
+    ratios = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in pts]
+    scale = lcm(*(d for xy in ratios for _, d in xy))
+    pts = [(xn * (scale // xd), yn * (scale // yd)) for (xn, xd), (yn, yd) in ratios]
     n = len(pts)
     for k in range(n):
         a, b, c = pts[k - 1], pts[k], pts[(k + 1) % n]
-        if orient2(a, b, c) == 0 and dot(vsub(a, b), vsub(c, b)) > 0:
+        if (orient2(a, b, c) == 0
+                and (a[0] - b[0]) * (c[0] - b[0]) + (a[1] - b[1]) * (c[1] - b[1]) > 0):
             return False
     sides = [(pts[k], pts[(k + 1) % n]) for k in range(n)]
     for i, j in candidate_pairs(sides):

@@ -42,8 +42,8 @@ from .clip import ccw_triangle, polygon_area2, triangle_intersection, triangulat
 from .complexes import (Complex, SimplexT, ccw_triangles_meet, index_cells,
                         segment_meets_ccw_triangle, tri_tri_open_meet_2d, tri_tri_open_meet_3d)
 from .errors import NonCoplanarOverlap, RealizationMismatch
-from .geometry import (candidate_pairs, collinear_overlap, dot, face_chart, from_chart, tiles_unit,
-                       to_chart, vadd, vscale, vsub)
+from .geometry import (candidate_pairs, collinear_overlap, from_chart, tiles_unit, to_chart, vadd,
+                       vscale, vsub)
 
 
 @dataclass(frozen=True)
@@ -63,6 +63,7 @@ def overlay(t1: Complex, t2: Complex) -> Overlay:
     pieces = realized_pieces(t1, t2)
     cells, pairs = [], []
     cells1 = t1.cells()
+    charts1 = t1.charts() if t1.dim == 2 else None
     for i1, i2, piece in pieces:
         if t1.dim == 1:
             (lo, hi), _ = piece
@@ -70,7 +71,7 @@ def overlay(t1: Complex, t2: Complex) -> Overlay:
             d = vsub(b1, a1)
             new = [(vadd(a1, vscale(lo, d)), vadd(a1, vscale(hi, d)))]
         else:
-            chart = face_chart(cells1[i1])
+            chart = charts1[i1]
             new = [tuple(from_chart(p, chart) for p in cell) for cell in triangulate_convex(piece)]
         cells += new
         pairs += [(i1, i2)] * len(new)
@@ -113,8 +114,8 @@ def realized_pieces(t1: Complex, t2: Complex,
             a2x = abs(polygon_area2(poly))
             area1[i1] += a2x
             area2[i2] += a2x
-        full = [all(a2x == abs(polygon_area2(to_chart(tri, face_chart(tri))))
-                    for tri, a2x in zip(t.cells(), areas))
+        full = [all(a2x == abs(polygon_area2(to_chart(tri, chart)))
+                    for tri, chart, a2x in zip(t.cells(), t.charts(), areas))
                 for t, areas in ((t1, area1), (t2, area2))]
     for ok, message in zip(full, uncovered):
         if not ok:
@@ -160,11 +161,11 @@ def triangle_pieces(t1: Complex, t2: Complex):
         for i1, i2 in _walked_pairs(t1, t2, ccw1, ccw2):
             yield i1, i2, triangle_intersection(ccw1[i1], ccw2[i2])
         return
-    charts1 = [face_chart(tri) for tri in tris1]
+    charts1, charts2 = t1.charts(), t2.charts()
     flats1 = [to_chart(tri, chart) for tri, chart in zip(tris1, charts1)]
     for i1, i2 in candidate_pairs(tris1, tris2):
         chart, tri2 = charts1[i1], tris2[i2]
-        if any(dot(chart.normal, p) != chart.offset for p in tri2):
+        if chart != charts2[i2]:  # equal charts mean one plane
             if tri_tri_open_meet_3d(tri2, chart, flats1[i1]):
                 raise NonCoplanarOverlap(
                     f"cell {i1} of the first input and cell {i2} of the second"

@@ -90,6 +90,16 @@ class Germ:
             if a != b:
                 raise InvalidComplex("adjacent matrices disagree on a shared ray")
 
+    @classmethod
+    def trusted(cls, fan: Fan, matrices: Tuple[Mat, ...]) -> "Germ":
+        """A germ that an operation read off a valid map or derived from
+        valid germs, so valid by construction: built like ``Germ(...)`` but
+        not checked."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "fan", fan)
+        object.__setattr__(self, "matrices", matrices)
+        return self
+
 
 @dataclass(frozen=True)
 class RayMap:
@@ -149,7 +159,9 @@ def build_germ(f: PLMap, p: int) -> Germ:
         cols = [vsub(f.eval_in_cell(i, x), apex) for x in units]
         mats[da, db] = Mat([[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]])
     fan = _chain_cones(apex, list(mats))
-    return Germ(fan=fan, matrices=tuple(mats[cone] for cone in fan.cones))
+    # f is a homeomorphism, affine on each cell: the matrices are
+    # nonsingular and adjacent ones agree on their shared ray
+    return Germ.trusted(fan, tuple(mats[cone] for cone in fan.cones))
 
 
 def _sort_within_halfplane(rays: Iterable[Ray]) -> List[Ray]:
@@ -184,8 +196,9 @@ def refine_fans(germs: Sequence[Germ]) -> List[Germ]:
         k = next(i for i, c in enumerate(cones) if c[0] == least)
         cones = cones[k:] + cones[:k]
     fan = Fan(apex=base.apex, cones=tuple(cones), closed=base.closed)
-    return [Germ(fan=fan, matrices=tuple(g.matrices[_containing_cone(g.fan, u, v)]
-                                         for u, v in cones))
+    # each refined cone lies in one cone of each germ: two adjacent ones
+    # carry one matrix or the two across a valid germ's shared ray
+    return [Germ.trusted(fan, tuple(g.matrices[_containing_cone(g.fan, u, v)] for u, v in cones))
             for g in germs]
 
 

@@ -3,10 +3,12 @@ from importlib import import_module
 import pytest
 
 from plstab.circle import CircleLift
-from plstab.clip import polygon_area2, triangulate_convex
+from plstab import clip
+from plstab.clip import polygon_area2
 from plstab.complexes import Complex
 from plstab.interval import PLMap1D
 from plstab.plmap import PLMap
+from plstab.tangent import Germ
 
 
 class TrustedBuildMismatch(AssertionError):
@@ -14,19 +16,20 @@ class TrustedBuildMismatch(AssertionError):
 
 
 class ClockwisePolygon(AssertionError):
-    """`triangulate_convex` was handed a clockwise polygon."""
+    """`triangulate_convex` or `convex_fan` was handed a clockwise polygon."""
 
 
 @pytest.fixture(autouse=True)
 def check_trusted_builds(monkeypatch):
     """Check mode: every `Complex.trusted`, `PLMap.trusted`,
-    `CircleLift.trusted` and `PLMap1D.trusted` result is also built through
-    the validating constructor, which must accept it and agree on points,
-    simplices, `cell_base` and image, or on breakpoints, piece slopes and
-    orientation, so a bug in an operation that builds trusted still fails
-    the tests."""
+    `CircleLift.trusted`, `PLMap1D.trusted` and `Germ.trusted` result is
+    also built through the validating constructor, which must accept it and
+    agree on points, simplices, `cell_base` and image, on breakpoints, piece
+    slopes and orientation, or on fan and matrices, so a bug in an
+    operation that builds trusted still fails the tests."""
     complex_trusted, plmap_trusted = Complex.trusted, PLMap.trusted
     lift_trusted, map1d_trusted = CircleLift.trusted, PLMap1D.trusted
+    germ_trusted = Germ.trusted
 
     def checked_complex(cls, points, maximal_simplices, connected_flag):
         out = complex_trusted(points, maximal_simplices, connected_flag)
@@ -61,24 +64,37 @@ def check_trusted_builds(monkeypatch):
         return checked_1d(map1d_trusted, PLMap1D, (breakpoints, slopes),
                           ("breakpoints", "slopes", "orientation"))
 
+    def checked_germ(cls, fan, matrices):
+        out = germ_trusted(fan, matrices)
+        ref = Germ(fan=fan, matrices=matrices)
+        if (out.fan, out.matrices) != (ref.fan, ref.matrices):
+            raise TrustedBuildMismatch(f"{out!r} differs from {ref!r}")
+        return out
+
     monkeypatch.setattr(Complex, "trusted", classmethod(checked_complex))
     monkeypatch.setattr(PLMap, "trusted", classmethod(checked_plmap))
     monkeypatch.setattr(CircleLift, "trusted", classmethod(checked_lift))
     monkeypatch.setattr(PLMap1D, "trusted", classmethod(checked_map1d))
+    monkeypatch.setattr(Germ, "trusted", classmethod(checked_germ))
 
 
 @pytest.fixture(autouse=True)
 def check_counter_clockwise_polygons(monkeypatch):
-    """Every polygon that compose, overlay and the fixed locus hand to
-    `triangulate_convex` is counter-clockwise, as it requires."""
-    def checked(poly):
-        if polygon_area2(poly) < 0:
-            raise ClockwisePolygon(f"{poly} is clockwise")
-        return triangulate_convex(poly)
+    """Every polygon that compose and overlay hand to `triangulate_convex`,
+    and the fixed locus to `convex_fan`, is counter-clockwise, as they
+    require."""
+    def checking(triangulate):
+        def checked(poly):
+            if polygon_area2(poly) < 0:
+                raise ClockwisePolygon(f"{poly} is clockwise")
+            return triangulate(poly)
+        return checked
 
     # by module path: the package's `overlay` is the function
-    for name in ("fixedlocus", "overlay", "plmap"):
-        monkeypatch.setattr(import_module(f"plstab.{name}"), "triangulate_convex", checked)
+    for module, name in (("fixedlocus", "convex_fan"), ("overlay", "triangulate_convex"),
+                         ("plmap", "triangulate_convex")):
+        monkeypatch.setattr(import_module(f"plstab.{module}"), name,
+                            checking(getattr(clip, name)))
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -2,8 +2,9 @@
 random-triangulation generator for the unit square, the oracles of the
 affine pieces and the refinement check of `PLMap`, those of the
 segment and 3-space triangle overlap predicates of `complexes` and of its
-rule that cells meet in common faces, and those of the germ construction
-and fan refinement of `tangent`."""
+rule that cells meet in common faces, that of the simple-polygon test of
+`geometry`, and those of the germ construction and fan refinement of
+`tangent`."""
 
 import random
 from fractions import Fraction as F
@@ -12,8 +13,8 @@ from itertools import combinations
 from plstab.clip import point_in_triangle
 from plstab.complexes import Complex, tri_tri_open_meet_2d
 from plstab.errors import InvalidComplex, RealizationMismatch
-from plstab.geometry import (Mat, area2, candidate_pairs, cross2, cross3, dot, drop_axis,
-                             plane_normal, primitive_direction,
+from plstab.geometry import (Mat, area2, candidate_pairs, closed_segments_meet, cross2, cross3,
+                             dot, drop_axis, orient2, plane_normal, primitive_direction,
                              segment_param, tiles_unit, vadd, vscale, vsub)
 from plstab.interval import PLMap1D
 from plstab.plmap import PLMap, plmap_from_vertex_images
@@ -258,6 +259,22 @@ def meets_in_common_faces_by_brute_force(points, simplices):
         for p in candidates:
             if in_hull(p, cells[i]) and in_hull(p, cells[j]) and not in_hull(p, shared):
                 return False
+    return True
+
+
+def is_simple_polygon_on_fractions(pts):
+    """The oracle of `geometry.is_simple_polygon`: the same fold-back and
+    side-pair tests on the `Fraction` points as given, not scaled onto an
+    integer grid."""
+    n = len(pts)
+    for k in range(n):
+        a, b, c = pts[k - 1], pts[k], pts[(k + 1) % n]
+        if orient2(a, b, c) == 0 and dot(vsub(a, b), vsub(c, b)) > 0:
+            return False
+    sides = [(pts[k], pts[(k + 1) % n]) for k in range(n)]
+    for i, j in candidate_pairs(sides):
+        if 1 < j - i < n - 1 and closed_segments_meet(*sides[i], *sides[j]):
+            return False
     return True
 
 

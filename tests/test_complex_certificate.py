@@ -3,6 +3,7 @@ all-pairs disjointness test it stands in for."""
 
 import random
 from fractions import Fraction as F
+from functools import cmp_to_key
 
 import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
@@ -13,7 +14,7 @@ from plstab.complexes import (Complex, _boundary_certificate, directed_boundary,
 from plstab.errors import InvalidComplex
 from plstab.geometry import is_simple_polygon
 
-from support import random_square_triangulation
+from support import is_simple_polygon_on_fractions, random_square_triangulation
 from test_plmap import grid_complex
 
 GRIDS = {n: grid_complex(n) for n in (2, 3)}
@@ -247,3 +248,35 @@ def test_simple_polygons():
     assert not is_simple_polygon(rational_points([(0, 0), (2, 0), (1, 0)]))
     # a bowtie: the second and fourth sides cross
     assert not is_simple_polygon(rational_points([(0, 0), (1, 0), (0, 1), (1, 1)]))
+
+
+def around_their_centroid(pts):
+    """The points in angular order around their centroid, which makes a
+    simple polygon more often than not."""
+    c = tuple(sum(x) / len(pts) for x in zip(*pts))
+
+    def half(p):
+        return 0 if p[1] > c[1] or (p[1] == c[1] and p[0] > c[0]) else 1
+
+    def cmp(p, q):
+        cross = (p[0] - c[0]) * (q[1] - c[1]) - (p[1] - c[1]) * (q[0] - c[0])
+        return (half(p) - half(q)) or (cross < 0) - (cross > 0)
+    return sorted(pts, key=cmp_to_key(cmp))
+
+
+COORD = st.builds(F, st.integers(-6, 6), st.sampled_from([1, 2, 3, 5, 7]))
+POINTS = st.lists(st.tuples(COORD, COORD), min_size=3, max_size=9, unique=True)
+
+
+@settings(max_examples=400, deadline=None, phases=NO_SHRINK)
+@given(st.one_of(POINTS, POINTS.map(around_their_centroid)))
+@example([(F(0), F(0)), (F(1, 3), F(0)), (F(1, 3), F(1, 7)), (F(0), F(1, 7))])
+@example([(F(0), F(0)), (F(2, 3), F(0)), (F(1, 3), F(0)), (F(0), F(1, 5))])
+@example([(F(0), F(0)), (F(1, 2), F(0)), (F(1, 2), F(1, 3)), (F(1, 4), F(0)), (F(0), F(1))])
+def test_integer_grid_matches_the_fraction_test(pts):
+    """`is_simple_polygon`, on the points scaled onto an integer grid,
+    agrees with the same tests run on the `Fraction` points: lattice points
+    with mixed denominators, in their given order (mostly not simple, with
+    touching and collinear sides) and around their centroid (mostly
+    simple)."""
+    assert is_simple_polygon(pts) == is_simple_polygon_on_fractions(pts)

@@ -1,6 +1,8 @@
+import importlib.util
 import random
 from collections import Counter
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import Phase, assume, example, given, settings, strategies as st
@@ -12,7 +14,7 @@ from plstab.errors import FixIsEmpty, FixIsEverything, PLError
 from plstab.fixedlocus import (FixedLocus, canonical_invariant,
                                fixed_subcomplex, frontier, fuller_search)
 from plstab.geometry import Mat, area2, orient2, vadd, vscale, vsub
-from plstab.plmap import PLMap, identity_map, plmap_from_vertex_images, power
+from plstab.plmap import PLMap, compose2d, identity_map, plmap_from_vertex_images, power
 
 from support import (cycle_rotation, interior_move_map, linear_part, quarter_rotation,
                      square_complex)
@@ -287,19 +289,21 @@ MAPS = st.builds(grid_map, st.sampled_from([2, 3]), OFFSETS, st.just(ZERO), st.j
                  st.integers(0, 7), st.sampled_from(["same", "centroids"]))
 
 
-@settings(max_examples=30, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
-@given(MAPS, st.sampled_from([1, 1, 2]))
-@example(*EXAMPLES[0])
-@example(*EXAMPLES[1])
-@example(*EXAMPLES[2])
-@example(*EXAMPLES[3])
-def test_flag_rule_matches_the_per_cell_solve(case, k):
+def oracle_raw_cells_1d(f):
+    """(cell, home) pairs of the refined 1-complex: each edge, cut at its
+    one fixed point strictly inside when there is one."""
+    raw = []
+    for ci, (u, v) in enumerate(f.refinement.simplices):
+        a, b = f.refinement.points[u], f.refinement.points[v]
+        x = oracle_edge_point(a, b, f.images[u], f.images[v])
+        raw += [(cell, ci) for cell in ([(a, b)] if x is None else [(a, x), (x, b)])]
+    return raw
+
+
+def assert_matches_the_per_cell_solve(f, raw):
     """The refined complex, fixed cells, provenance, frontier and canonical
-    invariant equal those of the per-cell linear solve, on grid maps fixing
-    the boundary, followed by a symmetry of the square, and their powers."""
-    f = map_case(case, k)
+    invariant of f equal those built from the oracle's ``raw`` cells."""
     fl = fixed_subcomplex(f)
-    raw = oracle_raw_cells(f, Counter())
     pts, sims = index_cells(cell for cell, _ in raw)
     assert (fl.refined.points, fl.refined.simplices) == (tuple(pts), tuple(sorted(sims)))
     assert fl.provenance == dict(zip(sims, (home for _, home in raw)))
@@ -313,6 +317,102 @@ def test_flag_rule_matches_the_per_cell_solve(case, k):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(fixedlocus, "frontier", oracle_frontier)
         assert invariant_or_error(expected) == invariant_or_error(fl)
+    return fl
+
+
+@settings(max_examples=30, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(MAPS, st.sampled_from([1, 1, 2]))
+@example(*EXAMPLES[0])
+@example(*EXAMPLES[1])
+@example(*EXAMPLES[2])
+@example(*EXAMPLES[3])
+def test_flag_rule_matches_the_per_cell_solve(case, k):
+    """The fixed locus equals that of the per-cell linear solve on grid
+    maps fixing the boundary, followed by a symmetry of the square, and
+    their powers."""
+    f = map_case(case, k)
+    assert_matches_the_per_cell_solve(f, oracle_raw_cells(f, Counter()))
+
+
+def interval_map(cuts, ups, decreasing):
+    """[0, 1] cut at the distinct ``cuts``, the k-th vertex sent to the k-th
+    point of [0, 1] cut at as many distinct ``ups``, or to the k-th from the
+    end when ``decreasing``: a PL homeomorphism."""
+    xs, ys = sorted({F(0), F(1)} | set(cuts)), sorted({F(0), F(1)} | set(ups))
+    seg = Complex([(x,) for x in xs], [(k, k + 1) for k in range(len(xs) - 1)])
+    return plmap_from_vertex_images(seg, [(y,) for y in (ys[::-1] if decreasing else ys)])
+
+
+def polyline_map(xs, closed, shift):
+    """The polyline through points of the parabola y = x^2 in x order,
+    closed into a convex polygon or not, and its vertices permuted by the
+    reflection k -> shift - k of the cycle, or k -> n - 1 - k of the arc:
+    a homeomorphism that cuts each edge it turns around at the midpoint."""
+    xs = sorted(xs)
+    n = len(xs)
+    pts = [(x, x * x) for x in xs]
+    edges = [(k, k + 1) for k in range(n - 1)] + ([(0, n - 1)] if closed else [])
+    line = Complex(pts, edges)
+    return plmap_from_vertex_images(
+        line, [pts[(shift - k) % n if closed else n - 1 - k] for k in range(n)])
+
+
+INNER = st.lists(st.builds(F, st.integers(1, 11), st.just(12)), unique=True, max_size=5)
+INTERVAL_MAPS = INNER.flatmap(lambda cuts: st.builds(
+    interval_map, st.just(cuts), st.lists(st.builds(F, st.integers(1, 11), st.just(12)),
+                                          unique=True, min_size=len(cuts), max_size=len(cuts)),
+    st.booleans()))
+POLYLINE_MAPS = st.builds(
+    polyline_map, st.lists(st.builds(F, st.integers(-6, 6), st.integers(1, 3)), unique=True,
+                           min_size=3, max_size=7),
+    st.booleans(), st.integers(0, 6))
+
+
+@settings(max_examples=60, deadline=None, phases=(Phase.explicit, Phase.reuse, Phase.generate))
+@given(st.one_of(INTERVAL_MAPS, POLYLINE_MAPS))
+@example(interval_map([F(1, 3)], [F(1, 3)], True))
+@example(polyline_map([F(0), F(1), F(2)], True, 1))
+@example(polyline_map([F(-1), F(0), F(1, 2), F(2)], False, 0))
+def test_flag_rule_matches_the_per_edge_solve_in_dimension_one(f):
+    """The fixed locus of a map of a 1-complex equals the oracle's, on
+    monotone maps of a subdivided interval and on reflections of planar
+    polylines, which cut an edge at its midpoint."""
+    assert_matches_the_per_cell_solve(f, oracle_raw_cells_1d(f))
+
+
+def bench_grid_maps(n, seed):
+    """Two seeded grid maps of the benchmark's generator, ``bench/gen.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    base = Complex(gen.grid_points(n), gen.grid_triangles(n))
+    rng = random.Random(seed)
+    return [PLMap(base, base, gen.grid_map(rng, n)[0]) for _ in range(2)]
+
+
+@pytest.mark.parametrize("n, seed", [(n, seed) for n in (3, 4) for seed in range(6)])
+def test_flag_rule_matches_the_per_cell_solve_on_bench_maps(n, seed):
+    """The fixed locus equals the oracle's on the benchmark's seeded grid
+    maps and on their composites, whose fixed chords cross grid edges."""
+    f, g = bench_grid_maps(n, seed)
+    for h in (f, compose2d(f, g), compose2d(g, f)):
+        assert_matches_the_per_cell_solve(h, oracle_raw_cells(h, Counter()))
+
+
+@pytest.mark.parametrize("n, seed", [(3, 3), (4, 0)])
+def test_bench_composites_share_an_edge_cut_between_two_cells(n, seed):
+    """Some composites above cut an edge that two cells share, so both
+    cells must use the one cut point."""
+    f, g = bench_grid_maps(n, seed)
+    h = compose2d(f, g)
+    fl = assert_matches_the_per_cell_solve(h, oracle_raw_cells(h, Counter()))
+    old = set(h.refinement.points)
+    homes = {}
+    for s, home in fl.provenance.items():
+        for v in s:
+            homes.setdefault(v, set()).add(home)
+    assert any(len(homes[v]) > 1 for v in homes if fl.refined.points[v] not in old)
 
 
 def test_the_examples_meet_every_kind_of_cell():
