@@ -16,7 +16,7 @@ from .circle import (CircleLift, detect_rational_rotation, format_circle_lift,
 from .complexes import euler_characteristic, format_complex, parse_complex
 from .errors import ParseError, PLError
 from .fixedlocus import fixed_subcomplex
-from .geometry import fmt, rat
+from .geometry import TokenTable, fmt, rat
 from .interval import PLMap1D, format_plmap1d, parse_plmap1d
 from .overlay import overlay
 from .plmap import PLMap, format_plmap, parse_plmap
@@ -66,12 +66,31 @@ def _header(text: str):
     return []
 
 
-def load_map(path: str, bases=None):
+class _Request:
+    """The files one request has read: each base complex, by path, and the
+    one `TokenTable` that every file of the request converts its
+    coordinates through.  It lives as long as the request."""
+
+    __slots__ = ("bases", "tokens")
+
+    def __init__(self):
+        self.bases, self.tokens = {}, TokenTable()
+
+
+def _read_complex(path: str, tokens: TokenTable):
+    """The complex in the `.cx` file at ``path``, its coordinates converted
+    through the request's token table."""
+    with open(path) as fh:
+        return parse_complex(fh.read(), tokens=tokens)
+
+
+def load_map(path: str, request=None):
     """Read a map file; returns (a `PLMap1D`, `CircleLift` or `PLMap`,
     the file name of its `base <file>` header or None).
 
-    `bases` maps the path of each base complex already read to its
-    Complex, so that maps naming one base file share one validated base."""
+    ``request`` holds what the request has read so far, so that maps
+    naming one base file share one validated base, and the base and every
+    map file share one token table."""
     with open(path) as fh:
         text = fh.read()
     tok = _header(text)
@@ -84,11 +103,10 @@ def load_map(path: str, bases=None):
         if len(tok) < 2:
             raise ParseError("bad base header %r" % " ".join(tok))
         base_path = os.path.join(os.path.dirname(os.path.abspath(path)), tok[1])
-        bases = {} if bases is None else bases
-        if base_path not in bases:
-            with open(base_path) as fh:
-                bases[base_path] = parse_complex(fh.read())
-        return parse_plmap(text, bases[base_path]), tok[1]
+        request = _Request() if request is None else request
+        if base_path not in request.bases:
+            request.bases[base_path] = _read_complex(base_path, request.tokens)
+        return parse_plmap(text, request.bases[base_path], request.tokens), tok[1]
     raise PLError("cannot determine map kind of %s" % path)
 
 
@@ -101,10 +119,10 @@ def load_action(dirpath: str, presentation_path=None):
         raise PLError("action directory %s not found" % dirpath)
     names = sorted(os.listdir(dirpath))
     gens = []
-    bases = {}
+    request = _Request()
     for n in names:
         if n.endswith(".pm") or n.endswith(".map"):
-            m, _ = load_map(os.path.join(dirpath, n), bases)
+            m, _ = load_map(os.path.join(dirpath, n), request)
             gens.append((n.rsplit(".", 1)[0], m))
     if not gens:
         raise PLError("no generator files in %s" % dirpath)
@@ -156,8 +174,8 @@ def _format_kind(m, base_name=None):
 def cmd_compose(args, out):
     if len(args.map) < 2:
         raise UsageError("compose needs at least two --map files")
-    bases = {}
-    loaded = [load_map(p, bases) for p in args.map]
+    request = _Request()
+    loaded = [load_map(p, request) for p in args.map]
     if len({type(g) for g, _ in loaded}) != 1:
         raise UsageError("cannot compose maps of different kinds")
     # f1 f2 ... fn composes to f1 o f2 o ... o fn (rightmost applied first)
@@ -215,8 +233,7 @@ def cmd_rotno(args, out):
 
 
 def cmd_euler(args, out):
-    with open(args.complex) as fh:
-        c = parse_complex(fh.read())
+    c = _read_complex(args.complex, TokenTable())
     chi = euler_characteristic(c)
     _emit(args, out, "euler", str(chi), chi)
 
@@ -243,10 +260,8 @@ def cmd_abelianize(args, out):
 def cmd_overlay(args, out):
     if len(args.complex) != 2:
         raise UsageError("overlay needs exactly two --complex files")
-    cs = []
-    for p in args.complex:
-        with open(p) as fh:
-            cs.append(parse_complex(fh.read()))
+    tokens = TokenTable()
+    cs = [_read_complex(p, tokens) for p in args.complex]
     ov = overlay(cs[0], cs[1])
     _print(out, format_complex(ov.cells).rstrip("\n"))
     for s in ov.cells.simplices:

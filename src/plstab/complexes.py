@@ -28,9 +28,9 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .clip import ccw_triangle, point_in_triangle
 from .errors import InvalidComplex, ParseError, UnknownVertex
-from .geometry import (Chart, Point, area2, bbox, candidate_pairs, closed_segments_meet, dot,
-                       face_chart, fmt, is_simple_polygon, orient2, plane_normal, rat,
-                       segment_param, to_chart, vadd, vscale, vsub)
+from .geometry import (Chart, Point, TokenTable, area2, bbox, candidate_pairs,
+                       closed_segments_meet, dot, face_chart, fmt, is_simple_polygon, orient2,
+                       plane_normal, point_key, rat, segment_param, to_chart, vadd, vscale, vsub)
 
 SimplexT = Tuple[int, ...]
 
@@ -179,7 +179,7 @@ def triangle_area2(pts) -> Fraction:
 
 def rational_points(points) -> Tuple[Point, ...]:
     """Points as tuples of Fractions, the form every complex and map stores."""
-    return tuple(tuple(rat(c) for c in p) for p in points)
+    return tuple([tuple(map(rat, p)) for p in points])
 
 
 def directed_boundary(points, simplices) -> Optional[List[Tuple[int, int]]]:
@@ -353,10 +353,11 @@ class Complex:
     def _check_distinct_points(self):
         # two vertices at one point pinch the realization, and a map on the
         # complex could send them to two places
-        seen: Dict[Point, int] = {}
+        seen: Dict[tuple, int] = {}
         for v, p in enumerate(self.points):
-            if seen.setdefault(p, v) != v:
-                raise InvalidComplex(f"vertices {seen[p]} and {v} lie at one point")
+            w = seen.setdefault(point_key(p), v)
+            if w != v:
+                raise InvalidComplex(f"vertices {w} and {v} lie at one point")
 
     def _check_disjoint_interiors_exactly(self):
         """The all-pairs test: no two cells whose boxes meet share an
@@ -606,27 +607,38 @@ def _connected(adj: Dict[int, set]) -> bool:
 # -- text format ---------------------------------------------------------
 
 
-def read_complex_records(text: str):
+def read_complex_records(text: str, tokens: Optional[TokenTable] = None, other=None):
     """The vertex points (by index) and the simplex records of the `.cx`
-    format, checked line by line but not yet validated as a complex."""
+    format, checked line by line but not yet validated as a complex.
+
+    Coordinates are looked up in ``tokens``, the `TokenTable` of the
+    request (a new one by default).  ``other`` maps the name of each
+    further record kind that the file may hold to a reader, called with
+    the record's tokens and text; any other record is an error.  Lines are
+    numbered as in ``text``, blank and comment lines included."""
+    tokens = TokenTable() if tokens is None else tokens
     points: Dict[int, Point] = {}
     sims: List[SimplexT] = []
     for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        tok = raw.split("#", 1)[0].split()
+        if not tok:
             continue
-        tok = line.split()
         if tok[0] == "v":
             if len(tok) < 3 or len(tok) > 5:
                 raise ParseError(f"line {lineno}: bad vertex record")
             i = _index(tok[1], lineno)
             if i in points:
                 raise ParseError(f"line {lineno}: duplicate vertex {i}")
-            points[i] = tuple(rat(t) for t in tok[2:])
+            points[i] = tuple([tokens[t] for t in tok[2:]])
         elif tok[0] == "s":
             if len(tok) < 2 or len(tok) > 4:
                 raise ParseError(f"line {lineno}: bad simplex record")
-            sims.append(tuple(_index(t, lineno) for t in tok[1:]))
+            try:
+                sims.append(tuple(map(int, tok[1:])))
+            except ValueError:  # name the first bad index
+                sims.append(tuple(_index(t, lineno) for t in tok[1:]))
+        elif other and tok[0] in other:
+            other[tok[0]](tok, raw.split("#", 1)[0].strip())
         else:
             raise ParseError(f"line {lineno}: unknown record {tok[0]!r}")
     if not points:
@@ -636,9 +648,11 @@ def read_complex_records(text: str):
     return [points[i] for i in range(len(points))], sims
 
 
-def parse_complex(text: str, require_connected: bool = True) -> Complex:
-    """Parse the `v <index> <coords...>` / `s <i> <j> [<k>]` line format."""
-    points, sims = read_complex_records(text)
+def parse_complex(text: str, require_connected: bool = True,
+                  tokens: Optional[TokenTable] = None) -> Complex:
+    """Parse the `v <index> <coords...>` / `s <i> <j> [<k>]` line format,
+    looking coordinates up in ``tokens`` (see `read_complex_records`)."""
+    points, sims = read_complex_records(text, tokens)
     return Complex(points, sims, require_connected=require_connected)
 
 

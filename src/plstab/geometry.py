@@ -31,6 +31,27 @@ def rat(value) -> Fraction:
     raise ParseError(f"cannot interpret {value!r} as a rational")
 
 
+class TokenTable(dict):
+    """Coordinate tokens of one request's files, each converted by `rat` on
+    its first lookup: ``table[token]`` is ``rat(token)``, and equal tokens
+    give the same Fraction object.  A token `rat` refuses raises its
+    `ParseError` on every lookup and is never stored.  One table serves
+    one request (a command's base and map files), never a process."""
+
+    __slots__ = ()
+
+    def __missing__(self, token: str) -> Fraction:
+        q = self[token] = rat(token)
+        return q
+
+
+def point_key(p: Point) -> Tuple[Tuple[int, int], ...]:
+    """A hashable key of a point, equal exactly for equal points: each
+    coordinate's integer ratio, which a Fraction keeps in lowest terms.
+    Hashing it hashes ints, not `Fraction.__hash__`'s modular inverse."""
+    return tuple([c.as_integer_ratio() for c in p])
+
+
 def fmt(q: Fraction) -> str:
     """Print a rational canonically: 'p/q', or just 'p' when q = 1."""
     q = Fraction(q)

@@ -53,6 +53,13 @@ pre-check in the plane.  A refinement that *is* the base (the same
 object; :func:`parse_plmap` passes the base itself when the refinement
 block lists the base's points and simplices) tiles it cell for cell, so
 its cells are their own base cells and the refinement test is skipped.
+
+:func:`parse_plmap` reads a map file in one pass over its lines, and its
+errors name the file's own line numbers.  It converts coordinates through
+the request's `geometry.TokenTable`, which the base's parse shares, so a
+refinement block that repeats the base holds the base's own Fractions and
+the comparison with the base is mostly by identity; equality keeps its
+exact meaning, so `2/4` in a map file equals `1/2` in its base.
 """
 
 from __future__ import annotations
@@ -80,9 +87,12 @@ from .errors import (
     VertexNotInComplex,
 )
 from .geometry import (
+    Mat,
     Point,
+    TokenTable,
     fmt,
     orient2,
+    point_key,
     rat,
     vadd,
     vscale,
@@ -145,7 +155,8 @@ def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Com
 
     With R the refinement (which tiles the base K) and f the images:
 
-    1. the image points are pairwise distinct;
+    1. the image points are pairwise distinct (their `point_key`s, like
+       the base points of step 4's set, are hashed in place of Fractions);
     2. each image cell has a nonzero orientation σ (one `orient2` a cell);
     3. the two cells of each interior edge of R have their images on
        opposite sides of the image edge (read off σ, no further `orient2`);
@@ -172,14 +183,18 @@ def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Com
     every 1D map, boundary vertices that slide off the base's vertices,
     and refinements that subdivide the base's boundary.
     """
-    if base.dim != 2 or len(set(images)) != len(images):
+    if base.dim != 2:
+        return None
+    keys = [point_key(p) for p in images]
+    if len(set(keys)) != len(keys):
         return None
     edges = directed_boundary(images, refinement.simplices)
     if edges is None:
         return None
-    base_edges = {(base.points[u], base.points[v]) for u, v in base.directed_boundary()}
+    base_edges = {(point_key(base.points[u]), point_key(base.points[v]))
+                  for u, v in base.directed_boundary()}
     if len(edges) != len(base_edges) or not all(
-            (images[u], images[v]) in base_edges for u, v in edges):
+            (keys[u], keys[v]) in base_edges for u, v in edges):
         return None
     if base.connected_flag and refinement is not base and not refinement.is_connected():
         return None
@@ -351,6 +366,12 @@ class PLMap:
         the preimage of any y in image cell ``i``."""
         return _apply_piece(self._piece(i, 1), y)
 
+    def linear_part(self, i: int) -> Mat:
+        """The matrix of the affine piece of planar refinement cell ``i``:
+        entry (j, k) is m_k / D of the piece's row j."""
+        rows, den = self._piece(i, 0)
+        return Mat([[Fraction(m, den) for m in row[:2]] for row in rows])
+
     def _piece(self, i: int, backward: int):
         """The affine piece of cell ``i`` (from the refinement to the image,
         or back), solved on first use and kept."""
@@ -484,31 +505,26 @@ def power(f: PLMap, k: int) -> PLMap:
     return out
 
 
-def parse_plmap(text: str, base: Complex) -> PLMap:
+def parse_plmap(text: str, base: Complex, tokens: Optional[TokenTable] = None) -> PLMap:
     """Parse the map format: a Complex block for the refinement, then
     `img <vertex> <coords...>` lines. The `base <file>` header, if any,
     must be resolved by the caller (see cli.load_map). A refinement block
     with the base's points and simplices (in any order) is the base itself,
-    so it is not validated a second time."""
-    complex_lines = []
+    so it is not validated a second time.  Coordinates are looked up in
+    ``tokens``, the request's `TokenTable` (a new one by default)."""
+    tokens = TokenTable() if tokens is None else tokens
     images: Dict[int, Point] = {}
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tok = line.split()
-        if tok[0] == "base":
-            continue
-        if tok[0] == "img":
-            if len(tok) < 3 or not tok[1].isdecimal():
-                raise ParseError(f"bad img record {line!r}")
-            i = int(tok[1])
-            if i in images:
-                raise ParseError(f"duplicate img record for vertex {i}")
-            images[i] = tuple(rat(t) for t in tok[2:])
-        else:
-            complex_lines.append(line)
-    points, sims = read_complex_records("\n".join(complex_lines))
+
+    def read_img(tok, line):
+        if len(tok) < 3 or not tok[1].isdecimal():
+            raise ParseError(f"bad img record {line!r}")
+        i = int(tok[1])
+        if i in images:
+            raise ParseError(f"duplicate img record for vertex {i}")
+        images[i] = tuple([tokens[t] for t in tok[2:]])
+
+    points, sims = read_complex_records(
+        text, tokens, {"base": lambda tok, line: None, "img": read_img})
     same_simplices = sorted(tuple(sorted(s)) for s in sims) == list(base.simplices)
     if same_simplices and tuple(points) == base.points:
         refinement = base

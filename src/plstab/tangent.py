@@ -15,7 +15,7 @@ from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .complexes import Complex
 from .errors import InvalidComplex, NotFixedPoint, SupportMismatch
-from .geometry import Mat, Point, cross2, dot, fmt, primitive_direction, vadd, vsub
+from .geometry import Mat, Point, cross2, dot, fmt, primitive_direction, vsub
 from .plmap import PLMap, identity_map
 
 Ray = Tuple[int, ...]  # primitive integer direction
@@ -141,23 +141,23 @@ def _chain_cones(apex: Point, cones: List[Tuple[Ray, Ray]]) -> Fan:
 def build_germ(f: PLMap, p: int) -> Germ:
     """Germ of f at base vertex p; requires f(p) = p.
 
-    Each cone's matrix is read off f's affine piece on its refinement cell:
-    f fixes the apex, so column k is f(apex + e_k) - apex."""
+    Each cone's matrix is the linear part of f's affine piece on its
+    refinement cell (`PLMap.linear_part`): f fixes the apex, so f(apex + x)
+    = apex + M x there.  The ray to each link vertex is found once."""
     pr = f.refinement_index_of_base_vertex(p)
     points = f.refinement.points
     apex = points[pr]
     if f.images[pr] != apex:
         raise NotFixedPoint(f"vertex {p} is not fixed")
-    units = [vadd(apex, e) for e in ((1, 0), (0, 1))]
+    star = [(i, [w for w in s if w != pr])
+            for i, s in enumerate(f.refinement.simplices) if pr in s]
+    rays = {w: primitive_direction(vsub(points[w], apex)) for _, ends in star for w in ends}
     mats: Dict[Tuple[Ray, Ray], Mat] = {}  # cells of a valid star have distinct cones
-    for i, s in enumerate(f.refinement.simplices):
-        if pr not in s:
-            continue
-        da, db = (primitive_direction(vsub(points[w], apex)) for w in s if w != pr)
+    for i, (a, b) in star:
+        da, db = rays[a], rays[b]
         if cross2(da, db) < 0:
             da, db = db, da
-        cols = [vsub(f.eval_in_cell(i, x), apex) for x in units]
-        mats[da, db] = Mat([[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]])
+        mats[da, db] = f.linear_part(i)
     fan = _chain_cones(apex, list(mats))
     # f is a homeomorphism, affine on each cell: the matrices are
     # nonsingular and adjacent ones agree on their shared ray

@@ -3,8 +3,9 @@ random-triangulation generator for the unit square, the oracles of the
 affine pieces and the refinement check of `PLMap`, those of the
 segment and 3-space triangle overlap predicates of `complexes` and of its
 rule that cells meet in common faces, that of the simple-polygon test of
-`geometry`, and those of the germ construction and fan refinement of
-`tangent`."""
+`geometry`, those of the germ construction and fan refinement of
+`tangent`, and the per-token parse that the loader's token table
+replaced."""
 
 import random
 from fractions import Fraction as F
@@ -12,9 +13,9 @@ from itertools import combinations
 
 from plstab.clip import point_in_triangle
 from plstab.complexes import Complex, tri_tri_open_meet_2d
-from plstab.errors import InvalidComplex, RealizationMismatch
+from plstab.errors import InvalidComplex, ParseError, RealizationMismatch
 from plstab.geometry import (Mat, area2, candidate_pairs, closed_segments_meet, cross2, cross3,
-                             dot, drop_axis, orient2, plane_normal, primitive_direction,
+                             dot, drop_axis, orient2, plane_normal, primitive_direction, rat,
                              segment_param, tiles_unit, vadd, vscale, vsub)
 from plstab.interval import PLMap1D
 from plstab.plmap import PLMap, plmap_from_vertex_images
@@ -315,6 +316,29 @@ def build_germ_by_solving(f, p):
     return Germ(fan=fan, matrices=tuple(mats[cones.index(cone)] for cone in fan.cones))
 
 
+def build_germ_by_evaluation(f, p):
+    """The oracle of the matrices that `tangent.build_germ` reads off each
+    cell's solved piece: column k of a cone's matrix is f(apex + e_k) -
+    apex, by two `eval_in_cell` calls per star cell, and the cone's two
+    rays are found cell by cell."""
+    pr = f.refinement_index_of_base_vertex(p)
+    points = f.refinement.points
+    apex = points[pr]
+    assert f.images[pr] == apex
+    units = [vadd(apex, e) for e in ((1, 0), (0, 1))]
+    mats = {}
+    for i, s in enumerate(f.refinement.simplices):
+        if pr not in s:
+            continue
+        da, db = (primitive_direction(vsub(points[w], apex)) for w in s if w != pr)
+        if cross2(da, db) < 0:
+            da, db = db, da
+        cols = [vsub(f.eval_in_cell(i, x), apex) for x in units]
+        mats[da, db] = Mat([[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]])
+    fan = _chain_cones(apex, list(mats))
+    return Germ(fan=fan, matrices=tuple(mats[cone] for cone in fan.cones))
+
+
 def refine_fans_per_germ(germs):
     """The oracle of `tangent.refine_fans`: each germ's own fan cut at every
     ray of every germ, a closed fan turned to start at the least ray, each
@@ -433,3 +457,69 @@ def random_splits(rng, points, tris, max_triangles):
                     new.append(s)
             tris = new
     return Complex(points, tris)
+
+
+def read_records_per_token(text, with_images=False):
+    """The oracle of the loader's token table: the records of a `.cx` text
+    (or, ``with_images``, of a `.pm` text: a `base` line is skipped and the
+    `img` records read too), each coordinate token converted by its own
+    `rat` call.  Records are read in file order and numbered by the file's
+    lines.  Returns (points, simplices, images by vertex)."""
+    points, sims, images = {}, [], {}
+
+    def index(token, lineno):
+        try:
+            return int(token)
+        except ValueError:
+            raise ParseError(f"line {lineno}: bad vertex index {token!r}") from None
+
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tok = line.split()
+        if tok[0] == "v":
+            if len(tok) < 3 or len(tok) > 5:
+                raise ParseError(f"line {lineno}: bad vertex record")
+            i = index(tok[1], lineno)
+            if i in points:
+                raise ParseError(f"line {lineno}: duplicate vertex {i}")
+            points[i] = tuple(rat(t) for t in tok[2:])
+        elif tok[0] == "s":
+            if len(tok) < 2 or len(tok) > 4:
+                raise ParseError(f"line {lineno}: bad simplex record")
+            sims.append(tuple(index(t, lineno) for t in tok[1:]))
+        elif with_images and tok[0] == "base":
+            continue
+        elif with_images and tok[0] == "img":
+            if len(tok) < 3 or not tok[1].isdecimal():
+                raise ParseError(f"bad img record {line!r}")
+            i = int(tok[1])
+            if i in images:
+                raise ParseError(f"duplicate img record for vertex {i}")
+            images[i] = tuple(rat(t) for t in tok[2:])
+        else:
+            raise ParseError(f"line {lineno}: unknown record {tok[0]!r}")
+    if not points:
+        raise ParseError("no vertices")
+    if sorted(points) != list(range(len(points))):
+        raise ParseError("vertex indices must be 0..n-1 without gaps")
+    return [points[i] for i in range(len(points))], sims, images
+
+
+def load_map_per_token(base_text, map_text):
+    """The oracle of `cli.load_map` on a `.pm` file and its base: both read
+    by `read_records_per_token`, each token converted on its own, and the
+    refinement block taken for the base when its points and simplices
+    equal the base's by value."""
+    points, sims, _ = read_records_per_token(base_text)
+    base = Complex(points, sims)
+    points, sims, images = read_records_per_token(map_text, with_images=True)
+    if (sorted(tuple(sorted(s)) for s in sims) == list(base.simplices)
+            and tuple(points) == base.points):
+        refinement = base
+    else:
+        refinement = Complex(points, sims, require_connected=base.connected_flag)
+    if sorted(images) != list(range(len(refinement.points))):
+        raise InvalidComplex("img records do not cover the refinement vertices")
+    return PLMap(base, refinement, [images[i] for i in range(len(refinement.points))])

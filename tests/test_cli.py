@@ -592,6 +592,20 @@ def test_duplicate_img_record_is_a_data_error(workdir, capsys):
     assert (code, out) == (65, "")
 
 
+def test_a_map_parse_error_names_the_line_of_the_file(workdir, capsys):
+    """The header and comment lines count: the bad simplex record is line 6."""
+    (workdir / "b.cx").write_text("v 0 0 0\nv 1 1 0\nv 2 0 1\ns 0 1 2\n")
+    (workdir / "bad.pm").write_text("base b.cx\n# comment\nv 0 0 0\nv 1 1 0\nv 2 0 1\n"
+                                    "s 0 1 2 9 9\nimg 0 0 0\n")
+    code, out = run(["fixset", "--map", str(workdir / "bad.pm")])
+    assert (code, out) == (65, "")
+    assert capsys.readouterr().err == "error: line 6: bad simplex record\n"
+    (workdir / "bad.pm").write_text("base b.cx\n\n\nw 1\n")
+    code, out = run(["fixset", "--map", str(workdir / "bad.pm")])
+    assert (code, out) == (65, "")
+    assert capsys.readouterr().err == "error: line 4: unknown record 'w'\n"
+
+
 def test_eval_takes_one_coordinate_per_ambient_axis(workdir, capsys):
     for path, point in (("rot.pm", ["1/4"]), ("rot.pm", ["1/4", "1/4", "0"]),
                         ("f1.map", ["1/8", "1/8"]), ("r13.map", ["0", "0"])):

@@ -234,3 +234,46 @@ def test_the_check_sees_kind_comparisons(tmp_path):
                      "    return {'complex': 1}[x] if kind is 'circle' else x < 'interval'\n")
     assert kind_comparisons(probe) == [("ActionSpec", 3), ("analyze", 6), ("analyze", 6),
                                        ("load_map", 8)]
+
+
+# the readers of coordinate tokens, which convert them through the request's
+# `TokenTable` only
+TOKEN_READERS = {("complexes.py", "read_complex_records"), ("plmap.py", "parse_plmap")}
+CONVERTERS = {"rat", "Fraction"}
+
+
+def direct_conversions(path):
+    """(enclosing top-level function, line) of each call of `rat` or
+    `Fraction`, by name or as an attribute, nested functions included."""
+    out = []
+    for top in ast.parse(path.read_text()).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in CONVERTERS:
+                    out.append((getattr(top, "name", None), node.lineno))
+    return out
+
+
+def test_coordinates_are_converted_through_the_token_table():
+    """The `.cx` and `.pm` readers call neither `rat` nor `Fraction`: each
+    coordinate token is looked up in the request's `TokenTable`, which
+    converts each distinct token once."""
+    readers = {(p.name, top.name) for p in SRC.glob("*.py")
+               for top in ast.parse(p.read_text()).body if isinstance(top, ast.FunctionDef)}
+    assert TOKEN_READERS <= readers
+    found = [(p.name, fn) for p in sorted(SRC.glob("*.py"))
+             for fn, _ in direct_conversions(p) if (p.name, fn) in TOKEN_READERS]
+    assert found == []
+
+
+def test_the_check_sees_direct_conversions(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("def read_complex_records(text, tokens=None):\n"
+                     "    for tok in lines(text):\n"
+                     "        points[i] = tuple(rat(t) for t in tok[2:])\n"
+                     "def parse_plmap(text, base, tokens):\n"
+                     "    def read_img(tok, line):\n"
+                     "        images[i] = tuple(geometry.Fraction(t) for t in tok[2:])\n"
+                     "    return [tokens[t] for t in text.split()]\n")
+    assert direct_conversions(probe) == [("read_complex_records", 3), ("parse_plmap", 6)]

@@ -6,16 +6,17 @@ import pytest
 from plstab.complexes import Complex
 from plstab.errors import InvalidComplex, VertexNotInComplex
 from plstab.geometry import Mat, primitive_direction
-from plstab.plmap import PLMap, plmap_from_vertex_images
+from plstab.plmap import PLMap, compose2d, plmap_from_vertex_images
 from plstab.tangent import (Fan, Germ, build_germ, canonical_germ,
                             compose_germs, fan_of_star, germs_equal,
                             identity_germ, in_cone,
                             is_trivial_on_tangent_sphere, ray_map,
                             refine_fans, tangent_sphere_type)
 
-from support import (build_germ_by_solving, quarter_rotation, refine_fans_per_germ,
-                     square_complex)
+from support import (build_germ_by_evaluation, build_germ_by_solving, quarter_rotation,
+                     refine_fans_per_germ, square_complex)
 from test_certificate import grid_map
+from test_fixedlocus import bench_grid_maps
 
 
 def rot_germ():
@@ -232,3 +233,17 @@ def test_one_common_fan_matches_the_per_germ_refinement(seed):
                 for p in sorted(set(f_fixes) & set(g_fixes)):
                     germs = [build_germ(f, p), build_germ(g, p)]
                     assert refine_fans(germs) == refine_fans_per_germ(germs)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_germ_matrices_match_the_columns_read_by_evaluation(seed):
+    """On seeded bench grid maps, their squares and their composite, at
+    every vertex each fixes, the matrices read off the solved pieces equal
+    the columns f(apex + e_k) - apex found by evaluating each cell's piece."""
+    f, g = bench_grid_maps(3, seed)
+    for h in (f, g, compose2d(f, f), compose2d(f, g), compose2d(g, f)):
+        fixed = [p for p in range(len(h.base.points))
+                 if h.images[h.refinement_index_of_base_vertex(p)] == h.base.points[p]]
+        assert len(fixed) > 10
+        for p in fixed:
+            assert build_germ(h, p) == build_germ_by_evaluation(h, p)
