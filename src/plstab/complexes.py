@@ -264,26 +264,27 @@ class Complex:
     any two of its cells meet in a common face or not at all.
 
     ``Complex(...)`` validates; :meth:`trusted` builds a complex that is
-    valid by construction with the same normalisation and no checks.
+    valid by construction with its points as built and no checks.
     """
 
     __slots__ = ("points", "simplices", "dim", "connected_flag", "_directed_boundary",
                  "_neighbours", "_charts")
 
     def __init__(self, points: Sequence, maximal_simplices, require_connected: bool = True):
-        self._assemble(points, maximal_simplices, require_connected)
+        self._assemble(rational_points(points), maximal_simplices, require_connected)
         self._validate(require_connected)
 
     @classmethod
     def trusted(cls, points: Sequence, maximal_simplices, connected_flag: bool) -> "Complex":
         """A complex that an operation built from validated inputs, so valid
-        by construction: normalised like ``Complex(...)`` but not checked."""
+        by construction: simplices normalised like ``Complex(...)``, points
+        (tuples of Fractions) kept as built, and nothing checked."""
         self = cls.__new__(cls)
-        self._assemble(points, maximal_simplices, connected_flag)
+        self._assemble(tuple(points), maximal_simplices, connected_flag)
         return self
 
-    def _assemble(self, points, maximal_simplices, connected_flag: bool):
-        self.points: Tuple[Point, ...] = rational_points(points)
+    def _assemble(self, points: Tuple[Point, ...], maximal_simplices, connected_flag: bool):
+        self.points = points
         self.simplices: Tuple[SimplexT, ...] = tuple(
             sorted(tuple(sorted(s)) for s in maximal_simplices))
         if not self.simplices:

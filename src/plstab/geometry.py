@@ -16,15 +16,24 @@ from .errors import NondegenerateViolation, ParseError
 
 Point = Tuple[Fraction, ...]
 
+# `Fraction` builds 10**e in full for an exponent e, in superlinear time, so
+# a larger one is refused first (CPython bounds int literals to 4300 digits)
+MAX_EXPONENT = 4300
+
 
 def rat(value) -> Fraction:
-    """Coerce ints, strings like '3/4' or '-2', and Fractions to Fraction."""
+    """Coerce ints, strings like '3/4', '-2' or '1e-3' (an exponent at most
+    `MAX_EXPONENT` in size), and Fractions to Fraction."""
     if isinstance(value, Fraction):
         return value
     if isinstance(value, int):
         return Fraction(value)
     if isinstance(value, str):
         try:
+            digits = value.lower().partition("e")[2].replace("_", "").strip().lstrip("+-0")
+            if digits.isdecimal() and (len(digits) > len(str(MAX_EXPONENT))
+                                       or int(digits) > MAX_EXPONENT):
+                raise ValueError(f"exponent beyond {MAX_EXPONENT}")
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational literal {value!r}") from exc

@@ -25,10 +25,12 @@ edge of a hit that no other cell shares crossing the cell.  Segments and
 the 3-space chart path enumerate the pairs of `candidate_pairs`.
 
 The 2D overlay triangulates each intersection polygon; the 1D overlay
-keeps each overlap segment.  Output vertex indices follow sorted
-coordinate order, so overlays are reproducible.  The inputs are validated
-complexes and the accounting found that they realize one set, so the
-overlay is a valid complex by construction and is built trusted.
+keeps each overlap segment.  :func:`numbered`, which composition shares,
+numbers such cells in sorted coordinate order, so overlays are
+reproducible.  The inputs are validated complexes and the accounting found
+that they realize one set, so the overlay is valid by construction and is
+built trusted.  :meth:`Overlay.at_vertices` is the one vertex-value rule
+of the maps derived on an overlay: composite, inverse and equality.
 """
 
 from __future__ import annotations
@@ -58,13 +60,31 @@ class Overlay:
     cells: Complex
     provenance: Dict[SimplexT, Tuple[int, int]]
 
+    def at_vertices(self, value) -> List:
+        """``value(i1, i2, x)`` once per vertex x, in vertex order, from the
+        first cell in simplex order that holds x and its provenance (i1, i2);
+        for a continuous map affine on each cell, every cell at x agrees."""
+        points, out = self.cells.points, [None] * len(self.cells.points)
+        for s in self.cells.simplices:
+            for v in s:
+                if out[v] is None:
+                    out[v] = value(*self.provenance[s], points[v])
+        return out
+
+
+def numbered(cells, pairs, connected_flag: bool) -> Overlay:
+    """The trusted complex of point-tuple ``cells``, numbered by
+    `index_cells`, with the pair ``pairs[k]`` as the provenance of cell k."""
+    pts, sims = index_cells(cells)
+    return Overlay(cells=Complex.trusted(pts, sims, connected_flag),
+                   provenance=dict(zip(sims, pairs)))
+
 
 def overlay(t1: Complex, t2: Complex) -> Overlay:
-    pieces = realized_pieces(t1, t2)
     cells, pairs = [], []
     cells1 = t1.cells()
     charts1 = t1.charts() if t1.dim == 2 else None
-    for i1, i2, piece in pieces:
+    for i1, i2, piece in realized_pieces(t1, t2):
         if t1.dim == 1:
             (lo, hi), _ = piece
             a1, b1 = cells1[i1]
@@ -75,9 +95,7 @@ def overlay(t1: Complex, t2: Complex) -> Overlay:
             new = [tuple(from_chart(p, chart) for p in cell) for cell in triangulate_convex(piece)]
         cells += new
         pairs += [(i1, i2)] * len(new)
-    pts, sims = index_cells(cells)
-    return Overlay(cells=Complex.trusted(pts, sims, t1.connected_flag),
-                   provenance=dict(zip(sims, pairs)))
+    return numbered(cells, pairs, t1.connected_flag)
 
 
 def realized_pieces(t1: Complex, t2: Complex,

@@ -21,21 +21,21 @@ refinements that subdivide the base's boundary.  So they alone decide
 which exception a rejected map raises.
 
 A map derived from validated maps is valid by construction and is built
-with :meth:`PLMap.trusted`, which checks nothing but two area identities
-in the plane (refinement, base and image areas agree; a failure is an
-``InternalError``).  :func:`compose2d`, :func:`inverse2d` (and so
-:func:`power`) and :func:`identity_map` build this way, taking each
-cell's base cell from provenance; a composite's vertex images come from
-the cell pair each vertex was cut from, with no point location.  The test
-suite re-validates every trusted result.
+with :meth:`PLMap.trusted`, which keeps the images it is handed and
+checks nothing but two area identities in the plane (refinement, base and
+image areas agree; a failure is an ``InternalError``).
+:func:`compose2d`, :func:`inverse2d` (and so :func:`power`) and
+:func:`identity_map` build this way, taking each cell's base cell from
+provenance.  The test suite re-validates every trusted result.
 
 Every loop over pairs of cells that meet goes through the kernels of
 :mod:`plstab.overlay`: `triangle_pieces` under composition in the plane
 (a walk over the image of g and the refinement of f, both complexes),
 `segment_pieces` under 1D composition, `realized_pieces` under the two
 realization checks, and `overlay` itself under :func:`inverse2d` and map
-equality, which compares the affine pieces of each overlay cell's two
-provenance cells at its vertices.
+equality.  All three read each vertex off one cell's provenance pieces
+(`Overlay.at_vertices`): f∘g maps it through g's piece, then f's; an
+inverse pulls it back; ``f == g`` compares the two maps' pieces there.
 
 A map keeps one affine piece per refinement cell, from the cell to its
 image, and one back, each solved on first use (`_solve_piece`, exact
@@ -74,7 +74,6 @@ from .complexes import (
     directed_boundary,
     format_complex,
     in_closed_cell,
-    index_cells,
     rational_points,
     read_complex_records,
 )
@@ -98,7 +97,7 @@ from .geometry import (
     vscale,
     vsub,
 )
-from .overlay import overlay, realized_pieces, segment_pieces, triangle_pieces
+from .overlay import numbered, overlay, realized_pieces, segment_pieces, triangle_pieces
 
 
 def _solve_piece(src: Sequence[Point], dst: Sequence[Point]):
@@ -249,8 +248,8 @@ class PLMap:
                 cell_base: Sequence[int]) -> "PLMap":
         """A map that compose, invert or identity built from validated
         inputs, so valid by construction: ``refinement`` refines ``base``
-        and ``cell_base`` comes from provenance.  The image gets the same
-        normalisation as in ``PLMap(...)``.
+        and ``cell_base`` comes from provenance.  The images, tuples of
+        Fractions, are kept as built (`Complex.trusted`).
 
         In the plane, refinement area = base area = image area is checked
         as a tripwire (``InternalError``) against a lost or doubled cell.
@@ -331,18 +330,15 @@ class PLMap:
     def __eq__(self, other):
         """Pointwise equality, decided on a common refinement: both maps are
         affine on each overlay cell, on the pieces of its provenance cells,
-        so they agree there iff they agree at its vertices."""
+        so they agree there iff they agree at its vertices, each compared
+        once as both are continuous (`Overlay.at_vertices`)."""
         if not isinstance(other, PLMap):
             return NotImplemented
         if self.base != other.base:
             return False
         ov = overlay(self.refinement, other.refinement)
-        for s, (i, j) in ov.provenance.items():
-            for v in s:
-                x = ov.cells.points[v]
-                if self.eval_in_cell(i, x) != other.eval_in_cell(j, x):
-                    return False
-        return True
+        return all(ov.at_vertices(
+            lambda i, j, x: self.eval_in_cell(i, x) == other.eval_in_cell(j, x)))
 
     def __repr__(self):
         return (
@@ -412,86 +408,61 @@ def plmap_from_vertex_images(c: Complex, images: Sequence) -> PLMap:
 def compose2d(f: PLMap, g: PLMap) -> PLMap:
     """The map x -> f(g(x)); the result's refinement refines g's.
 
-    Built trusted from provenance: an output cell cut from g's refinement
-    cell i lies in g's base cell ``g.cell_base[i]``.
+    Built trusted from provenance: an output cell cut from g's cell i and
+    f's cell j lies in g's base cell ``g.cell_base[i]``, and its vertices
+    go through g's piece on i, then f's on j (`Overlay.at_vertices`).
     """
     if f.base != g.base:
         raise RealizationMismatch("maps must share the base complex")
-    if f.base.dim == 2:
-        raw, homes, image_of = _compose_cells_2d(f, g)
-    else:
-        raw, homes, image_of = _compose_cells_1d(f, g)
-    pts, sims = index_cells(raw)
-    ref = Complex.trusted(pts, sims, g.base.connected_flag)
-    home = dict(zip(sims, homes))
-    return PLMap.trusted(g.base, ref, [image_of[p] for p in pts],
-                         [home[s] for s in ref.simplices])
+    cut = _compose_cells_2d if f.base.dim == 2 else _compose_cells_1d
+    ov = numbered(*cut(f, g), g.base.connected_flag)
+    images = ov.at_vertices(lambda i, j, x: f.eval_in_cell(j, g.eval_in_cell(i, x)))
+    return PLMap.trusted(g.base, ov.cells, images,
+                         [g.cell_base[ov.provenance[s][0]] for s in ov.cells.simplices])
 
 
 def _compose_cells_2d(f: PLMap, g: PLMap):
-    """The cells of f∘g, the base cell holding each, and each vertex's image.
+    """The cells of f∘g as point tuples, and the pair (i, j) each came from.
 
     A cell comes from an image cell i of g and a cell j of f whose
     interiors meet: their intersection polygon, pulled back through g's
-    piece on i.  A vertex q pulled back from polygon vertex p has image
-    f(p), by f's piece on j; a vertex that triangulation adds goes
-    forward through g's piece on i first.  The polygon is
-    counter-clockwise, and its pullback is too unless g's piece on i
-    reverses orientation, when its vertex list is reversed.
+    piece on i.  The polygon is counter-clockwise, and its pullback is too
+    unless g's piece on i reverses orientation, when its vertex list is
+    reversed.
     """
-    raw, homes, image_of = [], [], {}
+    cells, pairs = [], []
     srcs, imgs = g.refinement.cells(), g.image.cells()
     reverses: Dict[int, bool] = {}
     for i, j, poly in triangle_pieces(g.image, f.refinement):
-        forward = {g.pullback_in_cell(i, p): p for p in poly}
         if i not in reverses:
             reverses[i] = (orient2(*srcs[i]) > 0) != (orient2(*imgs[i]) > 0)
-        back = list(forward)
-        if reverses[i]:
-            back.reverse()
-        for cell in triangulate_convex(back):
-            raw.append(cell)
-            homes.append(g.cell_base[i])
-            for q in cell:
-                if q not in image_of:
-                    p = forward[q] if q in forward else g.eval_in_cell(i, q)
-                    image_of[q] = f.eval_in_cell(j, p)
-    return raw, homes, image_of
+        back = [g.pullback_in_cell(i, p) for p in poly]
+        new = triangulate_convex(back[::-1] if reverses[i] else back)
+        cells += new
+        pairs += [(i, j)] * len(new)
+    return cells, pairs
 
 
 def _compose_cells_1d(f: PLMap, g: PLMap):
     """As `_compose_cells_2d`: a cell comes from an image segment i of g and
     a segment j of f that overlap, pulled back through g's piece on i (the
-    overlap's parameters along g's segment i), and a vertex's image comes
-    from f's piece on j."""
-    raw, homes, image_of = [], [], {}
-    srcs, imgs = g.refinement.cells(), g.image.cells()
-    for i, j, ((lo, hi), _) in segment_pieces(imgs, f.refinement.cells()):
-        (a, b), (ia, ib) = srcs[i], imgs[i]
-        cell = []
-        for t in (lo, hi):
-            q = vadd(a, vscale(t, vsub(b, a)))
-            if q not in image_of:
-                image_of[q] = f.eval_in_cell(j, vadd(ia, vscale(t, vsub(ib, ia))))
-            cell.append(q)
-        raw.append(cell)
-        homes.append(g.cell_base[i])
-    return raw, homes, image_of
+    overlap's parameters along g's segment i)."""
+    cells, pairs = [], []
+    srcs = g.refinement.cells()
+    for i, j, ((lo, hi), _) in segment_pieces(g.image.cells(), f.refinement.cells()):
+        a, b = srcs[i]
+        cells.append([vadd(a, vscale(t, vsub(b, a))) for t in (lo, hi)])
+        pairs.append((i, j))
+    return cells, pairs
 
 
 def inverse2d(f: PLMap) -> PLMap:
     """Exact inverse; its refinement is the overlay of f's image with the
-    base, and an overlay cell lies in the base cell of its provenance."""
+    base, and an overlay cell lies in the base cell of its provenance.  An
+    overlay cell cut from image cell i pulls back through the piece of
+    refinement cell i (`Overlay.at_vertices`)."""
     ov = overlay(f.image, f.base)
-    # image cell i lies on refinement cell i's simplex, so it pulls back
-    # through the piece of refinement cell i
-    pre: List[Optional[Point]] = [None] * len(ov.cells.points)
-    # f is a homeomorphism, so every image cell at a vertex pulls it back
-    # to the same point: take the first
-    for s, (i, _) in ov.provenance.items():
-        for v in s:
-            if pre[v] is None:
-                pre[v] = f.pullback_in_cell(i, ov.cells.points[v])
+    pre = ov.at_vertices(lambda i, _, y: f.pullback_in_cell(i, y))
     return PLMap.trusted(f.base, ov.cells, pre,
                          [ov.provenance[s][1] for s in ov.cells.simplices])
 

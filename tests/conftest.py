@@ -1,3 +1,4 @@
+from fractions import Fraction
 from importlib import import_module
 
 import pytest
@@ -26,7 +27,9 @@ def check_trusted_builds(monkeypatch):
     also built through the validating constructor, which must accept it and
     agree on points, simplices, `cell_base` and image, on breakpoints, piece
     slopes and orientation, or on fan and matrices, so a bug in an
-    operation that builds trusted still fails the tests."""
+    operation that builds trusted still fails the tests.  A trusted
+    complex's points, and so a trusted map's images, must also be tuples
+    of Fractions, as the validating constructor would make them."""
     complex_trusted, plmap_trusted = Complex.trusted, PLMap.trusted
     lift_trusted, map1d_trusted = CircleLift.trusted, PLMap1D.trusted
     germ_trusted = Germ.trusted
@@ -36,6 +39,11 @@ def check_trusted_builds(monkeypatch):
         ref = Complex(points, maximal_simplices, require_connected=connected_flag)
         if (out.points, out.simplices) != (ref.points, ref.simplices):
             raise TrustedBuildMismatch(f"{out!r} differs from {ref!r}")
+        # a trusted build keeps its points as given, and an int equals its
+        # Fraction, so the comparison above cannot see one
+        if not all(type(p) is tuple and all(type(c) is Fraction for c in p)
+                   for p in out.points):
+            raise TrustedBuildMismatch(f"{out!r} has a point that is no tuple of Fractions")
         return out
 
     def checked_plmap(cls, base, refinement, images, cell_base):

@@ -1,7 +1,10 @@
 import io
 import json
+import os
 import pathlib
 import re
+import subprocess
+import sys
 import tempfile
 import time
 from fractions import Fraction as F
@@ -363,6 +366,31 @@ def test_huge_relator_exponent_exits_65_promptly(workdir):
     code, out = run(["abelianize", "--presentation", str(pres)])
     assert (code, out) == (65, "")
     assert time.perf_counter() - start < 1
+
+
+HUGE = "1e999999999"
+
+
+@pytest.mark.parametrize("name, text, argv", [
+    ("c.cx", SQUARE.replace("v 4 1/2 1/2", f"v 4 {HUGE} 1/2"), ["euler", "--complex", "c.cx"]),
+    ("rot.pm", ROT.replace("img 4 1/2 1/2", f"img 4 1/2 -{HUGE}"),
+     ["fixset", "--map", "rot.pm"]),
+    ("f.map", F1.replace("1/4 1/2", "1/4 1e-999999999"), ["eval", "--map", "f.map", "--point", "0"]),
+    ("rot.pm", ROT, ["eval", "--map", "rot.pm", "--point", HUGE, "0"]),
+], ids=["cx", "img", "interval-map", "point"])
+def test_huge_decimal_exponent_exits_65_promptly(tmp_path, name, text, argv):
+    """A token whose exponent would make `Fraction` build a billion-digit
+    power of ten is refused first.  The command runs in a subprocess with
+    a timeout, so a hang fails this test instead of stalling the suite."""
+    (tmp_path / "square.cx").write_text(SQUARE)
+    (tmp_path / name).write_text(text)
+    src = str(pathlib.Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "plstab.cli", *argv], cwd=tmp_path, env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (done.returncode, done.stdout) == (65, "")
+    assert "bad rational literal" in done.stderr
 
 
 README = pathlib.Path(__file__).resolve().parent.parent / "README.md"

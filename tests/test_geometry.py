@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -29,6 +30,20 @@ def test_rat_rejects_floats():
     from plstab.errors import ParseError
     with pytest.raises(ParseError):
         rat(0.5)
+
+
+def test_rat_bounds_the_decimal_exponent():
+    """Exponents up to `MAX_EXPONENT` parse; a larger one is refused before
+    `Fraction` builds its power of ten, which for 1e-999999999 would not
+    return."""
+    from plstab.errors import ParseError
+    assert rat("1e4300") == 10 ** 4300
+    assert rat("-2.5E-4300") == Fraction(-5, 2 * 10 ** 4300)
+    for token in ("1e4301", "1e-999999999"):
+        start = time.perf_counter()
+        with pytest.raises(ParseError, match="bad rational literal"):
+            rat(token)
+        assert time.perf_counter() - start < 1
 
 
 def test_orient2_signs():

@@ -238,13 +238,20 @@ def test_1d_map_in_the_plane():
 
 
 def test_1d_compose_in_the_plane_cuts_at_the_vertices_of_f():
-    """h = f∘g agrees with f(g(q)) at every vertex q of its refinement, and
-    every vertex of f inside an image segment of g cuts that segment: it
-    is g(q) for a vertex q of h."""
+    """h = f∘g has the image f(g(q)), by point location, at every vertex q
+    of its refinement, and every vertex of f inside an image segment of g
+    cuts that segment: it is g(q) for a vertex q of h.  The inputs are the
+    refined square cycle maps (the turn is the polyline map of
+    `test_1d_map_in_the_plane`), their composites, and composites with
+    their inverses."""
     turn, slide = square_cycle_turn(), square_cycle_slide()
-    for f, g in ((turn, slide), (slide, turn), (turn, compose2d(slide, turn))):
+    for f, g in ((turn, slide), (slide, turn), (turn, compose2d(slide, turn)),
+                 (turn, inverse2d(slide)), (inverse2d(turn), slide),
+                 (compose2d(inverse2d(turn), slide), turn),
+                 (compose2d(slide, turn), inverse2d(turn))):
         h = compose2d(f, g)
-        assert all(h.eval(q) == f.eval(g.eval(q)) for q in h.refinement.points)
+        assert all(image == h.eval(q) == f.eval(g.eval(q))
+                   for q, image in zip(h.refinement.points, h.images))
         cuts = {g.eval(q) for q in h.refinement.points}
         inner = [w for a, b in g.image.cells() for w in f.refinement.points
                  if 0 < (segment_param(a, b, w) or 0) < 1]

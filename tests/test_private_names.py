@@ -68,15 +68,20 @@ LEAVES = {"triangle_intersection": ("clip.py", "triangle_pieces"),
           "collinear_overlap": ("geometry.py", "segment_pieces")}
 
 
-def leaf_calls(path):
-    """(enclosing top-level name, leaf) of each call of a clipping leaf."""
+def named_calls(path, names):
+    """("Class.method" or top-level name, callee) of each call of a name in
+    ``names``, bare or as an attribute, nested functions included."""
     out = []
     for top in ast.parse(path.read_text()).body:
-        for node in ast.walk(top):
-            if isinstance(node, ast.Call):
-                name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                if name in LEAVES:
-                    out.append((getattr(top, "name", None), name))
+        parts = ([(f"{top.name}.{item.name}" if isinstance(item, ast.FunctionDef)
+                   else top.name, item) for item in top.body]
+                 if isinstance(top, ast.ClassDef) else [(getattr(top, "name", None), top)])
+        for where, part in parts:
+            for node in ast.walk(part):
+                if isinstance(node, ast.Call):
+                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                    if name in names:
+                        out.append((where, name))
     return out
 
 
@@ -85,7 +90,7 @@ def test_cell_pairs_are_clipped_only_in_the_overlay_kernels():
     `collinear_overlap` are called only by `overlay.triangle_pieces` and
     `overlay.segment_pieces`, so every cell-pair loop goes through those."""
     def stray(path):
-        return [(fn, name) for fn, name in leaf_calls(path)
+        return [(fn, name) for fn, name in named_calls(path, LEAVES)
                 if path.name != LEAVES[name][0]
                 and (path.name, fn) != ("overlay.py", LEAVES[name][1])]
     found = {p.name: stray(p) for p in sorted(SRC.glob("*.py"))}
@@ -98,7 +103,8 @@ def test_the_check_sees_leaf_calls(tmp_path):
                      "def clip(a, b):\n"
                      "    return [geometry.collinear_overlap(*a, *b), triangle_intersection(a, b)]\n"
                      "x = triangle_intersection\n")
-    assert leaf_calls(probe) == [("clip", "collinear_overlap"), ("clip", "triangle_intersection")]
+    assert named_calls(probe, LEAVES) == [("clip", "collinear_overlap"),
+                                          ("clip", "triangle_intersection")]
 
 
 # the one validating 1D constructor, `BreakpointMap.__init__`, called by the
@@ -277,3 +283,37 @@ def test_the_check_sees_direct_conversions(tmp_path):
                      "        images[i] = tuple(geometry.Fraction(t) for t in tok[2:])\n"
                      "    return [tokens[t] for t in text.split()]\n")
     assert direct_conversions(probe) == [("read_complex_records", 3), ("parse_plmap", 6)]
+
+
+# the one conversion of points and the one numbering of clipped cells, each
+# name -> the only (module, "Class.method" or function) that may call it
+SOLE_CALLERS = {"rational_points": {("complexes.py", "Complex.__init__"),
+                                    ("plmap.py", "PLMap.__init__")},
+                "index_cells": {("overlay.py", "numbered")}}
+
+
+def test_points_are_converted_and_numbered_in_one_place():
+    """Only the validating constructors `Complex(...)` and `PLMap(...)`
+    convert points, so a trusted build keeps the Fractions it is handed;
+    only `overlay.numbered` numbers point-tuple cells, so overlay and
+    composition share one numbering."""
+    found = {}
+    for p in sorted(SRC.glob("*.py")):
+        for where, name in named_calls(p, SOLE_CALLERS):
+            found.setdefault(name, set()).add((p.name, where))
+    assert found == SOLE_CALLERS
+
+
+def test_the_check_sees_conversions_and_numberings(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("class Complex:\n"
+                     "    def _assemble(self, points, maximal_simplices):\n"
+                     "        self.points = rational_points(points)\n"
+                     "def compose2d(f, g):\n"
+                     "    pts, sims = complexes.index_cells(raw)\n"
+                     "    return [index_cells(c) for c in pts]\n"
+                     "def numbered(cells, pairs):\n"
+                     "    return index_cells(cells), rational_points\n")
+    assert named_calls(probe, SOLE_CALLERS) == [
+        ("Complex._assemble", "rational_points"), ("compose2d", "index_cells"),
+        ("compose2d", "index_cells"), ("numbered", "index_cells")]

@@ -106,3 +106,14 @@ def test_check_mode_validates_trusted_builds():
         PLMap.trusted(sq, sq, folded, range(4))
     with pytest.raises(InvalidComplex, match="overlap"):
         Complex.trusted(folded, sq.simplices, True)
+
+
+def test_check_mode_requires_fraction_points():
+    """A trusted build keeps the points it is given, and an int equals its
+    Fraction, so check mode asks for tuples of Fractions outright."""
+    ints = [(0, 0), (1, 0), (1, 1), (0, 1)]
+    with pytest.raises(AssertionError, match="no tuple of Fractions"):
+        Complex.trusted(ints, [(0, 1, 2), (0, 2, 3)], True)
+    sq = Complex(ints, [(0, 1, 2), (0, 2, 3)])
+    with pytest.raises(AssertionError, match="no tuple of Fractions"):
+        PLMap.trusted(sq, sq, ints, range(2))
