@@ -1,8 +1,8 @@
 """PL circle homeomorphisms via lifts, and exact rotation-number machinery.
 
 Rotation numbers are never floated: detection returns an exact rational
-(with an exact periodic point), and otherwise only rational-interval
-enclosures of width <= 2/n are produced.
+(with an exact periodic point) or proves that none of bounded denominator
+is one, and otherwise only rational enclosures of width <= 2/n are made.
 
 A lift is an `interval.BreakpointMap`: it carries its canonical
 breakpoints and the slope of each piece. Only parsed or user-built lifts
@@ -17,7 +17,7 @@ one power F^(b+d) from the two powers F^b, F^d of its bracket's bounds by
 that merge, and the sign of the displacement F^(b+d)(x) - x against the
 mediant's numerator moves one bound or proves the mediant. A rotation
 number p/q costs one merge per level down to p/q, at most q - 1; past
-qmax, the enclosure's F^qmax comes by binary powering.
+qmax, the bracket proves that no p/q with q <= qmax is the rotation number.
 """
 
 from __future__ import annotations
@@ -142,10 +142,6 @@ def inverse_lift(F: CircleLift) -> CircleLift:
 class RotationEnclosure:
     lo: Fraction
     hi: Fraction
-    iterations: int
-
-    def __contains__(self, alpha) -> bool:
-        return self.lo <= rat(alpha) <= self.hi
 
     def __repr__(self):
         return f"[{fmt(self.lo)}, {fmt(self.hi)}]"
@@ -177,7 +173,7 @@ def rotation_enclosure(F: CircleLift, n: int) -> RotationEnclosure:
     if n < 1:
         raise ValueError("n must be positive")
     v = iterate_lift(F, n, 0)
-    return RotationEnclosure(lo=(v - 1) / n, hi=(v + 1) / n, iterations=n)
+    return RotationEnclosure(lo=(v - 1) / n, hi=(v + 1) / n)
 
 
 @dataclass(frozen=True)
@@ -204,18 +200,6 @@ def fixed_set_circle(F: CircleLift, p: int) -> List[Tuple[Fraction, Fraction]]:
     return [piece for piece in merged if not (piece == (1, 1) and (0, 0) in merged)]
 
 
-def power_lift(F: CircleLift, n: int) -> CircleLift:
-    """F^n for n >= 1 by binary powering: at most 2 log2(n) merges."""
-    power = None
-    while True:
-        if n & 1:
-            power = F if power is None else compose_lift(power, F)
-        n >>= 1
-        if not n:
-            return power
-        F = compose_lift(F, F)
-
-
 def _displacement_side(Fq: CircleLift, p: int) -> int:
     """Where the displacement d(x) = F^q(x) - x lies against the integer p:
     1 if above it everywhere, -1 if below it everywhere, 0 if d reaches p.
@@ -233,20 +217,22 @@ def _displacement_side(Fq: CircleLift, p: int) -> int:
 def detect_rational_rotation(F: CircleLift, qmax: int = 64):
     """Smallest q <= qmax with F^q(x) = x + p solvable; exact witness point.
 
-    Returns (RationalRotation, 'found'), (None, 'certified-none') when the
-    enclosure excludes every p/q with q <= qmax, or (None, 'inconclusive').
+    Returns (RationalRotation, 'found'), or (None, 'certified-none') when
+    no p/q with q <= qmax is the rotation number.
 
     F^q(x) = x + p is solvable iff rot(F) = p/q, so the smallest such q is
     the denominator of rot(F) in lowest terms, and detection bisects the
     Stern-Brocot tree. The displacement F(x) - x ranges over less than 1
     and takes the value F(0), so q = 1 can only reach n = floor(F(0)) or
-    n + 1; if it reaches neither, n/1 < rot(F) < (n+1)/1. Given Farey
-    neighbours a/b < rot(F) < c/d and the powers F^b, F^d, one merge builds
-    F^(b+d), and its displacement lies above a + c everywhere (the mediant
-    is a new left bound), below it everywhere (a new right bound), or
-    reaches it: then rot(F) is the mediant, already in lowest terms. So
-    detection takes one merge per level of the tree down to p/q, and past
-    qmax builds F^qmax by binary powering for the enclosure.
+    n + 1; if it reaches neither, n/1 < rot(F) < (n+1)/1 strictly. Given
+    Farey neighbours a/b < rot(F) < c/d (bc - ad = 1) and F^b, F^d, one
+    merge builds F^(b+d), whose displacement lies strictly above a + c
+    everywhere (a new left bound), strictly below (a new right bound), or
+    reaches it: then rot(F) is the mediant, in lowest terms. The new
+    bounds are again Farey neighbours, and the loop ends only when
+    b + d > qmax; every fraction strictly between Farey neighbours has a
+    denominator of at least b + d, so then no p/q with q <= qmax is
+    rot(F), qmax = 1 included. Each level of the tree costs one merge.
     """
     if qmax < 1:
         raise ValueError("qmax must be positive")
@@ -268,16 +254,6 @@ def detect_rational_rotation(F: CircleLift, qmax: int = 64):
             a, b, Fb = p, q, Fq
         else:
             c, d, Fd = p, q, Fq
-    # no periodic point up to qmax: see whether the enclosure from
-    # F^(4 qmax^2)(0) = Fq^(4 qmax)(0) rules out every rational with
-    # denominator <= qmax; a bound of the bracket may already be F^qmax
-    Fq = Fb if b == qmax else Fd if d == qmax else power_lift(F, qmax)
-    enc = rotation_enclosure(Fq, 4 * qmax)
-    lo, hi = enc.lo / qmax, enc.hi / qmax
-    for q in range(1, qmax + 1):
-        for p in range(floor(lo * q), floor(hi * q) + 2):
-            if lo <= Fraction(p, q) <= hi:
-                return None, "inconclusive"
     return None, "certified-none"
 
 

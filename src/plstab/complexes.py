@@ -267,30 +267,29 @@ class Complex:
     valid by construction with its points as built and no checks.
     """
 
-    __slots__ = ("points", "simplices", "dim", "connected_flag", "_directed_boundary",
-                 "_neighbours", "_charts")
+    __slots__ = ("points", "simplices", "dim", "_directed_boundary", "_neighbours",
+                 "_charts")
 
     def __init__(self, points: Sequence, maximal_simplices, require_connected: bool = True):
-        self._assemble(rational_points(points), maximal_simplices, require_connected)
+        self._assemble(rational_points(points), maximal_simplices)
         self._validate(require_connected)
 
     @classmethod
-    def trusted(cls, points: Sequence, maximal_simplices, connected_flag: bool) -> "Complex":
+    def trusted(cls, points: Sequence, maximal_simplices) -> "Complex":
         """A complex that an operation built from validated inputs, so valid
         by construction: simplices normalised like ``Complex(...)``, points
         (tuples of Fractions) kept as built, and nothing checked."""
         self = cls.__new__(cls)
-        self._assemble(tuple(points), maximal_simplices, connected_flag)
+        self._assemble(tuple(points), maximal_simplices)
         return self
 
-    def _assemble(self, points: Tuple[Point, ...], maximal_simplices, connected_flag: bool):
+    def _assemble(self, points: Tuple[Point, ...], maximal_simplices):
         self.points = points
         self.simplices: Tuple[SimplexT, ...] = tuple(
             sorted(tuple(sorted(s)) for s in maximal_simplices))
         if not self.simplices:
             raise InvalidComplex("complex has no maximal simplices")
         self.dim = len(self.simplices[0]) - 1
-        self.connected_flag = connected_flag
         self._directed_boundary = None
         self._neighbours = None
         self._charts = None

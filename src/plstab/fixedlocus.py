@@ -174,7 +174,7 @@ def fixed_subcomplex(f: PLMap) -> FixedLocus:
     for k, v in enumerate(order):
         rank[v] = k
     sims = [tuple(sorted([rank[v] for v in cell])) for cell in r.cells]
-    refined = Complex.trusted([r.points[v] for v in order], sims, f.base.connected_flag)
+    refined = Complex.trusted([r.points[v] for v in order], sims)
     fixed = [r.fixed[v] for v in order]
     # a face is fixed iff its vertices are, so the fixed vertices of each
     # cell span its largest fixed face

@@ -38,7 +38,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from .clip import ccw_triangle, polygon_area2, triangle_intersection, triangulate_convex
 from .complexes import (Complex, SimplexT, ccw_triangles_meet, index_cells,
@@ -60,23 +60,23 @@ class Overlay:
     cells: Complex
     provenance: Dict[SimplexT, Tuple[int, int]]
 
-    def at_vertices(self, value) -> List:
-        """``value(i1, i2, x)`` once per vertex x, in vertex order, from the
-        first cell in simplex order that holds x and its provenance (i1, i2);
-        for a continuous map affine on each cell, every cell at x agrees."""
-        points, out = self.cells.points, [None] * len(self.cells.points)
-        for s in self.cells.simplices:
+    def at_vertices(self, value) -> Iterator:
+        """``value(i1, i2, x)`` once per vertex x, lazily in vertex order, from
+        the first cell in simplex order that holds x and its provenance (i1,
+        i2); for a continuous map affine on each cell, every cell at x agrees.
+        Finding the cells takes no arithmetic, so stopping early saves it."""
+        first = [None] * len(self.cells.points)
+        for s in reversed(self.cells.simplices):  # the first cell writes last
             for v in s:
-                if out[v] is None:
-                    out[v] = value(*self.provenance[s], points[v])
-        return out
+                first[v] = s
+        return (value(*self.provenance[s], x) for s, x in zip(first, self.cells.points))
 
 
-def numbered(cells, pairs, connected_flag: bool) -> Overlay:
+def numbered(cells, pairs) -> Overlay:
     """The trusted complex of point-tuple ``cells``, numbered by
     `index_cells`, with the pair ``pairs[k]`` as the provenance of cell k."""
     pts, sims = index_cells(cells)
-    return Overlay(cells=Complex.trusted(pts, sims, connected_flag),
+    return Overlay(cells=Complex.trusted(pts, sims),
                    provenance=dict(zip(sims, pairs)))
 
 
@@ -95,7 +95,7 @@ def overlay(t1: Complex, t2: Complex) -> Overlay:
             new = [tuple(from_chart(p, chart) for p in cell) for cell in triangulate_convex(piece)]
         cells += new
         pairs += [(i1, i2)] * len(new)
-    return numbered(cells, pairs, t1.connected_flag)
+    return numbered(cells, pairs)
 
 
 def realized_pieces(t1: Complex, t2: Complex,

@@ -175,7 +175,9 @@ def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Com
     the image cells are nondegenerate, have disjoint interiors and tile K,
     each boundary edge goes onto a boundary edge, and with step 1 f is
     injective: every exact check would pass.  The image has R's simplices,
-    so it is connected when R is; R is checked when the base must be.
+    so it has R's connectivity, which needs no check: R tiles K
+    (`_assign_cells`), and a valid complex that tiles a connected K is
+    connected.
 
     Every homeomorphism that maps the boundary edges of R one-to-one onto
     those of K passes.  The rest takes the exact path: every rejected map,
@@ -195,9 +197,7 @@ def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Com
     if len(edges) != len(base_edges) or not all(
             (keys[u], keys[v]) in base_edges for u, v in edges):
         return None
-    if base.connected_flag and refinement is not base and not refinement.is_connected():
-        return None
-    return Complex.trusted(images, refinement.simplices, base.connected_flag)
+    return Complex.trusted(images, refinement.simplices)
 
 
 def _check_supported(base: Complex):
@@ -258,7 +258,7 @@ class PLMap:
         self.base = base
         self.refinement = refinement
         self._pieces = None
-        self.image = Complex.trusted(images, refinement.simplices, base.connected_flag)
+        self.image = Complex.trusted(images, refinement.simplices)
         self.cell_base = tuple(cell_base)
         if base.dim == 2:
             area = base.area2()
@@ -300,8 +300,7 @@ class PLMap:
         to boundary: it is onto, and one to one, as two cells meet only in
         the hull of their shared vertices, in the refinement and in the
         image, where their pieces agree."""
-        self.image = Complex(images, self.refinement.simplices,
-                             require_connected=self.base.connected_flag)
+        self.image = Complex(images, self.refinement.simplices, require_connected=False)
         if self.base.dim == 2 and self.image.area2() != self.base.area2():
             raise RealizationMismatch("image area differs from base area")
         # with equal areas, the image cells covered by base cells leave no
@@ -415,8 +414,8 @@ def compose2d(f: PLMap, g: PLMap) -> PLMap:
     if f.base != g.base:
         raise RealizationMismatch("maps must share the base complex")
     cut = _compose_cells_2d if f.base.dim == 2 else _compose_cells_1d
-    ov = numbered(*cut(f, g), g.base.connected_flag)
-    images = ov.at_vertices(lambda i, j, x: f.eval_in_cell(j, g.eval_in_cell(i, x)))
+    ov = numbered(*cut(f, g))
+    images = list(ov.at_vertices(lambda i, j, x: f.eval_in_cell(j, g.eval_in_cell(i, x))))
     return PLMap.trusted(g.base, ov.cells, images,
                          [g.cell_base[ov.provenance[s][0]] for s in ov.cells.simplices])
 
@@ -462,7 +461,7 @@ def inverse2d(f: PLMap) -> PLMap:
     overlay cell cut from image cell i pulls back through the piece of
     refinement cell i (`Overlay.at_vertices`)."""
     ov = overlay(f.image, f.base)
-    pre = ov.at_vertices(lambda i, _, y: f.pullback_in_cell(i, y))
+    pre = list(ov.at_vertices(lambda i, _, y: f.pullback_in_cell(i, y)))
     return PLMap.trusted(f.base, ov.cells, pre,
                          [ov.provenance[s][1] for s in ov.cells.simplices])
 
@@ -481,8 +480,9 @@ def parse_plmap(text: str, base: Complex, tokens: Optional[TokenTable] = None) -
     `img <vertex> <coords...>` lines. The `base <file>` header, if any,
     must be resolved by the caller (see cli.load_map). A refinement block
     with the base's points and simplices (in any order) is the base itself,
-    so it is not validated a second time.  Coordinates are looked up in
-    ``tokens``, the request's `TokenTable` (a new one by default)."""
+    so it is not validated a second time; any other is validated with no
+    connectivity check, as `PLMap` requires it to tile the base.
+    Coordinates go through ``tokens``, the request's `TokenTable` (or a new one)."""
     tokens = TokenTable() if tokens is None else tokens
     images: Dict[int, Point] = {}
 
@@ -500,7 +500,7 @@ def parse_plmap(text: str, base: Complex, tokens: Optional[TokenTable] = None) -
     if same_simplices and tuple(points) == base.points:
         refinement = base
     else:
-        refinement = Complex(points, sims, require_connected=base.connected_flag)
+        refinement = Complex(points, sims, require_connected=False)
     if sorted(images) != list(range(len(refinement.points))):
         raise InvalidComplex("img records do not cover the refinement vertices")
     return PLMap(base, refinement, [images[i] for i in range(len(refinement.points))])

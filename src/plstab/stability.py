@@ -118,11 +118,11 @@ def _on_one_edge(gens: Sequence[Tuple[str, PLMap1D]]) -> List[Tuple[str, PLMap]]
     its canonical breakpoints.  The maps are valid, so both the complexes
     and the maps are built trusted."""
     a, b = gens[0][1].domain
-    base = Complex.trusted([(a,), (b,)], [(0, 1)], True)
+    base = Complex.trusted([(a,), (b,)], [(0, 1)])
     out = []
     for name, f in gens:
         edges = [(i, i + 1) for i in range(len(f.slopes))]
-        refinement = Complex.trusted([(x,) for x, _ in f.breakpoints], edges, True)
+        refinement = Complex.trusted([(x,) for x, _ in f.breakpoints], edges)
         out.append((name, PLMap.trusted(base, refinement, [(y,) for _, y in f.breakpoints],
                                         [0] * len(edges))))
     return out

@@ -34,9 +34,9 @@ def check_trusted_builds(monkeypatch):
     lift_trusted, map1d_trusted = CircleLift.trusted, PLMap1D.trusted
     germ_trusted = Germ.trusted
 
-    def checked_complex(cls, points, maximal_simplices, connected_flag):
-        out = complex_trusted(points, maximal_simplices, connected_flag)
-        ref = Complex(points, maximal_simplices, require_connected=connected_flag)
+    def checked_complex(cls, points, maximal_simplices):
+        out = complex_trusted(points, maximal_simplices)
+        ref = Complex(points, maximal_simplices, require_connected=False)
         if (out.points, out.simplices) != (ref.points, ref.simplices):
             raise TrustedBuildMismatch(f"{out!r} differs from {ref!r}")
         # a trusted build keeps its points as given, and an int equals its

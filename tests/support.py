@@ -519,7 +519,7 @@ def load_map_per_token(base_text, map_text):
             and tuple(points) == base.points):
         refinement = base
     else:
-        refinement = Complex(points, sims, require_connected=base.connected_flag)
+        refinement = Complex(points, sims, require_connected=False)
     if sorted(images) != list(range(len(refinement.points))):
         raise InvalidComplex("img records do not cover the refinement vertices")
     return PLMap(base, refinement, [images[i] for i in range(len(refinement.points))])

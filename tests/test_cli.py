@@ -55,6 +55,10 @@ s 1 2 3
 
 R13 = "circle\n0 1/3\n2/3 1\n1 4/3\n"
 
+R5_11 = "circle\n0 5/11\n1 16/11\n"
+
+C1 = "circle\n0 1/3\n1/4 1/2\n3/4 5/6\n1 4/3\n"
+
 F1 = "interval 0 1\n0 0\n1/4 1/2\n1 1\n"
 
 
@@ -88,6 +92,33 @@ def test_rotno_rational(workdir):
     code, out = run(["rotno", "--map", str(workdir / "r13.map"), "--n", "9"])
     assert code == 0
     assert out == "[1/3, 1/3]\n"
+
+
+def test_rotno_past_qmax_prints_the_enclosure_and_certifies_none(tmp_path):
+    """Rotation by 5/11 with qmax below 11: the text is the --n enclosure,
+    and the JSON outcome is certified-none, which the Stern-Brocot bracket
+    proves (at qmax 2 it is 0/1 < 5/11 < 1/2)."""
+    path = tmp_path / "r.map"
+    path.write_text(R5_11)
+    assert run(["rotno", "--map", str(path), "--qmax", "8"]) == (0, "[309/704, 331/704]\n")
+    for qmax in ("2", "8"):
+        code, out = run(["rotno", "--map", str(path), "--qmax", qmax, "--json"])
+        assert code == 0
+        assert json.loads(out)["report"] == {"enclosure": ["309/704", "331/704"],
+                                             "outcome": "certified-none", "rational": None}
+
+
+def test_compose_and_invert_circle_maps(tmp_path):
+    (tmp_path / "c1.map").write_text(C1)
+    (tmp_path / "r13.map").write_text(R13)
+    c1, r13 = str(tmp_path / "c1.map"), str(tmp_path / "r13.map")
+    assert run(["compose", "--map", c1, "--map", r13]) == (
+        0, "circle\n0 5/9\n5/12 5/6\n2/3 4/3\n1 14/9\n")
+    code, out = run(["invert", "--map", c1])
+    assert (code, out) == (0, "circle\n0 -1/6\n1/3 0\n5/6 3/4\n1 5/6\n")
+    (tmp_path / "inv.map").write_text(out)
+    assert run(["compose", "--map", c1, "--map", str(tmp_path / "inv.map")]) == (
+        0, "circle\n0 0\n1 1\n")
 
 
 def test_eval_2d(workdir):
@@ -149,11 +180,20 @@ def test_certify_hypothesis_failed(workdir):
     assert code == 3
 
 
-def test_usage_errors():
+def test_usage_errors(workdir, capsys):
     code, _ = run(["certify", "--vertex", "1"])
     assert code == 64
     code, _ = run(["rotno", "--map", "x.map", "--n", "0"])
     assert code == 64
+    # commands given the wrong kind of input
+    f1, r13, square = (str(workdir / name) for name in ("f1.map", "r13.map", "square.cx"))
+    for argv, message in (
+            (["fixset", "--map", f1], "fixset needs a complex-based map"),
+            (["rotno", "--map", f1], "rotno needs a circle map"),
+            (["compose", "--map", f1, "--map", r13], "cannot compose maps of different kinds"),
+            (["overlay", "--complex", square], "overlay needs exactly two --complex files")):
+        assert run(argv) == (64, "")
+        assert message in capsys.readouterr().err
 
 
 def test_parser_is_reused_across_calls(workdir):
@@ -183,13 +223,33 @@ def test_pinched_complex_is_a_data_error(workdir, capsys):
     assert "vertices 0 and 4 lie at one point" in capsys.readouterr().err
 
 
-def test_data_errors(workdir):
+def test_data_errors(workdir, capsys):
     code, _ = run(["euler", "--complex", str(workdir / "nope.cx")])
     assert code == 65
     bad = workdir / "bad.cx"
     bad.write_text("v 0 0 0\nzz\n")
     code, _ = run(["euler", "--complex", str(bad)])
     assert code == 65
+    # an action directory that is missing, or holds no generator file
+    empty = workdir / "empty"
+    empty.mkdir()
+    (empty / "base.cx").write_text(SQUARE)
+    capsys.readouterr()
+    for directory, message in ((workdir / "nope", "action directory"),
+                               (empty, "no generator files")):
+        assert run(["certify", "--action", str(directory), "--vertex", "0"]) == (65, "")
+        assert message in capsys.readouterr().err
+
+
+def test_a_disconnected_refinement_does_not_tile_the_base(workdir, capsys):
+    """A refinement block of two triangles apart, over the connected square:
+    its validation takes no connectivity check, the tiling test refuses it."""
+    (workdir / "apart.pm").write_text(
+        "base square.cx\nv 0 0 0\nv 1 1 0\nv 2 1/2 1/4\nv 3 0 1\nv 4 1 1\n"
+        "v 5 1/2 3/4\ns 0 1 2\ns 3 4 5\nimg 0 0 0\nimg 1 1 0\nimg 2 1/2 1/4\n"
+        "img 3 0 1\nimg 4 1 1\nimg 5 1/2 3/4\n")
+    assert run(["fixset", "--map", str(workdir / "apart.pm")]) == (65, "")
+    assert "refinement does not tile the base" in capsys.readouterr().err
 
 
 def test_triangles_on_a_line_are_a_data_error(workdir, capsys):

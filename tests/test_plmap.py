@@ -445,10 +445,38 @@ def test_refinement_block_differing_from_base_is_validated():
     assert f.cell_base == (0, 1)
 
 
+def test_equality_stops_at_the_first_differing_vertex(monkeypatch):
+    """``f == g`` compares the two maps at the overlay's vertices in vertex
+    order and stops at the first where they differ: at vertex k, after
+    2(k + 1) piece applications, one of each map per vertex."""
+    from test_fixedlocus import bench_grid_maps  # it imports this module
+    f = interior_move_map()
+    pairs = [(f, identity_map(f.base)), (f, interior_move_map((F(5, 8), F(1, 2))))]
+    for seed in range(3):
+        g, h = bench_grid_maps(3, seed)
+        pairs += [(g, h), (g, compose2d(h, g)), (compose2d(g, h), compose2d(h, g))]
+    applied = []
+
+    def counted(piece, x):
+        applied.append(1)
+        return apply_piece(piece, x)
+
+    apply_piece = plmap._apply_piece
+    for a, b in pairs:
+        points = overlay(a.refinement, b.refinement).cells.points
+        k = next(v for v, x in enumerate(points) if a.eval(x) != b.eval(x))
+        assert k < len(points) - 1
+        monkeypatch.setattr(plmap, "_apply_piece", counted)
+        applied.clear()
+        assert a != b
+        assert len(applied) == 2 * (k + 1)
+        monkeypatch.setattr(plmap, "_apply_piece", apply_piece)
+
+
 def test_map_on_a_disconnected_base_round_trips():
-    """A refinement block that is not the base is validated as connected
-    only when the base is: the inverse of the two-squares swap has the
-    overlay of its image with the base as its refinement."""
+    """A refinement block that is not the base is not required to be
+    connected, as it tiles the base: the inverse of the two-squares swap
+    has the overlay of its image with the base as its refinement."""
     base = two_squares()
     f = PLMap(base, base, [(x + 2, y) for x, y in base.points[:4]]
               + [(x - 2, y) for x, y in base.points[4:]])

@@ -6,7 +6,7 @@ import pytest
 from plstab.complexes import Complex
 from plstab.errors import InvalidComplex, VertexNotInComplex
 from plstab.geometry import Mat, primitive_direction
-from plstab.plmap import PLMap, compose2d, plmap_from_vertex_images
+from plstab.plmap import PLMap, compose2d, inverse2d, plmap_from_vertex_images
 from plstab.tangent import (Fan, Germ, build_germ, canonical_germ,
                             compose_germs, fan_of_star, germs_equal,
                             identity_germ, in_cone,
@@ -247,3 +247,22 @@ def test_germ_matrices_match_the_columns_read_by_evaluation(seed):
         assert len(fixed) > 10
         for p in fixed:
             assert build_germ(h, p) == build_germ_by_evaluation(h, p)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_germs_of_a_map_and_its_inverse_merge_to_the_identity(seed):
+    """At an interior vertex v that a seeded grid map f fixes, the germ of f
+    composed with the germ of its inverse merges its cones
+    (`canonical_germ`) to fewer than either input has: identity matrices
+    on a fan that agrees with the identity germ on f's fan."""
+    f = bench_grid_maps(3, seed)[0]
+    g = inverse2d(f)
+    fixed = [v for v in range(len(f.base.points)) if fan_of_star(f.base, v).closed
+             and f.images[f.refinement_index_of_base_vertex(v)] == f.base.points[v]]
+    assert fixed
+    for v in fixed:
+        germ_f, germ_g = build_germ(f, v), build_germ(g, v)
+        merged = compose_germs(germ_f, germ_g)
+        assert all(m.is_identity() for m in merged.matrices)
+        assert len(merged.fan.cones) < min(len(germ_f.fan.cones), len(germ_g.fan.cones))
+        assert germs_equal(merged, identity_germ(germ_f.fan))

@@ -105,7 +105,7 @@ def test_check_mode_validates_trusted_builds():
     with pytest.raises(InvalidComplex, match="overlap"):
         PLMap.trusted(sq, sq, folded, range(4))
     with pytest.raises(InvalidComplex, match="overlap"):
-        Complex.trusted(folded, sq.simplices, True)
+        Complex.trusted(folded, sq.simplices)
 
 
 def test_check_mode_requires_fraction_points():
@@ -113,7 +113,7 @@ def test_check_mode_requires_fraction_points():
     Fraction, so check mode asks for tuples of Fractions outright."""
     ints = [(0, 0), (1, 0), (1, 1), (0, 1)]
     with pytest.raises(AssertionError, match="no tuple of Fractions"):
-        Complex.trusted(ints, [(0, 1, 2), (0, 2, 3)], True)
+        Complex.trusted(ints, [(0, 1, 2), (0, 2, 3)])
     sq = Complex(ints, [(0, 1, 2), (0, 2, 3)])
     with pytest.raises(AssertionError, match="no tuple of Fractions"):
         PLMap.trusted(sq, sq, ints, range(2))
