@@ -10,12 +10,17 @@ go through the validating constructor, which canonicalizes and then checks
 that the slopes are positive and that F(1) = F(0) + 1 on [0, 1]; compose
 and invert build their results with `CircleLift.trusted`. Lifts compose
 by one linear merge of G's breakpoints with one rotated period of F's
-(`interval.compose_breakpoints`), which keeps only the points where the
-slope changes, so its output is canonical.
+(`compose_lift_rows` over `interval.compose_breakpoints`), which keeps
+only the points where the slope changes, so its output is canonical. The
+merge runs on breakpoint rows, integer ratios in lowest terms
+(`BreakpointMap.rows`), and `compose_lift` builds its result back with
+`CircleLift.from_rows`.
 Detection bisects the Stern-Brocot tree of rationals: each level builds
 one power F^(b+d) from the two powers F^b, F^d of its bracket's bounds by
 that merge, and the sign of the displacement F^(b+d)(x) - x against the
-mediant's numerator moves one bound or proves the mediant. A rotation
+mediant's numerator moves one bound or proves the mediant. Every level
+stays on rows: only the power F^q that proves p/q becomes a `CircleLift`,
+and its periodic point is solved only when read. A rotation
 number p/q costs one merge per level down to p/q, at most q - 1; past
 qmax, the bracket proves that no p/q with q <= qmax is the rotation number.
 """
@@ -26,14 +31,15 @@ from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import floor
-from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InvalidComplex, ParseError
 from .geometry import fmt, rat
-from .interval import (BreakpointMap, compose_breakpoints, format_breakpoint_lines,
-                       interpolate, piece_slopes, read_breakpoint_lines,
-                       shifted_fixed_pieces)
+from .interval import (BreakpointMap, Ratio, Row, compose_breakpoints,
+                       format_breakpoint_lines, interpolate, piece_slopes,
+                       read_breakpoint_lines, shifted_fixed_pieces)
+
+Lift = Tuple[List[Row], List[Ratio]]  # a lift's breakpoint rows and slope ratios
 
 
 class CircleLift(BreakpointMap):
@@ -98,22 +104,31 @@ def eval_lift(F: CircleLift, x) -> Fraction:
 
 
 def compose_lift(F: CircleLift, G: CircleLift) -> CircleLift:
-    """Lift of the composed circle map: x -> F(G(x)), by one linear merge.
+    """Lift of the composed circle map: x -> F(G(x)), by one linear merge
+    of breakpoint rows (`compose_lift_rows`)."""
+    return CircleLift.from_rows(*compose_lift_rows(F.rows(), G.rows()))
+
+
+def compose_lift_rows(F: Lift, G: Lift) -> Lift:
+    """The breakpoint rows and slope ratios of x -> F(G(x)), for F and G
+    given by theirs (`BreakpointMap.rows`).
 
     G's values run from y0 = G(0) to y0 + 1, so the F breakpoints they meet
-    are one rotated pass over F's period, shifted by floor(y0) and then by
-    floor(y0) + 1; F's piece slopes rotate with it, unchanged. The merge
-    walks them together with G's breakpoints.
+    are one rotated pass over F's period, shifted by k = floor(y0) and then
+    by k + 1; F's piece slopes rotate with it, unchanged. Adding an integer
+    to a ratio in lowest terms keeps it in lowest terms. The merge walks
+    them together with G's breakpoints.
     """
-    fb, fs = F.breakpoints, F.slopes
-    y0 = G.breakpoints[0][1]
-    k = floor(y0)
-    i = bisect_right(fb, y0 - k, key=itemgetter(0)) - 1
-    rotated = [(u + k, v + k) for u, v in fb[i:]]
+    (fr, fs), (gr, gs) = F, G
+    yn, yd = gr[0][2:]
+    k = yn // yd
+    tn = yn - k * yd  # y0 - k = tn / yd, in [0, 1)
+    # the last F breakpoint with x <= y0 - k, cross-multiplied
+    i = bisect_right(fr, False, key=lambda row: row[0] * yd > tn * row[1]) - 1
+    rotated = [(un + k * ud, ud, vn + k * vd, vd) for un, ud, vn, vd in fr[i:]]
     k += 1  # the next period
-    rotated += [(u + k, v + k) for u, v in fb[1:i + 2]]
-    return CircleLift.trusted(*compose_breakpoints(rotated, fs[i:] + fs[:i + 1],
-                                                   G.breakpoints, G.slopes))
+    rotated += [(un + k * ud, ud, vn + k * vd, vd) for un, ud, vn, vd in fr[1:i + 2]]
+    return compose_breakpoints(rotated, fs[i:] + fs[:i + 1], gr, gs)
 
 
 def inverse_lift(F: CircleLift) -> CircleLift:
@@ -180,9 +195,13 @@ def rotation_enclosure(F: CircleLift, n: int) -> RotationEnclosure:
 class RationalRotation:
     p: int
     q: int
-    periodic_point: Fraction
     # the lift F^q that detection built, so callers need not compose it again
-    power: Optional[CircleLift] = field(default=None, compare=False, repr=False)
+    power: CircleLift = field(compare=False, repr=False)
+
+    @property
+    def periodic_point(self) -> Fraction:
+        """The least x in [0, 1) with F^q(x) = x + p, solved when read."""
+        return fixed_set_circle(self.power, self.p)[0][0]
 
     @property
     def value(self) -> Fraction:
@@ -200,15 +219,15 @@ def fixed_set_circle(F: CircleLift, p: int) -> List[Tuple[Fraction, Fraction]]:
     return [piece for piece in merged if not (piece == (1, 1) and (0, 0) in merged)]
 
 
-def _displacement_side(Fq: CircleLift, p: int) -> int:
-    """Where the displacement d(x) = F^q(x) - x lies against the integer p:
-    1 if above it everywhere, -1 if below it everywhere, 0 if d reaches p.
-    d is PL, so its extremes are taken at breakpoints; at each, the sign of
-    d - p is read off the numerators and denominators, building no Fraction."""
-    above = Fq.breakpoints[0][1] > p  # d(0) = F^q(0)
-    for x, y in Fq.breakpoints:
-        yd = y.denominator
-        s = (y.numerator - p * yd) * x.denominator - x.numerator * yd
+def _displacement_side(rows: Sequence[Row], p: int) -> int:
+    """Where the displacement d(x) = F^q(x) - x lies against the integer p,
+    for F^q given by its breakpoint rows: 1 if above it everywhere, -1 if
+    below it everywhere, 0 if d reaches p. d is PL, so its extremes are
+    taken at breakpoints; at each, the sign of d - p is read off the
+    cross-multiplied numerators and denominators."""
+    above = rows[0][2] > p * rows[0][3]  # d(0) = F^q(0)
+    for xn, xd, yn, yd in rows:
+        s = (yn - p * yd) * xd - xn * yd
         if not s or (s > 0) != above:
             return 0
     return 1 if above else -1
@@ -232,33 +251,32 @@ def detect_rational_rotation(F: CircleLift, qmax: int = 64):
     bounds are again Farey neighbours, and the loop ends only when
     b + d > qmax; every fraction strictly between Farey neighbours has a
     denominator of at least b + d, so then no p/q with q <= qmax is
-    rot(F), qmax = 1 included. Each level of the tree costs one merge.
+    rot(F), qmax = 1 included. Each level of the tree costs one merge of
+    breakpoint rows (`compose_lift_rows`); only the power found is built
+    as a `CircleLift`.
     """
     if qmax < 1:
         raise ValueError("qmax must be positive")
+    rows = F.rows()
     n = floor(F.breakpoints[0][1])
     for p in (n, n + 1):
-        if _displacement_side(F, p) == 0:
-            return _found(F, p, 1), "found"
-    a, b, Fb, c, d, Fd = n, 1, F, n + 1, 1, F
+        if _displacement_side(rows[0], p) == 0:
+            return RationalRotation(p, 1, F), "found"
+    a, b, Fb, c, d, Fd = n, 1, rows, n + 1, 1, rows
     while b + d <= qmax:
         p, q = a + c, b + d
-        # powers of F commute, and compose_lift shifts its first argument's
-        # breakpoints, so the power with fewer breakpoints goes first
-        Fq = (compose_lift(Fb, Fd) if len(Fb.breakpoints) <= len(Fd.breakpoints)
-              else compose_lift(Fd, Fb))
-        side = _displacement_side(Fq, p)
+        # powers of F commute, and compose_lift_rows shifts its first
+        # argument's breakpoints, so the power with fewer breakpoints goes first
+        Fq = (compose_lift_rows(Fb, Fd) if len(Fb[0]) <= len(Fd[0])
+              else compose_lift_rows(Fd, Fb))
+        side = _displacement_side(Fq[0], p)
         if side == 0:
-            return _found(Fq, p, q), "found"
+            return RationalRotation(p, q, CircleLift.from_rows(*Fq)), "found"
         if side > 0:
             a, b, Fb = p, q, Fq
         else:
             c, d, Fd = p, q, Fq
     return None, "certified-none"
-
-
-def _found(Fq: CircleLift, p: int, q: int) -> RationalRotation:
-    return RationalRotation(p=p, q=q, periodic_point=fixed_set_circle(Fq, p)[0][0], power=Fq)
 
 
 # -- text format ---------------------------------------------------------

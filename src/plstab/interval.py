@@ -11,6 +11,13 @@ Composition is one linear merge of the two breakpoint lists that emits only
 the kinks (`compose_breakpoints`, which circle lifts share), and the
 inverse of a canonical map is canonical.
 
+The merge runs on integer ratios, not `Fraction`s: a breakpoint row is
+(xn, xd, yn, yd) and a slope is (n, d), each ratio in lowest terms with a
+positive denominator, as `Fraction.as_integer_ratio()` gives it. So equal
+rationals are equal tuples. `BreakpointMap.rows` converts a map to rows
+and `BreakpointMap.from_rows` builds the trusted map back; they are the
+only places on that path that convert between the two forms.
+
 An interval action is certified by `stability.certify_trivial` as the
 same action on the one-edge complex [a, b], whose refinement is each
 map's canonical breakpoints.
@@ -20,6 +27,7 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
+from math import gcd
 from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
@@ -34,6 +42,8 @@ from .geometry import fmt, rat
 
 Break = Tuple[Fraction, Fraction]
 Piece = Tuple[Fraction, Fraction]
+Ratio = Tuple[int, int]  # (numerator, denominator), in lowest terms, denominator > 0
+Row = Tuple[int, int, int, int]  # a breakpoint (x, y) as (xn, xd, yn, yd)
 
 
 # -- breakpoint lists, shared with circle lifts ---------------------------
@@ -53,14 +63,32 @@ def interpolate(bps: Sequence[Break], x: Fraction) -> Fraction:
     return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
 
 
-def compose_breakpoints(fbps: Sequence[Break], fslopes: Sequence[Fraction],
-                        gbps: Sequence[Break], gslopes: Sequence[Fraction]
-                        ) -> Tuple[List[Break], List[Fraction]]:
-    """Canonical breakpoints and piece slopes of x -> f(g(x)), by one merge.
+def _along(row, slope, tn, td):
+    """v + (t - u) * slope in lowest terms, for row = (u, v) and t = tn/td:
+    the value at t of the line through (u, v) with that slope."""
+    un, ud, vn, vd = row
+    sn, sd = slope
+    d = vd * ud * td * sd
+    n = vn * ud * td * sd + (tn * ud - un * td) * sn * vd
+    g = gcd(n, d)
+    return n // g, d // g
 
-    Precondition: g, given by gbps and the slope of each of its pieces, has
-    increasing values; f, the PL function through fbps with piece slopes
-    fslopes, has x values covering g's values. fbps need not be canonical:
+
+def _times(s, t):
+    """The product of two ratios, in lowest terms."""
+    n, d = s[0] * t[0], s[1] * t[1]
+    g = gcd(n, d)
+    return n // g, d // g
+
+
+def compose_breakpoints(frows: Sequence[Row], fslopes: Sequence[Ratio],
+                        grows: Sequence[Row], gslopes: Sequence[Ratio]
+                        ) -> Tuple[List[Row], List[Ratio]]:
+    """Canonical breakpoint rows and piece slopes of x -> f(g(x)), by one merge.
+
+    Precondition: g, given by grows and the slope of each of its pieces, has
+    increasing values; f, the PL function through frows with piece slopes
+    fslopes, has x values covering g's values. frows need not be canonical:
     a circle lift's period seam may not be a kink.
 
     The candidate points are g's breakpoints, valued from the current f
@@ -68,43 +96,44 @@ def compose_breakpoints(fbps: Sequence[Break], fslopes: Sequence[Fraction],
     piece, valued exactly as that breakpoint's y. On the piece right of a
     candidate, f(g(x)) has slope f's slope times g's; an interior candidate
     is kept iff that product differs from the slope left of it, so the
-    result is canonical. O(len(fbps) + len(gbps)) Fraction operations: no
-    inverse, no bisect, and no slope computed from breakpoints.
+    result is canonical. Every ratio is in lowest terms with a positive
+    denominator, so that test is tuple inequality, and an order test
+    cross-multiplies. O(len(frows) + len(grows)) int operations: no
+    Fraction, no inverse, no bisect, and no slope computed from breakpoints.
     """
     last = len(fslopes) - 1  # index of the last f piece
-    end = len(gbps) - 1
-    xa, ya = gbps[0]
+    end = len(grows) - 1
+    xan, xad, yan, yad = grows[0]
     j = 0
-    while j < last and fbps[j + 1][0] <= ya:
+    while j < last and frows[j + 1][0] * yad <= yan * frows[j + 1][1]:
         j += 1
-    (u0, v0), (u1, v1), fsl = fbps[j], fbps[j + 1], fslopes[j]
-    out = [(xa, v0 + (ya - u0) * fsl)]
-    slopes = [fsl * gslopes[0]]
-    # invariant: u0 <= ya, and ya < u1 unless j is the last f piece
+    f0, f1, fsl = frows[j], frows[j + 1], fslopes[j]
+    out = [(xan, xad) + _along(f0, fsl, yan, yad)]
+    slopes = [_times(fsl, gslopes[0])]
+    # invariant: f0's u <= ya, and ya < f1's u unless j is the last f piece
     for m in range(1, end + 1):
-        xb, yb = gbps[m]
+        xbn, xbd, ybn, ybd = grows[m]
         gsl = gslopes[m - 1]
-        while u1 < yb:  # an f breakpoint strictly inside the g piece
+        while f1[0] * ybd < ybn * f1[1]:  # an f breakpoint strictly inside the g piece
             j += 1
-            (u0, v0), (u1, v1), fsl = (u1, v1), fbps[j + 1], fslopes[j]
-            h = fsl * gsl
+            f0, f1, fsl = f1, frows[j + 1], fslopes[j]
+            h = _times(fsl, gsl)
             if h != slopes[-1]:
-                out.append((xa + (u0 - ya) / gsl, v0))
+                # its g-preimage, on g's inverse piece through (ya, xa)
+                out.append(_along((yan, yad, xan, xad), gsl[::-1], f0[0], f0[1]) + f0[2:])
                 slopes.append(h)
+        on_f1 = f1[0] == ybn and f1[1] == ybd
         if m == end:
-            out.append((xb, v1 if yb == u1 else v0 + (yb - u0) * fsl))
+            out.append((xbn, xbd) + (f1[2:] if on_f1 else _along(f0, fsl, ybn, ybd)))
             break
-        if yb == u1:
+        if on_f1:
             j += 1
-            (u0, v0), (u1, v1), fsl = (u1, v1), fbps[j + 1], fslopes[j]
-            y = v0
-        else:
-            y = v0 + (yb - u0) * fsl
-        h = fsl * gslopes[m]
+            f0, f1, fsl = f1, frows[j + 1], fslopes[j]
+        h = _times(fsl, gslopes[m])
         if h != slopes[-1]:
-            out.append((xb, y))
+            out.append((xbn, xbd) + (f0[2:] if on_f1 else _along(f0, fsl, ybn, ybd)))
             slopes.append(h)
-        xa, ya = xb, yb
+        xan, xad, yan, yad = xbn, xbd, ybn, ybd
     return out, slopes
 
 
@@ -166,6 +195,19 @@ class BreakpointMap:
         self.breakpoints = tuple(breakpoints)
         self.slopes = tuple(slopes)
         return self
+
+    @classmethod
+    def from_rows(cls, rows: Sequence[Row], slopes: Sequence[Ratio]):
+        """The trusted map of breakpoint rows and slope ratios that a merge
+        emitted: one Fraction per coordinate and per slope."""
+        return cls.trusted([(Fraction(xn, xd), Fraction(yn, yd)) for xn, xd, yn, yd in rows],
+                           [Fraction(n, d) for n, d in slopes])
+
+    def rows(self) -> Tuple[List[Row], List[Ratio]]:
+        """The breakpoint rows and slope ratios that `compose_breakpoints`
+        merges."""
+        return ([x.as_integer_ratio() + y.as_integer_ratio() for x, y in self.breakpoints],
+                [s.as_integer_ratio() for s in self.slopes])
 
     def __eq__(self, other):
         return type(other) is type(self) and self.breakpoints == other.breakpoints
@@ -262,12 +304,13 @@ def compose1d(f: PLMap1D, g: PLMap1D) -> PLMap1D:
     """
     if f.interval != g.interval:
         raise OutOfInterval("maps must share the interval")
-    if g.orientation > 0:
-        return PLMap1D.trusted(*compose_breakpoints(f.breakpoints, f.slopes,
-                                                    g.breakpoints, g.slopes))
-    return PLMap1D.trusted(*compose_breakpoints(
-        [(-u, v) for u, v in reversed(f.breakpoints)], [-s for s in reversed(f.slopes)],
-        [(x, -y) for x, y in g.breakpoints], [-s for s in g.slopes]))
+    (frows, fslopes), (grows, gslopes) = f.rows(), g.rows()
+    if g.orientation < 0:
+        frows = [(-un, ud, vn, vd) for un, ud, vn, vd in reversed(frows)]
+        fslopes = [(-n, d) for n, d in reversed(fslopes)]
+        grows = [(xn, xd, -yn, yd) for xn, xd, yn, yd in grows]
+        gslopes = [(-n, d) for n, d in gslopes]
+    return PLMap1D.from_rows(*compose_breakpoints(frows, fslopes, grows, gslopes))
 
 
 def one_sided_derivative(f: PLMap1D, p, side: str) -> Fraction:

@@ -5,11 +5,21 @@ segment and 3-space triangle overlap predicates of `complexes` and of its
 rule that cells meet in common faces, that of the simple-polygon test of
 `geometry`, those of the germ construction and fan refinement of
 `tangent`, and the per-token parse that the loader's token table
-replaced."""
+replaced; the grid complexes and grid maps of the square, and the
+`Fraction` merge that the breakpoint-row merge of
+`interval.compose_breakpoints` replaced. Every helper that more than one
+test module uses lives here or, if it is a hypothesis strategy, in
+`strategies`, so no test module imports another, and this module needs
+no hypothesis."""
 
+import importlib.util
+import math
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from pathlib import Path
+
+from plstab.circle import CircleLift
 
 from plstab.clip import point_in_triangle
 from plstab.complexes import Complex, tri_tri_open_meet_2d
@@ -405,6 +415,12 @@ def f1_map():
     return PLMap1D([(0, 0), (F(1, 4), F(1, 2)), (1, 1)])
 
 
+def c1_map():
+    """A lift with kinks and rotation number strictly between 0 and 1."""
+    return CircleLift([(0, F(1, 3)), (F(1, 4), F(1, 2)), (F(3, 4), F(5, 6)),
+                       (1, F(4, 3))])
+
+
 def random_plmap1d(rng, max_breaks=20, a=F(0), b=F(1)):
     """Random increasing PL bijection of [a, b] with at most max_breaks
     interior breakpoints."""
@@ -523,3 +539,157 @@ def load_map_per_token(base_text, map_text):
     if sorted(images) != list(range(len(refinement.points))):
         raise InvalidComplex("img records do not cover the refinement vertices")
     return PLMap(base, refinement, [images[i] for i in range(len(refinement.points))])
+
+
+# -- grid complexes and maps of the unit square -------------------------
+
+
+def two_squares():
+    """[0,1]^2 and [2,3]^2, each cut by a diagonal: a disconnected base."""
+    pts = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (3, 0), (3, 1), (2, 1)]
+    return Complex(pts, [(0, 1, 2), (0, 2, 3), (4, 5, 6), (4, 6, 7)],
+                   require_connected=False)
+
+
+def grid_complex(n):
+    pts = [(F(i, n), F(j, n)) for j in range(n + 1) for i in range(n + 1)]
+    sims = []
+    for j in range(n):
+        for i in range(n):
+            a = j * (n + 1) + i
+            b, c, d = a + 1, a + n + 2, a + n + 1
+            sims += [(a, b, c), (a, c, d)]
+    return Complex(pts, sims)
+
+
+SYMMETRIES = [
+    lambda x, y: (x, y), lambda x, y: (1 - x, y),
+    lambda x, y: (x, 1 - y), lambda x, y: (1 - x, 1 - y),
+    lambda x, y: (y, x), lambda x, y: (1 - y, x),
+    lambda x, y: (y, 1 - x), lambda x, y: (1 - y, 1 - x),
+]
+
+
+def _along_boundary(p, d):
+    """The offset d of grid point p with its component off the boundary
+    dropped: corners stay, edge points slide along their edge."""
+    (x, y), (dx, dy) = p, d
+    return (0 if x in (0, 1) else dx, 0 if y in (0, 1) else dy)
+
+
+GRIDS = {2: grid_complex(2), 3: grid_complex(3)}
+
+
+def centroid_split(c):
+    """c with each triangle split at its centroid: the boundary is c's."""
+    points, sims = list(c.points), []
+    for a, b, d in c.simplices:
+        points.append(tuple(sum(x) / 3 for x in zip(c.points[a], c.points[b], c.points[d])))
+        m = len(points) - 1
+        sims += [(a, b, m), (b, d, m), (a, d, m)]
+    return Complex(points, sims)
+
+
+def grid_map(n, offsets, centre_offsets, boundary, sym, refine):
+    """The n x n grid with vertex k moved by offsets[k]/(4n), then a symmetry
+    of the square.  Boundary vertices stay ("fixed"), slide along their side
+    ("slide") or move freely ("free").  The refinement is the base itself,
+    an equal copy, or the base split at centroids; the centroid of cell k
+    goes to the centroid of its image moved by centre_offsets[k]/(24n)."""
+    base = GRIDS[n]
+    moved = []
+    for (x, y), (dx, dy) in zip(base.points, offsets):
+        if boundary != "free" and {x, y} & {0, 1}:
+            dx, dy = (0 if x in (0, 1) else dx, 0 if y in (0, 1) else dy)
+            if boundary == "fixed":
+                dx = dy = 0
+        moved.append(SYMMETRIES[sym](x + F(dx, 4 * n), y + F(dy, 4 * n)))
+    if refine == "same":
+        return base, base, moved
+    if refine == "copy":
+        return base, Complex(base.points, base.simplices), moved
+    for (a, b, c), (dx, dy) in zip(base.simplices, centre_offsets):
+        cx, cy = (sum(x) / 3 for x in zip(moved[a], moved[b], moved[c]))
+        moved.append((cx + F(dx, 24 * n), cy + F(dy, 24 * n)))
+    return base, centroid_split(base), moved
+
+
+def bench_grid_maps(n, seed):
+    """Two seeded grid maps of the benchmark's generator, ``bench/gen.py``."""
+    spec = importlib.util.spec_from_file_location(
+        "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gen)
+    base = Complex(gen.grid_points(n), gen.grid_triangles(n))
+    rng = random.Random(seed)
+    return [PLMap(base, base, gen.grid_map(rng, n)[0]) for _ in range(2)]
+
+
+# -- the Fraction merge, the oracle of the row merge ---------------------
+
+
+def fraction_breakpoints(rows):
+    """Breakpoint rows (xn, xd, yn, yd) as (x, y) Fraction pairs."""
+    return [(F(xn, xd), F(yn, yd)) for xn, xd, yn, yd in rows]
+
+
+def fraction_merge(fbps, fslopes, gbps, gslopes):
+    """The merge of `interval.compose_breakpoints` on `Fraction` breakpoints
+    and slopes, as it ran before the row form: the same candidate points
+    and the same slope-product test, with Fraction arithmetic."""
+    last = len(fslopes) - 1  # index of the last f piece
+    end = len(gbps) - 1
+    xa, ya = gbps[0]
+    j = 0
+    while j < last and fbps[j + 1][0] <= ya:
+        j += 1
+    (u0, v0), (u1, v1), fsl = fbps[j], fbps[j + 1], fslopes[j]
+    out = [(xa, v0 + (ya - u0) * fsl)]
+    slopes = [fsl * gslopes[0]]
+    for m in range(1, end + 1):
+        xb, yb = gbps[m]
+        gsl = gslopes[m - 1]
+        while u1 < yb:  # an f breakpoint strictly inside the g piece
+            j += 1
+            (u0, v0), (u1, v1), fsl = (u1, v1), fbps[j + 1], fslopes[j]
+            h = fsl * gsl
+            if h != slopes[-1]:
+                out.append((xa + (u0 - ya) / gsl, v0))
+                slopes.append(h)
+        if m == end:
+            out.append((xb, v1 if yb == u1 else v0 + (yb - u0) * fsl))
+            break
+        if yb == u1:
+            j += 1
+            (u0, v0), (u1, v1), fsl = (u1, v1), fbps[j + 1], fslopes[j]
+            y = v0
+        else:
+            y = v0 + (yb - u0) * fsl
+        h = fsl * gslopes[m]
+        if h != slopes[-1]:
+            out.append((xb, y))
+            slopes.append(h)
+        xa, ya = xb, yb
+    return out, slopes
+
+
+def fraction_compose1d(f, g):
+    """The breakpoints and slopes of x -> f(g(x)) by `fraction_merge`; a
+    decreasing g runs the merge on f reflected, after -g."""
+    if g.orientation > 0:
+        return fraction_merge(f.breakpoints, f.slopes, g.breakpoints, g.slopes)
+    return fraction_merge([(-u, v) for u, v in reversed(f.breakpoints)],
+                          [-s for s in reversed(f.slopes)],
+                          [(x, -y) for x, y in g.breakpoints], [-s for s in g.slopes])
+
+
+def fraction_compose_lift(F_, G):
+    """The breakpoints and slopes of the lift x -> F(G(x)) by
+    `fraction_merge`, over one period of F rotated to start at G(0)."""
+    fb, fs = F_.breakpoints, F_.slopes
+    y0 = G.breakpoints[0][1]
+    k = math.floor(y0)
+    i = max(n for n, (u, _) in enumerate(fb) if u <= y0 - k)
+    rotated = [(u + k, v + k) for u, v in fb[i:]]
+    rotated += [(u + k + 1, v + k + 1) for u, v in fb[1:i + 2]]
+    return fraction_merge(rotated, fs[i:] + fs[:i + 1], G.breakpoints, G.slopes)

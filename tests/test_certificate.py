@@ -11,21 +11,10 @@ from plstab.complexes import Complex, rational_points
 from plstab.errors import InvalidComplex, RealizationMismatch
 from plstab.plmap import PLMap, _certified_image
 
-from support import interior_move_map, square_complex
-from test_plmap import SYMMETRIES, grid_complex, two_squares
+from support import (GRIDS, SYMMETRIES, centroid_split, grid_map, interior_move_map,
+                     square_complex, two_squares)
 
-GRIDS = {2: grid_complex(2), 3: grid_complex(3)}
 NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
-
-
-def centroid_split(c):
-    """c with each triangle split at its centroid: the boundary is c's."""
-    points, sims = list(c.points), []
-    for a, b, d in c.simplices:
-        points.append(tuple(sum(x) / 3 for x in zip(c.points[a], c.points[b], c.points[d])))
-        m = len(points) - 1
-        sims += [(a, b, m), (b, d, m), (a, d, m)]
-    return Complex(points, sims)
 
 
 def outcome(base, refinement, images):
@@ -53,30 +42,6 @@ def certificate_only(base, refinement, images):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(PLMap, "_check_image_exactly", refuse)
         return outcome(base, refinement, images)
-
-
-def grid_map(n, offsets, centre_offsets, boundary, sym, refine):
-    """The n x n grid with vertex k moved by offsets[k]/(4n), then a symmetry
-    of the square.  Boundary vertices stay ("fixed"), slide along their side
-    ("slide") or move freely ("free").  The refinement is the base itself,
-    an equal copy, or the base split at centroids; the centroid of cell k
-    goes to the centroid of its image moved by centre_offsets[k]/(24n)."""
-    base = GRIDS[n]
-    moved = []
-    for (x, y), (dx, dy) in zip(base.points, offsets):
-        if boundary != "free" and {x, y} & {0, 1}:
-            dx, dy = (0 if x in (0, 1) else dx, 0 if y in (0, 1) else dy)
-            if boundary == "fixed":
-                dx = dy = 0
-        moved.append(SYMMETRIES[sym](x + F(dx, 4 * n), y + F(dy, 4 * n)))
-    if refine == "same":
-        return base, base, moved
-    if refine == "copy":
-        return base, Complex(base.points, base.simplices), moved
-    for (a, b, c), (dx, dy) in zip(base.simplices, centre_offsets):
-        cx, cy = (sum(x) / 3 for x in zip(moved[a], moved[b], moved[c]))
-        moved.append((cx + F(dx, 24 * n), cy + F(dy, 24 * n)))
-    return base, centroid_split(base), moved
 
 
 OFFSET = st.tuples(st.integers(-3, 3), st.integers(-3, 3))

@@ -6,17 +6,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from plstab import circle
-from plstab.circle import (CircleLift, compose_lift, detect_rational_rotation,
-                           eval_lift, fixed_set_circle, format_circle_lift,
-                           inverse_lift, iterate_lift, parse_circle_lift,
-                           rotation_enclosure)
+from plstab.circle import (CircleLift, compose_lift, compose_lift_rows,
+                           detect_rational_rotation, eval_lift, fixed_set_circle,
+                           format_circle_lift, inverse_lift, iterate_lift,
+                           parse_circle_lift, rotation_enclosure)
 from plstab.errors import InvalidComplex
 
-
-def c1_map():
-    """A lift with kinks and rotation number strictly between 0 and 1."""
-    return CircleLift([(0, F(1, 3)), (F(1, 4), F(1, 2)), (F(3, 4), F(5, 6)),
-                       (1, F(4, 3))])
+from strategies import LIFTS, periodic_lifts
+from support import c1_map
 
 
 def test_rigid_rotation_eval():
@@ -159,52 +156,6 @@ def reference_detect(F_, qmax):
     return None, "certified-none", None
 
 
-SHIFT = st.sampled_from([0, 1, -1, 3, -7, 10**6, -10**9])
-
-
-@st.composite
-def kinked_lifts(draw):
-    """A lift through increasing dyadic breakpoints, shifted by an integer."""
-    inner = sorted(draw(st.sets(st.integers(1, 63), max_size=6)))
-    values = sorted(draw(st.sets(st.integers(0, 63), min_size=len(inner) + 1,
-                                 max_size=len(inner) + 1)))
-    k = draw(SHIFT)
-    xs = [F(0)] + [F(t, 64) for t in inner]
-    ys = [k + F(t, 64) for t in values]
-    return CircleLift(list(zip(xs, ys)) + [(1, ys[0] + 1)])
-
-
-@st.composite
-def periodic_lifts(draw, qlo=1, qhi=7):
-    """A lift like the benchmark's: q points permuted cyclically by p, kinks
-    inside some gaps, then an integer shift."""
-    q = draw(st.integers(qlo, qhi))
-    p = draw(st.integers(0, q - 1).filter(lambda p: math.gcd(p, q) == 1))
-    den = 4 * q
-    xs = [F(0)] + sorted(F(t, den) for t in draw(
-        st.sets(st.integers(1, den - 1), min_size=q - 1, max_size=q - 1)))
-    image = [xs[i + p] if i + p < q else xs[i + p - q] + 1 for i in range(q)]
-    bps = list(zip(xs, image))
-    for g in draw(st.sets(st.integers(0, q - 1), max_size=2)):
-        (x0, y0) = bps[g]
-        x1, y1 = (xs[g + 1], image[g + 1]) if g + 1 < q else (F(1), image[0] + 1)
-        bps.append(((x0 + x1) / 2, y0 + draw(st.sampled_from([F(1, 4), F(3, 4)])) * (y1 - y0)))
-    bps.sort()
-    bps.append((F(1), image[0] + 1))
-    k = draw(SHIFT)
-    return CircleLift([(x, y + k) for x, y in bps])
-
-
-LIFTS = st.one_of(
-    kinked_lifts(),
-    periodic_lifts(),
-    st.builds(CircleLift.rotation, st.fractions(min_value=-20, max_value=20,
-                                                max_denominator=12)),
-    st.builds(CircleLift.rotation, SHIFT),
-    st.just(CircleLift.identity()),
-)
-
-
 @settings(max_examples=200, deadline=None)
 @given(LIFTS, LIFTS)
 def test_compose_lift_matches_reference(f, g):
@@ -315,9 +266,9 @@ def test_detection_merges_once_per_stern_brocot_level(monkeypatch, p, q, depth):
 
     def counted(f, g):
         merges.append(1)
-        return compose_lift(f, g)
+        return compose_lift_rows(f, g)
 
-    monkeypatch.setattr(circle, "compose_lift", counted)
+    monkeypatch.setattr(circle, "compose_lift_rows", counted)
     f = kinked_rotation(p, q)
     for qmax in (q, 3 * q):
         merges.clear()

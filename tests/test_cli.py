@@ -18,7 +18,7 @@ from plstab.geometry import fmt
 from plstab.interval import PLMap1D, format_plmap1d, parse_plmap1d
 from plstab.plmap import parse_plmap
 
-from test_interval import DYADIC
+from strategies import DYADIC
 
 SQUARE = """\
 v 0 0 0

@@ -14,8 +14,7 @@ from plstab.complexes import (Complex, _boundary_certificate, directed_boundary,
 from plstab.errors import InvalidComplex
 from plstab.geometry import is_simple_polygon
 
-from support import is_simple_polygon_on_fractions, random_square_triangulation
-from test_plmap import grid_complex
+from support import grid_complex, is_simple_polygon_on_fractions, random_square_triangulation
 
 GRIDS = {n: grid_complex(n) for n in (2, 3)}
 NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)

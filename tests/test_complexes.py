@@ -11,9 +11,8 @@ from plstab.complexes import (Complex, boundary, euler_characteristic,
 from plstab.geometry import face_chart, orient2, plane_normal, to_chart
 from plstab.errors import InvalidComplex, ParseError, UnknownVertex
 
-from support import (meets_in_common_faces_by_brute_force, seg_seg_open_meet_by_solving,
-                     tri_tri_open_meet_3d_by_clipping)
-from test_plmap import grid_complex
+from support import (grid_complex, meets_in_common_faces_by_brute_force,
+                     seg_seg_open_meet_by_solving, tri_tri_open_meet_3d_by_clipping)
 
 
 def square():

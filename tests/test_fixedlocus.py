@@ -1,8 +1,6 @@
-import importlib.util
 import random
 from collections import Counter
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 from hypothesis import Phase, assume, example, given, settings, strategies as st
@@ -16,9 +14,8 @@ from plstab.fixedlocus import (FixedLocus, canonical_invariant,
 from plstab.geometry import Mat, area2, orient2, vadd, vscale, vsub
 from plstab.plmap import PLMap, compose2d, identity_map, plmap_from_vertex_images, power
 
-from support import (cycle_rotation, interior_move_map, linear_part, quarter_rotation,
-                     square_complex)
-from test_certificate import grid_map
+from support import (bench_grid_maps, cycle_rotation, grid_map, interior_move_map, linear_part,
+                     quarter_rotation, square_complex)
 
 
 def test_rotation_fixes_center_only():
@@ -378,17 +375,6 @@ def test_flag_rule_matches_the_per_edge_solve_in_dimension_one(f):
     monotone maps of a subdivided interval and on reflections of planar
     polylines, which cut an edge at its midpoint."""
     assert_matches_the_per_cell_solve(f, oracle_raw_cells_1d(f))
-
-
-def bench_grid_maps(n, seed):
-    """Two seeded grid maps of the benchmark's generator, ``bench/gen.py``."""
-    spec = importlib.util.spec_from_file_location(
-        "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
-    gen = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(gen)
-    base = Complex(gen.grid_points(n), gen.grid_triangles(n))
-    rng = random.Random(seed)
-    return [PLMap(base, base, gen.grid_map(rng, n)[0]) for _ in range(2)]
 
 
 @pytest.mark.parametrize("n, seed", [(n, seed) for n in (3, 4) for seed in range(6)])

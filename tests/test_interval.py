@@ -10,6 +10,7 @@ from plstab.interval import (PLMap1D, compose1d, eval1d, fixed_set_1d,
                              format_plmap1d, inverse1d, one_sided_derivative,
                              parse_plmap1d)
 
+from strategies import interval_pairs
 from support import f1_map, random_plmap1d
 
 
@@ -130,29 +131,6 @@ def reference_compose1d(f, g):
     xs = {x for x, _ in g.breakpoints}
     xs.update(eval1d(ginv, x) for x, _ in f.breakpoints)
     return PLMap1D([(x, eval1d(f, eval1d(g, x))) for x in sorted(xs)])
-
-
-DYADIC = st.integers(min_value=1, max_value=63).map(lambda k: F(k, 64))
-
-
-@st.composite
-def interval_maps(draw, a, b):
-    """A PL bijection of [a, b], increasing or decreasing, whose breakpoints
-    may share x or y values with another draw's."""
-    inner = sorted(draw(st.sets(DYADIC, max_size=6)))
-    values = sorted(draw(st.sets(DYADIC, min_size=len(inner), max_size=len(inner))))
-    xs = [a] + [a + (b - a) * t for t in inner] + [b]
-    ys = [a] + [a + (b - a) * t for t in values] + [b]
-    if draw(st.booleans()):
-        ys.reverse()
-    return PLMap1D(list(zip(xs, ys)))
-
-
-@st.composite
-def interval_pairs(draw):
-    a = F(draw(st.integers(-5, 5)), draw(st.integers(1, 3)))
-    b = a + F(draw(st.integers(1, 6)), draw(st.integers(1, 3)))
-    return draw(interval_maps(a, b)), draw(interval_maps(a, b))
 
 
 @settings(max_examples=150, deadline=None)

@@ -1,7 +1,9 @@
 """The kink-only merge of `compose1d` and `compose_lift`, and the
 slope-based canonicalization of the validating constructor, against
-`canonical_breakpoints`, the collinearity test on breakpoints."""
+`canonical_breakpoints`, the collinearity test on breakpoints; and the
+merge on breakpoint rows against the `Fraction` merge it replaced."""
 
+import math
 from collections import Counter
 from fractions import Fraction as F
 
@@ -12,9 +14,9 @@ from plstab import circle, interval
 from plstab.circle import CircleLift, compose_lift, inverse_lift
 from plstab.interval import PLMap1D, compose1d, inverse1d, piece_slopes
 
-from support import f1_map
-from test_circle import LIFTS, c1_map
-from test_interval import interval_pairs
+from strategies import LIFTS, SHIFT, interval_pairs
+from support import (c1_map, f1_map, fraction_breakpoints, fraction_compose1d,
+                     fraction_compose_lift, fraction_merge)
 
 MERGE = interval.compose_breakpoints
 
@@ -88,13 +90,14 @@ ALL_KINDS = {"g inside an f piece", "g on f, slopes cancel", "g on f, slopes cha
              "f inside a g piece, kink", "f inside a g piece, no kink"}
 
 
-def merges(run):
-    """The (fbps, gbps, result) of every merge that `run()` makes."""
+def row_merges(run):
+    """The arguments and the result, breakpoint rows and slope ratios as
+    they are, of every merge that `run()` makes."""
     seen = []
 
-    def spy(fbps, fslopes, gbps, gslopes):
-        out = MERGE(fbps, fslopes, gbps, gslopes)
-        seen.append((fbps, gbps, out))
+    def spy(*args):
+        out = MERGE(*args)
+        seen.append((args, out))
         return out
 
     with pytest.MonkeyPatch.context() as mp:
@@ -102,6 +105,17 @@ def merges(run):
         mp.setattr(circle, "compose_breakpoints", spy)
         run()
     return seen
+
+
+def as_fractions(rows, slopes):
+    return fraction_breakpoints(rows), [F(n, d) for n, d in slopes]
+
+
+def merges(run):
+    """The (fbps, gbps, result) of every merge that `run()` makes, its
+    breakpoint rows and slope ratios converted to Fractions."""
+    return [(fraction_breakpoints(frows), fraction_breakpoints(grows), as_fractions(*out))
+            for (frows, _, grows, _), out in row_merges(run)]
 
 
 def check_merges(run):
@@ -169,6 +183,80 @@ def test_the_examples_meet_every_kind_of_point():
         kinds += check_merges(lambda: compose_lift_cases(f, g))
     assert set(kinds) == ALL_KINDS
     assert {g.orientation for _, g in INTERVAL_EXAMPLES} == {1, -1}
+
+
+# -- the row merge against the Fraction merge ----------------------------
+
+
+def check_against_fraction_merge(compose, oracle, f, g):
+    """compose(f, g) makes one row merge, which gives what the Fraction
+    merge gives on the same inputs, every ratio in lowest terms with a
+    positive denominator (so equal rationals are equal tuples); the map
+    built from it has the breakpoints and slopes of oracle(f, g)."""
+    made = []
+    calls = row_merges(lambda: made.append(compose(f, g)))
+    assert len(calls) == 1
+    (frows, fslopes, grows, gslopes), (rows, slopes) = calls[0]
+    assert as_fractions(rows, slopes) == fraction_merge(*as_fractions(frows, fslopes),
+                                                        *as_fractions(grows, gslopes))
+    ratios = [r[:2] for r in rows] + [r[2:] for r in rows] + slopes
+    assert all(d > 0 and math.gcd(n, d) == 1 for n, d in ratios)
+    bps, slopes = oracle(f, g)
+    assert (made[0].breakpoints, made[0].slopes) == (tuple(bps), tuple(slopes))
+
+
+UNIT = st.fractions(min_value=0, max_value=1, max_denominator=12).filter(lambda t: t < 1)
+
+
+@st.composite
+def mixed_lifts(draw):
+    """A lift through breakpoints of unlike denominators up to 12, shifted
+    by an integer."""
+    inner = sorted(draw(st.sets(UNIT.filter(bool), max_size=5)))
+    values = sorted(draw(st.sets(UNIT, min_size=len(inner) + 1, max_size=len(inner) + 1)))
+    k = draw(SHIFT)
+    return CircleLift(list(zip([F(0)] + inner, [k + v for v in values]))
+                      + [(1, k + values[0] + 1)])
+
+
+# unlike denominators on both sides of a merge, and a decreasing g
+MIXED_INTERVAL = (PLMap1D([(0, 0), (F(1, 3), F(1, 5)), (F(5, 7), F(2, 3)), (1, 1)]),
+                  PLMap1D([(0, 1), (F(2, 9), F(4, 7)), (1, 0)]))
+MIXED_LIFT = CircleLift([(0, F(-4, 3)), (F(2, 7), F(-6, 5)), (F(5, 9), F(-5, 7)),
+                         (1, F(-1, 3))])
+KINKED_ABOVE_ONE = CircleLift([(x, y + 2) for x, y in KINKED_SEAM.breakpoints])
+# f with a smooth, a kinked and a mixed-denominator seam; G(0) < 0, in [0, 1), >= 1
+SEAMS = [SMOOTH_SEAM, KINKED_SEAM, MIXED_LIFT]
+STARTS = [MIXED_LIFT, c1_map(), KINKED_ABOVE_ONE]
+
+
+def test_the_row_examples_cover_both_seams_and_every_start():
+    assert [f.slopes[0] == f.slopes[-1] for f in SEAMS] == [True, False, False]
+    assert [math.floor(g.breakpoints[0][1]) for g in STARTS] == [-2, 0, 2]
+    assert {g.orientation for _, g in INTERVAL_EXAMPLES + [MIXED_INTERVAL]} == {1, -1}
+
+
+@settings(max_examples=150, deadline=None)
+@given(interval_pairs())
+@example(INTERVAL_EXAMPLES[1])
+@example(INTERVAL_EXAMPLES[3])
+@example(MIXED_INTERVAL)
+@example(MIXED_INTERVAL[::-1])
+def test_compose1d_row_merge_matches_the_fraction_merge(pair):
+    """g increasing, and g decreasing, whose merge runs on negated values."""
+    check_against_fraction_merge(compose1d, fraction_compose1d, *pair)
+
+
+@pytest.mark.parametrize("f", SEAMS)
+@pytest.mark.parametrize("g", STARTS)
+def test_compose_lift_row_merge_matches_the_fraction_merge_at_each_seam_and_start(f, g):
+    check_against_fraction_merge(compose_lift, fraction_compose_lift, f, g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(LIFTS, mixed_lifts()), st.one_of(LIFTS, mixed_lifts()))
+def test_compose_lift_row_merge_matches_the_fraction_merge(f, g):
+    check_against_fraction_merge(compose_lift, fraction_compose_lift, f, g)
 
 
 # -- the validating constructor ------------------------------------------

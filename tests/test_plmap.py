@@ -17,8 +17,9 @@ from plstab.plmap import (PLMap, compose2d, format_plmap,
                           identity_map, inverse2d, parse_plmap,
                           plmap_from_vertex_images, power)
 
-from support import (cycle_rotation, interior_move_map, quarter_rotation,
-                     square_complex, three_cycle)
+from support import (SYMMETRIES, _along_boundary, bench_grid_maps, cycle_rotation, grid_complex,
+                     interior_move_map, quarter_rotation, square_complex, three_cycle,
+                     two_squares)
 
 
 def test_identity_map():
@@ -299,13 +300,6 @@ def test_degenerate_image_cell_rejected():
 # -- the 2D image-coverage check --------------------------------------------
 
 
-def two_squares():
-    """[0,1]^2 and [2,3]^2, each cut by a diagonal: a disconnected base."""
-    pts = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (3, 0), (3, 1), (2, 1)]
-    return Complex(pts, [(0, 1, 2), (0, 2, 3), (4, 5, 6), (4, 6, 7)],
-                   require_connected=False)
-
-
 def test_image_lifting_a_square_off_the_base_rejected():
     base = two_squares()
     images = list(base.points[:4]) + [(x, y + 5) for x, y in base.points[4:]]
@@ -327,35 +321,11 @@ def test_swapping_the_squares_accepted():
     assert compose2d(f, f).is_identity()
 
 
-def grid_complex(n):
-    pts = [(F(i, n), F(j, n)) for j in range(n + 1) for i in range(n + 1)]
-    sims = []
-    for j in range(n):
-        for i in range(n):
-            a = j * (n + 1) + i
-            b, c, d = a + 1, a + n + 2, a + n + 1
-            sims += [(a, b, c), (a, c, d)]
-    return Complex(pts, sims)
-
-
-SYMMETRIES = [
-    lambda x, y: (x, y), lambda x, y: (1 - x, y),
-    lambda x, y: (x, 1 - y), lambda x, y: (1 - x, 1 - y),
-    lambda x, y: (y, x), lambda x, y: (1 - y, x),
-    lambda x, y: (y, 1 - x), lambda x, y: (1 - y, 1 - x),
-]
 GRID = grid_complex(2)
 OFFSETS = st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
                    min_size=len(GRID.points), max_size=len(GRID.points))
 # the bottom midpoint pushed out and the top midpoint pulled in keep the area
 LIFTED = [(0, 0), (0, -1), (0, 0), (0, 0), (0, 0), (0, 0), (0, 0), (0, -1), (0, 0)]
-
-
-def _along_boundary(p, d):
-    """The offset d of grid point p with its component off the boundary
-    dropped: corners stay, edge points slide along their edge."""
-    (x, y), (dx, dy) = p, d
-    return (0 if x in (0, 1) else dx, 0 if y in (0, 1) else dy)
 
 
 @settings(max_examples=80, deadline=None)
@@ -449,7 +419,6 @@ def test_equality_stops_at_the_first_differing_vertex(monkeypatch):
     """``f == g`` compares the two maps at the overlay's vertices in vertex
     order and stops at the first where they differ: at vertex k, after
     2(k + 1) piece applications, one of each map per vertex."""
-    from test_fixedlocus import bench_grid_maps  # it imports this module
     f = interior_move_map()
     pairs = [(f, identity_map(f.base)), (f, interior_move_map((F(5, 8), F(1, 2))))]
     for seed in range(3):

@@ -317,3 +317,94 @@ def test_the_check_sees_conversions_and_numberings(tmp_path):
     assert named_calls(probe, SOLE_CALLERS) == [
         ("Complex._assemble", "rational_points"), ("compose2d", "index_cells"),
         ("compose2d", "index_cells"), ("numbered", "index_cells")]
+
+
+# the functions that merge breakpoint rows, by module: integer ratios from
+# the map's `rows()` to `from_rows`, which builds the one Fraction per output
+# coordinate and slope
+ROW_PATH = {"interval.py": {"compose_breakpoints", "_along", "_times", "compose1d"},
+            "circle.py": {"compose_lift", "compose_lift_rows", "_displacement_side",
+                          "detect_rational_rotation"}}
+
+
+def fraction_work(path, names):
+    """(function, line) of each call of `rat` or `Fraction`, by name or as an
+    attribute, and of each true division `/`, in the named top-level
+    functions: `/` on ints gives a float, and on Fractions builds one."""
+    out = []
+    for top in ast.parse(path.read_text()).body:
+        if not (isinstance(top, ast.FunctionDef) and top.name in names):
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                if getattr(node.func, "id", getattr(node.func, "attr", None)) in CONVERTERS:
+                    out.append((top.name, node.lineno))
+            elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
+                out.append((top.name, node.lineno))
+    return out
+
+
+def test_the_row_merge_builds_no_fraction():
+    """The merge, its helpers, its callers, `_displacement_side` and
+    detection run on ints: no `Fraction` or `rat` call and no `/`, so
+    Fractions are built only where a map leaves the merge (`from_rows`)."""
+    for name, functions in ROW_PATH.items():
+        tree = ast.parse((SRC / name).read_text())
+        assert functions <= {top.name for top in tree.body if isinstance(top, ast.FunctionDef)}
+    found = {name: fraction_work(SRC / name, functions) for name, functions in ROW_PATH.items()}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
+def test_the_check_sees_fraction_work(tmp_path):
+    # the Fraction merge that the row merge replaced divides by g's slope
+    oracle = pathlib.Path(__file__).resolve().parent / "support.py"
+    assert [fn for fn, _ in fraction_work(oracle, {"fraction_merge"})] == ["fraction_merge"]
+    probe = tmp_path / "probe.py"
+    probe.write_text("def compose_breakpoints(rows):\n"
+                     "    return [fractions.Fraction(xn, xd) for xn, xd in rows]\n"
+                     "def _displacement_side(rows, p):\n"
+                     "    def side(y):\n"
+                     "        y /= 2\n"
+                     "        return rat(y) > p\n"
+                     "    return side(rows[0][2] // rows[0][3])\n"
+                     "def from_rows(rows):\n"
+                     "    return Fraction(*rows[0][:2]) / 2\n")
+    assert fraction_work(probe, ROW_PATH["interval.py"] | ROW_PATH["circle.py"]) == [
+        ("compose_breakpoints", 2), ("_displacement_side", 5), ("_displacement_side", 6)]
+
+
+TESTS = pathlib.Path(__file__).resolve().parent
+
+
+def imports_of_test_modules(tests=TESTS):
+    """(importing module, imported module) for each import of a `test_`
+    module by a module of the test directory, `conftest` aside."""
+    out = []
+    for p in sorted(tests.glob("*.py")):
+        if p.name == "conftest.py":
+            continue
+        for node in ast.walk(ast.parse(p.read_text())):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            out += [(p.name, n) for n in names if n.split(".")[0].startswith("test_")]
+    return out
+
+
+def test_no_test_module_imports_another():
+    """Helpers that more than one test module uses live in `support`, or
+    in `strategies` if they are hypothesis strategies."""
+    assert imports_of_test_modules() == []
+
+
+def test_the_check_sees_test_module_imports(tmp_path):
+    (tmp_path / "test_a.py").write_text("import test_b, os\n"
+                                        "def f():\n"
+                                        "    from test_c import grid\n")
+    (tmp_path / "support.py").write_text("from support_x import y\nimport test_d.sub\n")
+    (tmp_path / "conftest.py").write_text("import test_a\n")
+    assert imports_of_test_modules(tmp_path) == [("support.py", "test_d.sub"),
+                                             ("test_a.py", "test_b"), ("test_a.py", "test_c")]

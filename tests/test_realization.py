@@ -12,8 +12,7 @@ from plstab.complexes import Complex
 from plstab.errors import InvalidComplex, RealizationMismatch
 from plstab.plmap import PLMap
 
-from support import random_splits, refinement_homes
-from test_plmap import grid_complex
+from support import grid_complex, random_splits, refinement_homes
 
 
 def outcomes(base, refinement):

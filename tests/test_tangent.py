@@ -13,10 +13,8 @@ from plstab.tangent import (Fan, Germ, build_germ, canonical_germ,
                             is_trivial_on_tangent_sphere, ray_map,
                             refine_fans, tangent_sphere_type)
 
-from support import (build_germ_by_evaluation, build_germ_by_solving, quarter_rotation,
-                     refine_fans_per_germ, square_complex)
-from test_certificate import grid_map
-from test_fixedlocus import bench_grid_maps
+from support import (bench_grid_maps, build_germ_by_evaluation, build_germ_by_solving, grid_map,
+                     quarter_rotation, refine_fans_per_germ, square_complex)
 
 
 def rot_germ():

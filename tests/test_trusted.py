@@ -12,8 +12,7 @@ from plstab.fixedlocus import fixed_subcomplex
 from plstab.overlay import overlay
 from plstab.plmap import PLMap, compose2d, inverse2d
 
-from support import affine, square_complex
-from test_plmap import SYMMETRIES, _along_boundary, grid_complex
+from support import SYMMETRIES, _along_boundary, affine, grid_complex, square_complex
 
 GRID = grid_complex(2)
 OFFSETS = st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),

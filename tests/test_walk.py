@@ -17,9 +17,8 @@ from plstab.geometry import area2, candidate_pairs
 from plstab.overlay import overlay, triangle_pieces
 from plstab.plmap import PLMap, _certified_image, compose2d, inverse2d
 
-from support import affine, cycle_rotation, random_square_triangulation, refinement_homes
-from test_certificate import centroid_split
-from test_plmap import SYMMETRIES, _along_boundary, grid_complex, two_squares
+from support import (SYMMETRIES, _along_boundary, affine, centroid_split, cycle_rotation,
+                     grid_complex, random_square_triangulation, refinement_homes, two_squares)
 
 # by module path: the package's `overlay` is the function
 KERNEL = import_module("plstab.overlay")
