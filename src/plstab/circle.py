@@ -7,14 +7,13 @@ is one, and otherwise only rational enclosures of width <= 2/n are made.
 A lift is an `interval.BreakpointMap`: it carries its canonical
 breakpoints and the slope of each piece. Only parsed or user-built lifts
 go through the validating constructor, which canonicalizes and then checks
-that the slopes are positive and that F(1) = F(0) + 1 on [0, 1]; compose
-and invert build their results with `CircleLift.trusted`. Lifts compose
-by one linear merge of G's breakpoints with one rotated period of F's
-(`compose_lift_rows` over `interval.compose_breakpoints`), which keeps
+that the slopes are positive and that F(1) = F(0) + 1 on [0, 1]. Lifts
+compose by one linear merge of G's breakpoints with one rotated period of
+F's (`compose_lift_rows` over `interval.compose_breakpoints`), which keeps
 only the points where the slope changes, so its output is canonical. The
 merge runs on breakpoint rows, integer ratios in lowest terms
-(`BreakpointMap.rows`), and `compose_lift` builds its result back with
-`CircleLift.from_rows`.
+(`BreakpointMap.rows`). F's rows with x and y swapped, merged with the
+identity's, give the inverse; both build back with `CircleLift.from_rows`.
 Detection bisects the Stern-Brocot tree of rationals: each level builds
 one power F^(b+d) from the two powers F^b, F^d of its bracket's bounds by
 that merge, and the sign of the displacement F^(b+d)(x) - x against the
@@ -36,8 +35,8 @@ from typing import List, Optional, Sequence, Tuple
 from .errors import InvalidComplex, ParseError
 from .geometry import fmt, rat
 from .interval import (BreakpointMap, Ratio, Row, compose_breakpoints,
-                       format_breakpoint_lines, interpolate, piece_slopes,
-                       read_breakpoint_lines, shifted_fixed_pieces)
+                       format_breakpoint_lines, interpolate, read_breakpoint_lines,
+                       shifted_fixed_pieces)
 
 Lift = Tuple[List[Row], List[Ratio]]  # a lift's breakpoint rows and slope ratios
 
@@ -100,7 +99,7 @@ class CircleLift(BreakpointMap):
 def eval_lift(F: CircleLift, x) -> Fraction:
     x = rat(x)
     k = floor(x)  # exact for Fraction
-    return k + interpolate(F.breakpoints, x - k)
+    return k + interpolate(F.breakpoints, F.slopes, x - k)
 
 
 def compose_lift(F: CircleLift, G: CircleLift) -> CircleLift:
@@ -113,16 +112,18 @@ def compose_lift_rows(F: Lift, G: Lift) -> Lift:
     """The breakpoint rows and slope ratios of x -> F(G(x)), for F and G
     given by theirs (`BreakpointMap.rows`).
 
-    G's values run from y0 = G(0) to y0 + 1, so the F breakpoints they meet
-    are one rotated pass over F's period, shifted by k = floor(y0) and then
-    by k + 1; F's piece slopes rotate with it, unchanged. Adding an integer
+    F's rows span one period [c, c + 1] (c = 0 for a lift) and G's values
+    run from y0 = G(0) to y0 + 1, so the F breakpoints they meet are one
+    rotated pass over F's period, shifted by k = floor(y0 - c) and then by
+    k + 1; F's piece slopes rotate with it, unchanged. Adding an integer
     to a ratio in lowest terms keeps it in lowest terms. The merge walks
     them together with G's breakpoints.
     """
     (fr, fs), (gr, gs) = F, G
     yn, yd = gr[0][2:]
-    k = yn // yd
-    tn = yn - k * yd  # y0 - k = tn / yd, in [0, 1)
+    cn, cd = fr[0][:2]
+    k = (yn * cd - cn * yd) // (yd * cd)
+    tn = yn - k * yd  # y0 - k = tn / yd, in [c, c + 1)
     # the last F breakpoint with x <= y0 - k, cross-multiplied
     i = bisect_right(fr, False, key=lambda row: row[0] * yd > tn * row[1]) - 1
     rotated = [(un + k * ud, ud, vn + k * vd, vd) for un, ud, vn, vd in fr[i:]]
@@ -132,25 +133,12 @@ def compose_lift_rows(F: Lift, G: Lift) -> Lift:
 
 
 def inverse_lift(F: CircleLift) -> CircleLift:
-    """Lift of the inverse circle map, resampled on [0, 1].
-
-    Its kinks are the images mod 1 of F's: of each interior breakpoint, and
-    of the period seam at x = 0 when F's slope changes there.
-    """
-    sw = [(y, x) for x, y in F.breakpoints]  # inverse, sampled on [F(0), F(0)+1]
-    c = sw[0][0]
-
-    def geval(y: Fraction) -> Fraction:
-        k = floor(y - c)
-        return k + interpolate(sw, y - k)
-
-    ts = {y - floor(y) for y, _ in sw}
-    if F.slopes[0] == F.slopes[-1]:
-        ts.discard(c - floor(c))
-    ts.add(Fraction(0))
-    bps = [(t, geval(t)) for t in sorted(ts)]
-    bps.append((Fraction(1), bps[0][1] + 1))
-    return CircleLift.trusted(bps, piece_slopes(bps))
+    """Lift of the inverse circle map, resampled on [0, 1]: F's rows with x
+    and y swapped and slopes inverted are the inverse on [F(0), F(0) + 1],
+    and their merge with the identity lift resamples them, keeping the kinks."""
+    rows, slopes = F.rows()
+    swapped = ([(yn, yd, xn, xd) for xn, xd, yn, yd in rows], [(d, n) for n, d in slopes])
+    return CircleLift.from_rows(*compose_lift_rows(swapped, CircleLift.identity().rows()))
 
 
 @dataclass(frozen=True)
@@ -163,19 +151,12 @@ class RotationEnclosure:
 
 
 def iterate_lift(F: CircleLift, n: int, x) -> Fraction:
-    """F^n(x) by plain iteration of the evaluation (no breakpoint growth).
-
-    One table of F's pieces serves every step: a step is a floor, one
-    bisect on the piece starts and one multiply-add.
-    """
-    starts = [x0 for x0, _ in F.breakpoints[:-1]]
-    pieces = [(x0, y0, slope) for (x0, y0), slope in zip(F.breakpoints, F.slopes)]
+    """F^n(x) by plain iteration of the evaluation (no breakpoint growth):
+    a step is a floor and one `interpolate`."""
     y = rat(x)
     for _ in range(n):
         k = floor(y)
-        t = y - k
-        x0, y0, slope = pieces[bisect_right(starts, t) - 1]
-        y = k + y0 + (t - x0) * slope
+        y = k + interpolate(F.breakpoints, F.slopes, y - k)
     return y
 
 

@@ -168,21 +168,18 @@ def segment_param(a: Point, b: Point, x: Point):
     return t
 
 
-def tiles_unit(intervals) -> bool:
-    """Do the closed parameter intervals cover [0, 1] without a gap?"""
-    pos = Fraction(0)
-    for lo, hi in sorted(intervals):
-        if lo > pos:
-            return False
-        pos = max(pos, hi)
-    return pos == 1
+def extent(seg: Sequence[Point]) -> Fraction:
+    """The measure of a segment along its line, proportional to length
+    there: the largest absolute coordinate of its direction."""
+    p, q = seg
+    return max(abs(b - a) for a, b in zip(p, q))
 
 
 def collinear_overlap(p: Point, q: Point, a: Point, b: Point):
     """Overlap of segment [p,q] with [a,b] when collinear.
 
-    Returns ((lo_pq, hi_pq), (lo_ab, hi_ab)) parameter intervals of positive
-    length, or None.
+    Returns its two end points, in the direction p -> q, when it has
+    positive length, or None.
     """
     ta = segment_param(p, q, a)
     tb = segment_param(p, q, b)
@@ -192,9 +189,7 @@ def collinear_overlap(p: Point, q: Point, a: Point, b: Point):
     if lo >= hi:
         return None
     d = vsub(q, p)
-    s0 = segment_param(a, b, vadd(p, vscale(lo, d)))
-    s1 = segment_param(a, b, vadd(p, vscale(hi, d)))
-    return ((lo, hi), (min(s0, s1), max(s0, s1)))
+    return vadd(p, vscale(lo, d)), vadd(p, vscale(hi, d))
 
 
 def cross3(a: Sequence[Fraction], b: Sequence[Fraction]) -> Point:

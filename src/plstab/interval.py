@@ -49,18 +49,14 @@ Row = Tuple[int, int, int, int]  # a breakpoint (x, y) as (xn, xd, yn, yd)
 # -- breakpoint lists, shared with circle lifts ---------------------------
 
 
-def piece_slopes(bps: Sequence[Break]) -> Tuple[Fraction, ...]:
-    """Slope of each piece between consecutive breakpoints."""
-    return tuple((y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(bps, bps[1:]))
-
-
-def interpolate(bps: Sequence[Break], x: Fraction) -> Fraction:
-    """Value at x of the PL function through the breakpoints (x in range)."""
+def interpolate(bps: Sequence[Break], slopes: Sequence[Fraction], x: Fraction) -> Fraction:
+    """Value at x of the PL function through the breakpoints with the given
+    piece slopes (x in range): one multiply-add on the piece holding x."""
     i = bisect_right(bps, x, key=itemgetter(0)) - 1
-    if i == len(bps) - 1:
+    if i == len(slopes):
         i -= 1
-    (x0, y0), (x1, y1) = bps[i], bps[i + 1]
-    return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
+    x0, y0 = bps[i]
+    return y0 + (x - x0) * slopes[i]
 
 
 def _along(row, slope, tn, td):
@@ -88,7 +84,8 @@ def compose_breakpoints(frows: Sequence[Row], fslopes: Sequence[Ratio],
 
     Precondition: g, given by grows and the slope of each of its pieces, has
     increasing values; f, the PL function through frows with piece slopes
-    fslopes, has x values covering g's values. frows need not be canonical:
+    fslopes, has x values covering g's values, and frows starts at the last
+    f breakpoint at or before g's first value. frows need not be canonical:
     a circle lift's period seam may not be a kink.
 
     The candidate points are g's breakpoints, valued from the current f
@@ -101,16 +98,13 @@ def compose_breakpoints(frows: Sequence[Row], fslopes: Sequence[Ratio],
     cross-multiplies. O(len(frows) + len(grows)) int operations: no
     Fraction, no inverse, no bisect, and no slope computed from breakpoints.
     """
-    last = len(fslopes) - 1  # index of the last f piece
     end = len(grows) - 1
     xan, xad, yan, yad = grows[0]
     j = 0
-    while j < last and frows[j + 1][0] * yad <= yan * frows[j + 1][1]:
-        j += 1
-    f0, f1, fsl = frows[j], frows[j + 1], fslopes[j]
+    f0, f1, fsl = frows[0], frows[1], fslopes[0]
     out = [(xan, xad) + _along(f0, fsl, yan, yad)]
     slopes = [_times(fsl, gslopes[0])]
-    # invariant: f0's u <= ya, and ya < f1's u unless j is the last f piece
+    # invariant: f0's u <= ya < f1's u
     for m in range(1, end + 1):
         xbn, xbd, ybn, ybd = grows[m]
         gsl = gslopes[m - 1]
@@ -284,7 +278,7 @@ def eval1d(f: PLMap1D, x) -> Fraction:
     a, b = f.interval
     if not a <= x <= b:
         raise OutOfInterval(f"{fmt(x)} outside [{fmt(a)}, {fmt(b)}]")
-    return interpolate(f.breakpoints, x)
+    return interpolate(f.breakpoints, f.slopes, x)
 
 
 def inverse1d(f: PLMap1D) -> PLMap1D:

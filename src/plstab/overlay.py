@@ -3,7 +3,7 @@ one realization test, and the one cell-pair kernel under them.
 
 :func:`triangle_pieces` and :func:`segment_pieces` yield, for every pair
 of cells of two inputs whose interiors meet, their intersection: a convex
-polygon for triangles, a pair of parameter intervals for segments.  Each
+polygon for triangles, the overlap's two end points for segments.  Each
 clips only the pairs whose interiors meet.  Overlay, composition, map
 equality and the realization checks of `plmap` all go through them, so
 they are the only callers of `triangle_intersection` and
@@ -11,9 +11,10 @@ they are the only callers of `triangle_intersection` and
 
 :func:`realized_pieces` is the one realization test: it collects the
 pieces of two complexes and accounts, cell by cell, for how much of each
-cell they cover, raising `RealizationMismatch` unless both inputs are
-covered, that is unless they realize one set.  `overlay` builds on it,
-and so do the refinement and image checks of `PLMap(...)`.
+cell they cover (area for triangles, `extent` for segments), raising
+`RealizationMismatch` unless both inputs are covered, that is unless they
+realize one set.  `overlay` builds on it, and so do the refinement and
+image checks of `PLMap(...)`.
 
 In the plane `triangle_pieces` walks the tiling: each cell of the first
 input starts from the hits of a neighbour visited before it and grows
@@ -44,8 +45,7 @@ from .clip import ccw_triangle, polygon_area2, triangle_intersection, triangulat
 from .complexes import (Complex, SimplexT, ccw_triangles_meet, index_cells,
                         segment_meets_ccw_triangle, tri_tri_open_meet_2d, tri_tri_open_meet_3d)
 from .errors import NonCoplanarOverlap, RealizationMismatch
-from .geometry import (candidate_pairs, collinear_overlap, from_chart, tiles_unit, to_chart, vadd,
-                       vscale, vsub)
+from .geometry import candidate_pairs, collinear_overlap, extent, from_chart, to_chart
 
 
 @dataclass(frozen=True)
@@ -82,14 +82,10 @@ def numbered(cells, pairs) -> Overlay:
 
 def overlay(t1: Complex, t2: Complex) -> Overlay:
     cells, pairs = [], []
-    cells1 = t1.cells()
     charts1 = t1.charts() if t1.dim == 2 else None
     for i1, i2, piece in realized_pieces(t1, t2):
         if t1.dim == 1:
-            (lo, hi), _ = piece
-            a1, b1 = cells1[i1]
-            d = vsub(b1, a1)
-            new = [(vadd(a1, vscale(lo, d)), vadd(a1, vscale(hi, d)))]
+            new = [piece]
         else:
             chart = charts1[i1]
             new = [tuple(from_chart(p, chart) for p in cell) for cell in triangulate_convex(piece)]
@@ -108,35 +104,29 @@ def realized_pieces(t1: Complex, t2: Complex,
     ``uncovered[1]`` when a cell of ``t2`` is not.
 
     The pieces of a cell are its intersections with the interior-disjoint
-    cells of the other input, so they cover it iff their parameter
-    intervals tile [0, 1] (a segment) or their areas add up to its own (a
-    triangle).  Once both inputs pass, the walk of `triangle_pieces` is
-    complete, and a cell whose interior meets one cell of the other input
-    alone lies in it: the rest of its interior would be an open set
-    covered by lower-dimensional faces only."""
+    cells of the other input, so they cover it iff their measures add up
+    to its own: |`polygon_area2`| in the cell's chart for a triangle, the
+    `extent` along the cell's line for a segment.  Once both inputs pass,
+    the walk of `triangle_pieces` is complete, and a cell whose interior
+    meets one cell of the other input alone lies in it: the rest of its
+    interior would be an open set covered by lower-dimensional faces only."""
     if t1.dim != t2.dim or t1.ambient_dim != t2.ambient_dim:
         raise RealizationMismatch("inputs have different dimensions")
     if t1.dim == 1:
         pieces = list(segment_pieces(t1.cells(), t2.cells()))
-        cover1 = [[] for _ in t1.simplices]
-        cover2 = [[] for _ in t2.simplices]
-        for i1, i2, (own1, own2) in pieces:
-            cover1[i1].append(own1)
-            cover2[i2].append(own2)
-        full = [all(tiles_unit(intervals) for intervals in cover) for cover in (cover1, cover2)]
+        measures = [extent(seg) for _, _, seg in pieces]
+        own = [[extent(seg) for seg in t.cells()] for t in (t1, t2)]
     else:
         pieces = list(triangle_pieces(t1, t2))
-        area1 = [Fraction(0)] * len(t1.simplices)
-        area2 = [Fraction(0)] * len(t2.simplices)
-        for i1, i2, poly in pieces:
-            a2x = abs(polygon_area2(poly))
-            area1[i1] += a2x
-            area2[i2] += a2x
-        full = [all(a2x == abs(polygon_area2(to_chart(tri, chart)))
-                    for tri, chart, a2x in zip(t.cells(), t.charts(), areas))
-                for t, areas in ((t1, area1), (t2, area2))]
-    for ok, message in zip(full, uncovered):
-        if not ok:
+        measures = [abs(polygon_area2(poly)) for _, _, poly in pieces]
+        own = [[abs(polygon_area2(to_chart(tri, chart)))
+                for tri, chart in zip(t.cells(), t.charts())] for t in (t1, t2)]
+    covered = [[Fraction(0)] * len(t.simplices) for t in (t1, t2)]
+    for (i1, i2, _), m in zip(pieces, measures):
+        covered[0][i1] += m
+        covered[1][i2] += m
+    for cover, cells, message in zip(covered, own, uncovered):
+        if cover != cells:
             raise RealizationMismatch(message)
     return pieces
 
@@ -145,9 +135,9 @@ def realized_pieces(t1: Complex, t2: Complex,
 
 
 def segment_pieces(segs1, segs2):
-    """(i1, i2, ((lo1, hi1), (lo2, hi2))) for each pair of a segment of
-    ``segs1`` and one of ``segs2`` that overlap in positive length: the
-    parameter intervals of the overlap along each of the two segments."""
+    """(i1, i2, (p, q)) for each pair of a segment of ``segs1`` and one of
+    ``segs2`` that overlap in positive length: the overlap's end points, in
+    the direction of segment i1."""
     for i1, i2 in candidate_pairs(segs1, segs2):
         piece = collinear_overlap(*segs1[i1], *segs2[i2])
         if piece is not None:

@@ -93,9 +93,6 @@ from .geometry import (
     orient2,
     point_key,
     rat,
-    vadd,
-    vscale,
-    vsub,
 )
 from .overlay import numbered, overlay, realized_pieces, segment_pieces, triangle_pieces
 
@@ -443,14 +440,11 @@ def _compose_cells_2d(f: PLMap, g: PLMap):
 
 
 def _compose_cells_1d(f: PLMap, g: PLMap):
-    """As `_compose_cells_2d`: a cell comes from an image segment i of g and
-    a segment j of f that overlap, pulled back through g's piece on i (the
-    overlap's parameters along g's segment i)."""
+    """As `_compose_cells_2d`: a cell is the overlap of an image segment i
+    of g with a segment j of f, pulled back through g's piece on i."""
     cells, pairs = [], []
-    srcs = g.refinement.cells()
-    for i, j, ((lo, hi), _) in segment_pieces(g.image.cells(), f.refinement.cells()):
-        a, b = srcs[i]
-        cells.append([vadd(a, vscale(t, vsub(b, a))) for t in (lo, hi)])
+    for i, j, seg in segment_pieces(g.image.cells(), f.refinement.cells()):
+        cells.append([g.pullback_in_cell(i, p) for p in seg])
         pairs.append((i, j))
     return cells, pairs
 

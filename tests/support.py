@@ -5,9 +5,13 @@ segment and 3-space triangle overlap predicates of `complexes` and of its
 rule that cells meet in common faces, that of the simple-polygon test of
 `geometry`, those of the germ construction and fan refinement of
 `tangent`, and the per-token parse that the loader's token table
-replaced; the grid complexes and grid maps of the square, and the
+replaced; the grid complexes and grid maps of the square, the
 `Fraction` merge that the breakpoint-row merge of
-`interval.compose_breakpoints` replaced. Every helper that more than one
+`interval.compose_breakpoints` replaced, the `Fraction` resampling that
+`circle.inverse_lift` replaced, the chord evaluation that the stored
+slopes of `interval.interpolate` replaced, and the parameter-interval
+accounting (`tiles_unit`) that the segment measure of
+`overlay.realized_pieces` replaced. Every helper that more than one
 test module uses lives here or, if it is a hypothesis strategy, in
 `strategies`, so no test module imports another, and this module needs
 no hypothesis."""
@@ -26,7 +30,7 @@ from plstab.complexes import Complex, tri_tri_open_meet_2d
 from plstab.errors import InvalidComplex, ParseError, RealizationMismatch
 from plstab.geometry import (Mat, area2, candidate_pairs, closed_segments_meet, cross2, cross3,
                              dot, drop_axis, orient2, plane_normal, primitive_direction, rat,
-                             segment_param, tiles_unit, vadd, vscale, vsub)
+                             segment_param, vadd, vscale, vsub)
 from plstab.interval import PLMap1D
 from plstab.plmap import PLMap, plmap_from_vertex_images
 from plstab.tangent import Fan, Germ, _chain_cones, in_cone
@@ -693,3 +697,89 @@ def fraction_compose_lift(F_, G):
     rotated = [(u + k, v + k) for u, v in fb[i:]]
     rotated += [(u + k + 1, v + k + 1) for u, v in fb[1:i + 2]]
     return fraction_merge(rotated, fs[i:] + fs[:i + 1], G.breakpoints, G.slopes)
+
+
+def piece_slopes(bps):
+    """Slope of each piece between consecutive breakpoints."""
+    return tuple((y1 - y0) / (x1 - x0) for (x0, y0), (x1, y1) in zip(bps, bps[1:]))
+
+
+def chord_interpolate(bps, x):
+    """The oracle of `interval.interpolate`: the value at x of the PL
+    function through the breakpoints, on the chord of the piece holding x
+    (x in range), with no stored slope."""
+    i = max(n for n, (u, _) in enumerate(bps[:-1]) if u <= x)
+    (x0, y0), (x1, y1) = bps[i], bps[i + 1]
+    return y0 + (x - x0) * (y1 - y0) / (x1 - x0)
+
+
+def fraction_inverse_lift(f):
+    """The breakpoints and slopes of the inverse of the lift f by the
+    `Fraction` resampling that the row merge of `circle.inverse_lift`
+    replaced: the inverse is sampled on [f(0), f(0) + 1], and its kinks on
+    [0, 1] are the images mod 1 of f's interior breakpoints, and of the
+    period seam when f's slope changes there."""
+    sw = [(y, x) for x, y in f.breakpoints]
+    c = sw[0][0]
+
+    def geval(y):
+        k = math.floor(y - c)
+        return k + chord_interpolate(sw, y - k)
+
+    ts = {y - math.floor(y) for y, _ in sw}
+    if f.slopes[0] == f.slopes[-1]:
+        ts.discard(c - math.floor(c))
+    ts.add(F(0))
+    bps = [(t, geval(t)) for t in sorted(ts)]
+    bps.append((F(1), bps[0][1] + 1))
+    return bps, piece_slopes(bps)
+
+
+def tiles_unit(intervals):
+    """Do the closed parameter intervals cover [0, 1] without a gap?"""
+    pos = F(0)
+    for lo, hi in sorted(intervals):
+        if lo > pos:
+            return False
+        pos = max(pos, hi)
+    return pos == 1
+
+
+def parameter_overlap(p, q, a, b):
+    """The overlap of the collinear segments [p, q] and [a, b] as the
+    parameter intervals of positive length it spans along each, or None:
+    the form `geometry.collinear_overlap` had before it returned points."""
+    ta, tb = segment_param(p, q, a), segment_param(p, q, b)
+    if ta is None or tb is None:
+        return None
+    lo, hi = max(min(ta, tb), F(0)), min(max(ta, tb), F(1))
+    if lo >= hi:
+        return None
+    d = vsub(q, p)
+    s0 = segment_param(a, b, vadd(p, vscale(lo, d)))
+    s1 = segment_param(a, b, vadd(p, vscale(hi, d)))
+    return (lo, hi), (min(s0, s1), max(s0, s1))
+
+
+def segment_pieces_by_tiling(t1, t2):
+    """The oracle of `overlay.realized_pieces` on 1-complexes, the cover
+    accounting it replaced: the (i1, i2, (p, q)) overlap of each pair of
+    segments, end points in the direction of segment i1, once the
+    parameter intervals of the overlaps tile [0, 1] along every segment of
+    both inputs; otherwise `RealizationMismatch` with the message of the
+    first input not covered."""
+    segs1, segs2 = t1.cells(), t2.cells()
+    pieces, cover = [], ([[] for _ in segs1], [[] for _ in segs2])
+    for i1, i2 in candidate_pairs(segs1, segs2):
+        overlap = parameter_overlap(*segs1[i1], *segs2[i2])
+        if overlap is not None:
+            (lo, hi), own2 = overlap
+            a, b = segs1[i1]
+            pieces.append((i1, i2, tuple(vadd(a, vscale(t, vsub(b, a))) for t in (lo, hi))))
+            cover[0][i1].append((lo, hi))
+            cover[1][i2].append(own2)
+    for intervals, message in zip(cover, ("first input is not fully covered",
+                                          "second input is not fully covered")):
+        if not all(tiles_unit(own) for own in intervals):
+            raise RealizationMismatch(message)
+    return pieces

@@ -1,5 +1,4 @@
 import math
-import random
 from fractions import Fraction as F
 
 import pytest
@@ -13,7 +12,7 @@ from plstab.circle import (CircleLift, compose_lift, compose_lift_rows,
 from plstab.errors import InvalidComplex
 
 from strategies import LIFTS, periodic_lifts
-from support import c1_map
+from support import c1_map, chord_interpolate
 
 
 def test_rigid_rotation_eval():
@@ -44,6 +43,14 @@ def test_rotation_enclosure_contains_true_value():
         enc = rotation_enclosure(r, n)
         assert enc.lo <= F(2, 5) <= enc.hi
         assert enc.hi - enc.lo <= F(2, n)
+
+
+def test_rotation_bounds_must_be_positive():
+    f = c1_map()
+    with pytest.raises(ValueError, match="qmax must be positive"):
+        detect_rational_rotation(f, 0)
+    with pytest.raises(ValueError, match="n must be positive"):
+        rotation_enclosure(f, 0)
 
 
 def test_enclosure_width_shrinks():
@@ -226,9 +233,13 @@ def test_bisection_matches_sequential_detection_on_periodic_lifts(case):
 @given(LIFTS, st.integers(0, 40), st.fractions(min_value=-3, max_value=3,
                                                max_denominator=16))
 def test_iterate_lift_matches_plain_evaluation(f, n, x):
+    """Each step of eval_lift is also the value on the chord of its piece."""
     y = x
     for _ in range(n):
+        k = math.floor(y)
+        chord = k + chord_interpolate(f.breakpoints, y - k)
         y = eval_lift(f, y)
+        assert y == chord
     assert iterate_lift(f, n, x) == y
 
 

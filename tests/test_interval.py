@@ -11,7 +11,7 @@ from plstab.interval import (PLMap1D, compose1d, eval1d, fixed_set_1d,
                              parse_plmap1d)
 
 from strategies import interval_pairs
-from support import f1_map, random_plmap1d
+from support import chord_interpolate, f1_map, random_plmap1d
 
 
 def test_f1_values():
@@ -67,6 +67,16 @@ def test_one_sided_derivative():
     assert one_sided_derivative(g, F(1, 2), "right") == F(3, 2)
 
 
+def test_refusals_of_one_sided_derivative_and_compose():
+    f = f1_map()
+    with pytest.raises(OutOfInterval, match="outside the interval"):
+        one_sided_derivative(f, 2, "left")
+    with pytest.raises(ValueError, match="side must be 'left' or 'right'"):
+        one_sided_derivative(f, 0, "up")
+    with pytest.raises(OutOfInterval, match="maps must share the interval"):
+        compose1d(f, PLMap1D.identity(0, 2))
+
+
 def test_fixed_set_identity_segment():
     # identity on [0,1/2], push up afterwards
     f = PLMap1D([(0, 0), (F(1, 2), F(1, 2)), (F(3, 4), F(7, 8)), (1, 1)])
@@ -119,6 +129,16 @@ def test_inverse_pointwise(k):
     f = random_plmap1d(random.Random(9), max_breaks=12)
     x = F(k, 96)
     assert eval1d(inverse1d(f), eval1d(f, x)) == x
+
+
+@settings(max_examples=100, deadline=None)
+@given(interval_pairs(), st.fractions(min_value=0, max_value=1, max_denominator=64))
+def test_eval1d_matches_the_chord_of_its_piece(pair, t):
+    """Increasing and decreasing maps, at breakpoints and between them."""
+    f = pair[0]
+    a, b = f.interval
+    x = a + t * (b - a)
+    assert eval1d(f, x) == chord_interpolate(f.breakpoints, x)
 
 
 # -- the merge in compose1d against the inverse-and-evaluate formula -------

@@ -12,11 +12,12 @@ from hypothesis import example, given, settings, strategies as st
 
 from plstab import circle, interval
 from plstab.circle import CircleLift, compose_lift, inverse_lift
-from plstab.interval import PLMap1D, compose1d, inverse1d, piece_slopes
+from plstab.interval import PLMap1D, compose1d, inverse1d
 
 from strategies import LIFTS, SHIFT, interval_pairs
 from support import (c1_map, f1_map, fraction_breakpoints, fraction_compose1d,
-                     fraction_compose_lift, fraction_merge)
+                     fraction_compose_lift, fraction_inverse_lift, fraction_merge,
+                     piece_slopes)
 
 MERGE = interval.compose_breakpoints
 
@@ -257,6 +258,23 @@ def test_compose_lift_row_merge_matches_the_fraction_merge_at_each_seam_and_star
 @given(st.one_of(LIFTS, mixed_lifts()), st.one_of(LIFTS, mixed_lifts()))
 def test_compose_lift_row_merge_matches_the_fraction_merge(f, g):
     check_against_fraction_merge(compose_lift, fraction_compose_lift, f, g)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(LIFTS, mixed_lifts()))
+@example(SEAMS[0])
+@example(SEAMS[1])
+@example(SEAMS[2])
+@example(STARTS[2])
+def test_inverse_lift_by_the_row_merge_matches_the_fraction_resampling(f):
+    """F's swapped rows, merged with the identity lift's in one merge, give
+    the breakpoints and slopes of the `Fraction` resampling of F's inverse:
+    smooth, kinked and mixed-denominator seams, and F(0) below 0, in [0, 1)
+    and above 1, where the swapped rows start."""
+    made = []
+    assert len(row_merges(lambda: made.append(inverse_lift(f)))) == 1
+    bps, slopes = fraction_inverse_lift(f)
+    assert (made[0].breakpoints, made[0].slopes) == (tuple(bps), slopes)
 
 
 # -- the validating constructor ------------------------------------------

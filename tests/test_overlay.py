@@ -2,13 +2,14 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from plstab.clip import point_in_triangle, polygon_area2
+from plstab.clip import point_in_triangle
 from plstab.complexes import Complex, triangle_area2
 from plstab.errors import NonCoplanarOverlap, RealizationMismatch
-from plstab.overlay import overlay
+from plstab.overlay import numbered, overlay, realized_pieces
 
-from support import random_square_triangulation
+from support import random_square_triangulation, segment_pieces_by_tiling
 
 
 def two_diagonals():
@@ -58,6 +59,14 @@ def test_overlay_mismatched_realization():
     c2 = Complex([(0, 0), (2, 0), (0, 2)], [(0, 1, 2)])
     with pytest.raises(RealizationMismatch):
         overlay(c1, c2)
+
+
+def test_overlay_refuses_inputs_of_different_dimensions():
+    c1, _ = two_diagonals()
+    edges = Complex(c1.points, [(0, 1), (1, 2), (2, 3), (0, 3)])
+    for t1, t2 in ((c1, edges), (edges, c1)):
+        with pytest.raises(RealizationMismatch, match="inputs have different dimensions"):
+            overlay(t1, t2)
 
 
 def test_overlay_noncoplanar_in_3d():
@@ -140,3 +149,82 @@ def test_overlay_1d_in_the_plane():
     with pytest.raises(RealizationMismatch):
         overlay(c1, Complex([(0, 0), (1, 0), (1, 1), (0, 2)],
                             [(0, 1), (1, 2), (2, 3), (0, 3)]))
+
+
+# -- 1-complexes against the parameter-interval accounting ---------------
+
+
+def _outcome(run):
+    """run()'s result, or the type and message of the `RealizationMismatch`
+    it raised."""
+    try:
+        return run()
+    except RealizationMismatch as e:
+        return type(e), str(e)
+
+
+def _at(corners, s):
+    """The point at parameter s of the polyline through ``corners``, whose
+    k-th segment runs over [k, k + 1]."""
+    k = min(int(s), len(corners) - 2)
+    (x0, y0), (x1, y1) = corners[k], corners[k + 1]
+    return (x0 + (s - k) * (x1 - x0), y0 + (s - k) * (y1 - y0))
+
+
+@st.composite
+def polyline_pairs(draw):
+    """Two subdivisions of one polyline through x-increasing corners, in the
+    plane under a drawn linear map or, projected onto x, on a line, their
+    vertices numbered in a drawn order; then the second may be cut short by
+    half its last segment, extended by a segment, or (in the plane) bent at
+    a vertex inside a segment, so the two realize different sets."""
+    corners = [(F(0), F(0))]
+    for _ in range(draw(st.integers(1, 3))):
+        x, y = corners[-1]
+        corners.append((x + draw(st.integers(1, 3)), y + draw(st.integers(-2, 2))))
+    end = len(corners) - 1
+    on_line = draw(st.booleans())
+    # a turn by a right angle makes the horizontal segments vertical
+    (a, b), (c, d) = draw(st.sampled_from([((1, 0), (0, 1)), ((0, -1), (1, 0)),
+                                           ((2, -1), (1, 3))]))
+    mutation = draw(st.sampled_from(["none", "short", "long"] + ["bent"] * (not on_line)))
+
+    def subdivision(second):
+        inner = draw(st.sets(st.fractions(0, end, max_denominator=6), max_size=4))
+        params = sorted(set(range(end + 1)) | inner)
+        pts = [_at(corners, s) for s in params]
+        if second and mutation == "short":
+            pts[-1] = tuple((u + v) / 2 for u, v in zip(pts[-2], pts[-1]))
+        elif second and mutation == "long":
+            pts.append((pts[-1][0] + 1, pts[-1][1]))
+        elif second and mutation == "bent":
+            inside = [k for k, s in enumerate(params) if s.denominator != 1]
+            if inside:
+                k = draw(st.sampled_from(inside))
+                pts[k] = (pts[k][0], pts[k][1] + 1)
+        pts = [(x,) for x, _ in pts] if on_line else [(a * x + b * y, c * x + d * y)
+                                                       for x, y in pts]
+        order = draw(st.permutations(range(len(pts))))
+        where = {k: v for v, k in enumerate(order)}
+        return Complex([pts[k] for k in order],
+                       [(where[k], where[k + 1]) for k in range(len(pts) - 1)])
+
+    return subdivision(False), subdivision(True)
+
+
+@settings(max_examples=200, deadline=None)
+@given(polyline_pairs(), st.booleans())
+def test_segment_cover_accounting_matches_the_parameter_intervals(pair, swap):
+    """`realized_pieces` and `overlay` on 1-complexes, with end-point pieces
+    and one measure accounting, give the pieces, the overlay, or the
+    exception type and message of the accounting by parameter intervals."""
+    t1, t2 = pair[::-1] if swap else pair
+    expected = _outcome(lambda: segment_pieces_by_tiling(t1, t2))
+    assert _outcome(lambda: realized_pieces(t1, t2)) == expected
+    if isinstance(expected, list):
+        ov, oracle = overlay(t1, t2), numbered([piece for _, _, piece in expected],
+                                               [(i1, i2) for i1, i2, _ in expected])
+        assert (ov.cells.points, ov.cells.simplices, ov.provenance) == (
+            oracle.cells.points, oracle.cells.simplices, oracle.provenance)
+    else:
+        assert _outcome(lambda: overlay(t1, t2)) == expected

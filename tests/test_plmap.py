@@ -8,17 +8,17 @@ from hypothesis import example, given, settings, strategies as st
 from plstab import plmap
 from plstab.cli import load_action
 from plstab.clip import polygon_area2, triangle_intersection
-from plstab.complexes import Complex, boundary, format_complex, parse_complex
+from plstab.complexes import Complex, boundary, format_complex
 from plstab.errors import (InvalidComplex, PointOutsideComplex,
                            RealizationMismatch)
-from plstab.geometry import segment_param, tiles_unit
+from plstab.geometry import segment_param
 from plstab.overlay import overlay, segment_pieces
 from plstab.plmap import (PLMap, compose2d, format_plmap,
                           identity_map, inverse2d, parse_plmap,
                           plmap_from_vertex_images, power)
 
 from support import (SYMMETRIES, _along_boundary, bench_grid_maps, cycle_rotation, grid_complex,
-                     interior_move_map, quarter_rotation, square_complex, three_cycle,
+                     interior_move_map, quarter_rotation, square_complex, tiles_unit,
                      two_squares)
 
 
@@ -122,6 +122,14 @@ def test_map_equality_across_refinements():
     r = quarter_rotation()
     assert compose2d(r, inverse2d(r)) == ident
     assert not (r == ident)
+
+
+def test_maps_on_different_bases_neither_compose_nor_compare_equal():
+    r, other = quarter_rotation(), identity_map(grid_complex(2))
+    with pytest.raises(RealizationMismatch, match="maps must share the base complex"):
+        compose2d(r, other)
+    assert (r == other) is False and (other == r) is False
+    assert (r == 3) is False
 
 
 def equal_by_point_location(f, g):
@@ -465,8 +473,8 @@ def _boundary_by_collinear_cover(f):
     segments = [[f.base.points[v] for v in e] for e in boundary(f.base).of_dim(1)]
     edges = [[f.images[v] for v in e] for e in boundary(f.refinement).of_dim(1)]
     covered = [[] for _ in edges]
-    for i, _, (own, _) in segment_pieces(edges, segments):
-        covered[i].append(own)
+    for i, _, piece in segment_pieces(edges, segments):
+        covered[i].append(tuple(segment_param(*edges[i], p) for p in piece))
     if not all(tiles_unit(intervals) for intervals in covered):
         raise InvalidComplex("boundary is not mapped into the boundary")
 

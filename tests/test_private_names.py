@@ -4,7 +4,8 @@ relies on an assert statement, which `python -O` strips."""
 import ast
 import pathlib
 
-SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "plstab"
+TESTS = pathlib.Path(__file__).resolve().parent
+SRC = TESTS.parent / "src" / "plstab"
 
 
 def _private(name):
@@ -44,9 +45,11 @@ def unread_imports(path):
 
 
 def test_every_imported_name_is_read():
-    """A module reads every name it imports, so a helper whose last caller
-    moved away is not left imported; `__init__` imports to re-export."""
-    found = {p.name: unread_imports(p) for p in sorted(SRC.glob("*.py"))
+    """A module of the library or of the tests reads every name it imports,
+    so a helper whose last caller moved away is not left imported;
+    `__init__` imports to re-export."""
+    modules = sorted(SRC.glob("*.py")) + sorted(TESTS.glob("*.py"))
+    found = {f"{p.parent.name}/{p.name}": unread_imports(p) for p in modules
              if p.name != "__init__.py"}
     assert {k: v for k, v in found.items() if v} == {}
 
@@ -323,8 +326,8 @@ def test_the_check_sees_conversions_and_numberings(tmp_path):
 # the map's `rows()` to `from_rows`, which builds the one Fraction per output
 # coordinate and slope
 ROW_PATH = {"interval.py": {"compose_breakpoints", "_along", "_times", "compose1d"},
-            "circle.py": {"compose_lift", "compose_lift_rows", "_displacement_side",
-                          "detect_rational_rotation"}}
+            "circle.py": {"compose_lift", "compose_lift_rows", "inverse_lift",
+                          "_displacement_side", "detect_rational_rotation"}}
 
 
 def fraction_work(path, names):
@@ -371,9 +374,6 @@ def test_the_check_sees_fraction_work(tmp_path):
                      "    return Fraction(*rows[0][:2]) / 2\n")
     assert fraction_work(probe, ROW_PATH["interval.py"] | ROW_PATH["circle.py"]) == [
         ("compose_breakpoints", 2), ("_displacement_side", 5), ("_displacement_side", 6)]
-
-
-TESTS = pathlib.Path(__file__).resolve().parent
 
 
 def imports_of_test_modules(tests=TESTS):

@@ -278,7 +278,10 @@ for name, obj, attr, fake in [
 def test_certificate_checks_survive_python_O():
     here = os.path.dirname(os.path.abspath(__file__))
     src = os.path.join(os.path.dirname(here), "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, here]))
+    # src and tests first; the caller's path after them, which may be where
+    # this interpreter finds the packages that support imports
+    path = [src, here] + os.environ.get("PYTHONPATH", "").split(os.pathsep)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in path if p))
     proc = subprocess.run([sys.executable, "-O", "-c", SOUNDNESS_PROBE], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr

@@ -7,7 +7,7 @@ from plstab.complexes import Complex
 from plstab.errors import InvalidComplex, VertexNotInComplex
 from plstab.geometry import Mat, primitive_direction
 from plstab.plmap import PLMap, compose2d, inverse2d, plmap_from_vertex_images
-from plstab.tangent import (Fan, Germ, build_germ, canonical_germ,
+from plstab.tangent import (Germ, build_germ, canonical_germ,
                             compose_germs, fan_of_star, germs_equal,
                             identity_germ, in_cone,
                             is_trivial_on_tangent_sphere, ray_map,
