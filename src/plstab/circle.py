@@ -5,23 +5,26 @@ Rotation numbers are never floated: detection returns an exact rational
 is one, and otherwise only rational enclosures of width <= 2/n are made.
 
 A lift is an `interval.BreakpointMap`: it carries its canonical
-breakpoints and the slope of each piece. Only parsed or user-built lifts
-go through the validating constructor, which canonicalizes and then checks
-that the slopes are positive and that F(1) = F(0) + 1 on [0, 1]. Lifts
-compose by one linear merge of G's breakpoints with one rotated period of
-F's (`compose_lift_rows` over `interval.compose_breakpoints`), which keeps
-only the points where the slope changes, so its output is canonical. The
-merge runs on breakpoint rows, integer ratios in lowest terms
-(`BreakpointMap.rows`). F's rows with x and y swapped, merged with the
-identity's, give the inverse; both build back with `CircleLift.from_rows`.
+breakpoint rows, integer ratios in lowest terms, and the slope ratio of
+each piece. Only parsed or user-built lifts go through the validating
+constructor, which canonicalizes and then checks, on the ratios, that the
+slopes are positive and that F(1) = F(0) + 1 on [0, 1]. Lifts compose by
+one linear merge of G's rows with one rotated period of F's
+(`compose_lift_rows` over `interval.compose_breakpoints`), which keeps
+only the points where the slope changes, so its output is canonical. F's
+rows with x and y swapped, merged with the identity's, give the inverse;
+both results are built with `CircleLift.trusted`, and evaluation and
+`iterate_lift` run on the rows too.
+
 Detection bisects the Stern-Brocot tree of rationals: each level builds
 one power F^(b+d) from the two powers F^b, F^d of its bracket's bounds by
 that merge, and the sign of the displacement F^(b+d)(x) - x against the
 mediant's numerator moves one bound or proves the mediant. Every level
-stays on rows: only the power F^q that proves p/q becomes a `CircleLift`,
-and its periodic point is solved only when read. A rotation
-number p/q costs one merge per level down to p/q, at most q - 1; past
-qmax, the bracket proves that no p/q with q <= qmax is the rotation number.
+stays on rows: the power F^q that proves p/q becomes a trusted
+`CircleLift` of its rows, and its periodic point is solved only when
+read. A rotation number p/q costs one merge per level down to p/q, at
+most q - 1; past qmax, the bracket proves that no p/q with q <= qmax is
+the rotation number.
 """
 
 from __future__ import annotations
@@ -29,16 +32,16 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import floor
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import InvalidComplex, ParseError
-from .geometry import fmt, rat
+from .geometry import fmt, rat, ratio
 from .interval import (BreakpointMap, Ratio, Row, compose_breakpoints,
-                       format_breakpoint_lines, interpolate, read_breakpoint_lines,
-                       shifted_fixed_pieces)
+                       format_breakpoint_lines, read_breakpoint_lines, shifted_fixed_pieces,
+                       value_at)
 
-Lift = Tuple[List[Row], List[Ratio]]  # a lift's breakpoint rows and slope ratios
+Lift = Tuple[Sequence[Row], Sequence[Ratio]]  # a lift's breakpoint rows and slope ratios
+IDENTITY: Lift = (((0, 1, 0, 1), (1, 1, 1, 1)), ((1, 1),))  # the identity lift
 
 
 class CircleLift(BreakpointMap):
@@ -53,12 +56,12 @@ class CircleLift(BreakpointMap):
 
     def __init__(self, breakpoints: Sequence):
         super().__init__(breakpoints)
-        (x0, y0), (x1, y1) = self.breakpoints[0], self.breakpoints[-1]
-        if x0 != 0 or x1 != 1:
+        (xn0, xd0, yn0, yd0), last = self.rows[0], self.rows[-1]
+        if (xn0, xd0) != (0, 1) or last[:2] != (1, 1):
             raise InvalidComplex("breakpoints must span [0, 1]")
-        if any(s <= 0 for s in self.slopes):
+        if any(n <= 0 for n, _ in self.slope_ratios):
             raise InvalidComplex("lift must be strictly increasing")
-        if y1 != y0 + 1:
+        if last[2:] != (yn0 + yd0, yd0):  # F(0) + 1, in lowest terms
             raise InvalidComplex("lift must satisfy F(1) = F(0) + 1")
 
     @classmethod
@@ -75,7 +78,7 @@ class CircleLift(BreakpointMap):
 
     def is_identity(self) -> bool:
         """Is the circle map the identity: is the lift x -> x + k, k an integer?"""
-        return len(self.breakpoints) == 2 and self.breakpoints[0][1].denominator == 1
+        return len(self.rows) == 2 and self.rows[0][3] == 1
 
     def moved_point(self) -> Optional[Fraction]:
         """A breakpoint the circle map moves, or None for the identity.
@@ -83,8 +86,11 @@ class CircleLift(BreakpointMap):
         F increases and F(1) = F(0) + 1, so F(x) - x lies strictly between
         F(0) - 1 and F(0) + 1 inside (0, 1): if it is an integer at every
         breakpoint, it is the one integer F(0) and the map is the identity.
+        In lowest terms, y - x is an integer iff y and x share their
+        denominator and it divides yn - xn.
         """
-        return next((x for x, y in self.breakpoints if (y - x).denominator != 1), None)
+        return next((Fraction(xn, xd) for xn, xd, yn, yd in self.rows
+                     if xd != yd or (yn - xn) % xd), None)
 
     def compose(self, g: "CircleLift") -> "CircleLift":
         return compose_lift(self, g)
@@ -97,20 +103,22 @@ class CircleLift(BreakpointMap):
 
 
 def eval_lift(F: CircleLift, x) -> Fraction:
-    x = rat(x)
-    k = floor(x)  # exact for Fraction
-    return k + interpolate(F.breakpoints, F.slopes, x - k)
+    xn, xd = ratio(x)
+    k = xn // xd  # floor(x)
+    vn, vd = value_at(F.rows, F.slope_ratios, xn - k * xd, xd)
+    return Fraction(vn + k * vd, vd)
 
 
 def compose_lift(F: CircleLift, G: CircleLift) -> CircleLift:
     """Lift of the composed circle map: x -> F(G(x)), by one linear merge
     of breakpoint rows (`compose_lift_rows`)."""
-    return CircleLift.from_rows(*compose_lift_rows(F.rows(), G.rows()))
+    return CircleLift.trusted(*compose_lift_rows((F.rows, F.slope_ratios),
+                                                 (G.rows, G.slope_ratios)))
 
 
 def compose_lift_rows(F: Lift, G: Lift) -> Lift:
     """The breakpoint rows and slope ratios of x -> F(G(x)), for F and G
-    given by theirs (`BreakpointMap.rows`).
+    given by theirs.
 
     F's rows span one period [c, c + 1] (c = 0 for a lift) and G's values
     run from y0 = G(0) to y0 + 1, so the F breakpoints they meet are one
@@ -136,9 +144,9 @@ def inverse_lift(F: CircleLift) -> CircleLift:
     """Lift of the inverse circle map, resampled on [0, 1]: F's rows with x
     and y swapped and slopes inverted are the inverse on [F(0), F(0) + 1],
     and their merge with the identity lift resamples them, keeping the kinks."""
-    rows, slopes = F.rows()
-    swapped = ([(yn, yd, xn, xd) for xn, xd, yn, yd in rows], [(d, n) for n, d in slopes])
-    return CircleLift.from_rows(*compose_lift_rows(swapped, CircleLift.identity().rows()))
+    swapped = ([(yn, yd, xn, xd) for xn, xd, yn, yd in F.rows],
+               [(d, n) for n, d in F.slope_ratios])
+    return CircleLift.trusted(*compose_lift_rows(swapped, IDENTITY))
 
 
 @dataclass(frozen=True)
@@ -152,12 +160,14 @@ class RotationEnclosure:
 
 def iterate_lift(F: CircleLift, n: int, x) -> Fraction:
     """F^n(x) by plain iteration of the evaluation (no breakpoint growth):
-    a step is a floor and one `interpolate`."""
-    y = rat(x)
+    a step is a floor and one `value_at`, on integer ratios."""
+    yn, yd = ratio(x)
+    rows, slopes = F.rows, F.slope_ratios
     for _ in range(n):
-        k = floor(y)
-        y = k + interpolate(F.breakpoints, F.slopes, y - k)
-    return y
+        k = yn // yd
+        vn, vd = value_at(rows, slopes, yn - k * yd, yd)
+        yn, yd = vn + k * vd, vd
+    return Fraction(yn, yd)
 
 
 def rotation_enclosure(F: CircleLift, n: int) -> RotationEnclosure:
@@ -238,8 +248,8 @@ def detect_rational_rotation(F: CircleLift, qmax: int = 64):
     """
     if qmax < 1:
         raise ValueError("qmax must be positive")
-    rows = F.rows()
-    n = floor(F.breakpoints[0][1])
+    rows = (F.rows, F.slope_ratios)
+    n = F.rows[0][2] // F.rows[0][3]  # floor(F(0))
     for p in (n, n + 1):
         if _displacement_side(rows[0], p) == 0:
             return RationalRotation(p, 1, F), "found"
@@ -252,7 +262,7 @@ def detect_rational_rotation(F: CircleLift, qmax: int = 64):
               else compose_lift_rows(Fd, Fb))
         side = _displacement_side(Fq[0], p)
         if side == 0:
-            return RationalRotation(p, q, CircleLift.from_rows(*Fq)), "found"
+            return RationalRotation(p, q, CircleLift.trusted(*Fq)), "found"
         if side > 0:
             a, b, Fb = p, q, Fq
         else:
@@ -271,4 +281,4 @@ def parse_circle_lift(text: str) -> CircleLift:
 
 
 def format_circle_lift(F: CircleLift) -> str:
-    return format_breakpoint_lines("circle", F.breakpoints)
+    return format_breakpoint_lines("circle", F.rows)

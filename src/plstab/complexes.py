@@ -17,7 +17,8 @@ accept, so they alone decide which error a rejected complex raises.
 Every overlap test of two cells decides by signs: of `orient2` in the
 plane, or in the `geometry.face_chart` of the cells' common plane in
 3-space, and of a point's height over a plane.  Collinear segments
-compare their `segment_param` ranges instead.
+compare their `segment_param` ranges instead, by `geometry.overlap_params`,
+the test that `geometry.collinear_overlap` makes too.
 """
 
 from __future__ import annotations
@@ -30,7 +31,8 @@ from .clip import ccw_triangle, point_in_triangle
 from .errors import InvalidComplex, ParseError, UnknownVertex
 from .geometry import (Chart, Point, TokenTable, area2, bbox, candidate_pairs,
                        closed_segments_meet, dot, face_chart, fmt, is_simple_polygon, orient2,
-                       plane_normal, point_key, rat, segment_param, to_chart, vadd, vscale, vsub)
+                       overlap_params, plane_normal, point_key, rat, segment_param, to_chart,
+                       vadd, vscale, vsub)
 
 SimplexT = Tuple[int, ...]
 
@@ -63,7 +65,7 @@ def seg_seg_open_meet(a, b, c, d) -> bool:
     point?  Exact, in ambient dimension 1, 2 or 3.
 
     Collinear segments do iff the `segment_param` range of c and d along
-    a->b overlaps [0, 1] in positive length.  Two lines that are not one
+    a->b overlaps [0, 1] in positive length (`overlap_params`).  Two lines that are not one
     share at most a point, which lies inside both open segments iff each
     segment's ends are strictly on opposite sides of the other's line:
     `orient2` signs in the `face_chart` of the segments' common plane.
@@ -71,7 +73,7 @@ def seg_seg_open_meet(a, b, c, d) -> bool:
     """
     tc, td = segment_param(a, b, c), segment_param(a, b, d)
     if tc is not None and td is not None:
-        return max(0, min(tc, td)) < min(1, max(tc, td))
+        return overlap_params(tc, td) is not None
     off, other = (c, d) if tc is None else (d, c)
     chart = face_chart((a, b, off))
     if chart is not None and dot(chart.normal, other) != chart.offset:

@@ -3,7 +3,9 @@
 Everything downstream computes over ``fractions.Fraction``: arbitrary
 precision, always in lowest terms with positive denominator, which is
 exactly the canonical form the rest of the toolkit assumes.  Points are
-plain tuples of Fractions so they hash and compare structurally.
+plain tuples of Fractions so they hash and compare structurally.  The
+one literal parser, `ratio`, reads a token as an integer ratio in that
+form; `rat` builds the Fraction of it, and 1D maps keep the ratio.
 """
 
 from __future__ import annotations
@@ -21,23 +23,47 @@ Point = Tuple[Fraction, ...]
 MAX_EXPONENT = 4300
 
 
-def rat(value) -> Fraction:
-    """Coerce ints, strings like '3/4', '-2' or '1e-3' (an exponent at most
-    `MAX_EXPONENT` in size), and Fractions to Fraction."""
-    if isinstance(value, Fraction):
-        return value
-    if isinstance(value, int):
-        return Fraction(value)
+def ratio(value) -> Tuple[int, int]:
+    """The (numerator, denominator) of a rational literal, in lowest terms
+    with a positive denominator, as `Fraction.as_integer_ratio()` gives it.
+
+    Accepts what `rat` accepts.  An ASCII ``int`` or ``int/int`` token is
+    read by `int` and one `gcd`; any other string goes through `Fraction`,
+    with an exponent at most `MAX_EXPONENT` in size, and a refused one
+    raises the same `ParseError` whichever way it was read.
+    """
     if isinstance(value, str):
+        num, slash, den = value.partition("/")
+        if num.isascii() and (num[1:] if num[:1] == "-" else num).isdigit():
+            if not slash:
+                return int(num), 1
+            if den.isascii() and den.isdigit():
+                n, d = int(num), int(den)
+                if d:
+                    g = gcd(n, d)
+                    return n // g, d // g
         try:
             digits = value.lower().partition("e")[2].replace("_", "").strip().lstrip("+-0")
             if digits.isdecimal() and (len(digits) > len(str(MAX_EXPONENT))
                                        or int(digits) > MAX_EXPONENT):
                 raise ValueError(f"exponent beyond {MAX_EXPONENT}")
-            return Fraction(value)
+            return Fraction(value).as_integer_ratio()
         except (ValueError, ZeroDivisionError) as exc:
             raise ParseError(f"bad rational literal {value!r}") from exc
+    if isinstance(value, (int, Fraction)):
+        return value.as_integer_ratio()
     raise ParseError(f"cannot interpret {value!r} as a rational")
+
+
+def rat(value) -> Fraction:
+    """Coerce ints, strings like '3/4', '-2' or '1e-3' (an exponent at most
+    `MAX_EXPONENT` in size), and Fractions to Fraction: a string is read by
+    `ratio`."""
+    if isinstance(value, Fraction):
+        return value
+    if isinstance(value, int):
+        return Fraction(value)
+    return Fraction(*ratio(value))
 
 
 class TokenTable(dict):
@@ -63,10 +89,12 @@ def point_key(p: Point) -> Tuple[Tuple[int, int], ...]:
 
 def fmt(q: Fraction) -> str:
     """Print a rational canonically: 'p/q', or just 'p' when q = 1."""
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+    return fmt_ratio(*Fraction(q).as_integer_ratio())
+
+
+def fmt_ratio(n: int, d: int) -> str:
+    """Print the rational n/d, in lowest terms with d > 0, as `fmt` does."""
+    return str(n) if d == 1 else f"{n}/{d}"
 
 
 def pt(*coords) -> Point:
@@ -183,13 +211,20 @@ def collinear_overlap(p: Point, q: Point, a: Point, b: Point):
     """
     ta = segment_param(p, q, a)
     tb = segment_param(p, q, b)
-    if ta is None or tb is None:
+    span = None if ta is None or tb is None else overlap_params(ta, tb)
+    if span is None:
         return None
-    lo, hi = max(min(ta, tb), Fraction(0)), min(max(ta, tb), Fraction(1))
-    if lo >= hi:
-        return None
-    d = vsub(q, p)
+    (lo, hi), d = span, vsub(q, p)
     return vadd(p, vscale(lo, d)), vadd(p, vscale(hi, d))
+
+
+def overlap_params(ta: Fraction, tb: Fraction):
+    """Where a segment [a, b] on the line of [p, q] overlaps it, for the
+    `segment_param` values ta, tb of a and b along p -> q: the parameters
+    (lo, hi) of the overlap when it has positive length, or None.  The one
+    test of collinear overlap."""
+    lo, hi = max(min(ta, tb), Fraction(0)), min(max(ta, tb), Fraction(1))
+    return (lo, hi) if lo < hi else None
 
 
 def cross3(a: Sequence[Fraction], b: Sequence[Fraction]) -> Point:

@@ -1,22 +1,25 @@
-"""PL homeomorphisms of a closed interval, as breakpoint lists.
+"""PL homeomorphisms of a closed interval, as breakpoint rows.
 
-`BreakpointMap`, the core that interval maps and circle lifts share, holds
-canonical breakpoints (no collinear interior breakpoints) and the slope of
-each piece, so map equality is representational equality and "is the
-identity" is an O(1)-per-breakpoint check. Its validating constructor
-serves parsed or user-built maps: it converts each coordinate once, divides
-once per piece and keeps an interior breakpoint iff its two slopes differ.
-Composition and inversion build their results with `trusted`, unchecked.
-Composition is one linear merge of the two breakpoint lists that emits only
-the kinks (`compose_breakpoints`, which circle lifts share), and the
-inverse of a canonical map is canonical.
+`BreakpointMap`, the core that interval maps and circle lifts share, keeps
+a map in one form: its canonical breakpoints (no collinear interior
+breakpoint) as rows (xn, xd, yn, yd) and the slope of each piece as a
+ratio (n, d), every ratio in lowest terms with a positive denominator, as
+`Fraction.as_integer_ratio()` gives it. So equal rationals are equal
+tuples, map equality is row equality, and "is the identity" is an
+O(1)-per-breakpoint check. The validating constructor serves parsed or
+user-built maps: it reads each coordinate once (`geometry.ratio`),
+cross-multiplies to check that x strictly increases, reduces each slope
+with one gcd and keeps an interior breakpoint iff the slope ratio changes
+there. Composition, inversion and rotation detection build their results
+with `trusted`, unchecked. Composition is one linear merge of the two row
+lists that emits only the kinks (`compose_breakpoints`, which circle lifts
+share), and the inverse of a canonical map is canonical.
 
-The merge runs on integer ratios, not `Fraction`s: a breakpoint row is
-(xn, xd, yn, yd) and a slope is (n, d), each ratio in lowest terms with a
-positive denominator, as `Fraction.as_integer_ratio()` gives it. So equal
-rationals are equal tuples. `BreakpointMap.rows` converts a map to rows
-and `BreakpointMap.from_rows` builds the trusted map back; they are the
-only places on that path that convert between the two forms.
+Parsing, validation, composition, inversion, evaluation and printing run
+on the rows and build no `Fraction` but a value they return; the
+`breakpoints` and `slopes` of a map are its rows and slope ratios as
+Fractions, built on first read and kept, for the fixed-set solver
+(`shifted_fixed_pieces`) and the one-edge embedding of the certifier.
 
 An interval action is certified by `stability.certify_trivial` as the
 same action on the one-edge complex [a, b], whose refinement is each
@@ -28,7 +31,6 @@ from __future__ import annotations
 from bisect import bisect_right
 from fractions import Fraction
 from math import gcd
-from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import (
@@ -38,7 +40,7 @@ from .errors import (
     ParseError,
     SideOutsideInterval,
 )
-from .geometry import fmt, rat
+from .geometry import fmt_ratio, ratio
 
 Break = Tuple[Fraction, Fraction]
 Piece = Tuple[Fraction, Fraction]
@@ -49,14 +51,24 @@ Row = Tuple[int, int, int, int]  # a breakpoint (x, y) as (xn, xd, yn, yd)
 # -- breakpoint lists, shared with circle lifts ---------------------------
 
 
-def interpolate(bps: Sequence[Break], slopes: Sequence[Fraction], x: Fraction) -> Fraction:
-    """Value at x of the PL function through the breakpoints with the given
-    piece slopes (x in range): one multiply-add on the piece holding x."""
-    i = bisect_right(bps, x, key=itemgetter(0)) - 1
-    if i == len(slopes):
-        i -= 1
-    x0, y0 = bps[i]
-    return y0 + (x - x0) * slopes[i]
+def piece_at(rows: Sequence[Row], xn: int, xd: int) -> int:
+    """Index of the piece that holds x = xn/xd, x in range: the piece
+    right of the last row at or before x, or the last piece at the right
+    end. One bisect, cross-multiplied."""
+    i = bisect_right(rows, False, key=lambda row: row[0] * xd > xn * row[1]) - 1
+    return min(i, len(rows) - 2)
+
+
+def value_at(rows: Sequence[Row], slopes: Sequence[Ratio], xn: int, xd: int) -> Ratio:
+    """Value at x = xn/xd (x in range) of the PL function through the rows
+    with the given piece slopes: one multiply-add on the piece holding x."""
+    i = piece_at(rows, xn, xd)
+    return _along(rows[i], slopes[i], xn, xd)
+
+
+def covers(rows: Sequence[Row], xn: int, xd: int) -> bool:
+    """Does x = xn/xd lie between the first and the last row's x?"""
+    return rows[0][0] * xd <= xn * rows[0][1] and xn * rows[-1][1] <= rows[-1][0] * xd
 
 
 def _along(row, slope, tn, td):
@@ -156,61 +168,71 @@ def shifted_fixed_pieces(bps: Sequence[Break], slopes: Sequence[Fraction], p) ->
 
 
 class BreakpointMap:
-    """A PL map given by its canonical breakpoints, x strictly increasing,
-    and the slope of each piece between them: the core that interval maps
-    and circle lifts share. Subclasses check monotonicity and their ends
-    on the slopes, and call their module's functions from `eval`."""
+    """A PL map given by its canonical breakpoint rows, x strictly
+    increasing, and the slope ratio of each piece between them: the core
+    that interval maps and circle lifts share. Subclasses check
+    monotonicity and their ends on the ratios, and call their module's
+    functions from `eval`."""
 
-    __slots__ = ("breakpoints", "slopes")
+    __slots__ = ("rows", "slope_ratios", "_breakpoints", "_slopes")
 
     def __init__(self, breakpoints: Sequence):
-        bps = [(rat(x), rat(y)) for x, y in breakpoints]
-        if len(bps) < 2:
+        pts = [ratio(x) + ratio(y) for x, y in breakpoints]
+        if len(pts) < 2:
             raise InvalidComplex("need at least two breakpoints")
-        kept, slopes = [bps[0]], []
-        for (x0, y0), (x1, y1) in zip(bps, bps[1:]):
-            if x1 <= x0:
+        rows, slopes = [pts[0]], []
+        xn0, xd0, yn0, yd0 = pts[0]
+        for row in pts[1:]:
+            xn1, xd1, yn1, yd1 = row
+            dx = xn1 * xd0 - xn0 * xd1  # (x1 - x0) xd0 xd1
+            if dx <= 0:
                 raise InvalidComplex("breakpoint x values must strictly increase")
-            s = (y1 - y0) / (x1 - x0)
-            if slopes and s == slopes[-1]:  # kept[-1] is no kink: extend its piece
-                kept[-1] = (x1, y1)
+            n, d = (yn1 * yd0 - yn0 * yd1) * xd0 * xd1, dx * yd0 * yd1
+            g = gcd(n, d)
+            s = (n // g, d // g)
+            if slopes and s == slopes[-1]:  # rows[-1] is no kink: extend its piece
+                rows[-1] = row
             else:
-                kept.append((x1, y1))
+                rows.append(row)
                 slopes.append(s)
-        self.breakpoints = tuple(kept)
-        self.slopes = tuple(slopes)
+            xn0, xd0, yn0, yd0 = row
+        self.rows, self.slope_ratios = tuple(rows), tuple(slopes)
+        self._breakpoints = self._slopes = None
 
     @classmethod
-    def trusted(cls, breakpoints: Sequence[Break], slopes: Sequence[Fraction]):
-        """A map that compose or invert built from validated maps, so valid
-        and canonical by construction, with the slope of each piece: not
-        checked."""
+    def trusted(cls, rows: Sequence[Row], slopes: Sequence[Ratio]):
+        """A map that compose, invert or detection built from validated
+        maps, so valid and canonical by construction, given by its
+        breakpoint rows and the slope ratio of each piece: not checked."""
         self = cls.__new__(cls)
-        self.breakpoints = tuple(breakpoints)
-        self.slopes = tuple(slopes)
+        self.rows, self.slope_ratios = tuple(rows), tuple(slopes)
+        self._breakpoints = self._slopes = None
         return self
 
-    @classmethod
-    def from_rows(cls, rows: Sequence[Row], slopes: Sequence[Ratio]):
-        """The trusted map of breakpoint rows and slope ratios that a merge
-        emitted: one Fraction per coordinate and per slope."""
-        return cls.trusted([(Fraction(xn, xd), Fraction(yn, yd)) for xn, xd, yn, yd in rows],
-                           [Fraction(n, d) for n, d in slopes])
+    @property
+    def breakpoints(self) -> Tuple[Break, ...]:
+        """The breakpoints as (x, y) Fraction pairs, built on first read."""
+        if self._breakpoints is None:
+            self._breakpoints = tuple([(Fraction(xn, xd), Fraction(yn, yd))
+                                       for xn, xd, yn, yd in self.rows])
+        return self._breakpoints
 
-    def rows(self) -> Tuple[List[Row], List[Ratio]]:
-        """The breakpoint rows and slope ratios that `compose_breakpoints`
-        merges."""
-        return ([x.as_integer_ratio() + y.as_integer_ratio() for x, y in self.breakpoints],
-                [s.as_integer_ratio() for s in self.slopes])
+    @property
+    def slopes(self) -> Tuple[Fraction, ...]:
+        """The piece slopes as Fractions, built on first read."""
+        if self._slopes is None:
+            self._slopes = tuple([Fraction(n, d) for n, d in self.slope_ratios])
+        return self._slopes
 
     def __eq__(self, other):
-        return type(other) is type(self) and self.breakpoints == other.breakpoints
+        return type(other) is type(self) and self.rows == other.rows
 
     def __hash__(self):
-        return hash(self.breakpoints)
+        return hash(self.rows)
 
     def __repr__(self):
-        pts = ", ".join(f"({fmt(x)},{fmt(y)})" for x, y in self.breakpoints)
+        pts = ", ".join(f"({fmt_ratio(xn, xd)},{fmt_ratio(yn, yd)})"
+                        for xn, xd, yn, yd in self.rows)
         return f"{type(self).__name__}[{pts}]"
 
     def __call__(self, x) -> Fraction:
@@ -224,25 +246,25 @@ class PLMap1D(BreakpointMap):
 
     def __init__(self, breakpoints: Sequence):
         super().__init__(breakpoints)
-        (a, ya), (b, yb) = self.breakpoints[0], self.breakpoints[-1]
-        if all(s > 0 for s in self.slopes):
-            ends = (a, b)
-        elif all(s < 0 for s in self.slopes):
-            ends = (b, a)
+        first, last = self.rows[0], self.rows[-1]
+        if all(n > 0 for n, _ in self.slope_ratios):
+            ends = (first[:2], last[:2])
+        elif all(n < 0 for n, _ in self.slope_ratios):
+            ends = (last[:2], first[:2])
         else:
             raise InvalidComplex("map must be strictly monotone")
-        if (ya, yb) != ends:
+        if (first[2:], last[2:]) != ends:
             raise InvalidComplex("endpoints must map onto endpoints")
 
     # -- basics ----------------------------------------------------------
 
     @property
     def orientation(self) -> int:
-        return 1 if self.slopes[0] > 0 else -1
+        return 1 if self.slope_ratios[0][0] > 0 else -1
 
     @property
     def interval(self) -> Tuple[Fraction, Fraction]:
-        return (self.breakpoints[0][0], self.breakpoints[-1][0])
+        return (Fraction(*self.rows[0][:2]), Fraction(*self.rows[-1][:2]))
 
     domain = interval
 
@@ -254,14 +276,12 @@ class PLMap1D(BreakpointMap):
         return PLMap1D.identity(*self.interval)
 
     def is_identity(self) -> bool:
-        return self.breakpoints == (
-            (self.interval[0],) * 2,
-            (self.interval[1],) * 2,
-        )
+        return len(self.rows) == 2 and all(row[:2] == row[2:] for row in self.rows)
 
     def moved_point(self) -> Optional[Fraction]:
         """A breakpoint the map moves, or None for the identity."""
-        return next((x for x, y in self.breakpoints if x != y), None)
+        return next((Fraction(xn, xd) for xn, xd, yn, yd in self.rows
+                     if (xn, xd) != (yn, yd)), None)
 
     def compose(self, g: "PLMap1D") -> "PLMap1D":
         return compose1d(self, g)
@@ -274,60 +294,60 @@ class PLMap1D(BreakpointMap):
 
 
 def eval1d(f: PLMap1D, x) -> Fraction:
-    x = rat(x)
-    a, b = f.interval
-    if not a <= x <= b:
-        raise OutOfInterval(f"{fmt(x)} outside [{fmt(a)}, {fmt(b)}]")
-    return interpolate(f.breakpoints, f.slopes, x)
+    xn, xd = ratio(x)
+    rows = f.rows
+    if not covers(rows, xn, xd):
+        raise OutOfInterval(f"{fmt_ratio(xn, xd)} outside [{fmt_ratio(*rows[0][:2])}, "
+                            f"{fmt_ratio(*rows[-1][:2])}]")
+    return Fraction(*value_at(rows, f.slope_ratios, xn, xd))
 
 
 def inverse1d(f: PLMap1D) -> PLMap1D:
-    bps = [(y, x) for x, y in f.breakpoints]
-    slopes = [1 / s for s in f.slopes]
+    """x and y swapped in each row, each slope ratio inverted; a decreasing
+    map's rows, swapped, run backwards."""
+    rows = [(yn, yd, xn, xd) for xn, xd, yn, yd in f.rows]
+    slopes = [(d, n) if n > 0 else (-d, -n) for n, d in f.slope_ratios]
     if f.orientation < 0:
-        bps.reverse()
+        rows.reverse()
         slopes.reverse()
-    return PLMap1D.trusted(bps, slopes)
+    return PLMap1D.trusted(rows, slopes)
 
 
 def compose1d(f: PLMap1D, g: PLMap1D) -> PLMap1D:
-    """The map x -> f(g(x)), by one merge of g's and f's breakpoints.
+    """The map x -> f(g(x)), by one merge of g's and f's breakpoint rows.
 
     A decreasing g runs through f's breakpoints in reverse, so the merge
     sees f reflected, u -> f(-u), after -g; both have their slopes negated.
     """
-    if f.interval != g.interval:
+    frows, fslopes, grows, gslopes = f.rows, f.slope_ratios, g.rows, g.slope_ratios
+    if frows[0][:2] != grows[0][:2] or frows[-1][:2] != grows[-1][:2]:
         raise OutOfInterval("maps must share the interval")
-    (frows, fslopes), (grows, gslopes) = f.rows(), g.rows()
     if g.orientation < 0:
         frows = [(-un, ud, vn, vd) for un, ud, vn, vd in reversed(frows)]
         fslopes = [(-n, d) for n, d in reversed(fslopes)]
         grows = [(xn, xd, -yn, yd) for xn, xd, yn, yd in grows]
         gslopes = [(-n, d) for n, d in gslopes]
-    return PLMap1D.from_rows(*compose_breakpoints(frows, fslopes, grows, gslopes))
+    return PLMap1D.trusted(*compose_breakpoints(frows, fslopes, grows, gslopes))
 
 
 def one_sided_derivative(f: PLMap1D, p, side: str) -> Fraction:
-    """Slope of the affine piece adjacent to a fixed point p on the given side."""
-    p = rat(p)
-    a, b = f.interval
-    if not a <= p <= b:
-        raise OutOfInterval(f"{fmt(p)} outside the interval")
-    if eval1d(f, p) != p:
-        raise NotFixedPoint(f"{fmt(p)} is not fixed")
+    """Slope of the affine piece adjacent to a fixed point p on the given
+    side: the piece holding p, found once, or the one left of it when p is
+    that piece's left end and the left side is asked for."""
+    pn, pd = ratio(p)
+    rows = f.rows
+    if not covers(rows, pn, pd):
+        raise OutOfInterval(f"{fmt_ratio(pn, pd)} outside the interval")
+    i = piece_at(rows, pn, pd)
+    if _along(rows[i], f.slope_ratios[i], pn, pd) != (pn, pd):
+        raise NotFixedPoint(f"{fmt_ratio(pn, pd)} is not fixed")
     if side not in ("left", "right"):
         raise ValueError("side must be 'left' or 'right'")
-    if (side == "left" and p == a) or (side == "right" and p == b):
-        raise SideOutsideInterval(f"no {side} side at {fmt(p)}")
-    xs = [x for x, _ in f.breakpoints]
-    i = bisect_right(xs, p) - 1
-    if side == "left":
-        if xs[i] == p:
-            i -= 1
-    else:
-        if i == len(xs) - 1:
-            i -= 1
-    return f.slopes[i]
+    if (rows[0] if side == "left" else rows[-1])[:2] == (pn, pd):
+        raise SideOutsideInterval(f"no {side} side at {fmt_ratio(pn, pd)}")
+    if side == "left" and rows[i][:2] == (pn, pd):
+        i -= 1
+    return Fraction(*f.slope_ratios[i])
 
 
 def fixed_set_1d(f: PLMap1D) -> List[Piece]:
@@ -352,8 +372,11 @@ def read_breakpoint_lines(text: str) -> Tuple[str, List[Tuple[str, str]]]:
     return (lines[0] if lines else ""), pairs
 
 
-def format_breakpoint_lines(header: str, bps: Sequence[Break]) -> str:
-    return "\n".join([header] + [f"{fmt(x)} {fmt(y)}" for x, y in bps]) + "\n"
+def format_breakpoint_lines(header: str, rows: Sequence[Row]) -> str:
+    """The header, then one `x y` line per breakpoint row, each coordinate
+    printed as `geometry.fmt` prints its Fraction."""
+    return "\n".join([header] + [f"{fmt_ratio(xn, xd)} {fmt_ratio(yn, yd)}"
+                                 for xn, xd, yn, yd in rows]) + "\n"
 
 
 def parse_plmap1d(text: str) -> PLMap1D:
@@ -363,13 +386,13 @@ def parse_plmap1d(text: str) -> PLMap1D:
         raise ParseError("expected 'interval <a> <b>' header")
     if len(tok) != 3:
         raise ParseError("bad interval header")
-    a, b = rat(tok[1]), rat(tok[2])
+    a, b = ratio(tok[1]), ratio(tok[2])
     f = PLMap1D(pairs)
-    if f.interval != (a, b):
+    if (f.rows[0][:2], f.rows[-1][:2]) != (a, b):
         raise ParseError("breakpoints do not span the declared interval")
     return f
 
 
 def format_plmap1d(f: PLMap1D) -> str:
-    a, b = f.interval
-    return format_breakpoint_lines(f"interval {fmt(a)} {fmt(b)}", f.breakpoints)
+    a, b = f.rows[0][:2], f.rows[-1][:2]
+    return format_breakpoint_lines(f"interval {fmt_ratio(*a)} {fmt_ratio(*b)}", f.rows)

@@ -121,7 +121,7 @@ def _on_one_edge(gens: Sequence[Tuple[str, PLMap1D]]) -> List[Tuple[str, PLMap]]
     base = Complex.trusted([(a,), (b,)], [(0, 1)])
     out = []
     for name, f in gens:
-        edges = [(i, i + 1) for i in range(len(f.slopes))]
+        edges = [(i, i + 1) for i in range(len(f.slope_ratios))]
         refinement = Complex.trusted([(x,) for x, _ in f.breakpoints], edges)
         out.append((name, PLMap.trusted(base, refinement, [(y,) for _, y in f.breakpoints],
                                         [0] * len(edges))))

@@ -25,11 +25,12 @@ def check_trusted_builds(monkeypatch):
     """Check mode: every `Complex.trusted`, `PLMap.trusted`,
     `CircleLift.trusted`, `PLMap1D.trusted` and `Germ.trusted` result is
     also built through the validating constructor, which must accept it and
-    agree on points, simplices, `cell_base` and image, on breakpoints, piece
-    slopes and orientation, or on fan and matrices, so a bug in an
+    agree on points, simplices, `cell_base` and image, on breakpoint rows,
+    slope ratios and orientation, or on fan and matrices, so a bug in an
     operation that builds trusted still fails the tests.  A trusted
     complex's points, and so a trusted map's images, must also be tuples
-    of Fractions, as the validating constructor would make them."""
+    of Fractions, and a trusted 1D map's rows and slope ratios tuples of
+    ints, as the validating constructor would make them."""
     complex_trusted, plmap_trusted = Complex.trusted, PLMap.trusted
     lift_trusted, map1d_trusted = CircleLift.trusted, PLMap1D.trusted
     germ_trusted = Germ.trusted
@@ -58,19 +59,22 @@ def check_trusted_builds(monkeypatch):
 
     def checked_1d(trusted, cls, args, names):
         out = trusted(*args)
-        ref = cls(args[0])
+        ref = cls([(Fraction(xn, xd), Fraction(yn, yd)) for xn, xd, yn, yd in args[0]])
         for name in names:
             if getattr(out, name) != getattr(ref, name):
                 raise TrustedBuildMismatch(f"{name} of {out!r} differs from {ref!r}")
+        # an int equals its Fraction, so the comparison above cannot see one
+        if not all(type(r) is tuple and all(type(c) is int for c in r)
+                   for r in out.rows + out.slope_ratios):
+            raise TrustedBuildMismatch(f"{out!r} has a ratio that is no tuple of ints")
         return out
 
-    def checked_lift(cls, breakpoints, slopes):
-        return checked_1d(lift_trusted, CircleLift, (breakpoints, slopes),
-                          ("breakpoints", "slopes"))
+    def checked_lift(cls, rows, slopes):
+        return checked_1d(lift_trusted, CircleLift, (rows, slopes), ("rows", "slope_ratios"))
 
-    def checked_map1d(cls, breakpoints, slopes):
-        return checked_1d(map1d_trusted, PLMap1D, (breakpoints, slopes),
-                          ("breakpoints", "slopes", "orientation"))
+    def checked_map1d(cls, rows, slopes):
+        return checked_1d(map1d_trusted, PLMap1D, (rows, slopes),
+                          ("rows", "slope_ratios", "orientation"))
 
     def checked_germ(cls, fan, matrices):
         out = germ_trusted(fan, matrices)

@@ -9,12 +9,14 @@ replaced; the grid complexes and grid maps of the square, the
 `Fraction` merge that the breakpoint-row merge of
 `interval.compose_breakpoints` replaced, the `Fraction` resampling that
 `circle.inverse_lift` replaced, the chord evaluation that the stored
-slopes of `interval.interpolate` replaced, and the parameter-interval
+slopes of `interval.value_at` replaced, the parameter-interval
 accounting (`tiles_unit`) that the segment measure of
-`overlay.realized_pieces` replaced. Every helper that more than one
-test module uses lives here or, if it is a hypothesis strategy, in
-`strategies`, so no test module imports another, and this module needs
-no hypothesis."""
+`overlay.realized_pieces` replaced, the `Fraction` parse that
+`geometry.ratio` replaced, and the `Fraction` validating constructor of
+interval maps and circle lifts that the one on breakpoint rows replaced.
+Every helper that more than one test module uses lives here or, if it is
+a hypothesis strategy, in `strategies`, so no test module imports
+another, and this module needs no hypothesis."""
 
 import importlib.util
 import math
@@ -28,9 +30,9 @@ from plstab.circle import CircleLift
 from plstab.clip import point_in_triangle
 from plstab.complexes import Complex, tri_tri_open_meet_2d
 from plstab.errors import InvalidComplex, ParseError, RealizationMismatch
-from plstab.geometry import (Mat, area2, candidate_pairs, closed_segments_meet, cross2, cross3,
-                             dot, drop_axis, orient2, plane_normal, primitive_direction, rat,
-                             segment_param, vadd, vscale, vsub)
+from plstab.geometry import (MAX_EXPONENT, Mat, area2, candidate_pairs, closed_segments_meet,
+                             cross2, cross3, dot, drop_axis, orient2, plane_normal,
+                             primitive_direction, rat, segment_param, vadd, vscale, vsub)
 from plstab.interval import PLMap1D
 from plstab.plmap import PLMap, plmap_from_vertex_images
 from plstab.tangent import Fan, Germ, _chain_cones, in_cone
@@ -705,7 +707,7 @@ def piece_slopes(bps):
 
 
 def chord_interpolate(bps, x):
-    """The oracle of `interval.interpolate`: the value at x of the PL
+    """The oracle of `interval.value_at`: the value at x of the PL
     function through the breakpoints, on the chord of the piece holding x
     (x in range), with no stored slope."""
     i = max(n for n, (u, _) in enumerate(bps[:-1]) if u <= x)
@@ -783,3 +785,62 @@ def segment_pieces_by_tiling(t1, t2):
         if not all(tiles_unit(own) for own in intervals):
             raise RealizationMismatch(message)
     return pieces
+
+
+# -- the Fraction parse and constructor, the oracles of the row form ------
+
+
+def rat_by_fraction(value):
+    """The oracle of `geometry.ratio`: `rat` as it ran before `ratio`, every
+    string through `Fraction(str)` after the exponent guard."""
+    if isinstance(value, F):
+        return value
+    if isinstance(value, int):
+        return F(value)
+    if isinstance(value, str):
+        try:
+            digits = value.lower().partition("e")[2].replace("_", "").strip().lstrip("+-0")
+            if digits.isdecimal() and (len(digits) > len(str(MAX_EXPONENT))
+                                       or int(digits) > MAX_EXPONENT):
+                raise ValueError(f"exponent beyond {MAX_EXPONENT}")
+            return F(value)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ParseError(f"bad rational literal {value!r}") from exc
+    raise ParseError(f"cannot interpret {value!r} as a rational")
+
+
+def fraction_constructor(cls, breakpoints):
+    """The oracle of the validating constructors of `PLMap1D` and
+    `CircleLift`: the canonical breakpoints and piece slopes, as Fractions,
+    that they made before the row form, or the error they raised."""
+    bps = [(rat_by_fraction(x), rat_by_fraction(y)) for x, y in breakpoints]
+    if len(bps) < 2:
+        raise InvalidComplex("need at least two breakpoints")
+    kept, slopes = [bps[0]], []
+    for (x0, y0), (x1, y1) in zip(bps, bps[1:]):
+        if x1 <= x0:
+            raise InvalidComplex("breakpoint x values must strictly increase")
+        s = (y1 - y0) / (x1 - x0)
+        if slopes and s == slopes[-1]:
+            kept[-1] = (x1, y1)
+        else:
+            kept.append((x1, y1))
+            slopes.append(s)
+    (a, ya), (b, yb) = kept[0], kept[-1]
+    if cls is CircleLift:
+        if a != 0 or b != 1:
+            raise InvalidComplex("breakpoints must span [0, 1]")
+        if any(s <= 0 for s in slopes):
+            raise InvalidComplex("lift must be strictly increasing")
+        if yb != ya + 1:
+            raise InvalidComplex("lift must satisfy F(1) = F(0) + 1")
+    else:
+        if all(s > 0 for s in slopes):
+            ends = (a, b)
+        elif all(s < 0 for s in slopes):
+            ends = (b, a)
+        else:
+            raise InvalidComplex("map must be strictly monotone")
+        if (ya, yb) != ends:
+            raise InvalidComplex("endpoints must map onto endpoints")
+    return tuple(kept), tuple(slopes)

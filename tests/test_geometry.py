@@ -7,7 +7,9 @@ from hypothesis import example, given, settings, strategies as st
 from plstab.clip import polygon_area2, triangle_intersection
 from plstab.geometry import (Mat, area2, bbox, between, boxes_apart, candidate_pairs,
                              collinear_overlap, cross2, fmt, orient2, primitive_direction, rat,
-                             segment_param, vsub)
+                             ratio, segment_param, vsub)
+
+from support import rat_by_fraction
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -44,6 +46,67 @@ def test_rat_bounds_the_decimal_exponent():
         with pytest.raises(ParseError, match="bad rational literal"):
             rat(token)
         assert time.perf_counter() - start < 1
+
+
+def outcome(parse, value):
+    """What parse(value) returns, or the type and message of what it raises."""
+    try:
+        return parse(value)
+    except Exception as exc:  # the differential tests compare any failure
+        return type(exc), str(exc)
+
+
+# pieces of literals: ASCII and other decimal digits ("٣" ARABIC-INDIC
+# THREE, "５" FULLWIDTH FIVE), a digit `int` refuses ("²"), underscores,
+# signs, slashes, points, exponents and blanks
+LITERAL_PIECES = st.sampled_from(["0", "1", "2", "7", "10", "007", "٣", "５", "²", "_", "-",
+                                  "+", "/", "//", ".", "e", "E", "e-", " ", "\t", "x"])
+LITERALS = st.one_of(
+    st.lists(LITERAL_PIECES, max_size=6).map("".join),
+    st.builds("{}{}/{}".format, st.sampled_from(["", "-", "+"]),
+              st.integers(0, 10**30), st.integers(0, 10**30)),
+    st.builds(lambda n: str(n), st.integers(-10**30, 10**30)),
+    st.text(alphabet="0123456789-+/. e_", max_size=8),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(LITERALS)
+@example("-0")
+@example("1/0")
+@example("")
+@example("+3")
+@example(" 3/4")
+@example("3/4 ")
+@example("3 / 4")
+@example("3/")
+@example("/4")
+@example("-")
+@example("1_000")
+@example("1e-3")
+@example("1e999999999")
+@example("1.50")
+@example("٣")
+@example("٣/٤")
+@example("5/٤")
+@example("²")
+@example("-6/4")
+@example("0/-5")
+@example("10" * 30 + "/" + "4" * 25)
+def test_ratio_matches_the_fraction_parse(token):
+    """`ratio` gives the ratio `Fraction(token)` gives through the old
+    `rat`, or the same exception type and message; `rat` gives the same
+    Fraction."""
+    expected = outcome(lambda t: rat_by_fraction(t).as_integer_ratio(), token)
+    assert outcome(ratio, token) == expected
+    assert outcome(rat, token) == outcome(rat_by_fraction, token)
+
+
+@pytest.mark.parametrize("value", [0, -3, True, Fraction(-6, 4), 0.5, None, b"1"])
+def test_ratio_matches_the_fraction_parse_on_other_values(value):
+    assert outcome(ratio, value) == outcome(lambda v: rat_by_fraction(v).as_integer_ratio(),
+                                            value)
+    assert outcome(rat, value) == outcome(rat_by_fraction, value)
 
 
 def test_orient2_signs():

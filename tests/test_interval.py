@@ -4,13 +4,15 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plstab.circle import format_circle_lift
 from plstab.errors import (InvalidComplex, OutOfInterval, ParseError,
                            SideOutsideInterval)
+from plstab.geometry import fmt
 from plstab.interval import (PLMap1D, compose1d, eval1d, fixed_set_1d,
                              format_plmap1d, inverse1d, one_sided_derivative,
                              parse_plmap1d)
 
-from strategies import interval_pairs
+from strategies import LIFTS, interval_pairs
 from support import chord_interpolate, f1_map, random_plmap1d
 
 
@@ -112,6 +114,55 @@ def test_parse_format_roundtrip():
     for _ in range(10):
         g = random_plmap1d(rng, max_breaks=6)
         assert parse_plmap1d(format_plmap1d(g)) == g
+
+
+def fraction_lines(header, f):
+    """The text of a 1D map as it was printed from its Fraction breakpoints."""
+    return "\n".join([header] + [f"{fmt(x)} {fmt(y)}" for x, y in f.breakpoints]) + "\n"
+
+
+@settings(max_examples=100, deadline=None)
+@given(interval_pairs(), LIFTS)
+def test_the_row_formatter_prints_what_the_fraction_breakpoints_printed(pair, lift):
+    """Negative, integer and fractional coordinates, on any interval."""
+    f = pair[0]
+    a, b = f.interval
+    assert format_plmap1d(f) == fraction_lines(f"interval {fmt(a)} {fmt(b)}", f)
+    assert format_circle_lift(lift) == fraction_lines("circle", lift)
+
+
+def test_the_row_formatter_pins_its_bytes():
+    f = PLMap1D([(F(-3, 2), F(1, 2)), (F(-1, 3), F(-1, 5)), (F(1, 2), F(-3, 2))])
+    assert format_plmap1d(f) == "interval -3/2 1/2\n-3/2 1/2\n-1/3 -1/5\n1/2 -3/2\n"
+    assert repr(f) == "PLMap1D[(-3/2,1/2), (-1/3,-1/5), (1/2,-3/2)]"
+
+
+def one_sided_by_pieces(f, p, side):
+    """The slope of the piece that ends at p (left) or starts at p (right),
+    or that holds p inside it, read off the Fraction breakpoints."""
+    bps = f.breakpoints
+    pieces = range(len(bps) - 1)
+    if side == "left":
+        return next(f.slopes[i] for i in pieces if bps[i][0] < p <= bps[i + 1][0])
+    return next(f.slopes[i] for i in pieces if bps[i][0] <= p < bps[i + 1][0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(interval_pairs())
+def test_one_sided_derivative_matches_the_pieces(pair):
+    """At every fixed breakpoint and every end of a fixed piece, inside or
+    at an end of the interval."""
+    f = pair[0]
+    a, b = f.interval
+    points = {x for x, y in f.breakpoints if x == y}
+    points.update(x for piece in fixed_set_1d(f) for x in piece)
+    for p in points:
+        for side in ("left", "right"):
+            if (side, p) in (("left", a), ("right", b)):
+                with pytest.raises(SideOutsideInterval):
+                    one_sided_derivative(f, p, side)
+            else:
+                assert one_sided_derivative(f, p, side) == one_sided_by_pieces(f, p, side)
 
 
 def test_header_must_be_the_word_interval():

@@ -1,7 +1,9 @@
 """The kink-only merge of `compose1d` and `compose_lift`, and the
 slope-based canonicalization of the validating constructor, against
-`canonical_breakpoints`, the collinearity test on breakpoints; and the
-merge on breakpoint rows against the `Fraction` merge it replaced."""
+`canonical_breakpoints`, the collinearity test on breakpoints; the merge
+on breakpoint rows against the `Fraction` merge it replaced; and the
+validating constructor on breakpoint rows against the `Fraction` one it
+replaced."""
 
 import math
 from collections import Counter
@@ -12,12 +14,14 @@ from hypothesis import example, given, settings, strategies as st
 
 from plstab import circle, interval
 from plstab.circle import CircleLift, compose_lift, inverse_lift
+from plstab.errors import InvalidComplex
+from plstab.geometry import fmt
 from plstab.interval import PLMap1D, compose1d, inverse1d
 
 from strategies import LIFTS, SHIFT, interval_pairs
 from support import (c1_map, f1_map, fraction_breakpoints, fraction_compose1d,
-                     fraction_compose_lift, fraction_inverse_lift, fraction_merge,
-                     piece_slopes)
+                     fraction_compose_lift, fraction_constructor, fraction_inverse_lift,
+                     fraction_merge, piece_slopes)
 
 MERGE = interval.compose_breakpoints
 
@@ -339,3 +343,87 @@ def test_the_canonicalization_examples_cover_both_orientations_and_seams():
     smooth, kinked = (check_canonicalization(CircleLift, raw) for raw in SEAM_EXAMPLES)
     assert smooth == SMOOTH_SEAM and smooth.slopes[0] == smooth.slopes[-1]
     assert kinked == KINKED_SEAM and kinked.slopes[0] != kinked.slopes[-1]
+
+
+# -- the validating constructor on rows against the Fraction one ---------
+
+COORD = st.one_of(st.integers(-1, 2), st.fractions(min_value=-1, max_value=2, max_denominator=4))
+# a coordinate as given: a Fraction, or a token that the fast path of
+# `geometry.ratio` reads, or one that `Fraction` reads
+AS_GIVEN = st.sampled_from([F, fmt, lambda q: f" {fmt(q)}"])
+
+
+@st.composite
+def mutated(draw, raw):
+    """raw with one breakpoint moved: its x onto or past a neighbour's, or
+    its y anywhere, which can break monotonicity, an end or the period."""
+    out = list(raw)
+    i = draw(st.integers(0, len(out) - 1))
+    x, y = out[i]
+    if draw(st.booleans()):
+        out[i] = (out[i - 1][0] if i else x + F(1, 8), y)
+    else:
+        out[i] = (x, draw(COORD))
+    return out
+
+
+CONSTRUCTOR_RAW = st.one_of(
+    st.lists(st.tuples(COORD, COORD), max_size=6),
+    st.lists(st.tuples(COORD, COORD), max_size=6).map(sorted),
+    INTERVAL_RAW,
+    LIFT_RAW,
+    INTERVAL_RAW.flatmap(mutated),
+    LIFT_RAW.flatmap(mutated),
+    LIFT_RAW.map(lambda raw: raw[:-1] + [(raw[-1][0], raw[-1][1] + F(1, 4))]),
+)
+# one example of each verdict of each constructor
+CONSTRUCTOR_EXAMPLES = [
+    (PLMap1D, [(0, 0)]),
+    (PLMap1D, [(0, 0), (F(1, 2), F(1, 4)), (F(1, 2), F(1, 2)), (1, 1)]),
+    (PLMap1D, [(0, 0), (F(1, 2), F(3, 4)), (1, F(1, 2))]),
+    (PLMap1D, [(0, 0), (F(1, 2), F(1, 2)), (1, F(3, 4))]),
+    (PLMap1D, [(0, 1), (F(1, 4), F(3, 4)), (F(1, 2), F(1, 2)), (1, 0)]),
+    (CircleLift, [(0, F(1, 4))]),
+    (CircleLift, [(0, 0), (F(1, 2), F(1, 2)), (F(1, 4), F(3, 4)), (1, 1)]),
+    (CircleLift, [(F(-1, 4), 0), (1, F(5, 4))]),
+    (CircleLift, [(0, 1), (F(1, 2), F(1, 2)), (1, 2)]),
+    (CircleLift, [(0, F(1, 4)), (1, F(3, 2))]),
+    (CircleLift, [(0, F(-1, 3)), (F(1, 3), 0), (F(2, 3), F(1, 3)), (1, F(2, 3))]),
+]
+
+
+def built(cls, raw):
+    """The canonical breakpoints and slopes of cls(raw), or the message of
+    the `InvalidComplex` it raises."""
+    try:
+        f = cls(raw)
+    except InvalidComplex as exc:
+        return str(exc)
+    return f.breakpoints, f.slopes
+
+
+def check_against_fraction_constructor(cls, raw):
+    try:
+        expected = fraction_constructor(cls, raw)
+    except InvalidComplex as exc:
+        expected = str(exc)
+    assert built(cls, raw) == expected
+    return expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([PLMap1D, CircleLift]), CONSTRUCTOR_RAW, AS_GIVEN)
+def test_validating_constructor_matches_the_fraction_constructor(cls, raw, as_given):
+    """Collinear, non-increasing, non-monotone, bad ends and bad periods:
+    the same canonical breakpoints and slopes, or the same message."""
+    check_against_fraction_constructor(cls, [(as_given(F(x)), as_given(F(y))) for x, y in raw])
+
+
+def test_the_constructor_examples_cover_every_verdict():
+    verdicts = [check_against_fraction_constructor(cls, raw) for cls, raw in CONSTRUCTOR_EXAMPLES]
+    assert {v for v in verdicts if isinstance(v, str)} == {
+        "need at least two breakpoints", "breakpoint x values must strictly increase",
+        "map must be strictly monotone", "endpoints must map onto endpoints",
+        "breakpoints must span [0, 1]", "lift must be strictly increasing",
+        "lift must satisfy F(1) = F(0) + 1"}
+    assert [v for v in verdicts if not isinstance(v, str)]

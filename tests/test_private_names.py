@@ -322,39 +322,57 @@ def test_the_check_sees_conversions_and_numberings(tmp_path):
         ("compose2d", "index_cells"), ("numbered", "index_cells")]
 
 
-# the functions that merge breakpoint rows, by module: integer ratios from
-# the map's `rows()` to `from_rows`, which builds the one Fraction per output
-# coordinate and slope
-ROW_PATH = {"interval.py": {"compose_breakpoints", "_along", "_times", "compose1d"},
-            "circle.py": {"compose_lift", "compose_lift_rows", "inverse_lift",
-                          "_displacement_side", "detect_rational_rotation"}}
+# the functions on the path of a 1D map from its text through validation,
+# composition, inversion and rotation detection to its printed lines, by
+# module ("Class.method" for a method): they run on breakpoint rows and
+# slope ratios, integer ratios read by `geometry.ratio`, so no `Fraction`
+# is built on that path
+ROW_PATH = {"interval.py": {"piece_at", "value_at", "covers", "_along", "_times",
+                            "compose_breakpoints", "BreakpointMap.__init__",
+                            "BreakpointMap.trusted", "PLMap1D.__init__", "compose1d",
+                            "inverse1d", "read_breakpoint_lines", "format_breakpoint_lines",
+                            "parse_plmap1d", "format_plmap1d"},
+            "circle.py": {"CircleLift.__init__", "compose_lift", "compose_lift_rows",
+                          "inverse_lift", "_displacement_side", "detect_rational_rotation",
+                          "parse_circle_lift", "format_circle_lift"}}
+
+
+def functions(tree):
+    """("Class.method" or top-level name, node) of each function defined at
+    the top level of a module or in one of its top-level classes."""
+    for top in tree.body:
+        if isinstance(top, ast.FunctionDef):
+            yield top.name, top
+        elif isinstance(top, ast.ClassDef):
+            yield from ((f"{top.name}.{fn.name}", fn) for fn in top.body
+                        if isinstance(fn, ast.FunctionDef))
 
 
 def fraction_work(path, names):
     """(function, line) of each call of `rat` or `Fraction`, by name or as an
-    attribute, and of each true division `/`, in the named top-level
-    functions: `/` on ints gives a float, and on Fractions builds one."""
+    attribute, and of each true division `/`, in the named functions and
+    methods: `/` on ints gives a float, and on Fractions builds one."""
     out = []
-    for top in ast.parse(path.read_text()).body:
-        if not (isinstance(top, ast.FunctionDef) and top.name in names):
+    for name, fn in functions(ast.parse(path.read_text())):
+        if name not in names:
             continue
-        for node in ast.walk(top):
+        for node in ast.walk(fn):
             if isinstance(node, ast.Call):
                 if getattr(node.func, "id", getattr(node.func, "attr", None)) in CONVERTERS:
-                    out.append((top.name, node.lineno))
+                    out.append((name, node.lineno))
             elif isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Div):
-                out.append((top.name, node.lineno))
+                out.append((name, node.lineno))
     return out
 
 
 def test_the_row_merge_builds_no_fraction():
-    """The merge, its helpers, its callers, `_displacement_side` and
-    detection run on ints: no `Fraction` or `rat` call and no `/`, so
-    Fractions are built only where a map leaves the merge (`from_rows`)."""
-    for name, functions in ROW_PATH.items():
-        tree = ast.parse((SRC / name).read_text())
-        assert functions <= {top.name for top in tree.body if isinstance(top, ast.FunctionDef)}
-    found = {name: fraction_work(SRC / name, functions) for name, functions in ROW_PATH.items()}
+    """Parsing, the validating constructors, the merge and its helpers, its
+    callers, inversion, `_displacement_side`, detection and the text
+    formats run on ints: no `Fraction` or `rat` call and no `/`, so a map
+    builds Fractions only when its `breakpoints` or `slopes` are read."""
+    for name, names in ROW_PATH.items():
+        assert names <= {fn for fn, _ in functions(ast.parse((SRC / name).read_text()))}
+    found = {name: fraction_work(SRC / name, names) for name, names in ROW_PATH.items()}
     assert {k: v for k, v in found.items() if v} == {}
 
 
@@ -370,10 +388,15 @@ def test_the_check_sees_fraction_work(tmp_path):
                      "        y /= 2\n"
                      "        return rat(y) > p\n"
                      "    return side(rows[0][2] // rows[0][3])\n"
-                     "def from_rows(rows):\n"
-                     "    return Fraction(*rows[0][:2]) / 2\n")
+                     "class BreakpointMap:\n"
+                     "    def __init__(self, bps):\n"
+                     "        self.rows = [(rat(x), rat(y)) for x, y in bps]\n"
+                     "    @property\n"
+                     "    def breakpoints(self):\n"
+                     "        return [Fraction(*row[:2]) / 2 for row in self.rows]\n")
     assert fraction_work(probe, ROW_PATH["interval.py"] | ROW_PATH["circle.py"]) == [
-        ("compose_breakpoints", 2), ("_displacement_side", 5), ("_displacement_side", 6)]
+        ("compose_breakpoints", 2), ("_displacement_side", 5), ("_displacement_side", 6),
+        ("BreakpointMap.__init__", 10), ("BreakpointMap.__init__", 10)]
 
 
 def imports_of_test_modules(tests=TESTS):
