@@ -100,14 +100,6 @@ def polygon_centroid(poly: Sequence[Point]) -> Point:
     return (cx / (3 * a2), cy / (3 * a2))
 
 
-def triangulate_convex(poly: Sequence[Point]) -> List[Tuple[Point, Point, Point]]:
-    """Triangulate a convex polygon keeping every boundary vertex: the
-    triangles of `convex_fan`, as points."""
-    tris, c = convex_fan(poly)
-    pts = [*poly, c]
-    return [(pts[i], pts[j], pts[k]) for i, j, k in tris]
-
-
 def convex_fan(poly: Sequence[Point]) -> Tuple[List[Tuple[int, int, int]], Optional[Point]]:
     """Triangulate a convex polygon keeping every boundary vertex, by
     position: each triangle as three indices into ``poly``, where the index

@@ -51,15 +51,6 @@ def close_under_faces(simplices) -> Tuple[SimplexT, ...]:
     return tuple(sorted(out, key=lambda f: (len(f), f)))
 
 
-def index_cells(cells):
-    """Vertices of point-tuple cells in sorted coordinate order, and each
-    cell as a sorted index simplex over them."""
-    cells = list(cells)
-    pts = sorted({p for cell in cells for p in cell})
-    idx = {p: i for i, p in enumerate(pts)}
-    return pts, [tuple(sorted(idx[p] for p in cell)) for cell in cells]
-
-
 def seg_seg_open_meet(a, b, c, d) -> bool:
     """Do the open segments (a, b) and (c, d), a != b and c != d, share a
     point?  Exact, in ambient dimension 1, 2 or 3.

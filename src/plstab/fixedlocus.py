@@ -26,8 +26,8 @@ vertex), then every edge cut, centroid and isolated fixed point appended
 as a new id with its flag.  An edge is cut only when f moves both its
 ends, from displacements computed once per vertex, and its cut is shared
 by the cells on both sides.  A cell with no cut is left whole, or coned
-from its isolated fixed point.  One sort of the ids by point numbers the
-refined vertices in coordinate order, as an overlay's are numbered;
+from its isolated fixed point.  `overlay.numbered`, the one numbering of
+derived refinements, sorts the ids by point into coordinate order;
 `fixed_subcomplex` proves that no two ids hold one point.
 """
 
@@ -41,6 +41,7 @@ from .clip import convex_fan
 from .complexes import Complex, SimplexT, SubComplex, euler_characteristic, faces_of
 from .errors import FixIsEmpty, FixIsEverything
 from .geometry import Point, cross2, orient2, vadd, vscale, vsub
+from .overlay import numbered
 from .plmap import PLMap, compose2d
 
 
@@ -168,20 +169,14 @@ def fixed_subcomplex(f: PLMap) -> FixedLocus:
         _refine_cells_2d(r)
     else:
         _refine_cells_1d(r)
-    # number the ids in coordinate order, strict as no two hold one point
-    order = sorted(range(len(r.points)), key=r.points.__getitem__)
-    rank = [0] * len(order)
-    for k, v in enumerate(order):
-        rank[v] = k
-    sims = [tuple(sorted([rank[v] for v in cell])) for cell in r.cells]
-    refined = Complex.trusted([r.points[v] for v in order], sims)
+    refined, provenance, order = numbered(r.points, r.cells, r.homes)
     fixed = [r.fixed[v] for v in order]
     # a face is fixed iff its vertices are, so the fixed vertices of each
     # cell span its largest fixed face
     fix_faces = [face for face in (tuple(v for v in s if fixed[v]) for s in refined.simplices)
                  if face]
     return FixedLocus(refined=refined, cells=SubComplex(refined, fix_faces),
-                      provenance=dict(zip(sims, r.homes)))
+                      provenance=provenance)
 
 
 def _refine_cells_1d(r: _Refinement):

@@ -1,5 +1,6 @@
-"""Common refinement of two triangulations of the same realization, the
-one realization test, and the one cell-pair kernel under them.
+"""The one builder of refinements derived from two triangulations of the
+same realization, the one realization test, and the one cell-pair kernel
+under them.
 
 :func:`triangle_pieces` and :func:`segment_pieces` yield, for every pair
 of cells of two inputs whose interiors meet, their intersection: a convex
@@ -25,13 +26,14 @@ each edge-connected part, a cell with no hit near its neighbour's, or an
 edge of a hit that no other cell shares crossing the cell.  Segments and
 the 3-space chart path enumerate the pairs of `candidate_pairs`.
 
-The 2D overlay triangulates each intersection polygon; the 1D overlay
-keeps each overlap segment.  :func:`numbered`, which composition shares,
-numbers such cells in sorted coordinate order, so overlays are
-reproducible.  The inputs are validated complexes and the accounting found
-that they realize one set, so the overlay is valid by construction and is
-built trusted.  :meth:`Overlay.at_vertices` is the one vertex-value rule
-of the maps derived on an overlay: composite, inverse and equality.
+:func:`refine` builds every refinement derived from pieces (overlay,
+composite, inverse, equality): it triangulates them, interns each point
+once, and numbers the points with `numbered`, which the fixed locus
+shares, in sorted coordinate order.  `overlay` refines the pieces of
+`realized_pieces`; the others, whose inputs realize one set by
+construction, those of `cell_pieces`.  Each piece carries a cut polygon,
+at whose points :meth:`Overlay.at_vertices`, the one vertex-value rule of
+derived maps, reads the vertices' values.
 """
 
 from __future__ import annotations
@@ -41,11 +43,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .clip import ccw_triangle, polygon_area2, triangle_intersection, triangulate_convex
-from .complexes import (Complex, SimplexT, ccw_triangles_meet, index_cells,
-                        segment_meets_ccw_triangle, tri_tri_open_meet_2d, tri_tri_open_meet_3d)
+from .clip import ccw_triangle, convex_fan, polygon_area2, polygon_centroid, triangle_intersection
+from .complexes import (Complex, SimplexT, ccw_triangles_meet, segment_meets_ccw_triangle,
+                        tri_tri_open_meet_2d, tri_tri_open_meet_3d)
 from .errors import NonCoplanarOverlap, RealizationMismatch
-from .geometry import candidate_pairs, collinear_overlap, extent, from_chart, to_chart
+from .geometry import (Point, candidate_pairs, collinear_overlap, extent, from_chart, point_key,
+                       to_chart)
 
 
 @dataclass(frozen=True)
@@ -54,44 +57,76 @@ class Overlay:
 
     ``provenance[s]`` gives, for each maximal simplex ``s`` of ``cells``,
     the pair (index into t1.simplices, index into t2.simplices) of the
-    input simplices containing it.
-    """
+    input simplices containing it; ``cuts[v]`` the pair of the first piece
+    that made vertex v, and v's cut point there."""
 
     cells: Complex
     provenance: Dict[SimplexT, Tuple[int, int]]
+    cuts: Tuple[Tuple[int, int, Point], ...]
 
     def at_vertices(self, value) -> Iterator:
-        """``value(i1, i2, x)`` once per vertex x, lazily in vertex order, from
-        the first cell in simplex order that holds x and its provenance (i1,
-        i2); for a continuous map affine on each cell, every cell at x agrees.
-        Finding the cells takes no arithmetic, so stopping early saves it."""
-        first = [None] * len(self.cells.points)
-        for s in reversed(self.cells.simplices):  # the first cell writes last
-            for v in s:
-                first[v] = s
-        return (value(*self.provenance[s], x) for s, x in zip(first, self.cells.points))
+        """``value(i1, i2, c)`` at each vertex's ``cuts`` entry, lazily in
+        vertex order; for a continuous map affine on each piece, every piece
+        at the vertex agrees."""
+        return (value(*cut) for cut in self.cuts)
 
 
-def numbered(cells, pairs) -> Overlay:
-    """The trusted complex of point-tuple ``cells``, numbered by
-    `index_cells`, with the pair ``pairs[k]`` as the provenance of cell k."""
-    pts, sims = index_cells(cells)
-    return Overlay(cells=Complex.trusted(pts, sims),
-                   provenance=dict(zip(sims, pairs)))
+def refine(pieces, lift=None) -> Overlay:
+    """The trusted refinement of interior-disjoint ``pieces`` (i1, i2, poly,
+    cut): `convex_fan` of each polygon (a segment kept whole), its cells
+    from the pair (i1, i2).  ``cut`` holds the cut point of each vertex of
+    ``poly``, a fan centroid the centroid of ``cut`` (its image, as ``cut``
+    is an affine image of ``poly``).  Each point, lifted by ``lift(i1, p)``
+    when given, gets one id by its `point_key`, with the first piece's cut."""
+    ids: Dict[tuple, int] = {}
+    points: List[Point] = []
+    cuts, cells, pairs = [], [], []
+    for i1, i2, poly, cut in pieces:
+        tris, c = convex_fan(poly) if len(poly) > 2 else ([(0, 1)], None)
+        if c is not None:
+            poly, cut = [*poly, c], [*cut, polygon_centroid(cut)]
+        vs = []
+        for p, x in zip(poly, cut):
+            if lift is not None:
+                p = lift(i1, p)
+            v = ids.setdefault(point_key(p), len(points))
+            if v == len(points):
+                points.append(p)
+                cuts.append((i1, i2, x))
+            vs.append(v)
+        cells += [tuple(vs[k] for k in tri) for tri in tris]
+        pairs += [(i1, i2)] * len(tris)
+    refined, provenance, order = numbered(points, cells, pairs)
+    return Overlay(refined, provenance, tuple(cuts[v] for v in order))
+
+
+def numbered(points, cells, provenance):
+    """The trusted complex of the id tuples ``cells`` over the distinct
+    ``points``, its vertices numbered in sorted coordinate order (one sort
+    of the ids); the dict of ``provenance[k]`` by the simplex of cell k;
+    and the id of each vertex, in vertex order."""
+    order = sorted(range(len(points)), key=points.__getitem__)
+    rank = [0] * len(order)
+    for k, v in enumerate(order):
+        rank[v] = k
+    sims = [tuple(sorted([rank[v] for v in cell])) for cell in cells]
+    return (Complex.trusted([points[v] for v in order], sims), dict(zip(sims, provenance)),
+            order)
 
 
 def overlay(t1: Complex, t2: Complex) -> Overlay:
-    cells, pairs = [], []
-    charts1 = t1.charts() if t1.dim == 2 else None
-    for i1, i2, piece in realized_pieces(t1, t2):
-        if t1.dim == 1:
-            new = [piece]
-        else:
-            chart = charts1[i1]
-            new = [tuple(from_chart(p, chart) for p in cell) for cell in triangulate_convex(piece)]
-        cells += new
-        pairs += [(i1, i2)] * len(new)
-    return numbered(cells, pairs)
+    """The common refinement of two complexes that `realized_pieces` finds
+    to realize one set; a piece clipped in a 3-space chart is lifted back."""
+    charts = t1.charts() if t1.dim == 2 and t1.ambient_dim == 3 else None
+    lift = None if charts is None else (lambda i1, p: from_chart(p, charts[i1]))
+    return refine(((i1, i2, p, p) for i1, i2, p in realized_pieces(t1, t2)), lift)
+
+
+def cell_pieces(t1: Complex, t2: Complex):
+    """`segment_pieces` of the cells of two 1-complexes, or `triangle_pieces`."""
+    if t1.dim == 1:
+        return segment_pieces(t1.cells(), t2.cells())
+    return triangle_pieces(t1, t2)
 
 
 def realized_pieces(t1: Complex, t2: Complex,
@@ -112,12 +147,11 @@ def realized_pieces(t1: Complex, t2: Complex,
     interior would be an open set covered by lower-dimensional faces only."""
     if t1.dim != t2.dim or t1.ambient_dim != t2.ambient_dim:
         raise RealizationMismatch("inputs have different dimensions")
+    pieces = list(cell_pieces(t1, t2))
     if t1.dim == 1:
-        pieces = list(segment_pieces(t1.cells(), t2.cells()))
         measures = [extent(seg) for _, _, seg in pieces]
         own = [[extent(seg) for seg in t.cells()] for t in (t1, t2)]
     else:
-        pieces = list(triangle_pieces(t1, t2))
         measures = [abs(polygon_area2(poly)) for _, _, poly in pieces]
         own = [[abs(polygon_area2(to_chart(tri, chart)))
                 for tri, chart in zip(t.cells(), t.charts())] for t in (t1, t2)]

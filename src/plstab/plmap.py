@@ -29,13 +29,13 @@ image areas agree; a failure is an ``InternalError``).
 provenance.  The test suite re-validates every trusted result.
 
 Every loop over pairs of cells that meet goes through the kernels of
-:mod:`plstab.overlay`: `triangle_pieces` under composition in the plane
-(a walk over the image of g and the refinement of f, both complexes),
-`segment_pieces` under 1D composition, `realized_pieces` under the two
-realization checks, and `overlay` itself under :func:`inverse2d` and map
-equality.  All three read each vertex off one cell's provenance pieces
-(`Overlay.at_vertices`): f∘g maps it through g's piece, then f's; an
-inverse pulls it back; ``f == g`` compares the two maps' pieces there.
+:mod:`plstab.overlay`: `realized_pieces` under the two realization
+checks, `cell_pieces` under composition, :func:`inverse2d` and equality,
+whose inputs realize one set by construction; those build with
+`overlay.refine`.  Each vertex is read at its cut point
+(`Overlay.at_vertices`): f∘g maps its image under g, the image-side
+point, through f's piece; an inverse pulls it back; ``f == g`` compares
+the two maps' pieces there.
 
 A map keeps one affine piece per refinement cell, from the cell to its
 image, and one back, each solved on first use (`_solve_piece`, exact
@@ -68,7 +68,6 @@ from fractions import Fraction
 from math import gcd, lcm, prod
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .clip import triangulate_convex
 from .complexes import (
     Complex,
     directed_boundary,
@@ -94,7 +93,7 @@ from .geometry import (
     point_key,
     rat,
 )
-from .overlay import numbered, overlay, realized_pieces, segment_pieces, triangle_pieces
+from .overlay import cell_pieces, realized_pieces, refine
 
 
 def _solve_piece(src: Sequence[Point], dst: Sequence[Point]):
@@ -324,15 +323,16 @@ class PLMap:
         return identity_map(self.base)
 
     def __eq__(self, other):
-        """Pointwise equality, decided on a common refinement: both maps are
-        affine on each overlay cell, on the pieces of its provenance cells,
-        so they agree there iff they agree at its vertices, each compared
-        once as both are continuous (`Overlay.at_vertices`)."""
+        """Pointwise equality, decided on the common refinement of the two
+        refinements, which realize the one base: both maps are affine on
+        each of its cells, on the pieces of its provenance cells, so they
+        agree there iff they agree at its vertices, each compared once as
+        both are continuous (`Overlay.at_vertices`)."""
         if not isinstance(other, PLMap):
             return NotImplemented
         if self.base != other.base:
             return False
-        ov = overlay(self.refinement, other.refinement)
+        ov = _common_refinement(self.refinement, other.refinement)
         return all(ov.at_vertices(
             lambda i, j, x: self.eval_in_cell(i, x) == other.eval_in_cell(j, x)))
 
@@ -346,7 +346,7 @@ class PLMap:
         for i, s in enumerate(self.refinement.simplices):
             if in_closed_cell(x, [self.refinement.points[v] for v in s]):
                 return self.eval_in_cell(i, x)
-        raise PointOutsideComplex(f"{x} is not in the realization")
+        raise PointOutsideComplex(f"({', '.join(fmt(c) for c in x)}) is not in the realization")
 
     def eval_in_cell(self, i: int, x: Point) -> Point:
         """x under the affine piece of refinement cell ``i``, for any point
@@ -405,56 +405,43 @@ def compose2d(f: PLMap, g: PLMap) -> PLMap:
     """The map x -> f(g(x)); the result's refinement refines g's.
 
     Built trusted from provenance: an output cell cut from g's cell i and
-    f's cell j lies in g's base cell ``g.cell_base[i]``, and its vertices
-    go through g's piece on i, then f's on j (`Overlay.at_vertices`).
+    f's cell j lies in g's base cell ``g.cell_base[i]``, and each vertex
+    goes through f's piece on j at its cut point, its image under g.
     """
     if f.base != g.base:
         raise RealizationMismatch("maps must share the base complex")
-    cut = _compose_cells_2d if f.base.dim == 2 else _compose_cells_1d
-    ov = numbered(*cut(f, g))
-    images = list(ov.at_vertices(lambda i, j, x: f.eval_in_cell(j, g.eval_in_cell(i, x))))
+    ov = refine(_pulled_back(f, g))
+    images = list(ov.at_vertices(lambda _, j, y: f.eval_in_cell(j, y)))
     return PLMap.trusted(g.base, ov.cells, images,
                          [g.cell_base[ov.provenance[s][0]] for s in ov.cells.simplices])
 
 
-def _compose_cells_2d(f: PLMap, g: PLMap):
-    """The cells of f∘g as point tuples, and the pair (i, j) each came from.
-
-    A cell comes from an image cell i of g and a cell j of f whose
-    interiors meet: their intersection polygon, pulled back through g's
-    piece on i.  The polygon is counter-clockwise, and its pullback is too
-    unless g's piece on i reverses orientation, when its vertex list is
-    reversed.
-    """
-    cells, pairs = [], []
+def _pulled_back(f: PLMap, g: PLMap):
+    """The pieces of f∘g: the intersection of an image cell i of g and a
+    cell j of f, pulled back through g's piece on i, with itself as the
+    cut; both reversed where that piece reverses orientation, so the
+    pulled-back polygon is counter-clockwise."""
     srcs, imgs = g.refinement.cells(), g.image.cells()
     reverses: Dict[int, bool] = {}
-    for i, j, poly in triangle_pieces(g.image, f.refinement):
-        if i not in reverses:
-            reverses[i] = (orient2(*srcs[i]) > 0) != (orient2(*imgs[i]) > 0)
-        back = [g.pullback_in_cell(i, p) for p in poly]
-        new = triangulate_convex(back[::-1] if reverses[i] else back)
-        cells += new
-        pairs += [(i, j)] * len(new)
-    return cells, pairs
+    for i, j, cut in cell_pieces(g.image, f.refinement):
+        if len(cut) > 2:
+            if i not in reverses:
+                reverses[i] = (orient2(*srcs[i]) > 0) != (orient2(*imgs[i]) > 0)
+            if reverses[i]:
+                cut = cut[::-1]
+        yield i, j, [g.pullback_in_cell(i, y) for y in cut], cut
 
 
-def _compose_cells_1d(f: PLMap, g: PLMap):
-    """As `_compose_cells_2d`: a cell is the overlap of an image segment i
-    of g with a segment j of f, pulled back through g's piece on i."""
-    cells, pairs = [], []
-    for i, j, seg in segment_pieces(g.image.cells(), f.refinement.cells()):
-        cells.append([g.pullback_in_cell(i, p) for p in seg])
-        pairs.append((i, j))
-    return cells, pairs
+def _common_refinement(t1: Complex, t2: Complex):
+    """`refine` of two complexes that realize one set by construction."""
+    return refine((i1, i2, x, x) for i1, i2, x in cell_pieces(t1, t2))
 
 
 def inverse2d(f: PLMap) -> PLMap:
-    """Exact inverse; its refinement is the overlay of f's image with the
-    base, and an overlay cell lies in the base cell of its provenance.  An
-    overlay cell cut from image cell i pulls back through the piece of
-    refinement cell i (`Overlay.at_vertices`)."""
-    ov = overlay(f.image, f.base)
+    """Exact inverse, on the common refinement of f's image and the base: a
+    cell lies in the base cell of its provenance, and a vertex cut from
+    image cell i pulls back through the piece of refinement cell i."""
+    ov = _common_refinement(f.image, f.base)
     pre = list(ov.at_vertices(lambda i, _, y: f.pullback_in_cell(i, y)))
     return PLMap.trusted(f.base, ov.cells, pre,
                          [ov.provenance[s][1] for s in ov.cells.simplices])

@@ -67,26 +67,24 @@ def _identity(n: int) -> List[List[int]]:
 
 
 def _det_unimodular(m: List[List[int]]) -> int:
-    # integer determinant by Gaussian elimination over Fraction, with division
-    from fractions import Fraction
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if pivot is None:
-            return 0
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        for r in range(col + 1, n):
-            factor = a[r][col] / a[col][col]
-            for c in range(col, n):
-                a[r][c] -= factor * a[col][c]
-    if det.denominator != 1:
-        raise InternalError("determinant of an integer matrix is not an integer")
-    return det.numerator
+    """The determinant of a square integer matrix, by fraction-free
+    (Bareiss) elimination: each division of a 2x2 minor by the previous
+    pivot is exact, so every entry stays an int."""
+    a = [list(row) for row in m]
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            pivot = next((r for r in range(k + 1, n) if a[r][k] != 0), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[-1][-1] if n else 1
 
 
 def smith_normal_form(m: Sequence[Sequence[int]]) -> Dict[str, List[List[int]]]:

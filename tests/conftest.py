@@ -17,7 +17,7 @@ class TrustedBuildMismatch(AssertionError):
 
 
 class ClockwisePolygon(AssertionError):
-    """`triangulate_convex` or `convex_fan` was handed a clockwise polygon."""
+    """`convex_fan` was handed a clockwise polygon."""
 
 
 @pytest.fixture(autouse=True)
@@ -92,9 +92,9 @@ def check_trusted_builds(monkeypatch):
 
 @pytest.fixture(autouse=True)
 def check_counter_clockwise_polygons(monkeypatch):
-    """Every polygon that compose and overlay hand to `triangulate_convex`,
-    and the fixed locus to `convex_fan`, is counter-clockwise, as they
-    require."""
+    """Every polygon that `overlay.refine` (under overlay, compose, inverse
+    and equality) and the fixed locus hand to `convex_fan` is
+    counter-clockwise, as it requires."""
     def checking(triangulate):
         def checked(poly):
             if polygon_area2(poly) < 0:
@@ -103,10 +103,9 @@ def check_counter_clockwise_polygons(monkeypatch):
         return checked
 
     # by module path: the package's `overlay` is the function
-    for module, name in (("fixedlocus", "convex_fan"), ("overlay", "triangulate_convex"),
-                         ("plmap", "triangulate_convex")):
-        monkeypatch.setattr(import_module(f"plstab.{module}"), name,
-                            checking(getattr(clip, name)))
+    for module in ("fixedlocus", "overlay"):
+        monkeypatch.setattr(import_module(f"plstab.{module}"), "convex_fan",
+                            checking(clip.convex_fan))
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -12,8 +12,11 @@ replaced; the grid complexes and grid maps of the square, the
 slopes of `interval.value_at` replaced, the parameter-interval
 accounting (`tiles_unit`) that the segment measure of
 `overlay.realized_pieces` replaced, the `Fraction` parse that
-`geometry.ratio` replaced, and the `Fraction` validating constructor of
-interval maps and circle lifts that the one on breakpoint rows replaced.
+`geometry.ratio` replaced, the `Fraction` validating constructor of
+interval maps and circle lifts that the one on breakpoint rows replaced,
+the `Fraction` elimination that the integer determinant of
+`presentation` replaced, and the point-keyed builders of overlays and
+composites that `overlay.refine` and `overlay.numbered` replaced.
 Every helper that more than one test module uses lives here or, if it is
 a hypothesis strategy, in `strategies`, so no test module imports
 another, and this module needs no hypothesis."""
@@ -27,13 +30,14 @@ from pathlib import Path
 
 from plstab.circle import CircleLift
 
-from plstab.clip import point_in_triangle
+from plstab.clip import convex_fan, point_in_triangle
 from plstab.complexes import Complex, tri_tri_open_meet_2d
 from plstab.errors import InvalidComplex, ParseError, RealizationMismatch
 from plstab.geometry import (MAX_EXPONENT, Mat, area2, candidate_pairs, closed_segments_meet,
-                             cross2, cross3, dot, drop_axis, orient2, plane_normal,
+                             cross2, cross3, dot, drop_axis, from_chart, orient2, plane_normal,
                              primitive_direction, rat, segment_param, vadd, vscale, vsub)
 from plstab.interval import PLMap1D
+from plstab.overlay import realized_pieces, segment_pieces, triangle_pieces
 from plstab.plmap import PLMap, plmap_from_vertex_images
 from plstab.tangent import Fan, Germ, _chain_cones, in_cone
 
@@ -844,3 +848,101 @@ def fraction_constructor(cls, breakpoints):
         if (ya, yb) != ends:
             raise InvalidComplex("endpoints must map onto endpoints")
     return tuple(kept), tuple(slopes)
+
+
+def det_by_elimination(m):
+    """The oracle of `presentation._det_unimodular`: the determinant of a
+    square integer matrix by Gaussian elimination over `Fraction`."""
+    n = len(m)
+    a = [[F(x) for x in row] for row in m]
+    det = F(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if pivot is None:
+            return 0
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        for r in range(col + 1, n):
+            factor = a[r][col] / a[col][col]
+            for c in range(col, n):
+                a[r][c] -= factor * a[col][c]
+    assert det.denominator == 1
+    return det.numerator
+
+
+# -- the point-keyed builders, the oracles of `overlay.refine` ------------
+
+
+def index_cells(cells):
+    """The vertices of point-tuple cells in sorted coordinate order, and
+    each cell as a sorted index simplex over them: the numbering of derived
+    refinements before `overlay.numbered`, by a set of points."""
+    cells = list(cells)
+    pts = sorted({p for cell in cells for p in cell})
+    idx = {p: i for i, p in enumerate(pts)}
+    return pts, [tuple(sorted(idx[p] for p in cell)) for cell in cells]
+
+
+def triangulate_convex(poly):
+    """The triangles of `clip.convex_fan` of a counter-clockwise convex
+    polygon, as points."""
+    tris, c = convex_fan(poly)
+    pts = [*poly, c]
+    return [(pts[i], pts[j], pts[k]) for i, j, k in tris]
+
+
+def refinement_by_points(cells, pairs, value=None):
+    """The points, simplices and provenance of the refinement made of
+    point-tuple ``cells``, cell k from the pair ``pairs[k]``, numbered by
+    `index_cells`; with ``value``, also ``value(i1, i2, x)`` at each vertex
+    x, from the first cell in simplex order that holds x, as the vertex
+    rule read it before cut points."""
+    pts, sims = index_cells(cells)
+    provenance = dict(zip(sims, pairs))
+    out = (tuple(pts), tuple(sorted(sims)), provenance)
+    if value is None:
+        return out
+    first = [None] * len(pts)
+    for s in reversed(out[1]):
+        for v in s:
+            first[v] = s
+    return out + ([value(*provenance[s], x) for s, x in zip(first, pts)],)
+
+
+def overlay_cells_by_points(t1, t2):
+    """The cells of the overlay of two complexes as point tuples, and the
+    pair each came from, as `overlay.overlay` built them in its own loop:
+    each piece of `realized_pieces` triangulated in the chart of its first
+    cell and lifted back, or kept when it is a segment."""
+    cells, pairs = [], []
+    charts1 = t1.charts() if t1.dim == 2 else None
+    for i1, i2, piece in realized_pieces(t1, t2):
+        new = [piece] if t1.dim == 1 else [tuple(from_chart(p, charts1[i1]) for p in cell)
+                                           for cell in triangulate_convex(piece)]
+        cells += new
+        pairs += [(i1, i2)] * len(new)
+    return cells, pairs
+
+
+def compose_cells_by_points(f, g):
+    """The cells of f∘g as point tuples, and the pair (i, j) each came from,
+    as `compose2d` cut them before `overlay.refine`: the intersection of an
+    image cell i of g with a cell j of f, pulled back through g's piece on
+    i, and reversed when that piece reverses orientation."""
+    cells, pairs = [], []
+    if f.base.dim == 1:
+        for i, j, seg in segment_pieces(g.image.cells(), f.refinement.cells()):
+            cells.append([g.pullback_in_cell(i, p) for p in seg])
+            pairs.append((i, j))
+        return cells, pairs
+    srcs, imgs = g.refinement.cells(), g.image.cells()
+    for i, j, poly in triangle_pieces(g.image, f.refinement):
+        back = [g.pullback_in_cell(i, p) for p in poly]
+        if (orient2(*srcs[i]) > 0) != (orient2(*imgs[i]) > 0):
+            back.reverse()
+        new = triangulate_convex(back)
+        cells += new
+        pairs += [(i, j)] * len(new)
+    return cells, pairs

@@ -241,6 +241,14 @@ def test_data_errors(workdir, capsys):
         assert message in capsys.readouterr().err
 
 
+def test_a_point_outside_the_map_prints_its_coordinates_as_rationals(workdir, capsys):
+    """`eval` at a point off the base prints each coordinate as `fmt` does,
+    not the Python repr of a tuple of Fractions."""
+    code, out = run(["eval", "--map", str(workdir / "rot.pm"), "--point", "3", "1/2"])
+    assert (code, out) == (65, "")
+    assert capsys.readouterr().err == "error: (3, 1/2) is not in the realization\n"
+
+
 def test_a_disconnected_refinement_does_not_tile_the_base(workdir, capsys):
     """A refinement block of two triangles apart, over the connected square:
     its validation takes no connectivity check, the tiling test refuses it."""

@@ -5,7 +5,9 @@ from hypothesis import given, settings, strategies as st
 
 from plstab.clip import (ccw_triangle, clip_polygon_to_triangle,
                          point_in_triangle, polygon_area2,
-                         triangle_intersection, triangulate_convex)
+                         triangle_intersection)
+
+from support import triangulate_convex
 
 
 def area(poly):

@@ -6,16 +6,16 @@ import pytest
 from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 from plstab import fixedlocus
-from plstab.clip import ccw_triangle, polygon_area2, triangulate_convex
-from plstab.complexes import Complex, SubComplex, faces_of, index_cells, is_cycle
+from plstab.clip import ccw_triangle, polygon_area2
+from plstab.complexes import Complex, SubComplex, faces_of, is_cycle
 from plstab.errors import FixIsEmpty, FixIsEverything, PLError
 from plstab.fixedlocus import (FixedLocus, canonical_invariant,
                                fixed_subcomplex, frontier, fuller_search)
 from plstab.geometry import Mat, area2, orient2, vadd, vscale, vsub
 from plstab.plmap import PLMap, compose2d, identity_map, plmap_from_vertex_images, power
 
-from support import (bench_grid_maps, cycle_rotation, grid_map, interior_move_map, linear_part,
-                     quarter_rotation, square_complex)
+from support import (bench_grid_maps, cycle_rotation, grid_map, index_cells, interior_move_map,
+                     linear_part, quarter_rotation, square_complex, triangulate_convex)
 
 
 def test_rotation_fixes_center_only():

@@ -4,12 +4,14 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plstab.clip import point_in_triangle
+from plstab.clip import point_in_triangle, polygon_centroid
 from plstab.complexes import Complex, triangle_area2
 from plstab.errors import NonCoplanarOverlap, RealizationMismatch
-from plstab.overlay import numbered, overlay, realized_pieces
+from plstab.geometry import from_chart
+from plstab.overlay import overlay, realized_pieces, refine
 
-from support import random_square_triangulation, segment_pieces_by_tiling
+from support import (overlay_cells_by_points, random_splits, random_square_triangulation,
+                     refinement_by_points, segment_pieces_by_tiling, triangulate_convex)
 
 
 def two_diagonals():
@@ -222,9 +224,82 @@ def test_segment_cover_accounting_matches_the_parameter_intervals(pair, swap):
     expected = _outcome(lambda: segment_pieces_by_tiling(t1, t2))
     assert _outcome(lambda: realized_pieces(t1, t2)) == expected
     if isinstance(expected, list):
-        ov, oracle = overlay(t1, t2), numbered([piece for _, _, piece in expected],
-                                               [(i1, i2) for i1, i2, _ in expected])
-        assert (ov.cells.points, ov.cells.simplices, ov.provenance) == (
-            oracle.cells.points, oracle.cells.simplices, oracle.provenance)
+        ov = overlay(t1, t2)
+        assert (ov.cells.points, ov.cells.simplices, ov.provenance) == refinement_by_points(
+            [piece for _, _, piece in expected], [(i1, i2) for i1, i2, _ in expected])
     else:
         assert _outcome(lambda: overlay(t1, t2)) == expected
+
+
+# -- the one refinement builder against the point-keyed overlay ----------
+
+# the unit square cut along x = 1/2, so splits keep every cell on one side
+FOLD_POINTS = [(F(0), F(0)), (F(1, 2), F(0)), (F(1), F(0)), (F(1), F(1)), (F(1, 2), F(1)),
+               (F(0), F(1))]
+FOLD_CELLS = [(0, 1, 4), (0, 4, 5), (1, 2, 3), (1, 3, 4)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 10**6), st.booleans(), st.tuples(*[st.integers(-2, 2)] * 3),
+       st.permutations(range(3)))
+def test_overlays_build_as_by_points(seed, planar, slopes, axes):
+    """`overlay` gives the points, simplices and provenance of the
+    point-keyed overlay (each piece triangulated in its chart, lifted back,
+    numbered by `index_cells`): random splits of the square, in the plane
+    or lifted into 3-space, the two halves onto planes of drawn slopes
+    (one plane when the slopes agree) with the axes permuted.  Each vertex's
+    cut point is the vertex itself in the plane, and its point in the
+    chart of its first cell in 3-space."""
+    rng = random.Random(seed)
+    c, d, e = slopes
+    half = F(1, 2)
+
+    def lifted(t):
+        if planar:
+            return t
+        pts = [(x, y, c * min(x, half) + d * max(x - half, 0) + e * y) for x, y in t.points]
+        return Complex([tuple(p[k] for k in axes) for p in pts], t.simplices)
+
+    t1, t2 = (lifted(random_splits(rng, FOLD_POINTS, FOLD_CELLS, 10)) for _ in range(2))
+    ov = overlay(t1, t2)
+    assert (ov.cells.points, ov.cells.simplices, ov.provenance) == refinement_by_points(
+        *overlay_cells_by_points(t1, t2))
+    charts = t1.charts()
+    assert list(ov.at_vertices(lambda i1, _, x: from_chart(x, charts[i1]))) == list(
+        ov.cells.points)
+
+
+AFFINE = [((1, 0), (0, 1)), ((0, -1), (1, 0)), ((-1, 0), (0, 1)), ((2, 1), (1, 1))]
+INSIDE = st.sets(st.fractions(0, 1, max_denominator=8).filter(lambda s: 0 < s < 1), max_size=3)
+
+
+@settings(max_examples=50, deadline=None)
+@given(INSIDE.filter(bool), INSIDE, INSIDE, st.sampled_from(AFFINE))
+def test_pieces_that_take_the_centroid_fallback(bottom1, left1, bottom2, matrix):
+    """The squares [0, 1]^2 and [1, 2] x [0, 1] with points inside their
+    bottom sides (and the first's left side), as pieces whose cuts are
+    their images under an affine map A.  The fan from each square's
+    smallest corner would be degenerate, so `convex_fan` cones from the
+    centroid.  `refine` gives the points, simplices and provenance of the
+    point-keyed build, and the cut point of every vertex, the centroids
+    included, is its image under A."""
+    (a, b), (c, d) = matrix
+
+    def image(p):
+        return (a * p[0] + b * p[1] + 3, c * p[0] + d * p[1] - 1)
+
+    one = F(1)
+    squares = [
+        [(F(0), F(0)), *((x, F(0)) for x in sorted(bottom1)), (one, F(0)), (one, one),
+         (F(0), one), *((F(0), y) for y in sorted(left1, reverse=True))],
+        [(one, F(0)), *((1 + x, F(0)) for x in sorted(bottom2)), (2 * one, F(0)),
+         (2 * one, one), (one, one)],
+    ]
+    pairs = [(0, 5), (1, 5)]
+    ov = refine((i1, i2, poly, [image(p) for p in poly])
+                for (i1, i2), poly in zip(pairs, squares))
+    cells = [triangulate_convex(poly) for poly in squares]
+    assert (ov.cells.points, ov.cells.simplices, ov.provenance) == refinement_by_points(
+        cells[0] + cells[1], [pairs[0]] * len(cells[0]) + [pairs[1]] * len(cells[1]))
+    assert polygon_centroid(squares[0]) in ov.cells.points
+    assert list(ov.at_vertices(lambda i1, i2, x: x)) == [image(p) for p in ov.cells.points]

@@ -1,15 +1,17 @@
 import random
 import re
+import sys
 from fractions import Fraction as F
+from importlib import import_module
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from plstab import plmap
 from plstab.cli import load_action
 from plstab.clip import polygon_area2, triangle_intersection
 from plstab.complexes import Complex, boundary, format_complex
-from plstab.errors import (InvalidComplex, PointOutsideComplex,
+from plstab.errors import (InvalidComplex, PLError, PointOutsideComplex,
                            RealizationMismatch)
 from plstab.geometry import segment_param
 from plstab.overlay import overlay, segment_pieces
@@ -17,9 +19,13 @@ from plstab.plmap import (PLMap, compose2d, format_plmap,
                           identity_map, inverse2d, parse_plmap,
                           plmap_from_vertex_images, power)
 
-from support import (SYMMETRIES, _along_boundary, bench_grid_maps, cycle_rotation, grid_complex,
-                     interior_move_map, quarter_rotation, square_complex, tiles_unit,
-                     two_squares)
+from support import (SYMMETRIES, _along_boundary, bench_grid_maps, compose_cells_by_points,
+                     cycle_rotation, grid_complex, grid_map, interior_move_map,
+                     overlay_cells_by_points, quarter_rotation, refinement_by_points,
+                     square_complex, tiles_unit, two_squares)
+
+# by module path: the package's `overlay` is the function
+overlay_module = import_module("plstab.overlay")
 
 
 def test_identity_map():
@@ -70,18 +76,19 @@ def test_compose_matches_double_eval():
 
 def test_compose_with_a_reflection_triangulates_counter_clockwise(monkeypatch):
     """A reflection g reverses each polygon pulled back through it, and
-    compose2d turns it back before triangulating: every polygon it hands
-    to triangulate_convex has positive area, on either side of f∘g."""
+    compose2d turns it back before triangulating: every polygon that
+    `overlay.refine` hands to convex_fan has positive area, on either side
+    of f∘g."""
     f = interior_move_map()
     g = plmap_from_vertex_images(f.base, [(1 - x, y) for x, y in f.base.points])
     polygons = []
-    triangulate = plmap.triangulate_convex
+    fan = overlay_module.convex_fan
 
     def recorded(poly):
         polygons.append(poly)
-        return triangulate(poly)
+        return fan(poly)
 
-    monkeypatch.setattr(plmap, "triangulate_convex", recorded)
+    monkeypatch.setattr(overlay_module, "convex_fan", recorded)
     for a, b in ((f, g), (g, f), (g, g)):
         h = compose2d(a, b)
         assert all(h.eval(q) == a.eval(b.eval(q)) for q in h.refinement.points)
@@ -578,3 +585,186 @@ def test_boundary_lookup_examples():
         PLMap(GRID3, GRID3, lifted)
     rotated = _slid_map([0] * len(BOUNDARY3), None, 1, 5)
     _boundary_by_collinear_cover(PLMap(GRID3, GRID3, rotated))
+
+
+# -- one refinement builder ------------------------------------------------
+
+
+def assert_composite_as_by_points(f, g):
+    """compose2d(f, g) has the points, simplices, provenance, base cells and
+    images of the point-keyed build: cells cut by `compose_cells_by_points`,
+    numbered by `index_cells`, each vertex sent through g's piece, then
+    f's, on the first cell that holds it."""
+    h = compose2d(f, g)
+    pts, sims, provenance, images = refinement_by_points(
+        *compose_cells_by_points(f, g), lambda i, j, x: f.eval_in_cell(j, g.eval_in_cell(i, x)))
+    assert (h.refinement.points, h.refinement.simplices, h.images) == (pts, sims, tuple(images))
+    assert overlay_module.refine(plmap._pulled_back(f, g)).provenance == provenance
+    assert h.cell_base == tuple(g.cell_base[provenance[s][0]] for s in sims)
+
+
+def assert_inverse_as_by_points(f):
+    """inverse2d(f) has the points, simplices, provenance, base cells and
+    images of the point-keyed overlay of f's image with the base, each
+    vertex pulled back on the first cell that holds it."""
+    inv = inverse2d(f)
+    pts, sims, provenance, images = refinement_by_points(
+        *overlay_cells_by_points(f.image, f.base), lambda i, _, y: f.pullback_in_cell(i, y))
+    assert (inv.refinement.points, inv.refinement.simplices, inv.images) == (
+        pts, sims, tuple(images))
+    assert plmap._common_refinement(f.image, f.base).provenance == provenance
+    assert inv.cell_base == tuple(provenance[s][1] for s in sims)
+
+
+def equal_by_points(f, g):
+    """``f == g`` decided on the point-keyed overlay of the refinements."""
+    if f.base != g.base:
+        return False
+    *_, same = refinement_by_points(
+        *overlay_cells_by_points(f.refinement, g.refinement),
+        lambda i, j, x: f.eval_in_cell(i, x) == g.eval_in_cell(j, x))
+    return all(same)
+
+
+def assert_builds_as_by_points(f, g):
+    assert_composite_as_by_points(f, g)
+    assert_inverse_as_by_points(f)
+    for a, b in ((f, g), (f, f), (compose2d(f, g), compose2d(g, f)),
+                 (compose2d(inverse2d(g), g), identity_map(g.base))):
+        assert (a == b) == equal_by_points(a, b)
+
+
+GRID_OFFSETS = st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+                        min_size=16, max_size=16)
+CENTRE_OFFSETS = st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                          min_size=18, max_size=18)
+
+
+@st.composite
+def grid_map_pairs(draw):
+    """Two maps of one grid (`support.grid_map`), each followed by a drawn
+    symmetry of the square, so either may reverse orientation, and each on
+    the base or on its centroid split."""
+    n = draw(st.sampled_from([2, 3]))
+    maps = []
+    for _ in range(2):
+        case = grid_map(n, draw(GRID_OFFSETS), draw(CENTRE_OFFSETS),
+                        draw(st.sampled_from(["fixed", "slide"])),
+                        draw(st.integers(0, len(SYMMETRIES) - 1)),
+                        draw(st.sampled_from(["same", "centroids"])))
+        try:
+            maps.append(PLMap(*case))
+        except PLError:
+            assume(False)  # the moved vertices fold a cell
+    return maps
+
+
+@settings(max_examples=10, deadline=None)
+@given(grid_map_pairs())
+def test_grid_maps_build_as_by_points(maps):
+    """`overlay.refine` under compose, inverse and equality gives what the
+    point-keyed builders gave, on grid maps and their symmetries."""
+    assert_builds_as_by_points(*maps)
+
+
+def test_a_reflection_builds_as_by_points():
+    """The reversal path: a g that reverses orientation, on either side."""
+    f = interior_move_map()
+    g = plmap_from_vertex_images(f.base, [(1 - x, y) for x, y in f.base.points])
+    for a, b in ((f, g), (g, f), (g, g)):
+        assert_builds_as_by_points(a, b)
+
+
+@st.composite
+def polyline_maps(draw):
+    """Two homeomorphisms of one polyline through x-increasing corners at
+    parameters 0, 1, ..., m, in the plane or projected onto a line.  Each
+    takes its refinement's vertices, at parameters S, to the points at
+    parameters T, paired in increasing or decreasing order; S and T have
+    one size and hold every corner, so each refinement segment goes onto a
+    segment inside one base segment."""
+    m = draw(st.integers(1, 3))
+    on_line = draw(st.booleans())
+    corners = [(F(0), F(0))]
+    for _ in range(m):
+        x, y = corners[-1]
+        corners.append((x + draw(st.integers(1, 3)), y + draw(st.integers(-2, 2))))
+
+    def at(s):
+        k = min(int(s), m - 1)
+        (x0, y0), (x1, y1) = corners[k], corners[k + 1]
+        x, y = x0 + (s - k) * (x1 - x0), y0 + (s - k) * (y1 - y0)
+        return (x,) if on_line else (x, y)
+
+    inner = st.sets(st.fractions(0, m, max_denominator=6).filter(lambda s: s.denominator > 1),
+                    max_size=4)
+    base = Complex([at(F(k)) for k in range(m + 1)], [(k, k + 1) for k in range(m)])
+    maps = []
+    for _ in range(2):
+        params = [sorted({F(k) for k in range(m + 1)} | draw(inner)) for _ in range(2)]
+        while len(params[0]) != len(params[1]):
+            short = min(params, key=len)
+            k = draw(st.integers(0, len(short) - 2))
+            short.insert(k + 1, (short[k] + short[k + 1]) / 2)
+        S, T = params
+        if draw(st.booleans()):
+            T = T[::-1]
+        refinement = Complex([at(s) for s in S], [(k, k + 1) for k in range(len(S) - 1)])
+        maps.append(PLMap(base, refinement, [at(t) for t in T]))
+    return maps
+
+
+@settings(max_examples=60, deadline=None)
+@given(polyline_maps())
+def test_polyline_maps_build_as_by_points(maps):
+    """As `test_grid_maps_build_as_by_points`, for 1D maps: segments are
+    kept whole and cut at the vertices of both inputs."""
+    assert_builds_as_by_points(*maps)
+
+
+def test_a_composite_applies_one_piece_per_vertex(monkeypatch):
+    """compose2d reads each vertex's image off its cut point, the vertex's
+    image under g: f's piece once per output vertex, g's never."""
+    applied = []
+    eval_in_cell = PLMap.eval_in_cell
+
+    def counted(self, i, x):
+        applied.append(self)
+        return eval_in_cell(self, i, x)
+
+    monkeypatch.setattr(PLMap, "eval_in_cell", counted)
+    f, g = bench_grid_maps(3, 1)
+    for a, b in ((f, g), (g, f), (f, inverse2d(f))):
+        applied.clear()
+        h = compose2d(a, b)
+        assert sum(m is a for m in applied) == len(h.refinement.points)
+        assert not any(m is b for m in applied)
+
+
+def test_only_overlay_and_validation_take_the_cover_accounting(monkeypatch):
+    """`inverse2d`, `compose2d` and ``==`` call `realized_pieces` neither
+    directly nor through `overlay`: their inputs realize one set by
+    construction.  `overlay` and `PLMap(...)` do, and raise its errors.
+    (The trusted builds' check mode validates through `PLMap(...)`.)"""
+    callers = []
+    for module in (overlay_module, plmap):
+        def spied(*args, real=module.realized_pieces):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return real(*args)
+        monkeypatch.setattr(module, "realized_pieces", spied)
+    f, g = bench_grid_maps(3, 2)
+    inverse2d(f)
+    compose2d(f, g)
+    assert f != g and compose2d(f, inverse2d(f)) == identity_map(f.base)
+    assert set(callers) <= {"_assign_cells", "_check_image_exactly"}
+    callers.clear()
+    sq = square_complex()
+    three = Complex(sq.points, sq.simplices[:3])
+    with pytest.raises(RealizationMismatch, match="second input is not fully covered"):
+        overlay(three, sq)
+    with pytest.raises(RealizationMismatch, match="refinement does not tile the base"):
+        PLMap(sq, three, three.points)
+    base = two_squares()
+    with pytest.raises(RealizationMismatch, match="an image cell leaves the base realization"):
+        PLMap(base, base, list(base.points[:4]) + [(x, y + 5) for x, y in base.points[4:]])
+    assert callers == ["overlay", "_assign_cells", "_check_image_exactly"]

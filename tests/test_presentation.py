@@ -4,6 +4,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import plstab.presentation as pr
 from plstab.errors import ParseError
@@ -11,6 +12,8 @@ from plstab.presentation import (Presentation, abelianization, commutator,
                                  format_presentation, free_reduce,
                                  parse_presentation, smith_normal_form,
                                  word_ball)
+
+from support import det_by_elimination
 
 
 def matmul(a, b):
@@ -131,6 +134,48 @@ def test_relator_length_bound(monkeypatch):
     assert parse_presentation("gens a b\nrel a^3 b^-2\n").relators == [(1, 1, 1, -2, -2)]
     with pytest.raises(ParseError):
         parse_presentation("gens a b\nrel a^3 b^-2 a\n")
+
+
+@st.composite
+def square_integer_matrices(draw):
+    """A square integer matrix with small entries, many of them zero: drawn
+    freely, made singular (a row a multiple of another, or zero), or made
+    unimodular by elementary row operations on the identity; then, maybe,
+    with two rows swapped.  Returns the matrix and its kind."""
+    kind = draw(st.sampled_from(["free", "singular", "unimodular"]))
+    n = draw(st.integers(kind == "singular", 5))
+    entries = st.integers(-3, 3)
+    if kind == "unimodular":
+        m = [[int(i == j) for j in range(n)] for i in range(n)]
+        for _ in range(draw(st.integers(0, 12)) if n > 1 else 0):
+            i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+            q = draw(entries)
+            m[i] = [x + q * y for x, y in zip(m[i], m[j])]
+    else:
+        m = [[draw(entries) for _ in range(n)] for _ in range(n)]
+    if kind == "singular":
+        i, j, q = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)), draw(entries)
+        m[i] = [q * x for x in m[j]] if i != j else [0] * n
+    if n > 1 and draw(st.booleans()):
+        i, j = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        m[i], m[j] = m[j], m[i]
+    return m, kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_integer_matrices())
+def test_integer_determinant_matches_fraction_elimination(case):
+    """The fraction-free elimination of `_det_unimodular` gives the
+    determinant of Gaussian elimination over `Fraction`: 0 for a singular
+    matrix, +-1 for a unimodular one, row swaps included."""
+    m, kind = case
+    det = pr._det_unimodular([row[:] for row in m])
+    assert det == det_by_elimination(m)
+    assert type(det) is int
+    if kind == "singular":
+        assert det == 0
+    elif kind == "unimodular":
+        assert abs(det) == 1
 
 
 # A wrong Smith form must trip the explicit unimodularity check under

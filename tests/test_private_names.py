@@ -288,18 +288,19 @@ def test_the_check_sees_direct_conversions(tmp_path):
     assert direct_conversions(probe) == [("read_complex_records", 3), ("parse_plmap", 6)]
 
 
-# the one conversion of points and the one numbering of clipped cells, each
+# the one conversion of points and the one numbering of derived cells, each
 # name -> the only (module, "Class.method" or function) that may call it
 SOLE_CALLERS = {"rational_points": {("complexes.py", "Complex.__init__"),
                                     ("plmap.py", "PLMap.__init__")},
-                "index_cells": {("overlay.py", "numbered")}}
+                "numbered": {("overlay.py", "refine"), ("fixedlocus.py", "fixed_subcomplex")}}
 
 
 def test_points_are_converted_and_numbered_in_one_place():
     """Only the validating constructors `Complex(...)` and `PLMap(...)`
     convert points, so a trusted build keeps the Fractions it is handed;
-    only `overlay.numbered` numbers point-tuple cells, so overlay and
-    composition share one numbering."""
+    only `overlay.refine` and `fixedlocus.fixed_subcomplex` call
+    `overlay.numbered`, so overlay, composition, inversion, equality and
+    the fixed locus share one numbering."""
     found = {}
     for p in sorted(SRC.glob("*.py")):
         for where, name in named_calls(p, SOLE_CALLERS):
@@ -313,13 +314,13 @@ def test_the_check_sees_conversions_and_numberings(tmp_path):
                      "    def _assemble(self, points, maximal_simplices):\n"
                      "        self.points = rational_points(points)\n"
                      "def compose2d(f, g):\n"
-                     "    pts, sims = complexes.index_cells(raw)\n"
-                     "    return [index_cells(c) for c in pts]\n"
-                     "def numbered(cells, pairs):\n"
-                     "    return index_cells(cells), rational_points\n")
+                     "    cx, prov, order = overlay.numbered(pts, raw, pairs)\n"
+                     "    return [numbered(c) for c in pts]\n"
+                     "def refine(pieces, lift=None):\n"
+                     "    return numbered(points, cells, pairs), rational_points\n")
     assert named_calls(probe, SOLE_CALLERS) == [
-        ("Complex._assemble", "rational_points"), ("compose2d", "index_cells"),
-        ("compose2d", "index_cells"), ("numbered", "index_cells")]
+        ("Complex._assemble", "rational_points"), ("compose2d", "numbered"),
+        ("compose2d", "numbered"), ("refine", "numbered")]
 
 
 # the functions on the path of a 1D map from its text through validation,
