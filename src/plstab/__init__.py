@@ -4,11 +4,11 @@
 from .circle import (CircleLift, compose_lift, detect_rational_rotation,
                      eval_lift, fixed_set_circle, inverse_lift, iterate_lift,
                      rotation_enclosure)
-from .complexes import (Complex, SubComplex, boundary, euler_characteristic,
-                        is_arc, is_cycle, link, parse_complex, format_complex,
-                        star)
+from .complexes import (Complex, SubComplex, Surface, boundary, euler_characteristic,
+                        is_arc, is_cycle, link, parse_complex, parse_surface,
+                        format_complex, star)
 from .errors import (DisconnectedComplex, FixIsEmpty, FixIsEverything,
-                     InternalError, InvalidComplex, NonCoplanarOverlap, NondegenerateViolation,
+                     InternalError, InvalidComplex, NondegenerateViolation,
                      NotFixedPoint, OutOfInterval, ParseError, PLError,
                      PointOutsideComplex, RealizationMismatch,
                      SideOutsideInterval, SupportMismatch, UnknownVertex,

@@ -13,7 +13,7 @@ from fractions import Fraction
 
 from .circle import (CircleLift, detect_rational_rotation, format_circle_lift,
                      parse_circle_lift, rotation_enclosure)
-from .complexes import euler_characteristic, format_complex, parse_complex
+from .complexes import euler_characteristic, format_complex, parse_complex, parse_surface
 from .errors import ParseError, PLError
 from .fixedlocus import fixed_subcomplex
 from .geometry import TokenTable, fmt, rat
@@ -233,7 +233,11 @@ def cmd_rotno(args, out):
 
 
 def cmd_euler(args, out):
-    c = _read_complex(args.complex, TokenTable())
+    """A `.cx` complex, or a surface, told apart by the header as
+    `load_map` tells map kinds apart."""
+    with open(args.complex) as fh:
+        text = fh.read()
+    c = parse_surface(text) if _header(text)[:1] == ["surface"] else parse_complex(text)
     chi = euler_characteristic(c)
     _emit(args, out, "euler", str(chi), chi)
 
@@ -329,7 +333,7 @@ def build_parser():
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--qmax", type=int, default=64)
 
-    p = add("euler", cmd_euler, help="Euler characteristic of a complex")
+    p = add("euler", cmd_euler, help="Euler characteristic of a complex or a surface")
     p.add_argument("--complex", required=True)
 
     p = add("tangent", cmd_tangent, help="tangent-sphere germ at a vertex")

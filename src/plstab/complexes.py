@@ -14,11 +14,10 @@ that puts every point in at most one cell, in O(cells + boundary edge
 pairs).  The all-pairs tests run only for the complexes it does not
 accept, so they alone decide which error a rejected complex raises.
 
-Every overlap test of two cells decides by signs: of `orient2` in the
-plane, or in the `geometry.face_chart` of the cells' common plane in
-3-space, and of a point's height over a plane.  Collinear segments
-compare their `segment_param` ranges instead, by `geometry.overlap_params`,
-the test that `geometry.collinear_overlap` makes too.
+Every overlap test of two cells decides by `orient2` signs.  Collinear
+segments compare their `segment_param` ranges instead, by
+`geometry.overlap_params`, the test that `geometry.collinear_overlap`
+makes too.
 """
 
 from __future__ import annotations
@@ -29,10 +28,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .clip import ccw_triangle, point_in_triangle
 from .errors import InvalidComplex, ParseError, UnknownVertex
-from .geometry import (Chart, Point, TokenTable, area2, bbox, candidate_pairs,
-                       closed_segments_meet, dot, face_chart, fmt, is_simple_polygon, orient2,
-                       overlap_params, plane_normal, point_key, rat, segment_param, to_chart,
-                       vadd, vscale, vsub)
+from .geometry import (Point, TokenTable, area2, bbox, candidate_pairs, fmt, is_simple_polygon,
+                       orient2, overlap_params, point_key, rat, segment_param)
 
 SimplexT = Tuple[int, ...]
 
@@ -53,23 +50,17 @@ def close_under_faces(simplices) -> Tuple[SimplexT, ...]:
 
 def seg_seg_open_meet(a, b, c, d) -> bool:
     """Do the open segments (a, b) and (c, d), a != b and c != d, share a
-    point?  Exact, in ambient dimension 1, 2 or 3.
+    point?  Exact, in ambient dimension 1 or 2.
 
     Collinear segments do iff the `segment_param` range of c and d along
-    a->b overlaps [0, 1] in positive length (`overlap_params`).  Two lines that are not one
-    share at most a point, which lies inside both open segments iff each
-    segment's ends are strictly on opposite sides of the other's line:
-    `orient2` signs in the `face_chart` of the segments' common plane.
-    With no common plane the lines are skew.
+    a->b overlaps [0, 1] in positive length (`overlap_params`).  Two lines
+    of the plane that are not one share at most a point, which lies inside
+    both open segments iff each segment's ends are strictly on opposite
+    sides of the other's line (`orient2` signs).
     """
     tc, td = segment_param(a, b, c), segment_param(a, b, d)
     if tc is not None and td is not None:
         return overlap_params(tc, td) is not None
-    off, other = (c, d) if tc is None else (d, c)
-    chart = face_chart((a, b, off))
-    if chart is not None and dot(chart.normal, other) != chart.offset:
-        return False
-    a, b, c, d = to_chart((a, b, c, d), chart)
     return orient2(a, b, c) * orient2(a, b, d) < 0 and orient2(c, d, a) * orient2(c, d, b) < 0
 
 
@@ -111,62 +102,17 @@ def segment_meets_ccw_triangle(p, q, tri) -> bool:
     return 1 in sides and -1 in sides
 
 
-def tri_tri_open_meet_3d(t1, chart: Chart, flat) -> bool:
-    """Do the open nondegenerate triangles t1 and t2 of 3-space share a
-    point?  Exact; t2 is given by its `face_chart` and chart coordinates.
-
-    Coplanar triangles are decided in t2's chart by the planar test.
-    Otherwise the open t1 meets t2's plane only if t1 has vertices strictly
-    on both sides of it, and then in the open chord between the two points
-    where t1's boundary meets the plane (the only points constructed, in
-    the chart, as projecting is linear); the chord is tested against t2.
-    """
-    heights = [dot(chart.normal, p) - chart.offset for p in t1]
-    flat1 = to_chart(t1, chart)
-    if not any(heights):
-        return tri_tri_open_meet_2d(flat1, flat)
-    if not min(heights) < 0 < max(heights):
-        return False
-    chord = [p for p, h in zip(flat1, heights) if h == 0]
-    for i in range(3):
-        ha, hb = heights[i - 1], heights[i]
-        if ha * hb < 0:
-            a, b = flat1[i - 1], flat1[i]
-            chord.append(vadd(a, vscale(ha / (ha - hb), vsub(b, a))))
-    p, q = chord
-    return segment_meets_ccw_triangle(p, q, ccw_triangle(flat))
-
-
 def in_closed_cell(x: Point, cell) -> bool:
-    """Is x in the closed cell, a planar triangle or a segment of any
-    ambient dimension?  For `PLMap.eval` and `Complex._check_common_faces`."""
+    """Is x in the closed cell, a planar triangle or a segment in ambient
+    dimension 1 or 2?  For `PLMap.eval` and `Complex._check_common_faces`."""
     if len(cell) == 3:
         return point_in_triangle(x, cell)
     t = segment_param(cell[0], cell[1], x)
     return t is not None and 0 <= t <= 1
 
 
-def _check_edges_3d(s, cell, t, chart, flat):
-    """Rule (E) of `Complex._check_common_faces` for the triangles of
-    simplices ``s`` (at ``cell``) and ``t`` in two planes, in t's chart."""
-    # a shared vertex is on t's plane
-    heights = [0 if v in t else dot(chart.normal, p) - chart.offset for v, p in zip(s, cell)]
-    flat_s = to_chart(cell, chart)
-    for k in range(3):
-        ha, hb, a, b = heights[k - 1], heights[k], flat_s[k - 1], flat_s[k]
-        if ha * hb < 0:
-            a = b = vadd(a, vscale(ha / (ha - hb), vsub(b, a)))
-        elif ha != 0 or hb != 0:
-            continue
-        for m in range(3):
-            e, f = (s[k - 1], s[k]), (t[m - 1], t[m])
-            if set(e).isdisjoint(f) and closed_segments_meet(flat[m - 1], flat[m], a, b):
-                raise InvalidComplex(f"edge {tuple(sorted(e))} of simplex {s} and edge"
-                                     f" {tuple(sorted(f))} of simplex {t} cross")
-
-
 def triangle_area2(pts) -> Fraction:
-    """Twice the unsigned area of a planar (ambient-2) triangle."""
+    """Twice the unsigned area of a triangle."""
     return abs(area2(*pts))
 
 
@@ -260,8 +206,7 @@ class Complex:
     valid by construction with its points as built and no checks.
     """
 
-    __slots__ = ("points", "simplices", "dim", "_directed_boundary", "_neighbours",
-                 "_charts")
+    __slots__ = ("points", "simplices", "dim", "_directed_boundary", "_neighbours")
 
     def __init__(self, points: Sequence, maximal_simplices, require_connected: bool = True):
         self._assemble(rational_points(points), maximal_simplices)
@@ -285,7 +230,6 @@ class Complex:
         self.dim = len(self.simplices[0]) - 1
         self._directed_boundary = None
         self._neighbours = None
-        self._charts = None
 
     # -- validation ------------------------------------------------------
 
@@ -293,12 +237,12 @@ class Complex:
         if self.dim not in (1, 2):
             raise InvalidComplex("only dimensions 1 and 2 are supported")
         d_amb = len(self.points[0]) if self.points else 0
-        if d_amb not in (1, 2, 3):
-            raise InvalidComplex("ambient dimension must be 1, 2 or 3")
+        if d_amb not in (1, 2):
+            raise InvalidComplex("ambient dimension must be 1 or 2")
         if any(len(p) != d_amb for p in self.points):
             raise InvalidComplex("points have mixed ambient dimension")
         if self.dim > d_amb:
-            raise InvalidComplex("a 2-complex needs ambient dimension 2 or 3")
+            raise InvalidComplex("a 2-complex needs ambient dimension 2")
         used = set()
         for s in self.simplices:
             if len(s) != self.dim + 1:
@@ -316,7 +260,7 @@ class Complex:
             self._check_nondegenerate(s)
         self._check_manifold_faces()
         self._check_distinct_points()
-        certified = self.dim == 2 and self.ambient_dim == 2 and _boundary_certificate(
+        certified = self.dim == 2 and _boundary_certificate(
             self.points, self.directed_boundary())
         if not certified:
             found = self._check_disjoint_interiors_exactly()
@@ -327,16 +271,10 @@ class Complex:
 
     def _check_nondegenerate(self, s: SimplexT):
         pts = [self.points[v] for v in s]
-        if len(s) == 2:
-            if pts[0] == pts[1]:
-                raise InvalidComplex(f"degenerate edge {s}")
-        elif len(s) == 3:
-            if len(pts[0]) == 2:
-                if orient2(*pts) == 0:
-                    raise InvalidComplex(f"degenerate triangle {s}")
-            else:
-                if plane_normal(*pts) == (0, 0, 0):
-                    raise InvalidComplex(f"degenerate triangle {s}")
+        if len(s) == 2 and pts[0] == pts[1]:
+            raise InvalidComplex(f"degenerate edge {s}")
+        if len(s) == 3 and orient2(*pts) == 0:
+            raise InvalidComplex(f"degenerate triangle {s}")
 
     def _check_manifold_faces(self):
         for f, c in facet_counts(self.simplices, self.dim).items():
@@ -355,51 +293,39 @@ class Complex:
     def _check_disjoint_interiors_exactly(self):
         """The all-pairs test: no two cells whose boxes meet share an
         interior point.  It decides every complex the boundary certificate
-        does not accept, so it alone raises.  Each cell's `face_chart`
-        (None off 3-space) and chart coordinates are built once, here, for
-        `_check_common_faces` too."""
+        does not accept, so it alone raises.  The cells and the pairs are
+        kept for `_check_common_faces`."""
         cells = self.cells()
         pairs = candidate_pairs(cells)
-        charts = self.charts() if self.dim == 2 else [None] * len(cells)
-        flats = [to_chart(c, chart) for c, chart in zip(cells, charts)]
         for i, j in pairs:
             p1, p2 = cells[i], cells[j]
             if (seg_seg_open_meet(p1[0], p1[1], p2[0], p2[1]) if self.dim == 1
-                    else tri_tri_open_meet_2d(p1, p2) if charts[j] is None
-                    else tri_tri_open_meet_3d(p1, charts[j], flats[j])):
+                    else tri_tri_open_meet_2d(p1, p2)):
                 raise InvalidComplex(f"simplices {self.simplices[i]} and {self.simplices[j]}"
                                      " overlap")
-        return cells, pairs, charts, flats
+        return cells, pairs
 
-    def _check_common_faces(self, cells, pairs, charts, flats):
+    def _check_common_faces(self, cells, pairs):
         """Two cells whose boxes meet meet in the hull of their shared
-        vertices.  Two rules: (V) a vertex of one cell in another closed
-        cell (after a box test) is a vertex of it; (E) in 3-space, two
-        cells in two planes have no edges without a common vertex that
-        meet.  This runs after the connectivity check, so a disconnected
-        complex keeps that error.  Sound, for cells with disjoint
-        interiors: at an end r of their meet, a vertex is shared by (V);
-        segments meet only at an end of one; triangles of one plane are
-        split by a line through r, along an edge of each unless r is a
-        vertex; in two planes, r inside an edge of each breaks (E), and r
-        inside one cell at no vertex puts points of both open cells near r.
-        Cells with a common facet lie on its two sides and are skipped."""
-        boxes = [bbox(flat) for flat in flats]
+        vertices: a vertex of one cell in another closed cell (after a box
+        test) is a vertex of it.  This runs after the connectivity check,
+        so a disconnected complex keeps that error.  Sound, for cells with
+        disjoint interiors: at an end r of their meet, a vertex is shared;
+        segments meet only at an end of one, and triangles are split by a
+        line through r, along an edge of each unless r is a vertex.  Cells
+        with a common facet lie on its two sides and are skipped."""
+        boxes = [bbox(cell) for cell in cells]
         for i, j in pairs:
             s, t = self.simplices[i], self.simplices[j]
             if len(set(s) & set(t)) == self.dim:
                 continue
             for a, b, k in ((s, t, j), (t, s, i)):
-                (lo, hi), chart = boxes[k], charts[k]
+                lo, hi = boxes[k]
                 for v, p in ((v, self.points[v]) for v in a if v not in b):
-                    q = to_chart([p], chart)[0]
-                    if (all(m <= x <= n for m, x, n in zip(lo, q, hi))
-                            and (chart is None or dot(chart.normal, p) == chart.offset)
-                            and in_closed_cell(q, flats[k])):
+                    if (all(m <= x <= n for m, x, n in zip(lo, p, hi))
+                            and in_closed_cell(p, cells[k])):
                         raise InvalidComplex(
                             f"vertex {v} lies in simplex {b} but is not one of its vertices")
-            if charts[i] != charts[j]:
-                _check_edges_3d(s, cells[i], t, charts[j], flats[j])
 
     def is_connected(self) -> bool:
         return _connected(adjacency(self.simplices))
@@ -429,15 +355,6 @@ class Complex:
             self._neighbours = [tuple(n) for n in across]
         return self._neighbours
 
-    def charts(self) -> List[Optional[Chart]]:
-        """The `face_chart` of each maximal simplex of this 2-complex (None
-        in the plane); computed once per object.  Cells of one plane share
-        one chart."""
-        if self._charts is None:
-            self._charts = ([None] * len(self.simplices) if self.ambient_dim == 2
-                            else [face_chart(c) for c in self.cells()])
-        return self._charts
-
     # -- basic queries ---------------------------------------------------
 
     def cells(self) -> List[List[Point]]:
@@ -445,15 +362,16 @@ class Complex:
         return [[self.points[v] for v in s] for s in self.simplices]
 
     def area2(self) -> Fraction:
-        """Twice the area of a planar 2-complex."""
+        """Twice the area of a 2-complex."""
         return sum((triangle_area2(c) for c in self.cells()), Fraction(0))
 
     @property
     def ambient_dim(self) -> int:
         return len(self.points[0])
 
-    def all_faces(self) -> Tuple[SimplexT, ...]:
-        return close_under_faces(self.simplices)
+    @property
+    def vertex_count(self) -> int:
+        return len(self.points)
 
     def __eq__(self, other) -> bool:
         return (
@@ -469,16 +387,60 @@ class Complex:
         return f"Complex(dim={self.dim}, |V|={len(self.points)}, |top|={len(self.simplices)})"
 
 
+class Surface:
+    """A connected surface, closed or with boundary, as an abstract
+    triangulation: its triangles alone, on the vertices 0..n-1, with no
+    coordinates.  A PL homeomorphism of a realization is a simplicial
+    isomorphism between subdivisions, so the combinatorics are the whole
+    surface, and the non-orientable ones, which do not embed in R^3, are
+    surfaces like the rest.
+
+    ``Surface(triangles)`` validates by combinatorics alone: each triangle
+    has three distinct vertices, the vertices used are exactly 0..n-1, no
+    triangle appears twice, every edge lies in one or two triangles, the
+    link of every vertex is one cycle or one arc, and the triangles are
+    connected.  Each error names the first offending triangle, edge or
+    vertex in sorted order."""
+
+    __slots__ = ("simplices", "vertex_count")
+    dim = 2
+
+    def __init__(self, triangles):
+        listed = sorted(tuple(sorted(t)) for t in triangles)
+        if not listed:
+            raise InvalidComplex("surface has no triangles")
+        for t in listed:
+            if len(t) != 3 or len(set(t)) != 3:
+                raise InvalidComplex(f"triangle {t} does not have three distinct vertices")
+        used = sorted({v for t in listed for v in t})
+        if used != list(range(len(used))):
+            raise InvalidComplex("vertex indices must be 0..n-1 without gaps")
+        self.simplices: Tuple[SimplexT, ...] = tuple(listed)
+        self.vertex_count = len(used)
+        for a, b in zip(listed, listed[1:]):
+            if a == b:
+                raise InvalidComplex(f"triangle {a} appears twice")
+        for e, n in sorted(facet_counts(listed, 2).items()):
+            if n > 2:
+                raise InvalidComplex(f"edge {e} lies in {n} triangles")
+        for v in range(self.vertex_count):
+            lk = link(self, v)
+            if not (is_cycle(lk) or is_arc(lk)):
+                raise InvalidComplex(f"the link of vertex {v} is not one cycle or one arc")
+        if not _connected(adjacency(listed)):
+            raise InvalidComplex("surface is not connected")
+
+
 class SubComplex:
-    """A face-closed set of simplices of a parent complex."""
+    """A face-closed set of simplices of a parent `Complex` or `Surface`."""
 
     __slots__ = ("parent", "simplices")
 
-    def __init__(self, parent: Complex, simplices):
+    def __init__(self, parent, simplices):
         self.parent = parent
         self.simplices: Tuple[SimplexT, ...] = close_under_faces(simplices)
         for s in self.simplices:
-            if not all(0 <= v < len(parent.points) for v in s):
+            if not all(0 <= v < parent.vertex_count for v in s):
                 raise InvalidComplex(f"subcomplex simplex {s} not in parent")
 
     def __eq__(self, other):
@@ -518,22 +480,23 @@ class SubComplex:
 # -- the spec operations -------------------------------------------------
 
 
-def euler_characteristic(c: Complex) -> int:
-    """#V - #E + #F over the full face poset."""
+def euler_characteristic(c) -> int:
+    """#V - #E + #F over the full face poset of a `Complex` or `Surface`."""
     chi = 0
-    for f in c.all_faces():
+    for f in close_under_faces(c.simplices):
         chi += (-1) ** (len(f) - 1)
     return chi
 
 
-def star(c: Complex, v: int) -> SubComplex:
-    """Closed star: all maximal simplices containing v, plus their faces."""
-    if not 0 <= v < len(c.points):
+def star(c, v: int) -> SubComplex:
+    """Closed star in a `Complex` or `Surface`: all maximal simplices
+    containing v, plus their faces."""
+    if not 0 <= v < c.vertex_count:
         raise UnknownVertex(f"vertex {v} not in complex")
     return SubComplex(c, [s for s in c.simplices if v in s])
 
 
-def link(c: Complex, v: int) -> SubComplex:
+def link(c, v: int) -> SubComplex:
     """Faces of the closed star that do not contain v."""
     st = star(c, v)
     return SubComplex(c, [s for s in st.simplices if v not in s])
@@ -612,10 +575,7 @@ def read_complex_records(text: str, tokens: Optional[TokenTable] = None, other=N
     tokens = TokenTable() if tokens is None else tokens
     points: Dict[int, Point] = {}
     sims: List[SimplexT] = []
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        tok = raw.split("#", 1)[0].split()
-        if not tok:
-            continue
+    for lineno, tok, line in _records(text):
         if tok[0] == "v":
             if len(tok) < 3 or len(tok) > 5:
                 raise ParseError(f"line {lineno}: bad vertex record")
@@ -631,7 +591,7 @@ def read_complex_records(text: str, tokens: Optional[TokenTable] = None, other=N
             except ValueError:  # name the first bad index
                 sims.append(tuple(_index(t, lineno) for t in tok[1:]))
         elif other and tok[0] in other:
-            other[tok[0]](tok, raw.split("#", 1)[0].strip())
+            other[tok[0]](tok, line)
         else:
             raise ParseError(f"line {lineno}: unknown record {tok[0]!r}")
     if not points:
@@ -641,12 +601,38 @@ def read_complex_records(text: str, tokens: Optional[TokenTable] = None, other=N
     return [points[i] for i in range(len(points))], sims
 
 
-def parse_complex(text: str, require_connected: bool = True,
-                  tokens: Optional[TokenTable] = None) -> Complex:
+def parse_complex(text: str, tokens: Optional[TokenTable] = None) -> Complex:
     """Parse the `v <index> <coords...>` / `s <i> <j> [<k>]` line format,
     looking coordinates up in ``tokens`` (see `read_complex_records`)."""
     points, sims = read_complex_records(text, tokens)
-    return Complex(points, sims, require_connected=require_connected)
+    return Complex(points, sims)
+
+
+def parse_surface(text: str) -> Surface:
+    """Parse the surface format: a `surface` header line, then one
+    `s <i> <j> <k>` line per triangle, with no coordinates.  Record errors
+    name the line as in ``text``, blank and comment lines included."""
+    records = _records(text)
+    lineno, tok, _ = next(records, (1, None, None))
+    if tok != ["surface"]:
+        raise ParseError(f"line {lineno}: the header must be 'surface'")
+    triangles = []
+    for lineno, tok, _ in records:
+        if tok[0] != "s":
+            raise ParseError(f"line {lineno}: unknown record {tok[0]!r}")
+        if len(tok) != 4:
+            raise ParseError(f"line {lineno}: bad triangle record")
+        triangles.append(tuple(_index(t, lineno) for t in tok[1:]))
+    return Surface(triangles)
+
+
+def _records(text: str):
+    """(line number, tokens, text) of each line that is not blank or a
+    comment; a comment runs from `#` to the end of its line."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line.split(), line
 
 
 def _index(token: str, lineno: int) -> int:

@@ -21,10 +21,6 @@ class RealizationMismatch(PLError):
     """Two complexes do not triangulate the same underlying set."""
 
 
-class NonCoplanarOverlap(PLError):
-    """Two overlapping 2-cells are not coplanar."""
-
-
 class PointOutsideComplex(PLError):
     """Point location failed: the point is not in the realization."""
 

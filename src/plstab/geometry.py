@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 from .errors import NondegenerateViolation, ParseError
 
@@ -227,66 +227,6 @@ def overlap_params(ta: Fraction, tb: Fraction):
     return (lo, hi) if lo < hi else None
 
 
-def cross3(a: Sequence[Fraction], b: Sequence[Fraction]) -> Point:
-    return (
-        a[1] * b[2] - a[2] * b[1],
-        a[2] * b[0] - a[0] * b[2],
-        a[0] * b[1] - a[1] * b[0],
-    )
-
-
-def drop_axis(p: Point, axis: int) -> Point:
-    """Project a point of 3-space onto a coordinate plane."""
-    return tuple(c for i, c in enumerate(p) if i != axis)
-
-
-def plane_normal(p0: Point, p1: Point, p2: Point) -> Point:
-    """Normal of the plane through three points of 3-space (zero if collinear)."""
-    return cross3(vsub(p1, p0), vsub(p2, p0))
-
-
-class Chart(NamedTuple):
-    """A plane of 3-space: its normal, the axis that projecting it onto a
-    coordinate plane drops, and the offset n . p of its points p."""
-
-    normal: Point
-    axis: int
-    offset: Fraction
-
-
-def face_chart(tri: Sequence[Point]) -> Optional[Chart]:
-    """The one chart of the plane of a nondegenerate triangle, in which
-    planar predicates and clipping run: None in ambient dimension 2, where
-    the plane is its own chart; in 3-space the plane's normal n, the axis k
-    of n's largest |component| and the offset.  Dropping axis k maps the
-    plane one to one onto a coordinate plane (`to_chart`), and n_k != 0
-    lifts a chart point back (`from_chart`).  n is the primitive integer
-    normal with n_k > 0, so the triangles of one plane share one chart."""
-    if len(tri[0]) == 2:
-        return None
-    n = primitive_direction(plane_normal(*tri))
-    k = max(range(3), key=lambda i: abs(n[i]))
-    n = n if n[k] > 0 else tuple(-x for x in n)
-    return Chart(n, k, dot(n, tri[0]))
-
-
-def to_chart(pts: Sequence[Point], chart: Optional[Chart]) -> Sequence[Point]:
-    """Points of a `face_chart`'s plane in the chart's coordinates."""
-    if chart is None:
-        return pts
-    return [drop_axis(p, chart.axis) for p in pts]
-
-
-def from_chart(flat: Point, chart: Optional[Chart]) -> Point:
-    """The point of a `face_chart`'s plane at chart coordinates ``flat``."""
-    if chart is None:
-        return flat
-    n, k, d = chart
-    out = list(flat)
-    out.insert(k, (d - dot(drop_axis(n, k), flat)) / n[k])
-    return tuple(out)
-
-
 def bbox(pts: Sequence[Point]):
     """Axis-aligned bounding box (lower corner, upper corner) of some points."""
     return (
@@ -303,8 +243,8 @@ def boxes_apart(b1, b2) -> bool:
 def candidate_pairs(cells_a, cells_b=None):
     """Index pairs (i, j) of point-list cells whose bounding boxes meet,
     for the cells that `overlay.triangle_pieces` does not walk: the sides
-    of `is_simple_polygon`, the all-pairs fallback of `Complex`, the
-    segments of `overlay.segment_pieces` and triangles in 3-space.
+    of `is_simple_polygon`, the all-pairs fallback of `Complex` and the
+    segments of `overlay.segment_pieces`.
 
     Pairs come in row-major order; with one list, only the pairs i < j.
     Cells whose boxes are apart share no point.  A sweep over the boxes in

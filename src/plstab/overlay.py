@@ -17,14 +17,14 @@ cell they cover (area for triangles, `extent` for segments), raising
 realize one set.  `overlay` builds on it, and so do the refinement and
 image checks of `PLMap(...)`.
 
-In the plane `triangle_pieces` walks the tiling: each cell of the first
-input starts from the hits of a neighbour visited before it and grows
-across the second input's edges, so the work is linear in the cells and
-their pairs (`_walked_pairs`).  It tests a cell against all cells of the
-second input only where the walk cannot seed or close: a first cell of
-each edge-connected part, a cell with no hit near its neighbour's, or an
-edge of a hit that no other cell shares crossing the cell.  Segments and
-the 3-space chart path enumerate the pairs of `candidate_pairs`.
+`triangle_pieces` walks the tiling: each cell of the first input starts
+from the hits of a neighbour visited before it and grows across the
+second input's edges, so the work is linear in the cells and their pairs
+(`_walked_pairs`).  It tests a cell against all cells of the second input
+only where the walk cannot seed or close: a first cell of each
+edge-connected part, a cell with no hit near its neighbour's, or an edge
+of a hit that no other cell shares crossing the cell.  Segments enumerate
+the pairs of `candidate_pairs`.
 
 :func:`refine` builds every refinement derived from pieces (overlay,
 composite, inverse, equality): it triangulates them, interns each point
@@ -44,11 +44,9 @@ from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .clip import ccw_triangle, convex_fan, polygon_area2, polygon_centroid, triangle_intersection
-from .complexes import (Complex, SimplexT, ccw_triangles_meet, segment_meets_ccw_triangle,
-                        tri_tri_open_meet_2d, tri_tri_open_meet_3d)
-from .errors import NonCoplanarOverlap, RealizationMismatch
-from .geometry import (Point, candidate_pairs, collinear_overlap, extent, from_chart, point_key,
-                       to_chart)
+from .complexes import Complex, SimplexT, ccw_triangles_meet, segment_meets_ccw_triangle
+from .errors import RealizationMismatch
+from .geometry import Point, candidate_pairs, collinear_overlap, extent, point_key
 
 
 @dataclass(frozen=True)
@@ -71,13 +69,13 @@ class Overlay:
         return (value(*cut) for cut in self.cuts)
 
 
-def refine(pieces, lift=None) -> Overlay:
+def refine(pieces) -> Overlay:
     """The trusted refinement of interior-disjoint ``pieces`` (i1, i2, poly,
     cut): `convex_fan` of each polygon (a segment kept whole), its cells
     from the pair (i1, i2).  ``cut`` holds the cut point of each vertex of
     ``poly``, a fan centroid the centroid of ``cut`` (its image, as ``cut``
-    is an affine image of ``poly``).  Each point, lifted by ``lift(i1, p)``
-    when given, gets one id by its `point_key`, with the first piece's cut."""
+    is an affine image of ``poly``).  Each point gets one id by its
+    `point_key`, with the first piece's cut."""
     ids: Dict[tuple, int] = {}
     points: List[Point] = []
     cuts, cells, pairs = [], [], []
@@ -87,8 +85,6 @@ def refine(pieces, lift=None) -> Overlay:
             poly, cut = [*poly, c], [*cut, polygon_centroid(cut)]
         vs = []
         for p, x in zip(poly, cut):
-            if lift is not None:
-                p = lift(i1, p)
             v = ids.setdefault(point_key(p), len(points))
             if v == len(points):
                 points.append(p)
@@ -116,10 +112,8 @@ def numbered(points, cells, provenance):
 
 def overlay(t1: Complex, t2: Complex) -> Overlay:
     """The common refinement of two complexes that `realized_pieces` finds
-    to realize one set; a piece clipped in a 3-space chart is lifted back."""
-    charts = t1.charts() if t1.dim == 2 and t1.ambient_dim == 3 else None
-    lift = None if charts is None else (lambda i1, p: from_chart(p, charts[i1]))
-    return refine(((i1, i2, p, p) for i1, i2, p in realized_pieces(t1, t2)), lift)
+    to realize one set."""
+    return refine((i1, i2, p, p) for i1, i2, p in realized_pieces(t1, t2))
 
 
 def cell_pieces(t1: Complex, t2: Complex):
@@ -140,8 +134,8 @@ def realized_pieces(t1: Complex, t2: Complex,
 
     The pieces of a cell are its intersections with the interior-disjoint
     cells of the other input, so they cover it iff their measures add up
-    to its own: |`polygon_area2`| in the cell's chart for a triangle, the
-    `extent` along the cell's line for a segment.  Once both inputs pass,
+    to its own: |`polygon_area2`| for a triangle, the `extent` along the
+    cell's line for a segment.  Once both inputs pass,
     the walk of `triangle_pieces` is complete, and a cell whose interior
     meets one cell of the other input alone lies in it: the rest of its
     interior would be an open set covered by lower-dimensional faces only."""
@@ -153,8 +147,7 @@ def realized_pieces(t1: Complex, t2: Complex,
         own = [[extent(seg) for seg in t.cells()] for t in (t1, t2)]
     else:
         measures = [abs(polygon_area2(poly)) for _, _, poly in pieces]
-        own = [[abs(polygon_area2(to_chart(tri, chart)))
-                for tri, chart in zip(t.cells(), t.charts())] for t in (t1, t2)]
+        own = [[abs(polygon_area2(tri)) for tri in t.cells()] for t in (t1, t2)]
     covered = [[Fraction(0)] * len(t.simplices) for t in (t1, t2)]
     for (i1, i2, _), m in zip(pieces, measures):
         covered[0][i1] += m
@@ -179,47 +172,21 @@ def segment_pieces(segs1, segs2):
 
 
 # -- 2D ------------------------------------------------------------------
-#
-# Cells are clipped in a plane: the `face_chart` of a cell of the first
-# input, which in ambient dimension 2 is the plane itself.  In ambient
-# dimension 3 only coplanar cells may overlap; they are clipped in the
-# chart and the clipped pieces are lifted back.
 
 
 def triangle_pieces(t1: Complex, t2: Complex):
     """(i1, i2, polygon) for each pair of a triangle of ``t1`` and one of
     ``t2`` whose interiors meet: their intersection, a counter-clockwise
-    convex polygon in the chart of triangle i1 of ``t1``, which in ambient
-    dimension 2 is the plane itself.
-
-    In the plane the pairs come from a walk over the cells of the two
-    complexes (`_walked_pairs`); in 3-space from `candidate_pairs`, and two
-    triangles whose interiors meet off a common plane raise
-    `NonCoplanarOverlap`."""
-    tris1, tris2 = t1.cells(), t2.cells()
-    if t1.ambient_dim == 2:
-        ccw1 = [ccw_triangle(tri) for tri in tris1]
-        ccw2 = [ccw_triangle(tri) for tri in tris2]
-        for i1, i2 in _walked_pairs(t1, t2, ccw1, ccw2):
-            yield i1, i2, triangle_intersection(ccw1[i1], ccw2[i2])
-        return
-    charts1, charts2 = t1.charts(), t2.charts()
-    flats1 = [to_chart(tri, chart) for tri, chart in zip(tris1, charts1)]
-    for i1, i2 in candidate_pairs(tris1, tris2):
-        chart, tri2 = charts1[i1], tris2[i2]
-        if chart != charts2[i2]:  # equal charts mean one plane
-            if tri_tri_open_meet_3d(tri2, chart, flats1[i1]):
-                raise NonCoplanarOverlap(
-                    f"cell {i1} of the first input and cell {i2} of the second"
-                    " overlap off-plane")
-            continue
-        flat2 = to_chart(tri2, chart)
-        if tri_tri_open_meet_2d(flats1[i1], flat2):
-            yield i1, i2, triangle_intersection(flats1[i1], flat2)
+    convex polygon.  The pairs come from a walk over the cells of the two
+    complexes (`_walked_pairs`)."""
+    ccw1 = [ccw_triangle(tri) for tri in t1.cells()]
+    ccw2 = [ccw_triangle(tri) for tri in t2.cells()]
+    for i1, i2 in _walked_pairs(t1, t2, ccw1, ccw2):
+        yield i1, i2, triangle_intersection(ccw1[i1], ccw2[i2])
 
 
 def _walked_pairs(t1: Complex, t2: Complex, ccw1, ccw2):
-    """The pairs (i1, i2) of cells of two planar complexes whose interiors
+    """The pairs (i1, i2) of cells of two 2-complexes whose interiors
     meet, cell of ``t1`` by cell; ``ccw1`` and ``ccw2`` are the cells
     counter-clockwise.
 

@@ -196,11 +196,6 @@ def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Com
     return Complex.trusted(images, refinement.simplices)
 
 
-def _check_supported(base: Complex):
-    if base.dim == 2 and base.ambient_dim != 2:
-        raise InvalidComplex("2D maps are supported in ambient dimension 2 only")
-
-
 class PLMap:
     """PL self-homeomorphism of the realization of a base complex.
 
@@ -226,7 +221,6 @@ class PLMap:
         images = rational_points(images)
         if base.dim != refinement.dim or base.ambient_dim != refinement.ambient_dim:
             raise RealizationMismatch("refinement must live where the base lives")
-        _check_supported(base)
         if len(images) != len(refinement.points):
             raise InvalidComplex("need one image point per refinement vertex")
         if any(len(p) != base.ambient_dim for p in images):
@@ -389,7 +383,6 @@ class PLMap:
 
 
 def identity_map(c: Complex) -> PLMap:
-    _check_supported(c)
     return PLMap.trusted(c, c, c.points, range(len(c.simplices)))
 
 
@@ -420,16 +413,26 @@ def _pulled_back(f: PLMap, g: PLMap):
     """The pieces of f∘g: the intersection of an image cell i of g and a
     cell j of f, pulled back through g's piece on i, with itself as the
     cut; both reversed where that piece reverses orientation, so the
-    pulled-back polygon is counter-clockwise."""
+    pulled-back polygon is counter-clockwise.  g is one to one, so each
+    cut point, keyed by its `point_key`, is pulled back once, through the
+    first piece that has it."""
     srcs, imgs = g.refinement.cells(), g.image.cells()
     reverses: Dict[int, bool] = {}
+    back: Dict[tuple, Point] = {}
     for i, j, cut in cell_pieces(g.image, f.refinement):
         if len(cut) > 2:
             if i not in reverses:
                 reverses[i] = (orient2(*srcs[i]) > 0) != (orient2(*imgs[i]) > 0)
             if reverses[i]:
                 cut = cut[::-1]
-        yield i, j, [g.pullback_in_cell(i, y) for y in cut], cut
+        pre = []
+        for y in cut:
+            key = point_key(y)
+            x = back.get(key)
+            if x is None:
+                x = back[key] = g.pullback_in_cell(i, y)
+            pre.append(x)
+        yield i, j, pre, cut
 
 
 def _common_refinement(t1: Complex, t2: Complex):

@@ -157,13 +157,14 @@ def certify_trivial(a: ActionSpec, p: int) -> Certificate:
     else:
         assumptions.append("H1(G;R)=0 assumed by caller (no presentation)")
 
+    # base vertex p is a refinement vertex, so its image is read, not evaluated
     pt = base.points[p]
     for name, f in gens:
-        if f.eval(pt) != pt:
+        image = f.images[f.refinement_index_of_base_vertex(p)]
+        if image != pt:
             return Certificate(
                 status="Obstructed", stage="FixedPointGate",
-                witness={"vertex": p, "generator": name, "point": pt,
-                         "image": f.eval(pt)},
+                witness={"vertex": p, "generator": name, "point": pt, "image": image},
                 assumptions=assumptions)
 
     if base.dim == 2:

@@ -111,7 +111,7 @@ class RayMap:
 
 def fan_of_star(c: Complex, v: int) -> Fan:
     """The fan of cones of the closed star of a vertex of a 2D complex."""
-    if c.dim != 2 or c.ambient_dim != 2:
+    if c.dim != 2:
         raise InvalidComplex("fans are built for planar 2D complexes")
     return build_germ(identity_map(c), v).fan
 

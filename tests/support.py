@@ -1,8 +1,8 @@
 """Shared builders for the test suite: standard complexes, maps, a
 random-triangulation generator for the unit square, the oracles of the
 affine pieces and the refinement check of `PLMap`, those of the
-segment and 3-space triangle overlap predicates of `complexes` and of its
-rule that cells meet in common faces, that of the simple-polygon test of
+segment overlap predicate of `complexes` and of its rule that cells meet
+in common faces, the closed surfaces of the surface tests, that of the simple-polygon test of
 `geometry`, those of the germ construction and fan refinement of
 `tangent`, and the per-token parse that the loader's token table
 replaced; the grid complexes and grid maps of the square, the
@@ -31,11 +31,11 @@ from pathlib import Path
 from plstab.circle import CircleLift
 
 from plstab.clip import convex_fan, point_in_triangle
-from plstab.complexes import Complex, tri_tri_open_meet_2d
+from plstab.complexes import Complex
 from plstab.errors import InvalidComplex, ParseError, RealizationMismatch
 from plstab.geometry import (MAX_EXPONENT, Mat, area2, candidate_pairs, closed_segments_meet,
-                             cross2, cross3, dot, drop_axis, from_chart, orient2, plane_normal,
-                             primitive_direction, rat, segment_param, vadd, vscale, vsub)
+                             cross2, dot, orient2, primitive_direction, rat, segment_param, vadd,
+                             vscale, vsub)
 from plstab.interval import PLMap1D
 from plstab.overlay import realized_pieces, segment_pieces, triangle_pieces
 from plstab.plmap import PLMap, plmap_from_vertex_images
@@ -92,6 +92,23 @@ def refinement_homes(base, refinement):
     return tuple(home)
 
 
+# closed surfaces as abstract triangulations: the boundary of the
+# tetrahedron, the octahedron (the triangles abc with a in {0, 1}, b in
+# {2, 3} and c in {4, 5}), the 6-vertex projective plane and the 7-vertex
+# torus ({i, i+1, i+3} and {i, i+2, i+3} mod 7)
+TETRAHEDRON = [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)]
+OCTAHEDRON = [(a, b, c) for a in (0, 1) for b in (2, 3) for c in (4, 5)]
+PROJECTIVE_PLANE = [tuple(int(v) for v in t)
+                    for t in "012 023 034 045 015 124 134 135 235 245".split()]
+TORUS = [(i, (i + 1) % 7, (i + 3) % 7) for i in range(7)] + [
+    (i, (i + 2) % 7, (i + 3) % 7) for i in range(7)]
+
+
+def surface_text(triangles):
+    """The surface format of ``triangles``."""
+    return "surface\n" + "".join("s %d %d %d\n" % t for t in triangles)
+
+
 def seg_seg_open_meet_by_solving(a, b, c, d):
     """The oracle of `complexes.seg_seg_open_meet`: do the open segments
     (a, b) and (c, d) share a point?  Solves for the common point of
@@ -103,114 +120,19 @@ def seg_seg_open_meet_by_solving(a, b, c, d):
         lo1, hi1 = min(a[0], b[0]), max(a[0], b[0])
         lo2, hi2 = min(c[0], d[0]), max(c[0], d[0])
         return max(lo1, lo2) < min(hi1, hi2)
-    if len(a) == 2:
-        denom = cross2(u, v)
-        if denom != 0:
-            t = F(cross2(w, v), denom)
-            s = F(cross2(w, u), denom)
-            return 0 < t < 1 and 0 < s < 1
-        if cross2(w, u) != 0:
-            return False  # parallel, different lines
-    else:
-        if not (cross3(u, v) == (0, 0, 0) and cross3(w, u) == (0, 0, 0)):
-            # skew or crossing lines in 3-space: solve for a common point
-            # via two independent coordinates, verify on the third
-            for i, j in ((0, 1), (0, 2), (1, 2)):
-                den = u[i] * (-v[j]) - u[j] * (-v[i])
-                if den != 0:
-                    t = F(w[i] * (-v[j]) - w[j] * (-v[i]), den)
-                    s = F(u[i] * w[j] - u[j] * w[i], den)
-                    if vadd(a, vscale(t, u)) != vadd(c, vscale(s, v)):
-                        return False
-                    return 0 < t < 1 and 0 < s < 1
-            return False
+    denom = cross2(u, v)
+    if denom != 0:
+        t = F(cross2(w, v), denom)
+        s = F(cross2(w, u), denom)
+        return 0 < t < 1 and 0 < s < 1
+    if cross2(w, u) != 0:
+        return False  # parallel, different lines
     # collinear: compare parameter ranges along u
     den = dot(u, u)
     t0 = F(dot(w, u), den)
     t1 = F(dot(vsub(d, a), u), den)
     lo, hi = min(t0, t1), max(t0, t1)
     return max(F(0), lo) < min(F(1), hi)
-
-
-def _plane(p0, p1, p2):
-    n = plane_normal(p0, p1, p2)
-    return n, dot(n, p0)
-
-
-def _project_axis(normal):
-    for i in (2, 1, 0):
-        if normal[i] != 0:
-            return i
-    raise InvalidComplex("degenerate triangle normal")
-
-
-def tri_tri_open_meet_3d_by_clipping(t1, t2):
-    """The oracle of `complexes.tri_tri_open_meet_3d`: do the open triangles
-    t1 and t2 of 3-space share a point?  Clips the segment where t1 meets
-    t2's plane by t2's half-planes in 3-space, and tests the midpoint of
-    what is left against both triangles."""
-    n1, d1 = _plane(*t1)
-    n2, d2 = _plane(*t2)
-    s = [dot(n2, p) - d2 for p in t1]
-    if all(x > 0 for x in s) or all(x < 0 for x in s):
-        return False
-    if all(x == 0 for x in s):  # coplanar: project and use the 2D test
-        ax = _project_axis(n2)
-        return tri_tri_open_meet_2d(
-            [drop_axis(p, ax) for p in t1], [drop_axis(p, ax) for p in t2]
-        )
-    # T1 meets plane(T2) in a segment (or point); collect it
-    pts = []
-    for i in range(3):
-        a, b = t1[i], t1[(i + 1) % 3]
-        sa, sb = s[i], s[(i + 1) % 3]
-        if sa == 0:
-            pts.append(a)
-        if (sa > 0 > sb) or (sa < 0 < sb):
-            t = F(sa, sa - sb)
-            pts.append(vadd(a, vscale(t, vsub(b, a))))
-    pts = list(dict.fromkeys(pts))
-    if len(pts) < 2:
-        return False
-    p, q = pts[0], pts[1]
-    # clip [p, q] by the three in-plane half-planes of T2; side(X) is linear in t
-    lo, hi = F(0), F(1)
-    for i in range(3):
-        a, b = t2[i], t2[(i + 1) % 3]
-        inward = dot(cross3(vsub(b, a), n2), vsub(t2[(i + 2) % 3], a))
-        def side(x, a=a, b=b):
-            return dot(cross3(vsub(b, a), n2), vsub(x, a))
-        sp, sq = side(p), side(q)
-        if inward < 0:
-            sp, sq = -sp, -sq
-        # keep {t : sp + t (sq - sp) >= 0}
-        if sp == sq:
-            if sp < 0:
-                return False
-            continue
-        t = F(sp, sp - sq)
-        if sq < sp:
-            hi = min(hi, t)
-        else:
-            lo = max(lo, t)
-        if lo >= hi:
-            return False
-    if lo >= hi:
-        return False
-    mid = vadd(p, vscale((lo + hi) / 2, vsub(q, p)))
-    # interior overlap needs the midpoint strictly inside both triangles
-    def strictly_inside(x, tri, n):
-        for i in range(3):
-            a, b = tri[i], tri[(i + 1) % 3]
-            inward = dot(cross3(vsub(b, a), n), vsub(tri[(i + 2) % 3], a))
-            sd = dot(cross3(vsub(b, a), n), vsub(x, a))
-            if inward < 0:
-                sd = -sd
-            if sd <= 0:
-                return False
-        return True
-
-    return strictly_inside(mid, t1, n1) and strictly_inside(mid, t2, n2)
 
 
 def _solve(columns, rhs):
@@ -243,8 +165,8 @@ def in_hull(p, verts):
 
 
 def _single_points(face1, face2):
-    """The point where the affine hulls of two faces (segments, or in
-    3-space a segment and a triangle) meet, when that is a single point."""
+    """The point where the affine hulls of two segments meet, when that is
+    a single point."""
     a = face1[0]
     columns = [vsub(v, a) for v in face1[1:]] + [vsub(face2[0], v) for v in face2[1:]]
     x = _solve(columns, vsub(face2[0], a))
@@ -261,8 +183,8 @@ def meets_in_common_faces_by_brute_force(points, simplices):
 
     Each extreme point of the meet of two cells is the single point where
     the affine hulls of a face of one and a face of the other meet: a
-    vertex of one lying in the other, two edges crossing, or in 3-space an
-    edge crossing the other triangle's plane.  Every such point in both
+    vertex of one lying in the other, or two edges crossing.  Every such
+    point in both
     cells must lie in the hull of the shared vertices.  All pairs of cells
     are tried, with no box test."""
     cells = [[points[v] for v in s] for s in simplices]
@@ -273,10 +195,6 @@ def meets_in_common_faces_by_brute_force(points, simplices):
         for e in combinations(cells[i], 2):
             for f in combinations(cells[j], 2):
                 candidates += _single_points(e, f)
-        if len(s) == 3 and len(points[0]) == 3:
-            for a, b in ((cells[i], cells[j]), (cells[j], cells[i])):
-                for e in combinations(a, 2):
-                    candidates += _single_points(e, b)
         for p in candidates:
             if in_hull(p, cells[i]) and in_hull(p, cells[j]) and not in_hull(p, shared):
                 return False
@@ -914,13 +832,11 @@ def refinement_by_points(cells, pairs, value=None):
 def overlay_cells_by_points(t1, t2):
     """The cells of the overlay of two complexes as point tuples, and the
     pair each came from, as `overlay.overlay` built them in its own loop:
-    each piece of `realized_pieces` triangulated in the chart of its first
-    cell and lifted back, or kept when it is a segment."""
+    each piece of `realized_pieces` triangulated, or kept when it is a
+    segment."""
     cells, pairs = [], []
-    charts1 = t1.charts() if t1.dim == 2 else None
     for i1, i2, piece in realized_pieces(t1, t2):
-        new = [piece] if t1.dim == 1 else [tuple(from_chart(p, charts1[i1]) for p in cell)
-                                           for cell in triangulate_convex(piece)]
+        new = [piece] if t1.dim == 1 else triangulate_convex(piece)
         cells += new
         pairs += [(i1, i2)] * len(new)
     return cells, pairs

@@ -19,6 +19,7 @@ from plstab.interval import PLMap1D, format_plmap1d, parse_plmap1d
 from plstab.plmap import parse_plmap
 
 from strategies import DYADIC
+from support import TETRAHEDRON, surface_text
 
 SQUARE = """\
 v 0 0 0
@@ -42,7 +43,8 @@ img 3 0 0
 img 4 1/2 1/2
 """
 
-TETRA = """\
+# the boundary of a tetrahedron in 3-space, which no command reads
+TETRA_IN_3_SPACE = """\
 v 0 0 0 0
 v 1 1 0 0
 v 2 0 1 0
@@ -72,7 +74,7 @@ def run(argv):
 def workdir(tmp_path):
     (tmp_path / "square.cx").write_text(SQUARE)
     (tmp_path / "rot.pm").write_text(ROT)
-    (tmp_path / "tetra.cx").write_text(TETRA)
+    (tmp_path / "tetra.surface").write_text(surface_text(TETRAHEDRON))
     (tmp_path / "r13.map").write_text(R13)
     (tmp_path / "f1.map").write_text(F1)
     act = tmp_path / "action"
@@ -83,7 +85,7 @@ def workdir(tmp_path):
 
 
 def test_euler(workdir):
-    code, out = run(["euler", "--complex", str(workdir / "tetra.cx")])
+    code, out = run(["euler", "--complex", str(workdir / "tetra.surface")])
     assert code == 0
     assert out == "2\n"
 
@@ -153,7 +155,7 @@ def test_invert_identity_composition(workdir):
 
 
 def test_determinism(workdir):
-    for argv in (["euler", "--complex", str(workdir / "tetra.cx")],
+    for argv in (["euler", "--complex", str(workdir / "tetra.surface")],
                  ["tangent", "--map", str(workdir / "rot.pm"), "--vertex", "4"],
                  ["analyze", "--action", str(workdir / "action"), "--kmax", "2"],
                  ["fixset", "--map", str(workdir / "rot.pm")]):
@@ -260,155 +262,26 @@ def test_a_disconnected_refinement_does_not_tile_the_base(workdir, capsys):
     assert "refinement does not tile the base" in capsys.readouterr().err
 
 
+def test_a_complex_in_3_space_is_a_data_error(workdir, capsys):
+    """Three coordinates are refused by every command that reads a `.cx`,
+    as the base of a map too, with nothing printed."""
+    (workdir / "tetra.cx").write_text(TETRA_IN_3_SPACE)
+    (workdir / "tetra.pm").write_text("base tetra.cx\n" + TETRA_IN_3_SPACE + "".join(
+        line.replace("v", "img", 1) + "\n" for line in TETRA_IN_3_SPACE.splitlines()
+        if line.startswith("v")))
+    cx = str(workdir / "tetra.cx")
+    for argv in (["euler", "--complex", cx], ["overlay", "--complex", cx, "--complex", cx],
+                 ["fixset", "--map", str(workdir / "tetra.pm")]):
+        assert run(argv) == (65, "")
+        assert "ambient dimension must be 1 or 2" in capsys.readouterr().err
+
+
 def test_triangles_on_a_line_are_a_data_error(workdir, capsys):
     # one coordinate per vertex: a 2-complex needs a plane to lie in
     (workdir / "line.cx").write_text("v 0 0\nv 1 1\nv 2 2\ns 0 1 2\n")
     code, out = run(["euler", "--complex", str(workdir / "line.cx")])
     assert (code, out) == (65, "")
     assert "ambient dimension" in capsys.readouterr().err
-
-
-# 3-space overlays, clipped in face charts: the folded two-facet complex
-# (planes z = 0 and y = 0) against a refinement splitting both facets, the
-# octahedron against one with the face x + y + z = 1 split at its
-# centroid, and that against the same face split at another point, whose
-# cells cross the centroid split's
-FOLDED_VERTICES = "v 0 0 0 0\nv 1 2 0 0\nv 2 0 2 0\nv 3 0 0 2\n"
-FOLDED = FOLDED_VERTICES + "s 0 1 2\ns 0 1 3\n"
-FOLDED_SPLIT = FOLDED_VERTICES + """\
-v 4 1 0 0
-v 5 2/3 2/3 0
-v 6 2/3 0 2/3
-s 0 4 5
-s 4 1 5
-s 1 2 5
-s 2 0 5
-s 0 4 6
-s 4 1 6
-s 1 3 6
-s 3 0 6
-"""
-OCTA = """\
-v 0 1 0 0
-v 1 -1 0 0
-v 2 0 1 0
-v 3 0 -1 0
-v 4 0 0 1
-v 5 0 0 -1
-s 0 2 4
-s 2 1 4
-s 1 3 4
-s 3 0 4
-s 0 2 5
-s 2 1 5
-s 1 3 5
-s 3 0 5
-"""
-OCTA_SPLIT = OCTA.replace("s 0 2 4\n", "") + "v 6 1/3 1/3 1/3\ns 0 2 6\ns 2 4 6\ns 4 0 6\n"
-OCTA_SPLIT_OFF_CENTRE = OCTA_SPLIT.replace("v 6 1/3 1/3 1/3", "v 6 1/2 1/3 1/6")
-
-
-@pytest.mark.parametrize("first, second, expected", [
-    (FOLDED, FOLDED_SPLIT, """\
-v 0 0 0 0
-v 1 0 0 2
-v 2 0 2 0
-v 3 2/3 0 2/3
-v 4 2/3 2/3 0
-v 5 1 0 0
-v 6 2 0 0
-s 0 1 3
-s 0 2 4
-s 0 3 5
-s 0 4 5
-s 1 3 6
-s 2 4 6
-s 3 5 6
-s 4 5 6
-# cell 0 1 3 from 1 1
-# cell 0 2 4 from 0 0
-# cell 0 3 5 from 1 3
-# cell 0 4 5 from 0 2
-# cell 1 3 6 from 1 5
-# cell 2 4 6 from 0 4
-# cell 3 5 6 from 1 7
-# cell 4 5 6 from 0 6
-"""),
-    (OCTA, OCTA_SPLIT, """\
-v 0 -1 0 0
-v 1 0 -1 0
-v 2 0 0 -1
-v 3 0 0 1
-v 4 0 1 0
-v 5 1/3 1/3 1/3
-v 6 1 0 0
-s 0 1 2
-s 0 1 3
-s 0 2 4
-s 0 3 4
-s 1 2 6
-s 1 3 6
-s 2 4 6
-s 3 4 5
-s 3 5 6
-s 4 5 6
-# cell 0 1 2 from 7 8
-# cell 0 1 3 from 6 7
-# cell 0 2 4 from 5 6
-# cell 0 3 4 from 4 5
-# cell 1 2 6 from 3 3
-# cell 1 3 6 from 2 2
-# cell 2 4 6 from 1 0
-# cell 3 4 5 from 0 9
-# cell 3 5 6 from 0 4
-# cell 4 5 6 from 0 1
-"""),
-    (OCTA_SPLIT, OCTA_SPLIT_OFF_CENTRE, """\
-v 0 -1 0 0
-v 1 0 -1 0
-v 2 0 0 -1
-v 3 0 0 1
-v 4 0 1 0
-v 5 1/3 1/3 1/3
-v 6 3/7 2/7 2/7
-v 7 1/2 1/3 1/6
-v 8 1 0 0
-s 0 1 2
-s 0 1 3
-s 0 2 4
-s 0 3 4
-s 1 2 8
-s 1 3 8
-s 2 4 8
-s 3 4 5
-s 3 5 6
-s 3 6 8
-s 4 5 6
-s 4 6 7
-s 4 7 8
-s 6 7 8
-# cell 0 1 2 from 8 8
-# cell 0 1 3 from 7 7
-# cell 0 2 4 from 6 6
-# cell 0 3 4 from 5 5
-# cell 1 2 8 from 3 3
-# cell 1 3 8 from 2 2
-# cell 2 4 8 from 0 0
-# cell 3 4 5 from 9 9
-# cell 3 5 6 from 4 9
-# cell 3 6 8 from 4 4
-# cell 4 5 6 from 1 9
-# cell 4 6 7 from 1 9
-# cell 4 7 8 from 1 1
-# cell 6 7 8 from 1 4
-"""),
-])
-def test_overlay_in_3_space_prints_the_recorded_bytes(tmp_path, first, second, expected):
-    (tmp_path / "a.cx").write_text(first)
-    (tmp_path / "b.cx").write_text(second)
-    code, out = run(["overlay", "--complex", str(tmp_path / "a.cx"),
-                     "--complex", str(tmp_path / "b.cx")])
-    assert (code, out) == (0, expected)
 
 
 def test_tangent_germ_dump(workdir):
@@ -505,7 +378,7 @@ def test_fixset_sidecar_that_cannot_be_written_prints_nothing(workdir, capsys):
 
 
 def test_json_euler(workdir):
-    code, out = run(["euler", "--complex", str(workdir / "tetra.cx"),
+    code, out = run(["euler", "--complex", str(workdir / "tetra.surface"),
                      "--json"])
     assert code == 0
     doc = json.loads(out)
@@ -524,7 +397,7 @@ def test_json_only_where_the_output_has_a_json_form(workdir, capsys):
         assert run(argv)[0] == 0
         assert run(argv + ["--json"]) == (64, "")
         assert "--json" in capsys.readouterr().err
-    code, out = run(["euler", "--complex", str(workdir / "tetra.cx"), "--json"])
+    code, out = run(["euler", "--complex", str(workdir / "tetra.surface"), "--json"])
     assert code == 0
     assert json.loads(out) == {"schema_version": 1, "command": "euler", "report": 2}
 
@@ -623,14 +496,7 @@ def test_a_base_with_a_t_junction_is_a_data_error(tmp_path, capsys):
     # a polyline whose end lies inside its first segment
     ("v 0 0 0\nv 1 2 0\nv 2 2 1\nv 3 1 0\ns 0 1\ns 1 2\ns 2 3\n",
      "vertex 3 lies in simplex (0, 1) but is not one of its vertices"),
-    # two triangles of 3-space whose edges cross at (1, 0, 0), inside both
-    ("v 0 0 0 0\nv 1 2 0 0\nv 2 1 -1 0\nv 3 1 0 -1\nv 4 1 0 1\nv 5 1 1 0\n"
-     "s 0 1 2\ns 3 4 5\n", "complex is not connected"),
-    # the same, joined by a third triangle at vertices 1 and 5
-    ("v 0 0 0 0\nv 1 2 0 0\nv 2 1 -1 0\nv 3 1 0 -1\nv 4 1 0 1\nv 5 1 1 0\n"
-     "v 6 3 1 5\ns 0 1 2\ns 3 4 5\ns 1 5 6\n",
-     "edge (0, 1) of simplex (0, 1, 2) and edge (3, 4) of simplex (3, 4, 5) cross"),
-], ids=["t-junction", "polyline", "crossing-edges-3d", "crossing-edges-3d-joined"])
+], ids=["t-junction", "polyline"])
 def test_cells_that_meet_in_no_common_face_are_a_data_error(tmp_path, capsys, text, message):
     (tmp_path / "c.cx").write_text(text)
     assert run(["euler", "--complex", str(tmp_path / "c.cx")]) == (65, "")

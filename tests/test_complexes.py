@@ -1,18 +1,17 @@
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import assume, example, given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from plstab.clip import clip_polygon_to_triangle, polygon_area2
-from plstab.complexes import (Complex, boundary, euler_characteristic,
+from plstab.complexes import (Complex, Surface, boundary, euler_characteristic,
                               format_complex, is_arc, is_cycle, link,
-                              parse_complex, seg_seg_open_meet, star, tri_tri_open_meet_2d,
-                              tri_tri_open_meet_3d)
-from plstab.geometry import face_chart, orient2, plane_normal, to_chart
+                              parse_complex, seg_seg_open_meet, star, tri_tri_open_meet_2d)
+from plstab.geometry import orient2
 from plstab.errors import InvalidComplex, ParseError, UnknownVertex
 
-from support import (grid_complex, meets_in_common_faces_by_brute_force,
-                     seg_seg_open_meet_by_solving, tri_tri_open_meet_3d_by_clipping)
+from support import (TETRAHEDRON, grid_complex, meets_in_common_faces_by_brute_force,
+                     seg_seg_open_meet_by_solving)
 
 
 def square():
@@ -20,19 +19,19 @@ def square():
     return Complex(pts, [(0, 1, 4), (1, 2, 4), (2, 3, 4), (3, 0, 4)])
 
 
-def tetra_boundary():
-    pts = [(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    return Complex(pts, [(0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3)])
-
-
 def three_cycle():
     return Complex([(0, 0), (1, 0), (0, 1)], [(0, 1), (1, 2), (0, 2)])
 
 
+def path_on_a_line():
+    return Complex([(0,), (F(1, 2),), (1,)], [(0, 1), (1, 2)])
+
+
 def test_euler_characteristic():
     assert euler_characteristic(square()) == 1
-    assert euler_characteristic(tetra_boundary()) == 2
+    assert euler_characteristic(Surface(TETRAHEDRON)) == 2
     assert euler_characteristic(three_cycle()) == 0
+    assert euler_characteristic(path_on_a_line()) == 1
 
 
 def test_star_and_link_interior_vertex():
@@ -56,7 +55,7 @@ def test_boundary_of_disk():
 
 
 def test_boundary_of_sphere_empty():
-    assert not boundary(tetra_boundary()).simplices
+    assert not boundary(Surface(TETRAHEDRON)).simplices
 
 
 def test_degenerate_triangle_rejected():
@@ -101,7 +100,7 @@ def test_unknown_vertex():
 
 
 def test_parse_format_roundtrip():
-    for c in (square(), tetra_boundary(), three_cycle()):
+    for c in (square(), path_on_a_line(), three_cycle()):
         text = format_complex(c)
         c2 = parse_complex(text)
         assert c2.points == c.points
@@ -160,14 +159,13 @@ def test_separating_axis_cases(t1, t2, meet):
         assert _clip_area_meet(a, b) is meet
 
 
-# The segment and 3-space triangle predicates against their oracles in
-# `support`, which solve for common points and clip in 3-space, on draws
-# forced into the cases where signs are zero: collinear, coplanar, sharing
-# a vertex or an edge, and touching (a point on the other cell's edge or
-# line).
+# The segment predicate against its oracle in `support`, which solves for
+# common points, on draws forced into the cases where signs are zero:
+# collinear, sharing a vertex, and touching (a point on the other
+# segment or its line).
 small = st.sampled_from(sorted({F(n, d) for n in range(-6, 7) for d in (1, 2, 3)
                                 if abs(F(n, d)) <= 2}))
-points = {k: st.tuples(*[small] * k) for k in (1, 2, 3)}
+points = {k: st.tuples(*[small] * k) for k in (1, 2)}
 weights = st.sampled_from([F(0), F(1, 3), F(1, 2), F(2, 3), F(1), F(3, 2), F(-1, 2)])
 
 
@@ -184,7 +182,7 @@ def frame(draw, k):
 
 @st.composite
 def segment_pairs(draw):
-    at, free = draw(frame(draw(st.sampled_from((1, 2, 3)))))
+    at, free = draw(frame(draw(st.sampled_from((1, 2)))))
     mode = draw(st.sampled_from(("free", "collinear", "coplanar", "shared", "touching")))
     if mode == "free":
         a, b, c, d = (free() for _ in range(4))
@@ -208,40 +206,10 @@ def test_seg_seg_open_meet_matches_the_solving_oracle(segs):
         assert seg_seg_open_meet(p, q, r, s) == seg_seg_open_meet_by_solving(p, q, r, s)
 
 
-@st.composite
-def triangle_pairs(draw):
-    """Two triangles of 3-space: t1's vertices free or on one plane; t2's
-    also, or a vertex of t1, or an affine combination of two (on an edge of
-    t1 or its line)."""
-    at, free = draw(frame(3))
-    t1, t2 = [], []
-    for kind in draw(st.lists(st.integers(0, 1), min_size=3, max_size=3)):
-        t1.append(free() if kind == 0 else at(draw(small), draw(small)))
-    for kind in draw(st.lists(st.integers(0, 3), min_size=3, max_size=3)):
-        if kind < 2:
-            t2.append(free() if kind == 0 else at(draw(small), draw(small)))
-        else:
-            p, q = draw(st.sampled_from(t1)), draw(st.sampled_from(t1))
-            w = F(0) if kind == 2 else draw(weights)
-            t2.append(tuple(x + w * (y - x) for x, y in zip(p, q)))
-    assume(all(plane_normal(*t) != (0, 0, 0) for t in (t1, t2)))
-    return t1, t2
-
-
-@settings(max_examples=600, deadline=None)
-@given(triangle_pairs())
-def test_tri_tri_open_meet_3d_matches_the_clipping_oracle(tris):
-    t1, t2 = tris
-    for a, b in ((t1, t2), (t2, t1)):
-        chart = face_chart(b)
-        assert (tri_tri_open_meet_3d(a, chart, to_chart(b, chart))
-                == tri_tri_open_meet_3d_by_clipping(a, b))
-
-
 # The rule that cells meet in common faces, against the brute-force oracle
 # in `support`, on the pairs above and on grids with one cell split at a
 # point on one of its edges or nudged off it.
-REFUSED_FOR_COMMON_FACES = ("is not one of its vertices", " cross")
+REFUSED_FOR_COMMON_FACES = "is not one of its vertices"
 
 
 def check_common_faces(cells):
@@ -267,34 +235,13 @@ def test_segments_meet_in_common_faces_as_the_oracle_says(segs):
     check_common_faces([(a, b), (c, d)])
 
 
-@settings(max_examples=400, deadline=None)
-@given(triangle_pairs())
-# a vertex of the second triangle inside the first, or inside its edge,
-# and the second triangle on one side; each way round
-@example(([(-2, -2, 0), (2, -2, 0), (0, 2, 0)], [(0, 0, 0), (1, 0, 1), (-1, 0, 1)]))
-@example(([(0, 0, 0), (1, 0, 1), (-1, 0, 1)], [(-2, -2, 0), (2, -2, 0), (0, 2, 0)]))
-@example(([(-2, -2, 0), (2, -2, 0), (0, 2, 0)], [(0, -2, 0), (1, 0, 1), (-1, 0, 1)]))
-# edges crossing inside both, off the other triangle
-@example(([(0, 0, 0), (2, 0, 0), (1, -1, 0)], [(1, 0, -1), (1, 0, 1), (1, 1, 0)]))
-# an edge in the other triangle's plane across it, crossing two of its edges
-@example(([(0, 0, 0), (4, 0, 0), (2, 0, 1)], [(1, -1, 0), (1, 1, 0), (3, 1, 0)]))
-@example(([(1, -1, 0), (1, 1, 0), (3, 1, 0)], [(0, 0, 0), (4, 0, 0), (2, 0, 1)]))
-def test_triangles_of_3_space_meet_in_common_faces_as_the_oracle_says(tris):
-    check_common_faces(tris)
-
-
-LIFTS = {"plane": lambda x, y: (x, y), "slope": lambda x, y: (x, y, x + 2 * y),
-         "saddle": lambda x, y: (x, y, x * y)}
-
-
 @st.composite
 def nudged_grids(draw):
-    """An n x n grid of the unit square, in the plane or lifted into 3-space
-    by the height x + 2y or xy of each vertex, with one cell split at a
-    point x of one of its edges ab: on it (into two cells, a T-junction if
-    ab is inside the square) or nudged off it, into the cell (split in
-    three) or out of it (into two cells, reaching into the neighbour or out
-    of the square)."""
+    """An n x n grid of the unit square with one cell split at a point x of
+    one of its edges ab: on it (into two cells, a T-junction if ab is
+    inside the square) or nudged off it, into the cell (split in three) or
+    out of it (into two cells, reaching into the neighbour or out of the
+    square)."""
     n = draw(st.integers(1, 2))
     cells = grid_complex(n).cells()
     a, b, d = draw(st.permutations(cells.pop(draw(st.integers(0, len(cells) - 1)))))
@@ -302,8 +249,7 @@ def nudged_grids(draw):
     m = tuple(p + t * (q - p) for p, q in zip(a, b))
     x = tuple(p + F(nudge, 8 * n) * (q - p) for p, q in zip(m, d))
     cells += [(a, b, x), (b, d, x), (a, d, x)] if nudge > 0 else [(a, x, d), (x, b, d)]
-    lift = LIFTS[draw(st.sampled_from(sorted(LIFTS)))]
-    return [[lift(*p) for p in cell] for cell in cells]
+    return cells
 
 
 @settings(max_examples=100, deadline=None)
@@ -312,17 +258,21 @@ def test_nudged_grids_meet_in_common_faces_as_the_oracle_says(cells):
     check_common_faces(cells)
 
 
-def test_a_t_junction_is_refused_unless_lifting_opens_it():
-    """The T-junction square is refused in the plane and on a plane of
-    3-space; lifted by the height xy, the vertex over (1, 1) leaves the
-    diagonal, which becomes the edge of a slit, so the cells meet in
-    common faces.  Split along the diagonal too, the square is accepted."""
+def test_a_t_junction_is_refused_and_its_split_accepted():
+    """The T-junction square is refused; split along the diagonal too, it
+    is accepted."""
     t_junction = [[(0, 0), (2, 0), (1, 1)], [(1, 1), (2, 0), (2, 2)], [(0, 0), (2, 2), (0, 2)]]
     split = t_junction[:2] + [[(0, 0), (1, 1), (0, 2)], [(1, 1), (2, 2), (0, 2)]]
-    for name, lift in LIFTS.items():
-        refusal = check_common_faces([[lift(*p) for p in cell] for cell in t_junction])
-        if name == "saddle":
-            assert refusal is None
-        else:
-            assert refusal == "vertex 2 lies in simplex (0, 3, 4) but is not one of its vertices"
-        assert check_common_faces([[lift(*p) for p in cell] for cell in split]) is None
+    assert (check_common_faces(t_junction)
+            == "vertex 2 lies in simplex (0, 3, 4) but is not one of its vertices")
+    assert check_common_faces(split) is None
+
+
+def test_three_coordinates_are_refused():
+    """A complex in 3-space is refused, as is a 2-complex on a line."""
+    with pytest.raises(InvalidComplex, match="ambient dimension must be 1 or 2"):
+        Complex([(0, 0, 0), (1, 0, 0), (0, 1, 0)], [(0, 1, 2)])
+    with pytest.raises(InvalidComplex, match="ambient dimension must be 1 or 2"):
+        Complex([(0, 0, 0), (1, 0, 0)], [(0, 1)])
+    with pytest.raises(InvalidComplex, match="a 2-complex needs ambient dimension 2"):
+        Complex([(0,), (1,), (2,)], [(0, 1, 2)])

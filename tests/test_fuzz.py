@@ -11,13 +11,13 @@ from hypothesis import given, settings, strategies as st
 
 from plstab.circle import parse_circle_lift
 from plstab.cli import main
-from plstab.complexes import format_complex, parse_complex
+from plstab.complexes import format_complex, parse_complex, parse_surface
 from plstab.errors import InvalidComplex, ParseError, PLError
 from plstab.interval import parse_plmap1d
 from plstab.plmap import format_plmap, parse_plmap
 from plstab.presentation import parse_presentation
 
-from support import interior_move_map
+from support import PROJECTIVE_PLANE, interior_move_map, surface_text
 
 BASE = format_complex(interior_move_map().base)
 FILES = {
@@ -26,6 +26,7 @@ FILES = {
     "circle": "circle\n0 1/4\n1/2 1/3\n1 5/4\n",
     "plmap": format_plmap(interior_move_map(), "base.cx"),
     "presentation": "gens a b\nrel a b a^-1 b^-1\nrel a^3\n",
+    "surface": surface_text(PROJECTIVE_PLANE),
 }
 PARSERS = {
     "complex": parse_complex,
@@ -33,6 +34,7 @@ PARSERS = {
     "circle": parse_circle_lift,
     "plmap": lambda text: parse_plmap(text, parse_complex(BASE)),
     "presentation": parse_presentation,
+    "surface": parse_surface,
 }
 # (file name, argv after the file) for each format's command-line runs
 COMMANDS = {
@@ -42,9 +44,10 @@ COMMANDS = {
                          ["invert", "--map"]]),
     "plmap": ("h.pm", [["eval", "--point", "1/3", "1/3", "--map"], ["invert", "--map"]]),
     "presentation": ("p.txt", [["abelianize", "--presentation"]]),
+    "surface": ("s.surface", [["euler", "--complex"]]),
 }
 TOKENS = ["0", "1", "-1", "2", "7", "1/2", "3/4", "1/0", "x", "a^x", "a^2", "b",
-          "v", "s", "img", "base", "gens", "rel", "circle", "interval", "#", ""]
+          "v", "s", "img", "base", "gens", "rel", "circle", "interval", "surface", "#", ""]
 
 
 @st.composite

@@ -316,7 +316,7 @@ def test_the_check_sees_conversions_and_numberings(tmp_path):
                      "def compose2d(f, g):\n"
                      "    cx, prov, order = overlay.numbered(pts, raw, pairs)\n"
                      "    return [numbered(c) for c in pts]\n"
-                     "def refine(pieces, lift=None):\n"
+                     "def refine(pieces):\n"
                      "    return numbered(points, cells, pairs), rational_points\n")
     assert named_calls(probe, SOLE_CALLERS) == [
         ("Complex._assemble", "rational_points"), ("compose2d", "numbered"),

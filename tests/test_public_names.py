@@ -22,9 +22,6 @@ ALLOWED = {
     "ray_map": "ROADMAP item 9: germs at any vertex of the common refinement",
     "tangent_sphere_type": "ROADMAP item 9: germs at any vertex of the common refinement",
     "word_ball": "ROADMAP item 4: finite_image searches words breadth first",
-    "link": "ROADMAP item 12: closed surfaces, whose vertex links are cycles",
-    "is_cycle": "ROADMAP item 12: closed surfaces, whose vertex links are cycles",
-    "is_arc": "ROADMAP item 12: closed surfaces, whose vertex links are cycles",
     "boundary": "a spec operation, like star and link; the boundary-to-boundary oracle "
                 "of tests/test_plmap.py reads it",
     "between": ACCEPTANCE,

@@ -374,6 +374,29 @@ def test_obstructed_witnesses_recheck_with_eval():
     assert stages == {"FixedPointGate", "TangentGate", "Propagation"}
 
 
+def test_the_fixed_point_gate_reads_the_image_without_eval(monkeypatch):
+    """The start vertex is a refinement vertex, so the gate reads its image:
+    with `PLMap.eval` refusing, an action obstructed there gives the
+    certificate it gave before, for a grid map on its base, for its square
+    on a finer refinement, and for an interval map that reverses [0, 1]."""
+    base = _grid(3)
+    images = list(base.points)
+    x, y = images[5]
+    images[5] = (x + F(1, 15), y - F(1, 15))
+    f = PLMap(base, base, images)
+    cases = [(ActionSpec([("a", f)]), 5), (ActionSpec([("a", compose2d(f, f))]), 5),
+             (ActionSpec([("r", PLMap1D([(0, 1), (F(1, 2), F(1, 4)), (1, 0)]))]), 0)]
+    expected = [certify_trivial(action, p) for action, p in cases]
+
+    def refuse(self, x):
+        raise AssertionError("PLMap.eval called")
+
+    monkeypatch.setattr(PLMap, "eval", refuse)
+    for (action, p), cert in zip(cases, expected):
+        assert cert.stage == "FixedPointGate"
+        assert certify_trivial(action, p) == cert
+
+
 def _scan_propagation(base, gens, p):
     """Verified stars and witness of the propagation stage by the per-star
     scan it replaced: each star's base cells found by a scan of the base,

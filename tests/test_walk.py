@@ -15,10 +15,11 @@ from plstab.complexes import Complex, segment_meets_ccw_triangle, tri_tri_open_m
 from plstab.errors import RealizationMismatch
 from plstab.geometry import area2, candidate_pairs
 from plstab.overlay import overlay, triangle_pieces
-from plstab.plmap import PLMap, _certified_image, compose2d, inverse2d
+from plstab.plmap import PLMap, _certified_image, compose2d, inverse2d, plmap_from_vertex_images
 
 from support import (SYMMETRIES, _along_boundary, affine, centroid_split, cycle_rotation,
-                     grid_complex, random_square_triangulation, refinement_homes, two_squares)
+                     grid_complex, interior_move_map, random_square_triangulation,
+                     refinement_homes, two_squares)
 
 # by module path: the package's `overlay` is the function
 KERNEL = import_module("plstab.overlay")
@@ -241,14 +242,38 @@ def test_planar_operations_never_enumerate_all_pairs(monkeypatch):
 
 
 def test_the_guard_sees_the_all_pairs_path(monkeypatch):
-    """The 3-space chart path of `triangle_pieces` enumerates all pairs."""
+    """The segment kernel enumerates all pairs, so the guard above sees
+    `candidate_pairs` where it is called."""
     def refuse(*args):
         raise AssertionError("candidate_pairs called")
 
     monkeypatch.setattr(KERNEL, "candidate_pairs", refuse)
-    square = Complex([(0, 0, 0), (1, 0, 0), (1, 1, 1), (0, 1, 1)], [(0, 1, 2), (0, 2, 3)])
+    path = Complex([(0, 0), (1, 0), (1, 1)], [(0, 1), (1, 2)])
     with pytest.raises(AssertionError, match="candidate_pairs"):
-        list(triangle_pieces(square, square))
+        overlay(path, path)
+
+
+def test_compose_pulls_each_vertex_back_once(monkeypatch):
+    """compose2d pulls back each cut point once, however many pieces share
+    it: on grid maps, and where a reflection reverses orientation on
+    either side, one `pullback_in_cell` call per vertex of the result, each
+    at a different point (no fan of these pieces takes a centroid)."""
+    pulled = []
+    pullback = PLMap.pullback_in_cell
+
+    def spy(self, i, y):
+        pulled.append(pullback(self, i, y))
+        return pulled[-1]
+
+    monkeypatch.setattr(PLMap, "pullback_in_cell", spy)
+    f = interior_move_map()
+    g = plmap_from_vertex_images(f.base, [(1 - x, y) for x, y in f.base.points])
+    pairs = [(grid_map(3, seed), grid_map(3, seed + 10)) for seed in range(3)]
+    for a, b in pairs + [(f, g), (g, f), (g, g)]:
+        pulled.clear()
+        h = compose2d(a, b)
+        assert len(pulled) == len(h.refinement.points)
+        assert sorted(pulled) == sorted(h.refinement.points)
 
 
 def cell_point(cell, weights):
