@@ -43,18 +43,12 @@ def jsonable(x):
     if isinstance(x, Fraction):
         return fmt(x)
     if isinstance(x, dict):
-        return {_key(k): jsonable(v) for k, v in x.items()}
+        return {str(k): jsonable(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [jsonable(v) for v in x]
     if hasattr(x, "__dataclass_fields__"):
         return {k: jsonable(getattr(x, k)) for k in x.__dataclass_fields__}
     return x
-
-
-def _key(k):
-    if isinstance(k, tuple):
-        return " ".join(str(v) for v in k)
-    return str(k)
 
 
 def _header(text: str):

@@ -121,29 +121,28 @@ def rational_points(points) -> Tuple[Point, ...]:
     return tuple([tuple(map(rat, p)) for p in points])
 
 
-def directed_boundary(points, simplices) -> Optional[List[Tuple[int, int]]]:
+def directed_boundary(simplices, signs, facets) -> Optional[List[Tuple[int, int]]]:
     """The boundary edges of a planar 2-complex as vertex pairs (u, v)
     directed with their cell on the left of u->v, or None if a cell is
     degenerate or an interior edge has both of its cells on one side (a
     fold).
 
-    One `orient2` per cell: a sorted cell (a, b, c) with sign σ lies left
-    of a->b and of b->c when σ > 0 and left of a->c when σ < 0.  The
-    simplices must be sorted and manifold (no edge in more than two cells).
+    ``signs`` holds the `orient2` sign of each sorted cell and ``facets``
+    their `cell_facets` table, so no predicate runs here: a cell (a, b, c)
+    with sign σ lies left of a->b and of b->c when σ > 0 and left of a->c
+    when σ < 0.  The simplices must be manifold (no edge in more than two
+    cells).
     """
-    sides: Dict[Tuple[int, int], bool] = {}
-    for a, b, c in simplices:
-        o = orient2(points[a], points[b], points[c])
-        if o == 0:
+    if 0 in signs:
+        return None
+    edges = []
+    for (u, v), cells in facets.items():
+        left = (signs[cells[0]] > 0) == (simplices[cells[0]][1] in (u, v))
+        if len(cells) == 1:
+            edges.append((u, v) if left else (v, u))
+        elif left == ((signs[cells[1]] > 0) == (simplices[cells[1]][1] in (u, v))):
             return None
-        left = o > 0
-        for edge, edge_left in (((a, b), left), ((b, c), left), ((a, c), not left)):
-            other = sides.pop(edge, None)
-            if other is None:
-                sides[edge] = edge_left
-            elif other == edge_left:
-                return None
-    return [(u, v) if left else (v, u) for (u, v), left in sides.items()]
+    return edges
 
 
 def _boundary_certificate(points, edges) -> bool:
@@ -198,7 +197,26 @@ def _boundary_certificate(points, edges) -> bool:
     return len(cycle) == len(edges) and is_simple_polygon([points[v] for v in cycle])
 
 
-class Complex:
+class _Incidences:
+    """How the cells of a `Complex` or `Surface` meet: its facet table and
+    its star table, each built from the simplices on first use and kept."""
+
+    __slots__ = ("_facets", "_stars")
+
+    def facets(self) -> Dict[SimplexT, List[int]]:
+        """`cell_facets` of the simplices."""
+        if self._facets is None:
+            self._facets = cell_facets(self.simplices)
+        return self._facets
+
+    def stars(self) -> List[List[int]]:
+        """`cell_stars` of the simplices."""
+        if self._stars is None:
+            self._stars = cell_stars(self.simplices, self.vertex_count)
+        return self._stars
+
+
+class Complex(_Incidences):
     """A pure simplicial complex realizing a 1- or 2-manifold with boundary:
     any two of its cells meet in a common face or not at all.
 
@@ -206,7 +224,7 @@ class Complex:
     valid by construction with its points as built and no checks.
     """
 
-    __slots__ = ("points", "simplices", "dim", "_directed_boundary", "_neighbours")
+    __slots__ = ("points", "simplices", "dim", "_signs")
 
     def __init__(self, points: Sequence, maximal_simplices, require_connected: bool = True):
         self._assemble(rational_points(points), maximal_simplices)
@@ -228,8 +246,7 @@ class Complex:
         if not self.simplices:
             raise InvalidComplex("complex has no maximal simplices")
         self.dim = len(self.simplices[0]) - 1
-        self._directed_boundary = None
-        self._neighbours = None
+        self._facets = self._stars = self._signs = None
 
     # -- validation ------------------------------------------------------
 
@@ -256,30 +273,26 @@ class Complex:
             raise InvalidComplex("every point must appear in a maximal simplex")
         if len(set(self.simplices)) != len(self.simplices):
             raise InvalidComplex("duplicate maximal simplex")
-        for s in self.simplices:
-            self._check_nondegenerate(s)
-        self._check_manifold_faces()
+        if self.dim == 2:
+            for s, o in zip(self.simplices, self.orientations()):
+                if o == 0:
+                    raise InvalidComplex(f"degenerate triangle {s}")
+        else:
+            for s in self.simplices:
+                if self.points[s[0]] == self.points[s[1]]:
+                    raise InvalidComplex(f"degenerate edge {s}")
+        for f, cells in self.facets().items():
+            if len(cells) > 2:
+                raise InvalidComplex(f"face {f} lies in {len(cells)} maximal simplices")
         self._check_distinct_points()
-        certified = self.dim == 2 and _boundary_certificate(
-            self.points, self.directed_boundary())
+        certified = self.dim == 2 and _boundary_certificate(self.points, directed_boundary(
+            self.simplices, self.orientations(), self.facets()))
         if not certified:
             found = self._check_disjoint_interiors_exactly()
         if require_connected and not self.is_connected():
             raise InvalidComplex("complex is not connected (flag it otherwise)")
         if not certified:
             self._check_common_faces(*found)
-
-    def _check_nondegenerate(self, s: SimplexT):
-        pts = [self.points[v] for v in s]
-        if len(s) == 2 and pts[0] == pts[1]:
-            raise InvalidComplex(f"degenerate edge {s}")
-        if len(s) == 3 and orient2(*pts) == 0:
-            raise InvalidComplex(f"degenerate triangle {s}")
-
-    def _check_manifold_faces(self):
-        for f, c in facet_counts(self.simplices, self.dim).items():
-            if c > 2:
-                raise InvalidComplex(f"face {f} lies in {c} maximal simplices")
 
     def _check_distinct_points(self):
         # two vertices at one point pinch the realization, and a map on the
@@ -330,30 +343,24 @@ class Complex:
     def is_connected(self) -> bool:
         return _connected(adjacency(self.simplices))
 
-    def directed_boundary(self) -> Optional[List[Tuple[int, int]]]:
-        """`directed_boundary` of this planar 2-complex, computed once per
-        object: validation and every map on this base share it."""
-        if self._directed_boundary is None:
-            self._directed_boundary = directed_boundary(self.points, self.simplices)
-        return self._directed_boundary
+    def orientations(self) -> List[int]:
+        """The `orient2` sign of each cell of this planar 2-complex, computed
+        once, by the degeneracy check of validation when it runs."""
+        if self._signs is None:
+            self._signs = [orient2(*[self.points[v] for v in s]) for s in self.simplices]
+        return self._signs
 
     def neighbours(self) -> List[Tuple[Optional[int], ...]]:
         """For each maximal simplex (a, b, c) of this 2-complex, the cell
         across each of its edges (a, b), (b, c) and (a, c), or None where
-        no other cell has that edge; computed once per object."""
-        if self._neighbours is None:
-            across: List[List[Optional[int]]] = [[None] * 3 for _ in self.simplices]
-            first: Dict[Tuple[int, int], Tuple[int, int]] = {}
-            for i, (a, b, c) in enumerate(self.simplices):
-                for k, edge in enumerate(((a, b), (b, c), (a, c))):
-                    other = first.pop(edge, None)
-                    if other is None:
-                        first[edge] = (i, k)
-                    else:
-                        across[i][k] = other[0]
-                        across[other[0]][other[1]] = i
-            self._neighbours = [tuple(n) for n in across]
-        return self._neighbours
+        no other cell has that edge: read off the facet table."""
+        across: List[List[Optional[int]]] = [[None] * 3 for _ in self.simplices]
+        for (u, v), cells in self.facets().items():
+            if len(cells) == 2:
+                for i, j in (cells, cells[::-1]):
+                    a, b, _ = self.simplices[i]
+                    across[i][0 if (u, v) == (a, b) else 2 if u == a else 1] = j
+        return [tuple(n) for n in across]
 
     # -- basic queries ---------------------------------------------------
 
@@ -387,7 +394,7 @@ class Complex:
         return f"Complex(dim={self.dim}, |V|={len(self.points)}, |top|={len(self.simplices)})"
 
 
-class Surface:
+class Surface(_Incidences):
     """A connected surface, closed or with boundary, as an abstract
     triangulation: its triangles alone, on the vertices 0..n-1, with no
     coordinates.  A PL homeomorphism of a realization is a simplicial
@@ -417,12 +424,13 @@ class Surface:
             raise InvalidComplex("vertex indices must be 0..n-1 without gaps")
         self.simplices: Tuple[SimplexT, ...] = tuple(listed)
         self.vertex_count = len(used)
+        self._facets = self._stars = None
         for a, b in zip(listed, listed[1:]):
             if a == b:
                 raise InvalidComplex(f"triangle {a} appears twice")
-        for e, n in sorted(facet_counts(listed, 2).items()):
-            if n > 2:
-                raise InvalidComplex(f"edge {e} lies in {n} triangles")
+        for e, cells in sorted(self.facets().items()):
+            if len(cells) > 2:
+                raise InvalidComplex(f"edge {e} lies in {len(cells)} triangles")
         for v in range(self.vertex_count):
             lk = link(self, v)
             if not (is_cycle(lk) or is_arc(lk)):
@@ -490,53 +498,61 @@ def euler_characteristic(c) -> int:
 
 def star(c, v: int) -> SubComplex:
     """Closed star in a `Complex` or `Surface`: all maximal simplices
-    containing v, plus their faces."""
+    containing v, plus their faces, read off the star table."""
     if not 0 <= v < c.vertex_count:
         raise UnknownVertex(f"vertex {v} not in complex")
-    return SubComplex(c, [s for s in c.simplices if v in s])
+    return SubComplex(c, [c.simplices[i] for i in c.stars()[v]])
 
 
 def link(c, v: int) -> SubComplex:
-    """Faces of the closed star that do not contain v."""
-    st = star(c, v)
-    return SubComplex(c, [s for s in st.simplices if v not in s])
+    """Faces of the closed star that do not contain v: the faces of v's
+    maximal simplices opposite v, plus their faces."""
+    return SubComplex(c, [tuple(w for w in s if w != v) for s in star(c, v).of_dim(c.dim)])
 
 
-def facet_counts(simplices, dim: int) -> Dict[SimplexT, int]:
-    """Each facet of the sorted ``dim``-simplices, with how many have it."""
-    counts: Dict[SimplexT, int] = {}
-    for s in simplices:
-        for f in combinations(s, dim):
-            counts[f] = counts.get(f, 0) + 1
-    return counts
+def cell_facets(simplices) -> Dict[SimplexT, List[int]]:
+    """The facet table: each facet of the sorted simplices, in the order
+    first seen, -> the indices of the simplices that have it."""
+    table: Dict[SimplexT, List[int]] = {}
+    for i, s in enumerate(simplices):
+        for f in combinations(s, len(s) - 1):
+            table.setdefault(f, []).append(i)
+    return table
+
+
+def cell_stars(simplices, vertex_count: int) -> List[List[int]]:
+    """The star table: each vertex 0..vertex_count-1 -> the indices of the
+    simplices that contain it, in order."""
+    table: List[List[int]] = [[] for _ in range(vertex_count)]
+    for i, s in enumerate(simplices):
+        for v in s:
+            table[v].append(i)
+    return table
 
 
 def boundary(c: Complex) -> SubComplex:
     """Codimension-1 faces lying in exactly one maximal simplex."""
-    return SubComplex(c, [f for f, n in facet_counts(c.simplices, c.dim).items() if n == 1])
+    return SubComplex(c, [f for f, cells in c.facets().items() if len(cells) == 1])
 
 
 def is_cycle(sub: SubComplex) -> bool:
     """Is a 1-dimensional subcomplex a single closed cycle of edges?"""
-    edges = sub.of_dim(1)
-    if not edges:
-        return False
-    deg = sub.vertex_degrees()
-    return all(d == 2 for d in deg.values()) and _connected(adjacency(edges))
+    return set(_edge_degrees(sub)) == {2}
 
 
 def is_arc(sub: SubComplex) -> bool:
     """Is a 1-dimensional subcomplex a single open arc of edges?"""
+    deg = _edge_degrees(sub)
+    return deg.count(1) == 2 and set(deg) <= {1, 2}
+
+
+def _edge_degrees(sub: SubComplex) -> List[int]:
+    """The edge-degree of each vertex of a subcomplex whose edges are
+    connected, or [] if it has no edges or they are not."""
     edges = sub.of_dim(1)
-    if not edges:
-        return False
-    deg = sub.vertex_degrees()
-    ends = [v for v, d in deg.items() if d == 1]
-    return (
-        len(ends) == 2
-        and all(d in (1, 2) for d in deg.values())
-        and _connected(adjacency(edges))
-    )
+    if not edges or not _connected(adjacency(edges)):
+        return []
+    return list(sub.vertex_degrees().values())
 
 
 def adjacency(simplices) -> Dict[int, set]:

@@ -97,10 +97,6 @@ def fmt_ratio(n: int, d: int) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
 
 
-def pt(*coords) -> Point:
-    return tuple(rat(c) for c in coords)
-
-
 def vsub(a: Point, b: Point) -> Point:
     return tuple(x - y for x, y in zip(a, b))
 
@@ -167,10 +163,6 @@ def area2(a: Point, b: Point, c: Point) -> Fraction:
     uy, uyd = bn * ad - an * bd, ad * bd
     vy, vyd = cn * ad - an * cd, ad * cd
     return Fraction(ux * vy * uyd * vxd - uy * vx * uxd * vyd, uxd * vyd * uyd * vxd)
-
-
-def is_zero_vec(v: Sequence[Fraction]) -> bool:
-    return all(x == 0 for x in v)
 
 
 def between(a: Point, b: Point, x: Point) -> bool:
@@ -319,7 +311,7 @@ def primitive_direction(v: Sequence[Fraction]) -> Tuple[int, ...]:
 
     Scaling is by a positive rational only, so (1,0) and (-1,0) stay distinct.
     """
-    if is_zero_vec(v):
+    if not any(v):
         raise ValueError("zero vector has no direction")
     fracs = [Fraction(x) for x in v]
     denom_lcm = 1

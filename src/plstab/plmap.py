@@ -154,11 +154,13 @@ def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Com
        the base points of step 4's set, are hashed in place of Fractions);
     2. each image cell has a nonzero orientation σ (one `orient2` a cell);
     3. the two cells of each interior edge of R have their images on
-       opposite sides of the image edge (read off σ, no further `orient2`);
+       opposite sides of the image edge (read off σ, no further `orient2`;
+       R's facet table, built once per complex, pairs the cells);
     4. each boundary edge of R, directed with its image cell on the left,
        is a boundary edge of K directed with K on the left (a set lookup
-       in `Complex.directed_boundary`, which K computes once), and as many
-       are found as K has boundary edges.
+       in K's `directed_boundary`, read off K's cell orientations and facet
+       table, each computed once), and as many are found as K has boundary
+       edges.
 
     Sound: orient every image cell counter-clockwise and let c = Σ [f(t)].
     At a point y off all edges, c counts the image cells over y, and that
@@ -185,11 +187,12 @@ def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Com
     keys = [point_key(p) for p in images]
     if len(set(keys)) != len(keys):
         return None
-    edges = directed_boundary(images, refinement.simplices)
+    signs = [orient2(*[images[v] for v in s]) for s in refinement.simplices]
+    edges = directed_boundary(refinement.simplices, signs, refinement.facets())
     if edges is None:
         return None
-    base_edges = {(point_key(base.points[u]), point_key(base.points[v]))
-                  for u, v in base.directed_boundary()}
+    base_edges = {(point_key(base.points[u]), point_key(base.points[v])) for u, v
+                  in directed_boundary(base.simplices, base.orientations(), base.facets())}
     if len(edges) != len(base_edges) or not all(
             (keys[u], keys[v]) in base_edges for u, v in edges):
         return None

@@ -12,12 +12,13 @@ An action's kind is the type of its generators, all `PLMap1D`, all
 `CircleLift` or all `PLMap` on one `domain`: code here tests that type.
 """
 
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .circle import (CircleLift, detect_rational_rotation,
                      fixed_set_circle, rotation_enclosure)
-from .complexes import Complex, adjacency
+from .complexes import Complex
 from .errors import (DisconnectedComplex, InternalError, SupportMismatch,
                      VertexNotInComplex)
 from .fixedlocus import (canonical_invariant, fixed_subcomplex, fuller_search)
@@ -101,9 +102,8 @@ def _tangent_witness_1d(f: PLMap, p: int):
     preserved, else the offending primitive direction."""
     pr = f.refinement_index_of_base_vertex(p)
     origin = f.refinement.points[pr]
-    for s in f.refinement.simplices:
-        if pr not in s:
-            continue
+    for i in f.refinement.stars()[pr]:
+        s = f.refinement.simplices[i]
         q = s[0] if s[1] == pr else s[1]
         u = primitive_direction(vsub(f.refinement.points[q], origin))
         w = primitive_direction(vsub(f.images[q], f.images[pr]))
@@ -186,21 +186,18 @@ def certify_trivial(a: ActionSpec, p: int) -> Certificate:
                 return Certificate(status="Obstructed", stage="TangentGate",
                                    witness=w, assumptions=assumptions)
 
-    # breadth-first propagation of the star-identity check: a star's
-    # witness is its first refinement cell, in refinement order, that moves
-    neighbours = adjacency(base.simplices)
-    cells_at: List[List[int]] = [[] for _ in base.points]
-    for i, s in enumerate(base.simplices):
-        for v in s:
-            cells_at[v].append(i)
+    # breadth-first propagation of the star-identity check over the base's
+    # star table: a star's witness is its first refinement cell, in
+    # refinement order, that moves
+    stars = base.stars()
     moved = [(name, f, _moved_cells(f)) for name, f in gens]
     verified: List[int] = []
     seen = {p}
-    queue = [p]
+    queue = deque([p])
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         for name, f, cells in moved:
-            hits = [cells[c] for c in cells_at[v] if c in cells]
+            hits = [cells[c] for c in stars[v] if c in cells]
             if hits:
                 i, rv = min(hits)
                 x, y = f.refinement.points[rv], f.images[rv]
@@ -214,10 +211,9 @@ def certify_trivial(a: ActionSpec, p: int) -> Certificate:
                              "point": x, "image": y},
                     assumptions=assumptions)
         verified.append(v)
-        for w in sorted(neighbours[v]):
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
+        for w in sorted({w for c in stars[v] for w in base.simplices[c]} - seen):
+            seen.add(w)
+            queue.append(w)
     if len(verified) != len(base.points):
         raise InternalError("propagation left base vertices unverified")
     if not all(f.is_identity() for _, f in gens):

@@ -149,8 +149,8 @@ def build_germ(f: PLMap, p: int) -> Germ:
     apex = points[pr]
     if f.images[pr] != apex:
         raise NotFixedPoint(f"vertex {p} is not fixed")
-    star = [(i, [w for w in s if w != pr])
-            for i, s in enumerate(f.refinement.simplices) if pr in s]
+    star = [(i, [w for w in f.refinement.simplices[i] if w != pr])
+            for i in f.refinement.stars()[pr]]
     rays = {w: primitive_direction(vsub(points[w], apex)) for _, ends in star for w in ends}
     mats: Dict[Tuple[Ray, Ray], Mat] = {}  # cells of a valid star have distinct cones
     for i, (a, b) in star:

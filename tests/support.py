@@ -15,8 +15,9 @@ accounting (`tiles_unit`) that the segment measure of
 `geometry.ratio` replaced, the `Fraction` validating constructor of
 interval maps and circle lifts that the one on breakpoint rows replaced,
 the `Fraction` elimination that the integer determinant of
-`presentation` replaced, and the point-keyed builders of overlays and
-composites that `overlay.refine` and `overlay.numbered` replaced.
+`presentation` replaced, the point-keyed builders of overlays and
+composites that `overlay.refine` and `overlay.numbered` replaced, and
+the three edge pairings that the facet table of `complexes` replaced.
 Every helper that more than one test module uses lives here or, if it is
 a hypothesis strategy, in `strategies`, so no test module imports
 another, and this module needs no hypothesis."""
@@ -862,3 +863,49 @@ def compose_cells_by_points(f, g):
         cells += new
         pairs += [(i, j)] * len(new)
     return cells, pairs
+
+
+# -- the edge pairings that the facet table replaced ---------------------
+
+
+def directed_boundary_by_pop_dict(points, simplices):
+    """`complexes.directed_boundary` as it was: one `orient2` per sorted
+    cell, and each edge held in a dict until its second cell pops it."""
+    sides = {}
+    for a, b, c in simplices:
+        o = orient2(points[a], points[b], points[c])
+        if o == 0:
+            return None
+        left = o > 0
+        for edge, edge_left in (((a, b), left), ((b, c), left), ((a, c), not left)):
+            other = sides.pop(edge, None)
+            if other is None:
+                sides[edge] = edge_left
+            elif other == edge_left:
+                return None
+    return [(u, v) if left else (v, u) for (u, v), left in sides.items()]
+
+
+def neighbours_by_first_dict(simplices):
+    """`Complex.neighbours` as it was: the cell across each edge (a, b),
+    (b, c), (a, c) of each cell, paired through a dict of first cells."""
+    across = [[None] * 3 for _ in simplices]
+    first = {}
+    for i, (a, b, c) in enumerate(simplices):
+        for k, edge in enumerate(((a, b), (b, c), (a, c))):
+            other = first.pop(edge, None)
+            if other is None:
+                first[edge] = (i, k)
+            else:
+                across[i][k] = other[0]
+                across[other[0]][other[1]] = i
+    return [tuple(n) for n in across]
+
+
+def boundary_facets_by_counts(simplices):
+    """The facets that lie in one simplex, counted as `facet_counts` did."""
+    counts = {}
+    for s in simplices:
+        for f in combinations(s, len(s) - 1):
+            counts[f] = counts.get(f, 0) + 1
+    return [f for f, n in counts.items() if n == 1]

@@ -9,12 +9,14 @@ import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from plstab import complexes
-from plstab.complexes import (Complex, _boundary_certificate, directed_boundary,
-                              rational_points)
+from plstab.complexes import (Complex, SubComplex, _boundary_certificate, boundary,
+                              cell_facets, directed_boundary, rational_points)
 from plstab.errors import InvalidComplex
-from plstab.geometry import is_simple_polygon
+from plstab.geometry import is_simple_polygon, orient2
 
-from support import grid_complex, is_simple_polygon_on_fractions, random_square_triangulation
+from support import (boundary_facets_by_counts, directed_boundary_by_pop_dict, grid_complex,
+                     is_simple_polygon_on_fractions, neighbours_by_first_dict,
+                     random_square_triangulation)
 
 GRIDS = {n: grid_complex(n) for n in (2, 3)}
 NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
@@ -23,7 +25,9 @@ NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 def certificate_accepts(points, simplices):
     """Does the boundary-cycle certificate accept the cells?"""
     points = rational_points(points)
-    return _boundary_certificate(points, directed_boundary(points, simplices))
+    signs = [orient2(*[points[v] for v in s]) for s in simplices]
+    return _boundary_certificate(points, directed_boundary(simplices, signs,
+                                                           cell_facets(simplices)))
 
 
 def outcome(points, simplices, require_connected=True):
@@ -115,6 +119,25 @@ def test_certificate_agrees_with_the_exact_path(case):
     if certificate_accepts(points, simplices):
         assert not isinstance(expected[0], type)
     assert outcome(points, simplices) == expected
+
+
+@settings(max_examples=200, deadline=None, phases=NO_SHRINK)
+@given(CASES)
+@example(grid_case(2, [(0, 0)] * 4 + [(4, 0)] + [(0, 0)] * 4, "interior", False))
+def test_the_facet_table_pairs_edges_as_the_pairings_it_replaced(case):
+    """On the same cells, folded, overlapping or degenerate ones included,
+    the readers of the facet table give what their own pairings gave: the
+    directed boundary as a set (its order is free), the cells across each
+    edge, and the boundary."""
+    points, simplices = case
+    # `Complex.trusted` with no check: the tests' trusted builds validate
+    c = Complex.__new__(Complex)
+    c._assemble(rational_points(points), simplices)
+    old = directed_boundary_by_pop_dict(c.points, c.simplices)
+    new = directed_boundary(c.simplices, c.orientations(), c.facets())
+    assert (new is None, set(new or ())) == (old is None, set(old or ()))
+    assert c.neighbours() == neighbours_by_first_dict(c.simplices)
+    assert boundary(c) == SubComplex(c, boundary_facets_by_counts(c.simplices))
 
 
 @pytest.mark.parametrize("n", [2, 3, 4])

@@ -7,7 +7,7 @@ from importlib import import_module
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from plstab import plmap
+from plstab import complexes, plmap
 from plstab.cli import load_action
 from plstab.clip import polygon_area2, triangle_intersection
 from plstab.complexes import Complex, boundary, format_complex
@@ -396,6 +396,26 @@ def test_action_generators_share_one_base(tmp_path):
     assert a.base is b.base
     assert a.refinement is a.base
     assert b.refinement is not b.base
+
+
+def test_an_action_pairs_its_base_edges_once(tmp_path, monkeypatch):
+    """Validating the base builds its facet table, and the image
+    certificate of each generator on it reads that table: one build for
+    three generators."""
+    maps = bench_grid_maps(3, 7) + bench_grid_maps(3, 8)[:1]
+    (tmp_path / "base.cx").write_text(format_complex(maps[0].base))
+    for name, f in zip("abc", maps):
+        (tmp_path / f"{name}.pm").write_text(format_plmap(f, "base.cx"))
+    built = []
+    real = complexes.cell_facets
+    monkeypatch.setattr(complexes, "cell_facets",
+                        lambda simplices: built.append(simplices) or real(simplices))
+    action = load_action(str(tmp_path))
+    base = action.generators[0][1].base
+    assert [f.refinement for _, f in action.generators] == [base] * 3
+    # the other builds are of the images, which the tests' trusted builds
+    # validate (conftest); each image complex sorts its simplices anew
+    assert [s for s in built if s is base.simplices] == [base.simplices]
 
 
 def test_refinement_block_equal_to_base_is_the_base():

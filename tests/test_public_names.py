@@ -69,13 +69,52 @@ def attributes(paths):
             if isinstance(node, ast.Attribute)}
 
 
+# the nodes that open a scope of their own
+SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+          ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)
+
+
+def bound_in(scope):
+    """The names a function or comprehension binds itself: its parameters,
+    and the names it stores (assignment, loop and comprehension targets),
+    not those of the scopes nested in it."""
+    args = getattr(scope, "args", None)
+    names = set() if args is None else {
+        a.arg for a in args.posonlyargs + args.args + args.kwonlyargs + [args.vararg, args.kwarg]
+        if a is not None}
+    todo = list(ast.iter_child_nodes(scope))
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif not isinstance(node, SCOPES):
+            todo.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def loads(node, bound, out):
+    """Add to ``out`` each name loaded under ``node`` that is not in
+    ``bound`` or bound by a scope around the load."""
+    if isinstance(node, SCOPES):
+        bound = bound | bound_in(node)
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, ast.Name) and isinstance(child.ctx, ast.Load):
+            if child.id not in bound:
+                out.add(child.id)
+        else:
+            loads(child, bound, out)
+
+
 def referenced(paths):
-    """Every name loaded as a bare name in the given modules: a module-level
-    name is read where it is loaded so, not where a name is stored or an
-    attribute (a field, a method) shares it; a `def` or `class` statement
-    does not reference its own name."""
-    return {node.id for path in paths for node in ast.walk(ast.parse(path.read_text()))
-            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    """Every name loaded as a bare name in the given modules, where no
+    enclosing function or comprehension binds it: a module-level name is
+    read where it is loaded so, not where a name is stored, an attribute (a
+    field, a method) shares it or a local of the same name is read; a `def`
+    or `class` statement does not reference its own name."""
+    out = set()
+    for path in paths:
+        loads(ast.parse(path.read_text()), frozenset(), out)
+    return out
 
 
 def test_every_public_name_has_a_caller_or_a_reason():
@@ -119,3 +158,16 @@ def test_the_check_sees_uncalled_exports(tmp_path):
                       "class Rotation:\n    power: int = 0\n"
                       "def period(r):\n    power = r.power\n    return r\n")
     assert "power" not in referenced([stores])
+    # a local of the same name reads no def: a parameter, an assignment
+    # target or a comprehension target, in its function or one around it
+    local = tmp_path / "local.py"
+    local.write_text("def pt(*coords):\n    return coords\n"
+                     "def gate(base, p):\n    pt = base[p]\n    return pt\n"
+                     "def shift(pt):\n    return lambda: pt\n"
+                     "def firsts(cells):\n    return [pt[0] for pt in cells]\n")
+    assert "pt" not in referenced([local])
+    # a load where no scope around it binds the name still reads the def
+    caller = tmp_path / "caller.py"
+    caller.write_text("def gate(base, p):\n    pt = base[p]\n    return pt\n"
+                      "def origin():\n    return pt(0, 0)\n")
+    assert "pt" in referenced([caller])

@@ -11,6 +11,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from plstab import complexes
 from plstab.cli import main
 from plstab.complexes import (Surface, boundary, euler_characteristic, is_arc, is_cycle, link,
                               parse_surface)
@@ -53,6 +54,18 @@ def test_closed_surfaces_have_cycle_links_and_no_boundary():
     triangle = Surface([(0, 1, 2)])
     assert all(is_arc(link(triangle, v)) for v in range(3))
     assert boundary(triangle).of_dim(1) == ((0, 1), (0, 2), (1, 2))
+
+
+def test_a_surface_builds_its_star_table_once(monkeypatch):
+    """Validation reads every vertex link through one star table, and
+    later stars and links read it again."""
+    built = []
+    real = complexes.cell_stars
+    monkeypatch.setattr(complexes, "cell_stars",
+                        lambda simplices, n: built.append(n) or real(simplices, n))
+    s = Surface(TORUS)
+    assert built == [7]
+    assert is_cycle(link(s, 3)) and built == [7]
 
 
 def test_the_header_may_follow_comments_and_blank_lines():
