@@ -20,7 +20,7 @@ from .interval import (PLMap1D, compose1d, eval1d, fixed_set_1d, inverse1d,
                        one_sided_derivative)
 from .overlay import Overlay, overlay
 from .plmap import (PLMap, compose2d, identity_map, inverse2d,
-                    plmap_from_vertex_images, power)
+                    plmap_from_vertex_images)
 from .presentation import (AbelianizationReport, Presentation, abelianization,
                            commutator, smith_normal_form, word_ball)
 from .stability import (ActionSpec, Certificate, analyze_action,

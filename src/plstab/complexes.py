@@ -26,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .clip import ccw_triangle, point_in_triangle
+from .clip import point_in_triangle
 from .errors import InvalidComplex, ParseError, UnknownVertex
 from .geometry import (Point, TokenTable, area2, bbox, candidate_pairs, fmt, is_simple_polygon,
                        orient2, overlap_params, point_key, rat, segment_param)
@@ -62,11 +62,6 @@ def seg_seg_open_meet(a, b, c, d) -> bool:
     if tc is not None and td is not None:
         return overlap_params(tc, td) is not None
     return orient2(a, b, c) * orient2(a, b, d) < 0 and orient2(c, d, a) * orient2(c, d, b) < 0
-
-
-def tri_tri_open_meet_2d(t1, t2) -> bool:
-    """Do two nondegenerate planar triangles share an interior point?"""
-    return ccw_triangles_meet(ccw_triangle(t1), ccw_triangle(t2))
 
 
 def ccw_triangles_meet(t1, t2) -> bool:
@@ -198,30 +193,45 @@ def _boundary_certificate(points, edges) -> bool:
 
 
 class _Incidences:
-    """How the cells of a `Complex` or `Surface` meet: its facet table and
-    its star table, each built from the simplices on first use and kept."""
+    """How the cells of a `Complex` or `Surface` meet: its facet table, star
+    table and neighbour list, each built from the simplices on first use,
+    in one read-only list shared by the complexes on those simplices."""
 
-    __slots__ = ("_facets", "_stars")
+    __slots__ = ("_tables",)
 
     def facets(self) -> Dict[SimplexT, List[int]]:
         """`cell_facets` of the simplices."""
-        if self._facets is None:
-            self._facets = cell_facets(self.simplices)
-        return self._facets
+        if self._tables[0] is None:
+            self._tables[0] = cell_facets(self.simplices)
+        return self._tables[0]
 
     def stars(self) -> List[List[int]]:
         """`cell_stars` of the simplices."""
-        if self._stars is None:
-            self._stars = cell_stars(self.simplices, self.vertex_count)
-        return self._stars
+        if self._tables[1] is None:
+            self._tables[1] = cell_stars(self.simplices, self.vertex_count)
+        return self._tables[1]
+
+    def neighbours(self) -> List[Tuple[Optional[int], ...]]:
+        """For each maximal simplex (a, b, c) of this 2-complex, the cell
+        across each of its edges (a, b), (b, c) and (a, c), or None where
+        no other cell has that edge: read off the facet table."""
+        if self._tables[2] is None:
+            across: List[List[Optional[int]]] = [[None] * 3 for _ in self.simplices]
+            for (u, v), cells in self.facets().items():
+                if len(cells) == 2:
+                    for i, j in (cells, cells[::-1]):
+                        a, b, _ = self.simplices[i]
+                        across[i][0 if (u, v) == (a, b) else 2 if u == a else 1] = j
+            self._tables[2] = [tuple(n) for n in across]
+        return self._tables[2]
 
 
 class Complex(_Incidences):
     """A pure simplicial complex realizing a 1- or 2-manifold with boundary:
     any two of its cells meet in a common face or not at all.
 
-    ``Complex(...)`` validates; :meth:`trusted` builds a complex that is
-    valid by construction with its points as built and no checks.
+    ``Complex(...)`` validates; :meth:`trusted` and :meth:`with_points`
+    build a complex valid by construction, with no checks.
     """
 
     __slots__ = ("points", "simplices", "dim", "_signs")
@@ -239,6 +249,16 @@ class Complex(_Incidences):
         self._assemble(tuple(points), maximal_simplices)
         return self
 
+    def with_points(self, points: Sequence) -> "Complex":
+        """These simplices at ``points``, tuples of Fractions kept as built:
+        `simplices`, `dim` and the incidence record are shared, and nothing
+        is sorted or checked."""
+        shared = self.simplices, self.dim, self._tables
+        self = Complex.__new__(Complex)
+        self.simplices, self.dim, self._tables = shared
+        self.points, self._signs = tuple(points), None
+        return self
+
     def _assemble(self, points: Tuple[Point, ...], maximal_simplices):
         self.points = points
         self.simplices: Tuple[SimplexT, ...] = tuple(
@@ -246,7 +266,7 @@ class Complex(_Incidences):
         if not self.simplices:
             raise InvalidComplex("complex has no maximal simplices")
         self.dim = len(self.simplices[0]) - 1
-        self._facets = self._stars = self._signs = None
+        self._tables, self._signs = [None, None, None], None
 
     # -- validation ------------------------------------------------------
 
@@ -306,14 +326,14 @@ class Complex(_Incidences):
     def _check_disjoint_interiors_exactly(self):
         """The all-pairs test: no two cells whose boxes meet share an
         interior point.  It decides every complex the boundary certificate
-        does not accept, so it alone raises.  The cells and the pairs are
-        kept for `_check_common_faces`."""
-        cells = self.cells()
+        does not accept, so it alone raises.  The cells, counter-clockwise
+        in the plane, and the pairs are kept for `_check_common_faces`."""
+        cells = self.cells() if self.dim == 1 else self.ccw_cells()
         pairs = candidate_pairs(cells)
         for i, j in pairs:
             p1, p2 = cells[i], cells[j]
             if (seg_seg_open_meet(p1[0], p1[1], p2[0], p2[1]) if self.dim == 1
-                    else tri_tri_open_meet_2d(p1, p2)):
+                    else ccw_triangles_meet(p1, p2)):
                 raise InvalidComplex(f"simplices {self.simplices[i]} and {self.simplices[j]}"
                                      " overlap")
         return cells, pairs
@@ -344,23 +364,15 @@ class Complex(_Incidences):
         return _connected(adjacency(self.simplices))
 
     def orientations(self) -> List[int]:
-        """The `orient2` sign of each cell of this planar 2-complex, computed
-        once, by the degeneracy check of validation when it runs."""
+        """Each cell's `orient2` sign, computed once (by validation's degeneracy
+        check when it runs): every reader that orients a cell reads it here."""
         if self._signs is None:
             self._signs = [orient2(*[self.points[v] for v in s]) for s in self.simplices]
         return self._signs
 
-    def neighbours(self) -> List[Tuple[Optional[int], ...]]:
-        """For each maximal simplex (a, b, c) of this 2-complex, the cell
-        across each of its edges (a, b), (b, c) and (a, c), or None where
-        no other cell has that edge: read off the facet table."""
-        across: List[List[Optional[int]]] = [[None] * 3 for _ in self.simplices]
-        for (u, v), cells in self.facets().items():
-            if len(cells) == 2:
-                for i, j in (cells, cells[::-1]):
-                    a, b, _ = self.simplices[i]
-                    across[i][0 if (u, v) == (a, b) else 2 if u == a else 1] = j
-        return [tuple(n) for n in across]
+    def ccw_cells(self) -> List[List[Point]]:
+        """Each cell's points counter-clockwise, by `orientations`."""
+        return [c if o > 0 else c[::-1] for c, o in zip(self.cells(), self.orientations())]
 
     # -- basic queries ---------------------------------------------------
 
@@ -424,7 +436,7 @@ class Surface(_Incidences):
             raise InvalidComplex("vertex indices must be 0..n-1 without gaps")
         self.simplices: Tuple[SimplexT, ...] = tuple(listed)
         self.vertex_count = len(used)
-        self._facets = self._stars = None
+        self._tables = [None, None, None]
         for a, b in zip(listed, listed[1:]):
             if a == b:
                 raise InvalidComplex(f"triangle {a} appears twice")

@@ -40,7 +40,7 @@ from typing import Dict, List, Optional, Tuple
 from .clip import convex_fan
 from .complexes import Complex, SimplexT, SubComplex, euler_characteristic, faces_of
 from .errors import FixIsEmpty, FixIsEverything
-from .geometry import Point, cross2, orient2, vadd, vscale, vsub
+from .geometry import Point, cross2, vadd, vscale, vsub
 from .overlay import numbered
 from .plmap import PLMap, compose2d
 
@@ -186,7 +186,7 @@ def _refine_cells_1d(r: _Refinement):
 
 
 def _refine_cells_2d(r: _Refinement):
-    pts, fixed = r.points, r.fixed
+    fixed, signs = r.fixed, r.f.refinement.orientations()
     for ci, s in enumerate(r.f.refinement.simplices):
         poly = []  # the cut polygon, as ids
         for i in range(3):
@@ -197,7 +197,7 @@ def _refine_cells_2d(r: _Refinement):
         if len(poly) == 3:
             r.emit(_uncut_cell(r, s), ci)
             continue
-        if orient2(*(pts[v] for v in s)) < 0:
+        if signs[ci] < 0:
             poly.reverse()
         ends = [i for i, v in enumerate(poly) if fixed[v]]
         if len(ends) == 2:

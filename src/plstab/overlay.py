@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from .clip import ccw_triangle, convex_fan, polygon_area2, polygon_centroid, triangle_intersection
+from .clip import convex_fan, polygon_area2, polygon_centroid, triangle_intersection
 from .complexes import Complex, SimplexT, ccw_triangles_meet, segment_meets_ccw_triangle
 from .errors import RealizationMismatch
 from .geometry import Point, candidate_pairs, collinear_overlap, extent, point_key
@@ -177,10 +177,9 @@ def segment_pieces(segs1, segs2):
 def triangle_pieces(t1: Complex, t2: Complex):
     """(i1, i2, polygon) for each pair of a triangle of ``t1`` and one of
     ``t2`` whose interiors meet: their intersection, a counter-clockwise
-    convex polygon.  The pairs come from a walk over the cells of the two
-    complexes (`_walked_pairs`)."""
-    ccw1 = [ccw_triangle(tri) for tri in t1.cells()]
-    ccw2 = [ccw_triangle(tri) for tri in t2.cells()]
+    convex polygon.  The pairs come from a walk (`_walked_pairs`) over the
+    two complexes' cells, each counter-clockwise by `Complex.ccw_cells`."""
+    ccw1, ccw2 = t1.ccw_cells(), t2.ccw_cells()
     for i1, i2 in _walked_pairs(t1, t2, ccw1, ccw2):
         yield i1, i2, triangle_intersection(ccw1[i1], ccw2[i2])
 

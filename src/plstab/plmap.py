@@ -24,9 +24,10 @@ A map derived from validated maps is valid by construction and is built
 with :meth:`PLMap.trusted`, which keeps the images it is handed and
 checks nothing but two area identities in the plane (refinement, base and
 image areas agree; a failure is an ``InternalError``).
-:func:`compose2d`, :func:`inverse2d` (and so :func:`power`) and
-:func:`identity_map` build this way, taking each cell's base cell from
-provenance.  The test suite re-validates every trusted result.
+:func:`compose2d`, :func:`inverse2d` and :func:`identity_map` build this
+way, taking each cell's base cell from provenance.  The test suite
+re-validates every trusted result.  A map's image is its refinement at
+the images (`Complex.with_points`), with the refinement's incidence tables.
 
 Every loop over pairs of cells that meet goes through the kernels of
 :mod:`plstab.overlay`: `realized_pieces` under the two realization
@@ -172,10 +173,10 @@ def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Com
     Hence y lies in one image cell if y is in K and in none if not.  So
     the image cells are nondegenerate, have disjoint interiors and tile K,
     each boundary edge goes onto a boundary edge, and with step 1 f is
-    injective: every exact check would pass.  The image has R's simplices,
-    so it has R's connectivity, which needs no check: R tiles K
-    (`_assign_cells`), and a valid complex that tiles a connected K is
-    connected.
+    injective: every exact check would pass.  The image is R at the image
+    points (`Complex.with_points`), so it has R's connectivity, which needs
+    no check: R tiles K (`_assign_cells`), and a valid complex that tiles a
+    connected K is connected.
 
     Every homeomorphism that maps the boundary edges of R one-to-one onto
     those of K passes.  The rest takes the exact path: every rejected map,
@@ -196,7 +197,7 @@ def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Com
     if len(edges) != len(base_edges) or not all(
             (keys[u], keys[v]) in base_edges for u, v in edges):
         return None
-    return Complex.trusted(images, refinement.simplices)
+    return refinement.with_points(images)
 
 
 class PLMap:
@@ -242,7 +243,7 @@ class PLMap:
         """A map that compose, invert or identity built from validated
         inputs, so valid by construction: ``refinement`` refines ``base``
         and ``cell_base`` comes from provenance.  The images, tuples of
-        Fractions, are kept as built (`Complex.trusted`).
+        Fractions, are kept as built (`Complex.with_points`).
 
         In the plane, refinement area = base area = image area is checked
         as a tripwire (``InternalError``) against a lost or doubled cell.
@@ -251,7 +252,7 @@ class PLMap:
         self.base = base
         self.refinement = refinement
         self._pieces = None
-        self.image = Complex.trusted(images, refinement.simplices)
+        self.image = refinement.with_points(images)
         self.cell_base = tuple(cell_base)
         if base.dim == 2:
             area = base.area2()
@@ -415,19 +416,14 @@ def compose2d(f: PLMap, g: PLMap) -> PLMap:
 def _pulled_back(f: PLMap, g: PLMap):
     """The pieces of f∘g: the intersection of an image cell i of g and a
     cell j of f, pulled back through g's piece on i, with itself as the
-    cut; both reversed where that piece reverses orientation, so the
-    pulled-back polygon is counter-clockwise.  g is one to one, so each
+    cut; both reversed where that piece reverses orientation (cell i has
+    two `orientations`), so the pulled-back polygon is counter-clockwise.  g is one to one, so each
     cut point, keyed by its `point_key`, is pulled back once, through the
     first piece that has it."""
-    srcs, imgs = g.refinement.cells(), g.image.cells()
-    reverses: Dict[int, bool] = {}
     back: Dict[tuple, Point] = {}
     for i, j, cut in cell_pieces(g.image, f.refinement):
-        if len(cut) > 2:
-            if i not in reverses:
-                reverses[i] = (orient2(*srcs[i]) > 0) != (orient2(*imgs[i]) > 0)
-            if reverses[i]:
-                cut = cut[::-1]
+        if len(cut) > 2 and g.refinement.orientations()[i] != g.image.orientations()[i]:
+            cut = cut[::-1]
         pre = []
         for y in cut:
             key = point_key(y)
@@ -451,15 +447,6 @@ def inverse2d(f: PLMap) -> PLMap:
     pre = list(ov.at_vertices(lambda i, _, y: f.pullback_in_cell(i, y)))
     return PLMap.trusted(f.base, ov.cells, pre,
                          [ov.provenance[s][1] for s in ov.cells.simplices])
-
-
-def power(f: PLMap, k: int) -> PLMap:
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    out = f
-    for _ in range(k - 1):
-        out = compose2d(f, out)
-    return out
 
 
 def parse_plmap(text: str, base: Complex, tokens: Optional[TokenTable] = None) -> PLMap:

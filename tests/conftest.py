@@ -22,21 +22,29 @@ class ClockwisePolygon(AssertionError):
 
 @pytest.fixture(autouse=True)
 def check_trusted_builds(monkeypatch):
-    """Check mode: every `Complex.trusted`, `PLMap.trusted`,
-    `CircleLift.trusted`, `PLMap1D.trusted` and `Germ.trusted` result is
-    also built through the validating constructor, which must accept it and
-    agree on points, simplices, `cell_base` and image, on breakpoint rows,
-    slope ratios and orientation, or on fan and matrices, so a bug in an
-    operation that builds trusted still fails the tests.  A trusted
+    """Check mode: every `Complex.trusted`, `Complex.with_points`,
+    `PLMap.trusted`, `CircleLift.trusted`, `PLMap1D.trusted` and
+    `Germ.trusted` result is also built through the validating
+    constructor, which must accept it and agree on points, simplices,
+    `cell_base` and image, on breakpoint rows, slope ratios and
+    orientation, or on fan and matrices, so a bug in an operation that
+    builds trusted still fails the tests.  A trusted
     complex's points, and so a trusted map's images, must also be tuples
     of Fractions, and a trusted 1D map's rows and slope ratios tuples of
     ints, as the validating constructor would make them."""
-    complex_trusted, plmap_trusted = Complex.trusted, PLMap.trusted
+    complex_trusted, with_points = Complex.trusted, Complex.with_points
+    plmap_trusted = PLMap.trusted
     lift_trusted, map1d_trusted = CircleLift.trusted, PLMap1D.trusted
     germ_trusted = Germ.trusted
 
     def checked_complex(cls, points, maximal_simplices):
-        out = complex_trusted(points, maximal_simplices)
+        return check_complex(complex_trusted(points, maximal_simplices), points,
+                             maximal_simplices)
+
+    def checked_with_points(self, points):
+        return check_complex(with_points(self, points), points, self.simplices)
+
+    def check_complex(out, points, maximal_simplices):
         ref = Complex(points, maximal_simplices, require_connected=False)
         if (out.points, out.simplices) != (ref.points, ref.simplices):
             raise TrustedBuildMismatch(f"{out!r} differs from {ref!r}")
@@ -84,6 +92,7 @@ def check_trusted_builds(monkeypatch):
         return out
 
     monkeypatch.setattr(Complex, "trusted", classmethod(checked_complex))
+    monkeypatch.setattr(Complex, "with_points", checked_with_points)
     monkeypatch.setattr(PLMap, "trusted", classmethod(checked_plmap))
     monkeypatch.setattr(CircleLift, "trusted", classmethod(checked_lift))
     monkeypatch.setattr(PLMap1D, "trusted", classmethod(checked_map1d))

@@ -16,8 +16,10 @@ accounting (`tiles_unit`) that the segment measure of
 interval maps and circle lifts that the one on breakpoint rows replaced,
 the `Fraction` elimination that the integer determinant of
 `presentation` replaced, the point-keyed builders of overlays and
-composites that `overlay.refine` and `overlay.numbered` replaced, and
-the three edge pairings that the facet table of `complexes` replaced.
+composites that `overlay.refine` and `overlay.numbered` replaced, the
+three edge pairings that the facet table of `complexes` replaced, the
+per-cell orientations that `Complex.orientations` replaced in the piece
+enumeration and in composition, and `power`, the composite f^k.
 Every helper that more than one test module uses lives here or, if it is
 a hypothesis strategy, in `strategies`, so no test module imports
 another, and this module needs no hypothesis."""
@@ -31,15 +33,15 @@ from pathlib import Path
 
 from plstab.circle import CircleLift
 
-from plstab.clip import convex_fan, point_in_triangle
-from plstab.complexes import Complex
+from plstab.clip import ccw_triangle, convex_fan, point_in_triangle, triangle_intersection
+from plstab.complexes import Complex, ccw_triangles_meet
 from plstab.errors import InvalidComplex, ParseError, RealizationMismatch
 from plstab.geometry import (MAX_EXPONENT, Mat, area2, candidate_pairs, closed_segments_meet,
                              cross2, dot, orient2, primitive_direction, rat, segment_param, vadd,
                              vscale, vsub)
 from plstab.interval import PLMap1D
-from plstab.overlay import realized_pieces, segment_pieces, triangle_pieces
-from plstab.plmap import PLMap, plmap_from_vertex_images
+from plstab.overlay import _walked_pairs, realized_pieces, refine, segment_pieces, triangle_pieces
+from plstab.plmap import PLMap, compose2d, plmap_from_vertex_images
 from plstab.tangent import Fan, Germ, _chain_cones, in_cone
 
 
@@ -909,3 +911,48 @@ def boundary_facets_by_counts(simplices):
         for f in combinations(s, len(s) - 1):
             counts[f] = counts.get(f, 0) + 1
     return [f for f, n in counts.items() if n == 1]
+
+
+# -- the orientations that `Complex.orientations` replaced ---------------
+
+
+def open_triangles_meet(t1, t2):
+    """Do two nondegenerate planar triangles, in either orientation, share
+    an interior point?  Each is oriented by its own `ccw_triangle` call."""
+    return ccw_triangles_meet(ccw_triangle(t1), ccw_triangle(t2))
+
+
+def triangle_pieces_by_ccw_triangle(t1, t2):
+    """`overlay.triangle_pieces` as it was: each cell oriented by its own
+    `ccw_triangle` call, not read off its complex's `orientations`."""
+    ccw1 = [ccw_triangle(tri) for tri in t1.cells()]
+    ccw2 = [ccw_triangle(tri) for tri in t2.cells()]
+    for i1, i2 in _walked_pairs(t1, t2, ccw1, ccw2):
+        yield i1, i2, triangle_intersection(ccw1[i1], ccw2[i2])
+
+
+def compose2d_by_ccw_triangle(f, g):
+    """`plmap.compose2d` of two planar maps as it was: the pieces of
+    `triangle_pieces_by_ccw_triangle`, each reversed where two `orient2`
+    calls find that g's piece reverses orientation, and every cut point
+    pulled back, by whichever piece has it."""
+    srcs, imgs = g.refinement.cells(), g.image.cells()
+
+    def pulled_back():
+        for i, j, cut in triangle_pieces_by_ccw_triangle(g.image, f.refinement):
+            if (orient2(*srcs[i]) > 0) != (orient2(*imgs[i]) > 0):
+                cut = cut[::-1]
+            yield i, j, [g.pullback_in_cell(i, y) for y in cut], cut
+
+    ov = refine(pulled_back())
+    images = list(ov.at_vertices(lambda _, j, y: f.eval_in_cell(j, y)))
+    return PLMap.trusted(g.base, ov.cells, images,
+                         [g.cell_base[ov.provenance[s][0]] for s in ov.cells.simplices])
+
+
+def power(f, k):
+    """f^k for k >= 1: f composed with f^(k-1) by `compose2d`."""
+    out = f
+    for _ in range(k - 1):
+        out = compose2d(f, out)
+    return out

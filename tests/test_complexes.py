@@ -6,12 +6,12 @@ from hypothesis import assume, given, settings, strategies as st
 from plstab.clip import clip_polygon_to_triangle, polygon_area2
 from plstab.complexes import (Complex, Surface, boundary, euler_characteristic,
                               format_complex, is_arc, is_cycle, link,
-                              parse_complex, seg_seg_open_meet, star, tri_tri_open_meet_2d)
+                              parse_complex, seg_seg_open_meet, star)
 from plstab.geometry import orient2
 from plstab.errors import InvalidComplex, ParseError, UnknownVertex
 
 from support import (TETRAHEDRON, grid_complex, meets_in_common_faces_by_brute_force,
-                     seg_seg_open_meet_by_solving)
+                     open_triangles_meet, seg_seg_open_meet_by_solving)
 
 
 def square():
@@ -140,7 +140,7 @@ triangles = (st.lists(st.tuples(coords, coords), min_size=3, max_size=3)
 @settings(max_examples=200)
 @given(triangles, triangles)
 def test_separating_axis_matches_clip_area(t1, t2):
-    assert tri_tri_open_meet_2d(t1, t2) == _clip_area_meet(t1, t2)
+    assert open_triangles_meet(t1, t2) == _clip_area_meet(t1, t2)
 
 
 @pytest.mark.parametrize("t1, t2, meet", [
@@ -155,7 +155,7 @@ def test_separating_axis_matches_clip_area(t1, t2):
 ])
 def test_separating_axis_cases(t1, t2, meet):
     for a, b in ((t1, t2), (t2, t1)):
-        assert tri_tri_open_meet_2d(a, b) is meet
+        assert open_triangles_meet(a, b) is meet
         assert _clip_area_meet(a, b) is meet
 
 

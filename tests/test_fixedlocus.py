@@ -12,10 +12,10 @@ from plstab.errors import FixIsEmpty, FixIsEverything, PLError
 from plstab.fixedlocus import (FixedLocus, canonical_invariant,
                                fixed_subcomplex, frontier, fuller_search)
 from plstab.geometry import Mat, area2, orient2, vadd, vscale, vsub
-from plstab.plmap import PLMap, compose2d, identity_map, plmap_from_vertex_images, power
+from plstab.plmap import PLMap, compose2d, identity_map, plmap_from_vertex_images
 
 from support import (bench_grid_maps, cycle_rotation, grid_map, index_cells, interior_move_map,
-                     linear_part, quarter_rotation, square_complex, triangulate_convex)
+                     linear_part, power, quarter_rotation, square_complex, triangulate_convex)
 
 
 def test_rotation_fixes_center_only():

@@ -17,11 +17,11 @@ from plstab.geometry import segment_param
 from plstab.overlay import overlay, segment_pieces
 from plstab.plmap import (PLMap, compose2d, format_plmap,
                           identity_map, inverse2d, parse_plmap,
-                          plmap_from_vertex_images, power)
+                          plmap_from_vertex_images)
 
 from support import (SYMMETRIES, _along_boundary, bench_grid_maps, compose_cells_by_points,
                      cycle_rotation, grid_complex, grid_map, interior_move_map,
-                     overlay_cells_by_points, quarter_rotation, refinement_by_points,
+                     overlay_cells_by_points, power, quarter_rotation, refinement_by_points,
                      square_complex, tiles_unit, two_squares)
 
 # by module path: the package's `overlay` is the function
@@ -413,9 +413,61 @@ def test_an_action_pairs_its_base_edges_once(tmp_path, monkeypatch):
     action = load_action(str(tmp_path))
     base = action.generators[0][1].base
     assert [f.refinement for _, f in action.generators] == [base] * 3
-    # the other builds are of the images, which the tests' trusted builds
-    # validate (conftest); each image complex sorts its simplices anew
+    # each image shares the base's simplices and table; the other builds
+    # are of the reference complexes that the check mode (conftest)
+    # validates each image against, which sort their simplices anew
     assert [s for s in built if s is base.simplices] == [base.simplices]
+
+
+def shares_its_refinement_record(f):
+    """Is f's image its refinement's simplices and incidence tables at
+    other points?"""
+    r, im = f.refinement, f.image
+    return (im.simplices is r.simplices and im.facets() is r.facets()
+            and im.stars() is r.stars() and im.neighbours() is r.neighbours())
+
+
+def test_images_share_their_refinement_record():
+    """A parsed map, the composite and the inverse of n=3 grid maps and the
+    identity each keep their image on the refinement's simplices, with the
+    refinement's facet table, star table and neighbour list."""
+    f, g = bench_grid_maps(3, 7)
+    parsed = parse_plmap(format_plmap(f), f.base)
+    h = compose2d(f, g)
+    for m in (parsed, h, inverse2d(g), inverse2d(h), identity_map(f.base)):
+        assert shares_its_refinement_record(m)
+        # each complex keeps its own orientations
+        assert m.image.orientations() is not m.refinement.orientations()
+
+
+def test_a_walk_derives_each_table_once(monkeypatch):
+    """Compose and inverse walk images that share their refinement's
+    record: no facet table is built for an image, whose simplices are its
+    refinement's, and each neighbour list is derived once and then read,
+    however many walks read it."""
+    f, g = bench_grid_maps(3, 7)
+    h = compose2d(f, g)
+    built, lists = [], []
+    real_facets, real_neighbours = complexes.cell_facets, Complex.neighbours
+    monkeypatch.setattr(complexes, "cell_facets",
+                        lambda simplices: built.append(simplices) or real_facets(simplices))
+
+    def spy(self):
+        lists.append((self.simplices, real_neighbours(self)))
+        return lists[-1][1]
+
+    monkeypatch.setattr(Complex, "neighbours", spy)
+    for a, b in ((f, g), (g, f), (h, f), (f, h)):
+        compose2d(a, b)
+    inverse2d(g)
+    inverse2d(h)
+    # the images of f and g lie on the base's simplices, whose table the
+    # base's validation built; h's image on its refinement's, whose table
+    # the first walk of either builds
+    assert [s for s in built if s is f.image.simplices or s is g.image.simplices] == []
+    assert len([s for s in built if s is h.image.simplices]) <= 1
+    for sims in (f.image.simplices, h.image.simplices):
+        assert len({id(n) for s, n in lists if s is sims}) == 1
 
 
 def test_refinement_block_equal_to_base_is_the_base():

@@ -288,11 +288,19 @@ def test_the_check_sees_direct_conversions(tmp_path):
     assert direct_conversions(probe) == [("read_complex_records", 3), ("parse_plmap", 6)]
 
 
-# the one conversion of points and the one numbering of derived cells, each
-# name -> the only (module, "Class.method" or function) that may call it
+# the one conversion of points, the one numbering of derived cells, the
+# orientation of loose triangles, the builder of images and the two
+# incidence tables, each name -> the only (module, "Class.method" or
+# function) that may call it
 SOLE_CALLERS = {"rational_points": {("complexes.py", "Complex.__init__"),
                                     ("plmap.py", "PLMap.__init__")},
-                "numbered": {("overlay.py", "refine"), ("fixedlocus.py", "fixed_subcomplex")}}
+                "numbered": {("overlay.py", "refine"), ("fixedlocus.py", "fixed_subcomplex")},
+                "ccw_triangle": {("clip.py", "clip_polygon_to_triangle"),
+                                 ("clip.py", "triangle_intersection"),
+                                 ("clip.py", "point_in_triangle")},
+                "with_points": {("plmap.py", "PLMap.trusted"), ("plmap.py", "_certified_image")},
+                "cell_facets": {("complexes.py", "_Incidences.facets")},
+                "cell_stars": {("complexes.py", "_Incidences.stars")}}
 
 
 def test_points_are_converted_and_numbered_in_one_place():
@@ -300,7 +308,12 @@ def test_points_are_converted_and_numbered_in_one_place():
     convert points, so a trusted build keeps the Fractions it is handed;
     only `overlay.refine` and `fixedlocus.fixed_subcomplex` call
     `overlay.numbered`, so overlay, composition, inversion, equality and
-    the fixed locus share one numbering."""
+    the fixed locus share one numbering.  Only `clip` orients a loose
+    triangle with `ccw_triangle`: a cell of a complex is oriented by
+    `Complex.orientations`.  Only `PLMap.trusted` and `_certified_image`
+    build an image on its refinement's simplices (`with_points`), and only
+    the shared incidence record `_Incidences` builds a facet or star
+    table."""
     found = {}
     for p in sorted(SRC.glob("*.py")):
         for where, name in named_calls(p, SOLE_CALLERS):
@@ -317,10 +330,19 @@ def test_the_check_sees_conversions_and_numberings(tmp_path):
                      "    cx, prov, order = overlay.numbered(pts, raw, pairs)\n"
                      "    return [numbered(c) for c in pts]\n"
                      "def refine(pieces):\n"
-                     "    return numbered(points, cells, pairs), rational_points\n")
+                     "    return numbered(points, cells, pairs), rational_points\n"
+                     "def triangle_pieces(t1, t2):\n"
+                     "    return [clip.ccw_triangle(c) for c in t1.cells()]\n"
+                     "def inverse2d(f):\n"
+                     "    return f.refinement.with_points(f.images), with_points\n"
+                     "class Surface:\n"
+                     "    def __init__(self, triangles):\n"
+                     "        self.f, self.s = cell_facets(triangles), complexes.cell_stars(t, 3)\n")
     assert named_calls(probe, SOLE_CALLERS) == [
         ("Complex._assemble", "rational_points"), ("compose2d", "numbered"),
-        ("compose2d", "numbered"), ("refine", "numbered")]
+        ("compose2d", "numbered"), ("refine", "numbered"),
+        ("triangle_pieces", "ccw_triangle"), ("inverse2d", "with_points"),
+        ("Surface.__init__", "cell_facets"), ("Surface.__init__", "cell_stars")]
 
 
 # the functions on the path of a 1D map from its text through validation,

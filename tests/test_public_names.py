@@ -29,8 +29,6 @@ ALLOWED = {
     "identity_germ": "the unit of compose_germs, for the germ checks of ROADMAP item 9",
     "format_presentation": "writes the text that parse_presentation reads",
     "is_trivial_on_tangent_sphere": ACCEPTANCE,
-    "power": "the tests read f^k through it; fuller_search builds each power in turn "
-             "by compose2d instead",
 }
 # Class.method -> why the library never reads it as an attribute
 ALLOWED_METHODS = {

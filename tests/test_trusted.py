@@ -105,6 +105,8 @@ def test_check_mode_validates_trusted_builds():
         PLMap.trusted(sq, sq, folded, range(4))
     with pytest.raises(InvalidComplex, match="overlap"):
         Complex.trusted(folded, sq.simplices)
+    with pytest.raises(InvalidComplex, match="overlap"):
+        sq.with_points(folded)
 
 
 def test_check_mode_requires_fraction_points():

@@ -8,18 +8,21 @@ from fractions import Fraction as F
 from importlib import import_module
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from plstab.clip import ccw_triangle, triangle_intersection
-from plstab.complexes import Complex, segment_meets_ccw_triangle, tri_tri_open_meet_2d
-from plstab.errors import RealizationMismatch
+from plstab.complexes import Complex, segment_meets_ccw_triangle
+from plstab.errors import PLError, RealizationMismatch
 from plstab.geometry import area2, candidate_pairs
 from plstab.overlay import overlay, triangle_pieces
-from plstab.plmap import PLMap, _certified_image, compose2d, inverse2d, plmap_from_vertex_images
+from plstab.plmap import (PLMap, _certified_image, compose2d, format_plmap, inverse2d,
+                          plmap_from_vertex_images)
 
-from support import (SYMMETRIES, _along_boundary, affine, centroid_split, cycle_rotation,
-                     grid_complex, interior_move_map, random_square_triangulation,
-                     refinement_homes, two_squares)
+from support import (SYMMETRIES, _along_boundary, affine, centroid_split,
+                     compose2d_by_ccw_triangle, cycle_rotation, grid_complex, interior_move_map,
+                     open_triangles_meet, random_square_triangulation, refinement_homes,
+                     triangle_pieces_by_ccw_triangle, two_squares)
+from support import grid_map as moved_grid_map
 
 # by module path: the package's `overlay` is the function
 KERNEL = import_module("plstab.overlay")
@@ -30,13 +33,17 @@ def all_pairs(c1, c2):
     """The oracle: every pair of cells, clipped where their interiors meet."""
     return {(i, j, tuple(triangle_intersection(a, b)))
             for i, a in enumerate(c1.cells()) for j, b in enumerate(c2.cells())
-            if tri_tri_open_meet_2d(a, b)}
+            if open_triangles_meet(a, b)}
 
 
 def assert_walk_is_all_pairs(c1, c2):
+    """The walk gives the pairs of the all-pairs loop, and the pieces, in
+    order, of the walk that oriented each cell by `ccw_triangle`."""
     walked = [(i, j, tuple(poly)) for i, j, poly in triangle_pieces(c1, c2)]
     assert len(walked) == len(set(walked))
     assert set(walked) == all_pairs(c1, c2)
+    assert walked == [(i, j, tuple(poly))
+                      for i, j, poly in triangle_pieces_by_ccw_triangle(c1, c2)]
 
 
 def moved_grid(n, offsets, sym):
@@ -156,6 +163,64 @@ def test_mismatched_realizations_still_raise(c2):
         assert_walk_is_all_pairs(a, b)
         with pytest.raises(RealizationMismatch):
             overlay(a, b)
+
+
+PINCHED = pinched_squares(0)
+PINCHED_SPLIT = centroid_split(PINCHED)
+# the symmetries of `pinched_squares(0)`; the second and the fourth reflect
+PINCHED_SYMMETRIES = [lambda x, y: (x, y), lambda x, y: (y, x),
+                      lambda x, y: (2 - x, 2 - y), lambda x, y: (2 - y, 2 - x)]
+GRID_OFFSETS = st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+                        min_size=16, max_size=16)
+CENTRE_OFFSETS = st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                          min_size=18, max_size=18)
+
+
+def pinched_map(sym, centre_offsets):
+    """A map of the pinched squares, a base that is not convex, on their
+    centroid split: a symmetry of the base, each centroid moved off the
+    centroid of its image by centre_offsets[k]/24."""
+    moved = [PINCHED_SYMMETRIES[sym](x, y) for x, y in PINCHED.points]
+    for (a, b, c), (dx, dy) in zip(PINCHED.simplices, centre_offsets):
+        cx, cy = (sum(x) / 3 for x in zip(moved[a], moved[b], moved[c]))
+        moved.append((cx + F(dx, 24), cy + F(dy, 24)))
+    return PINCHED, PINCHED_SPLIT, moved
+
+
+@st.composite
+def maps_of_one_base(draw, pinched):
+    """A map of the 3 x 3 grid (`support.grid_map`) under a drawn symmetry
+    of the square, or of the pinched squares under one of theirs, so its
+    image's orientations may all flip."""
+    if pinched:
+        case = pinched_map(draw(st.integers(0, 3)), draw(CENTRE_OFFSETS))
+    else:
+        case = moved_grid_map(3, draw(GRID_OFFSETS), draw(CENTRE_OFFSETS),
+                              draw(st.sampled_from(["fixed", "slide"])),
+                              draw(st.integers(0, len(SYMMETRIES) - 1)),
+                              draw(st.sampled_from(["same", "centroids"])))
+    try:
+        return PLMap(*case)
+    except PLError:
+        assume(False)  # the moved vertices fold a cell
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.data())
+def test_pieces_and_composites_match_the_ccw_triangle_oracle(data):
+    """`triangle_pieces`, which orients each cell by its complex's
+    `orientations`, and `compose2d`, which reverses a piece where the
+    orientations of its cell in g's refinement and image differ, give the
+    pieces and the bytes of the `ccw_triangle` and `orient2` versions they
+    replaced: on grid maps and their reflections, on the pinched base, and
+    on composites and inverses of those maps."""
+    pinched = data.draw(st.booleans())
+    f, g = data.draw(maps_of_one_base(pinched)), data.draw(maps_of_one_base(pinched))
+    h = compose2d(f, g)
+    for a, b in ((f, g), (f, h), (inverse2d(h), g), (h, inverse2d(f))):
+        assert (list(triangle_pieces(b.image, a.refinement))
+                == list(triangle_pieces_by_ccw_triangle(b.image, a.refinement)))
+        assert format_plmap(compose2d(a, b)) == format_plmap(compose2d_by_ccw_triangle(a, b))
 
 
 def segment_meets_oracle(p, q, tri):
