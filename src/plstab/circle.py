@@ -103,10 +103,8 @@ class CircleLift(BreakpointMap):
 
 
 def eval_lift(F: CircleLift, x) -> Fraction:
-    xn, xd = ratio(x)
-    k = xn // xd  # floor(x)
-    vn, vd = value_at(F.rows, F.slope_ratios, xn - k * xd, xd)
-    return Fraction(vn + k * vd, vd)
+    """F(x): one step of `iterate_lift`."""
+    return iterate_lift(F, 1, x)
 
 
 def compose_lift(F: CircleLift, G: CircleLift) -> CircleLift:

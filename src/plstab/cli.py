@@ -16,7 +16,7 @@ from .circle import (CircleLift, detect_rational_rotation, format_circle_lift,
 from .complexes import euler_characteristic, format_complex, parse_complex, parse_surface
 from .errors import ParseError, PLError
 from .fixedlocus import fixed_subcomplex
-from .geometry import TokenTable, fmt, rat
+from .geometry import TokenTable, fmt, rat, records
 from .interval import PLMap1D, format_plmap1d, parse_plmap1d
 from .overlay import overlay
 from .plmap import PLMap, format_plmap, parse_plmap
@@ -53,11 +53,7 @@ def jsonable(x):
 
 def _header(text: str):
     """Tokens of the first line that is not blank or a comment, or []."""
-    for raw in text.splitlines():
-        tok = raw.split("#", 1)[0].split()
-        if tok:
-            return tok
-    return []
+    return next((tok for _, tok, _ in records(text)), [])
 
 
 class _Request:

@@ -1,4 +1,6 @@
-"""Exact convex clipping and triangulation helpers in the plane."""
+"""Exact convex clipping and triangulation helpers in the plane: the clip
+kernel `triangle_intersection` takes counter-clockwise cells, and only the
+two entry points for loose triangles orient theirs (`ccw_triangle`)."""
 
 from __future__ import annotations
 
@@ -60,9 +62,9 @@ def ccw_triangle(tri: Sequence[Point]) -> List[Point]:
     return t
 
 
-def _clip_ccw(poly: List[Point], tri: Sequence[Point]) -> List[Point]:
+def triangle_intersection(poly: Sequence[Point], tri: Sequence[Point]) -> List[Point]:
     """Intersection of a counter-clockwise convex polygon with a
-    counter-clockwise triangle, as a vertex cycle."""
+    counter-clockwise triangle, as a counter-clockwise vertex cycle."""
     for i in range(3):
         poly = _clip_halfplane(poly, tri[i], tri[(i + 1) % 3])
         if not poly:
@@ -71,18 +73,16 @@ def _clip_ccw(poly: List[Point], tri: Sequence[Point]) -> List[Point]:
 
 
 def clip_polygon_to_triangle(poly: Sequence[Point], tri: Sequence[Point]) -> List[Point]:
-    """Intersection of a convex polygon with a triangle, as a vertex cycle."""
+    """Intersection of a convex polygon with a triangle, each in either
+    orientation, as a counter-clockwise vertex cycle."""
     out = list(poly)
     if polygon_area2(out) < 0:
         out.reverse()
-    return _clip_ccw(out, ccw_triangle(tri))
-
-
-def triangle_intersection(t1: Sequence[Point], t2: Sequence[Point]) -> List[Point]:
-    return _clip_ccw(ccw_triangle(t1), ccw_triangle(t2))
+    return triangle_intersection(out, ccw_triangle(tri))
 
 
 def point_in_triangle(x: Point, tri: Sequence[Point]) -> bool:
+    """Is x in the closed triangle, given in either orientation?"""
     t = ccw_triangle(tri)
     return all(orient2(t[i], t[(i + 1) % 3], x) >= 0 for i in range(3))
 

@@ -26,10 +26,10 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .clip import point_in_triangle
 from .errors import InvalidComplex, ParseError, UnknownVertex
-from .geometry import (Point, TokenTable, area2, bbox, candidate_pairs, fmt, is_simple_polygon,
-                       orient2, overlap_params, point_key, rat, segment_param)
+from .geometry import (Point, TokenTable, area2, bbox, between, candidate_pairs, fmt,
+                       is_simple_polygon, orient2, overlap_params, point_key, rat, records,
+                       segment_param)
 
 SimplexT = Tuple[int, ...]
 
@@ -98,12 +98,12 @@ def segment_meets_ccw_triangle(p, q, tri) -> bool:
 
 
 def in_closed_cell(x: Point, cell) -> bool:
-    """Is x in the closed cell, a planar triangle or a segment in ambient
-    dimension 1 or 2?  For `PLMap.eval` and `Complex._check_common_faces`."""
+    """Is x in the closed cell, a counter-clockwise planar triangle (three
+    `orient2` signs) or a segment in ambient dimension 1 or 2 (`between`)?
+    For `PLMap.eval` and `Complex._check_common_faces`, on `ccw_cells`."""
     if len(cell) == 3:
-        return point_in_triangle(x, cell)
-    t = segment_param(cell[0], cell[1], x)
-    return t is not None and 0 <= t <= 1
+        return all(orient2(cell[i - 1], cell[i], x) >= 0 for i in range(3))
+    return between(cell[0], cell[1], x)
 
 
 def triangle_area2(pts) -> Fraction:
@@ -249,14 +249,15 @@ class Complex(_Incidences):
         self._assemble(tuple(points), maximal_simplices)
         return self
 
-    def with_points(self, points: Sequence) -> "Complex":
+    def with_points(self, points: Sequence, signs: Optional[List[int]]) -> "Complex":
         """These simplices at ``points``, tuples of Fractions kept as built:
         `simplices`, `dim` and the incidence record are shared, and nothing
-        is sorted or checked."""
+        is sorted or checked.  ``signs`` are the cells' `orientations` at
+        ``points`` when the caller has computed them, or None."""
         shared = self.simplices, self.dim, self._tables
         self = Complex.__new__(Complex)
         self.simplices, self.dim, self._tables = shared
-        self.points, self._signs = tuple(points), None
+        self.points, self._signs = tuple(points), signs
         return self
 
     def _assemble(self, points: Tuple[Point, ...], maximal_simplices):
@@ -328,7 +329,7 @@ class Complex(_Incidences):
         interior point.  It decides every complex the boundary certificate
         does not accept, so it alone raises.  The cells, counter-clockwise
         in the plane, and the pairs are kept for `_check_common_faces`."""
-        cells = self.cells() if self.dim == 1 else self.ccw_cells()
+        cells = self.ccw_cells()
         pairs = candidate_pairs(cells)
         for i, j in pairs:
             p1, p2 = cells[i], cells[j]
@@ -371,7 +372,10 @@ class Complex(_Incidences):
         return self._signs
 
     def ccw_cells(self) -> List[List[Point]]:
-        """Each cell's points counter-clockwise, by `orientations`."""
+        """Each cell's points: a triangle's counter-clockwise, by
+        `orientations`, and a segment's as they are."""
+        if self.dim == 1:
+            return self.cells()
         return [c if o > 0 else c[::-1] for c, o in zip(self.cells(), self.orientations())]
 
     # -- basic queries ---------------------------------------------------
@@ -603,7 +607,7 @@ def read_complex_records(text: str, tokens: Optional[TokenTable] = None, other=N
     tokens = TokenTable() if tokens is None else tokens
     points: Dict[int, Point] = {}
     sims: List[SimplexT] = []
-    for lineno, tok, line in _records(text):
+    for lineno, tok, line in records(text):
         if tok[0] == "v":
             if len(tok) < 3 or len(tok) > 5:
                 raise ParseError(f"line {lineno}: bad vertex record")
@@ -640,27 +644,18 @@ def parse_surface(text: str) -> Surface:
     """Parse the surface format: a `surface` header line, then one
     `s <i> <j> <k>` line per triangle, with no coordinates.  Record errors
     name the line as in ``text``, blank and comment lines included."""
-    records = _records(text)
-    lineno, tok, _ = next(records, (1, None, None))
+    lines = records(text)
+    lineno, tok, _ = next(lines, (1, None, None))
     if tok != ["surface"]:
         raise ParseError(f"line {lineno}: the header must be 'surface'")
     triangles = []
-    for lineno, tok, _ in records:
+    for lineno, tok, _ in lines:
         if tok[0] != "s":
             raise ParseError(f"line {lineno}: unknown record {tok[0]!r}")
         if len(tok) != 4:
             raise ParseError(f"line {lineno}: bad triangle record")
         triangles.append(tuple(_index(t, lineno) for t in tok[1:]))
     return Surface(triangles)
-
-
-def _records(text: str):
-    """(line number, tokens, text) of each line that is not blank or a
-    comment; a comment runs from `#` to the end of its line."""
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if line:
-            yield lineno, line.split(), line
 
 
 def _index(token: str, lineno: int) -> int:

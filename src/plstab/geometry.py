@@ -80,6 +80,16 @@ class TokenTable(dict):
         return q
 
 
+def records(text: str):
+    """(line number, tokens, text) of each line that is not blank or a
+    comment; a comment runs from `#` to the end of its line.  The one rule
+    for comments and blank lines of the text formats."""
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if line:
+            yield lineno, line.split(), line
+
+
 def point_key(p: Point) -> Tuple[Tuple[int, int], ...]:
     """A hashable key of a point, equal exactly for equal points: each
     coordinate's integer ratio, which a Fraction keeps in lowest terms.
@@ -165,17 +175,6 @@ def area2(a: Point, b: Point, c: Point) -> Fraction:
     return Fraction(ux * vy * uyd * vxd - uy * vx * uxd * vyd, uxd * vyd * uyd * vxd)
 
 
-def between(a: Point, b: Point, x: Point) -> bool:
-    """True iff x lies on the closed segment [a, b] (a, b, x collinear assumed)."""
-    d = vsub(b, a)
-    e = vsub(x, a)
-    t_num = dot(e, d)
-    t_den = dot(d, d)
-    if t_den == 0:
-        return x == a
-    return 0 <= t_num <= t_den and vscale(Fraction(t_num, t_den), d) == e
-
-
 def segment_param(a: Point, b: Point, x: Point):
     """Parameter t with x = a + t (b - a), or None if x is off the line."""
     d = vsub(b, a)
@@ -186,6 +185,13 @@ def segment_param(a: Point, b: Point, x: Point):
     if vadd(a, vscale(t, d)) != x:
         return None
     return t
+
+
+def between(a: Point, b: Point, x: Point) -> bool:
+    """True iff x lies on the closed segment [a, b]: its `segment_param`
+    is in [0, 1]."""
+    t = segment_param(a, b, x)
+    return t is not None and 0 <= t <= 1
 
 
 def extent(seg: Sequence[Point]) -> Fraction:
@@ -314,13 +320,9 @@ def primitive_direction(v: Sequence[Fraction]) -> Tuple[int, ...]:
     if not any(v):
         raise ValueError("zero vector has no direction")
     fracs = [Fraction(x) for x in v]
-    denom_lcm = 1
-    for f in fracs:
-        denom_lcm = denom_lcm * f.denominator // gcd(denom_lcm, f.denominator)
-    ints = [int(f * denom_lcm) for f in fracs]
-    g = 0
-    for n in ints:
-        g = gcd(g, abs(n))
+    denom = lcm(*(f.denominator for f in fracs))
+    ints = [f.numerator * (denom // f.denominator) for f in fracs]
+    g = gcd(*ints)
     return tuple(n // g for n in ints)
 
 

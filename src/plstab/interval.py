@@ -40,7 +40,7 @@ from .errors import (
     ParseError,
     SideOutsideInterval,
 )
-from .geometry import fmt_ratio, ratio
+from .geometry import fmt_ratio, ratio, records
 
 Break = Tuple[Fraction, Fraction]
 Piece = Tuple[Fraction, Fraction]
@@ -361,15 +361,14 @@ def fixed_set_1d(f: PLMap1D) -> List[Piece]:
 def read_breakpoint_lines(text: str) -> Tuple[str, List[Tuple[str, str]]]:
     """The header line ('' if none) and the `x y` string pair of each later
     line, with comments and blank lines dropped; converts nothing."""
-    lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln]
+    lines = records(text)
+    _, _, header = next(lines, (0, [], ""))
     pairs = []
-    for ln in lines[1:]:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise ParseError(f"bad breakpoint line {ln!r}")
-        pairs.append((parts[0], parts[1]))
-    return (lines[0] if lines else ""), pairs
+    for _, tok, line in lines:
+        if len(tok) != 2:
+            raise ParseError(f"bad breakpoint line {line!r}")
+        pairs.append((tok[0], tok[1]))
+    return header, pairs
 
 
 def format_breakpoint_lines(header: str, rows: Sequence[Row]) -> str:

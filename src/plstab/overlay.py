@@ -178,7 +178,8 @@ def triangle_pieces(t1: Complex, t2: Complex):
     """(i1, i2, polygon) for each pair of a triangle of ``t1`` and one of
     ``t2`` whose interiors meet: their intersection, a counter-clockwise
     convex polygon.  The pairs come from a walk (`_walked_pairs`) over the
-    two complexes' cells, each counter-clockwise by `Complex.ccw_cells`."""
+    two complexes' cells, each counter-clockwise by `Complex.ccw_cells`,
+    as `triangle_intersection` takes them: no cell is oriented here."""
     ccw1, ccw2 = t1.ccw_cells(), t2.ccw_cells()
     for i1, i2 in _walked_pairs(t1, t2, ccw1, ccw2):
         yield i1, i2, triangle_intersection(ccw1[i1], ccw2[i2])

@@ -176,7 +176,7 @@ def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Com
     injective: every exact check would pass.  The image is R at the image
     points (`Complex.with_points`), so it has R's connectivity, which needs
     no check: R tiles K (`_assign_cells`), and a valid complex that tiles a
-    connected K is connected.
+    connected K is connected.  Its `orientations` are step 2's signs σ.
 
     Every homeomorphism that maps the boundary edges of R one-to-one onto
     those of K passes.  The rest takes the exact path: every rejected map,
@@ -197,7 +197,7 @@ def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Com
     if len(edges) != len(base_edges) or not all(
             (keys[u], keys[v]) in base_edges for u, v in edges):
         return None
-    return refinement.with_points(images)
+    return refinement.with_points(images, signs)
 
 
 class PLMap:
@@ -252,7 +252,7 @@ class PLMap:
         self.base = base
         self.refinement = refinement
         self._pieces = None
-        self.image = refinement.with_points(images)
+        self.image = refinement.with_points(images, None)
         self.cell_base = tuple(cell_base)
         if base.dim == 2:
             area = base.area2()
@@ -341,8 +341,8 @@ class PLMap:
 
     def eval(self, x) -> Point:
         x = tuple(rat(c) for c in x)
-        for i, s in enumerate(self.refinement.simplices):
-            if in_closed_cell(x, [self.refinement.points[v] for v in s]):
+        for i, cell in enumerate(self.refinement.ccw_cells()):
+            if in_closed_cell(x, cell):
                 return self.eval_in_cell(i, x)
         raise PointOutsideComplex(f"({', '.join(fmt(c) for c in x)}) is not in the realization")
 

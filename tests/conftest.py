@@ -7,6 +7,7 @@ from plstab.circle import CircleLift
 from plstab import clip
 from plstab.clip import polygon_area2
 from plstab.complexes import Complex
+from plstab.geometry import orient2
 from plstab.interval import PLMap1D
 from plstab.plmap import PLMap
 from plstab.tangent import Germ
@@ -28,7 +29,8 @@ def check_trusted_builds(monkeypatch):
     constructor, which must accept it and agree on points, simplices,
     `cell_base` and image, on breakpoint rows, slope ratios and
     orientation, or on fan and matrices, so a bug in an operation that
-    builds trusted still fails the tests.  A trusted
+    builds trusted still fails the tests.  The signs handed to
+    `Complex.with_points` must be each cell's `orient2` sign.  A trusted
     complex's points, and so a trusted map's images, must also be tuples
     of Fractions, and a trusted 1D map's rows and slope ratios tuples of
     ints, as the validating constructor would make them."""
@@ -41,8 +43,12 @@ def check_trusted_builds(monkeypatch):
         return check_complex(complex_trusted(points, maximal_simplices), points,
                              maximal_simplices)
 
-    def checked_with_points(self, points):
-        return check_complex(with_points(self, points), points, self.simplices)
+    def checked_with_points(self, points, signs):
+        if signs is not None:
+            own = [orient2(*[points[v] for v in s]) for s in self.simplices]
+            if signs != own:
+                raise TrustedBuildMismatch(f"signs {signs} differ from the cells' {own}")
+        return check_complex(with_points(self, points, signs), points, self.simplices)
 
     def check_complex(out, points, maximal_simplices):
         ref = Complex(points, maximal_simplices, require_connected=False)

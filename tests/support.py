@@ -60,6 +60,17 @@ def affine(src, dst, x):
     return tuple(sum(l * p[k] for l, p in zip(lam, dst)) for k in range(len(dst[0])))
 
 
+def in_closed_cell_oracle(x, cell):
+    """Is x in the closed cell, a planar triangle in either orientation
+    (`point_in_triangle`) or a segment, whose `segment_param` at x is in
+    [0, 1]?  The closed-cell test that `complexes.in_closed_cell` made
+    before it took counter-clockwise cells."""
+    if len(cell) == 3:
+        return point_in_triangle(x, cell)
+    t = segment_param(cell[0], cell[1], x)
+    return t is not None and 0 <= t <= 1
+
+
 def refinement_homes(base, refinement):
     """The oracle of the refinement check of `PLMap(...)`: the first base
     simplex containing each refinement cell, found by a containment test on
@@ -67,16 +78,10 @@ def refinement_homes(base, refinement):
     the plane and by the parameter intervals on each base segment in 1D.
     Raises `RealizationMismatch` where a cell has no home or the cells do
     not tile the base."""
-    def inside(x, cell):
-        if len(cell) == 3:
-            return point_in_triangle(x, cell)
-        t = segment_param(cell[0], cell[1], x)
-        return t is not None and 0 <= t <= 1
-
     cells, base_cells = refinement.cells(), base.cells()
     home = [None] * len(cells)
     for i, j in candidate_pairs(cells, base_cells):
-        if home[i] is None and all(inside(p, base_cells[j]) for p in cells[i]):
+        if home[i] is None and all(in_closed_cell_oracle(p, base_cells[j]) for p in cells[i]):
             home[i] = j
     for s, h in zip(refinement.simplices, home):
         if h is None:

@@ -34,6 +34,10 @@ def test_polygon_area2_is_the_shoelace_sum(poly):
     assert isinstance(got, F) and got == reference
 
 
+# `triangle_intersection` takes its polygon and triangle counter-clockwise,
+# as the literal triangles below are; loose ones are oriented first
+
+
 def test_triangle_self_intersection():
     t = [(0, 0), (4, 0), (0, 4)]
     got = triangle_intersection(t, t)
@@ -51,6 +55,18 @@ def test_half_overlap():
     t2 = [(0, 0), (2, 0), (2, 2)]
     got = triangle_intersection(t1, t2)
     assert area(got) == 1  # the shared lower-left triangle
+
+
+def test_loose_inputs_are_oriented_by_the_entry_point():
+    """`clip_polygon_to_triangle` takes either orientation and gives the
+    kernel's counter-clockwise cycle of the oriented inputs."""
+    t1 = [(0, 0), (0, 2), (2, 0)]
+    t2 = [(2, 2), (2, 0), (0, 0)]
+    want = triangle_intersection(ccw_triangle(t1), ccw_triangle(t2))
+    assert area(want) == 1 and polygon_area2(want) > 0
+    for a in (t1, t1[::-1]):
+        for b in (t2, t2[::-1]):
+            assert clip_polygon_to_triangle(a, b) == want
 
 
 def test_point_in_triangle_boundary():

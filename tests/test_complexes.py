@@ -3,15 +3,16 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from plstab.clip import clip_polygon_to_triangle, polygon_area2
+from plstab.clip import clip_polygon_to_triangle, point_in_triangle, polygon_area2
 from plstab.complexes import (Complex, Surface, boundary, euler_characteristic,
-                              format_complex, is_arc, is_cycle, link,
+                              format_complex, in_closed_cell, is_arc, is_cycle, link,
                               parse_complex, seg_seg_open_meet, star)
 from plstab.geometry import orient2
 from plstab.errors import InvalidComplex, ParseError, UnknownVertex
 
-from support import (TETRAHEDRON, grid_complex, meets_in_common_faces_by_brute_force,
-                     open_triangles_meet, seg_seg_open_meet_by_solving)
+from support import (TETRAHEDRON, grid_complex, in_closed_cell_oracle,
+                     meets_in_common_faces_by_brute_force, open_triangles_meet,
+                     seg_seg_open_meet_by_solving)
 
 
 def square():
@@ -276,3 +277,32 @@ def test_three_coordinates_are_refused():
         Complex([(0, 0, 0), (1, 0, 0)], [(0, 1)])
     with pytest.raises(InvalidComplex, match="a 2-complex needs ambient dimension 2"):
         Complex([(0,), (1,), (2,)], [(0, 1, 2)])
+
+
+# halves on a small grid, so points often fall on an edge or a vertex
+halves = st.integers(min_value=-4, max_value=4).map(lambda n: F(n, 2))
+plane_points = st.tuples(halves, halves)
+
+
+@settings(max_examples=300)
+@given(st.lists(plane_points, min_size=3, max_size=3, unique=True), plane_points)
+def test_in_closed_cell_takes_the_counter_clockwise_cell(tri, x):
+    """On a complex's counter-clockwise cell, `in_closed_cell` decides as
+    `point_in_triangle` does on the loose triangle, in either orientation."""
+    assume(orient2(*tri) != 0)
+    cell, = Complex(tri, [(0, 1, 2)]).ccw_cells()
+    for loose in (tri, tri[::-1]):
+        assert in_closed_cell(x, cell) == point_in_triangle(x, loose)
+
+
+@settings(max_examples=300)
+@given(st.integers(min_value=1, max_value=2), st.data())
+def test_in_closed_cell_on_segments_is_the_segment_param_test(ambient, data):
+    """On a segment, in ambient dimension 1 or 2, `in_closed_cell` decides
+    as the `segment_param` test it replaced, at points on the segment's
+    line (inside it or past an end) and off it."""
+    points = st.tuples(*[halves] * ambient)
+    a, b = data.draw(st.lists(points, min_size=2, max_size=2, unique=True))
+    t = data.draw(st.fractions(min_value=-1, max_value=2, max_denominator=4))
+    x = data.draw(st.one_of(st.just(tuple(p + t * (q - p) for p, q in zip(a, b))), points))
+    assert in_closed_cell(x, [a, b]) == in_closed_cell_oracle(x, [a, b])

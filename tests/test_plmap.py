@@ -13,7 +13,7 @@ from plstab.clip import polygon_area2, triangle_intersection
 from plstab.complexes import Complex, boundary, format_complex
 from plstab.errors import (InvalidComplex, PLError, PointOutsideComplex,
                            RealizationMismatch)
-from plstab.geometry import segment_param
+from plstab.geometry import orient2, segment_param
 from plstab.overlay import overlay, segment_pieces
 from plstab.plmap import (PLMap, compose2d, format_plmap,
                           identity_map, inverse2d, parse_plmap,
@@ -366,7 +366,7 @@ def test_image_check_matches_all_pairs_clip(offsets, sym, free):
         with pytest.raises(InvalidComplex, match=re.escape(str(e))):
             PLMap(base, base, images)
         return
-    cells, base_cells = image.cells(), base.cells()
+    cells, base_cells = image.ccw_cells(), base.ccw_cells()
     reference = sum((abs(polygon_area2(triangle_intersection(a, b)))
                      for a in cells for b in base_cells), F(0))
     if image.area2() != base.area2():
@@ -438,6 +438,18 @@ def test_images_share_their_refinement_record():
         assert shares_its_refinement_record(m)
         # each complex keeps its own orientations
         assert m.image.orientations() is not m.refinement.orientations()
+
+
+def test_an_accepted_image_keeps_the_certificate_signs(monkeypatch):
+    """The certificate hands the signs it computed to the image it
+    accepts, so reading the image's `orientations` runs no `orient2`."""
+    for f in (interior_move_map(), *bench_grid_maps(3, 7)):
+        assert plmap._certified_image(f.base, f.refinement, f.images) is not None
+        calls = []
+        monkeypatch.setattr(complexes, "orient2", lambda *p: calls.append(p) or orient2(*p))
+        signs = f.image.orientations()
+        assert calls == []
+        assert signs == [orient2(*cell) for cell in f.image.cells()]
 
 
 def test_a_walk_derives_each_table_once(monkeypatch):

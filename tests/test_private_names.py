@@ -296,7 +296,6 @@ SOLE_CALLERS = {"rational_points": {("complexes.py", "Complex.__init__"),
                                     ("plmap.py", "PLMap.__init__")},
                 "numbered": {("overlay.py", "refine"), ("fixedlocus.py", "fixed_subcomplex")},
                 "ccw_triangle": {("clip.py", "clip_polygon_to_triangle"),
-                                 ("clip.py", "triangle_intersection"),
                                  ("clip.py", "point_in_triangle")},
                 "with_points": {("plmap.py", "PLMap.trusted"), ("plmap.py", "_certified_image")},
                 "cell_facets": {("complexes.py", "_Incidences.facets")},
@@ -308,9 +307,10 @@ def test_points_are_converted_and_numbered_in_one_place():
     convert points, so a trusted build keeps the Fractions it is handed;
     only `overlay.refine` and `fixedlocus.fixed_subcomplex` call
     `overlay.numbered`, so overlay, composition, inversion, equality and
-    the fixed locus share one numbering.  Only `clip` orients a loose
-    triangle with `ccw_triangle`: a cell of a complex is oriented by
-    `Complex.orientations`.  Only `PLMap.trusted` and `_certified_image`
+    the fixed locus share one numbering.  Only the two entry points of
+    `clip` for loose triangles orient one with `ccw_triangle`: a cell of
+    a complex is oriented by `Complex.orientations`, and the clip kernel
+    takes it counter-clockwise.  Only `PLMap.trusted` and `_certified_image`
     build an image on its refinement's simplices (`with_points`), and only
     the shared incidence record `_Incidences` builds a facet or star
     table."""

@@ -24,7 +24,7 @@ ALLOWED = {
     "word_ball": "ROADMAP item 4: finite_image searches words breadth first",
     "boundary": "a spec operation, like star and link; the boundary-to-boundary oracle "
                 "of tests/test_plmap.py reads it",
-    "between": ACCEPTANCE,
+    "point_in_triangle": ACCEPTANCE,
     "clip_polygon_to_triangle": "bench/spans.py traces the clipping layer by this name",
     "identity_germ": "the unit of compose_germs, for the germ checks of ROADMAP item 9",
     "format_presentation": "writes the text that parse_presentation reads",

@@ -18,7 +18,7 @@ from plstab.overlay import overlay, triangle_pieces
 from plstab.plmap import (PLMap, _certified_image, compose2d, format_plmap, inverse2d,
                           plmap_from_vertex_images)
 
-from support import (SYMMETRIES, _along_boundary, affine, centroid_split,
+from support import (SYMMETRIES, _along_boundary, affine, bench_grid_maps, centroid_split,
                      compose2d_by_ccw_triangle, cycle_rotation, grid_complex, interior_move_map,
                      open_triangles_meet, random_square_triangulation, refinement_homes,
                      triangle_pieces_by_ccw_triangle, two_squares)
@@ -27,12 +27,13 @@ from support import grid_map as moved_grid_map
 # by module path: the package's `overlay` is the function
 KERNEL = import_module("plstab.overlay")
 MAPS = import_module("plstab.plmap")
+CLIP = import_module("plstab.clip")
 
 
 def all_pairs(c1, c2):
     """The oracle: every pair of cells, clipped where their interiors meet."""
     return {(i, j, tuple(triangle_intersection(a, b)))
-            for i, a in enumerate(c1.cells()) for j, b in enumerate(c2.cells())
+            for i, a in enumerate(c1.ccw_cells()) for j, b in enumerate(c2.ccw_cells())
             if open_triangles_meet(a, b)}
 
 
@@ -44,6 +45,19 @@ def assert_walk_is_all_pairs(c1, c2):
     assert set(walked) == all_pairs(c1, c2)
     assert walked == [(i, j, tuple(poly))
                       for i, j, poly in triangle_pieces_by_ccw_triangle(c1, c2)]
+
+
+def test_the_clip_kernel_orients_no_cell(monkeypatch):
+    """`triangle_pieces` hands the clip counter-clockwise cells read off
+    `Complex.ccw_cells`, so no cell goes through `ccw_triangle`."""
+    _, g = bench_grid_maps(3, 7)
+    base = grid_complex(3)
+
+    def refuse(tri):
+        raise AssertionError(f"{tri} is oriented again")
+
+    monkeypatch.setattr(CLIP, "ccw_triangle", refuse)
+    assert list(triangle_pieces(g.image, base))
 
 
 def moved_grid(n, offsets, sym):
