@@ -8,6 +8,7 @@ from fractions import Fraction
 from math import lcm
 from typing import List, Optional, Sequence, Tuple
 
+from .complexes import in_closed_cell
 from .geometry import Point, area2, orient2, vadd, vscale, vsub
 
 
@@ -32,8 +33,6 @@ def _clip_halfplane(poly: List[Point], a: Point, b: Point) -> List[Point]:
     Each vertex's side is an `orient2` sign; Fractions are built only for
     a crossing point, from the `area2` of the edge's two ends.
     """
-    if not poly:
-        return []
     out: List[Point] = []
     n = len(poly)
     sides = [orient2(a, b, p) for p in poly]
@@ -83,8 +82,7 @@ def clip_polygon_to_triangle(poly: Sequence[Point], tri: Sequence[Point]) -> Lis
 
 def point_in_triangle(x: Point, tri: Sequence[Point]) -> bool:
     """Is x in the closed triangle, given in either orientation?"""
-    t = ccw_triangle(tri)
-    return all(orient2(t[i], t[(i + 1) % 3], x) >= 0 for i in range(3))
+    return in_closed_cell(x, ccw_triangle(tri))
 
 
 def polygon_centroid(poly: Sequence[Point]) -> Point:

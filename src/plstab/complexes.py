@@ -1,4 +1,4 @@
-"""Triangulated 1- and 2-manifolds with exact rational coordinates.
+"""Triangulated 1- and 2-manifolds, or pinched planar ones, with exact rationals.
 
 A :class:`Complex` is validated eagerly at construction; everything
 downstream is allowed to assume the invariants (pure, manifold-with-boundary
@@ -183,9 +183,7 @@ def _boundary_certificate(points, edges) -> bool:
         return False
     cycle = [edges[0][0]]
     while len(cycle) <= len(edges):
-        v = after.get(cycle[-1])
-        if v is None:
-            return False
+        v = after[cycle[-1]]  # as many edges of a boundary end at a vertex as start there
         if v == cycle[0]:
             break
         cycle.append(v)
@@ -227,8 +225,9 @@ class _Incidences:
 
 
 class Complex(_Incidences):
-    """A pure simplicial complex realizing a 1- or 2-manifold with boundary:
-    any two of its cells meet in a common face or not at all.
+    """A pure simplicial complex realizing a 1- or 2-manifold with boundary,
+    or a planar one pinched at vertices (two triangles that share only a
+    vertex): any two of its cells meet in a common face or not at all.
 
     ``Complex(...)`` validates; :meth:`trusted` and :meth:`with_points`
     build a complex valid by construction, with no checks.

@@ -240,27 +240,17 @@ def frontier(fl: FixedLocus) -> SubComplex:
                                    for face in faces_of(s) if face in fix])
 
 
-def _is_closed_manifold(sub: SubComplex) -> bool:
-    """Dim 0: always closed; dim 1: pure with every vertex of edge-degree 2."""
-    if not sub.simplices:
-        return False
-    if sub.max_dim() == 0:
-        return True
-    if sub.max_dim() == 1:
-        deg = sub.vertex_degrees()
-        return all(d == 2 for d in deg.values())
-    return False
-
-
 def canonical_invariant(fl: FixedLocus) -> CanonicalInvariant:
     if fl.is_empty():
         raise FixIsEmpty("the map has no fixed point")
     if fl.is_everything():
         raise FixIsEverything("the map is the identity")
     fr = frontier(fl)
-    if _is_closed_manifold(fr):
-        return CanonicalInvariant(n_f=fr, derivation_depth=1)
     deg = fr.vertex_degrees()
+    # the frontier, proper faces of cells, is a closed manifold when it is
+    # points, or edges with every vertex of edge-degree 2
+    if fr.simplices and (fr.max_dim() == 0 or all(d == 2 for d in deg.values())):
+        return CanonicalInvariant(n_f=fr, derivation_depth=1)
     pts = [v for v, d in deg.items() if d != 2]
     return CanonicalInvariant(
         n_f=SubComplex(fl.refined, [(v,) for v in pts]), derivation_depth=2

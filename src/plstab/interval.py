@@ -18,8 +18,9 @@ share), and the inverse of a canonical map is canonical.
 Parsing, validation, composition, inversion, evaluation and printing run
 on the rows and build no `Fraction` but a value they return; the
 `breakpoints` and `slopes` of a map are its rows and slope ratios as
-Fractions, built on first read and kept, for the fixed-set solver
-(`shifted_fixed_pieces`) and the one-edge embedding of the certifier.
+Fractions, built on each read, for the fixed-set solver
+(`shifted_fixed_pieces`) and the one-edge embedding of the certifier,
+which read them once per request.
 
 An interval action is certified by `stability.certify_trivial` as the
 same action on the one-edge complex [a, b], whose refinement is each
@@ -174,7 +175,7 @@ class BreakpointMap:
     monotonicity and their ends on the ratios, and call their module's
     functions from `eval`."""
 
-    __slots__ = ("rows", "slope_ratios", "_breakpoints", "_slopes")
+    __slots__ = ("rows", "slope_ratios")
 
     def __init__(self, breakpoints: Sequence):
         pts = [ratio(x) + ratio(y) for x, y in breakpoints]
@@ -197,7 +198,6 @@ class BreakpointMap:
                 slopes.append(s)
             xn0, xd0, yn0, yd0 = row
         self.rows, self.slope_ratios = tuple(rows), tuple(slopes)
-        self._breakpoints = self._slopes = None
 
     @classmethod
     def trusted(cls, rows: Sequence[Row], slopes: Sequence[Ratio]):
@@ -206,23 +206,17 @@ class BreakpointMap:
         breakpoint rows and the slope ratio of each piece: not checked."""
         self = cls.__new__(cls)
         self.rows, self.slope_ratios = tuple(rows), tuple(slopes)
-        self._breakpoints = self._slopes = None
         return self
 
     @property
     def breakpoints(self) -> Tuple[Break, ...]:
-        """The breakpoints as (x, y) Fraction pairs, built on first read."""
-        if self._breakpoints is None:
-            self._breakpoints = tuple([(Fraction(xn, xd), Fraction(yn, yd))
-                                       for xn, xd, yn, yd in self.rows])
-        return self._breakpoints
+        """The breakpoints as (x, y) Fraction pairs, built on each read."""
+        return tuple([(Fraction(xn, xd), Fraction(yn, yd)) for xn, xd, yn, yd in self.rows])
 
     @property
     def slopes(self) -> Tuple[Fraction, ...]:
-        """The piece slopes as Fractions, built on first read."""
-        if self._slopes is None:
-            self._slopes = tuple([Fraction(n, d) for n, d in self.slope_ratios])
-        return self._slopes
+        """The piece slopes as Fractions, built on each read."""
+        return tuple([Fraction(n, d) for n, d in self.slope_ratios])
 
     def __eq__(self, other):
         return type(other) is type(self) and self.rows == other.rows

@@ -379,11 +379,8 @@ class PLMap:
     def refinement_index_of_base_vertex(self, v: int) -> int:
         if not 0 <= v < len(self.base.points):
             raise VertexNotInComplex("vertex %d not in base complex" % v)
-        p = self.base.points[v]
-        for i, q in enumerate(self.refinement.points):
-            if q == p:
-                return i
-        raise InvalidComplex(f"base vertex {v} missing from the refinement")
+        # a base vertex is extreme in each base cell, so a corner of each refinement cell at it
+        return self.refinement.points.index(self.base.points[v])
 
 
 def identity_map(c: Complex) -> PLMap:

@@ -18,7 +18,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .circle import (CircleLift, detect_rational_rotation,
                      fixed_set_circle, rotation_enclosure)
-from .complexes import Complex
+from .complexes import Complex, euler_characteristic
 from .errors import (DisconnectedComplex, InternalError, SupportMismatch,
                      VertexNotInComplex)
 from .fixedlocus import (canonical_invariant, fixed_subcomplex, fuller_search)
@@ -121,10 +121,10 @@ def _on_one_edge(gens: Sequence[Tuple[str, PLMap1D]]) -> List[Tuple[str, PLMap]]
     base = Complex.trusted([(a,), (b,)], [(0, 1)])
     out = []
     for name, f in gens:
-        edges = [(i, i + 1) for i in range(len(f.slope_ratios))]
-        refinement = Complex.trusted([(x,) for x, _ in f.breakpoints], edges)
-        out.append((name, PLMap.trusted(base, refinement, [(y,) for _, y in f.breakpoints],
-                                        [0] * len(edges))))
+        xs, ys = zip(*f.breakpoints)
+        edges = [(i, i + 1) for i in range(len(xs) - 1)]
+        refinement = Complex.trusted([(x,) for x in xs], edges)
+        out.append((name, PLMap.trusted(base, refinement, [(y,) for y in ys], [0] * len(edges))))
     return out
 
 
@@ -241,18 +241,19 @@ def analyze_action(a: ActionSpec, kmax: int = 6, n: int = 64,
                             "is_identity": g.is_identity()}
         else:
             fl = fixed_subcomplex(g)
+            empty, everything = fl.is_empty(), fl.is_everything()
             entry: dict = {
-                "fix_empty": fl.is_empty(),
-                "fix_everything": fl.is_everything(),
+                "fix_empty": empty,
+                "fix_everything": everything,
                 "fix_cells_by_dim": {d: len(fl.cells.of_dim(d))
                                      for d in range(g.base.dim + 1)},
             }
-            if not fl.is_empty() and not fl.is_everything():
+            if not empty and not everything:
                 ci = canonical_invariant(fl)
                 entry["derivation_depth"] = ci.derivation_depth
                 entry["n_f_cells"] = len(ci.n_f.simplices)
-            fr = fuller_search(g, kmax)
-            entry["fuller_k"] = fr.k
-            entry["fuller_euler"] = fr.euler_char
+            # Fix(g) is Fix(g^1): when it is nonempty, Fuller k is 1 with no search
+            entry["fuller_k"] = fuller_search(g, kmax).k if empty else 1
+            entry["fuller_euler"] = euler_characteristic(g.base)
             report[name] = entry
     return report

@@ -117,25 +117,19 @@ def fan_of_star(c: Complex, v: int) -> Fan:
 
 
 def _chain_cones(apex: Point, cones: List[Tuple[Ray, Ray]]) -> Fan:
-    by_start: Dict[Ray, Tuple[Ray, Ray]] = {}
-    for cone in cones:
-        if cone[0] in by_start:
-            raise InvalidComplex("two cones start at the same ray")
-        by_start[cone[0]] = cone
+    """The cones of a star, which start at distinct rays, chained into one fan
+    (`Fan` checks it): a complex pinched at the apex leaves two chains."""
+    by_start = {cone[0]: cone for cone in cones}
     open_starts = sorted(set(by_start) - {c[1] for c in cones})
-    closed = not open_starts
-    start = min(by_start) if closed else open_starts[0]
+    cur = open_starts[0] if open_starts else min(by_start)
     ordered = []
-    cur = start
     for _ in range(len(cones)):
         if cur not in by_start:
-            raise InvalidComplex("star cones do not chain into a fan")
-        cone = by_start[cur]
-        ordered.append(cone)
-        cur = cone[1]
-    if closed and cur != start:
-        raise InvalidComplex("star cones do not close up")
-    return Fan(apex=apex, cones=tuple(ordered), closed=closed)
+            raise InvalidComplex(f"the complex is pinched at ({', '.join(fmt(c) for c in apex)}):"
+                                 " star cones do not chain into a fan")
+        ordered.append(by_start[cur])
+        cur = ordered[-1][1]
+    return Fan(apex=apex, cones=tuple(ordered), closed=not open_starts)
 
 
 def build_germ(f: PLMap, p: int) -> Germ:
@@ -249,8 +243,6 @@ def canonical_germ(g: Germ) -> Germ:
         limit = n if g.fan.closed else n - 1
         for i in range(limit):
             j = (i + 1) % n
-            if j == i:
-                break
             if mats[i] == mats[j] and cones[i][1] == cones[j][0]:
                 u, v = cones[i][0], cones[j][1]
                 if cross2(u, v) > 0 and in_cone(cones[i][1], u, v, strict=True):

@@ -583,6 +583,20 @@ def test_tangent_at_a_vertex_outside_the_base_is_a_data_error(workdir, vertex, c
     assert "vertex %s not in base complex" % vertex in capsys.readouterr().err
 
 
+def test_tangent_and_certify_at_a_pinch_name_it(tmp_path, capsys):
+    """A base of two triangles that share only the vertex (0, 0): a valid
+    complex, pinched there, so no fan of cones is its star."""
+    points = "v 0 0 0\nv 1 1 0\nv 2 1 1\nv 3 -1 0\nv 4 -1 -1\n"
+    bowtie = points + "s 0 1 2\ns 0 3 4\n"
+    (tmp_path / "base.cx").write_text(bowtie)
+    (tmp_path / "e.pm").write_text("base base.cx\n" + bowtie + points.replace("v ", "img "))
+    for argv in (["tangent", "--map", str(tmp_path / "e.pm")],
+                 ["certify", "--action", str(tmp_path)]):
+        assert run(argv + ["--vertex", "0"]) == (65, "")
+        assert ("the complex is pinched at (0, 0): star cones do not chain into a fan"
+                in capsys.readouterr().err)
+
+
 @pytest.mark.parametrize("second", [R13, "interval 0 2\n0 0\n1 1/2\n2 2\n"],
                          ids=["circle", "other-interval"])
 def test_action_of_mixed_generators_is_a_data_error(tmp_path, second, capsys):

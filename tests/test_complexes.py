@@ -64,6 +64,15 @@ def test_degenerate_triangle_rejected():
         Complex([(0, 0), (1, 1), (2, 2)], [(0, 1, 2)])
 
 
+def test_repeated_vertex_degenerate_edge_and_mixed_points_rejected():
+    with pytest.raises(InvalidComplex, match="repeated vertex"):
+        Complex([(0, 0), (1, 0), (0, 1)], [(0, 0, 1)])
+    with pytest.raises(InvalidComplex, match="degenerate edge"):
+        Complex([(0,), (0,)], [(0, 1)])
+    with pytest.raises(InvalidComplex, match="mixed ambient dimension"):
+        Complex([(0, 0), (1,)], [(0, 1)])
+
+
 def test_overlapping_interiors_rejected():
     pts = [(0, 0), (2, 0), (0, 2), (1, 1), (2, 2), (0, 1)]
     with pytest.raises(InvalidComplex):

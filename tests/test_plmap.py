@@ -34,6 +34,16 @@ def test_identity_map():
     assert f.eval((F(1, 3), F(1, 3))) == (F(1, 3), F(1, 3))
 
 
+def test_a_refinement_of_another_dimension_or_wrong_images_are_refused():
+    sq, edge = square_complex(), Complex([(0, 0), (1, 0)], [(0, 1)])
+    with pytest.raises(RealizationMismatch, match="where the base lives"):
+        PLMap(sq, edge, edge.points)
+    with pytest.raises(InvalidComplex, match="one image point per refinement vertex"):
+        PLMap(sq, sq, sq.points[:-1])
+    with pytest.raises(InvalidComplex, match="image points have the wrong ambient dimension"):
+        PLMap(sq, sq, [p[:1] for p in sq.points])
+
+
 def test_quarter_rotation_eval():
     r = quarter_rotation()
     assert r.eval((0, 0)) == (1, 0)

@@ -34,6 +34,13 @@ def test_snf_zero_matrix():
     assert smith_normal_form([[0, 0, 0], [0, 0, 0]])["D"] == [[0, 0, 0], [0, 0, 0]]
 
 
+def test_snf_refuses_a_ragged_matrix_and_word_ball_radius_zero():
+    with pytest.raises(ValueError, match="ragged"):
+        smith_normal_form([[1, 0], [0]])
+    with pytest.raises(ValueError, match="radius"):
+        word_ball(Presentation(["a"], []), 0)
+
+
 def check_snf(m):
     s = smith_normal_form(m)
     r, c = len(m), len(m[0])

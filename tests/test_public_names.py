@@ -2,7 +2,10 @@
 re-exports and each module-level `def` and `class` without a leading
 underscore, has a caller in the library, or sits on the allowlist below
 with the reason it is public.  So does every public method of a
-module-level class: the library reads it as an attribute."""
+module-level class: the library reads it as an attribute.  A private
+name has a reader in the library with no allowlist: a module-level `def`
+or `class` with a leading underscore is loaded by name or read as an
+attribute, and a private method (dunders aside) is read as an attribute."""
 
 import ast
 import pathlib
@@ -45,20 +48,28 @@ def exported(init):
             if isinstance(node, ast.ImportFrom) for a in node.names]
 
 
-def defined(paths):
-    """The public module-level `def` and `class` names of the given modules."""
+def public(name):
+    return not name.startswith("_")
+
+
+def private(name):
+    """A leading underscore, and no dunder."""
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def defined(paths, kind=public):
+    """The module-level `def` and `class` names of the given modules, of
+    the kind asked for: public, or private."""
     return [node.name for path in paths for node in ast.parse(path.read_text()).body
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-            and not node.name.startswith("_")]
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and kind(node.name)]
 
 
-def methods(paths):
-    """`Class.method` for each method without a leading underscore (a
-    property or class method too) of each module-level class."""
+def methods(paths, kind=public):
+    """`Class.method` for each method of the kind asked for (a property or
+    class method too) of each module-level class."""
     return [f"{node.name}.{item.name}" for path in paths
             for node in ast.parse(path.read_text()).body if isinstance(node, ast.ClassDef)
-            for item in node.body
-            if isinstance(item, ast.FunctionDef) and not item.name.startswith("_")]
+            for item in node.body if isinstance(item, ast.FunctionDef) and kind(item.name)]
 
 
 def attributes(paths):
@@ -132,6 +143,33 @@ def test_every_public_method_is_read_or_has_a_reason():
                   if m.split(".")[1] not in read and m not in ALLOWED_METHODS) == []
     assert sorted(m for m in ALLOWED_METHODS
                   if m not in public or m.split(".")[1] in read) == []
+
+
+def unread_private_names(paths):
+    """The private module-level names that no module loads by name or reads
+    as an attribute, and the private methods that none reads as one."""
+    attrs = attributes(paths)
+    read = referenced(paths) | attrs
+    return ([n for n in defined(paths, private) if n not in read]
+            + [m for m in methods(paths, private) if m.split(".")[1] not in attrs])
+
+
+def test_every_private_name_has_a_reader():
+    assert unread_private_names(sorted(SRC.glob("*.py"))) == []
+
+
+def test_the_check_sees_unread_private_names(tmp_path):
+    mod = tmp_path / "mod.py"
+    mod.write_text("def _read():\n    return _Used().__len__()\n"
+                   "def _unread():\n    return _read()\n"
+                   "class _Used:\n    def __len__(self):\n        return self._size()\n"
+                   "    def _size(self):\n        return 0\n"
+                   "    def _hidden(self):\n        pass\n"
+                   "def api(m):\n    return m._attr_read()\n"
+                   "def _attr_read():\n    pass\n")
+    assert defined([mod], private) == ["_read", "_unread", "_Used", "_attr_read"]
+    assert methods([mod], private) == ["_Used._size", "_Used._hidden"]
+    assert unread_private_names([mod]) == ["_unread", "_Used._hidden"]
 
 
 def test_the_check_sees_uncalled_exports(tmp_path):

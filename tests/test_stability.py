@@ -6,9 +6,11 @@ from fractions import Fraction as F
 
 import pytest
 
+from plstab import fixedlocus, stability
 from plstab.circle import CircleLift
 from plstab.errors import DisconnectedComplex, VertexNotInComplex
 from plstab.complexes import Complex, adjacency
+from plstab.fixedlocus import fixed_subcomplex, fuller_search
 from plstab.interval import PLMap1D
 from plstab.plmap import (PLMap, compose2d, identity_map, inverse2d,
                           plmap_from_vertex_images)
@@ -16,7 +18,7 @@ from plstab.presentation import Presentation
 from plstab.stability import (ActionSpec, analyze_action, certify_trivial,
                               verify_relators)
 
-from support import (f1_map, interior_move_map, quarter_rotation,
+from support import (bench_grid_maps, f1_map, interior_move_map, quarter_rotation,
                      square_complex, three_cycle)
 
 
@@ -83,6 +85,18 @@ def test_certify_errors():
         certify_trivial(ActionSpec([("f", f)]), 0)
 
 
+def test_malformed_actions_are_refused():
+    r = quarter_rotation()
+    with pytest.raises(ValueError, match="duplicate generator names"):
+        ActionSpec([("a", r), ("a", r)])
+    with pytest.raises(ValueError, match="presentation generator names do not match"):
+        ActionSpec([("a", r)], presentation=Presentation(["b"], []))
+    with pytest.raises(ValueError, match="no presentation supplied"):
+        verify_relators(ActionSpec([("a", r)]))
+    with pytest.raises(ValueError, match="action has no generators"):
+        certify_trivial(ActionSpec([]), 0)
+
+
 def test_verify_relators():
     r = quarter_rotation()
     a = ActionSpec([("a", r)],
@@ -131,6 +145,32 @@ def test_analyze_complex_action():
     assert rep["r"]["fuller_k"] == 1
     assert rep["r"]["derivation_depth"] == 1
     assert rep["r"]["fix_cells_by_dim"][0] == 1
+
+
+def test_analyze_builds_one_fixed_locus_per_generator_with_a_fixed_point(monkeypatch):
+    """Fix(g) is Fix(g^1), so a generator with a fixed point has Fuller k = 1
+    from the locus that `analyze_action` builds, and no search builds it
+    again: on sixteen seeded pairs of n=3 grid maps, the benchmark's
+    `analyze3` generator, whose maps fix the grid's boundary, that is 32
+    builds.  The report is what the search gives."""
+    def search(g):
+        r = fuller_search(g, 6)
+        return r.k, r.euler_char
+
+    actions = [ActionSpec(list(zip("ab", bench_grid_maps(3, seed)))) for seed in range(16)]
+    searched = [{name: search(g) for name, g in a.generators} for a in actions]
+    builds = []
+
+    def spy(f):
+        builds.append(f)
+        return fixed_subcomplex(f)
+
+    monkeypatch.setattr(fixedlocus, "fixed_subcomplex", spy)
+    monkeypatch.setattr(stability, "fixed_subcomplex", spy)
+    for a, want in zip(actions, searched):
+        rep = analyze_action(a)
+        assert {name: (e["fuller_k"], e["fuller_euler"]) for name, e in rep.items()} == want
+    assert len(builds) == 32
 
 
 def test_analyze_circle_action():

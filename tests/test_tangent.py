@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 
 from plstab.complexes import Complex
-from plstab.errors import InvalidComplex, VertexNotInComplex
+from plstab.errors import InvalidComplex, NotFixedPoint, VertexNotInComplex
 from plstab.geometry import Mat, primitive_direction
 from plstab.plmap import PLMap, compose2d, inverse2d, plmap_from_vertex_images
 from plstab.tangent import (Germ, build_germ, canonical_germ,
@@ -187,6 +187,21 @@ def test_in_cone():
 def test_germ_at_a_vertex_outside_the_base_is_refused(vertex):
     with pytest.raises(VertexNotInComplex):
         build_germ(quarter_rotation(), vertex)
+
+
+def test_fans_need_a_2_complex_and_germs_a_fixed_vertex():
+    with pytest.raises(InvalidComplex, match="planar 2D"):
+        fan_of_star(Complex([(0,), (1,)], [(0, 1)]), 0)
+    with pytest.raises(NotFixedPoint, match="vertex 0 is not fixed"):
+        build_germ(quarter_rotation(), 0)
+
+
+def test_a_germ_at_a_pinch_names_the_apex():
+    """Two triangles that share only the vertex (0, 0), a base `Complex`
+    accepts: the star there is two arcs, which chain into no fan."""
+    bowtie = Complex([(0, 0), (1, 0), (1, 1), (-1, 0), (-1, -1)], [(0, 1, 2), (0, 3, 4)])
+    with pytest.raises(InvalidComplex, match=r"pinched at \(0, 0\): star cones do not chain"):
+        fan_of_star(bowtie, 0)
 
 
 def fixing_grid_maps(seed):
