@@ -16,7 +16,7 @@ from .circle import (CircleLift, detect_rational_rotation, format_circle_lift,
 from .complexes import euler_characteristic, format_complex, parse_complex, parse_surface
 from .errors import ParseError, PLError
 from .fixedlocus import fixed_subcomplex
-from .geometry import TokenTable, fmt, rat, records
+from .geometry import TokenTable, fmt, records
 from .interval import PLMap1D, format_plmap1d, parse_plmap1d
 from .overlay import overlay
 from .plmap import PLMap, format_plmap, parse_plmap
@@ -145,10 +145,10 @@ def cmd_eval(args, out):
         raise UsageError("the map's domain takes %d coordinate(s), not %d"
                          % (dim, len(args.point)))
     if isinstance(m, PLMap):
-        p = m.eval(tuple(rat(t) for t in args.point))
+        p = m.eval(args.point)
         text, obj = " ".join(fmt(x) for x in p), list(p)
     else:
-        y = m.eval(rat(args.point[0]))
+        y = m.eval(args.point[0])
         text, obj = fmt(y), y
     _emit(args, out, "eval", text, obj)
 
@@ -210,7 +210,7 @@ def cmd_rotno(args, out):
         raise UsageError("rotno needs a circle map")
     rational, outcome = detect_rational_rotation(m, args.qmax)
     if rational is not None:
-        v = Fraction(rational.p, rational.q)
+        v = rational.value
         text = "[%s, %s]" % (fmt(v), fmt(v))
         obj = {"enclosure": [v, v], "rational": [rational.p, rational.q],
                "outcome": outcome}

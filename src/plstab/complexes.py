@@ -3,7 +3,8 @@
 A :class:`Complex` is validated eagerly at construction; everything
 downstream is allowed to assume the invariants (pure, manifold-with-boundary
 face condition, distinct vertex points, nondegenerate cells that meet in
-common faces, so with disjoint interiors, connectivity unless flagged).
+common faces, so with disjoint interiors).  Connectivity is not among
+them: only the certifier needs a connected base, and checks it itself.
 Vertex indices are 0-based and stable, and all iteration orders are sorted
 so outputs are reproducible.
 
@@ -100,7 +101,7 @@ def segment_meets_ccw_triangle(p, q, tri) -> bool:
 def in_closed_cell(x: Point, cell) -> bool:
     """Is x in the closed cell, a counter-clockwise planar triangle (three
     `orient2` signs) or a segment in ambient dimension 1 or 2 (`between`)?
-    For `PLMap.eval` and `Complex._check_common_faces`, on `ccw_cells`."""
+    For `PLMap.eval` and `Complex._check_cells_exactly`, on `ccw_cells`."""
     if len(cell) == 3:
         return all(orient2(cell[i - 1], cell[i], x) >= 0 for i in range(3))
     return between(cell[0], cell[1], x)
@@ -227,7 +228,8 @@ class _Incidences:
 class Complex(_Incidences):
     """A pure simplicial complex realizing a 1- or 2-manifold with boundary,
     or a planar one pinched at vertices (two triangles that share only a
-    vertex): any two of its cells meet in a common face or not at all.
+    vertex): any two of its cells meet in a common face or not at all.  Its
+    cells need not be connected.
 
     ``Complex(...)`` validates; :meth:`trusted` and :meth:`with_points`
     build a complex valid by construction, with no checks.
@@ -235,9 +237,9 @@ class Complex(_Incidences):
 
     __slots__ = ("points", "simplices", "dim", "_signs")
 
-    def __init__(self, points: Sequence, maximal_simplices, require_connected: bool = True):
+    def __init__(self, points: Sequence, maximal_simplices):
         self._assemble(rational_points(points), maximal_simplices)
-        self._validate(require_connected)
+        self._validate()
 
     @classmethod
     def trusted(cls, points: Sequence, maximal_simplices) -> "Complex":
@@ -270,7 +272,7 @@ class Complex(_Incidences):
 
     # -- validation ------------------------------------------------------
 
-    def _validate(self, require_connected: bool):
+    def _validate(self):
         if self.dim not in (1, 2):
             raise InvalidComplex("only dimensions 1 and 2 are supported")
         d_amb = len(self.points[0]) if self.points else 0
@@ -305,14 +307,9 @@ class Complex(_Incidences):
             if len(cells) > 2:
                 raise InvalidComplex(f"face {f} lies in {len(cells)} maximal simplices")
         self._check_distinct_points()
-        certified = self.dim == 2 and _boundary_certificate(self.points, directed_boundary(
-            self.simplices, self.orientations(), self.facets()))
-        if not certified:
-            found = self._check_disjoint_interiors_exactly()
-        if require_connected and not self.is_connected():
-            raise InvalidComplex("complex is not connected (flag it otherwise)")
-        if not certified:
-            self._check_common_faces(*found)
+        if not (self.dim == 2 and _boundary_certificate(self.points, directed_boundary(
+                self.simplices, self.orientations(), self.facets()))):
+            self._check_cells_exactly()
 
     def _check_distinct_points(self):
         # two vertices at one point pinch the realization, and a map on the
@@ -323,11 +320,16 @@ class Complex(_Incidences):
             if w != v:
                 raise InvalidComplex(f"vertices {w} and {v} lie at one point")
 
-    def _check_disjoint_interiors_exactly(self):
-        """The all-pairs test: no two cells whose boxes meet share an
-        interior point.  It decides every complex the boundary certificate
-        does not accept, so it alone raises.  The cells, counter-clockwise
-        in the plane, and the pairs are kept for `_check_common_faces`."""
+    def _check_cells_exactly(self):
+        """The all-pairs tests, for every complex the boundary certificate
+        does not accept, so they alone raise.  First, no two cells whose
+        boxes meet share an interior point.  Then two such cells meet in
+        the hull of their shared vertices: a vertex of one cell in another
+        closed cell (after a box test) is a vertex of it.  Sound, for cells
+        with disjoint interiors: at an end r of their meet, a vertex is
+        shared; segments meet only at an end of one, and triangles are split
+        by a line through r, along an edge of each unless r is a vertex.
+        Cells with a common facet lie on its two sides and are skipped."""
         cells = self.ccw_cells()
         pairs = candidate_pairs(cells)
         for i, j in pairs:
@@ -336,17 +338,6 @@ class Complex(_Incidences):
                     else ccw_triangles_meet(p1, p2)):
                 raise InvalidComplex(f"simplices {self.simplices[i]} and {self.simplices[j]}"
                                      " overlap")
-        return cells, pairs
-
-    def _check_common_faces(self, cells, pairs):
-        """Two cells whose boxes meet meet in the hull of their shared
-        vertices: a vertex of one cell in another closed cell (after a box
-        test) is a vertex of it.  This runs after the connectivity check,
-        so a disconnected complex keeps that error.  Sound, for cells with
-        disjoint interiors: at an end r of their meet, a vertex is shared;
-        segments meet only at an end of one, and triangles are split by a
-        line through r, along an edge of each unless r is a vertex.  Cells
-        with a common facet lie on its two sides and are skipped."""
         boxes = [bbox(cell) for cell in cells]
         for i, j in pairs:
             s, t = self.simplices[i], self.simplices[j]

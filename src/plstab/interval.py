@@ -358,9 +358,9 @@ def read_breakpoint_lines(text: str) -> Tuple[str, List[Tuple[str, str]]]:
     lines = records(text)
     _, _, header = next(lines, (0, [], ""))
     pairs = []
-    for _, tok, line in lines:
+    for lineno, tok, line in lines:
         if len(tok) != 2:
-            raise ParseError(f"bad breakpoint line {line!r}")
+            raise ParseError(f"line {lineno}: bad breakpoint record {line!r}")
         pairs.append((tok[0], tok[1]))
     return header, pairs
 

@@ -174,9 +174,8 @@ def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Com
     the image cells are nondegenerate, have disjoint interiors and tile K,
     each boundary edge goes onto a boundary edge, and with step 1 f is
     injective: every exact check would pass.  The image is R at the image
-    points (`Complex.with_points`), so it has R's connectivity, which needs
-    no check: R tiles K (`_assign_cells`), and a valid complex that tiles a
-    connected K is connected.  Its `orientations` are step 2's signs σ.
+    points (`Complex.with_points`), and its `orientations` are step 2's
+    signs σ.
 
     Every homeomorphism that maps the boundary edges of R one-to-one onto
     those of K passes.  The rest takes the exact path: every rejected map,
@@ -294,7 +293,7 @@ class PLMap:
         to boundary: it is onto, and one to one, as two cells meet only in
         the hull of their shared vertices, in the refinement and in the
         image, where their pieces agree."""
-        self.image = Complex(images, self.refinement.simplices, require_connected=False)
+        self.image = Complex(images, self.refinement.simplices)
         if self.base.dim == 2 and self.image.area2() != self.base.area2():
             raise RealizationMismatch("image area differs from base area")
         # with equal areas, the image cells covered by base cells leave no
@@ -451,8 +450,7 @@ def parse_plmap(text: str, base: Complex, tokens: Optional[TokenTable] = None) -
     `img <vertex> <coords...>` lines. The `base <file>` header, if any,
     must be resolved by the caller (see cli.load_map). A refinement block
     with the base's points and simplices (in any order) is the base itself,
-    so it is not validated a second time; any other is validated with no
-    connectivity check, as `PLMap` requires it to tile the base.
+    so it is not validated a second time; any other is validated.
     Coordinates go through ``tokens``, the request's `TokenTable` (or a new one)."""
     tokens = TokenTable() if tokens is None else tokens
     images: Dict[int, Point] = {}
@@ -471,7 +469,7 @@ def parse_plmap(text: str, base: Complex, tokens: Optional[TokenTable] = None) -
     if same_simplices and tuple(points) == base.points:
         refinement = base
     else:
-        refinement = Complex(points, sims, require_connected=False)
+        refinement = Complex(points, sims)
     if sorted(images) != list(range(len(refinement.points))):
         raise InvalidComplex("img records do not cover the refinement vertices")
     return PLMap(base, refinement, [images[i] for i in range(len(refinement.points))])

@@ -7,6 +7,7 @@ inverse, so (1, 2, -1, -2) is the commutator of the first two generators.
 from typing import Dict, List, Sequence, Tuple
 
 from .errors import InternalError, ParseError
+from .geometry import records
 
 Word = Tuple[int, ...]
 
@@ -225,11 +226,7 @@ def word_ball(p: Presentation, i: int) -> List[Word]:
 def parse_presentation(text: str) -> Presentation:
     names: List[str] = []
     relators: List[List[int]] = []
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        parts = line.split()
+    for lineno, parts, _ in records(text):
         if parts[0] == "gens":
             names = parts[1:]
             if len(set(names)) != len(names):
@@ -253,7 +250,7 @@ def parse_presentation(text: str) -> Presentation:
                 word.extend([idx if e > 0 else -idx] * abs(e))
             relators.append(word)
         else:
-            raise ParseError("unrecognized line: %r" % raw)
+            raise ParseError(f"line {lineno}: unknown record {parts[0]!r}")
     try:
         return Presentation(names, relators)
     except ValueError as exc:  # a later `gens` line dropped a used generator

@@ -51,7 +51,7 @@ def check_trusted_builds(monkeypatch):
         return check_complex(with_points(self, points, signs), points, self.simplices)
 
     def check_complex(out, points, maximal_simplices):
-        ref = Complex(points, maximal_simplices, require_connected=False)
+        ref = Complex(points, maximal_simplices)
         if (out.points, out.simplices) != (ref.points, ref.simplices):
             raise TrustedBuildMismatch(f"{out!r} differs from {ref!r}")
         # a trusted build keeps its points as given, and an int equals its

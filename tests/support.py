@@ -471,7 +471,7 @@ def load_map_per_token(base_text, map_text):
             and tuple(points) == base.points):
         refinement = base
     else:
-        refinement = Complex(points, sims, require_connected=False)
+        refinement = Complex(points, sims)
     if sorted(images) != list(range(len(refinement.points))):
         raise InvalidComplex("img records do not cover the refinement vertices")
     return PLMap(base, refinement, [images[i] for i in range(len(refinement.points))])
@@ -483,8 +483,7 @@ def load_map_per_token(base_text, map_text):
 def two_squares():
     """[0,1]^2 and [2,3]^2, each cut by a diagonal: a disconnected base."""
     pts = [(0, 0), (1, 0), (1, 1), (0, 1), (2, 0), (3, 0), (3, 1), (2, 1)]
-    return Complex(pts, [(0, 1, 2), (0, 2, 3), (4, 5, 6), (4, 6, 7)],
-                   require_connected=False)
+    return Complex(pts, [(0, 1, 2), (0, 2, 3), (4, 5, 6), (4, 6, 7)])
 
 
 def grid_complex(n):

@@ -119,7 +119,7 @@ def nested_squares():
         k1 = (k + 1) % 4
         sims += [(k, k1, 4 + k1), (k, 4 + k1, 4 + k)]
     sims += [(8, 9, 10), (8, 10, 11)]
-    return Complex(outer + inner + small, sims, require_connected=False)
+    return Complex(outer + inner + small, sims)
 
 
 def _on_itself(base, images):

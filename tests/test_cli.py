@@ -253,13 +253,70 @@ def test_a_point_outside_the_map_prints_its_coordinates_as_rationals(workdir, ca
 
 def test_a_disconnected_refinement_does_not_tile_the_base(workdir, capsys):
     """A refinement block of two triangles apart, over the connected square:
-    its validation takes no connectivity check, the tiling test refuses it."""
+    a valid complex, which the tiling test refuses."""
     (workdir / "apart.pm").write_text(
         "base square.cx\nv 0 0 0\nv 1 1 0\nv 2 1/2 1/4\nv 3 0 1\nv 4 1 1\n"
         "v 5 1/2 3/4\ns 0 1 2\ns 3 4 5\nimg 0 0 0\nimg 1 1 0\nimg 2 1/2 1/4\n"
         "img 3 0 1\nimg 4 1 1\nimg 5 1/2 3/4\n")
     assert run(["fixset", "--map", str(workdir / "apart.pm")]) == (65, "")
     assert "refinement does not tile the base" in capsys.readouterr().err
+
+
+TWO_SQUARES = """\
+v 0 0 0
+v 1 1 0
+v 2 1 1
+v 3 0 1
+v 4 2 0
+v 5 3 0
+v 6 3 1
+v 7 2 1
+s 0 1 2
+s 0 2 3
+s 4 5 6
+s 4 6 7
+"""
+
+# the unit squares [0,1]^2 and [2,3]^2 swapped by translation
+SWAP_IMAGES = "img 0 2 0\nimg 1 3 0\nimg 2 3 1\nimg 3 2 1\nimg 4 0 0\nimg 5 1 0\nimg 6 1 1\nimg 7 0 1\n"
+
+
+def test_a_disconnected_base_is_refused_by_certify_alone(tmp_path, capsys):
+    """Two squares apart are a complex like any other: every command reads
+    them, and only `certify`, which spreads triviality from one vertex over
+    the stars of a connected base, refuses them."""
+    act = tmp_path / "action"
+    act.mkdir()
+    for d, name in ((tmp_path, "two.cx"), (act, "base.cx")):
+        (d / name).write_text(TWO_SQUARES)
+        (d / "swap.pm").write_text("base %s\n" % name + TWO_SQUARES + SWAP_IMAGES)
+    cx, swap = str(tmp_path / "two.cx"), str(tmp_path / "swap.pm")
+    assert run(["eval", "--map", swap, "--point", "1/2", "1/2"]) == (0, "5/2 1/2\n")
+    code, twice = run(["compose", "--map", swap, "--map", swap])
+    assert code == 0
+    identity = parse_plmap(twice, parse_complex(TWO_SQUARES))
+    assert identity.images == identity.refinement.points
+    (tmp_path / "twice.pm").write_text(twice)
+    code, inverse = run(["invert", "--map", swap])
+    assert code == 0
+    m = parse_plmap(inverse, parse_complex(TWO_SQUARES))
+    assert m.eval(("1/2", "1/2")) == (F(5, 2), F(1, 2))
+    code, out = run(["fixset", "--map", swap])
+    assert code == 0 and out.startswith("# empty fixed set\n")
+    assert run(["tangent", "--map", str(tmp_path / "twice.pm"), "--vertex", "0"]) == (
+        0, "ray 1 0\nray 1 1\nray 0 1\ncone 0 1 0 0 1\ncone 1 1 0 0 1\n")
+    code, out = run(["analyze", "--action", str(act), "--json"])
+    assert code == 0
+    assert json.loads(out)["report"]["swap"] == {
+        "fix_cells_by_dim": {"0": 0, "1": 0, "2": 0}, "fix_empty": True,
+        "fix_everything": False, "fuller_euler": 2, "fuller_k": 2}
+    code, out = run(["overlay", "--complex", cx, "--complex", cx])
+    assert code == 0 and parse_complex(out.split("# cell")[0]).simplices == (
+        (0, 1, 3), (0, 2, 3), (4, 5, 7), (4, 6, 7))
+    assert run(["euler", "--complex", cx]) == (0, "2\n")
+    capsys.readouterr()
+    assert run(["certify", "--action", str(act), "--vertex", "0"]) == (65, "")
+    assert capsys.readouterr().err == "error: base complex is not connected\n"
 
 
 def test_a_complex_in_3_space_is_a_data_error(workdir, capsys):

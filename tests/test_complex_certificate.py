@@ -30,11 +30,11 @@ def certificate_accepts(points, simplices):
                                                            cell_facets(simplices)))
 
 
-def outcome(points, simplices, require_connected=True):
+def outcome(points, simplices):
     """What `Complex(...)` does with the inputs: the points and simplices it
     accepts with, or the type and message of what it raises."""
     try:
-        c = Complex(points, simplices, require_connected=require_connected)
+        c = Complex(points, simplices)
     except InvalidComplex as e:
         return type(e), str(e)
     return c.points, c.simplices
@@ -53,7 +53,7 @@ def certificate_only(*case):
     def refuse(self):
         raise AssertionError("the exact path ran")
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Complex, "_check_disjoint_interiors_exactly", refuse)
+        mp.setattr(Complex, "_check_cells_exactly", refuse)
         return outcome(*case)
 
 
@@ -201,23 +201,23 @@ def c_shape(pinched):
 
 OVERLAPPING = {
     # the centre pushed below the bottom side: one cell folds back
-    "fold": (from_polygons(*[[(F(1, 2), F(-1, 4)), a, b] for a, b in
-                             [((0, 0), (1, 0)), ((1, 0), (1, 1)),
-                              ((1, 1), (0, 1)), ((0, 1), (0, 0))]]), True),
-    "strip lapping itself": (spiral_strip(10), True),
-    "star winding twice": (double_star(), True),
-    "square inside a square": (from_polygons(square(0, 0, 3, 3), square(1, 1, 2, 2)), False),
-    "crossing squares": (from_polygons(square(0, 0, 2, 2), square(1, 1, 3, 3)), False),
+    "fold": from_polygons(*[[(F(1, 2), F(-1, 4)), a, b] for a, b in
+                            [((0, 0), (1, 0)), ((1, 0), (1, 1)),
+                             ((1, 1), (0, 1)), ((0, 1), (0, 0))]]),
+    "strip lapping itself": spiral_strip(10),
+    "star winding twice": double_star(),
+    "square inside a square": from_polygons(square(0, 0, 3, 3), square(1, 1, 2, 2)),
+    "crossing squares": from_polygons(square(0, 0, 2, 2), square(1, 1, 3, 3)),
 }
 
 
 @pytest.mark.parametrize("name", sorted(OVERLAPPING))
 def test_overlapping_complexes_take_the_exact_path(name):
-    (points, simplices), connected = OVERLAPPING[name]
+    points, simplices = OVERLAPPING[name]
     assert not certificate_accepts(points, simplices)
-    kind, message = outcome(points, simplices, connected)
+    kind, message = outcome(points, simplices)
     assert kind is InvalidComplex and message.endswith("overlap")
-    assert exact_outcome(points, simplices, connected) == (kind, message)
+    assert exact_outcome(points, simplices) == (kind, message)
 
 
 NOT_IN_COMMON_FACES = {
@@ -241,11 +241,11 @@ def test_cells_meeting_in_no_common_face_take_the_exact_path(name):
 
 
 VALID = {
-    "annulus": (from_polygons(*[square(x, y, x + 1, y + 1) for x in range(3) for y in range(3)
-                                if (x, y) != (1, 1)]), True),
-    "bowtie": (from_polygons([(0, 0), (1, -1), (1, 1)], [(0, 0), (-1, 1), (-1, -1)]), True),
-    "C-shape touching itself": (c_shape(pinched=True), True),
-    "strip short of a lap": (spiral_strip(7), True),
+    "annulus": from_polygons(*[square(x, y, x + 1, y + 1) for x in range(3) for y in range(3)
+                               if (x, y) != (1, 1)]),
+    "bowtie": from_polygons([(0, 0), (1, -1), (1, 1)], [(0, 0), (-1, 1), (-1, -1)]),
+    "C-shape touching itself": c_shape(pinched=True),
+    "strip short of a lap": spiral_strip(7),
 }
 
 
@@ -254,11 +254,11 @@ def test_valid_complexes_the_certificate_declines(name):
     """Several boundary cycles, a pinched boundary and a boundary touching
     itself are accepted by the exact path; a strip that does not lap itself
     is certified."""
-    (points, simplices), connected = VALID[name]
+    points, simplices = VALID[name]
     certified = certificate_accepts(points, simplices)
     assert certified == (name == "strip short of a lap")
-    c = Complex(points, simplices, require_connected=connected)
-    assert outcome(points, simplices, connected) == (c.points, c.simplices)
+    c = Complex(points, simplices)
+    assert outcome(points, simplices) == (c.points, c.simplices)
 
 
 def test_simple_polygons():

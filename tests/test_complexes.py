@@ -9,6 +9,7 @@ from plstab.complexes import (Complex, Surface, boundary, euler_characteristic,
                               parse_complex, seg_seg_open_meet, star)
 from plstab.geometry import orient2
 from plstab.errors import InvalidComplex, ParseError, UnknownVertex
+from plstab.plmap import PLMap
 
 from support import (TETRAHEDRON, grid_complex, in_closed_cell_oracle,
                      meets_in_common_faces_by_brute_force, open_triangles_meet,
@@ -86,11 +87,31 @@ def test_nonmanifold_edge_rejected():
         Complex(pts, [(0, 1, 2), (0, 1, 3), (0, 1, 4)])
 
 
-def test_disconnected_rejected_by_default():
-    pts = [(0, 0), (1, 0), (5, 0), (6, 0)]
-    with pytest.raises(InvalidComplex):
-        Complex(pts, [(0, 1), (2, 3)])
-    Complex(pts, [(0, 1), (2, 3)], require_connected=False)
+def test_disjoint_cells_are_accepted():
+    """Connectivity is no condition of a complex: two disjoint segments and
+    two disjoint triangles are complexes."""
+    segments = Complex([(0, 0), (1, 0), (5, 0), (6, 0)], [(0, 1), (2, 3)])
+    assert segments.simplices == ((0, 1), (2, 3)) and not segments.is_connected()
+    triangles = Complex([(0, 0), (1, 0), (0, 1), (5, 0), (6, 0), (5, 1)],
+                        [(0, 1, 2), (3, 4, 5)])
+    assert triangles.simplices == ((0, 1, 2), (3, 4, 5)) and not triangles.is_connected()
+
+
+def test_validation_never_decides_connectivity(monkeypatch):
+    """`Complex(...)`, `parse_complex` and `PLMap(...)` on a refinement
+    other than its base never ask whether a complex is connected: only the
+    certifier does."""
+    def refuse(self):
+        raise AssertionError("is_connected was called")
+    monkeypatch.setattr(Complex, "is_connected", refuse)
+    base = square()
+    Complex([(0, 0), (1, 0), (5, 0), (6, 0)], [(0, 1), (2, 3)])
+    assert parse_complex(format_complex(base)) == base
+    # cell (0, 1, 4) split at its centroid, every vertex fixed
+    points = base.points + ((F(1, 2), F(1, 6)),)
+    refinement = Complex(points, [(0, 1, 5), (1, 4, 5), (0, 4, 5), (1, 2, 4), (2, 3, 4),
+                                  (0, 3, 4)])
+    assert PLMap(base, refinement, points).refinement is refinement
 
 
 def test_two_vertices_at_one_point_rejected():
@@ -98,7 +119,7 @@ def test_two_vertices_at_one_point_rejected():
     # (0, 0) went to (0, 0) while eval((0, 0)) gave (1, 0)
     pts = [(0, 0), (1, 0), (0, 1), (0, 0), (-1, 0), (0, -1)]
     with pytest.raises(InvalidComplex, match="vertices 0 and 3 lie at one point"):
-        Complex(pts, [(0, 1, 2), (3, 4, 5)], require_connected=False)
+        Complex(pts, [(0, 1, 2), (3, 4, 5)])
     # a degenerate cell is reported as such, not as a shared point
     with pytest.raises(InvalidComplex, match="degenerate"):
         Complex([(0, 0), (1, 0), (0, 0)], [(0, 1, 2)])
@@ -229,7 +250,7 @@ def check_common_faces(cells):
     simplices = [tuple(index.setdefault(p, len(index)) for p in cell) for cell in cells]
     points = list(index)
     try:
-        Complex(points, simplices, require_connected=False)
+        Complex(points, simplices)
     except InvalidComplex as e:
         if str(e).endswith(REFUSED_FOR_COMMON_FACES):
             assert not meets_in_common_faces_by_brute_force(points, simplices)

@@ -15,7 +15,7 @@ from plstab.complexes import format_complex, parse_complex, parse_surface
 from plstab.errors import InvalidComplex, ParseError, PLError
 from plstab.interval import parse_plmap1d
 from plstab.plmap import format_plmap, parse_plmap
-from plstab.presentation import parse_presentation
+from plstab.presentation import format_presentation, parse_presentation
 
 from support import PROJECTIVE_PLANE, interior_move_map, surface_text
 
@@ -181,7 +181,7 @@ MALFORMED_1D = [
     ("interval 0 2\n0 0\n1 1\n", ParseError, "breakpoints do not span the declared interval"),
     ("0 0\n1 1\n", ParseError, "expected 'interval <a> <b>' header"),
     ("interval 0\n0 0\n1 1\n", ParseError, "bad interval header"),
-    ("interval 0 1\n0 0\n1/2\n1 1\n", ParseError, "bad breakpoint line '1/2'"),
+    ("interval 0 1\n0 0\n1/2\n1 1\n", ParseError, "line 3: bad breakpoint record '1/2'"),
     ("interval 0 1\n0 0\n1/2 x\n1 1\n", ParseError, "bad rational literal 'x'"),
     ("interval 0 1/0\n0 0\n1 1\n", ParseError, "bad rational literal '1/0'"),
     ("circle\n0 1/4\n", InvalidComplex, "need at least two breakpoints"),
@@ -192,7 +192,7 @@ MALFORMED_1D = [
     ("circle\n1/4 0\n1 1\n", InvalidComplex, "breakpoints must span [0, 1]"),
     ("circle\n0 0\n1/2 1/2\n1 5/4\n", InvalidComplex, "lift must satisfy F(1) = F(0) + 1"),
     ("circle 1\n0 0\n1 1\n", ParseError, "expected 'circle' header"),
-    ("circle\n0 0 0\n1 1\n", ParseError, "bad breakpoint line '0 0 0'"),
+    ("circle\n0 0 0\n1 1\n", ParseError, "line 2: bad breakpoint record '0 0 0'"),
     ("circle\n0 0\n1/2 y\n1 1\n", ParseError, "bad rational literal 'y'"),
 ]
 
@@ -212,3 +212,31 @@ def test_single_fault_1d_inputs(text, error, message, tmp_path, capsys):
     capsys.readouterr()
     assert main(["invert", "--map", str(path)], out=io.StringIO()) == 65
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+# a record of the wrong shape for each format, and how its reader names it
+BAD_RECORDS = {
+    "complex": ("w 1", "unknown record 'w'"),
+    "interval": ("1/2", "bad breakpoint record '1/2'"),
+    "circle": ("1/2", "bad breakpoint record '1/2'"),
+    "plmap": ("w 1", "unknown record 'w'"),
+    "presentation": ("relator a", "unknown record 'relator'"),
+    "surface": ("v 0 0 0", "unknown record 'v'"),
+}
+# what a parsed object is compared by, where it has no equality of its own
+VALUE = {"presentation": format_presentation, "surface": lambda s: s.simplices}
+
+
+@pytest.mark.parametrize("kind", sorted(FILES))
+def test_every_reader_skips_comments_and_blank_lines_and_numbers_its_lines(kind):
+    """One comment rule for every format: a comment after a record and a
+    blank line change nothing read, and a bad record is named by its line,
+    blank and comment lines counted."""
+    lines = FILES[kind].splitlines()
+    annotated = "\n".join([lines[0] + "  # a comment", ""] + lines[1:]) + "\n"
+    value = VALUE.get(kind, lambda x: x)
+    assert value(PARSERS[kind](annotated)) == value(PARSERS[kind](FILES[kind]))
+    record, message = BAD_RECORDS[kind]
+    with pytest.raises(ParseError) as info:
+        PARSERS[kind](annotated + record + "\n")
+    assert str(info.value) == f"line {len(lines) + 2}: {message}"

@@ -653,7 +653,7 @@ def test_a_refinement_with_a_t_junction_is_refused():
     complex: as a base, the map sliding vertex 4 to (1/2, 1/2) would tear
     the square along the diagonal, which cell (0, 2, 3) fixes."""
     with pytest.raises(InvalidComplex, match=T_REFUSED):
-        Complex(T_POINTS, T_CELLS, require_connected=False)
+        Complex(T_POINTS, T_CELLS)
     with pytest.raises(InvalidComplex, match=T_REFUSED):
         t = Complex(T_POINTS, T_CELLS)
         PLMap(t, t, T_BASE.points + ((F(1, 2), F(1, 2)),))

@@ -289,9 +289,9 @@ def test_the_check_sees_direct_conversions(tmp_path):
 
 
 # the one conversion of points, the one numbering of derived cells, the
-# orientation of loose triangles, the builder of images and the two
-# incidence tables, each name -> the only (module, "Class.method" or
-# function) that may call it
+# orientation of loose triangles, the builder of images, the two
+# incidence tables and the connectivity test, each name -> the only
+# (module, "Class.method" or function) that may call it
 SOLE_CALLERS = {"rational_points": {("complexes.py", "Complex.__init__"),
                                     ("plmap.py", "PLMap.__init__")},
                 "numbered": {("overlay.py", "refine"), ("fixedlocus.py", "fixed_subcomplex")},
@@ -299,7 +299,8 @@ SOLE_CALLERS = {"rational_points": {("complexes.py", "Complex.__init__"),
                                  ("clip.py", "point_in_triangle")},
                 "with_points": {("plmap.py", "PLMap.trusted"), ("plmap.py", "_certified_image")},
                 "cell_facets": {("complexes.py", "_Incidences.facets")},
-                "cell_stars": {("complexes.py", "_Incidences.stars")}}
+                "cell_stars": {("complexes.py", "_Incidences.stars")},
+                "is_connected": {("stability.py", "certify_trivial")}}
 
 
 def test_points_are_converted_and_numbered_in_one_place():
@@ -313,7 +314,8 @@ def test_points_are_converted_and_numbered_in_one_place():
     takes it counter-clockwise.  Only `PLMap.trusted` and `_certified_image`
     build an image on its refinement's simplices (`with_points`), and only
     the shared incidence record `_Incidences` builds a facet or star
-    table."""
+    table.  Only the certifier, which spreads triviality from one vertex
+    over the stars of the base, asks whether a complex is connected."""
     found = {}
     for p in sorted(SRC.glob("*.py")):
         for where, name in named_calls(p, SOLE_CALLERS):
@@ -337,12 +339,15 @@ def test_the_check_sees_conversions_and_numberings(tmp_path):
                      "    return f.refinement.with_points(f.images), with_points\n"
                      "class Surface:\n"
                      "    def __init__(self, triangles):\n"
-                     "        self.f, self.s = cell_facets(triangles), complexes.cell_stars(t, 3)\n")
+                     "        self.f, self.s = cell_facets(triangles), complexes.cell_stars(t, 3)\n"
+                     "def parse_complex(text):\n"
+                     "    return c if c.is_connected() else None\n")
     assert named_calls(probe, SOLE_CALLERS) == [
         ("Complex._assemble", "rational_points"), ("compose2d", "numbered"),
         ("compose2d", "numbered"), ("refine", "numbered"),
         ("triangle_pieces", "ccw_triangle"), ("inverse2d", "with_points"),
-        ("Surface.__init__", "cell_facets"), ("Surface.__init__", "cell_stars")]
+        ("Surface.__init__", "cell_facets"), ("Surface.__init__", "cell_stars"),
+        ("parse_complex", "is_connected")]
 
 
 # the functions on the path of a 1D map from its text through validation,

@@ -35,7 +35,6 @@ ALLOWED = {
 }
 # Class.method -> why the library never reads it as an attribute
 ALLOWED_METHODS = {
-    "RationalRotation.value": "read by tests/test_acceptance.py",
     "RationalRotation.periodic_point": "the exact witness of a found rotation number, solved "
                                        "when read; tests/test_circle.py reads it",
     "_Parser.error": "argparse calls it, on the name it overrides, for a usage error",

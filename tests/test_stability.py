@@ -79,7 +79,7 @@ def test_certify_errors():
     with pytest.raises(VertexNotInComplex):
         certify_trivial(a, 99)
     pts = [(0, 0), (1, 0), (5, 0), (6, 0)]
-    disc = Complex(pts, [(0, 1), (2, 3)], require_connected=False)
+    disc = Complex(pts, [(0, 1), (2, 3)])
     f = PLMap(disc, disc, list(pts))
     with pytest.raises(DisconnectedComplex):
         certify_trivial(ActionSpec([("f", f)]), 0)

@@ -94,7 +94,7 @@ def other_diagonals(c):
     sims = []
     for k in range(0, len(c.points), 4):
         sims += [(k, k + 1, k + 3), (k + 1, k + 2, k + 3)]
-    return Complex(c.points, sims, require_connected=False)
+    return Complex(c.points, sims)
 
 
 def pinched_squares(diagonal=0):
@@ -114,8 +114,7 @@ def gapped_square():
     square."""
     pts = [(0, -1), (2, -1), (0, 0), (2, 0),
            (0, F(1, 2)), (1, F(1, 2)), (2, F(1, 2)), (0, 1), (1, 1), (2, 1)]
-    return Complex(pts, [(0, 1, 3), (0, 3, 2), (4, 5, 8), (4, 8, 7), (5, 6, 9), (5, 9, 8)],
-                   require_connected=False)
+    return Complex(pts, [(0, 1, 3), (0, 3, 2), (4, 5, 8), (4, 8, 7), (5, 6, 9), (5, 9, 8)])
 
 
 def diagonal_square():
