@@ -1,15 +1,21 @@
-"""Exact convex clipping and triangulation helpers in the plane: the clip
-kernel `triangle_intersection` takes counter-clockwise cells, and only the
-two entry points for loose triangles orient theirs (`ccw_triangle`)."""
+"""Exact convex clipping and triangulation helpers in the plane.
+
+The clip kernel `triangle_intersection` takes counter-clockwise cells as
+`geometry.HomCell`s, as `Complex.hom_cells` gives them, and cuts on
+integer homogeneous coordinates: a vertex's side of an edge line L is
+L·p, and a crossing point is a sum of two vertices' integer coordinates
+reduced by one gcd; only crossings that survive all three cuts become
+Fractions, once each.  Only the two entry points for loose triangles
+orient theirs (`ccw_triangle`)."""
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .complexes import in_closed_cell
-from .geometry import Point, area2, orient2, vadd, vscale, vsub
+from .geometry import Hom, HomCell, Point, affine_point, hom_cell, orient2
 
 
 def polygon_area2(poly: Sequence[Point]) -> Fraction:
@@ -27,33 +33,6 @@ def polygon_area2(poly: Sequence[Point]) -> Fraction:
                     dx * dy)
 
 
-def _clip_halfplane(poly: List[Point], a: Point, b: Point) -> List[Point]:
-    """Keep the part of `poly` with orient2(a, b, x) >= 0 (left of a->b).
-
-    Each vertex's side is an `orient2` sign; Fractions are built only for
-    a crossing point, from the `area2` of the edge's two ends.
-    """
-    out: List[Point] = []
-    n = len(poly)
-    sides = [orient2(a, b, p) for p in poly]
-    for i in range(n):
-        p, q = poly[i], poly[(i + 1) % n]
-        sp, sq = sides[i], sides[(i + 1) % n]
-        if sp >= 0:
-            out.append(p)
-        if sp * sq < 0:
-            ap, aq = area2(a, b, p), area2(a, b, q)
-            out.append(vadd(p, vscale(ap / (ap - aq), vsub(q, p))))
-    # drop consecutive duplicates
-    dedup: List[Point] = []
-    for p in out:
-        if not dedup or dedup[-1] != p:
-            dedup.append(p)
-    if len(dedup) > 1 and dedup[0] == dedup[-1]:
-        dedup.pop()
-    return dedup
-
-
 def ccw_triangle(tri: Sequence[Point]) -> List[Point]:
     t = list(tri)
     if orient2(*t) < 0:
@@ -61,23 +40,54 @@ def ccw_triangle(tri: Sequence[Point]) -> List[Point]:
     return t
 
 
-def triangle_intersection(poly: Sequence[Point], tri: Sequence[Point]) -> List[Point]:
-    """Intersection of a counter-clockwise convex polygon with a
-    counter-clockwise triangle, as a counter-clockwise vertex cycle."""
-    for i in range(3):
-        poly = _clip_halfplane(poly, tri[i], tri[(i + 1) % 3])
-        if not poly:
+def triangle_intersection(poly: HomCell, tri: HomCell) -> List[Point]:
+    """Intersection of a counter-clockwise convex polygon, with distinct
+    vertices, and a counter-clockwise triangle, as a counter-clockwise
+    cycle of points.
+
+    The polygon is cut by the line L of each edge of the triangle in turn,
+    keeping L·p >= 0 (left of the edge); a line with every vertex on that
+    side cuts nothing.  Where an edge p->q of the polygon has its ends
+    strictly on opposite sides, s_p = L·p and s_q = L·q, the crossing is
+    |s_q| p + |s_p| q, reduced by one gcd so that equal points have equal
+    tuples, which drop consecutive duplicates.  A kept vertex of the
+    polygon is the caller's point; each crossing left at the end is
+    converted once (`geometry.affine_point`).
+    """
+    verts = list(poly.homs)
+    for a, b, c in tri.lines:
+        sides = [a * x + b * y + c * w for x, y, w in verts]
+        if min(sides) >= 0:
+            continue
+        out: List[Hom] = []
+        n = len(verts)
+        q, sq = verts[0], sides[0]
+        for i in range(1 - n, 1):  # q runs over verts[1:] and then verts[0]
+            p, sp, q, sq = q, sq, verts[i], sides[i]
+            if sp >= 0:
+                out.append(p)
+            if sp > 0 > sq or sp < 0 < sq:
+                u, v = abs(sq), abs(sp)
+                x, y, w = u * p[0] + v * q[0], u * p[1] + v * q[1], u * p[2] + v * q[2]
+                g = gcd(x, y, w)
+                out.append((x // g, y // g, w // g))
+        verts = [p for k, p in enumerate(out) if not k or out[k - 1] != p]
+        if len(verts) > 1 and verts[0] == verts[-1]:
+            verts.pop()
+        if not verts:
             return []
-    return poly
+    own = dict(zip(poly.homs, poly.points))
+    return [own[h] if h in own else affine_point(h) for h in verts]
 
 
 def clip_polygon_to_triangle(poly: Sequence[Point], tri: Sequence[Point]) -> List[Point]:
-    """Intersection of a convex polygon with a triangle, each in either
-    orientation, as a counter-clockwise vertex cycle."""
+    """Intersection of a convex polygon, with distinct vertices, and a
+    triangle, each in either orientation, as a counter-clockwise vertex
+    cycle."""
     out = list(poly)
     if polygon_area2(out) < 0:
         out.reverse()
-    return triangle_intersection(out, ccw_triangle(tri))
+    return triangle_intersection(hom_cell(out), hom_cell(ccw_triangle(tri)))
 
 
 def point_in_triangle(x: Point, tri: Sequence[Point]) -> bool:

@@ -15,10 +15,14 @@ that puts every point in at most one cell, in O(cells + boundary edge
 pairs).  The all-pairs tests run only for the complexes it does not
 accept, so they alone decide which error a rejected complex raises.
 
-Every overlap test of two cells decides by `orient2` signs.  Collinear
-segments compare their `segment_param` ranges instead, by
-`geometry.overlap_params`, the test that `geometry.collinear_overlap`
-makes too.
+Two triangles' interiors, and a segment against a triangle's interior,
+are tested by separating axis on integer homogeneous coordinates
+(`ccw_triangles_meet`, `segment_meets_ccw_triangle`): each side of a
+vertex is L·x for a line L of a `geometry.HomCell`, which
+`Complex.hom_cells` builds once per complex.  Segments of a 1-complex
+decide by `orient2` signs, and collinear ones compare their
+`segment_param` ranges, by `geometry.overlap_params`, the test that
+`geometry.collinear_overlap` makes too.
 """
 
 from __future__ import annotations
@@ -28,8 +32,9 @@ from itertools import combinations
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidComplex, ParseError, UnknownVertex
-from .geometry import (Point, TokenTable, area2, bbox, between, candidate_pairs, fmt,
-                       is_simple_polygon, orient2, overlap_params, point_key, rat, records,
+from .geometry import (Hom, HomCell, Point, TokenTable, area2, bbox, between,
+                       candidate_pairs, fmt, homogeneous, is_simple_polygon,
+                       line_through, orient2, overlap_params, point_key, rat, records,
                        segment_param)
 
 SimplexT = Tuple[int, ...]
@@ -65,37 +70,41 @@ def seg_seg_open_meet(a, b, c, d) -> bool:
     return orient2(a, b, c) * orient2(a, b, d) < 0 and orient2(c, d, a) * orient2(c, d, b) < 0
 
 
-def ccw_triangles_meet(t1, t2) -> bool:
+def ccw_triangles_meet(t1: HomCell, t2: HomCell) -> bool:
     """Do two nondegenerate counter-clockwise planar triangles share an
     interior point?
 
     Two convex polygons with disjoint interiors are separated by the line
     through an edge of one of them (separating axis), so the interiors are
-    disjoint iff some edge a->b of one triangle has every vertex of the
-    other on its closed right side.  Each test is an `orient2` sign.
+    disjoint iff some edge line L of one triangle has every vertex x of
+    the other on its closed right side, L·x <= 0.
     """
-    for tri, (p, q, r) in ((t1, t2), (t2, t1)):
-        for i in range(3):
-            a, b = tri[i - 1], tri[i]
-            if orient2(a, b, p) <= 0 and orient2(a, b, q) <= 0 and orient2(a, b, r) <= 0:
+    for lines, ((x0, y0, w0), (x1, y1, w1), (x2, y2, w2)) in ((t1.lines, t2.homs),
+                                                             (t2.lines, t1.homs)):
+        for a, b, c in lines:
+            if (a * x0 + b * y0 + c * w0 <= 0 and a * x1 + b * y1 + c * w1 <= 0
+                    and a * x2 + b * y2 + c * w2 <= 0):
                 return False
     return True
 
 
-def segment_meets_ccw_triangle(p, q, tri) -> bool:
-    """Does the open segment (p, q) share a point with the interior of the
-    nondegenerate counter-clockwise planar triangle ``tri``?
+def segment_meets_ccw_triangle(p: Hom, q: Hom, tri: HomCell) -> bool:
+    """Does the open segment (p, q), given by the homogeneous coordinates
+    of its ends, share a point with the interior of the nondegenerate
+    counter-clockwise planar triangle ``tri``?
 
     By separating axis, as in `ccw_triangles_meet`: they are disjoint iff
-    both ends lie on the closed right side of an edge of the triangle, or
-    the whole triangle lies on one closed side of the segment's line.
+    both ends lie on the closed right side of an edge line of the
+    triangle, or the whole triangle lies on one closed side of the
+    segment's line.
     """
-    for i in range(3):
-        a, b = tri[i - 1], tri[i]
-        if orient2(a, b, p) <= 0 and orient2(a, b, q) <= 0:
+    (px, py, pw), (qx, qy, qw) = p, q
+    for a, b, c in tri.lines:
+        if a * px + b * py + c * pw <= 0 and a * qx + b * qy + c * qw <= 0:
             return False
-    sides = {orient2(p, q, v) for v in tri}
-    return 1 in sides and -1 in sides
+    a, b, c = line_through(p, q)
+    sides = [a * x + b * y + c * w for x, y, w in tri.homs]
+    return min(sides) < 0 < max(sides)
 
 
 def in_closed_cell(x: Point, cell) -> bool:
@@ -110,6 +119,20 @@ def in_closed_cell(x: Point, cell) -> bool:
 def triangle_area2(pts) -> Fraction:
     """Twice the unsigned area of a triangle."""
     return abs(area2(*pts))
+
+
+def area2_sums(homs: Sequence[Hom], triangles) -> Dict[int, int]:
+    """Twice the area of planar triangles, given as index triples into the
+    points ``homs`` (`homogeneous` coordinates), by denominator: triangle
+    abc adds |det(a, b, c)|, which is W_a W_b W_c times twice its area, to
+    the sum of the denominator W_a W_b W_c."""
+    sums: Dict[int, int] = {}
+    for u, v, w in triangles:
+        (ax, ay, aw), (bx, by, bw), (cx, cy, cw) = homs[u], homs[v], homs[w]
+        d = aw * bw * cw
+        sums[d] = sums.get(d, 0) + abs(ax * (by * cw - bw * cy) - ay * (bx * cw - bw * cx)
+                                       + aw * (bx * cy - by * cx))
+    return sums
 
 
 def rational_points(points) -> Tuple[Point, ...]:
@@ -235,7 +258,7 @@ class Complex(_Incidences):
     build a complex valid by construction, with no checks.
     """
 
-    __slots__ = ("points", "simplices", "dim", "_signs")
+    __slots__ = ("points", "simplices", "dim", "_signs", "_homs", "_hom_cells")
 
     def __init__(self, points: Sequence, maximal_simplices):
         self._assemble(rational_points(points), maximal_simplices)
@@ -254,11 +277,13 @@ class Complex(_Incidences):
         """These simplices at ``points``, tuples of Fractions kept as built:
         `simplices`, `dim` and the incidence record are shared, and nothing
         is sorted or checked.  ``signs`` are the cells' `orientations` at
-        ``points`` when the caller has computed them, or None."""
+        ``points`` when the caller has computed them, or None.  What
+        depends on the points, `hom_points` and `hom_cells`, is its own."""
         shared = self.simplices, self.dim, self._tables
         self = Complex.__new__(Complex)
         self.simplices, self.dim, self._tables = shared
         self.points, self._signs = tuple(points), signs
+        self._homs = self._hom_cells = None
         return self
 
     def _assemble(self, points: Tuple[Point, ...], maximal_simplices):
@@ -269,6 +294,7 @@ class Complex(_Incidences):
             raise InvalidComplex("complex has no maximal simplices")
         self.dim = len(self.simplices[0]) - 1
         self._tables, self._signs = [None, None, None], None
+        self._homs = self._hom_cells = None
 
     # -- validation ------------------------------------------------------
 
@@ -332,10 +358,11 @@ class Complex(_Incidences):
         Cells with a common facet lie on its two sides and are skipped."""
         cells = self.ccw_cells()
         pairs = candidate_pairs(cells)
+        triangles = self.hom_cells() if self.dim == 2 else None
         for i, j in pairs:
             p1, p2 = cells[i], cells[j]
             if (seg_seg_open_meet(p1[0], p1[1], p2[0], p2[1]) if self.dim == 1
-                    else ccw_triangles_meet(p1, p2)):
+                    else ccw_triangles_meet(triangles[i], triangles[j])):
                 raise InvalidComplex(f"simplices {self.simplices[i]} and {self.simplices[j]}"
                                      " overlap")
         boxes = [bbox(cell) for cell in cells]
@@ -368,6 +395,28 @@ class Complex(_Incidences):
             return self.cells()
         return [c if o > 0 else c[::-1] for c, o in zip(self.cells(), self.orientations())]
 
+    def hom_points(self) -> List[Hom]:
+        """Each point's `homogeneous` coordinates, computed on first use."""
+        if self._homs is None:
+            self._homs = [homogeneous(p) for p in self.points]
+        return self._homs
+
+    def hom_cells(self) -> List[HomCell]:
+        """Each cell of this planar 2-complex as a `HomCell`, its vertices
+        counter-clockwise by `orientations` in the order of `ccw_cells`:
+        the records of the integer kernel, built on first use."""
+        if self._hom_cells is None:
+            points, homs, cells = self.points, self.hom_points(), []
+            for (u, v, w), o in zip(self.simplices, self.orientations()):
+                if o <= 0:
+                    u, w = w, u
+                a, b, c = homs[u], homs[v], homs[w]
+                cells.append(HomCell([points[u], points[v], points[w]], (a, b, c),
+                                     (line_through(a, b), line_through(b, c),
+                                      line_through(c, a))))
+            self._hom_cells = cells
+        return self._hom_cells
+
     # -- basic queries ---------------------------------------------------
 
     def cells(self) -> List[List[Point]]:
@@ -375,8 +424,11 @@ class Complex(_Incidences):
         return [[self.points[v] for v in s] for s in self.simplices]
 
     def area2(self) -> Fraction:
-        """Twice the area of a 2-complex."""
-        return sum((triangle_area2(c) for c in self.cells()), Fraction(0))
+        """Twice the area of a planar 2-complex, exact: the integer sums of
+        `area2_sums` over its `hom_points`, with one Fraction per distinct
+        denominator."""
+        return sum((Fraction(n, d) for d, n in
+                    area2_sums(self.hom_points(), self.simplices).items()), Fraction(0))
 
     @property
     def ambient_dim(self) -> int:
@@ -592,8 +644,9 @@ def read_complex_records(text: str, tokens: Optional[TokenTable] = None, other=N
     Coordinates are looked up in ``tokens``, the `TokenTable` of the
     request (a new one by default).  ``other`` maps the name of each
     further record kind that the file may hold to a reader, called with
-    the record's tokens and text; any other record is an error.  Lines are
-    numbered as in ``text``, blank and comment lines included."""
+    the record's line number, tokens and text; any other record is an
+    error.  Lines are numbered as in ``text``, blank and comment lines
+    included."""
     tokens = TokenTable() if tokens is None else tokens
     points: Dict[int, Point] = {}
     sims: List[SimplexT] = []
@@ -613,7 +666,7 @@ def read_complex_records(text: str, tokens: Optional[TokenTable] = None, other=N
             except ValueError:  # name the first bad index
                 sims.append(tuple(_index(t, lineno) for t in tok[1:]))
         elif other and tok[0] in other:
-            other[tok[0]](tok, line)
+            other[tok[0]](lineno, tok, line)
         else:
             raise ParseError(f"line {lineno}: unknown record {tok[0]!r}")
     if not points:

@@ -6,17 +6,25 @@ exactly the canonical form the rest of the toolkit assumes.  Points are
 plain tuples of Fractions so they hash and compare structurally.  The
 one literal parser, `ratio`, reads a token as an integer ratio in that
 form; `rat` builds the Fraction of it, and 1D maps keep the ratio.
+
+The planar cell-pair kernel (the overlay walk's meets-tests, the clipper
+and the area of a complex) runs on integer homogeneous coordinates
+instead: a point (x, y) is (X, Y, W) with x = X/W, y = Y/W, W > 0 and
+gcd 1 (`homogeneous`), so equal points have equal tuples; a cell is a
+`HomCell`, whose edge lines L = a × b give the sign of `orient2(a, b, x)`
+as L·x, three products and no call.  `affine_point` is the one way back.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, NamedTuple, Sequence, Tuple
 
 from .errors import NondegenerateViolation, ParseError
 
 Point = Tuple[Fraction, ...]
+Hom = Tuple[int, int, int]
 
 # `Fraction` builds 10**e in full for an exponent e, in superlinear time, so
 # a larger one is refused first (CPython bounds int literals to 4300 digits)
@@ -98,8 +106,9 @@ def point_key(p: Point) -> Tuple[Tuple[int, int], ...]:
 
 
 def fmt(q: Fraction) -> str:
-    """Print a rational canonically: 'p/q', or just 'p' when q = 1."""
-    return fmt_ratio(*Fraction(q).as_integer_ratio())
+    """Print a rational, a Fraction or an int, canonically: 'p/q', or just
+    'p' when q = 1."""
+    return fmt_ratio(*q.as_integer_ratio())
 
 
 def fmt_ratio(n: int, d: int) -> str:
@@ -154,25 +163,60 @@ def orient2(a: Point, b: Point, c: Point) -> int:
 
 def area2(a: Point, b: Point, c: Point) -> Fraction:
     """Twice the signed area of the triangle abc (exact): the value whose
-    sign `orient2` decides, for the constructions that need it (areas,
-    crossing parameters, barycentric solves).  Only the first two
-    coordinates count.
+    sign `orient2` decides, as the determinant of the `homogeneous` rows a,
+    b, c over the product of their W.  Only the first two coordinates
+    count."""
+    a, b, c = homogeneous(a), homogeneous(b), homogeneous(c)
+    x, y, w = line_through(a, b)
+    return Fraction(x * c[0] + y * c[1] + w * c[2], a[2] * b[2] * c[2])
 
-    It repeats `orient2`'s integer form rather than share a helper with
-    it: `orient2` is the hottest predicate, and the extra call made it
-    about 40% slower.
-    """
-    an, ad = a[0].as_integer_ratio()
-    bn, bd = b[0].as_integer_ratio()
-    cn, cd = c[0].as_integer_ratio()
-    ux, uxd = bn * ad - an * bd, ad * bd
-    vx, vxd = cn * ad - an * cd, ad * cd
-    an, ad = a[1].as_integer_ratio()
-    bn, bd = b[1].as_integer_ratio()
-    cn, cd = c[1].as_integer_ratio()
-    uy, uyd = bn * ad - an * bd, ad * bd
-    vy, vyd = cn * ad - an * cd, ad * cd
-    return Fraction(ux * vy * uyd * vxd - uy * vx * uxd * vyd, uxd * vyd * uyd * vxd)
+
+def homogeneous(p: Point) -> Hom:
+    """The integer homogeneous coordinates (X, Y, W) of a planar point
+    (X/W, Y/W): W, the lcm of the two denominators, is positive, and
+    gcd(X, Y, W) = 1 since each coordinate is in lowest terms, so equal
+    points have equal tuples."""
+    xn, xd = p[0].as_integer_ratio()
+    yn, yd = p[1].as_integer_ratio()
+    if xd == yd:
+        return xn, yn, xd
+    w = xd * yd // gcd(xd, yd)
+    return xn * (w // xd), yn * (w // yd), w
+
+
+def line_through(a: Hom, b: Hom) -> Hom:
+    """The line a × b through two points in homogeneous coordinates: for
+    every point x, L·x is the determinant of the rows a, b, x, which is
+    W_a W_b W_x times `area2(a, b, x)`, so it has the sign of `orient2`."""
+    (ax, ay, aw), (bx, by, bw) = a, b
+    return ay * bw - aw * by, aw * bx - ax * bw, ax * by - ay * bx
+
+
+def affine_point(h: Hom) -> Point:
+    """The point (X/W, Y/W) of homogeneous coordinates, as Fractions: the
+    one conversion out of the integer kernel, for the crossing points that
+    the clipper makes."""
+    x, y, w = h
+    return Fraction(x, w), Fraction(y, w)
+
+
+class HomCell(NamedTuple):
+    """A counter-clockwise convex cell of the integer kernel: its points as
+    its complex or caller holds them, their `homogeneous` coordinates, and
+    the `line_through` each edge homs[i] -> homs[i + 1], the last closing
+    the cycle, so a point x is in the closed cell iff L·x >= 0 for every
+    line L."""
+
+    points: Sequence[Point]
+    homs: Tuple[Hom, ...]
+    lines: Tuple[Hom, ...]
+
+
+def hom_cell(points: Sequence[Point]) -> HomCell:
+    """The `HomCell` of a loose convex polygon's points, counter-clockwise
+    (a complex's are `Complex.hom_cells`)."""
+    homs = tuple(map(homogeneous, points))
+    return HomCell(points, homs, tuple(map(line_through, homs, homs[1:] + homs[:1])))
 
 
 def segment_param(a: Point, b: Point, x: Point):

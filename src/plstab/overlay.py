@@ -20,7 +20,10 @@ image checks of `PLMap(...)`.
 `triangle_pieces` walks the tiling: each cell of the first input starts
 from the hits of a neighbour visited before it and grows across the
 second input's edges, so the work is linear in the cells and their pairs
-(`_walked_pairs`).  It tests a cell against all cells of the second input
+(`_walked_pairs`).  Its meets-tests and its clip decide on integer
+homogeneous coordinates, on the cells of `Complex.hom_cells`, each built
+once per complex; Fractions are built only for the crossing points that a
+piece keeps.  It tests a cell against all cells of the second input
 only where the walk cannot seed or close: a first cell of each
 edge-connected part, a cell with no hit near its neighbour's, or an edge
 of a hit that no other cell shares crossing the cell.  Segments enumerate
@@ -178,17 +181,17 @@ def triangle_pieces(t1: Complex, t2: Complex):
     """(i1, i2, polygon) for each pair of a triangle of ``t1`` and one of
     ``t2`` whose interiors meet: their intersection, a counter-clockwise
     convex polygon.  The pairs come from a walk (`_walked_pairs`) over the
-    two complexes' cells, each counter-clockwise by `Complex.ccw_cells`,
-    as `triangle_intersection` takes them: no cell is oriented here."""
-    ccw1, ccw2 = t1.ccw_cells(), t2.ccw_cells()
-    for i1, i2 in _walked_pairs(t1, t2, ccw1, ccw2):
-        yield i1, i2, triangle_intersection(ccw1[i1], ccw2[i2])
+    two complexes' `Complex.hom_cells`, counter-clockwise, as the meets-tests
+    and `triangle_intersection` take them: no cell is oriented here."""
+    cells1, cells2 = t1.hom_cells(), t2.hom_cells()
+    for i1, i2 in _walked_pairs(t1, t2, cells1, cells2):
+        yield i1, i2, triangle_intersection(cells1[i1], cells2[i2])
 
 
-def _walked_pairs(t1: Complex, t2: Complex, ccw1, ccw2):
+def _walked_pairs(t1: Complex, t2: Complex, cells1, cells2):
     """The pairs (i1, i2) of cells of two 2-complexes whose interiors
-    meet, cell of ``t1`` by cell; ``ccw1`` and ``ccw2`` are the cells
-    counter-clockwise.
+    meet, cell of ``t1`` by cell; ``cells1`` and ``cells2`` are the cells
+    counter-clockwise, as `geometry.HomCell`s.
 
     The cells of ``t1`` are visited breadth first over edge adjacency.  A
     cell T with a parent P, the visited neighbour it shares an edge e with,
@@ -214,14 +217,14 @@ def _walked_pairs(t1: Complex, t2: Complex, ccw1, ccw2):
     tile one region.
     """
     across1, across2 = t1.neighbours(), t2.neighbours()
-    points2, simplices2 = t2.points, t2.simplices
+    homs2, simplices2 = t2.hom_points(), t2.simplices
 
     def unshared_edge_crosses(i1, hits):
         for j in hits:
             a, b, c = simplices2[j]
             for (u, v), other in zip(((a, b), (b, c), (a, c)), across2[j]):
                 if other is None and segment_meets_ccw_triangle(
-                        points2[u], points2[v], ccw1[i1]):
+                        homs2[u], homs2[v], cells1[i1]):
                     return True
         return False
 
@@ -232,16 +235,16 @@ def _walked_pairs(t1: Complex, t2: Complex, ccw1, ccw2):
             if j in tested:
                 continue
             tested.add(j)
-            if ccw_triangles_meet(ccw1[i1], ccw2[j]):
+            if ccw_triangles_meet(cells1[i1], cells2[j]):
                 hits.append(j)
                 todo.extend(k for k in across2[j] if k is not None and k not in tested)
         return hits
 
     def scan(i1):
-        return [j for j in range(len(ccw2)) if ccw_triangles_meet(ccw1[i1], ccw2[j])]
+        return [j for j in range(len(cells2)) if ccw_triangles_meet(cells1[i1], cells2[j])]
 
-    found: List[Optional[List[int]]] = [None] * len(ccw1)
-    for root in range(len(ccw1)):
+    found: List[Optional[List[int]]] = [None] * len(cells1)
+    for root in range(len(cells1)):
         if found[root] is not None:
             continue
         found[root] = scan(root)

@@ -455,16 +455,16 @@ def parse_plmap(text: str, base: Complex, tokens: Optional[TokenTable] = None) -
     tokens = TokenTable() if tokens is None else tokens
     images: Dict[int, Point] = {}
 
-    def read_img(tok, line):
+    def read_img(lineno, tok, line):
         if len(tok) < 3 or not tok[1].isdecimal():
-            raise ParseError(f"bad img record {line!r}")
+            raise ParseError(f"line {lineno}: bad img record {line!r}")
         i = int(tok[1])
         if i in images:
-            raise ParseError(f"duplicate img record for vertex {i}")
+            raise ParseError(f"line {lineno}: duplicate img record for vertex {i}")
         images[i] = tuple([tokens[t] for t in tok[2:]])
 
     points, sims = read_complex_records(
-        text, tokens, {"base": lambda tok, line: None, "img": read_img})
+        text, tokens, {"base": lambda lineno, tok, line: None, "img": read_img})
     same_simplices = sorted(tuple(sorted(s)) for s in sims) == list(base.simplices)
     if same_simplices and tuple(points) == base.points:
         refinement = base

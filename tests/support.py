@@ -19,7 +19,9 @@ the `Fraction` elimination that the integer determinant of
 composites that `overlay.refine` and `overlay.numbered` replaced, the
 three edge pairings that the facet table of `complexes` replaced, the
 per-cell orientations that `Complex.orientations` replaced in the piece
-enumeration and in composition, and `power`, the composite f^k.
+enumeration and in composition, the `Fraction` clipper, meets-tests and
+area sum that the integer homogeneous kernel replaced, and `power`, the
+composite f^k.
 Every helper that more than one test module uses lives here or, if it is
 a hypothesis strategy, in `strategies`, so no test module imports
 another, and this module needs no hypothesis."""
@@ -37,8 +39,8 @@ from plstab.clip import ccw_triangle, convex_fan, point_in_triangle, triangle_in
 from plstab.complexes import Complex, ccw_triangles_meet
 from plstab.errors import InvalidComplex, ParseError, RealizationMismatch
 from plstab.geometry import (MAX_EXPONENT, Mat, area2, candidate_pairs, closed_segments_meet,
-                             cross2, dot, orient2, primitive_direction, rat, segment_param, vadd,
-                             vscale, vsub)
+                             cross2, dot, hom_cell, orient2, primitive_direction, rat,
+                             segment_param, vadd, vscale, vsub)
 from plstab.interval import PLMap1D
 from plstab.overlay import _walked_pairs, realized_pieces, refine, segment_pieces, triangle_pieces
 from plstab.plmap import PLMap, compose2d, plmap_from_vertex_images
@@ -445,10 +447,10 @@ def read_records_per_token(text, with_images=False):
             continue
         elif with_images and tok[0] == "img":
             if len(tok) < 3 or not tok[1].isdecimal():
-                raise ParseError(f"bad img record {line!r}")
+                raise ParseError(f"line {lineno}: bad img record {line!r}")
             i = int(tok[1])
             if i in images:
-                raise ParseError(f"duplicate img record for vertex {i}")
+                raise ParseError(f"line {lineno}: duplicate img record for vertex {i}")
             images[i] = tuple(rat(t) for t in tok[2:])
         else:
             raise ParseError(f"line {lineno}: unknown record {tok[0]!r}")
@@ -923,16 +925,16 @@ def boundary_facets_by_counts(simplices):
 def open_triangles_meet(t1, t2):
     """Do two nondegenerate planar triangles, in either orientation, share
     an interior point?  Each is oriented by its own `ccw_triangle` call."""
-    return ccw_triangles_meet(ccw_triangle(t1), ccw_triangle(t2))
+    return ccw_triangles_meet(hom_cell(ccw_triangle(t1)), hom_cell(ccw_triangle(t2)))
 
 
 def triangle_pieces_by_ccw_triangle(t1, t2):
     """`overlay.triangle_pieces` as it was: each cell oriented by its own
     `ccw_triangle` call, not read off its complex's `orientations`."""
-    ccw1 = [ccw_triangle(tri) for tri in t1.cells()]
-    ccw2 = [ccw_triangle(tri) for tri in t2.cells()]
-    for i1, i2 in _walked_pairs(t1, t2, ccw1, ccw2):
-        yield i1, i2, triangle_intersection(ccw1[i1], ccw2[i2])
+    cells1 = [hom_cell(ccw_triangle(tri)) for tri in t1.cells()]
+    cells2 = [hom_cell(ccw_triangle(tri)) for tri in t2.cells()]
+    for i1, i2 in _walked_pairs(t1, t2, cells1, cells2):
+        yield i1, i2, triangle_intersection(cells1[i1], cells2[i2])
 
 
 def compose2d_by_ccw_triangle(f, g):
@@ -960,3 +962,67 @@ def power(f, k):
     for _ in range(k - 1):
         out = compose2d(f, out)
     return out
+
+
+# -- the Fraction kernel that the integer homogeneous kernel replaced ----
+
+
+def clip_halfplane_on_fractions(poly, a, b):
+    """Keep the part of `poly` with orient2(a, b, x) >= 0 (left of a->b):
+    each vertex's side an `orient2` sign, a crossing point built in
+    Fractions from the `area2` of the edge's two ends."""
+    out = []
+    n = len(poly)
+    sides = [orient2(a, b, p) for p in poly]
+    for i in range(n):
+        p, q = poly[i], poly[(i + 1) % n]
+        sp, sq = sides[i], sides[(i + 1) % n]
+        if sp >= 0:
+            out.append(p)
+        if sp * sq < 0:
+            ap, aq = area2(a, b, p), area2(a, b, q)
+            out.append(vadd(p, vscale(ap / (ap - aq), vsub(q, p))))
+    dedup = []
+    for p in out:
+        if not dedup or dedup[-1] != p:
+            dedup.append(p)
+    if len(dedup) > 1 and dedup[0] == dedup[-1]:
+        dedup.pop()
+    return dedup
+
+
+def triangle_intersection_on_fractions(poly, tri):
+    """`clip.triangle_intersection` on the points of a counter-clockwise
+    convex polygon and triangle: one Fraction half-plane cut per edge."""
+    for i in range(3):
+        poly = clip_halfplane_on_fractions(poly, tri[i], tri[(i + 1) % 3])
+        if not poly:
+            return []
+    return poly
+
+
+def ccw_triangles_meet_on_fractions(t1, t2):
+    """`complexes.ccw_triangles_meet` on points: separating axis by
+    `orient2` signs."""
+    for tri, (p, q, r) in ((t1, t2), (t2, t1)):
+        for i in range(3):
+            a, b = tri[i - 1], tri[i]
+            if orient2(a, b, p) <= 0 and orient2(a, b, q) <= 0 and orient2(a, b, r) <= 0:
+                return False
+    return True
+
+
+def segment_meets_ccw_triangle_on_fractions(p, q, tri):
+    """`complexes.segment_meets_ccw_triangle` on points, by `orient2`
+    signs."""
+    for i in range(3):
+        a, b = tri[i - 1], tri[i]
+        if orient2(a, b, p) <= 0 and orient2(a, b, q) <= 0:
+            return False
+    sides = {orient2(p, q, v) for v in tri}
+    return 1 in sides and -1 in sides
+
+
+def complex_area2_on_fractions(c):
+    """`Complex.area2`: the sum of |`area2`| over the cells, in Fractions."""
+    return sum((abs(area2(*cell)) for cell in c.cells()), F(0))

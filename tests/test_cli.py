@@ -625,6 +625,20 @@ def test_a_map_parse_error_names_the_line_of_the_file(workdir, capsys):
     assert capsys.readouterr().err == "error: line 4: unknown record 'w'\n"
 
 
+def test_an_img_record_error_names_its_line(workdir, capsys):
+    """Both `img` record errors name the record's line of the file, as the
+    record errors of its complex block do."""
+    (workdir / "b.cx").write_text("v 0 0 0\nv 1 1 0\nv 2 0 1\ns 0 1 2\n")
+    head = "base b.cx\nv 0 0 0\nv 1 1 0\nv 2 0 1\ns 0 1 2\n# images\nimg 0 0 0\n"
+    for tail, message in (("img x 1 0\n", "line 8: bad img record 'img x 1 0'"),
+                          ("img 1 1 0\n\nimg 0 0 1\n",
+                           "line 10: duplicate img record for vertex 0")):
+        (workdir / "bad.pm").write_text(head + tail)
+        code, out = run(["fixset", "--map", str(workdir / "bad.pm")])
+        assert (code, out) == (65, "")
+        assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_eval_takes_one_coordinate_per_ambient_axis(workdir, capsys):
     for path, point in (("rot.pm", ["1/4"]), ("rot.pm", ["1/4", "1/4", "0"]),
                         ("f1.map", ["1/8", "1/8"]), ("r13.map", ["0", "0"])):

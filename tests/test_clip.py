@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from plstab.clip import (ccw_triangle, clip_polygon_to_triangle,
                          point_in_triangle, polygon_area2,
                          triangle_intersection)
+from plstab.geometry import hom_cell, orient2
 
 from support import triangulate_convex
 
@@ -35,24 +36,25 @@ def test_polygon_area2_is_the_shoelace_sum(poly):
 
 
 # `triangle_intersection` takes its polygon and triangle counter-clockwise,
-# as the literal triangles below are; loose ones are oriented first
+# as the literal triangles below are, each as a `HomCell`; loose ones are
+# oriented first
 
 
 def test_triangle_self_intersection():
-    t = [(0, 0), (4, 0), (0, 4)]
+    t = hom_cell([(0, 0), (4, 0), (0, 4)])
     got = triangle_intersection(t, t)
     assert area(got) == 8
 
 
 def test_disjoint_triangles():
-    t1 = [(0, 0), (1, 0), (0, 1)]
-    t2 = [(5, 5), (6, 5), (5, 6)]
+    t1 = hom_cell([(0, 0), (1, 0), (0, 1)])
+    t2 = hom_cell([(5, 5), (6, 5), (5, 6)])
     assert triangle_intersection(t1, t2) == []
 
 
 def test_half_overlap():
-    t1 = [(0, 0), (2, 0), (0, 2)]
-    t2 = [(0, 0), (2, 0), (2, 2)]
+    t1 = hom_cell([(0, 0), (2, 0), (0, 2)])
+    t2 = hom_cell([(0, 0), (2, 0), (2, 2)])
     got = triangle_intersection(t1, t2)
     assert area(got) == 1  # the shared lower-left triangle
 
@@ -62,7 +64,7 @@ def test_loose_inputs_are_oriented_by_the_entry_point():
     kernel's counter-clockwise cycle of the oriented inputs."""
     t1 = [(0, 0), (0, 2), (2, 0)]
     t2 = [(2, 2), (2, 0), (0, 0)]
-    want = triangle_intersection(ccw_triangle(t1), ccw_triangle(t2))
+    want = triangle_intersection(hom_cell(ccw_triangle(t1)), hom_cell(ccw_triangle(t2)))
     assert area(want) == 1 and polygon_area2(want) > 0
     for a in (t1, t1[::-1]):
         for b in (t2, t2[::-1]):
@@ -105,14 +107,13 @@ def test_triangulate_convex_with_collinear_chain():
 def test_random_intersections_symmetric_and_bounded():
     rng = random.Random(7)
     for _ in range(60):
-        from plstab.geometry import orient2
         t1 = ccw_triangle([(F(rng.randint(0, 8)), F(rng.randint(0, 8)))
                            for _ in range(3)])
         t2 = ccw_triangle([(F(rng.randint(0, 8)), F(rng.randint(0, 8)))
                            for _ in range(3)])
         if orient2(*t1) == 0 or orient2(*t2) == 0:
             continue
-        a12 = area(triangle_intersection(t1, t2))
-        a21 = area(triangle_intersection(t2, t1))
+        a12 = area(triangle_intersection(hom_cell(t1), hom_cell(t2)))
+        a21 = area(triangle_intersection(hom_cell(t2), hom_cell(t1)))
         assert a12 == a21
         assert a12 <= min(area(t1), area(t2))

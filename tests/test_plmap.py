@@ -376,7 +376,7 @@ def test_image_check_matches_all_pairs_clip(offsets, sym, free):
         with pytest.raises(InvalidComplex, match=re.escape(str(e))):
             PLMap(base, base, images)
         return
-    cells, base_cells = image.ccw_cells(), base.ccw_cells()
+    cells, base_cells = image.hom_cells(), base.hom_cells()
     reference = sum((abs(polygon_area2(triangle_intersection(a, b)))
                      for a in cells for b in base_cells), F(0))
     if image.area2() != base.area2():

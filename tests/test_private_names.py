@@ -404,10 +404,33 @@ def test_the_row_merge_builds_no_fraction():
     assert {k: v for k, v in found.items() if v} == {}
 
 
+# the planar cell-pair kernel, by module: the homogeneous coordinates and
+# edge lines of cells, the meets-tests, the clip loop and the area sums run
+# on ints, and only `geometry.affine_point`, the one conversion of the
+# clipper's crossing points, builds Fractions
+KERNEL_2D = {"geometry.py": {"homogeneous", "line_through", "hom_cell"},
+             "complexes.py": {"ccw_triangles_meet", "segment_meets_ccw_triangle", "area2_sums",
+                              "Complex.hom_points", "Complex.hom_cells"},
+             "clip.py": {"triangle_intersection"}}
+
+
+def test_the_planar_kernel_builds_no_fraction():
+    """The side and line helpers, the meets-tests of the overlay walk and
+    of `Complex` validation, the clip loop and the accumulation of
+    `Complex.area2` make no `Fraction` or `rat` call and no `/`."""
+    for name, names in KERNEL_2D.items():
+        assert names <= {fn for fn, _ in functions(ast.parse((SRC / name).read_text()))}
+    found = {name: fraction_work(SRC / name, names) for name, names in KERNEL_2D.items()}
+    assert {k: v for k, v in found.items() if v} == {}
+
+
 def test_the_check_sees_fraction_work(tmp_path):
-    # the Fraction merge that the row merge replaced divides by g's slope
+    # the Fraction merge that the row merge replaced divides by g's slope,
+    # and the Fraction clip divides by the difference of two areas
     oracle = pathlib.Path(__file__).resolve().parent / "support.py"
     assert [fn for fn, _ in fraction_work(oracle, {"fraction_merge"})] == ["fraction_merge"]
+    assert [fn for fn, _ in fraction_work(oracle, {"clip_halfplane_on_fractions"})] == [
+        "clip_halfplane_on_fractions"]
     probe = tmp_path / "probe.py"
     probe.write_text("def compose_breakpoints(rows):\n"
                      "    return [fractions.Fraction(xn, xd) for xn, xd in rows]\n"
@@ -425,6 +448,11 @@ def test_the_check_sees_fraction_work(tmp_path):
     assert fraction_work(probe, ROW_PATH["interval.py"] | ROW_PATH["circle.py"]) == [
         ("compose_breakpoints", 2), ("_displacement_side", 5), ("_displacement_side", 6),
         ("BreakpointMap.__init__", 10), ("BreakpointMap.__init__", 10)]
+    probe.write_text("def ccw_triangles_meet(t1, t2):\n"
+                     "    return all(Fraction(*h[::2]) > 0 for h in t1.homs)\n"
+                     "def affine_point(h):\n"
+                     "    return Fraction(h[0], h[2]), h[1] / h[2]\n")
+    assert fraction_work(probe, KERNEL_2D["complexes.py"]) == [("ccw_triangles_meet", 2)]
 
 
 def imports_of_test_modules(tests=TESTS):

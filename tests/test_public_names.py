@@ -28,6 +28,7 @@ ALLOWED = {
     "boundary": "a spec operation, like star and link; the boundary-to-boundary oracle "
                 "of tests/test_plmap.py reads it",
     "point_in_triangle": ACCEPTANCE,
+    "triangle_area2": ACCEPTANCE,
     "clip_polygon_to_triangle": "bench/spans.py traces the clipping layer by this name",
     "identity_germ": "the unit of compose_germs, for the germ checks of ROADMAP item 9",
     "format_presentation": "writes the text that parse_presentation reads",

@@ -13,7 +13,7 @@ from hypothesis import assume, given, settings, strategies as st
 from plstab.clip import ccw_triangle, triangle_intersection
 from plstab.complexes import Complex, segment_meets_ccw_triangle
 from plstab.errors import PLError, RealizationMismatch
-from plstab.geometry import area2, candidate_pairs
+from plstab.geometry import area2, candidate_pairs, hom_cell, homogeneous
 from plstab.overlay import overlay, triangle_pieces
 from plstab.plmap import (PLMap, _certified_image, compose2d, format_plmap, inverse2d,
                           plmap_from_vertex_images)
@@ -33,8 +33,8 @@ CLIP = import_module("plstab.clip")
 def all_pairs(c1, c2):
     """The oracle: every pair of cells, clipped where their interiors meet."""
     return {(i, j, tuple(triangle_intersection(a, b)))
-            for i, a in enumerate(c1.ccw_cells()) for j, b in enumerate(c2.ccw_cells())
-            if open_triangles_meet(a, b)}
+            for i, a in enumerate(c1.hom_cells()) for j, b in enumerate(c2.hom_cells())
+            if open_triangles_meet(a.points, b.points)}
 
 
 def assert_walk_is_all_pairs(c1, c2):
@@ -49,7 +49,7 @@ def assert_walk_is_all_pairs(c1, c2):
 
 def test_the_clip_kernel_orients_no_cell(monkeypatch):
     """`triangle_pieces` hands the clip counter-clockwise cells read off
-    `Complex.ccw_cells`, so no cell goes through `ccw_triangle`."""
+    `Complex.hom_cells`, so no cell goes through `ccw_triangle`."""
     _, g = bench_grid_maps(3, 7)
     base = grid_complex(3)
 
@@ -265,7 +265,8 @@ def test_segment_meets_ccw_triangle_matches_the_parametric_oracle(p, q, tri):
     if p == q or area2(*tri) == 0:
         return
     tri = ccw_triangle(tri)
-    assert segment_meets_ccw_triangle(p, q, tri) == segment_meets_oracle(p, q, tri)
+    assert (segment_meets_ccw_triangle(homogeneous(p), homogeneous(q), hom_cell(tri))
+            == segment_meets_oracle(p, q, tri))
 
 
 def grid_map(n, seed):
