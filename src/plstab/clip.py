@@ -5,8 +5,8 @@ The clip kernel `triangle_intersection` takes counter-clockwise cells as
 integer homogeneous coordinates: a vertex's side of an edge line L is
 L·p, and a crossing point is a sum of two vertices' integer coordinates
 reduced by one gcd; only crossings that survive all three cuts become
-Fractions, once each.  Only the two entry points for loose triangles
-orient theirs (`ccw_triangle`)."""
+Fractions, once each.  `geometry.hom_cell` orients the loose inputs
+of the two entry points."""
 
 from __future__ import annotations
 
@@ -15,7 +15,7 @@ from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .complexes import in_closed_cell
-from .geometry import Hom, HomCell, Point, affine_point, hom_cell, orient2
+from .geometry import Hom, HomCell, Point, affine_point, hom_cell, homogeneous, orient2
 
 
 def polygon_area2(poly: Sequence[Point]) -> Fraction:
@@ -31,13 +31,6 @@ def polygon_area2(poly: Sequence[Point]) -> Fraction:
     y = [n * (dy // d) for n, d in ys]
     return Fraction(sum(x[i - 1] * y[i] - x[i] * y[i - 1] for i in range(len(poly))),
                     dx * dy)
-
-
-def ccw_triangle(tri: Sequence[Point]) -> List[Point]:
-    t = list(tri)
-    if orient2(*t) < 0:
-        t.reverse()
-    return t
 
 
 def triangle_intersection(poly: HomCell, tri: HomCell) -> List[Point]:
@@ -84,15 +77,12 @@ def clip_polygon_to_triangle(poly: Sequence[Point], tri: Sequence[Point]) -> Lis
     """Intersection of a convex polygon, with distinct vertices, and a
     triangle, each in either orientation, as a counter-clockwise vertex
     cycle."""
-    out = list(poly)
-    if polygon_area2(out) < 0:
-        out.reverse()
-    return triangle_intersection(hom_cell(out), hom_cell(ccw_triangle(tri)))
+    return triangle_intersection(hom_cell(poly), hom_cell(tri))
 
 
 def point_in_triangle(x: Point, tri: Sequence[Point]) -> bool:
     """Is x in the closed triangle, given in either orientation?"""
-    return in_closed_cell(x, ccw_triangle(tri))
+    return in_closed_cell(homogeneous(x), hom_cell(tri))
 
 
 def polygon_centroid(poly: Sequence[Point]) -> Point:

@@ -15,14 +15,12 @@ that puts every point in at most one cell, in O(cells + boundary edge
 pairs).  The all-pairs tests run only for the complexes it does not
 accept, so they alone decide which error a rejected complex raises.
 
-Two triangles' interiors, and a segment against a triangle's interior,
-are tested by separating axis on integer homogeneous coordinates
-(`ccw_triangles_meet`, `segment_meets_ccw_triangle`): each side of a
-vertex is L·x for a line L of a `geometry.HomCell`, which
-`Complex.hom_cells` builds once per complex.  Segments of a 1-complex
-decide by `orient2` signs, and collinear ones compare their
-`segment_param` ranges, by `geometry.overlap_params`, the test that
-`geometry.collinear_overlap` makes too.
+A complex keys, orients and locates on `Complex.hom_points`
+(`geometry.homogeneous`) and `Complex.hom_cells`, built once.  Triangle
+interiors meet, a segment meets one, and a point is in a closed cell by
+the signs L·x of the cells' edge lines (`ccw_triangles_meet`,
+`segment_meets_ccw_triangle`, `in_closed_cell`).  Segments of a
+1-complex decide by `orient2`, `between` and `geometry.overlap_params`.
 """
 
 from __future__ import annotations
@@ -33,9 +31,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidComplex, ParseError, UnknownVertex
 from .geometry import (Hom, HomCell, Point, TokenTable, area2, bbox, between,
-                       candidate_pairs, fmt, homogeneous, is_simple_polygon,
-                       line_through, orient2, overlap_params, point_key, rat, records,
-                       segment_param)
+                       candidate_pairs, det3, fmt, homogeneous, is_simple_polygon,
+                       line_through, orient2, overlap_params, rat, records, segment_param)
 
 SimplexT = Tuple[int, ...]
 
@@ -107,13 +104,11 @@ def segment_meets_ccw_triangle(p: Hom, q: Hom, tri: HomCell) -> bool:
     return min(sides) < 0 < max(sides)
 
 
-def in_closed_cell(x: Point, cell) -> bool:
-    """Is x in the closed cell, a counter-clockwise planar triangle (three
-    `orient2` signs) or a segment in ambient dimension 1 or 2 (`between`)?
-    For `PLMap.eval` and `Complex._check_cells_exactly`, on `ccw_cells`."""
-    if len(cell) == 3:
-        return all(orient2(cell[i - 1], cell[i], x) >= 0 for i in range(3))
-    return between(cell[0], cell[1], x)
+def in_closed_cell(h: Hom, cell: HomCell) -> bool:
+    """Is the point h (`homogeneous`) in the closed cell: L·h >= 0 for
+    each of its edge lines L?"""
+    x, y, w = h
+    return all(a * x + b * y + c * w >= 0 for a, b, c in cell.lines)
 
 
 def triangle_area2(pts) -> Fraction:
@@ -124,14 +119,13 @@ def triangle_area2(pts) -> Fraction:
 def area2_sums(homs: Sequence[Hom], triangles) -> Dict[int, int]:
     """Twice the area of planar triangles, given as index triples into the
     points ``homs`` (`homogeneous` coordinates), by denominator: triangle
-    abc adds |det(a, b, c)|, which is W_a W_b W_c times twice its area, to
-    the sum of the denominator W_a W_b W_c."""
+    abc adds |`det3`(a, b, c)|, which is W_a W_b W_c times twice its area,
+    to the sum of the denominator W_a W_b W_c."""
     sums: Dict[int, int] = {}
     for u, v, w in triangles:
-        (ax, ay, aw), (bx, by, bw), (cx, cy, cw) = homs[u], homs[v], homs[w]
-        d = aw * bw * cw
-        sums[d] = sums.get(d, 0) + abs(ax * (by * cw - bw * cy) - ay * (bx * cw - bw * cx)
-                                       + aw * (bx * cy - by * cx))
+        a, b, c = homs[u], homs[v], homs[w]
+        d = a[2] * b[2] * c[2]
+        sums[d] = sums.get(d, 0) + abs(det3(a, b, c))
     return sums
 
 
@@ -340,9 +334,9 @@ class Complex(_Incidences):
     def _check_distinct_points(self):
         # two vertices at one point pinch the realization, and a map on the
         # complex could send them to two places
-        seen: Dict[tuple, int] = {}
-        for v, p in enumerate(self.points):
-            w = seen.setdefault(point_key(p), v)
+        seen: Dict[Hom, int] = {}
+        for v, h in enumerate(self.hom_points()):
+            w = seen.setdefault(h, v)
             if w != v:
                 raise InvalidComplex(f"vertices {w} and {v} lie at one point")
 
@@ -356,9 +350,9 @@ class Complex(_Incidences):
         shared; segments meet only at an end of one, and triangles are split
         by a line through r, along an edge of each unless r is a vertex.
         Cells with a common facet lie on its two sides and are skipped."""
-        cells = self.ccw_cells()
+        cells = self.cells()
         pairs = candidate_pairs(cells)
-        triangles = self.hom_cells() if self.dim == 2 else None
+        triangles, homs = (self.hom_cells(), self.hom_points()) if self.dim == 2 else (None, None)
         for i, j in pairs:
             p1, p2 = cells[i], cells[j]
             if (seg_seg_open_meet(p1[0], p1[1], p2[0], p2[1]) if self.dim == 1
@@ -374,7 +368,8 @@ class Complex(_Incidences):
                 lo, hi = boxes[k]
                 for v, p in ((v, self.points[v]) for v in a if v not in b):
                     if (all(m <= x <= n for m, x, n in zip(lo, p, hi))
-                            and in_closed_cell(p, cells[k])):
+                            and (between(*cells[k], p) if self.dim == 1
+                                 else in_closed_cell(homs[v], triangles[k]))):
                         raise InvalidComplex(
                             f"vertex {v} lies in simplex {b} but is not one of its vertices")
 
@@ -382,18 +377,13 @@ class Complex(_Incidences):
         return _connected(adjacency(self.simplices))
 
     def orientations(self) -> List[int]:
-        """Each cell's `orient2` sign, computed once (by validation's degeneracy
-        check when it runs): every reader that orients a cell reads it here."""
+        """Each cell's sign of `det3` on its `hom_points`, computed once:
+        every reader that orients a cell reads it here."""
         if self._signs is None:
-            self._signs = [orient2(*[self.points[v] for v in s]) for s in self.simplices]
+            homs = self.hom_points()
+            self._signs = [(d > 0) - (d < 0) for d in (
+                det3(homs[u], homs[v], homs[w]) for u, v, w in self.simplices)]
         return self._signs
-
-    def ccw_cells(self) -> List[List[Point]]:
-        """Each cell's points: a triangle's counter-clockwise, by
-        `orientations`, and a segment's as they are."""
-        if self.dim == 1:
-            return self.cells()
-        return [c if o > 0 else c[::-1] for c, o in zip(self.cells(), self.orientations())]
 
     def hom_points(self) -> List[Hom]:
         """Each point's `homogeneous` coordinates, computed on first use."""
@@ -403,8 +393,7 @@ class Complex(_Incidences):
 
     def hom_cells(self) -> List[HomCell]:
         """Each cell of this planar 2-complex as a `HomCell`, its vertices
-        counter-clockwise by `orientations` in the order of `ccw_cells`:
-        the records of the integer kernel, built on first use."""
+        counter-clockwise by `orientations`, built on first use."""
         if self._hom_cells is None:
             points, homs, cells = self.points, self.hom_points(), []
             for (u, v, w), o in zip(self.simplices, self.orientations()):

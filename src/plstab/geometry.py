@@ -7,12 +7,12 @@ plain tuples of Fractions so they hash and compare structurally.  The
 one literal parser, `ratio`, reads a token as an integer ratio in that
 form; `rat` builds the Fraction of it, and 1D maps keep the ratio.
 
-The planar cell-pair kernel (the overlay walk's meets-tests, the clipper
-and the area of a complex) runs on integer homogeneous coordinates
-instead: a point (x, y) is (X, Y, W) with x = X/W, y = Y/W, W > 0 and
-gcd 1 (`homogeneous`), so equal points have equal tuples; a cell is a
-`HomCell`, whose edge lines L = a × b give the sign of `orient2(a, b, x)`
-as L·x, three products and no call.  `affine_point` is the one way back.
+`homogeneous` is the one integer form and key of a point: (X, W) for
+X/W, (X, Y, W) for (X/W, Y/W), W > 0 and gcd 1, so equal points have
+equal tuples.  The planar kernel (orientation, location, meets-tests,
+clipping, area) runs on it: `det3` has the sign of `orient2`, and a
+`HomCell`'s edge lines L = a × b give it as L·x, three products and no
+call.  `affine_point` is the one way back.
 """
 
 from __future__ import annotations
@@ -24,7 +24,7 @@ from typing import Iterable, NamedTuple, Sequence, Tuple
 from .errors import NondegenerateViolation, ParseError
 
 Point = Tuple[Fraction, ...]
-Hom = Tuple[int, int, int]
+Hom = Tuple[int, ...]
 
 # `Fraction` builds 10**e in full for an exponent e, in superlinear time, so
 # a larger one is refused first (CPython bounds int literals to 4300 digits)
@@ -98,13 +98,6 @@ def records(text: str):
             yield lineno, line.split(), line
 
 
-def point_key(p: Point) -> Tuple[Tuple[int, int], ...]:
-    """A hashable key of a point, equal exactly for equal points: each
-    coordinate's integer ratio, which a Fraction keeps in lowest terms.
-    Hashing it hashes ints, not `Fraction.__hash__`'s modular inverse."""
-    return tuple([c.as_integer_ratio() for c in p])
-
-
 def fmt(q: Fraction) -> str:
     """Print a rational, a Fraction or an int, canonically: 'p/q', or just
     'p' when q = 1."""
@@ -163,25 +156,31 @@ def orient2(a: Point, b: Point, c: Point) -> int:
 
 def area2(a: Point, b: Point, c: Point) -> Fraction:
     """Twice the signed area of the triangle abc (exact): the value whose
-    sign `orient2` decides, as the determinant of the `homogeneous` rows a,
-    b, c over the product of their W.  Only the first two coordinates
-    count."""
+    sign `orient2` decides, as the `det3` of the `homogeneous` rows a, b, c
+    over the product of their W.  Only the first two coordinates count."""
     a, b, c = homogeneous(a), homogeneous(b), homogeneous(c)
-    x, y, w = line_through(a, b)
-    return Fraction(x * c[0] + y * c[1] + w * c[2], a[2] * b[2] * c[2])
+    return Fraction(det3(a, b, c), a[2] * b[2] * c[2])
 
 
 def homogeneous(p: Point) -> Hom:
-    """The integer homogeneous coordinates (X, Y, W) of a planar point
-    (X/W, Y/W): W, the lcm of the two denominators, is positive, and
-    gcd(X, Y, W) = 1 since each coordinate is in lowest terms, so equal
-    points have equal tuples."""
+    """(X, W) for a point X/W, or (X, Y, W) for (X/W, Y/W), its coordinates
+    ints or Fractions: W, the lcm of the denominators, is positive, and the
+    gcd is 1 as each coordinate is in lowest terms, so equal points have
+    equal tuples."""
     xn, xd = p[0].as_integer_ratio()
+    if len(p) == 1:
+        return xn, xd
     yn, yd = p[1].as_integer_ratio()
     if xd == yd:
         return xn, yn, xd
     w = xd * yd // gcd(xd, yd)
     return xn * (w // xd), yn * (w // yd), w
+
+
+def det3(a: Hom, b: Hom, c: Hom) -> int:
+    """The determinant of the rows a, b, c: W_a W_b W_c `area2(a, b, c)`."""
+    (ax, ay, aw), (bx, by, bw), (cx, cy, cw) = a, b, c
+    return ax * (by * cw - bw * cy) - ay * (bx * cw - bw * cx) + aw * (bx * cy - by * cx)
 
 
 def line_through(a: Hom, b: Hom) -> Hom:
@@ -213,9 +212,12 @@ class HomCell(NamedTuple):
 
 
 def hom_cell(points: Sequence[Point]) -> HomCell:
-    """The `HomCell` of a loose convex polygon's points, counter-clockwise
-    (a complex's are `Complex.hom_cells`)."""
+    """The `HomCell` of a loose convex polygon's distinct points, reversed
+    if the first nonzero `det3` of its fan is negative (clockwise)."""
     homs = tuple(map(homogeneous, points))
+    fan = (det3(homs[0], b, c) for b, c in zip(homs[1:], homs[2:]))
+    if next((d for d in fan if d), 0) < 0:
+        points, homs = points[::-1], homs[::-1]
     return HomCell(points, homs, tuple(map(line_through, homs, homs[1:] + homs[:1])))
 
 

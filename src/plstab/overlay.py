@@ -49,7 +49,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from .clip import convex_fan, polygon_area2, polygon_centroid, triangle_intersection
 from .complexes import Complex, SimplexT, ccw_triangles_meet, segment_meets_ccw_triangle
 from .errors import RealizationMismatch
-from .geometry import Point, candidate_pairs, collinear_overlap, extent, point_key
+from .geometry import Point, candidate_pairs, collinear_overlap, extent, homogeneous
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ def refine(pieces) -> Overlay:
     from the pair (i1, i2).  ``cut`` holds the cut point of each vertex of
     ``poly``, a fan centroid the centroid of ``cut`` (its image, as ``cut``
     is an affine image of ``poly``).  Each point gets one id by its
-    `point_key`, with the first piece's cut."""
+    `homogeneous` coordinates, with the first piece's cut."""
     ids: Dict[tuple, int] = {}
     points: List[Point] = []
     cuts, cells, pairs = [], [], []
@@ -88,7 +88,7 @@ def refine(pieces) -> Overlay:
             poly, cut = [*poly, c], [*cut, polygon_centroid(cut)]
         vs = []
         for p, x in zip(poly, cut):
-            v = ids.setdefault(point_key(p), len(points))
+            v = ids.setdefault(homogeneous(p), len(points))
             if v == len(points):
                 points.append(p)
                 cuts.append((i1, i2, x))

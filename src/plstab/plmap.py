@@ -43,8 +43,10 @@ image, and one back, each solved on first use (`_solve_piece`, exact
 integer rows over one denominator, so applying one builds a Fraction per
 coordinate and nothing else).  `PLMap.eval_in_cell` applies the first,
 and `PLMap.pullback_in_cell` the second under the pullbacks of
-composition and inversion; `PLMap.eval` locates the cell first.  The
-four-orientation barycentric solve they replace is the tests' oracle.
+composition and inversion; `PLMap.eval` locates the cell first, on the
+point's `homogeneous` coordinates and the refinement's cached
+`Complex.hom_cells`.  The four-orientation barycentric solve they
+replace is the tests' oracle.
 
 Each exact test runs once, and both realization tests are one call of
 `realized_pieces`, the cover accounting of `overlay`: the refinement
@@ -89,9 +91,10 @@ from .geometry import (
     Mat,
     Point,
     TokenTable,
+    between,
     fmt,
+    homogeneous,
     orient2,
-    point_key,
     rat,
 )
 from .overlay import cell_pieces, realized_pieces, refine
@@ -151,8 +154,8 @@ def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Com
 
     With R the refinement (which tiles the base K) and f the images:
 
-    1. the image points are pairwise distinct (their `point_key`s, like
-       the base points of step 4's set, are hashed in place of Fractions);
+    1. the image points are pairwise distinct (their `homogeneous` keys,
+       like step 4's base `hom_points`, are hashed in place of Fractions);
     2. each image cell has a nonzero orientation σ (one `orient2` a cell);
     3. the two cells of each interior edge of R have their images on
        opposite sides of the image edge (read off σ, no further `orient2`;
@@ -184,15 +187,16 @@ def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Com
     """
     if base.dim != 2:
         return None
-    keys = [point_key(p) for p in images]
+    keys = [homogeneous(p) for p in images]
     if len(set(keys)) != len(keys):
         return None
     signs = [orient2(*[images[v] for v in s]) for s in refinement.simplices]
     edges = directed_boundary(refinement.simplices, signs, refinement.facets())
     if edges is None:
         return None
-    base_edges = {(point_key(base.points[u]), point_key(base.points[v])) for u, v
-                  in directed_boundary(base.simplices, base.orientations(), base.facets())}
+    homs = base.hom_points()
+    base_edges = {(homs[u], homs[v]) for u, v in
+                  directed_boundary(base.simplices, base.orientations(), base.facets())}
     if len(edges) != len(base_edges) or not all(
             (keys[u], keys[v]) in base_edges for u, v in edges):
         return None
@@ -339,10 +343,17 @@ class PLMap:
         )
 
     def eval(self, x) -> Point:
-        x = tuple(rat(c) for c in x)
-        for i, cell in enumerate(self.refinement.ccw_cells()):
-            if in_closed_cell(x, cell):
-                return self.eval_in_cell(i, x)
+        """f(x) on the first refinement cell that holds x: `between` on a
+        segment, `in_closed_cell` on the cached `Complex.hom_cells`."""
+        x, r = tuple(rat(c) for c in x), self.refinement
+        if r.dim == 1:
+            hits = (i for i, (u, v) in enumerate(r.simplices)
+                    if between(r.points[u], r.points[v], x))
+        else:
+            h = homogeneous(x)
+            hits = (i for i, cell in enumerate(r.hom_cells()) if in_closed_cell(h, cell))
+        for i in hits:
+            return self.eval_in_cell(i, x)
         raise PointOutsideComplex(f"({', '.join(fmt(c) for c in x)}) is not in the realization")
 
     def eval_in_cell(self, i: int, x: Point) -> Point:
@@ -413,16 +424,16 @@ def _pulled_back(f: PLMap, g: PLMap):
     """The pieces of f∘g: the intersection of an image cell i of g and a
     cell j of f, pulled back through g's piece on i, with itself as the
     cut; both reversed where that piece reverses orientation (cell i has
-    two `orientations`), so the pulled-back polygon is counter-clockwise.  g is one to one, so each
-    cut point, keyed by its `point_key`, is pulled back once, through the
-    first piece that has it."""
+    two `orientations`), so the pulled-back polygon is counter-clockwise.
+    g is one to one, so each cut point, keyed by its `homogeneous`
+    coordinates, is pulled back once, through the first piece that has it."""
     back: Dict[tuple, Point] = {}
     for i, j, cut in cell_pieces(g.image, f.refinement):
         if len(cut) > 2 and g.refinement.orientations()[i] != g.image.orientations()[i]:
             cut = cut[::-1]
         pre = []
         for y in cut:
-            key = point_key(y)
+            key = homogeneous(y)
             x = back.get(key)
             if x is None:
                 x = back[key] = g.pullback_in_cell(i, y)

@@ -20,8 +20,10 @@ composites that `overlay.refine` and `overlay.numbered` replaced, the
 three edge pairings that the facet table of `complexes` replaced, the
 per-cell orientations that `Complex.orientations` replaced in the piece
 enumeration and in composition, the `Fraction` clipper, meets-tests and
-area sum that the integer homogeneous kernel replaced, and `power`, the
-composite f^k.
+area sum that the integer homogeneous kernel replaced, the `orient2`
+orientation of loose triangles and the closed-cell test and point
+location that `geometry.hom_cell`, `complexes.in_closed_cell` and
+`PLMap.eval` replaced, and `power`, the composite f^k.
 Every helper that more than one test module uses lives here or, if it is
 a hypothesis strategy, in `strategies`, so no test module imports
 another, and this module needs no hypothesis."""
@@ -35,9 +37,9 @@ from pathlib import Path
 
 from plstab.circle import CircleLift
 
-from plstab.clip import ccw_triangle, convex_fan, point_in_triangle, triangle_intersection
+from plstab.clip import convex_fan, triangle_intersection
 from plstab.complexes import Complex, ccw_triangles_meet
-from plstab.errors import InvalidComplex, ParseError, RealizationMismatch
+from plstab.errors import InvalidComplex, ParseError, PointOutsideComplex, RealizationMismatch
 from plstab.geometry import (MAX_EXPONENT, Mat, area2, candidate_pairs, closed_segments_meet,
                              cross2, dot, hom_cell, orient2, primitive_direction, rat,
                              segment_param, vadd, vscale, vsub)
@@ -62,15 +64,37 @@ def affine(src, dst, x):
     return tuple(sum(l * p[k] for l, p in zip(lam, dst)) for k in range(len(dst[0])))
 
 
+def ccw_triangle(tri):
+    """A planar triangle's points, reversed where its `orient2` sign is
+    negative: counter-clockwise.  The orientation of loose triangles that
+    `geometry.hom_cell` took over from `clip`."""
+    t = list(tri)
+    if orient2(*t) < 0:
+        t.reverse()
+    return t
+
+
 def in_closed_cell_oracle(x, cell):
-    """Is x in the closed cell, a planar triangle in either orientation
-    (`point_in_triangle`) or a segment, whose `segment_param` at x is in
-    [0, 1]?  The closed-cell test that `complexes.in_closed_cell` made
-    before it took counter-clockwise cells."""
+    """Is x in the closed cell, a planar triangle in either orientation (on
+    the closed left side of each edge of its `ccw_triangle`, by `orient2`)
+    or a segment, whose `segment_param` at x is in [0, 1]?  The `Fraction`
+    closed-cell test that `complexes.in_closed_cell` replaced on
+    `HomCell`s and `geometry.between` on segments."""
     if len(cell) == 3:
-        return point_in_triangle(x, cell)
+        a, b, c = ccw_triangle(cell)
+        return all(orient2(p, q, x) >= 0 for p, q in ((a, b), (b, c), (c, a)))
     t = segment_param(cell[0], cell[1], x)
     return t is not None and 0 <= t <= 1
+
+
+def eval_by_fraction_scan(f, x):
+    """The oracle of `PLMap.eval`: x under the piece of the first
+    refinement cell that holds it by `in_closed_cell_oracle`, or
+    `PointOutsideComplex`."""
+    for i, cell in enumerate(f.refinement.cells()):
+        if in_closed_cell_oracle(x, cell):
+            return f.eval_in_cell(i, x)
+    raise PointOutsideComplex(f"{x} is not in the realization")
 
 
 def refinement_homes(base, refinement):

@@ -3,12 +3,11 @@ from fractions import Fraction as F
 
 from hypothesis import given, settings, strategies as st
 
-from plstab.clip import (ccw_triangle, clip_polygon_to_triangle,
-                         point_in_triangle, polygon_area2,
+from plstab.clip import (clip_polygon_to_triangle, point_in_triangle, polygon_area2,
                          triangle_intersection)
 from plstab.geometry import hom_cell, orient2
 
-from support import triangulate_convex
+from support import ccw_triangle, triangulate_convex
 
 
 def area(poly):

@@ -7,9 +7,9 @@ from plstab.clip import clip_polygon_to_triangle, point_in_triangle, polygon_are
 from plstab.complexes import (Complex, Surface, boundary, euler_characteristic,
                               format_complex, in_closed_cell, is_arc, is_cycle, link,
                               parse_complex, seg_seg_open_meet, star)
-from plstab.geometry import orient2
-from plstab.errors import InvalidComplex, ParseError, UnknownVertex
-from plstab.plmap import PLMap
+from plstab.geometry import between, homogeneous, orient2
+from plstab.errors import InvalidComplex, ParseError, PointOutsideComplex, UnknownVertex
+from plstab.plmap import PLMap, plmap_from_vertex_images
 
 from support import (TETRAHEDRON, grid_complex, in_closed_cell_oracle,
                      meets_in_common_faces_by_brute_force, open_triangles_meet,
@@ -317,22 +317,32 @@ plane_points = st.tuples(halves, halves)
 @settings(max_examples=300)
 @given(st.lists(plane_points, min_size=3, max_size=3, unique=True), plane_points)
 def test_in_closed_cell_takes_the_counter_clockwise_cell(tri, x):
-    """On a complex's counter-clockwise cell, `in_closed_cell` decides as
-    `point_in_triangle` does on the loose triangle, in either orientation."""
+    """On a complex's counter-clockwise `hom_cells`, `in_closed_cell`
+    decides as the `Fraction` oracle and `point_in_triangle` do on the
+    loose triangle, in either orientation."""
     assume(orient2(*tri) != 0)
-    cell, = Complex(tri, [(0, 1, 2)]).ccw_cells()
+    cell, = Complex(tri, [(0, 1, 2)]).hom_cells()
     for loose in (tri, tri[::-1]):
-        assert in_closed_cell(x, cell) == point_in_triangle(x, loose)
+        assert (in_closed_cell(homogeneous(x), cell) == in_closed_cell_oracle(x, loose)
+                == point_in_triangle(x, loose))
 
 
 @settings(max_examples=300)
 @given(st.integers(min_value=1, max_value=2), st.data())
-def test_in_closed_cell_on_segments_is_the_segment_param_test(ambient, data):
-    """On a segment, in ambient dimension 1 or 2, `in_closed_cell` decides
-    as the `segment_param` test it replaced, at points on the segment's
-    line (inside it or past an end) and off it."""
+def test_locating_on_segments_is_the_segment_param_test(ambient, data):
+    """On a segment, in ambient dimension 1 or 2, `between`, by which
+    `PLMap.eval` and validation locate a point, decides as the
+    `segment_param` test of the oracle, at points on the segment's line
+    (inside it or past an end) and off it."""
     points = st.tuples(*[halves] * ambient)
     a, b = data.draw(st.lists(points, min_size=2, max_size=2, unique=True))
     t = data.draw(st.fractions(min_value=-1, max_value=2, max_denominator=4))
     x = data.draw(st.one_of(st.just(tuple(p + t * (q - p) for p, q in zip(a, b))), points))
-    assert in_closed_cell(x, [a, b]) == in_closed_cell_oracle(x, [a, b])
+    inside = in_closed_cell_oracle(x, [a, b])
+    assert between(a, b, x) == inside
+    f = plmap_from_vertex_images(Complex([a, b], [(0, 1)]), [a, b])
+    if inside:
+        assert f.eval(x) == x
+    else:
+        with pytest.raises(PointOutsideComplex):
+            f.eval(x)

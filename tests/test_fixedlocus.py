@@ -6,7 +6,7 @@ import pytest
 from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 from plstab import fixedlocus
-from plstab.clip import ccw_triangle, polygon_area2
+from plstab.clip import polygon_area2
 from plstab.complexes import Complex, SubComplex, faces_of, is_cycle
 from plstab.errors import FixIsEmpty, FixIsEverything, PLError
 from plstab.fixedlocus import (FixedLocus, canonical_invariant,
@@ -14,8 +14,9 @@ from plstab.fixedlocus import (FixedLocus, canonical_invariant,
 from plstab.geometry import Mat, area2, orient2, vadd, vscale, vsub
 from plstab.plmap import PLMap, compose2d, identity_map, plmap_from_vertex_images
 
-from support import (bench_grid_maps, cycle_rotation, grid_map, index_cells, interior_move_map,
-                     linear_part, power, quarter_rotation, square_complex, triangulate_convex)
+from support import (bench_grid_maps, ccw_triangle, cycle_rotation, grid_map, index_cells,
+                     interior_move_map, linear_part, power, quarter_rotation, square_complex,
+                     triangulate_convex)
 
 
 def test_rotation_fixes_center_only():

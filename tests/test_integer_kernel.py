@@ -1,23 +1,30 @@
-"""The planar cell-pair kernel on integer homogeneous coordinates against
-the `Fraction` kernel it replaced (kept in `support`): the clipper gives
-the identical point list, in the same order, the meets-tests the same
-verdicts, and `Complex.area2` an equal area.  Inputs share edges, touch
+"""The planar kernel on integer homogeneous coordinates against the
+`Fraction` path it replaced (kept in `support`): the clipper gives the
+identical point list, in the same order, the meets-tests the same
+verdicts, `Complex.area2` an equal area, `Complex.orientations` the
+`orient2` signs, `in_closed_cell` the closed-cell verdicts, `PLMap.eval`
+the same values and the same `PointOutsideComplex`, and `hom_cell` the
+same cell of a polygon in either orientation.  Inputs share edges, touch
 at vertices, run along collinear edges, come from composites and
-inverses, or have large coprime denominators."""
+inverses, or have large coprime denominators, and probe points lie at
+vertices, on edges, inside cells and outside."""
 
 from fractions import Fraction as F
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
-from plstab.clip import ccw_triangle, triangle_intersection
-from plstab.complexes import Complex, ccw_triangles_meet, segment_meets_ccw_triangle
+from plstab.clip import polygon_area2, triangle_intersection
+from plstab.complexes import (Complex, ccw_triangles_meet, in_closed_cell,
+                              segment_meets_ccw_triangle)
+from plstab.errors import PointOutsideComplex
 from plstab.geometry import (affine_point, candidate_pairs, hom_cell, homogeneous, line_through,
                              orient2)
 from plstab.plmap import compose2d, inverse2d
 
-from support import (bench_grid_maps, ccw_triangles_meet_on_fractions,
-                     complex_area2_on_fractions, grid_complex,
-                     segment_meets_ccw_triangle_on_fractions,
+from support import (bench_grid_maps, ccw_triangle, ccw_triangles_meet_on_fractions,
+                     complex_area2_on_fractions, eval_by_fraction_scan, grid_complex,
+                     in_closed_cell_oracle, segment_meets_ccw_triangle_on_fractions,
                      triangle_intersection_on_fractions)
 
 
@@ -30,6 +37,50 @@ def assert_same_clip(poly, tri):
         assert any(p is v for v in poly) or (p not in poly and all(
             isinstance(c, F) for c in p))
     return got
+
+
+def assert_same_cell_either_way(poly):
+    """`hom_cell` of a counter-clockwise polygon and of its reverse are the
+    same cell, point for point."""
+    assert hom_cell(poly[::-1]) == hom_cell(poly)
+    assert list(hom_cell(poly).points) == list(poly)
+
+
+def probes_of(cells):
+    """Points to locate against planar cells: their vertices, points on
+    their edges (a third and a half of the way), and their centroids."""
+    out = []
+    for a, b, c in cells:
+        out += [a, tuple(p + (q - p) / 3 for p, q in zip(a, b)),
+                tuple((p + q) / 2 for p, q in zip(b, c)),
+                tuple((p + q + r) / 3 for p, q, r in zip(a, b, c))]
+    return out
+
+
+def assert_same_orientations_and_locations(c, probes):
+    """`Complex.orientations` is each cell's `orient2` sign, the cells of
+    `hom_cells` are the `ccw_triangle`s of the cells, and `in_closed_cell`
+    on them decides as the `Fraction` oracle at every probe."""
+    cells = c.cells()
+    assert c.orientations() == [orient2(*cell) for cell in cells]
+    assert [list(h.points) for h in c.hom_cells()] == [ccw_triangle(t) for t in cells]
+    for x in probes:
+        h = homogeneous(x)
+        assert [in_closed_cell(h, cell) for cell in c.hom_cells()] == [
+            in_closed_cell_oracle(x, cell) for cell in cells]
+
+
+def assert_same_evaluations(f, probes):
+    """`PLMap.eval` agrees with the `Fraction` scan at every probe: the
+    same value, or `PointOutsideComplex` from both."""
+    for x in probes:
+        try:
+            want = eval_by_fraction_scan(f, x)
+        except PointOutsideComplex:
+            with pytest.raises(PointOutsideComplex):
+                f.eval(x)
+        else:
+            assert f.eval(x) == want
 
 
 def assert_same_verdicts(t1, t2):
@@ -81,6 +132,12 @@ def test_clip_and_meets_match_the_fraction_kernel_on_touching_cells(pair, third)
     assert_same_clip(t2, t1)
     if len(poly) >= 3 and orient2(*third) != 0:
         assert_same_clip(poly, ccw_triangle(third))
+    for cell in (t1, t2, poly):
+        if len(cell) >= 3 and polygon_area2(cell) != 0:
+            assert_same_cell_either_way(cell)
+    for t in (t1, t2, t2[::-1]):
+        assert_same_orientations_and_locations(Complex(t, [(0, 1, 2)]),
+                                               [*probes_of([t1, t2]), *poly, *third])
 
 
 # large coprime denominators: the integer coordinates run to ~40 bits each
@@ -100,8 +157,11 @@ def test_clip_and_meets_match_on_large_coprime_denominators(pts):
     poly = assert_same_clip(t1, t2)
     if len(poly) >= 3:
         assert_same_clip(poly, t3)
+    if len(poly) >= 3 and polygon_area2(poly) != 0:
+        assert_same_cell_either_way(poly)
     cx = Complex(pts[:3], [(0, 1, 2)])
     assert cx.area2() == complex_area2_on_fractions(cx)
+    assert_same_orientations_and_locations(cx, [*probes_of(tris), *poly])
 
 
 @settings(max_examples=12, deadline=None)
@@ -116,7 +176,7 @@ def test_the_kernels_agree_on_pieces_of_composites_and_inverses(seed, n):
     for c in (h.refinement, h.image, k.refinement, k.image):
         assert c.area2() == complex_area2_on_fractions(c)
     for c1, c2 in ((h.image, f.base), (k.image, h.refinement), (h.refinement, k.image)):
-        cells1, cells2 = c1.ccw_cells(), c2.ccw_cells()
+        cells1, cells2 = ([ccw_triangle(t) for t in c.cells()] for c in (c1, c2))
         for i, j in candidate_pairs(cells1, cells2):
             assert_same_verdicts(cells1[i], cells2[j])
             poly = assert_same_clip(cells1[i], cells2[j])
@@ -124,6 +184,32 @@ def test_the_kernels_agree_on_pieces_of_composites_and_inverses(seed, n):
                 for m in (j - 1, j + 1):
                     if 0 <= m < len(cells2):
                         assert_same_clip(poly, cells2[m])
+
+
+# points just outside the unit square, with ~30-bit coprime denominators
+OUTSIDE = [(F(-1, PRIMES[0]), F(1, 2)), (F(1) + F(1, PRIMES[1]), F(1, 3)),
+           (F(1, 2), F(-1, PRIMES[2])), (F(2, 3), F(1) + F(1, PRIMES[3])), (F(-1), F(-1))]
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.integers(0, 10**6), st.integers(2, 3),
+       st.lists(st.tuples(big, big), min_size=4, max_size=4))
+def test_orientations_locations_and_eval_match_the_fraction_path(seed, n, far):
+    """On bench grid maps, their composite and its inverse: the
+    orientations and closed-cell verdicts of every complex, and `eval`
+    of every map, at the vertices, edge points and centroids of the other
+    complexes' cells, at points with ~30-bit denominators folded into the
+    unit square, and at points outside it."""
+    f, g = bench_grid_maps(n, seed)
+    h = compose2d(f, g)
+    k = inverse2d(h)
+    inside = [(x % 1, y % 1) for x, y in far]
+    probes = [*probes_of(f.image.cells()), *probes_of(h.image.cells()[::5]),
+              *probes_of(k.refinement.cells()[::7]), *inside, *OUTSIDE]
+    for c in (f.image, h.refinement, h.image, k.refinement, k.image):
+        assert_same_orientations_and_locations(c, probes)
+    for m in (f, h, k):
+        assert_same_evaluations(m, probes)
 
 
 def test_line_signs_are_orientations():

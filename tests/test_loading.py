@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from plstab.cli import load_map
 from plstab.complexes import Complex, parse_complex
 from plstab.errors import InvalidComplex, ParseError
-from plstab.geometry import TokenTable, fmt, point_key
+from plstab.geometry import TokenTable, fmt, homogeneous
 from plstab.plmap import parse_plmap
 
 from support import load_map_per_token
@@ -169,9 +169,15 @@ coordinates = st.sampled_from([0, F(0), F(1, 2), F(2, 4), F(-1, 2), 1, F(1), F(2
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(st.tuples(coordinates, coordinates), min_size=1, max_size=8))
-def test_integer_ratio_keys_find_the_duplicates_of_a_fraction_set(points):
-    keys = [point_key(p) for p in points]
+@given(st.integers(1, 2), st.data())
+def test_homogeneous_keys_find_the_duplicates_of_a_fraction_set(ambient, data):
+    """`homogeneous` keys points of one or two coordinates, ints and
+    Fractions mixed, by ints: keys are equal iff the points are.  A
+    1-complex in ambient dimension 1 or 2 with two vertices at one point
+    is refused, naming the two."""
+    points = data.draw(st.lists(st.tuples(*[coordinates] * ambient), min_size=1, max_size=8))
+    keys = [homogeneous(p) for p in points]
+    assert all(len(k) == ambient + 1 and all(type(c) is int for c in k) for k in keys)
     assert len(set(keys)) == len(set(points))
     for p, kp in zip(points, keys):
         for q, kq in zip(points, keys):
@@ -183,7 +189,7 @@ def test_integer_ratio_keys_find_the_duplicates_of_a_fraction_set(points):
     # the path p0 q0 p1 q1 ... through far points q, so that no edge is
     # degenerate: the complex refuses the pair that a Fraction dict finds first
     n = len(points)
-    far = [(F(10 + k), F(k * k)) for k in range(n - 1)]
+    far = [(F(10 + k), F(k * k))[:ambient] for k in range(n - 1)]
     path = [(v, n + v) for v in range(n - 1)] + [(n + v, v + 1) for v in range(n - 1)]
     with pytest.raises(InvalidComplex, match="^vertices %d and %d lie at one point$" % first):
         Complex(points + far, path)

@@ -13,7 +13,7 @@ from plstab.clip import polygon_area2, triangle_intersection
 from plstab.complexes import Complex, boundary, format_complex
 from plstab.errors import (InvalidComplex, PLError, PointOutsideComplex,
                            RealizationMismatch)
-from plstab.geometry import orient2, segment_param
+from plstab.geometry import det3, orient2, segment_param
 from plstab.overlay import overlay, segment_pieces
 from plstab.plmap import (PLMap, compose2d, format_plmap,
                           identity_map, inverse2d, parse_plmap,
@@ -452,11 +452,13 @@ def test_images_share_their_refinement_record():
 
 def test_an_accepted_image_keeps_the_certificate_signs(monkeypatch):
     """The certificate hands the signs it computed to the image it
-    accepts, so reading the image's `orientations` runs no `orient2`."""
+    accepts, so reading the image's `orientations` runs no `orient2` and
+    no `det3`."""
     for f in (interior_move_map(), *bench_grid_maps(3, 7)):
         assert plmap._certified_image(f.base, f.refinement, f.images) is not None
         calls = []
         monkeypatch.setattr(complexes, "orient2", lambda *p: calls.append(p) or orient2(*p))
+        monkeypatch.setattr(complexes, "det3", lambda *h: calls.append(h) or det3(*h))
         signs = f.image.orientations()
         assert calls == []
         assert signs == [orient2(*cell) for cell in f.image.cells()]

@@ -289,14 +289,12 @@ def test_the_check_sees_direct_conversions(tmp_path):
 
 
 # the one conversion of points, the one numbering of derived cells, the
-# orientation of loose triangles, the builder of images, the two
-# incidence tables and the connectivity test, each name -> the only
-# (module, "Class.method" or function) that may call it
+# builder of images, the two incidence tables and the connectivity test,
+# each name -> the only (module, "Class.method" or function) that may call
+# it
 SOLE_CALLERS = {"rational_points": {("complexes.py", "Complex.__init__"),
                                     ("plmap.py", "PLMap.__init__")},
                 "numbered": {("overlay.py", "refine"), ("fixedlocus.py", "fixed_subcomplex")},
-                "ccw_triangle": {("clip.py", "clip_polygon_to_triangle"),
-                                 ("clip.py", "point_in_triangle")},
                 "with_points": {("plmap.py", "PLMap.trusted"), ("plmap.py", "_certified_image")},
                 "cell_facets": {("complexes.py", "_Incidences.facets")},
                 "cell_stars": {("complexes.py", "_Incidences.stars")},
@@ -308,13 +306,10 @@ def test_points_are_converted_and_numbered_in_one_place():
     convert points, so a trusted build keeps the Fractions it is handed;
     only `overlay.refine` and `fixedlocus.fixed_subcomplex` call
     `overlay.numbered`, so overlay, composition, inversion, equality and
-    the fixed locus share one numbering.  Only the two entry points of
-    `clip` for loose triangles orient one with `ccw_triangle`: a cell of
-    a complex is oriented by `Complex.orientations`, and the clip kernel
-    takes it counter-clockwise.  Only `PLMap.trusted` and `_certified_image`
-    build an image on its refinement's simplices (`with_points`), and only
-    the shared incidence record `_Incidences` builds a facet or star
-    table.  Only the certifier, which spreads triviality from one vertex
+    the fixed locus share one numbering.  Only `PLMap.trusted` and
+    `_certified_image` build an image on its refinement's simplices
+    (`with_points`), and only the shared incidence record `_Incidences`
+    builds a facet or star table.  Only the certifier, which spreads triviality from one vertex
     over the stars of the base, asks whether a complex is connected."""
     found = {}
     for p in sorted(SRC.glob("*.py")):
@@ -333,8 +328,6 @@ def test_the_check_sees_conversions_and_numberings(tmp_path):
                      "    return [numbered(c) for c in pts]\n"
                      "def refine(pieces):\n"
                      "    return numbered(points, cells, pairs), rational_points\n"
-                     "def triangle_pieces(t1, t2):\n"
-                     "    return [clip.ccw_triangle(c) for c in t1.cells()]\n"
                      "def inverse2d(f):\n"
                      "    return f.refinement.with_points(f.images), with_points\n"
                      "class Surface:\n"
@@ -345,7 +338,7 @@ def test_the_check_sees_conversions_and_numberings(tmp_path):
     assert named_calls(probe, SOLE_CALLERS) == [
         ("Complex._assemble", "rational_points"), ("compose2d", "numbered"),
         ("compose2d", "numbered"), ("refine", "numbered"),
-        ("triangle_pieces", "ccw_triangle"), ("inverse2d", "with_points"),
+        ("inverse2d", "with_points"),
         ("Surface.__init__", "cell_facets"), ("Surface.__init__", "cell_stars"),
         ("parse_complex", "is_connected")]
 
@@ -404,20 +397,24 @@ def test_the_row_merge_builds_no_fraction():
     assert {k: v for k, v in found.items() if v} == {}
 
 
-# the planar cell-pair kernel, by module: the homogeneous coordinates and
-# edge lines of cells, the meets-tests, the clip loop and the area sums run
-# on ints, and only `geometry.affine_point`, the one conversion of the
-# clipper's crossing points, builds Fractions
-KERNEL_2D = {"geometry.py": {"homogeneous", "line_through", "hom_cell"},
+# the planar kernel, by module: the homogeneous coordinates, their
+# determinant and the edge lines of cells, orientation, point location,
+# the meets-tests, the clip loop and the area sums run on ints, and only
+# `geometry.affine_point`, the one conversion of the clipper's crossing
+# points, builds Fractions
+KERNEL_2D = {"geometry.py": {"homogeneous", "det3", "line_through", "hom_cell"},
              "complexes.py": {"ccw_triangles_meet", "segment_meets_ccw_triangle", "area2_sums",
-                              "Complex.hom_points", "Complex.hom_cells"},
+                              "in_closed_cell", "Complex.orientations", "Complex.hom_points",
+                              "Complex.hom_cells"},
              "clip.py": {"triangle_intersection"}}
 
 
 def test_the_planar_kernel_builds_no_fraction():
-    """The side and line helpers, the meets-tests of the overlay walk and
-    of `Complex` validation, the clip loop and the accumulation of
-    `Complex.area2` make no `Fraction` or `rat` call and no `/`."""
+    """The side, determinant and line helpers, the orientation of a cell
+    and of a loose polygon, the closed-cell test, the meets-tests of the
+    overlay walk and of `Complex` validation, the clip loop and the
+    accumulation of `Complex.area2` make no `Fraction` or `rat` call and
+    no `/`."""
     for name, names in KERNEL_2D.items():
         assert names <= {fn for fn, _ in functions(ast.parse((SRC / name).read_text()))}
     found = {name: fraction_work(SRC / name, names) for name, names in KERNEL_2D.items()}

@@ -10,7 +10,7 @@ from importlib import import_module
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from plstab.clip import ccw_triangle, triangle_intersection
+from plstab.clip import triangle_intersection
 from plstab.complexes import Complex, segment_meets_ccw_triangle
 from plstab.errors import PLError, RealizationMismatch
 from plstab.geometry import area2, candidate_pairs, hom_cell, homogeneous
@@ -18,16 +18,17 @@ from plstab.overlay import overlay, triangle_pieces
 from plstab.plmap import (PLMap, _certified_image, compose2d, format_plmap, inverse2d,
                           plmap_from_vertex_images)
 
-from support import (SYMMETRIES, _along_boundary, affine, bench_grid_maps, centroid_split,
-                     compose2d_by_ccw_triangle, cycle_rotation, grid_complex, interior_move_map,
-                     open_triangles_meet, random_square_triangulation, refinement_homes,
-                     triangle_pieces_by_ccw_triangle, two_squares)
+from support import (SYMMETRIES, _along_boundary, affine, bench_grid_maps, ccw_triangle,
+                     centroid_split, compose2d_by_ccw_triangle, cycle_rotation, grid_complex,
+                     interior_move_map, open_triangles_meet, random_square_triangulation,
+                     refinement_homes, triangle_pieces_by_ccw_triangle, two_squares)
 from support import grid_map as moved_grid_map
 
 # by module path: the package's `overlay` is the function
 KERNEL = import_module("plstab.overlay")
 MAPS = import_module("plstab.plmap")
 CLIP = import_module("plstab.clip")
+GEOMETRY = import_module("plstab.geometry")
 
 
 def all_pairs(c1, c2):
@@ -49,14 +50,16 @@ def assert_walk_is_all_pairs(c1, c2):
 
 def test_the_clip_kernel_orients_no_cell(monkeypatch):
     """`triangle_pieces` hands the clip counter-clockwise cells read off
-    `Complex.hom_cells`, so no cell goes through `ccw_triangle`."""
+    `Complex.hom_cells`, so no cell goes through `geometry.hom_cell`,
+    which orients the loose polygons of `clip`'s entry points."""
     _, g = bench_grid_maps(3, 7)
     base = grid_complex(3)
 
-    def refuse(tri):
-        raise AssertionError(f"{tri} is oriented again")
+    def refuse(points):
+        raise AssertionError(f"{points} is oriented again")
 
-    monkeypatch.setattr(CLIP, "ccw_triangle", refuse)
+    for module in (CLIP, GEOMETRY):
+        monkeypatch.setattr(module, "hom_cell", refuse)
     assert list(triangle_pieces(g.image, base))
 
 
