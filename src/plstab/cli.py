@@ -188,20 +188,18 @@ def cmd_fixset(args, out):
     maximal = fl.cells.maximal()
     used = sorted({v for s in maximal for v in s})
     reindex = {v: i for i, v in enumerate(used)}
-    lines = ["v %d %s" % (reindex[v], " ".join(fmt(x) for x in fl.refined.points[v]))
-             for v in used]
-    lines += ["s %s" % " ".join(str(reindex[v]) for v in s) for s in maximal]
-    text = "\n".join(lines) if lines else "# empty fixed set"
-    sidecar = ["cell %s from %d" % (" ".join(str(v) for v in s), i)
+    lines = ["v %d %s" % (reindex[v], " ".join(map(fmt, fl.refined.points[v]))) for v in used]
+    lines += ["s %s" % " ".join([str(reindex[v]) for v in s]) for s in maximal]
+    lines = lines or ["# empty fixed set"]
+    sidecar = ["cell %s from %d" % (" ".join(map(str, s)), i)
                for s, i in sorted(fl.provenance.items())]
     # the sidecar is written first, so a file error leaves stdout empty
     if args.sidecar:
         with open(args.sidecar, "w") as fh:
             fh.write("\n".join(sidecar) + "\n")
-        sidecar = []
-    _print(out, text)
-    for line in sidecar:
-        _print(out, "# " + line)
+    else:
+        lines += ["# " + line for line in sidecar]
+    _print(out, "\n".join(lines))
 
 
 def cmd_rotno(args, out):

@@ -12,8 +12,9 @@ In the plane, the cells are first offered to a boundary-cycle certificate
 (:func:`_boundary_certificate`): no cell folds over a neighbour, and the
 boundary edges form one simple polygon.  By a winding-number argument
 that puts every point in at most one cell, in O(cells + boundary edge
-pairs).  The all-pairs tests run only for the complexes it does not
-accept, so they alone decide which error a rejected complex raises.
+pairs), the polygon test sweeping its sides' integer boxes.  The
+all-pairs tests run only for the complexes it does not accept, so they
+alone decide which error a rejected complex raises.
 
 A complex keys, orients and locates on `Complex.hom_points`
 (`geometry.homogeneous`) and `Complex.hom_cells`, built once.  Triangle
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidComplex, ParseError, UnknownVertex
@@ -45,10 +47,14 @@ def faces_of(s: SimplexT):
 
 
 def close_under_faces(simplices) -> Tuple[SimplexT, ...]:
+    """The simplices and all their faces, each sorted, in (length, face)
+    order: a sort of the faces, then a stable sort by length."""
     out = set()
     for s in simplices:
-        out.update(faces_of(tuple(sorted(s))))
-    return tuple(sorted(out, key=lambda f: (len(f), f)))
+        s = tuple(sorted(s))
+        for k in range(1, len(s) + 1):
+            out.update(combinations(s, k))
+    return tuple(sorted(sorted(out), key=len))
 
 
 def seg_seg_open_meet(a, b, c, d) -> bool:
@@ -252,7 +258,7 @@ class Complex(_Incidences):
     build a complex valid by construction, with no checks.
     """
 
-    __slots__ = ("points", "simplices", "dim", "_signs", "_homs", "_hom_cells")
+    __slots__ = ("points", "simplices", "dim", "_signs", "_homs", "_hom_cells", "_boundary")
 
     def __init__(self, points: Sequence, maximal_simplices):
         self._assemble(rational_points(points), maximal_simplices)
@@ -277,7 +283,7 @@ class Complex(_Incidences):
         self = Complex.__new__(Complex)
         self.simplices, self.dim, self._tables = shared
         self.points, self._signs = tuple(points), signs
-        self._homs = self._hom_cells = None
+        self._homs = self._hom_cells = self._boundary = None
         return self
 
     def _assemble(self, points: Tuple[Point, ...], maximal_simplices):
@@ -288,7 +294,7 @@ class Complex(_Incidences):
             raise InvalidComplex("complex has no maximal simplices")
         self.dim = len(self.simplices[0]) - 1
         self._tables, self._signs = [None, None, None], None
-        self._homs = self._hom_cells = None
+        self._homs = self._hom_cells = self._boundary = None
 
     # -- validation ------------------------------------------------------
 
@@ -302,16 +308,16 @@ class Complex(_Incidences):
             raise InvalidComplex("points have mixed ambient dimension")
         if self.dim > d_amb:
             raise InvalidComplex("a 2-complex needs ambient dimension 2")
-        used = set()
+        n, k = len(self.points), self.dim + 1
         for s in self.simplices:
-            if len(s) != self.dim + 1:
+            if len(s) != k:
                 raise InvalidComplex(f"complex is not pure: simplex {s}")
-            if len(set(s)) != len(s):
+            if len(set(s)) != k:
                 raise InvalidComplex(f"repeated vertex in simplex {s}")
-            if not all(0 <= v < len(self.points) for v in s):
+            # a simplex is sorted, so its ends are its least and greatest vertex
+            if s[0] < 0 or s[-1] >= n:
                 raise InvalidComplex(f"vertex index out of range in {s}")
-            used.update(s)
-        if used != set(range(len(self.points))):
+        if set().union(*self.simplices) != set(range(n)):
             raise InvalidComplex("every point must appear in a maximal simplex")
         if len(set(self.simplices)) != len(self.simplices):
             raise InvalidComplex("duplicate maximal simplex")
@@ -327,8 +333,7 @@ class Complex(_Incidences):
             if len(cells) > 2:
                 raise InvalidComplex(f"face {f} lies in {len(cells)} maximal simplices")
         self._check_distinct_points()
-        if not (self.dim == 2 and _boundary_certificate(self.points, directed_boundary(
-                self.simplices, self.orientations(), self.facets()))):
+        if not (self.dim == 2 and _boundary_certificate(self.points, self.boundary_edges())):
             self._check_cells_exactly()
 
     def _check_distinct_points(self):
@@ -351,7 +356,8 @@ class Complex(_Incidences):
         by a line through r, along an edge of each unless r is a vertex.
         Cells with a common facet lie on its two sides and are skipped."""
         cells = self.cells()
-        pairs = candidate_pairs(cells)
+        boxes = [bbox(cell) for cell in cells]
+        pairs = candidate_pairs(boxes)
         triangles, homs = (self.hom_cells(), self.hom_points()) if self.dim == 2 else (None, None)
         for i, j in pairs:
             p1, p2 = cells[i], cells[j]
@@ -359,7 +365,6 @@ class Complex(_Incidences):
                     else ccw_triangles_meet(triangles[i], triangles[j])):
                 raise InvalidComplex(f"simplices {self.simplices[i]} and {self.simplices[j]}"
                                      " overlap")
-        boxes = [bbox(cell) for cell in cells]
         for i, j in pairs:
             s, t = self.simplices[i], self.simplices[j]
             if len(set(s) & set(t)) == self.dim:
@@ -384,6 +389,14 @@ class Complex(_Incidences):
             self._signs = [(d > 0) - (d < 0) for d in (
                 det3(homs[u], homs[v], homs[w]) for u, v, w in self.simplices)]
         return self._signs
+
+    def boundary_edges(self) -> Optional[List[Tuple[int, int]]]:
+        """The `directed_boundary` of this planar 2-complex, computed once:
+        validation reads it, and so does every map on this base."""
+        if self._boundary is None:
+            self._boundary = directed_boundary(self.simplices, self.orientations(),
+                                               self.facets())
+        return self._boundary
 
     def hom_points(self) -> List[Hom]:
         """Each point's `homogeneous` coordinates, computed on first use."""
@@ -494,9 +507,12 @@ class SubComplex:
     def __init__(self, parent, simplices):
         self.parent = parent
         self.simplices: Tuple[SimplexT, ...] = close_under_faces(simplices)
-        for s in self.simplices:
-            if not all(0 <= v < parent.vertex_count for v in s):
-                raise InvalidComplex(f"subcomplex simplex {s} not in parent")
+        n = parent.vertex_count
+        # each face is sorted: its first vertex is its least, its last its greatest
+        if self.simplices and not (0 <= min(map(itemgetter(0), self.simplices))
+                                   and max(map(itemgetter(-1), self.simplices)) < n):
+            bad = next(s for s in self.simplices if not all(0 <= v < n for v in s))
+            raise InvalidComplex(f"subcomplex simplex {bad} not in parent")
 
     def __eq__(self, other):
         return (
@@ -515,10 +531,11 @@ class SubComplex:
         return max((len(s) - 1 for s in self.simplices), default=-1)
 
     def maximal(self) -> Tuple[SimplexT, ...]:
-        """The simplices that are no proper face of another, in order."""
-        faces = {f for s in self.simplices for k in range(1, len(s))
-                 for f in combinations(s, k)}
-        return tuple(s for s in self.simplices if s not in faces)
+        """The simplices that are no proper face of another, in order: as
+        the set is face-closed, those that are no facet of another."""
+        facets = {f for s in self.simplices if len(s) > 1
+                  for f in combinations(s, len(s) - 1)}
+        return tuple(s for s in self.simplices if s not in facets)
 
     def of_dim(self, k: int) -> Tuple[SimplexT, ...]:
         return tuple(s for s in self.simplices if len(s) == k + 1)

@@ -26,8 +26,10 @@ vertex), then every edge cut, centroid and isolated fixed point appended
 as a new id with its flag.  An edge is cut only when f moves both its
 ends, from displacements computed once per vertex, and its cut is shared
 by the cells on both sides.  A cell with no cut is left whole, or coned
-from its isolated fixed point.  `overlay.numbered`, the one numbering of
-derived refinements, sorts the ids by point into coordinate order;
+from its isolated fixed point; one with at most one moved vertex has no
+edge to cut and no isolated fixed point, and is left whole untested.
+`overlay.numbered`, the one numbering of derived refinements, sorts the
+ids into coordinate order on their integer coordinates;
 `fixed_subcomplex` proves that no two ids hold one point.
 """
 
@@ -188,6 +190,10 @@ def _refine_cells_1d(r: _Refinement):
 def _refine_cells_2d(r: _Refinement):
     fixed, signs = r.fixed, r.f.refinement.orientations()
     for ci, s in enumerate(r.f.refinement.simplices):
+        if fixed[s[0]] + fixed[s[1]] + fixed[s[2]] >= 2:
+            # no edge has two moved ends to cut: left whole (`_uncut_cell`)
+            r.emit([s], ci)
+            continue
         poly = []  # the cut polygon, as ids
         for i in range(3):
             poly.append(s[i])

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import le
 from typing import Iterable, NamedTuple, Sequence, Tuple
 
 from .errors import NondegenerateViolation, ParseError
@@ -272,43 +273,45 @@ def overlap_params(ta: Fraction, tb: Fraction):
 
 
 def bbox(pts: Sequence[Point]):
-    """Axis-aligned bounding box (lower corner, upper corner) of some points."""
-    return (
-        tuple(min(p[i] for p in pts) for i in range(len(pts[0]))),
-        tuple(max(p[i] for p in pts) for i in range(len(pts[0]))),
-    )
+    """Axis-aligned bounding box (lower corner, upper corner) of two or
+    more points."""
+    return tuple(map(min, *pts)), tuple(map(max, *pts))
 
 
 def boxes_apart(b1, b2) -> bool:
     (lo1, hi1), (lo2, hi2) = b1, b2
-    return any(hi1[k] < lo2[k] or hi2[k] < lo1[k] for k in range(len(lo1)))
+    return not (all(map(le, lo1, hi2)) and all(map(le, lo2, hi1)))
 
 
-def candidate_pairs(cells_a, cells_b=None):
-    """Index pairs (i, j) of point-list cells whose bounding boxes meet,
-    for the cells that `overlay.triangle_pieces` does not walk: the sides
-    of `is_simple_polygon`, the all-pairs fallback of `Complex` and the
-    segments of `overlay.segment_pieces`.
+def candidate_pairs(boxes_a, boxes_b=None):
+    """Index pairs (i, j) of the boxes (lower corner, upper corner), as
+    `bbox` gives them, that meet: the boxes of the cells that
+    `overlay.triangle_pieces` does not walk, which each caller builds once
+    (the integer sides of `is_simple_polygon`, the all-pairs fallback of
+    `Complex` and the segments of `overlay.segment_pieces`).
 
     Pairs come in row-major order; with one list, only the pairs i < j.
     Cells whose boxes are apart share no point.  A sweep over the boxes in
     order of their lower x compares only boxes whose x ranges meet.
     """
-    boxes_a = [bbox(c) for c in cells_a]
-    boxes_b = boxes_a if cells_b is None else [bbox(c) for c in cells_b]
-    # (lower x, side, index); with one list every box is on both sides
-    events = sorted([(box[0][0], 0, i) for i, box in enumerate(boxes_a)]
-                    + ([] if cells_b is None else
-                       [(box[0][0], 1, j) for j, box in enumerate(boxes_b)]))
-    boxes, active, pairs = (boxes_a, boxes_b), ([], []), []
-    for lo, side, k in events:
-        other = side if cells_b is None else 1 - side
-        # a box whose x range ends before lo misses this and every later box
-        active[other][:] = [m for m in active[other] if boxes[other][m][1][0] >= lo]
-        for m in active[other]:
-            if not boxes_apart(boxes[side][k], boxes[other][m]):
-                pairs.append((min(k, m), max(k, m)) if cells_b is None
-                             else (m, k) if side else (k, m))
+    one = boxes_b is None
+    na, boxes = len(boxes_a), boxes_a if one else [*boxes_a, *boxes_b]
+    los, his = [lo[0] for lo, _ in boxes], [hi[0] for _, hi in boxes]
+    # a stable sort keeps the first list, then the lower index, first among
+    # equal lower x; with one list every box is on both sides
+    active, pairs = ([], []), []
+    for k in sorted(range(len(boxes)), key=los.__getitem__):
+        side = 0 if one else int(k >= na)
+        other = active[0 if one else 1 - side]
+        # a box whose x range ends before this one's starts misses it and
+        # every later box
+        other[:] = [m for m in other if his[m] >= los[k]]
+        lo, hi = boxes[k]
+        for m in other:
+            mlo, mhi = boxes[m]
+            if all(map(le, lo, mhi)) and all(map(le, mlo, hi)):
+                pairs.append((min(k, m), max(k, m)) if one
+                             else (m, k - na) if side else (k, m - na))
         active[side].append(k)
     pairs.sort()
     return pairs
@@ -340,19 +343,22 @@ def is_simple_polygon(pts: Sequence[Point]) -> bool:
 
     The points are first scaled onto an integer grid, by the lcm of their
     denominators: a positive scale keeps the sign of every orientation,
-    dot product and box comparison below, which then compare ints.
+    dot product and box comparison below, which then compare ints, and
+    the boxes of the sides, ints too, go to `candidate_pairs`.
     """
     ratios = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in pts]
     scale = lcm(*(d for xy in ratios for _, d in xy))
     pts = [(xn * (scale // xd), yn * (scale // yd)) for (xn, xd), (yn, yd) in ratios]
     n = len(pts)
     for k in range(n):
-        a, b, c = pts[k - 1], pts[k], pts[(k + 1) % n]
-        if (orient2(a, b, c) == 0
-                and (a[0] - b[0]) * (c[0] - b[0]) + (a[1] - b[1]) * (c[1] - b[1]) > 0):
+        (ax, ay), (bx, by), (cx, cy) = pts[k - 1], pts[k], pts[(k + 1) % n]
+        ux, uy, vx, vy = ax - bx, ay - by, cx - bx, cy - by
+        if ux * vy == uy * vx and ux * vx + uy * vy > 0:
             return False
-    sides = [(pts[k], pts[(k + 1) % n]) for k in range(n)]
-    for i, j in candidate_pairs(sides):
+    sides = list(zip(pts, pts[1:] + pts[:1]))
+    boxes = [((ax if ax < bx else bx, ay if ay < by else by),
+              (bx if ax < bx else ax, by if ay < by else ay)) for (ax, ay), (bx, by) in sides]
+    for i, j in candidate_pairs(boxes):
         if 1 < j - i < n - 1 and closed_segments_meet(*sides[i], *sides[j]):
             return False
     return True

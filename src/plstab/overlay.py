@@ -27,12 +27,13 @@ piece keeps.  It tests a cell against all cells of the second input
 only where the walk cannot seed or close: a first cell of each
 edge-connected part, a cell with no hit near its neighbour's, or an edge
 of a hit that no other cell shares crossing the cell.  Segments enumerate
-the pairs of `candidate_pairs`.
+the pairs of `candidate_pairs` on their boxes.
 
 :func:`refine` builds every refinement derived from pieces (overlay,
 composite, inverse, equality): it triangulates them, interns each point
 once, and numbers the points with `numbered`, which the fixed locus
-shares, in sorted coordinate order.  `overlay` refines the pieces of
+shares, in sorted coordinate order, compared on their integer
+`homogeneous` coordinates.  `overlay` refines the pieces of
 `realized_pieces`; the others, whose inputs realize one set by
 construction, those of `cell_pieces`.  Each piece carries a cut polygon,
 at whose points :meth:`Overlay.at_vertices`, the one vertex-value rule of
@@ -44,12 +45,13 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cmp_to_key
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .clip import convex_fan, polygon_area2, polygon_centroid, triangle_intersection
 from .complexes import Complex, SimplexT, ccw_triangles_meet, segment_meets_ccw_triangle
 from .errors import RealizationMismatch
-from .geometry import Point, candidate_pairs, collinear_overlap, extent, homogeneous
+from .geometry import Point, bbox, candidate_pairs, collinear_overlap, extent, homogeneous
 
 
 @dataclass(frozen=True)
@@ -101,10 +103,21 @@ def refine(pieces) -> Overlay:
 
 def numbered(points, cells, provenance):
     """The trusted complex of the id tuples ``cells`` over the distinct
-    ``points``, its vertices numbered in sorted coordinate order (one sort
-    of the ids); the dict of ``provenance[k]`` by the simplex of cell k;
-    and the id of each vertex, in vertex order."""
-    order = sorted(range(len(points)), key=points.__getitem__)
+    ``points``, its vertices numbered in sorted coordinate order; the dict
+    of ``provenance[k]`` by the simplex of cell k; and the id of each
+    vertex, in vertex order.
+
+    One sort of the ids, on the points' `homogeneous` coordinates: two
+    points compare axis by axis, X W' against X' W, on ints, which is the
+    order of the coordinates X/W and X'/W' as W, W' > 0.  A 1D point is
+    (X, W), so its second term is W W' - W' W = 0."""
+    homs = [homogeneous(p) for p in points]
+
+    def cmp(i, j):
+        a, b = homs[i], homs[j]
+        return a[0] * b[-1] - b[0] * a[-1] or a[1] * b[-1] - b[1] * a[-1]
+
+    order = sorted(range(len(points)), key=cmp_to_key(cmp))
     rank = [0] * len(order)
     for k, v in enumerate(order):
         rank[v] = k
@@ -168,7 +181,7 @@ def segment_pieces(segs1, segs2):
     """(i1, i2, (p, q)) for each pair of a segment of ``segs1`` and one of
     ``segs2`` that overlap in positive length: the overlap's end points, in
     the direction of segment i1."""
-    for i1, i2 in candidate_pairs(segs1, segs2):
+    for i1, i2 in candidate_pairs([bbox(s) for s in segs1], [bbox(s) for s in segs2]):
         piece = collinear_overlap(*segs1[i1], *segs2[i2])
         if piece is not None:
             yield i1, i2, piece

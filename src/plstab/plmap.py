@@ -162,9 +162,9 @@ def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Com
        R's facet table, built once per complex, pairs the cells);
     4. each boundary edge of R, directed with its image cell on the left,
        is a boundary edge of K directed with K on the left (a set lookup
-       in K's `directed_boundary`, read off K's cell orientations and facet
-       table, each computed once), and as many are found as K has boundary
-       edges.
+       in K's `Complex.boundary_edges`, its `directed_boundary`, which
+       K's validation computed and kept), and as many are found as K has
+       boundary edges.
 
     Sound: orient every image cell counter-clockwise and let c = Σ [f(t)].
     At a point y off all edges, c counts the image cells over y, and that
@@ -195,8 +195,7 @@ def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Com
     if edges is None:
         return None
     homs = base.hom_points()
-    base_edges = {(homs[u], homs[v]) for u, v in
-                  directed_boundary(base.simplices, base.orientations(), base.facets())}
+    base_edges = {(homs[u], homs[v]) for u, v in base.boundary_edges()}
     if len(edges) != len(base_edges) or not all(
             (keys[u], keys[v]) in base_edges for u, v in edges):
         return None

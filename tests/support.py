@@ -17,6 +17,8 @@ interval maps and circle lifts that the one on breakpoint rows replaced,
 the `Fraction` elimination that the integer determinant of
 `presentation` replaced, the point-keyed builders of overlays and
 composites that `overlay.refine` and `overlay.numbered` replaced, the
+`Fraction` sort of `numbered` before its integer comparison, the keyed
+sort of `complexes.close_under_faces`, the
 three edge pairings that the facet table of `complexes` replaced, the
 per-cell orientations that `Complex.orientations` replaced in the piece
 enumeration and in composition, the `Fraction` clipper, meets-tests and
@@ -40,7 +42,7 @@ from plstab.circle import CircleLift
 from plstab.clip import convex_fan, triangle_intersection
 from plstab.complexes import Complex, ccw_triangles_meet
 from plstab.errors import InvalidComplex, ParseError, PointOutsideComplex, RealizationMismatch
-from plstab.geometry import (MAX_EXPONENT, Mat, area2, candidate_pairs, closed_segments_meet,
+from plstab.geometry import (MAX_EXPONENT, Mat, area2, bbox, candidate_pairs, closed_segments_meet,
                              cross2, dot, hom_cell, orient2, primitive_direction, rat,
                              segment_param, vadd, vscale, vsub)
 from plstab.interval import PLMap1D
@@ -106,7 +108,7 @@ def refinement_homes(base, refinement):
     not tile the base."""
     cells, base_cells = refinement.cells(), base.cells()
     home = [None] * len(cells)
-    for i, j in candidate_pairs(cells, base_cells):
+    for i, j in candidate_pairs([bbox(c) for c in cells], [bbox(c) for c in base_cells]):
         if home[i] is None and all(in_closed_cell_oracle(p, base_cells[j]) for p in cells[i]):
             home[i] = j
     for s, h in zip(refinement.simplices, home):
@@ -245,7 +247,7 @@ def is_simple_polygon_on_fractions(pts):
         if orient2(a, b, c) == 0 and dot(vsub(a, b), vsub(c, b)) > 0:
             return False
     sides = [(pts[k], pts[(k + 1) % n]) for k in range(n)]
-    for i, j in candidate_pairs(sides):
+    for i, j in candidate_pairs([bbox(side) for side in sides]):
         if 1 < j - i < n - 1 and closed_segments_meet(*sides[i], *sides[j]):
             return False
     return True
@@ -727,7 +729,7 @@ def segment_pieces_by_tiling(t1, t2):
     first input not covered."""
     segs1, segs2 = t1.cells(), t2.cells()
     pieces, cover = [], ([[] for _ in segs1], [[] for _ in segs2])
-    for i1, i2 in candidate_pairs(segs1, segs2):
+    for i1, i2 in candidate_pairs([bbox(s) for s in segs1], [bbox(s) for s in segs2]):
         overlap = parameter_overlap(*segs1[i1], *segs2[i2])
         if overlap is not None:
             (lo, hi), own2 = overlap
@@ -834,6 +836,26 @@ def index_cells(cells):
     pts = sorted({p for cell in cells for p in cell})
     idx = {p: i for i, p in enumerate(pts)}
     return pts, [tuple(sorted(idx[p] for p in cell)) for cell in cells]
+
+
+def numbered_by_fraction_sort(points, cells, provenance):
+    """The oracle of `overlay.numbered`, as it was: the ids sorted by their
+    points, tuples of Fractions, so each comparison is one of `Fraction`;
+    the trusted complex over the points in that order, the provenance by
+    simplex, and the id of each vertex."""
+    order = sorted(range(len(points)), key=points.__getitem__)
+    rank = {v: k for k, v in enumerate(order)}
+    sims = [tuple(sorted(rank[v] for v in cell)) for cell in cells]
+    return (Complex.trusted([points[v] for v in order], sims), dict(zip(sims, provenance)),
+            order)
+
+
+def close_under_faces_by_key(simplices):
+    """The oracle of `complexes.close_under_faces`, as it was: every
+    nonempty face of each sorted simplex, sorted by the key (length, face)."""
+    out = {f for s in simplices for k in range(1, len(s) + 1)
+           for f in combinations(sorted(s), k)}
+    return tuple(sorted(out, key=lambda f: (len(f), f)))
 
 
 def triangulate_convex(poly):

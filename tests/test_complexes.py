@@ -1,17 +1,18 @@
+import re
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from plstab.clip import clip_polygon_to_triangle, point_in_triangle, polygon_area2
-from plstab.complexes import (Complex, Surface, boundary, euler_characteristic,
-                              format_complex, in_closed_cell, is_arc, is_cycle, link,
-                              parse_complex, seg_seg_open_meet, star)
+from plstab.complexes import (Complex, SubComplex, Surface, boundary, close_under_faces,
+                              euler_characteristic, format_complex, in_closed_cell, is_arc,
+                              is_cycle, link, parse_complex, seg_seg_open_meet, star)
 from plstab.geometry import between, homogeneous, orient2
 from plstab.errors import InvalidComplex, ParseError, PointOutsideComplex, UnknownVertex
 from plstab.plmap import PLMap, plmap_from_vertex_images
 
-from support import (TETRAHEDRON, grid_complex, in_closed_cell_oracle,
+from support import (TETRAHEDRON, close_under_faces_by_key, grid_complex, in_closed_cell_oracle,
                      meets_in_common_faces_by_brute_force, open_triangles_meet,
                      seg_seg_open_meet_by_solving)
 
@@ -346,3 +347,20 @@ def test_locating_on_segments_is_the_segment_param_test(ambient, data):
     else:
         with pytest.raises(PointOutsideComplex):
             f.eval(x)
+
+
+@settings(max_examples=150)
+@given(st.lists(st.lists(st.integers(0, 7), min_size=1, max_size=4, unique=True), max_size=8))
+def test_close_under_faces_matches_the_keyed_sort(simplices):
+    """The faces of simplices given in any vertex order, by the two-pass
+    sort, in the (length, face) order of the keyed sort."""
+    assert close_under_faces(simplices) == close_under_faces_by_key(simplices)
+
+
+def test_subcomplex_names_its_first_simplex_outside_the_parent():
+    c = Complex([(0, 0), (1, 0), (0, 1)], [(0, 1, 2)])
+    assert SubComplex(c, [(2, 0), (1,)]).simplices == ((0,), (1,), (2,), (0, 2))
+    for simplices, bad in (([(1, 3), (4,)], "(3,)"), ([(-1, 2)], "(-1,)"),
+                           ([(0, 1, 2), (5, 7)], "(5,)")):
+        with pytest.raises(InvalidComplex, match=re.escape(f"simplex {bad} not in parent")):
+            SubComplex(c, simplices)

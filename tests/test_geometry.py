@@ -5,7 +5,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from plstab.clip import polygon_area2, triangle_intersection
-from plstab.geometry import (Mat, area2, bbox, between, boxes_apart, candidate_pairs,
+from plstab.geometry import (Mat, area2, bbox, between, candidate_pairs,
                              collinear_overlap, cross2, fmt, hom_cell, orient2,
                              primitive_direction, rat, ratio, segment_param, vsub)
 
@@ -193,26 +193,31 @@ def test_cross2():
     assert cross2((2, 3), (4, 6)) == 0
 
 
-def _box_pairs(cells_a, cells_b=None):
-    """The all-pairs box loop that the sweep of `candidate_pairs` replaced."""
-    boxes_b = [bbox(c) for c in (cells_a if cells_b is None else cells_b)]
-    return [(i, j) for i, a in enumerate(cells_a)
-            for j in range(i + 1 if cells_b is None else 0, len(boxes_b))
-            if not boxes_apart(bbox(a), boxes_b[j])]
+def _box_pairs(boxes_a, boxes_b=None):
+    """The all-pairs box loop that the sweep of `candidate_pairs` replaced:
+    every pair of boxes, in row-major order (i < j with one list), that are
+    not apart along some axis."""
+    one = boxes_b is None
+    boxes_b = boxes_a if one else boxes_b
+    return [(i, j) for i, (lo1, hi1) in enumerate(boxes_a)
+            for j in range(i + 1 if one else 0, len(boxes_b))
+            if not any(hi1[k] < boxes_b[j][0][k] or boxes_b[j][1][k] < lo1[k]
+                       for k in range(len(lo1)))]
 
 
 def _check_candidates(cells_a, cells_b, meet):
-    """candidate_pairs holds every meeting pair, in row-major order: the
-    pairs of the all-pairs box loop, in its order."""
-    pairs = list(candidate_pairs(cells_a, cells_b))
-    assert pairs == _box_pairs(cells_a, cells_b)
-    assert list(candidate_pairs(cells_a)) == _box_pairs(cells_a)
+    """candidate_pairs of the cells' boxes holds every meeting pair, in
+    row-major order: the pairs of the all-pairs box loop, in its order."""
+    boxes_a, boxes_b = [bbox(c) for c in cells_a], [bbox(c) for c in cells_b]
+    pairs = list(candidate_pairs(boxes_a, boxes_b))
+    assert pairs == _box_pairs(boxes_a, boxes_b)
+    assert list(candidate_pairs(boxes_a)) == _box_pairs(boxes_a)
     assert pairs == sorted(set(pairs))
     for i, a in enumerate(cells_a):
         for j, b in enumerate(cells_b):
             if meet(a, b):
                 assert (i, j) in pairs
-    own = list(candidate_pairs(cells_a))
+    own = list(candidate_pairs(boxes_a))
     assert own == sorted(set(own))
     assert all(i < j for i, j in own)
     for i, a in enumerate(cells_a):
@@ -248,10 +253,34 @@ def test_candidate_pairs_with_a_degenerate_triangle():
     point = [(Fraction(0), Fraction(0))] * 3
     tri = [(Fraction(0), Fraction(1)), (Fraction(0), Fraction(2)), (Fraction(1), Fraction(1))]
     assert polygon_area2(triangle_intersection(hom_cell(tri), hom_cell(point))) != 0
-    assert list(candidate_pairs([tri], [point])) == []
+    assert list(candidate_pairs([bbox(tri)], [bbox(point)])) == []
 
 
 def test_candidate_pairs_skip_apart_boxes():
     cells = [[(0, 0), (1, 0), (0, 1)], [(5, 5), (6, 5), (5, 6)], [(1, 1), (2, 0), (2, 2)]]
-    assert list(candidate_pairs(cells)) == [(0, 2)]
-    assert list(candidate_pairs(cells, cells[:2])) == [(0, 0), (1, 1), (2, 0)]
+    boxes = [bbox(cell) for cell in cells]
+    assert boxes[2] == ((1, 0), (2, 2))
+    assert list(candidate_pairs(boxes)) == [(0, 2)]
+    assert list(candidate_pairs(boxes, boxes[:2])) == [(0, 0), (1, 1), (2, 0)]
+
+
+def boxes(dim):
+    """Lists of boxes (lower corner, upper corner) of one dimension, ints
+    or Fractions, negatives and repeated coordinates among them, some flat
+    along an axis."""
+    coords = st.one_of(st.integers(-3, 3), st.fractions(-3, 3, max_denominator=4))
+    corner = st.tuples(*[coords] * dim)
+    sizes = st.tuples(*[st.sampled_from([0, 0, Fraction(1, 2), 1, 3])] * dim)
+    box = st.builds(lambda lo, size: (lo, tuple(x + s for x, s in zip(lo, size))), corner, sizes)
+    return st.lists(box, max_size=9)
+
+
+@settings(max_examples=150)
+@given(st.sampled_from([1, 2]).flatmap(lambda d: st.tuples(boxes(d), boxes(d))))
+def test_candidate_pairs_match_the_all_pairs_loop(lists):
+    """On 1D and 2D boxes, with one list and with two, the sweep gives the
+    pairs of the all-pairs loop, in its order."""
+    boxes_a, boxes_b = lists
+    assert candidate_pairs(boxes_a, boxes_b) == _box_pairs(boxes_a, boxes_b)
+    assert candidate_pairs(boxes_a) == _box_pairs(boxes_a)
+    assert candidate_pairs(boxes_a, boxes_a) == _box_pairs(boxes_a, boxes_a)

@@ -18,11 +18,13 @@ from plstab.clip import polygon_area2, triangle_intersection
 from plstab.complexes import (Complex, ccw_triangles_meet, in_closed_cell,
                               segment_meets_ccw_triangle)
 from plstab.errors import PointOutsideComplex
-from plstab.geometry import (affine_point, candidate_pairs, hom_cell, homogeneous, line_through,
-                             orient2)
+from plstab.geometry import (affine_point, bbox, candidate_pairs, hom_cell, homogeneous,
+                             is_simple_polygon, line_through, orient2)
+from plstab.overlay import numbered
 from plstab.plmap import compose2d, inverse2d
 
 from support import (bench_grid_maps, ccw_triangle, ccw_triangles_meet_on_fractions,
+                     is_simple_polygon_on_fractions, numbered_by_fraction_sort,
                      complex_area2_on_fractions, eval_by_fraction_scan, grid_complex,
                      in_closed_cell_oracle, segment_meets_ccw_triangle_on_fractions,
                      triangle_intersection_on_fractions)
@@ -177,7 +179,7 @@ def test_the_kernels_agree_on_pieces_of_composites_and_inverses(seed, n):
         assert c.area2() == complex_area2_on_fractions(c)
     for c1, c2 in ((h.image, f.base), (k.image, h.refinement), (h.refinement, k.image)):
         cells1, cells2 = ([ccw_triangle(t) for t in c.cells()] for c in (c1, c2))
-        for i, j in candidate_pairs(cells1, cells2):
+        for i, j in candidate_pairs([bbox(c) for c in cells1], [bbox(c) for c in cells2]):
             assert_same_verdicts(cells1[i], cells2[j])
             poly = assert_same_clip(cells1[i], cells2[j])
             if len(poly) > 3:
@@ -230,3 +232,88 @@ def test_area2_matches_the_fraction_sum_on_a_moved_grid():
     moved = Complex([(x + F(i % 3, 997 * 5), y - F(i % 2, 1009 * 5)) if 0 < x < 1 and 0 < y < 1
                      else (x, y) for i, (x, y) in enumerate(base.points)], base.simplices)
     assert moved.area2() == complex_area2_on_fractions(moved) == base.area2() == 2
+
+
+# ~30-bit coprime denominators, and 1 and 2
+DENOMINATORS = [1, 2, 536870909, 805306457, 1073741723, 1073741789]
+
+
+COORDS = st.builds(F, st.integers(-2**32, 2**32), st.sampled_from(DENOMINATORS))
+
+
+@st.composite
+def numbered_inputs(draw, dim):
+    """Distinct points, in a drawn order, and the id tuples of a valid
+    complex on them: in 1D a path through the sorted points; in 2D columns
+    of points on a few vertical lines, so that many share their first
+    coordinate, with each strip between two neighbouring columns
+    triangulated by a drawn zipper along them."""
+    coords = st.lists(COORDS, min_size=2, max_size=24 if dim == 1 else 4, unique=True)
+    xs = sorted(draw(coords))
+    if dim == 1:
+        columns = [[(x,)] for x in xs]
+    else:
+        columns = [[(x, y) for y in sorted(draw(coords))] for x in xs]
+    points = [p for column in columns for p in column]
+    order = draw(st.permutations(range(len(points))))
+    ids = {points[v]: k for k, v in enumerate(order)}
+    if dim == 1:
+        cells = [(ids[p], ids[q]) for p, q in zip(points, points[1:])]
+    else:
+        cells = []
+        for a, b in zip(columns, columns[1:]):
+            i = j = 0
+            while i < len(a) - 1 or j < len(b) - 1:
+                if j == len(b) - 1 or (i < len(a) - 1 and draw(st.booleans())):
+                    cells.append((ids[a[i]], ids[a[i + 1]], ids[b[j]]))
+                    i += 1
+                else:
+                    cells.append((ids[a[i]], ids[b[j]], ids[b[j + 1]]))
+                    j += 1
+    return [points[v] for v in order], cells
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(numbered_inputs))
+def test_numbered_orders_as_the_fraction_sort(inputs):
+    """`overlay.numbered`, comparing integer coordinates, gives the complex,
+    provenance and vertex ids of the sort of the Fraction points."""
+    points, cells = inputs
+    provenance = [(k, -k) for k in range(len(cells))]
+    got = numbered(points, cells, provenance)
+    want = numbered_by_fraction_sort(points, cells, provenance)
+    assert got[2] == want[2]
+    assert got[0] == want[0] and got[1] == want[1]
+
+
+def test_numbered_and_the_polygon_test_compare_no_fraction(monkeypatch):
+    """`numbered` orders and `is_simple_polygon` tests Fraction points on
+    their integer coordinates: with every comparison of `Fraction` made to
+    raise, both give what the Fraction oracles give.  The check mode of
+    `conftest`, which validates each trusted build and so compares
+    Fractions, is lifted once the oracles' results are checked."""
+    points = [(F(1, 3), F(5, 11)), (F(-4, 5), F(-1, 1073741789)), (F(1, 3), F(-2, 7)),
+              (F(2), F(1, 3)), (F(1, 536870909), F(1, 2))]
+    triangles = [(1, 2, 4), (2, 3, 0), (4, 2, 0)]
+    line = [(F(3, 7),), (F(-1, 2),), (F(0),), (F(1, 805306457),)]
+    segments = [(1, 2), (2, 3), (3, 0)]
+    square = [(F(0), F(0)), (F(1, 3), F(0)), (F(1), F(0)), (F(1), F(1, 2)), (F(1), F(1)),
+              (F(0), F(1))]
+    bowtie = [(F(0), F(0)), (F(1), F(1, 3)), (F(1), F(0)), (F(0), F(1, 3))]
+    want = [numbered_by_fraction_sort(points, triangles, [0, 1, 2]),
+            numbered_by_fraction_sort(line, segments, [0, 1, 2]),
+            [is_simple_polygon_on_fractions(p) for p in (square, bowtie)]]
+    assert want[2] == [True, False]
+    monkeypatch.undo()
+
+    def refuse(self, other):
+        raise AssertionError("a Fraction was compared")
+
+    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(F, name, refuse)
+    with pytest.raises(AssertionError, match="compared"):
+        sorted(points)
+    got = [numbered(points, triangles, [0, 1, 2]), numbered(line, segments, [0, 1, 2]),
+           [is_simple_polygon(p) for p in (square, bowtie)]]
+    monkeypatch.undo()
+    assert got == want

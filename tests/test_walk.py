@@ -297,9 +297,9 @@ def slid_refinement_map(n):
 
 def test_planar_operations_never_enumerate_all_pairs(monkeypatch):
     """compose2d, inverse2d, overlay, == and the realization checks of
-    `PLMap(...)` walk; `candidate_pairs` is left to lists of cells that do
-    not tile a region, such as the boundary edges of the check that the
-    boundary goes to the boundary."""
+    `PLMap(...)` walk; `candidate_pairs` is left to the boxes of cells
+    that do not tile a region, segments of a 1-complex and the sides of a
+    boundary polygon, so no planar box reaches it from the overlay."""
     def refuse(*args):
         raise AssertionError("candidate_pairs called")
 
@@ -310,16 +310,16 @@ def test_planar_operations_never_enumerate_all_pairs(monkeypatch):
     assert f == f and f != g and h == compose2d(f, g)
     overlay(random_square_triangulation(random.Random(3)), h.refinement)
 
-    def refuse_triangles(cells_a, cells_b=None):
-        if any(len(cell) == 3 for cell in (*cells_a, *(cells_b or ()))):
-            raise AssertionError("candidate_pairs called on triangles")
-        return candidate_pairs(cells_a, cells_b)
+    def refuse_planar(boxes_a, boxes_b=None):
+        if any(len(lo) == 2 for lo, _ in (*boxes_a, *(boxes_b or ()))):
+            raise AssertionError("candidate_pairs called on planar boxes")
+        return candidate_pairs(boxes_a, boxes_b)
 
     base, refinement, images = slid_refinement_map(3)
     assert _certified_image(base, refinement, images) is None
     homes = refinement_homes(base, refinement)
-    monkeypatch.setattr(KERNEL, "candidate_pairs", refuse_triangles)
-    monkeypatch.setattr(MAPS, "candidate_pairs", refuse_triangles, raising=False)
+    monkeypatch.setattr(KERNEL, "candidate_pairs", refuse_planar)
+    monkeypatch.setattr(MAPS, "candidate_pairs", refuse_planar, raising=False)
     assert PLMap(base, refinement, images).cell_base == homes
 
 
