@@ -6,16 +6,17 @@ integer homogeneous coordinates: a vertex's side of an edge line L is
 L·p, and a crossing point is a sum of two vertices' integer coordinates
 reduced by one gcd; only crossings that survive all three cuts become
 Fractions, once each.  `geometry.hom_cell` orients the loose inputs
-of the two entry points."""
+of the two entry points, and `convex_fan` fans on rows its caller holds."""
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cmp_to_key
 from math import gcd, lcm
 from typing import List, Optional, Sequence, Tuple
 
 from .complexes import in_closed_cell
-from .geometry import Hom, HomCell, Point, affine_point, hom_cell, homogeneous, orient2
+from .geometry import Hom, HomCell, Point, affine_point, hom_cell, hom_cmp, homogeneous, orient2
 
 
 def polygon_area2(poly: Sequence[Point]) -> Fraction:
@@ -98,15 +99,17 @@ def polygon_centroid(poly: Sequence[Point]) -> Point:
     return (cx / (3 * a2), cy / (3 * a2))
 
 
-def convex_fan(poly: Sequence[Point]) -> Tuple[List[Tuple[int, int, int]], Optional[Point]]:
+def convex_fan(poly: Sequence[Point], homs: Sequence[Hom]
+               ) -> Tuple[List[Tuple[int, int, int]], Optional[Point]]:
     """Triangulate a convex polygon keeping every boundary vertex, by
     position: each triangle as three indices into ``poly``, where the index
     ``len(poly)`` stands for the centroid, returned second when it is used
     (None otherwise).
 
-    Callers pass the polygon counter-clockwise, as clipping returns it;
-    each triangle comes out counter-clockwise too.  Fans from the
-    lexicographically smallest vertex.  When collinear boundary
+    Callers pass the polygon counter-clockwise, as clipping returns it,
+    with its vertices' `homogeneous` rows ``homs``; each triangle comes
+    out counter-clockwise too.  Fans from the least vertex by `hom_cmp`,
+    testing each triangle by `orient2`.  When collinear boundary
     chains adjacent to that vertex would make a fan triangle degenerate (which
     would silently drop a boundary vertex and create a T-junction against the
     neighboring cell), falls back to coning from the centroid, which preserves
@@ -115,15 +118,16 @@ def convex_fan(poly: Sequence[Point]) -> Tuple[List[Tuple[int, int, int]], Optio
     n = len(poly)
     if n < 3:
         return [], None
-    apex = min(range(n), key=poly.__getitem__)
+    apex = homs.index(min(homs, key=cmp_to_key(hom_cmp)))
     rest = [(apex + k) % n for k in range(1, n)]
     tris = []
     for i, j in zip(rest, rest[1:]):
-        if orient2(poly[apex], poly[i], poly[j]) == 0:
+        if orient2(homs[apex], homs[i], homs[j]) == 0:
             break
         tris.append((apex, i, j))
     else:
         return tris, None
     c = polygon_centroid(poly)
+    h = homogeneous(c)
     return [(n, i, (i + 1) % n) for i in range(n)
-            if orient2(c, poly[i], poly[(i + 1) % n]) != 0], c
+            if orient2(h, homs[i], homs[(i + 1) % n]) != 0], c

@@ -17,11 +17,12 @@ all-pairs tests run only for the complexes it does not accept, so they
 alone decide which error a rejected complex raises.
 
 A complex keys, orients and locates on `Complex.hom_points`
-(`geometry.homogeneous`) and `Complex.hom_cells`, built once.  Triangle
-interiors meet, a segment meets one, and a point is in a closed cell by
-the signs L·x of the cells' edge lines (`ccw_triangles_meet`,
-`segment_meets_ccw_triangle`, `in_closed_cell`).  Segments of a
-1-complex decide by `orient2`, `between` and `geometry.overlap_params`.
+(`geometry.homogeneous`), oriented by `orient2` on them, and
+`Complex.hom_cells`, built once.  Triangle interiors meet, a segment
+meets one, and a point is in a closed cell by the signs L·x of the cells'
+edge lines (`ccw_triangles_meet`, `segment_meets_ccw_triangle`,
+`in_closed_cell`).  Segments of a 1-complex decide by `orient2`,
+`between` and `geometry.overlap_params`.
 """
 
 from __future__ import annotations
@@ -65,11 +66,12 @@ def seg_seg_open_meet(a, b, c, d) -> bool:
     a->b overlaps [0, 1] in positive length (`overlap_params`).  Two lines
     of the plane that are not one share at most a point, which lies inside
     both open segments iff each segment's ends are strictly on opposite
-    sides of the other's line (`orient2` signs).
+    sides of the other's line (`orient2` signs on the points' rows).
     """
     tc, td = segment_param(a, b, c), segment_param(a, b, d)
     if tc is not None and td is not None:
         return overlap_params(tc, td) is not None
+    a, b, c, d = map(homogeneous, (a, b, c, d))
     return orient2(a, b, c) * orient2(a, b, d) < 0 and orient2(c, d, a) * orient2(c, d, b) < 0
 
 
@@ -261,35 +263,33 @@ class Complex(_Incidences):
     __slots__ = ("points", "simplices", "dim", "_signs", "_homs", "_hom_cells", "_boundary")
 
     def __init__(self, points: Sequence, maximal_simplices):
-        self._assemble(rational_points(points), maximal_simplices)
+        self._assemble(rational_points(points), sorted(tuple(sorted(s)) for s in maximal_simplices))
         self._validate()
 
     @classmethod
     def trusted(cls, points: Sequence, maximal_simplices) -> "Complex":
         """A complex that an operation built from validated inputs, so valid
-        by construction: simplices normalised like ``Complex(...)``, points
-        (tuples of Fractions) kept as built, and nothing checked."""
+        by construction: simplices (sorted, as ``Complex(...)`` sorts them)
+        and points (tuples of Fractions) kept as built, nothing checked."""
         self = cls.__new__(cls)
         self._assemble(tuple(points), maximal_simplices)
         return self
 
-    def with_points(self, points: Sequence, signs: Optional[List[int]]) -> "Complex":
+    def with_points(self, points: Sequence) -> "Complex":
         """These simplices at ``points``, tuples of Fractions kept as built:
         `simplices`, `dim` and the incidence record are shared, and nothing
-        is sorted or checked.  ``signs`` are the cells' `orientations` at
-        ``points`` when the caller has computed them, or None.  What
-        depends on the points, `hom_points` and `hom_cells`, is its own."""
+        is sorted or checked.  What depends on the points, `hom_points`,
+        `orientations` and `hom_cells`, is its own."""
         shared = self.simplices, self.dim, self._tables
         self = Complex.__new__(Complex)
         self.simplices, self.dim, self._tables = shared
-        self.points, self._signs = tuple(points), signs
-        self._homs = self._hom_cells = self._boundary = None
+        self.points = tuple(points)
+        self._signs = self._homs = self._hom_cells = self._boundary = None
         return self
 
-    def _assemble(self, points: Tuple[Point, ...], maximal_simplices):
+    def _assemble(self, points: Tuple[Point, ...], simplices):
         self.points = points
-        self.simplices: Tuple[SimplexT, ...] = tuple(
-            sorted(tuple(sorted(s)) for s in maximal_simplices))
+        self.simplices: Tuple[SimplexT, ...] = tuple(simplices)
         if not self.simplices:
             raise InvalidComplex("complex has no maximal simplices")
         self.dim = len(self.simplices[0]) - 1
@@ -382,12 +382,11 @@ class Complex(_Incidences):
         return _connected(adjacency(self.simplices))
 
     def orientations(self) -> List[int]:
-        """Each cell's sign of `det3` on its `hom_points`, computed once:
-        every reader that orients a cell reads it here."""
+        """Each cell's `orient2` on its `hom_points`, computed once: every
+        reader that orients a cell reads it here."""
         if self._signs is None:
             homs = self.hom_points()
-            self._signs = [(d > 0) - (d < 0) for d in (
-                det3(homs[u], homs[v], homs[w]) for u, v, w in self.simplices)]
+            self._signs = [orient2(homs[u], homs[v], homs[w]) for u, v, w in self.simplices]
         return self._signs
 
     def boundary_edges(self) -> Optional[List[Tuple[int, int]]]:

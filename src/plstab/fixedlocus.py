@@ -42,7 +42,7 @@ from typing import Dict, List, Optional, Tuple
 from .clip import convex_fan
 from .complexes import Complex, SimplexT, SubComplex, euler_characteristic, faces_of
 from .errors import FixIsEmpty, FixIsEverything
-from .geometry import Point, cross2, vadd, vscale, vsub
+from .geometry import Point, cross2, homogeneous, vadd, vscale, vsub
 from .overlay import numbered
 from .plmap import PLMap, compose2d
 
@@ -233,7 +233,7 @@ def _triangulate(r: _Refinement, part):
     cells.  A centroid that it adds lies strictly inside the part, which
     holds no fixed point unless f fixes the whole part, so it is fixed
     exactly when every vertex of the part is."""
-    tris, c = convex_fan([r.points[v] for v in part])
+    tris, c = convex_fan([r.points[v] for v in part], [homogeneous(r.points[v]) for v in part])
     if c is not None:
         part = part + [r.add_point(c, all(r.fixed[v] for v in part))]
     return [(part[i], part[j], part[k]) for i, j, k in tris]

@@ -9,10 +9,11 @@ form; `rat` builds the Fraction of it, and 1D maps keep the ratio.
 
 `homogeneous` is the one integer form and key of a point: (X, W) for
 X/W, (X, Y, W) for (X/W, Y/W), W > 0 and gcd 1, so equal points have
-equal tuples.  The planar kernel (orientation, location, meets-tests,
-clipping, area) runs on it: `det3` has the sign of `orient2`, and a
-`HomCell`'s edge lines L = a × b give it as L·x, three products and no
-call.  `affine_point` is the one way back.
+equal tuples.  The planar kernel (orientation, order, location,
+meets-tests, clipping, area) runs on it: `orient2`, the sign of `det3`,
+orients three points, `hom_cmp` orders two, and a `HomCell`'s edge lines
+L = a × b give `orient2` as L·x, three products and no call.
+`affine_point` is the one way back.
 """
 
 from __future__ import annotations
@@ -131,28 +132,12 @@ def cross2(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
     return a[0] * b[1] - a[1] * b[0]
 
 
-def orient2(a: Point, b: Point, c: Point) -> int:
-    """The orientation of the triangle abc: 1 counter-clockwise, -1
-    clockwise, 0 collinear (exact).
-
-    A predicate: the sign of `area2`, decided on the integer numerators and
-    denominators of the coordinates (an int has both too) with no Fraction
-    built.  Only the first two coordinates count.
-    """
-    an, ad = a[0].as_integer_ratio()
-    bn, bd = b[0].as_integer_ratio()
-    cn, cd = c[0].as_integer_ratio()
-    # b - a and c - a, each coordinate over its own positive denominator
-    ux, uxd = bn * ad - an * bd, ad * bd
-    vx, vxd = cn * ad - an * cd, ad * cd
-    an, ad = a[1].as_integer_ratio()
-    bn, bd = b[1].as_integer_ratio()
-    cn, cd = c[1].as_integer_ratio()
-    uy, uyd = bn * ad - an * bd, ad * bd
-    vy, vyd = cn * ad - an * cd, ad * cd
-    # area2 is (ux vy uyd vxd - uy vx uxd vyd) over a positive product
-    left, right = ux * vy * uyd * vxd, uy * vx * uxd * vyd
-    return (left > right) - (left < right)
+def orient2(a: Hom, b: Hom, c: Hom) -> int:
+    """The orientation of the points abc, given by their `homogeneous`
+    rows: 1 counter-clockwise, -1 clockwise, 0 collinear.  The sign of
+    `det3`, W_a W_b W_c `area2(a, b, c)` with each W > 0."""
+    d = det3(a, b, c)
+    return (d > 0) - (d < 0)
 
 
 def area2(a: Point, b: Point, c: Point) -> Fraction:
@@ -176,6 +161,13 @@ def homogeneous(p: Point) -> Hom:
         return xn, yn, xd
     w = xd * yd // gcd(xd, yd)
     return xn * (w // xd), yn * (w // yd), w
+
+
+def hom_cmp(a: Hom, b: Hom) -> int:
+    """Negative, 0 or positive as the point of the `homogeneous` row a is
+    before, at or after that of b in coordinate order: axis by axis, X W'
+    against X' W (W, W' > 0); a 1D row (X, W) has second term 0."""
+    return a[0] * b[-1] - b[0] * a[-1] or a[1] * b[-1] - b[1] * a[-1]
 
 
 def det3(a: Hom, b: Hom, c: Hom) -> int:
@@ -214,10 +206,10 @@ class HomCell(NamedTuple):
 
 def hom_cell(points: Sequence[Point]) -> HomCell:
     """The `HomCell` of a loose convex polygon's distinct points, reversed
-    if the first nonzero `det3` of its fan is negative (clockwise)."""
+    if the first nonzero `orient2` of its fan is negative (clockwise)."""
     homs = tuple(map(homogeneous, points))
-    fan = (det3(homs[0], b, c) for b, c in zip(homs[1:], homs[2:]))
-    if next((d for d in fan if d), 0) < 0:
+    fan = (orient2(homs[0], b, c) for b, c in zip(homs[1:], homs[2:]))
+    if next((o for o in fan if o), 0) < 0:
         points, homs = points[::-1], homs[::-1]
     return HomCell(points, homs, tuple(map(line_through, homs, homs[1:] + homs[:1])))
 
@@ -292,7 +284,8 @@ def candidate_pairs(boxes_a, boxes_b=None):
 
     Pairs come in row-major order; with one list, only the pairs i < j.
     Cells whose boxes are apart share no point.  A sweep over the boxes in
-    order of their lower x compares only boxes whose x ranges meet.
+    order of their lower x compares only boxes whose x ranges meet, and
+    then only the last axis of these boxes of dimension 1 or 2.
     """
     one = boxes_b is None
     na, boxes = len(boxes_a), boxes_a if one else [*boxes_a, *boxes_b]
@@ -309,7 +302,7 @@ def candidate_pairs(boxes_a, boxes_b=None):
         lo, hi = boxes[k]
         for m in other:
             mlo, mhi = boxes[m]
-            if all(map(le, lo, mhi)) and all(map(le, mlo, hi)):
+            if lo[-1] <= mhi[-1] and mlo[-1] <= hi[-1]:
                 pairs.append((min(k, m), max(k, m)) if one
                              else (m, k - na) if side else (k, m - na))
         active[side].append(k)
@@ -317,19 +310,18 @@ def candidate_pairs(boxes_a, boxes_b=None):
     return pairs
 
 
-def closed_segments_meet(a: Point, b: Point, c: Point, d: Point) -> bool:
-    """Do the closed planar segments [a, b] and [c, d] share a point? Exact.
+def closed_segments_meet(a: Hom, b: Hom, c: Hom, d: Hom) -> bool:
+    """Do the closed planar segments [a, b] and [c, d], integer points as
+    rows (x, y, 1), share a point? Exact.
 
     They do not when both ends of one lie strictly on one side of the
-    other's line; when both lie on one line, when their boxes meet.
+    other's line (`orient2`); when both lie on one line, when their boxes
+    meet.
     """
     o1, o2 = orient2(a, b, c), orient2(a, b, d)
-    if o1 == 0 and o2 == 0:
+    if o1 == o2 == 0:
         return not boxes_apart(bbox((a, b)), bbox((c, d)))
-    if (o1 > 0 and o2 > 0) or (o1 < 0 and o2 < 0):
-        return False
-    o3, o4 = orient2(c, d, a), orient2(c, d, b)
-    return not ((o3 > 0 and o4 > 0) or (o3 < 0 and o4 < 0))
+    return o1 * o2 <= 0 and orient2(c, d, a) * orient2(c, d, b) <= 0
 
 
 def is_simple_polygon(pts: Sequence[Point]) -> bool:
@@ -337,27 +329,29 @@ def is_simple_polygon(pts: Sequence[Point]) -> bool:
     simple polygon?
 
     Two consecutive sides share their common vertex and meet nowhere else
-    unless they fold back onto each other: collinear, with the second
-    running back along the first.  Two sides that are not consecutive must
-    not meet at all; only the pairs whose boxes meet are tested.
+    unless they fold back onto each other: collinear (`orient2`), with the
+    second running back along the first (a positive dot product).  Two
+    sides that are not consecutive must not meet at all; only the pairs
+    whose boxes meet are tested.
 
     The points are first scaled onto an integer grid, by the lcm of their
-    denominators: a positive scale keeps the sign of every orientation,
-    dot product and box comparison below, which then compare ints, and
-    the boxes of the sides, ints too, go to `candidate_pairs`.
+    denominators, as rows (x, y, 1): a positive scale keeps the sign of
+    every orientation, dot product and box comparison below, which then
+    compare ints, and the boxes of the sides, ints too, go to
+    `candidate_pairs`.
     """
     ratios = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in pts]
     scale = lcm(*(d for xy in ratios for _, d in xy))
-    pts = [(xn * (scale // xd), yn * (scale // yd)) for (xn, xd), (yn, yd) in ratios]
+    pts = [(xn * (scale // xd), yn * (scale // yd), 1) for (xn, xd), (yn, yd) in ratios]
     n = len(pts)
     for k in range(n):
-        (ax, ay), (bx, by), (cx, cy) = pts[k - 1], pts[k], pts[(k + 1) % n]
-        ux, uy, vx, vy = ax - bx, ay - by, cx - bx, cy - by
-        if ux * vy == uy * vx and ux * vx + uy * vy > 0:
+        a, b, c = pts[k - 1], pts[k], pts[(k + 1) % n]
+        if (orient2(a, b, c) == 0
+                and (a[0] - b[0]) * (c[0] - b[0]) + (a[1] - b[1]) * (c[1] - b[1]) > 0):
             return False
     sides = list(zip(pts, pts[1:] + pts[:1]))
     boxes = [((ax if ax < bx else bx, ay if ay < by else by),
-              (bx if ax < bx else ax, by if ay < by else ay)) for (ax, ay), (bx, by) in sides]
+              (bx if ax < bx else ax, by if ay < by else ay)) for (ax, ay, _), (bx, by, _) in sides]
     for i, j in candidate_pairs(boxes):
         if 1 < j - i < n - 1 and closed_segments_meet(*sides[i], *sides[j]):
             return False

@@ -32,8 +32,8 @@ the pairs of `candidate_pairs` on their boxes.
 :func:`refine` builds every refinement derived from pieces (overlay,
 composite, inverse, equality): it triangulates them, interns each point
 once, and numbers the points with `numbered`, which the fixed locus
-shares, in sorted coordinate order, compared on their integer
-`homogeneous` coordinates.  `overlay` refines the pieces of
+shares, in sorted coordinate order, compared by `geometry.hom_cmp` on
+their integer `homogeneous` coordinates.  `overlay` refines the pieces of
 `realized_pieces`; the others, whose inputs realize one set by
 construction, those of `cell_pieces`.  Each piece carries a cut polygon,
 at whose points :meth:`Overlay.at_vertices`, the one vertex-value rule of
@@ -51,7 +51,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from .clip import convex_fan, polygon_area2, polygon_centroid, triangle_intersection
 from .complexes import Complex, SimplexT, ccw_triangles_meet, segment_meets_ccw_triangle
 from .errors import RealizationMismatch
-from .geometry import Point, bbox, candidate_pairs, collinear_overlap, extent, homogeneous
+from .geometry import Point, bbox, candidate_pairs, collinear_overlap, extent, hom_cmp, homogeneous
 
 
 @dataclass(frozen=True)
@@ -76,21 +76,22 @@ class Overlay:
 
 def refine(pieces) -> Overlay:
     """The trusted refinement of interior-disjoint ``pieces`` (i1, i2, poly,
-    cut): `convex_fan` of each polygon (a segment kept whole), its cells
-    from the pair (i1, i2).  ``cut`` holds the cut point of each vertex of
-    ``poly``, a fan centroid the centroid of ``cut`` (its image, as ``cut``
-    is an affine image of ``poly``).  Each point gets one id by its
-    `homogeneous` coordinates, with the first piece's cut."""
+    cut): `convex_fan` of each polygon on its `homogeneous` rows (a segment
+    kept whole), its cells from the pair (i1, i2).  ``cut`` holds the cut
+    point of each vertex of ``poly``, a fan centroid the centroid of
+    ``cut`` (its image, as ``cut`` is an affine image of ``poly``).  Each
+    point gets one id by its rows, with the first piece's cut."""
     ids: Dict[tuple, int] = {}
     points: List[Point] = []
     cuts, cells, pairs = [], [], []
     for i1, i2, poly, cut in pieces:
-        tris, c = convex_fan(poly) if len(poly) > 2 else ([(0, 1)], None)
+        homs = [homogeneous(p) for p in poly]
+        tris, c = convex_fan(poly, homs) if len(poly) > 2 else ([(0, 1)], None)
         if c is not None:
-            poly, cut = [*poly, c], [*cut, polygon_centroid(cut)]
+            poly, cut, homs = [*poly, c], [*cut, polygon_centroid(cut)], [*homs, homogeneous(c)]
         vs = []
-        for p, x in zip(poly, cut):
-            v = ids.setdefault(homogeneous(p), len(points))
+        for p, h, x in zip(poly, homs, cut):
+            v = ids.setdefault(h, len(points))
             if v == len(points):
                 points.append(p)
                 cuts.append((i1, i2, x))
@@ -103,27 +104,21 @@ def refine(pieces) -> Overlay:
 
 def numbered(points, cells, provenance):
     """The trusted complex of the id tuples ``cells`` over the distinct
-    ``points``, its vertices numbered in sorted coordinate order; the dict
-    of ``provenance[k]`` by the simplex of cell k; and the id of each
-    vertex, in vertex order.
+    ``points``, its vertices numbered in sorted coordinate order and its
+    simplices sorted; the dict of ``provenance[k]`` by the simplex of cell
+    k, in simplex order; and the id of each vertex, in vertex order.
 
-    One sort of the ids, on the points' `homogeneous` coordinates: two
-    points compare axis by axis, X W' against X' W, on ints, which is the
-    order of the coordinates X/W and X'/W' as W, W' > 0.  A 1D point is
-    (X, W), so its second term is W W' - W' W = 0."""
+    One sort of the ids, by `geometry.hom_cmp` on the points'
+    `homogeneous` coordinates, on ints."""
     homs = [homogeneous(p) for p in points]
-
-    def cmp(i, j):
-        a, b = homs[i], homs[j]
-        return a[0] * b[-1] - b[0] * a[-1] or a[1] * b[-1] - b[1] * a[-1]
-
-    order = sorted(range(len(points)), key=cmp_to_key(cmp))
+    key = cmp_to_key(hom_cmp)
+    order = sorted(range(len(points)), key=lambda v: key(homs[v]))
     rank = [0] * len(order)
     for k, v in enumerate(order):
         rank[v] = k
-    sims = [tuple(sorted([rank[v] for v in cell])) for cell in cells]
-    return (Complex.trusted([points[v] for v in order], sims), dict(zip(sims, provenance)),
-            order)
+    by_simplex = dict(sorted(zip([tuple(sorted([rank[v] for v in cell])) for cell in cells],
+                                 provenance)))
+    return Complex.trusted([points[v] for v in order], list(by_simplex)), by_simplex, order
 
 
 def overlay(t1: Complex, t2: Complex) -> Overlay:

@@ -154,9 +154,11 @@ def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Com
 
     With R the refinement (which tiles the base K) and f the images:
 
-    1. the image points are pairwise distinct (their `homogeneous` keys,
-       like step 4's base `hom_points`, are hashed in place of Fractions);
-    2. each image cell has a nonzero orientation σ (one `orient2` a cell);
+    1. the image points are pairwise distinct: the image R at the images
+       (`Complex.with_points`) is built first, and its `hom_points`, like
+       step 4's base `hom_points`, are hashed in place of Fractions;
+    2. each image cell has a nonzero orientation σ (one `orient2` a cell,
+       on those rows);
     3. the two cells of each interior edge of R have their images on
        opposite sides of the image edge (read off σ, no further `orient2`;
        R's facet table, built once per complex, pairs the cells);
@@ -176,9 +178,8 @@ def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Com
     Hence y lies in one image cell if y is in K and in none if not.  So
     the image cells are nondegenerate, have disjoint interiors and tile K,
     each boundary edge goes onto a boundary edge, and with step 1 f is
-    injective: every exact check would pass.  The image is R at the image
-    points (`Complex.with_points`), and its `orientations` are step 2's
-    signs σ.
+    injective: every exact check would pass.  The image of step 1 is
+    returned with its rows, so a walk of it converts no point again.
 
     Every homeomorphism that maps the boundary edges of R one-to-one onto
     those of K passes.  The rest takes the exact path: every rejected map,
@@ -187,10 +188,11 @@ def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Com
     """
     if base.dim != 2:
         return None
-    keys = [homogeneous(p) for p in images]
+    image = refinement.with_points(images)
+    keys = image.hom_points()
     if len(set(keys)) != len(keys):
         return None
-    signs = [orient2(*[images[v] for v in s]) for s in refinement.simplices]
+    signs = [orient2(keys[u], keys[v], keys[w]) for u, v, w in refinement.simplices]
     edges = directed_boundary(refinement.simplices, signs, refinement.facets())
     if edges is None:
         return None
@@ -199,7 +201,7 @@ def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Com
     if len(edges) != len(base_edges) or not all(
             (keys[u], keys[v]) in base_edges for u, v in edges):
         return None
-    return refinement.with_points(images, signs)
+    return image
 
 
 class PLMap:
@@ -254,7 +256,7 @@ class PLMap:
         self.base = base
         self.refinement = refinement
         self._pieces = None
-        self.image = refinement.with_points(images, None)
+        self.image = refinement.with_points(images)
         self.cell_base = tuple(cell_base)
         if base.dim == 2:
             area = base.area2()

@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 from importlib import import_module
 
@@ -7,8 +8,8 @@ from plstab.circle import CircleLift
 from plstab import clip
 from plstab.clip import polygon_area2
 from plstab.complexes import Complex
-from plstab.geometry import orient2
 from plstab.interval import PLMap1D
+from plstab import plmap
 from plstab.plmap import PLMap
 from plstab.tangent import Germ
 
@@ -25,16 +26,18 @@ class ClockwisePolygon(AssertionError):
 def check_trusted_builds(monkeypatch):
     """Check mode: every `Complex.trusted`, `Complex.with_points`,
     `PLMap.trusted`, `CircleLift.trusted`, `PLMap1D.trusted` and
-    `Germ.trusted` result is also built through the validating
+    `Germ.trusted` result, and every image that the certificate of
+    `plmap._certified_image` accepts, is also built through the validating
     constructor, which must accept it and agree on points, simplices,
     `cell_base` and image, on breakpoint rows, slope ratios and
     orientation, or on fan and matrices, so a bug in an operation that
-    builds trusted still fails the tests.  The signs handed to
-    `Complex.with_points` must be each cell's `orient2` sign.  A trusted
+    builds trusted still fails the tests; a trusted complex's simplices
+    must come sorted, as the validating constructor sorts them.  A trusted
     complex's points, and so a trusted map's images, must also be tuples
     of Fractions, and a trusted 1D map's rows and slope ratios tuples of
     ints, as the validating constructor would make them."""
     complex_trusted, with_points = Complex.trusted, Complex.with_points
+    certified_image = plmap._certified_image
     plmap_trusted = PLMap.trusted
     lift_trusted, map1d_trusted = CircleLift.trusted, PLMap1D.trusted
     germ_trusted = Germ.trusted
@@ -43,12 +46,17 @@ def check_trusted_builds(monkeypatch):
         return check_complex(complex_trusted(points, maximal_simplices), points,
                              maximal_simplices)
 
-    def checked_with_points(self, points, signs):
-        if signs is not None:
-            own = [orient2(*[points[v] for v in s]) for s in self.simplices]
-            if signs != own:
-                raise TrustedBuildMismatch(f"signs {signs} differ from the cells' {own}")
-        return check_complex(with_points(self, points, signs), points, self.simplices)
+    def checked_with_points(self, points):
+        out = with_points(self, points)
+        # the certificate builds its image before it decides: the image it
+        # accepts is checked by `checked_image`, and one it refuses is none
+        if sys._getframe(1).f_code is certified_image.__code__:
+            return out
+        return check_complex(out, points, self.simplices)
+
+    def checked_image(base, refinement, images):
+        out = certified_image(base, refinement, images)
+        return out if out is None else check_complex(out, images, refinement.simplices)
 
     def check_complex(out, points, maximal_simplices):
         ref = Complex(points, maximal_simplices)
@@ -99,6 +107,7 @@ def check_trusted_builds(monkeypatch):
 
     monkeypatch.setattr(Complex, "trusted", classmethod(checked_complex))
     monkeypatch.setattr(Complex, "with_points", checked_with_points)
+    monkeypatch.setattr(plmap, "_certified_image", checked_image)
     monkeypatch.setattr(PLMap, "trusted", classmethod(checked_plmap))
     monkeypatch.setattr(CircleLift, "trusted", classmethod(checked_lift))
     monkeypatch.setattr(PLMap1D, "trusted", classmethod(checked_map1d))
@@ -111,10 +120,10 @@ def check_counter_clockwise_polygons(monkeypatch):
     and equality) and the fixed locus hand to `convex_fan` is
     counter-clockwise, as it requires."""
     def checking(triangulate):
-        def checked(poly):
+        def checked(poly, homs):
             if polygon_area2(poly) < 0:
                 raise ClockwisePolygon(f"{poly} is clockwise")
-            return triangulate(poly)
+            return triangulate(poly, homs)
         return checked
 
     # by module path: the package's `overlay` is the function

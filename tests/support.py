@@ -25,7 +25,9 @@ enumeration and in composition, the `Fraction` clipper, meets-tests and
 area sum that the integer homogeneous kernel replaced, the `orient2`
 orientation of loose triangles and the closed-cell test and point
 location that `geometry.hom_cell`, `complexes.in_closed_cell` and
-`PLMap.eval` replaced, and `power`, the composite f^k.
+`PLMap.eval` replaced, the `Fraction` `orient2`, `closed_segments_meet`
+and `convex_fan` that the ones on `homogeneous` rows replaced, and
+`power`, the composite f^k.
 Every helper that more than one test module uses lives here or, if it is
 a hypothesis strategy, in `strategies`, so no test module imports
 another, and this module needs no hypothesis."""
@@ -39,11 +41,11 @@ from pathlib import Path
 
 from plstab.circle import CircleLift
 
-from plstab.clip import convex_fan, triangle_intersection
+from plstab.clip import convex_fan, polygon_centroid, triangle_intersection
 from plstab.complexes import Complex, ccw_triangles_meet
 from plstab.errors import InvalidComplex, ParseError, PointOutsideComplex, RealizationMismatch
-from plstab.geometry import (MAX_EXPONENT, Mat, area2, bbox, candidate_pairs, closed_segments_meet,
-                             cross2, dot, hom_cell, orient2, primitive_direction, rat,
+from plstab.geometry import (MAX_EXPONENT, Mat, area2, bbox, boxes_apart, candidate_pairs,
+                             cross2, dot, hom_cell, homogeneous, primitive_direction, rat,
                              segment_param, vadd, vscale, vsub)
 from plstab.interval import PLMap1D
 from plstab.overlay import _walked_pairs, realized_pieces, refine, segment_pieces, triangle_pieces
@@ -71,7 +73,7 @@ def ccw_triangle(tri):
     negative: counter-clockwise.  The orientation of loose triangles that
     `geometry.hom_cell` took over from `clip`."""
     t = list(tri)
-    if orient2(*t) < 0:
+    if orient2_on_fractions(*t) < 0:
         t.reverse()
     return t
 
@@ -84,7 +86,7 @@ def in_closed_cell_oracle(x, cell):
     `HomCell`s and `geometry.between` on segments."""
     if len(cell) == 3:
         a, b, c = ccw_triangle(cell)
-        return all(orient2(p, q, x) >= 0 for p, q in ((a, b), (b, c), (c, a)))
+        return all(orient2_on_fractions(p, q, x) >= 0 for p, q in ((a, b), (b, c), (c, a)))
     t = segment_param(cell[0], cell[1], x)
     return t is not None and 0 <= t <= 1
 
@@ -240,15 +242,16 @@ def meets_in_common_faces_by_brute_force(points, simplices):
 def is_simple_polygon_on_fractions(pts):
     """The oracle of `geometry.is_simple_polygon`: the same fold-back and
     side-pair tests on the `Fraction` points as given, not scaled onto an
-    integer grid."""
+    integer grid, by `orient2_on_fractions` and
+    `closed_segments_meet_on_fractions`."""
     n = len(pts)
     for k in range(n):
         a, b, c = pts[k - 1], pts[k], pts[(k + 1) % n]
-        if orient2(a, b, c) == 0 and dot(vsub(a, b), vsub(c, b)) > 0:
+        if orient2_on_fractions(a, b, c) == 0 and dot(vsub(a, b), vsub(c, b)) > 0:
             return False
     sides = [(pts[k], pts[(k + 1) % n]) for k in range(n)]
     for i, j in candidate_pairs([bbox(side) for side in sides]):
-        if 1 < j - i < n - 1 and closed_segments_meet(*sides[i], *sides[j]):
+        if 1 < j - i < n - 1 and closed_segments_meet_on_fractions(*sides[i], *sides[j]):
             return False
     return True
 
@@ -846,8 +849,8 @@ def numbered_by_fraction_sort(points, cells, provenance):
     order = sorted(range(len(points)), key=points.__getitem__)
     rank = {v: k for k, v in enumerate(order)}
     sims = [tuple(sorted(rank[v] for v in cell)) for cell in cells]
-    return (Complex.trusted([points[v] for v in order], sims), dict(zip(sims, provenance)),
-            order)
+    return (Complex.trusted([points[v] for v in order], sorted(sims)),
+            dict(zip(sims, provenance)), order)
 
 
 def close_under_faces_by_key(simplices):
@@ -861,7 +864,7 @@ def close_under_faces_by_key(simplices):
 def triangulate_convex(poly):
     """The triangles of `clip.convex_fan` of a counter-clockwise convex
     polygon, as points."""
-    tris, c = convex_fan(poly)
+    tris, c = convex_fan(poly, [homogeneous(p) for p in poly])
     pts = [*poly, c]
     return [(pts[i], pts[j], pts[k]) for i, j, k in tris]
 
@@ -911,7 +914,7 @@ def compose_cells_by_points(f, g):
     srcs, imgs = g.refinement.cells(), g.image.cells()
     for i, j, poly in triangle_pieces(g.image, f.refinement):
         back = [g.pullback_in_cell(i, p) for p in poly]
-        if (orient2(*srcs[i]) > 0) != (orient2(*imgs[i]) > 0):
+        if (orient2_on_fractions(*srcs[i]) > 0) != (orient2_on_fractions(*imgs[i]) > 0):
             back.reverse()
         new = triangulate_convex(back)
         cells += new
@@ -927,7 +930,7 @@ def directed_boundary_by_pop_dict(points, simplices):
     cell, and each edge held in a dict until its second cell pops it."""
     sides = {}
     for a, b, c in simplices:
-        o = orient2(points[a], points[b], points[c])
+        o = orient2_on_fractions(points[a], points[b], points[c])
         if o == 0:
             return None
         left = o > 0
@@ -992,7 +995,7 @@ def compose2d_by_ccw_triangle(f, g):
 
     def pulled_back():
         for i, j, cut in triangle_pieces_by_ccw_triangle(g.image, f.refinement):
-            if (orient2(*srcs[i]) > 0) != (orient2(*imgs[i]) > 0):
+            if (orient2_on_fractions(*srcs[i]) > 0) != (orient2_on_fractions(*imgs[i]) > 0):
                 cut = cut[::-1]
             yield i, j, [g.pullback_in_cell(i, y) for y in cut], cut
 
@@ -1019,7 +1022,7 @@ def clip_halfplane_on_fractions(poly, a, b):
     Fractions from the `area2` of the edge's two ends."""
     out = []
     n = len(poly)
-    sides = [orient2(a, b, p) for p in poly]
+    sides = [orient2_on_fractions(a, b, p) for p in poly]
     for i in range(n):
         p, q = poly[i], poly[(i + 1) % n]
         sp, sq = sides[i], sides[(i + 1) % n]
@@ -1053,7 +1056,7 @@ def ccw_triangles_meet_on_fractions(t1, t2):
     for tri, (p, q, r) in ((t1, t2), (t2, t1)):
         for i in range(3):
             a, b = tri[i - 1], tri[i]
-            if orient2(a, b, p) <= 0 and orient2(a, b, q) <= 0 and orient2(a, b, r) <= 0:
+            if all(orient2_on_fractions(a, b, x) <= 0 for x in (p, q, r)):
                 return False
     return True
 
@@ -1063,12 +1066,69 @@ def segment_meets_ccw_triangle_on_fractions(p, q, tri):
     signs."""
     for i in range(3):
         a, b = tri[i - 1], tri[i]
-        if orient2(a, b, p) <= 0 and orient2(a, b, q) <= 0:
+        if orient2_on_fractions(a, b, p) <= 0 and orient2_on_fractions(a, b, q) <= 0:
             return False
-    sides = {orient2(p, q, v) for v in tri}
+    sides = {orient2_on_fractions(p, q, v) for v in tri}
     return 1 in sides and -1 in sides
 
 
 def complex_area2_on_fractions(c):
     """`Complex.area2`: the sum of |`area2`| over the cells, in Fractions."""
     return sum((abs(area2(*cell)) for cell in c.cells()), F(0))
+
+
+# -- the Fraction orientation that `geometry.orient2` on rows replaced ---
+
+
+def orient2_on_fractions(a, b, c):
+    """`geometry.orient2` as it was, on points: the sign of `area2`,
+    decided on the integer numerators and denominators of the first two
+    coordinates (an int has both too) with no Fraction built."""
+    an, ad = a[0].as_integer_ratio()
+    bn, bd = b[0].as_integer_ratio()
+    cn, cd = c[0].as_integer_ratio()
+    # b - a and c - a, each coordinate over its own positive denominator
+    ux, uxd = bn * ad - an * bd, ad * bd
+    vx, vxd = cn * ad - an * cd, ad * cd
+    an, ad = a[1].as_integer_ratio()
+    bn, bd = b[1].as_integer_ratio()
+    cn, cd = c[1].as_integer_ratio()
+    uy, uyd = bn * ad - an * bd, ad * bd
+    vy, vyd = cn * ad - an * cd, ad * cd
+    # area2 is (ux vy uyd vxd - uy vx uxd vyd) over a positive product
+    left, right = ux * vy * uyd * vxd, uy * vx * uxd * vyd
+    return (left > right) - (left < right)
+
+
+def closed_segments_meet_on_fractions(a, b, c, d):
+    """`geometry.closed_segments_meet` as it was, on points: by
+    `orient2_on_fractions` signs, and by boxes when the four are
+    collinear."""
+    o1, o2 = orient2_on_fractions(a, b, c), orient2_on_fractions(a, b, d)
+    if o1 == 0 and o2 == 0:
+        return not boxes_apart(bbox((a, b)), bbox((c, d)))
+    if (o1 > 0 and o2 > 0) or (o1 < 0 and o2 < 0):
+        return False
+    o3, o4 = orient2_on_fractions(c, d, a), orient2_on_fractions(c, d, b)
+    return not ((o3 > 0 and o4 > 0) or (o3 < 0 and o4 < 0))
+
+
+def convex_fan_on_fractions(poly):
+    """`clip.convex_fan` as it was, on points: the apex the smallest
+    Fraction tuple, each fan triangle tested by `orient2_on_fractions`, and
+    the centroid cone when a fan triangle is degenerate."""
+    n = len(poly)
+    if n < 3:
+        return [], None
+    apex = min(range(n), key=poly.__getitem__)
+    rest = [(apex + k) % n for k in range(1, n)]
+    tris = []
+    for i, j in zip(rest, rest[1:]):
+        if orient2_on_fractions(poly[apex], poly[i], poly[j]) == 0:
+            break
+        tris.append((apex, i, j))
+    else:
+        return tris, None
+    c = polygon_centroid(poly)
+    return [(n, i, (i + 1) % n) for i in range(n)
+            if orient2_on_fractions(c, poly[i], poly[(i + 1) % n]) != 0], c

@@ -12,11 +12,11 @@ from plstab import complexes
 from plstab.complexes import (Complex, SubComplex, _boundary_certificate, boundary,
                               cell_facets, directed_boundary, rational_points)
 from plstab.errors import InvalidComplex
-from plstab.geometry import is_simple_polygon, orient2
+from plstab.geometry import is_simple_polygon
 
 from support import (boundary_facets_by_counts, directed_boundary_by_pop_dict, grid_complex,
                      is_simple_polygon_on_fractions, neighbours_by_first_dict,
-                     random_square_triangulation)
+                     orient2_on_fractions, random_square_triangulation)
 
 GRIDS = {n: grid_complex(n) for n in (2, 3)}
 NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
@@ -25,7 +25,7 @@ NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 def certificate_accepts(points, simplices):
     """Does the boundary-cycle certificate accept the cells?"""
     points = rational_points(points)
-    signs = [orient2(*[points[v] for v in s]) for s in simplices]
+    signs = [orient2_on_fractions(*[points[v] for v in s]) for s in simplices]
     return _boundary_certificate(points, directed_boundary(simplices, signs,
                                                            cell_facets(simplices)))
 

@@ -8,13 +8,13 @@ from plstab.clip import clip_polygon_to_triangle, point_in_triangle, polygon_are
 from plstab.complexes import (Complex, SubComplex, Surface, boundary, close_under_faces,
                               euler_characteristic, format_complex, in_closed_cell, is_arc,
                               is_cycle, link, parse_complex, seg_seg_open_meet, star)
-from plstab.geometry import between, homogeneous, orient2
+from plstab.geometry import between, homogeneous
 from plstab.errors import InvalidComplex, ParseError, PointOutsideComplex, UnknownVertex
 from plstab.plmap import PLMap, plmap_from_vertex_images
 
 from support import (TETRAHEDRON, close_under_faces_by_key, grid_complex, in_closed_cell_oracle,
                      meets_in_common_faces_by_brute_force, open_triangles_meet,
-                     seg_seg_open_meet_by_solving)
+                     orient2_on_fractions, seg_seg_open_meet_by_solving)
 
 
 def square():
@@ -166,7 +166,7 @@ def _clip_area_meet(t1, t2):
 coords = st.one_of(st.integers(min_value=0, max_value=3),
                    st.fractions(min_value=-4, max_value=4, max_denominator=5))
 triangles = (st.lists(st.tuples(coords, coords), min_size=3, max_size=3)
-             .filter(lambda t: orient2(*t) != 0))
+             .filter(lambda t: orient2_on_fractions(*t) != 0))
 
 
 @settings(max_examples=200)
@@ -321,7 +321,7 @@ def test_in_closed_cell_takes_the_counter_clockwise_cell(tri, x):
     """On a complex's counter-clockwise `hom_cells`, `in_closed_cell`
     decides as the `Fraction` oracle and `point_in_triangle` do on the
     loose triangle, in either orientation."""
-    assume(orient2(*tri) != 0)
+    assume(orient2_on_fractions(*tri) != 0)
     cell, = Complex(tri, [(0, 1, 2)]).hom_cells()
     for loose in (tri, tri[::-1]):
         assert (in_closed_cell(homogeneous(x), cell) == in_closed_cell_oracle(x, loose)

@@ -11,12 +11,12 @@ from plstab.complexes import Complex, SubComplex, faces_of, is_cycle
 from plstab.errors import FixIsEmpty, FixIsEverything, PLError
 from plstab.fixedlocus import (FixedLocus, canonical_invariant,
                                fixed_subcomplex, frontier, fuller_search)
-from plstab.geometry import Mat, area2, orient2, vadd, vscale, vsub
+from plstab.geometry import Mat, area2, vadd, vscale, vsub
 from plstab.plmap import PLMap, compose2d, identity_map, plmap_from_vertex_images
 
 from support import (bench_grid_maps, ccw_triangle, cycle_rotation, grid_map, index_cells,
-                     interior_move_map, linear_part, power, quarter_rotation, square_complex,
-                     triangulate_convex)
+                     interior_move_map, linear_part, orient2_on_fractions, power,
+                     quarter_rotation, square_complex, triangulate_convex)
 
 
 def test_rotation_fixes_center_only():
@@ -169,7 +169,7 @@ def oracle_cell_fix(f, s):
     if det != 0:
         x = ((-t[0] * m11 + m01 * t[1]) / det, (-m00 * t[1] + t[0] * m10) / det)
         ccw = ccw_triangle(tri)
-        inside = all(orient2(ccw[i - 1], ccw[i], x) > 0 for i in range(3))
+        inside = all(orient2_on_fractions(ccw[i - 1], ccw[i], x) > 0 for i in range(3))
         return ("point", x) if inside else ("none", None)
     if m00 == m01 == m10 == m11 == 0:
         return ("full", None) if t == (0, 0) else ("none", None)
@@ -185,14 +185,15 @@ def oracle_cell_fix(f, s):
         return ("none", None)
     x, y = seg
     for i in range(3):  # a chord along a side belongs to the edges
-        if orient2(tri[i], tri[i - 1], x) == 0 == orient2(tri[i], tri[i - 1], y):
+        a, b = tri[i], tri[i - 1]
+        if orient2_on_fractions(a, b, x) == 0 == orient2_on_fractions(a, b, y):
             return ("none", None)
     return ("chord", seg)
 
 
 def oracle_clip_line(p0, direction, tri):
     """The ends of the line p0 + s direction inside a triangle, or None."""
-    t = list(tri) if orient2(*tri) > 0 else list(reversed(tri))
+    t = list(tri) if orient2_on_fractions(*tri) > 0 else list(reversed(tri))
     lo = hi = None
     for i in range(3):
         c0 = area2(t[i], t[(i + 1) % 3], p0)
@@ -227,7 +228,7 @@ def oracle_raw_cells(f, kinds):
     for ci, s in enumerate(f.refinement.simplices):
         tri = [f.refinement.points[v] for v in s]
         img = [f.images[v] for v in s]
-        if orient2(*tri) < 0:
+        if orient2_on_fractions(*tri) < 0:
             tri, img = [tri[0], tri[2], tri[1]], [img[0], img[2], img[1]]
         poly = []
         for i in range(3):

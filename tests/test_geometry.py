@@ -6,10 +6,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from plstab.clip import polygon_area2, triangle_intersection
 from plstab.geometry import (Mat, area2, bbox, between, candidate_pairs,
-                             collinear_overlap, cross2, fmt, hom_cell, orient2,
+                             collinear_overlap, cross2, fmt, hom_cell, homogeneous, orient2,
                              primitive_direction, rat, ratio, segment_param, vsub)
 
-from support import rat_by_fraction
+from support import orient2_on_fractions, rat_by_fraction
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -110,10 +110,12 @@ def test_ratio_matches_the_fraction_parse_on_other_values(value):
 
 
 def test_orient2_signs():
-    a, b, c = (0, 0), (1, 0), (0, 1)
+    a, b, c = (0, 0, 1), (1, 0, 1), (0, 1, 1)
     assert orient2(a, b, c) > 0
     assert orient2(a, c, b) < 0
-    assert orient2(a, b, (2, 0)) == 0
+    assert orient2(a, b, (2, 0, 1)) == 0
+    # the rows of (1/2, 0) and (0, 1/3)
+    assert orient2(a, (1, 0, 2), (0, 1, 3)) == 1
 
 
 # ints, Fractions with large coprime denominators, and negative values
@@ -141,14 +143,15 @@ def test_area2_matches_reference_formula(a, b, c):
          (2, Fraction(-1, 999999937)))
 @example((0, 0), (1, 0), (2, 0))
 def test_orient2_is_the_sign_of_area2(a, b, c):
-    got = orient2(a, b, c)
+    got = orient2(homogeneous(a), homogeneous(b), homogeneous(c))
     assert type(got) is int
     value = area2(a, b, c)
     assert got == (value > 0) - (value < 0)
 
 
 def test_orient2_reads_only_the_plane_coordinates():
-    assert orient2((0, 0, 5), (1, 0, -2), (0, 1, Fraction(1, 3))) == 1
+    rows = [homogeneous(p) for p in ((0, 0, 5), (1, 0, -2), (0, 1, Fraction(1, 3)))]
+    assert orient2(*rows) == 1
     assert area2((0, 0, 5), (1, 0, -2), (0, 2, Fraction(1, 3))) == 2
 
 
@@ -234,7 +237,7 @@ def test_candidate_pairs_keep_overlapping_triangles(tris_a, tris_b):
     # it keeps the whole other triangle
     _check_candidates(
         tris_a, tris_b,
-        lambda s, t: orient2(*s) != 0 != orient2(*t)
+        lambda s, t: orient2_on_fractions(*s) != 0 != orient2_on_fractions(*t)
         and polygon_area2(triangle_intersection(hom_cell(s), hom_cell(t))) != 0)
 
 

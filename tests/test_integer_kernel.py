@@ -1,10 +1,12 @@
 """The planar kernel on integer homogeneous coordinates against the
 `Fraction` path it replaced (kept in `support`): the clipper gives the
 identical point list, in the same order, the meets-tests the same
-verdicts, `Complex.area2` an equal area, `Complex.orientations` the
-`orient2` signs, `in_closed_cell` the closed-cell verdicts, `PLMap.eval`
-the same values and the same `PointOutsideComplex`, and `hom_cell` the
-same cell of a polygon in either orientation.  Inputs share edges, touch
+verdicts, `Complex.area2` an equal area, `orient2` on rows and
+`Complex.orientations` the `Fraction` orientation signs, `hom_cmp` the
+order of `Fraction` tuples, `convex_fan` the fan of the `Fraction` one,
+`in_closed_cell` the closed-cell verdicts, `PLMap.eval` the same values
+and the same `PointOutsideComplex`, and `hom_cell` the same cell of a
+polygon in either orientation.  Inputs share edges, touch
 at vertices, run along collinear edges, come from composites and
 inverses, or have large coprime denominators, and probe points lie at
 vertices, on edges, inside cells and outside."""
@@ -12,19 +14,21 @@ vertices, on edges, inside cells and outside."""
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
-from plstab.clip import polygon_area2, triangle_intersection
+from plstab.clip import convex_fan, polygon_area2, triangle_intersection
 from plstab.complexes import (Complex, ccw_triangles_meet, in_closed_cell,
                               segment_meets_ccw_triangle)
 from plstab.errors import PointOutsideComplex
-from plstab.geometry import (affine_point, bbox, candidate_pairs, hom_cell, homogeneous,
+from plstab.geometry import (affine_point, bbox, candidate_pairs, hom_cell, hom_cmp, homogeneous,
                              is_simple_polygon, line_through, orient2)
 from plstab.overlay import numbered
 from plstab.plmap import compose2d, inverse2d
 
 from support import (bench_grid_maps, ccw_triangle, ccw_triangles_meet_on_fractions,
+                     convex_fan_on_fractions,
                      is_simple_polygon_on_fractions, numbered_by_fraction_sort,
+                     orient2_on_fractions,
                      complex_area2_on_fractions, eval_by_fraction_scan, grid_complex,
                      in_closed_cell_oracle, segment_meets_ccw_triangle_on_fractions,
                      triangle_intersection_on_fractions)
@@ -64,7 +68,7 @@ def assert_same_orientations_and_locations(c, probes):
     `hom_cells` are the `ccw_triangle`s of the cells, and `in_closed_cell`
     on them decides as the `Fraction` oracle at every probe."""
     cells = c.cells()
-    assert c.orientations() == [orient2(*cell) for cell in cells]
+    assert c.orientations() == [orient2_on_fractions(*cell) for cell in cells]
     assert [list(h.points) for h in c.hom_cells()] == [ccw_triangle(t) for t in cells]
     for x in probes:
         h = homogeneous(x)
@@ -105,7 +109,8 @@ points = st.tuples(small, small)
 def touching_pairs(draw):
     """Two counter-clockwise triangles that share an edge, touch at a
     vertex, have an edge on one line, or are drawn freely."""
-    t1 = draw(st.lists(points, min_size=3, max_size=3).filter(lambda t: orient2(*t) != 0))
+    t1 = draw(st.lists(points, min_size=3, max_size=3)
+              .filter(lambda t: orient2_on_fractions(*t) != 0))
     a, b, c = t1
     mode = draw(st.sampled_from(["edge", "vertex", "collinear", "free"]))
     if mode == "edge":
@@ -119,7 +124,7 @@ def touching_pairs(draw):
     else:
         rest = []
     t2 = rest + draw(st.lists(points, min_size=3 - len(rest), max_size=3 - len(rest)))
-    if orient2(*t2) == 0:
+    if orient2_on_fractions(*t2) == 0:
         t2 = [a, b, c]
     return ccw_triangle(t1), ccw_triangle(t2)
 
@@ -132,7 +137,7 @@ def test_clip_and_meets_match_the_fraction_kernel_on_touching_cells(pair, third)
     assert_same_verdicts(t2, t1)
     poly = assert_same_clip(t1, t2)
     assert_same_clip(t2, t1)
-    if len(poly) >= 3 and orient2(*third) != 0:
+    if len(poly) >= 3 and orient2_on_fractions(*third) != 0:
         assert_same_clip(poly, ccw_triangle(third))
     for cell in (t1, t2, poly):
         if len(cell) >= 3 and polygon_area2(cell) != 0:
@@ -152,7 +157,7 @@ big = st.builds(lambda n, d: F(n % (3 * d) - d, d), st.integers(0, 10**12),
 @given(st.lists(st.tuples(big, big), min_size=9, max_size=9))
 def test_clip_and_meets_match_on_large_coprime_denominators(pts):
     tris = [pts[k:k + 3] for k in (0, 3, 6)]
-    if any(orient2(*t) == 0 for t in tris):
+    if any(orient2_on_fractions(*t) == 0 for t in tris):
         return
     t1, t2, t3 = map(ccw_triangle, tris)
     assert_same_verdicts(t1, t2)
@@ -224,7 +229,7 @@ def test_line_signs_are_orientations():
             line = line_through(homogeneous(a), homogeneous(b))
             for x in pts:
                 s = sum(u * v for u, v in zip(line, homogeneous(x)))
-                assert (s > 0) - (s < 0) == orient2(a, b, x)
+                assert (s > 0) - (s < 0) == orient2_on_fractions(a, b, x)
 
 
 def test_area2_matches_the_fraction_sum_on_a_moved_grid():
@@ -286,12 +291,119 @@ def test_numbered_orders_as_the_fraction_sort(inputs):
     assert got[0] == want[0] and got[1] == want[1]
 
 
+# ints, negatives and ~30-bit coprime denominators
+MIXED = st.one_of(st.integers(-2**31, 2**31), COORDS)
+
+
+@st.composite
+def point_triples(draw):
+    """Three planar points of `MIXED` coordinates, in a drawn order: drawn
+    freely, with one repeated, or the third on the line of the other two."""
+    a, b = draw(st.tuples(MIXED, MIXED)), draw(st.tuples(MIXED, MIXED))
+    mode = draw(st.sampled_from(["free", "repeated", "collinear"]))
+    if mode == "free":
+        c = draw(st.tuples(MIXED, MIXED))
+    elif mode == "repeated":
+        c = draw(st.sampled_from([a, b]))
+    else:
+        t = draw(COORDS)
+        c = tuple(p + t * (q - p) for p, q in zip(a, b))
+    return draw(st.permutations([a, b, c]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(point_triples())
+@example([(F(1, 536870909), -7), (F(-3, 805306457), F(5, 1073741723)), (2, F(-1, 536870909))])
+@example([(0, 0), (F(1, 3), F(1, 3)), (F(2, 1073741789), F(2, 1073741789))])
+@example([(5, -3), (5, -3), (F(1, 2), 0)])
+def test_orient2_on_rows_is_the_fraction_orientation(pts):
+    """`orient2` on the `homogeneous` rows of three points is the sign the
+    `Fraction` predicate gives on the points."""
+    want = orient2_on_fractions(*pts)
+    assert orient2(*[homogeneous(p) for p in pts]) == want
+    if pts[0] == pts[1] or pts[1] == pts[2] or pts[0] == pts[2]:
+        assert want == 0
+
+
+@st.composite
+def point_lists(draw, dim):
+    """Points of dimension ``dim`` with coordinates from a pool of a few
+    `COORDS`, so that many share a first coordinate and some are equal."""
+    pool = draw(st.lists(COORDS, min_size=1, max_size=3))
+    coord = st.sampled_from(pool)
+    return draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=10))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from([1, 2]).flatmap(point_lists))
+def test_hom_cmp_orders_as_the_fraction_tuples(pts):
+    """`hom_cmp` on the rows of two points has the sign of the comparison
+    of the points as tuples of Fractions, in 1D and 2D."""
+    rows = [homogeneous(p) for p in pts]
+    for p, a in zip(pts, rows):
+        for q, b in zip(pts, rows):
+            c = hom_cmp(a, b)
+            assert (c > 0) - (c < 0) == (p > q) - (p < q)
+
+
+def strict_hull(pts):
+    """The counter-clockwise convex hull of planar points with no vertex on
+    a side, from the smallest point (Andrew's monotone chain)."""
+    pts = sorted(set(pts))
+
+    def half(seq):
+        out = []
+        for p in seq:
+            while len(out) >= 2 and orient2_on_fractions(out[-2], out[-1], p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return half(pts) + half(pts[::-1])
+
+
+@st.composite
+def convex_polygons(draw):
+    """Counter-clockwise convex polygons with distinct vertices: the strict
+    hull of drawn lattice points with some sides cut by points along them,
+    each side at the smallest vertex when ``chain`` is drawn, so that a fan
+    from there meets a degenerate triangle; then scaled by 1/d for a drawn
+    `DENOMINATORS` d, shifted by a drawn point, and started at a drawn
+    vertex."""
+    lattice = st.tuples(st.integers(-6, 6), st.integers(-6, 6))
+    hull = strict_hull(draw(st.lists(lattice, min_size=3, max_size=8)))
+    assume(len(hull) >= 3)
+    cut = draw(st.sets(st.integers(0, len(hull) - 1)))
+    if draw(st.booleans()):  # chain: the two sides at the smallest vertex
+        cut |= {0, len(hull) - 1}
+    poly = []
+    for k, p in enumerate(hull):
+        poly.append(p)
+        if k in cut:
+            q, m = hull[(k + 1) % len(hull)], draw(st.integers(2, 4))
+            poly += [tuple(a + F(i, m) * (b - a) for a, b in zip(p, q)) for i in range(1, m)]
+    d, shift = draw(st.sampled_from(DENOMINATORS)), draw(st.tuples(COORDS, COORDS))
+    poly = [tuple(F(a) / d + s for a, s in zip(p, shift)) for p in poly]
+    start = draw(st.integers(0, len(poly) - 1))
+    return poly[start:] + poly[:start]
+
+
+@settings(max_examples=200, deadline=None)
+@given(convex_polygons())
+def test_convex_fan_on_rows_is_the_fraction_fan(poly):
+    """`convex_fan` on the `homogeneous` rows of a convex polygon gives the
+    triangles and the centroid of the `Fraction` fan, the centroid cone
+    included where a collinear chain runs into the apex."""
+    assert convex_fan(poly, [homogeneous(p) for p in poly]) == convex_fan_on_fractions(poly)
+
+
 def test_numbered_and_the_polygon_test_compare_no_fraction(monkeypatch):
-    """`numbered` orders and `is_simple_polygon` tests Fraction points on
-    their integer coordinates: with every comparison of `Fraction` made to
-    raise, both give what the Fraction oracles give.  The check mode of
-    `conftest`, which validates each trusted build and so compares
-    Fractions, is lifted once the oracles' results are checked."""
+    """`numbered` orders, `is_simple_polygon` tests, `convex_fan` fans and
+    `Complex.orientations` orients Fraction points on their integer
+    coordinates: with every comparison of `Fraction` made to raise, each
+    gives what the Fraction oracles give.  The check mode of `conftest`,
+    which validates each trusted build and so compares Fractions, is
+    lifted once the oracles' results are checked."""
     points = [(F(1, 3), F(5, 11)), (F(-4, 5), F(-1, 1073741789)), (F(1, 3), F(-2, 7)),
               (F(2), F(1, 3)), (F(1, 536870909), F(1, 2))]
     triangles = [(1, 2, 4), (2, 3, 0), (4, 2, 0)]
@@ -300,10 +412,13 @@ def test_numbered_and_the_polygon_test_compare_no_fraction(monkeypatch):
     square = [(F(0), F(0)), (F(1, 3), F(0)), (F(1), F(0)), (F(1), F(1, 2)), (F(1), F(1)),
               (F(0), F(1))]
     bowtie = [(F(0), F(0)), (F(1), F(1, 3)), (F(1), F(0)), (F(0), F(1, 3))]
+    cells = Complex(points, triangles)
     want = [numbered_by_fraction_sort(points, triangles, [0, 1, 2]),
             numbered_by_fraction_sort(line, segments, [0, 1, 2]),
-            [is_simple_polygon_on_fractions(p) for p in (square, bowtie)]]
-    assert want[2] == [True, False]
+            [is_simple_polygon_on_fractions(p) for p in (square, bowtie)],
+            convex_fan_on_fractions(square),
+            [orient2_on_fractions(*cell) for cell in cells.cells()]]
+    assert want[2] == [True, False] and want[3][1] is not None
     monkeypatch.undo()
 
     def refuse(self, other):
@@ -314,6 +429,8 @@ def test_numbered_and_the_polygon_test_compare_no_fraction(monkeypatch):
     with pytest.raises(AssertionError, match="compared"):
         sorted(points)
     got = [numbered(points, triangles, [0, 1, 2]), numbered(line, segments, [0, 1, 2]),
-           [is_simple_polygon(p) for p in (square, bowtie)]]
+           [is_simple_polygon(p) for p in (square, bowtie)],
+           convex_fan(square, [homogeneous(p) for p in square]),
+           cells.with_points(cells.points).orientations()]
     monkeypatch.undo()
     assert got == want

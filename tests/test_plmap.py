@@ -13,7 +13,7 @@ from plstab.clip import polygon_area2, triangle_intersection
 from plstab.complexes import Complex, boundary, format_complex
 from plstab.errors import (InvalidComplex, PLError, PointOutsideComplex,
                            RealizationMismatch)
-from plstab.geometry import det3, orient2, segment_param
+from plstab.geometry import homogeneous, orient2, segment_param
 from plstab.overlay import overlay, segment_pieces
 from plstab.plmap import (PLMap, compose2d, format_plmap,
                           identity_map, inverse2d, parse_plmap,
@@ -21,7 +21,8 @@ from plstab.plmap import (PLMap, compose2d, format_plmap,
 
 from support import (SYMMETRIES, _along_boundary, bench_grid_maps, compose_cells_by_points,
                      cycle_rotation, grid_complex, grid_map, interior_move_map,
-                     overlay_cells_by_points, power, quarter_rotation, refinement_by_points,
+                     orient2_on_fractions, overlay_cells_by_points, power, quarter_rotation,
+                     refinement_by_points,
                      square_complex, tiles_unit, two_squares)
 
 # by module path: the package's `overlay` is the function
@@ -94,9 +95,9 @@ def test_compose_with_a_reflection_triangulates_counter_clockwise(monkeypatch):
     polygons = []
     fan = overlay_module.convex_fan
 
-    def recorded(poly):
+    def recorded(poly, homs):
         polygons.append(poly)
-        return fan(poly)
+        return fan(poly, homs)
 
     monkeypatch.setattr(overlay_module, "convex_fan", recorded)
     for a, b in ((f, g), (g, f), (g, g)):
@@ -450,18 +451,23 @@ def test_images_share_their_refinement_record():
         assert m.image.orientations() is not m.refinement.orientations()
 
 
-def test_an_accepted_image_keeps_the_certificate_signs(monkeypatch):
-    """The certificate hands the signs it computed to the image it
-    accepts, so reading the image's `orientations` runs no `orient2` and
-    no `det3`."""
+def test_an_accepted_image_orients_on_the_certificate_rows(monkeypatch):
+    """The certificate builds the image it accepts first and keys and
+    orients its cells on the image's `hom_points`, so the image keeps
+    those rows: reading its `orientations` converts no point again, and
+    runs one `orient2` a cell on the kept rows, once."""
     for f in (interior_move_map(), *bench_grid_maps(3, 7)):
         assert plmap._certified_image(f.base, f.refinement, f.images) is not None
-        calls = []
-        monkeypatch.setattr(complexes, "orient2", lambda *p: calls.append(p) or orient2(*p))
-        monkeypatch.setattr(complexes, "det3", lambda *h: calls.append(h) or det3(*h))
+        converted, oriented = [], []
+        monkeypatch.setattr(complexes, "homogeneous",
+                            lambda p: converted.append(p) or homogeneous(p))
+        monkeypatch.setattr(complexes, "orient2", lambda *h: oriented.append(h) or orient2(*h))
+        rows = f.image.hom_points()
         signs = f.image.orientations()
-        assert calls == []
-        assert signs == [orient2(*cell) for cell in f.image.cells()]
+        assert f.image.orientations() is signs
+        assert converted == []
+        assert oriented == [tuple(rows[v] for v in s) for s in f.image.simplices]
+        assert signs == [orient2_on_fractions(*cell) for cell in f.image.cells()]
 
 
 def test_a_walk_derives_each_table_once(monkeypatch):

@@ -403,22 +403,24 @@ def test_the_row_merge_builds_no_fraction():
 # the box sweep and the vertex order of derived refinements run on ints,
 # and only `geometry.affine_point`, the one conversion of the clipper's
 # crossing points, builds Fractions
-KERNEL_2D = {"geometry.py": {"homogeneous", "det3", "line_through", "hom_cell",
-                             "is_simple_polygon", "candidate_pairs"},
+KERNEL_2D = {"geometry.py": {"homogeneous", "det3", "orient2", "hom_cmp", "line_through",
+                             "hom_cell", "closed_segments_meet", "is_simple_polygon",
+                             "candidate_pairs"},
              "complexes.py": {"ccw_triangles_meet", "segment_meets_ccw_triangle", "area2_sums",
                               "in_closed_cell", "Complex.orientations", "Complex.hom_points",
                               "Complex.hom_cells"},
-             "clip.py": {"triangle_intersection"},
+             "clip.py": {"triangle_intersection", "convex_fan"},
              "overlay.py": {"numbered"}}
 
 
 def test_the_planar_kernel_builds_no_fraction():
-    """The side, determinant and line helpers, the orientation of a cell
-    and of a loose polygon, the closed-cell test, the meets-tests of the
-    overlay walk and of `Complex` validation, the clip loop, the
-    accumulation of `Complex.area2`, the boundary certificate's polygon
-    test and box sweep, and `overlay.numbered` make no `Fraction` or `rat`
-    call and no `/`."""
+    """The side, determinant and line helpers, the one orientation
+    predicate `orient2` and point order `hom_cmp`, the orientation of a
+    cell and of a loose polygon, the closed-cell test, the meets-tests of
+    the overlay walk and of `Complex` validation, the clip loop and the
+    fan of its pieces, the accumulation of `Complex.area2`, the boundary
+    certificate's polygon test, its segment test and box sweep, and
+    `overlay.numbered` make no `Fraction` or `rat` call and no `/`."""
     for name, names in KERNEL_2D.items():
         assert names <= {fn for fn, _ in functions(ast.parse((SRC / name).read_text()))}
     found = {name: fraction_work(SRC / name, names) for name, names in KERNEL_2D.items()}

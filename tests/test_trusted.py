@@ -106,7 +106,7 @@ def test_check_mode_validates_trusted_builds():
     with pytest.raises(InvalidComplex, match="overlap"):
         Complex.trusted(folded, sq.simplices)
     with pytest.raises(InvalidComplex, match="overlap"):
-        sq.with_points(folded, None)
+        sq.with_points(folded)
 
 
 def test_check_mode_requires_fraction_points():
@@ -118,14 +118,3 @@ def test_check_mode_requires_fraction_points():
     sq = Complex(ints, [(0, 1, 2), (0, 2, 3)])
     with pytest.raises(AssertionError, match="no tuple of Fractions"):
         PLMap.trusted(sq, sq, ints, range(2))
-
-
-def test_check_mode_checks_the_handed_signs():
-    """Signs handed to `Complex.with_points` must be each cell's `orient2`
-    sign at the new points: a reflection flips every one of them."""
-    sq = square_complex()
-    mirrored = [(1 - x, y) for x, y in sq.points]
-    flipped = [-o for o in sq.orientations()]
-    assert sq.with_points(mirrored, flipped).orientations() == flipped
-    with pytest.raises(AssertionError, match="differ from the cells'"):
-        sq.with_points(mirrored, sq.orientations())
