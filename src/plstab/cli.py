@@ -16,7 +16,7 @@ from .circle import (CircleLift, detect_rational_rotation, format_circle_lift,
 from .complexes import euler_characteristic, format_complex, parse_complex, parse_surface
 from .errors import ParseError, PLError
 from .fixedlocus import fixed_subcomplex
-from .geometry import TokenTable, fmt, records
+from .geometry import TokenTable, fmt, fmt_hom, records
 from .interval import PLMap1D, format_plmap1d, parse_plmap1d
 from .overlay import overlay
 from .plmap import PLMap, format_plmap, parse_plmap
@@ -188,7 +188,7 @@ def cmd_fixset(args, out):
     maximal = fl.cells.maximal()
     used = sorted({v for s in maximal for v in s})
     reindex = {v: i for i, v in enumerate(used)}
-    lines = ["v %d %s" % (reindex[v], " ".join(map(fmt, fl.refined.points[v]))) for v in used]
+    lines = ["v %d %s" % (reindex[v], fmt_hom(fl.refined.hom_points()[v])) for v in used]
     lines += ["s %s" % " ".join([str(reindex[v]) for v in s]) for s in maximal]
     lines = lines or ["# empty fixed set"]
     sidecar = ["cell %s from %d" % (" ".join(map(str, s)), i)

@@ -1,52 +1,43 @@
 """Exact convex clipping and triangulation helpers in the plane.
 
-The clip kernel `triangle_intersection` takes counter-clockwise cells as
-`geometry.HomCell`s, as `Complex.hom_cells` gives them, and cuts on
-integer homogeneous coordinates: a vertex's side of an edge line L is
-L·p, and a crossing point is a sum of two vertices' integer coordinates
-reduced by one gcd; only crossings that survive all three cuts become
-Fractions, once each.  `geometry.hom_cell` orients the loose inputs
-of the two entry points, and `convex_fan` fans on rows its caller holds."""
+Points are integer `homogeneous` rows, but at the loose entry points
+`clip_polygon_to_triangle` and `point_in_triangle` (oriented by
+`geometry.hom_cell`).  The clip kernel `triangle_intersection` takes
+counter-clockwise `geometry.HomCell`s, as `Complex.hom_cells` gives
+them: a vertex's side of an edge line L is L·p, and a crossing point is
+a sum of two vertices' rows reduced by one gcd."""
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cmp_to_key
-from math import gcd, lcm
+from math import gcd
 from typing import List, Optional, Sequence, Tuple
 
 from .complexes import in_closed_cell
-from .geometry import Hom, HomCell, Point, affine_point, hom_cell, hom_cmp, homogeneous, orient2
+from .geometry import (Hom, HomCell, Point, affine_point, hom_cell, hom_cmp, homogeneous,
+                       on_one_grid, orient2)
 
 
-def polygon_area2(poly: Sequence[Point]) -> Fraction:
-    """Twice the signed area of a polygon given by its vertex cycle (exact).
-
-    The shoelace sum on integer numerators over one denominator per axis,
-    finished with one Fraction.
-    """
-    xs = [p[0].as_integer_ratio() for p in poly]
-    ys = [p[1].as_integer_ratio() for p in poly]
-    dx, dy = lcm(*(d for _, d in xs)), lcm(*(d for _, d in ys))
-    x = [n * (dx // d) for n, d in xs]
-    y = [n * (dy // d) for n, d in ys]
-    return Fraction(sum(x[i - 1] * y[i] - x[i] * y[i - 1] for i in range(len(poly))),
-                    dx * dy)
+def polygon_area2(poly: Sequence[Hom]) -> Fraction:
+    """Twice the signed area of a polygon given by the `homogeneous` rows
+    of its vertex cycle: the shoelace sum over one W, as one Fraction."""
+    pts, w = on_one_grid(poly)
+    return Fraction(sum(pts[i - 1][0] * pts[i][1] - pts[i][0] * pts[i - 1][1]
+                        for i in range(len(pts))), w * w)
 
 
-def triangle_intersection(poly: HomCell, tri: HomCell) -> List[Point]:
+def triangle_intersection(poly: HomCell, tri: HomCell) -> List[Hom]:
     """Intersection of a counter-clockwise convex polygon, with distinct
     vertices, and a counter-clockwise triangle, as a counter-clockwise
-    cycle of points.
+    cycle of `homogeneous` rows.
 
     The polygon is cut by the line L of each edge of the triangle in turn,
     keeping L·p >= 0 (left of the edge); a line with every vertex on that
     side cuts nothing.  Where an edge p->q of the polygon has its ends
     strictly on opposite sides, s_p = L·p and s_q = L·q, the crossing is
     |s_q| p + |s_p| q, reduced by one gcd so that equal points have equal
-    tuples, which drop consecutive duplicates.  A kept vertex of the
-    polygon is the caller's point; each crossing left at the end is
-    converted once (`geometry.affine_point`).
+    tuples, which drop consecutive duplicates.
     """
     verts = list(poly.homs)
     for a, b, c in tri.lines:
@@ -70,15 +61,14 @@ def triangle_intersection(poly: HomCell, tri: HomCell) -> List[Point]:
             verts.pop()
         if not verts:
             return []
-    own = dict(zip(poly.homs, poly.points))
-    return [own[h] if h in own else affine_point(h) for h in verts]
+    return verts
 
 
 def clip_polygon_to_triangle(poly: Sequence[Point], tri: Sequence[Point]) -> List[Point]:
     """Intersection of a convex polygon, with distinct vertices, and a
-    triangle, each in either orientation, as a counter-clockwise vertex
-    cycle."""
-    return triangle_intersection(hom_cell(poly), hom_cell(tri))
+    triangle, each given as points in either orientation, as a
+    counter-clockwise cycle of points."""
+    return [affine_point(h) for h in triangle_intersection(hom_cell(poly), hom_cell(tri))]
 
 
 def point_in_triangle(x: Point, tri: Sequence[Point]) -> bool:
@@ -86,36 +76,39 @@ def point_in_triangle(x: Point, tri: Sequence[Point]) -> bool:
     return in_closed_cell(homogeneous(x), hom_cell(tri))
 
 
-def polygon_centroid(poly: Sequence[Point]) -> Point:
-    """Area centroid of a polygon with nonzero area (exact)."""
-    a2 = polygon_area2(poly)
-    cx = Fraction(0)
-    cy = Fraction(0)
-    for i in range(len(poly)):
-        p, q = poly[i], poly[(i + 1) % len(poly)]
-        w = p[0] * q[1] - q[0] * p[1]
-        cx += (p[0] + q[0]) * w
-        cy += (p[1] + q[1]) * w
-    return (cx / (3 * a2), cy / (3 * a2))
+def polygon_centroid(poly: Sequence[Hom]) -> Hom:
+    """The row of the area centroid of a polygon with nonzero area, given
+    by the rows of its vertex cycle: over one W, each edge's cross product
+    weighs the sum of its ends, over 3 W times twice the area."""
+    pts, w = on_one_grid(poly)
+    cx = cy = a2 = 0
+    for (px, py, _), (qx, qy, _) in zip(pts, pts[1:] + pts[:1]):
+        cross = px * qy - qx * py
+        cx, cy, a2 = cx + (px + qx) * cross, cy + (py + qy) * cross, a2 + cross
+    w *= 3 * a2
+    g = gcd(cx, cy, w)
+    if w < 0:  # a clockwise cycle
+        g = -g
+    return cx // g, cy // g, w // g
 
 
-def convex_fan(poly: Sequence[Point], homs: Sequence[Hom]
-               ) -> Tuple[List[Tuple[int, int, int]], Optional[Point]]:
+def convex_fan(homs: Sequence[Hom]) -> Tuple[List[Tuple[int, int, int]], Optional[Hom]]:
     """Triangulate a convex polygon keeping every boundary vertex, by
-    position: each triangle as three indices into ``poly``, where the index
-    ``len(poly)`` stands for the centroid, returned second when it is used
-    (None otherwise).
+    position: each triangle as three indices into ``homs``, the
+    `homogeneous` rows of the polygon's vertices, where the index
+    ``len(homs)`` stands for the centroid, whose row is returned second
+    when it is used (None otherwise).
 
-    Callers pass the polygon counter-clockwise, as clipping returns it,
-    with its vertices' `homogeneous` rows ``homs``; each triangle comes
-    out counter-clockwise too.  Fans from the least vertex by `hom_cmp`,
-    testing each triangle by `orient2`.  When collinear boundary
-    chains adjacent to that vertex would make a fan triangle degenerate (which
-    would silently drop a boundary vertex and create a T-junction against the
-    neighboring cell), falls back to coning from the centroid, which preserves
-    every boundary edge.
+    Callers pass the polygon counter-clockwise, as clipping returns it;
+    each triangle comes out counter-clockwise too.  Fans from the least
+    vertex by `hom_cmp`, testing each triangle by `orient2`.  When
+    collinear boundary chains adjacent to that vertex would make a fan
+    triangle degenerate (which would silently drop a boundary vertex and
+    create a T-junction against the neighboring cell), falls back to
+    coning from the `polygon_centroid`, which preserves every boundary
+    edge.
     """
-    n = len(poly)
+    n = len(homs)
     if n < 3:
         return [], None
     apex = homs.index(min(homs, key=cmp_to_key(hom_cmp)))
@@ -127,7 +120,6 @@ def convex_fan(poly: Sequence[Point], homs: Sequence[Hom]
         tris.append((apex, i, j))
     else:
         return tris, None
-    c = polygon_centroid(poly)
-    h = homogeneous(c)
+    c = polygon_centroid(homs)
     return [(n, i, (i + 1) % n) for i in range(n)
-            if orient2(h, homs[i], homs[(i + 1) % n]) != 0], c
+            if orient2(c, homs[i], homs[(i + 1) % n]) != 0], c

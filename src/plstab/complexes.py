@@ -16,12 +16,14 @@ pairs), the polygon test sweeping its sides' integer boxes.  The
 all-pairs tests run only for the complexes it does not accept, so they
 alone decide which error a rejected complex raises.
 
-A complex keys, orients and locates on `Complex.hom_points`
-(`geometry.homogeneous`), oriented by `orient2` on them, and
-`Complex.hom_cells`, built once.  Triangle interiors meet, a segment
-meets one, and a point is in a closed cell by the signs L·x of the cells'
-edge lines (`ccw_triangles_meet`, `segment_meets_ccw_triangle`,
-`in_closed_cell`).  Segments of a 1-complex decide by `orient2`,
+A complex stores its points as integer `geometry.homogeneous` rows
+(`Complex.hom_points`), and keys, orients, locates, compares and prints
+on them.  The validating constructor keeps the Fractions it read as its
+`points` view; any other complex builds that view on first read.
+Triangle interiors meet, a segment meets one, and a point is in a closed
+cell by the signs L·x of the edge lines of `Complex.hom_cells`
+(`ccw_triangles_meet`, `segment_meets_ccw_triangle`, `in_closed_cell`).
+Segments of a 1-complex decide on the `points` view, by `orient2`,
 `between` and `geometry.overlap_params`.
 """
 
@@ -33,8 +35,8 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidComplex, ParseError, UnknownVertex
-from .geometry import (Hom, HomCell, Point, TokenTable, area2, bbox, between,
-                       candidate_pairs, det3, fmt, homogeneous, is_simple_polygon,
+from .geometry import (Hom, HomCell, Point, TokenTable, affine_point, area2, bbox, between,
+                       candidate_pairs, det3, fmt_hom, homogeneous, is_simple_polygon,
                        line_through, orient2, overlap_params, rat, records, segment_param)
 
 SimplexT = Tuple[int, ...]
@@ -138,7 +140,7 @@ def area2_sums(homs: Sequence[Hom], triangles) -> Dict[int, int]:
 
 
 def rational_points(points) -> Tuple[Point, ...]:
-    """Points as tuples of Fractions, the form every complex and map stores."""
+    """Input points as tuples of Fractions, as validation reads them."""
     return tuple([tuple(map(rat, p)) for p in points])
 
 
@@ -166,7 +168,7 @@ def directed_boundary(simplices, signs, facets) -> Optional[List[Tuple[int, int]
     return edges
 
 
-def _boundary_certificate(points, edges) -> bool:
+def _boundary_certificate(homs, edges) -> bool:
     """Do the cells of a planar 2-complex have pairwise disjoint interiors,
     as its boundary shows in O(cells + boundary edge pairs)?  True when
     all of these hold, and False for the all-pairs test to decide:
@@ -213,7 +215,7 @@ def _boundary_certificate(points, edges) -> bool:
         if v == cycle[0]:
             break
         cycle.append(v)
-    return len(cycle) == len(edges) and is_simple_polygon([points[v] for v in cycle])
+    return len(cycle) == len(edges) and is_simple_polygon([homs[v] for v in cycle])
 
 
 class _Incidences:
@@ -260,41 +262,41 @@ class Complex(_Incidences):
     build a complex valid by construction, with no checks.
     """
 
-    __slots__ = ("points", "simplices", "dim", "_signs", "_homs", "_hom_cells", "_boundary")
+    __slots__ = ("simplices", "dim", "_points", "_homs", "_signs", "_hom_cells", "_boundary")
 
     def __init__(self, points: Sequence, maximal_simplices):
-        self._assemble(rational_points(points), sorted(tuple(sorted(s)) for s in maximal_simplices))
+        self._assemble((), sorted(tuple(sorted(s)) for s in maximal_simplices))
+        self._points = rational_points(points)
         self._validate()
 
     @classmethod
-    def trusted(cls, points: Sequence, maximal_simplices) -> "Complex":
+    def trusted(cls, homs: Sequence[Hom], maximal_simplices) -> "Complex":
         """A complex that an operation built from validated inputs, so valid
         by construction: simplices (sorted, as ``Complex(...)`` sorts them)
-        and points (tuples of Fractions) kept as built, nothing checked."""
+        and points (`homogeneous` rows) kept as built, nothing checked."""
         self = cls.__new__(cls)
-        self._assemble(tuple(points), maximal_simplices)
+        self._assemble(tuple(homs), maximal_simplices)
         return self
 
-    def with_points(self, points: Sequence) -> "Complex":
-        """These simplices at ``points``, tuples of Fractions kept as built:
+    def with_points(self, homs: Sequence[Hom]) -> "Complex":
+        """These simplices at the `homogeneous` rows ``homs``, kept as built:
         `simplices`, `dim` and the incidence record are shared, and nothing
-        is sorted or checked.  What depends on the points, `hom_points`,
-        `orientations` and `hom_cells`, is its own."""
+        is sorted or checked.  What depends on the points is its own."""
         shared = self.simplices, self.dim, self._tables
         self = Complex.__new__(Complex)
         self.simplices, self.dim, self._tables = shared
-        self.points = tuple(points)
-        self._signs = self._homs = self._hom_cells = self._boundary = None
+        self._homs = tuple(homs)
+        self._points = self._signs = self._hom_cells = self._boundary = None
         return self
 
-    def _assemble(self, points: Tuple[Point, ...], simplices):
-        self.points = points
+    def _assemble(self, homs: Tuple[Hom, ...], simplices):
+        self._homs = homs
         self.simplices: Tuple[SimplexT, ...] = tuple(simplices)
         if not self.simplices:
             raise InvalidComplex("complex has no maximal simplices")
         self.dim = len(self.simplices[0]) - 1
-        self._tables, self._signs = [None, None, None], None
-        self._homs = self._hom_cells = self._boundary = None
+        self._tables = [None, None, None]
+        self._points = self._signs = self._hom_cells = self._boundary = None
 
     # -- validation ------------------------------------------------------
 
@@ -308,6 +310,7 @@ class Complex(_Incidences):
             raise InvalidComplex("points have mixed ambient dimension")
         if self.dim > d_amb:
             raise InvalidComplex("a 2-complex needs ambient dimension 2")
+        self._homs = tuple(map(homogeneous, self.points))
         n, k = len(self.points), self.dim + 1
         for s in self.simplices:
             if len(s) != k:
@@ -333,14 +336,14 @@ class Complex(_Incidences):
             if len(cells) > 2:
                 raise InvalidComplex(f"face {f} lies in {len(cells)} maximal simplices")
         self._check_distinct_points()
-        if not (self.dim == 2 and _boundary_certificate(self.points, self.boundary_edges())):
+        if not (self.dim == 2 and _boundary_certificate(self._homs, self.boundary_edges())):
             self._check_cells_exactly()
 
     def _check_distinct_points(self):
         # two vertices at one point pinch the realization, and a map on the
         # complex could send them to two places
         seen: Dict[Hom, int] = {}
-        for v, h in enumerate(self.hom_points()):
+        for v, h in enumerate(self._homs):
             w = seen.setdefault(h, v)
             if w != v:
                 raise InvalidComplex(f"vertices {w} and {v} lie at one point")
@@ -358,7 +361,7 @@ class Complex(_Incidences):
         cells = self.cells()
         boxes = [bbox(cell) for cell in cells]
         pairs = candidate_pairs(boxes)
-        triangles, homs = (self.hom_cells(), self.hom_points()) if self.dim == 2 else (None, None)
+        triangles, homs = (self.hom_cells(), self._homs) if self.dim == 2 else (None, None)
         for i, j in pairs:
             p1, p2 = cells[i], cells[j]
             if (seg_seg_open_meet(p1[0], p1[1], p2[0], p2[1]) if self.dim == 1
@@ -385,7 +388,7 @@ class Complex(_Incidences):
         """Each cell's `orient2` on its `hom_points`, computed once: every
         reader that orients a cell reads it here."""
         if self._signs is None:
-            homs = self.hom_points()
+            homs = self._homs
             self._signs = [orient2(homs[u], homs[v], homs[w]) for u, v, w in self.simplices]
         return self._signs
 
@@ -397,31 +400,36 @@ class Complex(_Incidences):
                                                self.facets())
         return self._boundary
 
-    def hom_points(self) -> List[Hom]:
-        """Each point's `homogeneous` coordinates, computed on first use."""
-        if self._homs is None:
-            self._homs = [homogeneous(p) for p in self.points]
+    def hom_points(self) -> Tuple[Hom, ...]:
+        """Each point's `homogeneous` row, as the complex stores it."""
         return self._homs
+
+    @property
+    def points(self) -> Tuple[Point, ...]:
+        """Each point as a tuple of Fractions: those the validating
+        constructor read, or built from the rows on first read."""
+        if self._points is None:
+            self._points = tuple([affine_point(h) for h in self._homs])
+        return self._points
 
     def hom_cells(self) -> List[HomCell]:
         """Each cell of this planar 2-complex as a `HomCell`, its vertices
         counter-clockwise by `orientations`, built on first use."""
         if self._hom_cells is None:
-            points, homs, cells = self.points, self.hom_points(), []
+            homs, cells = self._homs, []
             for (u, v, w), o in zip(self.simplices, self.orientations()):
                 if o <= 0:
                     u, w = w, u
                 a, b, c = homs[u], homs[v], homs[w]
-                cells.append(HomCell([points[u], points[v], points[w]], (a, b, c),
-                                     (line_through(a, b), line_through(b, c),
-                                      line_through(c, a))))
+                cells.append(HomCell((a, b, c), (line_through(a, b), line_through(b, c),
+                                                 line_through(c, a))))
             self._hom_cells = cells
         return self._hom_cells
 
     # -- basic queries ---------------------------------------------------
 
     def cells(self) -> List[List[Point]]:
-        """Each maximal simplex as the list of its points."""
+        """Each maximal simplex as the list of its `points`."""
         return [[self.points[v] for v in s] for s in self.simplices]
 
     def area2(self) -> Fraction:
@@ -429,28 +437,28 @@ class Complex(_Incidences):
         `area2_sums` over its `hom_points`, with one Fraction per distinct
         denominator."""
         return sum((Fraction(n, d) for d, n in
-                    area2_sums(self.hom_points(), self.simplices).items()), Fraction(0))
+                    area2_sums(self._homs, self.simplices).items()), Fraction(0))
 
     @property
     def ambient_dim(self) -> int:
-        return len(self.points[0])
+        return len(self._homs[0]) - 1
 
     @property
     def vertex_count(self) -> int:
-        return len(self.points)
+        return len(self._homs)
 
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Complex)
-            and self.points == other.points
+            and self._homs == other.hom_points()
             and self.simplices == other.simplices
         )
 
     def __hash__(self):
-        return hash((self.points, self.simplices))
+        return hash((self._homs, self.simplices))
 
     def __repr__(self):
-        return f"Complex(dim={self.dim}, |V|={len(self.points)}, |top|={len(self.simplices)})"
+        return f"Complex(dim={self.dim}, |V|={len(self._homs)}, |top|={len(self.simplices)})"
 
 
 class Surface(_Incidences):
@@ -715,8 +723,8 @@ def _index(token: str, lineno: int) -> int:
 
 def format_complex(c: Complex) -> str:
     lines = []
-    for i, p in enumerate(c.points):
-        lines.append("v %d %s" % (i, " ".join(fmt(x) for x in p)))
+    for i, h in enumerate(c.hom_points()):
+        lines.append("v %d %s" % (i, fmt_hom(h)))
     for s in c.simplices:
         lines.append("s %s" % " ".join(str(v) for v in s))
     return "\n".join(lines) + "\n"

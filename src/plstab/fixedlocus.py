@@ -20,16 +20,18 @@ them): two flags bound a chord; one flag, or three or more (the whole
 cell), leave nothing inside; and with no flag the only feature left is an
 isolated fixed point strictly inside the cell.
 
-The refinement is built on integer vertex ids, not on points: the ids of
-f's refinement, each with one fixed flag (f's image of the vertex is the
-vertex), then every edge cut, centroid and isolated fixed point appended
-as a new id with its flag.  An edge is cut only when f moves both its
-ends, from displacements computed once per vertex, and its cut is shared
-by the cells on both sides.  A cell with no cut is left whole, or coned
-from its isolated fixed point; one with at most one moved vertex has no
-edge to cut and no isolated fixed point, and is left whole untested.
-`overlay.numbered`, the one numbering of derived refinements, sorts the
-ids into coordinate order on their integer coordinates;
+The refinement is built on integer vertex ids, each with its point's
+`homogeneous` row: the ids of f's refinement, each with one fixed flag
+(f's image row of the vertex is its row), then every edge cut, centroid
+and isolated fixed point appended as a new id with its flag.  Cuts are
+solved in Fractions, on the image rows they read, and enter as rows.  An
+edge is cut only when f moves both its ends, from displacements computed
+once per vertex, and its cut is shared by the cells on both sides.  A
+cell with no cut is left whole, or coned from its isolated fixed point;
+one with at most one moved vertex has no edge to cut and no isolated
+fixed point, and is left whole untested.  `overlay.numbered`, the one
+numbering of derived refinements, sorts the ids into coordinate order on
+their rows;
 `fixed_subcomplex` proves that no two ids hold one point.
 """
 
@@ -42,7 +44,7 @@ from typing import Dict, List, Optional, Tuple
 from .clip import convex_fan
 from .complexes import Complex, SimplexT, SubComplex, euler_characteristic, faces_of
 from .errors import FixIsEmpty, FixIsEverything
-from .geometry import Point, cross2, homogeneous, vadd, vscale, vsub
+from .geometry import Hom, Point, affine_point, cross2, homogeneous, vadd, vscale, vsub
 from .overlay import numbered
 from .plmap import PLMap, compose2d
 
@@ -111,29 +113,30 @@ def _interior_fixed_point(tri, disps) -> Optional[Point]:
 
 class _Refinement:
     """The refined complex under construction, on vertex ids: the ids of
-    f's refinement first, then each new point as it is appended, with one
-    fixed flag per id, and each raw cell as an id tuple with the index of
-    the refinement cell it was cut from."""
+    f's refinement first, then each new point as it is appended, with its
+    `homogeneous` row and one fixed flag per id, and each raw cell as an
+    id tuple with the index of the refinement cell it was cut from."""
 
     def __init__(self, f: PLMap):
         self.f = f
-        self.points = list(f.refinement.points)
-        self.fixed = [q == p for p, q in zip(self.points, f.images)]
-        self.disps: List[Optional[Point]] = [None] * len(self.points)
+        self.homs: List[Hom] = list(f.refinement.hom_points())
+        self.fixed = [q == p for p, q in zip(self.homs, f.image.hom_points())]
+        self.disps: List[Optional[Point]] = [None] * len(self.homs)
         self.cuts: Dict[Tuple[int, int], Optional[int]] = {}  # edge -> the id of its cut
         self.cells: List[Tuple[int, ...]] = []
         self.homes: List[int] = []
 
-    def add_point(self, p: Point, fixed: bool) -> int:
-        self.points.append(p)
+    def add_point(self, h: Hom, fixed: bool) -> int:
+        self.homs.append(h)
         self.fixed.append(fixed)
-        return len(self.points) - 1
+        return len(self.homs) - 1
 
     def disp(self, v: int) -> Point:
         """f(p) - p at a vertex of f's refinement, computed once."""
         d = self.disps[v]
         if d is None:
-            d = self.disps[v] = vsub(self.f.images[v], self.points[v])
+            d = self.disps[v] = vsub(affine_point(self.f.image.hom_points()[v]),
+                                     self.f.refinement.points[v])
         return d
 
     def cut(self, u: int, v: int) -> Optional[int]:
@@ -144,8 +147,9 @@ class _Refinement:
             return None
         key = (u, v) if u < v else (v, u)
         if key not in self.cuts:
-            x = _edge_cut(self.points[u], self.points[v], self.disp(u), self.disp(v))
-            self.cuts[key] = None if x is None else self.add_point(x, True)
+            a, b = self.f.refinement.points[u], self.f.refinement.points[v]
+            x = _edge_cut(a, b, self.disp(u), self.disp(v))
+            self.cuts[key] = None if x is None else self.add_point(homogeneous(x), True)
         return self.cuts[key]
 
     def emit(self, cells, home: int):
@@ -171,7 +175,7 @@ def fixed_subcomplex(f: PLMap) -> FixedLocus:
         _refine_cells_2d(r)
     else:
         _refine_cells_1d(r)
-    refined, provenance, order = numbered(r.points, r.cells, r.homes)
+    refined, provenance, order = numbered(r.homs, r.cells, r.homes)
     fixed = [r.fixed[v] for v in order]
     # a face is fixed iff its vertices are, so the fixed vertices of each
     # cell span its largest fixed face
@@ -221,10 +225,10 @@ def _uncut_cell(r: _Refinement, s):
     fixed set as a face (a flagged vertex or side, or the whole cell)."""
     if any(r.fixed[v] for v in s):
         return [s]
-    x = _interior_fixed_point([r.points[v] for v in s], [r.disp(v) for v in s])
+    x = _interior_fixed_point([r.f.refinement.points[v] for v in s], [r.disp(v) for v in s])
     if x is None:
         return [s]
-    c = r.add_point(x, True)
+    c = r.add_point(homogeneous(x), True)
     return [(c, s[0], s[1]), (c, s[1], s[2]), (c, s[2], s[0])]
 
 
@@ -233,7 +237,7 @@ def _triangulate(r: _Refinement, part):
     cells.  A centroid that it adds lies strictly inside the part, which
     holds no fixed point unless f fixes the whole part, so it is fixed
     exactly when every vertex of the part is."""
-    tris, c = convex_fan([r.points[v] for v in part], [homogeneous(r.points[v]) for v in part])
+    tris, c = convex_fan([r.homs[v] for v in part])
     if c is not None:
         part = part + [r.add_point(c, all(r.fixed[v] for v in part))]
     return [(part[i], part[j], part[k]) for i, j, k in tris]
@@ -281,7 +285,7 @@ def fuller_search(f: PLMap, kmax: int) -> FullerResult:
         fl = fixed_subcomplex(g)
         if not fl.is_empty():
             best = max(fl.cells.simplices, key=len)
-            pts = tuple(fl.refined.points[v] for v in best)
+            pts = tuple(affine_point(fl.refined.hom_points()[v]) for v in best)
             return FullerResult(k=k, witness_cell=best, witness_points=pts,
                                 euler_char=chi)
         if k < kmax:

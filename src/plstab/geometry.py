@@ -1,19 +1,18 @@
 """Exact rational scalars, vectors and small matrices.
 
-Everything downstream computes over ``fractions.Fraction``: arbitrary
-precision, always in lowest terms with positive denominator, which is
-exactly the canonical form the rest of the toolkit assumes.  Points are
-plain tuples of Fractions so they hash and compare structurally.  The
-one literal parser, `ratio`, reads a token as an integer ratio in that
-form; `rat` builds the Fraction of it, and 1D maps keep the ratio.
+Scalars are ``fractions.Fraction``s: arbitrary precision, always in
+lowest terms with positive denominator, which is exactly the canonical
+form the rest of the toolkit assumes.  The one literal parser, `ratio`,
+reads a token as an integer ratio in that form; `rat` builds the Fraction
+of it, and 1D maps keep the ratio.
 
-`homogeneous` is the one integer form and key of a point: (X, W) for
-X/W, (X, Y, W) for (X/W, Y/W), W > 0 and gcd 1, so equal points have
-equal tuples.  The planar kernel (orientation, order, location,
-meets-tests, clipping, area) runs on it: `orient2`, the sign of `det3`,
-orients three points, `hom_cmp` orders two, and a `HomCell`'s edge lines
-L = a × b give `orient2` as L·x, three products and no call.
-`affine_point` is the one way back.
+`homogeneous` is the one integer form of a point: (X, W) for X/W,
+(X, Y, W) for (X/W, Y/W), W > 0 and gcd 1, so equal points have equal
+tuples.  Complexes and maps store their points as these rows, and the
+planar kernel runs on them: `orient2`, the sign of `det3`, orients three
+points, `hom_cmp` orders two, and a `HomCell`'s edge lines L = a × b give
+`orient2` as L·x, three products and no call.  `affine_point` is the one
+way back, and `fmt_hom` prints a row as `fmt` prints its point.
 """
 
 from __future__ import annotations
@@ -185,21 +184,29 @@ def line_through(a: Hom, b: Hom) -> Hom:
 
 
 def affine_point(h: Hom) -> Point:
-    """The point (X/W, Y/W) of homogeneous coordinates, as Fractions: the
-    one conversion out of the integer kernel, for the crossing points that
-    the clipper makes."""
-    x, y, w = h
-    return Fraction(x, w), Fraction(y, w)
+    """The point X/W, or (X/W, Y/W), of a `homogeneous` row, as Fractions:
+    the one conversion out of the integer form."""
+    if len(h) == 2:
+        return (Fraction(h[0], h[1]),)
+    return Fraction(h[0], h[2]), Fraction(h[1], h[2])
+
+
+def fmt_hom(h: Hom) -> str:
+    """The coordinates of a `homogeneous` row, printed as `fmt` prints
+    those of its point: each X/W reduced by one gcd, joined by spaces."""
+    w, out = h[-1], []
+    for x in h[:-1]:
+        g = gcd(x, w)
+        out.append(fmt_ratio(x // g, w // g))
+    return " ".join(out)
 
 
 class HomCell(NamedTuple):
-    """A counter-clockwise convex cell of the integer kernel: its points as
-    its complex or caller holds them, their `homogeneous` coordinates, and
-    the `line_through` each edge homs[i] -> homs[i + 1], the last closing
-    the cycle, so a point x is in the closed cell iff L·x >= 0 for every
-    line L."""
+    """A counter-clockwise convex cell of the integer kernel: its vertices'
+    `homogeneous` rows, and the `line_through` each edge homs[i] ->
+    homs[i + 1], the last closing the cycle, so a point x is in the closed
+    cell iff L·x >= 0 for every line L."""
 
-    points: Sequence[Point]
     homs: Tuple[Hom, ...]
     lines: Tuple[Hom, ...]
 
@@ -210,8 +217,8 @@ def hom_cell(points: Sequence[Point]) -> HomCell:
     homs = tuple(map(homogeneous, points))
     fan = (orient2(homs[0], b, c) for b, c in zip(homs[1:], homs[2:]))
     if next((o for o in fan if o), 0) < 0:
-        points, homs = points[::-1], homs[::-1]
-    return HomCell(points, homs, tuple(map(line_through, homs, homs[1:] + homs[:1])))
+        homs = homs[::-1]
+    return HomCell(homs, tuple(map(line_through, homs, homs[1:] + homs[:1])))
 
 
 def segment_param(a: Point, b: Point, x: Point):
@@ -233,11 +240,11 @@ def between(a: Point, b: Point, x: Point) -> bool:
     return t is not None and 0 <= t <= 1
 
 
-def extent(seg: Sequence[Point]) -> Fraction:
-    """The measure of a segment along its line, proportional to length
-    there: the largest absolute coordinate of its direction."""
-    p, q = seg
-    return max(abs(b - a) for a, b in zip(p, q))
+def extent(seg: Sequence[Hom]) -> Fraction:
+    """The measure of a segment, given by its ends' `homogeneous` rows,
+    along its line: the largest absolute coordinate of its direction."""
+    (*p, pw), (*q, qw) = seg
+    return Fraction(max(abs(b * pw - a * qw) for a, b in zip(p, q)), pw * qw)
 
 
 def collinear_overlap(p: Point, q: Point, a: Point, b: Point):
@@ -324,9 +331,18 @@ def closed_segments_meet(a: Hom, b: Hom, c: Hom, d: Hom) -> bool:
     return o1 * o2 <= 0 and orient2(c, d, a) * orient2(c, d, b) <= 0
 
 
-def is_simple_polygon(pts: Sequence[Point]) -> bool:
-    """Is the closed polyline through distinct planar points, in order, a
-    simple polygon?
+def on_one_grid(homs: Sequence[Hom]):
+    """Planar `homogeneous` rows over one W, the lcm of theirs: the rows
+    (X, Y, 1) of the points scaled by W onto an integer grid, and W.  A
+    positive scale keeps the sign of every orientation, dot product and
+    comparison."""
+    w = lcm(*(h[2] for h in homs))
+    return [(x * (w // c), y * (w // c), 1) for x, y, c in homs], w
+
+
+def is_simple_polygon(homs: Sequence[Hom]) -> bool:
+    """Is the closed polyline through distinct planar points, given by
+    their `homogeneous` rows, in order, a simple polygon?
 
     Two consecutive sides share their common vertex and meet nowhere else
     unless they fold back onto each other: collinear (`orient2`), with the
@@ -334,15 +350,10 @@ def is_simple_polygon(pts: Sequence[Point]) -> bool:
     sides that are not consecutive must not meet at all; only the pairs
     whose boxes meet are tested.
 
-    The points are first scaled onto an integer grid, by the lcm of their
-    denominators, as rows (x, y, 1): a positive scale keeps the sign of
-    every orientation, dot product and box comparison below, which then
-    compare ints, and the boxes of the sides, ints too, go to
-    `candidate_pairs`.
+    The rows are first put `on_one_grid`, so the boxes of the sides are
+    ints too, for `candidate_pairs`.
     """
-    ratios = [(x.as_integer_ratio(), y.as_integer_ratio()) for x, y in pts]
-    scale = lcm(*(d for xy in ratios for _, d in xy))
-    pts = [(xn * (scale // xd), yn * (scale // yd), 1) for (xn, xd), (yn, yd) in ratios]
+    pts = on_one_grid(homs)[0]
     n = len(pts)
     for k in range(n):
         a, b, c = pts[k - 1], pts[k], pts[(k + 1) % n]

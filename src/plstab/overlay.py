@@ -20,20 +20,20 @@ image checks of `PLMap(...)`.
 `triangle_pieces` walks the tiling: each cell of the first input starts
 from the hits of a neighbour visited before it and grows across the
 second input's edges, so the work is linear in the cells and their pairs
-(`_walked_pairs`).  Its meets-tests and its clip decide on integer
-homogeneous coordinates, on the cells of `Complex.hom_cells`, each built
-once per complex; Fractions are built only for the crossing points that a
-piece keeps.  It tests a cell against all cells of the second input
-only where the walk cannot seed or close: a first cell of each
-edge-connected part, a cell with no hit near its neighbour's, or an edge
-of a hit that no other cell shares crossing the cell.  Segments enumerate
+(`_walked_pairs`).  Its meets-tests and its clip decide on the cells of
+`Complex.hom_cells`, and its pieces are integer `homogeneous` rows (the
+overlap ends of `segment_pieces` are converted once).  It tests a cell
+against all cells of the second input only where the walk cannot seed or
+close: a first cell of each edge-connected part, a cell with no hit near
+its neighbour's, or an edge of a hit that no other cell shares crossing
+the cell.  Segments enumerate
 the pairs of `candidate_pairs` on their boxes.
 
 :func:`refine` builds every refinement derived from pieces (overlay,
-composite, inverse, equality): it triangulates them, interns each point
-once, and numbers the points with `numbered`, which the fixed locus
-shares, in sorted coordinate order, compared by `geometry.hom_cmp` on
-their integer `homogeneous` coordinates.  `overlay` refines the pieces of
+composite, inverse, equality): it triangulates them, interns each row
+once, and numbers the rows with `numbered`, which the fixed locus
+shares, in sorted coordinate order, compared by `geometry.hom_cmp`; no
+`Fraction` is built.  `overlay` refines the pieces of
 `realized_pieces`; the others, whose inputs realize one set by
 construction, those of `cell_pieces`.  Each piece carries a cut polygon,
 at whose points :meth:`Overlay.at_vertices`, the one vertex-value rule of
@@ -51,7 +51,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from .clip import convex_fan, polygon_area2, polygon_centroid, triangle_intersection
 from .complexes import Complex, SimplexT, ccw_triangles_meet, segment_meets_ccw_triangle
 from .errors import RealizationMismatch
-from .geometry import Point, bbox, candidate_pairs, collinear_overlap, extent, hom_cmp, homogeneous
+from .geometry import Hom, bbox, candidate_pairs, collinear_overlap, extent, hom_cmp, homogeneous
 
 
 @dataclass(frozen=True)
@@ -61,11 +61,11 @@ class Overlay:
     ``provenance[s]`` gives, for each maximal simplex ``s`` of ``cells``,
     the pair (index into t1.simplices, index into t2.simplices) of the
     input simplices containing it; ``cuts[v]`` the pair of the first piece
-    that made vertex v, and v's cut point there."""
+    that made vertex v, and the row of v's cut point there."""
 
     cells: Complex
     provenance: Dict[SimplexT, Tuple[int, int]]
-    cuts: Tuple[Tuple[int, int, Point], ...]
+    cuts: Tuple[Tuple[int, int, Hom], ...]
 
     def at_vertices(self, value) -> Iterator:
         """``value(i1, i2, c)`` at each vertex's ``cuts`` entry, lazily in
@@ -76,24 +76,23 @@ class Overlay:
 
 def refine(pieces) -> Overlay:
     """The trusted refinement of interior-disjoint ``pieces`` (i1, i2, poly,
-    cut): `convex_fan` of each polygon on its `homogeneous` rows (a segment
-    kept whole), its cells from the pair (i1, i2).  ``cut`` holds the cut
-    point of each vertex of ``poly``, a fan centroid the centroid of
-    ``cut`` (its image, as ``cut`` is an affine image of ``poly``).  Each
-    point gets one id by its rows, with the first piece's cut."""
-    ids: Dict[tuple, int] = {}
-    points: List[Point] = []
+    cut), polygons as `homogeneous` rows: `convex_fan` of each polygon (a
+    segment kept whole), its cells from the pair (i1, i2).  ``cut`` holds
+    the cut point of each vertex of ``poly``, a fan centroid the centroid
+    of ``cut`` (its image, as ``cut`` is an affine image of ``poly``).
+    Each row gets one id, with the first piece's cut."""
+    ids: Dict[Hom, int] = {}
+    points: List[Hom] = []
     cuts, cells, pairs = [], [], []
     for i1, i2, poly, cut in pieces:
-        homs = [homogeneous(p) for p in poly]
-        tris, c = convex_fan(poly, homs) if len(poly) > 2 else ([(0, 1)], None)
+        tris, c = convex_fan(poly) if len(poly) > 2 else ([(0, 1)], None)
         if c is not None:
-            poly, cut, homs = [*poly, c], [*cut, polygon_centroid(cut)], [*homs, homogeneous(c)]
+            poly, cut = [*poly, c], [*cut, polygon_centroid(cut)]
         vs = []
-        for p, h, x in zip(poly, homs, cut):
+        for h, x in zip(poly, cut):
             v = ids.setdefault(h, len(points))
             if v == len(points):
-                points.append(p)
+                points.append(h)
                 cuts.append((i1, i2, x))
             vs.append(v)
         cells += [tuple(vs[k] for k in tri) for tri in tris]
@@ -102,23 +101,22 @@ def refine(pieces) -> Overlay:
     return Overlay(refined, provenance, tuple(cuts[v] for v in order))
 
 
-def numbered(points, cells, provenance):
+def numbered(homs, cells, provenance):
     """The trusted complex of the id tuples ``cells`` over the distinct
-    ``points``, its vertices numbered in sorted coordinate order and its
-    simplices sorted; the dict of ``provenance[k]`` by the simplex of cell
-    k, in simplex order; and the id of each vertex, in vertex order.
+    points of the `homogeneous` rows ``homs``, its vertices numbered in
+    sorted coordinate order and its simplices sorted; the dict of
+    ``provenance[k]`` by the simplex of cell k, in simplex order; and the
+    id of each vertex, in vertex order.
 
-    One sort of the ids, by `geometry.hom_cmp` on the points'
-    `homogeneous` coordinates, on ints."""
-    homs = [homogeneous(p) for p in points]
+    One sort of the ids, by `geometry.hom_cmp` on the rows, on ints."""
     key = cmp_to_key(hom_cmp)
-    order = sorted(range(len(points)), key=lambda v: key(homs[v]))
+    order = sorted(range(len(homs)), key=lambda v: key(homs[v]))
     rank = [0] * len(order)
     for k, v in enumerate(order):
         rank[v] = k
     by_simplex = dict(sorted(zip([tuple(sorted([rank[v] for v in cell])) for cell in cells],
                                  provenance)))
-    return Complex.trusted([points[v] for v in order], list(by_simplex)), by_simplex, order
+    return Complex.trusted([homs[v] for v in order], list(by_simplex)), by_simplex, order
 
 
 def overlay(t1: Complex, t2: Complex) -> Overlay:
@@ -146,19 +144,17 @@ def realized_pieces(t1: Complex, t2: Complex,
     The pieces of a cell are its intersections with the interior-disjoint
     cells of the other input, so they cover it iff their measures add up
     to its own: |`polygon_area2`| for a triangle, the `extent` along the
-    cell's line for a segment.  Once both inputs pass,
-    the walk of `triangle_pieces` is complete, and a cell whose interior
-    meets one cell of the other input alone lies in it: the rest of its
-    interior would be an open set covered by lower-dimensional faces only."""
+    cell's line for a segment, both on the rows of the points.  Once both
+    inputs pass, the walk of `triangle_pieces` is complete, and a cell
+    whose interior meets one cell of the other input alone lies in it: the
+    rest of its interior would be an open set covered by lower-dimensional
+    faces only."""
     if t1.dim != t2.dim or t1.ambient_dim != t2.ambient_dim:
         raise RealizationMismatch("inputs have different dimensions")
     pieces = list(cell_pieces(t1, t2))
-    if t1.dim == 1:
-        measures = [extent(seg) for _, _, seg in pieces]
-        own = [[extent(seg) for seg in t.cells()] for t in (t1, t2)]
-    else:
-        measures = [abs(polygon_area2(poly)) for _, _, poly in pieces]
-        own = [[abs(polygon_area2(tri)) for tri in t.cells()] for t in (t1, t2)]
+    measure = extent if t1.dim == 1 else lambda poly: abs(polygon_area2(poly))
+    measures = [measure(poly) for _, _, poly in pieces]
+    own = [[measure([t.hom_points()[v] for v in s]) for s in t.simplices] for t in (t1, t2)]
     covered = [[Fraction(0)] * len(t.simplices) for t in (t1, t2)]
     for (i1, i2, _), m in zip(pieces, measures):
         covered[0][i1] += m
@@ -174,12 +170,13 @@ def realized_pieces(t1: Complex, t2: Complex,
 
 def segment_pieces(segs1, segs2):
     """(i1, i2, (p, q)) for each pair of a segment of ``segs1`` and one of
-    ``segs2`` that overlap in positive length: the overlap's end points, in
-    the direction of segment i1."""
+    ``segs2``, each given by its end points, that overlap in positive
+    length: the `homogeneous` rows of the overlap's end points, in the
+    direction of segment i1."""
     for i1, i2 in candidate_pairs([bbox(s) for s in segs1], [bbox(s) for s in segs2]):
         piece = collinear_overlap(*segs1[i1], *segs2[i2])
         if piece is not None:
-            yield i1, i2, piece
+            yield i1, i2, (homogeneous(piece[0]), homogeneous(piece[1]))
 
 
 # -- 2D ------------------------------------------------------------------
@@ -188,9 +185,10 @@ def segment_pieces(segs1, segs2):
 def triangle_pieces(t1: Complex, t2: Complex):
     """(i1, i2, polygon) for each pair of a triangle of ``t1`` and one of
     ``t2`` whose interiors meet: their intersection, a counter-clockwise
-    convex polygon.  The pairs come from a walk (`_walked_pairs`) over the
-    two complexes' `Complex.hom_cells`, counter-clockwise, as the meets-tests
-    and `triangle_intersection` take them: no cell is oriented here."""
+    convex polygon of `homogeneous` rows.  The pairs come from a walk
+    (`_walked_pairs`) over the two complexes' `Complex.hom_cells`,
+    counter-clockwise, as the meets-tests and `triangle_intersection` take
+    them: no cell is oriented here."""
     cells1, cells2 = t1.hom_cells(), t2.hom_cells()
     for i1, i2 in _walked_pairs(t1, t2, cells1, cells2):
         yield i1, i2, triangle_intersection(cells1[i1], cells2[i2])

@@ -20,14 +20,15 @@ only for maps the certificate does not accept: every rejected map, every
 refinements that subdivide the base's boundary.  So they alone decide
 which exception a rejected map raises.
 
-A map derived from validated maps is valid by construction and is built
-with :meth:`PLMap.trusted`, which keeps the images it is handed and
-checks nothing but two area identities in the plane (refinement, base and
-image areas agree; a failure is an ``InternalError``).
+A map's image is its refinement at the images' `homogeneous` rows
+(`Complex.with_points`), with the refinement's incidence tables;
+`PLMap.images` is their `Fraction` view.  A map derived from validated
+maps is valid by construction and is built with :meth:`PLMap.trusted`,
+which keeps the rows it is handed and checks nothing but two area
+identities in the plane (a failure is an ``InternalError``):
 :func:`compose2d`, :func:`inverse2d` and :func:`identity_map` build this
 way, taking each cell's base cell from provenance.  The test suite
-re-validates every trusted result.  A map's image is its refinement at
-the images (`Complex.with_points`), with the refinement's incidence tables.
+re-validates every trusted result.
 
 Every loop over pairs of cells that meet goes through the kernels of
 :mod:`plstab.overlay`: `realized_pieces` under the two realization
@@ -39,14 +40,11 @@ point, through f's piece; an inverse pulls it back; ``f == g`` compares
 the two maps' pieces there.
 
 A map keeps one affine piece per refinement cell, from the cell to its
-image, and one back, each solved on first use (`_solve_piece`, exact
-integer rows over one denominator, so applying one builds a Fraction per
-coordinate and nothing else).  `PLMap.eval_in_cell` applies the first,
-and `PLMap.pullback_in_cell` the second under the pullbacks of
-composition and inversion; `PLMap.eval` locates the cell first, on the
-point's `homogeneous` coordinates and the refinement's cached
-`Complex.hom_cells`.  The four-orientation barycentric solve they
-replace is the tests' oracle.
+image, and one back, each solved on first use (`_solve_piece`): a
+canonical integer matrix on rows, so applying one is a matrix-vector
+product and a gcd, and composition, inversion and equality build no
+Fraction.  `PLMap.eval` converts its point to a row once, locates it on
+the cached `Complex.hom_cells`, and converts its value back once.
 
 Each exact test runs once, and both realization tests are one call of
 `realized_pieces`, the cover accounting of `overlay`: the refinement
@@ -68,84 +66,73 @@ exact meaning, so `2/4` in a map file equals `1/2` in its base.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm, prod
+from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .complexes import (
-    Complex,
-    directed_boundary,
-    format_complex,
-    in_closed_cell,
-    rational_points,
-    read_complex_records,
-)
-from .errors import (
-    InternalError,
-    InvalidComplex,
-    ParseError,
-    PointOutsideComplex,
-    RealizationMismatch,
-    VertexNotInComplex,
-)
-from .geometry import (
-    Mat,
-    Point,
-    TokenTable,
-    between,
-    fmt,
-    homogeneous,
-    orient2,
-    rat,
-)
+from . import geometry
+from .complexes import (Complex, directed_boundary, format_complex, in_closed_cell,
+                        rational_points, read_complex_records)
+from .errors import (InternalError, InvalidComplex, ParseError, PointOutsideComplex,
+                     RealizationMismatch, VertexNotInComplex)
+from .geometry import (Hom, Mat, Point, TokenTable, affine_point, between, det3, fmt, fmt_hom,
+                       homogeneous, line_through, rat)
 from .overlay import cell_pieces, realized_pieces, refine
 
+# no code here orients a cell; the benchmark's tracer test reads `plmap.orient2`
+orient2 = geometry.orient2
 
-def _solve_piece(src: Sequence[Point], dst: Sequence[Point]):
-    """The affine map taking the segment or planar triangle ``src`` onto the
-    points ``dst``, as integer rows and a denominator D: the image of x has
-    coordinates (m_0 x_0 + ... + m_(n-1) x_(n-1) + c) / D, row (m, c) by
-    row.
 
-    All points are first put over one integer denominator L.  A triangle
-    abc goes by the matrix M with M(b - a) = B - A and M(c - a) = C - A and
-    the offset A - M a; a segment ab by x -> A + t (B - A), where
-    t = (x - a)·(b - a) / |b - a|² is x's parameter on it.
+def _solve_piece(src: Sequence[Hom], dst: Sequence[Hom]):
+    """The affine map taking the segment or planar triangle ``src`` onto
+    ``dst``, all `homogeneous` rows, as an integer matrix M: M x is the row
+    of x's image up to a positive factor.  Its last row is (0, ..., 0, k),
+    and M is reduced by its gcd with k > 0, so one map has one matrix.
+
+    A triangle abc goes by Q S adj(P), P with columns a, b, c, Q with the
+    images A, B, C, and S scaling A by w_a W_B W_C (and so on), so that
+    every vertex goes to its image over one W.  A segment ab goes by
+    x -> A + t (B - A), t = (x - a)·(b - a) / |b - a|², linear in x's row.
     """
-    ratios = [c.as_integer_ratio() for p in (*src, *dst) for c in p]
-    scale = lcm(*(q for _, q in ratios))
-    ints = [p * (scale // q) for p, q in ratios]
-    n = len(src[0])
-    pts = [ints[k:k + n] for k in range(0, len(ints), n)]
     if len(src) == 3:
-        a, b, c, A, B, C = pts
-        u0, u1, v0, v1 = b[0] - a[0], b[1] - a[1], c[0] - a[0], c[1] - a[1]
-        det = u0 * v1 - u1 * v0
+        a, b, c = src
+        A, B, C = dst
+        (p0, p1, p2), (q0, q1, q2), (r0, r1, r2) = (line_through(b, c), line_through(c, a),
+                                                    line_through(a, b))
+        sa, sb, sc = a[2] * B[2] * C[2], b[2] * A[2] * C[2], c[2] * A[2] * B[2]
         rows = []
-        for k in range(2):
-            bu, cv = B[k] - A[k], C[k] - A[k]
-            m0, m1 = bu * v1 - cv * u1, cv * u0 - bu * v0
-            rows.append((scale * m0, scale * m1, A[k] * det - m0 * a[0] - m1 * a[1]))
-        den = scale * det
+        for i in range(2):
+            u, v, w = sa * A[i], sb * B[i], sc * C[i]
+            rows.append([u * p0 + v * q0 + w * r0, u * p1 + v * q1 + w * r1,
+                         u * p2 + v * q2 + w * r2])
+        k = A[2] * B[2] * C[2] * det3(a, b, c)
     else:
-        a, b, A, B = pts
-        d = [y - x for x, y in zip(a, b)]
-        dd, ad = sum(x * x for x in d), sum(x * y for x, y in zip(a, d))
-        rows = [tuple(scale * (Bk - Ak) * x for x in d) + (Ak * dd - (Bk - Ak) * ad,)
-                for Ak, Bk in zip(A, B)]
-        den = scale * dd
-    g = gcd(den, *(x for row in rows for x in row))
-    return tuple(tuple(x // g for x in row) for row in rows), den // g
+        (a, b), (A, B) = src, dst
+        n, aw, bw, Aw, Bw = len(a) - 1, a[-1], b[-1], A[-1], B[-1]
+        d = [b[i] * aw - a[i] * bw for i in range(n)]
+        line = [aw * di for di in d] + [-sum(a[i] * d[i] for i in range(n))]
+        dd = sum(di * di for di in d)
+        rows = [[bw * (Aw * B[i] - Bw * A[i]) * m for m in line] for i in range(n)]
+        for i in range(n):
+            rows[i][n] += dd * Bw * A[i]
+        k = dd * Bw * Aw
+    g = gcd(k, *(x for row in rows for x in row))
+    if k < 0:
+        g = -g
+    return tuple(tuple(x // g for x in row) for row in rows) + ((0,) * (len(rows)) + (k // g,),)
 
 
-def _apply_piece(piece, x: Point) -> Point:
-    """x under a piece of `_solve_piece`: one Fraction per coordinate."""
-    rows, den = piece
-    ratios = [c.as_integer_ratio() for c in x]
-    w = prod(q for _, q in ratios)
-    nums = [p * (w // q) for p, q in ratios]
-    den *= w
-    return tuple(Fraction(sum(m * v for m, v in zip(row, nums)) + row[-1] * w, den)
-                 for row in rows)
+def _apply_piece(piece, h: Hom) -> Hom:
+    """The row h under a piece of `_solve_piece`: one matrix-vector product
+    and one gcd, W staying positive as the piece's k is."""
+    if len(h) == 3:
+        (m0, m1, m2), (n0, n1, n2), (_, _, k) = piece
+        x, y, w = h
+        x, y, w = m0 * x + m1 * y + m2 * w, n0 * x + n1 * y + n2 * w, k * w
+        g = gcd(x, y, w)
+        return x // g, y // g, w // g
+    out = [sum(m * v for m, v in zip(row, h)) for row in piece]
+    g = gcd(*out)
+    return tuple(v // g for v in out)
 
 
 def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Complex]:
@@ -154,11 +141,10 @@ def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Com
 
     With R the refinement (which tiles the base K) and f the images:
 
-    1. the image points are pairwise distinct: the image R at the images
-       (`Complex.with_points`) is built first, and its `hom_points`, like
-       step 4's base `hom_points`, are hashed in place of Fractions;
+    1. the image points are pairwise distinct: the image R at the images'
+       rows (`Complex.with_points`) is built first, and its rows hashed;
     2. each image cell has a nonzero orientation σ (one `orient2` a cell,
-       on those rows);
+       the image's `Complex.orientations`, which it keeps);
     3. the two cells of each interior edge of R have their images on
        opposite sides of the image edge (read off σ, no further `orient2`;
        R's facet table, built once per complex, pairs the cells);
@@ -179,7 +165,8 @@ def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Com
     the image cells are nondegenerate, have disjoint interiors and tile K,
     each boundary edge goes onto a boundary edge, and with step 1 f is
     injective: every exact check would pass.  The image of step 1 is
-    returned with its rows, so a walk of it converts no point again.
+    returned with its rows and orientations, so a walk of it converts and
+    orients no point again.
 
     Every homeomorphism that maps the boundary edges of R one-to-one onto
     those of K passes.  The rest takes the exact path: every rejected map,
@@ -188,12 +175,11 @@ def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Com
     """
     if base.dim != 2:
         return None
-    image = refinement.with_points(images)
+    image = refinement.with_points([homogeneous(p) for p in images])
     keys = image.hom_points()
     if len(set(keys)) != len(keys):
         return None
-    signs = [orient2(keys[u], keys[v], keys[w]) for u, v, w in refinement.simplices]
-    edges = directed_boundary(refinement.simplices, signs, refinement.facets())
+    edges = directed_boundary(refinement.simplices, image.orientations(), refinement.facets())
     if edges is None:
         return None
     homs = base.hom_points()
@@ -229,7 +215,7 @@ class PLMap:
         images = rational_points(images)
         if base.dim != refinement.dim or base.ambient_dim != refinement.ambient_dim:
             raise RealizationMismatch("refinement must live where the base lives")
-        if len(images) != len(refinement.points):
+        if len(images) != refinement.vertex_count:
             raise InvalidComplex("need one image point per refinement vertex")
         if any(len(p) != base.ambient_dim for p in images):
             raise InvalidComplex("image points have the wrong ambient dimension")
@@ -242,15 +228,14 @@ class PLMap:
             self._check_image_exactly(images)
 
     @classmethod
-    def trusted(cls, base: Complex, refinement: Complex, images: Sequence,
+    def trusted(cls, base: Complex, refinement: Complex, images: Sequence[Hom],
                 cell_base: Sequence[int]) -> "PLMap":
         """A map that compose, invert or identity built from validated
         inputs, so valid by construction: ``refinement`` refines ``base``
-        and ``cell_base`` comes from provenance.  The images, tuples of
-        Fractions, are kept as built (`Complex.with_points`).
-
-        In the plane, refinement area = base area = image area is checked
-        as a tripwire (``InternalError``) against a lost or doubled cell.
+        and ``cell_base`` comes from provenance.  The images, `homogeneous`
+        rows, are kept as built (`Complex.with_points`).  In the plane,
+        refinement area = base area = image area, as integer ratios, is a
+        tripwire (``InternalError``) against a lost or doubled cell.
         """
         self = cls.__new__(cls)
         self.base = base
@@ -258,15 +243,14 @@ class PLMap:
         self._pieces = None
         self.image = refinement.with_points(images)
         self.cell_base = tuple(cell_base)
-        if base.dim == 2:
-            area = base.area2()
-            if refinement.area2() != area or self.image.area2() != area:
-                raise InternalError("a derived map does not conserve the base area")
+        if base.dim == 2 and len({c.area2().as_integer_ratio()
+                                  for c in (base, refinement, self.image)}) != 1:
+            raise InternalError("a derived map does not conserve the base area")
         return self
 
     @property
     def images(self) -> Tuple[Point, ...]:
-        """The image of each refinement vertex."""
+        """The image of each refinement vertex: the image's `points` view."""
         return self.image.points
 
     @property
@@ -286,9 +270,7 @@ class PLMap:
             hits[i].append(j)
         for s, h in zip(self.refinement.simplices, hits):
             if len(h) != 1:
-                raise RealizationMismatch(
-                    f"refinement cell {s} is not inside any base simplex"
-                )
+                raise RealizationMismatch(f"refinement cell {s} is not inside any base simplex")
         return tuple(h[0] for h in hits)
 
     def _check_image_exactly(self, images):
@@ -309,11 +291,12 @@ class PLMap:
     # -- queries ---------------------------------------------------------
 
     def is_identity(self) -> bool:
-        return self.images == self.refinement.points
+        return self.image.hom_points() == self.refinement.hom_points()
 
     def moved_point(self) -> Optional[Point]:
         """A refinement vertex the map moves, or None for the identity."""
-        return next((p for p, q in zip(self.refinement.points, self.images) if p != q), None)
+        return next((affine_point(p) for p, q in zip(self.refinement.hom_points(),
+                                                     self.image.hom_points()) if p != q), None)
 
     def compose(self, g: "PLMap") -> "PLMap":
         return compose2d(self, g)
@@ -345,33 +328,34 @@ class PLMap:
 
     def eval(self, x) -> Point:
         """f(x) on the first refinement cell that holds x: `between` on a
-        segment, `in_closed_cell` on the cached `Complex.hom_cells`."""
+        segment, `in_closed_cell` on the cached `Complex.hom_cells`.  The
+        point is converted to its row once, and its value back once."""
         x, r = tuple(rat(c) for c in x), self.refinement
+        h = homogeneous(x)
         if r.dim == 1:
             hits = (i for i, (u, v) in enumerate(r.simplices)
                     if between(r.points[u], r.points[v], x))
         else:
-            h = homogeneous(x)
             hits = (i for i, cell in enumerate(r.hom_cells()) if in_closed_cell(h, cell))
         for i in hits:
-            return self.eval_in_cell(i, x)
+            return affine_point(self.eval_in_cell(i, h))
         raise PointOutsideComplex(f"({', '.join(fmt(c) for c in x)}) is not in the realization")
 
-    def eval_in_cell(self, i: int, x: Point) -> Point:
-        """x under the affine piece of refinement cell ``i``, for any point
-        x: f(x) when x is in that closed cell, with no point location."""
-        return _apply_piece(self._piece(i, 0), x)
+    def eval_in_cell(self, i: int, h: Hom) -> Hom:
+        """The row h under the affine piece of refinement cell ``i``: f(x)
+        when x is in that closed cell, with no point location."""
+        return _apply_piece(self._piece(i, 0), h)
 
-    def pullback_in_cell(self, i: int, y: Point) -> Point:
-        """y under the inverse of the affine piece of refinement cell ``i``:
-        the preimage of any y in image cell ``i``."""
-        return _apply_piece(self._piece(i, 1), y)
+    def pullback_in_cell(self, i: int, h: Hom) -> Hom:
+        """The row h under the inverse of the affine piece of refinement
+        cell ``i``: the preimage of any point in image cell ``i``."""
+        return _apply_piece(self._piece(i, 1), h)
 
     def linear_part(self, i: int) -> Mat:
         """The matrix of the affine piece of planar refinement cell ``i``:
-        entry (j, k) is m_k / D of the piece's row j."""
-        rows, den = self._piece(i, 0)
-        return Mat([[Fraction(m, den) for m in row[:2]] for row in rows])
+        entry (j, k) is M[j][k] / M[2][2] of the piece's matrix M."""
+        r0, r1, (_, _, k) = self._piece(i, 0)
+        return Mat([[Fraction(m, k) for m in row[:2]] for row in (r0, r1)])
 
     def _piece(self, i: int, backward: int):
         """The affine piece of cell ``i`` (from the refinement to the image,
@@ -381,21 +365,21 @@ class PLMap:
                             [None] * len(self.refinement.simplices))
         piece = self._pieces[backward][i]
         if piece is None:
-            s = self.refinement.simplices[i]
-            ends = ([self.refinement.points[v] for v in s], [self.images[v] for v in s])
+            s, homs = self.refinement.simplices[i], self.refinement.hom_points()
+            ends = ([homs[v] for v in s], [self.image.hom_points()[v] for v in s])
             piece = self._pieces[backward][i] = _solve_piece(ends[backward],
                                                              ends[1 - backward])
         return piece
 
     def refinement_index_of_base_vertex(self, v: int) -> int:
-        if not 0 <= v < len(self.base.points):
+        if not 0 <= v < self.base.vertex_count:
             raise VertexNotInComplex("vertex %d not in base complex" % v)
         # a base vertex is extreme in each base cell, so a corner of each refinement cell at it
-        return self.refinement.points.index(self.base.points[v])
+        return self.refinement.hom_points().index(self.base.hom_points()[v])
 
 
 def identity_map(c: Complex) -> PLMap:
-    return PLMap.trusted(c, c, c.points, range(len(c.simplices)))
+    return PLMap.trusted(c, c, c.hom_points(), range(len(c.simplices)))
 
 
 def plmap_from_vertex_images(c: Complex, images: Sequence) -> PLMap:
@@ -426,18 +410,17 @@ def _pulled_back(f: PLMap, g: PLMap):
     cell j of f, pulled back through g's piece on i, with itself as the
     cut; both reversed where that piece reverses orientation (cell i has
     two `orientations`), so the pulled-back polygon is counter-clockwise.
-    g is one to one, so each cut point, keyed by its `homogeneous`
-    coordinates, is pulled back once, through the first piece that has it."""
-    back: Dict[tuple, Point] = {}
+    g is one to one, so each cut point, keyed by its row, is pulled back
+    once, through the first piece that has it."""
+    back: Dict[Hom, Hom] = {}
     for i, j, cut in cell_pieces(g.image, f.refinement):
         if len(cut) > 2 and g.refinement.orientations()[i] != g.image.orientations()[i]:
             cut = cut[::-1]
         pre = []
         for y in cut:
-            key = homogeneous(y)
-            x = back.get(key)
+            x = back.get(y)
             if x is None:
-                x = back[key] = g.pullback_in_cell(i, y)
+                x = back[y] = g.pullback_in_cell(i, y)
             pre.append(x)
         yield i, j, pre, cut
 
@@ -482,9 +465,9 @@ def parse_plmap(text: str, base: Complex, tokens: Optional[TokenTable] = None) -
         refinement = base
     else:
         refinement = Complex(points, sims)
-    if sorted(images) != list(range(len(refinement.points))):
+    if sorted(images) != list(range(refinement.vertex_count)):
         raise InvalidComplex("img records do not cover the refinement vertices")
-    return PLMap(base, refinement, [images[i] for i in range(len(refinement.points))])
+    return PLMap(base, refinement, [images[i] for i in range(refinement.vertex_count)])
 
 
 def format_plmap(f: PLMap, base_name: Optional[str] = None) -> str:
@@ -492,6 +475,6 @@ def format_plmap(f: PLMap, base_name: Optional[str] = None) -> str:
     if base_name is not None:
         lines.append("base %s" % base_name)
     lines.append(format_complex(f.refinement).rstrip("\n"))
-    for i, p in enumerate(f.images):
-        lines.append("img %d %s" % (i, " ".join(fmt(x) for x in p)))
+    for i, h in enumerate(f.image.hom_points()):
+        lines.append("img %d %s" % (i, fmt_hom(h)))
     return "\n".join(lines) + "\n"

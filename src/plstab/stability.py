@@ -22,7 +22,7 @@ from .complexes import Complex, euler_characteristic
 from .errors import (DisconnectedComplex, InternalError, SupportMismatch,
                      VertexNotInComplex)
 from .fixedlocus import (canonical_invariant, fixed_subcomplex, fuller_search)
-from .geometry import primitive_direction, vsub
+from .geometry import affine_point, primitive_direction, vsub
 from .interval import PLMap1D, fixed_set_1d
 from .plmap import PLMap
 from .presentation import Presentation, abelianization
@@ -86,9 +86,10 @@ def verify_relators(a: ActionSpec):
 
 def _moved_cells(f: PLMap) -> Dict[int, Tuple[int, int]]:
     """For each base cell that f moves: (index of the first refinement cell
-    in it that has a moved vertex, that cell's first moved vertex)."""
+    in it that has a moved vertex, that cell's first moved vertex), read
+    off the rows of the refinement and the image."""
     moved: Dict[int, Tuple[int, int]] = {}
-    points, images = f.refinement.points, f.images
+    points, images = f.refinement.hom_points(), f.image.hom_points()
     for i, (s, home) in enumerate(zip(f.refinement.simplices, f.cell_base)):
         if home not in moved:
             v = next((v for v in s if images[v] != points[v]), None)
@@ -115,16 +116,17 @@ def _tangent_witness_1d(f: PLMap, p: int):
 def _on_one_edge(gens: Sequence[Tuple[str, PLMap1D]]) -> List[Tuple[str, PLMap]]:
     """Interval maps of [a, b] as maps of the one-edge complex [a, b] in
     R^1: base vertex 0 is a, vertex 1 is b, and each map's refinement is
-    its canonical breakpoints.  The maps are valid, so both the complexes
-    and the maps are built trusted."""
-    a, b = gens[0][1].domain
-    base = Complex.trusted([(a,), (b,)], [(0, 1)])
+    its canonical breakpoints, a row (xn, xd, yn, yd) giving the
+    `homogeneous` rows (xn, xd) and (yn, yd) of a point and its image.
+    The maps are valid, so all are built trusted."""
+    rows = gens[0][1].rows
+    base = Complex.trusted([rows[0][:2], rows[-1][:2]], [(0, 1)])
     out = []
     for name, f in gens:
-        xs, ys = zip(*f.breakpoints)
-        edges = [(i, i + 1) for i in range(len(xs) - 1)]
-        refinement = Complex.trusted([(x,) for x in xs], edges)
-        out.append((name, PLMap.trusted(base, refinement, [(y,) for y in ys], [0] * len(edges))))
+        edges = [(i, i + 1) for i in range(len(f.rows) - 1)]
+        refinement = Complex.trusted([r[:2] for r in f.rows], edges)
+        out.append((name, PLMap.trusted(base, refinement, [r[2:] for r in f.rows],
+                                        [0] * len(edges))))
     return out
 
 
@@ -139,7 +141,7 @@ def certify_trivial(a: ActionSpec, p: int) -> Certificate:
     elif not isinstance(gens[0][1], PLMap):
         raise SupportMismatch("certify_trivial needs a complex or interval action")
     base = gens[0][1].domain
-    if not (0 <= p < len(base.points)):
+    if not (0 <= p < base.vertex_count):
         raise VertexNotInComplex("vertex %d not in base complex" % p)
     if not base.is_connected():
         raise DisconnectedComplex("base complex is not connected")
@@ -157,14 +159,15 @@ def certify_trivial(a: ActionSpec, p: int) -> Certificate:
     else:
         assumptions.append("H1(G;R)=0 assumed by caller (no presentation)")
 
-    # base vertex p is a refinement vertex, so its image is read, not evaluated
-    pt = base.points[p]
+    # base vertex p is a refinement vertex, so its image row is read, not evaluated
+    pt = base.hom_points()[p]
     for name, f in gens:
-        image = f.images[f.refinement_index_of_base_vertex(p)]
+        image = f.image.hom_points()[f.refinement_index_of_base_vertex(p)]
         if image != pt:
             return Certificate(
                 status="Obstructed", stage="FixedPointGate",
-                witness={"vertex": p, "generator": name, "point": pt, "image": image},
+                witness={"vertex": p, "generator": name, "point": affine_point(pt),
+                         "image": affine_point(image)},
                 assumptions=assumptions)
 
     if base.dim == 2:
@@ -200,7 +203,8 @@ def certify_trivial(a: ActionSpec, p: int) -> Certificate:
             hits = [cells[c] for c in stars[v] if c in cells]
             if hits:
                 i, rv = min(hits)
-                x, y = f.refinement.points[rv], f.images[rv]
+                x = affine_point(f.refinement.hom_points()[rv])
+                y = affine_point(f.image.hom_points()[rv])
                 if not (f.eval(x) == y != x):
                     raise InternalError("Propagation witness does not re-check with eval")
                 return Certificate(
@@ -214,7 +218,7 @@ def certify_trivial(a: ActionSpec, p: int) -> Certificate:
         for w in sorted({w for c in stars[v] for w in base.simplices[c]} - seen):
             seen.add(w)
             queue.append(w)
-    if len(verified) != len(base.points):
+    if len(verified) != base.vertex_count:
         raise InternalError("propagation left base vertices unverified")
     if not all(f.is_identity() for _, f in gens):
         raise InternalError("a generator verified on every star is not the identity")

@@ -137,12 +137,13 @@ def build_germ(f: PLMap, p: int) -> Germ:
 
     Each cone's matrix is the linear part of f's affine piece on its
     refinement cell (`PLMap.linear_part`): f fixes the apex, so f(apex + x)
-    = apex + M x there.  The ray to each link vertex is found once."""
+    = apex + M x there.  The apex is checked on rows, and the ray to each
+    link vertex is found once, on the refinement's `points` view."""
     pr = f.refinement_index_of_base_vertex(p)
+    if f.image.hom_points()[pr] != f.refinement.hom_points()[pr]:
+        raise NotFixedPoint(f"vertex {p} is not fixed")
     points = f.refinement.points
     apex = points[pr]
-    if f.images[pr] != apex:
-        raise NotFixedPoint(f"vertex {p} is not fixed")
     star = [(i, [w for w in f.refinement.simplices[i] if w != pr])
             for i in f.refinement.stars()[pr]]
     rays = {w: primitive_direction(vsub(points[w], apex)) for _, ends in star for w in ends}

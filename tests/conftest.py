@@ -1,6 +1,7 @@
 import sys
 from fractions import Fraction
 from importlib import import_module
+from math import gcd
 
 import pytest
 
@@ -33,45 +34,48 @@ def check_trusted_builds(monkeypatch):
     orientation, or on fan and matrices, so a bug in an operation that
     builds trusted still fails the tests; a trusted complex's simplices
     must come sorted, as the validating constructor sorts them.  A trusted
-    complex's points, and so a trusted map's images, must also be tuples
-    of Fractions, and a trusted 1D map's rows and slope ratios tuples of
-    ints, as the validating constructor would make them."""
+    complex, and so a trusted map's image, must be handed its points as
+    canonical `homogeneous` rows (tuples of ints with W > 0 and gcd 1, as
+    the validating constructor makes them), and is then validated through
+    its `points` view; a trusted 1D map's rows and slope ratios must be
+    tuples of ints."""
     complex_trusted, with_points = Complex.trusted, Complex.with_points
     certified_image = plmap._certified_image
     plmap_trusted = PLMap.trusted
     lift_trusted, map1d_trusted = CircleLift.trusted, PLMap1D.trusted
     germ_trusted = Germ.trusted
 
-    def checked_complex(cls, points, maximal_simplices):
-        return check_complex(complex_trusted(points, maximal_simplices), points,
+    def checked_complex(cls, homs, maximal_simplices):
+        return check_complex(complex_trusted(homs, maximal_simplices), homs,
                              maximal_simplices)
 
-    def checked_with_points(self, points):
-        out = with_points(self, points)
+    def checked_with_points(self, homs):
+        out = with_points(self, homs)
         # the certificate builds its image before it decides: the image it
         # accepts is checked by `checked_image`, and one it refuses is none
         if sys._getframe(1).f_code is certified_image.__code__:
             return out
-        return check_complex(out, points, self.simplices)
+        return check_complex(out, homs, self.simplices)
 
     def checked_image(base, refinement, images):
         out = certified_image(base, refinement, images)
-        return out if out is None else check_complex(out, images, refinement.simplices)
+        return out if out is None else check_complex(out, out.hom_points(),
+                                                     refinement.simplices)
 
-    def check_complex(out, points, maximal_simplices):
-        ref = Complex(points, maximal_simplices)
-        if (out.points, out.simplices) != (ref.points, ref.simplices):
+    def check_complex(out, homs, maximal_simplices):
+        # the rows are kept as handed, and a bool or a row that is not
+        # reduced would compare or hash unlike the validating build's
+        if not all(type(h) is tuple and all(type(c) is int for c in h) and h[-1] > 0
+                   and gcd(*h) == 1 for h in homs):
+            raise TrustedBuildMismatch(f"{out!r} is handed a point that is no canonical row")
+        ref = Complex(out.points, maximal_simplices)
+        if (out.hom_points(), out.simplices) != (ref.hom_points(), ref.simplices):
             raise TrustedBuildMismatch(f"{out!r} differs from {ref!r}")
-        # a trusted build keeps its points as given, and an int equals its
-        # Fraction, so the comparison above cannot see one
-        if not all(type(p) is tuple and all(type(c) is Fraction for c in p)
-                   for p in out.points):
-            raise TrustedBuildMismatch(f"{out!r} has a point that is no tuple of Fractions")
         return out
 
     def checked_plmap(cls, base, refinement, images, cell_base):
         out = plmap_trusted(base, refinement, images, cell_base)
-        ref = PLMap(base, refinement, images)
+        ref = PLMap(base, refinement, out.images)
         for name in ("cell_base", "images"):
             if getattr(out, name) != getattr(ref, name):
                 raise TrustedBuildMismatch(f"{name} of {out!r} differs")
@@ -120,10 +124,10 @@ def check_counter_clockwise_polygons(monkeypatch):
     and equality) and the fixed locus hand to `convex_fan` is
     counter-clockwise, as it requires."""
     def checking(triangulate):
-        def checked(poly, homs):
-            if polygon_area2(poly) < 0:
-                raise ClockwisePolygon(f"{poly} is clockwise")
-            return triangulate(poly, homs)
+        def checked(homs):
+            if polygon_area2(homs) < 0:
+                raise ClockwisePolygon(f"{homs} is clockwise")
+            return triangulate(homs)
         return checked
 
     # by module path: the package's `overlay` is the function

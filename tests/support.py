@@ -26,8 +26,10 @@ area sum that the integer homogeneous kernel replaced, the `orient2`
 orientation of loose triangles and the closed-cell test and point
 location that `geometry.hom_cell`, `complexes.in_closed_cell` and
 `PLMap.eval` replaced, the `Fraction` `orient2`, `closed_segments_meet`
-and `convex_fan` that the ones on `homogeneous` rows replaced, and
-`power`, the composite f^k.
+and `convex_fan` that the ones on `homogeneous` rows replaced, the
+`Fraction` piece solve and application, polygon area and centroid that
+the ones on rows replaced, with the `Fraction` composition and inversion
+built on them, and `power`, the composite f^k.
 Every helper that more than one test module uses lives here or, if it is
 a hypothesis strategy, in `strategies`, so no test module imports
 another, and this module needs no hypothesis."""
@@ -41,15 +43,15 @@ from pathlib import Path
 
 from plstab.circle import CircleLift
 
-from plstab.clip import convex_fan, polygon_centroid, triangle_intersection
+from plstab.clip import convex_fan, triangle_intersection
 from plstab.complexes import Complex, ccw_triangles_meet
 from plstab.errors import InvalidComplex, ParseError, PointOutsideComplex, RealizationMismatch
-from plstab.geometry import (MAX_EXPONENT, Mat, area2, bbox, boxes_apart, candidate_pairs,
-                             cross2, dot, hom_cell, homogeneous, primitive_direction, rat,
-                             segment_param, vadd, vscale, vsub)
+from plstab.geometry import (MAX_EXPONENT, Mat, affine_point, area2, bbox, boxes_apart,
+                             candidate_pairs, cross2, dot, hom_cell, homogeneous,
+                             primitive_direction, rat, segment_param, vadd, vscale, vsub)
 from plstab.interval import PLMap1D
 from plstab.overlay import _walked_pairs, realized_pieces, refine, segment_pieces, triangle_pieces
-from plstab.plmap import PLMap, compose2d, plmap_from_vertex_images
+from plstab.plmap import PLMap, compose2d, inverse2d, plmap_from_vertex_images
 from plstab.tangent import Fan, Germ, _chain_cones, in_cone
 
 
@@ -92,12 +94,12 @@ def in_closed_cell_oracle(x, cell):
 
 
 def eval_by_fraction_scan(f, x):
-    """The oracle of `PLMap.eval`: x under the piece of the first
-    refinement cell that holds it by `in_closed_cell_oracle`, or
+    """The oracle of `PLMap.eval`: x under the barycentric `affine` map of
+    the first refinement cell that holds it by `in_closed_cell_oracle`, or
     `PointOutsideComplex`."""
-    for i, cell in enumerate(f.refinement.cells()):
+    for s, cell in zip(f.refinement.simplices, f.refinement.cells()):
         if in_closed_cell_oracle(x, cell):
-            return f.eval_in_cell(i, x)
+            return affine(cell, [f.images[v] for v in s], x)
     raise PointOutsideComplex(f"{x} is not in the realization")
 
 
@@ -296,8 +298,9 @@ def build_germ_by_solving(f, p):
 def build_germ_by_evaluation(f, p):
     """The oracle of the matrices that `tangent.build_germ` reads off each
     cell's solved piece: column k of a cone's matrix is f(apex + e_k) -
-    apex, by two `eval_in_cell` calls per star cell, and the cone's two
-    rays are found cell by cell."""
+    apex, by the cell's `Fraction` piece (`cell_map_on_fractions`) at two
+    points per star cell, and the cone's two rays are found cell by
+    cell."""
     pr = f.refinement_index_of_base_vertex(p)
     points = f.refinement.points
     apex = points[pr]
@@ -310,7 +313,8 @@ def build_germ_by_evaluation(f, p):
         da, db = (primitive_direction(vsub(points[w], apex)) for w in s if w != pr)
         if cross2(da, db) < 0:
             da, db = db, da
-        cols = [vsub(f.eval_in_cell(i, x), apex) for x in units]
+        piece = cell_map_on_fractions(f, i)
+        cols = [vsub(piece(x), apex) for x in units]
         mats[da, db] = Mat([[cols[0][0], cols[1][0]], [cols[0][1], cols[1][1]]])
     fan = _chain_cones(apex, list(mats))
     return Germ(fan=fan, matrices=tuple(mats[cone] for cone in fan.cones))
@@ -849,7 +853,7 @@ def numbered_by_fraction_sort(points, cells, provenance):
     order = sorted(range(len(points)), key=points.__getitem__)
     rank = {v: k for k, v in enumerate(order)}
     sims = [tuple(sorted(rank[v] for v in cell)) for cell in cells]
-    return (Complex.trusted([points[v] for v in order], sorted(sims)),
+    return (Complex.trusted([homogeneous(points[v]) for v in order], sorted(sims)),
             dict(zip(sims, provenance)), order)
 
 
@@ -864,8 +868,8 @@ def close_under_faces_by_key(simplices):
 def triangulate_convex(poly):
     """The triangles of `clip.convex_fan` of a counter-clockwise convex
     polygon, as points."""
-    tris, c = convex_fan(poly, [homogeneous(p) for p in poly])
-    pts = [*poly, c]
+    tris, c = convex_fan([homogeneous(p) for p in poly])
+    pts = [*poly, None if c is None else affine_point(c)]
     return [(pts[i], pts[j], pts[k]) for i, j, k in tris]
 
 
@@ -894,6 +898,7 @@ def overlay_cells_by_points(t1, t2):
     segment."""
     cells, pairs = [], []
     for i1, i2, piece in realized_pieces(t1, t2):
+        piece = [affine_point(h) for h in piece]
         new = [piece] if t1.dim == 1 else triangulate_convex(piece)
         cells += new
         pairs += [(i1, i2)] * len(new)
@@ -908,12 +913,12 @@ def compose_cells_by_points(f, g):
     cells, pairs = [], []
     if f.base.dim == 1:
         for i, j, seg in segment_pieces(g.image.cells(), f.refinement.cells()):
-            cells.append([g.pullback_in_cell(i, p) for p in seg])
+            cells.append([affine_point(g.pullback_in_cell(i, h)) for h in seg])
             pairs.append((i, j))
         return cells, pairs
     srcs, imgs = g.refinement.cells(), g.image.cells()
     for i, j, poly in triangle_pieces(g.image, f.refinement):
-        back = [g.pullback_in_cell(i, p) for p in poly]
+        back = [affine_point(g.pullback_in_cell(i, h)) for h in poly]
         if (orient2_on_fractions(*srcs[i]) > 0) != (orient2_on_fractions(*imgs[i]) > 0):
             back.reverse()
         new = triangulate_convex(back)
@@ -1129,6 +1134,146 @@ def convex_fan_on_fractions(poly):
         tris.append((apex, i, j))
     else:
         return tris, None
-    c = polygon_centroid(poly)
+    c = polygon_centroid_on_fractions(poly)
     return [(n, i, (i + 1) % n) for i in range(n)
             if orient2_on_fractions(c, poly[i], poly[(i + 1) % n]) != 0], c
+
+
+# -- the Fraction pieces, area and centroid that the row ones replaced ---
+
+
+def solve_piece_on_fractions(src, dst):
+    """`plmap._solve_piece` as it was, on points: the affine map taking the
+    segment or planar triangle ``src`` onto the points ``dst``, as integer
+    rows and a denominator D, the image of x having coordinates
+    (m_0 x_0 + ... + m_(n-1) x_(n-1) + c) / D, row (m, c) by row.  All
+    points are put over one integer denominator first; a triangle abc goes
+    by the matrix M with M(b - a) = B - A and M(c - a) = C - A and the
+    offset A - M a, a segment ab by x -> A + t (B - A) with t = (x - a)·(b -
+    a) / |b - a|².  D keeps the sign that the vertex order gives it."""
+    ratios = [F(c).as_integer_ratio() for p in (*src, *dst) for c in p]
+    scale = math.lcm(*(q for _, q in ratios))
+    ints = [p * (scale // q) for p, q in ratios]
+    n = len(src[0])
+    pts = [ints[k:k + n] for k in range(0, len(ints), n)]
+    if len(src) == 3:
+        a, b, c, A, B, C = pts
+        u0, u1, v0, v1 = b[0] - a[0], b[1] - a[1], c[0] - a[0], c[1] - a[1]
+        det = u0 * v1 - u1 * v0
+        rows = []
+        for k in range(2):
+            bu, cv = B[k] - A[k], C[k] - A[k]
+            m0, m1 = bu * v1 - cv * u1, cv * u0 - bu * v0
+            rows.append((scale * m0, scale * m1, A[k] * det - m0 * a[0] - m1 * a[1]))
+        den = scale * det
+    else:
+        a, b, A, B = pts
+        d = [y - x for x, y in zip(a, b)]
+        dd, ad = sum(x * x for x in d), sum(x * y for x, y in zip(a, d))
+        rows = [tuple(scale * (Bk - Ak) * x for x in d) + (Ak * dd - (Bk - Ak) * ad,)
+                for Ak, Bk in zip(A, B)]
+        den = scale * dd
+    g = math.gcd(den, *(x for row in rows for x in row))
+    return tuple(tuple(x // g for x in row) for row in rows), den // g
+
+
+def apply_piece_on_fractions(piece, x):
+    """`plmap._apply_piece` as it was: x under a piece of
+    `solve_piece_on_fractions`, one Fraction per coordinate."""
+    rows, den = piece
+    return tuple(F(sum(m * F(c) for m, c in zip(row, x)) + row[-1], den) for row in rows)
+
+
+def polygon_area2_on_fractions(poly):
+    """`clip.polygon_area2` as it was, on points: twice the signed area of
+    a polygon's vertex cycle, by the shoelace sum in Fractions."""
+    return sum((F(p[0]) * q[1] - F(q[0]) * p[1] for p, q in zip(poly, poly[1:] + poly[:1])),
+               F(0))
+
+
+def polygon_centroid_on_fractions(poly):
+    """`clip.polygon_centroid` as it was, on points: the area centroid of a
+    polygon with nonzero area, in Fractions."""
+    a2 = polygon_area2_on_fractions(poly)
+    cx = cy = F(0)
+    for p, q in zip(poly, poly[1:] + poly[:1]):
+        w = p[0] * q[1] - q[0] * p[1]
+        cx += (p[0] + q[0]) * w
+        cy += (p[1] + q[1]) * w
+    return (cx / (3 * a2), cy / (3 * a2))
+
+
+def _pieces_on_fractions(c1, c2):
+    """(i1, i2, polygon) for each pair of cells of two planar complexes
+    whose interiors meet, by `Fraction` predicates over all pairs whose
+    boxes meet: the counter-clockwise cells clipped on Fractions."""
+    cells1 = [ccw_triangle(t) for t in c1.cells()]
+    cells2 = [ccw_triangle(t) for t in c2.cells()]
+    for i, j in candidate_pairs([bbox(c) for c in cells1], [bbox(c) for c in cells2]):
+        if ccw_triangles_meet_on_fractions(cells1[i], cells2[j]):
+            yield i, j, triangle_intersection_on_fractions(cells1[i], cells2[j])
+
+
+def _fanned_on_fractions(poly):
+    """The triangles of `convex_fan_on_fractions` of a polygon, as points."""
+    tris, c = convex_fan_on_fractions(poly)
+    pts = [*poly, c]
+    return [(pts[i], pts[j], pts[k]) for i, j, k in tris]
+
+
+def cell_map_on_fractions(f, i, backward=False):
+    """x -> x under f's affine piece on refinement cell ``i`` (or its
+    inverse), by `solve_piece_on_fractions` and `apply_piece_on_fractions`
+    on the cell's points and images."""
+    s = f.refinement.simplices[i]
+    ends = [[f.refinement.points[v] for v in s], [f.images[v] for v in s]]
+    if backward:
+        ends.reverse()
+    piece = solve_piece_on_fractions(*ends)
+    return lambda x: apply_piece_on_fractions(piece, x)
+
+
+def compose2d_on_fractions(f, g):
+    """The points, simplices, `cell_base` and images of f∘g for planar maps,
+    on Fractions alone: the `Fraction` pieces of g's image and f's
+    refinement, each pulled back through g's `Fraction` piece and reversed
+    where it reverses orientation, fanned by `convex_fan_on_fractions`,
+    numbered by `index_cells`, and each vertex mapped by g's and f's
+    `Fraction` pieces."""
+    srcs, imgs = g.refinement.cells(), g.image.cells()
+    cells, pairs = [], []
+    for i, j, cut in _pieces_on_fractions(g.image, f.refinement):
+        back = [cell_map_on_fractions(g, i, backward=True)(y) for y in cut]
+        if (orient2_on_fractions(*srcs[i]) > 0) != (orient2_on_fractions(*imgs[i]) > 0):
+            back.reverse()
+        new = _fanned_on_fractions(back)
+        cells += new
+        pairs += [(i, j)] * len(new)
+    pts, sims, provenance, images = refinement_by_points(
+        cells, pairs, lambda i, j, x: cell_map_on_fractions(f, j)(cell_map_on_fractions(g, i)(x)))
+    return pts, sims, tuple(g.cell_base[provenance[s][0]] for s in sims), tuple(images)
+
+
+def inverse2d_on_fractions(f):
+    """The points, simplices, `cell_base` and images of the inverse of a
+    planar map, on Fractions alone: the `Fraction` pieces of f's image and
+    base, fanned, numbered by `index_cells`, each vertex pulled back by the
+    inverse of f's `Fraction` piece on its image cell."""
+    cells, pairs = [], []
+    for i, j, poly in _pieces_on_fractions(f.image, f.base):
+        new = _fanned_on_fractions(poly)
+        cells += new
+        pairs += [(i, j)] * len(new)
+    pts, sims, provenance, images = refinement_by_points(
+        cells, pairs, lambda i, _, y: cell_map_on_fractions(f, i, backward=True)(y))
+    return pts, sims, tuple(provenance[s][1] for s in sims), tuple(images)
+
+
+def assert_builds_as_on_fractions(f, g):
+    """`compose2d(f, g)` and `inverse2d(f)` of planar maps have the points,
+    simplices, `cell_base` and images of `compose2d_on_fractions` and
+    `inverse2d_on_fractions`."""
+    for got, want in ((compose2d(f, g), compose2d_on_fractions(f, g)),
+                      (inverse2d(f), inverse2d_on_fractions(f))):
+        assert (got.refinement.points, got.refinement.simplices, got.cell_base,
+                got.images) == want

@@ -12,9 +12,11 @@ from plstab import complexes
 from plstab.complexes import (Complex, SubComplex, _boundary_certificate, boundary,
                               cell_facets, directed_boundary, rational_points)
 from plstab.errors import InvalidComplex
-from plstab.geometry import is_simple_polygon
+from plstab.geometry import homogeneous, is_simple_polygon
+from plstab.plmap import PLMap, compose2d
 
-from support import (boundary_facets_by_counts, directed_boundary_by_pop_dict, grid_complex,
+from support import (assert_builds_as_on_fractions, boundary_facets_by_counts,
+                     directed_boundary_by_pop_dict, grid_complex,
                      is_simple_polygon_on_fractions, neighbours_by_first_dict,
                      orient2_on_fractions, random_square_triangulation)
 
@@ -26,8 +28,8 @@ def certificate_accepts(points, simplices):
     """Does the boundary-cycle certificate accept the cells?"""
     points = rational_points(points)
     signs = [orient2_on_fractions(*[points[v] for v in s]) for s in simplices]
-    return _boundary_certificate(points, directed_boundary(simplices, signs,
-                                                           cell_facets(simplices)))
+    return _boundary_certificate([homogeneous(p) for p in points],
+                                 directed_boundary(simplices, signs, cell_facets(simplices)))
 
 
 def outcome(points, simplices):
@@ -132,7 +134,7 @@ def test_the_facet_table_pairs_edges_as_the_pairings_it_replaced(case):
     points, simplices = case
     # `Complex.trusted` with no check: the tests' trusted builds validate
     c = Complex.__new__(Complex)
-    c._assemble(rational_points(points), simplices)
+    c._assemble(tuple(homogeneous(p) for p in rational_points(points)), simplices)
     old = directed_boundary_by_pop_dict(c.points, c.simplices)
     new = directed_boundary(c.simplices, c.orientations(), c.facets())
     assert (new is None, set(new or ())) == (old is None, set(old or ()))
@@ -249,6 +251,31 @@ VALID = {
 }
 
 
+CENTROID_MOVES = st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
+                         min_size=20, max_size=20)
+
+
+@settings(max_examples=8, deadline=None)
+@given(st.sampled_from(sorted(VALID)), CENTROID_MOVES, CENTROID_MOVES)
+def test_maps_of_the_declined_complexes_compose_and_invert_as_on_fractions(name, f_moves,
+                                                                         g_moves):
+    """On the complexes above, which are not convex, maps that fix the
+    vertices and move the centroid of each cell by at most 1/48 compose
+    and invert, on rows, to the points, simplices, base cells and images
+    of the `Fraction` pipeline."""
+    base = Complex(*VALID[name])
+    split = Complex(*centroid_split(*VALID[name]))
+    n = len(base.points)
+
+    def moved(moves):
+        return list(base.points) + [(x + F(dx, 48), y + F(dy, 48))
+                                    for (x, y), (dx, dy) in zip(split.points[n:], moves)]
+
+    f, g = PLMap(base, split, moved(f_moves)), PLMap(base, split, moved(g_moves))
+    assert_builds_as_on_fractions(f, g)
+    assert_builds_as_on_fractions(compose2d(f, g), f)
+
+
 @pytest.mark.parametrize("name", sorted(VALID))
 def test_valid_complexes_the_certificate_declines(name):
     """Several boundary cycles, a pinched boundary and a boundary touching
@@ -261,15 +288,20 @@ def test_valid_complexes_the_certificate_declines(name):
     assert outcome(points, simplices) == (c.points, c.simplices)
 
 
+def simple(points):
+    """`is_simple_polygon` of the rows of the points."""
+    return is_simple_polygon([homogeneous(p) for p in points])
+
+
 def test_simple_polygons():
-    assert is_simple_polygon(rational_points(square(0, 0, 1, 1)))
-    assert is_simple_polygon(rational_points([(0, 0), (2, 0), (1, 1), (1, 2), (0, 2)]))
+    assert simple(square(0, 0, 1, 1))
+    assert simple([(0, 0), (2, 0), (1, 1), (1, 2), (0, 2)])
     # a spike: the third side runs back along the second
-    assert not is_simple_polygon(rational_points([(0, 0), (2, 0), (2, 2), (2, 1), (0, 2)]))
+    assert not simple([(0, 0), (2, 0), (2, 2), (2, 1), (0, 2)])
     # three points on one line: every side folds back onto its neighbour
-    assert not is_simple_polygon(rational_points([(0, 0), (2, 0), (1, 0)]))
+    assert not simple([(0, 0), (2, 0), (1, 0)])
     # a bowtie: the second and fourth sides cross
-    assert not is_simple_polygon(rational_points([(0, 0), (1, 0), (0, 1), (1, 1)]))
+    assert not simple([(0, 0), (1, 0), (0, 1), (1, 1)])
 
 
 def around_their_centroid(pts):
@@ -296,9 +328,9 @@ POINTS = st.lists(st.tuples(COORD, COORD), min_size=3, max_size=9, unique=True)
 @example([(F(0), F(0)), (F(2, 3), F(0)), (F(1, 3), F(0)), (F(0), F(1, 5))])
 @example([(F(0), F(0)), (F(1, 2), F(0)), (F(1, 2), F(1, 3)), (F(1, 4), F(0)), (F(0), F(1))])
 def test_integer_grid_matches_the_fraction_test(pts):
-    """`is_simple_polygon`, on the points scaled onto an integer grid,
+    """`is_simple_polygon`, on the rows scaled onto an integer grid,
     agrees with the same tests run on the `Fraction` points: lattice points
     with mixed denominators, in their given order (mostly not simple, with
     touching and collinear sides) and around their centroid (mostly
     simple)."""
-    assert is_simple_polygon(pts) == is_simple_polygon_on_fractions(pts)
+    assert simple(pts) == is_simple_polygon_on_fractions(pts)

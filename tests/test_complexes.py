@@ -4,7 +4,7 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from plstab.clip import clip_polygon_to_triangle, point_in_triangle, polygon_area2
+from plstab.clip import clip_polygon_to_triangle, point_in_triangle
 from plstab.complexes import (Complex, SubComplex, Surface, boundary, close_under_faces,
                               euler_characteristic, format_complex, in_closed_cell, is_arc,
                               is_cycle, link, parse_complex, seg_seg_open_meet, star)
@@ -14,7 +14,8 @@ from plstab.plmap import PLMap, plmap_from_vertex_images
 
 from support import (TETRAHEDRON, close_under_faces_by_key, grid_complex, in_closed_cell_oracle,
                      meets_in_common_faces_by_brute_force, open_triangles_meet,
-                     orient2_on_fractions, seg_seg_open_meet_by_solving)
+                     orient2_on_fractions, polygon_area2_on_fractions,
+                     seg_seg_open_meet_by_solving)
 
 
 def square():
@@ -159,7 +160,7 @@ def test_parse_comments_and_blanks():
 
 def _clip_area_meet(t1, t2):
     """Reference: the open triangles meet iff their intersection has area."""
-    return polygon_area2(clip_polygon_to_triangle(list(t1), t2)) != 0
+    return polygon_area2_on_fractions(clip_polygon_to_triangle(list(t1), t2)) != 0
 
 
 # grid points make shared vertices, shared edges and collinear edges common

@@ -6,17 +6,17 @@ import pytest
 from hypothesis import Phase, assume, example, given, settings, strategies as st
 
 from plstab import fixedlocus
-from plstab.clip import polygon_area2
 from plstab.complexes import Complex, SubComplex, faces_of, is_cycle
 from plstab.errors import FixIsEmpty, FixIsEverything, PLError
 from plstab.fixedlocus import (FixedLocus, canonical_invariant,
                                fixed_subcomplex, frontier, fuller_search)
-from plstab.geometry import Mat, area2, vadd, vscale, vsub
+from plstab.geometry import Mat, area2, homogeneous, vadd, vscale, vsub
 from plstab.plmap import PLMap, compose2d, identity_map, plmap_from_vertex_images
 
 from support import (bench_grid_maps, ccw_triangle, cycle_rotation, grid_map, index_cells,
-                     interior_move_map, linear_part, orient2_on_fractions, power,
-                     quarter_rotation, square_complex, triangulate_convex)
+                     interior_move_map, linear_part, orient2_on_fractions,
+                     polygon_area2_on_fractions, power, quarter_rotation, square_complex,
+                     triangulate_convex)
 
 
 def test_rotation_fixes_center_only():
@@ -243,7 +243,7 @@ def oracle_raw_cells(f, kinds):
         elif kind == "chord":
             i, j = sorted(poly.index(x) for x in data)
             cells = [c for part in (poly[i:j + 1], poly[j:] + poly[:i + 1])
-                     if len(part) >= 3 and polygon_area2(part) != 0
+                     if len(part) >= 3 and polygon_area2_on_fractions(part) != 0
                      for c in triangulate_convex(part)]
         else:
             cells = triangulate_convex(poly)
@@ -307,7 +307,8 @@ def assert_matches_the_per_cell_solve(f, raw):
     assert (fl.refined.points, fl.refined.simplices) == (tuple(pts), tuple(sorted(sims)))
     assert fl.provenance == dict(zip(sims, (home for _, home in raw)))
     # f on each refined cell is the piece of the cell it was cut from
-    fixed = {p: f.eval_in_cell(home, p) == p for cell, home in raw for p in cell}
+    fixed = {p: f.eval_in_cell(home, homogeneous(p)) == homogeneous(p)
+             for cell, home in raw for p in cell}
     expected = FixedLocus(fl.refined, SubComplex(fl.refined, [
         c for s in fl.refined.simplices for c in faces_of(s)
         if all(fixed[pts[v]] for v in c)]), fl.provenance)

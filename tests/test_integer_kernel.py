@@ -1,7 +1,7 @@
 """The planar kernel on integer homogeneous coordinates against the
 `Fraction` path it replaced (kept in `support`): the clipper gives the
-identical point list, in the same order, the meets-tests the same
-verdicts, `Complex.area2` an equal area, `orient2` on rows and
+rows of the identical point list, in the same order, the meets-tests the
+same verdicts, `Complex.area2` an equal area, `orient2` on rows and
 `Complex.orientations` the `Fraction` orientation signs, `hom_cmp` the
 order of `Fraction` tuples, `convex_fan` the fan of the `Fraction` one,
 `in_closed_cell` the closed-cell verdicts, `PLMap.eval` the same values
@@ -9,47 +9,46 @@ and the same `PointOutsideComplex`, and `hom_cell` the same cell of a
 polygon in either orientation.  Inputs share edges, touch
 at vertices, run along collinear edges, come from composites and
 inverses, or have large coprime denominators, and probe points lie at
-vertices, on edges, inside cells and outside."""
+vertices, on edges, inside cells and outside.  With every comparison of
+`Fraction` made to raise, the whole derived path (composition,
+inversion, equality and printing) still runs."""
 
 from fractions import Fraction as F
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
-from plstab.clip import convex_fan, polygon_area2, triangle_intersection
+from plstab.clip import convex_fan, triangle_intersection
 from plstab.complexes import (Complex, ccw_triangles_meet, in_closed_cell,
                               segment_meets_ccw_triangle)
 from plstab.errors import PointOutsideComplex
 from plstab.geometry import (affine_point, bbox, candidate_pairs, hom_cell, hom_cmp, homogeneous,
                              is_simple_polygon, line_through, orient2)
 from plstab.overlay import numbered
-from plstab.plmap import compose2d, inverse2d
+from plstab.plmap import compose2d, format_plmap, identity_map, inverse2d
 
 from support import (bench_grid_maps, ccw_triangle, ccw_triangles_meet_on_fractions,
                      convex_fan_on_fractions,
                      is_simple_polygon_on_fractions, numbered_by_fraction_sort,
-                     orient2_on_fractions,
+                     orient2_on_fractions, polygon_area2_on_fractions,
                      complex_area2_on_fractions, eval_by_fraction_scan, grid_complex,
                      in_closed_cell_oracle, segment_meets_ccw_triangle_on_fractions,
                      triangle_intersection_on_fractions)
 
 
 def assert_same_clip(poly, tri):
-    """The integer clip of a counter-clockwise polygon and triangle is the
-    Fraction clip, point for point; a kept vertex is the caller's object."""
-    got = triangle_intersection(hom_cell(poly), hom_cell(tri))
+    """The integer clip of a counter-clockwise polygon and triangle gives
+    the rows of the Fraction clip, point for point; returns its points."""
+    got = [affine_point(h) for h in triangle_intersection(hom_cell(poly), hom_cell(tri))]
     assert got == triangle_intersection_on_fractions(poly, tri)
-    for p in got:
-        assert any(p is v for v in poly) or (p not in poly and all(
-            isinstance(c, F) for c in p))
     return got
 
 
 def assert_same_cell_either_way(poly):
     """`hom_cell` of a counter-clockwise polygon and of its reverse are the
-    same cell, point for point."""
+    same cell, on the polygon's rows in order."""
     assert hom_cell(poly[::-1]) == hom_cell(poly)
-    assert list(hom_cell(poly).points) == list(poly)
+    assert list(hom_cell(poly).homs) == [homogeneous(p) for p in poly]
 
 
 def probes_of(cells):
@@ -69,7 +68,8 @@ def assert_same_orientations_and_locations(c, probes):
     on them decides as the `Fraction` oracle at every probe."""
     cells = c.cells()
     assert c.orientations() == [orient2_on_fractions(*cell) for cell in cells]
-    assert [list(h.points) for h in c.hom_cells()] == [ccw_triangle(t) for t in cells]
+    assert [list(h.homs) for h in c.hom_cells()] == [
+        [homogeneous(p) for p in ccw_triangle(t)] for t in cells]
     for x in probes:
         h = homogeneous(x)
         assert [in_closed_cell(h, cell) for cell in c.hom_cells()] == [
@@ -140,7 +140,7 @@ def test_clip_and_meets_match_the_fraction_kernel_on_touching_cells(pair, third)
     if len(poly) >= 3 and orient2_on_fractions(*third) != 0:
         assert_same_clip(poly, ccw_triangle(third))
     for cell in (t1, t2, poly):
-        if len(cell) >= 3 and polygon_area2(cell) != 0:
+        if len(cell) >= 3 and polygon_area2_on_fractions(cell) != 0:
             assert_same_cell_either_way(cell)
     for t in (t1, t2, t2[::-1]):
         assert_same_orientations_and_locations(Complex(t, [(0, 1, 2)]),
@@ -164,7 +164,7 @@ def test_clip_and_meets_match_on_large_coprime_denominators(pts):
     poly = assert_same_clip(t1, t2)
     if len(poly) >= 3:
         assert_same_clip(poly, t3)
-    if len(poly) >= 3 and polygon_area2(poly) != 0:
+    if len(poly) >= 3 and polygon_area2_on_fractions(poly) != 0:
         assert_same_cell_either_way(poly)
     cx = Complex(pts[:3], [(0, 1, 2)])
     assert cx.area2() == complex_area2_on_fractions(cx)
@@ -285,7 +285,7 @@ def test_numbered_orders_as_the_fraction_sort(inputs):
     provenance and vertex ids of the sort of the Fraction points."""
     points, cells = inputs
     provenance = [(k, -k) for k in range(len(cells))]
-    got = numbered(points, cells, provenance)
+    got = numbered([homogeneous(p) for p in points], cells, provenance)
     want = numbered_by_fraction_sort(points, cells, provenance)
     assert got[2] == want[2]
     assert got[0] == want[0] and got[1] == want[1]
@@ -392,16 +392,20 @@ def convex_polygons(draw):
 @given(convex_polygons())
 def test_convex_fan_on_rows_is_the_fraction_fan(poly):
     """`convex_fan` on the `homogeneous` rows of a convex polygon gives the
-    triangles and the centroid of the `Fraction` fan, the centroid cone
-    included where a collinear chain runs into the apex."""
-    assert convex_fan(poly, [homogeneous(p) for p in poly]) == convex_fan_on_fractions(poly)
+    triangles and the row of the centroid of the `Fraction` fan, the
+    centroid cone included where a collinear chain runs into the apex."""
+    tris, c = convex_fan_on_fractions(poly)
+    assert convex_fan([homogeneous(p) for p in poly]) == (
+        tris, None if c is None else homogeneous(c))
 
 
 def test_numbered_and_the_polygon_test_compare_no_fraction(monkeypatch):
     """`numbered` orders, `is_simple_polygon` tests, `convex_fan` fans and
     `Complex.orientations` orients Fraction points on their integer
     coordinates: with every comparison of `Fraction` made to raise, each
-    gives what the Fraction oracles give.  The check mode of `conftest`,
+    gives what the Fraction oracles give.  On n=3 grid maps, `compose2d`,
+    `inverse2d`, ``==`` and `format_plmap` run whole, and give what they
+    give with the comparisons in place.  The check mode of `conftest`,
     which validates each trusted build and so compares Fractions, is
     lifted once the oracles' results are checked."""
     points = [(F(1, 3), F(5, 11)), (F(-4, 5), F(-1, 1073741789)), (F(1, 3), F(-2, 7)),
@@ -413,12 +417,23 @@ def test_numbered_and_the_polygon_test_compare_no_fraction(monkeypatch):
               (F(0), F(1))]
     bowtie = [(F(0), F(0)), (F(1), F(1, 3)), (F(1), F(0)), (F(0), F(1, 3))]
     cells = Complex(points, triangles)
+    f, g = bench_grid_maps(3, 5)
+    tris, c = convex_fan_on_fractions(square)
     want = [numbered_by_fraction_sort(points, triangles, [0, 1, 2]),
             numbered_by_fraction_sort(line, segments, [0, 1, 2]),
             [is_simple_polygon_on_fractions(p) for p in (square, bowtie)],
-            convex_fan_on_fractions(square),
+            (tris, homogeneous(c)),
             [orient2_on_fractions(*cell) for cell in cells.cells()]]
-    assert want[2] == [True, False] and want[3][1] is not None
+    assert want[2] == [True, False]
+
+    def derived():
+        h = compose2d(f, g)
+        k = inverse2d(h)
+        return [format_plmap(h), format_plmap(k), compose2d(k, h) == identity_map(f.base),
+                h == compose2d(g, f)]
+
+    want.append(derived())
+    assert want[-1][2] is True
     monkeypatch.undo()
 
     def refuse(self, other):
@@ -428,9 +443,10 @@ def test_numbered_and_the_polygon_test_compare_no_fraction(monkeypatch):
         monkeypatch.setattr(F, name, refuse)
     with pytest.raises(AssertionError, match="compared"):
         sorted(points)
-    got = [numbered(points, triangles, [0, 1, 2]), numbered(line, segments, [0, 1, 2]),
-           [is_simple_polygon(p) for p in (square, bowtie)],
-           convex_fan(square, [homogeneous(p) for p in square]),
-           cells.with_points(cells.points).orientations()]
+    got = [numbered([homogeneous(p) for p in points], triangles, [0, 1, 2]),
+           numbered([homogeneous(p) for p in line], segments, [0, 1, 2]),
+           [is_simple_polygon([homogeneous(q) for q in p]) for p in (square, bowtie)],
+           convex_fan([homogeneous(p) for p in square]),
+           cells.with_points(cells.hom_points()).orientations(), derived()]
     monkeypatch.undo()
     assert got == want

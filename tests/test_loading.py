@@ -119,8 +119,9 @@ def test_a_refinement_repeating_the_base_holds_the_base_fractions():
                     + "s 4 1 0\n" + "".join("img %d %s\n" % (i, " ".join(fmt(c) for c in p))
                                             for i, p in enumerate(base.points)),
                     base, tokens)
-    assert m.refinement is base
-    assert m.images[4][0] is base.points[4][0]
+    assert m.refinement is base and m.refinement.points[4][0] is base.points[4][0]
+    # the images are kept as rows, each equal to its base vertex's
+    assert m.image.hom_points() == base.hom_points()
 
 
 def test_equal_values_spelled_differently_in_the_base_and_the_map():

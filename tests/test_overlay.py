@@ -4,13 +4,15 @@ from fractions import Fraction as F
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from plstab.clip import point_in_triangle, polygon_centroid
+from plstab.clip import point_in_triangle
 from plstab.complexes import Complex, triangle_area2
 from plstab.errors import RealizationMismatch
+from plstab.geometry import affine_point, homogeneous
 from plstab.overlay import overlay, realized_pieces, refine
 
-from support import (overlay_cells_by_points, random_splits, random_square_triangulation,
-                     refinement_by_points, segment_pieces_by_tiling, triangulate_convex)
+from support import (overlay_cells_by_points, polygon_centroid_on_fractions, random_splits,
+                     random_square_triangulation, refinement_by_points, segment_pieces_by_tiling,
+                     triangulate_convex)
 
 
 def two_diagonals():
@@ -174,7 +176,8 @@ def test_segment_cover_accounting_matches_the_parameter_intervals(pair, swap):
     exception type and message of the accounting by parameter intervals."""
     t1, t2 = pair[::-1] if swap else pair
     expected = _outcome(lambda: segment_pieces_by_tiling(t1, t2))
-    assert _outcome(lambda: realized_pieces(t1, t2)) == expected
+    assert _outcome(lambda: [(i1, i2, tuple(map(affine_point, piece)))
+                             for i1, i2, piece in realized_pieces(t1, t2)]) == expected
     if isinstance(expected, list):
         ov = overlay(t1, t2)
         assert (ov.cells.points, ov.cells.simplices, ov.provenance) == refinement_by_points(
@@ -197,13 +200,13 @@ def test_overlays_build_as_by_points(seed):
     """`overlay` gives the points, simplices and provenance of the
     point-keyed overlay (each piece triangulated, numbered by
     `index_cells`) on random splits of the square, and each vertex's cut
-    point is the vertex itself."""
+    point is the vertex's row itself."""
     rng = random.Random(seed)
     t1, t2 = (random_splits(rng, FOLD_POINTS, FOLD_CELLS, 10) for _ in range(2))
     ov = overlay(t1, t2)
     assert (ov.cells.points, ov.cells.simplices, ov.provenance) == refinement_by_points(
         *overlay_cells_by_points(t1, t2))
-    assert list(ov.at_vertices(lambda i1, i2, x: x)) == list(ov.cells.points)
+    assert list(ov.at_vertices(lambda i1, i2, x: x)) == list(ov.cells.hom_points())
 
 
 AFFINE = [((1, 0), (0, 1)), ((0, -1), (1, 0)), ((-1, 0), (0, 1)), ((2, 1), (1, 1))]
@@ -233,10 +236,11 @@ def test_pieces_that_take_the_centroid_fallback(bottom1, left1, bottom2, matrix)
          (2 * one, one), (one, one)],
     ]
     pairs = [(0, 5), (1, 5)]
-    ov = refine((i1, i2, poly, [image(p) for p in poly])
+    ov = refine((i1, i2, [homogeneous(p) for p in poly], [homogeneous(image(p)) for p in poly])
                 for (i1, i2), poly in zip(pairs, squares))
     cells = [triangulate_convex(poly) for poly in squares]
     assert (ov.cells.points, ov.cells.simplices, ov.provenance) == refinement_by_points(
         cells[0] + cells[1], [pairs[0]] * len(cells[0]) + [pairs[1]] * len(cells[1]))
-    assert polygon_centroid(squares[0]) in ov.cells.points
-    assert list(ov.at_vertices(lambda i1, i2, x: x)) == [image(p) for p in ov.cells.points]
+    assert polygon_centroid_on_fractions(squares[0]) in ov.cells.points
+    assert list(ov.at_vertices(lambda i1, i2, x: x)) == [homogeneous(image(p))
+                                                        for p in ov.cells.points]

@@ -13,14 +13,15 @@ from plstab.clip import polygon_area2, triangle_intersection
 from plstab.complexes import Complex, boundary, format_complex
 from plstab.errors import (InvalidComplex, PLError, PointOutsideComplex,
                            RealizationMismatch)
-from plstab.geometry import homogeneous, orient2, segment_param
-from plstab.overlay import overlay, segment_pieces
+from plstab.geometry import affine_point, homogeneous, orient2, segment_param
+from plstab.overlay import overlay, segment_pieces, triangle_pieces
 from plstab.plmap import (PLMap, compose2d, format_plmap,
                           identity_map, inverse2d, parse_plmap,
                           plmap_from_vertex_images)
 
-from support import (SYMMETRIES, _along_boundary, bench_grid_maps, compose_cells_by_points,
-                     cycle_rotation, grid_complex, grid_map, interior_move_map,
+from support import (SYMMETRIES, _along_boundary, affine, bench_grid_maps, cell_map_on_fractions,
+                     compose_cells_by_points, cycle_rotation, grid_complex, grid_map,
+                     interior_move_map,
                      orient2_on_fractions, overlay_cells_by_points, power, quarter_rotation,
                      refinement_by_points,
                      square_complex, tiles_unit, two_squares)
@@ -95,9 +96,9 @@ def test_compose_with_a_reflection_triangulates_counter_clockwise(monkeypatch):
     polygons = []
     fan = overlay_module.convex_fan
 
-    def recorded(poly, homs):
-        polygons.append(poly)
-        return fan(poly, homs)
+    def recorded(homs):
+        polygons.append(homs)
+        return fan(homs)
 
     monkeypatch.setattr(overlay_module, "convex_fan", recorded)
     for a, b in ((f, g), (g, f), (g, g)):
@@ -452,22 +453,28 @@ def test_images_share_their_refinement_record():
 
 
 def test_an_accepted_image_orients_on_the_certificate_rows(monkeypatch):
-    """The certificate builds the image it accepts first and keys and
-    orients its cells on the image's `hom_points`, so the image keeps
-    those rows: reading its `orientations` converts no point again, and
-    runs one `orient2` a cell on the kept rows, once."""
-    for f in (interior_move_map(), *bench_grid_maps(3, 7)):
-        assert plmap._certified_image(f.base, f.refinement, f.images) is not None
-        converted, oriented = [], []
-        monkeypatch.setattr(complexes, "homogeneous",
-                            lambda p: converted.append(p) or homogeneous(p))
-        monkeypatch.setattr(complexes, "orient2", lambda *h: oriented.append(h) or orient2(*h))
-        rows = f.image.hom_points()
-        signs = f.image.orientations()
-        assert f.image.orientations() is signs
-        assert converted == []
-        assert oriented == [tuple(rows[v] for v in s) for s in f.image.simplices]
-        assert signs == [orient2_on_fractions(*cell) for cell in f.image.cells()]
+    """The certificate builds the image it accepts first, on the images'
+    rows, and orients its cells through the image's `orientations`, which
+    the image keeps: the certificate followed by a walk of the image, as
+    compose and inverse walk it, runs exactly one `orient2` per image
+    cell, on the kept rows, and the image converts no point.  The check
+    mode of `conftest`, which validates the accepted image and so orients
+    it again, is lifted."""
+    maps = [interior_move_map(), *bench_grid_maps(3, 7)]
+    monkeypatch.undo()
+    for f in maps:
+        images, converted, oriented = f.images, [], []
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(complexes, "homogeneous", lambda p: converted.append(p) or homogeneous(p))
+            for module in (complexes, plmap):
+                mp.setattr(module, "orient2", lambda *h: oriented.append(h) or orient2(*h))
+            image = plmap._certified_image(f.base, f.refinement, images)
+            assert image is not None
+            walked = list(triangle_pieces(image, f.base))
+        rows = image.hom_points()
+        assert walked and converted == []
+        assert oriented == [tuple(rows[v] for v in s) for s in image.simplices]
+        assert image.orientations() == [orient2_on_fractions(*cell) for cell in image.cells()]
 
 
 def test_a_walk_derives_each_table_once(monkeypatch):
@@ -583,7 +590,7 @@ def _boundary_by_collinear_cover(f):
     edges = [[f.images[v] for v in e] for e in boundary(f.refinement).of_dim(1)]
     covered = [[] for _ in edges]
     for i, _, piece in segment_pieces(edges, segments):
-        covered[i].append(tuple(segment_param(*edges[i], p) for p in piece))
+        covered[i].append(tuple(segment_param(*edges[i], affine_point(p)) for p in piece))
     if not all(tiles_unit(intervals) for intervals in covered):
         raise InvalidComplex("boundary is not mapped into the boundary")
 
@@ -699,7 +706,8 @@ def assert_composite_as_by_points(f, g):
     f's, on the first cell that holds it."""
     h = compose2d(f, g)
     pts, sims, provenance, images = refinement_by_points(
-        *compose_cells_by_points(f, g), lambda i, j, x: f.eval_in_cell(j, g.eval_in_cell(i, x)))
+        *compose_cells_by_points(f, g),
+        lambda i, j, x: cell_map_on_fractions(f, j)(cell_map_on_fractions(g, i)(x)))
     assert (h.refinement.points, h.refinement.simplices, h.images) == (pts, sims, tuple(images))
     assert overlay_module.refine(plmap._pulled_back(f, g)).provenance == provenance
     assert h.cell_base == tuple(g.cell_base[provenance[s][0]] for s in sims)
@@ -711,7 +719,8 @@ def assert_inverse_as_by_points(f):
     vertex pulled back on the first cell that holds it."""
     inv = inverse2d(f)
     pts, sims, provenance, images = refinement_by_points(
-        *overlay_cells_by_points(f.image, f.base), lambda i, _, y: f.pullback_in_cell(i, y))
+        *overlay_cells_by_points(f.image, f.base),
+        lambda i, _, y: cell_map_on_fractions(f, i, backward=True)(y))
     assert (inv.refinement.points, inv.refinement.simplices, inv.images) == (
         pts, sims, tuple(images))
     assert plmap._common_refinement(f.image, f.base).provenance == provenance
@@ -724,7 +733,7 @@ def equal_by_points(f, g):
         return False
     *_, same = refinement_by_points(
         *overlay_cells_by_points(f.refinement, g.refinement),
-        lambda i, j, x: f.eval_in_cell(i, x) == g.eval_in_cell(j, x))
+        lambda i, j, x: cell_map_on_fractions(f, i)(x) == cell_map_on_fractions(g, j)(x))
     return all(same)
 
 
@@ -822,6 +831,46 @@ def test_polyline_maps_build_as_by_points(maps):
     """As `test_grid_maps_build_as_by_points`, for 1D maps: segments are
     kept whole and cut at the vertices of both inputs."""
     assert_builds_as_by_points(*maps)
+
+
+# a small lattice, so that drawn maps often coincide
+PIECE_COORD = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+PIECE_POINT = st.tuples(PIECE_COORD, PIECE_COORD)
+PIECE_CELL = st.lists(PIECE_POINT, min_size=3, max_size=3).filter(
+    lambda t: orient2_on_fractions(*t) != 0)
+AFFINE_MAP = st.tuples(*[PIECE_COORD] * 6)
+
+
+def _affine_image(m, p):
+    return m[0] * p[0] + m[1] * p[1] + m[2], m[3] * p[0] + m[4] * p[1] + m[5]
+
+
+@st.composite
+def cells_with_maps(draw):
+    """Two cells, each with its vertices' images under an affine map: the
+    second cell is the first or another, in a drawn vertex order (so of
+    either orientation), and its map the first's or another."""
+    first, m = draw(PIECE_CELL), draw(AFFINE_MAP)
+    second = draw(st.permutations(draw(st.one_of(st.just(first), PIECE_CELL))))
+    n = draw(st.one_of(st.just(m), AFFINE_MAP))
+    return ((first, [_affine_image(m, p) for p in first]),
+            (second, [_affine_image(n, p) for p in second]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(cells_with_maps())
+@example((([(0, 0), (1, 0), (0, 1)], [(0, 0), (1, 0), (0, 1)]),
+          ([(0, 0), (0, 1), (1, 0)], [(0, 0), (0, 1), (1, 0)])))
+def test_equal_pieces_are_equal_affine_maps(pair):
+    """`_solve_piece` is canonical: two cells carry equal pieces iff their
+    affine maps agree at three affinely independent points (by the
+    barycentric oracle), whatever the cells' vertex orders."""
+    (src1, dst1), (src2, dst2) = pair
+    p1, p2 = (plmap._solve_piece([homogeneous(p) for p in src], [homogeneous(p) for p in dst])
+              for src, dst in pair)
+    agree = all(affine(src1, dst1, x) == affine(src2, dst2, x) for x in ((0, 0), (1, 0), (0, 1)))
+    assert (p1 == p2) == agree
+    assert p1[-1][-1] > 0 and p2[-1][-1] > 0
 
 
 def test_a_composite_applies_one_piece_per_vertex(monkeypatch):

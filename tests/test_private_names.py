@@ -288,12 +288,22 @@ def test_the_check_sees_direct_conversions(tmp_path):
     assert direct_conversions(probe) == [("read_complex_records", 3), ("parse_plmap", 6)]
 
 
-# the one conversion of points, the one numbering of derived cells, the
-# builder of images, the two incidence tables and the connectivity test,
-# each name -> the only (module, "Class.method" or function) that may call
-# it
+# the one conversion of input points, the one conversion of rows back to
+# points, the one numbering of derived cells, the builder of images, the
+# two incidence tables and the connectivity test, each name -> the only
+# (module, "Class.method" or function) that may call it
 SOLE_CALLERS = {"rational_points": {("complexes.py", "Complex.__init__"),
                                     ("plmap.py", "PLMap.__init__")},
+                # the `points` view, and the readers of single points: the
+                # loose clip's result, eval's value, a moved point, a
+                # certificate's witness, a displacement of the fixed locus
+                # and a periodic point's witness cell
+                "affine_point": {("complexes.py", "Complex.points"),
+                                 ("clip.py", "clip_polygon_to_triangle"),
+                                 ("plmap.py", "PLMap.eval"), ("plmap.py", "PLMap.moved_point"),
+                                 ("stability.py", "certify_trivial"),
+                                 ("fixedlocus.py", "_Refinement.disp"),
+                                 ("fixedlocus.py", "fuller_search")},
                 "numbered": {("overlay.py", "refine"), ("fixedlocus.py", "fixed_subcomplex")},
                 "with_points": {("plmap.py", "PLMap.trusted"), ("plmap.py", "_certified_image")},
                 "cell_facets": {("complexes.py", "_Incidences.facets")},
@@ -303,8 +313,10 @@ SOLE_CALLERS = {"rational_points": {("complexes.py", "Complex.__init__"),
 
 def test_points_are_converted_and_numbered_in_one_place():
     """Only the validating constructors `Complex(...)` and `PLMap(...)`
-    convert points, so a trusted build keeps the Fractions it is handed;
-    only `overlay.refine` and `fixedlocus.fixed_subcomplex` call
+    convert input points, so a trusted build keeps the rows it is handed;
+    only the `Complex.points` view and the named readers of single points
+    turn rows back into Fractions (`affine_point`); only
+    `overlay.refine` and `fixedlocus.fixed_subcomplex` call
     `overlay.numbered`, so overlay, composition, inversion, equality and
     the fixed locus share one numbering.  Only `PLMap.trusted` and
     `_certified_image` build an image on its refinement's simplices
@@ -330,6 +342,8 @@ def test_the_check_sees_conversions_and_numberings(tmp_path):
                      "    return numbered(points, cells, pairs), rational_points\n"
                      "def inverse2d(f):\n"
                      "    return f.refinement.with_points(f.images), with_points\n"
+                     "def eval(f, x):\n"
+                     "    return geometry.affine_point(f(x)), map(affine_point, x)\n"
                      "class Surface:\n"
                      "    def __init__(self, triangles):\n"
                      "        self.f, self.s = cell_facets(triangles), complexes.cell_stars(t, 3)\n"
@@ -338,7 +352,7 @@ def test_the_check_sees_conversions_and_numberings(tmp_path):
     assert named_calls(probe, SOLE_CALLERS) == [
         ("Complex._assemble", "rational_points"), ("compose2d", "numbered"),
         ("compose2d", "numbered"), ("refine", "numbered"),
-        ("inverse2d", "with_points"),
+        ("inverse2d", "with_points"), ("eval", "affine_point"),
         ("Surface.__init__", "cell_facets"), ("Surface.__init__", "cell_stars"),
         ("parse_complex", "is_connected")]
 
@@ -397,30 +411,38 @@ def test_the_row_merge_builds_no_fraction():
     assert {k: v for k, v in found.items() if v} == {}
 
 
-# the planar kernel, by module: the homogeneous coordinates, their
-# determinant and the edge lines of cells, orientation, point location,
-# the meets-tests, the clip loop, the area sums, the simple-polygon test,
-# the box sweep and the vertex order of derived refinements run on ints,
-# and only `geometry.affine_point`, the one conversion of the clipper's
-# crossing points, builds Fractions
+# the planar kernel and the derived planar path, by module: the
+# homogeneous coordinates, their determinant and the edge lines of cells,
+# orientation, point location, the meets-tests, the clip loop, the fan and
+# its centroid, the area sums, the simple-polygon test, the box sweep, the
+# refinement and numbering of derived cells, the pieces and their
+# application, composition, inversion and the trusted build of their
+# results run on ints; `geometry.affine_point` builds the Fractions of the
+# `points` view and of single points read out
 KERNEL_2D = {"geometry.py": {"homogeneous", "det3", "orient2", "hom_cmp", "line_through",
-                             "hom_cell", "closed_segments_meet", "is_simple_polygon",
+                             "hom_cell", "closed_segments_meet", "is_simple_polygon", "on_one_grid",
                              "candidate_pairs"},
              "complexes.py": {"ccw_triangles_meet", "segment_meets_ccw_triangle", "area2_sums",
                               "in_closed_cell", "Complex.orientations", "Complex.hom_points",
                               "Complex.hom_cells"},
-             "clip.py": {"triangle_intersection", "convex_fan"},
-             "overlay.py": {"numbered"}}
+             "clip.py": {"triangle_intersection", "convex_fan", "polygon_centroid"},
+             "overlay.py": {"numbered", "refine"},
+             "plmap.py": {"_pulled_back", "compose2d", "inverse2d", "_solve_piece",
+                          "_apply_piece", "PLMap.eval_in_cell", "PLMap.pullback_in_cell",
+                          "PLMap.trusted"}}
 
 
 def test_the_planar_kernel_builds_no_fraction():
     """The side, determinant and line helpers, the one orientation
     predicate `orient2` and point order `hom_cmp`, the orientation of a
     cell and of a loose polygon, the closed-cell test, the meets-tests of
-    the overlay walk and of `Complex` validation, the clip loop and the
-    fan of its pieces, the accumulation of `Complex.area2`, the boundary
-    certificate's polygon test, its segment test and box sweep, and
-    `overlay.numbered` make no `Fraction` or `rat` call and no `/`."""
+    the overlay walk and of `Complex` validation, the clip loop, the fan
+    of its pieces and its centroid, the accumulation of `Complex.area2`,
+    the boundary certificate's polygon test, its segment test and box
+    sweep, `overlay.refine` and `overlay.numbered`, the solve and the
+    application of a piece, the pullbacks of composition, `compose2d`,
+    `inverse2d`, `PLMap.eval_in_cell`, `PLMap.pullback_in_cell` and
+    `PLMap.trusted` make no `Fraction` or `rat` call and no `/`."""
     for name, names in KERNEL_2D.items():
         assert names <= {fn for fn, _ in functions(ast.parse((SRC / name).read_text()))}
     found = {name: fraction_work(SRC / name, names) for name, names in KERNEL_2D.items()}
@@ -456,6 +478,66 @@ def test_the_check_sees_fraction_work(tmp_path):
                      "def affine_point(h):\n"
                      "    return Fraction(h[0], h[2]), h[1] / h[2]\n")
     assert fraction_work(probe, KERNEL_2D["complexes.py"]) == [("ccw_triangles_meet", 2)]
+
+
+def named_reads(path, names):
+    """("Class.method" or top-level name, name) of each read of a name in
+    ``names``, bare or as an attribute: a call, or the name passed on as a
+    value, as to `map`."""
+    out = []
+    for top in ast.parse(path.read_text()).body:
+        parts = ([(f"{top.name}.{item.name}" if isinstance(item, ast.FunctionDef)
+                   else top.name, item) for item in top.body]
+                 if isinstance(top, ast.ClassDef) else [(getattr(top, "name", None), top)])
+        for where, part in parts:
+            for node in ast.walk(part):
+                name = (node.id if isinstance(node, ast.Name) else
+                        node.attr if isinstance(node, ast.Attribute) else None)
+                if name in names and isinstance(node.ctx, ast.Load):
+                    out.append((where, name))
+    return out
+
+
+# the conversions of points to `homogeneous` rows, each (module, function)
+# that may make one: the validating constructors' inputs (and the segment
+# test and triangle area of loose points that validation and the tests
+# share), `PLMap.eval`'s argument, the overlap ends of `segment_pieces`,
+# the fixed locus's new cut points, and the loose polygons and points of
+# `hom_cell` and `point_in_triangle`
+HOMOGENEOUS_READERS = {("complexes.py", "Complex._validate"),
+                       ("complexes.py", "seg_seg_open_meet"),
+                       ("plmap.py", "_certified_image"), ("plmap.py", "PLMap.eval"),
+                       ("overlay.py", "segment_pieces"),
+                       ("fixedlocus.py", "_Refinement.cut"), ("fixedlocus.py", "_uncut_cell"),
+                       ("geometry.py", "hom_cell"), ("geometry.py", "area2"),
+                       ("clip.py", "point_in_triangle")}
+
+
+def test_points_become_rows_and_rows_points_in_named_places():
+    """Past the named places, points stay rows: only those read
+    `homogeneous`, by a call or by handing it on (to `map`), and only
+    `SOLE_CALLERS["affine_point"]` read `affine_point`, so no helper
+    converts a whole list behind a `map`."""
+    found = {}
+    for p in sorted(SRC.glob("*.py")):
+        for where, name in named_reads(p, {"homogeneous", "affine_point"}):
+            found.setdefault(name, set()).add((p.name, where))
+    assert found == {"homogeneous": HOMOGENEOUS_READERS,
+                     "affine_point": SOLE_CALLERS["affine_point"]}
+
+
+def test_the_check_sees_reads_of_conversions(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("from .geometry import homogeneous\n"
+                     "class Complex:\n"
+                     "    def hom_points(self):\n"
+                     "        return list(map(homogeneous, self.points))\n"
+                     "def refine(pieces):\n"
+                     "    homogeneous = 1\n"
+                     "    return geometry.affine_point(pieces), homogeneous\n")
+    assert named_reads(probe, {"homogeneous", "affine_point"}) == [
+        ("Complex.hom_points", "homogeneous"), ("refine", "homogeneous"),
+        ("refine", "affine_point")]
 
 
 def imports_of_test_modules(tests=TESTS):

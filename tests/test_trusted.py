@@ -9,6 +9,7 @@ from hypothesis import Phase, assume, given, settings, strategies as st
 from plstab.complexes import Complex
 from plstab.errors import InternalError, InvalidComplex
 from plstab.fixedlocus import fixed_subcomplex
+from plstab.geometry import homogeneous
 from plstab.overlay import overlay
 from plstab.plmap import PLMap, compose2d, inverse2d
 
@@ -93,14 +94,14 @@ def test_tripwire_on_a_lost_cell():
     sq = square_complex()
     three = Complex(sq.points, sq.simplices[:3])
     with pytest.raises(InternalError, match="area"):
-        PLMap.trusted(sq, three, three.points, range(3))
+        PLMap.trusted(sq, three, three.hom_points(), range(3))
 
 
 def test_check_mode_validates_trusted_builds():
     sq = square_complex()
     # the centre pushed past the right edge: the area identities hold, but
     # the image cells overlap, which only validation sees
-    folded = list(sq.points[:4]) + [(2, F(1, 2))]
+    folded = [*sq.hom_points()[:4], homogeneous((2, F(1, 2)))]
     with pytest.raises(InvalidComplex, match="overlap"):
         PLMap.trusted(sq, sq, folded, range(4))
     with pytest.raises(InvalidComplex, match="overlap"):
@@ -109,12 +110,19 @@ def test_check_mode_validates_trusted_builds():
         sq.with_points(folded)
 
 
-def test_check_mode_requires_fraction_points():
-    """A trusted build keeps the points it is given, and an int equals its
-    Fraction, so check mode asks for tuples of Fractions outright."""
-    ints = [(0, 0), (1, 0), (1, 1), (0, 1)]
-    with pytest.raises(AssertionError, match="no tuple of Fractions"):
-        Complex.trusted(ints, [(0, 1, 2), (0, 2, 3)])
-    sq = Complex(ints, [(0, 1, 2), (0, 2, 3)])
-    with pytest.raises(AssertionError, match="no tuple of Fractions"):
-        PLMap.trusted(sq, sq, ints, range(2))
+def test_check_mode_requires_canonical_rows():
+    """A trusted build keeps the rows it is given, and a row that is not
+    reduced or has W < 0, or one that holds a Fraction or a bool, names its
+    point but compares and hashes unlike the validating build's row, so
+    check mode asks for canonical rows outright: tuples of ints, W > 0,
+    gcd 1."""
+    sq = Complex([(0, 0), (1, 0), (1, 1), (0, 1)], [(0, 1, 2), (0, 2, 3)])
+    rows = list(sq.hom_points())
+    assert rows == [(0, 0, 1), (1, 0, 1), (1, 1, 1), (0, 1, 1)]
+    for bad in ((2, 2, 2), (-1, -1, -1), (F(1), 1, 1), (True, True, True), [1, 1, 1],
+                (F(1), F(1))):
+        homs = rows[:2] + [bad] + rows[3:]
+        with pytest.raises(AssertionError, match="no canonical row"):
+            Complex.trusted(homs, sq.simplices)
+        with pytest.raises(AssertionError, match="no canonical row"):
+            PLMap.trusted(sq, sq, homs, range(2))

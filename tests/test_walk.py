@@ -13,15 +13,16 @@ from hypothesis import assume, given, settings, strategies as st
 from plstab.clip import triangle_intersection
 from plstab.complexes import Complex, segment_meets_ccw_triangle
 from plstab.errors import PLError, RealizationMismatch
-from plstab.geometry import area2, candidate_pairs, hom_cell, homogeneous
+from plstab.geometry import affine_point, area2, candidate_pairs, hom_cell, homogeneous
 from plstab.overlay import overlay, triangle_pieces
 from plstab.plmap import (PLMap, _certified_image, compose2d, format_plmap, inverse2d,
                           plmap_from_vertex_images)
 
-from support import (SYMMETRIES, _along_boundary, affine, bench_grid_maps, ccw_triangle,
-                     centroid_split, compose2d_by_ccw_triangle, cycle_rotation, grid_complex,
-                     interior_move_map, open_triangles_meet, random_square_triangulation,
-                     refinement_homes, triangle_pieces_by_ccw_triangle, two_squares)
+from support import (SYMMETRIES, _along_boundary, affine, assert_builds_as_on_fractions,
+                     bench_grid_maps, ccw_triangle, centroid_split, compose2d_by_ccw_triangle,
+                     cycle_rotation, grid_complex, interior_move_map, open_triangles_meet,
+                     random_square_triangulation, refinement_homes, triangle_pieces_by_ccw_triangle,
+                     two_squares)
 from support import grid_map as moved_grid_map
 
 # by module path: the package's `overlay` is the function
@@ -33,9 +34,10 @@ GEOMETRY = import_module("plstab.geometry")
 
 def all_pairs(c1, c2):
     """The oracle: every pair of cells, clipped where their interiors meet."""
+    cells1, cells2 = c1.cells(), c2.cells()
     return {(i, j, tuple(triangle_intersection(a, b)))
             for i, a in enumerate(c1.hom_cells()) for j, b in enumerate(c2.hom_cells())
-            if open_triangles_meet(a.points, b.points)}
+            if open_triangles_meet(cells1[i], cells2[j])}
 
 
 def assert_walk_is_all_pairs(c1, c2):
@@ -239,6 +241,21 @@ def test_pieces_and_composites_match_the_ccw_triangle_oracle(data):
         assert format_plmap(compose2d(a, b)) == format_plmap(compose2d_by_ccw_triangle(a, b))
 
 
+@settings(max_examples=6, deadline=None)
+@given(st.data())
+def test_compose_and_inverse_match_the_fraction_pipeline(data):
+    """`compose2d` and `inverse2d`, on rows, give the points, simplices,
+    base cells and images of the `Fraction` pipeline they replaced (clip,
+    piece solve and application, fan and centroid all on Fractions): on
+    grid maps under drawn symmetries, on the pinched base, and on
+    composites and inverses of those maps."""
+    pinched = data.draw(st.booleans())
+    f, g = data.draw(maps_of_one_base(pinched)), data.draw(maps_of_one_base(pinched))
+    h = compose2d(f, g)
+    for a, b in ((f, g), (h, f), (inverse2d(h), g)):
+        assert_builds_as_on_fractions(a, b)
+
+
 def segment_meets_oracle(p, q, tri):
     """Is there t in (0, 1) with p + t (q - p) strictly inside tri?  The
     open interval of such t, cut by each edge's line, is nonempty."""
@@ -354,8 +371,8 @@ def test_compose_pulls_each_vertex_back_once(monkeypatch):
     for a, b in pairs + [(f, g), (g, f), (g, g)]:
         pulled.clear()
         h = compose2d(a, b)
-        assert len(pulled) == len(h.refinement.points)
-        assert sorted(pulled) == sorted(h.refinement.points)
+        assert len(pulled) == h.refinement.vertex_count
+        assert sorted(pulled) == sorted(h.refinement.hom_points())
 
 
 def cell_point(cell, weights):
@@ -372,18 +389,21 @@ offsets = st.tuples(st.fractions(-3, 3, max_denominator=7), st.fractions(-3, 3, 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(1, 3), st.integers(0, 10**6), weights, offsets)
 def test_pieces_match_the_oracle(n, seed, w, off):
-    """Each refinement cell's piece and its inverse equal the barycentric
-    oracle, inside the cell and off it, before and after compose."""
+    """Each refinement cell's piece and its inverse, on rows, equal the
+    barycentric oracle, inside the cell and off it, before and after
+    compose."""
     f = grid_map(n, seed)
     for h in (f, compose2d(f, grid_map(n, seed + 1))):
         srcs, imgs = h.refinement.cells(), h.image.cells()
         for i, (src, img) in enumerate(zip(srcs, imgs)):
-            x = cell_point(src, w)
+            x = homogeneous(cell_point(src, w))
             y = h.eval_in_cell(i, x)
-            assert y == affine(src, img, x) and h.pullback_in_cell(i, y) == x
-            far = (x[0] + off[0], x[1] + off[1])
-            assert h.eval_in_cell(i, far) == affine(src, img, far)
-            assert h.pullback_in_cell(i, far) == affine(img, src, far)
+            assert y == homogeneous(affine(src, img, affine_point(x)))
+            assert h.pullback_in_cell(i, y) == x
+            far = affine_point(x)
+            far = (far[0] + off[0], far[1] + off[1])
+            assert h.eval_in_cell(i, homogeneous(far)) == homogeneous(affine(src, img, far))
+            assert h.pullback_in_cell(i, homogeneous(far)) == homogeneous(affine(img, src, far))
 
 
 def interval_map():
@@ -398,9 +418,10 @@ def test_pieces_of_a_map_of_segments(f):
     for i, (src, img) in enumerate(zip(f.refinement.cells(), f.image.cells())):
         for t in (F(0), F(1, 3), F(1), F(-2, 5)):
             x = tuple(a + t * (b - a) for a, b in zip(*src))
-            assert f.eval_in_cell(i, x) == affine(src, img, x)
-            y = f.eval_in_cell(i, x)
-            assert f.pullback_in_cell(i, y) == affine(img, src, y) == x
+            y = f.eval_in_cell(i, homogeneous(x))
+            assert y == homogeneous(affine(src, img, x))
+            assert f.pullback_in_cell(i, y) == homogeneous(affine(img, src, affine_point(y)))
+            assert f.pullback_in_cell(i, y) == homogeneous(x)
 
 
 @settings(max_examples=10, deadline=None)
@@ -412,4 +433,5 @@ def test_compose_pullbacks_match_the_oracle(n, seed):
     srcs, imgs = g.refinement.cells(), g.image.cells()
     for i, _, poly in triangle_pieces(g.image, f.refinement):
         for p in poly:
-            assert g.pullback_in_cell(i, p) == affine(imgs[i], srcs[i], p)
+            assert g.pullback_in_cell(i, p) == homogeneous(affine(imgs[i], srcs[i],
+                                                                  affine_point(p)))
