@@ -23,8 +23,9 @@ on them.  The validating constructor keeps the Fractions it read as its
 Triangle interiors meet, a segment meets one, and a point is in a closed
 cell by the signs L·x of the edge lines of `Complex.hom_cells`
 (`ccw_triangles_meet`, `segment_meets_ccw_triangle`, `in_closed_cell`).
-Segments of a 1-complex decide on the `points` view, by `orient2`,
-`between` and `geometry.overlap_params`.
+Segments of a 1-complex decide on their ends' rows too
+(`geometry.on_segment`, `geometry.span_overlap`); the all-pairs fallback
+takes its cell boxes on the `points` view, as rows of two W do not compare.
 """
 
 from __future__ import annotations
@@ -35,9 +36,9 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidComplex, ParseError, UnknownVertex
-from .geometry import (Hom, HomCell, Point, TokenTable, affine_point, area2, bbox, between,
+from .geometry import (Hom, HomCell, Point, TokenTable, affine_point, area2, bbox,
                        candidate_pairs, det3, fmt_hom, homogeneous, is_simple_polygon,
-                       line_through, orient2, overlap_params, rat, records, segment_param)
+                       line_through, on_segment, orient2, rat, records, span_overlap)
 
 SimplexT = Tuple[int, ...]
 
@@ -60,21 +61,19 @@ def close_under_faces(simplices) -> Tuple[SimplexT, ...]:
     return tuple(sorted(sorted(out), key=len))
 
 
-def seg_seg_open_meet(a, b, c, d) -> bool:
-    """Do the open segments (a, b) and (c, d), a != b and c != d, share a
-    point?  Exact, in ambient dimension 1 or 2.
+def seg_seg_open_meet(a: Hom, b: Hom, c: Hom, d: Hom) -> bool:
+    """Do the open segments (a, b) and (c, d), a != b and c != d, given by
+    their ends' rows, share a point?  Exact, in ambient dimension 1 or 2.
 
-    Collinear segments do iff the `segment_param` range of c and d along
-    a->b overlaps [0, 1] in positive length (`overlap_params`).  Two lines
-    of the plane that are not one share at most a point, which lies inside
-    both open segments iff each segment's ends are strictly on opposite
-    sides of the other's line (`orient2` signs on the points' rows).
+    Collinear segments do iff they overlap in positive length
+    (`span_overlap`).  Two lines of the plane that are not one share at
+    most a point, which lies inside both open segments iff each segment's
+    ends are strictly on opposite sides of the other's line (`orient2`).
     """
-    tc, td = segment_param(a, b, c), segment_param(a, b, d)
-    if tc is not None and td is not None:
-        return overlap_params(tc, td) is not None
-    a, b, c, d = map(homogeneous, (a, b, c, d))
-    return orient2(a, b, c) * orient2(a, b, d) < 0 and orient2(c, d, a) * orient2(c, d, b) < 0
+    o1, o2 = (orient2(a, b, c), orient2(a, b, d)) if len(a) == 3 else (0, 0)
+    if o1 == o2 == 0:
+        return span_overlap(a, b, c, d) is not None
+    return o1 * o2 < 0 and orient2(c, d, a) * orient2(c, d, b) < 0
 
 
 def ccw_triangles_meet(t1: HomCell, t2: HomCell) -> bool:
@@ -330,7 +329,7 @@ class Complex(_Incidences):
                     raise InvalidComplex(f"degenerate triangle {s}")
         else:
             for s in self.simplices:
-                if self.points[s[0]] == self.points[s[1]]:
+                if self._homs[s[0]] == self._homs[s[1]]:
                     raise InvalidComplex(f"degenerate edge {s}")
         for f, cells in self.facets().items():
             if len(cells) > 2:
@@ -358,14 +357,14 @@ class Complex(_Incidences):
         shared; segments meet only at an end of one, and triangles are split
         by a line through r, along an edge of each unless r is a vertex.
         Cells with a common facet lie on its two sides and are skipped."""
-        cells = self.cells()
-        boxes = [bbox(cell) for cell in cells]
+        boxes = [bbox(cell) for cell in self.cells()]
         pairs = candidate_pairs(boxes)
-        triangles, homs = (self.hom_cells(), self._homs) if self.dim == 2 else (None, None)
+        homs = self._homs
+        cells = self.hom_cells() if self.dim == 2 else [[homs[v] for v in s]
+                                                        for s in self.simplices]
         for i, j in pairs:
-            p1, p2 = cells[i], cells[j]
-            if (seg_seg_open_meet(p1[0], p1[1], p2[0], p2[1]) if self.dim == 1
-                    else ccw_triangles_meet(triangles[i], triangles[j])):
+            if (seg_seg_open_meet(*cells[i], *cells[j]) if self.dim == 1
+                    else ccw_triangles_meet(cells[i], cells[j])):
                 raise InvalidComplex(f"simplices {self.simplices[i]} and {self.simplices[j]}"
                                      " overlap")
         for i, j in pairs:
@@ -376,8 +375,8 @@ class Complex(_Incidences):
                 lo, hi = boxes[k]
                 for v, p in ((v, self.points[v]) for v in a if v not in b):
                     if (all(m <= x <= n for m, x, n in zip(lo, p, hi))
-                            and (between(*cells[k], p) if self.dim == 1
-                                 else in_closed_cell(homs[v], triangles[k]))):
+                            and (on_segment(*cells[k], homs[v]) if self.dim == 1
+                                 else in_closed_cell(homs[v], cells[k]))):
                         raise InvalidComplex(
                             f"vertex {v} lies in simplex {b} but is not one of its vertices")
 

@@ -23,28 +23,27 @@ isolated fixed point strictly inside the cell.
 The refinement is built on integer vertex ids, each with its point's
 `homogeneous` row: the ids of f's refinement, each with one fixed flag
 (f's image row of the vertex is its row), then every edge cut, centroid
-and isolated fixed point appended as a new id with its flag.  Cuts are
-solved in Fractions, on the image rows they read, and enter as rows.  An
-edge is cut only when f moves both its ends, from displacements computed
-once per vertex, and its cut is shared by the cells on both sides.  A
-cell with no cut is left whole, or coned from its isolated fixed point;
-one with at most one moved vertex has no edge to cut and no isolated
-fixed point, and is left whole untested.  `overlay.numbered`, the one
-numbering of derived refinements, sorts the ids into coordinate order on
-their rows;
-`fixed_subcomplex` proves that no two ids hold one point.
+and isolated fixed point appended as a new id with its flag.  All of it
+is computed on rows, with no `Fraction`: displacements, cut parameters on
+cross-multiplied coordinates, and new points by `geometry.hom_barycentre`.
+An edge is cut only when f moves both its ends, and its cut is shared by
+the cells on both sides.  A cell with no cut is left whole, or coned from
+its isolated fixed point; one with at most one moved vertex has no edge
+to cut and no isolated fixed point, and is left whole untested.
+`overlay.numbered`, the one numbering of derived refinements, sorts the
+ids into coordinate order on their rows; `fixed_subcomplex` proves that
+no two ids hold one point.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Dict, List, Optional, Tuple
 
 from .clip import convex_fan
 from .complexes import Complex, SimplexT, SubComplex, euler_characteristic, faces_of
 from .errors import FixIsEmpty, FixIsEverything
-from .geometry import Hom, Point, affine_point, cross2, homogeneous, vadd, vscale, vsub
+from .geometry import Hom, Point, affine_point, cross2, hom_barycentre
 from .overlay import numbered
 from .plmap import PLMap, compose2d
 
@@ -73,42 +72,50 @@ class CanonicalInvariant:
     derivation_depth: int
 
 
-def _edge_cut(a: Point, b: Point, da: Point, db: Point) -> Optional[Point]:
-    """The fixed point strictly inside [a, b] of the affine map with
-    displacements da at a and db at b, when it fixes exactly one point of
-    the segment's line."""
-    # displacement(t) = da + t (db - da); zero set of each coordinate
-    t: Optional[Fraction] = None
+def _displacement(p: Hom, q: Hom) -> Hom:
+    """q - p for the rows p, q, as the row (X_q W_p - X_p W_q, ..., W_p W_q)."""
+    (*x, wp), (*y, wq) = p, q
+    return (*(b * wp - a * wq for a, b in zip(x, y)), wp * wq)
+
+
+def _edge_cut(a: Hom, b: Hom, fa: Hom, fb: Hom) -> Optional[Hom]:
+    """The row of the fixed point strictly inside [a, b] of the affine map
+    taking a to fa and b to fb (all rows), when it fixes one point of the
+    line.  Displacement coordinate k vanishes at t = u / (u - v) along
+    a -> b, for its values u, v at a and b over one W: inside iff u v < 0."""
+    (*da, wa), (*db, wb) = _displacement(a, fa), _displacement(b, fb)
+    n = m = 0  # t = n / m
     for c0, c1 in zip(da, db):
-        if c0 == c1:
-            if c0 != 0:
+        u, v = c0 * wb, c1 * wa
+        if u == v:
+            if u:
                 return None
-        elif t is None:
-            t = Fraction(c0, c0 - c1)
-        elif t != Fraction(c0, c0 - c1):
+        elif not m:
+            n, m = u, u - v
+        elif n * (u - v) != u * m:
             return None
-    if t is None or not 0 < t < 1:
+    if not m or n * (n - m) >= 0:
         return None
-    return vadd(a, vscale(t, vsub(b, a)))
+    return hom_barycentre((m - n, n), (a, b))
 
 
-def _interior_fixed_point(tri, disps) -> Optional[Point]:
-    """The fixed point of the affine map strictly inside a triangle, when
-    it is the map's only fixed point; ``disps`` are the displacements
-    f(p_i) - p_i at the corners.
+def _interior_fixed_point(tri: List[Hom], images: List[Hom]) -> Optional[Hom]:
+    """The row of the affine map's only fixed point, when it has one
+    strictly inside the triangle; the corners and their ``images`` are rows.
 
-    The weights lam = (d1 x d2, d2 x d0, d0 x d1) satisfy
-    sum lam_i d_i = 0, so the displacement vanishes at
-    sum lam_i p_i / sum lam_i; the sum is det(A - I) times twice the signed
-    area, zero exactly when the fixed set is not one point.  The point is
-    strictly inside when every weight has the sign of the sum.
+    The weights lam = (d1 x d2, d2 x d0, d0 x d1) of the displacements d_i
+    (over the product of their W) satisfy sum lam_i d_i = 0, so the
+    displacement vanishes at sum lam_i p_i / sum lam_i; the sum is
+    det(A - I) times twice the signed area, zero exactly when the fixed set
+    is not one point.  The point is strictly inside when every weight has
+    the sign of the sum.
     """
-    d0, d1, d2 = disps
-    lam = (cross2(d1, d2), cross2(d2, d0), cross2(d0, d1))
+    d0, d1, d2 = map(_displacement, tri, images)
+    lam = (cross2(d1, d2) * d0[-1], cross2(d2, d0) * d1[-1], cross2(d0, d1) * d2[-1])
     total = sum(lam)
     if total == 0 or any(w * total <= 0 for w in lam):
         return None
-    return tuple(sum(w * p[k] for w, p in zip(lam, tri)) / total for k in range(2))
+    return hom_barycentre(lam, tri)
 
 
 class _Refinement:
@@ -120,8 +127,8 @@ class _Refinement:
     def __init__(self, f: PLMap):
         self.f = f
         self.homs: List[Hom] = list(f.refinement.hom_points())
-        self.fixed = [q == p for p, q in zip(self.homs, f.image.hom_points())]
-        self.disps: List[Optional[Point]] = [None] * len(self.homs)
+        self.images = f.image.hom_points()
+        self.fixed = [q == p for p, q in zip(self.homs, self.images)]
         self.cuts: Dict[Tuple[int, int], Optional[int]] = {}  # edge -> the id of its cut
         self.cells: List[Tuple[int, ...]] = []
         self.homes: List[int] = []
@@ -131,14 +138,6 @@ class _Refinement:
         self.fixed.append(fixed)
         return len(self.homs) - 1
 
-    def disp(self, v: int) -> Point:
-        """f(p) - p at a vertex of f's refinement, computed once."""
-        d = self.disps[v]
-        if d is None:
-            d = self.disps[v] = vsub(affine_point(self.f.image.hom_points()[v]),
-                                     self.f.refinement.points[v])
-        return d
-
     def cut(self, u: int, v: int) -> Optional[int]:
         """The id of the edge cut of [u, v], a new fixed point made once per
         edge, or None.  An edge with a fixed end has none: the displacement
@@ -147,9 +146,8 @@ class _Refinement:
             return None
         key = (u, v) if u < v else (v, u)
         if key not in self.cuts:
-            a, b = self.f.refinement.points[u], self.f.refinement.points[v]
-            x = _edge_cut(a, b, self.disp(u), self.disp(v))
-            self.cuts[key] = None if x is None else self.add_point(homogeneous(x), True)
+            x = _edge_cut(self.homs[u], self.homs[v], self.images[u], self.images[v])
+            self.cuts[key] = None if x is None else self.add_point(x, True)
         return self.cuts[key]
 
     def emit(self, cells, home: int):
@@ -225,10 +223,10 @@ def _uncut_cell(r: _Refinement, s):
     fixed set as a face (a flagged vertex or side, or the whole cell)."""
     if any(r.fixed[v] for v in s):
         return [s]
-    x = _interior_fixed_point([r.f.refinement.points[v] for v in s], [r.disp(v) for v in s])
+    x = _interior_fixed_point([r.homs[v] for v in s], [r.images[v] for v in s])
     if x is None:
         return [s]
-    c = r.add_point(homogeneous(x), True)
+    c = r.add_point(x, True)
     return [(c, s[0], s[1]), (c, s[1], s[2]), (c, s[2], s[0])]
 
 

@@ -1,4 +1,4 @@
-"""Exact rational scalars, vectors and small matrices.
+"""Exact rational scalars, the one geometry kernel, and small matrices.
 
 Scalars are ``fractions.Fraction``s: arbitrary precision, always in
 lowest terms with positive denominator, which is exactly the canonical
@@ -8,18 +8,20 @@ of it, and 1D maps keep the ratio.
 
 `homogeneous` is the one integer form of a point: (X, W) for X/W,
 (X, Y, W) for (X/W, Y/W), W > 0 and gcd 1, so equal points have equal
-tuples.  Complexes and maps store their points as these rows, and the
-planar kernel runs on them: `orient2`, the sign of `det3`, orients three
-points, `hom_cmp` orders two, and a `HomCell`'s edge lines L = a × b give
-`orient2` as L·x, three products and no call.  `affine_point` is the one
+tuples.  Complexes and maps store their points as these rows, and every
+geometric decision runs on them: `orient2`, the sign of `det3`, orients
+three points, `hom_cmp` orders two (monotone along any line, so the
+segment tests `on_segment` and `span_overlap` need no parameter), and a
+`HomCell`'s edge lines L = a × b give `orient2` as L·x, three products
+and no call.  New points are rows too (`hom_barycentre`), and so are the
+rays between two points (`hom_direction`).  `affine_point` is the one
 way back, and `fmt_hom` prints a row as `fmt` prints its point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
-from operator import le
+from math import gcd, lcm, prod
 from typing import Iterable, NamedTuple, Sequence, Tuple
 
 from .errors import NondegenerateViolation, ParseError
@@ -108,23 +110,6 @@ def fmt(q: Fraction) -> str:
 def fmt_ratio(n: int, d: int) -> str:
     """Print the rational n/d, in lowest terms with d > 0, as `fmt` does."""
     return str(n) if d == 1 else f"{n}/{d}"
-
-
-def vsub(a: Point, b: Point) -> Point:
-    return tuple(x - y for x, y in zip(a, b))
-
-
-def vadd(a: Point, b: Point) -> Point:
-    return tuple(x + y for x, y in zip(a, b))
-
-
-def vscale(s, a: Point) -> Point:
-    s = rat(s)
-    return tuple(s * x for x in a)
-
-
-def dot(a: Point, b: Point) -> Fraction:
-    return sum((x * y for x, y in zip(a, b)), Fraction(0))
 
 
 def cross2(a: Sequence[Fraction], b: Sequence[Fraction]) -> Fraction:
@@ -221,23 +206,19 @@ def hom_cell(points: Sequence[Point]) -> HomCell:
     return HomCell(homs, tuple(map(line_through, homs, homs[1:] + homs[:1])))
 
 
-def segment_param(a: Point, b: Point, x: Point):
-    """Parameter t with x = a + t (b - a), or None if x is off the line."""
-    d = vsub(b, a)
-    den = dot(d, d)
-    if den == 0:
-        return Fraction(0) if x == a else None
-    t = Fraction(dot(vsub(x, a), d), den)
-    if vadd(a, vscale(t, d)) != x:
-        return None
-    return t
+def on_segment(a: Hom, b: Hom, x: Hom) -> bool:
+    """Is the point of row x on the closed segment of the rows a, b?  On
+    the line (`orient2`, in the plane) and between the ends in coordinate
+    order (`hom_cmp`), which is monotone along a line."""
+    if len(x) == 3 and orient2(a, b, x):
+        return False
+    return hom_cmp(a, x) * hom_cmp(x, b) >= 0
 
 
 def between(a: Point, b: Point, x: Point) -> bool:
-    """True iff x lies on the closed segment [a, b]: its `segment_param`
-    is in [0, 1]."""
-    t = segment_param(a, b, x)
-    return t is not None and 0 <= t <= 1
+    """True iff the point x lies on the closed segment [a, b]: `on_segment`
+    of their `homogeneous` rows."""
+    return on_segment(homogeneous(a), homogeneous(b), homogeneous(x))
 
 
 def extent(seg: Sequence[Hom]) -> Fraction:
@@ -247,39 +228,34 @@ def extent(seg: Sequence[Hom]) -> Fraction:
     return Fraction(max(abs(b * pw - a * qw) for a, b in zip(p, q)), pw * qw)
 
 
-def collinear_overlap(p: Point, q: Point, a: Point, b: Point):
-    """Overlap of segment [p,q] with [a,b] when collinear.
-
-    Returns its two end points, in the direction p -> q, when it has
-    positive length, or None.
-    """
-    ta = segment_param(p, q, a)
-    tb = segment_param(p, q, b)
-    span = None if ta is None or tb is None else overlap_params(ta, tb)
-    if span is None:
+def collinear_overlap(p: Hom, q: Hom, a: Hom, b: Hom):
+    """Overlap of segment [p, q] with [a, b], all rows, when collinear:
+    its two ends, in the direction p -> q, when it has positive length,
+    or None."""
+    if len(p) == 3 and (orient2(p, q, a) or orient2(p, q, b)):
         return None
-    (lo, hi), d = span, vsub(q, p)
-    return vadd(p, vscale(lo, d)), vadd(p, vscale(hi, d))
+    return span_overlap(p, q, a, b)
 
 
-def overlap_params(ta: Fraction, tb: Fraction):
-    """Where a segment [a, b] on the line of [p, q] overlaps it, for the
-    `segment_param` values ta, tb of a and b along p -> q: the parameters
-    (lo, hi) of the overlap when it has positive length, or None.  The one
-    test of collinear overlap."""
-    lo, hi = max(min(ta, tb), Fraction(0)), min(max(ta, tb), Fraction(1))
-    return (lo, hi) if lo < hi else None
+def span_overlap(p: Hom, q: Hom, a: Hom, b: Hom):
+    """Where [a, b] on the line of [p, q] overlaps it, all rows: the ends
+    in the direction p -> q when it has positive length, or None.  The one
+    test of collinear overlap, by `hom_cmp`, monotone along the line."""
+    sense = -1 if hom_cmp(p, q) > 0 else 1
+
+    def before(u, v):
+        return sense * hom_cmp(u, v) < 0
+
+    if before(b, a):
+        a, b = b, a
+    lo, hi = (a if before(p, a) else p), (b if before(b, q) else q)
+    return (lo, hi) if before(lo, hi) else None
 
 
 def bbox(pts: Sequence[Point]):
     """Axis-aligned bounding box (lower corner, upper corner) of two or
     more points."""
     return tuple(map(min, *pts)), tuple(map(max, *pts))
-
-
-def boxes_apart(b1, b2) -> bool:
-    (lo1, hi1), (lo2, hi2) = b1, b2
-    return not (all(map(le, lo1, hi2)) and all(map(le, lo2, hi1)))
 
 
 def candidate_pairs(boxes_a, boxes_b=None):
@@ -318,16 +294,16 @@ def candidate_pairs(boxes_a, boxes_b=None):
 
 
 def closed_segments_meet(a: Hom, b: Hom, c: Hom, d: Hom) -> bool:
-    """Do the closed planar segments [a, b] and [c, d], integer points as
-    rows (x, y, 1), share a point? Exact.
+    """Do the closed planar segments [a, b] and [c, d], a != b and c != d,
+    given by their ends' rows, share a point? Exact.
 
     They do not when both ends of one lie strictly on one side of the
-    other's line (`orient2`); when both lie on one line, when their boxes
-    meet.
+    other's line (`orient2`); when all four lie on one line, iff an end of
+    one is `on_segment` of the other.
     """
     o1, o2 = orient2(a, b, c), orient2(a, b, d)
     if o1 == o2 == 0:
-        return not boxes_apart(bbox((a, b)), bbox((c, d)))
+        return on_segment(a, b, c) or on_segment(a, b, d) or on_segment(c, d, a)
     return o1 * o2 <= 0 and orient2(c, d, a) * orient2(c, d, b) <= 0
 
 
@@ -370,17 +346,32 @@ def is_simple_polygon(homs: Sequence[Hom]) -> bool:
 
 
 def primitive_direction(v: Sequence[Fraction]) -> Tuple[int, ...]:
-    """Canonical representative of a ray direction: coprime integers, same sense.
-
-    Scaling is by a positive rational only, so (1,0) and (-1,0) stay distinct.
-    """
+    """Canonical representative of a ray direction, of ints or Fractions:
+    coprime integers, scaled by a positive rational, so the same sense."""
     if not any(v):
         raise ValueError("zero vector has no direction")
-    fracs = [Fraction(x) for x in v]
-    denom = lcm(*(f.denominator for f in fracs))
-    ints = [f.numerator * (denom // f.denominator) for f in fracs]
+    ratios = [x.as_integer_ratio() for x in v]
+    denom = lcm(*(d for _, d in ratios))
+    ints = [n * (denom // d) for n, d in ratios]
     g = gcd(*ints)
     return tuple(n // g for n in ints)
+
+
+def hom_barycentre(weights: Sequence[int], homs: Sequence[Hom]) -> Hom:
+    """The row of sum w_i x_i / sum w_i, for int weights w_i of nonzero sum
+    and the rows h_i of the points x_i: the sum of the w_i h_i / W_i over
+    one W, reduced by one gcd with W > 0."""
+    w = prod(h[-1] for h in homs)
+    row = [sum(c * (w // h[-1]) * h[k] for c, h in zip(weights, homs))
+           for k in range(len(homs[0]))]
+    g = gcd(*row) if row[-1] > 0 else -gcd(*row)
+    return tuple(x // g for x in row)
+
+
+def hom_direction(a: Hom, b: Hom) -> Tuple[int, ...]:
+    """The `primitive_direction` from the point of row a to that of row b:
+    that of the row difference X_b W_a - X_a W_b, axis by axis."""
+    return primitive_direction([y * a[-1] - x * b[-1] for x, y in zip(a[:-1], b[:-1])])
 
 
 class Mat:

@@ -21,13 +21,12 @@ image checks of `PLMap(...)`.
 from the hits of a neighbour visited before it and grows across the
 second input's edges, so the work is linear in the cells and their pairs
 (`_walked_pairs`).  Its meets-tests and its clip decide on the cells of
-`Complex.hom_cells`, and its pieces are integer `homogeneous` rows (the
-overlap ends of `segment_pieces` are converted once).  It tests a cell
-against all cells of the second input only where the walk cannot seed or
-close: a first cell of each edge-connected part, a cell with no hit near
-its neighbour's, or an edge of a hit that no other cell shares crossing
-the cell.  Segments enumerate
-the pairs of `candidate_pairs` on their boxes.
+`Complex.hom_cells`, and its pieces are integer `homogeneous` rows, as
+are the overlap ends of `segment_pieces`.  It tests a cell against all
+cells of the second input only where the walk cannot seed or close: a
+first cell of each edge-connected part, a cell with no hit near its
+neighbour's, or an edge of a hit that no other cell shares crossing the
+cell.  Segments enumerate the pairs of `candidate_pairs` on their boxes.
 
 :func:`refine` builds every refinement derived from pieces (overlay,
 composite, inverse, equality): it triangulates them, interns each row
@@ -51,7 +50,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from .clip import convex_fan, polygon_area2, polygon_centroid, triangle_intersection
 from .complexes import Complex, SimplexT, ccw_triangles_meet, segment_meets_ccw_triangle
 from .errors import RealizationMismatch
-from .geometry import Hom, bbox, candidate_pairs, collinear_overlap, extent, hom_cmp, homogeneous
+from .geometry import Hom, bbox, candidate_pairs, collinear_overlap, extent, hom_cmp
 
 
 @dataclass(frozen=True)
@@ -128,7 +127,7 @@ def overlay(t1: Complex, t2: Complex) -> Overlay:
 def cell_pieces(t1: Complex, t2: Complex):
     """`segment_pieces` of the cells of two 1-complexes, or `triangle_pieces`."""
     if t1.dim == 1:
-        return segment_pieces(t1.cells(), t2.cells())
+        return segment_pieces(t1, t2)
     return triangle_pieces(t1, t2)
 
 
@@ -168,15 +167,15 @@ def realized_pieces(t1: Complex, t2: Complex,
 # -- 1D ------------------------------------------------------------------
 
 
-def segment_pieces(segs1, segs2):
-    """(i1, i2, (p, q)) for each pair of a segment of ``segs1`` and one of
-    ``segs2``, each given by its end points, that overlap in positive
-    length: the `homogeneous` rows of the overlap's end points, in the
-    direction of segment i1."""
-    for i1, i2 in candidate_pairs([bbox(s) for s in segs1], [bbox(s) for s in segs2]):
-        piece = collinear_overlap(*segs1[i1], *segs2[i2])
+def segment_pieces(t1: Complex, t2: Complex):
+    """(i1, i2, (p, q)) for each pair of a segment of ``t1`` and one of
+    ``t2`` that overlap in positive length (among the `candidate_pairs` of
+    their boxes): the rows of its ends, in the direction of segment i1."""
+    rows1, rows2 = ([[t.hom_points()[v] for v in s] for s in t.simplices] for t in (t1, t2))
+    for i1, i2 in candidate_pairs([bbox(s) for s in t1.cells()], [bbox(s) for s in t2.cells()]):
+        piece = collinear_overlap(*rows1[i1], *rows2[i2])
         if piece is not None:
-            yield i1, i2, (homogeneous(piece[0]), homogeneous(piece[1]))
+            yield i1, i2, piece
 
 
 # -- 2D ------------------------------------------------------------------

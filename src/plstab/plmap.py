@@ -44,7 +44,8 @@ image, and one back, each solved on first use (`_solve_piece`): a
 canonical integer matrix on rows, so applying one is a matrix-vector
 product and a gcd, and composition, inversion and equality build no
 Fraction.  `PLMap.eval` converts its point to a row once, locates it on
-the cached `Complex.hom_cells`, and converts its value back once.
+the cached `Complex.hom_cells` (on the rows of a 1-complex's segments,
+by `geometry.on_segment`), and converts its value back once.
 
 Each exact test runs once, and both realization tests are one call of
 `realized_pieces`, the cover accounting of `overlay`: the refinement
@@ -74,8 +75,8 @@ from .complexes import (Complex, directed_boundary, format_complex, in_closed_ce
                         rational_points, read_complex_records)
 from .errors import (InternalError, InvalidComplex, ParseError, PointOutsideComplex,
                      RealizationMismatch, VertexNotInComplex)
-from .geometry import (Hom, Mat, Point, TokenTable, affine_point, between, det3, fmt, fmt_hom,
-                       homogeneous, line_through, rat)
+from .geometry import (Hom, Mat, Point, TokenTable, affine_point, det3, fmt, fmt_hom,
+                       homogeneous, line_through, on_segment, rat)
 from .overlay import cell_pieces, realized_pieces, refine
 
 # no code here orients a cell; the benchmark's tracer test reads `plmap.orient2`
@@ -327,14 +328,19 @@ class PLMap:
         )
 
     def eval(self, x) -> Point:
-        """f(x) on the first refinement cell that holds x: `between` on a
-        segment, `in_closed_cell` on the cached `Complex.hom_cells`.  The
-        point is converted to its row once, and its value back once."""
+        """f(x) on the first refinement cell that holds x (`on_segment` or
+        `in_closed_cell` on the cached `Complex.hom_cells`), x converted to
+        its row once and its value back once; x must have as many
+        coordinates as the base's ambient dimension."""
         x, r = tuple(rat(c) for c in x), self.refinement
+        if len(x) != self.base.ambient_dim:
+            raise PointOutsideComplex(f"({', '.join(fmt(c) for c in x)}) has {len(x)} "
+                                      f"coordinate(s), not {self.base.ambient_dim}")
         h = homogeneous(x)
         if r.dim == 1:
+            homs = r.hom_points()
             hits = (i for i, (u, v) in enumerate(r.simplices)
-                    if between(r.points[u], r.points[v], x))
+                    if on_segment(homs[u], homs[v], h))
         else:
             hits = (i for i, cell in enumerate(r.hom_cells()) if in_closed_cell(h, cell))
         for i in hits:

@@ -22,7 +22,7 @@ from .complexes import Complex, euler_characteristic
 from .errors import (DisconnectedComplex, InternalError, SupportMismatch,
                      VertexNotInComplex)
 from .fixedlocus import (canonical_invariant, fixed_subcomplex, fuller_search)
-from .geometry import affine_point, primitive_direction, vsub
+from .geometry import affine_point, hom_direction
 from .interval import PLMap1D, fixed_set_1d
 from .plmap import PLMap
 from .presentation import Presentation, abelianization
@@ -99,15 +99,15 @@ def _moved_cells(f: PLMap) -> Dict[int, Tuple[int, int]]:
 
 
 def _tangent_witness_1d(f: PLMap, p: int):
-    """For a 1-complex: None if every edge direction at vertex p is
-    preserved, else the offending primitive direction."""
+    """For a 1-complex: None if every edge direction at vertex p, a
+    `hom_direction` of rows, is preserved, else the offending one."""
     pr = f.refinement_index_of_base_vertex(p)
-    origin = f.refinement.points[pr]
+    homs, images = f.refinement.hom_points(), f.image.hom_points()
     for i in f.refinement.stars()[pr]:
         s = f.refinement.simplices[i]
         q = s[0] if s[1] == pr else s[1]
-        u = primitive_direction(vsub(f.refinement.points[q], origin))
-        w = primitive_direction(vsub(f.images[q], f.images[pr]))
+        u = hom_direction(homs[pr], homs[q])
+        w = hom_direction(images[pr], images[q])
         if u != w:
             return {"ray": u, "image_ray": w}
     return None

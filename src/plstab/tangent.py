@@ -15,7 +15,7 @@ from typing import Collection, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .complexes import Complex
 from .errors import InvalidComplex, NotFixedPoint, SupportMismatch
-from .geometry import Mat, Point, cross2, dot, fmt, primitive_direction, vsub
+from .geometry import Mat, Point, cross2, fmt, hom_direction, primitive_direction
 from .plmap import PLMap, identity_map
 
 Ray = Tuple[int, ...]  # primitive integer direction
@@ -29,9 +29,9 @@ def in_cone(r, u: Ray, v: Ray, strict: bool = False) -> bool:
         return cu > 0 and cv > 0
     if cu < 0 or cv < 0:
         return False
-    if cu == 0 and dot(u, r) <= 0:
+    if cu == 0 and u[0] * r[0] + u[1] * r[1] <= 0:
         return False
-    if cv == 0 and dot(v, r) <= 0:
+    if cv == 0 and v[0] * r[0] + v[1] * r[1] <= 0:
         return False
     return True
 
@@ -138,22 +138,21 @@ def build_germ(f: PLMap, p: int) -> Germ:
     Each cone's matrix is the linear part of f's affine piece on its
     refinement cell (`PLMap.linear_part`): f fixes the apex, so f(apex + x)
     = apex + M x there.  The apex is checked on rows, and the ray to each
-    link vertex is found once, on the refinement's `points` view."""
+    link vertex is found once, as the `hom_direction` of the two rows."""
     pr = f.refinement_index_of_base_vertex(p)
-    if f.image.hom_points()[pr] != f.refinement.hom_points()[pr]:
+    homs = f.refinement.hom_points()
+    if f.image.hom_points()[pr] != homs[pr]:
         raise NotFixedPoint(f"vertex {p} is not fixed")
-    points = f.refinement.points
-    apex = points[pr]
     star = [(i, [w for w in f.refinement.simplices[i] if w != pr])
             for i in f.refinement.stars()[pr]]
-    rays = {w: primitive_direction(vsub(points[w], apex)) for _, ends in star for w in ends}
+    rays = {w: hom_direction(homs[pr], homs[w]) for _, ends in star for w in ends}
     mats: Dict[Tuple[Ray, Ray], Mat] = {}  # cells of a valid star have distinct cones
     for i, (a, b) in star:
         da, db = rays[a], rays[b]
         if cross2(da, db) < 0:
             da, db = db, da
         mats[da, db] = f.linear_part(i)
-    fan = _chain_cones(apex, list(mats))
+    fan = _chain_cones(f.refinement.points[pr], list(mats))
     # f is a homeomorphism, affine on each cell: the matrices are
     # nonsingular and adjacent ones agree on their shared ray
     return Germ.trusted(fan, tuple(mats[cone] for cone in fan.cones))

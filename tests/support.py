@@ -29,7 +29,10 @@ location that `geometry.hom_cell`, `complexes.in_closed_cell` and
 and `convex_fan` that the ones on `homogeneous` rows replaced, the
 `Fraction` piece solve and application, polygon area and centroid that
 the ones on rows replaced, with the `Fraction` composition and inversion
-built on them, and `power`, the composite f^k.
+built on them, `power`, the composite f^k, and the `Fraction` vectors
+and segment tests (`segment_param`, `overlap_params`, the point form of
+`collinear_overlap`, `between` and `seg_seg_open_meet`) that the ones on
+rows replaced.
 Every helper that more than one test module uses lives here or, if it is
 a hypothesis strategy, in `strategies`, so no test module imports
 another, and this module needs no hypothesis."""
@@ -39,6 +42,7 @@ import math
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from operator import le
 from pathlib import Path
 
 from plstab.circle import CircleLift
@@ -46,9 +50,9 @@ from plstab.circle import CircleLift
 from plstab.clip import convex_fan, triangle_intersection
 from plstab.complexes import Complex, ccw_triangles_meet
 from plstab.errors import InvalidComplex, ParseError, PointOutsideComplex, RealizationMismatch
-from plstab.geometry import (MAX_EXPONENT, Mat, affine_point, area2, bbox, boxes_apart,
-                             candidate_pairs, cross2, dot, hom_cell, homogeneous,
-                             primitive_direction, rat, segment_param, vadd, vscale, vsub)
+from plstab.geometry import (MAX_EXPONENT, Mat, affine_point, area2, bbox,
+                             candidate_pairs, cross2, hom_cell, homogeneous,
+                             primitive_direction, rat)
 from plstab.interval import PLMap1D
 from plstab.overlay import _walked_pairs, realized_pieces, refine, segment_pieces, triangle_pieces
 from plstab.plmap import PLMap, compose2d, inverse2d, plmap_from_vertex_images
@@ -85,7 +89,7 @@ def in_closed_cell_oracle(x, cell):
     the closed left side of each edge of its `ccw_triangle`, by `orient2`)
     or a segment, whose `segment_param` at x is in [0, 1]?  The `Fraction`
     closed-cell test that `complexes.in_closed_cell` replaced on
-    `HomCell`s and `geometry.between` on segments."""
+    `HomCell`s and `geometry.on_segment` on segments' rows."""
     if len(cell) == 3:
         a, b, c = ccw_triangle(cell)
         return all(orient2_on_fractions(p, q, x) >= 0 for p, q in ((a, b), (b, c), (c, a)))
@@ -912,7 +916,7 @@ def compose_cells_by_points(f, g):
     i, and reversed when that piece reverses orientation."""
     cells, pairs = [], []
     if f.base.dim == 1:
-        for i, j, seg in segment_pieces(g.image.cells(), f.refinement.cells()):
+        for i, j, seg in segment_pieces(g.image, f.refinement):
             cells.append([affine_point(g.pullback_in_cell(i, h)) for h in seg])
             pairs.append((i, j))
         return cells, pairs
@@ -1111,7 +1115,8 @@ def closed_segments_meet_on_fractions(a, b, c, d):
     collinear."""
     o1, o2 = orient2_on_fractions(a, b, c), orient2_on_fractions(a, b, d)
     if o1 == 0 and o2 == 0:
-        return not boxes_apart(bbox((a, b)), bbox((c, d)))
+        (lo1, hi1), (lo2, hi2) = bbox((a, b)), bbox((c, d))
+        return all(map(le, lo1, hi2)) and all(map(le, lo2, hi1))
     if (o1 > 0 and o2 > 0) or (o1 < 0 and o2 < 0):
         return False
     o3, o4 = orient2_on_fractions(c, d, a), orient2_on_fractions(c, d, b)
@@ -1277,3 +1282,73 @@ def assert_builds_as_on_fractions(f, g):
                       (inverse2d(f), inverse2d_on_fractions(f))):
         assert (got.refinement.points, got.refinement.simplices, got.cell_base,
                 got.images) == want
+
+
+# -- the Fraction vectors and segment tests that the row ones replaced ---
+
+
+def dot(a, b):
+    return sum((x * y for x, y in zip(a, b)), F(0))
+
+
+def vsub(a, b):
+    return tuple(x - y for x, y in zip(a, b))
+
+
+def vadd(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def vscale(s, a):
+    s = rat(s)
+    return tuple(s * x for x in a)
+
+
+def segment_param(a, b, x):
+    """Parameter t with x = a + t (b - a), or None if x is off the line."""
+    d = vsub(b, a)
+    den = dot(d, d)
+    if den == 0:
+        return F(0) if x == a else None
+    t = F(dot(vsub(x, a), d), den)
+    if vadd(a, vscale(t, d)) != x:
+        return None
+    return t
+
+
+def between_on_fractions(a, b, x):
+    """The oracle of `geometry.on_segment`: is x on the closed segment
+    [a, b], its `segment_param` in [0, 1]?"""
+    t = segment_param(a, b, x)
+    return t is not None and 0 <= t <= 1
+
+
+def overlap_params(ta, tb):
+    """Where a segment [a, b] on the line of [p, q] overlaps it, for the
+    `segment_param` values ta, tb of a and b along p -> q: the parameters
+    (lo, hi) of the overlap when it has positive length, or None."""
+    lo, hi = max(min(ta, tb), F(0)), min(max(ta, tb), F(1))
+    return (lo, hi) if lo < hi else None
+
+
+def collinear_overlap_on_fractions(p, q, a, b):
+    """The oracle of `geometry.collinear_overlap`: the end points, in the
+    direction p -> q, of the overlap of [p, q] and [a, b] when both ends of
+    [a, b] are on the line of [p, q] and it has positive length, or None."""
+    ta, tb = segment_param(p, q, a), segment_param(p, q, b)
+    span = None if ta is None or tb is None else overlap_params(ta, tb)
+    if span is None:
+        return None
+    (lo, hi), d = span, vsub(q, p)
+    return vadd(p, vscale(lo, d)), vadd(p, vscale(hi, d))
+
+
+def seg_seg_open_meet_on_fractions(a, b, c, d):
+    """The oracle of `complexes.seg_seg_open_meet` as it ran on points:
+    collinear segments by `overlap_params`, others by strict `orient2`
+    signs."""
+    tc, td = segment_param(a, b, c), segment_param(a, b, d)
+    if tc is not None and td is not None:
+        return overlap_params(tc, td) is not None
+    return (orient2_on_fractions(a, b, c) * orient2_on_fractions(a, b, d) < 0
+            and orient2_on_fractions(c, d, a) * orient2_on_fractions(c, d, b) < 0)

@@ -405,6 +405,10 @@ def test_readme_format_examples_run(tmp_path):
     assert run(["eval", "--map", d + "push.map", "--point", "1/8"]) == (0, "1/4\n")
     assert run(["eval", "--map", d + "rotate.map", "--point", "1/3"]) == (0, "2/3\n")
     assert run(["eval", "--map", d + "twist.pm", "--point", "1/2", "1/2"]) == (0, "1/3 1/2\n")
+    assert run(["eval", "--map", d + "flip.pm", "--point", "1/3", "0"]) == (0, "0 1/3\n")
+    assert run(["fixset", "--map", d + "flip.pm"]) == (0, (
+        "v 0 0 0\nv 1 1/2 1/2\ns 0\ns 1\n# cell 0 1 from 1\n# cell 0 3 from 0\n"
+        "# cell 1 2 from 2\n# cell 2 3 from 2\n"))
     assert run(["abelianize", "--presentation", d + "presentation.txt"]) == (0, "2 0\n")
 
 
@@ -491,6 +495,67 @@ def test_certify_on_a_cycle_prints_the_recorded_tangent_witness(tmp_path):
         "assumptions": [assumption], "stage": "TangentGate", "status": "Obstructed",
         "verified_stars": [],
         "witness": {"generator": "r", "image_ray": [0, 1], "ray": [1, 0], "vertex": 0}}))
+
+
+# an arc in R^1 on the base vertices 0, 1 and 3, its refinement cutting both
+# base edges; the map fixes 0, 1 and 3 and moves the vertices between 1 and
+# 3 towards 2, where it fixes one point inside a refinement edge
+ARC = "v 0 0\nv 1 1\nv 2 3\ns 0 1\ns 1 2\n"
+SLIDE = ("base arc.cx\nv 0 0\nv 1 1/3\nv 2 1\nv 3 3/2\nv 4 5/2\nv 5 3\n"
+         "s 0 1\ns 1 2\ns 2 3\ns 3 4\ns 4 5\n"
+         "img 0 0\nimg 1 1/2\nimg 2 1\nimg 3 7/4\nimg 4 9/4\nimg 5 3\n")
+# the reflection of the triangle's boundary cycle in x = y
+FLIP = "base triangle.cx\n" + CYCLE + "img 0 0 0\nimg 1 0 1\nimg 2 1 0\n"
+# each command on the two maps above -> the exit code and stdout recorded
+# when the 1-complex paths decided on the points' Fractions
+ONE_COMPLEX_OUTPUTS = {
+    ("compose", "slide", "slide"): (0, (
+        "base arc.cx\nv 0 0\nv 1 2/9\nv 2 1/3\nv 3 1\nv 4 4/3\nv 5 3/2\nv 6 5/2\nv 7 8/3\n"
+        "v 8 3\ns 0 1\ns 1 2\ns 2 3\ns 3 4\ns 4 5\ns 5 6\ns 6 7\ns 7 8\nimg 0 0\n"
+        "img 1 1/2\nimg 2 5/8\nimg 3 1\nimg 4 7/4\nimg 5 15/8\nimg 6 17/8\nimg 7 9/4\n"
+        "img 8 3\n")),
+    ("invert", "slide"): (0, (
+        "base arc.cx\nv 0 0\nv 1 1/2\nv 2 1\nv 3 7/4\nv 4 9/4\nv 5 3\ns 0 1\ns 1 2\ns 2 3\n"
+        "s 3 4\ns 4 5\nimg 0 0\nimg 1 1/3\nimg 2 1\nimg 3 3/2\nimg 4 5/2\nimg 5 3\n")),
+    ("fixset", "slide"): (0, (
+        "v 0 0\nv 1 1\nv 2 2\nv 3 3\ns 0\ns 1\ns 2\ns 3\n# cell 0 1 from 0\n"
+        "# cell 1 2 from 1\n# cell 2 3 from 2\n# cell 3 4 from 3\n# cell 4 5 from 3\n"
+        "# cell 5 6 from 4\n")),
+    ("eval", "slide", "2"): (0, "2\n"),
+    ("eval", "slide", "7/5"): (0, "8/5\n"),
+    ("eval", "slide", "1/6"): (0, "1/4\n"),
+    ("eval", "slide", "0"): (0, "0\n"),
+    ("compose", "flip", "flip"): (0, (
+        "base triangle.cx\nv 0 0 0\nv 1 0 1\nv 2 1 0\ns 0 1\ns 0 2\ns 1 2\nimg 0 0 0\n"
+        "img 1 0 1\nimg 2 1 0\n")),
+    ("invert", "flip"): (0, (
+        "base triangle.cx\nv 0 0 0\nv 1 0 1\nv 2 1 0\ns 0 1\ns 0 2\ns 1 2\nimg 0 0 0\n"
+        "img 1 1 0\nimg 2 0 1\n")),
+    ("fixset", "flip"): (0, (
+        "v 0 0 0\nv 1 1/2 1/2\ns 0\ns 1\n# cell 0 1 from 1\n# cell 0 3 from 0\n"
+        "# cell 1 2 from 2\n# cell 2 3 from 2\n")),
+    ("eval", "flip", "1/2", "1/2"): (0, "1/2 1/2\n"),
+    ("eval", "flip", "1/3", "2/3"): (0, "2/3 1/3\n"),
+    ("eval", "flip", "0", "1/4"): (0, "1/4 0\n"),
+    ("eval", "flip", "1/4", "1/4"): (65, ""),
+}
+
+
+def test_one_complex_maps_print_the_recorded_bytes(tmp_path):
+    """`compose`, `invert`, `fixset` and `eval` on an arc in R^1 and on a
+    cycle in R^2 print what they printed when segments were located,
+    overlapped and cut on Fractions."""
+    for name, text in (("arc.cx", ARC), ("slide.pm", SLIDE), ("triangle.cx", CYCLE),
+                       ("flip.pm", FLIP)):
+        (tmp_path / name).write_text(text)
+    for (command, *maps), want in ONE_COMPLEX_OUTPUTS.items():
+        if command == "eval":
+            argv = ["eval", "--map", str(tmp_path / f"{maps[0]}.pm"), "--point", *maps[1:]]
+        else:
+            argv = [command] + [a for m in maps for a in ("--map", str(tmp_path / f"{m}.pm"))]
+        assert run(argv) == want, argv
+    assert run(["eval", "--map", str(tmp_path / "slide.pm"), "--point", "7/5", "--json"]) == (
+        0, recorded_json("eval", ["8/5"]))
 
 
 def test_analyze_interval_action_prints_the_recorded_report(tmp_path):

@@ -8,14 +8,15 @@ from plstab.clip import clip_polygon_to_triangle, point_in_triangle
 from plstab.complexes import (Complex, SubComplex, Surface, boundary, close_under_faces,
                               euler_characteristic, format_complex, in_closed_cell, is_arc,
                               is_cycle, link, parse_complex, seg_seg_open_meet, star)
-from plstab.geometry import between, homogeneous
+from plstab.geometry import between, collinear_overlap, homogeneous, on_segment
 from plstab.errors import InvalidComplex, ParseError, PointOutsideComplex, UnknownVertex
 from plstab.plmap import PLMap, plmap_from_vertex_images
 
-from support import (TETRAHEDRON, close_under_faces_by_key, grid_complex, in_closed_cell_oracle,
+from support import (TETRAHEDRON, between_on_fractions, close_under_faces_by_key,
+                     collinear_overlap_on_fractions, grid_complex, in_closed_cell_oracle,
                      meets_in_common_faces_by_brute_force, open_triangles_meet,
                      orient2_on_fractions, polygon_area2_on_fractions,
-                     seg_seg_open_meet_by_solving)
+                     seg_seg_open_meet_by_solving, seg_seg_open_meet_on_fractions)
 
 
 def square():
@@ -236,7 +237,52 @@ def segment_pairs(draw):
 def test_seg_seg_open_meet_matches_the_solving_oracle(segs):
     a, b, c, d = segs
     for p, q, r, s in ((a, b, c, d), (c, d, a, b), (b, a, d, c)):
-        assert seg_seg_open_meet(p, q, r, s) == seg_seg_open_meet_by_solving(p, q, r, s)
+        assert (seg_seg_open_meet(*map(homogeneous, (p, q, r, s)))
+                == seg_seg_open_meet_by_solving(p, q, r, s))
+
+
+@st.composite
+def segment_quadruples(draw):
+    """Two segments [a, b] and [c, d] of R^1 or R^2, possibly shrunk to a
+    point: drawn freely, on one line, on one vertical line, sharing a
+    vertex or touching (c on the line of [a, b], inside or past an end),
+    or with [a, b] a point that c or d may be."""
+    k = draw(st.sampled_from((1, 2)))
+    at, free = draw(frame(k))
+    mode = draw(st.sampled_from(("free", "collinear", "vertical", "touching", "degenerate")))
+    if mode == "free":
+        return tuple(free() for _ in range(4))
+    if mode == "collinear":
+        return tuple(at(draw(small), 0) for _ in range(4))
+    if mode == "vertical":
+        x = draw(small)
+        return tuple((x, draw(small))[-k:] for _ in range(4))
+    if mode == "touching":
+        a, b = free(), free()
+        c = tuple(x + draw(weights) * (y - x) for x, y in zip(a, b))
+        return a, b, c, draw(st.sampled_from([a, b, c, free()]))
+    a = free()
+    c = draw(st.sampled_from([a, free()]))
+    return a, a, c, draw(st.sampled_from([a, c, free()]))
+
+
+@settings(max_examples=600, deadline=None)
+@given(segment_quadruples())
+def test_segment_tests_on_rows_match_the_fraction_tests(segs):
+    """On the rows of the points, `on_segment`, `collinear_overlap` and
+    `seg_seg_open_meet` decide as `segment_param`, `overlap_params`, the
+    `Fraction` `collinear_overlap` and the `Fraction` open-segment test
+    do on the points, and `between`, the point form of `on_segment`,
+    agrees; each segment is also taken reversed and against the other."""
+    a, b, c, d = segs
+    for p, q, r, s in ((a, b, c, d), (c, d, a, b), (b, a, d, c), (a, b, d, c)):
+        rows = [homogeneous(x) for x in (p, q, r, s)]
+        assert on_segment(*rows[:3]) == between_on_fractions(p, q, r) == between(p, q, r)
+        want = collinear_overlap_on_fractions(p, q, r, s)
+        assert collinear_overlap(*rows) == (None if want is None
+                                            else tuple(map(homogeneous, want)))
+        if p != q and r != s:
+            assert seg_seg_open_meet(*rows) == seg_seg_open_meet_on_fractions(p, q, r, s)
 
 
 # The rule that cells meet in common faces, against the brute-force oracle
@@ -332,10 +378,10 @@ def test_in_closed_cell_takes_the_counter_clockwise_cell(tri, x):
 @settings(max_examples=300)
 @given(st.integers(min_value=1, max_value=2), st.data())
 def test_locating_on_segments_is_the_segment_param_test(ambient, data):
-    """On a segment, in ambient dimension 1 or 2, `between`, by which
-    `PLMap.eval` and validation locate a point, decides as the
-    `segment_param` test of the oracle, at points on the segment's line
-    (inside it or past an end) and off it."""
+    """On a segment, in ambient dimension 1 or 2, `between`, the point
+    form of `on_segment`, by which `PLMap.eval` and validation locate a
+    point, decides as the `segment_param` test of the oracle, at points on
+    the segment's line (inside it or past an end) and off it."""
     points = st.tuples(*[halves] * ambient)
     a, b = data.draw(st.lists(points, min_size=2, max_size=2, unique=True))
     t = data.draw(st.fractions(min_value=-1, max_value=2, max_denominator=4))

@@ -1,6 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction as F
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import Phase, assume, example, given, settings, strategies as st
@@ -10,13 +11,13 @@ from plstab.complexes import Complex, SubComplex, faces_of, is_cycle
 from plstab.errors import FixIsEmpty, FixIsEverything, PLError
 from plstab.fixedlocus import (FixedLocus, canonical_invariant,
                                fixed_subcomplex, frontier, fuller_search)
-from plstab.geometry import Mat, area2, homogeneous, vadd, vscale, vsub
+from plstab.geometry import Mat, area2, homogeneous
 from plstab.plmap import PLMap, compose2d, identity_map, plmap_from_vertex_images
 
 from support import (bench_grid_maps, ccw_triangle, cycle_rotation, grid_map, index_cells,
                      interior_move_map, linear_part, orient2_on_fractions,
                      polygon_area2_on_fractions, power, quarter_rotation, square_complex,
-                     triangulate_convex)
+                     triangulate_convex, vadd, vscale, vsub)
 
 
 def test_rotation_fixes_center_only():
@@ -220,6 +221,81 @@ def oracle_edge_point(a, b, fa, fb):
         return None
     t = ts.pop()
     return vadd(a, vscale(t, vsub(b, a))) if 0 < t < 1 else None
+
+
+# coordinates on a small grid, where zeros, equal and opposite
+# displacements are common, and with ~30-bit coprime denominators
+GRID = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+WIDE = st.builds(F, st.integers(-2**32, 2**32), st.sampled_from([536870909, 805306457]))
+COORD = st.one_of(GRID, GRID, WIDE)
+
+
+@st.composite
+def moved_edges(draw):
+    """An edge [a, b] of R^1 or R^2, a != b, and the images of its ends:
+    moved by displacements drawn freely, by one zero displacement, by
+    equal ones, or by ones of opposite sense along one direction (a fixed
+    point strictly inside or past an end)."""
+    k = draw(st.sampled_from((1, 2)))
+    point = st.tuples(*[COORD] * k)
+    a, b = draw(st.lists(point, min_size=2, max_size=2, unique=True))
+    da = draw(point)
+    mode = draw(st.sampled_from(("free", "zero", "equal", "opposite")))
+    if mode == "free":
+        db = draw(point)
+    elif mode == "zero":
+        da, db = draw(st.permutations([da, (F(0),) * k]))
+    elif mode == "equal":
+        db = da
+    else:
+        db = tuple(-draw(st.sampled_from([F(1, 2), F(1), F(2), F(-1)])) * x for x in da)
+    return a, b, vadd(a, da), vadd(b, db)
+
+
+@settings(max_examples=400, deadline=None)
+@given(moved_edges())
+def test_the_edge_cut_on_rows_is_the_fraction_edge_point(edge):
+    """`fixedlocus._edge_cut`, on the rows of an edge's ends and of their
+    images, gives the row of the `Fraction` oracle's fixed point strictly
+    inside the edge, or None with it."""
+    a, b, fa, fb = edge
+    want = oracle_edge_point(a, b, fa, fb)
+    got = fixedlocus._edge_cut(*map(homogeneous, (a, b, fa, fb)))
+    assert got == (None if want is None else homogeneous(want))
+
+
+@st.composite
+def moved_triangles(draw):
+    """A nondegenerate planar triangle and the images of its corners: moved
+    freely, or by a drawn integer matrix about a centre strictly inside,
+    at a corner, or outside."""
+    point = st.tuples(COORD, COORD)
+    tri = draw(st.lists(point, min_size=3, max_size=3))
+    assume(orient2_on_fractions(*tri) != 0)
+    if draw(st.booleans()):
+        return tri, [draw(point) for _ in tri]
+    w = draw(st.lists(st.integers(-1, 3), min_size=3, max_size=3))
+    assume(sum(w))
+    c = tuple(sum(x * p[k] for x, p in zip(w, tri)) / sum(w) for k in range(2))
+    (m00, m01), (m10, m11) = draw(st.lists(st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+                                           min_size=2, max_size=2))
+    return tri, [(c[0] + m00 * (p[0] - c[0]) + m01 * (p[1] - c[1]),
+                  c[1] + m10 * (p[0] - c[0]) + m11 * (p[1] - c[1])) for p in tri]
+
+
+@settings(max_examples=400, deadline=None)
+@given(moved_triangles())
+def test_the_interior_fixed_point_on_rows_is_the_per_cell_solve(case):
+    """`fixedlocus._interior_fixed_point`, on the rows of a triangle's
+    corners and of their images, gives the row of the point that the
+    per-cell linear solve finds strictly inside, and None where that solve
+    finds no point, a chord or the whole cell."""
+    tri, img = case
+    f = SimpleNamespace(refinement=SimpleNamespace(points=tri), images=img)
+    kind, x = oracle_cell_fix(f, (0, 1, 2))
+    got = fixedlocus._interior_fixed_point([homogeneous(p) for p in tri],
+                                           [homogeneous(q) for q in img])
+    assert got == (homogeneous(x) if kind == "point" else None)
 
 
 def oracle_raw_cells(f, kinds):

@@ -6,10 +6,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from plstab.clip import polygon_area2, triangle_intersection
 from plstab.geometry import (Mat, area2, bbox, between, candidate_pairs,
-                             collinear_overlap, cross2, fmt, hom_cell, homogeneous, orient2,
-                             primitive_direction, rat, ratio, segment_param, vsub)
+                             collinear_overlap, cross2, fmt, hom_barycentre, hom_cell,
+                             hom_direction, homogeneous, on_segment, orient2,
+                             primitive_direction, rat, ratio)
 
-from support import orient2_on_fractions, rat_by_fraction
+from support import orient2_on_fractions, rat_by_fraction, segment_param, vsub
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -160,6 +161,29 @@ def test_between_and_param():
     assert not between((0, 0), (2, 2), (3, 3))
     assert segment_param((0, 0), (4, 0), (1, 0)) == Fraction(1, 4)
     assert segment_param((0, 0), (4, 0), (1, 1)) is None
+    # on rows: a vertical segment, a segment in R^1, and one shrunk to a point
+    rows = [homogeneous(p) for p in ((1, 0), (1, Fraction(3, 2)), (1, Fraction(2, 3)), (1, 2))]
+    assert on_segment(rows[0], rows[1], rows[2]) and not on_segment(*rows[:2], rows[3])
+    assert on_segment((3, 1), (1, 2), (1, 1)) and not on_segment((3, 1), (1, 2), (4, 1))
+    assert on_segment(rows[0], rows[0], rows[0]) and not on_segment(rows[0], rows[0], rows[2])
+
+
+@settings(max_examples=200)
+@given(st.sampled_from([1, 2]).flatmap(lambda k: st.lists(st.tuples(*[small] * k),
+                                                          min_size=3, max_size=3)),
+       st.lists(st.integers(-3, 3), min_size=3, max_size=3))
+def test_rows_give_the_fraction_direction_and_barycentre(pts, weights):
+    """`hom_direction` of two distinct points' rows is the
+    `primitive_direction` of their difference, and `hom_barycentre` of
+    rows with integer weights of nonzero sum is the row of the weighted
+    mean of the points, in R^1 and R^2."""
+    a, b, c = pts
+    if a != b:
+        assert hom_direction(homogeneous(a), homogeneous(b)) == primitive_direction(vsub(b, a))
+    if sum(weights):
+        mean = tuple(sum(w * p[k] for w, p in zip(weights, pts)) / sum(weights)
+                     for k in range(len(a)))
+        assert hom_barycentre(weights, [homogeneous(p) for p in pts]) == homogeneous(mean)
 
 
 def test_primitive_direction():
@@ -247,7 +271,7 @@ def test_candidate_pairs_keep_overlapping_triangles(tris_a, tris_b):
 def test_candidate_pairs_keep_overlapping_segments(segs_a, segs_b):
     _check_candidates(
         segs_a, segs_b,
-        lambda s, t: collinear_overlap(s[0], s[1], t[0], t[1]) is not None)
+        lambda s, t: collinear_overlap(*map(homogeneous, (*s, *t))) is not None)
 
 
 def test_candidate_pairs_with_a_degenerate_triangle():

@@ -21,11 +21,12 @@ from hypothesis import assume, example, given, settings, strategies as st
 from plstab.clip import convex_fan, triangle_intersection
 from plstab.complexes import (Complex, ccw_triangles_meet, in_closed_cell,
                               segment_meets_ccw_triangle)
-from plstab.errors import PointOutsideComplex
+from plstab.errors import InvalidComplex, PointOutsideComplex
+from plstab.fixedlocus import fixed_subcomplex
 from plstab.geometry import (affine_point, bbox, candidate_pairs, hom_cell, hom_cmp, homogeneous,
                              is_simple_polygon, line_through, orient2)
 from plstab.overlay import numbered
-from plstab.plmap import compose2d, format_plmap, identity_map, inverse2d
+from plstab.plmap import PLMap, compose2d, format_plmap, identity_map, inverse2d
 
 from support import (bench_grid_maps, ccw_triangle, ccw_triangles_meet_on_fractions,
                      convex_fan_on_fractions,
@@ -399,15 +400,36 @@ def test_convex_fan_on_rows_is_the_fraction_fan(poly):
         tris, None if c is None else homogeneous(c))
 
 
+def refuse_fraction(monkeypatch, names):
+    """Lift the check mode of `conftest`, which validates each trusted build
+    on Fractions, and make the named methods of `Fraction` raise."""
+    monkeypatch.undo()
+
+    def refuse(*args):
+        raise AssertionError("a Fraction was compared or computed with")
+
+    for name in names:
+        monkeypatch.setattr(F, name, refuse)
+
+
+def fixed_locus_rows(f):
+    """The refined complex's rows and simplices, the fixed cells and the
+    provenance of f's fixed locus: ints and tuples of ints only."""
+    fl = fixed_subcomplex(f)
+    return (fl.refined.hom_points(), fl.refined.simplices, fl.cells.simplices,
+            sorted(fl.provenance.items()))
+
+
 def test_numbered_and_the_polygon_test_compare_no_fraction(monkeypatch):
     """`numbered` orders, `is_simple_polygon` tests, `convex_fan` fans and
     `Complex.orientations` orients Fraction points on their integer
     coordinates: with every comparison of `Fraction` made to raise, each
     gives what the Fraction oracles give.  On n=3 grid maps, `compose2d`,
-    `inverse2d`, ``==`` and `format_plmap` run whole, and give what they
-    give with the comparisons in place.  The check mode of `conftest`,
-    which validates each trusted build and so compares Fractions, is
-    lifted once the oracles' results are checked."""
+    `inverse2d`, ``==``, `format_plmap` and `fixed_subcomplex` of the maps
+    and their composites run whole, and give what they give with the
+    comparisons in place.  The check mode of `conftest`, which validates
+    each trusted build and so compares Fractions, is lifted once the
+    oracles' results are checked."""
     points = [(F(1, 3), F(5, 11)), (F(-4, 5), F(-1, 1073741789)), (F(1, 3), F(-2, 7)),
               (F(2), F(1, 3)), (F(1, 536870909), F(1, 2))]
     triangles = [(1, 2, 4), (2, 3, 0), (4, 2, 0)]
@@ -418,6 +440,7 @@ def test_numbered_and_the_polygon_test_compare_no_fraction(monkeypatch):
     bowtie = [(F(0), F(0)), (F(1), F(1, 3)), (F(1), F(0)), (F(0), F(1, 3))]
     cells = Complex(points, triangles)
     f, g = bench_grid_maps(3, 5)
+    cut = bench_grid_maps(3, 3)  # whose composites' fixed loci cut edges
     tris, c = convex_fan_on_fractions(square)
     want = [numbered_by_fraction_sort(points, triangles, [0, 1, 2]),
             numbered_by_fraction_sort(line, segments, [0, 1, 2]),
@@ -430,17 +453,15 @@ def test_numbered_and_the_polygon_test_compare_no_fraction(monkeypatch):
         h = compose2d(f, g)
         k = inverse2d(h)
         return [format_plmap(h), format_plmap(k), compose2d(k, h) == identity_map(f.base),
-                h == compose2d(g, f)]
+                h == compose2d(g, f),
+                [(fixed_locus_rows(m), m.refinement.vertex_count)
+                 for a, b in ((f, g), cut) for m in (a, b, compose2d(a, b), compose2d(b, a))]]
 
     want.append(derived())
     assert want[-1][2] is True
-    monkeypatch.undo()
-
-    def refuse(self, other):
-        raise AssertionError("a Fraction was compared")
-
-    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
-        monkeypatch.setattr(F, name, refuse)
+    # a fixed locus that cuts edges or cones from an isolated fixed point
+    assert any(len(rows[0]) > n for rows, n in want[-1][4])
+    refuse_fraction(monkeypatch, ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"))
     with pytest.raises(AssertionError, match="compared"):
         sorted(points)
     got = [numbered([homogeneous(p) for p in points], triangles, [0, 1, 2]),
@@ -448,5 +469,61 @@ def test_numbered_and_the_polygon_test_compare_no_fraction(monkeypatch):
            [is_simple_polygon([homogeneous(q) for q in p]) for p in (square, bowtie)],
            convex_fan([homogeneous(p) for p in square]),
            cells.with_points(cells.hom_points()).orientations(), derived()]
+    monkeypatch.undo()
+    assert got == want
+
+
+# an arc of R^1 cut by its refinement, with an edge whose moved ends the
+# map sends towards each other, and the reflection of the triangle's
+# boundary cycle in x = y, which fixes a vertex and the opposite edge's
+# midpoint
+ARC = [(F(0),), (F(1),), (F(3),)]
+SLIDE = ([(F(0),), (F(1, 3),), (F(1),), (F(3, 2),), (F(5, 2),), (F(3),)],
+         [(F(0),), (F(1, 2),), (F(1),), (F(7, 4),), (F(9, 4),), (F(3),)])
+CYCLE = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1))]
+
+
+def test_the_segment_paths_compute_no_fraction(monkeypatch):
+    """With every arithmetic operation and every equality test of
+    `Fraction` made to raise (the orders stay, for the cell boxes of the
+    all-pairs fallbacks), the 1-complex paths run whole and give what
+    they give with them in place: `Complex(...)` validation, accepting a
+    cycle and refusing an overlap and a T-junction; `compose2d`,
+    `inverse2d`, ``==`` and `eval` of an arc map and of the reflection of a
+    cycle; and `fixed_subcomplex` of both."""
+    arc = Complex(ARC, [(0, 1), (1, 2)])
+    edges = [(k, k + 1) for k in range(5)]
+    slide = PLMap(arc, Complex(SLIDE[0], edges), SLIDE[1])
+    cycle = Complex(CYCLE, [(0, 1), (1, 2), (0, 2)])
+    flip = PLMap(cycle, cycle, [CYCLE[0], CYCLE[2], CYCLE[1]])
+    probes = [(slide, [(F(7, 5),), (F(1, 6),), (F(3),)]),
+              (flip, [(F(1, 2), F(1, 2)), (F(1, 3), F(2, 3)), (F(0), F(1, 4))])]
+
+    def run():
+        out = []
+        for points, simplices in ((CYCLE, [(0, 1), (1, 2), (0, 2)]),
+                                  ([(F(0),), (F(2),), (F(1),), (F(3),)], [(0, 1), (2, 3)]),
+                                  ([*CYCLE[:2], (F(1, 2), F(0)), (F(1, 2), F(1))],
+                                   [(0, 1), (2, 3)])):
+            try:
+                out.append(Complex(points, simplices).hom_points())
+            except InvalidComplex as e:
+                out.append(str(e))
+        for f, xs in probes:
+            h = compose2d(f, f)
+            k = inverse2d(f)
+            out += [format_plmap(h), format_plmap(k), compose2d(k, f) == identity_map(f.base),
+                    h == f, [f.eval(x) for x in xs], fixed_locus_rows(f)]
+        return out
+
+    want = run()
+    assert want[1:3] == ["simplices (0, 1) and (2, 3) overlap",
+                         "vertex 2 lies in simplex (0, 1) but is not one of its vertices"]
+    refuse_fraction(monkeypatch, ("__eq__", "__add__", "__radd__", "__sub__", "__rsub__",
+                                  "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
+                                  "__neg__", "__abs__"))
+    with pytest.raises(AssertionError, match="computed"):
+        F(1, 2) + F(1, 3)
+    got = run()
     monkeypatch.undo()
     assert got == want

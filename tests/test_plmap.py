@@ -13,17 +13,17 @@ from plstab.clip import polygon_area2, triangle_intersection
 from plstab.complexes import Complex, boundary, format_complex
 from plstab.errors import (InvalidComplex, PLError, PointOutsideComplex,
                            RealizationMismatch)
-from plstab.geometry import affine_point, homogeneous, orient2, segment_param
-from plstab.overlay import overlay, segment_pieces, triangle_pieces
+from plstab.geometry import bbox, candidate_pairs, homogeneous, orient2
+from plstab.overlay import overlay, triangle_pieces
 from plstab.plmap import (PLMap, compose2d, format_plmap,
                           identity_map, inverse2d, parse_plmap,
                           plmap_from_vertex_images)
 
 from support import (SYMMETRIES, _along_boundary, affine, bench_grid_maps, cell_map_on_fractions,
-                     compose_cells_by_points, cycle_rotation, grid_complex, grid_map,
-                     interior_move_map,
+                     collinear_overlap_on_fractions, compose_cells_by_points, cycle_rotation,
+                     grid_complex, grid_map, interior_move_map,
                      orient2_on_fractions, overlay_cells_by_points, power, quarter_rotation,
-                     refinement_by_points,
+                     refinement_by_points, segment_param,
                      square_complex, tiles_unit, two_squares)
 
 # by module path: the package's `overlay` is the function
@@ -111,6 +111,23 @@ def test_compose_with_a_reflection_triangulates_counter_clockwise(monkeypatch):
 def test_eval_outside_raises():
     with pytest.raises(PointOutsideComplex):
         quarter_rotation().eval((2, 2))
+
+
+def test_eval_refuses_a_point_of_another_coordinate_count():
+    """A point is in no cell unless it has as many coordinates as the
+    base's ambient dimension: a planar map, a cycle in R^2 and an arc in
+    R^1 refuse more and fewer, naming the count, where a point of the
+    right count is mapped."""
+    arc = Complex([(0,), (1,)], [(0, 1)])
+    for f, inside, others in ((quarter_rotation(), (0, 0), [(0, 0, 0), (0,), ()]),
+                              (cycle_rotation(), (0, 0), [(0, 0, 0), (0,), ()]),
+                              (plmap_from_vertex_images(arc, [(1,), (0,)]), (0,),
+                               [(0, 0), (1, 0, 0), ()])):
+        assert f.eval(inside) is not None
+        for x in others:
+            with pytest.raises(PointOutsideComplex,
+                               match=rf"has {len(x)} coordinate\(s\), not {len(inside)}"):
+                f.eval(x)
 
 
 def test_non_homeomorphism_rejected():
@@ -589,8 +606,10 @@ def _boundary_by_collinear_cover(f):
     segments = [[f.base.points[v] for v in e] for e in boundary(f.base).of_dim(1)]
     edges = [[f.images[v] for v in e] for e in boundary(f.refinement).of_dim(1)]
     covered = [[] for _ in edges]
-    for i, _, piece in segment_pieces(edges, segments):
-        covered[i].append(tuple(segment_param(*edges[i], affine_point(p)) for p in piece))
+    for i, j in candidate_pairs([bbox(e) for e in edges], [bbox(s) for s in segments]):
+        piece = collinear_overlap_on_fractions(*edges[i], *segments[j])
+        if piece is not None:
+            covered[i].append(tuple(segment_param(*edges[i], p) for p in piece))
     if not all(tiles_unit(intervals) for intervals in covered):
         raise InvalidComplex("boundary is not mapped into the boundary")
 

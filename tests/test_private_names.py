@@ -296,13 +296,11 @@ SOLE_CALLERS = {"rational_points": {("complexes.py", "Complex.__init__"),
                                     ("plmap.py", "PLMap.__init__")},
                 # the `points` view, and the readers of single points: the
                 # loose clip's result, eval's value, a moved point, a
-                # certificate's witness, a displacement of the fixed locus
-                # and a periodic point's witness cell
+                # certificate's witness and a periodic point's witness cell
                 "affine_point": {("complexes.py", "Complex.points"),
                                  ("clip.py", "clip_polygon_to_triangle"),
                                  ("plmap.py", "PLMap.eval"), ("plmap.py", "PLMap.moved_point"),
                                  ("stability.py", "certify_trivial"),
-                                 ("fixedlocus.py", "_Refinement.disp"),
                                  ("fixedlocus.py", "fuller_search")},
                 "numbered": {("overlay.py", "refine"), ("fixedlocus.py", "fixed_subcomplex")},
                 "with_points": {("plmap.py", "PLMap.trusted"), ("plmap.py", "_certified_image")},
@@ -449,6 +447,45 @@ def test_the_planar_kernel_builds_no_fraction():
     assert {k: v for k, v in found.items() if v} == {}
 
 
+# the segment kernel and the fixed locus, by module: the closed-segment
+# test, the collinear overlap and the one test under it, the open-segment
+# test and the all-pairs fallback of `Complex` validation, the overlap
+# pieces, the rays of germs and of the 1D tangent gate, and the fixed
+# locus's displacements, edge cuts and isolated fixed points and the rows
+# they make run on rows
+ROW_KERNEL = {"geometry.py": {"on_segment", "collinear_overlap", "span_overlap",
+                              "hom_barycentre", "hom_direction", "primitive_direction"},
+              "complexes.py": {"seg_seg_open_meet", "Complex._check_cells_exactly"},
+              "overlay.py": {"segment_pieces"},
+              "tangent.py": {"build_germ"},
+              "stability.py": {"_tangent_witness_1d"},
+              "fixedlocus.py": {"_displacement", "_edge_cut", "_interior_fixed_point",
+                                "_Refinement.cut", "_uncut_cell"}}
+
+
+def test_the_segment_kernel_and_the_fixed_locus_build_no_fraction():
+    """The segment predicates, `Complex` validation's all-pairs fallback,
+    `segment_pieces`, the rays of `build_germ` and `_tangent_witness_1d`,
+    and the fixed locus's cut helpers make no `Fraction` or `rat` call and
+    no `/`; `fixedlocus`
+    neither imports `Fraction` nor calls it anywhere, and the rays are
+    found with no read of a `points` view but the germ's apex."""
+    for name, names in ROW_KERNEL.items():
+        assert names <= {fn for fn, _ in functions(ast.parse((SRC / name).read_text()))}
+    found = {name: fraction_work(SRC / name, names) for name, names in ROW_KERNEL.items()}
+    assert {k: v for k, v in found.items() if v} == {}
+    fixedlocus = ast.parse((SRC / "fixedlocus.py").read_text())
+    assert [a.name for node in ast.walk(fixedlocus) if isinstance(node, ast.ImportFrom)
+            and node.module == "fractions" for a in node.names] == []
+    assert fraction_work(SRC / "fixedlocus.py", {fn for fn, _ in functions(fixedlocus)}) == []
+    views = [(name, fn, node.attr) for name, wanted in (("tangent.py", "build_germ"),
+                                                        ("stability.py", "_tangent_witness_1d"))
+             for fn, tree in functions(ast.parse((SRC / name).read_text())) if fn == wanted
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr in ("points", "images")]
+    assert views == [("tangent.py", "build_germ", "points")]
+
+
 def test_the_check_sees_fraction_work(tmp_path):
     # the Fraction merge that the row merge replaced divides by g's slope,
     # and the Fraction clip divides by the difference of two areas
@@ -499,18 +536,14 @@ def named_reads(path, names):
 
 
 # the conversions of points to `homogeneous` rows, each (module, function)
-# that may make one: the validating constructors' inputs (and the segment
-# test and triangle area of loose points that validation and the tests
-# share), `PLMap.eval`'s argument, the overlap ends of `segment_pieces`,
-# the fixed locus's new cut points, and the loose polygons and points of
-# `hom_cell` and `point_in_triangle`
+# that may make one: the validating constructors' inputs (and the triangle
+# area of loose points that the tests share), `PLMap.eval`'s argument, and
+# the loose segments, polygons and points of `between`, `hom_cell` and
+# `point_in_triangle`
 HOMOGENEOUS_READERS = {("complexes.py", "Complex._validate"),
-                       ("complexes.py", "seg_seg_open_meet"),
                        ("plmap.py", "_certified_image"), ("plmap.py", "PLMap.eval"),
-                       ("overlay.py", "segment_pieces"),
-                       ("fixedlocus.py", "_Refinement.cut"), ("fixedlocus.py", "_uncut_cell"),
-                       ("geometry.py", "hom_cell"), ("geometry.py", "area2"),
-                       ("clip.py", "point_in_triangle")}
+                       ("geometry.py", "between"), ("geometry.py", "hom_cell"),
+                       ("geometry.py", "area2"), ("clip.py", "point_in_triangle")}
 
 
 def test_points_become_rows_and_rows_points_in_named_places():

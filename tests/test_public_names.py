@@ -33,6 +33,7 @@ ALLOWED = {
     "identity_germ": "the unit of compose_germs, for the germ checks of ROADMAP item 9",
     "format_presentation": "writes the text that parse_presentation reads",
     "is_trivial_on_tangent_sphere": ACCEPTANCE,
+    "between": ACCEPTANCE,
 }
 # Class.method -> why the library never reads it as an attribute
 ALLOWED_METHODS = {
