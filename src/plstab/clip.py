@@ -9,7 +9,6 @@ a sum of two vertices' rows reduced by one gcd."""
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cmp_to_key
 from math import gcd
 from typing import List, Optional, Sequence, Tuple
@@ -19,12 +18,13 @@ from .geometry import (Hom, HomCell, Point, affine_point, hom_cell, hom_cmp, hom
                        on_one_grid, orient2)
 
 
-def polygon_area2(poly: Sequence[Hom]) -> Fraction:
+def polygon_area2(poly: Sequence[Hom]) -> Tuple[int, int]:
     """Twice the signed area of a polygon given by the `homogeneous` rows
-    of its vertex cycle: the shoelace sum over one W, as one Fraction."""
+    of its vertex cycle, as an integer ratio (n, d), d > 0: the shoelace
+    sum over one W, over W squared."""
     pts, w = on_one_grid(poly)
-    return Fraction(sum(pts[i - 1][0] * pts[i][1] - pts[i][0] * pts[i - 1][1]
-                        for i in range(len(pts))), w * w)
+    return sum(pts[i - 1][0] * pts[i][1] - pts[i][0] * pts[i - 1][1]
+               for i in range(len(pts))), w * w
 
 
 def triangle_intersection(poly: HomCell, tri: HomCell) -> List[Hom]:

@@ -24,8 +24,9 @@ Triangle interiors meet, a segment meets one, and a point is in a closed
 cell by the signs L·x of the edge lines of `Complex.hom_cells`
 (`ccw_triangles_meet`, `segment_meets_ccw_triangle`, `in_closed_cell`).
 Segments of a 1-complex decide on their ends' rows too
-(`geometry.on_segment`, `geometry.span_overlap`); the all-pairs fallback
-takes its cell boxes on the `points` view, as rows of two W do not compare.
+(`geometry.on_segment`, `geometry.span_overlap`), and so do the integer
+boxes of the all-pairs fallback (`geometry.row_boxes`).  `PLMap(...)` runs
+the point checks alone on its image (`Complex.validate_points`).
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ from operator import itemgetter
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from .errors import InvalidComplex, ParseError, UnknownVertex
-from .geometry import (Hom, HomCell, Point, TokenTable, affine_point, area2, bbox,
-                       candidate_pairs, det3, fmt_hom, homogeneous, is_simple_polygon,
-                       line_through, on_segment, orient2, rat, records, span_overlap)
+from .geometry import (Hom, HomCell, Point, TokenTable, affine_point, area2, candidate_pairs,
+                       det3, fmt_hom, homogeneous, is_simple_polygon, line_through, on_segment,
+                       orient2, rat, ratio_sum, records, row_boxes, span_overlap)
 
 SimplexT = Tuple[int, ...]
 
@@ -123,19 +124,6 @@ def in_closed_cell(h: Hom, cell: HomCell) -> bool:
 def triangle_area2(pts) -> Fraction:
     """Twice the unsigned area of a triangle."""
     return abs(area2(*pts))
-
-
-def area2_sums(homs: Sequence[Hom], triangles) -> Dict[int, int]:
-    """Twice the area of planar triangles, given as index triples into the
-    points ``homs`` (`homogeneous` coordinates), by denominator: triangle
-    abc adds |`det3`(a, b, c)|, which is W_a W_b W_c times twice its area,
-    to the sum of the denominator W_a W_b W_c."""
-    sums: Dict[int, int] = {}
-    for u, v, w in triangles:
-        a, b, c = homs[u], homs[v], homs[w]
-        d = a[2] * b[2] * c[2]
-        sums[d] = sums.get(d, 0) + abs(det3(a, b, c))
-    return sums
 
 
 def rational_points(points) -> Tuple[Point, ...]:
@@ -323,6 +311,12 @@ class Complex(_Incidences):
             raise InvalidComplex("every point must appear in a maximal simplex")
         if len(set(self.simplices)) != len(self.simplices):
             raise InvalidComplex("duplicate maximal simplex")
+        self.validate_points()
+
+    def validate_points(self):
+        """Nondegenerate cells, no face in three cells, distinct points, then
+        the boundary certificate or the all-pairs tests: the last checks of
+        ``Complex(...)``, in order, which ``PLMap(...)`` runs on an image."""
         if self.dim == 2:
             for s, o in zip(self.simplices, self.orientations()):
                 if o == 0:
@@ -334,11 +328,6 @@ class Complex(_Incidences):
         for f, cells in self.facets().items():
             if len(cells) > 2:
                 raise InvalidComplex(f"face {f} lies in {len(cells)} maximal simplices")
-        self._check_distinct_points()
-        if not (self.dim == 2 and _boundary_certificate(self._homs, self.boundary_edges())):
-            self._check_cells_exactly()
-
-    def _check_distinct_points(self):
         # two vertices at one point pinch the realization, and a map on the
         # complex could send them to two places
         seen: Dict[Hom, int] = {}
@@ -346,22 +335,23 @@ class Complex(_Incidences):
             w = seen.setdefault(h, v)
             if w != v:
                 raise InvalidComplex(f"vertices {w} and {v} lie at one point")
+        if not (self.dim == 2 and _boundary_certificate(self._homs, self.boundary_edges())):
+            self._check_cells_exactly()
 
     def _check_cells_exactly(self):
         """The all-pairs tests, for every complex the boundary certificate
         does not accept, so they alone raise.  First, no two cells whose
-        boxes meet share an interior point.  Then two such cells meet in
-        the hull of their shared vertices: a vertex of one cell in another
-        closed cell (after a box test) is a vertex of it.  Sound, for cells
+        boxes (`row_boxes`) meet share an interior point.  Then two such
+        cells meet in the hull of their shared vertices: a vertex of one
+        cell in another closed cell is a vertex of it.  Sound, for cells
         with disjoint interiors: at an end r of their meet, a vertex is
         shared; segments meet only at an end of one, and triangles are split
         by a line through r, along an edge of each unless r is a vertex.
         Cells with a common facet lie on its two sides and are skipped."""
-        boxes = [bbox(cell) for cell in self.cells()]
-        pairs = candidate_pairs(boxes)
         homs = self._homs
-        cells = self.hom_cells() if self.dim == 2 else [[homs[v] for v in s]
-                                                        for s in self.simplices]
+        rows = [[homs[v] for v in s] for s in self.simplices]
+        pairs = candidate_pairs(*row_boxes(rows))
+        cells = self.hom_cells() if self.dim == 2 else rows
         for i, j in pairs:
             if (seg_seg_open_meet(*cells[i], *cells[j]) if self.dim == 1
                     else ccw_triangles_meet(cells[i], cells[j])):
@@ -372,11 +362,9 @@ class Complex(_Incidences):
             if len(set(s) & set(t)) == self.dim:
                 continue
             for a, b, k in ((s, t, j), (t, s, i)):
-                lo, hi = boxes[k]
-                for v, p in ((v, self.points[v]) for v in a if v not in b):
-                    if (all(m <= x <= n for m, x, n in zip(lo, p, hi))
-                            and (on_segment(*cells[k], homs[v]) if self.dim == 1
-                                 else in_closed_cell(homs[v], cells[k]))):
+                for v in a:
+                    if v not in b and (on_segment(*cells[k], homs[v]) if self.dim == 1
+                                       else in_closed_cell(homs[v], cells[k])):
                         raise InvalidComplex(
                             f"vertex {v} lies in simplex {b} but is not one of its vertices")
 
@@ -427,16 +415,14 @@ class Complex(_Incidences):
 
     # -- basic queries ---------------------------------------------------
 
-    def cells(self) -> List[List[Point]]:
-        """Each maximal simplex as the list of its `points`."""
-        return [[self.points[v] for v in s] for s in self.simplices]
-
     def area2(self) -> Fraction:
-        """Twice the area of a planar 2-complex, exact: the integer sums of
-        `area2_sums` over its `hom_points`, with one Fraction per distinct
-        denominator."""
-        return sum((Fraction(n, d) for d, n in
-                    area2_sums(self._homs, self.simplices).items()), Fraction(0))
+        """Twice the area of a planar 2-complex, exact: each cell abc of its
+        `hom_points` adds |`det3`(a, b, c)| over W_a W_b W_c, twice its
+        area, and `ratio_sum` adds these on ints."""
+        homs = self._homs
+        return Fraction(*ratio_sum([(abs(det3(homs[u], homs[v], homs[w])),
+                                     homs[u][2] * homs[v][2] * homs[w][2])
+                                    for u, v, w in self.simplices]))
 
     @property
     def ambient_dim(self) -> int:

@@ -127,8 +127,8 @@ class _Refinement:
     def __init__(self, f: PLMap):
         self.f = f
         self.homs: List[Hom] = list(f.refinement.hom_points())
-        self.images = f.image.hom_points()
-        self.fixed = [q == p for p, q in zip(self.homs, self.images)]
+        self.image_homs = f.image.hom_points()
+        self.fixed = [q == p for p, q in zip(self.homs, self.image_homs)]
         self.cuts: Dict[Tuple[int, int], Optional[int]] = {}  # edge -> the id of its cut
         self.cells: List[Tuple[int, ...]] = []
         self.homes: List[int] = []
@@ -146,7 +146,7 @@ class _Refinement:
             return None
         key = (u, v) if u < v else (v, u)
         if key not in self.cuts:
-            x = _edge_cut(self.homs[u], self.homs[v], self.images[u], self.images[v])
+            x = _edge_cut(self.homs[u], self.homs[v], self.image_homs[u], self.image_homs[v])
             self.cuts[key] = None if x is None else self.add_point(x, True)
         return self.cuts[key]
 
@@ -223,7 +223,7 @@ def _uncut_cell(r: _Refinement, s):
     fixed set as a face (a flagged vertex or side, or the whole cell)."""
     if any(r.fixed[v] for v in s):
         return [s]
-    x = _interior_fixed_point([r.homs[v] for v in s], [r.images[v] for v in s])
+    x = _interior_fixed_point([r.homs[v] for v in s], [r.image_homs[v] for v in s])
     if x is None:
         return [s]
     c = r.add_point(x, True)

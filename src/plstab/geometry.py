@@ -14,8 +14,9 @@ three points, `hom_cmp` orders two (monotone along any line, so the
 segment tests `on_segment` and `span_overlap` need no parameter), and a
 `HomCell`'s edge lines L = a × b give `orient2` as L·x, three products
 and no call.  New points are rows too (`hom_barycentre`), and so are the
-rays between two points (`hom_direction`).  `affine_point` is the one
-way back, and `fmt_hom` prints a row as `fmt` prints its point.
+rays between two points (`hom_direction`), sweep boxes (`row_boxes`) and
+measures, as integer ratios (`extent`, `ratio_sum`).  `affine_point` is
+the one way back, and `fmt_hom` prints a row as `fmt` prints its point.
 """
 
 from __future__ import annotations
@@ -221,11 +222,17 @@ def between(a: Point, b: Point, x: Point) -> bool:
     return on_segment(homogeneous(a), homogeneous(b), homogeneous(x))
 
 
-def extent(seg: Sequence[Hom]) -> Fraction:
-    """The measure of a segment, given by its ends' `homogeneous` rows,
-    along its line: the largest absolute coordinate of its direction."""
+def extent(seg: Sequence[Hom]) -> Tuple[int, int]:
+    """The measure along its line of a segment, given by its ends' rows, as
+    an integer ratio (n, d): the largest absolute coordinate of its direction."""
     (*p, pw), (*q, qw) = seg
-    return Fraction(max(abs(b * pw - a * qw) for a, b in zip(p, q)), pw * qw)
+    return max(abs(b * pw - a * qw) for a, b in zip(p, q)), pw * qw
+
+
+def ratio_sum(ratios: Sequence[Tuple[int, int]]) -> Tuple[int, int]:
+    """The sum of integer ratios (n, d), d > 0, over the lcm of the d."""
+    d = lcm(*(q for _, q in ratios))
+    return sum(p * (d // q) for p, q in ratios), d
 
 
 def collinear_overlap(p: Hom, q: Hom, a: Hom, b: Hom):
@@ -252,18 +259,28 @@ def span_overlap(p: Hom, q: Hom, a: Hom, b: Hom):
     return (lo, hi) if before(lo, hi) else None
 
 
-def bbox(pts: Sequence[Point]):
-    """Axis-aligned bounding box (lower corner, upper corner) of two or
-    more points."""
-    return tuple(map(min, *pts)), tuple(map(max, *pts))
+def row_boxes(*lists):
+    """The integer box (lower corner, upper corner) of each cell, a list of
+    `homogeneous` rows, of each list: each X/W times 2^k >= 2 D^2, D the
+    largest W of all the lists, floored for the lower corner and ceiled for
+    the upper.  Two distinct X/W of denominators at most D differ by at
+    least 1/D^2, so by at least 2 scaled: the ints order and meet as the
+    rationals do, and take no lcm, so they stay near the rows' size."""
+    k = 2 * max(h[-1] for cells in lists for cell in cells for h in cell).bit_length() + 1
+
+    def corner(cell, sign):
+        return tuple(sign * min((sign * h[i] << k) // h[-1] for h in cell)
+                     for i in range(len(cell[0]) - 1))
+
+    return [[(corner(cell, 1), corner(cell, -1)) for cell in cells] for cells in lists]
 
 
 def candidate_pairs(boxes_a, boxes_b=None):
-    """Index pairs (i, j) of the boxes (lower corner, upper corner), as
-    `bbox` gives them, that meet: the boxes of the cells that
-    `overlay.triangle_pieces` does not walk, which each caller builds once
-    (the integer sides of `is_simple_polygon`, the all-pairs fallback of
-    `Complex` and the segments of `overlay.segment_pieces`).
+    """Index pairs (i, j) of the integer boxes (lower corner, upper corner)
+    that meet: the boxes of the cells that `overlay.triangle_pieces` does
+    not walk, which each caller builds once (the sides of
+    `is_simple_polygon` on one grid, and the `row_boxes` of the all-pairs
+    fallback of `Complex` and of the segments of `overlay.segment_pieces`).
 
     Pairs come in row-major order; with one list, only the pairs i < j.
     Cells whose boxes are apart share no point.  A sweep over the boxes in

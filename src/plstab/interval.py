@@ -19,8 +19,8 @@ Parsing, validation, composition, inversion, evaluation and printing run
 on the rows and build no `Fraction` but a value they return; the
 `breakpoints` and `slopes` of a map are its rows and slope ratios as
 Fractions, built on each read, for the fixed-set solver
-(`shifted_fixed_pieces`) and the one-edge embedding of the certifier,
-which read them once per request.
+(`shifted_fixed_pieces`), which reads them once per request.  The
+certifier's one-edge embedding (`stability._on_one_edge`) reads rows.
 
 An interval action is certified by `stability.certify_trivial` as the
 same action on the one-edge complex [a, b], whose refinement is each

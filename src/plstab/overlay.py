@@ -26,7 +26,7 @@ are the overlap ends of `segment_pieces`.  It tests a cell against all
 cells of the second input only where the walk cannot seed or close: a
 first cell of each edge-connected part, a cell with no hit near its
 neighbour's, or an edge of a hit that no other cell shares crossing the
-cell.  Segments enumerate the pairs of `candidate_pairs` on their boxes.
+cell.  Segments pair by `candidate_pairs` on their `row_boxes`.
 
 :func:`refine` builds every refinement derived from pieces (overlay,
 composite, inverse, equality): it triangulates them, interns each row
@@ -43,14 +43,14 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cmp_to_key
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from .clip import convex_fan, polygon_area2, polygon_centroid, triangle_intersection
 from .complexes import Complex, SimplexT, ccw_triangles_meet, segment_meets_ccw_triangle
 from .errors import RealizationMismatch
-from .geometry import Hom, bbox, candidate_pairs, collinear_overlap, extent, hom_cmp
+from .geometry import (Hom, candidate_pairs, collinear_overlap, extent, hom_cmp, ratio_sum,
+                       row_boxes)
 
 
 @dataclass(frozen=True)
@@ -141,9 +141,10 @@ def realized_pieces(t1: Complex, t2: Complex,
     ``uncovered[1]`` when a cell of ``t2`` is not.
 
     The pieces of a cell are its intersections with the interior-disjoint
-    cells of the other input, so they cover it iff their measures add up
-    to its own: |`polygon_area2`| for a triangle, the `extent` along the
-    cell's line for a segment, both on the rows of the points.  Once both
+    cells of the other input, so they cover it iff their measures, added
+    by `ratio_sum`, add up to its own: |`polygon_area2`| for a triangle (a
+    piece is counter-clockwise), the `extent` along the cell's line for a
+    segment, integer ratios on the rows of the points.  Once both
     inputs pass, the walk of `triangle_pieces` is complete, and a cell
     whose interior meets one cell of the other input alone lies in it: the
     rest of its interior would be an open set covered by lower-dimensional
@@ -151,16 +152,17 @@ def realized_pieces(t1: Complex, t2: Complex,
     if t1.dim != t2.dim or t1.ambient_dim != t2.ambient_dim:
         raise RealizationMismatch("inputs have different dimensions")
     pieces = list(cell_pieces(t1, t2))
-    measure = extent if t1.dim == 1 else lambda poly: abs(polygon_area2(poly))
+    measure = extent if t1.dim == 1 else polygon_area2
     measures = [measure(poly) for _, _, poly in pieces]
-    own = [[measure([t.hom_points()[v] for v in s]) for s in t.simplices] for t in (t1, t2)]
-    covered = [[Fraction(0)] * len(t.simplices) for t in (t1, t2)]
-    for (i1, i2, _), m in zip(pieces, measures):
-        covered[0][i1] += m
-        covered[1][i2] += m
-    for cover, cells, message in zip(covered, own, uncovered):
-        if cover != cells:
-            raise RealizationMismatch(message)
+    for k, (t, message) in enumerate(zip((t1, t2), uncovered)):
+        parts = [[] for _ in t.simplices]
+        for piece, m in zip(pieces, measures):
+            parts[piece[k]].append(m)
+        homs = t.hom_points()
+        for s, cover in zip(t.simplices, parts):
+            (n, d), (c, e) = measure([homs[v] for v in s]), ratio_sum(cover)
+            if abs(n) * e != c * d:
+                raise RealizationMismatch(message)
     return pieces
 
 
@@ -170,9 +172,9 @@ def realized_pieces(t1: Complex, t2: Complex,
 def segment_pieces(t1: Complex, t2: Complex):
     """(i1, i2, (p, q)) for each pair of a segment of ``t1`` and one of
     ``t2`` that overlap in positive length (among the `candidate_pairs` of
-    their boxes): the rows of its ends, in the direction of segment i1."""
+    their `row_boxes`): the rows of its ends, in the direction of segment i1."""
     rows1, rows2 = ([[t.hom_points()[v] for v in s] for s in t.simplices] for t in (t1, t2))
-    for i1, i2 in candidate_pairs([bbox(s) for s in t1.cells()], [bbox(s) for s in t2.cells()]):
+    for i1, i2 in candidate_pairs(*row_boxes(rows1, rows2)):
         piece = collinear_overlap(*rows1[i1], *rows2[i2])
         if piece is not None:
             yield i1, i2, piece

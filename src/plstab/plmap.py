@@ -14,7 +14,7 @@ image points, one orientation per image cell, no fold across an interior
 edge, and the boundary edges, directed with their image cell on the left,
 matching the base's boundary edges directed with the base on the left,
 each exactly once.  By a winding-number argument this implies every exact
-check, so an accepted image is built trusted.  The exact checks run
+check, so an accepted image needs no other.  The exact checks run
 only for maps the certificate does not accept: every rejected map, every
 1D map, boundary vertices that slide off the base's vertices, and
 refinements that subdivide the base's boundary.  So they alone decide
@@ -22,7 +22,9 @@ which exception a rejected map raises.
 
 A map's image is its refinement at the images' `homogeneous` rows
 (`Complex.with_points`), with the refinement's incidence tables;
-`PLMap.images` is their `Fraction` view.  A map derived from validated
+`PLMap.images` is their `Fraction` view.  ``PLMap(...)`` builds it
+first, each point converted once: the certificate reads it, and the exact
+checks run `Complex.validate_points` on it.  A map derived from validated
 maps is valid by construction and is built with :meth:`PLMap.trusted`,
 which keeps the rows it is handed and checks nothing but two area
 identities in the plane (a failure is an ``InternalError``):
@@ -71,8 +73,8 @@ from math import gcd
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from . import geometry
-from .complexes import (Complex, directed_boundary, format_complex, in_closed_cell,
-                        rational_points, read_complex_records)
+from .complexes import (Complex, format_complex, in_closed_cell, rational_points,
+                        read_complex_records)
 from .errors import (InternalError, InvalidComplex, ParseError, PointOutsideComplex,
                      RealizationMismatch, VertexNotInComplex)
 from .geometry import (Hom, Mat, Point, TokenTable, affine_point, det3, fmt, fmt_hom,
@@ -136,24 +138,24 @@ def _apply_piece(piece, h: Hom) -> Hom:
     return tuple(v // g for v in out)
 
 
-def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Complex]:
-    """The image complex of a planar map accepted by a local homeomorphism
-    certificate in O(cells), or None for the exact checks to decide.
+def _certified_image(base: Complex, image: Complex) -> bool:
+    """Does a local homeomorphism certificate in O(cells) accept the image
+    of a planar map, its refinement at the images' rows?  False leaves it
+    to the exact checks.
 
     With R the refinement (which tiles the base K) and f the images:
 
-    1. the image points are pairwise distinct: the image R at the images'
-       rows (`Complex.with_points`) is built first, and its rows hashed;
+    1. the image points are pairwise distinct: the image's rows hash apart;
     2. each image cell has a nonzero orientation σ (one `orient2` a cell,
        the image's `Complex.orientations`, which it keeps);
     3. the two cells of each interior edge of R have their images on
        opposite sides of the image edge (read off σ, no further `orient2`;
-       R's facet table, built once per complex, pairs the cells);
-    4. each boundary edge of R, directed with its image cell on the left,
-       is a boundary edge of K directed with K on the left (a set lookup
-       in K's `Complex.boundary_edges`, its `directed_boundary`, which
-       K's validation computed and kept), and as many are found as K has
-       boundary edges.
+       R's facet table, which the image shares, pairs the cells);
+    4. each boundary edge of R, directed with its image cell on the left
+       (the image's `Complex.boundary_edges`, which it keeps), is a
+       boundary edge of K directed with K on the left (a set lookup in K's
+       `boundary_edges`, which K's validation computed and kept), and as
+       many are found as K has boundary edges.
 
     Sound: orient every image cell counter-clockwise and let c = Σ [f(t)].
     At a point y off all edges, c counts the image cells over y, and that
@@ -165,30 +167,21 @@ def _certified_image(base: Complex, refinement: Complex, images) -> Optional[Com
     Hence y lies in one image cell if y is in K and in none if not.  So
     the image cells are nondegenerate, have disjoint interiors and tile K,
     each boundary edge goes onto a boundary edge, and with step 1 f is
-    injective: every exact check would pass.  The image of step 1 is
-    returned with its rows and orientations, so a walk of it converts and
-    orients no point again.
+    injective: every exact check would pass.  The image keeps its
+    orientations, so a walk of it orients no point again.
 
     Every homeomorphism that maps the boundary edges of R one-to-one onto
     those of K passes.  The rest takes the exact path: every rejected map,
     every 1D map, boundary vertices that slide off the base's vertices,
     and refinements that subdivide the base's boundary.
     """
-    if base.dim != 2:
-        return None
-    image = refinement.with_points([homogeneous(p) for p in images])
-    keys = image.hom_points()
-    if len(set(keys)) != len(keys):
-        return None
-    edges = directed_boundary(refinement.simplices, image.orientations(), refinement.facets())
-    if edges is None:
-        return None
+    keys, edges = image.hom_points(), base.dim == 2 and image.boundary_edges()
+    if not edges or len(set(keys)) != len(keys):
+        return False
     homs = base.hom_points()
     base_edges = {(homs[u], homs[v]) for u, v in base.boundary_edges()}
-    if len(edges) != len(base_edges) or not all(
-            (keys[u], keys[v]) in base_edges for u, v in edges):
-        return None
-    return image
+    return len(edges) == len(base_edges) and all((keys[u], keys[v]) in base_edges
+                                                 for u, v in edges)
 
 
 class PLMap:
@@ -220,13 +213,13 @@ class PLMap:
             raise InvalidComplex("need one image point per refinement vertex")
         if any(len(p) != base.ambient_dim for p in images):
             raise InvalidComplex("image points have the wrong ambient dimension")
+        self.image = refinement.with_points([homogeneous(p) for p in images])
         if refinement is base:
             self.cell_base: Tuple[int, ...] = tuple(range(len(base.simplices)))
         else:
             self.cell_base = self._assign_cells()
-        self.image = _certified_image(base, refinement, images)
-        if self.image is None:
-            self._check_image_exactly(images)
+        if not _certified_image(base, self.image):
+            self._check_image_exactly()
 
     @classmethod
     def trusted(cls, base: Complex, refinement: Complex, images: Sequence[Hom],
@@ -274,15 +267,17 @@ class PLMap:
                 raise RealizationMismatch(f"refinement cell {s} is not inside any base simplex")
         return tuple(h[0] for h in hits)
 
-    def _check_image_exactly(self, images):
+    def _check_image_exactly(self):
         """The exact image checks, for a map the certificate does not
-        accept: the image cells form a valid `Complex` and realize the
-        base.  Then the map is a homeomorphism of the base, so boundary goes
-        to boundary: it is onto, and one to one, as two cells meet only in
-        the hull of their shared vertices, in the refinement and in the
-        image, where their pieces agree."""
-        self.image = Complex(images, self.refinement.simplices)
-        if self.base.dim == 2 and self.image.area2() != self.base.area2():
+        accept: the image cells form a valid `Complex` (its point checks, as
+        its simplices are the refinement's) and realize the base.  Then the
+        map is a homeomorphism of the base, so boundary goes to boundary: it
+        is onto, and one to one, as two cells meet only in the hull of their
+        shared vertices, in the refinement and in the image, where their
+        pieces agree."""
+        self.image.validate_points()
+        if self.base.dim == 2 and (self.image.area2().as_integer_ratio()
+                                   != self.base.area2().as_integer_ratio()):
             raise RealizationMismatch("image area differs from base area")
         # with equal areas, the image cells covered by base cells leave no
         # base cell uncovered, so the second message is 1D only

@@ -32,7 +32,8 @@ the ones on rows replaced, with the `Fraction` composition and inversion
 built on them, `power`, the composite f^k, and the `Fraction` vectors
 and segment tests (`segment_param`, `overlap_params`, the point form of
 `collinear_overlap`, `between` and `seg_seg_open_meet`) that the ones on
-rows replaced.
+rows replaced, and the `Fraction` cell boxes (`bbox` of the points of
+`cell_points`) that the integer `geometry.row_boxes` replaced.
 Every helper that more than one test module uses lives here or, if it is
 a hypothesis strategy, in `strategies`, so no test module imports
 another, and this module needs no hypothesis."""
@@ -45,12 +46,13 @@ from itertools import combinations
 from operator import le
 from pathlib import Path
 
+from plstab import plmap
 from plstab.circle import CircleLift
 
 from plstab.clip import convex_fan, triangle_intersection
-from plstab.complexes import Complex, ccw_triangles_meet
+from plstab.complexes import Complex, ccw_triangles_meet, rational_points
 from plstab.errors import InvalidComplex, ParseError, PointOutsideComplex, RealizationMismatch
-from plstab.geometry import (MAX_EXPONENT, Mat, affine_point, area2, bbox,
+from plstab.geometry import (MAX_EXPONENT, Mat, affine_point, area2,
                              candidate_pairs, cross2, hom_cell, homogeneous,
                              primitive_direction, rat)
 from plstab.interval import PLMap1D
@@ -97,14 +99,49 @@ def in_closed_cell_oracle(x, cell):
     return t is not None and 0 <= t <= 1
 
 
+def cell_points(c):
+    """Each maximal simplex of a complex as the list of its `points`."""
+    return [[c.points[v] for v in s] for s in c.simplices]
+
+
+def bbox(pts):
+    """The oracle of `geometry.row_boxes`: the axis-aligned box (lower
+    corner, upper corner) of two or more `Fraction` points."""
+    return tuple(map(min, *pts)), tuple(map(max, *pts))
+
+
 def eval_by_fraction_scan(f, x):
     """The oracle of `PLMap.eval`: x under the barycentric `affine` map of
     the first refinement cell that holds it by `in_closed_cell_oracle`, or
     `PointOutsideComplex`."""
-    for s, cell in zip(f.refinement.simplices, f.refinement.cells()):
+    for s, cell in zip(f.refinement.simplices, cell_points(f.refinement)):
         if in_closed_cell_oracle(x, cell):
             return affine(cell, [f.images[v] for v in s], x)
     raise PointOutsideComplex(f"{x} is not in the realization")
+
+
+def certified_image(base, refinement, images):
+    """The image that `PLMap(...)` builds of the inputs if its certificate
+    accepts it, or None: the certificate's verdict, with no exact check,
+    so a rejected map raises nothing."""
+    image = refinement.with_points([homogeneous(p) for p in rational_points(images)])
+    return image if plmap._certified_image(base, image) else None
+
+
+def exact_path_cases():
+    """The (base, refinement, images) of two maps that the certificate
+    leaves to the exact checks: an arc of R^1 on a finer refinement, with
+    an edge whose moved ends the map sends towards each other, and the
+    unit square whose refinement splits its bottom side at 1/2, the split
+    point slid to 1/3."""
+    arc = Complex([(F(0),), (F(1),), (F(3),)], [(0, 1), (1, 2)])
+    finer = Complex([(F(0),), (F(1, 3),), (F(1),), (F(3, 2),), (F(5, 2),), (F(3),)],
+                    [(k, k + 1) for k in range(5)])
+    slid = [(F(0),), (F(1, 2),), (F(1),), (F(7, 4),), (F(9, 4),), (F(3),)]
+    square = Complex([(F(0), F(0)), (F(1), F(0)), (F(1), F(1)), (F(0), F(1))],
+                     [(0, 1, 2), (0, 2, 3)])
+    split = Complex([*square.points, (F(1, 2), F(0))], [(0, 4, 2), (1, 2, 4), (0, 2, 3)])
+    return [(arc, finer, slid), (square, split, [*square.points, (F(1, 3), F(0))])]
 
 
 def refinement_homes(base, refinement):
@@ -114,7 +151,7 @@ def refinement_homes(base, refinement):
     the plane and by the parameter intervals on each base segment in 1D.
     Raises `RealizationMismatch` where a cell has no home or the cells do
     not tile the base."""
-    cells, base_cells = refinement.cells(), base.cells()
+    cells, base_cells = cell_points(refinement), cell_points(base)
     home = [None] * len(cells)
     for i, j in candidate_pairs([bbox(c) for c in cells], [bbox(c) for c in base_cells]):
         if home[i] is None and all(in_closed_cell_oracle(p, base_cells[j]) for p in cells[i]):
@@ -738,7 +775,7 @@ def segment_pieces_by_tiling(t1, t2):
     parameter intervals of the overlaps tile [0, 1] along every segment of
     both inputs; otherwise `RealizationMismatch` with the message of the
     first input not covered."""
-    segs1, segs2 = t1.cells(), t2.cells()
+    segs1, segs2 = cell_points(t1), cell_points(t2)
     pieces, cover = [], ([[] for _ in segs1], [[] for _ in segs2])
     for i1, i2 in candidate_pairs([bbox(s) for s in segs1], [bbox(s) for s in segs2]):
         overlap = parameter_overlap(*segs1[i1], *segs2[i2])
@@ -920,7 +957,7 @@ def compose_cells_by_points(f, g):
             cells.append([affine_point(g.pullback_in_cell(i, h)) for h in seg])
             pairs.append((i, j))
         return cells, pairs
-    srcs, imgs = g.refinement.cells(), g.image.cells()
+    srcs, imgs = cell_points(g.refinement), cell_points(g.image)
     for i, j, poly in triangle_pieces(g.image, f.refinement):
         back = [affine_point(g.pullback_in_cell(i, h)) for h in poly]
         if (orient2_on_fractions(*srcs[i]) > 0) != (orient2_on_fractions(*imgs[i]) > 0):
@@ -989,8 +1026,8 @@ def open_triangles_meet(t1, t2):
 def triangle_pieces_by_ccw_triangle(t1, t2):
     """`overlay.triangle_pieces` as it was: each cell oriented by its own
     `ccw_triangle` call, not read off its complex's `orientations`."""
-    cells1 = [hom_cell(ccw_triangle(tri)) for tri in t1.cells()]
-    cells2 = [hom_cell(ccw_triangle(tri)) for tri in t2.cells()]
+    cells1 = [hom_cell(ccw_triangle(tri)) for tri in cell_points(t1)]
+    cells2 = [hom_cell(ccw_triangle(tri)) for tri in cell_points(t2)]
     for i1, i2 in _walked_pairs(t1, t2, cells1, cells2):
         yield i1, i2, triangle_intersection(cells1[i1], cells2[i2])
 
@@ -1000,7 +1037,7 @@ def compose2d_by_ccw_triangle(f, g):
     `triangle_pieces_by_ccw_triangle`, each reversed where two `orient2`
     calls find that g's piece reverses orientation, and every cut point
     pulled back, by whichever piece has it."""
-    srcs, imgs = g.refinement.cells(), g.image.cells()
+    srcs, imgs = cell_points(g.refinement), cell_points(g.image)
 
     def pulled_back():
         for i, j, cut in triangle_pieces_by_ccw_triangle(g.image, f.refinement):
@@ -1083,7 +1120,7 @@ def segment_meets_ccw_triangle_on_fractions(p, q, tri):
 
 def complex_area2_on_fractions(c):
     """`Complex.area2`: the sum of |`area2`| over the cells, in Fractions."""
-    return sum((abs(area2(*cell)) for cell in c.cells()), F(0))
+    return sum((abs(area2(*cell)) for cell in cell_points(c)), F(0))
 
 
 # -- the Fraction orientation that `geometry.orient2` on rows replaced ---
@@ -1212,8 +1249,8 @@ def _pieces_on_fractions(c1, c2):
     """(i1, i2, polygon) for each pair of cells of two planar complexes
     whose interiors meet, by `Fraction` predicates over all pairs whose
     boxes meet: the counter-clockwise cells clipped on Fractions."""
-    cells1 = [ccw_triangle(t) for t in c1.cells()]
-    cells2 = [ccw_triangle(t) for t in c2.cells()]
+    cells1 = [ccw_triangle(t) for t in cell_points(c1)]
+    cells2 = [ccw_triangle(t) for t in cell_points(c2)]
     for i, j in candidate_pairs([bbox(c) for c in cells1], [bbox(c) for c in cells2]):
         if ccw_triangles_meet_on_fractions(cells1[i], cells2[j]):
             yield i, j, triangle_intersection_on_fractions(cells1[i], cells2[j])
@@ -1245,7 +1282,7 @@ def compose2d_on_fractions(f, g):
     where it reverses orientation, fanned by `convex_fan_on_fractions`,
     numbered by `index_cells`, and each vertex mapped by g's and f's
     `Fraction` pieces."""
-    srcs, imgs = g.refinement.cells(), g.image.cells()
+    srcs, imgs = cell_points(g.refinement), cell_points(g.image)
     cells, pairs = [], []
     for i, j, cut in _pieces_on_fractions(g.image, f.refinement):
         back = [cell_map_on_fractions(g, i, backward=True)(y) for y in cut]

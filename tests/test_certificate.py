@@ -7,12 +7,12 @@ import pytest
 from hypothesis import Phase, example, given, settings, strategies as st
 
 from plstab import plmap
-from plstab.complexes import Complex, rational_points
+from plstab.complexes import Complex
 from plstab.errors import InvalidComplex, RealizationMismatch
-from plstab.plmap import PLMap, _certified_image
+from plstab.plmap import PLMap
 
-from support import (GRIDS, SYMMETRIES, centroid_split, grid_map, interior_move_map,
-                     square_complex, two_squares)
+from support import (GRIDS, SYMMETRIES, centroid_split, certified_image, grid_map,
+                     interior_move_map, square_complex, two_squares)
 
 NO_SHRINK = (Phase.explicit, Phase.reuse, Phase.generate)
 
@@ -30,14 +30,14 @@ def outcome(base, refinement, images):
 def exact_outcome(base, refinement, images):
     """`outcome` with the certificate switched off."""
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(plmap, "_certified_image", lambda *args: None)
+        mp.setattr(plmap, "_certified_image", lambda *args: False)
         return outcome(base, refinement, images)
 
 
 def certificate_only(base, refinement, images):
     """`outcome` with the exact path switched off: raises unless the
     certificate accepts."""
-    def refuse(self, images):
+    def refuse(self):
         raise AssertionError("the exact path ran")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(PLMap, "_check_image_exactly", refuse)
@@ -70,7 +70,7 @@ def test_certified_maps_pass_the_exact_checks(case):
     without the certificate `PLMap` accepts or raises alike."""
     base, refinement, images = case
     expected = exact_outcome(base, refinement, images)
-    certified = _certified_image(base, refinement, rational_points(images))
+    certified = certified_image(base, refinement, images)
     if certified is not None:
         assert not isinstance(expected[0], type) and expected[1] == certified
     assert outcome(base, refinement, images) == expected
@@ -97,11 +97,11 @@ def test_swapping_the_squares_is_certified():
 def test_subdivided_boundary_takes_the_exact_path():
     base = GRIDS[2]
     finer = centroid_split(base)
-    assert _certified_image(base, finer, finer.points) is not None
+    assert certified_image(base, finer, finer.points) is not None
     # (1/4, 0) splits the base boundary edge from (0, 0) to (1/2, 0)
     split = Complex(list(base.points) + [(F(1, 4), F(0))],
                     [s for s in base.simplices if s != (0, 1, 4)] + [(0, 9, 4), (1, 4, 9)])
-    assert _certified_image(base, split, split.points) is None
+    assert certified_image(base, split, split.points) is None
     assert PLMap(base, split, split.points).is_identity()
 
 
@@ -161,8 +161,57 @@ EXACT_ERRORS = {
 @pytest.mark.parametrize("name", sorted(REJECTED))
 def test_rejected_maps(name):
     base, refinement, images = REJECTED[name]
-    assert _certified_image(base, refinement, rational_points(images)) is None
+    assert certified_image(base, refinement, images) is None
     kind, message = EXACT_ERRORS[name]
     with pytest.raises(kind, match=message):
         PLMap(base, refinement, images)
     assert outcome(base, refinement, images) == exact_outcome(base, refinement, images)
+
+
+# -- the exact path's errors, pinned ---------------------------------------
+
+
+def _scaled_square():
+    """The unit square onto [0, 2]^2: a valid image of twice the size."""
+    return _on_itself(SQUARE, [(2 * x, 2 * y) for x, y in SQUARE.points])
+
+
+def _folded_arc():
+    """The arc 0-1-3 folded: 1 goes to 2 and 3 back to 1."""
+    arc = Complex([(0,), (1,), (3,)], [(0, 1), (1, 2)])
+    return _on_itself(arc, [(0,), (2,), (1,)])
+
+
+# each rejection that the exact path decides, with the type and the whole
+# message it raises, as they were before the image was built on the
+# refinement's incidence record: the split of the point checks out of
+# `Complex` validation keeps their order, so these stay as they are
+EXACT_PATH_PINS = {
+    "degenerate image triangle": (lambda: PLMap(*REJECTED["degenerate cell"]),
+                                  InvalidComplex, "degenerate triangle (0, 1, 4)"),
+    "two image vertices at one point": (lambda: PLMap(*REJECTED["duplicate image point"]),
+                                        InvalidComplex, "vertices 0 and 15 lie at one point"),
+    "overlapping image cells": (lambda: PLMap(*REJECTED["fold"]),
+                                InvalidComplex, "simplices (0, 4, 5) and (1, 2, 6) overlap"),
+    "image cell leaves the base": (lambda: PLMap(*REJECTED["lifted square"]), RealizationMismatch,
+                                   "an image cell leaves the base realization"),
+    "image area differs": (lambda: PLMap(*_scaled_square()),
+                           RealizationMismatch, "image area differs from base area"),
+    "folding 1D image": (lambda: PLMap(*_folded_arc()),
+                         InvalidComplex, "simplices (0, 1) and (1, 2) overlap"),
+    "overlapping 1-complex": (lambda: Complex([(0,), (2,), (1,), (3,)], [(0, 1), (2, 3)]),
+                              InvalidComplex, "simplices (0, 1) and (2, 3) overlap"),
+    # the degenerate cell is found before the face in three cells
+    "degenerate cell on a face in three cells": (
+        lambda: Complex([(0, 0), (1, 0), (0, 1), (0, -1), (2, 0)],
+                        [(0, 1, 2), (0, 1, 3), (0, 1, 4)]),
+        InvalidComplex, "degenerate triangle (0, 1, 4)"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(EXACT_PATH_PINS))
+def test_exact_path_errors_are_pinned(name):
+    build, kind, message = EXACT_PATH_PINS[name]
+    with pytest.raises(kind) as caught:
+        build()
+    assert type(caught.value) is kind and str(caught.value) == message

@@ -12,7 +12,7 @@ from plstab.geometry import between, collinear_overlap, homogeneous, on_segment
 from plstab.errors import InvalidComplex, ParseError, PointOutsideComplex, UnknownVertex
 from plstab.plmap import PLMap, plmap_from_vertex_images
 
-from support import (TETRAHEDRON, between_on_fractions, close_under_faces_by_key,
+from support import (TETRAHEDRON, cell_points, between_on_fractions, close_under_faces_by_key,
                      collinear_overlap_on_fractions, grid_complex, in_closed_cell_oracle,
                      meets_in_common_faces_by_brute_force, open_triangles_meet,
                      orient2_on_fractions, polygon_area2_on_fractions,
@@ -322,7 +322,7 @@ def nudged_grids(draw):
     out of it (into two cells, reaching into the neighbour or out of the
     square)."""
     n = draw(st.integers(1, 2))
-    cells = grid_complex(n).cells()
+    cells = cell_points(grid_complex(n))
     a, b, d = draw(st.permutations(cells.pop(draw(st.integers(0, len(cells) - 1)))))
     t, nudge = draw(st.sampled_from([F(1, 4), F(1, 2), F(3, 4)])), draw(st.integers(-1, 1))
     m = tuple(p + t * (q - p) for p, q in zip(a, b))

@@ -5,12 +5,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from plstab.clip import polygon_area2, triangle_intersection
-from plstab.geometry import (Mat, area2, bbox, between, candidate_pairs,
+from plstab.geometry import (Mat, area2, between, candidate_pairs,
                              collinear_overlap, cross2, fmt, hom_barycentre, hom_cell,
                              hom_direction, homogeneous, on_segment, orient2,
-                             primitive_direction, rat, ratio)
+                             primitive_direction, rat, ratio, row_boxes)
 
-from support import orient2_on_fractions, rat_by_fraction, segment_param, vsub
+from support import bbox, orient2_on_fractions, rat_by_fraction, segment_param, vsub
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 small = st.fractions(min_value=-4, max_value=4, max_denominator=3)
@@ -262,7 +262,7 @@ def test_candidate_pairs_keep_overlapping_triangles(tris_a, tris_b):
     _check_candidates(
         tris_a, tris_b,
         lambda s, t: orient2_on_fractions(*s) != 0 != orient2_on_fractions(*t)
-        and polygon_area2(triangle_intersection(hom_cell(s), hom_cell(t))) != 0)
+        and polygon_area2(triangle_intersection(hom_cell(s), hom_cell(t)))[0] != 0)
 
 
 @settings(max_examples=50)
@@ -274,12 +274,43 @@ def test_candidate_pairs_keep_overlapping_segments(segs_a, segs_b):
         lambda s, t: collinear_overlap(*map(homogeneous, (*s, *t))) is not None)
 
 
+@st.composite
+def cell_lists(draw):
+    """One or two lists of cells in R^1 or R^2, each cell two or three
+    points, equal points making a degenerate box, their coordinates drawn
+    from a small pool of rationals, negative ones and denominators up to
+    10^6 included, so that boxes touch, nest and share sides."""
+    dim = draw(st.sampled_from([1, 2]))
+    pool = draw(st.lists(st.fractions(min_value=-50, max_value=50, max_denominator=10**6),
+                         min_size=1, max_size=6))
+    cell = st.lists(st.tuples(*[st.sampled_from(pool)] * dim), min_size=2, max_size=3)
+    return draw(st.lists(st.lists(cell, min_size=1, max_size=8), min_size=1, max_size=2))
+
+
+@settings(max_examples=300)
+@given(cell_lists())
+@example([[[(Fraction(1, 999983),), (Fraction(1, 3),)], [(Fraction(1, 3),), (Fraction(1, 2),)]],
+          [[(Fraction(1, 1000003),), (Fraction(1, 999983),)],
+           [(Fraction(-1, 1000003),), (Fraction(-1, 999983),)]]])
+@example([[[(Fraction(-7, 3), Fraction(1, 999983)), (Fraction(-7, 3), Fraction(2))],
+           [(Fraction(-7, 3), Fraction(1, 1000003)), (Fraction(0), Fraction(0))],
+           [(Fraction(1), Fraction(1))] * 2]])
+def test_row_boxes_pair_as_the_fraction_boxes(lists):
+    """`candidate_pairs` on the integer `row_boxes` of the cells' rows
+    gives the pairs, in the same order, that it gives on the `bbox` of
+    their `Fraction` points: the scaled ints order and meet as the
+    rationals do."""
+    rows = [[[homogeneous(p) for p in cell] for cell in cells] for cells in lists]
+    assert candidate_pairs(*row_boxes(*rows)) == candidate_pairs(
+        *[[bbox(cell) for cell in cells] for cells in lists])
+
+
 def test_candidate_pairs_with_a_degenerate_triangle():
     """A triangle whose box misses the other's is no candidate, however
     clipping against it would read (it keeps the whole other triangle)."""
     point = [(Fraction(0), Fraction(0))] * 3
     tri = [(Fraction(0), Fraction(1)), (Fraction(0), Fraction(2)), (Fraction(1), Fraction(1))]
-    assert polygon_area2(triangle_intersection(hom_cell(tri), hom_cell(point))) != 0
+    assert polygon_area2(triangle_intersection(hom_cell(tri), hom_cell(point)))[0] != 0
     assert list(candidate_pairs([bbox(tri)], [bbox(point)])) == []
 
 

@@ -23,13 +23,13 @@ from plstab.complexes import (Complex, ccw_triangles_meet, in_closed_cell,
                               segment_meets_ccw_triangle)
 from plstab.errors import InvalidComplex, PointOutsideComplex
 from plstab.fixedlocus import fixed_subcomplex
-from plstab.geometry import (affine_point, bbox, candidate_pairs, hom_cell, hom_cmp, homogeneous,
+from plstab.geometry import (affine_point, candidate_pairs, hom_cell, hom_cmp, homogeneous,
                              is_simple_polygon, line_through, orient2)
 from plstab.overlay import numbered
 from plstab.plmap import PLMap, compose2d, format_plmap, identity_map, inverse2d
 
-from support import (bench_grid_maps, ccw_triangle, ccw_triangles_meet_on_fractions,
-                     convex_fan_on_fractions,
+from support import (bbox, bench_grid_maps, ccw_triangle, cell_points, exact_path_cases,
+                     ccw_triangles_meet_on_fractions, convex_fan_on_fractions,
                      is_simple_polygon_on_fractions, numbered_by_fraction_sort,
                      orient2_on_fractions, polygon_area2_on_fractions,
                      complex_area2_on_fractions, eval_by_fraction_scan, grid_complex,
@@ -67,7 +67,7 @@ def assert_same_orientations_and_locations(c, probes):
     """`Complex.orientations` is each cell's `orient2` sign, the cells of
     `hom_cells` are the `ccw_triangle`s of the cells, and `in_closed_cell`
     on them decides as the `Fraction` oracle at every probe."""
-    cells = c.cells()
+    cells = cell_points(c)
     assert c.orientations() == [orient2_on_fractions(*cell) for cell in cells]
     assert [list(h.homs) for h in c.hom_cells()] == [
         [homogeneous(p) for p in ccw_triangle(t)] for t in cells]
@@ -184,7 +184,7 @@ def test_the_kernels_agree_on_pieces_of_composites_and_inverses(seed, n):
     for c in (h.refinement, h.image, k.refinement, k.image):
         assert c.area2() == complex_area2_on_fractions(c)
     for c1, c2 in ((h.image, f.base), (k.image, h.refinement), (h.refinement, k.image)):
-        cells1, cells2 = ([ccw_triangle(t) for t in c.cells()] for c in (c1, c2))
+        cells1, cells2 = ([ccw_triangle(t) for t in cell_points(c)] for c in (c1, c2))
         for i, j in candidate_pairs([bbox(c) for c in cells1], [bbox(c) for c in cells2]):
             assert_same_verdicts(cells1[i], cells2[j])
             poly = assert_same_clip(cells1[i], cells2[j])
@@ -212,8 +212,8 @@ def test_orientations_locations_and_eval_match_the_fraction_path(seed, n, far):
     h = compose2d(f, g)
     k = inverse2d(h)
     inside = [(x % 1, y % 1) for x, y in far]
-    probes = [*probes_of(f.image.cells()), *probes_of(h.image.cells()[::5]),
-              *probes_of(k.refinement.cells()[::7]), *inside, *OUTSIDE]
+    probes = [*probes_of(cell_points(f.image)), *probes_of(cell_points(h.image)[::5]),
+              *probes_of(cell_points(k.refinement)[::7]), *inside, *OUTSIDE]
     for c in (f.image, h.refinement, h.image, k.refinement, k.image):
         assert_same_orientations_and_locations(c, probes)
     for m in (f, h, k):
@@ -446,7 +446,7 @@ def test_numbered_and_the_polygon_test_compare_no_fraction(monkeypatch):
             numbered_by_fraction_sort(line, segments, [0, 1, 2]),
             [is_simple_polygon_on_fractions(p) for p in (square, bowtie)],
             (tris, homogeneous(c)),
-            [orient2_on_fractions(*cell) for cell in cells.cells()]]
+            [orient2_on_fractions(*cell) for cell in cell_points(cells)]]
     assert want[2] == [True, False]
 
     def derived():
@@ -473,27 +473,30 @@ def test_numbered_and_the_polygon_test_compare_no_fraction(monkeypatch):
     assert got == want
 
 
-# an arc of R^1 cut by its refinement, with an edge whose moved ends the
-# map sends towards each other, and the reflection of the triangle's
-# boundary cycle in x = y, which fixes a vertex and the opposite edge's
-# midpoint
-ARC = [(F(0),), (F(1),), (F(3),)]
-SLIDE = ([(F(0),), (F(1, 3),), (F(1),), (F(3, 2),), (F(5, 2),), (F(3),)],
-         [(F(0),), (F(1, 2),), (F(1),), (F(7, 4),), (F(9, 4),), (F(3),)])
+# the reflection of the triangle's boundary cycle in x = y, which fixes a
+# vertex and the opposite edge's midpoint
 CYCLE = [(F(0), F(0)), (F(1), F(0)), (F(0), F(1))]
+# the square annulus [0,3]^2 - (1,2)^2, whose two boundary cycles leave it
+# to the all-pairs tests, and a triangle folded onto its neighbour
+ANNULUS = ([(F(x), F(y)) for x, y in ((0, 0), (3, 0), (3, 3), (0, 3),
+                                      (1, 1), (2, 1), (2, 2), (1, 2))],
+           [s for k in range(4) for s in ((k, (k + 1) % 4, 4 + (k + 1) % 4),
+                                          (k, 4 + (k + 1) % 4, 4 + k))])
+FOLDED = ([(F(0), F(0)), (F(2), F(0)), (F(0), F(2)), (F(1, 2), F(1, 2))],
+          [(0, 1, 2), (1, 2, 3)])
 
 
 def test_the_segment_paths_compute_no_fraction(monkeypatch):
-    """With every arithmetic operation and every equality test of
-    `Fraction` made to raise (the orders stay, for the cell boxes of the
-    all-pairs fallbacks), the 1-complex paths run whole and give what
-    they give with them in place: `Complex(...)` validation, accepting a
-    cycle and refusing an overlap and a T-junction; `compose2d`,
-    `inverse2d`, ``==`` and `eval` of an arc map and of the reflection of a
-    cycle; and `fixed_subcomplex` of both."""
-    arc = Complex(ARC, [(0, 1), (1, 2)])
-    edges = [(k, k + 1) for k in range(5)]
-    slide = PLMap(arc, Complex(SLIDE[0], edges), SLIDE[1])
+    """With every arithmetic operation, every equality test and every
+    order of `Fraction` made to raise, the paths that validate on rows and
+    the 1-complex paths run whole and give what they give with them in
+    place: `Complex(...)` validation, accepting a cycle and an annulus by
+    the all-pairs tests and refusing a 1D overlap, a T-junction and a
+    folded pair of triangles; `PLMap(...)` of the `exact_path_cases`, an
+    arc and a square whose refinement splits its boundary; `compose2d`,
+    `inverse2d`, ``==`` and `eval` of an arc map and of the reflection of
+    a cycle; and `fixed_subcomplex` of both."""
+    slide = PLMap(*exact_path_cases()[0])
     cycle = Complex(CYCLE, [(0, 1), (1, 2), (0, 2)])
     flip = PLMap(cycle, cycle, [CYCLE[0], CYCLE[2], CYCLE[1]])
     probes = [(slide, [(F(7, 5),), (F(1, 6),), (F(3),)]),
@@ -504,11 +507,14 @@ def test_the_segment_paths_compute_no_fraction(monkeypatch):
         for points, simplices in ((CYCLE, [(0, 1), (1, 2), (0, 2)]),
                                   ([(F(0),), (F(2),), (F(1),), (F(3),)], [(0, 1), (2, 3)]),
                                   ([*CYCLE[:2], (F(1, 2), F(0)), (F(1, 2), F(1))],
-                                   [(0, 1), (2, 3)])):
+                                   [(0, 1), (2, 3)]), ANNULUS, FOLDED):
             try:
                 out.append(Complex(points, simplices).hom_points())
             except InvalidComplex as e:
                 out.append(str(e))
+        for case in exact_path_cases():
+            f = PLMap(*case)
+            out += [format_plmap(f), f.cell_base]
         for f, xs in probes:
             h = compose2d(f, f)
             k = inverse2d(f)
@@ -519,11 +525,15 @@ def test_the_segment_paths_compute_no_fraction(monkeypatch):
     want = run()
     assert want[1:3] == ["simplices (0, 1) and (2, 3) overlap",
                          "vertex 2 lies in simplex (0, 1) but is not one of its vertices"]
-    refuse_fraction(monkeypatch, ("__eq__", "__add__", "__radd__", "__sub__", "__rsub__",
+    assert isinstance(want[3], tuple) and want[4] == "simplices (0, 1, 2) and (1, 2, 3) overlap"
+    refuse_fraction(monkeypatch, ("__eq__", "__lt__", "__le__", "__gt__", "__ge__",
+                                  "__add__", "__radd__", "__sub__", "__rsub__",
                                   "__mul__", "__rmul__", "__truediv__", "__rtruediv__",
                                   "__neg__", "__abs__"))
     with pytest.raises(AssertionError, match="computed"):
         F(1, 2) + F(1, 3)
+    with pytest.raises(AssertionError, match="compared"):
+        F(1, 2) < F(1, 3)
     got = run()
     monkeypatch.undo()
     assert got == want

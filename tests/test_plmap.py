@@ -13,15 +13,16 @@ from plstab.clip import polygon_area2, triangle_intersection
 from plstab.complexes import Complex, boundary, format_complex
 from plstab.errors import (InvalidComplex, PLError, PointOutsideComplex,
                            RealizationMismatch)
-from plstab.geometry import bbox, candidate_pairs, homogeneous, orient2
+from plstab.geometry import candidate_pairs, homogeneous, orient2
 from plstab.overlay import overlay, triangle_pieces
 from plstab.plmap import (PLMap, compose2d, format_plmap,
                           identity_map, inverse2d, parse_plmap,
                           plmap_from_vertex_images)
 
-from support import (SYMMETRIES, _along_boundary, affine, bench_grid_maps, cell_map_on_fractions,
+from support import (SYMMETRIES, _along_boundary, affine, bbox, bench_grid_maps,
+                     cell_map_on_fractions, cell_points, certified_image,
                      collinear_overlap_on_fractions, compose_cells_by_points, cycle_rotation,
-                     grid_complex, grid_map, interior_move_map,
+                     exact_path_cases, grid_complex, grid_map, interior_move_map,
                      orient2_on_fractions, overlay_cells_by_points, power, quarter_rotation,
                      refinement_by_points, segment_param,
                      square_complex, tiles_unit, two_squares)
@@ -104,7 +105,7 @@ def test_compose_with_a_reflection_triangulates_counter_clockwise(monkeypatch):
     for a, b in ((f, g), (g, f), (g, g)):
         h = compose2d(a, b)
         assert all(h.eval(q) == a.eval(b.eval(q)) for q in h.refinement.points)
-    assert polygons and all(polygon_area2(poly) > 0 for poly in polygons)
+    assert polygons and all(polygon_area2(poly)[0] > 0 for poly in polygons)
     assert compose2d(g, g).is_identity()
 
 
@@ -298,7 +299,7 @@ def test_1d_compose_in_the_plane_cuts_at_the_vertices_of_f():
         assert all(image == h.eval(q) == f.eval(g.eval(q))
                    for q, image in zip(h.refinement.points, h.images))
         cuts = {g.eval(q) for q in h.refinement.points}
-        inner = [w for a, b in g.image.cells() for w in f.refinement.points
+        inner = [w for a, b in cell_points(g.image) for w in f.refinement.points
                  if 0 < (segment_param(a, b, w) or 0) < 1]
         assert inner and all(w in cuts for w in inner)
 
@@ -396,7 +397,7 @@ def test_image_check_matches_all_pairs_clip(offsets, sym, free):
             PLMap(base, base, images)
         return
     cells, base_cells = image.hom_cells(), base.hom_cells()
-    reference = sum((abs(polygon_area2(triangle_intersection(a, b)))
+    reference = sum((abs(F(*polygon_area2(triangle_intersection(a, b))))
                      for a in cells for b in base_cells), F(0))
     if image.area2() != base.area2():
         expected = "image area differs from base area"
@@ -469,29 +470,42 @@ def test_images_share_their_refinement_record():
         assert m.image.orientations() is not m.refinement.orientations()
 
 
+def test_exact_path_images_share_their_refinement_record():
+    """The maps that the certificate leaves to the exact checks, an arc map
+    and a square map whose refinement splits the boundary, are checked on
+    their one image, which keeps the refinement's simplices and facet
+    table: no second complex is built."""
+    for case in exact_path_cases():
+        assert certified_image(*case) is None
+        f = PLMap(*case)
+        assert f.image.simplices is f.refinement.simplices
+        assert f.image.facets() is f.refinement.facets()
+
+
 def test_an_accepted_image_orients_on_the_certificate_rows(monkeypatch):
-    """The certificate builds the image it accepts first, on the images'
-    rows, and orients its cells through the image's `orientations`, which
-    the image keeps: the certificate followed by a walk of the image, as
-    compose and inverse walk it, runs exactly one `orient2` per image
-    cell, on the kept rows, and the image converts no point.  The check
-    mode of `conftest`, which validates the accepted image and so orients
-    it again, is lifted."""
+    """`PLMap(...)` converts each image point to its row once and builds
+    the image on these rows before it decides, and the certificate orients
+    the image's cells through its `orientations`, which the image keeps:
+    building the map and then walking its image, as compose and inverse
+    walk it, runs exactly one `orient2` per image cell, on the kept rows.
+    The check mode of `conftest`, which validates the accepted image and
+    so orients it again, is lifted."""
     maps = [interior_move_map(), *bench_grid_maps(3, 7)]
     monkeypatch.undo()
     for f in maps:
         images, converted, oriented = f.images, [], []
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(complexes, "homogeneous", lambda p: converted.append(p) or homogeneous(p))
             for module in (complexes, plmap):
+                mp.setattr(module, "homogeneous",
+                           lambda p: converted.append(p) or homogeneous(p))
                 mp.setattr(module, "orient2", lambda *h: oriented.append(h) or orient2(*h))
-            image = plmap._certified_image(f.base, f.refinement, images)
-            assert image is not None
+            image = PLMap(f.base, f.refinement, images).image
             walked = list(triangle_pieces(image, f.base))
         rows = image.hom_points()
-        assert walked and converted == []
+        assert plmap._certified_image(f.base, image)
+        assert walked and converted == list(images)
         assert oriented == [tuple(rows[v] for v in s) for s in image.simplices]
-        assert image.orientations() == [orient2_on_fractions(*cell) for cell in image.cells()]
+        assert image.orientations() == [orient2_on_fractions(*cell) for cell in cell_points(image)]
 
 
 def test_a_walk_derives_each_table_once(monkeypatch):

@@ -3,6 +3,7 @@ relies on an assert statement, which `python -O` strips."""
 
 import ast
 import pathlib
+from collections import Counter
 
 TESTS = pathlib.Path(__file__).resolve().parent
 SRC = TESTS.parent / "src" / "plstab"
@@ -71,20 +72,27 @@ LEAVES = {"triangle_intersection": ("clip.py", "triangle_pieces"),
           "collinear_overlap": ("geometry.py", "segment_pieces")}
 
 
+def parts_of(tree):
+    """("Class.method" or top-level name, node) of each top-level statement
+    of a module, a class split into its members."""
+    for top in tree.body:
+        if isinstance(top, ast.ClassDef):
+            yield from ((f"{top.name}.{item.name}" if isinstance(item, ast.FunctionDef)
+                         else top.name, item) for item in top.body)
+        else:
+            yield getattr(top, "name", None), top
+
+
 def named_calls(path, names):
     """("Class.method" or top-level name, callee) of each call of a name in
     ``names``, bare or as an attribute, nested functions included."""
     out = []
-    for top in ast.parse(path.read_text()).body:
-        parts = ([(f"{top.name}.{item.name}" if isinstance(item, ast.FunctionDef)
-                   else top.name, item) for item in top.body]
-                 if isinstance(top, ast.ClassDef) else [(getattr(top, "name", None), top)])
-        for where, part in parts:
-            for node in ast.walk(part):
-                if isinstance(node, ast.Call):
-                    name = getattr(node.func, "id", getattr(node.func, "attr", None))
-                    if name in names:
-                        out.append((where, name))
+    for where, part in parts_of(ast.parse(path.read_text())):
+        for node in ast.walk(part):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", getattr(node.func, "attr", None))
+                if name in names:
+                    out.append((where, name))
     return out
 
 
@@ -303,7 +311,7 @@ SOLE_CALLERS = {"rational_points": {("complexes.py", "Complex.__init__"),
                                  ("stability.py", "certify_trivial"),
                                  ("fixedlocus.py", "fuller_search")},
                 "numbered": {("overlay.py", "refine"), ("fixedlocus.py", "fixed_subcomplex")},
-                "with_points": {("plmap.py", "PLMap.trusted"), ("plmap.py", "_certified_image")},
+                "with_points": {("plmap.py", "PLMap.trusted"), ("plmap.py", "PLMap.__init__")},
                 "cell_facets": {("complexes.py", "_Incidences.facets")},
                 "cell_stars": {("complexes.py", "_Incidences.stars")},
                 "is_connected": {("stability.py", "certify_trivial")}}
@@ -317,8 +325,9 @@ def test_points_are_converted_and_numbered_in_one_place():
     `overlay.refine` and `fixedlocus.fixed_subcomplex` call
     `overlay.numbered`, so overlay, composition, inversion, equality and
     the fixed locus share one numbering.  Only `PLMap.trusted` and
-    `_certified_image` build an image on its refinement's simplices
-    (`with_points`), and only the shared incidence record `_Incidences`
+    `PLMap(...)` build an image on its refinement's simplices
+    (`with_points`), so every map's image shares its refinement's
+    incidence record, and only the shared incidence record `_Incidences`
     builds a facet or star table.  Only the certifier, which spreads triviality from one vertex
     over the stars of the base, asks whether a complex is connected."""
     found = {}
@@ -412,7 +421,7 @@ def test_the_row_merge_builds_no_fraction():
 # the planar kernel and the derived planar path, by module: the
 # homogeneous coordinates, their determinant and the edge lines of cells,
 # orientation, point location, the meets-tests, the clip loop, the fan and
-# its centroid, the area sums, the simple-polygon test, the box sweep, the
+# its centroid, the simple-polygon test, the box sweep, the
 # refinement and numbering of derived cells, the pieces and their
 # application, composition, inversion and the trusted build of their
 # results run on ints; `geometry.affine_point` builds the Fractions of the
@@ -420,7 +429,7 @@ def test_the_row_merge_builds_no_fraction():
 KERNEL_2D = {"geometry.py": {"homogeneous", "det3", "orient2", "hom_cmp", "line_through",
                              "hom_cell", "closed_segments_meet", "is_simple_polygon", "on_one_grid",
                              "candidate_pairs"},
-             "complexes.py": {"ccw_triangles_meet", "segment_meets_ccw_triangle", "area2_sums",
+             "complexes.py": {"ccw_triangles_meet", "segment_meets_ccw_triangle",
                               "in_closed_cell", "Complex.orientations", "Complex.hom_points",
                               "Complex.hom_cells"},
              "clip.py": {"triangle_intersection", "convex_fan", "polygon_centroid"},
@@ -435,7 +444,7 @@ def test_the_planar_kernel_builds_no_fraction():
     predicate `orient2` and point order `hom_cmp`, the orientation of a
     cell and of a loose polygon, the closed-cell test, the meets-tests of
     the overlay walk and of `Complex` validation, the clip loop, the fan
-    of its pieces and its centroid, the accumulation of `Complex.area2`,
+    of its pieces and its centroid,
     the boundary certificate's polygon test, its segment test and box
     sweep, `overlay.refine` and `overlay.numbered`, the solve and the
     application of a piece, the pullbacks of composition, `compose2d`,
@@ -449,14 +458,18 @@ def test_the_planar_kernel_builds_no_fraction():
 
 # the segment kernel and the fixed locus, by module: the closed-segment
 # test, the collinear overlap and the one test under it, the open-segment
-# test and the all-pairs fallback of `Complex` validation, the overlap
-# pieces, the rays of germs and of the 1D tangent gate, and the fixed
-# locus's displacements, edge cuts and isolated fixed points and the rows
-# they make run on rows
+# test, the point checks of `Complex` validation and their all-pairs
+# fallback, the integer cell boxes, the overlap pieces, the measures and
+# their sums of the cover accounting, the rays of germs and of the 1D
+# tangent gate, and the fixed locus's displacements, edge cuts and
+# isolated fixed points and the rows they make run on rows
 ROW_KERNEL = {"geometry.py": {"on_segment", "collinear_overlap", "span_overlap",
-                              "hom_barycentre", "hom_direction", "primitive_direction"},
-              "complexes.py": {"seg_seg_open_meet", "Complex._check_cells_exactly"},
-              "overlay.py": {"segment_pieces"},
+                              "hom_barycentre", "hom_direction", "primitive_direction",
+                              "row_boxes", "extent", "ratio_sum"},
+              "complexes.py": {"seg_seg_open_meet", "Complex.validate_points",
+                               "Complex._check_cells_exactly"},
+              "clip.py": {"polygon_area2"},
+              "overlay.py": {"segment_pieces", "realized_pieces"},
               "tangent.py": {"build_germ"},
               "stability.py": {"_tangent_witness_1d"},
               "fixedlocus.py": {"_displacement", "_edge_cut", "_interior_fixed_point",
@@ -464,12 +477,14 @@ ROW_KERNEL = {"geometry.py": {"on_segment", "collinear_overlap", "span_overlap",
 
 
 def test_the_segment_kernel_and_the_fixed_locus_build_no_fraction():
-    """The segment predicates, `Complex` validation's all-pairs fallback,
-    `segment_pieces`, the rays of `build_germ` and `_tangent_witness_1d`,
-    and the fixed locus's cut helpers make no `Fraction` or `rat` call and
-    no `/`; `fixedlocus`
-    neither imports `Fraction` nor calls it anywhere, and the rays are
-    found with no read of a `points` view but the germ's apex."""
+    """The segment predicates, the point checks of `Complex` validation
+    and its all-pairs fallback, `row_boxes`, `segment_pieces`, the cover
+    accounting of `realized_pieces` and its measures, the rays of
+    `build_germ` and `_tangent_witness_1d`, and the fixed locus's cut
+    helpers make no `Fraction` or `rat` call and no `/`; `fixedlocus`
+    neither imports `Fraction` nor calls it anywhere; and of `build_germ`
+    and `_tangent_witness_1d` only `build_germ` reads a view, once, the
+    `points` of its fan apex."""
     for name, names in ROW_KERNEL.items():
         assert names <= {fn for fn, _ in functions(ast.parse((SRC / name).read_text()))}
     found = {name: fraction_work(SRC / name, names) for name, names in ROW_KERNEL.items()}
@@ -478,11 +493,9 @@ def test_the_segment_kernel_and_the_fixed_locus_build_no_fraction():
     assert [a.name for node in ast.walk(fixedlocus) if isinstance(node, ast.ImportFrom)
             and node.module == "fractions" for a in node.names] == []
     assert fraction_work(SRC / "fixedlocus.py", {fn for fn, _ in functions(fixedlocus)}) == []
-    views = [(name, fn, node.attr) for name, wanted in (("tangent.py", "build_germ"),
-                                                        ("stability.py", "_tangent_witness_1d"))
-             for fn, tree in functions(ast.parse((SRC / name).read_text())) if fn == wanted
-             for node in ast.walk(tree)
-             if isinstance(node, ast.Attribute) and node.attr in ("points", "images")]
+    views = [(name, where, view) for name, wanted in (("tangent.py", "build_germ"),
+                                                      ("stability.py", "_tangent_witness_1d"))
+             for where, view in view_reads(SRC / name) if where == wanted]
     assert views == [("tangent.py", "build_germ", "points")]
 
 
@@ -522,16 +535,12 @@ def named_reads(path, names):
     ``names``, bare or as an attribute: a call, or the name passed on as a
     value, as to `map`."""
     out = []
-    for top in ast.parse(path.read_text()).body:
-        parts = ([(f"{top.name}.{item.name}" if isinstance(item, ast.FunctionDef)
-                   else top.name, item) for item in top.body]
-                 if isinstance(top, ast.ClassDef) else [(getattr(top, "name", None), top)])
-        for where, part in parts:
-            for node in ast.walk(part):
-                name = (node.id if isinstance(node, ast.Name) else
-                        node.attr if isinstance(node, ast.Attribute) else None)
-                if name in names and isinstance(node.ctx, ast.Load):
-                    out.append((where, name))
+    for where, part in parts_of(ast.parse(path.read_text())):
+        for node in ast.walk(part):
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else None)
+            if name in names and isinstance(node.ctx, ast.Load):
+                out.append((where, name))
     return out
 
 
@@ -541,7 +550,7 @@ def named_reads(path, names):
 # the loose segments, polygons and points of `between`, `hom_cell` and
 # `point_in_triangle`
 HOMOGENEOUS_READERS = {("complexes.py", "Complex._validate"),
-                       ("plmap.py", "_certified_image"), ("plmap.py", "PLMap.eval"),
+                       ("plmap.py", "PLMap.__init__"), ("plmap.py", "PLMap.eval"),
                        ("geometry.py", "between"), ("geometry.py", "hom_cell"),
                        ("geometry.py", "area2"), ("clip.py", "point_in_triangle")}
 
@@ -571,6 +580,61 @@ def test_the_check_sees_reads_of_conversions(tmp_path):
     assert named_reads(probe, {"homogeneous", "affine_point"}) == [
         ("Complex.hom_points", "homogeneous"), ("refine", "homogeneous"),
         ("refine", "affine_point")]
+
+
+# the `Fraction` views, each (module, "Class.method" or function, view)
+# that may read one, with how many times: the validating constructor on
+# its own input, `parse_plmap` comparing a refinement block with its base,
+# `tangent.build_germ` once, for its fan apex, and the `images` view, the
+# image's `points`; every other step reads rows
+VIEW_READERS = Counter({("complexes.py", "Complex._validate", "points"): 5,
+                        ("plmap.py", "parse_plmap", "points"): 1,
+                        ("tangent.py", "build_germ", "points"): 1,
+                        ("plmap.py", "PLMap.images", "points"): 1})
+
+
+def view_reads(path):
+    """("Class.method" or top-level name, view) of each read of the
+    attribute `points` or `images`, and of each call of a method `cells`
+    (the list of each cell's points, which the tests keep as an oracle;
+    `cells` as an attribute is a derived complex or a cell list)."""
+    out = []
+    for where, part in parts_of(ast.parse(path.read_text())):
+        for node in ast.walk(part):
+            if (isinstance(node, ast.Attribute) and node.attr in ("points", "images")
+                    and isinstance(node.ctx, ast.Load)):
+                out.append((where, node.attr))
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "cells"):
+                out.append((where, "cells"))
+    return out
+
+
+def test_fraction_views_are_read_in_named_places():
+    """Validation, the certificate, the exact image checks, the cell
+    sweeps and every operation read rows: only the named places read a
+    `Fraction` view, each as many times as named (so the rays of
+    `build_germ` read no view but its apex), and no module calls a
+    `cells` method."""
+    found = Counter((p.name, where, view) for p in sorted(SRC.glob("*.py"))
+                    for where, view in view_reads(p))
+    assert found == VIEW_READERS
+
+
+def test_the_check_sees_reads_of_views(tmp_path):
+    probe = tmp_path / "probe.py"
+    probe.write_text("class PLMap:\n"
+                     "    def __init__(self, base, refinement, images):\n"
+                     "        self.image = Complex(images, refinement.simplices)\n"
+                     "        self.cells = [base.points[v] for v in refinement.cells[0]]\n"
+                     "    @property\n"
+                     "    def images(self):\n"
+                     "        return self.image.points\n"
+                     "def segment_pieces(t1, t2):\n"
+                     "    boxes = [bbox(s) for s in t1.cells()]\n"
+                     "    t2.points = t1.images\n")
+    assert view_reads(probe) == [("PLMap.__init__", "points"), ("PLMap.images", "points"),
+                                 ("segment_pieces", "images"), ("segment_pieces", "cells")]
 
 
 def imports_of_test_modules(tests=TESTS):

@@ -40,6 +40,8 @@ ALLOWED_METHODS = {
     "RationalRotation.periodic_point": "the exact witness of a found rotation number, solved "
                                        "when read; tests/test_circle.py reads it",
     "_Parser.error": "argparse calls it, on the name it overrides, for a usage error",
+    "PLMap.images": "the `Fraction` view of a map's image points, for callers of the "
+                    "library and the tests; the library itself reads the image's rows",
 }
 
 

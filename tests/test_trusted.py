@@ -13,7 +13,8 @@ from plstab.geometry import homogeneous
 from plstab.overlay import overlay
 from plstab.plmap import PLMap, compose2d, inverse2d
 
-from support import SYMMETRIES, _along_boundary, affine, grid_complex, square_complex
+from support import (SYMMETRIES, _along_boundary, affine, cell_points, grid_complex,
+                     square_complex)
 
 GRID = grid_complex(2)
 OFFSETS = st.lists(st.tuples(st.integers(-1, 1), st.integers(-1, 1)),
@@ -80,7 +81,7 @@ def test_inverse_pullbacks_agree_on_every_incident_cell(offsets, sym, composite)
         f = compose2d(f, f)
     inv = inverse2d(f)
     ov = overlay(f.image, f.base)
-    srcs, imgs = f.refinement.cells(), f.image.cells()
+    srcs, imgs = cell_points(f.refinement), cell_points(f.image)
     assert inv.refinement.points == ov.cells.points
     incidences = 0
     for s, (i, _) in ov.provenance.items():

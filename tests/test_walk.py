@@ -15,12 +15,12 @@ from plstab.complexes import Complex, segment_meets_ccw_triangle
 from plstab.errors import PLError, RealizationMismatch
 from plstab.geometry import affine_point, area2, candidate_pairs, hom_cell, homogeneous
 from plstab.overlay import overlay, triangle_pieces
-from plstab.plmap import (PLMap, _certified_image, compose2d, format_plmap, inverse2d,
-                          plmap_from_vertex_images)
+from plstab.plmap import PLMap, compose2d, format_plmap, inverse2d, plmap_from_vertex_images
 
 from support import (SYMMETRIES, _along_boundary, affine, assert_builds_as_on_fractions,
-                     bench_grid_maps, ccw_triangle, centroid_split, compose2d_by_ccw_triangle,
-                     cycle_rotation, grid_complex, interior_move_map, open_triangles_meet,
+                     bench_grid_maps, ccw_triangle, cell_points, centroid_split, certified_image,
+                     compose2d_by_ccw_triangle, cycle_rotation, grid_complex, interior_move_map,
+                     open_triangles_meet,
                      random_square_triangulation, refinement_homes, triangle_pieces_by_ccw_triangle,
                      two_squares)
 from support import grid_map as moved_grid_map
@@ -34,7 +34,7 @@ GEOMETRY = import_module("plstab.geometry")
 
 def all_pairs(c1, c2):
     """The oracle: every pair of cells, clipped where their interiors meet."""
-    cells1, cells2 = c1.cells(), c2.cells()
+    cells1, cells2 = cell_points(c1), cell_points(c2)
     return {(i, j, tuple(triangle_intersection(a, b)))
             for i, a in enumerate(c1.hom_cells()) for j, b in enumerate(c2.hom_cells())
             if open_triangles_meet(cells1[i], cells2[j])}
@@ -333,7 +333,7 @@ def test_planar_operations_never_enumerate_all_pairs(monkeypatch):
         return candidate_pairs(boxes_a, boxes_b)
 
     base, refinement, images = slid_refinement_map(3)
-    assert _certified_image(base, refinement, images) is None
+    assert certified_image(base, refinement, images) is None
     homes = refinement_homes(base, refinement)
     monkeypatch.setattr(KERNEL, "candidate_pairs", refuse_planar)
     monkeypatch.setattr(MAPS, "candidate_pairs", refuse_planar, raising=False)
@@ -394,7 +394,7 @@ def test_pieces_match_the_oracle(n, seed, w, off):
     compose."""
     f = grid_map(n, seed)
     for h in (f, compose2d(f, grid_map(n, seed + 1))):
-        srcs, imgs = h.refinement.cells(), h.image.cells()
+        srcs, imgs = cell_points(h.refinement), cell_points(h.image)
         for i, (src, img) in enumerate(zip(srcs, imgs)):
             x = homogeneous(cell_point(src, w))
             y = h.eval_in_cell(i, x)
@@ -415,7 +415,7 @@ def interval_map():
 
 @pytest.mark.parametrize("f", [cycle_rotation(), interval_map()], ids=["plane", "line"])
 def test_pieces_of_a_map_of_segments(f):
-    for i, (src, img) in enumerate(zip(f.refinement.cells(), f.image.cells())):
+    for i, (src, img) in enumerate(zip(cell_points(f.refinement), cell_points(f.image))):
         for t in (F(0), F(1, 3), F(1), F(-2, 5)):
             x = tuple(a + t * (b - a) for a, b in zip(*src))
             y = f.eval_in_cell(i, homogeneous(x))
@@ -430,7 +430,7 @@ def test_compose_pullbacks_match_the_oracle(n, seed):
     """Compose pulls each clipped polygon back through g's piece; the
     pullbacks of inverse2d are checked in `tests/test_trusted.py`."""
     f, g = grid_map(n, seed), grid_map(n, seed + 1)
-    srcs, imgs = g.refinement.cells(), g.image.cells()
+    srcs, imgs = cell_points(g.refinement), cell_points(g.image)
     for i, _, poly in triangle_pieces(g.image, f.refinement):
         for p in poly:
             assert g.pullback_in_cell(i, p) == homogeneous(affine(imgs[i], srcs[i],
